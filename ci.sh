@@ -26,9 +26,10 @@ cargo test -q --offline -p dista-obs --test merge_prop
 cargo test -q --offline -p dista-obs --test exporters
 cargo test -q --offline --test telemetry_interop
 
-echo "==> reactor conformance (blocking shim vs reactor API) + timer wheel"
+echo "==> reactor conformance (blocking vs reactor API) + timer wheel + lost-wakeup stress"
 cargo test -q --offline -p dista-simnet --test reactor_conformance
 cargo test -q --offline -p dista-simnet --test timer_wheel
+cargo test -q --offline -p dista-simnet --test handoff_stress
 
 echo "==> chaos suites under fixed seeds (incl. reshard crash-during-migration)"
 for seed in 7 42 1337; do
@@ -131,5 +132,19 @@ grep -q '"misroute_hits": 1' BENCH_pipeline_smoke.json
 grep -Eq '"throughput_records_per_sec": [1-9]' BENCH_pipeline_smoke.json
 grep -Eq '"throughput_messages_per_sec": [1-9]' BENCH_pipeline_smoke.json
 rm -f BENCH_pipeline_smoke.json
+
+echo "==> hand-off gate: SimNet blocking round trip <= 2x the mpsc round trip of the same process"
+# Built on every core first; the run itself is confined to one core,
+# like the crossing benchmark confines its workloads. Left to the
+# scheduler either ping-pong lands on one core or two (3 us or 35 us
+# per round trip here), so without taskset the ratio means nothing and
+# the gate is skipped. The bench compares the two numbers itself and
+# exits non-zero.
+cargo bench --offline -p dista-bench --bench handoff --no-run
+if command -v taskset >/dev/null 2>&1; then
+    taskset -c 0 cargo bench --offline -p dista-bench --bench handoff -- --smoke
+else
+    echo "    taskset not found: hand-off gate skipped"
+fi
 
 echo "CI OK"

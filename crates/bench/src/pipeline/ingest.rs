@@ -261,10 +261,11 @@ pub fn run_ingest(cfg: &IngestConfig) -> Result<IngestOutcome, DistaError> {
     )?;
     let mut stored: BTreeSet<i64> = BTreeSet::new();
     let mut inflight = None;
-    let mut attempts = 0;
+    // Only iterations that made no progress count against the budget
+    // (a pull or put error, or an empty pull), as in the producer loop.
+    let mut failed = 0;
     while stored.len() < n {
-        attempts += 1;
-        if attempts > MAX_ATTEMPTS {
+        if failed > MAX_ATTEMPTS {
             return Err(DistaError::Config(format!(
                 "bridge retry budget exhausted with {}/{n} records stored",
                 stored.len()
@@ -274,6 +275,7 @@ pub fn run_ingest(cfg: &IngestConfig) -> Result<IngestOutcome, DistaError> {
             match consumer.try_pull() {
                 Ok(found) => inflight = found,
                 Err(_) => {
+                    failed += 1;
                     retries += 1;
                     cluster.poll_chaos()?;
                     // Reconnect re-pulls from offset 0; `stored` dedupes.
@@ -284,7 +286,10 @@ pub fn run_ingest(cfg: &IngestConfig) -> Result<IngestOutcome, DistaError> {
                 }
             }
         }
-        let Some(msg) = &inflight else { continue };
+        let Some(msg) = &inflight else {
+            failed += 1;
+            continue;
+        };
         if stored.contains(&msg.msg_id) {
             inflight = None;
             continue;
@@ -296,6 +301,7 @@ pub fn run_ingest(cfg: &IngestConfig) -> Result<IngestOutcome, DistaError> {
                 inflight = None;
             }
             Err(_) => {
+                failed += 1;
                 retries += 1;
                 cluster.poll_chaos()?;
                 if let Ok(t) = HTable::open(&bridge_vm, ensemble.any_client_addr(), TABLE) {

@@ -28,8 +28,10 @@
 //! * [`Reactor`] — an event-driven readiness queue with a hashed
 //!   [`TimerWheel`]: non-blocking `try_read`/`try_write`/`try_receive`
 //!   plus token-based wakeups, so one poller thread can drive 100k+
-//!   connections. The blocking API above is a thin shim over the same
-//!   wake machinery (pinned by `tests/reactor_conformance.rs`).
+//!   connections. The blocking API above waits on the same sources —
+//!   one rule for both: change state under the source's lock, wake
+//!   after releasing it, and a blocking wait allocates nothing (pinned
+//!   by `tests/reactor_conformance.rs` and `tests/handoff_stress.rs`).
 //!
 //! # Example
 //!

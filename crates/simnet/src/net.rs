@@ -317,10 +317,15 @@ impl SimNet {
         }
         let src_port = self.inner.next_ephemeral.fetch_add(1, Ordering::Relaxed);
         let src = NodeAddr::new(src_ip, src_port);
-        let reg = self.inner.registry.lock();
-        let queue = reg
+        // Cloned out so the registry lock is released before the push
+        // wakes a parked acceptor.
+        let queue = self
+            .inner
+            .registry
+            .lock()
             .tcp_listeners
             .get(&dest)
+            .cloned()
             .ok_or(NetError::ConnectionRefused(dest))?;
         let (client, server) = TcpEndpoint::pair(
             src,

@@ -21,20 +21,24 @@
 //! discipline delivers byte-for-byte exactly what the blocking API
 //! delivers.
 //!
-//! The blocking API itself is a thin shim over the same machinery: a
-//! blocking read registers a one-shot synchronous waiter in the very
-//! wake list the reactor uses, and waits **deadline-absolute** — a
-//! spurious wakeup re-arms only the remaining time, never the full
-//! timeout.
+//! The blocking API waits on the same sources without going through the
+//! reactor: each source owns a [`Wakers`] beside its state mutex — a
+//! condition variable for parked blocking readers plus the list of
+//! reactor registrations — and one rule covers both kinds of wakeup:
+//! **change state under the source's lock; wake after releasing it; a
+//! blocking wait allocates nothing.** A blocking wait is
+//! **deadline-absolute** — a wakeup that brings no data re-arms only the
+//! remaining time, never the full timeout.
 
 use std::collections::HashMap;
 use std::ops::BitOr;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
+use crate::error::NetError;
 use crate::timer::{TimerKey, TimerWheel};
 
 /// Caller-chosen identity of one registered event source (or timer).
@@ -55,6 +59,16 @@ impl Readiness {
     pub const CLOSED: Readiness = Readiness(2);
     /// A deadline armed with [`Reactor::set_timer`] expired.
     pub const TIMER: Readiness = Readiness(4);
+
+    /// What a source with or without something to take, open or
+    /// closed, reports: a closed source is readable (EOF is an answer).
+    pub(crate) fn of_source(has_data: bool, closed: bool) -> Readiness {
+        match (has_data, closed) {
+            (_, true) => Readiness(Self::READABLE.0 | Self::CLOSED.0),
+            (true, false) => Readiness::READABLE,
+            (false, false) => Readiness::EMPTY,
+        }
+    }
 
     /// Whether every bit of `other` is set in `self`.
     pub fn contains(self, other: Readiness) -> bool {
@@ -102,83 +116,6 @@ pub struct Event {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimerHandle(TimerKey);
 
-/// Readiness sink installed into a source's wake list.
-///
-/// `wake` returns `false` when the sink is defunct (deregistered or its
-/// reactor dropped); the wake list prunes such entries.
-pub(crate) trait Wake: Send + Sync {
-    fn wake(&self, readiness: Readiness) -> bool;
-}
-
-/// The list of readiness sinks attached to one source (pipe, mailbox,
-/// accept queue). Sources call [`WakeList::notify`] whenever they
-/// *become* ready; both reactor registrations and blocking-shim waiters
-/// live here, so the two APIs observe identical wakeups.
-#[derive(Default)]
-pub(crate) struct WakeList {
-    entries: Mutex<Vec<(u64, Arc<dyn Wake>)>>,
-    next_id: AtomicU64,
-}
-
-impl std::fmt::Debug for WakeList {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WakeList")
-            .field("entries", &self.entries.lock().len())
-            .finish()
-    }
-}
-
-impl WakeList {
-    pub(crate) fn register(&self, waker: Arc<dyn Wake>) -> u64 {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.entries.lock().push((id, waker));
-        id
-    }
-
-    pub(crate) fn deregister(&self, id: u64) {
-        self.entries.lock().retain(|(eid, _)| *eid != id);
-    }
-
-    pub(crate) fn notify(&self, readiness: Readiness) {
-        self.entries.lock().retain(|(_, w)| w.wake(readiness));
-    }
-}
-
-/// A one-shot synchronous waiter: the blocking shim's bridge onto the
-/// wake lists. Parks deadline-absolute.
-#[derive(Default)]
-pub(crate) struct SyncWaiter {
-    state: Mutex<Readiness>,
-    cv: Condvar,
-}
-
-impl Wake for SyncWaiter {
-    fn wake(&self, readiness: Readiness) -> bool {
-        let mut st = self.state.lock();
-        *st = *st | readiness;
-        self.cv.notify_all();
-        true
-    }
-}
-
-impl SyncWaiter {
-    /// Waits until woken or `deadline`; returns `false` on timeout.
-    /// Consumes any accumulated readiness so the caller re-checks the
-    /// source (another waiter may have taken the data).
-    pub(crate) fn wait_until(&self, deadline: Instant) -> bool {
-        let mut st = self.state.lock();
-        loop {
-            if !st.is_empty() {
-                *st = Readiness::EMPTY;
-                return true;
-            }
-            if self.cv.wait_until(&mut st, deadline).timed_out() {
-                return false;
-            }
-        }
-    }
-}
-
 /// A registered source's shared deactivation flag; its waker stops
 /// delivering once cleared.
 #[derive(Debug, Default)]
@@ -186,13 +123,17 @@ struct RegistrationState {
     active: AtomicBool,
 }
 
+/// One reactor registration on a source: queues `token` on its reactor.
+#[derive(Clone)]
 struct ReactorWaker {
     inner: Weak<ReactorInner>,
     token: Token,
     reg: Arc<RegistrationState>,
 }
 
-impl Wake for ReactorWaker {
+impl ReactorWaker {
+    /// Queues `readiness`; `false` when the registration is defunct
+    /// (deregistered or its reactor dropped) and should be pruned.
     fn wake(&self, readiness: Readiness) -> bool {
         if !self.reg.active.load(Ordering::Acquire) {
             return false;
@@ -205,6 +146,133 @@ impl Wake for ReactorWaker {
             None => false,
         }
     }
+
+    fn is_live(&self) -> bool {
+        self.reg.active.load(Ordering::Acquire) && self.inner.strong_count() > 0
+    }
+}
+
+/// The reactor registrations attached to one source.
+///
+/// `notify` runs on every write, so its common cases are cheap: an
+/// empty list is one atomic load, and a populated one is woken from a
+/// copy-on-write snapshot — the list lock is held for one `Arc` clone,
+/// never across a `wake`.
+#[derive(Default)]
+struct WakeList {
+    /// `None` until the first registration: most sources never see one.
+    entries: Mutex<Option<Arc<Vec<ReactorWaker>>>>,
+    /// Number of entries, written under the `entries` lock. `SeqCst`:
+    /// `register` stores it before the registrant reads the source's
+    /// state, a notifier loads it after changing that state, so one of
+    /// the two always sees the other.
+    len: AtomicUsize,
+}
+
+impl WakeList {
+    fn register(&self, waker: ReactorWaker) {
+        let mut entries = self.entries.lock();
+        let list = Arc::make_mut(entries.get_or_insert_with(Arc::default));
+        list.push(waker);
+        self.len.store(list.len(), Ordering::SeqCst);
+    }
+
+    fn notify(&self, readiness: Readiness) {
+        if self.len.load(Ordering::SeqCst) == 0 {
+            return;
+        }
+        let Some(snapshot) = self.entries.lock().clone() else {
+            return;
+        };
+        let mut defunct = false;
+        for waker in snapshot.iter() {
+            defunct |= !waker.wake(readiness);
+        }
+        if defunct {
+            let mut entries = self.entries.lock();
+            if let Some(list) = entries.as_mut().map(Arc::make_mut) {
+                list.retain(ReactorWaker::is_live);
+                self.len.store(list.len(), Ordering::SeqCst);
+            }
+        }
+    }
+}
+
+/// Everything that waits on one source (pipe, mailbox, accept queue):
+/// blocking readers parked on a condition variable, and reactor
+/// registrations. It lives beside the source's state mutex.
+///
+/// The source changes its state under that mutex, releases it, and then
+/// calls [`Wakers::notify`]; blocking readers and reactor tokens
+/// therefore observe identical readiness edges.
+#[derive(Default)]
+pub(crate) struct Wakers {
+    cv: Condvar,
+    /// Readers inside `cv.wait_until`. Raised under the source's state
+    /// mutex before parking; a notifier loads it after releasing that
+    /// mutex, so the mutex orders the two and a reader that missed the
+    /// state change is always seen here. `SeqCst` for simplicity.
+    parked: AtomicUsize,
+    registrations: WakeList,
+}
+
+impl std::fmt::Debug for Wakers {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Wakers")
+            .field("parked", &self.parked.load(Ordering::SeqCst))
+            .field(
+                "registrations",
+                &self.registrations.len.load(Ordering::SeqCst),
+            )
+            .finish()
+    }
+}
+
+impl Wakers {
+    /// Wakes parked readers and queues `readiness` on every registered
+    /// token. Call it with the source's state mutex **released**. With
+    /// nobody parked and nothing registered it is two atomic loads.
+    pub(crate) fn notify(&self, readiness: Readiness) {
+        if self.parked.load(Ordering::SeqCst) > 0 {
+            self.cv.notify_all();
+        }
+        self.registrations.notify(readiness);
+    }
+
+    /// The blocking wait of every source: retries `try_take` on the
+    /// locked state until it stops answering
+    /// [`NetError::WouldBlock`], parking between attempts until the
+    /// next [`Wakers::notify`] or the **absolute** deadline `timeout`
+    /// from the first park. Allocates nothing.
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::Timeout`] carrying `timeout` once the deadline
+    /// passed and one last attempt still found nothing; otherwise
+    /// whatever `try_take` returned.
+    pub(crate) fn wait<S, T>(
+        &self,
+        state: &Mutex<S>,
+        timeout: Duration,
+        mut try_take: impl FnMut(&mut S) -> Result<T, NetError>,
+    ) -> Result<T, NetError> {
+        let mut st = state.lock();
+        let mut deadline = None;
+        let mut expired = false;
+        loop {
+            match try_take(&mut st) {
+                Err(NetError::WouldBlock) => {}
+                other => return other,
+            }
+            if expired {
+                return Err(NetError::Timeout(timeout));
+            }
+            let deadline = *deadline.get_or_insert_with(|| Instant::now() + timeout);
+            self.parked.fetch_add(1, Ordering::SeqCst);
+            expired = self.cv.wait_until(&mut st, deadline).timed_out();
+            self.parked.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
 }
 
 #[derive(Default)]
@@ -212,9 +280,8 @@ struct ReadyState {
     /// Tokens in arrival order; readiness coalesced in `pending`.
     order: Vec<Token>,
     pending: HashMap<Token, Readiness>,
-    /// Set (under this mutex) when a timer was armed, so a parked
-    /// poller re-computes its wait bound.
-    timers_dirty: bool,
+    /// Pollers inside a `cv` wait; nobody parked, nobody to notify.
+    parked: usize,
 }
 
 struct ReactorInner {
@@ -236,7 +303,16 @@ impl ReactorInner {
                 rd.order.push(token);
             }
         }
-        self.cv.notify_all();
+        self.wake_pollers(rd);
+    }
+
+    /// Releases the ready mutex, then wakes parked pollers (if any).
+    fn wake_pollers(&self, rd: MutexGuard<'_, ReadyState>) {
+        let parked = rd.parked > 0;
+        drop(rd);
+        if parked {
+            self.cv.notify_all();
+        }
     }
 
     /// Wall time → wheel ticks (saturating, rounding down).
@@ -301,23 +377,30 @@ impl Reactor {
         }
     }
 
-    /// Installs a waker for `token` into a source's wake list and
-    /// queues `current` immediately if the source is already ready
-    /// (otherwise the edge that happened before registration would be
-    /// lost). Re-registering a token replaces the previous
-    /// registration.
-    pub(crate) fn attach(&self, list: &WakeList, current: Readiness, token: Token) {
+    /// Registers `token` on a source and queues the source's `current`
+    /// readiness immediately if it is already ready (otherwise the edge
+    /// that happened before registration would be lost). `current` is
+    /// read *after* the registration is in place, so a write racing
+    /// `attach` is caught by one or the other. Re-registering a token
+    /// replaces the previous registration.
+    pub(crate) fn attach(
+        &self,
+        wakers: &Wakers,
+        current: impl FnOnce() -> Readiness,
+        token: Token,
+    ) {
         self.deregister(token);
         let reg = Arc::new(RegistrationState {
             active: AtomicBool::new(true),
         });
         self.inner.registrations.lock().insert(token, reg.clone());
-        let waker = Arc::new(ReactorWaker {
+        let waker = ReactorWaker {
             inner: Arc::downgrade(&self.inner),
             token,
             reg,
-        });
-        list.register(waker.clone());
+        };
+        wakers.registrations.register(waker.clone());
+        let current = current();
         if !current.is_empty() {
             waker.wake(current);
         }
@@ -354,11 +437,11 @@ impl Reactor {
             .lock()
             .insert(now_ticks + after_ticks, token);
         // A parked poller may be waiting past this new, earlier
-        // deadline; flag it under the ready mutex so it re-computes.
-        let mut rd = self.inner.ready.lock();
-        rd.timers_dirty = true;
-        self.inner.cv.notify_all();
-        drop(rd);
+        // deadline. Taking the ready mutex orders this after the
+        // poller's own look at the wheel: it either sees the timer or
+        // is already parked and gets woken to re-compute its bound.
+        let rd = self.inner.ready.lock();
+        self.inner.wake_pollers(rd);
         TimerHandle(key)
     }
 
@@ -403,7 +486,6 @@ impl Reactor {
 
             // Nothing ready: park until the earliest of the caller's
             // deadline and the next armed timer.
-            rd.timers_dirty = false;
             let next_timer = self
                 .inner
                 .timers
@@ -416,14 +498,16 @@ impl Reactor {
                 (None, Some(t)) => Some(t),
                 (None, None) => None,
             };
-            let timed_out = match bound {
-                Some(b) => self.inner.cv.wait_until(&mut rd, b).timed_out(),
-                None => {
-                    self.inner.cv.wait(&mut rd);
-                    false
+            // Due timers / events are re-checked by the loop, whatever
+            // ended the wait.
+            rd.parked += 1;
+            match bound {
+                Some(b) => {
+                    self.inner.cv.wait_until(&mut rd, b);
                 }
-            };
-            let _ = timed_out; // due timers / events re-checked by the loop
+                None => self.inner.cv.wait(&mut rd),
+            }
+            rd.parked -= 1;
             let caller_expired = deadline.is_some_and(|d| Instant::now() >= d);
             if caller_expired && rd.order.is_empty() {
                 // One last timer sweep below would race the deadline;

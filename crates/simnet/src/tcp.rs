@@ -8,18 +8,20 @@
 //! simulator: a receiver genuinely can get half of a DisTA wire record
 //! and must carry the remainder to the next read.
 //!
-//! Since the reactor landed, the primitive operations are the
-//! non-blocking [`TcpEndpoint::try_read`] / [`TcpEndpoint::try_write`]
-//! plus readiness registration ([`TcpEndpoint::register_readable`]); the
-//! blocking API is a shim that parks a one-shot waiter in the same wake
-//! list the reactor uses, **deadline-absolute** — a spurious wakeup
-//! re-arms only the remaining time. The conformance suite pins that both
-//! paths deliver identical bytes.
+//! The primitive operations are the non-blocking
+//! [`TcpEndpoint::try_read`] / [`TcpEndpoint::try_write`] plus readiness
+//! registration ([`TcpEndpoint::register_readable`]). A blocking read is
+//! the same `try_read` retried under the pipe's lock, parking on the
+//! pipe's own condition variable between attempts — no allocation, no
+//! list — **deadline-absolute**: a wakeup that brings no data re-arms
+//! only the remaining time. Writers publish under the lock and wake
+//! after releasing it (see [`crate::reactor`]). The conformance suite
+//! pins that both paths deliver identical bytes.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use parking_lot::Mutex;
 
@@ -28,7 +30,7 @@ use crate::error::NetError;
 use crate::fault::spin_ns;
 use crate::metrics::NetMetrics;
 use crate::net::FaultsShared;
-use crate::reactor::{Reactor, Readiness, SyncWaiter, Token, WakeList};
+use crate::reactor::{Reactor, Readiness, Token, Wakers};
 
 #[derive(Debug, Default)]
 struct PipeState {
@@ -36,11 +38,41 @@ struct PipeState {
     closed: bool,
 }
 
+impl PipeState {
+    /// Takes 1..=max bytes; `Ok(0)` only on clean EOF (or an empty
+    /// `out`), [`NetError::WouldBlock`] when nothing is buffered yet.
+    fn take(&mut self, out: &mut [u8], max_chunk: usize) -> Result<usize, NetError> {
+        if out.is_empty() {
+            return Ok(0);
+        }
+        if self.buf.is_empty() {
+            if self.closed {
+                return Ok(0); // EOF
+            }
+            return Err(NetError::WouldBlock);
+        }
+        let n = out.len().min(self.buf.len()).min(max_chunk.max(1));
+        let (front, back) = self.buf.as_slices();
+        if n <= front.len() {
+            out[..n].copy_from_slice(&front[..n]);
+        } else {
+            out[..front.len()].copy_from_slice(front);
+            out[front.len()..n].copy_from_slice(&back[..n - front.len()]);
+        }
+        self.buf.drain(..n);
+        Ok(n)
+    }
+
+    fn readiness(&self) -> Readiness {
+        Readiness::of_source(!self.buf.is_empty(), self.closed)
+    }
+}
+
 /// One direction of a connection: a byte queue with readiness wakeups.
 #[derive(Debug, Default)]
 pub(crate) struct Pipe {
     state: Mutex<PipeState>,
-    wakers: WakeList,
+    wakers: Wakers,
 }
 
 impl Pipe {
@@ -55,52 +87,16 @@ impl Pipe {
         Ok(())
     }
 
-    /// Non-blocking read of 1..=max bytes; `Ok(0)` only on clean EOF,
-    /// [`NetError::WouldBlock`] when nothing is buffered yet.
+    /// Non-blocking read; see [`PipeState::take`].
     fn try_read(&self, out: &mut [u8], max_chunk: usize) -> Result<usize, NetError> {
-        if out.is_empty() {
-            return Ok(0);
-        }
-        let mut st = self.state.lock();
-        if st.buf.is_empty() {
-            if st.closed {
-                return Ok(0); // EOF
-            }
-            return Err(NetError::WouldBlock);
-        }
-        let n = out.len().min(st.buf.len()).min(max_chunk.max(1));
-        let (front, back) = st.buf.as_slices();
-        if n <= front.len() {
-            out[..n].copy_from_slice(&front[..n]);
-        } else {
-            out[..front.len()].copy_from_slice(front);
-            out[front.len()..n].copy_from_slice(&back[..n - front.len()]);
-        }
-        st.buf.drain(..n);
-        Ok(n)
+        self.state.lock().take(out, max_chunk)
     }
 
-    /// Blocking shim: retries [`Pipe::try_read`] under a wake-list
-    /// waiter until data, EOF, or the **absolute** deadline.
+    /// Blocking read: [`PipeState::take`] until data, EOF, or the
+    /// **absolute** deadline.
     fn read(&self, out: &mut [u8], max_chunk: usize, timeout: Duration) -> Result<usize, NetError> {
-        match self.try_read(out, max_chunk) {
-            Err(NetError::WouldBlock) => {}
-            other => return other,
-        }
-        let deadline = Instant::now() + timeout;
-        let waiter = Arc::new(SyncWaiter::default());
-        let id = self.wakers.register(waiter.clone());
-        let result = loop {
-            match self.try_read(out, max_chunk) {
-                Err(NetError::WouldBlock) => {}
-                other => break other,
-            }
-            if !waiter.wait_until(deadline) {
-                break Err(NetError::Timeout(timeout));
-            }
-        };
-        self.wakers.deregister(id);
-        result
+        self.wakers
+            .wait(&self.state, timeout, |st| st.take(out, max_chunk))
     }
 
     fn close(&self) {
@@ -112,20 +108,7 @@ impl Pipe {
         self.state.lock().buf.len()
     }
 
-    /// Current readiness, for catch-up at registration time.
-    fn readiness(&self) -> Readiness {
-        let st = self.state.lock();
-        let mut r = Readiness::EMPTY;
-        if !st.buf.is_empty() {
-            r = r | Readiness::READABLE;
-        }
-        if st.closed {
-            r = r | Readiness::READABLE | Readiness::CLOSED;
-        }
-        r
-    }
-
-    fn wakers(&self) -> &WakeList {
+    fn wakers(&self) -> &Wakers {
         &self.wakers
     }
 }
@@ -282,7 +265,8 @@ impl TcpEndpoint {
     /// becomes readable whenever bytes arrive or the peer closes. If
     /// data is already buffered the token is queued immediately.
     pub fn register_readable(&self, reactor: &Reactor, token: Token) {
-        reactor.attach(self.inner.rx.wakers(), self.inner.rx.readiness(), token);
+        let rx = &self.inner.rx;
+        reactor.attach(rx.wakers(), || rx.state.lock().readiness(), token);
     }
 
     /// Reads into `buf`, blocking until ≥1 byte is available.
@@ -361,13 +345,27 @@ impl Drop for EndpointInner {
 #[derive(Debug, Default)]
 pub(crate) struct AcceptQueue {
     state: Mutex<AcceptState>,
-    wakers: WakeList,
+    wakers: Wakers,
 }
 
 #[derive(Debug, Default)]
 struct AcceptState {
     queue: VecDeque<TcpEndpoint>,
     closed: bool,
+}
+
+impl AcceptState {
+    fn pop(&mut self) -> Result<TcpEndpoint, NetError> {
+        match self.queue.pop_front() {
+            Some(ep) => Ok(ep),
+            None if self.closed => Err(NetError::Closed),
+            None => Err(NetError::WouldBlock),
+        }
+    }
+
+    fn readiness(&self) -> Readiness {
+        Readiness::of_source(!self.queue.is_empty(), self.closed)
+    }
 }
 
 impl AcceptQueue {
@@ -384,30 +382,9 @@ impl AcceptQueue {
         true
     }
 
-    fn try_pop(&self) -> Result<TcpEndpoint, NetError> {
-        let mut st = self.state.lock();
-        match st.queue.pop_front() {
-            Some(ep) => Ok(ep),
-            None if st.closed => Err(NetError::Closed),
-            None => Err(NetError::WouldBlock),
-        }
-    }
-
     pub(crate) fn close(&self) {
         self.state.lock().closed = true;
         self.wakers.notify(Readiness::READABLE | Readiness::CLOSED);
-    }
-
-    fn readiness(&self) -> Readiness {
-        let st = self.state.lock();
-        let mut r = Readiness::EMPTY;
-        if !st.queue.is_empty() {
-            r = r | Readiness::READABLE;
-        }
-        if st.closed {
-            r = r | Readiness::READABLE | Readiness::CLOSED;
-        }
-        r
     }
 }
 
@@ -437,44 +414,36 @@ impl TcpListener {
         self.addr
     }
 
-    /// Blocks until a client connects (deadline-absolute wait on the
-    /// same wake machinery the reactor uses).
+    /// Blocks until a client connects (deadline-absolute, like a
+    /// blocking read).
     ///
     /// # Errors
     ///
     /// [`NetError::Timeout`] if nothing connects within the configured
     /// block timeout; [`NetError::Closed`] if the listener was removed.
     pub fn accept(&self) -> Result<TcpEndpoint, NetError> {
-        let timeout = self.faults.block_timeout();
-        match self.incoming.try_pop() {
-            Err(NetError::WouldBlock) => {}
-            other => return other,
-        }
-        let deadline = Instant::now() + timeout;
-        let waiter = Arc::new(SyncWaiter::default());
-        let id = self.incoming.wakers.register(waiter.clone());
-        let result = loop {
-            match self.incoming.try_pop() {
-                Err(NetError::WouldBlock) => {}
-                other => break other,
-            }
-            if !waiter.wait_until(deadline) {
-                break Err(NetError::Timeout(timeout));
-            }
-        };
-        self.incoming.wakers.deregister(id);
-        result
+        let incoming = &self.incoming;
+        incoming.wakers.wait(
+            &incoming.state,
+            self.faults.block_timeout(),
+            AcceptState::pop,
+        )
     }
 
     /// Non-blocking accept.
     pub fn try_accept(&self) -> Option<TcpEndpoint> {
-        self.incoming.try_pop().ok()
+        self.incoming.state.lock().pop().ok()
     }
 
     /// Registers the listener with a reactor: `token` becomes readable
     /// whenever a connection is waiting to be accepted.
     pub fn register_acceptable(&self, reactor: &Reactor, token: Token) {
-        reactor.attach(&self.incoming.wakers, self.incoming.readiness(), token);
+        let incoming = &self.incoming;
+        reactor.attach(
+            &incoming.wakers,
+            || incoming.state.lock().readiness(),
+            token,
+        );
     }
 }
 
@@ -488,6 +457,8 @@ impl Drop for TcpListener {
 
 #[cfg(test)]
 mod tests {
+    use std::time::Instant;
+
     use super::*;
     use crate::net::SimNet;
 

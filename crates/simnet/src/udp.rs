@@ -8,7 +8,6 @@
 
 use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
@@ -17,18 +16,38 @@ use crate::error::NetError;
 use crate::fault::spin_ns;
 use crate::metrics::NetMetrics;
 use crate::net::FaultsShared;
-use crate::reactor::{Reactor, Readiness, SyncWaiter, Token, WakeList};
+use crate::reactor::{Reactor, Readiness, Token, Wakers};
 
 #[derive(Debug, Default)]
 pub(crate) struct Mailbox {
     state: Mutex<MailboxState>,
-    wakers: WakeList,
+    wakers: Wakers,
 }
 
 #[derive(Debug, Default)]
 struct MailboxState {
     queue: VecDeque<(NodeAddr, Vec<u8>)>,
     closed: bool,
+}
+
+impl MailboxState {
+    /// Takes the next datagram; [`NetError::WouldBlock`] when the queue
+    /// is empty but the socket is still open.
+    fn take(&mut self, out: &mut [u8]) -> Result<(usize, NodeAddr), NetError> {
+        let Some((from, datagram)) = self.queue.pop_front() else {
+            if self.closed {
+                return Err(NetError::Closed);
+            }
+            return Err(NetError::WouldBlock);
+        };
+        let n = out.len().min(datagram.len()); // truncation: excess is lost
+        out[..n].copy_from_slice(&datagram[..n]);
+        Ok((n, from))
+    }
+
+    fn readiness(&self) -> Readiness {
+        Readiness::of_source(!self.queue.is_empty(), self.closed)
+    }
 }
 
 impl Mailbox {
@@ -42,63 +61,9 @@ impl Mailbox {
         self.wakers.notify(Readiness::READABLE);
     }
 
-    /// Non-blocking receive; [`NetError::WouldBlock`] when the queue is
-    /// empty but the socket is still open.
-    fn try_receive(&self, out: &mut [u8]) -> Result<(usize, NodeAddr), NetError> {
-        let mut st = self.state.lock();
-        let Some((from, datagram)) = st.queue.pop_front() else {
-            if st.closed {
-                return Err(NetError::Closed);
-            }
-            return Err(NetError::WouldBlock);
-        };
-        let n = out.len().min(datagram.len()); // truncation: excess is lost
-        out[..n].copy_from_slice(&datagram[..n]);
-        Ok((n, from))
-    }
-
-    /// Blocking shim over [`Mailbox::try_receive`]: a deadline-absolute
-    /// wait on the same wake list the reactor uses.
-    fn receive(&self, out: &mut [u8], timeout: Duration) -> Result<(usize, NodeAddr), NetError> {
-        match self.try_receive(out) {
-            Err(NetError::WouldBlock) => {}
-            other => return other,
-        }
-        let deadline = Instant::now() + timeout;
-        let waiter = Arc::new(SyncWaiter::default());
-        let id = self.wakers.register(waiter.clone());
-        let result = loop {
-            match self.try_receive(out) {
-                Err(NetError::WouldBlock) => {}
-                other => break other,
-            }
-            if !waiter.wait_until(deadline) {
-                break Err(NetError::Timeout(timeout));
-            }
-        };
-        self.wakers.deregister(id);
-        result
-    }
-
     fn close(&self) {
         self.state.lock().closed = true;
         self.wakers.notify(Readiness::READABLE | Readiness::CLOSED);
-    }
-
-    fn readiness(&self) -> Readiness {
-        let st = self.state.lock();
-        let mut r = Readiness::EMPTY;
-        if !st.queue.is_empty() {
-            r = r | Readiness::READABLE;
-        }
-        if st.closed {
-            r = r | Readiness::READABLE | Readiness::CLOSED;
-        }
-        r
-    }
-
-    fn wakers(&self) -> &WakeList {
-        &self.wakers
     }
 }
 
@@ -177,9 +142,12 @@ impl UdpEndpoint {
     /// configured block timeout, [`NetError::Closed`] if the socket was
     /// closed.
     pub fn receive(&self, buf: &mut [u8]) -> Result<(usize, NodeAddr), NetError> {
-        self.inner
-            .mailbox
-            .receive(buf, self.inner.faults.block_timeout())
+        let mailbox = &self.inner.mailbox;
+        mailbox
+            .wakers
+            .wait(&mailbox.state, self.inner.faults.block_timeout(), |st| {
+                st.take(buf)
+            })
     }
 
     /// Non-blocking receive; same truncation semantics as
@@ -191,18 +159,15 @@ impl UdpEndpoint {
     /// a [`Reactor`] to learn when to retry), [`NetError::Closed`] if
     /// the socket was closed.
     pub fn try_receive(&self, buf: &mut [u8]) -> Result<(usize, NodeAddr), NetError> {
-        self.inner.mailbox.try_receive(buf)
+        self.inner.mailbox.state.lock().take(buf)
     }
 
     /// Registers this socket with a reactor: `token` becomes readable
     /// whenever a datagram is queued. If one is already waiting the
     /// token is queued immediately.
     pub fn register_readable(&self, reactor: &Reactor, token: Token) {
-        reactor.attach(
-            self.inner.mailbox.wakers(),
-            self.inner.mailbox.readiness(),
-            token,
-        );
+        let mailbox = &self.inner.mailbox;
+        reactor.attach(&mailbox.wakers, || mailbox.state.lock().readiness(), token);
     }
 
     /// Closes the socket and unbinds the address.

@@ -76,17 +76,7 @@ pub(crate) fn write_frame(conn: &TcpEndpoint, op: u8, payload: &[u8]) -> Result<
 
 /// Reads one frame; returns `None` on clean EOF at a frame boundary.
 pub(crate) fn read_frame(conn: &TcpEndpoint) -> Result<Option<(u8, Vec<u8>)>, TaintMapError> {
-    let mut header = [0u8; 5];
-    let n = conn.read(&mut header[..1])?;
-    if n == 0 {
-        return Ok(None);
-    }
-    conn.read_exact(&mut header[1..])?;
-    let op = header[0];
-    let len = u32::from_be_bytes([header[1], header[2], header[3], header[4]]) as usize;
-    let mut payload = vec![0u8; len];
-    conn.read_exact(&mut payload)?;
-    Ok(Some((op, payload)))
+    read_frame_with(|buf| conn.read(buf))
 }
 
 /// Like [`read_frame`], but the *whole frame* is bounded by `deadline` —
@@ -100,40 +90,47 @@ pub(crate) fn read_frame_deadline(
     deadline: std::time::Duration,
 ) -> Result<Option<(u8, Vec<u8>)>, TaintMapError> {
     let expires = std::time::Instant::now() + deadline;
-    let mut header = [0u8; 5];
-    let n = conn.read_deadline(&mut header[..1], deadline)?;
-    if n == 0 {
-        return Ok(None);
-    }
-    read_exact_until(conn, &mut header[1..], expires, deadline)?;
-    let op = header[0];
-    let len = u32::from_be_bytes([header[1], header[2], header[3], header[4]]) as usize;
-    let mut payload = vec![0u8; len];
-    read_exact_until(conn, &mut payload, expires, deadline)?;
-    Ok(Some((op, payload)))
-}
-
-/// `read_exact` against an absolute expiry; `requested` is only what the
-/// typed [`NetError::Timeout`] reports on expiry.
-fn read_exact_until(
-    conn: &TcpEndpoint,
-    buf: &mut [u8],
-    expires: std::time::Instant,
-    requested: std::time::Duration,
-) -> Result<(), NetError> {
-    let mut filled = 0;
-    while filled < buf.len() {
+    read_frame_with(|buf| {
         let remaining = expires
             .checked_duration_since(std::time::Instant::now())
             .filter(|r| !r.is_zero())
-            .ok_or(NetError::Timeout(requested))?;
-        let n = match conn.read_deadline(&mut buf[filled..], remaining) {
-            Ok(n) => n,
-            // Normalize so callers see the deadline they asked for, not
-            // whatever sliver of budget the final read was given.
-            Err(NetError::Timeout(_)) => return Err(NetError::Timeout(requested)),
-            Err(e) => return Err(e),
-        };
+            .ok_or(NetError::Timeout(deadline))?;
+        // Normalize so callers see the deadline they asked for, not
+        // whatever sliver of budget the final read was given.
+        conn.read_deadline(buf, remaining).map_err(|e| match e {
+            NetError::Timeout(_) => NetError::Timeout(deadline),
+            e => e,
+        })
+    })
+}
+
+/// Frames the stream behind `read`: the first read asks for the whole
+/// 5-byte header, so a frame costs two pipe reads (header, payload)
+/// unless the transport fragments it.
+fn read_frame_with(
+    mut read: impl FnMut(&mut [u8]) -> Result<usize, NetError>,
+) -> Result<Option<(u8, Vec<u8>)>, TaintMapError> {
+    let mut header = [0u8; 5];
+    let got = read(&mut header)?;
+    if got == 0 {
+        return Ok(None);
+    }
+    read_exact_with(&mut read, &mut header[got..])?;
+    let op = header[0];
+    let len = u32::from_be_bytes([header[1], header[2], header[3], header[4]]) as usize;
+    let mut payload = vec![0u8; len];
+    read_exact_with(&mut read, &mut payload)?;
+    Ok(Some((op, payload)))
+}
+
+/// Fills `buf` from `read`; EOF before it is full is [`NetError::Closed`].
+fn read_exact_with(
+    read: &mut impl FnMut(&mut [u8]) -> Result<usize, NetError>,
+    buf: &mut [u8],
+) -> Result<(), NetError> {
+    let mut filled = 0;
+    while filled < buf.len() {
+        let n = read(&mut buf[filled..])?;
         if n == 0 {
             return Err(NetError::Closed);
         }
@@ -442,6 +439,36 @@ mod tests {
         c.write(&[OP_LOOKUP]).unwrap();
         c.close();
         assert!(read_frame(&s).is_err());
+    }
+
+    #[test]
+    fn whole_frame_costs_two_reads() {
+        let (c, s) = pair();
+        write_frame(&c, OP_LOOKUP, b"gid!").unwrap();
+        let mut reads = 0;
+        let frame = read_frame_with(|buf| {
+            reads += 1;
+            s.read(buf)
+        });
+        assert_eq!(frame.unwrap(), Some((OP_LOOKUP, b"gid!".to_vec())));
+        assert_eq!(reads, 2, "one read for the header, one for the payload");
+    }
+
+    #[test]
+    fn fragmented_header_is_completed() {
+        let net = SimNet::new();
+        net.set_faults(dista_simnet::FaultConfig {
+            max_read_chunk: 2,
+            ..Default::default()
+        });
+        let addr = NodeAddr::new([1, 1, 1, 1], 9);
+        let l = net.tcp_listen(addr).unwrap();
+        let c = net.tcp_connect(addr).unwrap();
+        let s = l.accept().unwrap();
+        write_frame(&c, OP_REGISTER, b"payload").unwrap();
+        let deadline = std::time::Duration::from_secs(5);
+        let frame = read_frame_deadline(&s, deadline).unwrap();
+        assert_eq!(frame, Some((OP_REGISTER, b"payload".to_vec())));
     }
 
     #[test]

@@ -70,6 +70,22 @@ fn dista_v2_pipeline_is_sound_precise_and_exactly_traced() {
     }
 }
 
+/// Regression: the bridge loop charged every iteration, successful ones
+/// included, against its 400-attempt retry budget, so no run could
+/// store more than 400 records.
+#[test]
+fn clean_run_stores_more_records_than_the_retry_budget() {
+    let mut cfg = IngestConfig::new(Mode::Dista);
+    cfg.records = 1024;
+    let outcome = pipeline::run_ingest(&cfg).unwrap();
+    assert_eq!(outcome.rows_scanned, 1024, "every record landed in HBase");
+    assert_eq!(outcome.retries, 0, "clean run needed no retries");
+    assert_eq!(outcome.pending_after, 0);
+    for tag in &outcome.record_tags {
+        assert!(outcome.sink_tags.contains(tag), "soundness: {tag} missing");
+    }
+}
+
 #[test]
 fn v1_wire_still_spans_three_systems_via_inference() {
     let mut cfg = IngestConfig::new(Mode::Dista);
