@@ -83,9 +83,15 @@ impl BrokerInner {
             .push_back(std::mem::replace(&mut message, ObjValue::int_plain(0)));
     }
 
-    /// Registers a subscriber and drains the backlog to it.
-    fn subscribe(&self, destination: String, subscriber: Subscriber) {
+    /// Registers a subscriber and drains the backlog to it. `ack`, if
+    /// the protocol has one, is written first and under the same lock:
+    /// a consumer that has read its ack is registered by the time any
+    /// later message can be dispatched, so round-robin never skips it.
+    fn subscribe(&self, destination: String, subscriber: Subscriber, ack: Option<&ObjValue>) {
         let mut destinations = self.destinations.lock();
+        if ack.is_some_and(|ack| !subscriber.deliver(ack)) {
+            return; // subscriber already dead
+        }
         let dest = destinations.entry(destination).or_default();
         while let Some(message) = dest.pending.pop_front() {
             if !subscriber.deliver(&message) {
@@ -308,10 +314,7 @@ fn serve_openwire_session(socket: Socket, inner: Arc<BrokerInner>) {
                         ObjValue::Str(inner.broker_name.value().clone(), inner.broker_name.taint()),
                     )],
                 );
-                if sink.write_object(&ack).is_err() {
-                    return;
-                }
-                inner.subscribe(destination, Subscriber::OpenWire(sink));
+                inner.subscribe(destination, Subscriber::OpenWire(sink), Some(&ack));
             }
             Some("Message") => {
                 let destination = frame
@@ -376,6 +379,7 @@ fn serve_stomp_session(socket: Socket, inner: Arc<BrokerInner>) {
                         vm: vm.clone(),
                         out: socket.output_stream(),
                     },
+                    None,
                 );
             }
             "DISCONNECT" => return,

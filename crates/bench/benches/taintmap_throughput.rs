@@ -11,13 +11,14 @@
 //!   time.
 //! * `concurrent_clients` — the scaling comparison: several client
 //!   threads register and resolve many distinct taints against (a) a
-//!   single server over the **unbatched** single-item protocol (the
-//!   measured baseline: one `REGISTER`/`LOOKUP` frame per item, the
-//!   paper's deployment), (b) a single server with **batched** frames,
-//!   and (c) a **4-shard** deployment with batched frames. The throttle
+//!   single server with **one call per item** (`global_id_for` /
+//!   `taint_for`: one `REGISTER`/`LOOKUP` frame of one item each, the
+//!   paper's deployment), (b) a single server with **one call per
+//!   buffer** (`global_ids_for` / `taints_for`: all items batched in
+//!   one frame), and (c) a **4-shard** deployment with one call per
+//!   buffer. The wire protocol is the same in all three; the throttle
 //!   is charged per frame, so batching amortizes it and sharding
-//!   parallelizes what remains — batched+sharded must beat the
-//!   unbatched single server.
+//!   parallelizes what remains.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Duration;
@@ -116,7 +117,7 @@ fn bench_shards_and_batching(c: &mut Criterion) {
         ..Default::default()
     };
     for (label, shards, batched) in [
-        ("unbatched_1shard", 1usize, false),
+        ("call_per_item_1shard", 1usize, false),
         ("batched_1shard", 1, true),
         ("batched_4shards", 4, true),
     ] {

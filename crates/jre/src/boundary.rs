@@ -316,16 +316,6 @@ pub(crate) fn resolve_decoded(
     Ok(TaintedBytes::from_runs(data, shadow))
 }
 
-/// Decodes v1 wire records back into a tainted buffer (testing
-/// convenience pairing [`encode_wire`]).
-#[cfg(test)]
-pub(crate) fn decode_wire(vm: &Vm, wire: &[u8], link: Link) -> Result<TaintedBytes, JreError> {
-    let mut data = Vec::new();
-    let mut runs: Vec<(GlobalId, usize)> = Vec::new();
-    crate::codec::v1::decode_wire_into(wire, vm.gid_width(), &mut data, &mut runs)?;
-    resolve_decoded(vm, data, runs, wire.len(), link, 0)
-}
-
 /// Truncates decoded output to `cap` data bytes, trimming the run table
 /// to match (datagram receive buffers cap delivered data the way plain
 /// UDP does).

@@ -29,10 +29,7 @@
 //!   `Vec`: decode reads straight out of the ring's contiguous live
 //!   region (zero copy) and consumption just advances a cursor.
 //!
-//! The pre-trait free functions ([`encode_wire_into`],
-//! [`decode_wire_into`], [`mod@reference`]) remain as deprecated shims
-//! delegating to [`v1`] so out-of-tree callers keep compiling with a
-//! warning. Widths 1..=8 are accepted at this layer even though VM-level
+//! Widths 1..=8 are accepted at this layer even though VM-level
 //! configuration restricts itself to 2/4/8.
 
 use dista_taint::GlobalId;
@@ -183,61 +180,6 @@ pub trait WireCodec: std::fmt::Debug + Send + Sync {
     /// `max_data` decoded bytes (an upper bound; used to size receive
     /// buffers).
     fn recv_wire_len(&self, max_data: usize) -> usize;
-}
-
-/// Deprecated pre-trait shim: encodes with the v1 record format.
-#[deprecated(
-    since = "0.7.0",
-    note = "use `codec::v1::encode_wire_into` or the `WireCodec` trait (`codec::V1Codec`)"
-)]
-pub fn encode_wire_into(data: &[u8], runs: &[WireRun], width: usize, out: &mut Vec<u8>) {
-    v1::encode_wire_into(data, runs, width, out);
-}
-
-/// Deprecated pre-trait shim: decodes the v1 record format.
-///
-/// # Errors
-///
-/// Same typed errors as [`v1::decode_wire_into`].
-#[deprecated(
-    since = "0.7.0",
-    note = "use `codec::v1::decode_wire_into` or the `WireCodec` trait (`codec::V1Codec`)"
-)]
-pub fn decode_wire_into(
-    wire: &[u8],
-    width: usize,
-    data_out: &mut Vec<u8>,
-    runs_out: &mut Vec<(GlobalId, usize)>,
-) -> Result<(), JreError> {
-    v1::decode_wire_into(wire, width, data_out, runs_out)
-}
-
-/// Deprecated pre-trait shim over the v1 per-byte reference codec.
-#[deprecated(since = "0.7.0", note = "use `codec::v1::reference`")]
-pub mod reference {
-    use super::{GlobalId, JreError, WireRun};
-
-    /// Deprecated shim: see [`crate::codec::v1::reference::encode_wire`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width` is out of range or the runs don't cover `data`.
-    pub fn encode_wire(data: &[u8], runs: &[WireRun], width: usize) -> Vec<u8> {
-        super::v1::reference::encode_wire(data, runs, width)
-    }
-
-    /// Deprecated shim: see [`crate::codec::v1::reference::decode_wire`].
-    ///
-    /// # Errors
-    ///
-    /// Same typed errors as [`crate::codec::v1::decode_wire_into`].
-    #[allow(clippy::type_complexity)]
-    pub fn decode_wire(
-        wire: &[u8],
-        width: usize,
-    ) -> Result<(Vec<u8>, Vec<(GlobalId, usize)>), JreError> {
-        super::v1::reference::decode_wire(wire, width)
-    }
 }
 
 /// How many scratch buffers one pool retains. Each connection's hot path
@@ -465,22 +407,6 @@ mod tests {
         let mut ring = RingRemainder::new();
         ring.extend(&[1]);
         ring.consume(2);
-    }
-
-    #[test]
-    fn deprecated_shims_still_speak_v1() {
-        #[allow(deprecated)]
-        {
-            let mut slot = [0u8; MAX_GID_WIDTH];
-            slot[..4].copy_from_slice(&7u32.to_be_bytes());
-            let mut wire = Vec::new();
-            encode_wire_into(b"ab", &[(2, slot)], 4, &mut wire);
-            assert_eq!(wire, reference::encode_wire(b"ab", &[(2, slot)], 4));
-            let (mut d, mut r) = (Vec::new(), Vec::new());
-            decode_wire_into(&wire, 4, &mut d, &mut r).unwrap();
-            assert_eq!(d, b"ab");
-            assert_eq!(r, vec![(GlobalId(7), 2)]);
-        }
     }
 
     #[test]

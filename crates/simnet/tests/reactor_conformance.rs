@@ -214,11 +214,8 @@ fn reactor_receiver(conn: TcpEndpoint, udp: UdpEndpoint) -> (Vec<u8>, Vec<Vec<u8
     }
     // Every datagram was queued before the TCP close the sender issued
     // last, so one final synchronous drain empties the mailbox.
-    loop {
-        match udp.try_receive(&mut dbuf) {
-            Ok((n, _)) => datagrams.push(dbuf[..n].to_vec()),
-            _ => break,
-        }
+    while let Ok((n, _)) = udp.try_receive(&mut dbuf) {
+        datagrams.push(dbuf[..n].to_vec());
     }
     (tcp_bytes, datagrams)
 }

@@ -1,6 +1,5 @@
 //! Per-VM Taint Map client with the two caches of paper Fig. 9, shard
-//! routing, batched RPCs, and failover across each shard's
-//! primary/standby pair (§IV).
+//! routing, and failover across each shard's primary/standby pair (§IV).
 //!
 //! The client is handed a [`TaintMapTopology`] and hides it completely:
 //!
@@ -8,26 +7,26 @@
 //!   lookups to `(gid - 1) % shards`. Both are deterministic, so every
 //!   VM agrees on which shard owns which taint and per-shard dedup is
 //!   global dedup.
-//! * **Batching** — [`TaintMapClient::global_ids_for`] /
+//! * **One request shape** — [`TaintMapClient::global_ids_for`] /
 //!   [`TaintMapClient::taints_for`] resolve all cache-missing items in
-//!   one `REGISTER_BATCH`/`LOOKUP_BATCH` frame per shard instead of one
-//!   RPC per item.
-//! * **Pipelining** — when a batch spans shards, the client writes every
-//!   shard's request frame before reading any response, so the shards
-//!   serve the batch concurrently over the kept-open connections.
+//!   one `REGISTER`/`LOOKUP` frame per shard; the paper-named
+//!   [`TaintMapClient::global_id_for`] / [`TaintMapClient::taint_for`]
+//!   are the same calls with one item.
 //! * **Single-flight** — concurrent encoders that miss the cache on the
 //!   same taint elect one requester; the rest wait for its result
 //!   instead of duplicating the in-flight registration.
-//! * **Resilience** — every RPC carries a deadline and is retried with
-//!   bounded exponential backoff across the shard's failover list; a
-//!   per-shard circuit breaker fast-fails requests while a shard is
-//!   down past the retry budget; and the degraded lookup path
+//! * **One transport policy** — admission through a per-shard circuit
+//!   breaker, pipelined writes, a whole-frame deadline, and bounded
+//!   retry with backoff across the shard's failover list are all stated
+//!   once, in `run_groups`; nothing else touches the wire.
+//! * **Degradation** — the degraded lookup path
 //!   ([`TaintMapClient::taints_for_degraded`]) stamps unreachable-shard
 //!   gids with a `pending-gid:<n>` sentinel taint instead of dropping
 //!   them, to be reconciled after the partition heals
 //!   ([`TaintMapClient::reconcile_pending`]).
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -36,29 +35,26 @@ use dista_obs::{
     Counter, FlightRecorder, Histogram, MetricsRegistry, ObsEventKind, PhaseHandle, SpanTracker,
     BATCH_SIZE_BOUNDS, LATENCY_US_BOUNDS,
 };
-use dista_simnet::{NodeAddr, SimNet, TcpEndpoint};
+use dista_simnet::{NetError, NodeAddr, SimNet, TcpEndpoint};
 use dista_taint::{deserialize_taint, serialize_taint, GlobalId, TagValue, Taint, TaintStore};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::error::TaintMapError;
 use crate::proto::{
-    decode_class_table, decode_lookup_batch_resp, decode_register_batch_resp, decode_stale_epoch,
-    encode_lookup_batch, encode_register_batch, read_frame_deadline, stamp_epoch, write_frame,
-    OP_EPOCH_OF, OP_LOOKUP, OP_LOOKUP_BATCH_E, OP_REGISTER, OP_REGISTER_BATCH_E, RESP_MOVED,
-    RESP_OK, RESP_STALE_EPOCH,
+    decode_class_table, decode_lookup_resp, decode_register_resp, decode_stale_epoch,
+    encode_lookup, encode_register, read_frame_deadline, write_frame, OP_EPOCH_OF, OP_LOOKUP,
+    OP_REGISTER, RESP_MOVED, RESP_OK, RESP_STALE_EPOCH,
 };
 use crate::shard::{shard_of_bytes, shard_of_gid, ClassTable, TaintMapTopology};
 
-/// Rounds of the `Moved`/stale-epoch re-partition loop before a batch
-/// gives up. Every round either resolves items or advances a class
-/// table's epoch, so a healthy deployment converges in one or two.
+/// Rounds of the `Moved`/stale-epoch re-partition loop before a request
+/// gives up.
 const RESHARD_ROUNDS: usize = 10;
 
 /// Client-side RPC counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ClientStats {
-    /// Register items actually sent over the wire (cache misses),
-    /// whether individually or inside a batch frame.
+    /// Register items actually sent over the wire (cache misses).
     pub register_rpcs: u64,
     /// Lookup items actually sent over the wire (cache misses).
     pub lookup_rpcs: u64,
@@ -66,7 +62,9 @@ pub struct ClientStats {
     pub cache_hits: u64,
     /// Times the client failed over to another service address.
     pub failovers: u64,
-    /// Batch frames sent (a multi-shard batch counts once per shard).
+    /// Request frames sent (a multi-shard batch counts once per shard,
+    /// a batch of one counts, and so does a class-table refetch; a
+    /// retry of the same frame does not count again).
     pub batch_frames: u64,
     /// Items resolved by waiting on another thread's in-flight
     /// registration instead of sending our own.
@@ -292,6 +290,48 @@ impl Breaker {
             opened_at: None,
         }
     }
+
+    /// The gate: lets the request through when closed (or probing);
+    /// otherwise burns one fast-fail and refuses it.
+    fn admit(&mut self) -> bool {
+        match &mut self.state {
+            BreakerState::Closed | BreakerState::HalfOpen => true,
+            BreakerState::Open { fast_fails_left: 0 } => {
+                self.state = BreakerState::HalfOpen;
+                true
+            }
+            BreakerState::Open { fast_fails_left } => {
+                *fast_fails_left -= 1;
+                false
+            }
+        }
+    }
+
+    /// Closes the breaker after a served request; returns how long the
+    /// down episode that ends here lasted, if one does.
+    fn success(&mut self) -> Option<Duration> {
+        self.consecutive_failures = 0;
+        self.state = BreakerState::Closed;
+        self.opened_at.take().map(|at| at.elapsed())
+    }
+
+    /// Notes one request that exhausted its retries; returns whether
+    /// that opened (or, after a failed probe, re-opened) the breaker.
+    fn failure(&mut self, r: &ClientResilience) -> bool {
+        self.consecutive_failures += 1;
+        let trip = match self.state {
+            BreakerState::HalfOpen => true,
+            BreakerState::Closed => self.consecutive_failures >= r.breaker_threshold,
+            BreakerState::Open { .. } => false,
+        };
+        if trip {
+            self.state = BreakerState::Open {
+                fast_fails_left: r.breaker_probe_after,
+            };
+            self.opened_at.get_or_insert_with(Instant::now);
+        }
+        trip
+    }
 }
 
 /// One thread's claim on an in-flight registration; others wait on it.
@@ -328,10 +368,10 @@ struct ShardConn {
     target: usize,
 }
 
-/// One destination's slice of a batch round: the residue class, the
-/// server address the class table routed it to, the item slots it
-/// carries, and the ready-to-send (epoch-stamped) frame payload.
-struct BatchGroup {
+/// One destination's frame of a round: the residue class, the server
+/// address the class table routed it to, the item slots it carries, and
+/// the ready-to-send payload.
+struct Group {
     class: usize,
     addr: NodeAddr,
     /// Caller-defined item indices resolved by this group.
@@ -345,7 +385,7 @@ struct ClientInner {
     src_ip: [u8; 4],
     /// One persistent connection per shard, each with its own lock so
     /// batches to different shards overlap.
-    shards: Vec<Mutex<ShardConn>>,
+    shards: Vec<Arc<Mutex<ShardConn>>>,
     /// Cached routing table per residue class; starts at epoch 0 (one
     /// open range on the base shard) and converges toward the servers'
     /// tables via `Moved` merges and stale-epoch refetches.
@@ -462,7 +502,7 @@ impl TaintMapClient {
         let mut tables = Vec::with_capacity(topology.shard_count());
         for i in 0..topology.shard_count() {
             let (conn, target) = dial_any(net, topology.shard_addrs(i), src_ip, 0)?;
-            shards.push(Mutex::new(ShardConn { conn, target }));
+            shards.push(Arc::new(Mutex::new(ShardConn { conn, target })));
             breakers.push(Mutex::new(Breaker::new()));
             tables.push(ClassTable::initial(topology.shard_addrs(i).to_vec(), i));
         }
@@ -525,66 +565,6 @@ impl TaintMapClient {
         self.inner.topology.shard_count()
     }
 
-    /// Circuit-breaker gate for `shard`: lets the request through when
-    /// the breaker is closed (or probing), fast-fails it otherwise.
-    fn admit(&self, shard: usize) -> Result<(), TaintMapError> {
-        let mut b = self.inner.breakers[shard].lock();
-        match &mut b.state {
-            BreakerState::Closed | BreakerState::HalfOpen => Ok(()),
-            BreakerState::Open { fast_fails_left } => {
-                if *fast_fails_left == 0 {
-                    b.state = BreakerState::HalfOpen;
-                    Ok(())
-                } else {
-                    *fast_fails_left -= 1;
-                    self.inner
-                        .breaker_fast_fails
-                        .fetch_add(1, Ordering::Relaxed);
-                    self.inner.obs.breaker_fast_fails.inc();
-                    Err(TaintMapError::ShardUnavailable(shard))
-                }
-            }
-        }
-    }
-
-    /// Closes the breaker after a successful RPC, accumulating how long
-    /// the down episode lasted.
-    fn breaker_success(&self, shard: usize) {
-        let mut b = self.inner.breakers[shard].lock();
-        b.consecutive_failures = 0;
-        if !matches!(b.state, BreakerState::Closed) {
-            b.state = BreakerState::Closed;
-        }
-        if let Some(at) = b.opened_at.take() {
-            let ns = at.elapsed().as_nanos() as u64;
-            self.inner.breaker_open_ns.fetch_add(ns, Ordering::Relaxed);
-            self.inner.obs.breaker_open_ns.add(ns);
-        }
-    }
-
-    /// Notes one exhausted-retries RPC failure; opens (or re-opens) the
-    /// breaker past the threshold.
-    fn breaker_failure(&self, shard: usize) {
-        let r = self.inner.resilience;
-        let mut b = self.inner.breakers[shard].lock();
-        b.consecutive_failures += 1;
-        let trip = match b.state {
-            BreakerState::HalfOpen => true,
-            BreakerState::Closed => b.consecutive_failures >= r.breaker_threshold,
-            BreakerState::Open { .. } => false,
-        };
-        if trip {
-            b.state = BreakerState::Open {
-                fast_fails_left: r.breaker_probe_after,
-            };
-            if b.opened_at.is_none() {
-                b.opened_at = Some(Instant::now());
-            }
-            self.inner.breaker_opens.fetch_add(1, Ordering::Relaxed);
-            self.inner.obs.breaker_opens.inc();
-        }
-    }
-
     /// Sleeps the bounded exponential backoff before re-attempt
     /// `attempt` (1-based) and counts the retry.
     fn note_retry(&self, attempt: u32) {
@@ -601,47 +581,9 @@ impl TaintMapClient {
         }
     }
 
-    /// One single-item RPC round trip on a shard, with deadline, retry
-    /// budget, and breaker accounting — the unbatched protocol path,
-    /// kept as the measured baseline.
-    fn rpc(&self, shard: usize, op: u8, payload: &[u8]) -> Result<(u8, Vec<u8>), TaintMapError> {
-        self.admit(shard)?;
-        let mut guard = self.inner.shards[shard].lock();
-        let deadline = self.inner.resilience.rpc_deadline;
-        let mut last = TaintMapError::Net(dista_simnet::NetError::Closed);
-        for attempt in 0..=self.inner.resilience.retry_budget {
-            if attempt > 0 {
-                self.note_retry(attempt);
-                if let Err(e) = self.redial(shard, &mut guard) {
-                    last = e;
-                    continue;
-                }
-            }
-            match rpc_on(&guard.conn, op, payload, deadline) {
-                Ok(reply) => {
-                    self.breaker_success(shard);
-                    return Ok(reply);
-                }
-                Err(e) => last = e,
-            }
-        }
-        self.breaker_failure(shard);
-        Err(last)
-    }
-
-    /// Reconnects a shard's connection to the next address in its
-    /// failover list.
-    fn redial(
-        &self,
-        shard: usize,
-        guard: &mut MutexGuard<'_, ShardConn>,
-    ) -> Result<(), TaintMapError> {
-        self.redial_addrs(shard, self.inner.topology.shard_addrs(shard), guard)
-    }
-
     /// Reconnects a connection to the next address in `addrs` (a base
     /// shard's failover list, or the single address of a split server).
-    /// Breaker/failover accounting lands on residue class `class`.
+    /// Failover accounting lands on residue class `class`.
     fn redial_addrs(
         &self,
         class: usize,
@@ -659,12 +601,6 @@ impl TaintMapClient {
             .recorder
             .record_with(|| ObsEventKind::TaintMapFailover { shard: class });
         Ok(())
-    }
-
-    /// Whether `addr` is one of class `class`'s base topology addresses
-    /// (as opposed to a server created by a split).
-    fn is_base(&self, class: usize, addr: NodeAddr) -> bool {
-        self.inner.topology.shard_addrs(class).contains(&addr)
     }
 
     /// The kept-open connection to a split server, dialing it on first
@@ -701,7 +637,13 @@ impl TaintMapClient {
         // The rejection names the server's epoch; the table itself comes
         // from a dedicated round trip.
         let _server_epoch = decode_stale_epoch(payload)?;
-        let (op, resp) = self.rpc_routed(class, addr, OP_EPOCH_OF, b"")?;
+        let group = Group {
+            class,
+            addr,
+            items: Vec::new(),
+            payload: Vec::new(),
+        };
+        let (op, resp) = self.run_groups(&[group], OP_EPOCH_OF)?.remove(0);
         if op != RESP_OK {
             return Err(TaintMapError::Protocol("bad epoch-of response"));
         }
@@ -712,224 +654,199 @@ impl TaintMapClient {
         Ok(())
     }
 
-    /// Sends a batch frame on an already-locked connection, retrying
-    /// across `addrs` up to the retry budget.
-    fn send_batch_locked(
-        &self,
-        class: usize,
-        addrs: &[NodeAddr],
-        guard: &mut MutexGuard<'_, ShardConn>,
-        op: u8,
-        payload: &[u8],
-    ) -> Result<(), TaintMapError> {
-        self.inner.batch_frames.fetch_add(1, Ordering::Relaxed);
-        let mut last = TaintMapError::Net(dista_simnet::NetError::Closed);
-        for attempt in 0..=self.inner.resilience.retry_budget {
-            if attempt > 0 {
-                self.note_retry(attempt);
-                if let Err(e) = self.redial_addrs(class, addrs, guard) {
-                    last = e;
-                    continue;
-                }
-            }
-            match write_frame(&guard.conn, op, payload) {
-                Ok(()) => return Ok(()),
-                Err(e) => last = TaintMapError::Net(e),
-            }
-        }
-        self.breaker_failure(class);
-        Err(last)
-    }
-
-    /// Reads a batch response on an already-locked connection. If the
-    /// instance died after taking the request, fails over along `addrs`
-    /// and re-sends `payload` (register is dedup-idempotent, lookup is
-    /// read-only, so replay is safe mid-batch), up to the retry budget.
-    /// Any well-formed response frame — `OK`, `Moved`, stale-epoch —
-    /// counts as a breaker success: a redirecting server is *serving*,
-    /// not failing.
-    fn recv_batch_locked(
-        &self,
-        class: usize,
-        addrs: &[NodeAddr],
-        guard: &mut MutexGuard<'_, ShardConn>,
-        op: u8,
-        payload: &[u8],
-    ) -> Result<(u8, Vec<u8>), TaintMapError> {
-        let deadline = self.inner.resilience.rpc_deadline;
-        let mut last;
-        match read_frame_deadline(&guard.conn, deadline) {
-            Ok(Some(reply)) => {
-                self.breaker_success(class);
-                return Ok(reply);
-            }
-            Ok(None) => last = TaintMapError::Net(dista_simnet::NetError::Closed),
-            Err(e) => last = e,
-        }
-        for attempt in 1..=self.inner.resilience.retry_budget {
-            self.note_retry(attempt);
-            if let Err(e) = self.redial_addrs(class, addrs, guard) {
-                last = e;
-                continue;
-            }
-            if let Err(e) = write_frame(&guard.conn, op, payload) {
-                last = TaintMapError::Net(e);
-                continue;
-            }
-            match read_frame_deadline(&guard.conn, deadline) {
-                Ok(Some(reply)) => {
-                    self.breaker_success(class);
-                    return Ok(reply);
-                }
-                Ok(None) => last = TaintMapError::Net(dista_simnet::NetError::Closed),
-                Err(e) => last = e,
-            }
-        }
-        self.breaker_failure(class);
-        Err(last)
-    }
-
-    /// One single-item RPC routed to a specific server of `class`: the
-    /// base connection when `addr` is in the class's topology, a pooled
-    /// extra connection otherwise (split servers).
-    fn rpc_routed(
-        &self,
-        class: usize,
-        addr: NodeAddr,
-        op: u8,
-        payload: &[u8],
-    ) -> Result<(u8, Vec<u8>), TaintMapError> {
-        if self.is_base(class, addr) {
-            return self.rpc(class, op, payload);
-        }
-        self.admit(class)?;
-        let conn = self.extra_conn(addr)?;
-        let mut guard = conn.lock();
-        let deadline = self.inner.resilience.rpc_deadline;
-        let mut last = TaintMapError::Net(dista_simnet::NetError::Closed);
-        for attempt in 0..=self.inner.resilience.retry_budget {
-            if attempt > 0 {
-                self.note_retry(attempt);
-                if let Err(e) = self.redial_addrs(class, &[addr], &mut guard) {
-                    last = e;
-                    continue;
-                }
-            }
-            match rpc_on(&guard.conn, op, payload, deadline) {
-                Ok(reply) => {
-                    self.breaker_success(class);
-                    return Ok(reply);
-                }
-                Err(e) => last = e,
-            }
-        }
-        self.breaker_failure(class);
-        Err(last)
-    }
-
-    /// Runs one round of per-destination batch frames: locks every
-    /// destination connection in ascending `(class, addr)` order (the
-    /// deadlock-free order shared by all batch paths), pipelines the
-    /// writes, then collects the responses.
-    fn run_groups(
-        &self,
-        groups: &[BatchGroup],
-        op: u8,
-    ) -> Result<Vec<(u8, Vec<u8>)>, TaintMapError> {
+    /// Runs one round of per-destination frames and returns their
+    /// replies in group order. This is the only code that touches the
+    /// wire after connect, and it states the whole transport policy:
+    ///
+    /// * **Admission** — a group whose class breaker is open fast-fails
+    ///   the round before anything is locked or sent.
+    /// * **Pipelining** — every destination connection is locked in
+    ///   ascending `(class, addr)` order (the deadlock-free order shared
+    ///   by all callers) and every frame is written before any reply is
+    ///   read, so the servers work concurrently.
+    /// * **Retry** — a frame whose write or read fails is redialed along
+    ///   its failover list and re-sent after a bounded exponential
+    ///   backoff, up to `retry_budget` times (register is
+    ///   dedup-idempotent, lookup is read-only, so replay is safe). Each
+    ///   read is bounded by the whole-frame `rpc_deadline`.
+    /// * **Breaker** — any well-formed reply — `OK`, `Moved`,
+    ///   stale-epoch — closes the class breaker (a redirecting server is
+    ///   *serving*, not failing); an exhausted budget counts one failure
+    ///   toward opening it.
+    ///
+    /// Every group is driven to a reply or to exhaustion before the
+    /// first error is returned, so no connection is left with an unread
+    /// reply that the next request would mistake for its own.
+    fn run_groups(&self, groups: &[Group], op: u8) -> Result<Vec<(u8, Vec<u8>)>, TaintMapError> {
         debug_assert!(
             groups
                 .windows(2)
                 .all(|w| (w[0].class, w[0].addr) < (w[1].class, w[1].addr)),
             "groups must be sorted and deduped for the lock order"
         );
-        let base_lists: Vec<Option<&[NodeAddr]>> = groups
-            .iter()
-            .map(|g| {
-                self.is_base(g.class, g.addr)
-                    .then(|| self.inner.topology.shard_addrs(g.class))
-            })
-            .collect();
-        let extras: Vec<Option<Arc<Mutex<ShardConn>>>> = groups
-            .iter()
-            .zip(&base_lists)
-            .map(|(g, base)| match base {
-                Some(_) => Ok(None),
-                None => self.extra_conn(g.addr).map(Some),
-            })
-            .collect::<Result<_, _>>()?;
-        let single_addrs: Vec<[NodeAddr; 1]> = groups.iter().map(|g| [g.addr]).collect();
-        let mut guards: Vec<MutexGuard<'_, ShardConn>> = Vec::with_capacity(groups.len());
-        for (g, extra) in groups.iter().zip(&extras) {
-            guards.push(match extra {
-                Some(conn) => conn.lock(),
-                None => self.inner.shards[g.class].lock(),
+        let r = self.inner.resilience;
+        for g in groups {
+            if !self.inner.breakers[g.class].lock().admit() {
+                self.inner
+                    .breaker_fast_fails
+                    .fetch_add(1, Ordering::Relaxed);
+                self.inner.obs.breaker_fast_fails.inc();
+                return Err(TaintMapError::ShardUnavailable(g.class));
+            }
+        }
+        // A base server keeps its shard's connection and failover list;
+        // a server created by a split is dialed on first use and has no
+        // standby to fail over to.
+        let mut conns = Vec::with_capacity(groups.len());
+        for g in groups {
+            let base = self.inner.topology.shard_addrs(g.class);
+            conns.push(if base.contains(&g.addr) {
+                (self.inner.shards[g.class].clone(), base)
+            } else {
+                (self.extra_conn(g.addr)?, std::slice::from_ref(&g.addr))
             });
         }
-        for ((g, guard), (base, single)) in groups
+        let mut guards: Vec<_> = conns.iter().map(|(conn, _)| conn.lock()).collect();
+        self.inner
+            .batch_frames
+            .fetch_add(groups.len() as u64, Ordering::Relaxed);
+        let written: Vec<Result<(), TaintMapError>> = groups
             .iter()
-            .zip(guards.iter_mut())
-            .zip(base_lists.iter().zip(&single_addrs))
-        {
-            let addrs = base.unwrap_or(single);
-            self.send_batch_locked(g.class, addrs, guard, op, &g.payload)?;
-        }
+            .zip(&guards)
+            .map(|(g, guard)| Ok(write_frame(&guard.conn, op, &g.payload)?))
+            .collect();
+
         let mut replies = Vec::with_capacity(groups.len());
-        for ((g, guard), (base, single)) in groups
-            .iter()
-            .zip(guards.iter_mut())
-            .zip(base_lists.iter().zip(&single_addrs))
+        let mut first_err = None;
+        for (((g, guard), (_, addrs)), mut sent) in
+            groups.iter().zip(&mut guards).zip(&conns).zip(written)
         {
-            let addrs = base.unwrap_or(single);
-            replies.push(self.recv_batch_locked(g.class, addrs, guard, op, &g.payload)?);
+            let mut attempt = 0;
+            let reply = loop {
+                let reply = sent.and_then(|()| {
+                    read_frame_deadline(&guard.conn, r.rpc_deadline)?
+                        .ok_or(TaintMapError::Net(NetError::Closed))
+                });
+                if reply.is_ok() || attempt == r.retry_budget {
+                    break reply;
+                }
+                attempt += 1;
+                self.note_retry(attempt);
+                sent = self
+                    .redial_addrs(g.class, addrs, guard)
+                    .and_then(|()| Ok(write_frame(&guard.conn, op, &g.payload)?));
+            };
+            let mut breaker = self.inner.breakers[g.class].lock();
+            match reply {
+                Ok(reply) => {
+                    if let Some(open_for) = breaker.success() {
+                        let ns = open_for.as_nanos() as u64;
+                        self.inner.breaker_open_ns.fetch_add(ns, Ordering::Relaxed);
+                        self.inner.obs.breaker_open_ns.add(ns);
+                    }
+                    replies.push(reply);
+                }
+                Err(e) => {
+                    if breaker.failure(&r) {
+                        self.inner.breaker_opens.fetch_add(1, Ordering::Relaxed);
+                        self.inner.obs.breaker_opens.inc();
+                    }
+                    first_err.get_or_insert(e);
+                }
+            }
         }
-        Ok(replies)
+        first_err.map_or(Ok(replies), Err)
+    }
+
+    /// One logical request of `n` item slots: partitions the slots by
+    /// destination (`route` names a slot's residue class and serving
+    /// address under the cached class tables), sends one `op` frame per
+    /// destination (`encode` builds it from the class epoch and the
+    /// slots it carries), and hands each `OK` reply to `on_ok`. A
+    /// destination that answers `Moved` or stale-epoch gets its slots
+    /// re-partitioned through the merged class table on the next round.
+    /// Every round either resolves slots or advances a class table's
+    /// epoch, so a healthy deployment converges in one or two.
+    fn resolve(
+        &self,
+        op: u8,
+        n: usize,
+        route: impl Fn(&[ClassTable], usize) -> (usize, NodeAddr),
+        encode: impl Fn(u64, &[usize]) -> Vec<u8>,
+        mut on_ok: impl FnMut(&[usize], &[u8]) -> Result<(), TaintMapError>,
+    ) -> Result<(), TaintMapError> {
+        self.inner.obs.batch_items.observe(n as u64);
+        let wire_started = Instant::now();
+        let mut unresolved: Vec<usize> = (0..n).collect();
+        for _round in 0..RESHARD_ROUNDS {
+            if unresolved.is_empty() {
+                break;
+            }
+            // A split class fans its slots out over every range owner;
+            // BTreeMap gives the ascending (class, addr) lock order.
+            let mut by_dest: BTreeMap<(usize, NodeAddr), Vec<usize>> = BTreeMap::new();
+            let groups: Vec<Group> = {
+                let tables = self.inner.tables.lock();
+                for &k in &unresolved {
+                    by_dest.entry(route(&tables, k)).or_default().push(k);
+                }
+                by_dest
+                    .into_iter()
+                    .map(|((class, addr), items)| Group {
+                        class,
+                        addr,
+                        payload: encode(tables[class].epoch, &items),
+                        items,
+                    })
+                    .collect()
+            };
+            let replies = self.run_groups(&groups, op)?;
+            unresolved.clear();
+            for (g, (resp_op, resp)) in groups.into_iter().zip(replies) {
+                match resp_op {
+                    RESP_OK => on_ok(&g.items, &resp)?,
+                    RESP_MOVED => {
+                        self.adopt_moved(g.class, &resp)?;
+                        unresolved.extend(g.items);
+                    }
+                    RESP_STALE_EPOCH => {
+                        self.refetch_table(g.class, g.addr, &resp)?;
+                        unresolved.extend(g.items);
+                    }
+                    _ => return Err(TaintMapError::Protocol("bad taint map response")),
+                }
+            }
+        }
+        if !unresolved.is_empty() {
+            return Err(TaintMapError::Protocol("resharding did not converge"));
+        }
+        let wire_elapsed = wire_started.elapsed();
+        self.inner
+            .obs
+            .batch_latency_us
+            .observe(wire_elapsed.as_micros() as u64);
+        self.inner
+            .obs
+            .rpc_phase
+            .record_ns(wire_elapsed.as_nanos() as u64);
+        Ok(())
     }
 
     /// Returns the Global ID for `taint`, registering it with the service
-    /// on first use (steps ①-② of Fig. 9). The empty taint maps to
-    /// [`GlobalId::UNTAINTED`] without any RPC.
-    ///
-    /// This is the unbatched wire path (one `REGISTER` frame per cache
-    /// miss); hot paths use [`TaintMapClient::global_ids_for`].
+    /// on first use (steps ①-② of Fig. 9): the paper-named call, a
+    /// [`TaintMapClient::global_ids_for`] of one.
     ///
     /// # Errors
     ///
     /// Transport errors from the RPC.
     pub fn global_id_for(&self, taint: Taint) -> Result<GlobalId, TaintMapError> {
-        if taint.is_empty() {
-            return Ok(GlobalId::UNTAINTED);
-        }
-        if let Some(&gid) = self.inner.gid_of.lock().get(&taint) {
-            self.note_cache_hit();
-            return Ok(gid);
-        }
-        let serialized = serialize_taint(self.inner.store.tree(), taint);
-        let class = shard_of_bytes(&serialized, self.shard_count());
-        self.inner.register_rpcs.fetch_add(1, Ordering::Relaxed);
-        for _ in 0..RESHARD_ROUNDS {
-            // Allocation lives with the class's open-ended tail range.
-            let addr = self.inner.tables.lock()[class].tail().addrs[0];
-            let (op, payload) = self.rpc_routed(class, addr, OP_REGISTER, &serialized)?;
-            if op == RESP_MOVED {
-                self.adopt_moved(class, &payload)?;
-                continue;
-            }
-            if op != RESP_OK || payload.len() != 4 {
-                return Err(TaintMapError::Protocol("bad register response"));
-            }
-            let gid = GlobalId(u32::from_be_bytes([
-                payload[0], payload[1], payload[2], payload[3],
-            ]));
-            self.finish_registration(taint, gid);
-            return Ok(gid);
-        }
-        Err(TaintMapError::Protocol("resharding did not converge"))
+        Ok(self.global_ids_for(&[taint])?[0])
     }
 
     /// Returns Global IDs for a whole slice of taints, registering every
-    /// cache miss in one `REGISTER_BATCH` frame per shard. Output is
+    /// cache miss in one `REGISTER` frame per shard. Output is
     /// index-aligned with the input; empty taints map to
-    /// [`GlobalId::UNTAINTED`].
+    /// [`GlobalId::UNTAINTED`] without any RPC.
     ///
     /// # Errors
     ///
@@ -969,7 +886,7 @@ impl TaintMapClient {
         }
 
         if !mine.is_empty() {
-            let result = self.register_batch(&mine);
+            let result = self.register(&mine);
             // Fill flights before propagating any error so waiters never
             // hang on a failed requester.
             let mut inflight = self.inner.inflight.lock();
@@ -992,87 +909,34 @@ impl TaintMapClient {
         Ok(out)
     }
 
-    /// Registers `mine` across shards: writes every destination's
-    /// `REGISTER_BATCH_E` frame before reading any response, so servers
-    /// work concurrently. A destination that answers `Moved` or
-    /// stale-epoch gets its items re-partitioned through the merged
-    /// class table on the next round. Returns gids aligned with `mine`.
-    fn register_batch(
-        &self,
-        mine: &[(usize, Taint, Vec<u8>)],
-    ) -> Result<Vec<GlobalId>, TaintMapError> {
+    /// Registers `mine` on the wire and in the caches; returns gids
+    /// aligned with `mine`.
+    fn register(&self, mine: &[(usize, Taint, Vec<u8>)]) -> Result<Vec<GlobalId>, TaintMapError> {
         let n = self.shard_count();
         self.inner
             .register_rpcs
             .fetch_add(mine.len() as u64, Ordering::Relaxed);
-        self.inner.obs.batch_items.observe(mine.len() as u64);
-        let wire_started = std::time::Instant::now();
-
         let mut gids = vec![GlobalId::UNTAINTED; mine.len()];
-        // Item slots not yet registered, per residue class.
-        let mut remaining: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (k, (_, _, serialized)) in mine.iter().enumerate() {
-            remaining[shard_of_bytes(serialized, n)].push(k);
-        }
-        for _round in 0..RESHARD_ROUNDS {
-            // One group per loaded class: registration (allocation) goes
-            // to the tail owner at the cached epoch. Classes are visited
-            // ascending, so the groups come out in lock order.
-            let mut groups: Vec<BatchGroup> = Vec::new();
-            {
-                let tables = self.inner.tables.lock();
-                for (class, items) in remaining.iter_mut().enumerate() {
-                    if items.is_empty() {
-                        continue;
-                    }
-                    let batch: Vec<Vec<u8>> = items.iter().map(|&k| mine[k].2.clone()).collect();
-                    groups.push(BatchGroup {
-                        class,
-                        addr: tables[class].tail().addrs[0],
-                        items: std::mem::take(items),
-                        payload: stamp_epoch(tables[class].epoch, &encode_register_batch(&batch)),
-                    });
+        self.resolve(
+            OP_REGISTER,
+            mine.len(),
+            // Allocation lives with the class's open-ended tail range.
+            |tables, k| {
+                let class = shard_of_bytes(&mine[k].2, n);
+                (class, tables[class].tail().addrs[0])
+            },
+            |epoch, items| {
+                let batch: Vec<&[u8]> = items.iter().map(|&k| &mine[k].2[..]).collect();
+                encode_register(epoch, &batch)
+            },
+            |items, resp| {
+                let shard_gids = decode_register_resp(resp, items.len())?;
+                for (&k, gid) in items.iter().zip(shard_gids) {
+                    gids[k] = GlobalId(gid);
                 }
-            }
-            if groups.is_empty() {
-                break;
-            }
-            for g in &groups {
-                self.admit(g.class)?;
-            }
-            let replies = self.run_groups(&groups, OP_REGISTER_BATCH_E)?;
-            for (g, (op, resp)) in groups.into_iter().zip(replies) {
-                match op {
-                    RESP_OK => {
-                        let shard_gids = decode_register_batch_resp(&resp, g.items.len())?;
-                        for (&k, gid) in g.items.iter().zip(shard_gids) {
-                            gids[k] = GlobalId(gid);
-                        }
-                    }
-                    RESP_MOVED => {
-                        self.adopt_moved(g.class, &resp)?;
-                        remaining[g.class] = g.items;
-                    }
-                    RESP_STALE_EPOCH => {
-                        self.refetch_table(g.class, g.addr, &resp)?;
-                        remaining[g.class] = g.items;
-                    }
-                    _ => return Err(TaintMapError::Protocol("bad register batch response")),
-                }
-            }
-        }
-        if remaining.iter().any(|items| !items.is_empty()) {
-            return Err(TaintMapError::Protocol("resharding did not converge"));
-        }
-        let wire_elapsed = wire_started.elapsed();
-        self.inner
-            .obs
-            .batch_latency_us
-            .observe(wire_elapsed.as_micros() as u64);
-        self.inner
-            .obs
-            .rpc_phase
-            .record_ns(wire_elapsed.as_nanos() as u64);
+                Ok(())
+            },
+        )?;
         for ((_, taint, _), &gid) in mine.iter().zip(&gids) {
             self.finish_registration(*taint, gid);
         }
@@ -1120,57 +984,46 @@ impl TaintMapClient {
     }
 
     /// Resolves a Global ID received from the wire back into a local
-    /// taint (steps ④-⑤ of Fig. 9). [`GlobalId::UNTAINTED`] maps to the
-    /// empty taint without any RPC.
-    ///
-    /// This is the unbatched wire path (one `LOOKUP` frame per cache
-    /// miss); hot paths use [`TaintMapClient::taints_for`].
+    /// taint (steps ④-⑤ of Fig. 9): the paper-named call, a
+    /// [`TaintMapClient::taints_for`] of one.
     ///
     /// # Errors
     ///
     /// [`TaintMapError::UnknownGlobalId`] if the service never saw the
     /// id; transport/codec errors otherwise.
     pub fn taint_for(&self, gid: GlobalId) -> Result<Taint, TaintMapError> {
-        if !gid.is_tainted() {
-            return Ok(Taint::EMPTY);
-        }
-        if let Some(&taint) = self.inner.taint_of.lock().get(&gid) {
-            self.note_cache_hit();
-            return Ok(taint);
-        }
-        let class = shard_of_gid(gid.0, self.shard_count());
-        self.inner.lookup_rpcs.fetch_add(1, Ordering::Relaxed);
-        for _ in 0..RESHARD_ROUNDS {
-            let addr = self.inner.tables.lock()[class].range_of_gid(gid.0).addrs[0];
-            let (op, payload) = self.rpc_routed(class, addr, OP_LOOKUP, &gid.0.to_be_bytes())?;
-            if op == RESP_MOVED {
-                self.adopt_moved(class, &payload)?;
-                continue;
-            }
-            if op != RESP_OK {
-                return Err(TaintMapError::UnknownGlobalId(gid));
-            }
-            let taint = deserialize_taint(&self.inner.store, &payload)?;
-            self.finish_lookup(gid, taint);
-            return Ok(taint);
-        }
-        Err(TaintMapError::Protocol("resharding did not converge"))
+        Ok(self.taints_for(&[gid])?[0])
     }
 
     /// Resolves a whole slice of Global IDs, fetching every cache miss
-    /// in one `LOOKUP_BATCH` frame per shard. Output is index-aligned
-    /// with the input; [`GlobalId::UNTAINTED`] maps to the empty taint.
+    /// in one `LOOKUP` frame per shard. Output is index-aligned with the
+    /// input; [`GlobalId::UNTAINTED`] maps to the empty taint without
+    /// any RPC.
     ///
     /// # Errors
     ///
     /// [`TaintMapError::UnknownGlobalId`] naming the first id the
     /// service never saw; transport/codec errors otherwise.
     pub fn taints_for(&self, gids: &[GlobalId]) -> Result<Vec<Taint>, TaintMapError> {
+        self.resolve_gids(gids, |misses, out| self.lookup(&misses, out))
+    }
+
+    /// The shape both lookup paths share: answer what the `taint_of`
+    /// cache knows, hand the distinct misses (input index of the first
+    /// copy, gid) to `fetch`, which must fill their `out` slots, then
+    /// give later copies of a missed id its first copy's answer.
+    fn resolve_gids(
+        &self,
+        gids: &[GlobalId],
+        fetch: impl FnOnce(Vec<(usize, GlobalId)>, &mut [Taint]) -> Result<(), TaintMapError>,
+    ) -> Result<Vec<Taint>, TaintMapError> {
         let mut out = vec![Taint::EMPTY; gids.len()];
         let mut misses: Vec<(usize, GlobalId)> = Vec::new();
+        // (input index, index of the first copy of the same id).
+        let mut copies: Vec<(usize, usize)> = Vec::new();
         {
             let taint_cache = self.inner.taint_of.lock();
-            let mut seen = HashMap::new();
+            let mut first_of: HashMap<GlobalId, usize> = HashMap::new();
             for (i, &gid) in gids.iter().enumerate() {
                 if !gid.is_tainted() {
                     continue;
@@ -1180,121 +1033,59 @@ impl TaintMapClient {
                     out[i] = taint;
                     continue;
                 }
-                // Dedup within the call; later copies are back-filled.
-                if seen.insert(gid, ()).is_none() {
-                    misses.push((i, gid));
+                match first_of.entry(gid) {
+                    Entry::Vacant(slot) => {
+                        slot.insert(i);
+                        misses.push((i, gid));
+                    }
+                    Entry::Occupied(first) => copies.push((i, *first.get())),
                 }
             }
         }
-        if misses.is_empty() {
-            return self.backfill_lookup_duplicates(gids, out);
+        if !misses.is_empty() {
+            fetch(misses, &mut out)?;
         }
+        for (i, first) in copies {
+            out[i] = out[first];
+        }
+        Ok(out)
+    }
+
+    /// Fetches `misses` (slot in `out`, gid) on the wire, caches them,
+    /// and fills their slots.
+    fn lookup(&self, misses: &[(usize, GlobalId)], out: &mut [Taint]) -> Result<(), TaintMapError> {
+        let n = self.shard_count();
         self.inner
             .lookup_rpcs
             .fetch_add(misses.len() as u64, Ordering::Relaxed);
-        self.inner.obs.batch_items.observe(misses.len() as u64);
-        let wire_started = std::time::Instant::now();
-
-        let n = self.shard_count();
-        // `None` = not yet answered by a server; an answered-but-unknown
-        // gid records `Some(None)`.
-        let mut fetched: Vec<Option<Option<Vec<u8>>>> = vec![None; misses.len()];
-        let mut unresolved: Vec<usize> = (0..misses.len()).collect();
-        for _round in 0..RESHARD_ROUNDS {
-            if unresolved.is_empty() {
-                break;
-            }
-            // Partition the unresolved slots by (class, serving range):
-            // a split class fans its gids out over every range owner.
-            // BTreeMap gives the ascending (class, addr) lock order.
-            let mut by_dest: std::collections::BTreeMap<(usize, NodeAddr), Vec<usize>> =
-                std::collections::BTreeMap::new();
-            let epochs: Vec<u64> = {
-                let tables = self.inner.tables.lock();
-                for &k in &unresolved {
-                    let gid = misses[k].1;
-                    let class = shard_of_gid(gid.0, n);
-                    let addr = tables[class].range_of_gid(gid.0).addrs[0];
-                    by_dest.entry((class, addr)).or_default().push(k);
+        // `None` marks an id the service never assigned.
+        let mut fetched: Vec<Option<Vec<u8>>> = vec![None; misses.len()];
+        self.resolve(
+            OP_LOOKUP,
+            misses.len(),
+            |tables, k| {
+                let gid = misses[k].1 .0;
+                let class = shard_of_gid(gid, n);
+                (class, tables[class].range_of_gid(gid).addrs[0])
+            },
+            |epoch, items| {
+                let batch: Vec<u32> = items.iter().map(|&k| misses[k].1 .0).collect();
+                encode_lookup(epoch, &batch)
+            },
+            |items, resp| {
+                for (&k, item) in items.iter().zip(decode_lookup_resp(resp, items.len())?) {
+                    fetched[k] = item;
                 }
-                tables.iter().map(|t| t.epoch).collect()
-            };
-            let groups: Vec<BatchGroup> = by_dest
-                .into_iter()
-                .map(|((class, addr), items)| {
-                    let batch: Vec<u32> = items.iter().map(|&k| misses[k].1 .0).collect();
-                    BatchGroup {
-                        class,
-                        addr,
-                        items,
-                        payload: stamp_epoch(epochs[class], &encode_lookup_batch(&batch)),
-                    }
-                })
-                .collect();
-            for g in &groups {
-                self.admit(g.class)?;
-            }
-            let replies = self.run_groups(&groups, OP_LOOKUP_BATCH_E)?;
-            unresolved.clear();
-            for (g, (op, resp)) in groups.into_iter().zip(replies) {
-                match op {
-                    RESP_OK => {
-                        let items = decode_lookup_batch_resp(&resp, g.items.len())?;
-                        for (&k, item) in g.items.iter().zip(items) {
-                            fetched[k] = Some(item);
-                        }
-                    }
-                    RESP_MOVED => {
-                        self.adopt_moved(g.class, &resp)?;
-                        unresolved.extend(g.items);
-                    }
-                    RESP_STALE_EPOCH => {
-                        self.refetch_table(g.class, g.addr, &resp)?;
-                        unresolved.extend(g.items);
-                    }
-                    _ => return Err(TaintMapError::Protocol("bad lookup batch response")),
-                }
-            }
-        }
-        if !unresolved.is_empty() {
-            return Err(TaintMapError::Protocol("resharding did not converge"));
-        }
-        let fetched: Vec<Option<Vec<u8>>> = fetched.into_iter().map(|f| f.flatten()).collect();
-        let wire_elapsed = wire_started.elapsed();
-        self.inner
-            .obs
-            .batch_latency_us
-            .observe(wire_elapsed.as_micros() as u64);
-        self.inner
-            .obs
-            .rpc_phase
-            .record_ns(wire_elapsed.as_nanos() as u64);
-
-        for ((i, gid), bytes) in misses.into_iter().zip(fetched) {
+                Ok(())
+            },
+        )?;
+        for (&(i, gid), bytes) in misses.iter().zip(fetched) {
             let bytes = bytes.ok_or(TaintMapError::UnknownGlobalId(gid))?;
             let taint = deserialize_taint(&self.inner.store, &bytes)?;
             self.finish_lookup(gid, taint);
             out[i] = taint;
         }
-        self.backfill_lookup_duplicates(gids, out)
-    }
-
-    /// Second pass for duplicate ids within one `taints_for` call: every
-    /// copy of an id resolved this call gets the same taint.
-    fn backfill_lookup_duplicates(
-        &self,
-        gids: &[GlobalId],
-        mut out: Vec<Taint>,
-    ) -> Result<Vec<Taint>, TaintMapError> {
-        let taint_cache = self.inner.taint_of.lock();
-        for (i, &gid) in gids.iter().enumerate() {
-            if gid.is_tainted() && out[i].is_empty() {
-                out[i] = *taint_cache
-                    .get(&gid)
-                    .ok_or(TaintMapError::UnknownGlobalId(gid))?;
-            }
-        }
-        Ok(out)
+        Ok(())
     }
 
     /// Like [`TaintMapClient::taints_for`], but **sound under
@@ -1318,83 +1109,39 @@ impl TaintMapClient {
     pub fn taints_for_degraded(&self, gids: &[GlobalId]) -> Result<Vec<Taint>, TaintMapError> {
         // Heal-side reconciliation rides on the next lookup batch.
         let _ = self.reconcile_pending()?;
-        let mut out = vec![Taint::EMPTY; gids.len()];
-        let mut misses: Vec<(usize, GlobalId)> = Vec::new();
-        {
-            let taint_cache = self.inner.taint_of.lock();
-            let pending = self.inner.pending.lock();
-            let mut seen = HashMap::new();
-            for (i, &gid) in gids.iter().enumerate() {
-                if !gid.is_tainted() {
-                    continue;
-                }
-                if let Some(&taint) = taint_cache.get(&gid) {
-                    self.note_cache_hit();
-                    out[i] = taint;
-                    continue;
-                }
-                if let Some(&sentinel) = pending.get(&gid) {
-                    out[i] = sentinel;
-                    continue;
-                }
-                if seen.insert(gid, ()).is_none() {
-                    misses.push((i, gid));
-                }
-            }
-        }
-        if misses.is_empty() {
-            return self.backfill_degraded_duplicates(gids, out);
-        }
-        // Group misses by owning shard and resolve each shard's slice
-        // through the normal batched path; a shard whose batch dies on
-        // transport degrades *only its own* gids to sentinels.
-        let n = self.shard_count();
-        let mut per_shard: Vec<Vec<(usize, GlobalId)>> = vec![Vec::new(); n];
-        for (i, gid) in misses {
-            per_shard[shard_of_gid(gid.0, n)].push((i, gid));
-        }
-        for (shard, items) in per_shard.into_iter().enumerate() {
-            if items.is_empty() {
-                continue;
-            }
-            let shard_gids: Vec<GlobalId> = items.iter().map(|&(_, gid)| gid).collect();
-            match self.taints_for(&shard_gids) {
-                Ok(taints) => {
-                    for (&(i, _), taint) in items.iter().zip(taints) {
-                        out[i] = taint;
+        self.resolve_gids(gids, |misses, out| {
+            // Each shard's slice goes through the strict path on its
+            // own; a shard whose frame dies on transport degrades *only
+            // its own* gids to sentinels. A gid still pending after the
+            // reconciliation above keeps its sentinel without another
+            // wire attempt.
+            let n = self.shard_count();
+            let mut per_shard: Vec<Vec<(usize, GlobalId)>> = vec![Vec::new(); n];
+            {
+                let pending = self.inner.pending.lock();
+                for (i, gid) in misses {
+                    match pending.get(&gid) {
+                        Some(&sentinel) => out[i] = sentinel,
+                        None => per_shard[shard_of_gid(gid.0, n)].push((i, gid)),
                     }
                 }
-                Err(TaintMapError::Net(_)) | Err(TaintMapError::ShardUnavailable(_)) => {
-                    for &(i, gid) in &items {
-                        out[i] = self.pending_sentinel(gid, shard);
-                    }
+            }
+            for (shard, items) in per_shard.iter().enumerate() {
+                if items.is_empty() {
+                    continue;
                 }
-                Err(e) => return Err(e),
+                match self.lookup(items, out) {
+                    Ok(()) => {}
+                    Err(TaintMapError::Net(_)) | Err(TaintMapError::ShardUnavailable(_)) => {
+                        for &(i, gid) in items {
+                            out[i] = self.pending_sentinel(gid, shard);
+                        }
+                    }
+                    Err(e) => return Err(e),
+                }
             }
-        }
-        self.backfill_degraded_duplicates(gids, out)
-    }
-
-    /// Duplicate back-fill for the degraded path: copies of an id
-    /// resolved (or degraded) this call get the same taint/sentinel.
-    fn backfill_degraded_duplicates(
-        &self,
-        gids: &[GlobalId],
-        mut out: Vec<Taint>,
-    ) -> Result<Vec<Taint>, TaintMapError> {
-        let taint_cache = self.inner.taint_of.lock();
-        let pending = self.inner.pending.lock();
-        for (i, &gid) in gids.iter().enumerate() {
-            if gid.is_tainted() && out[i].is_empty() {
-                out[i] = match taint_cache.get(&gid) {
-                    Some(&taint) => taint,
-                    None => *pending
-                        .get(&gid)
-                        .ok_or(TaintMapError::UnknownGlobalId(gid))?,
-                };
-            }
-        }
-        Ok(out)
+            Ok(())
+        })
     }
 
     /// Mints (or reuses) the `pending-gid:<n>` sentinel for an
@@ -1517,16 +1264,6 @@ impl TaintMapClient {
     }
 }
 
-fn rpc_on(
-    conn: &TcpEndpoint,
-    op: u8,
-    payload: &[u8],
-    deadline: Duration,
-) -> Result<(u8, Vec<u8>), TaintMapError> {
-    write_frame(conn, op, payload)?;
-    read_frame_deadline(conn, deadline)?.ok_or(TaintMapError::Net(dista_simnet::NetError::Closed))
-}
-
 fn dial_any(
     net: &SimNet,
     addrs: &[NodeAddr],
@@ -1606,29 +1343,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_register_matches_unbatched_results() {
-        let (net, endpoint, client, store) = setup();
-        let taints: Vec<Taint> = (0..8)
-            .map(|i| store.mint_source_taint(TagValue::Int(i)))
-            .collect();
-        let gids = client.global_ids_for(&taints).unwrap();
-        assert_eq!(client.stats().batch_frames, 1, "one frame, eight items");
-
-        // A second client over the unbatched path agrees id-for-id.
-        let store2 = TaintStore::new(LocalId::new([10, 0, 0, 2], 2));
-        let client2 = endpoint.client(&net, store2.clone()).unwrap();
-        for (&t, &gid) in taints.iter().zip(&gids) {
-            let resolved = client2.taint_for(gid).unwrap();
-            assert_eq!(
-                store2.tag_values(resolved),
-                store.tag_values(t),
-                "batched gid resolves to the registered taint"
-            );
-        }
-        endpoint.shutdown();
-    }
-
-    #[test]
     fn batch_mixes_cached_empty_and_fresh_items() {
         let (_net, endpoint, client, store) = setup();
         let warm = store.mint_source_taint(TagValue::str("warm"));
@@ -1654,6 +1368,7 @@ mod tests {
             .map(|i| store1.mint_source_taint(TagValue::Int(i)))
             .collect();
         let gids = client1.global_ids_for(&taints).unwrap();
+        assert_eq!(client1.stats().batch_frames, 1, "one frame, four items");
 
         let store2 = TaintStore::new(LocalId::new([10, 0, 0, 4], 4));
         let client2 = endpoint.client(&net, store2.clone()).unwrap();
@@ -1673,24 +1388,19 @@ mod tests {
     }
 
     #[test]
-    fn batched_lookup_unknown_id_is_error() {
-        let (_net, endpoint, client, _store) = setup();
-        assert_eq!(
-            client.taints_for(&[GlobalId(1234)]),
-            Err(TaintMapError::UnknownGlobalId(GlobalId(1234)))
-        );
-        endpoint.shutdown();
-    }
-
-    #[test]
     fn single_flight_dedups_concurrent_registration() {
         let (_net, endpoint, client, store) = setup();
         let t = store.mint_source_taint(TagValue::str("contended"));
         let mut handles = Vec::new();
-        for _ in 0..8 {
+        for i in 0..8 {
             let client = client.clone();
             handles.push(std::thread::spawn(move || {
-                client.global_ids_for(&[t]).unwrap()[0]
+                // The single call is a batch of one: same guard.
+                if i % 2 == 0 {
+                    client.global_ids_for(&[t]).unwrap()[0]
+                } else {
+                    client.global_id_for(t).unwrap()
+                }
             }));
         }
         let ids: Vec<GlobalId> = handles.into_iter().map(|h| h.join().unwrap()).collect();
@@ -1735,6 +1445,10 @@ mod tests {
         let (_net, endpoint, client, _store) = setup();
         assert_eq!(
             client.taint_for(GlobalId(1234)),
+            Err(TaintMapError::UnknownGlobalId(GlobalId(1234)))
+        );
+        assert_eq!(
+            client.taints_for(&[GlobalId(1234)]),
             Err(TaintMapError::UnknownGlobalId(GlobalId(1234)))
         );
         endpoint.shutdown();
@@ -1944,6 +1658,50 @@ mod tests {
         assert!(client.stats().breaker_open_ns > 0);
         // Closed again: next RPC flows normally.
         assert!(client.global_id_for(t2).is_ok());
+        endpoint.shutdown();
+    }
+
+    #[test]
+    fn a_failed_shard_leaves_no_unread_reply_on_its_neighbours() {
+        // Regression: a round spanning shards 0 and 1 used to return at
+        // shard 1's transport error with shard 0's reply still unread
+        // on its kept-open connection; the next request to shard 0 then
+        // read that stale reply as its own and handed out the wrong gid.
+        let net = SimNet::new();
+        let mut endpoint = TaintMapEndpoint::builder().shards(2).connect(&net).unwrap();
+        let store = TaintStore::new(LocalId::new([10, 0, 0, 1], 1));
+        let client = TaintMapClient::connect_topology_tuned(
+            &net,
+            endpoint.topology(),
+            store.clone(),
+            ClientObserver::disabled(),
+            fast_resilience(),
+        )
+        .unwrap();
+        // Two taints for shard 0 and one for shard 1, picked by the
+        // client's own routing hash.
+        let mut by_shard: [Vec<Taint>; 2] = [Vec::new(), Vec::new()];
+        for i in 0.. {
+            let t = store.mint_source_taint(TagValue::Int(i));
+            by_shard[shard_of_bytes(&serialize_taint(store.tree(), t), 2)].push(t);
+            if by_shard[0].len() >= 2 && !by_shard[1].is_empty() {
+                break;
+            }
+        }
+        endpoint.crash_primary(1);
+        assert!(matches!(
+            client.global_ids_for(&[by_shard[0][0], by_shard[1][0]]),
+            Err(TaintMapError::Net(_))
+        ));
+
+        // Shard 0 is healthy: its next registration gets its own answer.
+        let fresh = by_shard[0][1];
+        let gid = client.global_id_for(fresh).unwrap();
+        endpoint.restart_primary(1).unwrap();
+        let store2 = TaintStore::new(LocalId::new([10, 0, 0, 2], 2));
+        let client2 = endpoint.client(&net, store2.clone()).unwrap();
+        let resolved = client2.taint_for(gid).unwrap();
+        assert_eq!(store2.tag_values(resolved), store.tag_values(fresh));
         endpoint.shutdown();
     }
 

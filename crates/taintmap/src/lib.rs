@@ -20,11 +20,13 @@
 //! [`TaintMapEndpoint`]: the Global ID namespace is statically
 //! partitioned (shard `i` of `n` assigns ids `i+1, i+1+n, …`), so shards
 //! never coordinate, and clients route by a stable hash of the
-//! serialized taint. The wire protocol is **batched** — all distinct
+//! serialized taint. The wire protocol is the paper's two RPCs,
+//! `REGISTER` and `LOOKUP`, each carrying many items — all distinct
 //! taints of a shadow buffer register or resolve in one round trip per
-//! shard — and the [`TaintMapClient`] pipelines multi-shard batches over
-//! kept-open connections. Each shard keeps the paper's §IV
-//! primary/standby replication independently.
+//! shard, and a single taint is a batch of one — and the
+//! [`TaintMapClient`] pipelines multi-shard batches over kept-open
+//! connections. Each shard keeps the paper's §IV primary/standby
+//! replication independently.
 //!
 //! # Example
 //!

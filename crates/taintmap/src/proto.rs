@@ -1,66 +1,54 @@
 //! Framed request/response protocol between VMs and the Taint Map.
 //!
 //! Frame layout (both directions): `op: u8`, `len: u32 BE`, `len` payload
-//! bytes. Requests: `REGISTER` carries a serialized taint, `LOOKUP`
-//! carries a 4-byte Global ID; `REGISTER_BATCH` / `LOOKUP_BATCH` carry
-//! many of either so a whole shadow buffer resolves in one round trip.
-//! Responses: `OK` carries the result payload, `ERR` carries a one-byte
-//! reason.
+//! bytes. The paper's Taint Map speaks two RPCs (Fig. 9) and so does this
+//! one: `REGISTER` carries serialized taints and answers their Global
+//! IDs, `LOOKUP` carries Global IDs and answers their serialized taints.
+//! Each carries *many* items, so a whole shadow buffer resolves in one
+//! round trip per shard; a single item is a batch of one. Responses: `OK`
+//! carries the result payload, `ERR` a one-byte reason.
 //!
-//! Batch payload layouts (all integers big-endian):
+//! Payload layouts (all integers big-endian):
 //!
 //! ```text
-//! REGISTER_BATCH  req:  u32 count, then count × (u32 len, len bytes)
+//! REGISTER        req:  u64 epoch, u32 count, count × (u32 len, len bytes)
 //!                 resp: u32 count, then count × u32 gid
-//! LOOKUP_BATCH    req:  u32 count, then count × u32 gid
+//! LOOKUP          req:  u64 epoch, u32 count, count × u32 gid
 //!                 resp: u32 count, then count × (u8 status,
 //!                       if status == 0: u32 len, len bytes)
+//! EPOCH_OF        req:  empty            resp OK: class table
+//! TRANSFER_BATCH  req:  u32 count, count × (u32 gid, u32 len, bytes)
+//!                 resp OK: u32 count acknowledged
+//! MOVED           resp: class table
+//! STALE_EPOCH     resp: u64 server epoch
+//! class table:    u64 epoch, u32 nranges, nranges ×
+//!                 (u32 lo_gid, u8 naddrs, naddrs × (4B ip, u16 port))
 //! ```
 //!
 //! The per-request service throttle is charged once per *frame*, so a
-//! batch amortizes the fixed RPC cost over all its items — the point of
-//! the batched protocol.
+//! request amortizes the fixed RPC cost over all its items.
 //!
-//! **Resharding extensions.** Epoch-stamped batch ops prefix the legacy
-//! batch payload with a `u64` class-table epoch; a server whose table is
-//! newer rejects the frame with `STALE_EPOCH` (payload: its epoch) so the
-//! client refetches via `EPOCH_OF` and retries. A server that no longer
-//! owns a touched gid range answers `MOVED` carrying its whole
-//! [`ClassTable`] so even epoch-less clients can chase the redirect:
-//!
-//! ```text
-//! REGISTER_BATCH_E req:  u64 epoch, then REGISTER_BATCH payload
-//! LOOKUP_BATCH_E   req:  u64 epoch, then LOOKUP_BATCH payload
-//! EPOCH_OF         req:  empty            resp OK: class table
-//! TRANSFER_BATCH   req:  u32 count, count × (u32 gid, u32 len, bytes)
-//!                  resp OK: u32 count acknowledged
-//! MOVED            resp: class table
-//! STALE_EPOCH      resp: u64 server epoch
-//! class table:     u64 epoch, u32 nranges, nranges ×
-//!                  (u32 lo_gid, u8 naddrs, naddrs × (4B ip, u16 port))
-//! ```
+//! **Resharding.** `epoch` is the sender's class-table epoch; a server
+//! whose table is newer rejects the frame with `STALE_EPOCH` (payload:
+//! its epoch) so the client refetches via `EPOCH_OF` and retries. A
+//! server that no longer owns a touched gid range answers `MOVED`
+//! carrying its whole [`ClassTable`].
 
 use dista_simnet::{NetError, NodeAddr, TcpEndpoint};
 
 use crate::error::TaintMapError;
 use crate::shard::{ClassTable, ShardRange};
 
-pub(crate) const OP_REGISTER: u8 = 1;
-pub(crate) const OP_LOOKUP: u8 = 2;
 pub(crate) const OP_SHUTDOWN: u8 = 3;
 pub(crate) const OP_REPLICATE: u8 = 4;
-pub(crate) const OP_REGISTER_BATCH: u8 = 5;
-pub(crate) const OP_LOOKUP_BATCH: u8 = 6;
-pub(crate) const OP_REGISTER_BATCH_E: u8 = 7;
-pub(crate) const OP_LOOKUP_BATCH_E: u8 = 8;
+pub(crate) const OP_REGISTER: u8 = 7;
+pub(crate) const OP_LOOKUP: u8 = 8;
 pub(crate) const OP_EPOCH_OF: u8 = 9;
 pub(crate) const OP_TRANSFER_BATCH: u8 = 10;
 pub(crate) const RESP_OK: u8 = 0x80;
 pub(crate) const RESP_ERR: u8 = 0x81;
 pub(crate) const RESP_MOVED: u8 = 0x82;
 pub(crate) const RESP_STALE_EPOCH: u8 = 0x83;
-
-pub(crate) const ERR_UNKNOWN_GID: u8 = 1;
 
 pub(crate) const STATUS_OK: u8 = 0;
 pub(crate) const STATUS_UNKNOWN: u8 = 1;
@@ -139,7 +127,7 @@ fn read_exact_with(
     Ok(())
 }
 
-/// Incremental big-endian reader over a batch payload.
+/// Incremental big-endian reader over a frame payload.
 pub(crate) struct PayloadReader<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -151,32 +139,31 @@ impl<'a> PayloadReader<'a> {
     }
 
     pub(crate) fn u8(&mut self) -> Result<u8, TaintMapError> {
-        let b = *self
-            .buf
-            .get(self.pos)
-            .ok_or(TaintMapError::Protocol("truncated batch payload"))?;
-        self.pos += 1;
-        Ok(b)
+        Ok(self.bytes(1)?[0])
     }
 
     pub(crate) fn u32(&mut self) -> Result<u32, TaintMapError> {
-        let end = self.pos + 4;
-        let bytes = self
-            .buf
-            .get(self.pos..end)
-            .ok_or(TaintMapError::Protocol("truncated batch payload"))?;
-        self.pos = end;
-        Ok(u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]))
+        let b = self.bytes(4)?;
+        Ok(u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
+    }
+
+    pub(crate) fn u64(&mut self) -> Result<u64, TaintMapError> {
+        Ok(u64::from(self.u32()?) << 32 | u64::from(self.u32()?))
     }
 
     pub(crate) fn bytes(&mut self, len: usize) -> Result<&'a [u8], TaintMapError> {
-        let end = self.pos + len;
         let bytes = self
-            .buf
-            .get(self.pos..end)
-            .ok_or(TaintMapError::Protocol("truncated batch payload"))?;
-        self.pos = end;
+            .remaining()
+            .get(..len)
+            .ok_or(TaintMapError::Protocol("truncated payload"))?;
+        self.pos += len;
         Ok(bytes)
+    }
+
+    /// The bytes not yet consumed; a count read from the wire is
+    /// bounded by their length before anything is allocated for it.
+    pub(crate) fn remaining(&self) -> &'a [u8] {
+        &self.buf[self.pos..]
     }
 
     pub(crate) fn at_end(&self) -> bool {
@@ -184,9 +171,11 @@ impl<'a> PayloadReader<'a> {
     }
 }
 
-/// Encodes a `REGISTER_BATCH` request payload.
-pub(crate) fn encode_register_batch(items: &[Vec<u8>]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + items.iter().map(|i| 4 + i.len()).sum::<usize>());
+/// Encodes a `REGISTER` request: the sender's class-table epoch, then
+/// the serialized taints.
+pub(crate) fn encode_register(epoch: u64, items: &[&[u8]]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(12 + items.iter().map(|i| 4 + i.len()).sum::<usize>());
+    out.extend_from_slice(&epoch.to_be_bytes());
     out.extend_from_slice(&(items.len() as u32).to_be_bytes());
     for item in items {
         out.extend_from_slice(&(item.len() as u32).to_be_bytes());
@@ -195,9 +184,11 @@ pub(crate) fn encode_register_batch(items: &[Vec<u8>]) -> Vec<u8> {
     out
 }
 
-/// Encodes a `LOOKUP_BATCH` request payload.
-pub(crate) fn encode_lookup_batch(gids: &[u32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + 4 * gids.len());
+/// Encodes a `LOOKUP` request: the sender's class-table epoch, then the
+/// Global IDs.
+pub(crate) fn encode_lookup(epoch: u64, gids: &[u32]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(12 + 4 * gids.len());
+    out.extend_from_slice(&epoch.to_be_bytes());
     out.extend_from_slice(&(gids.len() as u32).to_be_bytes());
     for gid in gids {
         out.extend_from_slice(&gid.to_be_bytes());
@@ -205,36 +196,36 @@ pub(crate) fn encode_lookup_batch(gids: &[u32]) -> Vec<u8> {
     out
 }
 
-/// Decodes a `REGISTER_BATCH` response payload into Global IDs.
-pub(crate) fn decode_register_batch_resp(
+/// Decodes a `REGISTER` response payload into Global IDs.
+pub(crate) fn decode_register_resp(
     payload: &[u8],
     expected: usize,
 ) -> Result<Vec<u32>, TaintMapError> {
     let mut r = PayloadReader::new(payload);
     let count = r.u32()? as usize;
     if count != expected {
-        return Err(TaintMapError::Protocol("register batch count mismatch"));
+        return Err(TaintMapError::Protocol("register count mismatch"));
     }
     let mut gids = Vec::with_capacity(count);
     for _ in 0..count {
         gids.push(r.u32()?);
     }
     if !r.at_end() {
-        return Err(TaintMapError::Protocol("trailing bytes in batch response"));
+        return Err(TaintMapError::Protocol("trailing bytes in response"));
     }
     Ok(gids)
 }
 
-/// Decodes a `LOOKUP_BATCH` response payload; `None` marks an id the
-/// service never assigned.
-pub(crate) fn decode_lookup_batch_resp(
+/// Decodes a `LOOKUP` response payload; `None` marks an id the service
+/// never assigned.
+pub(crate) fn decode_lookup_resp(
     payload: &[u8],
     expected: usize,
 ) -> Result<Vec<Option<Vec<u8>>>, TaintMapError> {
     let mut r = PayloadReader::new(payload);
     let count = r.u32()? as usize;
     if count != expected {
-        return Err(TaintMapError::Protocol("lookup batch count mismatch"));
+        return Err(TaintMapError::Protocol("lookup count mismatch"));
     }
     let mut items = Vec::with_capacity(count);
     for _ in 0..count {
@@ -244,11 +235,11 @@ pub(crate) fn decode_lookup_batch_resp(
                 items.push(Some(r.bytes(len)?.to_vec()));
             }
             STATUS_UNKNOWN => items.push(None),
-            _ => return Err(TaintMapError::Protocol("bad lookup batch status")),
+            _ => return Err(TaintMapError::Protocol("bad lookup status")),
         }
     }
     if !r.at_end() {
-        return Err(TaintMapError::Protocol("trailing bytes in batch response"));
+        return Err(TaintMapError::Protocol("trailing bytes in response"));
     }
     Ok(items)
 }
@@ -272,7 +263,7 @@ pub(crate) fn encode_class_table(table: &ClassTable) -> Vec<u8> {
 /// Decodes a [`ClassTable`] payload, validating shape and ordering.
 pub(crate) fn decode_class_table(payload: &[u8]) -> Result<ClassTable, TaintMapError> {
     let mut r = PayloadReader::new(payload);
-    let epoch = u64::from(r.u32()?) << 32 | u64::from(r.u32()?);
+    let epoch = r.u64()?;
     let nranges = r.u32()? as usize;
     if nranges == 0 {
         return Err(TaintMapError::Protocol("class table has no ranges"));
@@ -331,32 +322,14 @@ pub(crate) fn decode_transfer_batch(payload: &[u8]) -> Result<Vec<(u32, Vec<u8>)
     Ok(records)
 }
 
-/// Prefixes a batch payload with the client's class-table epoch stamp.
-pub(crate) fn stamp_epoch(epoch: u64, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + payload.len());
-    out.extend_from_slice(&epoch.to_be_bytes());
-    out.extend_from_slice(payload);
-    out
-}
-
-/// Splits an epoch-stamped batch payload into `(epoch, rest)`.
-pub(crate) fn unstamp_epoch(payload: &[u8]) -> Result<(u64, &[u8]), TaintMapError> {
-    if payload.len() < 8 {
-        return Err(TaintMapError::Protocol("missing epoch stamp"));
-    }
-    let mut be = [0u8; 8];
-    be.copy_from_slice(&payload[..8]);
-    Ok((u64::from_be_bytes(be), &payload[8..]))
-}
-
 /// Decodes a `STALE_EPOCH` payload (the server's current epoch).
 pub(crate) fn decode_stale_epoch(payload: &[u8]) -> Result<u64, TaintMapError> {
-    if payload.len() != 8 {
+    let mut r = PayloadReader::new(payload);
+    let epoch = r.u64()?;
+    if !r.at_end() {
         return Err(TaintMapError::Protocol("bad stale-epoch payload"));
     }
-    let mut be = [0u8; 8];
-    be.copy_from_slice(payload);
-    Ok(u64::from_be_bytes(be))
+    Ok(epoch)
 }
 
 #[cfg(test)]
@@ -472,27 +445,30 @@ mod tests {
     }
 
     #[test]
-    fn register_batch_payload_roundtrip() {
-        let items = vec![b"alpha".to_vec(), Vec::new(), b"b".to_vec()];
-        let payload = encode_register_batch(&items);
+    fn register_payload_roundtrip() {
+        let items: [&[u8]; 3] = [b"alpha", b"", b"b"];
+        let payload = encode_register(7, &items);
         let mut r = PayloadReader::new(&payload);
+        assert_eq!(r.u64().unwrap(), 7);
         assert_eq!(r.u32().unwrap(), 3);
-        for item in &items {
+        for item in items {
             let len = r.u32().unwrap() as usize;
-            assert_eq!(r.bytes(len).unwrap(), &item[..]);
+            assert_eq!(r.bytes(len).unwrap(), item);
         }
         assert!(r.at_end());
     }
 
     #[test]
-    fn lookup_batch_payload_roundtrip() {
-        let payload = encode_lookup_batch(&[7, 0, 42]);
+    fn lookup_payload_roundtrip() {
+        let payload = encode_lookup(u64::MAX - 1, &[7, 0, 42]);
         let mut r = PayloadReader::new(&payload);
+        assert_eq!(r.u64().unwrap(), u64::MAX - 1);
         assert_eq!(r.u32().unwrap(), 3);
         assert_eq!(r.u32().unwrap(), 7);
         assert_eq!(r.u32().unwrap(), 0);
         assert_eq!(r.u32().unwrap(), 42);
         assert!(r.at_end());
+        assert!(r.u8().is_err(), "reads past the end are errors, not panics");
     }
 
     #[test]
@@ -516,7 +492,7 @@ mod tests {
         let payload = encode_class_table(&table);
         assert_eq!(decode_class_table(&payload).unwrap(), table);
         // Empty table, unordered ranges and trailing bytes are rejected.
-        assert!(decode_class_table(&stamp_epoch(0, &0u32.to_be_bytes())).is_err());
+        assert!(decode_class_table(&[0u8; 12]).is_err());
         let mut trailing = payload.clone();
         trailing.push(0);
         assert!(decode_class_table(&trailing).is_err());
@@ -534,19 +510,15 @@ mod tests {
     }
 
     #[test]
-    fn epoch_stamp_roundtrip() {
-        let stamped = stamp_epoch(7, b"rest");
-        let (epoch, rest) = unstamp_epoch(&stamped).unwrap();
-        assert_eq!(epoch, 7);
-        assert_eq!(rest, b"rest");
-        assert!(unstamp_epoch(&stamped[..7]).is_err());
+    fn stale_epoch_payload_is_exactly_one_epoch() {
         assert_eq!(decode_stale_epoch(&9u64.to_be_bytes()).unwrap(), 9);
         assert!(decode_stale_epoch(b"short").is_err());
+        assert!(decode_stale_epoch(&[0u8; 9]).is_err());
     }
 
     #[test]
-    fn batch_resp_decoders_reject_mismatch_and_truncation() {
-        let gids = decode_register_batch_resp(
+    fn resp_decoders_reject_mismatch_and_truncation() {
+        let gids = decode_register_resp(
             &[
                 &2u32.to_be_bytes()[..],
                 &5u32.to_be_bytes()[..],
@@ -557,11 +529,11 @@ mod tests {
         )
         .unwrap();
         assert_eq!(gids, vec![5, 9]);
-        assert!(decode_register_batch_resp(&2u32.to_be_bytes(), 3).is_err());
-        assert!(decode_register_batch_resp(&[0, 0], 0).is_err());
-        assert!(decode_lookup_batch_resp(&1u32.to_be_bytes(), 1).is_err());
+        assert!(decode_register_resp(&2u32.to_be_bytes(), 3).is_err());
+        assert!(decode_register_resp(&[0, 0], 0).is_err());
+        assert!(decode_lookup_resp(&1u32.to_be_bytes(), 1).is_err());
         let mut ok = 1u32.to_be_bytes().to_vec();
         ok.push(STATUS_UNKNOWN);
-        assert_eq!(decode_lookup_batch_resp(&ok, 1).unwrap(), vec![None]);
+        assert_eq!(decode_lookup_resp(&ok, 1).unwrap(), vec![None]);
     }
 }

@@ -31,11 +31,9 @@ use parking_lot::Mutex;
 use crate::backend::TaintMapBackend;
 use crate::error::TaintMapError;
 use crate::proto::{
-    decode_transfer_batch, encode_class_table, encode_transfer_batch, read_frame, unstamp_epoch,
-    write_frame, PayloadReader, ERR_UNKNOWN_GID, OP_EPOCH_OF, OP_LOOKUP, OP_LOOKUP_BATCH,
-    OP_LOOKUP_BATCH_E, OP_REGISTER, OP_REGISTER_BATCH, OP_REGISTER_BATCH_E, OP_REPLICATE,
-    OP_SHUTDOWN, OP_TRANSFER_BATCH, RESP_ERR, RESP_MOVED, RESP_OK, RESP_STALE_EPOCH, STATUS_OK,
-    STATUS_UNKNOWN,
+    decode_transfer_batch, encode_class_table, encode_transfer_batch, read_frame, write_frame,
+    PayloadReader, OP_EPOCH_OF, OP_LOOKUP, OP_REGISTER, OP_REPLICATE, OP_SHUTDOWN,
+    OP_TRANSFER_BATCH, RESP_ERR, RESP_MOVED, RESP_OK, RESP_STALE_EPOCH, STATUS_OK, STATUS_UNKNOWN,
 };
 use crate::shard::{ClassTable, ShardRange, ShardSpec};
 
@@ -44,8 +42,8 @@ use crate::shard::{ClassTable, ShardRange, ShardSpec};
 pub struct TaintMapConfig {
     /// Artificial per-request service time, used by the bottleneck
     /// ablation (`bench/taintmap_throughput`). Zero = no throttle. The
-    /// delay is charged once per *frame*, so a batch request pays it
-    /// once however many items it carries.
+    /// delay is charged once per *frame*, so a request pays it once
+    /// however many items it carries.
     pub service_delay: Duration,
     /// Chaos knob: die ungracefully once this many register items have
     /// been served. The fatal registration is committed (backend, WAL,
@@ -255,7 +253,7 @@ impl TaintMapWal {
         }
         let body = &bytes[4..bytes.len() - 4];
         let mut r = PayloadReader::new(body);
-        let epoch = u64::from(r.u32().ok()?) << 32 | u64::from(r.u32().ok()?);
+        let epoch = r.u64().ok()?;
         let nmoved = r.u32().ok()? as usize;
         let mut moved = Vec::with_capacity(nmoved);
         for _ in 0..nmoved {
@@ -383,12 +381,12 @@ impl TaintMapWal {
 pub struct ServerStats {
     /// Distinct global taints registered.
     pub global_taints: u64,
-    /// Register requests served (counting batch items individually,
-    /// including duplicates).
+    /// Register items served (each item of a frame counts, duplicates
+    /// included).
     pub register_requests: u64,
-    /// Lookup requests served (counting batch items individually).
+    /// Lookup items served (each item of a frame counts).
     pub lookup_requests: u64,
-    /// Batch frames served (either direction).
+    /// `REGISTER` and `LOOKUP` frames served.
     pub batch_frames: u64,
     /// Requests answered with a `Moved` redirect after a cutover.
     pub moved_redirects: u64,
@@ -474,7 +472,6 @@ impl ServerShared {
         let served = self.registers.fetch_add(1, Ordering::Relaxed) + 1;
         let _commit = self.commit_lock.lock();
         if !self.moved.lock().is_empty() {
-            self.moved_redirects.fetch_add(1, Ordering::Relaxed);
             return None;
         }
         let before = self.backend.len();
@@ -964,43 +961,8 @@ fn serve_connection(conn: TcpEndpoint, shared: Arc<ServerShared>) {
             std::thread::sleep(shared.config.service_delay);
         }
         let (resp_op, resp) = match frame {
-            (OP_REGISTER, serialized) => match shared.register_one(&serialized) {
-                Some(gid) => (RESP_OK, gid.to_be_bytes().to_vec()),
-                None => (RESP_MOVED, shared.moved_payload()),
-            },
-            (OP_LOOKUP, payload) if payload.len() == 4 => {
-                let id = u32::from_be_bytes([payload[0], payload[1], payload[2], payload[3]]);
-                if id != 0 && shared.gid_moved(id) {
-                    (RESP_MOVED, shared.moved_payload())
-                } else {
-                    match shared.lookup_one(id) {
-                        Some(bytes) => (RESP_OK, bytes),
-                        None => (RESP_ERR, vec![ERR_UNKNOWN_GID]),
-                    }
-                }
-            }
-            (OP_REGISTER_BATCH, payload) => {
-                shared.batch_frames.fetch_add(1, Ordering::Relaxed);
-                serve_register_batch(&shared, &payload)
-            }
-            (OP_LOOKUP_BATCH, payload) => {
-                shared.batch_frames.fetch_add(1, Ordering::Relaxed);
-                serve_lookup_batch(&shared, &payload)
-            }
-            (OP_REGISTER_BATCH_E, payload) => {
-                shared.batch_frames.fetch_add(1, Ordering::Relaxed);
-                match check_epoch(&shared, &payload) {
-                    Ok(rest) => serve_register_batch(&shared, rest),
-                    Err(stale) => stale,
-                }
-            }
-            (OP_LOOKUP_BATCH_E, payload) => {
-                shared.batch_frames.fetch_add(1, Ordering::Relaxed);
-                match check_epoch(&shared, &payload) {
-                    Ok(rest) => serve_lookup_batch(&shared, rest),
-                    Err(stale) => stale,
-                }
-            }
+            (OP_REGISTER, payload) => serve_data(&shared, &payload, register_items),
+            (OP_LOOKUP, payload) => serve_data(&shared, &payload, lookup_items),
             (OP_EPOCH_OF, _) => (RESP_OK, encode_class_table(&shared.table.lock())),
             (OP_TRANSFER_BATCH, payload) => serve_transfer_batch(&shared, &payload),
             (OP_REPLICATE, payload) if payload.len() >= 4 => {
@@ -1043,75 +1005,80 @@ fn serve_connection(conn: TcpEndpoint, shared: Arc<ServerShared>) {
     }
 }
 
-/// Validates an epoch stamp; a stale stamp turns into the
+/// A response frame: opcode and payload.
+type Reply = (u8, Vec<u8>);
+
+/// Serves one `REGISTER`/`LOOKUP` frame: counts it, validates its epoch
+/// stamp, and hands the items to `serve_items`; a payload that does not
+/// parse to its end is `RESP_ERR`. A stale stamp turns into the
 /// `STALE_EPOCH` response so the client refetches and retries. A stamp
 /// *ahead* of this server (it missed a table update while crashed) is
 /// accepted — the moved-range check still guards correctness, and
 /// rejecting it would livelock the client against a behind server.
-fn check_epoch<'a>(shared: &ServerShared, payload: &'a [u8]) -> Result<&'a [u8], (u8, Vec<u8>)> {
-    let Ok((stamp, rest)) = unstamp_epoch(payload) else {
-        return Err((RESP_ERR, vec![0xFF]));
+fn serve_data(
+    shared: &ServerShared,
+    payload: &[u8],
+    serve_items: fn(&ServerShared, &mut PayloadReader<'_>) -> Option<Reply>,
+) -> Reply {
+    shared.batch_frames.fetch_add(1, Ordering::Relaxed);
+    let mut r = PayloadReader::new(payload);
+    let Ok(stamp) = r.u64() else {
+        return (RESP_ERR, vec![0xFF]);
     };
     let current = shared.epoch.load(Ordering::Relaxed);
     if stamp < current {
         shared.stale_epochs.fetch_add(1, Ordering::Relaxed);
-        return Err((RESP_STALE_EPOCH, current.to_be_bytes().to_vec()));
+        return (RESP_STALE_EPOCH, current.to_be_bytes().to_vec());
     }
-    Ok(rest)
+    serve_items(shared, &mut r).unwrap_or((RESP_ERR, vec![0xFF]))
 }
 
-fn serve_register_batch(shared: &ServerShared, payload: &[u8]) -> (u8, Vec<u8>) {
-    fn inner(shared: &ServerShared, payload: &[u8]) -> Option<(u8, Vec<u8>)> {
-        let mut r = PayloadReader::new(payload);
-        let count = r.u32().ok()? as usize;
-        let mut resp = Vec::with_capacity(4 + 4 * count);
-        resp.extend_from_slice(&(count as u32).to_be_bytes());
-        for _ in 0..count {
-            let len = r.u32().ok()? as usize;
-            let serialized = r.bytes(len).ok()?;
-            match shared.register_one(serialized) {
-                Some(gid) => resp.extend_from_slice(&gid.to_be_bytes()),
-                // Allocation moved (possibly mid-batch, at cutover):
-                // redirect the whole frame. Items already committed were
-                // double-written pre-cutover, so the client's re-send to
-                // the new owner dedups to the same gids.
-                None => return Some((RESP_MOVED, shared.moved_payload())),
-            }
+fn register_items(shared: &ServerShared, r: &mut PayloadReader<'_>) -> Option<Reply> {
+    let count = r.u32().ok()? as usize;
+    // Every item carries at least its 4-byte length, which bounds what
+    // a hostile count can make this allocate.
+    let mut resp = Vec::with_capacity(4 + 4 * count.min(r.remaining().len() / 4));
+    resp.extend_from_slice(&(count as u32).to_be_bytes());
+    for _ in 0..count {
+        let len = r.u32().ok()? as usize;
+        let serialized = r.bytes(len).ok()?;
+        match shared.register_one(serialized) {
+            Some(gid) => resp.extend_from_slice(&gid.to_be_bytes()),
+            // Allocation moved (possibly mid-frame, at cutover):
+            // redirect the whole frame. Items already committed were
+            // double-written pre-cutover, so the client's re-send to
+            // the new owner dedups to the same gids.
+            None => return Some((RESP_MOVED, shared.moved_payload())),
         }
-        r.at_end().then_some((RESP_OK, resp))
     }
-    inner(shared, payload).unwrap_or((RESP_ERR, vec![0xFF]))
+    r.at_end().then_some((RESP_OK, resp))
 }
 
-fn serve_lookup_batch(shared: &ServerShared, payload: &[u8]) -> (u8, Vec<u8>) {
-    fn inner(shared: &ServerShared, payload: &[u8]) -> Option<(u8, Vec<u8>)> {
-        let mut r = PayloadReader::new(payload);
-        let count = r.u32().ok()? as usize;
-        let mut resp = Vec::with_capacity(4 + 5 * count);
-        resp.extend_from_slice(&(count as u32).to_be_bytes());
-        for _ in 0..count {
-            let gid = r.u32().ok()?;
-            if gid != 0 && shared.gid_moved(gid) {
-                return Some((RESP_MOVED, shared.moved_payload()));
-            }
-            match shared.lookup_one(gid).filter(|_| gid != 0) {
-                Some(bytes) => {
-                    resp.push(STATUS_OK);
-                    resp.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
-                    resp.extend_from_slice(&bytes);
-                }
-                None => resp.push(STATUS_UNKNOWN),
-            }
+fn lookup_items(shared: &ServerShared, r: &mut PayloadReader<'_>) -> Option<Reply> {
+    let count = r.u32().ok()? as usize;
+    let mut resp = Vec::with_capacity(4 + 5 * count.min(r.remaining().len() / 4));
+    resp.extend_from_slice(&(count as u32).to_be_bytes());
+    for _ in 0..count {
+        let gid = r.u32().ok()?;
+        if gid != 0 && shared.gid_moved(gid) {
+            return Some((RESP_MOVED, shared.moved_payload()));
         }
-        r.at_end().then_some((RESP_OK, resp))
+        match shared.lookup_one(gid).filter(|_| gid != 0) {
+            Some(bytes) => {
+                resp.push(STATUS_OK);
+                resp.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
+                resp.extend_from_slice(&bytes);
+            }
+            None => resp.push(STATUS_UNKNOWN),
+        }
     }
-    inner(shared, payload).unwrap_or((RESP_ERR, vec![0xFF]))
+    r.at_end().then_some((RESP_OK, resp))
 }
 
 /// Copy phase receiver: persists a batch of migrated records before
 /// acknowledging, so a durable checkpoint on the source implies the
 /// records survive this side crashing.
-fn serve_transfer_batch(shared: &ServerShared, payload: &[u8]) -> (u8, Vec<u8>) {
+fn serve_transfer_batch(shared: &ServerShared, payload: &[u8]) -> Reply {
     let Ok(records) = decode_transfer_batch(payload) else {
         return (RESP_ERR, vec![0xFF]);
     };
@@ -1151,7 +1118,8 @@ mod tests {
     use super::*;
     use crate::backend::InMemoryBackend;
     use crate::proto::{
-        encode_lookup_batch, encode_register_batch, read_frame as rf, write_frame as wf,
+        decode_class_table, decode_lookup_resp, decode_register_resp, encode_lookup,
+        encode_register, read_frame as rf, write_frame as wf,
     };
 
     fn launch(net: &SimNet, addr: NodeAddr) -> TaintMapServer {
@@ -1172,17 +1140,28 @@ mod tests {
         (net, server)
     }
 
+    /// One `REGISTER` round trip under epoch stamp 0.
+    fn register(conn: &TcpEndpoint, items: &[&[u8]]) -> Vec<u32> {
+        wf(conn, OP_REGISTER, &encode_register(0, items)).unwrap();
+        let (op, resp) = rf(conn).unwrap().unwrap();
+        assert_eq!(op, RESP_OK);
+        decode_register_resp(&resp, items.len()).unwrap()
+    }
+
+    /// One `LOOKUP` round trip under epoch stamp 0.
+    fn lookup(conn: &TcpEndpoint, gids: &[u32]) -> Vec<Option<Vec<u8>>> {
+        wf(conn, OP_LOOKUP, &encode_lookup(0, gids)).unwrap();
+        let (op, resp) = rf(conn).unwrap().unwrap();
+        assert_eq!(op, RESP_OK);
+        decode_lookup_resp(&resp, gids.len()).unwrap()
+    }
+
     #[test]
     fn register_assigns_sequential_ids() {
         let (net, server) = setup();
         let conn = net.tcp_connect(server.addr()).unwrap();
-        wf(&conn, OP_REGISTER, b"taint-A").unwrap();
-        let (op, id) = rf(&conn).unwrap().unwrap();
-        assert_eq!(op, RESP_OK);
-        assert_eq!(id, 1u32.to_be_bytes());
-        wf(&conn, OP_REGISTER, b"taint-B").unwrap();
-        let (_, id) = rf(&conn).unwrap().unwrap();
-        assert_eq!(id, 2u32.to_be_bytes());
+        assert_eq!(register(&conn, &[b"taint-A"]), vec![1]);
+        assert_eq!(register(&conn, &[b"taint-B"]), vec![2]);
         server.shutdown();
     }
 
@@ -1190,10 +1169,8 @@ mod tests {
     fn duplicate_register_dedups() {
         let (net, server) = setup();
         let conn = net.tcp_connect(server.addr()).unwrap();
-        wf(&conn, OP_REGISTER, b"same").unwrap();
-        let (_, first) = rf(&conn).unwrap().unwrap();
-        wf(&conn, OP_REGISTER, b"same").unwrap();
-        let (_, second) = rf(&conn).unwrap().unwrap();
+        let first = register(&conn, &[b"same"]);
+        let second = register(&conn, &[b"same"]);
         assert_eq!(first, second);
         assert_eq!(server.stats().global_taints, 1);
         assert_eq!(server.stats().register_requests, 2);
@@ -1201,44 +1178,11 @@ mod tests {
     }
 
     #[test]
-    fn lookup_returns_registered_bytes() {
+    fn register_dedups_within_a_frame_and_counts_items() {
         let (net, server) = setup();
         let conn = net.tcp_connect(server.addr()).unwrap();
-        wf(&conn, OP_REGISTER, b"payload").unwrap();
-        let (_, id) = rf(&conn).unwrap().unwrap();
-        wf(&conn, OP_LOOKUP, &id).unwrap();
-        let (op, bytes) = rf(&conn).unwrap().unwrap();
-        assert_eq!(op, RESP_OK);
-        assert_eq!(bytes, b"payload");
-        assert_eq!(server.stats().lookup_requests, 1);
-        server.shutdown();
-    }
-
-    #[test]
-    fn lookup_unknown_id_errors() {
-        let (net, server) = setup();
-        let conn = net.tcp_connect(server.addr()).unwrap();
-        wf(&conn, OP_LOOKUP, &99u32.to_be_bytes()).unwrap();
-        let (op, reason) = rf(&conn).unwrap().unwrap();
-        assert_eq!(op, RESP_ERR);
-        assert_eq!(reason, vec![ERR_UNKNOWN_GID]);
-        // id 0 is reserved and never resolvable
-        wf(&conn, OP_LOOKUP, &0u32.to_be_bytes()).unwrap();
-        let (op, _) = rf(&conn).unwrap().unwrap();
-        assert_eq!(op, RESP_ERR);
-        server.shutdown();
-    }
-
-    #[test]
-    fn register_batch_dedups_and_counts_items() {
-        let (net, server) = setup();
-        let conn = net.tcp_connect(server.addr()).unwrap();
-        let items = vec![b"a".to_vec(), b"b".to_vec(), b"a".to_vec()];
-        wf(&conn, OP_REGISTER_BATCH, &encode_register_batch(&items)).unwrap();
-        let (op, resp) = rf(&conn).unwrap().unwrap();
-        assert_eq!(op, RESP_OK);
-        let gids = crate::proto::decode_register_batch_resp(&resp, 3).unwrap();
-        assert_eq!(gids[0], gids[2], "duplicate item in one batch dedups");
+        let gids = register(&conn, &[b"a", b"b", b"a"]);
+        assert_eq!(gids[0], gids[2], "duplicate item in one frame dedups");
         assert_ne!(gids[0], gids[1]);
         let stats = server.stats();
         assert_eq!(stats.global_taints, 2);
@@ -1248,35 +1192,89 @@ mod tests {
     }
 
     #[test]
-    fn lookup_batch_reports_unknown_ids_per_item() {
+    fn lookup_reports_each_item_registered_or_unknown() {
         let (net, server) = setup();
         let conn = net.tcp_connect(server.addr()).unwrap();
-        wf(
-            &conn,
-            OP_REGISTER_BATCH,
-            &encode_register_batch(&[b"x".to_vec()]),
-        )
-        .unwrap();
-        let (_, resp) = rf(&conn).unwrap().unwrap();
-        let gid = crate::proto::decode_register_batch_resp(&resp, 1).unwrap()[0];
-        wf(&conn, OP_LOOKUP_BATCH, &encode_lookup_batch(&[gid, 999, 0])).unwrap();
-        let (op, resp) = rf(&conn).unwrap().unwrap();
-        assert_eq!(op, RESP_OK);
-        let items = crate::proto::decode_lookup_batch_resp(&resp, 3).unwrap();
-        assert_eq!(items[0].as_deref(), Some(b"x".as_ref()));
-        assert_eq!(items[1], None);
-        assert_eq!(items[2], None, "gid 0 is reserved");
+        let gid = register(&conn, &[b"payload"])[0];
+        let items = lookup(&conn, &[gid, 999, 0]);
+        assert_eq!(items[0].as_deref(), Some(b"payload".as_ref()));
+        assert_eq!(items[1], None, "never assigned");
+        assert_eq!(items[2], None, "gid 0 is reserved and never resolvable");
+        assert_eq!(server.stats().lookup_requests, 3);
+        assert_eq!(server.stats().batch_frames, 2, "a batch of one counts");
         server.shutdown();
     }
 
     #[test]
-    fn malformed_batch_is_an_error_response() {
+    fn malformed_frames_answer_err_on_a_still_serving_connection() {
         let (net, server) = setup();
         let conn = net.tcp_connect(server.addr()).unwrap();
-        // Claims 2 items but carries none.
-        wf(&conn, OP_REGISTER_BATCH, &2u32.to_be_bytes()).unwrap();
-        let (op, _) = rf(&conn).unwrap().unwrap();
-        assert_eq!(op, RESP_ERR);
+        let stamped = |count: u32| [&0u64.to_be_bytes()[..], &count.to_be_bytes()].concat();
+        let cases = [
+            (OP_REGISTER, stamped(2)), // claims 2 items, carries none
+            (OP_LOOKUP, stamped(2)),
+            // A hostile count must be rejected by the bytes present,
+            // not handed to the allocator (4–5 B/item = 17–21 GB).
+            (OP_REGISTER, stamped(u32::MAX)),
+            (OP_LOOKUP, stamped(u32::MAX)),
+            (OP_REGISTER, b"short".to_vec()), // no room for the epoch stamp
+            (1, b"taint".to_vec()),           // a retired opcode is an unknown one
+            (0x7F, Vec::new()),
+        ];
+        for (op, payload) in cases {
+            wf(&conn, op, &payload).unwrap();
+            let (resp, _) = rf(&conn).unwrap().unwrap();
+            assert_eq!(resp, RESP_ERR, "op {op} payload {payload:?}");
+        }
+        assert_eq!(register(&conn, &[b"still-serving"]), vec![1]);
+        server.shutdown();
+    }
+
+    #[test]
+    fn moved_gid_under_a_current_stamp_answers_moved_with_the_table() {
+        // The "server behind the client" case `check_epoch` accepts on
+        // purpose: the stamp is not stale, so the moved-range check is
+        // what keeps a migrated gid from being served here.
+        let (net, server) = setup();
+        let conn = net.tcp_connect(server.addr()).unwrap();
+        assert_eq!(register(&conn, &[b"stays", b"moves"]), vec![1, 2]);
+        let target = NodeAddr::new([10, 0, 0, 99], 7779);
+        let table = ClassTable {
+            epoch: 1,
+            ranges: vec![
+                ShardRange {
+                    lo_gid: 1,
+                    addrs: vec![server.addr()],
+                },
+                ShardRange {
+                    lo_gid: 2,
+                    addrs: vec![target],
+                },
+            ],
+        };
+        server.set_class_table(table.clone(), vec![MovedRange { lo_gid: 2, target }]);
+
+        for (op, payload) in [
+            (OP_LOOKUP, encode_lookup(1, &[1, 2])),
+            (OP_LOOKUP, encode_lookup(9, &[2])),
+            (OP_REGISTER, encode_register(9, &[b"allocation moved too"])),
+        ] {
+            wf(&conn, op, &payload).unwrap();
+            let (resp, body) = rf(&conn).unwrap().unwrap();
+            assert_eq!(resp, RESP_MOVED, "op {op}");
+            assert_eq!(decode_class_table(&body).unwrap(), table);
+        }
+        assert_eq!(server.stats().moved_redirects, 3);
+        // The range it still owns is served, and a stale stamp is
+        // rejected before the moved check is ever reached.
+        wf(&conn, OP_LOOKUP, &encode_lookup(1, &[1])).unwrap();
+        assert_eq!(rf(&conn).unwrap().unwrap().0, RESP_OK);
+        wf(&conn, OP_LOOKUP, &encode_lookup(0, &[2])).unwrap();
+        let (resp, body) = rf(&conn).unwrap().unwrap();
+        assert_eq!(
+            (resp, body),
+            (RESP_STALE_EPOCH, 1u64.to_be_bytes().to_vec())
+        );
         server.shutdown();
     }
 
@@ -1293,16 +1291,13 @@ mod tests {
         )
         .unwrap();
         let conn = net.tcp_connect(server.addr()).unwrap();
-        wf(&conn, OP_REGISTER, b"first").unwrap();
-        let (_, id) = rf(&conn).unwrap().unwrap();
-        assert_eq!(id, 3u32.to_be_bytes(), "shard 2 of 4 starts at gid 3");
-        wf(&conn, OP_REGISTER, b"second").unwrap();
-        let (_, id) = rf(&conn).unwrap().unwrap();
-        assert_eq!(id, 7u32.to_be_bytes(), "and strides by the shard count");
+        assert_eq!(
+            register(&conn, &[b"first", b"second"]),
+            vec![3, 7],
+            "shard 2 of 4 starts at gid 3 and strides by the shard count"
+        );
         // A gid owned by another shard is unknown here.
-        wf(&conn, OP_LOOKUP, &4u32.to_be_bytes()).unwrap();
-        let (op, _) = rf(&conn).unwrap().unwrap();
-        assert_eq!(op, RESP_ERR);
+        assert_eq!(lookup(&conn, &[4]), vec![None]);
         server.shutdown();
     }
 
@@ -1315,10 +1310,7 @@ mod tests {
             let addr = server.addr();
             handles.push(std::thread::spawn(move || {
                 let conn = net.tcp_connect(addr).unwrap();
-                wf(&conn, OP_REGISTER, format!("taint-{i}").as_bytes()).unwrap();
-                let (op, id) = rf(&conn).unwrap().unwrap();
-                assert_eq!(op, RESP_OK);
-                u32::from_be_bytes([id[0], id[1], id[2], id[3]])
+                register(&conn, &[format!("taint-{i}").as_bytes()])[0]
             }));
         }
         let mut ids: Vec<u32> = handles.into_iter().map(|h| h.join().unwrap()).collect();
@@ -1345,20 +1337,17 @@ mod tests {
         primary.replicate_to(standby.addr()).unwrap();
 
         let conn = net.tcp_connect(primary.addr()).unwrap();
-        wf(&conn, OP_REGISTER, b"replicated-taint").unwrap();
-        let (_, id) = rf(&conn).unwrap().unwrap();
+        let id = register(&conn, &[b"replicated-taint"])[0];
 
         // The standby can serve the lookup itself.
         let sconn = net.tcp_connect(standby.addr()).unwrap();
-        wf(&sconn, OP_LOOKUP, &id).unwrap();
-        let (op, bytes) = rf(&sconn).unwrap().unwrap();
-        assert_eq!(op, RESP_OK);
-        assert_eq!(bytes, b"replicated-taint");
+        assert_eq!(
+            lookup(&sconn, &[id]),
+            vec![Some(b"replicated-taint".to_vec())]
+        );
 
         // And its own fresh ids never collide with replicated ones.
-        wf(&sconn, OP_REGISTER, b"standby-local").unwrap();
-        let (_, sid) = rf(&sconn).unwrap().unwrap();
-        assert!(u32::from_be_bytes([sid[0], sid[1], sid[2], sid[3]]) > 1);
+        assert!(register(&sconn, &[b"standby-local"])[0] > 1);
         primary.shutdown();
         standby.shutdown();
     }
@@ -1379,10 +1368,8 @@ mod tests {
         )
         .unwrap();
         let conn = net.tcp_connect(addr).unwrap();
-        wf(&conn, OP_REGISTER, b"persisted-A").unwrap();
-        let (_, id_a) = rf(&conn).unwrap().unwrap();
-        wf(&conn, OP_REGISTER, b"persisted-B").unwrap();
-        let (_, _id_b) = rf(&conn).unwrap().unwrap();
+        let id_a = register(&conn, &[b"persisted-A"])[0];
+        register(&conn, &[b"persisted-B"]);
         server.shutdown();
 
         // A fresh backend + the same WAL recovers both registrations and
@@ -1398,13 +1385,12 @@ mod tests {
         .unwrap();
         assert_eq!(reborn.replayed(), 2);
         let conn = net.tcp_connect(addr).unwrap();
-        wf(&conn, OP_LOOKUP, &id_a).unwrap();
-        let (op, bytes) = rf(&conn).unwrap().unwrap();
-        assert_eq!(op, RESP_OK);
-        assert_eq!(bytes, b"persisted-A");
-        wf(&conn, OP_REGISTER, b"persisted-C").unwrap();
-        let (_, id_c) = rf(&conn).unwrap().unwrap();
-        assert_eq!(id_c, 3u32.to_be_bytes(), "allocator resumed past replay");
+        assert_eq!(lookup(&conn, &[id_a]), vec![Some(b"persisted-A".to_vec())]);
+        assert_eq!(
+            register(&conn, &[b"persisted-C"]),
+            vec![3],
+            "allocator resumed past replay"
+        );
         reborn.shutdown();
     }
 
@@ -1427,10 +1413,9 @@ mod tests {
         )
         .unwrap();
         let conn = net.tcp_connect(addr).unwrap();
-        // A 3-item batch crosses the threshold mid-frame: all three are
+        // A 3-item frame crosses the threshold mid-frame: all three are
         // registered (and WAL'd) but no response ever arrives.
-        let items = vec![b"a".to_vec(), b"b".to_vec(), b"c".to_vec()];
-        wf(&conn, OP_REGISTER_BATCH, &encode_register_batch(&items)).unwrap();
+        wf(&conn, OP_REGISTER, &encode_register(0, &[b"a", b"b", b"c"])).unwrap();
         let reply = rf(&conn);
         assert!(
             matches!(reply, Ok(None) | Err(_)),
@@ -1461,9 +1446,7 @@ mod tests {
         primary.replicate_to(standby.addr()).unwrap();
         standby.shutdown();
         let conn = net.tcp_connect(primary.addr()).unwrap();
-        wf(&conn, OP_REGISTER, b"after-standby-death").unwrap();
-        let (op, _) = rf(&conn).unwrap().unwrap();
-        assert_eq!(op, RESP_OK, "primary keeps serving");
+        register(&conn, &[b"after-standby-death"]);
         primary.shutdown();
     }
 }

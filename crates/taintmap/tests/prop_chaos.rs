@@ -2,7 +2,7 @@
 //! schedule, a delivered lookup result is either the correct taint or a
 //! `pending-gid` sentinel that resolves to the correct taint after the
 //! partition heals — never silently clean, never silently wrong. And a
-//! primary crashed mid-`REGISTER_BATCH` loses nothing: every committed
+//! primary crashed mid-`REGISTER` loses nothing: every committed
 //! registration replays from the write-ahead snapshot.
 
 use std::collections::HashMap;
@@ -310,7 +310,7 @@ proptest! {
 
         endpoint.begin_split(0).unwrap();
         let mut sentinels: HashMap<usize, Taint> = HashMap::new();
-        let mut sweep = |reader: &TaintMapClient, sentinels: &mut HashMap<usize, Taint>|
+        let sweep = |reader: &TaintMapClient, sentinels: &mut HashMap<usize, Taint>|
             -> Result<(), TestCaseError> {
             let got = reader.taints_for_degraded(&gids).unwrap();
             for (i, (&taint, &gid)) in got.iter().zip(&gids).enumerate() {

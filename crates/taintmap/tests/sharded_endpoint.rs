@@ -3,9 +3,12 @@
 //! primaries are killed and clients fail over to standbys (§IV), and
 //! replication must stay per-shard.
 
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier};
+
 use dista_simnet::SimNet;
 use dista_taint::{GlobalId, LocalId, TagValue, Taint, TaintStore};
-use dista_taintmap::TaintMapEndpoint;
+use dista_taintmap::{InMemoryBackend, TaintMapBackend, TaintMapEndpoint};
 
 fn store(host: u8) -> TaintStore {
     TaintStore::new(LocalId::new([10, 0, 0, host], host as u32))
@@ -152,6 +155,44 @@ fn replication_stays_per_shard() {
     endpoint.shutdown();
 }
 
+/// A backend that can hold one `lookup` at a gate, so a test can land a
+/// cutover between a frame's epoch check and the rest of its items.
+struct GatedBackend {
+    inner: InMemoryBackend,
+    gate: Arc<Gate>,
+}
+
+struct Gate {
+    armed: AtomicBool,
+    entered: Barrier,
+    release: Barrier,
+}
+
+impl TaintMapBackend for GatedBackend {
+    fn register(&self, serialized: &[u8]) -> u32 {
+        self.inner.register(serialized)
+    }
+    fn reserve(&self, local_ids: &[u32]) {
+        self.inner.reserve(local_ids)
+    }
+    fn lookup(&self, gid: u32) -> Option<Vec<u8>> {
+        if self.gate.armed.swap(false, Ordering::SeqCst) {
+            self.gate.entered.wait();
+            self.gate.release.wait();
+        }
+        self.inner.lookup(gid)
+    }
+    fn insert_replicated(&self, gid: u32, serialized: &[u8]) {
+        self.inner.insert_replicated(gid, serialized)
+    }
+    fn max_local(&self) -> u32 {
+        self.inner.max_local()
+    }
+    fn len(&self) -> u64 {
+        self.inner.len()
+    }
+}
+
 #[test]
 fn moved_redirects_converge_without_tripping_the_breaker() {
     // A client whose shard map predates a split keeps operating: the old
@@ -160,7 +201,21 @@ fn moved_redirects_converge_without_tripping_the_breaker() {
     // well-formed redirects as successes, never as failures. A redirect
     // storm must not open a healthy shard's circuit.
     let net = SimNet::new();
-    let mut endpoint = TaintMapEndpoint::builder().shards(2).connect(&net).unwrap();
+    let gate = Arc::new(Gate {
+        armed: AtomicBool::new(false),
+        entered: Barrier::new(2),
+        release: Barrier::new(2),
+    });
+    let backend_gate = gate.clone();
+    let mut endpoint = TaintMapEndpoint::builder()
+        .backend(move |_| {
+            Arc::new(GatedBackend {
+                inner: InMemoryBackend::new(),
+                gate: backend_gate.clone(),
+            })
+        })
+        .connect(&net)
+        .unwrap();
     let store1 = store(1);
     let client1 = endpoint.client(&net, store1.clone()).unwrap();
     let taints: Vec<Taint> = (0..32)
@@ -168,36 +223,47 @@ fn moved_redirects_converge_without_tripping_the_breaker() {
         .collect();
     let gids = client1.global_ids_for(&taints).unwrap();
 
-    // Two cold-cache clients connect before the splits, so both hold an
+    // Two cold-cache clients connect before the split, so both hold an
     // epoch-0 shard map with nothing memoized.
     let store2 = store(2);
-    let unbatched = endpoint.client(&net, store2.clone()).unwrap();
+    let overtaken = endpoint.client(&net, store2.clone()).unwrap();
     let store3 = store(3);
-    let batched = endpoint.client(&net, store3.clone()).unwrap();
+    let stale = endpoint.client(&net, store3.clone()).unwrap();
 
-    endpoint.split_shard(0).unwrap();
-    endpoint.split_shard(1).unwrap();
+    // `Moved` is the arm for a frame the cutover overtakes: it passes
+    // the epoch check under the old table, and by the time the server
+    // reaches a migrated gid the range is gone. Hold the frame inside
+    // the old owner, cut over, let it go.
+    endpoint.begin_split(0).unwrap();
+    while endpoint.split_step(8).unwrap() {}
+    gate.armed.store(true, Ordering::SeqCst);
+    let lookup = {
+        let gids = gids.clone();
+        std::thread::spawn(move || {
+            let resolved = overtaken.taints_for(&gids).unwrap();
+            (resolved, overtaken.stats())
+        })
+    };
+    gate.entered.wait();
+    endpoint.finish_split().unwrap();
+    gate.release.wait();
+    let (resolved, moved) = lookup.join().unwrap();
+    for (i, &t) in resolved.iter().enumerate() {
+        assert_eq!(store2.tag_values(t), vec![i.to_string()]);
+    }
 
-    // Unbatched lookup of a migrated gid lands on the old owner, which
-    // answers `Moved` with the new table; the retry hits the new tail.
-    let top = *gids.iter().max_by_key(|g| g.0).unwrap();
-    let idx = gids.iter().position(|g| *g == top).unwrap();
-    let t = unbatched.taint_for(top).unwrap();
-    assert_eq!(store2.tag_values(t), vec![idx.to_string()]);
-
-    // Batched lookups carry the stale epoch stamp and get a
-    // `StaleEpoch` refetch before converging on correct answers.
-    let resolved = batched.taints_for(&gids).unwrap();
+    // A frame sent after the cutover carries the stale epoch stamp and
+    // gets a `StaleEpoch` refetch before converging on correct answers.
+    let resolved = stale.taints_for(&gids).unwrap();
     for (i, &t) in resolved.iter().enumerate() {
         assert_eq!(store3.tag_values(t), vec![i.to_string()]);
     }
 
-    let moved = unbatched.stats();
     assert!(
         moved.moved_redirects >= 1,
         "the old owner redirected: {moved:?}"
     );
-    let stale = batched.stats();
+    let stale = stale.stats();
     assert!(
         stale.epoch_refetches >= 1,
         "the stale epoch stamp forced a table refetch: {stale:?}"
@@ -209,33 +275,5 @@ fn moved_redirects_converge_without_tripping_the_breaker() {
         );
         assert_eq!(stats.failovers, 0, "no shard was ever unreachable");
     }
-    endpoint.shutdown();
-}
-
-#[test]
-fn unbatched_and_batched_paths_agree() {
-    // The old single-item opcodes remain live (they are the measured
-    // baseline); both protocol paths must hand out consistent ids.
-    let net = SimNet::new();
-    let endpoint = TaintMapEndpoint::builder().shards(4).connect(&net).unwrap();
-    let store1 = store(1);
-    let client = endpoint.client(&net, store1.clone()).unwrap();
-
-    let a = store1.mint_source_taint(TagValue::str("a"));
-    let b = store1.mint_source_taint(TagValue::str("b"));
-    let gid_a = client.global_id_for(a).unwrap(); // unbatched
-
-    let store2 = store(2);
-    let fresh_client = endpoint.client(&net, store2.clone()).unwrap();
-    // Resolve through the *other* VM so no cache is involved, then
-    // re-register the same logical taint via the batched path.
-    let a2 = fresh_client.taint_for(gid_a).unwrap();
-    let b2 = {
-        let gid_b = client.global_ids_for(&[b]).unwrap()[0]; // batched
-        fresh_client.taint_for(gid_b).unwrap()
-    };
-    let re = fresh_client.global_ids_for(&[a2, b2]).unwrap();
-    assert_eq!(re[0], gid_a, "batched re-register dedups with unbatched");
-    assert_eq!(endpoint.stats().global_taints, 2);
     endpoint.shutdown();
 }
