@@ -42,10 +42,10 @@ fn bench_throttle(c: &mut Criterion) {
     for delay_us in [0u64, 200, 1000] {
         let cluster = Cluster::builder(Mode::Dista)
             .nodes("tm", 2)
-            .taint_map_config(TaintMapConfig {
+            .taint_map_endpoint(TaintMapEndpoint::builder().config(TaintMapConfig {
                 service_delay: Duration::from_micros(delay_us),
                 ..Default::default()
-            })
+            }))
             .build()
             .expect("cluster");
         group.bench_with_input(

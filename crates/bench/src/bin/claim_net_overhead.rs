@@ -8,8 +8,9 @@
 //!
 //! * `--smoke` — one case at 4 KiB (fast enough for CI).
 //! * `--metrics` — additionally run with cluster observability on, print
-//!   the metrics registry, and **exit non-zero** unless the per-node
-//!   `wire_expansion_ratio` gauge lands in the 4.5×–5.5× band.
+//!   the metrics registry, and **exit non-zero** unless every node's v1
+//!   wire expansion (`boundary_wire_bytes_out` / `boundary_data_bytes_out`
+//!   at `proto=v1`) lands in the 4.5×–5.5× band.
 //! * `--trace` — print the observed run's flight-recorder events as a
 //!   Chrome trace (load into `chrome://tracing` or Perfetto).
 //! * `--chaos [--seed N]` — instead of the overhead table, replay a
@@ -21,9 +22,10 @@
 
 use dista_bench::table::Table;
 use dista_core::jre::{InputStream, OutputStream, ServerSocket, Socket};
-use dista_core::obs::{ObsConfig, ObsEventKind};
-use dista_core::simnet::NodeAddr;
+use dista_core::obs::{MetricsDump, ObsConfig, ObsEventKind, SampleValue};
+use dista_core::simnet::{NodeAddr, SimFs};
 use dista_core::taint::{Payload, TagValue, TaintedBytes};
+use dista_core::taintmap::TaintMapEndpoint;
 use dista_core::{Cluster, FaultPlan, Mode};
 use dista_microbench::{all_cases, run_case_on};
 
@@ -41,9 +43,25 @@ fn bytes_for(mode: Mode, size: usize, case_idx: usize) -> (u64, bool) {
     (bytes, result.data_ok)
 }
 
+/// Outbound wire expansion of `node` under `proto`: the quotient of its
+/// two per-protocol boundary byte counters, `None` without such traffic.
+fn wire_expansion(dump: &MetricsDump, node: &str, proto: &str) -> Option<f64> {
+    let labels = [("node", node), ("proto", proto)].map(|(k, v)| (k.to_string(), v.to_string()));
+    let bytes = |family: &str| {
+        dump.samples
+            .iter()
+            .find(|s| s.name == family && s.labels == labels)
+            .and_then(|s| match s.value {
+                SampleValue::Counter(v) if v > 0 => Some(v as f64),
+                _ => None,
+            })
+    };
+    Some(bytes("boundary_wire_bytes_out")? / bytes("boundary_data_bytes_out")?)
+}
+
 /// Observed DisTA run for the `--metrics`/`--trace` flags. Returns
-/// whether every set `wire_expansion_ratio` gauge sat in the expected
-/// band.
+/// whether every node that sent v1 traffic expanded it by a factor in
+/// the expected band.
 fn observed_run(size: usize, case_idx: usize, print_metrics: bool, print_trace: bool) -> bool {
     const BAND: (f64, f64) = (4.5, 5.5);
     let cluster = Cluster::builder(Mode::Dista)
@@ -63,23 +81,17 @@ fn observed_run(size: usize, case_idx: usize, print_metrics: bool, print_trace: 
         println!("{}", cluster.export_chrome_trace());
     }
     let mut in_band = true;
-    let mut gauges_seen = 0;
+    let mut senders_seen = 0;
     for node in ["net1", "net2"] {
-        // The gauge family is labeled per protocol version; the 4.5x-5.5x
-        // record-format band applies to v1 traffic only. V2's adaptive
-        // frames sit near 1.0x by design and get their own gate in the
-        // boundary_codec --wire-v2 sweep, so a v2-carrying node must
-        // never trip this band.
-        if let Some(ratio) =
-            dump.gauge_value("wire_expansion_ratio", &[("node", node), ("proto", "v1")])
-        {
-            if ratio == 0.0 {
-                continue; // registered but no v1 traffic on this node
-            }
-            gauges_seen += 1;
+        // The 4.5x-5.5x record-format band applies to v1 traffic only.
+        // V2's adaptive frames sit near 1.0x by design and get their own
+        // gate in the boundary_codec --wire-v2 sweep, so a v2-carrying
+        // node must never trip this band.
+        if let Some(ratio) = wire_expansion(&dump, node, "v1") {
+            senders_seen += 1;
             let ok = ratio >= BAND.0 && ratio <= BAND.1;
             println!(
-                "wire_expansion_ratio{{node={node},proto=v1}} = {ratio:.3} ({})",
+                "wire expansion {{node={node},proto=v1}} = {ratio:.3} ({})",
                 if ok {
                     "in 4.5x-5.5x band"
                 } else {
@@ -88,19 +100,13 @@ fn observed_run(size: usize, case_idx: usize, print_metrics: bool, print_trace: 
             );
             in_band &= ok;
         }
-        if let Some(ratio) =
-            dump.gauge_value("wire_expansion_ratio", &[("node", node), ("proto", "v2")])
-        {
-            if ratio != 0.0 {
-                println!("wire_expansion_ratio{{node={node},proto=v2}} = {ratio:.3} (v1 band not applied)");
-            }
+        if let Some(ratio) = wire_expansion(&dump, node, "v2") {
+            println!("wire expansion {{node={node},proto=v2}} = {ratio:.3} (v1 band not applied)");
         }
     }
     cluster.shutdown();
-    if gauges_seen == 0 {
-        println!(
-            "wire_expansion_ratio{{proto=v1}} gauge never set — no v1 boundary encode happened"
-        );
+    if senders_seen == 0 {
+        println!("no v1 boundary bytes counted — no v1 boundary encode happened");
         return false;
     }
     in_band
@@ -120,7 +126,7 @@ fn chaos_run(seed: u64, rounds: u16) -> bool {
     let mut cluster = Cluster::builder(Mode::Dista)
         .nodes("net", 2)
         .observability(ObsConfig::default())
-        .taint_map_snapshots(true)
+        .taint_map_endpoint(TaintMapEndpoint::builder().snapshots(SimFs::new()))
         .chaos(plan)
         .build()
         .expect("cluster");

@@ -35,9 +35,10 @@ use dista_core::{Cluster, Mode, ReshardPlan, TelemetryConfig, WireProtocol};
 use dista_jre::{V1Codec, V2Codec, WireCodec, WireVersion};
 use dista_obs::{Histogram, ObsConfig, ObsReport};
 use dista_simnet::{
-    NetError, NodeAddr, Reactor, SimNet, TcpEndpoint, TcpListener, TimerHandle, Token,
+    NetError, NodeAddr, Reactor, SimFs, SimNet, TcpEndpoint, TcpListener, TimerHandle, Token,
 };
 use dista_taint::{GlobalId, TagValue};
+use dista_taintmap::TaintMapEndpoint;
 
 const GID_WIDTH: usize = 4;
 const LISTEN_PORT: u16 = 9400;
@@ -659,8 +660,11 @@ fn run_reshard(cfg: &Config) -> ReshardOutcome {
     let mut cluster = Cluster::builder(Mode::Dista)
         .nodes("shard", 2)
         .observability(ObsConfig::default())
-        .taint_map_shards(2)
-        .taint_map_snapshots(true)
+        .taint_map_endpoint(
+            TaintMapEndpoint::builder()
+                .shards(2)
+                .snapshots(SimFs::new()),
+        )
         .build()
         .expect("reshard cluster");
     let vm = cluster.vm(0).clone();

@@ -72,7 +72,7 @@ fn parse_args() -> Config {
 fn print_trace() {
     let outcome = pipeline::run_ingest(&IngestConfig::new(Mode::Dista)).expect("ingest pipeline");
     let gid = outcome.record_gids[0];
-    let trace = outcome.cluster.provenance_stitched(gid);
+    let trace = outcome.cluster.provenance(gid);
     let systems = pipeline::systems_spanned(&trace);
     println!(
         "record tag {:?} crossed {} systems ({}) — trace exact: {}",
@@ -147,7 +147,7 @@ fn run_ingest_load(cfg: &Config) -> (ScenarioStats, usize, bool) {
                     .push(format!("iter {iter}: {tag} missing at the final sink"));
             }
         }
-        let trace = outcome.cluster.provenance_stitched(outcome.record_gids[0]);
+        let trace = outcome.cluster.provenance(outcome.record_gids[0]);
         systems_spanned = systems_spanned.min(pipeline::systems_spanned(&trace).len());
         exact &= trace.exact;
     }

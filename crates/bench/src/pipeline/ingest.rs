@@ -28,8 +28,9 @@ use dista_jre::{JreError, Vm};
 use dista_mapreduce::run_wordcount_job;
 use dista_obs::{ObsConfig, STAGE_ANALYZE, STAGE_INGEST, STAGE_STORE};
 use dista_rocketmq::{BrokerServer, MqConsumer, MqProducer, NameServer, PRODUCER_CLASS};
-use dista_simnet::NodeAddr;
+use dista_simnet::{NodeAddr, SimFs};
 use dista_taint::{TagValue, Taint, TaintedBytes};
+use dista_taintmap::TaintMapEndpoint;
 use dista_zookeeper::{ZkClient, ZkEnsemble, ZkEnsembleConfig};
 
 /// Topic the producers publish to and the bridge consumes from.
@@ -149,7 +150,7 @@ fn build_cluster(cfg: &IngestConfig) -> Result<Cluster, DistaError> {
         .observability(ObsConfig {
             ring_capacity: 65_536,
         })
-        .taint_map_snapshots(true);
+        .taint_map_endpoint(TaintMapEndpoint::builder().snapshots(SimFs::new()));
     if let Some(plan) = &cfg.chaos {
         builder = builder.chaos(plan.clone());
     }

@@ -10,7 +10,7 @@
 //!   mint per-record source taints, a bridge consumer writes the
 //!   records into an HBase region, and a MapReduce WordCount job scans
 //!   the table and sinks the results. One
-//!   `Cluster::provenance_stitched` call renders a hop-by-hop trace
+//!   `Cluster::provenance` call renders a hop-by-hop trace
 //!   spanning all three systems.
 //! * **Multi-tenant broker** ([`tenants`]) — an ActiveMQ broker fronts
 //!   N tenants whose data carries distinct source classes; per-tenant

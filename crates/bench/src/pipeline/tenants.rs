@@ -19,8 +19,9 @@ use dista_activemq::{seed_config, Broker, Consumer, Producer, CONSUMER_CLASS, PR
 use dista_core::{Cluster, DistaError, FaultPlan, Mode, WireProtocol};
 use dista_jre::Vm;
 use dista_obs::{ObsConfig, STAGE_DELIVER};
-use dista_simnet::NodeAddr;
+use dista_simnet::{NodeAddr, SimFs};
 use dista_taint::{TagValue, Taint, TaintedBytes};
+use dista_taintmap::TaintMapEndpoint;
 
 /// Retry budget per chaos-tolerant step (see `ingest::MAX_ATTEMPTS`).
 const MAX_ATTEMPTS: usize = 400;
@@ -136,7 +137,7 @@ fn build_cluster(cfg: &TenantConfig) -> Result<Cluster, DistaError> {
         .observability(ObsConfig {
             ring_capacity: 65_536,
         })
-        .taint_map_snapshots(true);
+        .taint_map_endpoint(TaintMapEndpoint::builder().snapshots(SimFs::new()));
     if let Some(plan) = &cfg.chaos {
         builder = builder.chaos(plan.clone());
     }

@@ -5,24 +5,18 @@ use dista_obs::{
     reconstruct, reconstruct_inferred, to_chrome_trace, to_jsonl, to_text_report, FlightRecorder,
     MetricsDump, ObsConfig, ObsEvent, ObsEventKind, ObsReport, Observability, ProvenanceTrace,
 };
-use dista_simnet::{FaultPlan, FaultTrigger, MigrationVictim, NodeAddr, SimFs, SimNet};
+use dista_simnet::{FaultPlan, FaultTrigger, MigrationVictim, SimNet};
 use dista_taint::{SinkReport, SourceSinkSpec};
-use dista_taintmap::{TaintMapConfig, TaintMapEndpoint, TaintMapEndpointBuilder};
+use dista_taintmap::{TaintMapEndpoint, TaintMapEndpointBuilder};
 
 use crate::error::DistaError;
 use crate::telemetry::{TelemetryConfig, TelemetryPlane};
 
 /// Builder for [`Cluster`].
 ///
-/// The Taint Map deployment is configured either with the individual
-/// knobs ([`ClusterBuilder::taint_map_addr`],
-/// [`ClusterBuilder::taint_map_config`],
-/// [`ClusterBuilder::taint_map_shards`],
-/// [`ClusterBuilder::taint_map_standby`]) or by handing over a complete
-/// [`TaintMapEndpointBuilder`] via
-/// [`ClusterBuilder::taint_map_endpoint`] — never both.
-/// [`ClusterBuilder::build`] rejects the combination with
-/// [`DistaError::Config`] rather than silently picking a winner.
+/// The Taint Map deployment (address, shards, standbys, snapshots,
+/// tuning) is configured on a [`TaintMapEndpointBuilder`] handed over
+/// via [`ClusterBuilder::taint_map_endpoint`].
 #[derive(Debug)]
 pub struct ClusterBuilder {
     mode: Mode,
@@ -31,12 +25,7 @@ pub struct ClusterBuilder {
     gid_width: usize,
     wire_protocol: WireProtocol,
     node_wire_protocols: Vec<(String, WireProtocol)>,
-    taint_map_addr: Option<NodeAddr>,
-    taint_map_config: Option<TaintMapConfig>,
-    taint_map_shards: Option<usize>,
-    taint_map_standby: Option<bool>,
-    taint_map_endpoint: Option<TaintMapEndpointBuilder>,
-    taint_map_snapshots: Option<bool>,
+    taint_map_endpoint: TaintMapEndpointBuilder,
     net: Option<SimNet>,
     observability: Option<ObsConfig>,
     telemetry: Option<TelemetryConfig>,
@@ -92,47 +81,12 @@ impl ClusterBuilder {
         self
     }
 
-    /// Overrides the Taint Map base address (shard `i` binds at
-    /// `port + 2i`, its standby at `port + 2i + 1`).
-    pub fn taint_map_addr(mut self, addr: NodeAddr) -> Self {
-        self.taint_map_addr = Some(addr);
-        self
-    }
-
-    /// Tunes the Taint Map service (throttling ablations).
-    pub fn taint_map_config(mut self, config: TaintMapConfig) -> Self {
-        self.taint_map_config = Some(config);
-        self
-    }
-
-    /// Shards the Taint Map's Global ID namespace `n` ways (default 1).
-    pub fn taint_map_shards(mut self, n: usize) -> Self {
-        self.taint_map_shards = Some(n);
-        self
-    }
-
-    /// Spawns a replicated standby per Taint Map shard (§IV failover).
-    pub fn taint_map_standby(mut self, enabled: bool) -> Self {
-        self.taint_map_standby = Some(enabled);
-        self
-    }
-
-    /// Supplies a fully configured Taint Map deployment builder instead
-    /// of the individual knobs. Mutually exclusive with
-    /// [`ClusterBuilder::taint_map_addr`] /
-    /// [`ClusterBuilder::taint_map_config`] /
-    /// [`ClusterBuilder::taint_map_shards`] /
-    /// [`ClusterBuilder::taint_map_standby`].
+    /// Configures the Taint Map deployment (default: one shard at
+    /// `10.0.0.99:7777`, no standby, no snapshots). A deployment built
+    /// with [`TaintMapEndpointBuilder::snapshots`] restarts a crashed
+    /// primary with zero lost registrations ([`Cluster::restart_shard`]).
     pub fn taint_map_endpoint(mut self, builder: TaintMapEndpointBuilder) -> Self {
-        self.taint_map_endpoint = Some(builder);
-        self
-    }
-
-    /// Gives every Taint Map shard primary a write-ahead snapshot log on
-    /// a shared simulated file system, so a crashed primary restarts
-    /// with zero lost registrations ([`Cluster::restart_shard`]).
-    pub fn taint_map_snapshots(mut self, enabled: bool) -> Self {
-        self.taint_map_snapshots = Some(enabled);
+        self.taint_map_endpoint = builder;
         self
     }
 
@@ -179,59 +133,10 @@ impl ClusterBuilder {
     ///
     /// # Errors
     ///
-    /// [`DistaError::Config`] if both [`ClusterBuilder::taint_map_endpoint`]
-    /// and an individual Taint Map knob were set; transport errors while
-    /// standing up the Taint Map or clients.
+    /// [`DistaError::Config`] for wire-protocol or telemetry settings
+    /// that cannot work together; transport errors while standing up
+    /// the Taint Map or clients.
     pub fn build(self) -> Result<Cluster, DistaError> {
-        let endpoint_builder = match self.taint_map_endpoint {
-            Some(builder) => {
-                let mut conflicts = Vec::new();
-                if self.taint_map_addr.is_some() {
-                    conflicts.push("taint_map_addr");
-                }
-                if self.taint_map_config.is_some() {
-                    conflicts.push("taint_map_config");
-                }
-                if self.taint_map_shards.is_some() {
-                    conflicts.push("taint_map_shards");
-                }
-                if self.taint_map_standby.is_some() {
-                    conflicts.push("taint_map_standby");
-                }
-                if self.taint_map_snapshots.is_some() {
-                    conflicts.push("taint_map_snapshots");
-                }
-                if !conflicts.is_empty() {
-                    return Err(DistaError::Config(format!(
-                        "taint_map_endpoint conflicts with {}: configure the \
-                         endpoint builder directly or use only the individual knobs",
-                        conflicts.join(", ")
-                    )));
-                }
-                builder
-            }
-            None => {
-                let mut builder = TaintMapEndpoint::builder()
-                    .addr(
-                        self.taint_map_addr
-                            .unwrap_or(NodeAddr::new([10, 0, 0, 99], 7777)),
-                    )
-                    .config(self.taint_map_config.unwrap_or_default())
-                    .standby(self.taint_map_standby.unwrap_or(false));
-                if let Some(shards) = self.taint_map_shards {
-                    if shards == 0 {
-                        return Err(DistaError::Config(
-                            "taint_map_shards must be at least 1".into(),
-                        ));
-                    }
-                    builder = builder.shards(shards);
-                }
-                if self.taint_map_snapshots == Some(true) {
-                    builder = builder.snapshots(SimFs::new());
-                }
-                builder
-            }
-        };
         // Resolve each node's wire protocol (override or cluster-wide
         // default) and reject combinations that cannot interoperate: a
         // pinned-v2 VM sends no negotiation probe, so a v1 or Negotiate
@@ -295,7 +200,7 @@ impl ClusterBuilder {
             Some(config) => Observability::with_registry(config, net.registry().clone()),
             None => Observability::disabled(),
         };
-        let taint_map = endpoint_builder.connect(&net)?;
+        let taint_map = self.taint_map_endpoint.connect(&net)?;
         let topology = taint_map.topology();
         let node_list = self.nodes.clone();
         let mut vms = Vec::with_capacity(self.nodes.len());
@@ -316,11 +221,12 @@ impl ClusterBuilder {
         let telemetry = match self.telemetry {
             Some(config) => {
                 // The Taint Map deployment gets its own agent, pushing
-                // the `node="taintmap"` resharding/compaction counters
-                // mirrored by `Cluster::metrics_dump` — isolating the
-                // endpoint's IP silences its telemetry like any host's.
+                // the `node="taintmap"` resharding/compaction instruments
+                // its servers and endpoint write — isolating the
+                // deployment's host silences its telemetry like any
+                // host's. Every shard binds on the base address's IP.
                 let mut agents = node_list.clone();
-                agents.push(("taintmap".to_string(), taint_map.addr().ip()));
+                agents.push(("taintmap".to_string(), topology.shard_addrs(0)[0].ip()));
                 Some(TelemetryPlane::spawn(&net, &agents, config)?)
             }
             None => None,
@@ -409,7 +315,7 @@ pub struct Cluster {
     /// Sink for chaos-layer events (faults, shard crash/restart); merged
     /// into [`Cluster::obs_events`] alongside the per-VM recorders.
     chaos_recorder: FlightRecorder,
-    /// How much of the network's applied-fault log has been mirrored
+    /// How much of the network's applied-fault log has been replayed
     /// into the chaos recorder.
     fault_log_cursor: usize,
 }
@@ -424,12 +330,7 @@ impl Cluster {
             gid_width: 4,
             wire_protocol: WireProtocol::default(),
             node_wire_protocols: Vec::new(),
-            taint_map_addr: None,
-            taint_map_config: None,
-            taint_map_shards: None,
-            taint_map_standby: None,
-            taint_map_endpoint: None,
-            taint_map_snapshots: None,
+            taint_map_endpoint: TaintMapEndpoint::builder(),
             net: None,
             observability: None,
             telemetry: None,
@@ -524,31 +425,19 @@ impl Cluster {
     /// Reconstructs the cross-VM provenance of Global ID `gid` from
     /// flight-recorder events alone: where it was minted, which sockets
     /// it crossed (with byte ranges), where it was registered/resolved
-    /// in the Taint Map, and which sinks it reached.
+    /// in the Taint Map, and which sinks it reached. The trace is the
+    /// span-paired reconstruction when every crossing paired exactly
+    /// (homogeneous v2 wire), otherwise the gid-matching inference a v1
+    /// cluster gets; [`ProvenanceTrace::exact`] says which, so a
+    /// cross-system pipeline gets one hop-by-hop narrative without
+    /// knowing which wire protocol each leg negotiated.
     pub fn provenance(&self, gid: u32) -> ProvenanceTrace {
-        reconstruct(&self.obs_events(), gid)
-    }
-
-    /// Like [`Cluster::provenance`], but ignoring wire-carried span
-    /// annotations and using only the gid-matching heuristic — the view
-    /// a v1-only cluster gets. Comparing the two shows what the v2
-    /// annotation frames buy (`exact` provenance vs. reconstruction).
-    pub fn provenance_inferred(&self, gid: u32) -> ProvenanceTrace {
-        reconstruct_inferred(&self.obs_events(), gid)
-    }
-
-    /// The best available single trace for `gid`: the span-paired
-    /// reconstruction when every crossing paired exactly (homogeneous
-    /// v2 wire), otherwise the inferred view a v1 cluster gets. A
-    /// cross-system pipeline calls this to stitch one hop-by-hop
-    /// narrative across application boundaries without knowing which
-    /// wire protocol each leg negotiated.
-    pub fn provenance_stitched(&self, gid: u32) -> ProvenanceTrace {
-        let exact = self.provenance(gid);
-        if exact.exact {
-            exact
+        let events = self.obs_events();
+        let paired = reconstruct(&events, gid);
+        if paired.exact {
+            paired
         } else {
-            self.provenance_inferred(gid)
+            reconstruct_inferred(&events, gid)
         }
     }
 
@@ -572,9 +461,11 @@ impl Cluster {
         self.net.mark_stage(stage);
     }
 
-    /// Snapshot of the cluster metrics registry, with point-in-time
-    /// per-VM census families (taint-tree size, memo hit counts, shadow
-    /// run counts, Taint Map client RPC totals) mirrored in first.
+    /// Snapshot of the cluster metrics registry. Every instrument in it
+    /// is written by the layer that observes the event; the one thing
+    /// done here first is the per-VM taint-tree and shadow-run census,
+    /// because `dista-taint` sits below `dista-obs` and cannot hold
+    /// instruments of its own.
     ///
     /// Returns an empty dump when observability is disabled.
     pub fn metrics_dump(&self) -> MetricsDump {
@@ -594,19 +485,7 @@ impl Cluster {
                 .set(stats.memo_misses as f64);
             reg.gauge_with("shadow_runs", labels)
                 .set(vm.shadow_run_census() as f64);
-            if let Some(client) = vm.taint_map() {
-                let cs = client.stats();
-                reg.gauge_with("taintmap_register_rpcs", labels)
-                    .set(cs.register_rpcs as f64);
-                reg.gauge_with("taintmap_lookup_rpcs", labels)
-                    .set(cs.lookup_rpcs as f64);
-                reg.gauge_with("taintmap_batch_frames", labels)
-                    .set(cs.batch_frames as f64);
-                reg.gauge_with("taintmap_pending_gids", labels)
-                    .set(cs.pending_gids as f64);
-            }
         }
-        self.mirror_taintmap_metrics();
         reg.snapshot()
     }
 
@@ -666,7 +545,7 @@ impl Cluster {
             .scrape_json()
     }
 
-    /// Drives the chaos layer one tick: mirrors newly applied faults
+    /// Drives the chaos layer one tick: replays newly applied faults
     /// from the network's fault log into the event stream, then drains
     /// and executes the process-level triggers the network cannot apply
     /// itself (shard crash/restart, VM crash/restart). Call this between
@@ -809,7 +688,6 @@ impl Cluster {
                 });
             new_servers.push(target);
         }
-        self.mirror_taintmap_metrics();
         Ok(new_servers)
     }
 
@@ -821,7 +699,7 @@ impl Cluster {
     /// # Errors
     ///
     /// [`DistaError::TaintMap`] if the deployment has no write-ahead
-    /// snapshots ([`ClusterBuilder::taint_map_snapshots`]).
+    /// snapshots ([`TaintMapEndpointBuilder::snapshots`]).
     pub fn compact_taint_map(&self) -> Result<u64, DistaError> {
         let tm = self.taint_map.as_ref().expect("cluster already shut down");
         let mut total = 0;
@@ -834,46 +712,7 @@ impl Cluster {
                 .record_with(|| ObsEventKind::WalCompacted { shard, records });
             total += records;
         }
-        self.mirror_taintmap_metrics();
         Ok(total)
-    }
-
-    /// Mirrors Taint Map deployment-level counters — migration volume,
-    /// per-class epochs, redirect/stale-epoch traffic, compactions —
-    /// into the metrics registry under `node="taintmap"`, where the
-    /// telemetry plane's endpoint agent picks them up for scrapes.
-    fn mirror_taintmap_metrics(&self) {
-        let Some(reg) = self.observability.registry() else {
-            return;
-        };
-        let Some(tm) = &self.taint_map else {
-            return;
-        };
-        let labels: &[(&str, &str)] = &[("node", "taintmap")];
-        let rs = tm.reshard_stats();
-        reg.gauge_with("taintmap_splits_completed", labels)
-            .set(rs.splits_completed as f64);
-        reg.gauge_with("taintmap_records_transferred", labels)
-            .set(rs.records_transferred as f64);
-        for (class, epoch) in rs.class_epochs.iter().enumerate() {
-            let class = class.to_string();
-            reg.gauge_with(
-                "taintmap_class_epoch",
-                &[("node", "taintmap"), ("class", &class)],
-            )
-            .set(*epoch as f64);
-        }
-        let ss = tm.stats();
-        reg.gauge_with("taintmap_server_moved_redirects", labels)
-            .set(ss.moved_redirects as f64);
-        reg.gauge_with("taintmap_server_stale_epochs", labels)
-            .set(ss.stale_epochs as f64);
-        reg.gauge_with("taintmap_server_double_writes", labels)
-            .set(ss.double_writes as f64);
-        reg.gauge_with("taintmap_server_transferred_in", labels)
-            .set(ss.transferred_in as f64);
-        reg.gauge_with("taintmap_server_compactions", labels)
-            .set(ss.compactions as f64);
     }
 
     /// Crashes Taint Map shard `shard`'s primary ungracefully (no
@@ -895,7 +734,7 @@ impl Cluster {
 
     /// Restarts a crashed shard primary, replaying its write-ahead
     /// snapshot (only present with
-    /// [`ClusterBuilder::taint_map_snapshots`]). Returns the number of
+    /// [`TaintMapEndpointBuilder::snapshots`]). Returns the number of
     /// replayed registrations and records a `shard_restarted` event.
     ///
     /// # Errors
@@ -985,7 +824,9 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dista_simnet::{NodeAddr, SimFs};
     use dista_taint::TagValue;
+    use std::time::Duration;
 
     #[test]
     fn builder_creates_named_nodes() {
@@ -1033,8 +874,7 @@ mod tests {
     fn sharded_cluster_resolves_across_nodes() {
         let cluster = Cluster::builder(Mode::Dista)
             .nodes("n", 2)
-            .taint_map_shards(4)
-            .taint_map_standby(true)
+            .taint_map_endpoint(TaintMapEndpoint::builder().shards(4).standby(true))
             .build()
             .unwrap();
         assert_eq!(cluster.taint_map().shard_count(), 4);
@@ -1064,8 +904,11 @@ mod tests {
     fn reshard_migrates_live_gids_and_compacts() {
         let mut cluster = Cluster::builder(Mode::Dista)
             .nodes("n", 2)
-            .taint_map_shards(2)
-            .taint_map_snapshots(true)
+            .taint_map_endpoint(
+                TaintMapEndpoint::builder()
+                    .shards(2)
+                    .snapshots(SimFs::new()),
+            )
             .observability(ObsConfig::default())
             .build()
             .unwrap();
@@ -1107,46 +950,12 @@ mod tests {
         let dump = cluster.metrics_dump();
         let text = dump.render_text();
         assert!(text.contains("taintmap_splits_completed{node=taintmap} 2.0000"));
-        assert!(text.contains("taintmap_server_compactions{node=taintmap}"));
+        assert!(text.contains("taintmap_server_compactions{node=taintmap,shard=0} 1\n"));
+        assert_eq!(dump.counter_total("taintmap_server_compactions"), 4);
         let events = cluster.export_jsonl();
         assert!(events.contains("\"event\":\"shard_split\""));
         assert!(events.contains("\"event\":\"wal_compacted\""));
         cluster.shutdown();
-    }
-
-    #[test]
-    fn conflicting_taint_map_settings_are_rejected() {
-        let err = Cluster::builder(Mode::Dista)
-            .nodes("n", 1)
-            .taint_map_shards(2)
-            .taint_map_endpoint(TaintMapEndpoint::builder().shards(4))
-            .build()
-            .unwrap_err();
-        match err {
-            DistaError::Config(msg) => {
-                assert!(msg.contains("taint_map_shards"), "names the culprit: {msg}")
-            }
-            other => panic!("expected Config error, got {other:?}"),
-        }
-
-        let err = Cluster::builder(Mode::Dista)
-            .taint_map_addr(NodeAddr::new([10, 0, 0, 99], 7777))
-            .taint_map_standby(true)
-            .taint_map_endpoint(TaintMapEndpoint::builder())
-            .build()
-            .unwrap_err();
-        match err {
-            DistaError::Config(msg) => {
-                assert!(msg.contains("taint_map_addr") && msg.contains("taint_map_standby"))
-            }
-            other => panic!("expected Config error, got {other:?}"),
-        }
-
-        let err = Cluster::builder(Mode::Dista)
-            .taint_map_shards(0)
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, DistaError::Config(_)));
     }
 
     #[test]
@@ -1275,24 +1084,29 @@ mod tests {
         cluster.shutdown();
     }
 
-    #[test]
-    fn telemetry_plane_scrapes_live_cluster_metrics() {
-        use dista_jre::{InputStream, OutputStream};
-        use dista_taint::{Payload, TaintedBytes};
-        use std::time::Duration;
-
-        let cluster = Cluster::builder(Mode::Dista)
+    /// A telemetry-enabled DisTA cluster of nodes `n1`, `n2` whose
+    /// agents tick every 5 ms.
+    fn scraped_cluster(taint_map: TaintMapEndpointBuilder) -> Cluster {
+        Cluster::builder(Mode::Dista)
             .nodes("n", 2)
             .observability(ObsConfig::default())
             .telemetry(crate::telemetry::TelemetryConfig {
                 interval: Duration::from_millis(5),
                 ..Default::default()
             })
+            .taint_map_endpoint(taint_map)
             .build()
-            .unwrap();
+            .unwrap()
+    }
+
+    /// Sends 7 bytes tainted by a fresh source from `n1` to `n2:port`
+    /// and returns the union taint `n2` decoded.
+    fn cross_tainted(cluster: &Cluster, port: u16) -> dista_taint::Taint {
+        use dista_jre::{InputStream, OutputStream};
+        use dista_taint::{Payload, TaintedBytes};
+
         let (tx_vm, rx_vm) = (cluster.vm(0), cluster.vm(1));
-        let server =
-            dista_jre::ServerSocket::bind(rx_vm, NodeAddr::new([10, 0, 0, 2], 80)).unwrap();
+        let server = dista_jre::ServerSocket::bind(rx_vm, NodeAddr::new(rx_vm.ip(), port)).unwrap();
         let client = dista_jre::Socket::connect(tx_vm, server.local_addr()).unwrap();
         let conn = server.accept().unwrap();
         let secret = tx_vm.taint_source(TagValue::str("secret"));
@@ -1300,18 +1114,35 @@ mod tests {
             .output_stream()
             .write(&Payload::Tainted(TaintedBytes::uniform(b"payload", secret)))
             .unwrap();
-        conn.input_stream().read_exact(7).unwrap();
+        let got = conn.input_stream().read_exact(7).unwrap();
+        got.taint_union(rx_vm.store())
+    }
+
+    /// Scrapes the collector until `needle` shows up: agents push on a
+    /// wall-clock tick, so a fresh value is at most a few ticks away.
+    fn scrape_until(cluster: &Cluster, needle: &str) -> String {
+        for _ in 0..2000 {
+            let text = cluster.scrape_text().unwrap();
+            if text.contains(needle) {
+                return text;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        panic!("{needle:?} never appeared in a live scrape");
+    }
+
+    #[test]
+    fn telemetry_plane_scrapes_live_cluster_metrics() {
+        let cluster = scraped_cluster(TaintMapEndpoint::builder());
+        cross_tainted(&cluster, 80);
 
         // The scrape endpoint is reachable from inside the simulation
         // and eventually reflects the boundary counters pushed by the
         // sender's agent.
-        let text = loop {
-            let text = cluster.scrape_text().unwrap();
-            if text.contains("boundary_wire_bytes_out{node=\"n1\"}") {
-                break text;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        };
+        let text = scrape_until(
+            &cluster,
+            "boundary_wire_bytes_out{node=\"n1\",proto=\"v1\"} 35",
+        );
         assert!(text.contains("dista_collector_frames_ingested_total"));
         let json = cluster.scrape_json().unwrap();
         assert!(json.contains("\"nodes\":[\"n1\"") || json.contains("\"n1\""));
@@ -1329,6 +1160,40 @@ mod tests {
                 .counter_total("boundary_wire_bytes_out")
                 >= 35
         );
+    }
+
+    #[test]
+    fn live_scrape_shows_client_levels_without_a_metrics_dump() {
+        let cluster = scraped_cluster(TaintMapEndpoint::builder());
+        let (rx_ip, tm_ip) = (cluster.vm(1).ip(), [10, 0, 0, 99]);
+        // The receiver cannot resolve the gid: its bytes arrive under a
+        // pending sentinel, and the operator sees that from a scrape.
+        cluster.net().partition_both(rx_ip, tm_ip);
+        let received = cross_tainted(&cluster, 80);
+        assert_eq!(cluster.pending_gids(), 1);
+        assert!(cluster.vm(1).store().tag_values(received)[0].starts_with("pending-gid:"));
+        let text = scrape_until(&cluster, "taintmap_pending_gids{node=\"n2\"} 1\n");
+        assert!(text.contains("taintmap_register_rpcs{node=\"n1\"} 1\n"));
+
+        cluster.net().heal_both(rx_ip, tm_ip);
+        assert_eq!(cluster.reconcile_pending().unwrap(), 1);
+        scrape_until(&cluster, "taintmap_pending_gids{node=\"n2\"} 0\n");
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn telemetry_on_a_sharded_taint_map_scrapes_the_class_epoch() {
+        // Regression: the endpoint agent's IP came from the single-shard
+        // `addr()`, which panicked this (legal) configuration at build.
+        let mut cluster = scraped_cluster(TaintMapEndpoint::builder().shards(2));
+        cross_tainted(&cluster, 80);
+        cluster.reshard(&ReshardPlan::new().split(0)).unwrap();
+        let text = scrape_until(
+            &cluster,
+            "taintmap_class_epoch{class=\"0\",node=\"taintmap\"} 1\n",
+        );
+        assert!(text.contains("taintmap_class_epoch{class=\"1\",node=\"taintmap\"} 0\n"));
+        cluster.shutdown();
     }
 
     #[test]

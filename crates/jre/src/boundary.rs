@@ -1288,15 +1288,16 @@ mod tests {
             dump.counter_total("boundary_data_bytes_out"),
             dump.counter_total("boundary_data_bytes_in")
         );
-        assert_eq!(
-            dump.gauge_value("wire_expansion_ratio", &[("node", "n1"), ("proto", "v1")]),
-            Some(5.0),
-            "4-byte gids => 5x expansion on the v1 gauge"
+        // The expansion ratio is wire / data of one protocol's pair.
+        let text = dump.render_text();
+        assert!(text.contains("boundary_data_bytes_out{node=n1,proto=v1} 4\n"));
+        assert!(
+            text.contains("boundary_wire_bytes_out{node=n1,proto=v1} 20\n"),
+            "4-byte gids => 5x expansion on the v1 pair"
         );
-        assert_eq!(
-            dump.gauge_value("wire_expansion_ratio", &[("node", "n1"), ("proto", "v2")]),
-            Some(0.0),
-            "no v2 traffic leaves the v2 gauge at zero"
+        assert!(
+            text.contains("boundary_wire_bytes_out{node=n1,proto=v2} 0\n"),
+            "no v2 traffic leaves the v2 pair at zero"
         );
         tm.shutdown();
     }

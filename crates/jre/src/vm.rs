@@ -4,9 +4,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use dista_obs::{
-    Counter, FlightRecorder, Gauge, ObsEventKind, Observability, PhaseSet, SpanTracker,
-};
+use dista_obs::{Counter, FlightRecorder, ObsEventKind, Observability, PhaseSet, SpanTracker};
 use dista_simnet::{SimFs, SimNet};
 use dista_taint::{
     LocalId, SinkRecorder, SinkReport, SourceSinkSpec, TagValue, Taint, TaintRuns, TaintStore,
@@ -62,18 +60,14 @@ pub(crate) struct VmObs {
     pub(crate) flight: FlightRecorder,
     pub(crate) sources_minted: Counter,
     pub(crate) sink_hits: Counter,
-    pub(crate) boundary_data_out: Counter,
-    pub(crate) boundary_wire_out: Counter,
+    /// Outbound (data, wire) byte counters, one pair per wire version:
+    /// v1 sits in its ~5x expansion band while v2 hovers near 1.0x for
+    /// clean traffic, so a reader dividing one shared pair would get a
+    /// meaningless blend.
+    v1_out: (Counter, Counter),
+    v2_out: (Counter, Counter),
     pub(crate) boundary_data_in: Counter,
     pub(crate) boundary_wire_in: Counter,
-    /// Per-protocol-version expansion gauges plus the cumulative
-    /// (data, wire) byte pairs they are recomputed from. V1 sits in its
-    /// ~5x band while v2 hovers near 1.0x for clean traffic, so one
-    /// shared gauge would just report a meaningless blend.
-    wire_expansion_v1: Gauge,
-    wire_expansion_v2: Gauge,
-    v1_out: (AtomicU64, AtomicU64),
-    v2_out: (AtomicU64, AtomicU64),
     /// taint local id → root span minted with it at the source.
     pub(crate) taint_spans: SpanTracker,
     /// gid → span that most recently delivered it to this VM (root span
@@ -89,14 +83,10 @@ impl VmObs {
             flight: FlightRecorder::disabled(),
             sources_minted: Counter::detached(),
             sink_hits: Counter::detached(),
-            boundary_data_out: Counter::detached(),
-            boundary_wire_out: Counter::detached(),
+            v1_out: (Counter::detached(), Counter::detached()),
+            v2_out: (Counter::detached(), Counter::detached()),
             boundary_data_in: Counter::detached(),
             boundary_wire_in: Counter::detached(),
-            wire_expansion_v1: Gauge::detached(),
-            wire_expansion_v2: Gauge::detached(),
-            v1_out: (AtomicU64::new(0), AtomicU64::new(0)),
-            v2_out: (AtomicU64::new(0), AtomicU64::new(0)),
             taint_spans: SpanTracker::disabled(),
             gid_spans: SpanTracker::disabled(),
             phases: PhaseSet::disabled(),
@@ -111,47 +101,43 @@ impl VmObs {
             return Self::detached();
         };
         let labels: &[(&str, &str)] = &[("node", node)];
+        let out = |proto| {
+            let labels: &[(&str, &str)] = &[("node", node), ("proto", proto)];
+            (
+                reg.counter_with("boundary_data_bytes_out", labels),
+                reg.counter_with("boundary_wire_bytes_out", labels),
+            )
+        };
         VmObs {
             flight: obs.recorder_for(node),
             sources_minted: reg.counter_with("sources_minted", labels),
             sink_hits: reg.counter_with("sink_hits", labels),
-            boundary_data_out: reg.counter_with("boundary_data_bytes_out", labels),
-            boundary_wire_out: reg.counter_with("boundary_wire_bytes_out", labels),
+            v1_out: out("v1"),
+            v2_out: out("v2"),
             boundary_data_in: reg.counter_with("boundary_data_bytes_in", labels),
             boundary_wire_in: reg.counter_with("boundary_wire_bytes_in", labels),
-            wire_expansion_v1: reg
-                .gauge_with("wire_expansion_ratio", &[("node", node), ("proto", "v1")]),
-            wire_expansion_v2: reg
-                .gauge_with("wire_expansion_ratio", &[("node", node), ("proto", "v2")]),
-            v1_out: (AtomicU64::new(0), AtomicU64::new(0)),
-            v2_out: (AtomicU64::new(0), AtomicU64::new(0)),
             taint_spans: obs.span_tracker(),
             gid_spans: obs.span_tracker(),
             phases: obs.phases_for(node),
         }
     }
 
-    /// Records one outbound boundary crossing: bumps the cumulative
-    /// byte counters and recomputes the crossing protocol's expansion
-    /// gauge (the paper's ~5× for v1 with 4-byte Global IDs; ~1.0x for
-    /// v2 on clean traffic).
+    /// Records one outbound boundary crossing on the crossing
+    /// protocol's byte counters. The expansion ratio (the paper's ~5×
+    /// for v1 with 4-byte Global IDs; ~1.0x for v2 on clean traffic) is
+    /// wire / data, computed by whoever reads the pair.
     pub(crate) fn record_boundary_out(
         &self,
         version: WireVersion,
         data_len: usize,
         wire_len: usize,
     ) {
-        self.boundary_data_out.add(data_len as u64);
-        self.boundary_wire_out.add(wire_len as u64);
-        let ((data, wire), gauge) = match version {
-            WireVersion::V1 => (&self.v1_out, &self.wire_expansion_v1),
-            WireVersion::V2 => (&self.v2_out, &self.wire_expansion_v2),
+        let (data, wire) = match version {
+            WireVersion::V1 => &self.v1_out,
+            WireVersion::V2 => &self.v2_out,
         };
-        let d = data.fetch_add(data_len as u64, Ordering::Relaxed) + data_len as u64;
-        let w = wire.fetch_add(wire_len as u64, Ordering::Relaxed) + wire_len as u64;
-        if d > 0 {
-            gauge.set(w as f64 / d as f64);
-        }
+        data.add(data_len as u64);
+        wire.add(wire_len as u64);
     }
 }
 
@@ -429,8 +415,8 @@ impl Vm {
     }
 
     /// Number of shadow runs currently held for native (off-heap)
-    /// buffers — the "shadow run count" census mirrored into cluster
-    /// telemetry reports.
+    /// buffers — the "shadow run count" census of cluster telemetry
+    /// reports.
     pub fn shadow_run_census(&self) -> usize {
         self.inner
             .native_shadows

@@ -57,11 +57,11 @@ struct RecorderInner {
     clock: ObsClock,
     head: AtomicUsize,
     slots: Box<[Mutex<Option<ObsEvent>>]>,
-    dropped: AtomicU64,
-    /// Mirrors `dropped` into the metrics registry
-    /// (`flight_dropped_events{node=…}`) so ring overflow is visible in
-    /// every exporter instead of silently discarding history.
-    dropped_counter: Counter,
+    /// Events lost to ring wrap-around. The cluster passes the
+    /// registry's `flight_dropped_events{node=…}` cell here, so
+    /// overflow is visible in every exporter instead of silently
+    /// discarding history.
+    dropped: Counter,
 }
 
 /// A per-VM event ring. Cheap to clone; clones share the ring.
@@ -78,14 +78,14 @@ impl FlightRecorder {
 
     /// An enabled recorder for VM `node`, holding up to `capacity`
     /// events and stamping them from `clock`. Overflow drops are counted
-    /// internally only; use [`FlightRecorder::with_drop_counter`] to
-    /// surface them as a registry metric.
+    /// in a detached cell; use [`FlightRecorder::with_drop_counter`] to
+    /// count them in a registry metric.
     pub fn new(node: &str, capacity: usize, clock: ObsClock) -> Self {
         Self::with_drop_counter(node, capacity, clock, Counter::detached())
     }
 
-    /// Like [`FlightRecorder::new`], additionally bumping `dropped` once
-    /// per event lost to ring wrap-around — the cluster wires the
+    /// Like [`FlightRecorder::new`], counting each event lost to ring
+    /// wrap-around in `dropped` — the cluster wires the
     /// `flight_dropped_events{node=…}` counter here so overflow shows up
     /// in metric dumps, scrapes and the text report.
     pub fn with_drop_counter(
@@ -101,8 +101,7 @@ impl FlightRecorder {
                 clock,
                 head: AtomicUsize::new(0),
                 slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
-                dropped: AtomicU64::new(0),
-                dropped_counter: dropped,
+                dropped,
             })),
         }
     }
@@ -126,8 +125,7 @@ impl FlightRecorder {
         let slot = &inner.slots[idx % inner.slots.len()];
         let mut guard = slot.lock();
         if guard.is_some() {
-            inner.dropped.fetch_add(1, Ordering::Relaxed);
-            inner.dropped_counter.inc();
+            inner.dropped.inc();
         }
         *guard = Some(ObsEvent {
             seq,
@@ -162,7 +160,7 @@ impl FlightRecorder {
     /// Number of events lost to ring wrap-around.
     pub fn dropped(&self) -> u64 {
         match &self.inner {
-            Some(inner) => inner.dropped.load(Ordering::Relaxed),
+            Some(inner) => inner.dropped.get(),
             None => 0,
         }
     }

@@ -17,8 +17,6 @@
 //! or mutated, so walks take **no lock at all** — and stripes the two
 //! interning maps (`children`, `union_memo`) across [`SHARDS`]
 //! independent `RwLock`s so writers on unrelated keys don't contend.
-//! [`SingleLockTaintTree`] preserves the previous whole-tree
-//! `RwLock<TreeInner>` design as a baseline for benchmarks.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -487,166 +485,6 @@ impl Default for TaintTree {
     }
 }
 
-#[derive(Debug, Default)]
-struct TreeInner {
-    tags: Vec<TagEntry>,
-    tag_intern: HashMap<(TagValue, LocalId), TagId>,
-    nodes: Vec<Node>,
-    children: HashMap<(u32, TagId), u32>,
-    union_memo: HashMap<(u32, u32), u32>,
-}
-
-impl TreeInner {
-    fn new() -> Self {
-        TreeInner {
-            nodes: vec![Node {
-                parent: 0,
-                tag: TagId(u32::MAX),
-                depth: 0,
-            }],
-            ..Default::default()
-        }
-    }
-
-    fn path(&self, node: u32) -> Vec<TagId> {
-        let mut out = Vec::with_capacity(self.nodes[node as usize].depth as usize);
-        let mut cur = node;
-        while cur != 0 {
-            let n = self.nodes[cur as usize];
-            out.push(n.tag);
-            cur = n.parent;
-        }
-        out.reverse();
-        out
-    }
-
-    fn intern_path(&mut self, path: &[TagId]) -> u32 {
-        let mut cur = 0u32;
-        for &tag in path {
-            cur = match self.children.get(&(cur, tag)) {
-                Some(&child) => child,
-                None => {
-                    let depth = self.nodes[cur as usize].depth + 1;
-                    let idx = self.nodes.len() as u32;
-                    self.nodes.push(Node {
-                        parent: cur,
-                        tag,
-                        depth,
-                    });
-                    self.children.insert((cur, tag), idx);
-                    idx
-                }
-            };
-        }
-        cur
-    }
-}
-
-/// The pre-striping tree: one `RwLock` around all interning state.
-///
-/// Kept as the contention baseline for `bench/benches/shadow_repr.rs`;
-/// semantically identical to [`TaintTree`]. New code should use
-/// [`TaintTree`].
-#[derive(Debug)]
-pub struct SingleLockTaintTree {
-    inner: RwLock<TreeInner>,
-}
-
-impl SingleLockTaintTree {
-    /// Creates an empty tree containing only the root (empty taint).
-    pub fn new() -> Self {
-        SingleLockTaintTree {
-            inner: RwLock::new(TreeInner::new()),
-        }
-    }
-
-    /// Interns a tag, returning its id.
-    pub fn mint_tag(&self, value: TagValue, local_id: LocalId) -> TagId {
-        let mut inner = self.inner.write();
-        if let Some(&id) = inner.tag_intern.get(&(value.clone(), local_id)) {
-            return id;
-        }
-        let id = TagId(inner.tags.len() as u32);
-        inner.tags.push(TagEntry {
-            value: value.clone(),
-            local_id,
-            global_id: GlobalId::UNTAINTED,
-        });
-        inner.tag_intern.insert((value, local_id), id);
-        id
-    }
-
-    /// The singleton taint `{tag}`.
-    pub fn taint_of_tag(&self, tag: TagId) -> Taint {
-        let mut inner = self.inner.write();
-        assert!(
-            tag.index() < inner.tags.len(),
-            "tag {tag} not minted by this tree"
-        );
-        Taint(inner.intern_path(&[tag]))
-    }
-
-    /// Unions the tag sets of two taints (interned, order-insensitive).
-    pub fn union(&self, a: Taint, b: Taint) -> Taint {
-        if a == b || b.is_empty() {
-            return a;
-        }
-        if a.is_empty() {
-            return b;
-        }
-        let key = (a.0.min(b.0), a.0.max(b.0));
-        {
-            let inner = self.inner.read();
-            if let Some(&n) = inner.union_memo.get(&key) {
-                return Taint(n);
-            }
-        }
-        let mut inner = self.inner.write();
-        if let Some(&n) = inner.union_memo.get(&key) {
-            return Taint(n);
-        }
-        let pa = inner.path(a.0);
-        let pb = inner.path(b.0);
-        let merged = merge_sorted(&pa, &pb);
-        let node = inner.intern_path(&merged);
-        inner.union_memo.insert(key, node);
-        Taint(node)
-    }
-
-    /// Unions an arbitrary collection of taints.
-    pub fn union_all<I: IntoIterator<Item = Taint>>(&self, taints: I) -> Taint {
-        taints
-            .into_iter()
-            .fold(Taint::EMPTY, |acc, t| self.union(acc, t))
-    }
-
-    /// The sorted tag ids of a taint.
-    pub fn tag_ids(&self, taint: Taint) -> Vec<TagId> {
-        self.inner.read().path(taint.0)
-    }
-
-    /// Number of tags in a taint.
-    pub fn tag_count(&self, taint: Taint) -> usize {
-        self.inner.read().nodes[taint.0 as usize].depth as usize
-    }
-
-    /// Number of distinct tags minted so far.
-    pub fn num_tags(&self) -> usize {
-        self.inner.read().tags.len()
-    }
-
-    /// Number of tree nodes (including root).
-    pub fn num_nodes(&self) -> usize {
-        self.inner.read().nodes.len()
-    }
-}
-
-impl Default for SingleLockTaintTree {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 fn merge_sorted(a: &[TagId], b: &[TagId]) -> Vec<TagId> {
     let mut out = Vec::with_capacity(a.len() + b.len());
     let (mut i, mut j) = (0, 0);
@@ -848,23 +686,5 @@ mod tests {
         let ids = tree.tag_ids(acc);
         assert_eq!(ids.len(), total);
         assert!(ids.windows(2).all(|w| w[0] < w[1]), "path stays sorted");
-    }
-
-    #[test]
-    fn single_lock_tree_matches_striped_semantics() {
-        let striped = TaintTree::new();
-        let single = SingleLockTaintTree::new();
-        let mut s_acc = Taint::EMPTY;
-        let mut l_acc = Taint::EMPTY;
-        for i in 0..20 {
-            let sv = striped.mint_tag(TagValue::Int(i % 7), LocalId::default());
-            let lv = single.mint_tag(TagValue::Int(i % 7), LocalId::default());
-            s_acc = striped.union(s_acc, striped.taint_of_tag(sv));
-            l_acc = single.union(l_acc, single.taint_of_tag(lv));
-        }
-        assert_eq!(striped.tag_count(s_acc), single.tag_count(l_acc));
-        assert_eq!(striped.num_nodes(), single.num_nodes());
-        assert_eq!(striped.num_tags(), single.num_tags());
-        assert_eq!(striped.tag_ids(s_acc), single.tag_ids(l_acc));
     }
 }

@@ -27,13 +27,12 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dista_obs::{
-    Counter, FlightRecorder, Histogram, MetricsRegistry, ObsEventKind, PhaseHandle, SpanTracker,
-    BATCH_SIZE_BOUNDS, LATENCY_US_BOUNDS,
+    Counter, FlightRecorder, Gauge, Histogram, MetricsRegistry, ObsEventKind, PhaseHandle,
+    SpanTracker, BATCH_SIZE_BOUNDS, LATENCY_US_BOUNDS,
 };
 use dista_simnet::{NetError, NodeAddr, SimNet, TcpEndpoint};
 use dista_taint::{deserialize_taint, serialize_taint, GlobalId, TagValue, Taint, TaintStore};
@@ -136,13 +135,14 @@ impl Default for ClientResilience {
 }
 
 /// Telemetry sinks for one [`TaintMapClient`]: a flight recorder for
-/// structured events (register/lookup/failover) and registry instruments
-/// for the batch path.
+/// structured events (register/lookup/failover) and the instruments
+/// that *are* the client's counters — each fact is bumped once, here,
+/// and [`TaintMapClient::stats`] reads it back.
 ///
 /// [`ClientObserver::disabled`] (the default, used by
 /// [`TaintMapClient::connect_topology`]) hands out a no-op recorder and
-/// detached instruments, so the client never branches on "is telemetry
-/// on".
+/// detached instruments — still working atomics, just not in any
+/// registry — so the client never branches on "is telemetry on".
 #[derive(Debug, Clone)]
 pub struct ClientObserver {
     /// Event sink (shares the owning VM's ring).
@@ -151,6 +151,14 @@ pub struct ClientObserver {
     pub batch_items: Histogram,
     /// Wire time of one batch round trip, in microseconds.
     pub batch_latency_us: Histogram,
+    /// Register items sent over the wire (cache misses).
+    pub register_rpcs: Counter,
+    /// Lookup items sent over the wire (cache misses).
+    pub lookup_rpcs: Counter,
+    /// Request frames sent.
+    pub batch_frames: Counter,
+    /// Items resolved by waiting on another thread's registration.
+    pub single_flight_hits: Counter,
     /// Requests satisfied from either direction cache.
     pub cache_hits: Counter,
     /// Shard redials after a transport error.
@@ -167,6 +175,9 @@ pub struct ClientObserver {
     pub degraded_lookups: Counter,
     /// Pending sentinels resolved by the reconciler.
     pub pending_resolved: Counter,
+    /// Gids currently pending, set under the pending-map lock whenever
+    /// the map changes.
+    pub pending_gids: Gauge,
     /// `Moved` redirects followed during resharding.
     pub moved_redirects: Counter,
     /// Class tables refetched after a stale-epoch rejection.
@@ -193,6 +204,10 @@ impl ClientObserver {
             recorder: FlightRecorder::disabled(),
             batch_items: Histogram::detached(BATCH_SIZE_BOUNDS),
             batch_latency_us: Histogram::detached(LATENCY_US_BOUNDS),
+            register_rpcs: Counter::detached(),
+            lookup_rpcs: Counter::detached(),
+            batch_frames: Counter::detached(),
+            single_flight_hits: Counter::detached(),
             cache_hits: Counter::detached(),
             failovers: Counter::detached(),
             retries: Counter::detached(),
@@ -201,6 +216,7 @@ impl ClientObserver {
             breaker_open_ns: Counter::detached(),
             degraded_lookups: Counter::detached(),
             pending_resolved: Counter::detached(),
+            pending_gids: Gauge::detached(),
             moved_redirects: Counter::detached(),
             epoch_refetches: Counter::detached(),
             taint_spans: SpanTracker::disabled(),
@@ -225,6 +241,10 @@ impl ClientObserver {
                 &labels,
                 LATENCY_US_BOUNDS,
             ),
+            register_rpcs: registry.counter_with("taintmap_register_rpcs", &labels),
+            lookup_rpcs: registry.counter_with("taintmap_lookup_rpcs", &labels),
+            batch_frames: registry.counter_with("taintmap_batch_frames", &labels),
+            single_flight_hits: registry.counter_with("taintmap_single_flight_hits", &labels),
             cache_hits: registry.counter_with("taintmap_cache_hits", &labels),
             failovers: registry.counter_with("taintmap_failovers", &labels),
             retries: registry.counter_with("taintmap_retries", &labels),
@@ -233,6 +253,7 @@ impl ClientObserver {
             breaker_open_ns: registry.counter_with("taintmap_breaker_open_ns", &labels),
             degraded_lookups: registry.counter_with("taintmap_degraded_lookups", &labels),
             pending_resolved: registry.counter_with("taintmap_pending_resolved", &labels),
+            pending_gids: registry.gauge_with("taintmap_pending_gids", &labels),
             moved_redirects: registry.counter_with("taintmap_moved_redirects", &labels),
             epoch_refetches: registry.counter_with("taintmap_epoch_refetches", &labels),
             taint_spans: SpanTracker::disabled(),
@@ -412,20 +433,6 @@ struct ClientInner {
     /// in for.
     sentinel_resolutions: Mutex<HashMap<Taint, Taint>>,
     resilience: ClientResilience,
-    register_rpcs: AtomicU64,
-    lookup_rpcs: AtomicU64,
-    cache_hits: AtomicU64,
-    failovers: AtomicU64,
-    batch_frames: AtomicU64,
-    single_flight_hits: AtomicU64,
-    retries: AtomicU64,
-    breaker_opens: AtomicU64,
-    breaker_fast_fails: AtomicU64,
-    breaker_open_ns: AtomicU64,
-    degraded_lookups: AtomicU64,
-    pending_resolved: AtomicU64,
-    moved_redirects: AtomicU64,
-    epoch_refetches: AtomicU64,
     obs: ClientObserver,
 }
 
@@ -522,29 +529,9 @@ impl TaintMapClient {
                 pending: Mutex::new(HashMap::new()),
                 sentinel_resolutions: Mutex::new(HashMap::new()),
                 resilience,
-                register_rpcs: AtomicU64::new(0),
-                lookup_rpcs: AtomicU64::new(0),
-                cache_hits: AtomicU64::new(0),
-                failovers: AtomicU64::new(0),
-                batch_frames: AtomicU64::new(0),
-                single_flight_hits: AtomicU64::new(0),
-                retries: AtomicU64::new(0),
-                breaker_opens: AtomicU64::new(0),
-                breaker_fast_fails: AtomicU64::new(0),
-                breaker_open_ns: AtomicU64::new(0),
-                degraded_lookups: AtomicU64::new(0),
-                pending_resolved: AtomicU64::new(0),
-                moved_redirects: AtomicU64::new(0),
-                epoch_refetches: AtomicU64::new(0),
                 obs,
             }),
         })
-    }
-
-    /// Notes one cache hit in both the legacy stats and the registry.
-    fn note_cache_hit(&self) {
-        self.inner.cache_hits.fetch_add(1, Ordering::Relaxed);
-        self.inner.obs.cache_hits.inc();
     }
 
     /// The Global ID this VM already knows for `taint`, if any — the
@@ -568,7 +555,6 @@ impl TaintMapClient {
     /// Sleeps the bounded exponential backoff before re-attempt
     /// `attempt` (1-based) and counts the retry.
     fn note_retry(&self, attempt: u32) {
-        self.inner.retries.fetch_add(1, Ordering::Relaxed);
         self.inner.obs.retries.inc();
         let r = self.inner.resilience;
         let shift = (attempt - 1).min(16);
@@ -594,7 +580,6 @@ impl TaintMapClient {
         let (conn, target) = dial_any(&self.inner.net, addrs, self.inner.src_ip, start)?;
         guard.conn = conn;
         guard.target = target;
-        self.inner.failovers.fetch_add(1, Ordering::Relaxed);
         self.inner.obs.failovers.inc();
         self.inner
             .obs
@@ -621,7 +606,6 @@ impl TaintMapClient {
     fn adopt_moved(&self, class: usize, payload: &[u8]) -> Result<(), TaintMapError> {
         let table = decode_class_table(payload)?;
         self.inner.tables.lock()[class].merge(&table);
-        self.inner.moved_redirects.fetch_add(1, Ordering::Relaxed);
         self.inner.obs.moved_redirects.inc();
         Ok(())
     }
@@ -649,7 +633,6 @@ impl TaintMapClient {
         }
         let table = decode_class_table(&resp)?;
         self.inner.tables.lock()[class].merge(&table);
-        self.inner.epoch_refetches.fetch_add(1, Ordering::Relaxed);
         self.inner.obs.epoch_refetches.inc();
         Ok(())
     }
@@ -687,9 +670,6 @@ impl TaintMapClient {
         let r = self.inner.resilience;
         for g in groups {
             if !self.inner.breakers[g.class].lock().admit() {
-                self.inner
-                    .breaker_fast_fails
-                    .fetch_add(1, Ordering::Relaxed);
                 self.inner.obs.breaker_fast_fails.inc();
                 return Err(TaintMapError::ShardUnavailable(g.class));
             }
@@ -707,9 +687,7 @@ impl TaintMapClient {
             });
         }
         let mut guards: Vec<_> = conns.iter().map(|(conn, _)| conn.lock()).collect();
-        self.inner
-            .batch_frames
-            .fetch_add(groups.len() as u64, Ordering::Relaxed);
+        self.inner.obs.batch_frames.add(groups.len() as u64);
         let written: Vec<Result<(), TaintMapError>> = groups
             .iter()
             .zip(&guards)
@@ -740,15 +718,15 @@ impl TaintMapClient {
             match reply {
                 Ok(reply) => {
                     if let Some(open_for) = breaker.success() {
-                        let ns = open_for.as_nanos() as u64;
-                        self.inner.breaker_open_ns.fetch_add(ns, Ordering::Relaxed);
-                        self.inner.obs.breaker_open_ns.add(ns);
+                        self.inner
+                            .obs
+                            .breaker_open_ns
+                            .add(open_for.as_nanos() as u64);
                     }
                     replies.push(reply);
                 }
                 Err(e) => {
                     if breaker.failure(&r) {
-                        self.inner.breaker_opens.fetch_add(1, Ordering::Relaxed);
                         self.inner.obs.breaker_opens.inc();
                     }
                     first_err.get_or_insert(e);
@@ -867,14 +845,12 @@ impl TaintMapClient {
                     continue;
                 }
                 if let Some(&gid) = gid_cache.get(&taint) {
-                    self.note_cache_hit();
+                    self.inner.obs.cache_hits.inc();
                     out[i] = gid;
                     continue;
                 }
                 if let Some(flight) = inflight.get(&taint) {
-                    self.inner
-                        .single_flight_hits
-                        .fetch_add(1, Ordering::Relaxed);
+                    self.inner.obs.single_flight_hits.inc();
                     theirs.push((i, flight.clone()));
                     continue;
                 }
@@ -913,9 +889,7 @@ impl TaintMapClient {
     /// aligned with `mine`.
     fn register(&self, mine: &[(usize, Taint, Vec<u8>)]) -> Result<Vec<GlobalId>, TaintMapError> {
         let n = self.shard_count();
-        self.inner
-            .register_rpcs
-            .fetch_add(mine.len() as u64, Ordering::Relaxed);
+        self.inner.obs.register_rpcs.add(mine.len() as u64);
         let mut gids = vec![GlobalId::UNTAINTED; mine.len()];
         self.resolve(
             OP_REGISTER,
@@ -1029,7 +1003,7 @@ impl TaintMapClient {
                     continue;
                 }
                 if let Some(&taint) = taint_cache.get(&gid) {
-                    self.note_cache_hit();
+                    self.inner.obs.cache_hits.inc();
                     out[i] = taint;
                     continue;
                 }
@@ -1055,9 +1029,7 @@ impl TaintMapClient {
     /// and fills their slots.
     fn lookup(&self, misses: &[(usize, GlobalId)], out: &mut [Taint]) -> Result<(), TaintMapError> {
         let n = self.shard_count();
-        self.inner
-            .lookup_rpcs
-            .fetch_add(misses.len() as u64, Ordering::Relaxed);
+        self.inner.obs.lookup_rpcs.add(misses.len() as u64);
         // `None` marks an id the service never assigned.
         let mut fetched: Vec<Option<Vec<u8>>> = vec![None; misses.len()];
         self.resolve(
@@ -1158,7 +1130,7 @@ impl TaintMapClient {
             .store
             .mint_source_taint(TagValue::str(format!("pending-gid:{}", gid.0)));
         pending.insert(gid, sentinel);
-        self.inner.degraded_lookups.fetch_add(1, Ordering::Relaxed);
+        self.inner.obs.pending_gids.set(pending.len() as f64);
         self.inner.obs.degraded_lookups.inc();
         self.inner
             .obs
@@ -1189,12 +1161,15 @@ impl TaintMapClient {
         for (gid, sentinel) in snapshot {
             match self.taint_for(gid) {
                 Ok(taint) => {
-                    self.inner.pending.lock().remove(&gid);
+                    {
+                        let mut pending = self.inner.pending.lock();
+                        pending.remove(&gid);
+                        self.inner.obs.pending_gids.set(pending.len() as f64);
+                    }
                     self.inner
                         .sentinel_resolutions
                         .lock()
                         .insert(sentinel, taint);
-                    self.inner.pending_resolved.fetch_add(1, Ordering::Relaxed);
                     self.inner.obs.pending_resolved.inc();
                     self.inner
                         .obs
@@ -1235,24 +1210,27 @@ impl TaintMapClient {
             .copied()
     }
 
-    /// Snapshot of the client's RPC counters.
+    /// Snapshot of the client's RPC counters: a plain read of the
+    /// observer's instruments (`pending_gids` reads the pending map
+    /// itself — the map is the store, the gauge its publication).
     pub fn stats(&self) -> ClientStats {
+        let obs = &self.inner.obs;
         ClientStats {
-            register_rpcs: self.inner.register_rpcs.load(Ordering::Relaxed),
-            lookup_rpcs: self.inner.lookup_rpcs.load(Ordering::Relaxed),
-            cache_hits: self.inner.cache_hits.load(Ordering::Relaxed),
-            failovers: self.inner.failovers.load(Ordering::Relaxed),
-            batch_frames: self.inner.batch_frames.load(Ordering::Relaxed),
-            single_flight_hits: self.inner.single_flight_hits.load(Ordering::Relaxed),
-            retries: self.inner.retries.load(Ordering::Relaxed),
-            breaker_opens: self.inner.breaker_opens.load(Ordering::Relaxed),
-            breaker_fast_fails: self.inner.breaker_fast_fails.load(Ordering::Relaxed),
-            breaker_open_ns: self.inner.breaker_open_ns.load(Ordering::Relaxed),
-            degraded_lookups: self.inner.degraded_lookups.load(Ordering::Relaxed),
-            pending_resolved: self.inner.pending_resolved.load(Ordering::Relaxed),
+            register_rpcs: obs.register_rpcs.get(),
+            lookup_rpcs: obs.lookup_rpcs.get(),
+            cache_hits: obs.cache_hits.get(),
+            failovers: obs.failovers.get(),
+            batch_frames: obs.batch_frames.get(),
+            single_flight_hits: obs.single_flight_hits.get(),
+            retries: obs.retries.get(),
+            breaker_opens: obs.breaker_opens.get(),
+            breaker_fast_fails: obs.breaker_fast_fails.get(),
+            breaker_open_ns: obs.breaker_open_ns.get(),
+            degraded_lookups: obs.degraded_lookups.get(),
+            pending_resolved: obs.pending_resolved.get(),
             pending_gids: self.inner.pending.lock().len() as u64,
-            moved_redirects: self.inner.moved_redirects.load(Ordering::Relaxed),
-            epoch_refetches: self.inner.epoch_refetches.load(Ordering::Relaxed),
+            moved_redirects: obs.moved_redirects.get(),
+            epoch_refetches: obs.epoch_refetches.get(),
         }
     }
 
@@ -1763,6 +1741,86 @@ mod tests {
         assert_eq!(client2.stats().pending_resolved, 1);
         // The strict path now sees the real taint from cache.
         assert_eq!(client2.taints_for(&[gid]).unwrap()[0], real);
+        endpoint.shutdown();
+    }
+
+    #[test]
+    fn every_stats_field_reads_its_registry_instrument() {
+        let net = SimNet::new();
+        let mut endpoint = TaintMapEndpoint::builder()
+            .standby(true)
+            .connect(&net)
+            .unwrap();
+        let store1 = TaintStore::new(LocalId::new([10, 0, 0, 1], 1));
+        let client1 = endpoint.client(&net, store1.clone()).unwrap();
+        let gids = ["a", "b"]
+            .map(|v| store1.mint_source_taint(TagValue::str(v)))
+            .map(|t| client1.global_id_for(t).unwrap());
+
+        let reg = MetricsRegistry::new();
+        let store2 = TaintStore::new(LocalId::new([10, 0, 0, 2], 2));
+        let client2 = TaintMapClient::connect_topology_tuned(
+            &net,
+            endpoint.topology(),
+            store2.clone(),
+            ClientObserver::for_node(&reg, "n2", FlightRecorder::disabled()),
+            fast_resilience(),
+        )
+        .unwrap();
+        // Retry + failover: the primary dies under the kept-open
+        // connection and the replay lands on the standby. Then a cache
+        // hit and a registration of its own.
+        endpoint.crash_primary(0);
+        client2.taint_for(gids[0]).unwrap();
+        client2.taint_for(gids[0]).unwrap();
+        let own = store2.mint_source_taint(TagValue::str("own"));
+        client2.global_id_for(own).unwrap();
+        // Breaker open + degraded lookup: the whole Taint Map host is
+        // cut off; after the heal the reconciler burns the fast-fail
+        // window down to the closing probe.
+        let (src, dst) = ([10, 0, 0, 2], endpoint.topology().shard_addrs(0)[0].ip());
+        net.partition_both(src, dst);
+        assert!(client2.taints_for(&[gids[1]]).is_err());
+        assert!(client2.taints_for(&[gids[1]]).is_err());
+        client2.taints_for_degraded(&[gids[1]]).unwrap();
+        net.heal_both(src, dst);
+        assert!((0..8).any(|_| client2.reconcile_pending().unwrap() == 1));
+
+        let s = client2.stats();
+        for exercised in [
+            s.retries,
+            s.failovers,
+            s.breaker_opens,
+            s.degraded_lookups,
+            s.pending_resolved,
+        ] {
+            assert!(exercised > 0, "the run must exercise every path: {s:?}");
+        }
+        let dump = reg.snapshot();
+        let text = dump.render_text();
+        for (field, family) in [
+            (s.register_rpcs, "taintmap_register_rpcs"),
+            (s.lookup_rpcs, "taintmap_lookup_rpcs"),
+            (s.cache_hits, "taintmap_cache_hits"),
+            (s.failovers, "taintmap_failovers"),
+            (s.batch_frames, "taintmap_batch_frames"),
+            (s.single_flight_hits, "taintmap_single_flight_hits"),
+            (s.retries, "taintmap_retries"),
+            (s.breaker_opens, "taintmap_breaker_opens"),
+            (s.breaker_fast_fails, "taintmap_breaker_fast_fails"),
+            (s.breaker_open_ns, "taintmap_breaker_open_ns"),
+            (s.degraded_lookups, "taintmap_degraded_lookups"),
+            (s.pending_resolved, "taintmap_pending_resolved"),
+            (s.moved_redirects, "taintmap_moved_redirects"),
+            (s.epoch_refetches, "taintmap_epoch_refetches"),
+        ] {
+            let line = format!("{family}{{node=n2}} {field}\n");
+            assert!(text.contains(&line), "{line:?} not in:\n{text}");
+        }
+        assert_eq!(
+            dump.gauge_value("taintmap_pending_gids", &[("node", "n2")]),
+            Some(s.pending_gids as f64)
+        );
         endpoint.shutdown();
     }
 

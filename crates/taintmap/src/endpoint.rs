@@ -197,6 +197,7 @@ impl TaintMapEndpointBuilder {
                 endpoint.make_backend(i),
                 spec,
                 endpoint.wal_for(i),
+                &i.to_string(),
             )?;
             let standby = if self.standby {
                 let standby_addr = NodeAddr::new(
@@ -210,6 +211,7 @@ impl TaintMapEndpointBuilder {
                     endpoint.make_backend(i),
                     spec,
                     None,
+                    &format!("{i}-standby"),
                 )?;
                 primary.replicate_to(standby.addr())?;
                 Some(standby)
@@ -225,6 +227,7 @@ impl TaintMapEndpointBuilder {
                 spec,
                 primary_addr,
             });
+            endpoint.publish_levels(i);
         }
         Ok(endpoint)
     }
@@ -261,8 +264,7 @@ struct ActiveSplit {
     lo_gid: u32,
 }
 
-/// Resharding counters the endpoint accumulates across splits (server
-/// counters reset when a side crashes; these do not).
+/// Resharding counters the endpoint accumulates across splits.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ReshardStats {
     /// Range migrations driven to cutover.
@@ -502,6 +504,7 @@ impl TaintMapEndpoint {
             self.make_backend(i),
             spec,
             self.wal_for(i),
+            &i.to_string(),
         )?;
         // The endpoint's table is authoritative: it reflects every
         // cutover ever driven, including ones the WAL of *this* server
@@ -572,6 +575,7 @@ impl TaintMapEndpoint {
             self.make_backend(target_ext),
             spec,
             self.wal_for(target_ext),
+            &target_ext.to_string(),
         )?;
         // Pre-cutover the target serves the *current* epoch, so clients
         // that discover it early are not rejected as stale.
@@ -616,6 +620,7 @@ impl TaintMapEndpoint {
         match source.transfer_next(batch)? {
             Some(sent) => {
                 self.records_transferred += sent;
+                self.publish_levels(active.class);
                 Ok(true)
             }
             None => Ok(false),
@@ -657,6 +662,7 @@ impl TaintMapEndpoint {
         self.splits_completed += 1;
         self.active = None;
         self.push_class_table(active.class);
+        self.publish_levels(active.class);
         Ok(epoch)
     }
 
@@ -756,8 +762,24 @@ impl TaintMapEndpoint {
             .compact()
     }
 
-    /// Resharding counters accumulated by the endpoint (they survive
-    /// server crashes, unlike [`ServerStats`]).
+    /// Publishes the levels a split step or cutover of `class` changed
+    /// to their `node="taintmap"` gauges in the network's registry,
+    /// where the deployment's telemetry agent picks them up.
+    fn publish_levels(&self, class: usize) {
+        let reg = self.net.registry();
+        let node = ("node", "taintmap");
+        reg.gauge_with("taintmap_splits_completed", &[node])
+            .set(self.splits_completed as f64);
+        reg.gauge_with("taintmap_records_transferred", &[node])
+            .set(self.records_transferred as f64);
+        reg.gauge_with(
+            "taintmap_class_epoch",
+            &[node, ("class", &class.to_string())],
+        )
+        .set(self.tables[class].epoch as f64);
+    }
+
+    /// Resharding counters accumulated by the endpoint.
     pub fn reshard_stats(&self) -> ReshardStats {
         ReshardStats {
             splits_completed: self.splits_completed,

@@ -25,6 +25,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use dista_obs::Counter;
 use dista_simnet::{NetError, NodeAddr, SimFs, SimNet, TcpEndpoint};
 use parking_lot::Mutex;
 
@@ -377,6 +378,11 @@ impl TaintMapWal {
 }
 
 /// Aggregate server-side statistics (the global-taint census of §V-F).
+/// The request counts and `transferred_out` belong to the process and
+/// restart from zero with it; `moved_redirects`, `stale_epochs`,
+/// `transferred_in`, `double_writes` and `compactions` are reads of the
+/// server's `taintmap_server_*` registry counters, which a restarted
+/// server continues.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServerStats {
     /// Distinct global taints registered.
@@ -424,16 +430,18 @@ struct Migration {
 struct ServerShared {
     backend: Arc<dyn TaintMapBackend>,
     shard: ShardSpec,
+    /// Control state (`crash_after_registers`, compaction cadence).
     registers: AtomicU64,
     lookups: AtomicU64,
     batch_frames: AtomicU64,
-    moved_redirects: AtomicU64,
-    stale_epochs: AtomicU64,
-    transferred_in: AtomicU64,
     transferred_out: AtomicU64,
-    double_writes: AtomicU64,
-    compactions: AtomicU64,
     registers_at_last_compact: AtomicU64,
+    /// `taintmap_server_*{node="taintmap",shard=..}` registry counters.
+    moved_redirects: Counter,
+    stale_epochs: Counter,
+    transferred_in: Counter,
+    double_writes: Counter,
+    compactions: Counter,
     running: AtomicBool,
     config: TaintMapConfig,
     /// Armed by the `crash_after_registers` chaos knob: once set, serve
@@ -513,7 +521,7 @@ impl ServerShared {
             })
             .unwrap_or(false);
         if healthy {
-            self.double_writes.fetch_add(1, Ordering::Relaxed);
+            self.double_writes.inc();
         } else {
             migration.conn = None;
             migration.resync_from = Some(migration.resync_from.map_or(local, |r| r.min(local)));
@@ -527,7 +535,7 @@ impl ServerShared {
 
     /// The `Moved` redirect payload: this server's current class table.
     fn moved_payload(&self) -> Vec<u8> {
-        self.moved_redirects.fetch_add(1, Ordering::Relaxed);
+        self.moved_redirects.inc();
         encode_class_table(&self.table.lock())
     }
 
@@ -547,7 +555,7 @@ impl ServerShared {
         let epoch = self.epoch.load(Ordering::Relaxed);
         let moved = self.moved.lock().clone();
         let count = wal.compact(&*self.backend, self.shard, epoch, &moved);
-        self.compactions.fetch_add(1, Ordering::Relaxed);
+        self.compactions.inc();
         self.registers_at_last_compact
             .store(self.registers.load(Ordering::Relaxed), Ordering::Relaxed);
         Ok(count)
@@ -598,7 +606,8 @@ impl TaintMapServer {
     /// public face of this; it picks addresses and shard specs so the id
     /// namespaces can never overlap. A `wal` handle pointing at an
     /// existing log replays it into `backend` before the first request
-    /// is accepted.
+    /// is accepted. `shard_label` names this server's role in the
+    /// deployment (its extended index) on its registry counters.
     pub(crate) fn launch(
         net: &SimNet,
         addr: NodeAddr,
@@ -606,6 +615,7 @@ impl TaintMapServer {
         backend: Arc<dyn TaintMapBackend>,
         shard: ShardSpec,
         wal: Option<TaintMapWal>,
+        shard_label: &str,
     ) -> Result<Self, TaintMapError> {
         let listener = net.tcp_listen(addr)?;
         // Keep the wire grammar's magic gids (the all-ones negotiation
@@ -630,19 +640,24 @@ impl TaintMapServer {
                 addrs: vec![m.target],
             });
         }
+        let labels = [("node", "taintmap"), ("shard", shard_label)];
+        let counter = |fact: &str| {
+            net.registry()
+                .counter_with(&format!("taintmap_server_{fact}"), &labels)
+        };
         let shared = Arc::new(ServerShared {
             backend,
             shard,
             registers: AtomicU64::new(0),
             lookups: AtomicU64::new(0),
             batch_frames: AtomicU64::new(0),
-            moved_redirects: AtomicU64::new(0),
-            stale_epochs: AtomicU64::new(0),
-            transferred_in: AtomicU64::new(0),
             transferred_out: AtomicU64::new(0),
-            double_writes: AtomicU64::new(0),
-            compactions: AtomicU64::new(0),
             registers_at_last_compact: AtomicU64::new(0),
+            moved_redirects: counter("moved_redirects"),
+            stale_epochs: counter("stale_epochs"),
+            transferred_in: counter("transferred_in"),
+            double_writes: counter("double_writes"),
+            compactions: counter("compactions"),
             running: AtomicBool::new(true),
             config,
             crash_now: AtomicBool::new(false),
@@ -909,12 +924,12 @@ impl TaintMapServer {
             register_requests: self.shared.registers.load(Ordering::Relaxed),
             lookup_requests: self.shared.lookups.load(Ordering::Relaxed),
             batch_frames: self.shared.batch_frames.load(Ordering::Relaxed),
-            moved_redirects: self.shared.moved_redirects.load(Ordering::Relaxed),
-            stale_epochs: self.shared.stale_epochs.load(Ordering::Relaxed),
-            transferred_in: self.shared.transferred_in.load(Ordering::Relaxed),
+            moved_redirects: self.shared.moved_redirects.get(),
+            stale_epochs: self.shared.stale_epochs.get(),
+            transferred_in: self.shared.transferred_in.get(),
             transferred_out: self.shared.transferred_out.load(Ordering::Relaxed),
-            double_writes: self.shared.double_writes.load(Ordering::Relaxed),
-            compactions: self.shared.compactions.load(Ordering::Relaxed),
+            double_writes: self.shared.double_writes.get(),
+            compactions: self.shared.compactions.get(),
         }
     }
 
@@ -1027,7 +1042,7 @@ fn serve_data(
     };
     let current = shared.epoch.load(Ordering::Relaxed);
     if stamp < current {
-        shared.stale_epochs.fetch_add(1, Ordering::Relaxed);
+        shared.stale_epochs.inc();
         return (RESP_STALE_EPOCH, current.to_be_bytes().to_vec());
     }
     serve_items(shared, &mut r).unwrap_or((RESP_ERR, vec![0xFF]))
@@ -1093,9 +1108,7 @@ fn serve_transfer_batch(shared: &ServerShared, payload: &[u8]) -> Reply {
             accepted += 1;
         }
     }
-    shared
-        .transferred_in
-        .fetch_add(u64::from(accepted), Ordering::Relaxed);
+    shared.transferred_in.add(u64::from(accepted));
     (RESP_OK, accepted.to_be_bytes().to_vec())
 }
 
@@ -1130,6 +1143,7 @@ mod tests {
             Arc::new(InMemoryBackend::new()),
             ShardSpec::default(),
             None,
+            &addr.to_string(),
         )
         .unwrap()
     }
@@ -1288,6 +1302,7 @@ mod tests {
             Arc::new(InMemoryBackend::new()),
             ShardSpec { index: 2, count: 4 },
             None,
+            "0",
         )
         .unwrap();
         let conn = net.tcp_connect(server.addr()).unwrap();
@@ -1365,6 +1380,7 @@ mod tests {
             Arc::new(InMemoryBackend::new()),
             ShardSpec::default(),
             Some(wal.clone()),
+            "0",
         )
         .unwrap();
         let conn = net.tcp_connect(addr).unwrap();
@@ -1381,6 +1397,7 @@ mod tests {
             Arc::new(InMemoryBackend::new()),
             ShardSpec::default(),
             Some(wal),
+            "0",
         )
         .unwrap();
         assert_eq!(reborn.replayed(), 2);
@@ -1410,6 +1427,7 @@ mod tests {
             Arc::new(InMemoryBackend::new()),
             ShardSpec::default(),
             Some(wal.clone()),
+            "0",
         )
         .unwrap();
         let conn = net.tcp_connect(addr).unwrap();
@@ -1432,6 +1450,7 @@ mod tests {
             Arc::new(InMemoryBackend::new()),
             ShardSpec::default(),
             Some(wal),
+            "0",
         )
         .unwrap();
         assert_eq!(reborn.replayed(), 3, "zero lost registrations");

@@ -12,9 +12,10 @@ use dista_repro::core::{Cluster, FaultPlan, Mode, ReshardPlan};
 use dista_repro::jre::{InputStream, OutputStream, ServerSocket, Socket};
 use dista_repro::obs::{ObsConfig, ObsEventKind};
 use dista_repro::simnet::{
-    FaultConfig, MigrationVictim, NetError, NodeAddr, Reactor, SimNet, Token,
+    FaultConfig, MigrationVictim, NetError, NodeAddr, Reactor, SimFs, SimNet, Token,
 };
 use dista_repro::taint::{Payload, TagValue, TaintedBytes};
+use dista_repro::taintmap::TaintMapEndpoint;
 
 const RX_IP: [u8; 4] = [10, 0, 0, 2];
 const TM_IP: [u8; 4] = [10, 0, 0, 99];
@@ -42,7 +43,7 @@ fn run_chaos_scenario(seed: u64) -> ChaosWitness {
     let mut cluster = Cluster::builder(Mode::Dista)
         .nodes("c", 2)
         .observability(ObsConfig::default())
-        .taint_map_snapshots(true)
+        .taint_map_endpoint(TaintMapEndpoint::builder().snapshots(SimFs::new()))
         .chaos(plan)
         .build()
         .unwrap();
@@ -332,8 +333,11 @@ fn reshard_survives_crash_during_migration() {
     let mut cluster = Cluster::builder(Mode::Dista)
         .nodes("r", 2)
         .observability(ObsConfig::default())
-        .taint_map_shards(2)
-        .taint_map_snapshots(true)
+        .taint_map_endpoint(
+            TaintMapEndpoint::builder()
+                .shards(2)
+                .snapshots(SimFs::new()),
+        )
         .build()
         .unwrap();
     let taints: Vec<_> = (0..96)
@@ -393,7 +397,7 @@ fn reshard_survives_crash_during_migration() {
     assert!(heals >= 1, "the interrupted split healed");
     assert_eq!(splits, vec![(0, 1), (1, 1)]);
 
-    // Deployment-level counters are mirrored under node="taintmap".
+    // The endpoint publishes its levels under node="taintmap".
     let dump = cluster.metrics_dump();
     assert_eq!(
         dump.gauge_value("taintmap_splits_completed", &[("node", "taintmap")]),
@@ -444,7 +448,7 @@ fn crashed_vm_is_unreachable_until_restarted() {
     drop(server.accept().unwrap());
     drop(back);
 
-    // Both injections were mirrored into the chaos event stream.
+    // Both injections were replayed into the chaos event stream.
     cluster.poll_chaos().unwrap();
     let faults: Vec<String> = cluster
         .obs_events()

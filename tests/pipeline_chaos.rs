@@ -114,7 +114,7 @@ fn broker_outage_mid_pipeline_heals_with_no_lost_or_stale_tags() {
     }
     for &gid in &outcome.record_gids {
         assert_ne!(gid, 0);
-        let trace = outcome.cluster.provenance_stitched(gid);
+        let trace = outcome.cluster.provenance(gid);
         assert!(
             trace.pending_all_resolved(),
             "gid {gid}: every Pending hop pairs with a later Resolved\n{trace}"
@@ -177,7 +177,7 @@ proptest! {
             );
         }
         for &gid in &outcome.record_gids {
-            let trace = outcome.cluster.provenance_stitched(gid);
+            let trace = outcome.cluster.provenance(gid);
             prop_assert!(trace.pending_all_resolved());
         }
     }

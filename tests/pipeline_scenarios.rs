@@ -54,7 +54,7 @@ fn dista_v2_pipeline_is_sound_precise_and_exactly_traced() {
     // One provenance call renders one hop-by-hop trace spanning all
     // three systems — exact on the homogeneous v2 wire.
     for &gid in &outcome.record_gids {
-        let trace = outcome.cluster.provenance_stitched(gid);
+        let trace = outcome.cluster.provenance(gid);
         assert!(trace.exact, "v2 wire pairs every crossing exactly");
         let systems = pipeline::systems_spanned(&trace);
         assert!(systems.len() >= 3, "gid {gid} spanned only {systems:?}");
@@ -96,7 +96,7 @@ fn v1_wire_still_spans_three_systems_via_inference() {
     }
     let gid = outcome.record_gids[0];
     assert_ne!(gid, 0);
-    let trace = outcome.cluster.provenance_stitched(gid);
+    let trace = outcome.cluster.provenance(gid);
     assert!(
         !trace.exact,
         "v1 has no span annotations; stitching falls back to inference"
@@ -205,7 +205,7 @@ fn seeded_misroute_is_caught_and_attributed_to_the_right_tenants() {
 
     // Provenance attributes the leak end to end: minted on the victim
     // tenant's producer, sunk on the other tenant's consumer.
-    let trace = outcome.cluster.provenance_stitched(hit.gid);
+    let trace = outcome.cluster.provenance(hit.gid);
     let nodes = trace.nodes();
     assert!(
         nodes.contains(&format!("amq-prod-{from}").as_str()),

@@ -4,11 +4,14 @@
 //! v1-only cluster falls back to. Mixed clusters with v1 stragglers
 //! keep reconstructing — they just lose the exactness flag.
 
-use dista_repro::core::{Cluster, Mode};
+use std::collections::BTreeSet;
+
+use dista_repro::core::{Cluster, Mode, ReshardPlan};
 use dista_repro::jre::{InputStream, OutputStream, ServerSocket, Socket, WireProtocol};
-use dista_repro::obs::{Hop, ObsConfig};
+use dista_repro::obs::{reconstruct_inferred, Hop, ObsConfig};
 use dista_repro::simnet::NodeAddr;
 use dista_repro::taint::{Payload, TagValue, TaintedBytes};
+use dista_repro::taintmap::TaintMapEndpoint;
 
 /// Drives tainted bytes n1 → n2 → n3 over two socket hops and returns
 /// the Global ID the taint registered under.
@@ -82,7 +85,7 @@ fn all_v2_relay_builds_exact_span_trace() {
     // The span-built trace must agree with (and be flagged exact
     // against) the gid-matching reconstruction on this unambiguous
     // path — the annotations change confidence, not the story.
-    let inferred = cluster.provenance_inferred(gid);
+    let inferred = reconstruct_inferred(&cluster.obs_events(), gid);
     assert!(!inferred.exact, "inferred view never claims exactness");
     assert_eq!(exact.hops, inferred.hops);
     cluster.shutdown();
@@ -152,4 +155,47 @@ fn partially_upgraded_relay_keeps_both_hops() {
     assert_eq!(spans[0], 0, "v1 first hop has no span");
     assert_ne!(spans[1], 0, "v2 second hop minted a crossing span");
     cluster.shutdown();
+}
+
+#[test]
+fn every_exported_family_is_documented() {
+    // One of everything that registers an instrument: a tainted relay,
+    // a netty message each way, a live reshard.
+    let mut cluster = Cluster::builder(Mode::Dista)
+        .nodes("n", 3)
+        .observability(ObsConfig::default())
+        .taint_map_endpoint(TaintMapEndpoint::builder().shards(2))
+        .build()
+        .unwrap();
+    relay_secret(&cluster);
+    let pipeline = dista_repro::netty::Pipeline::new();
+    let msg = pipeline.run_outbound(Payload::Plain(b"m".to_vec()), cluster.vm(0));
+    pipeline.run_inbound(msg, cluster.vm(1));
+    cluster.reshard(&ReshardPlan::new().split(0)).unwrap();
+    let exported: BTreeSet<String> = cluster
+        .metrics_dump()
+        .samples
+        .into_iter()
+        .map(|s| s.name)
+        .collect();
+    cluster.shutdown();
+
+    // The catalogue: first cell of every `| `family` | …` row of the
+    // DESIGN.md §4b table.
+    let design = include_str!("../DESIGN.md");
+    let section = design
+        .split("## 4b. Observability")
+        .nth(1)
+        .and_then(|rest| rest.split("\n## ").next())
+        .expect("DESIGN.md has a §4b");
+    let documented: BTreeSet<String> = section
+        .lines()
+        .filter_map(|line| line.strip_prefix("| `"))
+        .filter_map(|row| row.split('`').next())
+        .map(str::to_string)
+        .collect();
+    assert_eq!(
+        exported, documented,
+        "metrics_dump() families (left) vs the DESIGN.md §4b table (right)"
+    );
 }
