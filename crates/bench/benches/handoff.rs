@@ -1,36 +1,33 @@
-//! What one blocking thread hand-off costs, against the same-process
-//! floor.
+//! The hand-off gate: what one blocking thread hand-off costs, against
+//! the same-process floor.
 //!
 //! Every RPC in the repo (Taint Map register/lookup, RocketMQ send/pull,
 //! HBase put/get) is a request written to a SimNet pipe, a server thread
 //! woken out of a blocking read, a reply written back, and the client
 //! woken out of *its* blocking read: two hand-offs per round trip. The
 //! paper's "low marginal cost" claim rests on that round trip being
-//! cheap, so this bench pins it next to what the host can do at best:
+//! cheap, so this target pins it next to what the host can do at best:
 //!
-//! * `mpsc_pingpong` — `std::sync::mpsc` ping-pong with an echo thread,
-//!   the same-process floor (a futex wait and a futex wake per hop).
-//! * `simnet_tcp_pingpong` — the same ping-pong over a blocking SimNet
-//!   TCP connection: a 240 B request and a 17 B reply, each read the way
+//! * mpsc — `std::sync::mpsc` ping-pong with an echo thread, the
+//!   same-process floor (a futex wait and a futex wake per hop).
+//! * SimNet — the same ping-pong over a blocking SimNet TCP connection:
+//!   a 240 B request and a 17 B reply, each read the way
 //!   `taintmap::proto::read_frame` frames its stream (op, length,
 //!   payload).
-//! * `taintmap_register_lookup` — one never-seen taint registered by one
-//!   VM and resolved by a cache-cold other: two real Taint Map RPCs.
 //!
-//! `--smoke` skips the criterion groups and runs the CI gate instead:
-//! SimNet and mpsc round trips are timed in this one process and the run
-//! exits non-zero if SimNet costs more than [`GATE_RATIO`]× the floor. A
-//! ratio, so the host's speed state cancels. Run it on one core
-//! (`taskset -c 0`), like the crossing benchmark confines its workloads:
-//! across cores the wake-up latency of the host dominates both sides.
+//! Both are timed in this one process and the run exits non-zero if
+//! SimNet costs more than [`GATE_RATIO`]× the floor. A ratio, so the
+//! host's speed state cancels. Run it on one core (`taskset -c 0`), like
+//! the crossing benchmark confines its workloads: across cores the
+//! wake-up latency of the host dominates both sides. What a real Taint
+//! Map round trip costs is `taintmap.{register,lookup}_us` in
+//! `benchmark/`.
 
+use std::hint::black_box;
 use std::sync::mpsc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use criterion::{black_box, Criterion};
 use dista_simnet::{NodeAddr, SimNet, TcpEndpoint};
-use dista_taint::{LocalId, TagValue, TaintStore};
-use dista_taintmap::{TaintMapClient, TaintMapEndpoint};
 
 const REQUEST_LEN: usize = 240;
 const REPLY_LEN: usize = 17;
@@ -107,41 +104,6 @@ fn with_mpsc_pingpong<R>(body: impl FnOnce(&mut dyn FnMut()) -> R) -> R {
     })
 }
 
-/// Runs `body` with a closure that registers one fresh taint from one
-/// VM and resolves it from another (no cache can answer either RPC).
-fn with_taintmap_roundtrip<R>(body: impl FnOnce(&mut dyn FnMut()) -> R) -> R {
-    let net = SimNet::new();
-    let endpoint = TaintMapEndpoint::builder().connect(&net).expect("endpoint");
-    let writer_store = TaintStore::new(LocalId::new([10, 0, 1, 1], 1));
-    let writer = TaintMapClient::connect_topology(&net, endpoint.topology(), writer_store.clone())
-        .expect("writer connect");
-    let reader_store = TaintStore::new(LocalId::new([10, 0, 1, 2], 2));
-    let reader = TaintMapClient::connect_topology(&net, endpoint.topology(), reader_store)
-        .expect("reader connect");
-    let mut next = 0i64;
-    let out = body(&mut || {
-        next += 1;
-        let taint = writer_store.mint_source_taint(TagValue::Int(next));
-        let gid = writer.global_id_for(taint).expect("register");
-        black_box(reader.taint_for(gid).expect("lookup"));
-    });
-    endpoint.shutdown();
-    out
-}
-
-fn bench_handoffs(c: &mut Criterion) {
-    let mut group = c.benchmark_group("handoff");
-    group
-        .sample_size(20)
-        .measurement_time(Duration::from_secs(2));
-    with_mpsc_pingpong(|rt| group.bench_function("mpsc_pingpong", |b| b.iter(&mut *rt)));
-    with_simnet_pingpong(|rt| group.bench_function("simnet_tcp_pingpong", |b| b.iter(&mut *rt)));
-    with_taintmap_roundtrip(|rt| {
-        group.bench_function("taintmap_register_lookup", |b| b.iter(&mut *rt))
-    });
-    group.finish();
-}
-
 /// Fastest of `batches` mean round-trip times, in nanoseconds. The
 /// fastest batch is the one the host disturbed least.
 fn best_rtt_ns(rt: &mut dyn FnMut(), batches: usize, per_batch: u32) -> f64 {
@@ -159,8 +121,7 @@ fn best_rtt_ns(rt: &mut dyn FnMut(), batches: usize, per_batch: u32) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
-/// The CI gate; returns whether it passed.
-fn gate() -> bool {
+fn main() {
     let mpsc_ns = with_mpsc_pingpong(|rt| best_rtt_ns(rt, 10, 5_000));
     let simnet_ns = with_simnet_pingpong(|rt| best_rtt_ns(rt, 10, 5_000));
     let ratio = simnet_ns / mpsc_ns;
@@ -170,15 +131,7 @@ fn gate() -> bool {
          ratio={ratio:.2} limit={GATE_RATIO:.2} {}",
         if ok { "ok" } else { "FAILED" }
     );
-    ok
-}
-
-fn main() {
-    if std::env::args().any(|a| a == "--smoke") {
-        if !gate() {
-            std::process::exit(1);
-        }
-        return;
+    if !ok {
+        std::process::exit(1);
     }
-    bench_handoffs(&mut Criterion::default().configure_from_args());
 }

@@ -85,8 +85,8 @@ fn observed_run(size: usize, case_idx: usize, print_metrics: bool, print_trace: 
     for node in ["net1", "net2"] {
         // The 4.5x-5.5x record-format band applies to v1 traffic only.
         // V2's adaptive frames sit near 1.0x by design and get their own
-        // gate in the boundary_codec --wire-v2 sweep, so a v2-carrying
-        // node must never trip this band.
+        // gate (`prop_codec::one_percent_tainted_mib_expands_at_most_1_2x_under_v2`),
+        // so a v2-carrying node must never trip this band.
         if let Some(ratio) = wire_expansion(&dump, node, "v1") {
             senders_seen += 1;
             let ok = ratio >= BAND.0 && ratio <= BAND.1;

@@ -1,7 +1,9 @@
-//! # dista-bench — the experiment harness
+//! # dista-bench — the paper's tables and claims
 //!
 //! One target per table/claim of the paper's evaluation (see the
-//! experiment index in `DESIGN.md`):
+//! experiment index in `DESIGN.md`). Speed is measured by `benchmark/`
+//! (`BENCHMARK.json`), behaviour is gated by the test suites; nothing
+//! here does either (DESIGN.md §4j).
 //!
 //! | target | artifact |
 //! |---|---|
@@ -9,12 +11,13 @@
 //! | `bin/table2_micro_soundness` | Table II — RQ1 over the 30 cases |
 //! | `bin/table3_systems` | Table III — systems/protocols/workloads |
 //! | `bin/table4_scenarios` | Table IV — SDT/SIM sources & sinks |
-//! | `bench/table5_micro` + `bin/table5_overhead` | Table V — micro overhead |
+//! | `bin/table5_overhead` | Table V — micro overhead |
 //! | `bin/table6_systems_overhead` | Table VI — real-system overhead |
 //! | `bin/claim_net_overhead` | §V-F ≈5× network bytes |
 //! | `bin/claim_global_taints` | §V-F global-taint census & scaling |
 //! | `bin/table_usability` | §V-E launch-script LOC |
-//! | `bench/taint_tree`, `bench/wire_format`, `bench/gid_width`, `bench/taintmap_throughput` | design ablations |
+//! | `bin/pipeline` + [`pipeline`] | cross-system scenarios (driven by `tests/pipeline_*.rs`); the bin prints one provenance trace |
+//! | `benches/handoff` | CI gate: SimNet round trip ≤ 2× an mpsc round trip (self-timed, exit status) |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

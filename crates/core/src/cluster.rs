@@ -1172,8 +1172,9 @@ mod tests {
         let received = cross_tainted(&cluster, 80);
         assert_eq!(cluster.pending_gids(), 1);
         assert!(cluster.vm(1).store().tag_values(received)[0].starts_with("pending-gid:"));
-        let text = scrape_until(&cluster, "taintmap_pending_gids{node=\"n2\"} 1\n");
-        assert!(text.contains("taintmap_register_rpcs{node=\"n1\"} 1\n"));
+        scrape_until(&cluster, "taintmap_pending_gids{node=\"n2\"} 1\n");
+        // n1's agent ticks on its own phase: wait for it too.
+        scrape_until(&cluster, "taintmap_register_rpcs{node=\"n1\"} 1\n");
 
         cluster.net().heal_both(rx_ip, tm_ip);
         assert_eq!(cluster.reconcile_pending().unwrap(), 1);

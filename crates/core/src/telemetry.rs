@@ -9,6 +9,9 @@
 //!   a one-role-byte protocol: `b'A'` opens a long-lived agent stream
 //!   of `[u32-BE length][delta frame]` messages; `b'S'` / `b'J'`
 //!   request one length-prefixed text / JSON scrape and then close.
+//!   No length prefix may announce more than 16 MiB: the
+//!   server hangs up on an agent that does, the scraper returns an
+//!   error on a response that does.
 //!   The scrape endpoint lives *inside* the simulation — any node can
 //!   `tcp_connect` to it, exactly like a Prometheus target.
 //! * [`AgentRuntime`] — a per-VM thread driving one [`TelemetryAgent`]
@@ -64,6 +67,11 @@ impl Default for TelemetryConfig {
         }
     }
 }
+
+/// Largest delta frame or scrape response either side accepts. A length
+/// prefix is four bytes from a peer; without a cap it sizes a buffer of
+/// up to 4 GiB.
+const MAX_FRAME_LEN: usize = 16 << 20;
 
 /// How often server/agent threads wake to check their stop flag while
 /// parked in `Reactor::poll`. Bounds shutdown latency, nothing else.
@@ -180,7 +188,8 @@ fn serve(listener: TcpListener, collector: &Collector, stop: &AtomicBool) {
 
 /// Drains readable bytes from one connection and advances its protocol
 /// state. Returns `false` when the connection is finished (EOF, error,
-/// scrape answered, or bad role byte) and should be dropped.
+/// scrape answered, bad role byte, or an agent frame announced past
+/// [`MAX_FRAME_LEN`]) and should be dropped.
 fn service(conn: &mut Conn, collector: &Collector, scratch: &mut [u8]) -> bool {
     loop {
         match conn.ep.try_read(scratch) {
@@ -211,7 +220,9 @@ fn service(conn: &mut Conn, collector: &Collector, scratch: &mut [u8]) -> bool {
                         _ => return false,
                     }
                 }
-                drain_agent_frames(conn, collector);
+                if !drain_agent_frames(conn, collector) {
+                    return false;
+                }
             }
             Err(NetError::WouldBlock) => return true,
             Err(_) => return false,
@@ -219,12 +230,18 @@ fn service(conn: &mut Conn, collector: &Collector, scratch: &mut [u8]) -> bool {
     }
 }
 
-fn drain_agent_frames(conn: &mut Conn, collector: &Collector) {
+/// Ingests every complete frame buffered on an agent stream. Returns
+/// `false` when the next frame announces more than [`MAX_FRAME_LEN`]
+/// bytes: the caller drops the connection instead of buffering it.
+fn drain_agent_frames(conn: &mut Conn, collector: &Collector) -> bool {
     if conn.role != ROLE_AGENT {
-        return;
+        return true;
     }
     while conn.buf.len() >= 4 {
         let len = u32::from_be_bytes([conn.buf[0], conn.buf[1], conn.buf[2], conn.buf[3]]) as usize;
+        if len > MAX_FRAME_LEN {
+            return false;
+        }
         if conn.buf.len() < 4 + len {
             break;
         }
@@ -233,6 +250,7 @@ fn drain_agent_frames(conn: &mut Conn, collector: &Collector) {
         let _ = collector.ingest(&frame);
         conn.buf.drain(..4 + len);
     }
+    true
 }
 
 fn respond(ep: &TcpEndpoint, payload: &[u8]) {
@@ -421,9 +439,10 @@ impl TelemetryPlane {
     ///
     /// # Errors
     ///
-    /// Transport errors reaching the collector.
+    /// Transport errors reaching the collector, or a protocol error if
+    /// the response announces more than the telemetry frame cap.
     pub fn scrape_text(&self) -> Result<String, DistaError> {
-        self.scrape(ROLE_SCRAPE_TEXT)
+        scrape(&self.net, self.config.addr, ROLE_SCRAPE_TEXT)
     }
 
     /// JSON scrape over the network; see [`TelemetryPlane::scrape_text`].
@@ -432,19 +451,7 @@ impl TelemetryPlane {
     ///
     /// Transport errors reaching the collector.
     pub fn scrape_json(&self) -> Result<String, DistaError> {
-        self.scrape(ROLE_SCRAPE_JSON)
-    }
-
-    fn scrape(&self, role: u8) -> Result<String, DistaError> {
-        let map_net = |e: NetError| DistaError::from(dista_jre::JreError::from(e));
-        let ep = self.net.tcp_connect(self.config.addr).map_err(map_net)?;
-        ep.write(&[role]).map_err(map_net)?;
-        let mut len = [0u8; 4];
-        ep.read_exact(&mut len).map_err(map_net)?;
-        let mut payload = vec![0u8; u32::from_be_bytes(len) as usize];
-        ep.read_exact(&mut payload).map_err(map_net)?;
-        ep.close();
-        Ok(String::from_utf8_lossy(&payload).into_owned())
+        scrape(&self.net, self.config.addr, ROLE_SCRAPE_JSON)
     }
 
     /// Stops agents (each flushes its final delta), waits for the
@@ -460,6 +467,27 @@ impl TelemetryPlane {
         self.server.stop();
         self.server.collector().clone()
     }
+}
+
+/// One scrape of the collector at `addr`: dial, send the role byte, read
+/// one length-prefixed response of at most [`MAX_FRAME_LEN`] bytes.
+fn scrape(net: &SimNet, addr: NodeAddr, role: u8) -> Result<String, DistaError> {
+    let map_net = |e: NetError| DistaError::from(dista_jre::JreError::from(e));
+    let ep = net.tcp_connect(addr).map_err(map_net)?;
+    ep.write(&[role]).map_err(map_net)?;
+    let mut len = [0u8; 4];
+    ep.read_exact(&mut len).map_err(map_net)?;
+    let len = u32::from_be_bytes(len) as usize;
+    if len > MAX_FRAME_LEN {
+        return Err(dista_jre::JreError::Protocol(
+            "telemetry scrape response announces more than the frame cap",
+        )
+        .into());
+    }
+    let mut payload = vec![0u8; len];
+    ep.read_exact(&mut payload).map_err(map_net)?;
+    ep.close();
+    Ok(String::from_utf8_lossy(&payload).into_owned())
 }
 
 #[cfg(test)]
@@ -580,6 +608,57 @@ mod tests {
         }
         assert_eq!(server.collector().frames_ingested(), 0);
         server.stop();
+    }
+
+    #[test]
+    fn agent_frame_announced_past_the_cap_drops_the_connection() {
+        let net = SimNet::new();
+        let addr = NodeAddr::new([10, 0, 0, 200], 9100);
+        let listener = net.tcp_listen(addr).unwrap();
+        let agent = net.tcp_connect(addr).unwrap();
+        let mut conn = Conn {
+            ep: listener.accept().unwrap(),
+            role: 0,
+            buf: Vec::new(),
+        };
+        let collector = Collector::with_config(CollectorConfig::default());
+        // The announcement, then the first 64 KiB of the "frame".
+        let mut msg = vec![ROLE_AGENT];
+        msg.extend_from_slice(&u32::MAX.to_be_bytes());
+        msg.resize(msg.len() + 64 * 1024, 0);
+        agent.write(&msg).unwrap();
+        let mut scratch = [0u8; 4096];
+        assert!(
+            !service(&mut conn, &collector, &mut scratch),
+            "the server must hang up, not wait for 4 GiB"
+        );
+        assert!(
+            conn.buf.len() <= scratch.len(),
+            "nothing past the first read is buffered"
+        );
+        // `serve` drops a finished connection; the agent sees it closed.
+        drop(conn);
+        assert_eq!(agent.write(b"x"), Err(NetError::Closed));
+        assert_eq!(collector.frames_ingested(), 0);
+    }
+
+    #[test]
+    fn scrape_response_announced_past_the_cap_is_a_protocol_error() {
+        let net = SimNet::new();
+        let hostile = NodeAddr::new([10, 0, 0, 66], 9100);
+        let listener = net.tcp_listen(hostile).unwrap();
+        let answer = std::thread::spawn(move || {
+            let ep = listener.accept().unwrap();
+            let mut role = [0u8; 1];
+            ep.read_exact(&mut role).unwrap();
+            ep.write(&u32::MAX.to_be_bytes()).unwrap();
+            ep.close();
+        });
+        assert!(matches!(
+            scrape(&net, hostile, ROLE_SCRAPE_TEXT),
+            Err(DistaError::Jre(dista_jre::JreError::Protocol(_)))
+        ));
+        answer.join().unwrap();
     }
 
     #[test]

@@ -18,9 +18,8 @@
 //!   trait.
 //!
 //! The old per-byte codec is kept verbatim in [`mod@reference`] as the
-//! measured baseline and as the conformance oracle: the property suite
-//! (`tests/prop_codec.rs`) and the `boundary_codec --smoke` CI gate both
-//! pin the fast path's output bit-for-bit against it.
+//! conformance oracle: the property suite (`tests/prop_codec.rs`) pins
+//! the fast path's output bit-for-bit against it.
 
 use dista_taint::GlobalId;
 
@@ -273,9 +272,8 @@ impl WireCodec for V1Codec {
     }
 }
 
-/// The pre-fast-path per-byte codec, kept as the measured baseline for
-/// `boundary_codec` and as the conformance oracle the fast path is
-/// pinned against. Structure intentionally mirrors the old
+/// The pre-fast-path per-byte codec, kept as the conformance oracle the
+/// fast path is pinned against. Structure intentionally mirrors the old
 /// `boundary::encode_wire`/`decode_wire` inner loops.
 pub mod reference {
     use super::{check_width, gid_from_wire, GlobalId, JreError, WireRun};

@@ -200,3 +200,44 @@ proptest! {
         );
     }
 }
+
+/// The shape adaptive v2 framing exists for — 1 MiB of mostly clean
+/// bytes with 64-byte tainted islands covering 1% of it, every island a
+/// different gid — ships at ≤ 1.2× under v2 and at exactly
+/// `(1 + width)×` under v1. Byte counts only: deterministic, no timing.
+#[test]
+fn one_percent_tainted_mib_expands_at_most_1_2x_under_v2() {
+    const SIZE: usize = 1024 * 1024;
+    const ISLAND: usize = 64;
+    const WIDTH: usize = 4;
+    let data: Vec<u8> = (0..SIZE).map(|i| (i as u8).wrapping_mul(31)).collect();
+    let runs: Vec<(usize, GlobalId)> = (0..SIZE / (ISLAND * 100))
+        .flat_map(|i| {
+            [
+                (ISLAND * 99, GlobalId::UNTAINTED),
+                (ISLAND, GlobalId(40 + i as u32)),
+            ]
+        })
+        .chain([(SIZE % (ISLAND * 100), GlobalId::UNTAINTED)])
+        .collect();
+    assert_eq!(runs.iter().map(|r| r.0).sum::<usize>(), SIZE);
+    let tainted: usize = runs.iter().filter(|r| r.1.is_tainted()).map(|r| r.0).sum();
+    assert!(
+        (SIZE / 101..=SIZE / 100).contains(&tainted),
+        "1% of the bytes"
+    );
+
+    let mut wire = Vec::new();
+    V1Codec::new(WIDTH)
+        .encode_into(&data, &runs, &mut wire)
+        .unwrap();
+    assert_eq!(wire.len(), SIZE * (1 + WIDTH));
+    V2Codec::new(WIDTH)
+        .encode_into(&data, &runs, &mut wire)
+        .unwrap();
+    assert!(
+        wire.len() * 10 <= SIZE * 12,
+        "v2 shipped {} wire bytes for {SIZE} data bytes",
+        wire.len()
+    );
+}

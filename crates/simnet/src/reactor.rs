@@ -329,9 +329,9 @@ impl ReactorInner {
 
 /// The readiness poller. Clones share one reactor.
 ///
-/// See the module docs for the polling discipline; `bench`'s
-/// `cluster_load` bin is the scale consumer, the conformance suite the
-/// semantics pin.
+/// See the module docs for the polling discipline; the conformance
+/// suite (`tests/reactor_conformance.rs`) pins the semantics, and its
+/// 10 000-connection case the scale.
 #[derive(Clone)]
 pub struct Reactor {
     inner: Arc<ReactorInner>,

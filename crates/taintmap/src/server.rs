@@ -41,8 +41,8 @@ use crate::shard::{ClassTable, ShardRange, ShardSpec};
 /// Server tuning knobs.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TaintMapConfig {
-    /// Artificial per-request service time, used by the bottleneck
-    /// ablation (`bench/taintmap_throughput`). Zero = no throttle. The
+    /// Artificial per-request service time, for a bottleneck ablation
+    /// (§III-D: is one Taint Map acceptable?). Zero = no throttle. The
     /// delay is charged once per *frame*, so a request pays it once
     /// however many items it carries.
     pub service_delay: Duration,
@@ -366,14 +366,6 @@ impl TaintMapWal {
             pos += 1 + consumed;
         }
         rec
-    }
-
-    /// Replays the log (and any snapshot) into `backend`, returning the
-    /// number of data records restored. Compatibility wrapper around
-    /// [`TaintMapWal::recover_into`].
-    pub fn replay_into(&self, backend: &dyn TaintMapBackend, shard: ShardSpec) -> u64 {
-        let rec = self.recover_into(backend, shard);
-        rec.snapshot_records + rec.wal_data_records
     }
 }
 

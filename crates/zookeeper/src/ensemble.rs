@@ -2,6 +2,7 @@
 //! client service (leader + commit channels to followers).
 
 use std::collections::HashMap;
+use std::time::{Duration, Instant};
 
 use dista_jre::{JreError, ObjValue, ObjectInputStream, ObjectOutputStream, Socket, Vm};
 use dista_simnet::NodeAddr;
@@ -9,6 +10,10 @@ use parking_lot::Mutex;
 
 use crate::election::{run_election, ElectionOutcome, PeerConfig};
 use crate::server::{Role, ServerCore, ZkClient, ZkServerHandle};
+
+/// How long [`ZkEnsemble::start`] waits for the leader to register the
+/// followers' commit channels (normally microseconds).
+const ATTACH_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Ensemble configuration.
 #[derive(Debug, Clone)]
@@ -103,6 +108,18 @@ impl ZkEnsemble {
 
             client_addrs.insert((i + 1) as i64, addr);
             servers.push(handle);
+        }
+        // The leader registers each commit channel on that session's own
+        // thread: a write accepted before it got there would never be
+        // broadcast to that follower.
+        let deadline = Instant::now() + ATTACH_TIMEOUT;
+        while leader_handle.attached_followers() < servers.len() {
+            if Instant::now() > deadline {
+                return Err(JreError::Protocol(
+                    "leader never registered a follower's commit channel",
+                ));
+            }
+            std::thread::yield_now();
         }
         servers.push(leader_handle);
         Ok(ZkEnsemble {

@@ -316,6 +316,15 @@ impl ZkServerHandle {
         });
     }
 
+    /// Commit channels the leader has registered so far (0 on a
+    /// follower).
+    pub(crate) fn attached_followers(&self) -> usize {
+        match &self.core.role {
+            Role::Leader { followers } => followers.lock().len(),
+            _ => 0,
+        }
+    }
+
     /// Number of entries in this member's local tree (replication lag
     /// diagnostics in tests).
     pub fn local_tree_len(&self) -> usize {
