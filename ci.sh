@@ -47,6 +47,11 @@ for seed in 7 42 1337; do
     DISTA_CHAOS_SEED="$seed" cargo test -q --offline --test pipeline_chaos
 done
 
+echo "==> benchmark/smoke.sh (the benchmark builds against the crates' public API; every op of all five workloads verifies)"
+# The benchmark is a workspace of its own, so nothing above compiles it.
+# Not a measurement: 1% of the op counts, nothing appended to its history.
+./benchmark/smoke.sh
+
 echo "==> hand-off gate: SimNet blocking round trip <= 2x the mpsc round trip of the same process"
 # Built on every core first; the run itself is confined to one core,
 # like the crossing benchmark confines its workloads. Left to the

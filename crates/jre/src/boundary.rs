@@ -30,17 +30,14 @@
 //! the *parameter buffer's* prior taint — i.e. nothing — so inter-node
 //! taints are silently lost. In [`Mode::Original`] payloads stay plain.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 
 use dista_obs::{GidSpan, ObsEventKind, Transport};
 use dista_simnet::{native, NodeAddr, TcpEndpoint, UdpEndpoint};
 use dista_taint::{GlobalId, Payload, Taint, TaintRuns, TaintedBytes};
 use parking_lot::Mutex;
 
-use crate::codec::{
-    PooledBuf, RingRemainder, V1Codec, V2Codec, WireCodec, WireProtocol, WireVersion,
-};
+use crate::codec::{RingRemainder, V1Codec, V2Codec, WireCodec, WireProtocol, WireVersion};
 use crate::error::JreError;
 use crate::vm::{Mode, Vm};
 
@@ -78,7 +75,7 @@ fn is_handshake_record(record: &[u8]) -> bool {
 }
 
 /// Which protocol a stream speaks — or where its negotiation stands.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ProtoState {
     /// Settled on v1. While `probe_watch` is set the stream has not seen
     /// its first inbound record yet and must check it for a Negotiate
@@ -107,75 +104,160 @@ impl ProtoState {
             _ => None,
         }
     }
+
+    /// Every state, at the index [`ProtoCell`] stores it as.
+    const ALL: [ProtoState; 5] = [
+        ProtoState::V1 { probe_watch: false },
+        ProtoState::V1 { probe_watch: true },
+        ProtoState::V2,
+        ProtoState::ConnectorAwait,
+        ProtoState::AcceptorAwait,
+    ];
+
+    fn code(self) -> u8 {
+        let at = Self::ALL.iter().position(|&state| state == self);
+        at.expect("every state is listed") as u8
+    }
 }
 
-/// Encodes a payload through `codec`, writing into a wire buffer checked
-/// out of the VM's [`crate::WireBufPool`] — the steady-state hot path
-/// performs no wire-sized allocation, and a plain payload is encoded
-/// directly as one untainted run (no shadow materialization).
+/// A stream's [`ProtoState`] in one atomic cell. A settled state is
+/// final and the *version* is final as soon as it is known, so every
+/// crossing after the handshake is one load here, not a lock.
 ///
-/// Distinct taints across all runs resolve through the Taint Map in one
-/// batched round trip (per-VM cache consulted first inside the client);
-/// the run table then feeds the codec's run-vectorized encoder.
-pub(crate) fn encode_payload<'vm>(
-    vm: &'vm Vm,
+/// Stores are `Release` and loads `Acquire`: a state is published only
+/// after the handshake bytes it stands for were written to the socket,
+/// and a writer that reads a settled version writes its data after
+/// them.
+#[derive(Debug)]
+struct ProtoCell(AtomicU8);
+
+impl ProtoCell {
+    fn new(state: ProtoState) -> Self {
+        ProtoCell(AtomicU8::new(state.code()))
+    }
+
+    fn load(&self) -> ProtoState {
+        ProtoState::ALL[self.0.load(Ordering::Acquire) as usize]
+    }
+
+    fn store(&self, state: ProtoState) {
+        self.0.store(state.code(), Ordering::Release);
+    }
+
+    /// Moves `from` → `to` unless another thread moved on first.
+    fn advance(&self, from: ProtoState, to: ProtoState) {
+        let _ =
+            self.0
+                .compare_exchange(from.code(), to.code(), Ordering::AcqRel, Ordering::Acquire);
+    }
+}
+
+/// The sender's reusable tables, one entry per shadow run of the payload
+/// being encoded. A [`BoundaryStream`] keeps one behind its tx lock, so
+/// a steady-state write allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct TxTables {
+    /// The run's taint, as handed to the Taint Map client…
+    taints: Vec<Taint>,
+    /// …and the Global ID it answered with.
+    gids: Vec<GlobalId>,
+    /// `(run_len, gid)`: the table the codec encodes from.
+    runs: Vec<(usize, GlobalId)>,
+}
+
+/// The receiver's reusable tables, one entry per decoded run.
+#[derive(Debug, Default)]
+pub(crate) struct RxTables {
+    /// `(gid, run_len)`: the table the codec decodes into.
+    runs: Vec<(GlobalId, usize)>,
+    /// The run's Global ID, as handed to the Taint Map client…
+    gids: Vec<GlobalId>,
+    /// …and the taint it answered with.
+    taints: Vec<Taint>,
+}
+
+/// The tainted runs of a `(run_len, gid)` table as byte ranges, for the
+/// flight recorder's boundary events.
+fn gid_spans(runs: impl Iterator<Item = (usize, GlobalId)>) -> Vec<GidSpan> {
+    let mut spans = Vec::new();
+    let mut start = 0;
+    for (run_len, gid) in runs {
+        if gid.is_tainted() {
+            spans.push(GidSpan {
+                gid: gid.0,
+                start,
+                end: start + run_len,
+            });
+        }
+        start += run_len;
+    }
+    spans
+}
+
+/// Encodes a payload through `codec` into `out` (the stream's own
+/// encode buffer, or a pooled one for datagrams). A plain payload is
+/// encoded directly as one untainted run (no shadow materialization).
+///
+/// The shadow's taints go to the Taint Map client run by run, as they
+/// lie: it answers cache hits with one probe each under one lock hold
+/// and registers the distinct misses in one batched round trip. A
+/// payload with no tainted run never gets that far.
+pub(crate) fn encode_payload(
+    vm: &Vm,
     payload: &Payload,
     link: Link,
     codec: &dyn WireCodec,
-) -> Result<PooledBuf<'vm>, JreError> {
+    tx: &mut TxTables,
+    out: &mut Vec<u8>,
+) -> Result<(), JreError> {
     let client = vm
         .taint_map()
         .ok_or(JreError::Protocol("DisTA boundary without taint map"))?;
     let obs = vm.vm_obs();
-    // Per-run gids, resolved via a distinct-taint table so each taint is
-    // looked up exactly once per call.
-    let mut run_gids: Vec<(usize, GlobalId)> = Vec::new();
+    tx.runs.clear();
     match payload {
         Payload::Plain(data) => {
             // One untainted run; gid 0 needs no Taint Map round trip and
             // no shadow clone.
             if !data.is_empty() {
-                run_gids.push((data.len(), GlobalId::UNTAINTED));
+                tx.runs.push((data.len(), GlobalId::UNTAINTED));
             }
         }
         Payload::Tainted(bytes) => {
+            let shadow = bytes.shadow();
             // Attribute the run-table assembly to the taint-tree phase;
-            // the Taint Map round trip below is counted as map_rpc by
-            // the client itself, keeping the phases disjoint.
+            // the Taint Map round trip is counted as map_rpc by the
+            // client itself, keeping the phases disjoint.
             let tt = obs
                 .phases
                 .taint_tree
                 .is_enabled()
                 .then(std::time::Instant::now);
-            let mut slot_of: HashMap<Taint, usize> = HashMap::new();
-            let mut distinct: Vec<Taint> = Vec::new();
-            let mut run_slots: Vec<(usize, usize)> = Vec::new();
-            for (run_len, taint) in bytes.shadow().iter_runs() {
-                let slot = *slot_of.entry(taint).or_insert_with(|| {
-                    distinct.push(taint);
-                    distinct.len() - 1
-                });
-                run_slots.push((run_len, slot));
-            }
+            tx.taints.clear();
+            tx.taints.extend(shadow.iter_runs().map(|(_, taint)| taint));
             if let Some(started) = tt {
                 obs.phases
                     .taint_tree
                     .record_ns(started.elapsed().as_nanos() as u64);
             }
-            let gids = client.global_ids_for(&distinct)?;
-            for (run_len, slot) in run_slots {
-                run_gids.push((run_len, gids[slot]));
+            if tx.taints.iter().any(|taint| !taint.is_empty()) {
+                client.global_ids_into(&tx.taints, &mut tx.gids)?;
+            } else {
+                tx.gids.clear();
+                tx.gids.resize(tx.taints.len(), GlobalId::UNTAINTED);
             }
+            let lens = shadow.iter_runs().map(|(run_len, _)| run_len);
+            tx.runs.extend(lens.zip(tx.gids.iter().copied()));
         }
     }
+    let run_gids = &tx.runs;
     let data = payload.data();
-    let mut out = vm.wire_pool().checkout();
     let enc = obs
         .phases
         .codec_encode
         .is_enabled()
         .then(std::time::Instant::now);
-    codec.encode_into(data, &run_gids, &mut out)?;
+    codec.encode_into(data, run_gids, out)?;
     if let Some(started) = enc {
         obs.phases
             .codec_encode
@@ -198,31 +280,17 @@ pub(crate) fn encode_payload<'vm>(
         }
     }
     obs.record_boundary_out(codec.version(), data.len(), out.len());
-    obs.flight.record_with(|| {
-        let mut spans = Vec::new();
-        let mut start = 0;
-        for &(run_len, gid) in &run_gids {
-            if gid.is_tainted() {
-                spans.push(GidSpan {
-                    gid: gid.0,
-                    start,
-                    end: start + run_len,
-                });
-            }
-            start += run_len;
-        }
-        ObsEventKind::BoundaryEncode {
-            transport: link.transport,
-            from: link.from.to_string(),
-            to: link.to.to_string(),
-            data_bytes: data.len(),
-            wire_bytes: out.len(),
-            spans,
-            span,
-            parent,
-        }
+    obs.flight.record_with(|| ObsEventKind::BoundaryEncode {
+        transport: link.transport,
+        from: link.from.to_string(),
+        to: link.to.to_string(),
+        data_bytes: data.len(),
+        wire_bytes: out.len(),
+        spans: gid_spans(run_gids.iter().copied()),
+        span,
+        parent,
     });
-    Ok(out)
+    Ok(())
 }
 
 /// Encodes a tainted buffer into v1 wire records, returning an owned
@@ -230,23 +298,36 @@ pub(crate) fn encode_payload<'vm>(
 #[cfg(test)]
 pub(crate) fn encode_wire(vm: &Vm, bytes: &TaintedBytes, link: Link) -> Result<Vec<u8>, JreError> {
     let codec = V1Codec::new(vm.gid_width());
-    encode_payload(vm, &Payload::Tainted(bytes.clone()), link, &codec).map(PooledBuf::take)
+    let mut wire = Vec::new();
+    let payload = Payload::Tainted(bytes.clone());
+    encode_payload(
+        vm,
+        &payload,
+        link,
+        &codec,
+        &mut TxTables::default(),
+        &mut wire,
+    )?;
+    Ok(wire)
 }
 
-/// Resolves decoded wire output back into a tainted buffer: all distinct
-/// Global IDs of the buffer resolve in one batched round trip (per-VM
-/// cache consulted first inside the client) before the shadow is
-/// assembled run by run. `wire_len` is the wire-byte count the decode
-/// consumed, for telemetry.
+/// Resolves decoded wire output (`data` plus the run table the codec
+/// left in `rx.runs`) back into a tainted buffer: the runs' Global IDs
+/// go to the Taint Map client as they lie (cache hits cost one probe
+/// each under one lock hold, the distinct misses one batched round
+/// trip) and the shadow is assembled run by run. A decode with no
+/// tainted run skips the lookup. `wire_len` is the wire-byte count the
+/// decode consumed, for telemetry.
 ///
 /// Degraded resolution: if a Taint Map shard is unreachable, each of its
 /// gids resolves to a `pending-gid` sentinel instead of failing the
 /// read — delivered bytes are never silently clean, and the client
-/// reconciles the sentinels after the partition heals.
+/// reconciles the sentinels after the partition heals (that
+/// reconciliation rides on every decode, tainted or not).
 pub(crate) fn resolve_decoded(
     vm: &Vm,
     data: Vec<u8>,
-    runs: Vec<(GlobalId, usize)>,
+    rx: &mut RxTables,
     wire_len: usize,
     link: Link,
     span: u64,
@@ -255,58 +336,45 @@ pub(crate) fn resolve_decoded(
         .taint_map()
         .ok_or(JreError::Protocol("DisTA boundary without taint map"))?;
     let obs = vm.vm_obs();
-    let mut slot_of: HashMap<GlobalId, usize> = HashMap::new();
-    let mut distinct: Vec<GlobalId> = Vec::new();
-    for &(gid, _) in &runs {
-        slot_of.entry(gid).or_insert_with(|| {
-            distinct.push(gid);
-            distinct.len() - 1
-        });
-    }
-    // Bind the delivered gids to the crossing span *before* the Taint
-    // Map resolution, so the lookup events it records already name the
-    // span that delivered them (binding to span 0 is a no-op).
-    if span != 0 {
-        for &gid in &distinct {
-            if gid.is_tainted() {
-                obs.gid_spans.bind(gid.0, span);
+    let runs = &rx.runs;
+    if runs.iter().any(|&(gid, _)| gid.is_tainted()) {
+        // Bind the delivered gids to the crossing span *before* the
+        // Taint Map resolution, so the lookup events it records already
+        // name the span that delivered them.
+        if span != 0 {
+            for &(gid, _) in runs {
+                if gid.is_tainted() {
+                    obs.gid_spans.bind(gid.0, span);
+                }
             }
         }
+        rx.gids.clear();
+        rx.gids.extend(runs.iter().map(|&(gid, _)| gid));
+        client.taints_degraded_into(&rx.gids, &mut rx.taints)?;
+    } else {
+        client.reconcile_pending()?;
+        rx.taints.clear();
+        rx.taints.resize(runs.len(), Taint::EMPTY);
     }
-    let taints = client.taints_for_degraded(&distinct)?;
     obs.boundary_data_in.add(data.len() as u64);
     obs.boundary_wire_in.add(wire_len as u64);
-    obs.flight.record_with(|| {
-        let mut spans = Vec::new();
-        let mut start = 0;
-        for &(gid, run_len) in &runs {
-            if gid.is_tainted() {
-                spans.push(GidSpan {
-                    gid: gid.0,
-                    start,
-                    end: start + run_len,
-                });
-            }
-            start += run_len;
-        }
-        ObsEventKind::BoundaryDecode {
-            transport: link.transport,
-            from: link.from.to_string(),
-            to: link.to.to_string(),
-            data_bytes: data.len(),
-            wire_bytes: wire_len,
-            spans,
-            span,
-        }
+    obs.flight.record_with(|| ObsEventKind::BoundaryDecode {
+        transport: link.transport,
+        from: link.from.to_string(),
+        to: link.to.to_string(),
+        data_bytes: data.len(),
+        wire_bytes: wire_len,
+        spans: gid_spans(runs.iter().map(|&(gid, run_len)| (run_len, gid))),
+        span,
     });
     let tt = obs
         .phases
         .taint_tree
         .is_enabled()
         .then(std::time::Instant::now);
-    let mut shadow = TaintRuns::new();
-    for (gid, run_len) in runs {
-        shadow.push_run(taints[slot_of[&gid]], run_len);
+    let mut shadow = TaintRuns::with_capacity(runs.len());
+    for (&(_, run_len), &taint) in runs.iter().zip(&rx.taints) {
+        shadow.push_run(taint, run_len);
     }
     if let Some(started) = tt {
         obs.phases
@@ -351,25 +419,47 @@ pub struct BoundaryStream {
     out_link: Link,
     /// Sender→receiver pair for inbound crossings (the peer sent them).
     in_link: Link,
-    /// Trailing partial wire unit carried between reads (DisTA mode
-    /// only). Ring-style: decode reads the live region in place and
-    /// consumption advances a cursor instead of draining and
-    /// reallocating.
-    rx_rem: Mutex<RingRemainder>,
-    /// Decoded-but-undelivered bytes: a v2 frame is indivisible, so one
-    /// decode may produce more than the reader asked for; the excess
-    /// waits here for the next read.
-    rx_pending: Mutex<TaintedBytes>,
+    /// Everything the receive direction owns (DisTA mode only), behind
+    /// the one lock a read takes.
+    rx: Mutex<RxState>,
+    /// Everything the send direction owns (DisTA mode only), behind the
+    /// one lock a write takes.
+    tx: Mutex<TxState>,
     /// Wire-protocol state of this connection (see [`ProtoState`]).
-    proto: Mutex<ProtoState>,
+    proto: ProtoCell,
     /// Whether this side has written payload records — set before the
     /// first data write, after which an arriving probe is swallowed
     /// without a reply (the peer falls back to v1 on the data records).
     wrote_data: AtomicBool,
+}
+
+/// The receive direction of a [`BoundaryStream`].
+#[derive(Debug, Default)]
+struct RxState {
+    /// Received-but-undecoded wire bytes; ends with the trailing partial
+    /// wire unit carried between reads. The native read fills its tail
+    /// in place and decode reads its live region in place.
+    ring: RingRemainder,
+    /// Decoded-but-undelivered bytes: a v2 frame is indivisible, so one
+    /// decode may produce more than the reader asked for; the excess
+    /// waits here for the next read. Checked under the same lock the
+    /// decode runs under, so a decode that finds it empty may hand its
+    /// output straight to the caller.
+    pending: TaintedBytes,
     /// Span of the most recent inbound v2 trace annotation: the frames
     /// decoded after it were delivered by that crossing. Stays 0 on v1
     /// connections and when the peer does not annotate.
-    rx_span: AtomicU64,
+    span: u64,
+    tables: RxTables,
+}
+
+/// The send direction of a [`BoundaryStream`].
+#[derive(Debug, Default)]
+struct TxState {
+    /// The encode buffer: one payload's wire bytes, handed to the
+    /// native write as they lie.
+    wire: Vec<u8>,
+    tables: TxTables,
 }
 
 impl BoundaryStream {
@@ -412,11 +502,10 @@ impl BoundaryStream {
                 from: peer,
                 to: local,
             },
-            rx_rem: Mutex::new(RingRemainder::new()),
-            rx_pending: Mutex::new(TaintedBytes::new()),
-            proto: Mutex::new(initial),
+            rx: Mutex::new(RxState::default()),
+            tx: Mutex::new(TxState::default()),
+            proto: ProtoCell::new(initial),
             wrote_data: AtomicBool::new(false),
-            rx_span: AtomicU64::new(0),
         };
         if !connector && watching {
             stream.eager_rx_probe();
@@ -434,18 +523,17 @@ impl BoundaryStream {
     /// stays lazy.
     fn eager_rx_probe(&self) {
         let rs = wire_record_size(self.vm.gid_width());
-        let mut rem = self.rx_rem.lock();
+        let rem = &mut self.rx.lock().ring;
         while rem.len() < rs {
-            let mut chunk = [0u8; 16];
             let want = rs - rem.len();
-            match self.ep.try_read(&mut chunk[..want]) {
+            match rem.fill_with(want, |tail| self.ep.try_read(tail)) {
                 Ok(0) | Err(_) => break,
-                Ok(n) => rem.extend(&chunk[..n]),
+                Ok(_) => {}
             }
         }
         // Errors (a malformed probe) are not lost: rx_resolve consumes
         // nothing on error, so the first real read re-raises them.
-        let _ = self.rx_resolve(&mut rem);
+        let _ = self.rx_resolve(rem);
     }
 
     /// Wraps an established connection for `vm` in the passive
@@ -481,11 +569,11 @@ impl BoundaryStream {
     /// negotiation has completed (pinned connections are settled from
     /// the start).
     pub fn wire_version(&self) -> Option<WireVersion> {
-        self.proto.lock().version()
+        self.proto.load().version()
     }
 
     /// Advances the protocol state machine against the received bytes
-    /// (`rem` lock held by the caller). On return: settled states are
+    /// (`rx` lock held by the caller). On return: settled states are
     /// final; an `*Await` (or `probe_watch`) state means fewer than one
     /// whole record is buffered, so the caller must read more bytes
     /// before anything can be decoded.
@@ -493,7 +581,7 @@ impl BoundaryStream {
         let width = self.vm.gid_width();
         let rs = wire_record_size(width);
         loop {
-            let state = *self.proto.lock();
+            let state = self.proto.load();
             match state {
                 ProtoState::V2 | ProtoState::V1 { probe_watch: false } => return Ok(state),
                 _ if rem.len() < rs => return Ok(state),
@@ -509,7 +597,7 @@ impl BoundaryStream {
                         }
                         rem.consume(rs);
                     }
-                    *self.proto.lock() = ProtoState::V1 { probe_watch: false };
+                    self.proto.store(ProtoState::V1 { probe_watch: false });
                 }
                 ProtoState::ConnectorAwait => {
                     let record = &rem.as_slice()[..rs];
@@ -524,12 +612,12 @@ impl BoundaryStream {
                             }
                         };
                         rem.consume(rs);
-                        *self.proto.lock() = settled;
+                        self.proto.store(settled);
                     } else {
                         // An un-upgraded peer ignored the probe and is
                         // sending v1 data records: fall back, keeping
                         // the bytes.
-                        *self.proto.lock() = ProtoState::V1 { probe_watch: false };
+                        self.proto.store(ProtoState::V1 { probe_watch: false });
                     }
                 }
                 ProtoState::AcceptorAwait => {
@@ -544,14 +632,14 @@ impl BoundaryStream {
                         let version = record[0].min(2);
                         native::socket_write0(&self.ep, &handshake_record(version, width))?;
                         rem.consume(rs);
-                        *self.proto.lock() = if version == 2 {
+                        self.proto.store(if version == 2 {
                             ProtoState::V2
                         } else {
                             ProtoState::V1 { probe_watch: false }
-                        };
+                        });
                     } else {
                         // Pinned-v1 peer writing data directly.
-                        *self.proto.lock() = ProtoState::V1 { probe_watch: false };
+                        self.proto.store(ProtoState::V1 { probe_watch: false });
                     }
                 }
             }
@@ -563,43 +651,44 @@ impl BoundaryStream {
     /// by writing first; an awaiting connector blocks for the reply (or
     /// yields to a concurrent reader thread already pulling it in).
     fn tx_version(&self) -> Result<WireVersion, JreError> {
-        // From here on this side counts as having written data, so a
-        // probe arriving later is swallowed rather than answered.
-        self.wrote_data.store(true, Ordering::SeqCst);
+        // From its first write on this side counts as having written
+        // data, so a probe arriving later is swallowed rather than
+        // answered. The flag never goes back, so every later write only
+        // reads it.
+        if !self.wrote_data.load(Ordering::SeqCst) {
+            self.wrote_data.store(true, Ordering::SeqCst);
+        }
         loop {
-            let state = *self.proto.lock();
+            let state = self.proto.load();
             if let Some(version) = state.version() {
                 return Ok(version);
             }
             match state {
-                ProtoState::AcceptorAwait => {
-                    let mut proto = self.proto.lock();
-                    if matches!(*proto, ProtoState::AcceptorAwait) {
-                        // Settle v1 by first write: a pinned-v1 peer
-                        // needs these bytes decodable as-is, and a
-                        // Negotiate connector falls back to v1 when
-                        // data records arrive before any reply.
-                        *proto = ProtoState::V1 { probe_watch: true };
-                    }
-                }
-                ProtoState::ConnectorAwait => match self.rx_rem.try_lock() {
-                    Some(mut rem) => {
-                        if matches!(self.rx_resolve(&mut rem)?, ProtoState::ConnectorAwait) {
+                // Settle v1 by first write: a pinned-v1 peer needs
+                // these bytes decodable as-is, and a Negotiate
+                // connector falls back to v1 when data records arrive
+                // before any reply. (Unless a reader settled the
+                // handshake meanwhile: then the loop reads its verdict.)
+                ProtoState::AcceptorAwait => self
+                    .proto
+                    .advance(state, ProtoState::V1 { probe_watch: true }),
+                ProtoState::ConnectorAwait => match self.rx.try_lock() {
+                    Some(mut rx) => {
+                        let rem = &mut rx.ring;
+                        if matches!(self.rx_resolve(rem)?, ProtoState::ConnectorAwait) {
                             let rs = wire_record_size(self.vm.gid_width());
-                            let mut chunk = self.vm.wire_pool().checkout();
-                            chunk.resize(rs.saturating_sub(rem.len()).max(1), 0);
-                            let n = native::socket_read0(&self.ep, &mut chunk)?;
+                            let want = rs.saturating_sub(rem.len()).max(1);
+                            let n =
+                                rem.fill_with(want, |tail| native::socket_read0(&self.ep, tail))?;
                             if n == 0 {
                                 // Peer closed before answering: settle
                                 // v1 so whatever it did send remains
                                 // readable.
-                                *self.proto.lock() = ProtoState::V1 { probe_watch: false };
-                            } else {
-                                rem.extend(&chunk[..n]);
+                                self.proto.store(ProtoState::V1 { probe_watch: false });
                             }
                         }
                     }
-                    // A reader thread holds the remainder lock and will
+                    // A reader thread holds the rx lock and will
                     // consume the reply itself; wait for it to settle.
                     None => std::thread::yield_now(),
                 },
@@ -627,8 +716,10 @@ impl BoundaryStream {
                     WireVersion::V1 => &v1,
                     WireVersion::V2 => &v2,
                 };
-                let wire = encode_payload(&self.vm, payload, self.out_link, codec)?;
-                native::socket_write0(&self.ep, &wire)?;
+                let tx = &mut *self.tx.lock();
+                let (tables, wire) = (&mut tx.tables, &mut tx.wire);
+                encode_payload(&self.vm, payload, self.out_link, codec, tables, wire)?;
+                native::socket_write0(&self.ep, wire)?;
             }
         }
         Ok(())
@@ -667,22 +758,21 @@ impl BoundaryStream {
                 Ok(Payload::Tainted(TaintedBytes::from_plain(buf)))
             }
             Mode::Dista => {
+                let rx = &mut *self.rx.lock();
                 // Serve bytes a previous (indivisible v2) decode left
                 // over before touching the wire again.
-                {
-                    let mut pending = self.rx_pending.lock();
-                    if !pending.is_empty() {
-                        return Ok(Payload::Tainted(pending.drain_front(max_data)));
-                    }
+                if !rx.pending.is_empty() {
+                    return Ok(Payload::Tainted(rx.pending.drain_front(max_data)));
                 }
                 let width = self.vm.gid_width();
                 let rs = wire_record_size(width);
                 let v1 = V1Codec::new(width);
                 let v2 = V2Codec::new(width);
-                let mut rem = self.rx_rem.lock();
+                let rem = &mut rx.ring;
                 loop {
-                    let state = self.rx_resolve(&mut rem)?;
-                    if let Some(version) = state.version() {
+                    let state = self.rx_resolve(rem)?;
+                    // Nothing buffered, nothing to decode: go and read.
+                    if let Some(version) = state.version().filter(|_| !rem.is_empty()) {
                         let codec: &dyn WireCodec = match version {
                             WireVersion::V1 => &v1,
                             WireVersion::V2 => &v2,
@@ -698,15 +788,15 @@ impl BoundaryStream {
                                 ..
                             } = crate::codec::v2::parse_annotation(rem.as_slice())?
                             {
-                                self.rx_span.store(span, Ordering::Relaxed);
+                                rx.span = span;
                                 rem.consume(consumed);
                             }
                         }
+                        // The delivered buffer: decode writes each data
+                        // byte into it straight out of the ring's live
+                        // region, and only consumes on success, so an
+                        // error loses no remainder bytes.
                         let mut data = Vec::new();
-                        let mut runs: Vec<(GlobalId, usize)> = Vec::new();
-                        // Decode straight out of the ring's live region —
-                        // no drain-and-collect copy — and only consume on
-                        // success, so an error loses no remainder bytes.
                         let phases = &self.vm.vm_obs().phases;
                         let dec = phases
                             .codec_decode
@@ -716,7 +806,7 @@ impl BoundaryStream {
                             rem.as_slice(),
                             max_data,
                             &mut data,
-                            &mut runs,
+                            &mut rx.tables.runs,
                         )?;
                         if let Some(started) = dec {
                             phases
@@ -727,32 +817,36 @@ impl BoundaryStream {
                             let decoded = resolve_decoded(
                                 &self.vm,
                                 data,
-                                runs,
+                                &mut rx.tables,
                                 consumed,
                                 self.in_link,
-                                self.rx_span.load(Ordering::Relaxed),
+                                rx.span,
                             )?;
                             rem.consume(consumed);
-                            let mut pending = self.rx_pending.lock();
-                            pending.extend_tainted(&decoded);
-                            return Ok(Payload::Tainted(pending.drain_front(max_data)));
+                            // `pending` was empty above and the lock has
+                            // been held since: a decode that fits is
+                            // the caller's as it is.
+                            if decoded.len() <= max_data {
+                                return Ok(Payload::Tainted(decoded));
+                            }
+                            rx.pending = decoded;
+                            return Ok(Payload::Tainted(rx.pending.drain_front(max_data)));
                         }
                     }
                     // The receiver "enlarges the allocated byte array"
                     // (§III-D-2): ask the OS for the wire-size equivalent
-                    // of the caller's buffer, reusing pooled capacity.
+                    // of the caller's buffer, received in place.
                     let hint = match state {
                         ProtoState::V2 => v2.recv_wire_len(max_data),
                         _ => v1.recv_wire_len(max_data),
                     };
-                    let mut chunk = self.vm.wire_pool().checkout();
-                    chunk.resize(hint.saturating_sub(rem.len()).max(rs), 0);
-                    let n = native::socket_read0(&self.ep, &mut chunk)?;
+                    let want = hint.saturating_sub(rem.len()).max(rs);
+                    let n = rem.fill_with(want, |tail| native::socket_read0(&self.ep, tail))?;
                     if n == 0 {
                         if state.version().is_none() {
                             // EOF before the handshake settled: fall
                             // back to v1 and decode whatever arrived.
-                            *self.proto.lock() = ProtoState::V1 { probe_watch: false };
+                            self.proto.store(ProtoState::V1 { probe_watch: false });
                             continue;
                         }
                         if rem.is_empty() {
@@ -760,7 +854,6 @@ impl BoundaryStream {
                         }
                         return Err(JreError::Protocol("stream ended inside a wire record"));
                     }
-                    rem.extend(&chunk[..n]);
                 }
             }
         }
@@ -772,21 +865,17 @@ impl BoundaryStream {
     ///
     /// [`JreError::Eof`] if the stream ends first.
     pub fn read_exact_payload(&self, n: usize) -> Result<Payload, JreError> {
-        let mut acc = match self.vm.mode() {
-            Mode::Original => Payload::Plain(Vec::with_capacity(n)),
-            _ => Payload::Tainted(TaintedBytes::with_capacity(n)),
-        };
+        // One read usually delivers everything; that payload is the
+        // result as it is. Only a genuinely partial read accumulates.
+        let mut acc = self.read_payload(n)?;
+        let mut got = acc.len();
         while acc.len() < n {
-            let part = self.read_payload(n - acc.len())?;
-            if part.is_empty() {
+            if got == 0 {
                 return Err(JreError::Eof);
             }
-            match (&mut acc, part) {
-                (Payload::Plain(dst), Payload::Plain(src)) => dst.extend_from_slice(&src),
-                (Payload::Tainted(dst), Payload::Tainted(src)) => dst.extend_tainted(&src),
-                (Payload::Plain(dst), Payload::Tainted(src)) => dst.extend_from_slice(src.data()),
-                (Payload::Tainted(dst), Payload::Plain(src)) => dst.extend_plain(&src),
-            }
+            let part = self.read_payload(n - acc.len())?;
+            got = part.len();
+            acc.append(part);
         }
         Ok(acc)
     }
@@ -832,15 +921,19 @@ pub(crate) fn send_datagram(
                 WireVersion::V1 => &v1,
                 WireVersion::V2 => &v2,
             };
-            let wire = encode_payload(
+            let link = Link {
+                transport: Transport::Udp,
+                from: socket.local_addr(),
+                to: dest,
+            };
+            let mut wire = vm.wire_pool().checkout();
+            encode_payload(
                 vm,
                 payload,
-                Link {
-                    transport: Transport::Udp,
-                    from: socket.local_addr(),
-                    to: dest,
-                },
+                link,
                 codec,
+                &mut TxTables::default(),
+                &mut wire,
             )?;
             native::datagram_send(socket, dest, &wire);
         }
@@ -902,23 +995,23 @@ pub(crate) fn recv_datagram(
                 }
             }
             let mut data = Vec::new();
-            let mut runs: Vec<(GlobalId, usize)> = Vec::new();
+            let mut rx = RxTables::default();
             let phases = &vm.vm_obs().phases;
             let dec = phases
                 .codec_decode
                 .is_enabled()
                 .then(std::time::Instant::now);
-            codec.decode_datagram(frame, &mut data, &mut runs)?;
+            codec.decode_datagram(frame, &mut data, &mut rx.runs)?;
             if let Some(started) = dec {
                 phases
                     .codec_decode
                     .record_ns(started.elapsed().as_nanos() as u64);
             }
-            truncate_decoded(&mut data, &mut runs, buf_len);
+            truncate_decoded(&mut data, &mut rx.runs, buf_len);
             let decoded = resolve_decoded(
                 vm,
                 data,
-                runs,
+                &mut rx,
                 n,
                 Link {
                     transport: Transport::Udp,

@@ -23,11 +23,11 @@
 //!
 //! Shared infrastructure stays in this module:
 //!
-//! * [`WireBufPool`] recycles the wire-sized scratch buffers so the
-//!   steady-state hot path performs no wire-sized allocations.
-//! * [`RingRemainder`] replaces the old drain-and-reallocate remainder
-//!   `Vec`: decode reads straight out of the ring's contiguous live
-//!   region (zero copy) and consumption just advances a cursor.
+//! * [`RingRemainder`] is a stream's receive buffer: the native read
+//!   fills its tail in place, decode reads straight out of its
+//!   contiguous live region, and consumption just advances a cursor.
+//! * [`WireBufPool`] recycles wire-sized scratch buffers for the
+//!   crossings that have no connection to keep one on (datagrams).
 //!
 //! Widths 1..=8 are accepted at this layer even though VM-level
 //! configuration restricts itself to 2/4/8.
@@ -114,8 +114,8 @@ pub enum WireProtocol {
 /// resolved to [`GlobalId`]s (run-length encoded, matching the
 /// `TaintRuns` shadow representation) and leave the same way; Taint Map
 /// resolution happens in the boundary layer. All methods take
-/// caller-provided output buffers so hot paths can feed them
-/// [`WireBufPool`] checkouts.
+/// caller-provided output buffers so hot paths can feed them buffers
+/// they keep.
 pub trait WireCodec: std::fmt::Debug + Send + Sync {
     /// Which protocol version this codec speaks.
     fn version(&self) -> WireVersion;
@@ -182,21 +182,20 @@ pub trait WireCodec: std::fmt::Debug + Send + Sync {
     fn recv_wire_len(&self, max_data: usize) -> usize;
 }
 
-/// How many scratch buffers one pool retains. Each connection's hot path
-/// holds at most one encode and one receive buffer at a time, so a small
-/// cap covers a VM's worth of concurrent streams without hoarding.
+/// How many scratch buffers one pool retains. A datagram crossing holds
+/// one buffer at a time, so a small cap covers a VM's worth of
+/// concurrent sockets without hoarding.
 const POOL_RETAIN: usize = 8;
 
 /// A per-VM pool of reusable wire-sized scratch buffers.
 ///
-/// The boundary hot paths ([`crate::BoundaryStream`], datagrams, NIO /
-/// async channels, netty framing) check a buffer out, encode or receive
-/// into it, and drop the guard — the buffer's capacity flows back into
-/// the pool, so steady-state traffic performs no wire-sized allocations.
+/// Datagram crossings check a buffer out, encode or receive into it,
+/// and drop the guard — the buffer's capacity flows back into the pool.
+/// (A [`crate::BoundaryStream`] keeps its own buffers instead: one
+/// connection, one encode buffer, one receive ring.)
 #[derive(Debug, Default)]
 pub struct WireBufPool {
     bufs: Mutex<Vec<Vec<u8>>>,
-    recycled: std::sync::atomic::AtomicU64,
 }
 
 impl WireBufPool {
@@ -212,12 +211,6 @@ impl WireBufPool {
         PooledBuf { buf, pool: self }
     }
 
-    /// How many checkouts were served from pooled capacity (telemetry
-    /// for tests and the bench harness).
-    pub fn recycled(&self) -> u64 {
-        self.recycled.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
     fn give_back(&self, mut buf: Vec<u8>) {
         if buf.capacity() == 0 {
             return;
@@ -226,8 +219,6 @@ impl WireBufPool {
         let mut bufs = self.bufs.lock();
         if bufs.len() < POOL_RETAIN {
             bufs.push(buf);
-            self.recycled
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         }
     }
 }
@@ -238,14 +229,6 @@ impl WireBufPool {
 pub struct PooledBuf<'a> {
     buf: Vec<u8>,
     pool: &'a WireBufPool,
-}
-
-impl PooledBuf<'_> {
-    /// Consumes the guard, keeping the buffer (it will *not* return to
-    /// the pool — for results that escape to the caller).
-    pub fn take(mut self) -> Vec<u8> {
-        std::mem::take(&mut self.buf)
-    }
 }
 
 impl std::ops::Deref for PooledBuf<'_> {
@@ -267,19 +250,23 @@ impl Drop for PooledBuf<'_> {
     }
 }
 
-/// A ring-style remainder buffer for trailing partial wire records.
+/// A stream's receive buffer: wire bytes received but not yet decoded,
+/// contiguous in memory.
 ///
-/// The old implementation drained decoded bytes out of a `Vec` with
-/// `drain(..).collect()` — an allocation plus a memmove per read. Here
-/// the live bytes are the contiguous region `buf[start..]`: decode
-/// borrows it in place, [`RingRemainder::consume`] just advances the
-/// cursor, and the dead prefix is reclaimed lazily (when the buffer
-/// empties, or by one `copy_within` compaction once the dead prefix
-/// outgrows the live bytes — amortized O(1) per byte).
+/// The live bytes are `buf[start..end]`. The backing vector keeps its
+/// high-water *length* (not just its capacity), so
+/// [`RingRemainder::fill_with`] can hand the native read a slice of the
+/// tail to fill in place — no staging buffer, no copy, and no zero-fill
+/// once the buffer has reached its working size. Decode borrows the
+/// live region, [`RingRemainder::consume`] just advances `start`, and
+/// the dead prefix is reclaimed lazily (when the buffer empties, or by
+/// one `copy_within` compaction once the dead prefix outgrows the live
+/// bytes — amortized O(1) per byte).
 #[derive(Debug, Default)]
 pub struct RingRemainder {
     buf: Vec<u8>,
     start: usize,
+    end: usize,
 }
 
 impl RingRemainder {
@@ -290,26 +277,61 @@ impl RingRemainder {
 
     /// Number of live (undecoded) bytes.
     pub fn len(&self) -> usize {
-        self.buf.len() - self.start
+        self.end - self.start
     }
 
     /// Whether no live bytes remain.
     pub fn is_empty(&self) -> bool {
-        self.start == self.buf.len()
+        self.start == self.end
     }
 
     /// The live bytes, contiguous in memory.
     pub fn as_slice(&self) -> &[u8] {
-        &self.buf[self.start..]
+        &self.buf[self.start..self.end]
     }
 
-    /// Appends received bytes, compacting first if the dead prefix
-    /// outweighs the live region.
-    pub fn extend(&mut self, bytes: &[u8]) {
+    /// `n` writable bytes right after the live region (compacting first
+    /// if the dead prefix outweighs the live region). Their content is
+    /// whatever an earlier fill left there.
+    fn tail(&mut self, n: usize) -> &mut [u8] {
         if self.start > 0 && self.start >= self.len() {
-            self.compact();
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
         }
-        self.buf.extend_from_slice(bytes);
+        let upto = self.end + n;
+        if self.buf.len() < upto {
+            self.buf.resize(upto, 0);
+        }
+        &mut self.buf[self.end..upto]
+    }
+
+    /// Appends received bytes.
+    pub fn extend(&mut self, bytes: &[u8]) {
+        self.tail(bytes.len()).copy_from_slice(bytes);
+        self.end += bytes.len();
+    }
+
+    /// Receives in place: hands `read` a `want`-byte slice of the tail
+    /// and makes the `n` bytes it reports written live. A failed read —
+    /// or one that wrote nothing — leaves the remainder as it was.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `read` returns.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `read` reports more bytes than it was offered.
+    pub fn fill_with<E>(
+        &mut self,
+        want: usize,
+        read: impl FnOnce(&mut [u8]) -> Result<usize, E>,
+    ) -> Result<usize, E> {
+        let n = read(self.tail(want))?;
+        assert!(n <= want, "read reported more bytes than offered");
+        self.end += n;
+        Ok(n)
     }
 
     /// Marks the first `n` live bytes as decoded.
@@ -320,17 +342,10 @@ impl RingRemainder {
     pub fn consume(&mut self, n: usize) {
         assert!(n <= self.len(), "consuming past the remainder");
         self.start += n;
-        if self.start == self.buf.len() {
-            self.buf.clear();
+        if self.start == self.end {
             self.start = 0;
+            self.end = 0;
         }
-    }
-
-    fn compact(&mut self) {
-        let live = self.start..self.buf.len();
-        self.buf.copy_within(live, 0);
-        self.buf.truncate(self.len());
-        self.start = 0;
     }
 }
 
@@ -346,26 +361,10 @@ mod tests {
             b.extend_from_slice(&[0u8; 4096]);
             b.as_ptr() as usize
         };
-        assert_eq!(pool.recycled(), 1);
         let b2 = pool.checkout();
         assert_eq!(b2.capacity(), 4096, "capacity survived the round trip");
         assert_eq!(b2.as_ptr() as usize, ptr, "same allocation reused");
         assert!(b2.is_empty());
-    }
-
-    #[test]
-    fn pool_take_escapes_without_recycling() {
-        let pool = WireBufPool::new();
-        {
-            let mut b = pool.checkout();
-            b.push(1);
-            let owned = b.take();
-            assert_eq!(owned, vec![1]);
-        }
-        assert_eq!(pool.recycled(), 0);
-        // Zero-capacity buffers are not worth pooling either.
-        drop(pool.checkout());
-        assert_eq!(pool.recycled(), 0);
     }
 
     #[test]
@@ -379,7 +378,11 @@ mod tests {
             })
             .collect();
         drop(many);
-        assert_eq!(pool.recycled(), POOL_RETAIN as u64);
+        assert_eq!(pool.bufs.lock().len(), POOL_RETAIN);
+        // Zero-capacity buffers are not worth pooling.
+        let pool = WireBufPool::new();
+        drop(pool.checkout());
+        assert!(pool.bufs.lock().is_empty());
     }
 
     #[test]
@@ -399,6 +402,38 @@ mod tests {
         // Consuming everything resets the cursor entirely.
         ring.extend(&[8]);
         assert_eq!(ring.as_slice(), &[8]);
+    }
+
+    #[test]
+    fn ring_remainder_fills_its_tail_in_place() {
+        let mut ring = RingRemainder::new();
+        ring.extend(&[1, 2]);
+        // A short read makes only what it wrote live.
+        let n = ring
+            .fill_with(8, |tail| -> Result<usize, ()> {
+                assert_eq!(tail.len(), 8);
+                tail[..3].copy_from_slice(&[3, 4, 5]);
+                Ok(3)
+            })
+            .unwrap();
+        assert_eq!(n, 3);
+        assert_eq!(ring.as_slice(), &[1, 2, 3, 4, 5]);
+        // A failed read and an empty read leave the remainder alone,
+        // whatever they scribbled on the tail.
+        let failed = ring.fill_with(4, |tail| {
+            tail.fill(0xEE);
+            Err("reset")
+        });
+        assert_eq!(failed, Err("reset"));
+        assert_eq!(ring.fill_with(4, |_| Ok::<_, ()>(0)), Ok(0));
+        assert_eq!(ring.as_slice(), &[1, 2, 3, 4, 5]);
+        // The next fill lands right behind the live bytes, and the
+        // backing length (the high-water mark) is reused, not regrown.
+        ring.consume(5);
+        let high_water = ring.buf.len();
+        ring.fill_with(6, |tail| Ok::<_, ()>(tail.len())).unwrap();
+        assert_eq!(ring.len(), 6);
+        assert_eq!(ring.buf.len(), high_water);
     }
 
     #[test]

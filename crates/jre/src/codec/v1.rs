@@ -27,7 +27,7 @@ use super::{check_width, gid_from_wire, WireCodec, WireRun, WireVersion, MAX_GID
 use crate::error::JreError;
 
 /// Encodes `data` into interleaved wire records, one per byte, writing
-/// into `out` (cleared first). `runs` must cover `data` exactly.
+/// into `out` (overwritten). `runs` must cover `data` exactly.
 ///
 /// Each run's region is filled by seeding a single `[b][gid…]` record
 /// and doubling it with `copy_within`; the remaining data bytes are then
@@ -40,18 +40,30 @@ use crate::error::JreError;
 /// `data.len()`.
 pub fn encode_wire_into(data: &[u8], runs: &[WireRun], width: usize, out: &mut Vec<u8>) {
     check_width(width);
-    out.clear();
+    // No `clear`: every byte up to the new length is overwritten below,
+    // so a reused buffer is only zero-filled where it grows.
     out.resize(data.len() * (1 + width), 0);
-    encode_records_into(data, runs, width, out);
+    encode_records_into(data, runs.iter().copied(), width, out);
+}
+
+/// The wire slot of a Global ID: big-endian, first `width` bytes live.
+/// The id must fit the width.
+pub(in crate::codec) fn wire_slot(gid: GlobalId, width: usize) -> [u8; MAX_GID_WIDTH] {
+    let mut slot = [0u8; MAX_GID_WIDTH];
+    slot[..width].copy_from_slice(&u64::from(gid.0).to_be_bytes()[8 - width..]);
+    slot
 }
 
 /// Fills `region` (pre-sized to `data.len() * (1 + width)`) with
 /// interleaved records, monomorphized per width so per-record gid stores
 /// compile to one fixed-size store instead of a variable-length memcpy.
-/// Shared with the v2 adaptive record-frame fallback.
+/// The run table arrives as an iterator, so callers holding
+/// `(run_len, GlobalId)` pairs convert on the fly instead of building a
+/// [`WireRun`] table first. Shared with the v2 adaptive record-frame
+/// fallback.
 pub(in crate::codec) fn encode_records_into(
     data: &[u8],
-    runs: &[WireRun],
+    runs: impl Iterator<Item = WireRun>,
     width: usize,
     region: &mut [u8],
 ) {
@@ -72,10 +84,14 @@ pub(in crate::codec) fn encode_records_into(
 /// stores each); longer runs amortize a doubling `copy_within` fill.
 const DOUBLING_MIN_RUN: usize = 32;
 
-fn encode_records<const W: usize>(data: &[u8], runs: &[WireRun], out: &mut [u8]) {
+fn encode_records<const W: usize>(
+    data: &[u8],
+    runs: impl Iterator<Item = WireRun>,
+    out: &mut [u8],
+) {
     let rs = 1 + W;
     let mut pos = 0; // data byte index
-    for &(run_len, gid) in runs {
+    for (run_len, gid) in runs {
         if run_len == 0 {
             continue;
         }
@@ -223,19 +239,20 @@ impl WireCodec for V1Codec {
         runs: &[(usize, GlobalId)],
         out: &mut Vec<u8>,
     ) -> Result<(), JreError> {
-        let mut wire_runs: Vec<WireRun> = Vec::with_capacity(runs.len());
-        for &(run_len, gid) in runs {
-            let v = u64::from(gid.0);
-            if self.width != MAX_GID_WIDTH && v >= 1u64 << (8 * self.width) {
-                return Err(JreError::Protocol(
-                    "global id exceeds the configured wire width",
-                ));
-            }
-            let mut slot = [0u8; MAX_GID_WIDTH];
-            slot[..self.width].copy_from_slice(&v.to_be_bytes()[8 - self.width..]);
-            wire_runs.push((run_len, slot));
+        let width = self.width;
+        if width != MAX_GID_WIDTH
+            && runs
+                .iter()
+                .any(|&(_, gid)| u64::from(gid.0) >= 1u64 << (8 * width))
+        {
+            return Err(JreError::Protocol(
+                "global id exceeds the configured wire width",
+            ));
         }
-        encode_wire_into(data, &wire_runs, self.width, out);
+        // No `clear`, as in `encode_wire_into`.
+        out.resize(data.len() * (1 + width), 0);
+        let wire_runs = runs.iter().map(|&(n, gid)| (n, wire_slot(gid, width)));
+        encode_records_into(data, wire_runs, width, out);
         Ok(())
     }
 

@@ -35,7 +35,7 @@
 
 use dista_taint::GlobalId;
 
-use super::{check_width, gid_from_wire, v1, WireCodec, WireRun, WireVersion, MAX_GID_WIDTH};
+use super::{check_width, gid_from_wire, v1, WireCodec, WireVersion, MAX_GID_WIDTH};
 use crate::error::JreError;
 
 /// Frame opcode: untainted payload, no gid records.
@@ -212,22 +212,24 @@ impl V2Codec {
     }
 
     /// Encodes one frame covering `data` (non-empty, within
-    /// [`MAX_FRAME_DATA`]) with `runs` covering it exactly.
+    /// [`MAX_FRAME_DATA`]) with `runs` covering it exactly. Zero-length
+    /// runs are skipped; the run table is walked as often as needed
+    /// rather than copied.
     fn encode_frame(data: &[u8], runs: &[(usize, GlobalId)], out: &mut Vec<u8>) {
         let dlen = data.len() as u64;
-        if runs.iter().all(|&(_, gid)| gid == GlobalId::UNTAINTED) {
+        let live = || runs.iter().copied().filter(|&(n, _)| n != 0);
+        if live().all(|(_, gid)| gid == GlobalId::UNTAINTED) {
             out.push(OP_CLEAN);
             push_varint(out, dlen);
             out.extend_from_slice(data);
             return;
         }
-        let max_gid = runs.iter().map(|&(_, gid)| gid).max().unwrap_or_default();
+        let max_gid = live().map(|(_, gid)| gid).max().unwrap_or_default();
         let width = width_for(max_gid);
-        let live: Vec<(usize, GlobalId)> = runs.iter().copied().filter(|&(n, _)| n != 0).collect();
-        let runs_body: usize = varint_len(live.len() as u64)
-            + live
-                .iter()
-                .map(|&(n, _)| varint_len(n as u64) + width)
+        let nseg = live().count() as u64;
+        let runs_body: usize = varint_len(nseg)
+            + live()
+                .map(|(n, _)| varint_len(n as u64) + width)
                 .sum::<usize>()
             + data.len();
         let records_body = data.len() * (1 + width);
@@ -235,8 +237,8 @@ impl V2Codec {
             out.push(OP_RUNS);
             out.push(width as u8);
             push_varint(out, dlen);
-            push_varint(out, live.len() as u64);
-            for &(run_len, gid) in &live {
+            push_varint(out, nseg);
+            for (run_len, gid) in live() {
                 push_varint(out, run_len as u64);
                 out.extend_from_slice(&gid.0.to_be_bytes()[4 - width..]);
             }
@@ -245,17 +247,10 @@ impl V2Codec {
             out.push(OP_RECORDS);
             out.push(width as u8);
             push_varint(out, dlen);
-            let wire_runs: Vec<WireRun> = live
-                .iter()
-                .map(|&(n, gid)| {
-                    let mut slot = [0u8; MAX_GID_WIDTH];
-                    slot[..width].copy_from_slice(&gid.0.to_be_bytes()[4 - width..]);
-                    (n, slot)
-                })
-                .collect();
             let start = out.len();
             out.resize(start + records_body, 0);
-            v1::encode_records_into(data, &wire_runs, width, &mut out[start..]);
+            let wire_runs = live().map(|(n, gid)| (n, v1::wire_slot(gid, width)));
+            v1::encode_records_into(data, wire_runs, width, &mut out[start..]);
         }
     }
 }
@@ -298,8 +293,30 @@ struct Header {
     dlen: usize,
     /// Byte offset where the payload region starts.
     body: usize,
-    /// Parsed `(run_len, gid)` segments (run frames only).
-    segments: Vec<(usize, GlobalId)>,
+    /// Byte offset of the first `(run_len, gid)` segment and the
+    /// segment count (run frames only). The table was validated where
+    /// it lies; [`Header::deliver`] reads it from there again instead
+    /// of from a copy.
+    segments: (usize, usize),
+}
+
+/// Reads the `(run_len, gid)` segment at `wire[at..]`, returning it with
+/// the offset just past it. `Ok(None)` means the buffer ends inside the
+/// segment.
+fn read_segment(
+    wire: &[u8],
+    at: usize,
+    width: usize,
+) -> Result<Option<(u64, GlobalId, usize)>, JreError> {
+    let Some((run_len, n)) = read_varint(&wire[at..])? else {
+        return Ok(None);
+    };
+    let at = at + n;
+    if wire.len() < at + width {
+        return Ok(None);
+    }
+    let gid = gid_from_wire(&wire[at..at + width])?;
+    Ok(Some((run_len, gid, at + width)))
 }
 
 impl Header {
@@ -328,12 +345,16 @@ impl Header {
             }
             OP_RUNS => {
                 data_out.extend_from_slice(&wire[self.body..self.body + take]);
+                let (mut at, nseg) = self.segments;
                 let mut left = take;
-                for &(run_len, gid) in &self.segments {
+                for _ in 0..nseg {
                     if left == 0 {
                         break;
                     }
-                    let n = run_len.min(left);
+                    let (run_len, gid, next) = read_segment(wire, at, self.width)?
+                        .expect("segment table validated by parse_header");
+                    at = next;
+                    let n = (run_len as usize).min(left);
                     push_run(runs_out, gid, n);
                     left -= n;
                 }
@@ -343,15 +364,14 @@ impl Header {
                 let region = &wire[self.body..self.body + take * rs];
                 let start = data_out.len();
                 data_out.resize(start + take, 0);
-                let mut frame_runs = Vec::new();
-                v1::strip_records_into(
-                    region,
-                    self.width,
-                    &mut data_out[start..],
-                    &mut frame_runs,
-                )?;
-                for (gid, n) in frame_runs {
-                    push_run(runs_out, gid, n);
+                let first = runs_out.len();
+                v1::strip_records_into(region, self.width, &mut data_out[start..], runs_out)?;
+                // The frame's first run may continue the previous
+                // frame's last one.
+                if first > 0 && first < runs_out.len() && runs_out[first - 1].0 == runs_out[first].0
+                {
+                    runs_out[first - 1].1 += runs_out[first].1;
+                    runs_out.remove(first);
                 }
             }
             _ => unreachable!("opcode validated by parse_header"),
@@ -393,7 +413,7 @@ fn parse_header(wire: &[u8]) -> Result<Option<Header>, JreError> {
         ));
     }
     let dlen = dlen as usize;
-    let mut segments = Vec::new();
+    let mut segments = (0, 0);
     if op == OP_RUNS {
         let Some((nseg, n)) = read_varint(&wire[at..])? else {
             return Ok(None);
@@ -404,28 +424,22 @@ fn parse_header(wire: &[u8]) -> Result<Option<Header>, JreError> {
                 "v2 wire frame declares a bad segment count",
             ));
         }
+        segments = (at, nseg as usize);
         let mut covered: u64 = 0;
-        segments.reserve(nseg as usize);
         for _ in 0..nseg {
-            let Some((run_len, n)) = read_varint(&wire[at..])? else {
+            let Some((run_len, _gid, next)) = read_segment(wire, at, width)? else {
                 return Ok(None);
             };
-            at += n;
             if run_len == 0 {
                 return Err(JreError::Protocol("zero-length v2 gid segment"));
             }
-            if wire.len() < at + width {
-                return Ok(None);
-            }
-            let gid = gid_from_wire(&wire[at..at + width])?;
-            at += width;
+            at = next;
             covered += run_len;
             if covered > dlen as u64 {
                 return Err(JreError::Protocol(
                     "v2 gid segments overrun the declared data length",
                 ));
             }
-            segments.push((run_len as usize, gid));
         }
         if covered != dlen as u64 {
             return Err(JreError::Protocol(
@@ -460,6 +474,13 @@ impl WireCodec for V2Codec {
         out.clear();
         let total: usize = runs.iter().map(|&(n, _)| n).sum();
         assert_eq!(total, data.len(), "run table must cover the data exactly");
+        if data.len() <= MAX_FRAME_DATA {
+            // One frame: the caller's run table is the frame's.
+            if !data.is_empty() {
+                Self::encode_frame(data, runs, out);
+            }
+            return Ok(());
+        }
         let mut pos = 0; // data bytes framed so far
         let mut run = 0; // index into `runs`
         let mut offset = 0; // bytes of runs[run] already framed

@@ -161,8 +161,8 @@ pub(crate) struct VmInner {
     pub(crate) native_mem: Mutex<HashMap<u64, Vec<u8>>>,
     pub(crate) native_shadows: Mutex<HashMap<u64, TaintRuns>>,
     pub(crate) next_buffer_id: AtomicU64,
-    /// Reusable wire-sized scratch buffers shared by every boundary
-    /// crossing of this process (streams, datagrams, channels, netty).
+    /// Reusable wire-sized scratch buffers for this process's datagram
+    /// crossings (a stream keeps its own buffers).
     pub(crate) wire_pool: WireBufPool,
 }
 
@@ -407,9 +407,9 @@ impl Vm {
         &self.inner.obs
     }
 
-    /// The per-process pool of reusable wire buffers. Boundary hot paths
-    /// check scratch buffers out of here so steady-state traffic performs
-    /// no wire-sized allocations.
+    /// The per-process pool of reusable wire buffers: datagram crossings
+    /// check their encode and receive buffers out of here. (Stream
+    /// crossings reuse buffers their `BoundaryStream` owns.)
     pub fn wire_pool(&self) -> &WireBufPool {
         &self.inner.wire_pool
     }

@@ -47,5 +47,5 @@ pub use serial::{deserialize_taint, serialize_taint, TaintCodecError, SERIALIZED
 pub use spec::{MethodDesc, ParseSpecError, SourceSinkSpec};
 pub use store::TaintStore;
 pub use tag::{GlobalId, LocalId, TagId, TagValue, TaintTag};
-pub use tree::{Taint, TaintTree, TreeStats};
+pub use tree::{IdMap, Taint, TaintTree, TreeStats};
 pub use value::Tainted;

@@ -61,6 +61,14 @@ impl TaintRuns {
         Self::default()
     }
 
+    /// An empty shadow with room for `runs` runs.
+    pub fn with_capacity(runs: usize) -> Self {
+        TaintRuns {
+            runs: Vec::with_capacity(runs),
+            total: 0,
+        }
+    }
+
     /// A shadow of `n` bytes all carrying `taint`.
     pub fn uniform(taint: Taint, n: usize) -> Self {
         let mut s = Self::new();

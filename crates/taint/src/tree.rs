@@ -170,7 +170,7 @@ struct TagTable {
 /// on the union memo-hit fast path the hash is a large share of the
 /// total cost.
 #[derive(Default)]
-struct FxHasher(u64);
+pub struct FxHasher(u64);
 
 const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
@@ -208,6 +208,12 @@ impl Hasher for FxHasher {
 
 type FxBuildHasher = std::hash::BuildHasherDefault<FxHasher>;
 type FxMap<K, V> = HashMap<K, V, FxBuildHasher>;
+
+/// A `HashMap` for keys that are this program's own fixed-width handles
+/// ([`Taint`], [`TagId`], [`GlobalId`]): hashed with the tree's
+/// multiply-rotate hasher instead of SipHash. Not for keys an outside
+/// party chooses freely — there is no collision resistance.
+pub type IdMap<K, V> = FxMap<K, V>;
 
 /// Shard selection reuses the map hash but takes the *top* bits — the
 /// map's buckets are chosen from the low bits, so keys that land in the
@@ -335,6 +341,17 @@ impl TaintTree {
         cur
     }
 
+    /// Appends the tag ids on the path from `node` up to the root
+    /// (bottom-up, so descending). Lock-free.
+    fn push_path(&self, node: u32, out: &mut Vec<TagId>) {
+        let mut cur = node;
+        while cur != 0 {
+            let n = self.nodes.get(cur);
+            out.push(n.tag);
+            cur = n.parent;
+        }
+    }
+
     /// Path of tag ids from root to `node`, sorted ascending. Lock-free.
     ///
     /// The tree maintains the invariant that every interned path is sorted
@@ -342,12 +359,7 @@ impl TaintTree {
     /// canonical sorted set.
     fn path(&self, node: u32) -> Vec<TagId> {
         let mut out = Vec::with_capacity(self.nodes.get(node).depth as usize);
-        let mut cur = node;
-        while cur != 0 {
-            let n = self.nodes.get(cur);
-            out.push(n.tag);
-            cur = n.parent;
-        }
+        self.push_path(node, &mut out);
         out.reverse();
         out
     }
@@ -381,10 +393,37 @@ impl TaintTree {
     }
 
     /// Unions an arbitrary collection of taints.
+    ///
+    /// Up to two distinct non-empty operands go through the memoized
+    /// pair [`TaintTree::union`]. From the third on, folding pair unions
+    /// would intern every intermediate set (and memoize every pair) on
+    /// the way to a result nobody asked for them by; instead the
+    /// operands' tag ids are gathered, sorted, deduplicated and interned
+    /// as one path — the same canonical node the fold arrives at.
     pub fn union_all<I: IntoIterator<Item = Taint>>(&self, taints: I) -> Taint {
-        taints
-            .into_iter()
-            .fold(Taint::EMPTY, |acc, t| self.union(acc, t))
+        let mut rest = taints.into_iter().filter(|t| !t.is_empty());
+        let Some(a) = rest.next() else {
+            return Taint::EMPTY;
+        };
+        let Some(b) = rest.find(|&t| t != a) else {
+            return a;
+        };
+        let Some(c) = rest.find(|&t| t != a && t != b) else {
+            return self.union(a, b);
+        };
+        let mut operands = vec![a, b, c];
+        for t in rest {
+            if !operands.contains(&t) {
+                operands.push(t);
+            }
+        }
+        let mut tags = Vec::new();
+        for t in operands {
+            self.push_path(t.0, &mut tags);
+        }
+        tags.sort_unstable();
+        tags.dedup();
+        Taint(self.intern_path(&tags))
     }
 
     /// The sorted tag ids of a taint. Lock-free.

@@ -36,6 +36,36 @@ proptest! {
         prop_assert_eq!(s.union(a, Taint::EMPTY), a);
     }
 
+    /// `union_all` gathers tags and interns one path from the third
+    /// distinct operand on; whatever mix of multi-tag operands,
+    /// duplicates and `EMPTY` it is handed, it lands on the node the
+    /// left fold of pair unions lands on.
+    #[test]
+    fn union_all_equals_the_left_fold_of_union(
+        operands in prop::collection::vec(prop::collection::vec(0u8..12, 0..4), 0..10),
+        repeats in prop::collection::vec((any::<usize>(), any::<usize>()), 0..6),
+    ) {
+        let s = store_for(1);
+        // Operands are built by folding pair unions, so the oracle
+        // never runs the code under test.
+        let mut xs: Vec<Taint> = operands
+            .iter()
+            .map(|labels| {
+                labels.iter().fold(Taint::EMPTY, |acc, &l| {
+                    s.union(acc, s.mint_source_taint(TagValue::Int(l as i64)))
+                })
+            })
+            .collect();
+        for &(from, to) in &repeats {
+            if !xs.is_empty() {
+                let again = xs[from % xs.len()];
+                xs.insert(to % (xs.len() + 1), again);
+            }
+        }
+        let folded = xs.iter().fold(Taint::EMPTY, |acc, &t| s.union(acc, t));
+        prop_assert_eq!(s.union_all(xs.iter().copied()), folded);
+    }
+
     /// Interning: building the same tag set along any insertion order
     /// produces the same handle.
     #[test]

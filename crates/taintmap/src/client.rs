@@ -35,7 +35,9 @@ use dista_obs::{
     SpanTracker, BATCH_SIZE_BOUNDS, LATENCY_US_BOUNDS,
 };
 use dista_simnet::{NetError, NodeAddr, SimNet, TcpEndpoint};
-use dista_taint::{deserialize_taint, serialize_taint, GlobalId, TagValue, Taint, TaintStore};
+use dista_taint::{
+    deserialize_taint, serialize_taint, GlobalId, IdMap, TagValue, Taint, TaintStore,
+};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::error::TaintMapError;
@@ -400,6 +402,21 @@ struct Group {
     payload: Vec<u8>,
 }
 
+/// The receive side's two views of a Global ID, behind one lock so that
+/// a decode asks "is anything waiting to be reconciled?" and probes the
+/// cache in the same hold.
+#[derive(Default)]
+struct Inbound {
+    /// global id -> taint: a received id is resolved at most once. Only
+    /// ids the service answered for are ever inserted — allocated by
+    /// the service in sequence, not chosen by a peer — so the fast
+    /// hasher gives nothing away.
+    taint_of: IdMap<GlobalId, Taint>,
+    /// Degraded lookups awaiting reconciliation: gid → the sentinel
+    /// taint stamped onto the delivered bytes.
+    pending: HashMap<GlobalId, Taint>,
+}
+
 struct ClientInner {
     net: SimNet,
     topology: TaintMapTopology,
@@ -418,17 +435,14 @@ struct ClientInner {
     store: TaintStore,
     /// taint -> global id: "Node1 does not need to request a Global ID
     /// again if it sends b2 out later" (step ② of Fig. 9).
-    gid_of: Mutex<HashMap<Taint, GlobalId>>,
-    /// global id -> taint: a received id is resolved at most once.
-    taint_of: Mutex<HashMap<GlobalId, Taint>>,
+    gid_of: Mutex<IdMap<Taint, GlobalId>>,
+    /// What is known about Global IDs arriving from the wire.
+    inbound: Mutex<Inbound>,
     /// Registrations currently on the wire (single-flight guard).
     inflight: Mutex<HashMap<Taint, Arc<Flight>>>,
     /// One circuit breaker per shard, separate from the connection lock
     /// so fast-fails never queue behind a blocked RPC.
     breakers: Vec<Mutex<Breaker>>,
-    /// Degraded lookups awaiting reconciliation: gid → the sentinel
-    /// taint stamped onto the delivered bytes.
-    pending: Mutex<HashMap<GlobalId, Taint>>,
     /// Reconciled sentinels: sentinel taint → the real taint it stood
     /// in for.
     sentinel_resolutions: Mutex<HashMap<Taint, Taint>>,
@@ -522,11 +536,10 @@ impl TaintMapClient {
                 tables: Mutex::new(tables),
                 extra: Mutex::new(HashMap::new()),
                 store,
-                gid_of: Mutex::new(HashMap::new()),
-                taint_of: Mutex::new(HashMap::new()),
+                gid_of: Mutex::new(IdMap::default()),
+                inbound: Mutex::new(Inbound::default()),
                 inflight: Mutex::new(HashMap::new()),
                 breakers,
-                pending: Mutex::new(HashMap::new()),
                 sentinel_resolutions: Mutex::new(HashMap::new()),
                 resilience,
                 obs,
@@ -831,33 +844,72 @@ impl TaintMapClient {
     /// Transport errors from the RPCs (a concurrent waiter observes the
     /// requester's error).
     pub fn global_ids_for(&self, taints: &[Taint]) -> Result<Vec<GlobalId>, TaintMapError> {
-        let mut out = vec![GlobalId::UNTAINTED; taints.len()];
-        // (input index, taint, serialized bytes) this thread must register.
+        let mut out = Vec::new();
+        self.global_ids_into(taints, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`TaintMapClient::global_ids_for`] into a caller-owned vector
+    /// (cleared first), so a caller that keeps the vector allocates
+    /// nothing when every taint is a cache hit. `taints` may repeat
+    /// freely (the boundary hands over one taint per shadow run): hits
+    /// cost one probe each under one hold of the cache lock, and only
+    /// the misses are deduplicated — one payload never registers, or
+    /// waits on, its own duplicate.
+    ///
+    /// # Errors
+    ///
+    /// As [`TaintMapClient::global_ids_for`].
+    pub fn global_ids_into(
+        &self,
+        taints: &[Taint],
+        out: &mut Vec<GlobalId>,
+    ) -> Result<(), TaintMapError> {
+        out.clear();
+        out.resize(taints.len(), GlobalId::UNTAINTED);
+        let missed = self.answer_from_cache(&self.inner.gid_of.lock(), taints, Taint::EMPTY, out);
+        if missed.is_empty() {
+            return Ok(());
+        }
+        // Distinct missed taints in first-appearance order: the order
+        // they are registered in, hence the order the service allocates
+        // their ids in.
+        let mut slot_of: IdMap<Taint, usize> = IdMap::default();
+        let mut distinct: Vec<Taint> = Vec::new();
+        for &i in &missed {
+            slot_of.entry(taints[i]).or_insert_with(|| {
+                distinct.push(taints[i]);
+                distinct.len() - 1
+            });
+        }
+        let mut gids = vec![GlobalId::UNTAINTED; distinct.len()];
+        // (slot in `distinct`, taint, serialized bytes) this thread must
+        // register.
         let mut mine: Vec<(usize, Taint, Vec<u8>)> = Vec::new();
         let mut mine_flights: Vec<Arc<Flight>> = Vec::new();
-        // Items some other thread is already registering.
+        // Slots some other thread is already registering.
         let mut theirs: Vec<(usize, Arc<Flight>)> = Vec::new();
         {
+            // Both locks, and the cache probed again: a registration
+            // that finished since the probe above is in the cache by
+            // the time it leaves `inflight`.
             let gid_cache = self.inner.gid_of.lock();
             let mut inflight = self.inner.inflight.lock();
-            for (i, &taint) in taints.iter().enumerate() {
-                if taint.is_empty() {
-                    continue;
-                }
+            for (slot, &taint) in distinct.iter().enumerate() {
                 if let Some(&gid) = gid_cache.get(&taint) {
                     self.inner.obs.cache_hits.inc();
-                    out[i] = gid;
+                    gids[slot] = gid;
                     continue;
                 }
                 if let Some(flight) = inflight.get(&taint) {
                     self.inner.obs.single_flight_hits.inc();
-                    theirs.push((i, flight.clone()));
+                    theirs.push((slot, flight.clone()));
                     continue;
                 }
                 let flight = Arc::new(Flight::new());
                 inflight.insert(taint, flight.clone());
                 mine_flights.push(flight);
-                mine.push((i, taint, serialize_taint(self.inner.store.tree(), taint)));
+                mine.push((slot, taint, serialize_taint(self.inner.store.tree(), taint)));
             }
         }
 
@@ -866,12 +918,12 @@ impl TaintMapClient {
             // Fill flights before propagating any error so waiters never
             // hang on a failed requester.
             let mut inflight = self.inner.inflight.lock();
-            for (k, (i, taint, _)) in mine.iter().enumerate() {
+            for (k, (slot, taint, _)) in mine.iter().enumerate() {
                 inflight.remove(taint);
                 match &result {
-                    Ok(gids) => {
-                        out[*i] = gids[k];
-                        mine_flights[k].fill(Ok(gids[k]));
+                    Ok(registered) => {
+                        gids[*slot] = registered[k];
+                        mine_flights[k].fill(Ok(registered[k]));
                     }
                     Err(e) => mine_flights[k].fill(Err(e.clone())),
                 }
@@ -879,10 +931,51 @@ impl TaintMapClient {
             drop(inflight);
             result?;
         }
-        for (i, flight) in theirs {
-            out[i] = flight.wait()?;
+        for (slot, flight) in theirs {
+            gids[slot] = flight.wait()?;
         }
-        Ok(out)
+        for i in missed {
+            out[i] = gids[slot_of[&taints[i]]];
+        }
+        Ok(())
+    }
+
+    /// The cache-hit half of both directions, run under one hold of the
+    /// cache's lock: answers every key `cache` knows into its `out`
+    /// slot (`blank` keys keep the blank answer `out` was filled with;
+    /// a key equal to its predecessor reuses the predecessor's probe)
+    /// and returns the input indices it could not answer.
+    fn answer_from_cache<K: Copy + Eq + std::hash::Hash, V: Copy>(
+        &self,
+        cache: &IdMap<K, V>,
+        keys: &[K],
+        blank: K,
+        out: &mut [V],
+    ) -> Vec<usize> {
+        let mut missed = Vec::new();
+        let mut hits = 0u64;
+        let mut last: Option<(K, Option<V>)> = None;
+        for (i, &key) in keys.iter().enumerate() {
+            if key == blank {
+                continue;
+            }
+            let answer = match last {
+                Some((probed, answer)) if probed == key => answer,
+                _ => cache.get(&key).copied(),
+            };
+            last = Some((key, answer));
+            match answer {
+                Some(value) => {
+                    out[i] = value;
+                    hits += 1;
+                }
+                None => missed.push(i),
+            }
+        }
+        if hits > 0 {
+            self.inner.obs.cache_hits.add(hits);
+        }
+        missed
     }
 
     /// Registers `mine` on the wire and in the caches; returns gids
@@ -927,7 +1020,7 @@ impl TaintMapClient {
         }
         self.inner.gid_of.lock().insert(taint, gid);
         // Prime the reverse cache too: this VM already knows the taint.
-        self.inner.taint_of.lock().insert(gid, taint);
+        self.inner.inbound.lock().taint_of.insert(gid, taint);
         // The root span minted with the taint now owns the gid: outbound
         // encodes of this gid name it as their parent.
         let span = self.inner.obs.taint_spans.get(taint.node_index() as u32);
@@ -944,7 +1037,7 @@ impl TaintMapClient {
 
     /// Notes one wire-resolved lookup in the caches and event stream.
     fn finish_lookup(&self, gid: GlobalId, taint: Taint) {
-        self.inner.taint_of.lock().insert(gid, taint);
+        self.inner.inbound.lock().taint_of.insert(gid, taint);
         self.inner.gid_of.lock().insert(taint, gid);
         let span = self.inner.obs.gid_spans.get(gid.0);
         self.inner
@@ -979,50 +1072,54 @@ impl TaintMapClient {
     /// [`TaintMapError::UnknownGlobalId`] naming the first id the
     /// service never saw; transport/codec errors otherwise.
     pub fn taints_for(&self, gids: &[GlobalId]) -> Result<Vec<Taint>, TaintMapError> {
-        self.resolve_gids(gids, |misses, out| self.lookup(&misses, out))
+        let mut out = Vec::new();
+        self.resolve_gids(gids, &mut out, false, |misses, out| {
+            self.lookup(misses, out)
+        })?;
+        Ok(out)
     }
 
     /// The shape both lookup paths share: answer what the `taint_of`
-    /// cache knows, hand the distinct misses (input index of the first
+    /// cache knows into `out` (cleared first, index-aligned with
+    /// `gids`), hand the distinct misses (input index of the first
     /// copy, gid) to `fetch`, which must fill their `out` slots, then
-    /// give later copies of a missed id its first copy's answer.
+    /// give later copies of a missed id its first copy's answer. With
+    /// `reconcile`, pending sentinels are reconciled first — found out
+    /// under the same lock hold that answers the hits.
     fn resolve_gids(
         &self,
         gids: &[GlobalId],
-        fetch: impl FnOnce(Vec<(usize, GlobalId)>, &mut [Taint]) -> Result<(), TaintMapError>,
-    ) -> Result<Vec<Taint>, TaintMapError> {
-        let mut out = vec![Taint::EMPTY; gids.len()];
+        out: &mut Vec<Taint>,
+        reconcile: bool,
+        fetch: impl FnOnce(&[(usize, GlobalId)], &mut [Taint]) -> Result<(), TaintMapError>,
+    ) -> Result<(), TaintMapError> {
+        out.clear();
+        out.resize(gids.len(), Taint::EMPTY);
+        let missed = {
+            let mut inbound = self.inner.inbound.lock();
+            if reconcile && !inbound.pending.is_empty() {
+                drop(inbound);
+                self.reconcile_pending()?;
+                inbound = self.inner.inbound.lock();
+            }
+            self.answer_from_cache(&inbound.taint_of, gids, GlobalId::UNTAINTED, out)
+        };
+        if missed.is_empty() {
+            return Ok(());
+        }
+        let mut first_of: IdMap<GlobalId, usize> = IdMap::default();
         let mut misses: Vec<(usize, GlobalId)> = Vec::new();
-        // (input index, index of the first copy of the same id).
-        let mut copies: Vec<(usize, usize)> = Vec::new();
-        {
-            let taint_cache = self.inner.taint_of.lock();
-            let mut first_of: HashMap<GlobalId, usize> = HashMap::new();
-            for (i, &gid) in gids.iter().enumerate() {
-                if !gid.is_tainted() {
-                    continue;
-                }
-                if let Some(&taint) = taint_cache.get(&gid) {
-                    self.inner.obs.cache_hits.inc();
-                    out[i] = taint;
-                    continue;
-                }
-                match first_of.entry(gid) {
-                    Entry::Vacant(slot) => {
-                        slot.insert(i);
-                        misses.push((i, gid));
-                    }
-                    Entry::Occupied(first) => copies.push((i, *first.get())),
-                }
+        for &i in &missed {
+            if let Entry::Vacant(first) = first_of.entry(gids[i]) {
+                first.insert(i);
+                misses.push((i, gids[i]));
             }
         }
-        if !misses.is_empty() {
-            fetch(misses, &mut out)?;
+        fetch(&misses, out)?;
+        for i in missed {
+            out[i] = out[first_of[&gids[i]]];
         }
-        for (i, first) in copies {
-            out[i] = out[first];
-        }
-        Ok(out)
+        Ok(())
     }
 
     /// Fetches `misses` (slot in `out`, gid) on the wire, caches them,
@@ -1079,9 +1176,26 @@ impl TaintMapClient {
     /// [`TaintMapError::UnknownGlobalId`] / [`TaintMapError::Codec`]
     /// from a *reachable* shard.
     pub fn taints_for_degraded(&self, gids: &[GlobalId]) -> Result<Vec<Taint>, TaintMapError> {
+        let mut out = Vec::new();
+        self.taints_degraded_into(gids, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`TaintMapClient::taints_for_degraded`] into a caller-owned
+    /// vector (cleared first); like
+    /// [`TaintMapClient::global_ids_into`], `gids` may repeat freely
+    /// and an all-hit call allocates nothing.
+    ///
+    /// # Errors
+    ///
+    /// As [`TaintMapClient::taints_for_degraded`].
+    pub fn taints_degraded_into(
+        &self,
+        gids: &[GlobalId],
+        out: &mut Vec<Taint>,
+    ) -> Result<(), TaintMapError> {
         // Heal-side reconciliation rides on the next lookup batch.
-        let _ = self.reconcile_pending()?;
-        self.resolve_gids(gids, |misses, out| {
+        self.resolve_gids(gids, out, true, |misses, out| {
             // Each shard's slice goes through the strict path on its
             // own; a shard whose frame dies on transport degrades *only
             // its own* gids to sentinels. A gid still pending after the
@@ -1090,9 +1204,9 @@ impl TaintMapClient {
             let n = self.shard_count();
             let mut per_shard: Vec<Vec<(usize, GlobalId)>> = vec![Vec::new(); n];
             {
-                let pending = self.inner.pending.lock();
-                for (i, gid) in misses {
-                    match pending.get(&gid) {
+                let inbound = self.inner.inbound.lock();
+                for &(i, gid) in misses {
+                    match inbound.pending.get(&gid) {
                         Some(&sentinel) => out[i] = sentinel,
                         None => per_shard[shard_of_gid(gid.0, n)].push((i, gid)),
                     }
@@ -1121,7 +1235,7 @@ impl TaintMapClient {
     /// in the pending map, *not* the `taint_of` cache, so a healed
     /// lookup later resolves the real taint instead of the placeholder.
     fn pending_sentinel(&self, gid: GlobalId, shard: usize) -> Taint {
-        let mut pending = self.inner.pending.lock();
+        let pending = &mut self.inner.inbound.lock().pending;
         if let Some(&sentinel) = pending.get(&gid) {
             return sentinel;
         }
@@ -1151,8 +1265,8 @@ impl TaintMapClient {
     /// the gid just stays pending).
     pub fn reconcile_pending(&self) -> Result<u64, TaintMapError> {
         let mut snapshot: Vec<(GlobalId, Taint)> = {
-            let pending = self.inner.pending.lock();
-            pending.iter().map(|(&g, &s)| (g, s)).collect()
+            let inbound = self.inner.inbound.lock();
+            inbound.pending.iter().map(|(&g, &s)| (g, s)).collect()
         };
         // Gid order, not hash order: reconciliation (and its event
         // stream) must replay identically across runs.
@@ -1162,7 +1276,7 @@ impl TaintMapClient {
             match self.taint_for(gid) {
                 Ok(taint) => {
                     {
-                        let mut pending = self.inner.pending.lock();
+                        let pending = &mut self.inner.inbound.lock().pending;
                         pending.remove(&gid);
                         self.inner.obs.pending_gids.set(pending.len() as f64);
                     }
@@ -1189,13 +1303,13 @@ impl TaintMapClient {
 
     /// Number of gids currently degraded to a pending sentinel.
     pub fn pending_count(&self) -> usize {
-        self.inner.pending.lock().len()
+        self.inner.inbound.lock().pending.len()
     }
 
     /// The gids currently degraded to a pending sentinel, in ascending
     /// order.
     pub fn pending_gids(&self) -> Vec<GlobalId> {
-        let mut gids: Vec<GlobalId> = self.inner.pending.lock().keys().copied().collect();
+        let mut gids: Vec<GlobalId> = self.inner.inbound.lock().pending.keys().copied().collect();
         gids.sort();
         gids
     }
@@ -1228,7 +1342,7 @@ impl TaintMapClient {
             breaker_open_ns: obs.breaker_open_ns.get(),
             degraded_lookups: obs.degraded_lookups.get(),
             pending_resolved: obs.pending_resolved.get(),
-            pending_gids: self.inner.pending.lock().len() as u64,
+            pending_gids: self.inner.inbound.lock().pending.len() as u64,
             moved_redirects: obs.moved_redirects.get(),
             epoch_refetches: obs.epoch_refetches.get(),
         }
@@ -1327,13 +1441,20 @@ mod tests {
         client.global_id_for(warm).unwrap();
         let cold = store.mint_source_taint(TagValue::str("cold"));
         let gids = client
-            .global_ids_for(&[Taint::EMPTY, warm, cold, warm])
+            .global_ids_for(&[Taint::EMPTY, warm, cold, warm, cold])
             .unwrap();
         assert_eq!(gids[0], GlobalId::UNTAINTED);
         assert_eq!(gids[1], gids[3]);
         assert!(gids[2].is_tainted());
         assert_ne!(gids[1], gids[2]);
-        assert_eq!(client.stats().register_rpcs, 2, "warm taint never resent");
+        assert_eq!(gids[2], gids[4]);
+        let stats = client.stats();
+        assert_eq!(stats.register_rpcs, 2, "warm taint never resent");
+        assert_eq!(stats.cache_hits, 2, "one per warm item");
+        assert_eq!(
+            stats.single_flight_hits, 0,
+            "the second cold copy must not wait on the first one's flight"
+        );
         endpoint.shutdown();
     }
 
