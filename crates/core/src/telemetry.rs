@@ -5,21 +5,22 @@
 //! delta frames, [`Collector`] ingests them and serves expositions);
 //! this module owns the plumbing that makes them a *plane*:
 //!
-//! * [`CollectorServer`] — a reactor-driven listener thread that speaks
-//!   a one-role-byte protocol: `b'A'` opens a long-lived agent stream
-//!   of `[u32-BE length][delta frame]` messages; `b'S'` / `b'J'`
-//!   request one length-prefixed text / JSON scrape and then close.
+//! * [`CollectorServer`] — an accept thread that hands each connection
+//!   to a blocking reader speaking a one-role-byte protocol: `b'A'`
+//!   opens a long-lived agent stream of `[u32-BE length][delta frame]`
+//!   messages; `b'S'` / `b'J'` request one length-prefixed text / JSON
+//!   scrape and then close.
 //!   No length prefix may announce more than 16 MiB: the
 //!   server hangs up on an agent that does, the scraper returns an
 //!   error on a response that does.
 //!   The scrape endpoint lives *inside* the simulation — any node can
 //!   `tcp_connect` to it, exactly like a Prometheus target.
-//! * [`AgentRuntime`] — a per-VM thread driving one [`TelemetryAgent`]
-//!   off a [`Reactor`] timer tick: every `interval` it snapshots the
-//!   shared registry and, when something in scope changed, pushes the
-//!   delta over a persistent connection (re-dialled once on failure).
-//!   Stopping the runtime performs a final flush so the collector
-//!   always ends up with the last cumulative values.
+//! * [`AgentRuntime`] — a per-VM thread driving one [`TelemetryAgent`]:
+//!   every `interval` (a timed wait on its own stop signal) it
+//!   snapshots the shared registry and, when something in scope
+//!   changed, pushes the delta over a persistent connection (re-dialled
+//!   once on failure). Stopping the runtime performs a final flush so
+//!   the collector always ends up with the last cumulative values.
 //! * [`TelemetryPlane`] — the bundle a [`crate::Cluster`] owns: one
 //!   collector server plus one agent per node, with in-simulation
 //!   scrape helpers.
@@ -28,14 +29,13 @@
 //! (collector briefly unreachable, ring overflow) degrades to a late
 //! update, never a wrong one.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use dista_obs::{Collector, CollectorConfig, TelemetryAgent};
-use dista_simnet::{NetError, NodeAddr, Reactor, SimNet, TcpEndpoint, TcpListener, Token};
+use dista_simnet::{NetError, NodeAddr, SimNet, TcpEndpoint, TcpListener};
 
 use crate::error::DistaError;
 
@@ -73,28 +73,22 @@ impl Default for TelemetryConfig {
 /// up to 4 GiB.
 const MAX_FRAME_LEN: usize = 16 << 20;
 
-/// How often server/agent threads wake to check their stop flag while
-/// parked in `Reactor::poll`. Bounds shutdown latency, nothing else.
-const STOP_POLL: Duration = Duration::from_millis(10);
+/// The server's end of one accepted connection and the thread reading it.
+type Reader = (TcpEndpoint, JoinHandle<()>);
 
-struct Conn {
-    ep: TcpEndpoint,
-    role: u8,
-    buf: Vec<u8>,
-}
-
-/// The collector's listener thread: accepts agent streams and scrape
-/// requests on one reactor.
+/// The collector's listener: an accept thread plus one blocking reader
+/// per agent stream or scrape request.
 #[derive(Debug)]
 pub struct CollectorServer {
+    net: SimNet,
     addr: NodeAddr,
     collector: Arc<Collector>,
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
+    /// Returns the connections still open when the listener went away.
+    accept: Option<JoinHandle<Vec<Reader>>>,
 }
 
 impl CollectorServer {
-    /// Binds `addr` on `net` and spawns the serving thread.
+    /// Binds `addr` on `net` and spawns the accept thread.
     ///
     /// # Errors
     ///
@@ -109,17 +103,15 @@ impl CollectorServer {
             .map_err(dista_jre::JreError::from)
             .map_err(DistaError::from)?;
         let collector = Arc::new(Collector::with_config(config));
-        let stop = Arc::new(AtomicBool::new(false));
-        let handle = {
+        let accept = {
             let collector = collector.clone();
-            let stop = stop.clone();
-            std::thread::spawn(move || serve(listener, &collector, &stop))
+            std::thread::spawn(move || serve(&listener, &collector))
         };
         Ok(CollectorServer {
+            net: net.clone(),
             addr,
             collector,
-            stop,
-            handle: Some(handle),
+            accept: Some(accept),
         })
     }
 
@@ -129,17 +121,28 @@ impl CollectorServer {
     }
 
     /// The collector behind the server (shared — scrape counters et al.
-    /// move while the thread runs).
+    /// move while the threads run).
     pub fn collector(&self) -> &Arc<Collector> {
         &self.collector
     }
 
-    /// Stops the serving thread (idempotent). In-flight connections are
-    /// dropped; the collector and its data survive.
+    /// Stops listening, hangs up on every open connection and joins its
+    /// reader (idempotent). A closed pipe still yields its buffered
+    /// bytes before EOF, so every frame written before the call is
+    /// ingested when it returns; the collector and its data survive.
     pub fn stop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
+        let Some(accept) = self.accept.take() else {
+            return;
+        };
+        self.net.tcp_unlisten(self.addr);
+        // Join before hanging up: the accept loop first drains the
+        // connections already queued behind the removed listener.
+        let readers = accept.join().unwrap_or_default();
+        for (ep, _) in &readers {
+            ep.close();
+        }
+        for (_, reader) in readers {
+            let _ = reader.join();
         }
     }
 }
@@ -150,107 +153,63 @@ impl Drop for CollectorServer {
     }
 }
 
-const LISTENER: Token = Token(0);
-
-fn serve(listener: TcpListener, collector: &Collector, stop: &AtomicBool) {
-    let reactor = Reactor::new();
-    listener.register_acceptable(&reactor, LISTENER);
-    let mut conns: HashMap<u64, Conn> = HashMap::new();
-    let mut next_token = 1u64;
-    let mut events = Vec::new();
-    let mut scratch = vec![0u8; 4096];
-    while !stop.load(Ordering::Relaxed) {
-        reactor.poll(&mut events, Some(STOP_POLL));
-        for ev in &events {
-            if ev.token == LISTENER {
-                while let Some(ep) = listener.try_accept() {
-                    let token = Token(next_token);
-                    next_token += 1;
-                    ep.register_readable(&reactor, token);
-                    conns.insert(
-                        token.0,
-                        Conn {
-                            ep,
-                            role: 0,
-                            buf: Vec::new(),
-                        },
-                    );
-                }
-            } else if let Some(conn) = conns.get_mut(&ev.token.0) {
-                if !service(conn, collector, &mut scratch) {
-                    reactor.deregister(ev.token);
-                    conns.remove(&ev.token.0);
-                }
-            }
-        }
-    }
-}
-
-/// Drains readable bytes from one connection and advances its protocol
-/// state. Returns `false` when the connection is finished (EOF, error,
-/// scrape answered, bad role byte, or an agent frame announced past
-/// [`MAX_FRAME_LEN`]) and should be dropped.
-fn service(conn: &mut Conn, collector: &Collector, scratch: &mut [u8]) -> bool {
+/// The accept loop: one blocking reader per connection until the
+/// listener is removed.
+fn serve(listener: &TcpListener, collector: &Arc<Collector>) -> Vec<Reader> {
+    let mut readers: Vec<Reader> = Vec::new();
     loop {
-        match conn.ep.try_read(scratch) {
-            Ok(0) => {
-                // EOF: complete frames already buffered still count; a
-                // trailing partial frame is lost (cumulative values make
-                // that a late update, not a wrong one).
-                drain_agent_frames(conn, collector);
-                return false;
+        match listener.accept() {
+            Ok(ep) => {
+                readers.retain(|(_, reader)| !reader.is_finished());
+                let reader = {
+                    let (ep, collector) = (ep.clone(), collector.clone());
+                    std::thread::spawn(move || read_connection(&ep, &collector))
+                };
+                readers.push((ep, reader));
             }
-            Ok(n) => {
-                conn.buf.extend_from_slice(&scratch[..n]);
-                if conn.role == 0 {
-                    if conn.buf.is_empty() {
-                        continue;
-                    }
-                    conn.role = conn.buf.remove(0);
-                    match conn.role {
-                        ROLE_AGENT => {}
-                        ROLE_SCRAPE_TEXT => {
-                            respond(&conn.ep, collector.scrape_text().as_bytes());
-                            return false;
-                        }
-                        ROLE_SCRAPE_JSON => {
-                            respond(&conn.ep, collector.scrape_json().as_bytes());
-                            return false;
-                        }
-                        _ => return false,
-                    }
-                }
-                if !drain_agent_frames(conn, collector) {
-                    return false;
-                }
-            }
-            Err(NetError::WouldBlock) => return true,
-            Err(_) => return false,
+            Err(NetError::Timeout(_)) => {}
+            Err(_) => return readers,
         }
     }
 }
 
-/// Ingests every complete frame buffered on an agent stream. Returns
-/// `false` when the next frame announces more than [`MAX_FRAME_LEN`]
-/// bytes: the caller drops the connection instead of buffering it.
-fn drain_agent_frames(conn: &mut Conn, collector: &Collector) -> bool {
-    if conn.role != ROLE_AGENT {
-        return true;
+/// Serves one connection to its end, then hangs up: EOF, a transport
+/// error, a scrape answered, an unknown role byte, or an agent frame
+/// announced past [`MAX_FRAME_LEN`]. A stream silent for the whole block
+/// timeout is such an error: its agent re-dials on the next push, and a
+/// frame written in the instant of the hang-up is a dropped frame like
+/// any other.
+fn read_connection(ep: &TcpEndpoint, collector: &Collector) {
+    let mut role = [0u8; 1];
+    if ep.read_exact(&mut role).is_ok() {
+        match role[0] {
+            ROLE_AGENT => read_agent_frames(ep, collector),
+            ROLE_SCRAPE_TEXT => respond(ep, collector.scrape_text().as_bytes()),
+            ROLE_SCRAPE_JSON => respond(ep, collector.scrape_json().as_bytes()),
+            _ => {}
+        }
     }
-    while conn.buf.len() >= 4 {
-        let len = u32::from_be_bytes([conn.buf[0], conn.buf[1], conn.buf[2], conn.buf[3]]) as usize;
+    ep.close();
+}
+
+/// Ingests `[u32-BE length][frame]` messages until the stream ends. A
+/// trailing partial frame is lost (cumulative values make that a late
+/// update, not a wrong one).
+fn read_agent_frames(ep: &TcpEndpoint, collector: &Collector) {
+    let mut len = [0u8; 4];
+    let mut frame = Vec::new();
+    while ep.read_exact(&mut len).is_ok() {
+        let len = u32::from_be_bytes(len) as usize;
         if len > MAX_FRAME_LEN {
-            return false;
+            return;
         }
-        if conn.buf.len() < 4 + len {
-            break;
+        frame.resize(len, 0);
+        if ep.read_exact(&mut frame).is_err() {
+            return;
         }
-        let frame = String::from_utf8_lossy(&conn.buf[4..4 + len]).into_owned();
         // Malformed frames are counted by the collector itself.
-        let _ = collector.ingest(&frame);
-        conn.buf.drain(..4 + len);
+        let _ = collector.ingest(&String::from_utf8_lossy(&frame));
     }
-    true
 }
 
 fn respond(ep: &TcpEndpoint, payload: &[u8]) {
@@ -258,18 +217,16 @@ fn respond(ep: &TcpEndpoint, payload: &[u8]) {
     msg.extend_from_slice(&(payload.len() as u32).to_be_bytes());
     msg.extend_from_slice(payload);
     let _ = ep.write(&msg);
-    ep.close();
 }
 
-/// A per-VM agent thread: reactor-timer ticks driving delta pushes.
+/// A per-VM agent thread pushing one delta per tick.
 #[derive(Debug)]
 pub struct AgentRuntime {
     node: String,
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
+    /// The thread and its stop signal: dropping the sender ends the
+    /// tick wait at once.
+    thread: Option<(mpsc::Sender<()>, JoinHandle<()>)>,
 }
-
-const TICK: Token = Token(1);
 
 impl AgentRuntime {
     /// Spawns the agent for `node`, pushing `node=<node>`-labeled
@@ -284,26 +241,13 @@ impl AgentRuntime {
         collector: NodeAddr,
         interval: Duration,
     ) -> Self {
-        let stop = Arc::new(AtomicBool::new(false));
+        let (stop, stopped) = mpsc::channel::<()>();
         let handle = {
             let net = net.clone();
-            let stop = stop.clone();
             let mut agent = TelemetryAgent::for_node(node, net.registry().clone());
             std::thread::spawn(move || {
-                let reactor = Reactor::new();
-                let mut events = Vec::new();
                 let mut conn: Option<TcpEndpoint> = None;
-                'run: loop {
-                    reactor.set_timer(TICK, interval);
-                    loop {
-                        if stop.load(Ordering::Relaxed) {
-                            break 'run;
-                        }
-                        reactor.poll(&mut events, Some(STOP_POLL));
-                        if events.iter().any(|e| e.readiness.is_timer()) {
-                            break;
-                        }
-                    }
+                while stopped.recv_timeout(interval) == Err(RecvTimeoutError::Timeout) {
                     push_delta(&net, &mut agent, &mut conn, src_ip, collector);
                 }
                 // Final flush: the collector always ends with the last
@@ -316,8 +260,7 @@ impl AgentRuntime {
         };
         AgentRuntime {
             node: node.to_string(),
-            stop,
-            handle: Some(handle),
+            thread: Some((stop, handle)),
         }
     }
 
@@ -329,8 +272,8 @@ impl AgentRuntime {
     /// Stops the agent after one final flush push (idempotent, joins
     /// the thread — returns once the flush is on the wire).
     pub fn stop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.handle.take() {
+        if let Some((stop, handle)) = self.thread.take() {
+            drop(stop);
             let _ = handle.join();
         }
     }
@@ -454,16 +397,14 @@ impl TelemetryPlane {
         scrape(&self.net, self.config.addr, ROLE_SCRAPE_JSON)
     }
 
-    /// Stops agents (each flushes its final delta), waits for the
-    /// collector to ingest those flushes (one scrape through the
-    /// server's reactor acts as the barrier: it is processed after
-    /// every already-queued agent byte), then stops the server.
+    /// Stops agents (each returns once its final delta is written),
+    /// then the server, whose readers ingest every byte already written
+    /// before they see EOF: joining them is the ingestion barrier.
     /// Returns the collector for post-run inspection.
     pub fn shutdown(mut self) -> Arc<Collector> {
         for agent in &mut self.agents {
             agent.stop();
         }
-        let _ = self.scrape_text();
         self.server.stop();
         self.server.collector().clone()
     }
@@ -596,16 +537,10 @@ mod tests {
         .unwrap();
         let ep = net.tcp_connect(server.addr()).unwrap();
         ep.write(b"X").unwrap();
+        // The server hangs up without a response.
         let mut buf = [0u8; 1];
-        // The server drops the connection without a response.
-        loop {
-            match ep.try_read(&mut buf) {
-                Ok(0) | Err(NetError::Closed) => break,
-                Ok(_) => panic!("no payload expected on a bad role byte"),
-                Err(NetError::WouldBlock) => std::thread::sleep(Duration::from_millis(2)),
-                Err(e) => panic!("unexpected error {e:?}"),
-            }
-        }
+        assert_eq!(ep.read(&mut buf), Ok(0), "no payload on a bad role byte");
+        assert_eq!(ep.write(b"x"), Err(NetError::Closed));
         assert_eq!(server.collector().frames_ingested(), 0);
         server.stop();
     }
@@ -616,30 +551,91 @@ mod tests {
         let addr = NodeAddr::new([10, 0, 0, 200], 9100);
         let listener = net.tcp_listen(addr).unwrap();
         let agent = net.tcp_connect(addr).unwrap();
-        let mut conn = Conn {
-            ep: listener.accept().unwrap(),
-            role: 0,
-            buf: Vec::new(),
-        };
+        let served = listener.accept().unwrap();
         let collector = Collector::with_config(CollectorConfig::default());
         // The announcement, then the first 64 KiB of the "frame".
         let mut msg = vec![ROLE_AGENT];
         msg.extend_from_slice(&u32::MAX.to_be_bytes());
         msg.resize(msg.len() + 64 * 1024, 0);
         agent.write(&msg).unwrap();
-        let mut scratch = [0u8; 4096];
-        assert!(
-            !service(&mut conn, &collector, &mut scratch),
-            "the server must hang up, not wait for 4 GiB"
+        // Returns at once: the server must hang up, not wait for 4 GiB.
+        read_connection(&served, &collector);
+        assert_eq!(
+            served.available(),
+            64 * 1024,
+            "nothing past the role byte and the length is read, let alone buffered"
         );
-        assert!(
-            conn.buf.len() <= scratch.len(),
-            "nothing past the first read is buffered"
-        );
-        // `serve` drops a finished connection; the agent sees it closed.
-        drop(conn);
         assert_eq!(agent.write(b"x"), Err(NetError::Closed));
         assert_eq!(collector.frames_ingested(), 0);
+    }
+
+    #[test]
+    fn a_stalled_agent_stream_delays_neither_scrapes_nor_shutdown() {
+        let net = SimNet::new();
+        net.registry()
+            .counter_with("work", &[("node", "ghost")])
+            .add(7);
+        let plane = plane_on(&net, &[], 60_000);
+        // A raw agent stream: role byte, a full length prefix, half the
+        // frame it announces — then silence.
+        let frame = TelemetryAgent::for_node("ghost", net.registry().clone())
+            .delta_frame()
+            .unwrap();
+        let mut msg = vec![ROLE_AGENT];
+        msg.extend_from_slice(&(frame.len() as u32).to_be_bytes());
+        msg.extend_from_slice(&frame.as_bytes()[..frame.len() / 2]);
+        let stalled = net.tcp_connect(plane.addr()).unwrap();
+        stalled.write(&msg).unwrap();
+
+        let started = std::time::Instant::now();
+        for _ in 0..3 {
+            let text = plane.scrape_text().unwrap();
+            assert!(text.contains("dista_collector_frames_ingested_total"));
+        }
+        let collector = plane.shutdown();
+        // The stalled reader sits in a 30 s block timeout; nobody waits for it.
+        assert!(
+            started.elapsed() < Duration::from_secs(10),
+            "scrapes + shutdown took {:?}",
+            started.elapsed()
+        );
+        assert_eq!(collector.scrapes_served(), 3);
+        assert_eq!(collector.frames_ingested(), 0, "half a frame is no frame");
+        assert!(collector.nodes().is_empty());
+        assert_eq!(collector.parse_errors(), 0);
+        drop(stalled);
+    }
+
+    #[test]
+    fn shutdown_returns_a_collector_holding_every_agents_last_value() {
+        let nodes = [
+            ("n1", [10, 0, 0, 1]),
+            ("n2", [10, 0, 0, 2]),
+            ("n3", [10, 0, 0, 3]),
+            ("n4", [10, 0, 0, 4]),
+        ];
+        // Looped: the barrier is the join of every reader, which must
+        // hold however the four flushes and the hang-up interleave.
+        for round in 0..50u64 {
+            let net = SimNet::new();
+            // Ticks are far in the future: only the stop-flush delivers.
+            let plane = plane_on(&net, &nodes, 60_000);
+            for (i, (node, _)) in nodes.iter().enumerate() {
+                net.registry()
+                    .counter_with("late", &[("node", node)])
+                    .add(round * 10 + i as u64 + 1);
+            }
+            let collector = plane.shutdown();
+            let text = collector.scrape_text();
+            for (i, (node, _)) in nodes.iter().enumerate() {
+                let want = format!("late{{node=\"{node}\"}} {}", round * 10 + i as u64 + 1);
+                assert!(
+                    text.contains(&want),
+                    "round {round}: no {want:?} in\n{text}"
+                );
+            }
+            assert_eq!(collector.frames_ingested(), 4, "round {round}");
+        }
     }
 
     #[test]

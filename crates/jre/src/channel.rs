@@ -155,13 +155,6 @@ impl ServerSocketChannel {
         })
     }
 
-    /// Non-blocking accept.
-    pub fn try_accept(&self) -> Option<SocketChannel> {
-        self.listener.try_accept().map(|ep| SocketChannel {
-            stream: Arc::new(BoundaryStream::acceptor(self.vm.clone(), ep)),
-        })
-    }
-
     /// Stops listening.
     pub fn close(&self) {
         self.vm.net().tcp_unlisten(self.listener.local_addr());

@@ -2,7 +2,7 @@
 //! collector that serves Prometheus-style scrapes.
 //!
 //! The data structures live here (leaf crate, no transport); the SimNet
-//! plumbing — the collector's listener thread, the reactor-timer agent
+//! plumbing — the collector's accept and reader threads, the agent
 //! ticks, the in-simulation scrape endpoint — is `dista-core`'s
 //! `telemetry` module.
 //!

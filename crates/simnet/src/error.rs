@@ -23,10 +23,9 @@ pub enum NetError {
     Timeout(Duration),
     /// Operation on an address that is not bound.
     NotBound(NodeAddr),
-    /// A non-blocking operation (`try_read`, `try_receive`,
-    /// `try_accept`) found nothing to do; register the endpoint with a
-    /// [`crate::Reactor`] to learn when to retry. Never surfaced by the
-    /// blocking API.
+    /// [`crate::TcpEndpoint::try_read`] found nothing buffered. Inside
+    /// the simulator it is the signal on which a blocking wait parks and
+    /// retries; the blocking API never surfaces it.
     WouldBlock,
     /// The destination is cut off by an injected partition
     /// ([`crate::FaultPlan`] / `SimNet::partition`).
@@ -43,7 +42,7 @@ impl fmt::Display for NetError {
                 write!(f, "simulated i/o timed out after {after:?}")
             }
             NetError::NotBound(a) => write!(f, "address not bound: {a}"),
-            NetError::WouldBlock => f.write_str("operation would block; retry on readiness"),
+            NetError::WouldBlock => f.write_str("operation would block; nothing buffered yet"),
             NetError::Unreachable(a) => write!(f, "destination unreachable (partitioned): {a}"),
         }
     }

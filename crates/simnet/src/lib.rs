@@ -25,13 +25,13 @@
 //! * [`FaultPlan`] — a deterministic chaos schedule (directed
 //!   partitions, connection resets, latency/jitter, crash-restart
 //!   triggers) replayed bit-identically on a logical step clock.
-//! * [`Reactor`] — an event-driven readiness queue with a hashed
-//!   [`TimerWheel`]: non-blocking `try_read`/`try_write`/`try_receive`
-//!   plus token-based wakeups, so one poller thread can drive 100k+
-//!   connections. The blocking API above waits on the same sources —
-//!   one rule for both: change state under the source's lock, wake
-//!   after releasing it, and a blocking wait allocates nothing (pinned
-//!   by `tests/reactor_conformance.rs` and `tests/handoff_stress.rs`).
+//!
+//! Every read, accept and receive blocks, and all of them wait the same
+//! way: parked on the one source they need, under an absolute deadline
+//! ([`FaultConfig::block_timeout`] or the caller's own). Sources change
+//! state under their lock and wake after releasing it, and a wait
+//! allocates nothing (pinned by `tests/stream_semantics.rs` and
+//! `tests/handoff_stress.rs`).
 //!
 //! # Example
 //!
@@ -59,10 +59,9 @@ mod fs;
 mod metrics;
 pub mod native;
 mod net;
-mod reactor;
 mod tcp;
-mod timer;
 mod udp;
+mod wakers;
 
 pub use addr::NodeAddr;
 pub use error::NetError;
@@ -73,9 +72,7 @@ pub use fault::{
 pub use fs::{FileNotFound, SimFs, SimFsError};
 pub use metrics::{MetricsSnapshot, NetMetrics};
 pub use net::{FaultConfig, SimNet};
-pub use reactor::{Event, Reactor, Readiness, TimerHandle, Token};
 pub use tcp::{TcpEndpoint, TcpListener};
-pub use timer::{TimerKey, TimerWheel};
 pub use udp::UdpEndpoint;
 
 /// Alias for [`NetError`] under the simulator-qualified name used by the

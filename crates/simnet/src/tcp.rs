@@ -8,15 +8,13 @@
 //! simulator: a receiver genuinely can get half of a DisTA wire record
 //! and must carry the remainder to the next read.
 //!
-//! The primitive operations are the non-blocking
-//! [`TcpEndpoint::try_read`] / [`TcpEndpoint::try_write`] plus readiness
-//! registration ([`TcpEndpoint::register_readable`]). A blocking read is
-//! the same `try_read` retried under the pipe's lock, parking on the
-//! pipe's own condition variable between attempts — no allocation, no
-//! list — **deadline-absolute**: a wakeup that brings no data re-arms
-//! only the remaining time. Writers publish under the lock and wake
-//! after releasing it (see [`crate::reactor`]). The conformance suite
-//! pins that both paths deliver identical bytes.
+//! [`TcpEndpoint::read`] blocks: it takes what is buffered under the
+//! pipe's lock and otherwise parks on the pipe's own condition variable
+//! — no allocation, no list — **deadline-absolute**: a wakeup that
+//! brings no data re-arms only the remaining time. Writers publish
+//! under the lock and wake after releasing it (the rule is stated once,
+//! in `wakers.rs`). [`TcpEndpoint::try_read`] is the same take without
+//! the park, for a caller that only wants what has already arrived.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -30,7 +28,7 @@ use crate::error::NetError;
 use crate::fault::spin_ns;
 use crate::metrics::NetMetrics;
 use crate::net::FaultsShared;
-use crate::reactor::{Reactor, Readiness, Token, Wakers};
+use crate::wakers::Wakers;
 
 #[derive(Debug, Default)]
 struct PipeState {
@@ -62,13 +60,9 @@ impl PipeState {
         self.buf.drain(..n);
         Ok(n)
     }
-
-    fn readiness(&self) -> Readiness {
-        Readiness::of_source(!self.buf.is_empty(), self.closed)
-    }
 }
 
-/// One direction of a connection: a byte queue with readiness wakeups.
+/// One direction of a connection: a byte queue and its parked readers.
 #[derive(Debug, Default)]
 pub(crate) struct Pipe {
     state: Mutex<PipeState>,
@@ -83,7 +77,7 @@ impl Pipe {
         }
         st.buf.extend(bytes);
         drop(st);
-        self.wakers.notify(Readiness::READABLE);
+        self.wakers.notify();
         Ok(())
     }
 
@@ -101,15 +95,11 @@ impl Pipe {
 
     fn close(&self) {
         self.state.lock().closed = true;
-        self.wakers.notify(Readiness::READABLE | Readiness::CLOSED);
+        self.wakers.notify();
     }
 
     fn buffered(&self) -> usize {
         self.state.lock().buf.len()
-    }
-
-    fn wakers(&self) -> &Wakers {
-        &self.wakers
     }
 }
 
@@ -231,42 +221,18 @@ impl TcpEndpoint {
         }
     }
 
-    /// Reactor-style write. Sim pipes are unbounded, so a permitted
-    /// write always completes in full; the name mirrors the
-    /// non-blocking read side and returns the byte count for
-    /// event-loop symmetry. Advances the fault step clock exactly like
-    /// [`TcpEndpoint::write`] — the conformance suite relies on the two
-    /// paths being indistinguishable to the `FaultEngine`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`TcpEndpoint::write`].
-    pub fn try_write(&self, bytes: &[u8]) -> Result<usize, NetError> {
-        self.write(bytes)?;
-        Ok(bytes.len())
-    }
-
     /// Non-blocking read into `buf`.
     ///
     /// Returns the number of bytes read; `Ok(0)` means EOF.
     ///
     /// # Errors
     ///
-    /// [`NetError::WouldBlock`] if no bytes are buffered (register with
-    /// a [`Reactor`] to learn when to retry); the usual transport
-    /// errors otherwise.
+    /// [`NetError::WouldBlock`] if no bytes are buffered; the usual
+    /// transport errors otherwise.
     pub fn try_read(&self, buf: &mut [u8]) -> Result<usize, NetError> {
         self.check_link_faults(false)?;
         let chunk = self.inner.faults.max_read_chunk();
         self.inner.rx.try_read(buf, chunk)
-    }
-
-    /// Registers this endpoint's read side with a reactor: `token`
-    /// becomes readable whenever bytes arrive or the peer closes. If
-    /// data is already buffered the token is queued immediately.
-    pub fn register_readable(&self, reactor: &Reactor, token: Token) {
-        let rx = &self.inner.rx;
-        reactor.attach(rx.wakers(), || rx.state.lock().readiness(), token);
     }
 
     /// Reads into `buf`, blocking until ≥1 byte is available.
@@ -362,10 +328,6 @@ impl AcceptState {
             None => Err(NetError::WouldBlock),
         }
     }
-
-    fn readiness(&self) -> Readiness {
-        Readiness::of_source(!self.queue.is_empty(), self.closed)
-    }
 }
 
 impl AcceptQueue {
@@ -378,13 +340,13 @@ impl AcceptQueue {
         }
         st.queue.push_back(ep);
         drop(st);
-        self.wakers.notify(Readiness::READABLE);
+        self.wakers.notify();
         true
     }
 
     pub(crate) fn close(&self) {
         self.state.lock().closed = true;
-        self.wakers.notify(Readiness::READABLE | Readiness::CLOSED);
+        self.wakers.notify();
     }
 }
 
@@ -428,22 +390,6 @@ impl TcpListener {
             self.faults.block_timeout(),
             AcceptState::pop,
         )
-    }
-
-    /// Non-blocking accept.
-    pub fn try_accept(&self) -> Option<TcpEndpoint> {
-        self.incoming.state.lock().pop().ok()
-    }
-
-    /// Registers the listener with a reactor: `token` becomes readable
-    /// whenever a connection is waiting to be accepted.
-    pub fn register_acceptable(&self, reactor: &Reactor, token: Token) {
-        let incoming = &self.incoming;
-        reactor.attach(
-            &incoming.wakers,
-            || incoming.state.lock().readiness(),
-            token,
-        );
     }
 }
 
@@ -560,15 +506,6 @@ mod tests {
     }
 
     #[test]
-    fn try_write_reports_length() {
-        let (c, s) = pair();
-        assert_eq!(c.try_write(b"abc").unwrap(), 3);
-        let mut buf = [0u8; 3];
-        s.read_exact(&mut buf).unwrap();
-        assert_eq!(&buf, b"abc");
-    }
-
-    #[test]
     fn configured_block_timeout_is_typed() {
         let net = SimNet::new();
         let timeout = Duration::from_millis(25);
@@ -580,8 +517,10 @@ mod tests {
         let l = net.tcp_listen(addr).unwrap();
         let c = net.tcp_connect(addr).unwrap();
         let s = l.accept().unwrap();
+        let started = Instant::now();
         let mut buf = [0u8; 4];
         assert_eq!(s.read(&mut buf), Err(NetError::Timeout(timeout)));
+        assert!(started.elapsed() >= timeout, "timeout fired early");
         drop(c);
     }
 
@@ -598,7 +537,7 @@ mod tests {
             std::thread::spawn(move || {
                 for _ in 0..20 {
                     std::thread::sleep(Duration::from_millis(15));
-                    pipe.wakers().notify(Readiness::READABLE);
+                    pipe.wakers.notify();
                 }
             })
         };

@@ -16,7 +16,7 @@ use crate::error::NetError;
 use crate::fault::spin_ns;
 use crate::metrics::NetMetrics;
 use crate::net::FaultsShared;
-use crate::reactor::{Reactor, Readiness, Token, Wakers};
+use crate::wakers::Wakers;
 
 #[derive(Debug, Default)]
 pub(crate) struct Mailbox {
@@ -44,10 +44,6 @@ impl MailboxState {
         out[..n].copy_from_slice(&datagram[..n]);
         Ok((n, from))
     }
-
-    fn readiness(&self) -> Readiness {
-        Readiness::of_source(!self.queue.is_empty(), self.closed)
-    }
 }
 
 impl Mailbox {
@@ -58,12 +54,12 @@ impl Mailbox {
         }
         st.queue.push_back((from, datagram));
         drop(st);
-        self.wakers.notify(Readiness::READABLE);
+        self.wakers.notify();
     }
 
     fn close(&self) {
         self.state.lock().closed = true;
-        self.wakers.notify(Readiness::READABLE | Readiness::CLOSED);
+        self.wakers.notify();
     }
 }
 
@@ -148,26 +144,6 @@ impl UdpEndpoint {
             .wait(&mailbox.state, self.inner.faults.block_timeout(), |st| {
                 st.take(buf)
             })
-    }
-
-    /// Non-blocking receive; same truncation semantics as
-    /// [`UdpEndpoint::receive`].
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::WouldBlock`] if no datagram is queued (register with
-    /// a [`Reactor`] to learn when to retry), [`NetError::Closed`] if
-    /// the socket was closed.
-    pub fn try_receive(&self, buf: &mut [u8]) -> Result<(usize, NodeAddr), NetError> {
-        self.inner.mailbox.state.lock().take(buf)
-    }
-
-    /// Registers this socket with a reactor: `token` becomes readable
-    /// whenever a datagram is queued. If one is already waiting the
-    /// token is queued immediately.
-    pub fn register_readable(&self, reactor: &Reactor, token: Token) {
-        let mailbox = &self.inner.mailbox;
-        reactor.attach(&mailbox.wakers, || mailbox.state.lock().readiness(), token);
     }
 
     /// Closes the socket and unbinds the address.
@@ -262,19 +238,6 @@ mod tests {
         let mut buf = [0u8; 16];
         let (n, _) = b.receive(&mut buf).unwrap();
         assert_eq!(&buf[..n], b"through");
-    }
-
-    #[test]
-    fn try_receive_would_block_until_delivery() {
-        let (a, b) = two();
-        let mut buf = [0u8; 8];
-        assert_eq!(b.try_receive(&mut buf), Err(NetError::WouldBlock));
-        a.send_to(b.local_addr(), b"dgram");
-        let (n, from) = b.try_receive(&mut buf).unwrap();
-        assert_eq!(&buf[..n], b"dgram");
-        assert_eq!(from, a.local_addr());
-        b.close();
-        assert_eq!(b.try_receive(&mut buf), Err(NetError::Closed));
     }
 
     #[test]

@@ -9,23 +9,15 @@
 //! [`BLOCK_TIMEOUT`], far above what all its healthy hand-offs take
 //! together, and fails if its wall time reaches it: one lost wakeup is
 //! enough to get there.
-//!
-//! The ping-pongs attach a reactor registration to the very source a
-//! blocking reader is parked on: the token must be queued by the time
-//! the write returns, and the parked reader must come back with the
-//! data — both see every readiness edge.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use dista_simnet::{
-    Event, FaultConfig, NetError, NodeAddr, Reactor, SimNet, TcpEndpoint, Token, UdpEndpoint,
-};
+use dista_simnet::{FaultConfig, NetError, NodeAddr, SimNet, TcpEndpoint, UdpEndpoint};
 
 const ROUND_TRIPS: u32 = 100_000;
 const BLOCK_TIMEOUT: Duration = Duration::from_secs(30);
-const TOKEN: Token = Token(1);
 
 fn net() -> SimNet {
     let net = SimNet::new();
@@ -54,25 +46,11 @@ fn assert_no_wait_ran_out(started: Instant) {
     );
 }
 
-/// The edge just published must already sit in the ready queue: sources
-/// queue tokens synchronously, before `write`/`connect`/`send_to` return.
-fn assert_token_queued(reactor: &Reactor, events: &mut Vec<Event>, round: u32) {
-    assert_eq!(
-        reactor.poll(events, Some(Duration::ZERO)),
-        1,
-        "round {round}: the registered token missed a readiness edge"
-    );
-    assert_eq!(events[0].token, TOKEN);
-    assert!(events[0].readiness.is_readable());
-}
-
 #[test]
-fn tcp_pingpong_wakes_parked_reader_and_token_every_round() {
+fn tcp_pingpong_wakes_parked_reader_every_round() {
     let started = Instant::now();
     let net = net();
     let (client, server) = tcp_pair(&net, 800);
-    let reactor = Reactor::new();
-    server.register_readable(&reactor, TOKEN);
     std::thread::scope(|scope| {
         let echo = scope.spawn(move || {
             let mut buf = [0u8; 4];
@@ -88,11 +66,9 @@ fn tcp_pingpong_wakes_parked_reader_and_token_every_round() {
                 }
             }
         });
-        let mut events = Vec::new();
         let mut reply = [0u8; 4];
         for round in 0..ROUND_TRIPS {
             client.write(&round.to_be_bytes()).unwrap();
-            assert_token_queued(&reactor, &mut events, round);
             client.read_exact(&mut reply).expect("reply (lost wakeup?)");
             assert_eq!(u32::from_be_bytes(reply), round);
             assert_no_wait_ran_out(started);
@@ -103,13 +79,11 @@ fn tcp_pingpong_wakes_parked_reader_and_token_every_round() {
 }
 
 #[test]
-fn accept_pingpong_wakes_parked_acceptor_and_token_every_round() {
+fn accept_pingpong_wakes_parked_acceptor_every_round() {
     let started = Instant::now();
     let net = net();
     let addr = NodeAddr::new([10, 0, 0, 2], 801);
     let listener = net.tcp_listen(addr).unwrap();
-    let reactor = Reactor::new();
-    listener.register_acceptable(&reactor, TOKEN);
     std::thread::scope(|scope| {
         let acceptor = scope.spawn(move || {
             let mut accepted = 0u32;
@@ -124,11 +98,9 @@ fn accept_pingpong_wakes_parked_acceptor_and_token_every_round() {
                 }
             }
         });
-        let mut events = Vec::new();
         let mut greeting = [0u8; 4];
         for round in 0..ROUND_TRIPS {
             let conn = net.tcp_connect(addr).unwrap();
-            assert_token_queued(&reactor, &mut events, round);
             conn.read_exact(&mut greeting)
                 .expect("greeting (lost wakeup?)");
             assert_eq!(u32::from_be_bytes(greeting), round);
@@ -140,13 +112,11 @@ fn accept_pingpong_wakes_parked_acceptor_and_token_every_round() {
 }
 
 #[test]
-fn udp_pingpong_wakes_parked_receiver_and_token_every_round() {
+fn udp_pingpong_wakes_parked_receiver_every_round() {
     let started = Instant::now();
     let net = net();
     let a = net.udp_bind(NodeAddr::new([10, 0, 0, 1], 802)).unwrap();
     let b = net.udp_bind(NodeAddr::new([10, 0, 0, 2], 802)).unwrap();
-    let reactor = Reactor::new();
-    b.register_readable(&reactor, TOKEN);
     std::thread::scope(|scope| {
         let echo = {
             let b: UdpEndpoint = b.clone();
@@ -165,11 +135,9 @@ fn udp_pingpong_wakes_parked_receiver_and_token_every_round() {
                 }
             })
         };
-        let mut events = Vec::new();
         let mut reply = [0u8; 8];
         for round in 0..ROUND_TRIPS {
             a.send_to(b.local_addr(), &round.to_be_bytes());
-            assert_token_queued(&reactor, &mut events, round);
             let (n, from) = a.receive(&mut reply).expect("reply (lost wakeup?)");
             assert_eq!(from, b.local_addr());
             assert_eq!(reply[..n], round.to_be_bytes());

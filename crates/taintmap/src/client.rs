@@ -389,6 +389,9 @@ struct ShardConn {
     conn: TcpEndpoint,
     /// Index into the shard's failover address list.
     target: usize,
+    /// A frame on `conn` ended in an error, so its reply may still
+    /// arrive: the next round redials before it writes.
+    retired: bool,
 }
 
 /// One destination's frame of a round: the residue class, the server
@@ -522,8 +525,8 @@ impl TaintMapClient {
         let mut breakers = Vec::with_capacity(topology.shard_count());
         let mut tables = Vec::with_capacity(topology.shard_count());
         for i in 0..topology.shard_count() {
-            let (conn, target) = dial_any(net, topology.shard_addrs(i), src_ip, 0)?;
-            shards.push(Arc::new(Mutex::new(ShardConn { conn, target })));
+            let conn = dial_any(net, topology.shard_addrs(i), src_ip, 0)?;
+            shards.push(Arc::new(Mutex::new(conn)));
             breakers.push(Mutex::new(Breaker::new()));
             tables.push(ClassTable::initial(topology.shard_addrs(i).to_vec(), i));
         }
@@ -590,9 +593,7 @@ impl TaintMapClient {
         guard: &mut MutexGuard<'_, ShardConn>,
     ) -> Result<(), TaintMapError> {
         let start = (guard.target + 1) % addrs.len();
-        let (conn, target) = dial_any(&self.inner.net, addrs, self.inner.src_ip, start)?;
-        guard.conn = conn;
-        guard.target = target;
+        **guard = dial_any(&self.inner.net, addrs, self.inner.src_ip, start)?;
         self.inner.obs.failovers.inc();
         self.inner
             .obs
@@ -608,8 +609,8 @@ impl TaintMapClient {
         if let Some(conn) = pool.get(&addr) {
             return Ok(conn.clone());
         }
-        let (conn, target) = dial_any(&self.inner.net, &[addr], self.inner.src_ip, 0)?;
-        let arc = Arc::new(Mutex::new(ShardConn { conn, target }));
+        let conn = dial_any(&self.inner.net, &[addr], self.inner.src_ip, 0)?;
+        let arc = Arc::new(Mutex::new(conn));
         pool.insert(addr, arc.clone());
         Ok(arc)
     }
@@ -671,8 +672,11 @@ impl TaintMapClient {
     ///   toward opening it.
     ///
     /// Every group is driven to a reply or to exhaustion before the
-    /// first error is returned, so no connection is left with an unread
-    /// reply that the next request would mistake for its own.
+    /// first error is returned, and a connection whose frame ended in
+    /// exhaustion is retired — its reply may still arrive, so the next
+    /// round redials (a failover like any other) before it writes. No
+    /// connection is ever read with a reply outstanding that the next
+    /// request would mistake for its own.
     fn run_groups(&self, groups: &[Group], op: u8) -> Result<Vec<(u8, Vec<u8>)>, TaintMapError> {
         debug_assert!(
             groups
@@ -703,8 +707,14 @@ impl TaintMapClient {
         self.inner.obs.batch_frames.add(groups.len() as u64);
         let written: Vec<Result<(), TaintMapError>> = groups
             .iter()
-            .zip(&guards)
-            .map(|(g, guard)| Ok(write_frame(&guard.conn, op, &g.payload)?))
+            .zip(&mut guards)
+            .zip(&conns)
+            .map(|((g, guard), (_, addrs))| {
+                if guard.retired {
+                    self.redial_addrs(g.class, addrs, guard)?;
+                }
+                Ok(write_frame(&guard.conn, op, &g.payload)?)
+            })
             .collect();
 
         let mut replies = Vec::with_capacity(groups.len());
@@ -739,6 +749,7 @@ impl TaintMapClient {
                     replies.push(reply);
                 }
                 Err(e) => {
+                    guard.retired = true;
                     if breaker.failure(&r) {
                         self.inner.obs.breaker_opens.inc();
                     }
@@ -1361,12 +1372,18 @@ fn dial_any(
     addrs: &[NodeAddr],
     src_ip: [u8; 4],
     start: usize,
-) -> Result<(TcpEndpoint, usize), TaintMapError> {
+) -> Result<ShardConn, TaintMapError> {
     let mut last = TaintMapError::Protocol("no taint map addresses");
     for k in 0..addrs.len() {
-        let idx = (start + k) % addrs.len();
-        match net.tcp_connect_from(src_ip, addrs[idx]) {
-            Ok(conn) => return Ok((conn, idx)),
+        let target = (start + k) % addrs.len();
+        match net.tcp_connect_from(src_ip, addrs[target]) {
+            Ok(conn) => {
+                return Ok(ShardConn {
+                    conn,
+                    target,
+                    retired: false,
+                })
+            }
             Err(e) => last = TaintMapError::Net(e),
         }
     }
@@ -1378,6 +1395,8 @@ mod tests {
     use super::*;
     use crate::endpoint::TaintMapEndpoint;
     use dista_taint::{LocalId, TagValue};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Barrier;
 
     fn setup() -> (SimNet, TaintMapEndpoint, TaintMapClient, TaintStore) {
         let net = SimNet::new();
@@ -1801,6 +1820,121 @@ mod tests {
         let client2 = endpoint.client(&net, store2.clone()).unwrap();
         let resolved = client2.taint_for(gid).unwrap();
         assert_eq!(store2.tag_values(resolved), store.tag_values(fresh));
+        endpoint.shutdown();
+    }
+
+    /// A backend that holds the next `register` or `lookup` at a gate
+    /// once armed, so a test decides when the server's reply is written.
+    struct GatedBackend {
+        inner: crate::InMemoryBackend,
+        gate: Arc<Gate>,
+    }
+
+    struct Gate {
+        armed: AtomicBool,
+        entered: Barrier,
+        release: Barrier,
+    }
+
+    impl Gate {
+        fn pass(&self) {
+            if self.armed.swap(false, Ordering::SeqCst) {
+                self.entered.wait();
+                self.release.wait();
+            }
+        }
+    }
+
+    impl crate::TaintMapBackend for GatedBackend {
+        fn register(&self, serialized: &[u8]) -> u32 {
+            self.gate.pass();
+            self.inner.register(serialized)
+        }
+        fn lookup(&self, gid: u32) -> Option<Vec<u8>> {
+            self.gate.pass();
+            self.inner.lookup(gid)
+        }
+        fn insert_replicated(&self, gid: u32, serialized: &[u8]) {
+            self.inner.insert_replicated(gid, serialized)
+        }
+        fn max_local(&self) -> u32 {
+            self.inner.max_local()
+        }
+        fn len(&self) -> u64 {
+            self.inner.len()
+        }
+    }
+
+    #[test]
+    fn a_late_reply_after_an_expired_deadline_is_never_read_as_the_next_answer() {
+        // Regression: with the retry budget spent, an expired deadline
+        // used to keep the connection. The server's late reply then sat
+        // on it and the next request read it as its own: the gid of
+        // `first` handed out for `second`, and cached for good.
+        let net = SimNet::new();
+        let gate = Arc::new(Gate {
+            armed: false.into(),
+            entered: Barrier::new(2),
+            release: Barrier::new(2),
+        });
+        let backend_gate = gate.clone();
+        let endpoint = TaintMapEndpoint::builder()
+            .backend(move |_| {
+                Arc::new(GatedBackend {
+                    inner: crate::InMemoryBackend::new(),
+                    gate: backend_gate.clone(),
+                })
+            })
+            .connect(&net)
+            .unwrap();
+        let deadline = Duration::from_millis(20);
+        let impatient = |vm: u8| {
+            let store = TaintStore::new(LocalId::new([10, 0, 0, vm], u32::from(vm)));
+            let client = TaintMapClient::connect_topology_tuned(
+                &net,
+                endpoint.topology(),
+                store.clone(),
+                ClientObserver::disabled(),
+                ClientResilience {
+                    rpc_deadline: deadline,
+                    retry_budget: 0,
+                    ..ClientResilience::default()
+                },
+            )
+            .unwrap();
+            (client, store)
+        };
+        let timed_out = TaintMapError::Net(NetError::Timeout(deadline));
+        let witness_store = TaintStore::new(LocalId::new([10, 0, 0, 9], 9));
+        let witness = endpoint.client(&net, witness_store.clone()).unwrap();
+        let tags_of = |gid| witness_store.tag_values(witness.taint_for(gid).unwrap());
+
+        // Register pair: `first` is held inside the server past the
+        // deadline, released, and only then is `second` sent.
+        let (client, store) = impatient(1);
+        let first = store.mint_source_taint(TagValue::str("first"));
+        let second = store.mint_source_taint(TagValue::str("second"));
+        gate.armed.store(true, Ordering::SeqCst);
+        assert_eq!(client.global_id_for(first), Err(timed_out.clone()));
+        gate.entered.wait();
+        gate.release.wait();
+        let second_gid = client.global_id_for(second).unwrap();
+        assert_eq!(tags_of(second_gid), ["second"]);
+        // The shard serves the abandoned registration correctly too.
+        let first_gid = client.global_id_for(first).unwrap();
+        assert_eq!(tags_of(first_gid), ["first"]);
+        assert_eq!(client.stats().failovers, 1, "one retired connection");
+
+        // Lookup pair, same shape, on a client with cold caches.
+        let (reader, reader_store) = impatient(2);
+        gate.armed.store(true, Ordering::SeqCst);
+        assert_eq!(reader.taint_for(first_gid), Err(timed_out));
+        gate.entered.wait();
+        gate.release.wait();
+        let resolved = reader.taint_for(second_gid).unwrap();
+        assert_eq!(reader_store.tag_values(resolved), ["second"]);
+        let resolved = reader.taint_for(first_gid).unwrap();
+        assert_eq!(reader_store.tag_values(resolved), ["first"]);
         endpoint.shutdown();
     }
 

@@ -268,7 +268,9 @@ pub(crate) fn decode_class_table(payload: &[u8]) -> Result<ClassTable, TaintMapE
     if nranges == 0 {
         return Err(TaintMapError::Protocol("class table has no ranges"));
     }
-    let mut ranges = Vec::with_capacity(nranges);
+    // A range is at least 11 bytes (lo_gid, address count, one address),
+    // which bounds what a hostile count can make this allocate.
+    let mut ranges = Vec::with_capacity(nranges.min(r.remaining().len() / 11));
     let mut prev_lo = 0u32;
     for _ in 0..nranges {
         let lo_gid = r.u32()?;
@@ -499,6 +501,22 @@ mod tests {
         let mut unordered = table.clone();
         unordered.ranges.swap(0, 1);
         assert!(decode_class_table(&encode_class_table(&unordered)).is_err());
+    }
+
+    #[test]
+    fn class_table_announcing_more_ranges_than_bytes_is_a_protocol_error() {
+        // One range of one address: 11 bytes after the 12-byte header.
+        let table = ClassTable::initial(vec![NodeAddr::new([10, 0, 0, 9], 7779)], 0);
+        let honest = encode_class_table(&table);
+        assert_eq!(honest.len(), 12 + 11);
+        assert_eq!(decode_class_table(&honest).unwrap(), table);
+        // The same body under a count of 4.29 G must not size a buffer.
+        let mut hostile = honest;
+        hostile[8..12].copy_from_slice(&u32::MAX.to_be_bytes());
+        assert!(matches!(
+            decode_class_table(&hostile),
+            Err(TaintMapError::Protocol(_))
+        ));
     }
 
     #[test]

@@ -11,9 +11,7 @@ use std::time::Duration;
 use dista_repro::core::{Cluster, FaultPlan, Mode, ReshardPlan};
 use dista_repro::jre::{InputStream, OutputStream, ServerSocket, Socket};
 use dista_repro::obs::{ObsConfig, ObsEventKind};
-use dista_repro::simnet::{
-    FaultConfig, MigrationVictim, NetError, NodeAddr, Reactor, SimFs, SimNet, Token,
-};
+use dista_repro::simnet::{FaultConfig, MigrationVictim, NodeAddr, SimFs, SimNet};
 use dista_repro::taint::{Payload, TagValue, TaintedBytes};
 use dista_repro::taintmap::TaintMapEndpoint;
 
@@ -190,10 +188,10 @@ fn same_seed_replays_an_identical_fault_schedule() {
     assert_eq!(first, second, "chaos schedule must be replayable");
 }
 
-/// Witness for the reactor determinism check: everything the logical
+/// Witness for the raw-SimNet determinism check: everything the logical
 /// step clock and the delivered bytes can disagree on between runs.
 #[derive(Debug, PartialEq, Eq)]
-struct ReactorWitness {
+struct SimnetWitness {
     fault_log: Vec<String>,
     final_step: u64,
     outcomes: Vec<String>,
@@ -202,11 +200,10 @@ struct ReactorWitness {
 }
 
 /// Runs a fixed scripted workload against a seeded `FaultPlan` at the
-/// raw SimNet level. `use_reactor` selects how the receiving side
-/// reads: the blocking shim or readiness-driven `try_read` under a
-/// reactor poll loop. The `FaultEngine` step clock only advances on
-/// connects/writes/sends, so the witness must be identical either way.
-fn run_simnet_chaos(seed: u64, use_reactor: bool) -> ReactorWitness {
+/// raw SimNet level, on one thread: the `FaultEngine` step clock only
+/// advances on connects/writes/sends, so the witness is a function of
+/// the seed alone.
+fn run_simnet_chaos(seed: u64) -> SimnetWitness {
     let client_ip = [10, 0, 1, 1];
     let server_ip = [10, 0, 1, 2];
     let net = SimNet::with_faults(FaultConfig {
@@ -227,14 +224,12 @@ fn run_simnet_chaos(seed: u64, use_reactor: bool) -> ReactorWitness {
     let listener = net.tcp_listen(server_addr).unwrap();
     let udp_rx = net.udp_bind(NodeAddr::new(server_ip, 7501)).unwrap();
     let udp_tx = net.udp_bind(NodeAddr::new(client_ip, 7501)).unwrap();
-    let reactor = Reactor::new();
 
     let mut outcomes = Vec::new();
     let mut delivered = Vec::new();
-    let mut events = Vec::new();
     for round in 0..12u32 {
         // One datagram per round: advances the step clock and draws from
-        // the seeded drop RNG regardless of the read mechanism.
+        // the seeded drop RNG.
         udp_tx.send_to(udp_rx.local_addr(), &round.to_be_bytes());
         let client = match net.tcp_connect_from(client_ip, server_addr) {
             Ok(c) => c,
@@ -250,24 +245,7 @@ fn run_simnet_chaos(seed: u64, use_reactor: bool) -> ReactorWitness {
             continue;
         }
         let mut buf = [0u8; 32];
-        let read = if use_reactor {
-            let token = Token(u64::from(round) + 1);
-            served.register_readable(&reactor, token);
-            let got = loop {
-                match served.try_read(&mut buf) {
-                    Err(NetError::WouldBlock) => {
-                        reactor.poll(&mut events, Some(Duration::from_millis(200)));
-                        events.clear();
-                    }
-                    other => break other,
-                }
-            };
-            reactor.deregister(token);
-            got
-        } else {
-            served.read(&mut buf)
-        };
-        match read {
+        match served.read(&mut buf) {
             Ok(n) => {
                 delivered.extend_from_slice(&buf[..n]);
                 outcomes.push(format!("r{round} ok {n}"));
@@ -281,7 +259,7 @@ fn run_simnet_chaos(seed: u64, use_reactor: bool) -> ReactorWitness {
         .iter()
         .map(|a| format!("step {}: {:?}", a.step, a.action))
         .collect();
-    ReactorWitness {
+    SimnetWitness {
         fault_log,
         final_step: net.fault_step(),
         outcomes,
@@ -291,37 +269,27 @@ fn run_simnet_chaos(seed: u64, use_reactor: bool) -> ReactorWitness {
 }
 
 #[test]
-fn reactor_and_blocking_reads_replay_the_same_fault_schedule() {
+fn blocking_reads_replay_the_same_fault_schedule() {
     let seed = std::env::var("DISTA_CHAOS_SEED")
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(42);
-    let blocking_a = run_simnet_chaos(seed, false);
+    let first = run_simnet_chaos(seed);
 
     // The schedule actually bit: at least one round failed mid-run and
     // at least one recovered after the heal.
     assert!(
-        blocking_a.outcomes.iter().any(|o| o.contains("connect:")),
+        first.outcomes.iter().any(|o| o.contains("connect:")),
         "partition never blocked a connect: {:?}",
-        blocking_a.outcomes
+        first.outcomes
     );
     assert!(
-        blocking_a.fault_log.iter().any(|l| l.contains("Partition")),
+        first.fault_log.iter().any(|l| l.contains("Partition")),
         "{:?}",
-        blocking_a.fault_log
+        first.fault_log
     );
 
-    // Two-run determinism per mechanism, and — the reactor pin — the
-    // logical step clock and full witness are mechanism-independent.
-    let blocking_b = run_simnet_chaos(seed, false);
-    assert_eq!(blocking_a, blocking_b, "blocking replay diverged");
-    let reactor_a = run_simnet_chaos(seed, true);
-    let reactor_b = run_simnet_chaos(seed, true);
-    assert_eq!(reactor_a, reactor_b, "reactor replay diverged");
-    assert_eq!(
-        blocking_a, reactor_a,
-        "readiness-driven reads must not move the FaultEngine step clock"
-    );
+    assert_eq!(first, run_simnet_chaos(seed), "replay diverged");
 }
 
 #[test]
