@@ -25,6 +25,12 @@ for seed in 7 42 1337; do
     DISTA_CHAOS_SEED="$seed" cargo test -q --offline --test chaos
 done
 
+echo "==> hostile_bytes: every decoder under seeded mutation and the allocation mark, three seeds"
+for seed in 7 42 1337; do
+    echo "    fuzz seed $seed"
+    DISTA_FUZZ_SEED="$seed" cargo test -q --offline --test hostile_bytes
+done
+
 echo "==> split-while-loaded gate: 1M distinct gids across a crashing migration, three seeds"
 for seed in 7 42 1337; do
     echo "    reshard seed $seed"

@@ -118,11 +118,12 @@ pub fn read_frame(input: &impl InputStream) -> Result<Option<StompFrame>, JreErr
             .ok_or(JreError::Protocol("malformed stomp header"))?;
         headers.insert(name.to_string(), value.to_string());
     }
-    let length: usize = headers
+    // A `u32`, like `jre/http.rs::body_len`; it sizes nothing.
+    let length = headers
         .get("content-length")
-        .and_then(|v| v.parse().ok())
-        .ok_or(JreError::Protocol("missing content-length"))?;
-    let body = input.read_exact(length)?.into_tainted();
+        .and_then(|v| v.parse::<u32>().ok())
+        .ok_or(JreError::Protocol("missing or oversized content-length"))?;
+    let body = input.read_exact(length as usize)?.into_tainted();
     let terminator = input.read_exact(1)?;
     if terminator.data() != [0] {
         return Err(JreError::Protocol("missing stomp NUL terminator"));
@@ -281,6 +282,13 @@ mod tests {
         pipe.write(&Payload::Plain(b"SEND\nnocolonheader\n\n".to_vec()))
             .unwrap();
         assert!(read_frame(&pipe).is_err());
+
+        // A content-length no `u32` holds is refused as it is parsed; it
+        // used to reach the body read as `usize::MAX`.
+        let pipe = PipedStream::new(vm);
+        let head = format!("SEND\ncontent-length:{}\n\n", usize::MAX);
+        pipe.write(&Payload::Plain(head.into_bytes())).unwrap();
+        assert!(matches!(read_frame(&pipe), Err(JreError::Protocol(_))));
         cluster.shutdown();
     }
 

@@ -34,8 +34,10 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use dista_jre::JreError;
 use dista_obs::{Collector, CollectorConfig, TelemetryAgent};
-use dista_simnet::{NetError, NodeAddr, SimNet, TcpEndpoint, TcpListener};
+use dista_simnet::{read_announced, NetError, NodeAddr, SimNet, TcpEndpoint, TcpListener};
+use dista_taint::ByteReader;
 
 use crate::error::DistaError;
 
@@ -196,20 +198,25 @@ fn read_connection(ep: &TcpEndpoint, collector: &Collector) {
 /// trailing partial frame is lost (cumulative values make that a late
 /// update, not a wrong one).
 fn read_agent_frames(ep: &TcpEndpoint, collector: &Collector) {
-    let mut len = [0u8; 4];
     let mut frame = Vec::new();
-    while ep.read_exact(&mut len).is_ok() {
-        let len = u32::from_be_bytes(len) as usize;
-        if len > MAX_FRAME_LEN {
-            return;
-        }
-        frame.resize(len, 0);
-        if ep.read_exact(&mut frame).is_err() {
-            return;
-        }
+    while read_message(ep, &mut frame).is_ok() {
         // Malformed frames are counted by the collector itself.
         let _ = collector.ingest(&String::from_utf8_lossy(&frame));
     }
+}
+
+/// Reads one `[u32-BE length][payload]` message into `buf`, refusing a
+/// length past [`MAX_FRAME_LEN`] before anything is sized from it.
+fn read_message(ep: &TcpEndpoint, buf: &mut Vec<u8>) -> Result<(), JreError> {
+    let mut len = [0u8; 4];
+    ep.read_exact(&mut len)?;
+    let len = ByteReader::new(&len).u32()? as usize;
+    if len > MAX_FRAME_LEN {
+        return Err(JreError::Protocol(
+            "telemetry message announces more than the frame cap",
+        ));
+    }
+    Ok(read_announced(&mut |tail| ep.read(tail), len, buf)?)
 }
 
 fn respond(ep: &TcpEndpoint, payload: &[u8]) {
@@ -413,20 +420,10 @@ impl TelemetryPlane {
 /// One scrape of the collector at `addr`: dial, send the role byte, read
 /// one length-prefixed response of at most [`MAX_FRAME_LEN`] bytes.
 fn scrape(net: &SimNet, addr: NodeAddr, role: u8) -> Result<String, DistaError> {
-    let map_net = |e: NetError| DistaError::from(dista_jre::JreError::from(e));
-    let ep = net.tcp_connect(addr).map_err(map_net)?;
-    ep.write(&[role]).map_err(map_net)?;
-    let mut len = [0u8; 4];
-    ep.read_exact(&mut len).map_err(map_net)?;
-    let len = u32::from_be_bytes(len) as usize;
-    if len > MAX_FRAME_LEN {
-        return Err(dista_jre::JreError::Protocol(
-            "telemetry scrape response announces more than the frame cap",
-        )
-        .into());
-    }
-    let mut payload = vec![0u8; len];
-    ep.read_exact(&mut payload).map_err(map_net)?;
+    let ep = net.tcp_connect(addr).map_err(JreError::from)?;
+    ep.write(&[role]).map_err(JreError::from)?;
+    let mut payload = Vec::new();
+    read_message(&ep, &mut payload)?;
     ep.close();
     Ok(String::from_utf8_lossy(&payload).into_owned())
 }

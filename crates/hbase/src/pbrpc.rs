@@ -5,8 +5,8 @@
 //! varint (`0`) and length-delimited (`2`). Field *values* keep their
 //! per-byte taints; tags, lengths and varints are protocol scaffolding.
 
-use dista_jre::{JreError, SocketChannel, Vm};
-use dista_taint::{Payload, Taint, TaintedBytes};
+use dista_jre::{length_prefixed, read_frame, JreError, SocketChannel, Vm};
+use dista_taint::{ByteReader, Taint, TaintedBytes};
 
 const WIRE_VARINT: u64 = 0;
 const WIRE_LEN: u64 = 2;
@@ -105,26 +105,18 @@ impl PbMessage {
     /// [`JreError::Protocol`] on malformed wire data.
     pub fn decode(bytes: &TaintedBytes) -> Result<PbMessage, JreError> {
         let mut message = PbMessage::new();
-        let mut pos = 0;
-        while pos < bytes.len() {
-            let (key, next) = read_varint(bytes, pos)?;
-            pos = next;
+        let mut r = ByteReader::new(bytes.data());
+        while !r.at_end() {
+            let key = r.varint()?;
             let field = key >> 3;
             match key & 0x7 {
                 WIRE_VARINT => {
-                    let (value, next) = read_varint(bytes, pos)?;
-                    pos = next;
-                    message.push_varint(field, value);
+                    message.push_varint(field, r.varint()?);
                 }
                 WIRE_LEN => {
-                    let (len, next) = read_varint(bytes, pos)?;
-                    pos = next;
-                    let end = pos + len as usize;
-                    if end > bytes.len() {
-                        return Err(JreError::Protocol("pb field overruns buffer"));
-                    }
-                    message.push_bytes(field, bytes.slice(pos, end));
-                    pos = end;
+                    // A length past `usize` is past the buffer too.
+                    let len = usize::try_from(r.varint()?).unwrap_or(usize::MAX);
+                    message.push_bytes(field, bytes.take(&mut r, len)?);
                 }
                 _ => return Err(JreError::Protocol("unsupported pb wire type")),
             }
@@ -145,45 +137,13 @@ fn push_varint_plain(out: &mut TaintedBytes, mut value: u64) {
     }
 }
 
-fn read_varint(bytes: &TaintedBytes, mut pos: usize) -> Result<(u64, usize), JreError> {
-    let mut value = 0u64;
-    let mut shift = 0;
-    loop {
-        let Some(&byte) = bytes.data().get(pos) else {
-            return Err(JreError::Protocol("truncated varint"));
-        };
-        pos += 1;
-        value |= u64::from(byte & 0x7F) << shift;
-        if byte & 0x80 == 0 {
-            return Ok((value, pos));
-        }
-        shift += 7;
-        if shift > 63 {
-            return Err(JreError::Protocol("varint too long"));
-        }
-    }
-}
-
 /// Sends one pb message as a length-prefixed frame on an NIO channel.
 ///
 /// # Errors
 ///
 /// Transport or Taint Map errors.
 pub fn write_message(channel: &SocketChannel, message: &PbMessage) -> Result<(), JreError> {
-    let encoded = message.encode();
-    let tracks = channel.vm().mode().tracks_taints();
-    let framed = if tracks {
-        let mut f = TaintedBytes::with_capacity(4 + encoded.len());
-        f.extend_plain(&(encoded.len() as u32).to_be_bytes());
-        f.extend_tainted(&encoded);
-        Payload::Tainted(f)
-    } else {
-        let mut f = Vec::with_capacity(4 + encoded.len());
-        f.extend_from_slice(&(encoded.len() as u32).to_be_bytes());
-        f.extend_from_slice(encoded.data());
-        Payload::Plain(f)
-    };
-    channel.write_payload(&framed)
+    channel.write_payload(&length_prefixed(channel.vm(), &message.encode()))
 }
 
 /// Reads one pb message frame; `None` on clean EOF.
@@ -192,17 +152,9 @@ pub fn write_message(channel: &SocketChannel, message: &PbMessage) -> Result<(),
 ///
 /// Transport, Taint Map or decode errors.
 pub fn read_message(channel: &SocketChannel, _vm: &Vm) -> Result<Option<PbMessage>, JreError> {
-    let first = channel.read_payload(1)?;
-    if first.is_empty() {
-        return Ok(None);
-    }
-    let mut header = first.into_plain();
-    while header.len() < 4 {
-        header.extend_from_slice(channel.read_exact_payload(4 - header.len())?.data());
-    }
-    let len = u32::from_be_bytes([header[0], header[1], header[2], header[3]]) as usize;
-    let body = channel.read_exact_payload(len)?;
-    Ok(Some(PbMessage::decode(&body.into_tainted())?))
+    read_frame(channel)?
+        .map(|body| PbMessage::decode(&body.into_tainted()))
+        .transpose()
 }
 
 #[cfg(test)]
@@ -260,6 +212,19 @@ mod tests {
         assert!(PbMessage::decode(&msg).is_err());
         msg.truncate(0);
         assert!(PbMessage::decode(&msg).unwrap().fields.is_empty());
+    }
+
+    /// Field 1, wire type 2, length 2^63-ish: `pos + len` used to
+    /// overflow in debug and index `11..10` in release.
+    #[test]
+    fn pb_length_past_usize_is_a_protocol_error() {
+        let mut wire = vec![0x0A];
+        wire.extend_from_slice(&[0xFF; 9]);
+        wire.push(0x01);
+        assert!(matches!(
+            PbMessage::decode(&TaintedBytes::from_plain(wire)),
+            Err(JreError::Protocol(_))
+        ));
     }
 
     #[test]

@@ -47,6 +47,13 @@ pub fn wire_record_size(gid_width: usize) -> usize {
     1 + gid_width
 }
 
+/// Most data bytes one [`BoundaryStream::read_payload`] asks the OS for
+/// (times the codec's wire factor in DisTA mode), whatever its caller
+/// asked: every framing layer above hands the length a peer announced
+/// straight to a read, and this is what keeps four hostile bytes from
+/// sizing a 4 GiB buffer — in every mode, with no per-protocol cap.
+const RECV_CHUNK: usize = 64 << 10;
+
 /// Identifies one boundary crossing for flight-recorder events: the
 /// transport plus the sender→receiver address pair. Encode and decode
 /// sides of the same crossing construct the *same* pair (the sender's
@@ -735,6 +742,8 @@ impl BoundaryStream {
     /// [`JreError::Protocol`] if the stream ends inside a wire unit or
     /// the wire is malformed; transport/Taint Map errors otherwise.
     pub fn read_payload(&self, max_data: usize) -> Result<Payload, JreError> {
+        // Receive by chunk: memory grows with bytes received, not promised.
+        let max_data = max_data.min(RECV_CHUNK);
         if max_data == 0 {
             return Ok(match self.vm.mode() {
                 Mode::Original => Payload::Plain(Vec::new()),

@@ -33,7 +33,7 @@
 //! negotiation — see `boundary`); the bytes here never appear on a v1
 //! connection, which is how v1 stays bit-pinned.
 
-use dista_taint::GlobalId;
+use dista_taint::{ByteReader, GlobalId, ReadError};
 
 use super::{check_width, gid_from_wire, v1, WireCodec, WireVersion, MAX_GID_WIDTH};
 use crate::error::JreError;
@@ -67,9 +67,6 @@ pub const OP_ANNOT: u8 = 0x04;
 /// payloads; decoders reject larger declared lengths as lies.
 pub const MAX_FRAME_DATA: usize = 1 << 26;
 
-/// Longest accepted LEB128 varint (enough for any u64).
-const MAX_VARINT_LEN: usize = 10;
-
 /// Minimal big-endian byte width for a frame's max gid. Gids are 32-bit,
 /// so this is always 1..=4.
 pub fn width_for(max_gid: GlobalId) -> usize {
@@ -97,21 +94,17 @@ fn varint_len(v: u64) -> usize {
     bits.div_ceil(7)
 }
 
-/// Reads one LEB128 varint. `Ok(None)` means the buffer ends inside the
-/// varint (more bytes needed); a varint longer than [`MAX_VARINT_LEN`]
-/// is malformed.
-fn read_varint(buf: &[u8]) -> Result<Option<(u64, usize)>, JreError> {
-    let mut v: u64 = 0;
-    for (i, &byte) in buf.iter().take(MAX_VARINT_LEN).enumerate() {
-        v |= u64::from(byte & 0x7F) << (7 * i);
-        if byte & 0x80 == 0 {
-            return Ok(Some((v, i + 1)));
-        }
+/// Reads the varint at the front of `buf`, returning it with its
+/// encoded length. `Ok(None)` means the buffer ends inside the varint
+/// (more bytes needed); one no continuation can complete is malformed.
+#[inline]
+fn varint_at(buf: &[u8]) -> Result<Option<(u64, usize)>, JreError> {
+    let mut r = ByteReader::new(buf);
+    match r.varint() {
+        Ok(v) => Ok(Some((v, r.pos()))),
+        Err(ReadError::Truncated) => Ok(None),
+        Err(malformed) => Err(malformed.into()),
     }
-    if buf.len() >= MAX_VARINT_LEN {
-        return Err(JreError::Protocol("malformed varint in v2 wire frame"));
-    }
-    Ok(None)
 }
 
 /// Appends one `(gid, run_len)` run, merging with the previous run when
@@ -174,10 +167,10 @@ pub fn parse_annotation(wire: &[u8]) -> Result<AnnotParse, JreError> {
         Some(&op) if op == OP_ANNOT => {}
         _ => return Ok(AnnotParse::None),
     }
-    let Some((span, n1)) = read_varint(&wire[1..])? else {
+    let Some((span, n1)) = varint_at(&wire[1..])? else {
         return Ok(AnnotParse::Incomplete);
     };
-    let Some((parent, n2)) = read_varint(&wire[1 + n1..])? else {
+    let Some((parent, n2)) = varint_at(&wire[1 + n1..])? else {
         return Ok(AnnotParse::Incomplete);
     };
     if span == 0 {
@@ -308,7 +301,7 @@ fn read_segment(
     at: usize,
     width: usize,
 ) -> Result<Option<(u64, GlobalId, usize)>, JreError> {
-    let Some((run_len, n)) = read_varint(&wire[at..])? else {
+    let Some((run_len, n)) = varint_at(&wire[at..])? else {
         return Ok(None);
     };
     let at = at + n;
@@ -403,7 +396,7 @@ fn parse_header(wire: &[u8]) -> Result<Option<Header>, JreError> {
         }
         w
     };
-    let Some((dlen, n)) = read_varint(&wire[at..])? else {
+    let Some((dlen, n)) = varint_at(&wire[at..])? else {
         return Ok(None);
     };
     at += n;
@@ -415,7 +408,7 @@ fn parse_header(wire: &[u8]) -> Result<Option<Header>, JreError> {
     let dlen = dlen as usize;
     let mut segments = (0, 0);
     if op == OP_RUNS {
-        let Some((nseg, n)) = read_varint(&wire[at..])? else {
+        let Some((nseg, n)) = varint_at(&wire[at..])? else {
             return Ok(None);
         };
         at += n;
@@ -434,7 +427,7 @@ fn parse_header(wire: &[u8]) -> Result<Option<Header>, JreError> {
                 return Err(JreError::Protocol("zero-length v2 gid segment"));
             }
             at = next;
-            covered += run_len;
+            covered = covered.saturating_add(run_len);
             if covered > dlen as u64 {
                 return Err(JreError::Protocol(
                     "v2 gid segments overrun the declared data length",
@@ -758,6 +751,21 @@ mod tests {
         ));
     }
 
+    /// Found by `tests/hostile_bytes.rs` (seed 1337): the running sum
+    /// overflowed — a panic in debug, a wrapped "cover" in release.
+    #[test]
+    fn segment_lengths_past_u64_are_a_typed_error() {
+        let codec = V2Codec::new(4);
+        let mut wire = vec![OP_RUNS, 1, 4, 2, 1, 9];
+        push_varint(&mut wire, u64::MAX);
+        wire.extend_from_slice(&[9, b'a', b'b', b'c', b'd']);
+        let (mut d, mut r) = (Vec::new(), Vec::new());
+        assert!(matches!(
+            codec.decode_available(&wire, 8, &mut d, &mut r),
+            Err(JreError::Protocol(_))
+        ));
+    }
+
     #[test]
     fn oversized_gid_in_wide_frame_is_a_typed_error() {
         let codec = V2Codec::new(8);
@@ -895,10 +903,10 @@ mod tests {
             let mut buf = Vec::new();
             push_varint(&mut buf, v);
             assert_eq!(buf.len(), varint_len(v));
-            assert_eq!(read_varint(&buf).unwrap(), Some((v, buf.len())));
+            assert_eq!(varint_at(&buf).unwrap(), Some((v, buf.len())));
         }
         // Unterminated 10-byte varint is malformed, shorter is pending.
-        assert!(read_varint(&[0x80; 10]).is_err());
-        assert_eq!(read_varint(&[0x80; 3]).unwrap(), None);
+        assert!(varint_at(&[0x80; 10]).is_err());
+        assert_eq!(varint_at(&[0x80; 3]).unwrap(), None);
     }
 }

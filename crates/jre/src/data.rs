@@ -7,7 +7,7 @@
 //! `writeChars`, `writeDouble`, … each exercising a different encoding on
 //! the same instrumented boundary.
 
-use dista_taint::{Payload, Tainted, TaintedBytes};
+use dista_taint::{ByteReader, Payload, Taint, Tainted, TaintedBytes};
 
 use crate::error::JreError;
 use crate::stream::{InputStream, OutputStream};
@@ -35,7 +35,7 @@ impl<S: OutputStream> DataOutputStream<S> {
         self.inner.vm()
     }
 
-    fn write_raw(&self, bytes: &[u8], taint: dista_taint::Taint) -> Result<(), JreError> {
+    fn write_raw(&self, bytes: &[u8], taint: Taint) -> Result<(), JreError> {
         let payload = if self.vm().mode().tracks_taints() {
             Payload::Tainted(TaintedBytes::uniform(bytes.to_vec(), taint))
         } else {
@@ -210,7 +210,7 @@ impl<S: InputStream> DataInputStream<S> {
         self.inner.vm()
     }
 
-    fn read_raw(&self, n: usize) -> Result<(Vec<u8>, dista_taint::Taint), JreError> {
+    fn read_raw(&self, n: usize) -> Result<(Vec<u8>, Taint), JreError> {
         let payload = self.inner.read_exact(n)?;
         let taint = payload.taint_union(self.vm().store());
         Ok((payload.into_plain(), taint))
@@ -243,7 +243,7 @@ impl<S: InputStream> DataInputStream<S> {
     /// [`JreError::Eof`] on short stream.
     pub fn read_i16(&self) -> Result<Tainted<i16>, JreError> {
         let (b, t) = self.read_raw(2)?;
-        Ok(Tainted::new(i16::from_be_bytes([b[0], b[1]]), t))
+        Ok(Tainted::new(ByteReader::new(&b).u16()? as i16, t))
     }
 
     /// `readInt`.
@@ -253,10 +253,7 @@ impl<S: InputStream> DataInputStream<S> {
     /// [`JreError::Eof`] on short stream.
     pub fn read_i32(&self) -> Result<Tainted<i32>, JreError> {
         let (b, t) = self.read_raw(4)?;
-        Ok(Tainted::new(
-            i32::from_be_bytes([b[0], b[1], b[2], b[3]]),
-            t,
-        ))
+        Ok(Tainted::new(ByteReader::new(&b).u32()? as i32, t))
     }
 
     /// `readLong`.
@@ -266,9 +263,7 @@ impl<S: InputStream> DataInputStream<S> {
     /// [`JreError::Eof`] on short stream.
     pub fn read_i64(&self) -> Result<Tainted<i64>, JreError> {
         let (b, t) = self.read_raw(8)?;
-        let mut arr = [0u8; 8];
-        arr.copy_from_slice(&b);
-        Ok(Tainted::new(i64::from_be_bytes(arr), t))
+        Ok(Tainted::new(ByteReader::new(&b).u64()? as i64, t))
     }
 
     /// `readFloat`.
@@ -278,10 +273,7 @@ impl<S: InputStream> DataInputStream<S> {
     /// [`JreError::Eof`] on short stream.
     pub fn read_f32(&self) -> Result<Tainted<f32>, JreError> {
         let (b, t) = self.read_raw(4)?;
-        Ok(Tainted::new(
-            f32::from_be_bytes([b[0], b[1], b[2], b[3]]),
-            t,
-        ))
+        Ok(Tainted::new(f32::from_bits(ByteReader::new(&b).u32()?), t))
     }
 
     /// `readDouble`.
@@ -291,9 +283,7 @@ impl<S: InputStream> DataInputStream<S> {
     /// [`JreError::Eof`] on short stream.
     pub fn read_f64(&self) -> Result<Tainted<f64>, JreError> {
         let (b, t) = self.read_raw(8)?;
-        let mut arr = [0u8; 8];
-        arr.copy_from_slice(&b);
-        Ok(Tainted::new(f64::from_be_bytes(arr), t))
+        Ok(Tainted::new(f64::from_bits(ByteReader::new(&b).u64()?), t))
     }
 
     /// `readUTF`.
@@ -304,7 +294,7 @@ impl<S: InputStream> DataInputStream<S> {
     /// invalid UTF-8.
     pub fn read_utf(&self) -> Result<Tainted<String>, JreError> {
         let (len_bytes, len_taint) = self.read_raw(2)?;
-        let len = u16::from_be_bytes([len_bytes[0], len_bytes[1]]) as usize;
+        let len = usize::from(ByteReader::new(&len_bytes).u16()?);
         let (bytes, taint) = self.read_raw(len)?;
         let s = String::from_utf8(bytes).map_err(|_| JreError::Protocol("invalid UTF-8"))?;
         Ok(Tainted::new(s, self.vm().store().union(len_taint, taint)))
@@ -319,10 +309,8 @@ impl<S: InputStream> DataInputStream<S> {
     /// invalid UTF-16.
     pub fn read_chars(&self, n: usize) -> Result<Tainted<String>, JreError> {
         let (bytes, taint) = self.read_raw(n * 2)?;
-        let units: Vec<u16> = bytes
-            .chunks_exact(2)
-            .map(|c| u16::from_be_bytes([c[0], c[1]]))
-            .collect();
+        let mut r = ByteReader::new(&bytes);
+        let units = (0..n).map(|_| r.u16()).collect::<Result<Vec<u16>, _>>()?;
         let s = String::from_utf16(&units).map_err(|_| JreError::Protocol("invalid UTF-16"))?;
         Ok(Tainted::new(s, taint))
     }
@@ -335,35 +323,18 @@ impl<S: InputStream> DataInputStream<S> {
     /// [`JreError::Eof`] on short stream.
     pub fn read_i32_array(&self) -> Result<Vec<Tainted<i32>>, JreError> {
         let (count_bytes, _) = self.read_raw(4)?;
-        let count = u32::from_be_bytes([
-            count_bytes[0],
-            count_bytes[1],
-            count_bytes[2],
-            count_bytes[3],
-        ]) as usize;
+        let count = ByteReader::new(&count_bytes).u32()? as usize;
+        // The elements have arrived before anything is sized by `count`.
         let payload = self.inner.read_exact(count * 4)?;
         let store = self.vm().store();
-        let mut out = Vec::with_capacity(count);
-        match payload {
-            Payload::Plain(d) => {
-                for c in d.chunks_exact(4) {
-                    out.push(Tainted::untainted(i32::from_be_bytes([
-                        c[0], c[1], c[2], c[3],
-                    ])));
-                }
-            }
-            Payload::Tainted(t) => {
-                for i in 0..count {
-                    let chunk = t.slice(i * 4, i * 4 + 4);
-                    let v = i32::from_be_bytes([
-                        chunk.data()[0],
-                        chunk.data()[1],
-                        chunk.data()[2],
-                        chunk.data()[3],
-                    ]);
-                    out.push(Tainted::new(v, chunk.taint_union(store)));
-                }
-            }
+        let mut r = ByteReader::new(payload.data());
+        let mut out = Vec::with_capacity(r.count(count, 4));
+        for i in 0..count {
+            let value = r.u32()? as i32;
+            let taint = payload.as_tainted().map_or(Taint::EMPTY, |t| {
+                t.slice(4 * i, 4 * i + 4).taint_union(store)
+            });
+            out.push(Tainted::new(value, taint));
         }
         Ok(out)
     }

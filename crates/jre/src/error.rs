@@ -3,7 +3,7 @@
 use std::fmt;
 
 use dista_simnet::{FileNotFound, NetError};
-use dista_taint::TaintCodecError;
+use dista_taint::{ReadError, TaintCodecError};
 use dista_taintmap::TaintMapError;
 
 /// Errors surfaced by the mini-JRE I/O classes.
@@ -63,6 +63,12 @@ impl From<TaintMapError> for JreError {
 impl From<TaintCodecError> for JreError {
     fn from(e: TaintCodecError) -> Self {
         JreError::Codec(e)
+    }
+}
+
+impl From<ReadError> for JreError {
+    fn from(e: ReadError) -> Self {
+        JreError::Protocol(e.what())
     }
 }
 

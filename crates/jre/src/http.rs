@@ -118,10 +118,13 @@ fn read_headers(input: &impl InputStream) -> Result<HashMap<String, String>, Jre
     }
 }
 
+/// The announced body length: a `u32`, like every other length the
+/// workspace's protocols carry. The body is received by chunk.
 fn body_len(headers: &HashMap<String, String>) -> Result<usize, JreError> {
     match headers.get("content-length") {
         Some(v) => v
-            .parse()
+            .parse::<u32>()
+            .map(|len| len as usize)
             .map_err(|_| JreError::Protocol("bad content-length")),
         None => Ok(0),
     }
@@ -371,6 +374,20 @@ mod tests {
         assert_eq!(response.status, 200);
         assert_eq!(response.body.data(), b"ack");
         tm.shutdown();
+    }
+
+    #[test]
+    fn content_length_past_u32_is_a_protocol_error() {
+        let headers = |v: String| HashMap::from([("content-length".to_string(), v)]);
+        assert_eq!(
+            body_len(&headers(u32::MAX.to_string())),
+            Ok(u32::MAX as usize)
+        );
+        assert!(matches!(
+            body_len(&headers(usize::MAX.to_string())),
+            Err(JreError::Protocol(_))
+        ));
+        assert_eq!(body_len(&HashMap::new()), Ok(0));
     }
 
     #[test]

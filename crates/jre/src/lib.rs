@@ -78,6 +78,7 @@ mod data;
 mod datagram;
 mod error;
 mod file;
+mod frame;
 mod http;
 mod log;
 mod object;
@@ -97,6 +98,7 @@ pub use data::{DataInputStream, DataOutputStream};
 pub use datagram::{DatagramPacket, DatagramSocket};
 pub use error::JreError;
 pub use file::{FileInputStream, FILE_INPUT_STREAM_CLASS};
+pub use frame::{length_prefixed, read_frame};
 pub use http::{HttpClient, HttpRequest, HttpResponse, HttpServer};
 pub use log::{Logger, LOGGER_CLASS};
 pub use object::{ObjValue, ObjectInputStream, ObjectOutputStream};

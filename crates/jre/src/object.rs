@@ -9,9 +9,10 @@
 //! systems use `ObjValue` records for their protocol messages (votes,
 //! RPC envelopes, …).
 
-use dista_taint::{Payload, Taint, TaintedBytes};
+use dista_taint::{ByteReader, Taint, TaintedBytes};
 
 use crate::error::JreError;
+use crate::frame::length_prefixed;
 use crate::stream::{InputStream, OutputStream};
 use crate::vm::Vm;
 
@@ -144,94 +145,73 @@ impl ObjValue {
     ///
     /// [`JreError::Protocol`] on malformed input.
     pub fn decode(bytes: &TaintedBytes, vm: &Vm) -> Result<ObjValue, JreError> {
-        let mut cursor = Cursor { buf: bytes, pos: 0 };
-        let value = cursor.decode_value(vm)?;
-        if cursor.pos != bytes.len() {
+        let mut r = ByteReader::new(bytes.data());
+        let value = decode_value(&mut r, bytes, vm, 0)?;
+        if !r.at_end() {
             return Err(JreError::Protocol("trailing bytes after object"));
         }
         Ok(value)
     }
 }
 
-struct Cursor<'a> {
-    buf: &'a TaintedBytes,
-    pos: usize,
-}
+/// Deepest nesting [`ObjValue::decode`] follows (the root is depth 0).
+/// The decoder recurses once per level, so without a bound a frame of
+/// nested one-element lists overflows the stack. The deepest message a
+/// mini-system sends is MapReduce's reduce request and its cell reply —
+/// a record holding a list of records, leaves at depth 3.
+const MAX_DEPTH: usize = 32;
 
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<TaintedBytes, JreError> {
-        if self.pos + n > self.buf.len() {
-            return Err(JreError::Protocol("truncated object"));
+/// The shortest encoded value: a tag byte and a `u32` length or count.
+const MIN_VALUE_LEN: usize = 5;
+
+/// Decodes the value at `r`, a reader over `src`'s data bytes.
+fn decode_value(
+    r: &mut ByteReader<'_>,
+    src: &TaintedBytes,
+    vm: &Vm,
+    depth: usize,
+) -> Result<ObjValue, JreError> {
+    if depth > MAX_DEPTH {
+        return Err(JreError::Protocol("object nested too deeply"));
+    }
+    match r.u8()? {
+        TAG_STR => {
+            let len = r.u32()? as usize;
+            let body = src.take(r, len)?;
+            let taint = body.taint_union(vm.store());
+            let s = String::from_utf8(body.into_plain())
+                .map_err(|_| JreError::Protocol("invalid UTF-8 in object"))?;
+            Ok(ObjValue::Str(s, taint))
         }
-        let slice = self.buf.slice(self.pos, self.pos + n);
-        self.pos += n;
-        Ok(slice)
-    }
-
-    fn take_u8(&mut self) -> Result<u8, JreError> {
-        Ok(self.take(1)?.data()[0])
-    }
-
-    fn take_u16(&mut self) -> Result<usize, JreError> {
-        let b = self.take(2)?;
-        Ok(u16::from_be_bytes([b.data()[0], b.data()[1]]) as usize)
-    }
-
-    fn take_u32(&mut self) -> Result<usize, JreError> {
-        let b = self.take(4)?;
-        let d = b.data();
-        Ok(u32::from_be_bytes([d[0], d[1], d[2], d[3]]) as usize)
-    }
-
-    fn take_plain_str(&mut self, len: usize) -> Result<String, JreError> {
-        let b = self.take(len)?;
-        String::from_utf8(b.data().to_vec())
-            .map_err(|_| JreError::Protocol("invalid UTF-8 in object"))
-    }
-
-    fn decode_value(&mut self, vm: &Vm) -> Result<ObjValue, JreError> {
-        match self.take_u8()? {
-            TAG_STR => {
-                let len = self.take_u32()?;
-                let body = self.take(len)?;
-                let taint = body.taint_union(vm.store());
-                let s = String::from_utf8(body.into_plain())
-                    .map_err(|_| JreError::Protocol("invalid UTF-8 in object"))?;
-                Ok(ObjValue::Str(s, taint))
-            }
-            TAG_INT => {
-                let body = self.take(8)?;
-                let taint = body.taint_union(vm.store());
-                let mut arr = [0u8; 8];
-                arr.copy_from_slice(body.data());
-                Ok(ObjValue::Int(i64::from_be_bytes(arr), taint))
-            }
-            TAG_BYTES => {
-                let len = self.take_u32()?;
-                Ok(ObjValue::Bytes(self.take(len)?))
-            }
-            TAG_LIST => {
-                let count = self.take_u32()?;
-                let mut items = Vec::with_capacity(count.min(1024));
-                for _ in 0..count {
-                    items.push(self.decode_value(vm)?);
-                }
-                Ok(ObjValue::List(items))
-            }
-            TAG_RECORD => {
-                let class_len = self.take_u16()?;
-                let class = self.take_plain_str(class_len)?;
-                let field_count = self.take_u16()?;
-                let mut fields = Vec::with_capacity(field_count);
-                for _ in 0..field_count {
-                    let name_len = self.take_u16()?;
-                    let name = self.take_plain_str(name_len)?;
-                    fields.push((name, self.decode_value(vm)?));
-                }
-                Ok(ObjValue::Record(class, fields))
-            }
-            _ => Err(JreError::Protocol("unknown object tag")),
+        TAG_INT => {
+            let body = src.take(r, 8)?;
+            let value = ByteReader::new(body.data()).u64()? as i64;
+            Ok(ObjValue::Int(value, body.taint_union(vm.store())))
         }
+        TAG_BYTES => {
+            let len = r.u32()? as usize;
+            Ok(ObjValue::Bytes(src.take(r, len)?))
+        }
+        TAG_LIST => {
+            let count = r.u32()? as usize;
+            let mut items = Vec::with_capacity(r.count(count, MIN_VALUE_LEN));
+            for _ in 0..count {
+                items.push(decode_value(r, src, vm, depth + 1)?);
+            }
+            Ok(ObjValue::List(items))
+        }
+        TAG_RECORD => {
+            let class = r.str16()?.to_string();
+            let field_count = usize::from(r.u16()?);
+            // A field is at least its `u16` name length and a value.
+            let mut fields = Vec::with_capacity(r.count(field_count, 2 + MIN_VALUE_LEN));
+            for _ in 0..field_count {
+                let name = r.str16()?.to_string();
+                fields.push((name, decode_value(r, src, vm, depth + 1)?));
+            }
+            Ok(ObjValue::Record(class, fields))
+        }
+        _ => Err(JreError::Protocol("unknown object tag")),
     }
 }
 
@@ -259,18 +239,7 @@ impl<S: OutputStream> ObjectOutputStream<S> {
     ///
     /// Propagates sink errors.
     pub fn write_object(&self, value: &ObjValue) -> Result<(), JreError> {
-        let encoded = value.encode();
-        let framed = if self.inner.vm().mode().tracks_taints() {
-            let mut f = TaintedBytes::with_capacity(4 + encoded.len());
-            f.extend_plain(&(encoded.len() as u32).to_be_bytes());
-            f.extend_tainted(&encoded);
-            Payload::Tainted(f)
-        } else {
-            let mut f = Vec::with_capacity(4 + encoded.len());
-            f.extend_from_slice(&(encoded.len() as u32).to_be_bytes());
-            f.extend_from_slice(encoded.data());
-            Payload::Plain(f)
-        };
+        let framed = length_prefixed(self.inner.vm(), &value.encode());
         self.inner.write(&framed)?;
         self.inner.flush()
     }
@@ -301,8 +270,7 @@ impl<S: InputStream> ObjectInputStream<S> {
     /// malformed data.
     pub fn read_object(&self) -> Result<ObjValue, JreError> {
         let header = self.inner.read_exact(4)?;
-        let d = header.data();
-        let len = u32::from_be_bytes([d[0], d[1], d[2], d[3]]) as usize;
+        let len = ByteReader::new(header.data()).u32()? as usize;
         let body = self.inner.read_exact(len)?;
         ObjValue::decode(&body.into_tainted(), self.inner.vm())
     }
@@ -414,6 +382,48 @@ mod tests {
             ObjValue::decode(&bad, &vm),
             Err(JreError::Protocol(_))
         ));
+    }
+
+    /// A 1 MB frame of nested one-element lists used to recurse until
+    /// the stack overflowed and the process aborted.
+    #[test]
+    fn deeply_nested_object_is_a_protocol_error() {
+        let (vm, _, _) = rig();
+        let nested = |levels: usize| {
+            let mut wire = [TAG_LIST, 0, 0, 0, 1].repeat(levels);
+            wire.extend_from_slice(ObjValue::int_plain(7).encode().data());
+            ObjValue::decode(&TaintedBytes::from_plain(wire), &vm)
+        };
+        assert!(matches!(nested(200_000), Err(JreError::Protocol(_))));
+        // The bound itself: MAX_DEPTH levels decode, one more does not.
+        assert!(nested(MAX_DEPTH).is_ok());
+        assert!(matches!(nested(MAX_DEPTH + 1), Err(JreError::Protocol(_))));
+
+        // The deepest message a mini-system sends (MapReduce's reduce
+        // request: a record holding a list of records) sits at depth 3.
+        let mapper = ObjValue::Record("Mapper".into(), vec![("id".into(), vote(&vm))]);
+        let request = ObjValue::Record(
+            "Reduce".into(),
+            vec![("mappers".into(), ObjValue::List(vec![mapper]))],
+        );
+        assert_eq!(ObjValue::decode(&request.encode(), &vm).unwrap(), request);
+    }
+
+    /// A count past what the bytes behind it could hold reserves for
+    /// those bytes only, and the decode ends as truncated.
+    #[test]
+    fn lying_counts_are_protocol_errors() {
+        let (vm, _, _) = rig();
+        for wire in [
+            vec![TAG_LIST, 0xFF, 0xFF, 0xFF, 0xFF],
+            vec![TAG_RECORD, 0, 1, b'R', 0xFF, 0xFF],
+            vec![TAG_BYTES, 0xFF, 0xFF, 0xFF, 0xFF, 1, 2, 3],
+        ] {
+            assert!(matches!(
+                ObjValue::decode(&TaintedBytes::from_plain(wire), &vm),
+                Err(JreError::Protocol(_))
+            ));
+        }
     }
 
     #[test]

@@ -8,39 +8,20 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use dista_jre::{JreError, ObjValue, ServerSocketChannel, SocketChannel, Vm};
+use dista_jre::{
+    length_prefixed, read_frame, JreError, ObjValue, ServerSocketChannel, SocketChannel, Vm,
+};
 use dista_simnet::{NetError, NodeAddr};
-use dista_taint::{Payload, TaintedBytes};
 use parking_lot::Mutex;
 
 fn write_obj(channel: &SocketChannel, obj: &ObjValue) -> Result<(), JreError> {
-    let encoded = obj.encode();
-    let framed = if channel.vm().mode().tracks_taints() {
-        let mut f = TaintedBytes::with_capacity(4 + encoded.len());
-        f.extend_plain(&(encoded.len() as u32).to_be_bytes());
-        f.extend_tainted(&encoded);
-        Payload::Tainted(f)
-    } else {
-        let mut f = Vec::with_capacity(4 + encoded.len());
-        f.extend_from_slice(&(encoded.len() as u32).to_be_bytes());
-        f.extend_from_slice(encoded.data());
-        Payload::Plain(f)
-    };
-    channel.write_payload(&framed)
+    channel.write_payload(&length_prefixed(channel.vm(), &obj.encode()))
 }
 
 fn read_obj(channel: &SocketChannel) -> Result<Option<ObjValue>, JreError> {
-    let first = channel.read_payload(1)?;
-    if first.is_empty() {
-        return Ok(None);
-    }
-    let mut header = first.into_plain();
-    while header.len() < 4 {
-        header.extend_from_slice(channel.read_exact_payload(4 - header.len())?.data());
-    }
-    let len = u32::from_be_bytes([header[0], header[1], header[2], header[3]]) as usize;
-    let body = channel.read_exact_payload(len)?;
-    Ok(Some(ObjValue::decode(&body.into_tainted(), channel.vm())?))
+    read_frame(channel)?
+        .map(|body| ObjValue::decode(&body.into_tainted(), channel.vm()))
+        .transpose()
 }
 
 type Handler = Arc<dyn Fn(ObjValue) -> ObjValue + Send + Sync>;

@@ -30,27 +30,7 @@ pub fn write_frame(channel: &SocketChannel, body: &Payload) -> Result<(), JreErr
 }
 
 /// Reads one frame; `None` on clean EOF at a frame boundary.
-///
-/// # Errors
-///
-/// [`JreError::Eof`] if the stream ends mid-frame; transport errors
-/// otherwise.
-pub fn read_frame(channel: &SocketChannel) -> Result<Option<Payload>, JreError> {
-    let first = channel.read_payload(1)?;
-    if first.is_empty() {
-        return Ok(None);
-    }
-    let mut header = first.into_plain();
-    while header.len() < 4 {
-        let more = channel.read_exact_payload(4 - header.len())?;
-        header.extend_from_slice(more.data());
-    }
-    let len = u32::from_be_bytes([header[0], header[1], header[2], header[3]]) as usize;
-    if len == 0 {
-        return Ok(Some(Payload::default()));
-    }
-    Ok(Some(channel.read_exact_payload(len)?))
-}
+pub use dista_jre::read_frame;
 
 #[cfg(test)]
 mod tests {

@@ -8,7 +8,7 @@
 use std::collections::HashMap;
 
 use dista_jre::{HttpRequest, HttpResponse, JreError};
-use dista_taint::{Payload, TaintedBytes};
+use dista_taint::{ByteReader, Payload, TaintedBytes};
 
 fn encode_head(head: String, body: &Payload) -> Payload {
     let head_bytes = head.into_bytes();
@@ -22,19 +22,14 @@ fn encode_head(head: String, body: &Payload) -> Payload {
     Payload::Tainted(out)
 }
 
+/// Splits a frame body into its `u32`-length-prefixed head and the
+/// payload behind it.
 fn split_head(frame: &Payload) -> Result<(String, Payload), JreError> {
-    let data = frame.data();
-    if data.len() < 4 {
-        return Err(JreError::Protocol("http frame too short"));
-    }
-    let head_len = u32::from_be_bytes([data[0], data[1], data[2], data[3]]) as usize;
-    if data.len() < 4 + head_len {
-        return Err(JreError::Protocol("http frame truncated head"));
-    }
-    let head = String::from_utf8(data[4..4 + head_len].to_vec())
+    let mut r = ByteReader::new(frame.data());
+    let head_len = r.u32()? as usize;
+    let head = std::str::from_utf8(r.bytes(head_len)?)
         .map_err(|_| JreError::Protocol("http head is not utf-8"))?;
-    let body = frame.slice(4 + head_len, frame.len());
-    Ok((head, body))
+    Ok((head.to_string(), frame.slice(r.pos(), frame.len())))
 }
 
 fn parse_headers(lines: &mut std::str::Lines<'_>) -> HashMap<String, String> {

@@ -72,7 +72,7 @@ pub use fault::{
 pub use fs::{FileNotFound, SimFs, SimFsError};
 pub use metrics::{MetricsSnapshot, NetMetrics};
 pub use net::{FaultConfig, SimNet};
-pub use tcp::{TcpEndpoint, TcpListener};
+pub use tcp::{read_announced, read_full, TcpEndpoint, TcpListener};
 pub use udp::UdpEndpoint;
 
 /// Alias for [`NetError`] under the simulator-qualified name used by the

@@ -276,15 +276,7 @@ impl TcpEndpoint {
     /// [`NetError::Closed`] on EOF before the buffer is full;
     /// [`NetError::Timeout`] on stall.
     pub fn read_exact(&self, buf: &mut [u8]) -> Result<(), NetError> {
-        let mut filled = 0;
-        while filled < buf.len() {
-            let n = self.read(&mut buf[filled..])?;
-            if n == 0 {
-                return Err(NetError::Closed);
-            }
-            filled += n;
-        }
-        Ok(())
+        read_full(&mut |tail| self.read(tail), buf)
     }
 
     /// Bytes currently buffered for reading.
@@ -292,18 +284,59 @@ impl TcpEndpoint {
         self.inner.rx.buffered()
     }
 
-    /// Closes both directions.
+    /// Closes both directions — the receiving one first, so a peer that
+    /// has seen EOF can no longer write into the connection.
     pub fn close(&self) {
         self.inner.closed.store(true, Ordering::Relaxed);
-        self.inner.tx.close();
         self.inner.rx.close();
+        self.inner.tx.close();
     }
+}
+
+/// Fills `buf` through `read` (one transport read per call), looping
+/// over partial reads; `Ok(0)` — EOF — before `buf` is full is
+/// [`NetError::Closed`].
+pub fn read_full(
+    read: &mut impl FnMut(&mut [u8]) -> Result<usize, NetError>,
+    buf: &mut [u8],
+) -> Result<(), NetError> {
+    let mut filled = 0;
+    while filled < buf.len() {
+        let n = read(&mut buf[filled..])?;
+        if n == 0 {
+            return Err(NetError::Closed);
+        }
+        filled += n;
+    }
+    Ok(())
+}
+
+/// Most bytes [`read_announced`] sizes `buf` ahead of what has arrived.
+const READ_CHUNK: usize = 64 << 10;
+
+/// [`read_full`] for the `len` bytes a peer's frame header announced,
+/// into `buf` (cleared first). The buffer grows with the bytes that
+/// arrive, never more than 64 KiB ahead of them: a header announcing
+/// 4 GiB costs its sender 4 GiB of writes, not the reader one
+/// allocation. A frame up to that size is still one read.
+pub fn read_announced(
+    read: &mut impl FnMut(&mut [u8]) -> Result<usize, NetError>,
+    len: usize,
+    buf: &mut Vec<u8>,
+) -> Result<(), NetError> {
+    buf.clear();
+    while buf.len() < len {
+        let filled = buf.len();
+        buf.resize(len.min(filled + READ_CHUNK), 0);
+        read_full(read, &mut buf[filled..])?;
+    }
+    Ok(())
 }
 
 impl Drop for EndpointInner {
     fn drop(&mut self) {
-        self.tx.close();
         self.rx.close();
+        self.tx.close();
     }
 }
 

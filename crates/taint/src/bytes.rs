@@ -9,6 +9,7 @@
 //! untracked runs (no shadow cost at all) and `Tainted` for
 //! Phosphor/DisTA runs.
 
+use crate::reader::{ByteReader, ReadError};
 use crate::runs::TaintRuns;
 use crate::store::TaintStore;
 use crate::tree::Taint;
@@ -164,6 +165,14 @@ impl TaintedBytes {
             data: self.data[start..end].to_vec(),
             shadow: self.shadow.slice(start, end),
         }
+    }
+
+    /// The next `n` bytes under `reader` — a [`ByteReader`] over this
+    /// buffer's [`TaintedBytes::data`] — copied out with their shadow.
+    pub fn take(&self, reader: &mut ByteReader<'_>, n: usize) -> Result<TaintedBytes, ReadError> {
+        let start = reader.pos();
+        reader.bytes(n)?;
+        Ok(self.slice(start, reader.pos()))
     }
 
     /// Splits off and returns the first `n` bytes (like a stream read).

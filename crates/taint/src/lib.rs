@@ -31,6 +31,7 @@
 #![warn(missing_docs)]
 
 mod bytes;
+mod reader;
 mod report;
 mod runs;
 mod serial;
@@ -41,6 +42,7 @@ mod tree;
 mod value;
 
 pub use bytes::{Payload, TaintedBytes};
+pub use reader::{ByteReader, ReadError};
 pub use report::{SinkEvent, SinkRecorder, SinkReport};
 pub use runs::{TaintRun, TaintRuns};
 pub use serial::{deserialize_taint, serialize_taint, TaintCodecError, SERIALIZED_TAG_OVERHEAD};

@@ -11,6 +11,7 @@
 
 use std::fmt;
 
+use crate::reader::{ByteReader, ReadError};
 use crate::store::TaintStore;
 use crate::tag::{GlobalId, LocalId, TagValue};
 use crate::tree::{Taint, TaintTree};
@@ -77,6 +78,16 @@ impl fmt::Display for TaintCodecError {
 }
 
 impl std::error::Error for TaintCodecError {}
+
+impl From<ReadError> for TaintCodecError {
+    fn from(e: ReadError) -> Self {
+        match e {
+            ReadError::Truncated => TaintCodecError::Truncated,
+            // A serialized taint's only malformed read: a non-UTF-8 name.
+            ReadError::Malformed(_) => TaintCodecError::BadUtf8,
+        }
+    }
+}
 
 /// Serializes a taint (all of its tag quads) for transfer to the Taint
 /// Map.
@@ -151,27 +162,27 @@ pub fn serialize_taint(tree: &TaintTree, taint: Taint) -> Vec<u8> {
 /// Returns a [`TaintCodecError`] if the buffer is truncated, corrupted or
 /// names an unknown class or value kind.
 pub fn deserialize_taint(store: &TaintStore, bytes: &[u8]) -> Result<Taint, TaintCodecError> {
-    let mut r = Reader { buf: bytes, pos: 0 };
-    if r.take(4)? != MAGIC {
+    let mut r = ByteReader::new(bytes);
+    if r.bytes(4)? != MAGIC {
         return Err(TaintCodecError::BadMagic);
     }
-    if r.read_str16()? != STREAM_CLASS {
+    if r.str16()? != STREAM_CLASS {
         return Err(TaintCodecError::BadClass);
     }
-    let count = r.read_u16()? as usize;
+    let count = r.u16()?;
     let mut taint = Taint::EMPTY;
     for _ in 0..count {
-        if r.read_str16()? != TAG_CLASS {
+        if r.str16()? != TAG_CLASS {
             return Err(TaintCodecError::BadClass);
         }
         for _ in FIELD_NAMES {
-            let len = r.read_u8()? as usize;
-            r.take(len)?;
+            let len = usize::from(r.u8()?);
+            r.bytes(len)?;
         }
-        let _origin_rank = r.read_u32()?; // rank in the origin tree; informational
-        let kind = r.read_u8()?;
-        let len = r.read_u32()? as usize;
-        let raw = r.take(len)?;
+        let _origin_rank = r.u32()?; // rank in the origin tree; informational
+        let kind = r.u8()?;
+        let len = r.u32()? as usize;
+        let raw = r.bytes(len)?;
         let value = match kind {
             KIND_STR => TagValue::Str(
                 std::str::from_utf8(raw)
@@ -179,21 +190,13 @@ pub fn deserialize_taint(store: &TaintStore, bytes: &[u8]) -> Result<Taint, Tain
                     .into(),
             ),
             KIND_BYTES => TagValue::bytes(raw),
-            KIND_INT => {
-                if raw.len() != 8 {
-                    return Err(TaintCodecError::Truncated);
-                }
-                let mut b = [0u8; 8];
-                b.copy_from_slice(raw);
-                TagValue::Int(i64::from_be_bytes(b))
-            }
+            KIND_INT if len == 8 => TagValue::Int(ByteReader::new(raw).u64()? as i64),
+            KIND_INT => return Err(TaintCodecError::Truncated),
             other => return Err(TaintCodecError::BadValueKind(other)),
         };
-        let mut lid = [0u8; 8];
-        lid.copy_from_slice(r.take(8)?);
-        let local_id = LocalId::from_bytes(lid);
-        let gid = GlobalId(r.read_u32()?);
-        r.take(OBJECT_HEADER_PAD)?;
+        let local_id = LocalId::from_bytes(r.array()?);
+        let gid = GlobalId(r.u32()?);
+        r.bytes(OBJECT_HEADER_PAD)?;
         let tag = store.intern_foreign_tag(value, local_id);
         if gid.is_tainted() {
             store.tree().set_tag_global_id(tag, gid);
@@ -206,41 +209,6 @@ pub fn deserialize_taint(store: &TaintStore, bytes: &[u8]) -> Result<Taint, Tain
 fn write_str16(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(&(s.len() as u16).to_be_bytes());
     out.extend_from_slice(s.as_bytes());
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], TaintCodecError> {
-        if self.pos + n > self.buf.len() {
-            return Err(TaintCodecError::Truncated);
-        }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
-    fn read_u8(&mut self) -> Result<u8, TaintCodecError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn read_u16(&mut self) -> Result<u16, TaintCodecError> {
-        let b = self.take(2)?;
-        Ok(u16::from_be_bytes([b[0], b[1]]))
-    }
-
-    fn read_u32(&mut self) -> Result<u32, TaintCodecError> {
-        let b = self.take(4)?;
-        Ok(u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn read_str16(&mut self) -> Result<&'a str, TaintCodecError> {
-        let len = self.read_u16()? as usize;
-        std::str::from_utf8(self.take(len)?).map_err(|_| TaintCodecError::BadUtf8)
-    }
 }
 
 #[cfg(test)]

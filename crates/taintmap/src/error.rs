@@ -3,7 +3,7 @@
 use std::fmt;
 
 use dista_simnet::NetError;
-use dista_taint::{GlobalId, TaintCodecError};
+use dista_taint::{GlobalId, ReadError, TaintCodecError};
 
 /// Errors surfaced by Taint Map clients and the server.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,6 +55,12 @@ impl From<NetError> for TaintMapError {
 impl From<TaintCodecError> for TaintMapError {
     fn from(e: TaintCodecError) -> Self {
         TaintMapError::Codec(e)
+    }
+}
+
+impl From<ReadError> for TaintMapError {
+    fn from(e: ReadError) -> Self {
+        TaintMapError::Protocol(e.what())
     }
 }
 

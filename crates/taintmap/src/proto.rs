@@ -34,7 +34,8 @@
 //! server that no longer owns a touched gid range answers `MOVED`
 //! carrying its whole [`ClassTable`].
 
-use dista_simnet::{NetError, NodeAddr, TcpEndpoint};
+use dista_simnet::{read_announced, read_full, NetError, NodeAddr, TcpEndpoint};
+use dista_taint::{ByteReader, ReadError};
 
 use crate::error::TaintMapError;
 use crate::shard::{ClassTable, ShardRange};
@@ -94,7 +95,9 @@ pub(crate) fn read_frame_deadline(
 
 /// Frames the stream behind `read`: the first read asks for the whole
 /// 5-byte header, so a frame costs two pipe reads (header, payload)
-/// unless the transport fragments it.
+/// unless the transport fragments it. The payload is received with
+/// [`read_announced`] — grown with the bytes that arrive rather than
+/// capped, because a transfer batch is as large as its caller made it.
 fn read_frame_with(
     mut read: impl FnMut(&mut [u8]) -> Result<usize, NetError>,
 ) -> Result<Option<(u8, Vec<u8>)>, TaintMapError> {
@@ -103,72 +106,18 @@ fn read_frame_with(
     if got == 0 {
         return Ok(None);
     }
-    read_exact_with(&mut read, &mut header[got..])?;
-    let op = header[0];
-    let len = u32::from_be_bytes([header[1], header[2], header[3], header[4]]) as usize;
-    let mut payload = vec![0u8; len];
-    read_exact_with(&mut read, &mut payload)?;
+    read_full(&mut read, &mut header[got..])?;
+    let mut r = ByteReader::new(&header);
+    let (op, len) = (r.u8()?, r.u32()? as usize);
+    let mut payload = Vec::new();
+    read_announced(&mut read, len, &mut payload)?;
     Ok(Some((op, payload)))
 }
 
-/// Fills `buf` from `read`; EOF before it is full is [`NetError::Closed`].
-fn read_exact_with(
-    read: &mut impl FnMut(&mut [u8]) -> Result<usize, NetError>,
-    buf: &mut [u8],
-) -> Result<(), NetError> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        let n = read(&mut buf[filled..])?;
-        if n == 0 {
-            return Err(NetError::Closed);
-        }
-        filled += n;
-    }
-    Ok(())
-}
-
-/// Incremental big-endian reader over a frame payload.
-pub(crate) struct PayloadReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> PayloadReader<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
-        PayloadReader { buf, pos: 0 }
-    }
-
-    pub(crate) fn u8(&mut self) -> Result<u8, TaintMapError> {
-        Ok(self.bytes(1)?[0])
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32, TaintMapError> {
-        let b = self.bytes(4)?;
-        Ok(u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64, TaintMapError> {
-        Ok(u64::from(self.u32()?) << 32 | u64::from(self.u32()?))
-    }
-
-    pub(crate) fn bytes(&mut self, len: usize) -> Result<&'a [u8], TaintMapError> {
-        let bytes = self
-            .remaining()
-            .get(..len)
-            .ok_or(TaintMapError::Protocol("truncated payload"))?;
-        self.pos += len;
-        Ok(bytes)
-    }
-
-    /// The bytes not yet consumed; a count read from the wire is
-    /// bounded by their length before anything is allocated for it.
-    pub(crate) fn remaining(&self) -> &'a [u8] {
-        &self.buf[self.pos..]
-    }
-
-    pub(crate) fn at_end(&self) -> bool {
-        self.pos == self.buf.len()
-    }
+/// Reads a `NodeAddr` as the wire and the WAL carry it: 4 IP bytes and
+/// a big-endian port.
+pub(crate) fn addr(r: &mut ByteReader<'_>) -> Result<NodeAddr, ReadError> {
+    Ok(NodeAddr::new(r.array()?, r.u16()?))
 }
 
 /// Encodes a `REGISTER` request: the sender's class-table epoch, then
@@ -201,12 +150,12 @@ pub(crate) fn decode_register_resp(
     payload: &[u8],
     expected: usize,
 ) -> Result<Vec<u32>, TaintMapError> {
-    let mut r = PayloadReader::new(payload);
+    let mut r = ByteReader::new(payload);
     let count = r.u32()? as usize;
     if count != expected {
         return Err(TaintMapError::Protocol("register count mismatch"));
     }
-    let mut gids = Vec::with_capacity(count);
+    let mut gids = Vec::with_capacity(r.count(count, 4));
     for _ in 0..count {
         gids.push(r.u32()?);
     }
@@ -222,12 +171,12 @@ pub(crate) fn decode_lookup_resp(
     payload: &[u8],
     expected: usize,
 ) -> Result<Vec<Option<Vec<u8>>>, TaintMapError> {
-    let mut r = PayloadReader::new(payload);
+    let mut r = ByteReader::new(payload);
     let count = r.u32()? as usize;
     if count != expected {
         return Err(TaintMapError::Protocol("lookup count mismatch"));
     }
-    let mut items = Vec::with_capacity(count);
+    let mut items = Vec::with_capacity(r.count(count, 1));
     for _ in 0..count {
         match r.u8()? {
             STATUS_OK => {
@@ -262,15 +211,14 @@ pub(crate) fn encode_class_table(table: &ClassTable) -> Vec<u8> {
 
 /// Decodes a [`ClassTable`] payload, validating shape and ordering.
 pub(crate) fn decode_class_table(payload: &[u8]) -> Result<ClassTable, TaintMapError> {
-    let mut r = PayloadReader::new(payload);
+    let mut r = ByteReader::new(payload);
     let epoch = r.u64()?;
     let nranges = r.u32()? as usize;
     if nranges == 0 {
         return Err(TaintMapError::Protocol("class table has no ranges"));
     }
-    // A range is at least 11 bytes (lo_gid, address count, one address),
-    // which bounds what a hostile count can make this allocate.
-    let mut ranges = Vec::with_capacity(nranges.min(r.remaining().len() / 11));
+    // A range is at least 11 bytes: lo_gid, address count, one address.
+    let mut ranges = Vec::with_capacity(r.count(nranges, 11));
     let mut prev_lo = 0u32;
     for _ in 0..nranges {
         let lo_gid = r.u32()?;
@@ -282,11 +230,9 @@ pub(crate) fn decode_class_table(payload: &[u8]) -> Result<ClassTable, TaintMapE
         if naddrs == 0 {
             return Err(TaintMapError::Protocol("class table range has no address"));
         }
-        let mut addrs = Vec::with_capacity(naddrs);
+        let mut addrs = Vec::with_capacity(r.count(naddrs, 6));
         for _ in 0..naddrs {
-            let ip = r.bytes(4)?;
-            let port = u16::from_be_bytes([r.u8()?, r.u8()?]);
-            addrs.push(NodeAddr::new([ip[0], ip[1], ip[2], ip[3]], port));
+            addrs.push(addr(&mut r)?);
         }
         ranges.push(ShardRange { lo_gid, addrs });
     }
@@ -310,9 +256,9 @@ pub(crate) fn encode_transfer_batch(records: &[(u32, Vec<u8>)]) -> Vec<u8> {
 
 /// Decodes a `TRANSFER_BATCH` request payload.
 pub(crate) fn decode_transfer_batch(payload: &[u8]) -> Result<Vec<(u32, Vec<u8>)>, TaintMapError> {
-    let mut r = PayloadReader::new(payload);
+    let mut r = ByteReader::new(payload);
     let count = r.u32()? as usize;
-    let mut records = Vec::with_capacity(count.min(payload.len() / 8 + 1));
+    let mut records = Vec::with_capacity(r.count(count, 8));
     for _ in 0..count {
         let gid = r.u32()?;
         let len = r.u32()? as usize;
@@ -326,7 +272,7 @@ pub(crate) fn decode_transfer_batch(payload: &[u8]) -> Result<Vec<(u32, Vec<u8>)
 
 /// Decodes a `STALE_EPOCH` payload (the server's current epoch).
 pub(crate) fn decode_stale_epoch(payload: &[u8]) -> Result<u64, TaintMapError> {
-    let mut r = PayloadReader::new(payload);
+    let mut r = ByteReader::new(payload);
     let epoch = r.u64()?;
     if !r.at_end() {
         return Err(TaintMapError::Protocol("bad stale-epoch payload"));
@@ -450,7 +396,7 @@ mod tests {
     fn register_payload_roundtrip() {
         let items: [&[u8]; 3] = [b"alpha", b"", b"b"];
         let payload = encode_register(7, &items);
-        let mut r = PayloadReader::new(&payload);
+        let mut r = ByteReader::new(&payload);
         assert_eq!(r.u64().unwrap(), 7);
         assert_eq!(r.u32().unwrap(), 3);
         for item in items {
@@ -463,7 +409,7 @@ mod tests {
     #[test]
     fn lookup_payload_roundtrip() {
         let payload = encode_lookup(u64::MAX - 1, &[7, 0, 42]);
-        let mut r = PayloadReader::new(&payload);
+        let mut r = ByteReader::new(&payload);
         assert_eq!(r.u64().unwrap(), u64::MAX - 1);
         assert_eq!(r.u32().unwrap(), 3);
         assert_eq!(r.u32().unwrap(), 7);

@@ -27,14 +27,15 @@ use std::time::Duration;
 
 use dista_obs::Counter;
 use dista_simnet::{NetError, NodeAddr, SimFs, SimNet, TcpEndpoint};
+use dista_taint::{ByteReader, ReadError};
 use parking_lot::Mutex;
 
 use crate::backend::TaintMapBackend;
 use crate::error::TaintMapError;
 use crate::proto::{
-    decode_transfer_batch, encode_class_table, encode_transfer_batch, read_frame, write_frame,
-    PayloadReader, OP_EPOCH_OF, OP_LOOKUP, OP_REGISTER, OP_REPLICATE, OP_SHUTDOWN,
-    OP_TRANSFER_BATCH, RESP_ERR, RESP_MOVED, RESP_OK, RESP_STALE_EPOCH, STATUS_OK, STATUS_UNKNOWN,
+    addr, decode_transfer_batch, encode_class_table, encode_transfer_batch, read_frame,
+    write_frame, OP_EPOCH_OF, OP_LOOKUP, OP_REGISTER, OP_REPLICATE, OP_SHUTDOWN, OP_TRANSFER_BATCH,
+    RESP_ERR, RESP_MOVED, RESP_OK, RESP_STALE_EPOCH, STATUS_OK, STATUS_UNKNOWN,
 };
 use crate::shard::{ClassTable, ShardRange, ShardSpec};
 
@@ -253,27 +254,19 @@ impl TaintMapWal {
             return None;
         }
         let body = &bytes[4..bytes.len() - 4];
-        let mut r = PayloadReader::new(body);
+        let mut r = ByteReader::new(body);
         let epoch = r.u64().ok()?;
         let nmoved = r.u32().ok()? as usize;
-        let mut moved = Vec::with_capacity(nmoved);
+        let mut moved = Vec::with_capacity(r.count(nmoved, 10));
         for _ in 0..nmoved {
-            let lo_gid = r.u32().ok()?;
-            let ip = r.bytes(4).ok()?.to_vec();
-            let port = u16::from_be_bytes([r.u8().ok()?, r.u8().ok()?]);
             moved.push(MovedRange {
-                lo_gid,
-                target: NodeAddr::new([ip[0], ip[1], ip[2], ip[3]], port),
+                lo_gid: r.u32().ok()?,
+                target: addr(&mut r).ok()?,
             });
         }
-        let count = r.u32().ok()? as usize;
-        let mut records = Vec::with_capacity(count);
-        for _ in 0..count {
-            let gid = r.u32().ok()?;
-            let len = r.u32().ok()? as usize;
-            records.push((gid, r.bytes(len).ok()?.to_vec()));
-        }
-        r.at_end().then_some((epoch, moved, records))
+        // The records are laid out as a transfer batch is, to the end.
+        let records = decode_transfer_batch(r.remaining()).ok()?;
+        Some((epoch, moved, records))
     }
 
     /// Rebuilds `backend` from the newest intact snapshot plus the log
@@ -304,68 +297,45 @@ impl TaintMapWal {
         let Ok(bytes) = self.fs.read(&self.path) else {
             return rec;
         };
-        let mut pos = 0;
-        while pos < bytes.len() {
-            let tag = bytes[pos];
-            let rest = &bytes[pos + 1..];
-            let consumed = match tag {
-                REC_DATA => {
-                    if rest.len() < 8 {
-                        break; // torn length header
-                    }
-                    let gid = u32::from_be_bytes([rest[0], rest[1], rest[2], rest[3]]);
-                    let len = u32::from_be_bytes([rest[4], rest[5], rest[6], rest[7]]) as usize;
-                    if rest.len() < 8 + len {
-                        break; // torn payload
-                    }
-                    if let Some(local) = shard.local_of_global(gid) {
-                        backend.insert_replicated(local, &rest[8..8 + len]);
-                        rec.wal_data_records += 1;
-                    }
-                    8 + len
-                }
-                REC_CHECKPOINT => {
-                    if rest.len() < 4 {
-                        break;
-                    }
-                    rec.checkpoint = u32::from_be_bytes([rest[0], rest[1], rest[2], rest[3]]);
-                    4
-                }
-                REC_MIGRATE_START => {
-                    if rest.len() < 10 {
-                        break;
-                    }
-                    let lo_gid = u32::from_be_bytes([rest[0], rest[1], rest[2], rest[3]]);
-                    let target = NodeAddr::new(
-                        [rest[4], rest[5], rest[6], rest[7]],
-                        u16::from_be_bytes([rest[8], rest[9]]),
-                    );
-                    rec.migration = Some((lo_gid, target));
-                    10
-                }
-                REC_CUTOVER => {
-                    if rest.len() < 18 {
-                        break;
-                    }
-                    let mut epoch = [0u8; 8];
-                    epoch.copy_from_slice(&rest[..8]);
-                    rec.epoch = u64::from_be_bytes(epoch);
-                    let lo_gid = u32::from_be_bytes([rest[8], rest[9], rest[10], rest[11]]);
-                    let target = NodeAddr::new(
-                        [rest[12], rest[13], rest[14], rest[15]],
-                        u16::from_be_bytes([rest[16], rest[17]]),
-                    );
-                    rec.moved.push(MovedRange { lo_gid, target });
-                    rec.migration = None;
-                    rec.checkpoint = 0;
-                    18
-                }
-                _ => break, // unknown tag: treat as torn tail
-            };
+        let mut r = ByteReader::new(&bytes);
+        while Self::replay_record(&mut r, backend, shard, &mut rec).is_ok() {
             rec.wal_records_scanned += 1;
-            pos += 1 + consumed;
         }
         rec
+    }
+
+    /// Reads the next tagged record and applies it to `rec` (a data
+    /// record also to `backend`). Every field is read before anything is
+    /// applied, so a torn final record — `Truncated`, wherever the crash
+    /// cut it — applies nothing; it and an unknown tag end the replay.
+    fn replay_record(
+        r: &mut ByteReader<'_>,
+        backend: &dyn TaintMapBackend,
+        shard: ShardSpec,
+        rec: &mut WalRecovery,
+    ) -> Result<(), ReadError> {
+        match r.u8()? {
+            REC_DATA => {
+                let gid = r.u32()?;
+                let len = r.u32()? as usize;
+                let serialized = r.bytes(len)?;
+                if let Some(local) = shard.local_of_global(gid) {
+                    backend.insert_replicated(local, serialized);
+                    rec.wal_data_records += 1;
+                }
+            }
+            REC_CHECKPOINT => rec.checkpoint = r.u32()?,
+            REC_MIGRATE_START => rec.migration = Some((r.u32()?, addr(r)?)),
+            REC_CUTOVER => {
+                let (epoch, lo_gid, target) = (r.u64()?, r.u32()?, addr(r)?);
+                rec.epoch = epoch;
+                rec.moved.push(MovedRange { lo_gid, target });
+                rec.migration = None;
+                rec.checkpoint = 0;
+            }
+            _ => return Err(ReadError::Malformed("unknown WAL record tag")),
+        }
+        Ok(())
     }
 }
 
@@ -972,24 +942,8 @@ fn serve_connection(conn: TcpEndpoint, shared: Arc<ServerShared>) {
             (OP_LOOKUP, payload) => serve_data(&shared, &payload, lookup_items),
             (OP_EPOCH_OF, _) => (RESP_OK, encode_class_table(&shared.table.lock())),
             (OP_TRANSFER_BATCH, payload) => serve_transfer_batch(&shared, &payload),
-            (OP_REPLICATE, payload) if payload.len() >= 4 => {
-                let gid = u32::from_be_bytes([payload[0], payload[1], payload[2], payload[3]]);
-                // The primary replicates global ids; map back into the
-                // backend's dense local space (same shard spec).
-                match shared.shard.local_of_global(gid) {
-                    Some(local) => {
-                        // A migration target persists double-writes
-                        // before acknowledging, so a forward ack means
-                        // the record survives the target crashing too.
-                        let _commit = shared.commit_lock.lock();
-                        shared.backend.insert_replicated(local, &payload[4..]);
-                        if let Some(wal) = &shared.wal {
-                            wal.append(gid, &payload[4..]);
-                        }
-                        (RESP_OK, Vec::new())
-                    }
-                    None => (RESP_ERR, vec![0xFF]),
-                }
+            (OP_REPLICATE, payload) => {
+                serve_replicate(&shared, &payload).unwrap_or((RESP_ERR, vec![0xFF]))
             }
             (OP_SHUTDOWN, _) => return,
             _ => (RESP_ERR, vec![0xFF]),
@@ -1025,10 +979,10 @@ type Reply = (u8, Vec<u8>);
 fn serve_data(
     shared: &ServerShared,
     payload: &[u8],
-    serve_items: fn(&ServerShared, &mut PayloadReader<'_>) -> Option<Reply>,
+    serve_items: fn(&ServerShared, &mut ByteReader<'_>) -> Option<Reply>,
 ) -> Reply {
     shared.batch_frames.fetch_add(1, Ordering::Relaxed);
-    let mut r = PayloadReader::new(payload);
+    let mut r = ByteReader::new(payload);
     let Ok(stamp) = r.u64() else {
         return (RESP_ERR, vec![0xFF]);
     };
@@ -1040,11 +994,10 @@ fn serve_data(
     serve_items(shared, &mut r).unwrap_or((RESP_ERR, vec![0xFF]))
 }
 
-fn register_items(shared: &ServerShared, r: &mut PayloadReader<'_>) -> Option<Reply> {
+fn register_items(shared: &ServerShared, r: &mut ByteReader<'_>) -> Option<Reply> {
     let count = r.u32().ok()? as usize;
-    // Every item carries at least its 4-byte length, which bounds what
-    // a hostile count can make this allocate.
-    let mut resp = Vec::with_capacity(4 + 4 * count.min(r.remaining().len() / 4));
+    // Every item carries at least its 4-byte length.
+    let mut resp = Vec::with_capacity(4 + 4 * r.count(count, 4));
     resp.extend_from_slice(&(count as u32).to_be_bytes());
     for _ in 0..count {
         let len = r.u32().ok()? as usize;
@@ -1061,9 +1014,9 @@ fn register_items(shared: &ServerShared, r: &mut PayloadReader<'_>) -> Option<Re
     r.at_end().then_some((RESP_OK, resp))
 }
 
-fn lookup_items(shared: &ServerShared, r: &mut PayloadReader<'_>) -> Option<Reply> {
+fn lookup_items(shared: &ServerShared, r: &mut ByteReader<'_>) -> Option<Reply> {
     let count = r.u32().ok()? as usize;
-    let mut resp = Vec::with_capacity(4 + 5 * count.min(r.remaining().len() / 4));
+    let mut resp = Vec::with_capacity(4 + 5 * r.count(count, 4));
     resp.extend_from_slice(&(count as u32).to_be_bytes());
     for _ in 0..count {
         let gid = r.u32().ok()?;
@@ -1080,6 +1033,26 @@ fn lookup_items(shared: &ServerShared, r: &mut PayloadReader<'_>) -> Option<Repl
         }
     }
     r.at_end().then_some((RESP_OK, resp))
+}
+
+/// Standby and migration-target side of one replicated registration
+/// (`u32 gid`, then the serialized taint); `None` if the payload is
+/// short or the gid is another shard's.
+fn serve_replicate(shared: &ServerShared, payload: &[u8]) -> Option<Reply> {
+    let mut r = ByteReader::new(payload);
+    let gid = r.u32().ok()?;
+    // The primary replicates global ids; map back into the backend's
+    // dense local space (same shard spec).
+    let local = shared.shard.local_of_global(gid)?;
+    // A migration target persists double-writes before acknowledging,
+    // so a forward ack means the record survives the target crashing
+    // too.
+    let _commit = shared.commit_lock.lock();
+    shared.backend.insert_replicated(local, r.remaining());
+    if let Some(wal) = &shared.wal {
+        wal.append(gid, r.remaining());
+    }
+    Some((RESP_OK, Vec::new()))
 }
 
 /// Copy phase receiver: persists a batch of migrated records before

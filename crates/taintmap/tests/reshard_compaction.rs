@@ -127,6 +127,38 @@ fn torn_snapshot_falls_back_to_previous_generation() {
     endpoint.shutdown();
 }
 
+/// A snapshot whose magic and trailer are intact but whose record count
+/// lies (`0xFFFF_FFFF` for 8 records) used to abort the restarting
+/// process with a 137 GB allocation; it is a torn generation like any
+/// other.
+#[test]
+fn snapshot_with_a_lying_record_count_falls_back_to_the_previous_generation() {
+    let net = SimNet::new();
+    let fs = SimFs::new();
+    let mut endpoint = TaintMapEndpoint::builder()
+        .snapshots(fs.clone())
+        .connect(&net)
+        .unwrap();
+    let store1 = store(1);
+    let client = endpoint.client(&net, store1.clone()).unwrap();
+    client.global_ids_for(&mint(&store1, 8)).unwrap();
+    assert_eq!(endpoint.compact_shard(0).unwrap(), 8);
+
+    // Layout: magic(4) epoch(8) nmoved(4, zero here) count(4) records…
+    let mut lying = fs.read("taintmap/shard-0.wal.snapshot-1").unwrap();
+    assert_eq!(lying[16..20], 8u32.to_be_bytes());
+    lying[16..20].fill(0xFF);
+    fs.write("taintmap/shard-0.wal.snapshot-2", lying);
+
+    endpoint.crash_primary(0);
+    let replayed = endpoint.restart_primary(0).unwrap();
+    assert_eq!(replayed, 8, "generation 1 recovers every record");
+    let recovery = endpoint.shard(0).recovery();
+    assert_eq!(recovery.torn_snapshots, 1, "the lying generation was seen");
+    assert_eq!(recovery.snapshot_records, 8);
+    endpoint.shutdown();
+}
+
 #[test]
 fn compaction_bounds_restart_replay_by_live_records() {
     let net = SimNet::new();

@@ -22,7 +22,7 @@
 
 use dista_jre::Vm;
 use dista_simnet::NodeAddr;
-use dista_taint::TaintedBytes;
+use dista_taint::{ByteReader, TaintedBytes};
 use dista_taintmap::TaintMapBackend;
 use parking_lot::Mutex;
 
@@ -101,8 +101,8 @@ impl ZkTaintMapBackend {
 
     fn read_u32(zk: &ZkClient, path: &str) -> Option<u32> {
         let bytes = zk.get(path).ok()?;
-        let d = bytes.data();
-        (d.len() == 4).then(|| u32::from_be_bytes([d[0], d[1], d[2], d[3]]))
+        let mut r = ByteReader::new(bytes.data());
+        r.u32().ok().filter(|_| r.at_end())
     }
 
     fn write_u32(zk: &ZkClient, path: &str, value: u32) {

@@ -1,0 +1,183 @@
+//! Design rules as tests over the source tree. Each reads the non-test
+//! part of every file under `crates/*/src` (up to its first
+//! `#[cfg(test)]`) and compares what it finds to a list in this file, so
+//! a new exception is a reviewed line here, with its reason.
+//!
+//! * The waiting rule (DESIGN.md §4e): a thread waits for I/O parked on
+//!   the one source it needs, so nothing sleeps to poll — except at the
+//!   sites listed — and nothing brings back the readiness machinery the
+//!   rule made unnecessary.
+//! * The outside-bytes rule (DESIGN.md "Bytes from outside"): bytes from
+//!   the network or disk become integers through `dista_taint`'s
+//!   `ByteReader`, so no second cursor or varint decoder is defined and
+//!   no file converts bytes to integers by hand — except those listed.
+
+use std::path::{Path, PathBuf};
+
+/// Every non-test `thread::sleep` under `crates/*/src`, with why it is
+/// not a wait for I/O. A new site fails the test; so does an entry whose
+/// site is gone.
+const ALLOWED_SLEEPS: &[(&str, &str)] = &[
+    (
+        "crates/taintmap/src/client.rs",
+        "bounded exponential backoff between RPC retries",
+    ),
+    (
+        "crates/taintmap/src/server.rs",
+        "fault-injected `service_delay`",
+    ),
+    (
+        "crates/hbase/src/master.rs",
+        "HMaster polls the region-server znodes over RPC, as the real one watches ZooKeeper",
+    ),
+    (
+        "crates/rocketmq/src/client.rs",
+        "`pull_blocking` is a pull consumer: it re-asks the broker over RPC at an interval",
+    ),
+    (
+        "crates/mapreduce/src/client.rs",
+        "`await_finished` polls the job report over RPC, as the YARN client does",
+    ),
+    (
+        "crates/zookeeper/src/election.rs",
+        "re-dials a peer whose election listener is not up yet",
+    ),
+];
+
+/// Names of the deleted readiness mechanism; none may reappear.
+const FORBIDDEN: &[&str] = &[
+    "Reactor",
+    "TimerWheel",
+    "register_readable",
+    "register_acceptable",
+];
+
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in std::fs::read_dir(dir).expect("readable source directory") {
+        let path = entry.expect("directory entry").path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// `(path relative to the repo root, text before the first
+/// #[cfg(test)])` of every source file under `crates/*/src`.
+fn non_test_sources() -> Vec<(String, String)> {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for krate in std::fs::read_dir(root.join("crates")).expect("crates/") {
+        let src = krate.expect("crate directory").path().join("src");
+        if src.is_dir() {
+            rust_files(&src, &mut files);
+        }
+    }
+    assert!(files.len() > 50, "walked only {} files", files.len());
+    files
+        .iter()
+        .map(|path| {
+            let text = std::fs::read_to_string(path).expect("utf-8 source file");
+            let non_test = text.split("#[cfg(test)]").next().unwrap_or_default();
+            let name = path.strip_prefix(root).expect("walked from the root");
+            (name.to_string_lossy().into_owned(), non_test.to_string())
+        })
+        .collect()
+}
+
+#[test]
+fn nothing_sleeps_to_poll_and_nothing_registers_readiness() {
+    let mut sleeps = Vec::new();
+    let mut forbidden = Vec::new();
+    for (name, non_test) in non_test_sources() {
+        for (n, line) in non_test.lines().enumerate() {
+            if line.contains("thread::sleep") {
+                sleeps.push((name.clone(), n + 1));
+            }
+            for word in FORBIDDEN {
+                if line.contains(word) {
+                    forbidden.push(format!("{name}:{}: `{word}`", n + 1));
+                }
+            }
+        }
+    }
+    assert!(forbidden.is_empty(), "{}", forbidden.join("\n"));
+
+    // One allow-list entry per site, compared as sorted lists: a new
+    // site and a stale entry both show up as a difference.
+    let mut found: Vec<&str> = sleeps.iter().map(|(file, _)| file.as_str()).collect();
+    let mut allowed: Vec<&str> = ALLOWED_SLEEPS.iter().map(|(file, _)| *file).collect();
+    found.sort_unstable();
+    allowed.sort_unstable();
+    assert_eq!(
+        found, allowed,
+        "non-test `thread::sleep` sites (left) differ from ALLOWED_SLEEPS (right); found at {sleeps:?}"
+    );
+}
+
+/// Where the one reader of outside bytes lives.
+const READER_MODULE: &str = "crates/taint/src/reader.rs";
+
+/// The private cursors and varint decoders the reader replaced; a
+/// definition of any of these names outside [`READER_MODULE`] is a
+/// second way to read outside bytes.
+const REPLACED_BY_THE_READER: &[&str] = &[
+    "struct Cursor",
+    "struct Reader",
+    "struct PayloadReader",
+    "fn read_varint",
+];
+
+/// Every file whose non-test code calls `from_be_bytes`/`from_le_bytes`,
+/// with why it is not a decoder of outside bytes. A new file fails the
+/// test; so does an entry whose calls are gone.
+const ALLOWED_BYTE_CONVERSIONS: &[(&str, &str)] = &[
+    (READER_MODULE, "the reader itself"),
+    (
+        "crates/taint/src/tag.rs",
+        "`LocalId`/`GlobalId` from fixed-size arrays their callers have already bounded",
+    ),
+    (
+        "crates/microbench/src/cases.rs",
+        "Table II case bodies reproduce application code, which reads its own sockets",
+    ),
+    (
+        "crates/microbench/src/socket_codecs.rs",
+        "Table II case bodies, as above",
+    ),
+];
+
+#[test]
+fn outside_bytes_are_read_by_the_one_reader() {
+    let mut second_readers = Vec::new();
+    let mut converting = Vec::new();
+    for (name, non_test) in non_test_sources() {
+        for (n, line) in non_test.lines().enumerate() {
+            for definition in REPLACED_BY_THE_READER {
+                // `struct Reader` but not `struct ReaderState`.
+                let defined = line.split(definition).nth(1).is_some_and(|rest| {
+                    !rest.starts_with(|c: char| c.is_alphanumeric() || c == '_')
+                });
+                if defined && name != READER_MODULE {
+                    second_readers.push(format!("{name}:{}: `{definition}`", n + 1));
+                }
+            }
+        }
+        if non_test.contains("from_be_bytes") || non_test.contains("from_le_bytes") {
+            converting.push(name);
+        }
+    }
+    assert!(second_readers.is_empty(), "{}", second_readers.join("\n"));
+
+    let mut allowed: Vec<&str> = ALLOWED_BYTE_CONVERSIONS
+        .iter()
+        .map(|(file, _)| *file)
+        .collect();
+    converting.sort_unstable();
+    allowed.sort_unstable();
+    assert_eq!(
+        converting, allowed,
+        "files converting bytes to integers by hand (left) differ from ALLOWED_BYTE_CONVERSIONS (right)"
+    );
+}
