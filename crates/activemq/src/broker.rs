@@ -3,7 +3,6 @@
 //! object frames and over STOMP (paper Table III lists both).
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -11,7 +10,7 @@ use dista_jre::{
     DatagramPacket, DatagramSocket, FileInputStream, JreError, ObjValue, ObjectInputStream,
     ObjectOutputStream, ServerSocket, Socket, SocketOutputStream, Vm,
 };
-use dista_simnet::NodeAddr;
+use dista_simnet::{NetError, NodeAddr, TcpServer};
 use dista_taint::{Tainted, TaintedBytes};
 use parking_lot::Mutex;
 
@@ -106,16 +105,16 @@ impl BrokerInner {
 /// A running broker.
 pub struct Broker {
     inner: Arc<BrokerInner>,
-    addr: NodeAddr,
-    running: Arc<AtomicBool>,
-    acceptor: Option<JoinHandle<()>>,
-    stomp: Mutex<Option<NodeAddr>>,
+    openwire: TcpServer,
+    stomp: Mutex<Option<TcpServer>>,
+    /// The UDP ingest socket and the thread blocked on it.
+    udp: Mutex<Option<(DatagramSocket, JoinHandle<()>)>>,
 }
 
 impl std::fmt::Debug for Broker {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Broker")
-            .field("addr", &self.addr)
+            .field("addr", &self.addr())
             .field("name", self.inner.broker_name.value())
             .finish()
     }
@@ -149,29 +148,15 @@ impl Broker {
             broker_name,
             destinations: Mutex::new(HashMap::new()),
         });
-        let listener = ServerSocket::bind(vm, addr)?;
-        let running = Arc::new(AtomicBool::new(true));
-        let accept_running = running.clone();
-        let accept_inner = inner.clone();
-        let acceptor = std::thread::Builder::new()
-            .name(format!("amq-broker-{addr}"))
-            .spawn(move || {
-                while accept_running.load(Ordering::Relaxed) {
-                    let socket = match listener.accept() {
-                        Ok(s) => s,
-                        Err(_) => continue,
-                    };
-                    let session_inner = accept_inner.clone();
-                    std::thread::spawn(move || serve_openwire_session(socket, session_inner));
-                }
-            })
-            .expect("spawn broker acceptor");
+        let session_inner = inner.clone();
+        let openwire = ServerSocket::serve(vm, addr, "amq-broker", move |socket| {
+            serve_openwire_session(&socket, &session_inner)
+        })?;
         Ok(Broker {
             inner,
-            addr,
-            running,
-            acceptor: Some(acceptor),
+            openwire,
             stomp: Mutex::new(None),
+            udp: Mutex::new(None),
         })
     }
 
@@ -185,33 +170,14 @@ impl Broker {
     /// Transport errors (address in use).
     pub fn start_udp_listener(&self, addr: NodeAddr) -> Result<NodeAddr, JreError> {
         let socket = DatagramSocket::bind(&self.inner.vm, addr)?;
-        let running = self.running.clone();
-        let inner = self.inner.clone();
-        std::thread::Builder::new()
-            .name(format!("amq-udp-{addr}"))
-            .spawn(move || {
-                while running.load(Ordering::Relaxed) {
-                    let mut packet = DatagramPacket::for_receive(256 * 1024);
-                    if socket.receive(&mut packet).is_err() {
-                        return;
-                    }
-                    let Ok(message) =
-                        ObjValue::decode(&packet.into_data().into_tainted(), &inner.vm)
-                    else {
-                        continue; // malformed datagrams are dropped, like real UDP ingest
-                    };
-                    if message.class_name() != Some("Message") {
-                        continue;
-                    }
-                    let destination = message
-                        .field("destination")
-                        .and_then(ObjValue::as_str)
-                        .unwrap_or("")
-                        .to_string();
-                    inner.dispatch(destination, message);
-                }
-            })
-            .expect("spawn udp acceptor");
+        let ingest = {
+            let (socket, inner) = (socket.clone(), self.inner.clone());
+            std::thread::Builder::new()
+                .name(format!("amq-udp-{addr}"))
+                .spawn(move || ingest_datagrams(&socket, &inner))
+                .expect("spawn udp ingest thread")
+        };
+        *self.udp.lock() = Some((socket, ingest));
         Ok(addr)
     }
 
@@ -222,29 +188,17 @@ impl Broker {
     ///
     /// Transport errors (address in use).
     pub fn start_stomp_listener(&self, addr: NodeAddr) -> Result<NodeAddr, JreError> {
-        let listener = ServerSocket::bind(&self.inner.vm, addr)?;
-        let running = self.running.clone();
         let inner = self.inner.clone();
-        std::thread::Builder::new()
-            .name(format!("amq-stomp-{addr}"))
-            .spawn(move || {
-                while running.load(Ordering::Relaxed) {
-                    let socket = match listener.accept() {
-                        Ok(s) => s,
-                        Err(_) => continue,
-                    };
-                    let session_inner = inner.clone();
-                    std::thread::spawn(move || serve_stomp_session(socket, session_inner));
-                }
-            })
-            .expect("spawn stomp acceptor");
-        *self.stomp.lock() = Some(addr);
+        let server = ServerSocket::serve(&self.inner.vm, addr, "amq-stomp", move |socket| {
+            serve_stomp_session(&socket, &inner)
+        })?;
+        *self.stomp.lock() = Some(server);
         Ok(addr)
     }
 
     /// The broker's OpenWire listen address.
     pub fn addr(&self) -> NodeAddr {
-        self.addr
+        self.openwire.local_addr()
     }
 
     /// The configured broker name (file-tainted in SIM runs).
@@ -261,25 +215,21 @@ impl Broker {
             .map_or(0, |d| d.pending.len())
     }
 
-    /// Stops the broker.
+    /// Stops the broker: both TCP ports (see [`TcpServer::stop`]) and the
+    /// UDP ingest thread.
     pub fn shutdown(mut self) {
         self.stop();
     }
 
     fn stop(&mut self) {
-        if let Some(handle) = self.acceptor.take() {
-            self.running.store(false, Ordering::Relaxed);
-            if let Ok(s) = Socket::connect(&self.inner.vm, self.addr) {
-                s.close();
-            }
-            self.inner.vm.net().tcp_unlisten(self.addr);
-            if let Some(stomp_addr) = self.stomp.lock().take() {
-                if let Ok(s) = Socket::connect(&self.inner.vm, stomp_addr) {
-                    s.close();
-                }
-                self.inner.vm.net().tcp_unlisten(stomp_addr);
-            }
-            let _ = handle.join();
+        self.openwire.stop();
+        if let Some(mut stomp) = self.stomp.lock().take() {
+            stomp.stop();
+        }
+        if let Some((socket, ingest)) = self.udp.lock().take() {
+            // Closing the socket is what wakes `receive()`.
+            socket.close();
+            let _ = ingest.join();
         }
     }
 }
@@ -290,7 +240,33 @@ impl Drop for Broker {
     }
 }
 
-fn serve_openwire_session(socket: Socket, inner: Arc<BrokerInner>) {
+/// The UDP ingest loop: dispatches one `Message` record per datagram
+/// until the socket is closed. A quiet block timeout is not an error,
+/// and a datagram that fails to decode is dropped, like real UDP ingest.
+fn ingest_datagrams(socket: &DatagramSocket, inner: &BrokerInner) {
+    loop {
+        let mut packet = DatagramPacket::for_receive(256 * 1024);
+        match socket.receive(&mut packet) {
+            Ok(()) => {}
+            Err(JreError::Net(NetError::Closed)) => return,
+            Err(_) => continue,
+        }
+        let Ok(message) = ObjValue::decode(&packet.into_data().into_tainted(), &inner.vm) else {
+            continue;
+        };
+        if message.class_name() != Some("Message") {
+            continue;
+        }
+        let destination = message
+            .field("destination")
+            .and_then(ObjValue::as_str)
+            .unwrap_or("")
+            .to_string();
+        inner.dispatch(destination, message);
+    }
+}
+
+fn serve_openwire_session(socket: &Socket, inner: &BrokerInner) {
     let input = ObjectInputStream::new(socket.input_stream());
     loop {
         let frame = match input.read_object() {
@@ -329,7 +305,7 @@ fn serve_openwire_session(socket: Socket, inner: Arc<BrokerInner>) {
     }
 }
 
-fn serve_stomp_session(socket: Socket, inner: Arc<BrokerInner>) {
+fn serve_stomp_session(socket: &Socket, inner: &BrokerInner) {
     let vm = inner.vm.clone();
     let input = socket.input_stream();
     // Handshake.

@@ -5,8 +5,8 @@
 //! delta frames, [`Collector`] ingests them and serves expositions);
 //! this module owns the plumbing that makes them a *plane*:
 //!
-//! * [`CollectorServer`] — an accept thread that hands each connection
-//!   to a blocking reader speaking a one-role-byte protocol: `b'A'`
+//! * [`CollectorServer`] — a [`TcpServer`] whose sessions speak a
+//!   one-role-byte protocol: `b'A'`
 //!   opens a long-lived agent stream of `[u32-BE length][delta frame]`
 //!   messages; `b'S'` / `b'J'` request one length-prefixed text / JSON
 //!   scrape and then close.
@@ -36,7 +36,7 @@ use std::time::Duration;
 
 use dista_jre::JreError;
 use dista_obs::{Collector, CollectorConfig, TelemetryAgent};
-use dista_simnet::{read_announced, NetError, NodeAddr, SimNet, TcpEndpoint, TcpListener};
+use dista_simnet::{read_announced, NodeAddr, SimNet, TcpEndpoint, TcpServer};
 use dista_taint::ByteReader;
 
 use crate::error::DistaError;
@@ -75,22 +75,16 @@ impl Default for TelemetryConfig {
 /// up to 4 GiB.
 const MAX_FRAME_LEN: usize = 16 << 20;
 
-/// The server's end of one accepted connection and the thread reading it.
-type Reader = (TcpEndpoint, JoinHandle<()>);
-
-/// The collector's listener: an accept thread plus one blocking reader
-/// per agent stream or scrape request.
+/// The collector's listener: one blocking reader per agent stream or
+/// scrape request.
 #[derive(Debug)]
 pub struct CollectorServer {
-    net: SimNet,
-    addr: NodeAddr,
+    server: TcpServer,
     collector: Arc<Collector>,
-    /// Returns the connections still open when the listener went away.
-    accept: Option<JoinHandle<Vec<Reader>>>,
 }
 
 impl CollectorServer {
-    /// Binds `addr` on `net` and spawns the accept thread.
+    /// Binds `addr` on `net` and starts serving it.
     ///
     /// # Errors
     ///
@@ -100,26 +94,18 @@ impl CollectorServer {
         addr: NodeAddr,
         config: CollectorConfig,
     ) -> Result<Self, DistaError> {
-        let listener = net
-            .tcp_listen(addr)
-            .map_err(dista_jre::JreError::from)
-            .map_err(DistaError::from)?;
         let collector = Arc::new(Collector::with_config(config));
-        let accept = {
-            let collector = collector.clone();
-            std::thread::spawn(move || serve(&listener, &collector))
-        };
-        Ok(CollectorServer {
-            net: net.clone(),
-            addr,
-            collector,
-            accept: Some(accept),
+        let session_collector = collector.clone();
+        let server = TcpServer::bind(net, addr, "collector", move |ep, _| {
+            read_connection(&ep, &session_collector)
         })
+        .map_err(JreError::from)?;
+        Ok(CollectorServer { server, collector })
     }
 
     /// The scrape/push address.
     pub fn addr(&self) -> NodeAddr {
-        self.addr
+        self.server.local_addr()
     }
 
     /// The collector behind the server (shared — scrape counters et al.
@@ -128,54 +114,15 @@ impl CollectorServer {
         &self.collector
     }
 
-    /// Stops listening, hangs up on every open connection and joins its
-    /// reader (idempotent). A closed pipe still yields its buffered
-    /// bytes before EOF, so every frame written before the call is
-    /// ingested when it returns; the collector and its data survive.
+    /// Stops the server (see [`TcpServer::stop`]): every frame written
+    /// before the call is ingested when it returns; the collector and
+    /// its data survive.
     pub fn stop(&mut self) {
-        let Some(accept) = self.accept.take() else {
-            return;
-        };
-        self.net.tcp_unlisten(self.addr);
-        // Join before hanging up: the accept loop first drains the
-        // connections already queued behind the removed listener.
-        let readers = accept.join().unwrap_or_default();
-        for (ep, _) in &readers {
-            ep.close();
-        }
-        for (_, reader) in readers {
-            let _ = reader.join();
-        }
+        self.server.stop();
     }
 }
 
-impl Drop for CollectorServer {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
-/// The accept loop: one blocking reader per connection until the
-/// listener is removed.
-fn serve(listener: &TcpListener, collector: &Arc<Collector>) -> Vec<Reader> {
-    let mut readers: Vec<Reader> = Vec::new();
-    loop {
-        match listener.accept() {
-            Ok(ep) => {
-                readers.retain(|(_, reader)| !reader.is_finished());
-                let reader = {
-                    let (ep, collector) = (ep.clone(), collector.clone());
-                    std::thread::spawn(move || read_connection(&ep, &collector))
-                };
-                readers.push((ep, reader));
-            }
-            Err(NetError::Timeout(_)) => {}
-            Err(_) => return readers,
-        }
-    }
-}
-
-/// Serves one connection to its end, then hangs up: EOF, a transport
+/// Serves one connection to its end: EOF, a transport
 /// error, a scrape answered, an unknown role byte, or an agent frame
 /// announced past [`MAX_FRAME_LEN`]. A stream silent for the whole block
 /// timeout is such an error: its agent re-dials on the next push, and a
@@ -191,7 +138,6 @@ fn read_connection(ep: &TcpEndpoint, collector: &Collector) {
             _ => {}
         }
     }
-    ep.close();
 }
 
 /// Ingests `[u32-BE length][frame]` messages until the stream ends. A
@@ -431,6 +377,7 @@ fn scrape(net: &SimNet, addr: NodeAddr, role: u8) -> Result<String, DistaError> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dista_simnet::NetError;
 
     fn plane_on(net: &SimNet, nodes: &[(&str, [u8; 4])], interval_ms: u64) -> TelemetryPlane {
         let nodes: Vec<(String, [u8; 4])> =
@@ -555,14 +502,14 @@ mod tests {
         msg.extend_from_slice(&u32::MAX.to_be_bytes());
         msg.resize(msg.len() + 64 * 1024, 0);
         agent.write(&msg).unwrap();
-        // Returns at once: the server must hang up, not wait for 4 GiB.
+        // Returns at once, which is what makes the server hang up: the
+        // session must not wait for 4 GiB.
         read_connection(&served, &collector);
         assert_eq!(
             served.available(),
             64 * 1024,
             "nothing past the role byte and the length is read, let alone buffered"
         );
-        assert_eq!(agent.write(b"x"), Err(NetError::Closed));
         assert_eq!(collector.frames_ingested(), 0);
     }
 

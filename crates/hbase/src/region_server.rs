@@ -1,12 +1,10 @@
 //! RegionServers: table storage and the Get/Put protobuf RPC service.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use dista_jre::{FileInputStream, JreError, ServerSocketChannel, SocketChannel, Vm};
-use dista_simnet::{NetError, NodeAddr};
+use dista_simnet::{NodeAddr, TcpServer};
 use dista_taint::{Tainted, TaintedBytes};
 use dista_zookeeper::ZkClient;
 use parking_lot::Mutex;
@@ -22,17 +20,14 @@ type Store = Arc<Mutex<HashMap<Vec<u8>, BTreeMap<Vec<u8>, TaintedBytes>>>>;
 
 /// A running RegionServer.
 pub struct RegionServer {
-    vm: Vm,
-    addr: NodeAddr,
+    server: TcpServer,
     hostname: Tainted<String>,
-    running: Arc<AtomicBool>,
-    acceptor: Option<JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for RegionServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RegionServer")
-            .field("addr", &self.addr)
+            .field("addr", &self.addr())
             .field("hostname", self.hostname.value())
             .finish()
     }
@@ -61,37 +56,15 @@ impl RegionServer {
             Err(_) => Tainted::untainted(vm.name().to_string()),
         };
         let store: Store = Arc::new(Mutex::new(HashMap::new()));
-        let listener = ServerSocketChannel::bind(vm, addr)?;
-        let running = Arc::new(AtomicBool::new(true));
-        let accept_running = running.clone();
-        let accept_vm = vm.clone();
-        let acceptor = std::thread::Builder::new()
-            .name(format!("hbase-rs-{addr}"))
-            .spawn(move || {
-                while accept_running.load(Ordering::Relaxed) {
-                    let channel = match listener.accept() {
-                        Ok(c) => c,
-                        Err(JreError::Net(NetError::Timeout(_))) => continue,
-                        Err(_) => break,
-                    };
-                    let store = store.clone();
-                    let vm = accept_vm.clone();
-                    std::thread::spawn(move || serve(channel, store, vm));
-                }
-            })
-            .expect("spawn hbase rs acceptor");
-        Ok(RegionServer {
-            vm: vm.clone(),
-            addr,
-            hostname,
-            running,
-            acceptor: Some(acceptor),
-        })
+        let server = ServerSocketChannel::serve(vm, addr, "hbase-rs", move |channel| {
+            serve(&channel, &store)
+        })?;
+        Ok(RegionServer { server, hostname })
     }
 
     /// The RS's RPC address.
     pub fn addr(&self) -> NodeAddr {
-        self.addr
+        self.server.local_addr()
     }
 
     /// The configured hostname (file-tainted in SIM runs).
@@ -109,38 +82,21 @@ impl RegionServer {
     /// ZooKeeper errors.
     pub fn register_in_zk(&self, zk: &ZkClient, index: usize) -> Result<(), JreError> {
         let value =
-            TaintedBytes::uniform(self.addr.to_string().into_bytes(), self.hostname.taint());
+            TaintedBytes::uniform(self.addr().to_string().into_bytes(), self.hostname.taint());
         zk.create(&format!("/hbase/rs/{index}"), value)
             .map_err(|_| JreError::Protocol("zookeeper registration failed"))?;
         Ok(())
     }
 
-    /// Stops the RPC service.
+    /// Stops the RPC service (see [`TcpServer::stop`]).
     pub fn shutdown(mut self) {
-        self.stop();
-    }
-
-    fn stop(&mut self) {
-        if let Some(handle) = self.acceptor.take() {
-            self.running.store(false, Ordering::Relaxed);
-            if let Ok(c) = SocketChannel::connect(&self.vm, self.addr) {
-                c.close();
-            }
-            self.vm.net().tcp_unlisten(self.addr);
-            let _ = handle.join();
-        }
+        self.server.stop();
     }
 }
 
-impl Drop for RegionServer {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
-fn serve(channel: SocketChannel, store: Store, vm: Vm) {
+fn serve(channel: &SocketChannel, store: &Store) {
     loop {
-        let request = match read_message(&channel, &vm) {
+        let request = match read_message(channel, channel.vm()) {
             Ok(Some(r)) => r,
             Ok(None) | Err(_) => return,
         };
@@ -208,7 +164,7 @@ fn serve(channel: SocketChannel, store: Store, vm: Vm) {
                 response.push_varint(1, 0);
             }
         }
-        if write_message(&channel, &response).is_err() {
+        if write_message(channel, &response).is_err() {
             return;
         }
     }

@@ -5,9 +5,9 @@
 //! methods as NIO, which is why the same Type-3 instrumentation covers it
 //! (paper §III-B: `SocketDispatcher` extends `FileDispatcherImpl`).
 
+use std::sync::mpsc::{sync_channel, Receiver};
 use std::time::Duration;
 
-use crossbeam::channel::{bounded, Receiver};
 use dista_simnet::NodeAddr;
 use dista_taint::Payload;
 
@@ -23,7 +23,7 @@ pub struct AioFuture<T> {
 
 impl<T: Send + 'static> AioFuture<T> {
     fn spawn(f: impl FnOnce() -> Result<T, JreError> + Send + 'static) -> Self {
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = sync_channel(1);
         std::thread::spawn(move || {
             let _ = tx.send(f());
         });

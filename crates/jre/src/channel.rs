@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use dista_simnet::{NodeAddr, TcpListener};
+use dista_simnet::{NodeAddr, TcpEndpoint, TcpListener, TcpServer};
 use dista_taint::Payload;
 
 use crate::boundary::{recv_datagram, send_datagram, BoundaryStream};
@@ -34,6 +34,13 @@ impl SocketChannel {
         Ok(SocketChannel {
             stream: Arc::new(BoundaryStream::connector(vm.clone(), ep)),
         })
+    }
+
+    /// The server's end of a connection `vm` accepted.
+    fn accepted(vm: &Vm, ep: TcpEndpoint) -> Self {
+        SocketChannel {
+            stream: Arc::new(BoundaryStream::acceptor(vm.clone(), ep)),
+        }
     }
 
     /// The VM that owns this channel.
@@ -149,15 +156,31 @@ impl ServerSocketChannel {
     ///
     /// Transport errors.
     pub fn accept(&self) -> Result<SocketChannel, JreError> {
-        let ep = self.listener.accept()?;
-        Ok(SocketChannel {
-            stream: Arc::new(BoundaryStream::acceptor(self.vm.clone(), ep)),
-        })
+        Ok(SocketChannel::accepted(&self.vm, self.listener.accept()?))
     }
 
     /// Stops listening.
     pub fn close(&self) {
         self.vm.net().tcp_unlisten(self.listener.local_addr());
+    }
+
+    /// Binds at `addr` and serves it until the returned server is
+    /// stopped: `session` runs on its own thread for each connection,
+    /// wrapped in the VM's boundary (see [`TcpServer::bind`]).
+    ///
+    /// # Errors
+    ///
+    /// Transport errors (address in use).
+    pub fn serve(
+        vm: &Vm,
+        addr: NodeAddr,
+        name: &str,
+        session: impl Fn(SocketChannel) + Send + Sync + 'static,
+    ) -> Result<TcpServer, JreError> {
+        let session_vm = vm.clone();
+        Ok(TcpServer::bind(vm.net(), addr, name, move |ep, _| {
+            session(SocketChannel::accepted(&session_vm, ep))
+        })?)
     }
 }
 

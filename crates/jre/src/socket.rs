@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use dista_simnet::{NodeAddr, TcpListener};
+use dista_simnet::{NodeAddr, TcpEndpoint, TcpListener, TcpServer};
 use dista_taint::{Payload, Tainted};
 
 use crate::boundary::BoundaryStream;
@@ -42,15 +42,31 @@ impl ServerSocket {
     ///
     /// Transport errors (timeout, shutdown).
     pub fn accept(&self) -> Result<Socket, JreError> {
-        let ep = self.listener.accept()?;
-        Ok(Socket {
-            stream: Arc::new(BoundaryStream::acceptor(self.vm.clone(), ep)),
-        })
+        Ok(Socket::accepted(&self.vm, self.listener.accept()?))
     }
 
     /// Stops listening.
     pub fn close(&self) {
         self.vm.net().tcp_unlisten(self.listener.local_addr());
+    }
+
+    /// Binds at `addr` and serves it until the returned server is
+    /// stopped: `session` runs on its own thread for each connection,
+    /// wrapped in the VM's boundary (see [`TcpServer::bind`]).
+    ///
+    /// # Errors
+    ///
+    /// Transport errors (address in use).
+    pub fn serve(
+        vm: &Vm,
+        addr: NodeAddr,
+        name: &str,
+        session: impl Fn(Socket) + Send + Sync + 'static,
+    ) -> Result<TcpServer, JreError> {
+        let session_vm = vm.clone();
+        Ok(TcpServer::bind(vm.net(), addr, name, move |ep, _| {
+            session(Socket::accepted(&session_vm, ep))
+        })?)
     }
 }
 
@@ -71,6 +87,13 @@ impl Socket {
         Ok(Socket {
             stream: Arc::new(BoundaryStream::connector(vm.clone(), ep)),
         })
+    }
+
+    /// The server's end of a connection `vm` accepted.
+    fn accepted(vm: &Vm, ep: TcpEndpoint) -> Self {
+        Socket {
+            stream: Arc::new(BoundaryStream::acceptor(vm.clone(), ep)),
+        }
     }
 
     /// The VM that owns this socket.

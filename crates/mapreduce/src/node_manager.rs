@@ -21,7 +21,7 @@ type MapOutputs = Arc<Mutex<HashMap<(i64, i64, i64), ObjValue>>>;
 /// A running NodeManager.
 pub struct NodeManager {
     vm: Vm,
-    server: Option<RpcServer>,
+    server: RpcServer,
     hostname: Tainted<String>,
 }
 
@@ -66,14 +66,14 @@ impl NodeManager {
         })?;
         Ok(NodeManager {
             vm: vm.clone(),
-            server: Some(server),
+            server,
             hostname,
         })
     }
 
     /// The NM's RPC address.
     pub fn addr(&self) -> NodeAddr {
-        self.server.as_ref().expect("server running").addr()
+        self.server.addr()
     }
 
     /// The configured hostname (file-tainted in SIM runs).
@@ -101,10 +101,8 @@ impl NodeManager {
     }
 
     /// Stops the container-launch service.
-    pub fn shutdown(mut self) {
-        if let Some(server) = self.server.take() {
-            server.shutdown();
-        }
+    pub fn shutdown(self) {
+        self.server.shutdown();
     }
 }
 

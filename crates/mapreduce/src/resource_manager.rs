@@ -45,7 +45,7 @@ struct RmInner {
 /// A running ResourceManager.
 pub struct ResourceManager {
     inner: Arc<RmInner>,
-    server: Option<RpcServer>,
+    server: RpcServer,
 }
 
 impl std::fmt::Debug for ResourceManager {
@@ -71,15 +71,12 @@ impl ResourceManager {
         });
         let handler_inner = inner.clone();
         let server = RpcServer::start(vm, addr, move |request| handle(&handler_inner, request))?;
-        Ok(ResourceManager {
-            inner,
-            server: Some(server),
-        })
+        Ok(ResourceManager { inner, server })
     }
 
     /// The RM's RPC address.
     pub fn addr(&self) -> NodeAddr {
-        self.server.as_ref().expect("server running").addr()
+        self.server.addr()
     }
 
     /// Wires up a NodeManager the RM can schedule onto. (Registration
@@ -93,10 +90,8 @@ impl ResourceManager {
     }
 
     /// Stops the RPC service.
-    pub fn shutdown(mut self) {
-        if let Some(server) = self.server.take() {
-            server.shutdown();
-        }
+    pub fn shutdown(self) {
+        self.server.shutdown();
     }
 }
 

@@ -4,14 +4,12 @@
 //! length prefix over [`SocketChannel`], so every RPC byte passes the
 //! instrumented dispatcher methods (Type 3).
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use dista_jre::{
     length_prefixed, read_frame, JreError, ObjValue, ServerSocketChannel, SocketChannel, Vm,
 };
-use dista_simnet::{NetError, NodeAddr};
+use dista_simnet::{NodeAddr, TcpServer};
 use parking_lot::Mutex;
 
 fn write_obj(channel: &SocketChannel, obj: &ObjValue) -> Result<(), JreError> {
@@ -24,15 +22,10 @@ fn read_obj(channel: &SocketChannel) -> Result<Option<ObjValue>, JreError> {
         .transpose()
 }
 
-type Handler = Arc<dyn Fn(ObjValue) -> ObjValue + Send + Sync>;
-
 /// A running RPC server.
 #[derive(Debug)]
 pub struct RpcServer {
-    vm: Vm,
-    addr: NodeAddr,
-    running: Arc<AtomicBool>,
-    acceptor: Option<JoinHandle<()>>,
+    server: TcpServer,
 }
 
 impl RpcServer {
@@ -47,67 +40,24 @@ impl RpcServer {
         addr: NodeAddr,
         handler: impl Fn(ObjValue) -> ObjValue + Send + Sync + 'static,
     ) -> Result<Self, JreError> {
-        let listener = ServerSocketChannel::bind(vm, addr)?;
-        let handler: Handler = Arc::new(handler);
-        let running = Arc::new(AtomicBool::new(true));
-        let accept_running = running.clone();
-        let acceptor = std::thread::Builder::new()
-            .name(format!("rpc-server-{addr}"))
-            .spawn(move || {
-                while accept_running.load(Ordering::Relaxed) {
-                    let channel = match listener.accept() {
-                        Ok(c) => c,
-                        Err(JreError::Net(NetError::Timeout(_))) => continue,
-                        Err(_) => break,
-                    };
-                    let handler = handler.clone();
-                    std::thread::spawn(move || loop {
-                        match read_obj(&channel) {
-                            Ok(Some(request)) => {
-                                let response = handler(request);
-                                if write_obj(&channel, &response).is_err() {
-                                    return;
-                                }
-                            }
-                            Ok(None) | Err(_) => return,
-                        }
-                    });
+        let server = ServerSocketChannel::serve(vm, addr, "rpc-server", move |channel| {
+            while let Ok(Some(request)) = read_obj(&channel) {
+                if write_obj(&channel, &handler(request)).is_err() {
+                    return;
                 }
-            })
-            .expect("spawn rpc acceptor");
-        Ok(RpcServer {
-            vm: vm.clone(),
-            addr,
-            running,
-            acceptor: Some(acceptor),
-        })
+            }
+        })?;
+        Ok(RpcServer { server })
     }
 
     /// The bound address.
     pub fn addr(&self) -> NodeAddr {
-        self.addr
+        self.server.local_addr()
     }
 
-    /// Stops accepting connections.
+    /// Stops the server (see [`TcpServer::stop`]).
     pub fn shutdown(mut self) {
-        self.stop();
-    }
-
-    fn stop(&mut self) {
-        if let Some(handle) = self.acceptor.take() {
-            self.running.store(false, Ordering::Relaxed);
-            if let Ok(c) = SocketChannel::connect(&self.vm, self.addr) {
-                c.close();
-            }
-            self.vm.net().tcp_unlisten(self.addr);
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for RpcServer {
-    fn drop(&mut self) {
-        self.stop();
+        self.server.stop();
     }
 }
 

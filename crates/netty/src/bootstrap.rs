@@ -7,12 +7,10 @@
 //! [`NettyChannel`] handle (write + blocking read), which is all the
 //! reproduced workloads need.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use dista_jre::{JreError, ServerSocketChannel, SocketChannel, Vm};
-use dista_simnet::{NetError, NodeAddr};
+use dista_simnet::{NodeAddr, TcpServer};
 use dista_taint::Payload;
 
 use crate::frame::{read_frame, write_frame};
@@ -96,45 +94,17 @@ impl ServerBootstrap {
         let handler = self
             .handler
             .ok_or(JreError::Protocol("server bootstrap needs a child handler"))?;
-        let listener = ServerSocketChannel::bind(&self.vm, addr)?;
-        let running = Arc::new(AtomicBool::new(true));
-        let boss_running = running.clone();
-        let pipeline = self.pipeline.clone();
-        let vm = self.vm.clone();
-        let boss = std::thread::Builder::new()
-            .name(format!("netty-boss-{addr}"))
-            .spawn(move || {
-                while boss_running.load(Ordering::Relaxed) {
-                    let channel = match listener.accept() {
-                        Ok(c) => c,
-                        Err(JreError::Net(NetError::Timeout(_))) => continue,
-                        Err(_) => break,
-                    };
-                    let ctx = ChannelContext {
-                        channel: channel.clone(),
-                        pipeline: pipeline.clone(),
-                    };
-                    let handler = handler.clone();
-                    let pipeline = pipeline.clone();
-                    let vm = vm.clone();
-                    std::thread::spawn(move || loop {
-                        match read_frame(&channel) {
-                            Ok(Some(frame)) => {
-                                let msg = pipeline.run_inbound(frame, &vm);
-                                handler(&ctx, msg);
-                            }
-                            Ok(None) | Err(_) => return,
-                        }
-                    });
-                }
-            })
-            .expect("spawn netty boss thread");
-        Ok(NettyServer {
-            vm: self.vm,
-            addr,
-            running,
-            boss: Some(boss),
-        })
+        let pipeline = self.pipeline;
+        let server = ServerSocketChannel::serve(&self.vm, addr, "netty-boss", move |channel| {
+            let ctx = ChannelContext {
+                channel: channel.clone(),
+                pipeline: pipeline.clone(),
+            };
+            while let Ok(Some(frame)) = read_frame(&channel) {
+                handler(&ctx, pipeline.run_inbound(frame, channel.vm()));
+            }
+        })?;
+        Ok(NettyServer { server })
     }
 }
 
@@ -150,39 +120,18 @@ impl std::fmt::Debug for ServerBootstrap {
 /// A running Netty server.
 #[derive(Debug)]
 pub struct NettyServer {
-    vm: Vm,
-    addr: NodeAddr,
-    running: Arc<AtomicBool>,
-    boss: Option<JoinHandle<()>>,
+    server: TcpServer,
 }
 
 impl NettyServer {
     /// The bound address.
     pub fn local_addr(&self) -> NodeAddr {
-        self.addr
+        self.server.local_addr()
     }
 
-    /// Stops accepting; live channels drain and exit on client EOF.
+    /// Stops the server (see [`TcpServer::stop`]).
     pub fn shutdown(mut self) {
-        self.stop();
-    }
-
-    fn stop(&mut self) {
-        if let Some(boss) = self.boss.take() {
-            self.running.store(false, Ordering::Relaxed);
-            // Nudge the boss out of accept(), then unbind.
-            if let Ok(chan) = SocketChannel::connect(&self.vm, self.addr) {
-                chan.close();
-            }
-            self.vm.net().tcp_unlisten(self.addr);
-            let _ = boss.join();
-        }
-    }
-}
-
-impl Drop for NettyServer {
-    fn drop(&mut self) {
-        self.stop();
+        self.server.stop();
     }
 }
 

@@ -18,7 +18,7 @@ struct TopicLog {
 pub struct BrokerServer {
     vm: Vm,
     broker_name: Tainted<String>,
-    server: Option<NettyServer>,
+    server: NettyServer,
     topics: Vec<String>,
 }
 
@@ -67,14 +67,14 @@ impl BrokerServer {
         Ok(BrokerServer {
             vm: vm.clone(),
             broker_name,
-            server: Some(server),
+            server,
             topics: topics.iter().map(|t| t.to_string()).collect(),
         })
     }
 
     /// The broker's listen address.
     pub fn addr(&self) -> NodeAddr {
-        self.server.as_ref().expect("server running").local_addr()
+        self.server.local_addr()
     }
 
     /// The configured broker name (file-tainted in SIM runs).
@@ -115,10 +115,8 @@ impl BrokerServer {
     }
 
     /// Stops the broker.
-    pub fn shutdown(mut self) {
-        if let Some(server) = self.server.take() {
-            server.shutdown();
-        }
+    pub fn shutdown(self) {
+        self.server.shutdown();
     }
 }
 

@@ -11,7 +11,7 @@ use parking_lot::Mutex;
 
 /// A running NameServer.
 pub struct NameServer {
-    server: Option<NettyServer>,
+    server: NettyServer,
 }
 
 impl std::fmt::Debug for NameServer {
@@ -81,20 +81,16 @@ impl NameServer {
                 let _ = ctx.write(&Payload::Tainted(response.encode()));
             })
             .bind(addr)?;
-        Ok(NameServer {
-            server: Some(server),
-        })
+        Ok(NameServer { server })
     }
 
     /// The registry address.
     pub fn addr(&self) -> NodeAddr {
-        self.server.as_ref().expect("server running").local_addr()
+        self.server.local_addr()
     }
 
     /// Stops the registry.
-    pub fn shutdown(mut self) {
-        if let Some(server) = self.server.take() {
-            server.shutdown();
-        }
+    pub fn shutdown(self) {
+        self.server.shutdown();
     }
 }

@@ -15,6 +15,8 @@
 //! * [`SimNet`] — TCP-like reliable duplex byte streams (with genuine
 //!   partial-read semantics) and UDP-like datagram mailboxes (with
 //!   truncation and optional drops).
+//! * [`TcpServer`] — the accept loop, session threads and shutdown every
+//!   listener in the workspace shares.
 //! * [`native`] — the "JNI surface": free functions named after the JNI
 //!   methods DisTA instruments (`socket_write0`, `socket_read0`,
 //!   `datagram_send`, …).
@@ -59,6 +61,7 @@ mod fs;
 mod metrics;
 pub mod native;
 mod net;
+mod server;
 mod tcp;
 mod udp;
 mod wakers;
@@ -72,6 +75,7 @@ pub use fault::{
 pub use fs::{FileNotFound, SimFs, SimFsError};
 pub use metrics::{MetricsSnapshot, NetMetrics};
 pub use net::{FaultConfig, SimNet};
+pub use server::{ServerHandle, TcpServer};
 pub use tcp::{read_announced, read_full, TcpEndpoint, TcpListener};
 pub use udp::UdpEndpoint;
 

@@ -40,7 +40,6 @@ use dista_taint::{ByteReader, ReadError};
 use crate::error::TaintMapError;
 use crate::shard::{ClassTable, ShardRange};
 
-pub(crate) const OP_SHUTDOWN: u8 = 3;
 pub(crate) const OP_REPLICATE: u8 = 4;
 pub(crate) const OP_REGISTER: u8 = 7;
 pub(crate) const OP_LOOKUP: u8 = 8;
@@ -340,9 +339,9 @@ mod tests {
     #[test]
     fn empty_payload_frame() {
         let (c, s) = pair();
-        write_frame(&c, OP_SHUTDOWN, b"").unwrap();
+        write_frame(&c, OP_EPOCH_OF, b"").unwrap();
         let (op, payload) = read_frame(&s).unwrap().unwrap();
-        assert_eq!(op, OP_SHUTDOWN);
+        assert_eq!(op, OP_EPOCH_OF);
         assert!(payload.is_empty());
     }
 

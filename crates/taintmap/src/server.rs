@@ -22,11 +22,10 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use dista_obs::Counter;
-use dista_simnet::{NetError, NodeAddr, SimFs, SimNet, TcpEndpoint};
+use dista_simnet::{NodeAddr, ServerHandle, SimFs, SimNet, TcpEndpoint, TcpServer};
 use dista_taint::{ByteReader, ReadError};
 use parking_lot::Mutex;
 
@@ -34,8 +33,8 @@ use crate::backend::TaintMapBackend;
 use crate::error::TaintMapError;
 use crate::proto::{
     addr, decode_transfer_batch, encode_class_table, encode_transfer_batch, read_frame,
-    write_frame, OP_EPOCH_OF, OP_LOOKUP, OP_REGISTER, OP_REPLICATE, OP_SHUTDOWN, OP_TRANSFER_BATCH,
-    RESP_ERR, RESP_MOVED, RESP_OK, RESP_STALE_EPOCH, STATUS_OK, STATUS_UNKNOWN,
+    write_frame, OP_EPOCH_OF, OP_LOOKUP, OP_REGISTER, OP_REPLICATE, OP_TRANSFER_BATCH, RESP_ERR,
+    RESP_MOVED, RESP_OK, RESP_STALE_EPOCH, STATUS_OK, STATUS_UNKNOWN,
 };
 use crate::shard::{ClassTable, ShardRange, ShardSpec};
 
@@ -404,19 +403,15 @@ struct ServerShared {
     transferred_in: Counter,
     double_writes: Counter,
     compactions: Counter,
-    running: AtomicBool,
     config: TaintMapConfig,
     /// Armed by the `crash_after_registers` chaos knob: once set, serve
-    /// threads drop their connections without responding.
+    /// threads hang up on every connection without responding.
     crash_now: AtomicBool,
     /// Write-ahead snapshot, present on primaries stood up with one.
     wal: Option<TaintMapWal>,
     /// Connection to a standby replica, if configured (§IV: "adding a
     /// standby node to handle the single point failure").
     standby: Mutex<Option<TcpEndpoint>>,
-    /// Live client connections, severed on shutdown so that "killing"
-    /// the service behaves like a process death, not a graceful drain.
-    live_conns: Mutex<Vec<TcpEndpoint>>,
     /// Class-table epoch this server believes is current.
     epoch: AtomicU64,
     /// Routing table for this server's residue class, served on
@@ -546,17 +541,16 @@ impl ServerShared {
 /// [`TaintMapBackend`]; optionally every new registration is replicated
 /// to a standby instance for failover.
 pub struct TaintMapServer {
-    addr: NodeAddr,
     net: SimNet,
+    server: TcpServer,
     shared: Arc<ServerShared>,
-    accept_thread: Option<JoinHandle<()>>,
     recovery: WalRecovery,
 }
 
 impl std::fmt::Debug for TaintMapServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TaintMapServer")
-            .field("addr", &self.addr)
+            .field("addr", &self.addr())
             .field("shard", &self.shared.shard)
             .field("stats", &self.stats())
             .finish()
@@ -579,7 +573,6 @@ impl TaintMapServer {
         wal: Option<TaintMapWal>,
         shard_label: &str,
     ) -> Result<Self, TaintMapError> {
-        let listener = net.tcp_listen(addr)?;
         // Keep the wire grammar's magic gids (the all-ones negotiation
         // handshake pattern) out of this shard's allocator.
         let reserved: Vec<u32> = crate::backend::WIRE_RESERVED_GIDS
@@ -620,42 +613,24 @@ impl TaintMapServer {
             transferred_in: counter("transferred_in"),
             double_writes: counter("double_writes"),
             compactions: counter("compactions"),
-            running: AtomicBool::new(true),
             config,
             crash_now: AtomicBool::new(false),
             wal,
             standby: Mutex::new(None),
-            live_conns: Mutex::new(Vec::new()),
             epoch: AtomicU64::new(recovery.epoch),
             table: Mutex::new(table),
             moved: Mutex::new(recovery.moved.clone()),
             migration: Mutex::new(None),
             commit_lock: Mutex::new(()),
         });
-        let accept_shared = shared.clone();
-        let accept_thread = std::thread::Builder::new()
-            .name(format!("taintmap-{addr}"))
-            .spawn(move || {
-                while accept_shared.running.load(Ordering::Relaxed)
-                    && !accept_shared.crash_now.load(Ordering::Relaxed)
-                {
-                    match listener.accept() {
-                        Ok(conn) => {
-                            accept_shared.live_conns.lock().push(conn.clone());
-                            let conn_shared = accept_shared.clone();
-                            std::thread::spawn(move || serve_connection(conn, conn_shared));
-                        }
-                        Err(NetError::Timeout(_)) => continue,
-                        Err(_) => break,
-                    }
-                }
-            })
-            .expect("spawn taint map accept thread");
+        let session_shared = shared.clone();
+        let server = TcpServer::bind(net, addr, "taintmap", move |conn, sessions| {
+            serve_connection(&conn, &session_shared, sessions)
+        })?;
         Ok(TaintMapServer {
-            addr,
             net: net.clone(),
+            server,
             shared,
-            accept_thread: Some(accept_thread),
             recovery,
         })
     }
@@ -849,7 +824,7 @@ impl TaintMapServer {
 
     /// The service address clients connect to.
     pub fn addr(&self) -> NodeAddr {
-        self.addr
+        self.server.local_addr()
     }
 
     /// This server's slice of the Global ID namespace.
@@ -895,42 +870,20 @@ impl TaintMapServer {
         }
     }
 
-    /// Stops the accept loop and unbinds the address. Established
-    /// connections finish serving and exit on client EOF.
+    /// Stops the shard the way a process dies: the address is unbound
+    /// and every connection severed, not drained (see
+    /// [`TcpServer::stop`]).
     pub fn shutdown(mut self) {
-        self.stop();
-    }
-
-    fn stop(&mut self) {
-        if let Some(handle) = self.accept_thread.take() {
-            self.shared.running.store(false, Ordering::Relaxed);
-            // Poke the accept loop awake with a no-op connection.
-            if let Ok(conn) = self.net.tcp_connect(self.addr) {
-                let _ = write_frame(&conn, OP_SHUTDOWN, b"");
-                conn.close();
-            }
-            self.net.tcp_unlisten(self.addr);
-            // Join BEFORE severing: the accept loop may still be
-            // registering a just-accepted connection, and draining
-            // first would miss it — leaving a live serve thread on a
-            // supposedly dead server.
-            let _ = handle.join();
-            for conn in self.shared.live_conns.lock().drain(..) {
-                conn.close();
-            }
-        }
+        self.server.stop();
     }
 }
 
-impl Drop for TaintMapServer {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
-fn serve_connection(conn: TcpEndpoint, shared: Arc<ServerShared>) {
-    loop {
-        let frame = match read_frame(&conn) {
+/// Serves one connection to its end. A crashed server (see
+/// [`TaintMapConfig::crash_after_registers`]) still accepts, and hangs
+/// up at once.
+fn serve_connection(conn: &TcpEndpoint, shared: &ServerShared, sessions: &ServerHandle) {
+    while !shared.crash_now.load(Ordering::Relaxed) {
+        let frame = match read_frame(conn) {
             Ok(Some(f)) => f,
             Ok(None) | Err(_) => return,
         };
@@ -938,14 +891,13 @@ fn serve_connection(conn: TcpEndpoint, shared: Arc<ServerShared>) {
             std::thread::sleep(shared.config.service_delay);
         }
         let (resp_op, resp) = match frame {
-            (OP_REGISTER, payload) => serve_data(&shared, &payload, register_items),
-            (OP_LOOKUP, payload) => serve_data(&shared, &payload, lookup_items),
+            (OP_REGISTER, payload) => serve_data(shared, &payload, register_items),
+            (OP_LOOKUP, payload) => serve_data(shared, &payload, lookup_items),
             (OP_EPOCH_OF, _) => (RESP_OK, encode_class_table(&shared.table.lock())),
-            (OP_TRANSFER_BATCH, payload) => serve_transfer_batch(&shared, &payload),
+            (OP_TRANSFER_BATCH, payload) => serve_transfer_batch(shared, &payload),
             (OP_REPLICATE, payload) => {
-                serve_replicate(&shared, &payload).unwrap_or((RESP_ERR, vec![0xFF]))
+                serve_replicate(shared, &payload).unwrap_or((RESP_ERR, vec![0xFF]))
             }
-            (OP_SHUTDOWN, _) => return,
             _ => (RESP_ERR, vec![0xFF]),
         };
         if shared.crash_now.load(Ordering::Relaxed) {
@@ -953,13 +905,10 @@ fn serve_connection(conn: TcpEndpoint, shared: Arc<ServerShared>) {
             // WAL, replication) but the response is never written, and
             // every live connection is severed — a process killed
             // between commit and reply.
-            for c in shared.live_conns.lock().drain(..) {
-                c.close();
-            }
-            conn.close();
+            sessions.sever_all();
             return;
         }
-        if write_frame(&conn, resp_op, &resp).is_err() {
+        if write_frame(conn, resp_op, &resp).is_err() {
             return;
         }
         shared.maybe_auto_compact();

@@ -8,9 +8,9 @@
 //! rebroadcast on change, and decide once every peer agrees.
 
 use std::collections::HashMap;
+use std::sync::mpsc::{channel, Sender};
 use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use dista_jre::{
     FileInputStream, JreError, Logger, ObjectInputStream, ObjectOutputStream, ServerSocket, Socket,
     Vm,
@@ -65,7 +65,7 @@ struct PeerLink {
 }
 
 fn spawn_workers(socket: Socket, notifications: Sender<Vote>) -> PeerLink {
-    let (out_tx, out_rx): (Sender<Vote>, Receiver<Vote>) = unbounded();
+    let (out_tx, out_rx) = channel::<Vote>();
     let writer = socket.clone();
     // SendWorker (Fig. 1 lines 2-6): serializes queued votes.
     std::thread::spawn(move || {
@@ -168,7 +168,7 @@ fn run_peer(
         state: ServerState::Looking,
     };
 
-    let (notif_tx, notif_rx) = unbounded();
+    let (notif_tx, notif_rx) = channel();
     let links = connect_mesh(&cfg, &peers, port, notif_tx)?;
     let quorum_size = peers.len() + 1; // full agreement (3/3), simple + sound
 

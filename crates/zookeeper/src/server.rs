@@ -11,14 +11,12 @@
 //! replicate with the data.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use dista_jre::{
     JreError, ObjValue, ObjectInputStream, ObjectOutputStream, ServerSocket, Socket, Vm,
 };
-use dista_simnet::NodeAddr;
+use dista_simnet::{NodeAddr, TcpServer};
 use dista_taint::TaintedBytes;
 use parking_lot::{Mutex, RwLock};
 
@@ -242,17 +240,14 @@ impl ServerCore {
 
 /// A running ZooKeeper server (one ensemble member's client port).
 pub struct ZkServerHandle {
-    vm: Vm,
-    addr: NodeAddr,
+    server: TcpServer,
     core: Arc<ServerCore>,
-    running: Arc<AtomicBool>,
-    acceptor: Option<JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for ZkServerHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ZkServerHandle")
-            .field("addr", &self.addr)
+            .field("addr", &self.addr())
             .finish()
     }
 }
@@ -260,30 +255,11 @@ impl std::fmt::Debug for ZkServerHandle {
 impl ZkServerHandle {
     /// Starts serving at `addr` on `vm` with the given replication core.
     pub(crate) fn start(vm: &Vm, addr: NodeAddr, core: Arc<ServerCore>) -> Result<Self, JreError> {
-        let listener = ServerSocket::bind(vm, addr)?;
-        let running = Arc::new(AtomicBool::new(true));
-        let accept_running = running.clone();
-        let accept_core = core.clone();
-        let acceptor = std::thread::Builder::new()
-            .name(format!("zk-server-{addr}"))
-            .spawn(move || {
-                while accept_running.load(Ordering::Relaxed) {
-                    let socket = match listener.accept() {
-                        Ok(s) => s,
-                        Err(_) => continue,
-                    };
-                    let core = accept_core.clone();
-                    std::thread::spawn(move || serve_session(socket, core));
-                }
-            })
-            .expect("spawn zk acceptor");
-        Ok(ZkServerHandle {
-            vm: vm.clone(),
-            addr,
-            core,
-            running,
-            acceptor: Some(acceptor),
-        })
+        let session_core = core.clone();
+        let server = ServerSocket::serve(vm, addr, "zk-server", move |socket| {
+            serve_session(&socket, &session_core)
+        })?;
+        Ok(ZkServerHandle { server, core })
     }
 
     /// Starts a standalone (non-replicated) server — used by tests.
@@ -293,7 +269,7 @@ impl ZkServerHandle {
 
     /// The client-port address.
     pub fn addr(&self) -> NodeAddr {
-        self.addr
+        self.server.local_addr()
     }
 
     /// Spawns the commit-apply loop for a follower (follower side).
@@ -331,30 +307,13 @@ impl ZkServerHandle {
         self.core.tree.read().len()
     }
 
-    /// Stops accepting sessions.
+    /// Stops the server (see [`TcpServer::stop`]).
     pub fn shutdown(mut self) {
-        self.stop();
-    }
-
-    fn stop(&mut self) {
-        if let Some(handle) = self.acceptor.take() {
-            self.running.store(false, Ordering::Relaxed);
-            if let Ok(s) = Socket::connect(&self.vm, self.addr) {
-                s.close();
-            }
-            self.vm.net().tcp_unlisten(self.addr);
-            let _ = handle.join();
-        }
+        self.server.stop();
     }
 }
 
-impl Drop for ZkServerHandle {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
-fn serve_session(socket: Socket, core: Arc<ServerCore>) {
+fn serve_session(socket: &Socket, core: &Arc<ServerCore>) {
     let input = ObjectInputStream::new(socket.input_stream());
     let output = ObjectOutputStream::new(socket.output_stream());
     loop {
@@ -365,7 +324,7 @@ fn serve_session(socket: Socket, core: Arc<ServerCore>) {
         // A follower announcing itself turns this session into a commit
         // channel (leader side).
         if request.class_name() == Some("FollowerAttach") {
-            core_attach(&core, output);
+            core_attach(core, output);
             return keep_reading_until_eof(input);
         }
         // A client announcing a watch channel parks this session as an

@@ -369,6 +369,7 @@ const OP_REGISTER: u8 = 7;
 const OP_LOOKUP: u8 = 8;
 const OP_EPOCH_OF: u8 = 9;
 const RESP_OK: u8 = 0x80;
+const RESP_ERR: u8 = 0x81;
 const RESP_MOVED: u8 = 0x82;
 const RESP_STALE_EPOCH: u8 = 0x83;
 
@@ -891,6 +892,17 @@ fn mutated_taint_map_frames() {
                 conn.close();
             });
         }
+    }
+
+    // Opcode 3 used to make the server drop the connection without a
+    // word (its own shutdown poke); it is an unknown op like any other.
+    for request in &requests {
+        let mut wire = request.clone();
+        wire[0] = 3;
+        let conn = net.tcp_connect(tm.addr()).unwrap();
+        conn.write(&wire).unwrap();
+        let reply = read_frame(&conn, Duration::from_secs(5));
+        assert_eq!(reply.map(|(op, _)| op), Some(RESP_ERR));
     }
 
     // Responses: a real client decodes a tampered reply to a typed error

@@ -11,6 +11,9 @@
 //!   the network or disk become integers through `dista_taint`'s
 //!   `ByteReader`, so no second cursor or varint decoder is defined and
 //!   no file converts bytes to integers by hand — except those listed.
+//! * The serving rule (DESIGN.md "Serving"): an address is served by
+//!   `dista_simnet::TcpServer`, so nothing else spawns a thread or calls
+//!   `accept()` — except at the sites listed.
 
 use std::path::{Path, PathBuf};
 
@@ -179,5 +182,105 @@ fn outside_bytes_are_read_by_the_one_reader() {
     assert_eq!(
         converting, allowed,
         "files converting bytes to integers by hand (left) differ from ALLOWED_BYTE_CONVERSIONS (right)"
+    );
+}
+
+/// Where the one accept loop and its session threads live.
+const SERVER_MODULE: &str = "crates/simnet/src/server.rs";
+
+/// Every file outside [`SERVER_MODULE`] whose non-test code spawns a
+/// thread (`thread::spawn`, `thread::Builder`) or calls `.accept()`:
+/// how many such lines it has and why none of them is a second accept
+/// loop. A new site fails the test; so does an entry whose sites are
+/// gone or fewer.
+const ALLOWED_THREADS_AND_ACCEPTS: &[(&str, usize, &str)] = &[
+    (
+        "crates/jre/src/socket.rs",
+        1,
+        "`ServerSocket::accept`: the one-shot accept of the JRE API, for a caller that wants one connection",
+    ),
+    (
+        "crates/jre/src/channel.rs",
+        1,
+        "`ServerSocketChannel::accept`, as above",
+    ),
+    (
+        "crates/jre/src/aio.rs",
+        2,
+        "the AIO future worker, and `accept_async`: one accept on one such worker",
+    ),
+    (
+        "crates/jre/src/http.rs",
+        1,
+        "`HttpServer::serve_once` answers exactly one request on the caller's thread",
+    ),
+    (
+        "crates/zookeeper/src/election.rs",
+        4,
+        "one thread per election peer, its send and receive workers per link, and one accept per lower-id peer: a mesh that ends with the election, not a service",
+    ),
+    (
+        "crates/zookeeper/src/server.rs",
+        1,
+        "the follower's commit loop reads the leader's broadcast until the leader hangs up",
+    ),
+    (
+        "crates/mapreduce/src/resource_manager.rs",
+        2,
+        "a submitted job is scheduled on its own thread so the submit RPC returns at once, like Yarn",
+    ),
+    (
+        "crates/core/src/telemetry.rs",
+        1,
+        "the per-VM telemetry agent ticks on its own thread; `AgentRuntime::stop` joins it",
+    ),
+    (
+        "crates/activemq/src/broker.rs",
+        1,
+        "UDP ingest: datagrams have no connections to hand to sessions; `Broker::stop` closes the socket and joins it",
+    ),
+    (
+        "crates/microbench/src/cases.rs",
+        9,
+        "Table II case bodies reproduce application code: one peer on a thread, one accept",
+    ),
+    (
+        "crates/bench/src/bin/claim_global_taints.rs",
+        2,
+        "an echo peer for one connection",
+    ),
+    (
+        "crates/bench/src/bin/claim_net_overhead.rs",
+        1,
+        "one accept for the measured connection",
+    ),
+];
+
+#[test]
+fn addresses_are_served_by_the_one_server() {
+    let mut found = Vec::new();
+    for (name, non_test) in non_test_sources() {
+        let sites = non_test
+            .lines()
+            .filter(|line| !line.trim_start().starts_with("//"))
+            .filter(|line| {
+                ["thread::spawn", "thread::Builder", ".accept()"]
+                    .iter()
+                    .any(|needle| line.contains(needle))
+            })
+            .count();
+        if sites > 0 && name != SERVER_MODULE {
+            found.push((name, sites));
+        }
+    }
+    let mut allowed: Vec<(String, usize)> = ALLOWED_THREADS_AND_ACCEPTS
+        .iter()
+        .map(|(file, sites, _)| (file.to_string(), *sites))
+        .collect();
+    found.sort_unstable();
+    allowed.sort_unstable();
+    assert_eq!(
+        found, allowed,
+        "files spawning threads or accepting connections, with their line counts (left) differ from ALLOWED_THREADS_AND_ACCEPTS (right)"
     );
 }
