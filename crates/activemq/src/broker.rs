@@ -268,9 +268,14 @@ fn ingest_datagrams(socket: &DatagramSocket, inner: &BrokerInner) {
 
 fn serve_openwire_session(socket: &Socket, inner: &BrokerInner) {
     let input = ObjectInputStream::new(socket.input_stream());
+    // Once its output is a subscriber's sink the session ends with the
+    // connection, not with a quiet block timeout: a consumer only
+    // listens, and returning is what makes the server hang up on it.
+    let mut subscribed = false;
     loop {
         let frame = match input.read_object() {
             Ok(f) => f,
+            Err(JreError::Net(NetError::Timeout(_))) if subscribed => continue,
             Err(_) => return,
         };
         match frame.class_name() {
@@ -291,6 +296,7 @@ fn serve_openwire_session(socket: &Socket, inner: &BrokerInner) {
                     )],
                 );
                 inner.subscribe(destination, Subscriber::OpenWire(sink), Some(&ack));
+                subscribed = true;
             }
             Some("Message") => {
                 let destination = frame
@@ -318,9 +324,12 @@ fn serve_stomp_session(socket: &Socket, inner: &BrokerInner) {
         }
         _ => return,
     }
+    // As for OpenWire: a subscribed session outlives quiet spells.
+    let mut subscribed = false;
     loop {
         let frame = match stomp::read_frame(&input) {
             Ok(Some(f)) => f,
+            Err(JreError::Net(NetError::Timeout(_))) if subscribed => continue,
             Ok(None) | Err(_) => return,
         };
         match frame.command.as_str() {
@@ -357,6 +366,7 @@ fn serve_stomp_session(socket: &Socket, inner: &BrokerInner) {
                     },
                     None,
                 );
+                subscribed = true;
             }
             "DISCONNECT" => return,
             _ => return,

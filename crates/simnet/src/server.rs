@@ -53,7 +53,9 @@ impl TcpServer {
     /// Binds `addr` and serves it: an accept thread named
     /// `<name>-<addr>` runs `session` on a thread of its own for each
     /// connection, until [`TcpServer::stop`]. When a session returns the
-    /// server hangs up on its peer; until then it must block on nothing
+    /// server hangs up on its peer — one that has handed a clone of its
+    /// connection on as a push channel keeps reading through
+    /// [`NetError::Timeout`] — and until then it must block on nothing
     /// but its own connection, which `stop` closes under it.
     ///
     /// # Errors

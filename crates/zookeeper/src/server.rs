@@ -16,7 +16,7 @@ use std::sync::Arc;
 use dista_jre::{
     JreError, ObjValue, ObjectInputStream, ObjectOutputStream, ServerSocket, Socket, Vm,
 };
-use dista_simnet::{NodeAddr, TcpServer};
+use dista_simnet::{NetError, NodeAddr, TcpServer};
 use dista_taint::TaintedBytes;
 use parking_lot::{Mutex, RwLock};
 
@@ -276,8 +276,11 @@ impl ZkServerHandle {
     pub(crate) fn run_commit_loop(&self, input: ObjectInputStream<dista_jre::SocketInputStream>) {
         let core = self.core.clone();
         std::thread::spawn(move || loop {
-            let Ok(commit) = input.read_object() else {
-                return;
+            let commit = match input.read_object() {
+                Ok(commit) => commit,
+                // No commit for one block timeout: the leader is quiet.
+                Err(JreError::Net(NetError::Timeout(_))) => continue,
+                Err(_) => return,
             };
             let op = commit.field("op").and_then(ObjValue::as_str).unwrap_or("");
             let path = commit
@@ -350,8 +353,17 @@ fn core_attach(core: &Arc<ServerCore>, sink: ObjectOutputStream<dista_jre::Socke
     }
 }
 
+/// Parks a session whose output stream was handed over as a push
+/// channel. Its peer only listens, so the session ends with the
+/// connection (EOF, or closed by `stop`), not with a quiet block timeout:
+/// returning is what makes the server hang up.
 fn keep_reading_until_eof(input: ObjectInputStream<dista_jre::SocketInputStream>) {
-    while input.read_object().is_ok() {}
+    loop {
+        match input.read_object() {
+            Ok(_) | Err(JreError::Net(NetError::Timeout(_))) => {}
+            Err(_) => return,
+        }
+    }
 }
 
 static NEXT_SESSION_TOKEN: std::sync::atomic::AtomicI64 = std::sync::atomic::AtomicI64::new(1);

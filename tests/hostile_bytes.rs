@@ -1074,3 +1074,23 @@ fn mutated_telemetry_agent_frames() {
     assert!(collector.frames_ingested() >= 1, "the honest frame landed");
     assert!(collector.parse_errors() > 0, "edited frames were refused");
 }
+
+/// The collector's session returns on a length past its frame cap, and
+/// the server hangs up on a session that returns: the two compose into
+/// "an agent announcing 4 GiB is disconnected, not waited on".
+#[test]
+fn telemetry_collector_hangs_up_on_an_oversize_announcement() {
+    let _serial = serial();
+    let net = SimNet::new();
+    let addr = NodeAddr::new([10, 0, 0, 200], 9100);
+    let mut server = CollectorServer::spawn(&net, addr, CollectorConfig::default()).unwrap();
+    let agent = net.tcp_connect(addr).unwrap();
+    let mut wire = vec![dista_repro::core::telemetry::ROLE_AGENT];
+    wire.extend_from_slice(&u32::MAX.to_be_bytes());
+    agent.write(&wire).unwrap();
+    // EOF, well inside the 30 s block timeout that waiting would take.
+    assert_eq!(agent.read(&mut [0u8; 1]), Ok(0));
+    assert_eq!(agent.write(b"x"), Err(NetError::Closed));
+    assert_eq!(server.collector().frames_ingested(), 0);
+    server.stop();
+}
