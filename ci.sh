@@ -38,6 +38,9 @@ for seed in 7 42 1337; do
         --test prop_chaos split_one_million_gids_without_loss -- --ignored
 done
 
+echo "==> bytes per global taint: live-byte census of 100k fresh taints, per layer (<= 720 B overall, <= 300 B in the backend)"
+cargo test -q --release --offline -p dista-taintmap --test bytes_per_gid
+
 echo "==> claim_global_taints --smoke"
 cargo run -p dista-bench --bin claim_global_taints --release --offline -- --smoke
 

@@ -31,6 +31,7 @@
 #![warn(missing_docs)]
 
 mod bytes;
+mod index;
 mod reader;
 mod report;
 mod runs;
@@ -42,6 +43,7 @@ mod tree;
 mod value;
 
 pub use bytes::{Payload, TaintedBytes};
+pub use index::IdIndex;
 pub use reader::{ByteReader, ReadError};
 pub use report::{SinkEvent, SinkRecorder, SinkReport};
 pub use runs::{TaintRun, TaintRuns};

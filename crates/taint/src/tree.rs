@@ -26,6 +26,7 @@ use std::sync::OnceLock;
 
 use parking_lot::{Mutex, RwLock};
 
+use crate::index::IdIndex;
 use crate::tag::{GlobalId, LocalId, TagId, TagValue, TaintTag};
 
 /// A taint: a cheap, copyable handle to an interned tag set.
@@ -158,10 +159,12 @@ impl NodeTable {
 
 /// Tag table plus its interning index, guarded by one read-mostly lock
 /// (tags are minted orders of magnitude less often than taints combine).
+/// Each `(value, local_id)` is stored once, in `entries`; `index` holds
+/// only tag ids, keyed by the entry each names.
 #[derive(Default)]
 struct TagTable {
     entries: Vec<TagEntry>,
-    intern: HashMap<(TagValue, LocalId), TagId>,
+    index: IdIndex,
 }
 
 /// Multiply-rotate hasher for the tree's small fixed-width keys
@@ -286,17 +289,22 @@ impl TaintTree {
     /// local_id)` twice yields the same id.
     pub fn mint_tag(&self, value: TagValue, local_id: LocalId) -> TagId {
         let mut tags = self.tags.write();
-        if let Some(&id) = tags.intern.get(&(value.clone(), local_id)) {
-            return id;
+        let hash = tags.index.hash(&(&value, local_id));
+        let known = tags.index.find(hash, |id| {
+            let entry = &tags.entries[id as usize];
+            entry.value == value && entry.local_id == local_id
+        });
+        if let Some(id) = known {
+            return TagId(id);
         }
-        let id = TagId(tags.entries.len() as u32);
+        let id = tags.entries.len() as u32;
+        tags.index.insert(hash, id);
         tags.entries.push(TagEntry {
-            value: value.clone(),
+            value,
             local_id,
             global_id: GlobalId::UNTAINTED,
         });
-        tags.intern.insert((value, local_id), id);
-        id
+        TagId(id)
     }
 
     /// The singleton taint `{tag}` (a direct child of the root).
@@ -645,6 +653,97 @@ mod tests {
         assert_ne!(t1, t2);
         let u = tree.union(tree.taint_of_tag(t1), tree.taint_of_tag(t2));
         assert_eq!(tree.tag_count(u), 2);
+    }
+
+    #[test]
+    fn minting_is_idempotent_across_every_index_growth() {
+        let tree = TaintTree::new();
+        let origin = LocalId::new([10, 0, 0, 9], 9);
+        let mint = |i: u32| tree.mint_tag(TagValue::Int(i.into()), origin);
+        for i in 0..5_000u32 {
+            assert_eq!(mint(i), TagId(i), "ids are dense, in minting order");
+            // The index doubles when it passes three quarters of a power
+            // of two: minting tag 6, 12, 24, … is what grew it.
+            if i % 3 == 0 && (i / 3).is_power_of_two() {
+                for j in 0..=i {
+                    assert_eq!(mint(j), TagId(j), "tag {j} re-minted after {i}");
+                }
+            }
+        }
+        assert_eq!(tree.num_tags(), 5_000);
+    }
+
+    #[test]
+    fn tags_differing_in_kind_or_origin_are_distinct() {
+        let tree = TaintTree::new();
+        let local = LocalId::new([10, 0, 0, 1], 1);
+        let foreign = LocalId::new([10, 0, 0, 2], 1);
+        let values = [TagValue::str("1"), TagValue::bytes(b"1"), TagValue::Int(1)];
+        let mut ids = Vec::new();
+        for origin in [local, foreign] {
+            for value in &values {
+                ids.push(tree.mint_tag(value.clone(), origin));
+            }
+        }
+        assert_eq!(ids, (0..6).map(TagId).collect::<Vec<_>>());
+        // Each is found again as itself.
+        for (k, origin) in [local, foreign].into_iter().enumerate() {
+            for (v, value) in values.iter().enumerate() {
+                let id = tree.mint_tag(value.clone(), origin);
+                assert_eq!(id, ids[3 * k + v]);
+                assert_eq!(tree.tag(id).value, *value);
+                assert_eq!(tree.tag(id).local_id, origin);
+            }
+        }
+        assert_eq!(tree.num_tags(), 6);
+    }
+
+    #[test]
+    fn four_threads_minting_100k_tags_get_100k_dense_ids() {
+        const THREADS: u32 = 4;
+        const TOTAL: u32 = 100_000;
+        let tree = TaintTree::new();
+        let go = std::sync::Barrier::new(THREADS as usize);
+        // Thread k mints the tags ≡ k (mod 4) and, to collide with its
+        // neighbour, every tag ≡ k + 1 as well: each tag is minted by
+        // two threads and must come out as one id.
+        let minted: Vec<Vec<(u32, TagId)>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|k| {
+                    let (tree, go) = (&tree, &go);
+                    s.spawn(move || {
+                        go.wait();
+                        (0..TOTAL)
+                            .filter(|i| i % THREADS == k || i % THREADS == (k + 1) % THREADS)
+                            .map(|i| {
+                                let value = TagValue::str(format!("t{i}"));
+                                (i, tree.mint_tag(value, LocalId::default()))
+                            })
+                            .collect()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("minting thread panicked"))
+                .collect()
+        });
+        assert_eq!(tree.num_tags(), TOTAL as usize);
+        let mut id_of = vec![None; TOTAL as usize];
+        for (i, id) in minted.into_iter().flatten() {
+            assert_eq!(
+                *id_of[i as usize].get_or_insert(id),
+                id,
+                "tag t{i} has two ids"
+            );
+            assert_eq!(tree.tag(id).value, TagValue::str(format!("t{i}")));
+        }
+        let mut ids: Vec<u32> = id_of.into_iter().map(|id| id.expect("minted").0).collect();
+        ids.sort_unstable();
+        assert!(
+            ids.iter().copied().eq(0..TOTAL),
+            "ids are 0..100 000, each once"
+        );
     }
 
     #[test]

@@ -895,7 +895,7 @@ impl TaintMapClient {
         }
         let mut gids = vec![GlobalId::UNTAINTED; distinct.len()];
         // (slot in `distinct`, taint, serialized bytes) this thread must
-        // register.
+        // register; the bytes are filled in once the locks are dropped.
         let mut mine: Vec<(usize, Taint, Vec<u8>)> = Vec::new();
         let mut mine_flights: Vec<Arc<Flight>> = Vec::new();
         // Slots some other thread is already registering.
@@ -920,8 +920,14 @@ impl TaintMapClient {
                 let flight = Arc::new(Flight::new());
                 inflight.insert(taint, flight.clone());
                 mine_flights.push(flight);
-                mine.push((slot, taint, serialize_taint(self.inner.store.tree(), taint)));
+                mine.push((slot, taint, Vec::new()));
             }
+        }
+        // A tree walk and an allocation per taint: not under the two
+        // client-wide locks. The flights are claimed, so nobody else
+        // serializes these.
+        for (_, taint, bytes) in &mut mine {
+            *bytes = serialize_taint(self.inner.store.tree(), *taint);
         }
 
         if !mine.is_empty() {

@@ -562,7 +562,10 @@ impl TaintMapEndpoint {
             .local_of_global(tail_lo)
             .expect("tail lo_gid belongs to its class");
         let max_local = source.max_local().max(t);
-        let lo_gid = spec.global_of_local(t + (max_local - t) / 2 + 1);
+        let lo_gid = (t + (max_local - t) / 2)
+            .checked_add(1)
+            .and_then(|local| spec.global_of_local(local))
+            .ok_or(TaintMapError::Protocol("no gid left above the split point"))?;
         let target_ext = self.shards.len() + self.splits.len();
         let addr = NodeAddr::new(
             self.base_addr.ip(),

@@ -221,8 +221,13 @@ impl TaintMapWal {
         let mut count = 0u64;
         let mut body = Vec::new();
         for local in 1..=backend.max_local() {
+            // A local id past the shard's slice of `u32` was never
+            // handed out as a gid (see `register_one`), nor any above.
+            let Some(gid) = shard.global_of_local(local) else {
+                break;
+            };
             if let Some(bytes) = backend.lookup(local) {
-                body.extend_from_slice(&shard.global_of_local(local).to_be_bytes());
+                body.extend_from_slice(&gid.to_be_bytes());
                 body.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
                 body.extend_from_slice(&bytes);
                 count += 1;
@@ -431,17 +436,24 @@ struct ServerShared {
 impl ServerShared {
     /// Registers one serialized taint, replicating and double-writing if
     /// it is new, and returns its Global ID (already mapped into this
-    /// shard's slice of the namespace) — or `None` when allocation has
-    /// migrated away and the caller must answer with a redirect.
-    fn register_one(&self, serialized: &[u8]) -> Option<u32> {
+    /// shard's slice of the namespace) — or the reply to answer the
+    /// whole frame with instead: a redirect when allocation has migrated
+    /// away, an error when this shard has no id left to give.
+    fn register_one(&self, serialized: &[u8]) -> Result<u32, Reply> {
         let served = self.registers.fetch_add(1, Ordering::Relaxed) + 1;
         let _commit = self.commit_lock.lock();
         if !self.moved.lock().is_empty() {
-            return None;
+            return Err((RESP_MOVED, self.moved_payload()));
         }
         let before = self.backend.len();
         let local = self.backend.register(serialized);
-        let gid = self.shard.global_of_local(local);
+        // No global id for 0 (the backend's allocator is spent) or for a
+        // local id past this shard's slice of `u32`: a replicated record
+        // can push the allocator there, and an id that wrapped would be
+        // 0 — untainted — or some other taint's.
+        let Some(gid) = self.shard.global_of_local(local) else {
+            return Err((RESP_ERR, vec![0xFF]));
+        };
         if self.backend.len() > before {
             if let Some(wal) = &self.wal {
                 wal.append(gid, serialized);
@@ -454,7 +466,7 @@ impl ServerShared {
                 self.crash_now.store(true, Ordering::Relaxed);
             }
         }
-        Some(gid)
+        Ok(gid)
     }
 
     /// Double-write phase: synchronously forwards a freshly committed
@@ -715,8 +727,11 @@ impl TaintMapServer {
         let mut local = migration.checkpoint;
         while records.len() < batch && local < migration.transfer_end {
             local += 1;
+            let Some(gid) = self.shared.shard.global_of_local(local) else {
+                continue;
+            };
             if let Some(bytes) = self.shared.backend.lookup(local) {
-                records.push((self.shared.shard.global_of_local(local), bytes));
+                records.push((gid, bytes));
             }
         }
         let conn = migration.conn.as_ref().expect("redialed above");
@@ -952,12 +967,13 @@ fn register_items(shared: &ServerShared, r: &mut ByteReader<'_>) -> Option<Reply
         let len = r.u32().ok()? as usize;
         let serialized = r.bytes(len).ok()?;
         match shared.register_one(serialized) {
-            Some(gid) => resp.extend_from_slice(&gid.to_be_bytes()),
+            Ok(gid) => resp.extend_from_slice(&gid.to_be_bytes()),
             // Allocation moved (possibly mid-frame, at cutover):
             // redirect the whole frame. Items already committed were
             // double-written pre-cutover, so the client's re-send to
-            // the new owner dedups to the same gids.
-            None => return Some((RESP_MOVED, shared.moved_payload())),
+            // the new owner dedups to the same gids. Or the shard has
+            // no id left, and the frame is an error.
+            Err(reply) => return Some(reply),
         }
     }
     r.at_end().then_some((RESP_OK, resp))
@@ -1155,6 +1171,40 @@ mod tests {
             assert_eq!(resp, RESP_ERR, "op {op} payload {payload:?}");
         }
         assert_eq!(register(&conn, &[b"still-serving"]), vec![1]);
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_replicated_record_at_the_last_id_exhausts_the_shard_not_the_id_space() {
+        // `OP_REPLICATE` sets the allocator to whatever local id the
+        // record names. From `u32::MAX` the next id is not 0 (untainted:
+        // the taint would be lost without a sound) and not a panic in
+        // the session: the shard says it has none.
+        let (net, server) = setup();
+        let conn = net.tcp_connect(server.addr()).unwrap();
+        assert_eq!(register(&conn, &[b"before"]), vec![1]);
+        wf(
+            &conn,
+            OP_REPLICATE,
+            &[&u32::MAX.to_be_bytes()[..], b"last"].concat(),
+        )
+        .unwrap();
+        assert_eq!(rf(&conn).unwrap().unwrap().0, RESP_OK);
+
+        wf(&conn, OP_REGISTER, &encode_register(0, &[b"after"])).unwrap();
+        let (op, _) = rf(&conn).unwrap().unwrap();
+        assert_eq!(op, RESP_ERR, "an exhausted shard refuses, it does not wrap");
+        assert_eq!(
+            server.stats().global_taints,
+            2,
+            "the refused taint is not stored"
+        );
+        // What the shard holds is still served, on the same connection.
+        assert_eq!(register(&conn, &[b"before"]), vec![1]);
+        let held = lookup(&conn, &[1, u32::MAX, 0]);
+        assert_eq!(held[0].as_deref(), Some(b"before".as_ref()));
+        assert_eq!(held[1].as_deref(), Some(b"last".as_ref()));
+        assert_eq!(held[2], None);
         server.shutdown();
     }
 

@@ -35,9 +35,12 @@ impl Default for ShardSpec {
 
 impl ShardSpec {
     /// Maps a backend-local dense id (1, 2, 3, …) into this shard's slice
-    /// of the global namespace.
-    pub(crate) fn global_of_local(self, local: u32) -> u32 {
-        (local - 1) * self.count + self.index + 1
+    /// of the global namespace; `None` for 0 (no id) and for a local id
+    /// whose slot lies past `u32` (the slice is exhausted).
+    pub(crate) fn global_of_local(self, local: u32) -> Option<u32> {
+        (local.checked_sub(1)?)
+            .checked_mul(self.count)?
+            .checked_add(self.index + 1)
     }
 
     /// Maps a Global ID owned by this shard back to the backend-local id,
@@ -215,7 +218,7 @@ mod tests {
         for index in 0..n {
             let spec = ShardSpec { index, count: n };
             for local in 1..=8u32 {
-                let gid = spec.global_of_local(local);
+                let gid = spec.global_of_local(local).unwrap();
                 assert!(gid > 0, "gid 0 is reserved for untainted");
                 assert!(seen.insert(gid), "gid {gid} assigned by two shards");
                 assert_eq!(spec.local_of_global(gid), Some(local));
@@ -233,10 +236,22 @@ mod tests {
     }
 
     #[test]
+    fn a_local_id_with_no_slot_in_u32_has_no_global_id() {
+        let spec = ShardSpec { index: 0, count: 2 };
+        assert_eq!(spec.global_of_local(0), None);
+        // Class 0 of 2 holds the odd gids; its last local is 2^31.
+        let last = spec.local_of_global(u32::MAX).unwrap();
+        assert_eq!(last, 1 << 31);
+        assert_eq!(spec.global_of_local(last), Some(u32::MAX));
+        assert_eq!(spec.global_of_local(last + 1), None);
+        assert_eq!(spec.global_of_local(u32::MAX), None);
+    }
+
+    #[test]
     fn single_shard_is_identity() {
         let spec = ShardSpec::default();
         for id in 1..=5 {
-            assert_eq!(spec.global_of_local(id), id);
+            assert_eq!(spec.global_of_local(id), Some(id));
             assert_eq!(spec.local_of_global(id), Some(id));
         }
     }

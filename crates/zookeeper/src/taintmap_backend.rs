@@ -135,7 +135,10 @@ impl TaintMapBackend for ZkTaintMapBackend {
                 }
                 None => {
                     // Fresh taint: allocate the next id and record it.
-                    let gid = Self::read_u32(&zk, &format!("{root}/next")).unwrap_or(0) + 1;
+                    let next = Self::read_u32(&zk, &format!("{root}/next")).unwrap_or(0);
+                    let Some(gid) = next.checked_add(1) else {
+                        return 0; // exhausted: the server answers an error
+                    };
                     Self::write_u32(&zk, &format!("{root}/next"), gid);
                     let _ = zk.create(
                         &format!("{root}/id-{gid}"),
