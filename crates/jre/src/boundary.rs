@@ -30,13 +30,15 @@
 //! the *parameter buffer's* prior taint — i.e. nothing — so inter-node
 //! taints are silently lost. In [`Mode::Original`] payloads stay plain.
 
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU8, Ordering};
+use std::sync::OnceLock;
 
 use dista_obs::{GidSpan, ObsEventKind, Transport};
 use dista_simnet::{native, NodeAddr, TcpEndpoint, UdpEndpoint};
-use dista_taint::{GlobalId, Payload, Taint, TaintRuns, TaintedBytes};
+use dista_taint::{serialize_taint, GlobalId, Payload, Taint, TaintRuns, TaintedBytes};
 use parking_lot::Mutex;
 
+use crate::codec::v2::{parse_annotation, parse_defs, AnnotParse};
 use crate::codec::{RingRemainder, V1Codec, V2Codec, WireCodec, WireProtocol, WireVersion};
 use crate::error::JreError;
 use crate::vm::{Mode, Vm};
@@ -159,6 +161,37 @@ impl ProtoCell {
     }
 }
 
+/// Slots of a [`PeerKnows`] table.
+const PEER_SLOTS: usize = 256;
+
+/// Which Global IDs the peer of a v2 connection is known to hold: a
+/// direct-mapped set of `u32`, one slot per `gid % 256`, allocated at
+/// the connection's first tainted v2 crossing in either direction. A
+/// gid is marked when this side ships its definition and when it
+/// arrives from the peer (who had it cached to send it), so a reply
+/// carrying the request's taints back defines nothing. Forgetting is
+/// always safe — an evicted gid is defined again, or looked up — and so
+/// is a lost race between the two directions' relaxed stores.
+#[derive(Debug, Default)]
+pub(crate) struct PeerKnows(OnceLock<Box<[AtomicU32; PEER_SLOTS]>>);
+
+impl PeerKnows {
+    fn slot(&self, gid: GlobalId) -> &AtomicU32 {
+        let slots = self
+            .0
+            .get_or_init(|| Box::new(std::array::from_fn(|_| AtomicU32::new(0))));
+        &slots[gid.0 as usize % PEER_SLOTS]
+    }
+
+    fn holds(&self, gid: GlobalId) -> bool {
+        self.slot(gid).load(Ordering::Relaxed) == gid.0
+    }
+
+    fn mark(&self, gid: GlobalId) {
+        self.slot(gid).store(gid.0, Ordering::Relaxed);
+    }
+}
+
 /// The sender's reusable tables, one entry per shadow run of the payload
 /// being encoded. A [`BoundaryStream`] keeps one behind its tx lock, so
 /// a steady-state write allocates nothing.
@@ -170,6 +203,34 @@ pub(crate) struct TxTables {
     gids: Vec<GlobalId>,
     /// `(run_len, gid)`: the table the codec encodes from.
     runs: Vec<(usize, GlobalId)>,
+    /// What the client registered for this payload, with the bytes it
+    /// registered them with.
+    registered: Vec<(GlobalId, Vec<u8>)>,
+    /// The definitions this payload ships.
+    defs: Vec<(GlobalId, Vec<u8>)>,
+    /// Control frames (annotation, definitions) the data frames follow.
+    head: Vec<u8>,
+}
+
+/// Collects into `tx.defs` (empty) a definition for every tainted gid of
+/// the payload `peer` is not known to hold, and marks each one held: its
+/// definition ships in this write, or the write fails and the stream
+/// with it. The bytes are the ones just registered, if the gid was;
+/// otherwise the taint is serialized here, once.
+fn collect_defs(vm: &Vm, peer: &PeerKnows, tx: &mut TxTables) {
+    for (&gid, &taint) in tx.gids.iter().zip(&tx.taints) {
+        // A slot two gids of this payload share evicts the first one;
+        // the list itself still holds it.
+        if !gid.is_tainted() || peer.holds(gid) || tx.defs.iter().any(|&(g, _)| g == gid) {
+            continue;
+        }
+        let bytes = match tx.registered.iter_mut().find(|(g, _)| *g == gid) {
+            Some((_, bytes)) => std::mem::take(bytes),
+            None => serialize_taint(vm.store().tree(), taint),
+        };
+        tx.defs.push((gid, bytes));
+        peer.mark(gid);
+    }
 }
 
 /// The receiver's reusable tables, one entry per decoded run.
@@ -208,12 +269,15 @@ fn gid_spans(runs: impl Iterator<Item = (usize, GlobalId)>) -> Vec<GidSpan> {
 /// The shadow's taints go to the Taint Map client run by run, as they
 /// lie: it answers cache hits with one probe each under one lock hold
 /// and registers the distinct misses in one batched round trip. A
-/// payload with no tainted run never gets that far.
+/// payload with no tainted run never gets that far. On a v2 stream
+/// (`peer` given) the tainted gids the peer is not known to hold are
+/// defined ahead of the data frames.
 pub(crate) fn encode_payload(
     vm: &Vm,
     payload: &Payload,
     link: Link,
     codec: &dyn WireCodec,
+    peer: Option<&PeerKnows>,
     tx: &mut TxTables,
     out: &mut Vec<u8>,
 ) -> Result<(), JreError> {
@@ -222,6 +286,7 @@ pub(crate) fn encode_payload(
         .ok_or(JreError::Protocol("DisTA boundary without taint map"))?;
     let obs = vm.vm_obs();
     tx.runs.clear();
+    tx.defs.clear();
     match payload {
         Payload::Plain(data) => {
             // One untainted run; gid 0 needs no Taint Map round trip and
@@ -248,7 +313,10 @@ pub(crate) fn encode_payload(
                     .record_ns(started.elapsed().as_nanos() as u64);
             }
             if tx.taints.iter().any(|taint| !taint.is_empty()) {
-                client.global_ids_into(&tx.taints, &mut tx.gids)?;
+                client.global_ids_into(&tx.taints, &mut tx.gids, &mut tx.registered)?;
+                if let Some(peer) = peer {
+                    collect_defs(vm, peer, tx);
+                }
             } else {
                 tx.gids.clear();
                 tx.gids.resize(tx.taints.len(), GlobalId::UNTAINTED);
@@ -275,16 +343,23 @@ pub(crate) fn encode_payload(
     // last delivered (or minted with) the first tainted gid on this VM.
     // Clean payloads carry no annotation, preserving v2's ~1.0x wire
     // size; v1 stays bit-pinned, so its crossings are never annotated.
+    // The definitions follow the annotation, so the receiver binds them
+    // to the crossing's span before it resolves them.
     let mut span = 0u64;
     let mut parent = 0u64;
+    tx.head.clear();
     if codec.version() == WireVersion::V2 && obs.gid_spans.is_enabled() {
         if let Some(&(_, gid)) = run_gids.iter().find(|&&(_, gid)| gid.is_tainted()) {
             span = vm.observability().next_span();
             parent = obs.gid_spans.get(gid.0);
-            let mut ann = Vec::with_capacity(21);
-            crate::codec::v2::encode_annotation(span, parent, &mut ann);
-            out.splice(0..0, ann);
+            crate::codec::v2::encode_annotation(span, parent, &mut tx.head);
         }
+    }
+    if !tx.defs.is_empty() {
+        crate::codec::v2::encode_defs(&tx.defs, &mut tx.head);
+    }
+    if !tx.head.is_empty() {
+        out.splice(0..0, tx.head.iter().copied());
     }
     obs.record_boundary_out(codec.version(), data.len(), out.len());
     obs.flight.record_with(|| ObsEventKind::BoundaryEncode {
@@ -307,14 +382,8 @@ pub(crate) fn encode_wire(vm: &Vm, bytes: &TaintedBytes, link: Link) -> Result<V
     let codec = V1Codec::new(vm.gid_width());
     let mut wire = Vec::new();
     let payload = Payload::Tainted(bytes.clone());
-    encode_payload(
-        vm,
-        &payload,
-        link,
-        &codec,
-        &mut TxTables::default(),
-        &mut wire,
-    )?;
+    let tx = &mut TxTables::default();
+    encode_payload(vm, &payload, link, &codec, None, tx, &mut wire)?;
     Ok(wire)
 }
 
@@ -324,7 +393,8 @@ pub(crate) fn encode_wire(vm: &Vm, bytes: &TaintedBytes, link: Link) -> Result<V
 /// each under one lock hold, the distinct misses one batched round
 /// trip) and the shadow is assembled run by run. A decode with no
 /// tainted run skips the lookup. `wire_len` is the wire-byte count the
-/// decode consumed, for telemetry.
+/// decode consumed, for telemetry. On a v2 stream (`peer` given) every
+/// tainted gid is marked as one the peer holds.
 ///
 /// Degraded resolution: if a Taint Map shard is unreachable, each of its
 /// gids resolves to a `pending-gid` sentinel instead of failing the
@@ -338,6 +408,7 @@ pub(crate) fn resolve_decoded(
     wire_len: usize,
     link: Link,
     span: u64,
+    peer: Option<&PeerKnows>,
 ) -> Result<TaintedBytes, JreError> {
     let client = vm
         .taint_map()
@@ -348,10 +419,13 @@ pub(crate) fn resolve_decoded(
         // Bind the delivered gids to the crossing span *before* the
         // Taint Map resolution, so the lookup events it records already
         // name the span that delivered them.
-        if span != 0 {
-            for &(gid, _) in runs {
-                if gid.is_tainted() {
+        if span != 0 || peer.is_some() {
+            for &(gid, _) in runs.iter().filter(|(gid, _)| gid.is_tainted()) {
+                if span != 0 {
                     obs.gid_spans.bind(gid.0, span);
+                }
+                if let Some(peer) = peer {
+                    peer.mark(gid);
                 }
             }
         }
@@ -438,6 +512,8 @@ pub struct BoundaryStream {
     /// first data write, after which an arriving probe is swallowed
     /// without a reply (the peer falls back to v1 on the data records).
     wrote_data: AtomicBool,
+    /// The gids the peer holds, fed by both directions (v2 only).
+    peer: PeerKnows,
 }
 
 /// The receive direction of a [`BoundaryStream`].
@@ -513,6 +589,7 @@ impl BoundaryStream {
             tx: Mutex::new(TxState::default()),
             proto: ProtoCell::new(initial),
             wrote_data: AtomicBool::new(false),
+            peer: PeerKnows::default(),
         };
         if !connector && watching {
             stream.eager_rx_probe();
@@ -704,6 +781,41 @@ impl BoundaryStream {
         }
     }
 
+    /// Strips the control frames at the front of a v2 receive ring (`rx`
+    /// lock held by the caller): an annotation's span becomes `span`,
+    /// the crossing span of the frames after it; a definitions frame's
+    /// gids are bound to that span and handed to the Taint Map client,
+    /// which then resolves them without a lookup. A partial frame stays
+    /// for the next read, and so does a definitions frame the client
+    /// refuses: the error repeats on the next read, like a decode's.
+    fn strip_control(&self, rem: &mut RingRemainder, span: &mut u64) -> Result<(), JreError> {
+        loop {
+            if let AnnotParse::Complete {
+                span: crossing,
+                consumed,
+                ..
+            } = parse_annotation(rem.as_slice())?
+            {
+                *span = crossing;
+                rem.consume(consumed);
+            } else if let Some((defs, consumed)) = parse_defs(rem.as_slice())? {
+                let client = self
+                    .vm
+                    .taint_map()
+                    .ok_or(JreError::Protocol("DisTA boundary without taint map"))?;
+                for (gid, serialized) in defs {
+                    if *span != 0 {
+                        self.vm.vm_obs().gid_spans.bind(gid.0, *span);
+                    }
+                    client.define(gid, serialized)?;
+                }
+                rem.consume(consumed);
+            } else {
+                return Ok(());
+            }
+        }
+    }
+
     /// Instrumented `socketWrite0`: sends a payload across the boundary.
     ///
     /// # Errors
@@ -719,13 +831,13 @@ impl BoundaryStream {
                 let width = self.vm.gid_width();
                 let v1 = V1Codec::new(width);
                 let v2 = V2Codec::new(width);
-                let codec: &dyn WireCodec = match self.tx_version()? {
-                    WireVersion::V1 => &v1,
-                    WireVersion::V2 => &v2,
+                let (codec, peer): (&dyn WireCodec, _) = match self.tx_version()? {
+                    WireVersion::V1 => (&v1, None),
+                    WireVersion::V2 => (&v2, Some(&self.peer)),
                 };
                 let tx = &mut *self.tx.lock();
                 let (tables, wire) = (&mut tx.tables, &mut tx.wire);
-                encode_payload(&self.vm, payload, self.out_link, codec, tables, wire)?;
+                encode_payload(&self.vm, payload, self.out_link, codec, peer, tables, wire)?;
                 native::socket_write0(&self.ep, wire)?;
             }
         }
@@ -786,20 +898,11 @@ impl BoundaryStream {
                             WireVersion::V1 => &v1,
                             WireVersion::V2 => &v2,
                         };
-                        // Strip any trace annotation sitting at the front
-                        // of the remainder: the frames that follow were
-                        // delivered by its span. A partial annotation
-                        // falls through to the read below for more bytes.
+                        // Strip the control frames sitting at the front
+                        // of the remainder. A partial one falls through
+                        // to the read below for more bytes.
                         if version == WireVersion::V2 {
-                            while let crate::codec::v2::AnnotParse::Complete {
-                                span,
-                                consumed,
-                                ..
-                            } = crate::codec::v2::parse_annotation(rem.as_slice())?
-                            {
-                                rx.span = span;
-                                rem.consume(consumed);
-                            }
+                            self.strip_control(rem, &mut rx.span)?;
                         }
                         // The delivered buffer: decode writes each data
                         // byte into it straight out of the ring's live
@@ -830,6 +933,7 @@ impl BoundaryStream {
                                 consumed,
                                 self.in_link,
                                 rx.span,
+                                (version == WireVersion::V2).then_some(&self.peer),
                             )?;
                             rem.consume(consumed);
                             // `pending` was empty above and the lock has
@@ -844,12 +948,16 @@ impl BoundaryStream {
                     }
                     // The receiver "enlarges the allocated byte array"
                     // (§III-D-2): ask the OS for the wire-size equivalent
-                    // of the caller's buffer, received in place.
+                    // of the caller's buffer, received in place. A frame
+                    // longer than that — the definitions ahead of a
+                    // one-byte read — doubles what is asked for, so it
+                    // is whole after a logarithmic number of reads and
+                    // re-parses, not one per few bytes.
                     let hint = match state {
                         ProtoState::V2 => v2.recv_wire_len(max_data),
                         _ => v1.recv_wire_len(max_data),
                     };
-                    let want = hint.saturating_sub(rem.len()).max(rs);
+                    let want = hint.saturating_sub(rem.len()).max(rs).max(rem.len());
                     let n = rem.fill_with(want, |tail| native::socket_read0(&self.ep, tail))?;
                     if n == 0 {
                         if state.version().is_none() {
@@ -936,14 +1044,10 @@ pub(crate) fn send_datagram(
                 to: dest,
             };
             let mut wire = vm.wire_pool().checkout();
-            encode_payload(
-                vm,
-                payload,
-                link,
-                codec,
-                &mut TxTables::default(),
-                &mut wire,
-            )?;
+            // No connection, so no peer table: a datagram's gids are
+            // looked up.
+            let tx = &mut TxTables::default();
+            encode_payload(vm, payload, link, codec, None, tx, &mut wire)?;
             native::datagram_send(socket, dest, &wire);
         }
     }
@@ -995,9 +1099,9 @@ pub(crate) fn recv_datagram(
             let mut frame = &buf[..n];
             let mut span = 0u64;
             if codec.version() == WireVersion::V2 {
-                if let crate::codec::v2::AnnotParse::Complete {
+                if let AnnotParse::Complete {
                     span: s, consumed, ..
-                } = crate::codec::v2::parse_annotation(frame)?
+                } = parse_annotation(frame)?
                 {
                     span = s;
                     frame = &frame[consumed..];
@@ -1028,6 +1132,7 @@ pub(crate) fn recv_datagram(
                     to: socket.local_addr(),
                 },
                 span,
+                None,
             )?;
             Ok((Payload::Tainted(decoded), from))
         }

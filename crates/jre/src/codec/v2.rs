@@ -10,7 +10,13 @@
 //! runs    := 0x02 width:u8 dlen:varint nseg:varint
 //!            (run_len:varint gid:width-bytes-BE){nseg} data[dlen]
 //! records := 0x03 width:u8 dlen:varint (byte gid:width)^dlen  # v1 records
+//! annot   := 0x04 span:varint parent:varint                # trace context
+//! defs    := 0x05 n:varint (gid:varint len:varint serialized[len]){n}
 //! ```
+//!
+//! The last two are control frames, written ahead of one payload's data
+//! frames (annotation first) and stripped by the boundary before the
+//! data decoder runs: see [`OP_ANNOT`] and [`OP_DEFS`].
 //!
 //! * **Clean frames** carry untainted payloads with a 2–5 byte header
 //!   and no per-byte overhead.
@@ -62,6 +68,22 @@ pub const OP_RECORDS: u8 = 0x03;
 /// `span` must be nonzero (0 is the protocol's "no span" sentinel);
 /// `parent` may be 0.
 pub const OP_ANNOT: u8 = 0x04;
+/// Frame opcode: inline taint definitions.
+///
+/// ```text
+/// defs := 0x05 n:varint (gid:varint len:varint serialized[len]){n}
+/// ```
+///
+/// Like an annotation, a definitions frame is **not** a data frame. It
+/// carries, for the tainted gids of the payload whose data frames follow
+/// it that the peer is not known to hold, the serialized taint each gid
+/// names, so the receiver resolves them from the stream instead of from
+/// the Taint Map. The boundary writes it after the annotation and before
+/// the data frames and strips it on receive with [`parse_defs`]; the data
+/// decoder stops at it as at an annotation, and the datagram decoder
+/// rejects it (datagrams carry no definitions). A `gid` must fit 32 bits
+/// and a `len` must be 1..=[`MAX_FRAME_DATA`].
+pub const OP_DEFS: u8 = 0x05;
 
 /// Largest payload one frame may carry (64 MiB). Encoders split larger
 /// payloads; decoders reject larger declared lengths as lies.
@@ -181,6 +203,83 @@ pub fn parse_annotation(wire: &[u8]) -> Result<AnnotParse, JreError> {
         parent,
         consumed: 1 + n1 + n2,
     })
+}
+
+/// Appends one definitions frame carrying every `(gid, serialized)` of
+/// `defs` to `out`.
+///
+/// # Panics
+///
+/// Panics if `defs` is empty — the encoder must simply omit the frame
+/// when it has nothing to define.
+pub fn encode_defs(defs: &[(GlobalId, Vec<u8>)], out: &mut Vec<u8>) {
+    assert!(!defs.is_empty(), "no definitions means no frame");
+    out.push(OP_DEFS);
+    push_varint(out, defs.len() as u64);
+    for (gid, serialized) in defs {
+        push_varint(out, u64::from(gid.0));
+        push_varint(out, serialized.len() as u64);
+        out.extend_from_slice(serialized);
+    }
+}
+
+/// The `(gid, serialized)` pairs of one validated [`OP_DEFS`] frame, in
+/// wire order, read where they lie in the receive buffer.
+#[derive(Debug)]
+pub struct Defs<'a> {
+    body: ByteReader<'a>,
+    left: u64,
+}
+
+impl<'a> Iterator for Defs<'a> {
+    type Item = (GlobalId, &'a [u8]);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.left = self.left.checked_sub(1)?;
+        Some(read_def(&mut self.body).expect("definition validated by parse_defs"))
+    }
+}
+
+/// Reads one `gid len serialized[len]` definition.
+fn read_def<'a>(r: &mut ByteReader<'a>) -> Result<(GlobalId, &'a [u8]), ReadError> {
+    let gid = u32::try_from(r.varint()?)
+        .map_err(|_| ReadError::Malformed("v2 definition names a gid past 32 bits"))?;
+    let len = r.varint()?;
+    if len == 0 || len > MAX_FRAME_DATA as u64 {
+        return Err(ReadError::Malformed(
+            "v2 definition declares a bad taint length",
+        ));
+    }
+    Ok((GlobalId(gid), r.bytes(len as usize)?))
+}
+
+/// Probes the front of `wire` for a whole [`OP_DEFS`] frame: its
+/// definitions and the wire bytes it occupies, or `None` if `wire` does
+/// not start with one — another frame, or a definitions frame not all of
+/// whose bytes have arrived. The frame is validated whole before
+/// anything is handed out, so nothing of it is applied twice.
+///
+/// # Errors
+///
+/// A malformed varint, a gid past 32 bits or a taint length of 0 or
+/// past [`MAX_FRAME_DATA`] is a protocol error.
+pub fn parse_defs(wire: &[u8]) -> Result<Option<(Defs<'_>, usize)>, JreError> {
+    let Some(rest) = wire.strip_prefix(&[OP_DEFS]) else {
+        return Ok(None);
+    };
+    let mut r = ByteReader::new(rest);
+    let validated = r.varint().and_then(|n| {
+        let body = r.clone();
+        for _ in 0..n {
+            read_def(&mut r)?;
+        }
+        Ok(Defs { body, left: n })
+    });
+    match validated {
+        Ok(defs) => Ok(Some((defs, 1 + r.pos()))),
+        Err(ReadError::Truncated) => Ok(None),
+        Err(malformed) => Err(malformed.into()),
+    }
 }
 
 /// The adaptive v2 codec behind the versioned [`WireCodec`] trait.
@@ -513,10 +612,11 @@ impl WireCodec for V2Codec {
         runs_out.clear();
         let mut consumed = 0;
         while consumed < wire.len() && data_out.len() < max_data {
-            // An annotation frame is a barrier between payloads: stop
-            // cleanly so the boundary layer can strip it (and adopt its
-            // span) before decoding the frames that follow.
-            if wire[consumed] == OP_ANNOT {
+            // A control frame is a barrier between payloads: stop
+            // cleanly so the boundary layer can strip it (adopt its
+            // span, learn its definitions) before decoding the frames
+            // that follow.
+            if wire[consumed] == OP_ANNOT || wire[consumed] == OP_DEFS {
                 break;
             }
             match parse_frame(&wire[consumed..], data_out, runs_out)? {
@@ -895,6 +995,49 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    #[test]
+    fn definitions_round_trip_and_fence_the_data_decoder() {
+        let defs = vec![
+            (GlobalId(7), b"seven".to_vec()),
+            (GlobalId(u32::MAX - 1), vec![0xAB; 300]),
+        ];
+        let mut wire = Vec::new();
+        encode_defs(&defs, &mut wire);
+        assert_eq!(wire[0], OP_DEFS);
+        let codec = V2Codec::new(4);
+        let mut frame = Vec::new();
+        codec
+            .encode_into(b"xy", &[(2, GlobalId(7))], &mut frame)
+            .unwrap();
+        let mut stream = wire.clone();
+        stream.extend_from_slice(&frame);
+
+        let (got, consumed) = parse_defs(&stream).unwrap().expect("a whole frame");
+        assert_eq!(consumed, wire.len());
+        let got: Vec<(GlobalId, Vec<u8>)> = got.map(|(g, b)| (g, b.to_vec())).collect();
+        assert_eq!(got, defs);
+        // Every cut short of the last byte waits for more.
+        for cut in 1..wire.len() {
+            assert!(parse_defs(&wire[..cut]).unwrap().is_none(), "cut at {cut}");
+        }
+        assert!(parse_defs(&frame).unwrap().is_none());
+        assert!(parse_defs(&[]).unwrap().is_none());
+        // The data decoder stops at the frame, as at an annotation…
+        let (mut d, mut r) = (Vec::new(), Vec::new());
+        assert_eq!(
+            codec.decode_available(&stream, 8, &mut d, &mut r).unwrap(),
+            0
+        );
+        // …and the datagram decoder, which never sees one, rejects it.
+        assert!(codec.decode_datagram(&stream, &mut d, &mut r).is_err());
+        // A gid past 32 bits and a zero length are lies.
+        let mut wide = vec![OP_DEFS, 1];
+        push_varint(&mut wide, u64::from(u32::MAX) + 1);
+        wide.extend_from_slice(&[1, b'x']);
+        assert!(parse_defs(&wide).is_err());
+        assert!(parse_defs(&[OP_DEFS, 1, 7, 0]).is_err());
     }
 
     #[test]

@@ -1,11 +1,15 @@
 //! Adversarial boundary-decode tests: malformed, truncated, or hostile
 //! wire input must surface as typed errors or clean EOF — never a panic,
 //! and never silently-clean (untainted) bytes. Covers both wire
-//! protocols plus the v1↔v2 negotiation interop matrix.
+//! protocols, v2's inline definitions, plus the v1↔v2 negotiation
+//! interop matrix.
 
-use dista_jre::{JreError, Mode, Vm, WireProtocol, WireVersion};
+use dista_jre::codec::v2::encode_defs;
+use dista_jre::{JreError, Mode, V2Codec, Vm, WireCodec, WireProtocol, WireVersion};
 use dista_simnet::{NodeAddr, SimNet, TcpEndpoint};
-use dista_taint::{Payload, TagValue, TaintedBytes};
+use dista_taint::{
+    serialize_taint, GlobalId, LocalId, Payload, TagValue, TaintStore, TaintedBytes,
+};
 use dista_taintmap::{TaintMapEndpoint, TaintMapError};
 
 struct Rig {
@@ -262,6 +266,159 @@ fn fake_probe_against_pinned_v1_receiver_is_harmless() {
     let mut reply = [0u8; 5];
     raw.read_exact(&mut reply).unwrap();
     assert_eq!(reply, [1, 0xFF, 0xFF, 0xFF, 0xFF]);
+    rig.tm.shutdown();
+}
+
+/// A taint registered with the rig's map by another VM: its gid and the
+/// bytes it was registered with — what an honest definition carries.
+fn registered(rig: &Rig, tag: &str) -> (GlobalId, Vec<u8>) {
+    let store = TaintStore::new(LocalId::new([10, 0, 0, 1], 1));
+    let client = rig.tm.client(&rig.net, store.clone()).unwrap();
+    let taint = store.mint_source_taint(TagValue::str(tag));
+    let gid = client.global_id_for(taint).unwrap();
+    (gid, serialize_taint(store.tree(), taint))
+}
+
+/// A v2 run frame carrying `data` under one gid.
+fn run_frame(data: &[u8], gid: GlobalId) -> Vec<u8> {
+    let mut wire = Vec::new();
+    V2Codec::new(4)
+        .encode_into(data, &[(data.len(), gid)], &mut wire)
+        .unwrap();
+    wire
+}
+
+fn defs(defs: &[(GlobalId, Vec<u8>)]) -> Vec<u8> {
+    let mut wire = Vec::new();
+    encode_defs(defs, &mut wire);
+    wire
+}
+
+/// Reads `len` bytes and names their tags, or the error.
+fn tags_read(
+    rig: &Rig,
+    rx: &dista_jre::BoundaryStream,
+    len: usize,
+) -> Result<Vec<String>, JreError> {
+    let got = rx.read_exact_payload(len)?;
+    let store = rig.rx_vm.store();
+    Ok(store.tag_values(got.taint_union(store)))
+}
+
+#[test]
+fn v2_def_count_past_the_bytes_present_is_protocol_error_at_eof() {
+    let rig = Rig::with_protocol(16, 4, WireProtocol::V2);
+    let (raw, rx) = rig.raw_pair(416);
+    let def = registered(&rig, "alpha");
+    let mut wire = defs(&[def]);
+    wire[1] = 3; // announces three, carries one
+    raw.write(&wire).unwrap();
+    raw.close();
+    assert!(matches!(rx.read_payload(8), Err(JreError::Protocol(_))));
+    rig.tm.shutdown();
+}
+
+#[test]
+fn v2_def_lying_length_is_rejected() {
+    let rig = Rig::with_protocol(17, 4, WireProtocol::V2);
+    // Past the frame cap: a lie, refused before a byte of it is awaited.
+    let (raw, rx) = rig.raw_pair(417);
+    let mut wire = vec![0x05, 1, 1];
+    wire.extend(varint(1 << 27));
+    raw.write(&wire).unwrap();
+    assert!(matches!(rx.read_payload(8), Err(JreError::Protocol(_))));
+    // Under the cap but longer than what the stream holds: at EOF, a
+    // torn frame.
+    let (raw, rx) = rig.raw_pair(418);
+    let mut wire = vec![0x05, 1, 1];
+    wire.extend(varint(300));
+    wire.extend_from_slice(&[0xAC; 10]);
+    raw.write(&wire).unwrap();
+    raw.close();
+    assert!(matches!(rx.read_payload(8), Err(JreError::Protocol(_))));
+    rig.tm.shutdown();
+}
+
+#[test]
+fn v2_def_split_across_reads_waits_for_the_rest_and_loses_nothing() {
+    let rig = Rig::with_protocol(18, 4, WireProtocol::V2);
+    // Every OS read delivers three bytes: the definitions arrive in
+    // dozens of pieces, each one an incomplete frame until the last.
+    rig.net.set_faults(dista_simnet::FaultConfig {
+        max_read_chunk: 3,
+        ..Default::default()
+    });
+    let (raw, rx) = rig.raw_pair(419);
+    let (alpha, beta) = (registered(&rig, "alpha"), registered(&rig, "beta"));
+    let mut wire = defs(&[alpha.clone(), beta.clone()]);
+    wire.extend(run_frame(b"aaaa", alpha.0));
+    wire.extend(run_frame(b"bb", beta.0));
+    raw.write(&wire).unwrap();
+    assert_eq!(tags_read(&rig, &rx, 4).unwrap(), ["alpha"]);
+    assert_eq!(tags_read(&rig, &rx, 2).unwrap(), ["beta"]);
+    let client = rig.rx_vm.taint_map().unwrap();
+    assert_eq!(
+        client.stats().lookup_rpcs,
+        0,
+        "both resolved from the stream"
+    );
+    rig.tm.shutdown();
+}
+
+#[test]
+fn v2_def_of_gid_zero_or_a_reserved_gid_is_refused() {
+    let rig = Rig::with_protocol(19, 4, WireProtocol::V2);
+    let (_, bytes) = registered(&rig, "alpha");
+    for (port, gid) in [(420, 0), (421, 0xFF), (422, u32::MAX)] {
+        let (raw, rx) = rig.raw_pair(port);
+        raw.write(&defs(&[(GlobalId(gid), bytes.clone())])).unwrap();
+        let err = rx.read_payload(1).unwrap_err();
+        assert!(
+            matches!(err, JreError::TaintMap(TaintMapError::Protocol(_))),
+            "gid {gid}: {err:?}"
+        );
+        // Refused, not skipped: the frame stays and so does the error.
+        assert!(rx.read_payload(1).is_err());
+    }
+    rig.tm.shutdown();
+}
+
+#[test]
+fn v2_def_of_bytes_that_are_no_serialized_taint_is_a_codec_error() {
+    let rig = Rig::with_protocol(20, 4, WireProtocol::V2);
+    let (raw, rx) = rig.raw_pair(423);
+    let (gid, _) = registered(&rig, "alpha");
+    let mut wire = defs(&[(gid, b"not a taint".to_vec())]);
+    wire.extend(run_frame(b"x", gid));
+    raw.write(&wire).unwrap();
+    let err = rx.read_payload(1).unwrap_err();
+    assert!(
+        matches!(err, JreError::TaintMap(TaintMapError::Codec(_))),
+        "{err:?}"
+    );
+    rig.tm.shutdown();
+}
+
+#[test]
+fn v2_def_naming_a_cached_gid_with_other_bytes_is_ignored() {
+    let rig = Rig::with_protocol(21, 4, WireProtocol::V2);
+    let (raw, rx) = rig.raw_pair(424);
+    let (alpha, beta) = (registered(&rig, "alpha"), registered(&rig, "beta"));
+    let mut wire = defs(std::slice::from_ref(&alpha));
+    wire.extend(run_frame(b"a", alpha.0));
+    // The same gid again, now claiming beta's bytes: the first writer
+    // wins, and nothing is even decoded.
+    wire.extend(defs(&[(alpha.0, beta.1.clone())]));
+    wire.extend(run_frame(b"A", alpha.0));
+    raw.write(&wire).unwrap();
+    assert_eq!(tags_read(&rig, &rx, 1).unwrap(), ["alpha"]);
+    let tags = rig.rx_vm.store().tree().stats().tags;
+    assert_eq!(tags_read(&rig, &rx, 1).unwrap(), ["alpha"]);
+    assert_eq!(
+        rig.rx_vm.store().tree().stats().tags,
+        tags,
+        "beta never interned"
+    );
     rig.tm.shutdown();
 }
 

@@ -194,3 +194,10 @@ fn one_cached_taint_64b_on_v1() {
 fn eight_cached_taint_runs_16k_on_v1() {
     census(7003, WireProtocol::V1, 16 * 1024, 8, true);
 }
+
+/// At steady state the peer holds every gid, so a v2 write defines
+/// nothing and costs what a v1 write does.
+#[test]
+fn eight_cached_taint_runs_16k_on_negotiated_v2() {
+    census(7004, WireProtocol::Negotiate, 16 * 1024, 8, true);
+}

@@ -19,6 +19,9 @@
 //!   breaker, pipelined writes, a whole-frame deadline, and bounded
 //!   retry with backoff across the shard's failover list are all stated
 //!   once, in `run_groups`; nothing else touches the wire.
+//! * **Inline definitions** — a gid a peer defined on the stream it
+//!   arrived on ([`TaintMapClient::define`]) resolves without a lookup,
+//!   through the same cache entry a lookup answer fills.
 //! * **Degradation** — the degraded lookup path
 //!   ([`TaintMapClient::taints_for_degraded`]) stamps unreachable-shard
 //!   gids with a `pending-gid:<n>` sentinel taint instead of dropping
@@ -40,6 +43,7 @@ use dista_taint::{
 };
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
+use crate::backend::WIRE_RESERVED_GIDS;
 use crate::error::TaintMapError;
 use crate::proto::{
     decode_class_table, decode_lookup_resp, decode_register_resp, decode_stale_epoch,
@@ -410,11 +414,10 @@ struct Group {
 /// cache in the same hold.
 #[derive(Default)]
 struct Inbound {
-    /// global id -> taint: a received id is resolved at most once. Only
-    /// ids the service answered for are ever inserted — allocated by
-    /// the service in sequence, not chosen by a peer — so the fast
-    /// hasher gives nothing away.
-    taint_of: IdMap<GlobalId, Taint>,
+    /// global id -> taint: a received id is resolved at most once, and
+    /// the first resolution stays. A peer chooses the ids inserted here
+    /// ([`TaintMapClient::define`]), so the hash is keyed.
+    taint_of: HashMap<GlobalId, Taint>,
     /// Degraded lookups awaiting reconciliation: gid → the sentinel
     /// taint stamped onto the delivered bytes.
     pending: HashMap<GlobalId, Taint>,
@@ -856,17 +859,20 @@ impl TaintMapClient {
     /// requester's error).
     pub fn global_ids_for(&self, taints: &[Taint]) -> Result<Vec<GlobalId>, TaintMapError> {
         let mut out = Vec::new();
-        self.global_ids_into(taints, &mut out)?;
+        self.global_ids_into(taints, &mut out, &mut Vec::new())?;
         Ok(out)
     }
 
-    /// [`TaintMapClient::global_ids_for`] into a caller-owned vector
-    /// (cleared first), so a caller that keeps the vector allocates
-    /// nothing when every taint is a cache hit. `taints` may repeat
-    /// freely (the boundary hands over one taint per shadow run): hits
-    /// cost one probe each under one hold of the cache lock, and only
-    /// the misses are deduplicated — one payload never registers, or
-    /// waits on, its own duplicate.
+    /// [`TaintMapClient::global_ids_for`] into caller-owned vectors
+    /// (cleared first), so a caller that keeps them allocates nothing
+    /// when every taint is a cache hit. `taints` may repeat freely (the
+    /// boundary hands over one taint per shadow run): hits cost one
+    /// probe each under one hold of the cache lock, and only the misses
+    /// are deduplicated — one payload never registers, or waits on, its
+    /// own duplicate. `registered` receives each taint this call sent
+    /// to the service, as its gid and the serialized bytes it was
+    /// registered with, so a caller defining the gid to a peer ships
+    /// those bytes instead of serializing the taint again.
     ///
     /// # Errors
     ///
@@ -875,7 +881,9 @@ impl TaintMapClient {
         &self,
         taints: &[Taint],
         out: &mut Vec<GlobalId>,
+        registered: &mut Vec<(GlobalId, Vec<u8>)>,
     ) -> Result<(), TaintMapError> {
+        registered.clear();
         out.clear();
         out.resize(taints.len(), GlobalId::UNTAINTED);
         let missed = self.answer_from_cache(&self.inner.gid_of.lock(), taints, Taint::EMPTY, out);
@@ -938,15 +946,16 @@ impl TaintMapClient {
             for (k, (slot, taint, _)) in mine.iter().enumerate() {
                 inflight.remove(taint);
                 match &result {
-                    Ok(registered) => {
-                        gids[*slot] = registered[k];
-                        mine_flights[k].fill(Ok(registered[k]));
+                    Ok(answered) => {
+                        gids[*slot] = answered[k];
+                        mine_flights[k].fill(Ok(answered[k]));
                     }
                     Err(e) => mine_flights[k].fill(Err(e.clone())),
                 }
             }
             drop(inflight);
-            result?;
+            let answered = result?;
+            registered.extend(answered.into_iter().zip(mine).map(|(gid, m)| (gid, m.2)));
         }
         for (slot, flight) in theirs {
             gids[slot] = flight.wait()?;
@@ -964,7 +973,7 @@ impl TaintMapClient {
     /// and returns the input indices it could not answer.
     fn answer_from_cache<K: Copy + Eq + std::hash::Hash, V: Copy>(
         &self,
-        cache: &IdMap<K, V>,
+        cache: &HashMap<K, V, impl std::hash::BuildHasher>,
         keys: &[K],
         blank: K,
         out: &mut [V],
@@ -1052,10 +1061,19 @@ impl TaintMapClient {
             });
     }
 
-    /// Notes one wire-resolved lookup in the caches and event stream.
-    fn finish_lookup(&self, gid: GlobalId, taint: Taint) {
-        self.inner.inbound.lock().taint_of.insert(gid, taint);
-        self.inner.gid_of.lock().insert(taint, gid);
+    /// Notes one gid resolved from outside — a lookup answer or a peer's
+    /// definition — in the caches and event stream, and returns the taint
+    /// the cache now holds for it. Neither cache entry is overwritten: a
+    /// concurrent resolution that got there first keeps its answer.
+    fn finish_lookup(&self, gid: GlobalId, taint: Taint) -> Taint {
+        let taint = *self
+            .inner
+            .inbound
+            .lock()
+            .taint_of
+            .entry(gid)
+            .or_insert(taint);
+        self.inner.gid_of.lock().entry(taint).or_insert(gid);
         let span = self.inner.obs.gid_spans.get(gid.0);
         self.inner
             .obs
@@ -1065,6 +1083,40 @@ impl TaintMapClient {
                 taint: taint.node_index() as u32,
                 span,
             });
+        taint
+    }
+
+    /// Learns `gid` from the serialized taint a peer defined it as, on
+    /// the stream the gid arrived on (wire protocol v2's inline
+    /// definitions), instead of asking the service: the bytes are the
+    /// ones the peer registered, or was told, for that gid. The gid is
+    /// resolved exactly as a lookup answer is, events included, and a
+    /// later [`TaintMapClient::taints_for`] of it is a cache hit.
+    ///
+    /// A definition is trusted as far as the gids of the same stream
+    /// are, and no further: one for a gid already cached is ignored
+    /// (the first resolution stays), and gid 0 or a wire-reserved gid
+    /// is refused.
+    ///
+    /// # Errors
+    ///
+    /// [`TaintMapError::Protocol`] for gid 0, a gid in
+    /// [`WIRE_RESERVED_GIDS`], or bytes naming no tag;
+    /// [`TaintMapError::Codec`] for bytes that are not a serialized
+    /// taint.
+    pub fn define(&self, gid: GlobalId, serialized: &[u8]) -> Result<(), TaintMapError> {
+        if !gid.is_tainted() || WIRE_RESERVED_GIDS.contains(&gid.0) {
+            return Err(TaintMapError::Protocol("a definition names a reserved gid"));
+        }
+        if self.inner.inbound.lock().taint_of.contains_key(&gid) {
+            return Ok(());
+        }
+        let taint = deserialize_taint(&self.inner.store, serialized)?;
+        if taint.is_empty() {
+            return Err(TaintMapError::Protocol("a definition names no tag"));
+        }
+        self.finish_lookup(gid, taint);
+        Ok(())
     }
 
     /// Resolves a Global ID received from the wire back into a local
@@ -1168,8 +1220,7 @@ impl TaintMapClient {
         for (&(i, gid), bytes) in misses.iter().zip(fetched) {
             let bytes = bytes.ok_or(TaintMapError::UnknownGlobalId(gid))?;
             let taint = deserialize_taint(&self.inner.store, &bytes)?;
-            self.finish_lookup(gid, taint);
-            out[i] = taint;
+            out[i] = self.finish_lookup(gid, taint);
         }
         Ok(())
     }
@@ -1271,49 +1322,71 @@ impl TaintMapClient {
     }
 
     /// Re-attempts every pending gid against its (hopefully healed)
-    /// shard; each success records the sentinel → real-taint resolution
-    /// and a `PendingResolved` event. Gids whose shard is still
-    /// unreachable stay pending. Returns how many resolved this call.
+    /// shard, in one lookup per shard; each success records the
+    /// sentinel → real-taint resolution and a `PendingResolved` event.
+    /// Gids whose shard is still unreachable stay pending. Returns how
+    /// many resolved this call.
     ///
     /// # Errors
     ///
     /// [`TaintMapError::UnknownGlobalId`] / [`TaintMapError::Codec`]
     /// from a reachable shard (transport errors are *not* errors here —
-    /// the gid just stays pending).
+    /// the shard's gids just stay pending).
     pub fn reconcile_pending(&self) -> Result<u64, TaintMapError> {
         let mut snapshot: Vec<(GlobalId, Taint)> = {
             let inbound = self.inner.inbound.lock();
             inbound.pending.iter().map(|(&g, &s)| (g, s)).collect()
         };
+        // It rides on every clean decode: nothing pending is the rule.
+        if snapshot.is_empty() {
+            return Ok(0);
+        }
         // Gid order, not hash order: reconciliation (and its event
         // stream) must replay identically across runs.
         snapshot.sort_by_key(|&(gid, _)| gid.0);
-        let mut resolved = 0u64;
-        for (gid, sentinel) in snapshot {
-            match self.taint_for(gid) {
-                Ok(taint) => {
-                    {
-                        let pending = &mut self.inner.inbound.lock().pending;
-                        pending.remove(&gid);
-                        self.inner.obs.pending_gids.set(pending.len() as f64);
+        let n = self.shard_count();
+        let mut real: Vec<Option<Taint>> = vec![None; snapshot.len()];
+        for shard in 0..n {
+            let (slots, gids): (Vec<usize>, Vec<GlobalId>) = snapshot
+                .iter()
+                .enumerate()
+                .filter(|(_, (gid, _))| shard_of_gid(gid.0, n) == shard)
+                .map(|(slot, &(gid, _))| (slot, gid))
+                .unzip();
+            if gids.is_empty() {
+                continue;
+            }
+            match self.taints_for(&gids) {
+                Ok(taints) => {
+                    for (slot, taint) in slots.into_iter().zip(taints) {
+                        real[slot] = Some(taint);
                     }
-                    self.inner
-                        .sentinel_resolutions
-                        .lock()
-                        .insert(sentinel, taint);
-                    self.inner.obs.pending_resolved.inc();
-                    self.inner
-                        .obs
-                        .recorder
-                        .record_with(|| ObsEventKind::PendingResolved {
-                            gid: gid.0,
-                            taint: taint.node_index() as u32,
-                        });
-                    resolved += 1;
                 }
                 Err(TaintMapError::Net(_)) | Err(TaintMapError::ShardUnavailable(_)) => {}
                 Err(e) => return Err(e),
             }
+        }
+        let mut resolved = 0u64;
+        for ((gid, sentinel), taint) in snapshot.into_iter().zip(real) {
+            let Some(taint) = taint else { continue };
+            {
+                let pending = &mut self.inner.inbound.lock().pending;
+                pending.remove(&gid);
+                self.inner.obs.pending_gids.set(pending.len() as f64);
+            }
+            self.inner
+                .sentinel_resolutions
+                .lock()
+                .insert(sentinel, taint);
+            self.inner.obs.pending_resolved.inc();
+            self.inner
+                .obs
+                .recorder
+                .record_with(|| ObsEventKind::PendingResolved {
+                    gid: gid.0,
+                    taint: taint.node_index() as u32,
+                });
+            resolved += 1;
         }
         Ok(resolved)
     }

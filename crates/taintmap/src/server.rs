@@ -29,7 +29,7 @@ use dista_simnet::{NodeAddr, ServerHandle, SimFs, SimNet, TcpEndpoint, TcpServer
 use dista_taint::{ByteReader, ReadError};
 use parking_lot::Mutex;
 
-use crate::backend::TaintMapBackend;
+use crate::backend::{TaintMapBackend, WIRE_RESERVED_GIDS};
 use crate::error::TaintMapError;
 use crate::proto::{
     addr, decode_transfer_batch, encode_class_table, encode_transfer_batch, read_frame,
@@ -101,6 +101,18 @@ const REC_CUTOVER: u8 = 4;
 
 const SNAP_MAGIC: [u8; 4] = *b"TMSN";
 const SNAP_TRAILER: [u8; 4] = *b"SNEN";
+
+/// The backend-local id a record that names `gid` from outside — a
+/// replicated or migrated registration, a WAL or snapshot record — is
+/// stored under: `None` if `gid` is another shard's, or one the wire
+/// grammar reserves ([`WIRE_RESERVED_GIDS`]), since a record stored
+/// there would answer a later `register` of the same bytes with it.
+fn storable_local(shard: ShardSpec, gid: u32) -> Option<u32> {
+    if WIRE_RESERVED_GIDS.contains(&gid) {
+        return None;
+    }
+    shard.local_of_global(gid)
+}
 
 /// Write-ahead log for one shard primary: an append-only sequence of
 /// tagged records on the simulated file system. Data records
@@ -288,7 +300,7 @@ impl TaintMapWal {
                     rec.epoch = epoch;
                     rec.moved = moved;
                     for (gid, bytes) in records {
-                        if let Some(local) = shard.local_of_global(gid) {
+                        if let Some(local) = storable_local(shard, gid) {
                             backend.insert_replicated(local, &bytes);
                             rec.snapshot_records += 1;
                         }
@@ -323,7 +335,7 @@ impl TaintMapWal {
                 let gid = r.u32()?;
                 let len = r.u32()? as usize;
                 let serialized = r.bytes(len)?;
-                if let Some(local) = shard.local_of_global(gid) {
+                if let Some(local) = storable_local(shard, gid) {
                     backend.insert_replicated(local, serialized);
                     rec.wal_data_records += 1;
                 }
@@ -587,7 +599,7 @@ impl TaintMapServer {
     ) -> Result<Self, TaintMapError> {
         // Keep the wire grammar's magic gids (the all-ones negotiation
         // handshake pattern) out of this shard's allocator.
-        let reserved: Vec<u32> = crate::backend::WIRE_RESERVED_GIDS
+        let reserved: Vec<u32> = WIRE_RESERVED_GIDS
             .iter()
             .filter_map(|&gid| shard.local_of_global(gid))
             .collect();
@@ -1002,13 +1014,13 @@ fn lookup_items(shared: &ServerShared, r: &mut ByteReader<'_>) -> Option<Reply> 
 
 /// Standby and migration-target side of one replicated registration
 /// (`u32 gid`, then the serialized taint); `None` if the payload is
-/// short or the gid is another shard's.
+/// short or the gid is another shard's or wire-reserved.
 fn serve_replicate(shared: &ServerShared, payload: &[u8]) -> Option<Reply> {
     let mut r = ByteReader::new(payload);
     let gid = r.u32().ok()?;
     // The primary replicates global ids; map back into the backend's
     // dense local space (same shard spec).
-    let local = shared.shard.local_of_global(gid)?;
+    let local = storable_local(shared.shard, gid)?;
     // A migration target persists double-writes before acknowledging,
     // so a forward ack means the record survives the target crashing
     // too.
@@ -1022,11 +1034,18 @@ fn serve_replicate(shared: &ServerShared, payload: &[u8]) -> Option<Reply> {
 
 /// Copy phase receiver: persists a batch of migrated records before
 /// acknowledging, so a durable checkpoint on the source implies the
-/// records survive this side crashing.
+/// records survive this side crashing. A batch naming a wire-reserved
+/// gid is refused whole.
 fn serve_transfer_batch(shared: &ServerShared, payload: &[u8]) -> Reply {
     let Ok(records) = decode_transfer_batch(payload) else {
         return (RESP_ERR, vec![0xFF]);
     };
+    if records
+        .iter()
+        .any(|(gid, _)| WIRE_RESERVED_GIDS.contains(gid))
+    {
+        return (RESP_ERR, vec![0xFF]);
+    }
     let _commit = shared.commit_lock.lock();
     let mut accepted = 0u32;
     for (gid, bytes) in &records {
@@ -1177,16 +1196,18 @@ mod tests {
     #[test]
     fn a_replicated_record_at_the_last_id_exhausts_the_shard_not_the_id_space() {
         // `OP_REPLICATE` sets the allocator to whatever local id the
-        // record names. From `u32::MAX` the next id is not 0 (untainted:
-        // the taint would be lost without a sound) and not a panic in
-        // the session: the shard says it has none.
+        // record names. From the last id below the reserved `u32::MAX`
+        // the next id is not 0 (untainted: the taint would be lost
+        // without a sound) and not a panic in the session: the shard
+        // says it has none.
         let (net, server) = setup();
         let conn = net.tcp_connect(server.addr()).unwrap();
         assert_eq!(register(&conn, &[b"before"]), vec![1]);
+        let last = u32::MAX - 1;
         wf(
             &conn,
             OP_REPLICATE,
-            &[&u32::MAX.to_be_bytes()[..], b"last"].concat(),
+            &[&last.to_be_bytes()[..], b"last"].concat(),
         )
         .unwrap();
         assert_eq!(rf(&conn).unwrap().unwrap().0, RESP_OK);
@@ -1201,11 +1222,51 @@ mod tests {
         );
         // What the shard holds is still served, on the same connection.
         assert_eq!(register(&conn, &[b"before"]), vec![1]);
-        let held = lookup(&conn, &[1, u32::MAX, 0]);
+        let held = lookup(&conn, &[1, last, 0]);
         assert_eq!(held[0].as_deref(), Some(b"before".as_ref()));
         assert_eq!(held[1].as_deref(), Some(b"last".as_ref()));
         assert_eq!(held[2], None);
         server.shutdown();
+    }
+
+    #[test]
+    fn a_record_replicated_at_a_wire_reserved_id_never_answers_a_register() {
+        // At width 1, gid 0xFF is the all-ones negotiation-probe record.
+        // A record stored there used to dedup the next registration of
+        // its bytes to it: the taint would cross the wire as the probe.
+        let (net, server) = setup();
+        let conn = net.tcp_connect(server.addr()).unwrap();
+        let probe = 0xFFu32;
+        wf(
+            &conn,
+            OP_REPLICATE,
+            &[&probe.to_be_bytes()[..], b"probe-shaped"].concat(),
+        )
+        .unwrap();
+        assert_eq!(rf(&conn).unwrap().unwrap().0, RESP_ERR);
+        let migrated = encode_transfer_batch(&[(probe, b"probe-shaped".to_vec())]);
+        wf(&conn, OP_TRANSFER_BATCH, &migrated).unwrap();
+        assert_eq!(rf(&conn).unwrap().unwrap().0, RESP_ERR);
+
+        let gid = register(&conn, &[b"probe-shaped"])[0];
+        assert_eq!(gid, 1, "a fresh id, not the reserved one");
+        assert!(!crate::WIRE_RESERVED_GIDS.contains(&gid));
+        assert_eq!(lookup(&conn, &[probe]), vec![None]);
+        server.shutdown();
+
+        // Nor does replay store one: a log naming 0xFF, as a log written
+        // before the refusal could.
+        let fs = SimFs::new();
+        let mut log = vec![REC_DATA];
+        log.extend_from_slice(&probe.to_be_bytes());
+        log.extend_from_slice(&12u32.to_be_bytes());
+        log.extend_from_slice(b"probe-shaped");
+        fs.write("w", log);
+        let backend = InMemoryBackend::new();
+        let recovered = TaintMapWal::new(fs, "w").recover_into(&backend, ShardSpec::default());
+        assert_eq!(recovered.wal_records_scanned, 1);
+        assert_eq!(recovered.wal_data_records, 0);
+        assert!(backend.is_empty());
     }
 
     #[test]

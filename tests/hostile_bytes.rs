@@ -26,7 +26,9 @@ use dista_repro::activemq::stomp::{self, StompFrame};
 use dista_repro::core::{Cluster, CollectorServer, Mode};
 use dista_repro::hbase::pbrpc::{self, PbMessage};
 use dista_repro::hbase::RegionServer;
-use dista_repro::jre::codec::v2::encode_annotation;
+use dista_repro::jre::codec::v2::{
+    encode_annotation, encode_defs, OP_ANNOT, OP_CLEAN, OP_DEFS, OP_RECORDS, OP_RUNS,
+};
 use dista_repro::jre::{
     BoundaryStream, HttpRequest, HttpResponse, HttpServer, JreError, ObjValue, ServerSocket,
     SocketChannel, V1Codec, V2Codec, Vm, WireCodec, WireProtocol,
@@ -414,8 +416,10 @@ struct StreamRig {
     tm: TaintMapEndpoint,
     rx_vm: Vm,
     listener: dista_repro::simnet::TcpListener,
-    /// Two taints registered with the map, tagged `alpha` and `beta`.
-    gids: [GlobalId; 2],
+    /// Two taints registered with the map, tagged `alpha` and `beta`, as
+    /// a v2 definitions frame carries them: each gid with the serialized
+    /// taint it was registered for.
+    defs: Vec<(GlobalId, Vec<u8>)>,
 }
 
 impl StreamRig {
@@ -432,16 +436,20 @@ impl StreamRig {
         let listener = net.tcp_listen(NodeAddr::new([10, 0, 0, 2], 400)).unwrap();
         let store = TaintStore::new(LocalId::new([10, 0, 0, 1], 1));
         let client = tm.client(&net, store.clone()).unwrap();
-        let gids = ["alpha", "beta"].map(|tag| {
-            let taint = store.mint_source_taint(TagValue::str(tag));
-            client.global_id_for(taint).unwrap()
-        });
+        let defs: Vec<(GlobalId, Vec<u8>)> = ["alpha", "beta"]
+            .iter()
+            .map(|tag| {
+                let taint = store.mint_source_taint(TagValue::str(*tag));
+                let gid = client.global_id_for(taint).unwrap();
+                (gid, serialize_taint(store.tree(), taint))
+            })
+            .collect();
         StreamRig {
             net,
             tm,
             rx_vm,
             listener,
-            gids,
+            defs,
         }
     }
 
@@ -493,9 +501,9 @@ fn mutated_v1_stream() {
     let rig = StreamRig::new(WireProtocol::V1);
     let data = payload_of(48);
     let runs = [
-        (16, rig.gids[0]),
+        (16, rig.defs[0].0),
         (16, GlobalId::UNTAINTED),
-        (16, rig.gids[1]),
+        (16, rig.defs[1].0),
     ];
     let mut wire = Vec::new();
     V1Codec::new(4)
@@ -504,34 +512,41 @@ fn mutated_v1_stream() {
     rig.run(&wire, &data, &mut Rng::for_test(1));
 }
 
-/// An annotation, a run frame, a clean frame and a record frame — every
-/// v2 opcode — for a payload of 96 bytes.
-fn v2_sample(gids: [GlobalId; 2]) -> (Vec<u8>, Vec<u8>) {
+/// One frame of every v2 kind — the two control frames (an annotation,
+/// then definitions of both gids), a run frame, a clean frame and a
+/// record frame — for a payload of 96 bytes. The opcodes are named in
+/// wire order below; `tests/source_rules.rs` fails if a frame kind the
+/// codec defines is not named here.
+fn v2_sample(defs: &[(GlobalId, Vec<u8>)]) -> (Vec<u8>, Vec<u8>) {
+    let gids = [defs[0].0, defs[1].0];
     let codec = V2Codec::new(4);
     let data = payload_of(96);
-    let mut wire = Vec::new();
-    encode_annotation(77, 3, &mut wire);
+    let mut frames = vec![Vec::new(), Vec::new()];
+    encode_annotation(77, 3, &mut frames[0]);
+    encode_defs(defs, &mut frames[1]);
     let mut frame = Vec::new();
     let runs = [(16, gids[0]), (16, GlobalId::UNTAINTED), (16, gids[1])];
     codec.encode_into(&data[..48], &runs, &mut frame).unwrap();
-    wire.extend_from_slice(&frame);
+    frames.push(frame.clone());
     codec
         .encode_into(&data[48..80], &[(32, GlobalId::UNTAINTED)], &mut frame)
         .unwrap();
-    wire.extend_from_slice(&frame);
+    frames.push(frame.clone());
     let fragmented: Vec<_> = (0..16).map(|i| (1, gids[i % 2])).collect();
     codec
         .encode_into(&data[80..], &fragmented, &mut frame)
         .unwrap();
-    wire.extend_from_slice(&frame);
-    (wire, data)
+    frames.push(frame);
+    let opcodes: Vec<u8> = frames.iter().map(|frame| frame[0]).collect();
+    assert_eq!(opcodes, [OP_ANNOT, OP_DEFS, OP_RUNS, OP_CLEAN, OP_RECORDS]);
+    (frames.concat(), data)
 }
 
 #[test]
 fn mutated_v2_stream() {
     let _serial = serial();
     let rig = StreamRig::new(WireProtocol::V2);
-    let (wire, data) = v2_sample(rig.gids);
+    let (wire, data) = v2_sample(&rig.defs);
     rig.run(&wire, &data, &mut Rng::for_test(2));
 }
 
@@ -541,7 +556,7 @@ fn mutated_negotiation_probe() {
     let rig = StreamRig::new(WireProtocol::Negotiate);
     // The connector's probe — version 2 under an all-ones gid — then the
     // v2 frames it would send once the acceptor agreed.
-    let (frames, data) = v2_sample(rig.gids);
+    let (frames, data) = v2_sample(&rig.defs);
     let mut wire = vec![2, 0xFF, 0xFF, 0xFF, 0xFF];
     wire.extend_from_slice(&frames);
     rig.run(&wire, &data, &mut Rng::for_test(3));

@@ -1,0 +1,307 @@
+//! Inline taint definitions on wire protocol v2 (DESIGN.md §4f), as
+//! counts: a v2 connection ships `gid → serialized taint` the first time
+//! it carries a gid its peer is not known to hold, so the receiver asks
+//! the Taint Map nothing. Every v1 path, and every datagram, keeps the
+//! lookup it always made.
+
+use dista_repro::core::{Cluster, Mode};
+use dista_repro::jre::codec::v2::encode_defs;
+use dista_repro::jre::{
+    BoundaryStream, DatagramPacket, DatagramSocket, InputStream, OutputStream, ServerSocket,
+    Socket, V2Codec, Vm, WireCodec, WireProtocol,
+};
+use dista_repro::obs::{Hop, ObsConfig};
+use dista_repro::simnet::{NodeAddr, SimNet};
+use dista_repro::taint::{serialize_taint, Payload, TagValue, Taint, TaintedBytes};
+use dista_repro::taintmap::{ServerStats, TaintMapEndpoint};
+
+/// Two VMs, one connection between them, one Taint Map.
+struct Pair {
+    net: SimNet,
+    tm: TaintMapEndpoint,
+    vms: [Vm; 2],
+    tx: BoundaryStream,
+    rx: BoundaryStream,
+}
+
+impl Pair {
+    fn new(protocols: [WireProtocol; 2]) -> Self {
+        let net = SimNet::new();
+        let tm = TaintMapEndpoint::builder().connect(&net).unwrap();
+        let vm = |name: &str, ip: [u8; 4], protocol: WireProtocol| {
+            Vm::builder(name, &net)
+                .mode(Mode::Dista)
+                .ip(ip)
+                .taint_map(tm.topology())
+                .wire_protocol(protocol)
+                .build()
+                .unwrap()
+        };
+        let vms = [
+            vm("n1", [10, 0, 0, 1], protocols[0]),
+            vm("n2", [10, 0, 0, 2], protocols[1]),
+        ];
+        let addr = NodeAddr::new([10, 0, 0, 2], 80);
+        let listener = net.tcp_listen(addr).unwrap();
+        let connected = net.tcp_connect_from(vms[0].ip(), addr).unwrap();
+        let accepted = listener.accept().unwrap();
+        Pair {
+            tx: BoundaryStream::connector(vms[0].clone(), connected),
+            rx: BoundaryStream::acceptor(vms[1].clone(), accepted),
+            net,
+            tm,
+            vms,
+        }
+    }
+
+    /// One fresh taint per tag, minted on the sender.
+    fn fresh(&self, tags: &[&str]) -> Vec<Taint> {
+        tags.iter()
+            .map(|tag| self.vms[0].taint_source(TagValue::str(*tag)))
+            .collect()
+    }
+
+    /// Sends one 8-byte run per taint and checks each arrives with its
+    /// own tag.
+    fn cross(&self, taints: &[Taint]) {
+        let mut bytes = TaintedBytes::new();
+        for &taint in taints {
+            bytes.extend_uniform(b"8 bytes!", taint);
+        }
+        self.tx.write_payload(&Payload::Tainted(bytes)).unwrap();
+        let got = self.rx.read_exact_payload(8 * taints.len()).unwrap();
+        let store = self.vms[1].store();
+        let shadow = got.as_tainted().unwrap().shadow();
+        let arrived: Vec<Vec<String>> = shadow
+            .iter_runs()
+            .map(|(_, t)| store.tag_values(t))
+            .collect();
+        let sent: Vec<Vec<String>> = taints
+            .iter()
+            .map(|&t| self.vms[0].store().tag_values(t))
+            .collect();
+        assert_eq!(arrived, sent);
+    }
+
+    fn tcp_bytes(&self) -> u64 {
+        self.net.metrics().snapshot().tcp_bytes
+    }
+}
+
+/// `REGISTER`/`LOOKUP` frames the deployment served since `before`.
+fn frames_since(before: ServerStats, after: ServerStats) -> (u64, u64) {
+    let frames = after.batch_frames - before.batch_frames;
+    let lookups = after.lookup_requests - before.lookup_requests;
+    (frames, lookups)
+}
+
+#[test]
+fn a_fresh_v2_crossing_registers_once_and_looks_nothing_up() {
+    let pair = Pair::new([WireProtocol::V2; 2]);
+    let before = pair.tm.stats();
+    pair.cross(&pair.fresh(&["a", "b"]));
+    let after = pair.tm.stats();
+    assert_eq!(after.register_requests - before.register_requests, 2);
+    assert_eq!(
+        frames_since(before, after),
+        (1, 0),
+        "one REGISTER frame, no LOOKUP frame"
+    );
+    assert_eq!(pair.vms[1].taint_map().unwrap().stats().lookup_rpcs, 0);
+    pair.tm.shutdown();
+}
+
+#[test]
+fn a_reply_carrying_the_request_taint_back_defines_nothing() {
+    let pair = Pair::new([WireProtocol::V2; 2]);
+    let taint = pair.fresh(&["row"])[0];
+    // Registered ahead, so the put's bytes are its frames and nothing
+    // of the Taint Map's.
+    let gid = pair.vms[0]
+        .taint_map()
+        .unwrap()
+        .global_id_for(taint)
+        .unwrap();
+    let body = b"put: row-1 = value";
+    let payload = Payload::Tainted(TaintedBytes::uniform(body, taint));
+    let mut frame = Vec::new();
+    let runs = [(body.len(), gid)];
+    V2Codec::new(4)
+        .encode_into(body, &runs, &mut frame)
+        .unwrap();
+    let mut def = Vec::new();
+    let serialized = serialize_taint(pair.vms[0].store().tree(), taint);
+    encode_defs(&[(gid, serialized)], &mut def);
+
+    let sent = pair.tcp_bytes();
+    pair.tx.write_payload(&payload).unwrap();
+    let put = pair.tcp_bytes() - sent;
+    let stored = pair.rx.read_exact_payload(body.len()).unwrap();
+    // The get answers on the same connection with what the put stored.
+    let sent = pair.tcp_bytes();
+    pair.rx.write_payload(&stored).unwrap();
+    let get = pair.tcp_bytes() - sent;
+    let got = pair.tx.read_exact_payload(body.len()).unwrap();
+
+    assert_eq!(
+        put as usize,
+        def.len() + frame.len(),
+        "the put defines the gid"
+    );
+    assert_eq!(get as usize, frame.len(), "the reply defines nothing");
+    assert_eq!(got.data(), body);
+    let store = pair.vms[0].store();
+    assert_eq!(store.tag_values(got.taint_union(store)), ["row"]);
+    for vm in &pair.vms {
+        assert_eq!(vm.taint_map().unwrap().stats().lookup_rpcs, 0);
+    }
+    pair.tm.shutdown();
+}
+
+#[test]
+fn v1_negotiated_v1_and_v2_datagrams_keep_their_lookups() {
+    for protocols in [
+        [WireProtocol::V1; 2],
+        [WireProtocol::Negotiate, WireProtocol::V1],
+    ] {
+        let pair = Pair::new(protocols);
+        let before = pair.tm.stats();
+        pair.cross(&pair.fresh(&["a", "b"]));
+        assert_eq!(
+            frames_since(before, pair.tm.stats()),
+            (2, 2),
+            "{protocols:?}: one REGISTER frame, one LOOKUP frame of two"
+        );
+        pair.tm.shutdown();
+    }
+
+    // Datagrams have no connection to remember a peer by.
+    let pair = Pair::new([WireProtocol::V2; 2]);
+    let [from, to] = [0, 1].map(|i| {
+        let vm = &pair.vms[i];
+        DatagramSocket::bind(vm, NodeAddr::new(vm.ip(), 53)).unwrap()
+    });
+    let before = pair.tm.stats();
+    let taint = pair.fresh(&["dgram"])[0];
+    let data = Payload::Tainted(TaintedBytes::uniform(b"packet", taint));
+    from.send(&DatagramPacket::for_send(data, to.local_addr()))
+        .unwrap();
+    let mut packet = DatagramPacket::for_receive(64);
+    to.receive(&mut packet).unwrap();
+    let store = pair.vms[1].store();
+    assert_eq!(
+        store.tag_values(packet.data().taint_union(store)),
+        ["dgram"]
+    );
+    assert_eq!(frames_since(before, pair.tm.stats()), (2, 1));
+    pair.tm.shutdown();
+}
+
+/// A receiver cut off from the Taint Map: on v2 the definitions still
+/// resolve every gid to its real taint; on v1 (the twin) the same bytes
+/// arrive under a `pending-gid` sentinel, as they always did.
+#[test]
+fn a_v2_receiver_cut_off_from_the_map_resolves_defined_gids() {
+    for (protocol, expect_pending) in [(WireProtocol::V2, false), (WireProtocol::V1, true)] {
+        let pair = Pair::new([protocol; 2]);
+        pair.net
+            .partition_both(pair.vms[1].ip(), pair.tm.addr().ip());
+        let taint = pair.fresh(&["cut-off"])[0];
+        pair.tx
+            .write_payload(&Payload::Tainted(TaintedBytes::uniform(b"data", taint)))
+            .unwrap();
+        let got = pair.rx.read_exact_payload(4).unwrap();
+        let store = pair.vms[1].store();
+        let tags = store.tag_values(got.taint_union(store));
+        let client = pair.vms[1].taint_map().unwrap();
+        if expect_pending {
+            assert!(
+                tags[0].starts_with("pending-gid:"),
+                "{protocol:?}: {tags:?}"
+            );
+            assert_eq!(client.pending_count(), 1);
+        } else {
+            assert_eq!(tags, ["cut-off"], "{protocol:?}");
+            assert_eq!(client.pending_count(), 0);
+            assert_eq!(client.stats().lookup_rpcs, 0);
+        }
+        pair.tm.shutdown();
+    }
+}
+
+/// n1 → n2 → n3 over two sockets; returns the secret's gid.
+fn relay(cluster: &Cluster) -> u32 {
+    let (src, relay, sink) = (cluster.vm(0), cluster.vm(1), cluster.vm(2));
+    let relay_server = ServerSocket::bind(relay, NodeAddr::new(relay.ip(), 91)).unwrap();
+    let sink_server = ServerSocket::bind(sink, NodeAddr::new(sink.ip(), 91)).unwrap();
+    let src_out = Socket::connect(src, relay_server.local_addr()).unwrap();
+    let relay_in = relay_server.accept().unwrap();
+    let relay_out = Socket::connect(relay, sink_server.local_addr()).unwrap();
+    let sink_in = sink_server.accept().unwrap();
+    let secret = src.taint_source(TagValue::str("secret"));
+    src_out
+        .output_stream()
+        .write(&Payload::Tainted(TaintedBytes::uniform(
+            b"relayed!",
+            secret,
+        )))
+        .unwrap();
+    let relayed = relay_in.input_stream().read_exact(8).unwrap();
+    relay_out.output_stream().write(&relayed).unwrap();
+    let received = sink_in.input_stream().read_exact(8).unwrap();
+    assert!(sink.taint_sink("LOG.info", received.taint_union(sink.store())));
+    src.taint_map().unwrap().cached_gid_for(secret).unwrap().0
+}
+
+/// The trace as `kind node(s)` steps.
+fn story(hops: &[Hop]) -> Vec<String> {
+    hops.iter()
+        .map(|hop| match hop {
+            Hop::Minted { node, .. } => format!("minted {node}"),
+            Hop::Registered { node, .. } => format!("registered {node}"),
+            Hop::Crossed {
+                from_node, to_node, ..
+            } => format!("crossed {from_node}->{}", to_node.as_deref().unwrap_or("?")),
+            Hop::Resolved { node, .. } => format!("resolved {node}"),
+            Hop::Pending { node, .. } => format!("pending {node}"),
+            Hop::Sunk { node, sink, .. } => format!("sunk {sink} {node}"),
+        })
+        .collect()
+}
+
+#[test]
+fn a_v2_relay_looks_nothing_up_and_its_trace_stays_exact() {
+    let mut stories = Vec::new();
+    for protocol in [WireProtocol::V2, WireProtocol::V1] {
+        let cluster = Cluster::builder(Mode::Dista)
+            .nodes("n", 3)
+            .wire_protocol(protocol)
+            .observability(ObsConfig::default())
+            .build()
+            .unwrap();
+        let before = cluster.taint_map().stats();
+        let gid = relay(&cluster);
+        let lookups = cluster.taint_map().stats().lookup_requests - before.lookup_requests;
+        let trace = cluster.provenance(gid);
+        assert_eq!(trace.exact, protocol == WireProtocol::V2, "{trace}");
+        assert_eq!(lookups, if protocol == WireProtocol::V2 { 0 } else { 2 });
+        stories.push(story(&trace.hops));
+        cluster.shutdown();
+    }
+    assert_eq!(
+        stories[0],
+        [
+            "minted n1",
+            "registered n1",
+            "crossed n1->n2",
+            "resolved n2",
+            "crossed n2->n3",
+            "resolved n3",
+            "sunk LOG.info n3",
+        ]
+    );
+    assert_eq!(
+        stories[0], stories[1],
+        "a definition resolves as a lookup did"
+    );
+}

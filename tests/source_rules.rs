@@ -14,6 +14,9 @@
 //! * The serving rule (DESIGN.md "Serving"): an address is served by
 //!   `dista_simnet::TcpServer`, so nothing else spawns a thread or calls
 //!   `accept()` — except at the sites listed.
+//! * The mutation rule: every v2 frame kind the codec defines is in the
+//!   sample `tests/hostile_bytes.rs` mutates, so no frame kind's decoder
+//!   goes unfuzzed.
 
 use std::path::{Path, PathBuf};
 
@@ -282,5 +285,38 @@ fn addresses_are_served_by_the_one_server() {
     assert_eq!(
         found, allowed,
         "files spawning threads or accepting connections, with their line counts (left) differ from ALLOWED_THREADS_AND_ACCEPTS (right)"
+    );
+}
+
+/// Where the v2 frame opcodes are defined…
+const V2_CODEC: &str = "crates/jre/src/codec/v2.rs";
+/// …and the suite whose `v2_sample` must name every one of them.
+const MUTATION_SUITE: &str = "tests/hostile_bytes.rs";
+
+#[test]
+fn every_v2_frame_kind_is_in_the_mutation_sample() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let read = |file: &str| std::fs::read_to_string(root.join(file)).expect("readable source");
+    let codec = read(V2_CODEC);
+    let opcodes: Vec<&str> = codec
+        .lines()
+        .filter_map(|line| line.strip_prefix("pub const OP_"))
+        .filter_map(|rest| rest.split(':').next())
+        .collect();
+    assert!(opcodes.len() >= 5, "found only {opcodes:?} in {V2_CODEC}");
+    let suite = read(MUTATION_SUITE);
+    let sample = suite
+        .split("fn v2_sample(")
+        .nth(1)
+        .and_then(|rest| rest.split("\n}\n").next())
+        .expect("the mutation suite defines `fn v2_sample`");
+    let missing: Vec<String> = opcodes
+        .iter()
+        .map(|name| format!("OP_{name}"))
+        .filter(|op| !sample.contains(op.as_str()))
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "{V2_CODEC} frame kinds {MUTATION_SUITE}::v2_sample never names: {missing:?}"
     );
 }
