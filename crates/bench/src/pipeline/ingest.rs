@@ -20,18 +20,19 @@
 //! workload operations later.
 
 use std::collections::BTreeSet;
-use std::time::Instant;
 
 use dista_core::{Cluster, DistaError, FaultPlan, Mode, WireProtocol};
 use dista_hbase::{HMaster, HTable, RegionServer};
 use dista_jre::{JreError, Vm};
 use dista_mapreduce::run_wordcount_job;
-use dista_obs::{ObsConfig, STAGE_ANALYZE, STAGE_INGEST, STAGE_STORE};
+use dista_obs::ObsConfig;
 use dista_rocketmq::{BrokerServer, MqConsumer, MqProducer, NameServer, PRODUCER_CLASS};
 use dista_simnet::{NodeAddr, SimFs};
 use dista_taint::{TagValue, Taint, TaintedBytes};
 use dista_taintmap::TaintMapEndpoint;
 use dista_zookeeper::{ZkClient, ZkEnsemble, ZkEnsembleConfig};
+
+use super::{STAGE_ANALYZE, STAGE_INGEST, STAGE_STORE};
 
 /// Topic the producers publish to and the bridge consumes from.
 pub const TOPIC: &str = "PipelineTopic";
@@ -213,7 +214,6 @@ pub fn run_ingest(cfg: &IngestConfig) -> Result<IngestOutcome, DistaError> {
     // ── Stage 1: ingest — producers mint per-record taints and publish.
     cluster.record_pipeline_stage("mq-producer", STAGE_INGEST, n as u64);
     cluster.poll_chaos()?;
-    let ingest_t0 = Instant::now();
     let mut producer = MqProducer::start(&producer_vm, ns.addr(), TOPIC)?;
     let mut record_tags = Vec::with_capacity(n);
     let mut record_taints = Vec::with_capacity(n);
@@ -242,17 +242,11 @@ pub fn run_ingest(cfg: &IngestConfig) -> Result<IngestOutcome, DistaError> {
         record_taints.push(taint);
     }
     producer.close();
-    cluster
-        .observability()
-        .stages_for("mq-producer")
-        .stage(STAGE_INGEST)
-        .record_ns(ingest_t0.elapsed().as_nanos() as u64);
 
     // ── Stage 2: store — the bridge drains the topic into HBase. The
     // broker outage plan crashes the broker and shard 0 right here.
     cluster.record_pipeline_stage("mq-bridge", STAGE_STORE, n as u64);
     cluster.poll_chaos()?;
-    let store_t0 = Instant::now();
     let mut consumer = connect_consumer(&mut cluster, &bridge_vm, ns.addr(), &mut retries)?;
     let mut table = open_table(
         &mut cluster,
@@ -313,11 +307,6 @@ pub fn run_ingest(cfg: &IngestConfig) -> Result<IngestOutcome, DistaError> {
     }
     consumer.close();
     table.close();
-    cluster
-        .observability()
-        .stages_for("mq-bridge")
-        .stage(STAGE_STORE)
-        .record_ns(store_t0.elapsed().as_nanos() as u64);
 
     // Drain degraded gid lookups before the analyze leg: each
     // reconcile round-trip advances the step clock, so a scheduled
@@ -338,7 +327,6 @@ pub fn run_ingest(cfg: &IngestConfig) -> Result<IngestOutcome, DistaError> {
     // ── Stage 3: analyze — WordCount over a scan of the whole table.
     cluster.record_pipeline_stage("mr-client", STAGE_ANALYZE, n as u64);
     cluster.poll_chaos()?;
-    let analyze_t0 = Instant::now();
     let table = open_table(
         &mut cluster,
         &client_vm,
@@ -353,11 +341,6 @@ pub fn run_ingest(cfg: &IngestConfig) -> Result<IngestOutcome, DistaError> {
         input.extend_plain(b"\n");
     }
     let wc = run_wordcount_job(&mr_vms, input, 2, 2)?;
-    cluster
-        .observability()
-        .stages_for("mr-client")
-        .stage(STAGE_ANALYZE)
-        .record_ns(analyze_t0.elapsed().as_nanos() as u64);
 
     master.shutdown();
     rs.shutdown();

@@ -23,11 +23,18 @@
 //! application with [`system_of`] / [`systems_spanned`]. Pipeline legs
 //! are marked as stages ([`dista_core::Cluster::record_pipeline_stage`])
 //! which both lands `pipeline_stage` flight events and fires
-//! stage-keyed chaos triggers, and stage wall-time is attributed to
-//! `pipeline_stage_ns{node,stage}` via [`dista_obs::StageSet`].
+//! stage-keyed chaos triggers.
 
 pub mod ingest;
 pub mod tenants;
+
+// Stage labels: `ingest`'s message-queue, table-write and analysis legs,
+// and `tenants`' broker delivery and consumer drain.
+const STAGE_INGEST: &str = "ingest";
+const STAGE_STORE: &str = "store";
+const STAGE_ANALYZE: &str = "analyze";
+const STAGE_DELIVER: &str = "deliver";
+const STAGE_COLLECT: &str = "collect";
 
 pub use ingest::{broker_outage_plan, run_ingest, IngestConfig, IngestOutcome};
 pub use tenants::{

@@ -13,22 +13,18 @@
 //! exactly one hit attributed to the right `(from, to)` pair — and the
 //! clean path (no misroute) asserts zero hits, the precision half.
 
-use std::time::Instant;
-
 use dista_activemq::{seed_config, Broker, Consumer, Producer, CONSUMER_CLASS, PRODUCER_CLASS};
 use dista_core::{Cluster, DistaError, FaultPlan, Mode, WireProtocol};
 use dista_jre::Vm;
-use dista_obs::{ObsConfig, STAGE_DELIVER};
+use dista_obs::ObsConfig;
 use dista_simnet::{NodeAddr, SimFs};
 use dista_taint::{TagValue, Taint, TaintedBytes};
 use dista_taintmap::TaintMapEndpoint;
 
+use super::{STAGE_COLLECT, STAGE_DELIVER};
+
 /// Retry budget per chaos-tolerant step (see `ingest::MAX_ATTEMPTS`).
 const MAX_ATTEMPTS: usize = 400;
-
-/// Stage name for the consumer drain leg (not one of the canonical
-/// [`dista_obs::PIPELINE_STAGES`]; the cost report appends it after).
-pub const STAGE_COLLECT: &str = "collect";
 
 /// Configuration for one multi-tenant run.
 #[derive(Debug, Clone)]
@@ -187,7 +183,6 @@ pub fn run_tenants(cfg: &TenantConfig) -> Result<TenantOutcome, DistaError> {
     // broker queues per destination, so consumers can subscribe after.
     cluster.record_pipeline_stage("amq-broker", STAGE_DELIVER, (n_tenants * n_msgs) as u64);
     cluster.poll_chaos()?;
-    let deliver_t0 = Instant::now();
     let mut message_taints: Vec<Vec<Taint>> = vec![Vec::new(); n_tenants];
     for (t, prod_vm) in prod_vms.iter().enumerate() {
         let mut producer = connect_producer(&mut cluster, prod_vm, broker.addr(), &mut retries)?;
@@ -222,17 +217,11 @@ pub fn run_tenants(cfg: &TenantConfig) -> Result<TenantOutcome, DistaError> {
         }
         producer.close();
     }
-    cluster
-        .observability()
-        .stages_for("amq-broker")
-        .stage(STAGE_DELIVER)
-        .record_ns(deliver_t0.elapsed().as_nanos() as u64);
 
     // ── Collect: each tenant's consumer drains its destination; its
     // receive sink records every tag it observed.
     cluster.record_pipeline_stage("amq-broker", STAGE_COLLECT, (n_tenants * n_msgs) as u64);
     cluster.poll_chaos()?;
-    let collect_t0 = Instant::now();
     let mut expected = vec![n_msgs; n_tenants];
     if let Some((from, _, to)) = misroute {
         expected[from] -= 1;
@@ -262,11 +251,6 @@ pub fn run_tenants(cfg: &TenantConfig) -> Result<TenantOutcome, DistaError> {
         }
         consumer.close();
     }
-    cluster
-        .observability()
-        .stages_for("amq-broker")
-        .stage(STAGE_COLLECT)
-        .record_ns(collect_t0.elapsed().as_nanos() as u64);
 
     let mut drain = 0;
     loop {

@@ -3,7 +3,7 @@
 use dista_jre::{Mode, Vm, WireProtocol};
 use dista_obs::{
     reconstruct, reconstruct_inferred, to_chrome_trace, to_jsonl, to_text_report, FlightRecorder,
-    MetricsDump, ObsConfig, ObsEvent, ObsEventKind, ObsReport, Observability, ProvenanceTrace,
+    MetricsDump, ObsConfig, ObsEvent, ObsEventKind, Observability, ProvenanceTrace,
 };
 use dista_simnet::{FaultPlan, FaultTrigger, MigrationVictim, SimNet};
 use dista_taint::{SinkReport, SourceSinkSpec};
@@ -505,12 +505,6 @@ impl Cluster {
     /// the event log.
     pub fn obs_report(&self) -> String {
         to_text_report(&self.metrics_dump(), &self.obs_events())
-    }
-
-    /// Hot-path cost attribution rolled up from the phase counters
-    /// (codec encode/decode, taint-tree ops, Taint Map round-trips).
-    pub fn cost_report(&self) -> ObsReport {
-        ObsReport::from_dump(&self.metrics_dump())
     }
 
     /// The live telemetry plane, when

@@ -33,7 +33,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU8, Ordering};
 use std::sync::OnceLock;
 
-use dista_obs::{GidSpan, ObsEventKind, Transport};
+use dista_obs::{CrossingSide, GidSpan, ObsEventKind, Transport};
 use dista_simnet::{native, NodeAddr, TcpEndpoint, UdpEndpoint};
 use dista_taint::{serialize_taint, GlobalId, Payload, Taint, TaintRuns, TaintedBytes};
 use parking_lot::Mutex;
@@ -41,6 +41,7 @@ use parking_lot::Mutex;
 use crate::codec::v2::{parse_annotation, parse_defs, AnnotParse};
 use crate::codec::{RingRemainder, V1Codec, V2Codec, WireCodec, WireProtocol, WireVersion};
 use crate::error::JreError;
+use crate::stopwatch::{read, write, Stopwatch};
 use crate::vm::{Mode, Vm};
 
 /// Size in bytes of one v1 wire record (`1` data byte + the Global ID).
@@ -210,6 +211,8 @@ pub(crate) struct TxTables {
     defs: Vec<(GlobalId, Vec<u8>)>,
     /// Control frames (annotation, definitions) the data frames follow.
     head: Vec<u8>,
+    /// The crossing's phase clock.
+    clock: Stopwatch,
 }
 
 /// Collects into `tx.defs` (empty) a definition for every tainted gid of
@@ -242,6 +245,8 @@ pub(crate) struct RxTables {
     gids: Vec<GlobalId>,
     /// …and the taint it answered with.
     taints: Vec<Taint>,
+    /// The crossing's phase clock.
+    clock: Stopwatch,
 }
 
 /// The tainted runs of a `(run_len, gid)` table as byte ranges, for the
@@ -297,21 +302,9 @@ pub(crate) fn encode_payload(
         }
         Payload::Tainted(bytes) => {
             let shadow = bytes.shadow();
-            // Attribute the run-table assembly to the taint-tree phase;
-            // the Taint Map round trip is counted as map_rpc by the
-            // client itself, keeping the phases disjoint.
-            let tt = obs
-                .phases
-                .taint_tree
-                .is_enabled()
-                .then(std::time::Instant::now);
             tx.taints.clear();
             tx.taints.extend(shadow.iter_runs().map(|(_, taint)| taint));
-            if let Some(started) = tt {
-                obs.phases
-                    .taint_tree
-                    .record_ns(started.elapsed().as_nanos() as u64);
-            }
+            tx.clock.lap(write::SHADOW);
             if tx.taints.iter().any(|taint| !taint.is_empty()) {
                 client.global_ids_into(&tx.taints, &mut tx.gids, &mut tx.registered)?;
                 if let Some(peer) = peer {
@@ -321,23 +314,15 @@ pub(crate) fn encode_payload(
                 tx.gids.clear();
                 tx.gids.resize(tx.taints.len(), GlobalId::UNTAINTED);
             }
+            tx.clock.lap(write::REGISTER);
             let lens = shadow.iter_runs().map(|(run_len, _)| run_len);
             tx.runs.extend(lens.zip(tx.gids.iter().copied()));
         }
     }
+    tx.clock.lap(write::SHADOW);
     let run_gids = &tx.runs;
     let data = payload.data();
-    let enc = obs
-        .phases
-        .codec_encode
-        .is_enabled()
-        .then(std::time::Instant::now);
     codec.encode_into(data, run_gids, out)?;
-    if let Some(started) = enc {
-        obs.phases
-            .codec_encode
-            .record_ns(started.elapsed().as_nanos() as u64);
-    }
     // Trace annotation: a tainted v2 crossing mints a child span and
     // ships it ahead of the data frames; the parent is whatever span
     // last delivered (or minted with) the first tainted gid on this VM.
@@ -372,6 +357,7 @@ pub(crate) fn encode_payload(
         span,
         parent,
     });
+    tx.clock.lap(write::ENCODE);
     Ok(())
 }
 
@@ -437,6 +423,7 @@ pub(crate) fn resolve_decoded(
         rx.taints.clear();
         rx.taints.resize(runs.len(), Taint::EMPTY);
     }
+    rx.clock.lap(read::RESOLVE);
     obs.boundary_data_in.add(data.len() as u64);
     obs.boundary_wire_in.add(wire_len as u64);
     obs.flight.record_with(|| ObsEventKind::BoundaryDecode {
@@ -448,19 +435,9 @@ pub(crate) fn resolve_decoded(
         spans: gid_spans(runs.iter().map(|&(gid, run_len)| (run_len, gid))),
         span,
     });
-    let tt = obs
-        .phases
-        .taint_tree
-        .is_enabled()
-        .then(std::time::Instant::now);
     let mut shadow = TaintRuns::with_capacity(runs.len());
     for (&(_, run_len), &taint) in runs.iter().zip(&rx.taints) {
         shadow.push_run(taint, run_len);
-    }
-    if let Some(started) = tt {
-        obs.phases
-            .taint_tree
-            .record_ns(started.elapsed().as_nanos() as u64);
     }
     Ok(TaintedBytes::from_runs(data, shadow))
 }
@@ -837,8 +814,13 @@ impl BoundaryStream {
                 };
                 let tx = &mut *self.tx.lock();
                 let (tables, wire) = (&mut tx.tables, &mut tx.wire);
+                let obs = self.vm.vm_obs();
+                tables.clock = obs.stopwatch(CrossingSide::Write);
                 encode_payload(&self.vm, payload, self.out_link, codec, peer, tables, wire)?;
                 native::socket_write0(&self.ep, wire)?;
+                tables
+                    .clock
+                    .finish(write::SEND, &obs.flight, Transport::Tcp);
             }
         }
         Ok(())
@@ -885,6 +867,8 @@ impl BoundaryStream {
                 if !rx.pending.is_empty() {
                     return Ok(Payload::Tainted(rx.pending.drain_front(max_data)));
                 }
+                let obs = self.vm.vm_obs();
+                rx.tables.clock = obs.stopwatch(CrossingSide::Read);
                 let width = self.vm.gid_width();
                 let rs = wire_record_size(width);
                 let v1 = V1Codec::new(width);
@@ -898,6 +882,7 @@ impl BoundaryStream {
                             WireVersion::V1 => &v1,
                             WireVersion::V2 => &v2,
                         };
+                        rx.tables.clock.lap(read::RECV);
                         // Strip the control frames sitting at the front
                         // of the remainder. A partial one falls through
                         // to the read below for more bytes.
@@ -909,22 +894,13 @@ impl BoundaryStream {
                         // region, and only consumes on success, so an
                         // error loses no remainder bytes.
                         let mut data = Vec::new();
-                        let phases = &self.vm.vm_obs().phases;
-                        let dec = phases
-                            .codec_decode
-                            .is_enabled()
-                            .then(std::time::Instant::now);
                         let consumed = codec.decode_available(
                             rem.as_slice(),
                             max_data,
                             &mut data,
                             &mut rx.tables.runs,
                         )?;
-                        if let Some(started) = dec {
-                            phases
-                                .codec_decode
-                                .record_ns(started.elapsed().as_nanos() as u64);
-                        }
+                        rx.tables.clock.lap(read::DECODE);
                         if consumed > 0 {
                             let decoded = resolve_decoded(
                                 &self.vm,
@@ -936,6 +912,9 @@ impl BoundaryStream {
                                 (version == WireVersion::V2).then_some(&self.peer),
                             )?;
                             rem.consume(consumed);
+                            rx.tables
+                                .clock
+                                .finish(read::SHADOW, &obs.flight, Transport::Tcp);
                             // `pending` was empty above and the lock has
                             // been held since: a decode that fits is
                             // the caller's as it is.
@@ -1046,9 +1025,14 @@ pub(crate) fn send_datagram(
             let mut wire = vm.wire_pool().checkout();
             // No connection, so no peer table: a datagram's gids are
             // looked up.
-            let tx = &mut TxTables::default();
+            let tx = &mut TxTables {
+                clock: vm.vm_obs().stopwatch(CrossingSide::Write),
+                ..TxTables::default()
+            };
             encode_payload(vm, payload, link, codec, None, tx, &mut wire)?;
             native::datagram_send(socket, dest, &wire);
+            tx.clock
+                .finish(write::SEND, &vm.vm_obs().flight, Transport::Udp);
         }
     }
     Ok(())
@@ -1091,9 +1075,14 @@ pub(crate) fn recv_datagram(
                 WireVersion::V1 => &v1,
                 WireVersion::V2 => &v2,
             };
+            let mut rx = RxTables {
+                clock: vm.vm_obs().stopwatch(CrossingSide::Read),
+                ..RxTables::default()
+            };
             let mut buf = vm.wire_pool().checkout();
             buf.resize(codec.recv_wire_len(buf_len), 0);
             let (n, from) = native::datagram_receive0(socket, &mut buf)?;
+            rx.clock.lap(read::RECV);
             // A v2 datagram may lead with a trace annotation; strip it
             // before the codec sees the frames.
             let mut frame = &buf[..n];
@@ -1108,19 +1097,9 @@ pub(crate) fn recv_datagram(
                 }
             }
             let mut data = Vec::new();
-            let mut rx = RxTables::default();
-            let phases = &vm.vm_obs().phases;
-            let dec = phases
-                .codec_decode
-                .is_enabled()
-                .then(std::time::Instant::now);
             codec.decode_datagram(frame, &mut data, &mut rx.runs)?;
-            if let Some(started) = dec {
-                phases
-                    .codec_decode
-                    .record_ns(started.elapsed().as_nanos() as u64);
-            }
             truncate_decoded(&mut data, &mut rx.runs, buf_len);
+            rx.clock.lap(read::DECODE);
             let decoded = resolve_decoded(
                 vm,
                 data,
@@ -1134,6 +1113,8 @@ pub(crate) fn recv_datagram(
                 span,
                 None,
             )?;
+            rx.clock
+                .finish(read::SHADOW, &vm.vm_obs().flight, Transport::Udp);
             Ok((Payload::Tainted(decoded), from))
         }
     }

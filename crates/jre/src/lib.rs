@@ -83,6 +83,7 @@ mod http;
 mod log;
 mod object;
 mod socket;
+mod stopwatch;
 mod stream;
 mod vm;
 

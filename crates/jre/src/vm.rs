@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use dista_obs::{Counter, FlightRecorder, ObsEventKind, Observability, PhaseSet, SpanTracker};
+use dista_obs::{Counter, CrossingSide, FlightRecorder, ObsEventKind, Observability, SpanTracker};
 use dista_simnet::{SimFs, SimNet};
 use dista_taint::{
     LocalId, SinkRecorder, SinkReport, SourceSinkSpec, TagValue, Taint, TaintRuns, TaintStore,
@@ -14,6 +14,7 @@ use parking_lot::{Mutex, RwLock};
 
 use crate::codec::{WireBufPool, WireProtocol, WireVersion};
 use crate::error::JreError;
+use crate::stopwatch::{Sampler, Stopwatch};
 
 /// Taint-tracking mode of one simulated JVM (paper §V-F runs every
 /// workload in all three).
@@ -73,8 +74,8 @@ pub(crate) struct VmObs {
     /// gid → span that most recently delivered it to this VM (root span
     /// at registration, crossing span on inbound v2 decodes).
     pub(crate) gid_spans: SpanTracker,
-    /// Hot-path cost attribution counters for this VM.
-    pub(crate) phases: PhaseSet,
+    /// Which crossings the phase clock times.
+    crossings: Sampler,
 }
 
 impl VmObs {
@@ -89,7 +90,7 @@ impl VmObs {
             boundary_wire_in: Counter::detached(),
             taint_spans: SpanTracker::disabled(),
             gid_spans: SpanTracker::disabled(),
-            phases: PhaseSet::disabled(),
+            crossings: Sampler::default(),
         }
     }
 
@@ -118,8 +119,13 @@ impl VmObs {
             boundary_wire_in: reg.counter_with("boundary_wire_bytes_in", labels),
             taint_spans: obs.span_tracker(),
             gid_spans: obs.span_tracker(),
-            phases: obs.phases_for(node),
+            crossings: Sampler::default(),
         }
+    }
+
+    /// The phase clock for a crossing of `side` that starts now.
+    pub(crate) fn stopwatch(&self, side: CrossingSide) -> Stopwatch {
+        self.crossings.start(&self.flight, side)
     }
 
     /// Records one outbound boundary crossing on the crossing
@@ -287,7 +293,6 @@ impl VmBuilder {
                     Some(reg) if self.mode.tracks_taints() => {
                         ClientObserver::for_node(reg, &self.name, obs.flight.clone())
                             .with_spans(obs.taint_spans.clone(), obs.gid_spans.clone())
-                            .with_rpc_phase(obs.phases.map_rpc.clone())
                     }
                     _ => ClientObserver::disabled(),
                 };

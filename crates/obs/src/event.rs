@@ -35,6 +35,35 @@ impl std::fmt::Display for Transport {
     }
 }
 
+/// Which half of a boundary crossing a
+/// [`ObsEventKind::CrossingPhases`] event timed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum CrossingSide {
+    /// The sender's wrapper: shadow in, wire bytes out.
+    Write,
+    /// The receiver's wrapper: wire bytes in, shadow out.
+    Read,
+}
+
+impl CrossingSide {
+    /// Lower-case name, used by exporters.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            CrossingSide::Write => "write",
+            CrossingSide::Read => "read",
+        }
+    }
+
+    /// This side's phase names, in the order
+    /// [`ObsEventKind::CrossingPhases`] lists their durations.
+    pub fn phases(self) -> [&'static str; 4] {
+        match self {
+            CrossingSide::Write => ["shadow", "register", "encode", "send"],
+            CrossingSide::Read => ["recv", "decode", "resolve", "shadow"],
+        }
+    }
+}
+
 /// One Global-ID-bearing byte range inside an encoded wire payload.
 ///
 /// `start..end` index into the *data* bytes of the payload (not the
@@ -212,6 +241,20 @@ pub enum ObsEventKind {
         /// Records the stage handled.
         records: u64,
     },
+    /// A sampled boundary crossing, timed phase by phase. Each VM
+    /// samples the first and then every 64th crossing of each side.
+    CrossingPhases {
+        /// Transport the crossing used.
+        transport: Transport,
+        /// Which half of the crossing was timed.
+        side: CrossingSide,
+        /// Nanoseconds per phase, named by [`CrossingSide::phases`]:
+        /// write `shadow, register, encode, send`; read `recv` (waiting
+        /// and native reads included), `decode, resolve, shadow`. Each
+        /// lies between two consecutive clock reads, so together they
+        /// are the whole crossing.
+        phases_ns: [u64; 4],
+    },
 }
 
 impl ObsEventKind {
@@ -234,6 +277,7 @@ impl ObsEventKind {
             ObsEventKind::SplitHealed { .. } => "split_healed",
             ObsEventKind::WalCompacted { .. } => "wal_compacted",
             ObsEventKind::PipelineStage { .. } => "pipeline_stage",
+            ObsEventKind::CrossingPhases { .. } => "crossing_phases",
         }
     }
 }
@@ -283,5 +327,20 @@ mod tests {
             records: 4,
         };
         assert_eq!(k.name(), "pipeline_stage");
+        let k = ObsEventKind::CrossingPhases {
+            transport: Transport::Udp,
+            side: CrossingSide::Read,
+            phases_ns: [1, 2, 3, 4],
+        };
+        assert_eq!(k.name(), "crossing_phases");
+        assert_eq!(CrossingSide::Write.as_str(), "write");
+        assert_eq!(
+            CrossingSide::Write.phases(),
+            ["shadow", "register", "encode", "send"]
+        );
+        assert_eq!(
+            CrossingSide::Read.phases(),
+            ["recv", "decode", "resolve", "shadow"]
+        );
     }
 }

@@ -127,6 +127,34 @@ fn kind_fields(kind: &ObsEventKind) -> String {
         ObsEventKind::PipelineStage { stage, records } => {
             format!("\"stage\":{},\"records\":{records}", json_str(stage))
         }
+        ObsEventKind::CrossingPhases {
+            transport,
+            side,
+            phases_ns,
+        } => {
+            let phases: Vec<String> = side
+                .phases()
+                .iter()
+                .zip(phases_ns)
+                .map(|(name, ns)| format!("\"{name}\":{ns}"))
+                .collect();
+            format!(
+                "\"transport\":{},\"side\":{},\"phases_ns\":{{{}}}",
+                json_str(transport.as_str()),
+                json_str(side.as_str()),
+                phases.join(",")
+            )
+        }
+    }
+}
+
+/// An event's payload for the text report: the kind's `Debug` form, or
+/// for a crossing, whose phases `Debug` would leave unnamed, its JSON
+/// fields.
+fn text_kind(kind: &ObsEventKind) -> String {
+    match kind {
+        ObsEventKind::CrossingPhases { .. } => format!("{} {{{}}}", kind.name(), kind_fields(kind)),
+        other => format!("{other:?}"),
     }
 }
 
@@ -194,7 +222,12 @@ pub fn to_text_report(dump: &MetricsDump, events: &[ObsEvent]) -> String {
     let mut events: Vec<&ObsEvent> = events.iter().collect();
     events.sort_by_key(|e| e.seq);
     for e in events {
-        out.push_str(&format!("[{:>6}] {:<8} {:?}\n", e.seq, e.node, e.kind));
+        out.push_str(&format!(
+            "[{:>6}] {:<8} {}\n",
+            e.seq,
+            e.node,
+            text_kind(&e.kind)
+        ));
     }
     out
 }
@@ -202,7 +235,7 @@ pub fn to_text_report(dump: &MetricsDump, events: &[ObsEvent]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::Transport;
+    use crate::event::{CrossingSide, Transport};
     use crate::registry::MetricsRegistry;
 
     fn sample_events() -> Vec<ObsEvent> {
@@ -234,6 +267,15 @@ mod tests {
                     parent: 5,
                 },
             },
+            ObsEvent {
+                seq: 2,
+                node: "n2".into(),
+                kind: ObsEventKind::CrossingPhases {
+                    transport: Transport::Tcp,
+                    side: CrossingSide::Read,
+                    phases_ns: [40, 30, 20, 10],
+                },
+            },
         ]
     }
 
@@ -241,13 +283,17 @@ mod tests {
     fn jsonl_is_one_object_per_line_sorted() {
         let out = to_jsonl(&sample_events());
         let lines: Vec<&str> = out.lines().collect();
-        assert_eq!(lines.len(), 2);
+        assert_eq!(lines.len(), 3);
         assert!(lines[0].contains("\"seq\":0"));
         assert!(lines[0].contains("\"event\":\"boundary_encode\""));
         assert!(lines[0].contains("\"spans\":[{\"gid\":42,\"start\":0,\"end\":4}]"));
         assert!(lines[0].contains("\"span\":7,\"parent\":5"));
         assert!(lines[1].contains("\"event\":\"taintmap_lookup\""));
         assert!(lines[1].contains("\"span\":7"));
+        assert!(lines[2].ends_with(
+            "\"event\":\"crossing_phases\",\"transport\":\"tcp\",\"side\":\"read\",\
+             \"phases_ns\":{\"recv\":40,\"decode\":30,\"resolve\":20,\"shadow\":10}}"
+        ));
         for line in lines {
             assert!(line.starts_with('{') && line.ends_with('}'));
         }
@@ -273,6 +319,10 @@ mod tests {
         assert!(out.contains("hits 1"));
         assert!(out.contains("== events =="));
         assert!(out.contains("n1"));
+        assert!(out.contains(
+            "crossing_phases {\"transport\":\"tcp\",\"side\":\"read\",\
+             \"phases_ns\":{\"recv\":40,\"decode\":30,\"resolve\":20,\"shadow\":10}}"
+        ));
     }
 
     #[test]

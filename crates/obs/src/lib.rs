@@ -21,11 +21,13 @@
 //!   closure, and a disabled recorder never calls it — plain-mode runs
 //!   pay a branch on an `Option` and nothing else. `tests/mode_matrix.rs`
 //!   guards this invariant.
+//! * The crate reads no clock. A duration it carries, such as a sampled
+//!   crossing's [`ObsEventKind::CrossingPhases`], was measured by the
+//!   caller.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod attribution;
 mod event;
 mod export;
 mod provenance;
@@ -34,12 +36,7 @@ mod registry;
 mod span;
 mod telemetry;
 
-pub use attribution::{
-    ObsReport, PhaseCost, PhaseHandle, PhaseSet, PipelineCostReport, StageCost, StageSet, PHASES,
-    PHASE_CODEC_DECODE, PHASE_CODEC_ENCODE, PHASE_MAP_RPC, PHASE_TAINT_TREE, PIPELINE_STAGES,
-    STAGE_ANALYZE, STAGE_DELIVER, STAGE_INGEST, STAGE_STORE,
-};
-pub use event::{GidSpan, ObsEvent, ObsEventKind, Transport};
+pub use event::{CrossingSide, GidSpan, ObsEvent, ObsEventKind, Transport};
 pub use export::{to_chrome_trace, to_jsonl, to_text_report};
 pub use provenance::{reconstruct, reconstruct_inferred, Hop, ProvenanceTrace};
 pub use recorder::{FlightRecorder, ObsClock};
@@ -162,24 +159,6 @@ impl Observability {
             SpanTracker::disabled()
         }
     }
-
-    /// A [`PhaseSet`] for VM `node`, wired into the shared registry
-    /// when enabled, disabled handles otherwise.
-    pub fn phases_for(&self, node: &str) -> PhaseSet {
-        match self.registry() {
-            Some(reg) => PhaseSet::for_node(reg, node),
-            None => PhaseSet::disabled(),
-        }
-    }
-
-    /// A pipeline [`StageSet`] for VM `node`, wired into the shared
-    /// registry when enabled, disabled handles otherwise.
-    pub fn stages_for(&self, node: &str) -> StageSet {
-        match self.registry() {
-            Some(reg) => StageSet::for_node(reg, node),
-            None => StageSet::disabled(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -231,7 +210,6 @@ mod tests {
         let off = Observability::disabled();
         assert_eq!(off.next_span(), 0);
         assert!(!off.span_tracker().is_enabled());
-        assert!(!off.phases_for("n1").is_enabled());
     }
 
     #[test]

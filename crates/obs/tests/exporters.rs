@@ -7,7 +7,9 @@
 //! Regenerate the goldens after an *intentional* schema change with:
 //! `UPDATE_GOLDEN=1 cargo test -p dista-obs --test exporters`.
 
-use dista_obs::{to_chrome_trace, to_jsonl, GidSpan, ObsEvent, ObsEventKind, Transport};
+use dista_obs::{
+    to_chrome_trace, to_jsonl, CrossingSide, GidSpan, ObsEvent, ObsEventKind, Transport,
+};
 
 // ---------------------------------------------------------------------------
 // A strict minimal JSON parser — the vendored serde has no serde_json,
@@ -375,6 +377,15 @@ fn fixture_events() -> Vec<ObsEvent> {
                 records: 17,
             },
         ),
+        e(
+            15,
+            "alpha",
+            ObsEventKind::CrossingPhases {
+                transport: Transport::Tcp,
+                side: CrossingSide::Write,
+                phases_ns: [120, 3_400, 560, 7_800],
+            },
+        ),
     ]
 }
 
@@ -414,6 +425,7 @@ fn expected_fields(event: &str) -> &'static [&'static str] {
         "shard_split" => &["class", "target", "lo_gid", "epoch"],
         "split_healed" => &["class"],
         "wal_compacted" => &["shard", "records"],
+        "crossing_phases" => &["transport", "side", "phases_ns"],
         other => panic!("unknown event kind {other}"),
     }
 }
@@ -439,7 +451,7 @@ fn check_golden(name: &str, rendered: &str, golden: &str) {
 fn jsonl_round_trips_and_pins_field_names() {
     let out = to_jsonl(&fixture_events());
     let lines: Vec<&str> = out.lines().collect();
-    assert_eq!(lines.len(), 15, "one line per event");
+    assert_eq!(lines.len(), 16, "one line per event");
 
     let mut seen_kinds = Vec::new();
     let mut prev_seq = -1.0f64;
@@ -461,7 +473,7 @@ fn jsonl_round_trips_and_pins_field_names() {
     let mut sorted = seen_kinds.clone();
     sorted.sort();
     sorted.dedup();
-    assert_eq!(sorted.len(), 15, "fixture covers all event kinds");
+    assert_eq!(sorted.len(), 16, "fixture covers all event kinds");
 }
 
 #[test]
@@ -496,6 +508,14 @@ fn jsonl_field_values_survive_the_round_trip() {
         obj.get("fault").unwrap().as_str(),
         "partition alpha | beta\nhealed"
     );
+
+    // A crossing's phases are named, in the side's documented order.
+    let crossing = out.lines().find(|l| l.contains("crossing_phases")).unwrap();
+    let obj = Parser::parse(crossing).unwrap();
+    assert_eq!(obj.get("side").unwrap().as_str(), "write");
+    let phases = obj.get("phases_ns").unwrap();
+    assert_eq!(phases.keys(), CrossingSide::Write.phases());
+    assert_eq!(phases.get("register").unwrap().as_num(), 3_400.0);
 }
 
 #[test]
@@ -519,7 +539,7 @@ fn chrome_trace_round_trips_and_pins_structure() {
 
     // Two process_name metadata rows (one per node, first-seen order:
     // the lowest-seq event is on alpha), then one instant per event.
-    assert_eq!(entries.len(), 2 + 15);
+    assert_eq!(entries.len(), 2 + 16);
     for meta in &entries[..2] {
         assert_eq!(meta.get("name").unwrap().as_str(), "process_name");
         assert_eq!(meta.get("ph").unwrap().as_str(), "M");

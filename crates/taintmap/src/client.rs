@@ -34,8 +34,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dista_obs::{
-    Counter, FlightRecorder, Gauge, Histogram, MetricsRegistry, ObsEventKind, PhaseHandle,
-    SpanTracker, BATCH_SIZE_BOUNDS, LATENCY_US_BOUNDS,
+    Counter, FlightRecorder, Gauge, Histogram, MetricsRegistry, ObsEventKind, SpanTracker,
+    BATCH_SIZE_BOUNDS, LATENCY_US_BOUNDS,
 };
 use dista_simnet::{NetError, NodeAddr, SimNet, TcpEndpoint};
 use dista_taint::{
@@ -193,8 +193,6 @@ pub struct ClientObserver {
     pub taint_spans: SpanTracker,
     /// gid → delivering span map shared with the owning VM.
     pub gid_spans: SpanTracker,
-    /// Cost-attribution handle for Taint Map wire round-trips.
-    pub rpc_phase: PhaseHandle,
 }
 
 impl Default for ClientObserver {
@@ -227,7 +225,6 @@ impl ClientObserver {
             epoch_refetches: Counter::detached(),
             taint_spans: SpanTracker::disabled(),
             gid_spans: SpanTracker::disabled(),
-            rpc_phase: PhaseHandle::disabled(),
         }
     }
 
@@ -264,7 +261,6 @@ impl ClientObserver {
             epoch_refetches: registry.counter_with("taintmap_epoch_refetches", &labels),
             taint_spans: SpanTracker::disabled(),
             gid_spans: SpanTracker::disabled(),
-            rpc_phase: PhaseHandle::disabled(),
         }
     }
 
@@ -274,13 +270,6 @@ impl ClientObserver {
     pub fn with_spans(mut self, taint_spans: SpanTracker, gid_spans: SpanTracker) -> Self {
         self.taint_spans = taint_spans;
         self.gid_spans = gid_spans;
-        self
-    }
-
-    /// Attributes Taint Map wire round-trips to `phase` (normally the
-    /// owning VM's `map_rpc` [`PhaseHandle`]).
-    pub fn with_rpc_phase(mut self, phase: PhaseHandle) -> Self {
-        self.rpc_phase = phase;
         self
     }
 }
@@ -825,15 +814,10 @@ impl TaintMapClient {
         if !unresolved.is_empty() {
             return Err(TaintMapError::Protocol("resharding did not converge"));
         }
-        let wire_elapsed = wire_started.elapsed();
         self.inner
             .obs
             .batch_latency_us
-            .observe(wire_elapsed.as_micros() as u64);
-        self.inner
-            .obs
-            .rpc_phase
-            .record_ns(wire_elapsed.as_nanos() as u64);
+            .observe(wire_started.elapsed().as_micros() as u64);
         Ok(())
     }
 

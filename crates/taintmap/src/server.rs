@@ -22,7 +22,6 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use dista_obs::Counter;
 use dista_simnet::{NodeAddr, ServerHandle, SimFs, SimNet, TcpEndpoint, TcpServer};
@@ -41,11 +40,6 @@ use crate::shard::{ClassTable, ShardRange, ShardSpec};
 /// Server tuning knobs.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TaintMapConfig {
-    /// Artificial per-request service time, for a bottleneck ablation
-    /// (§III-D: is one Taint Map acceptable?). Zero = no throttle. The
-    /// delay is charged once per *frame*, so a request pays it once
-    /// however many items it carries.
-    pub service_delay: Duration,
     /// Chaos knob: die ungracefully once this many register items have
     /// been served. The fatal registration is committed (backend, WAL,
     /// replication) but its response frame is never written — the
@@ -914,9 +908,6 @@ fn serve_connection(conn: &TcpEndpoint, shared: &ServerShared, sessions: &Server
             Ok(Some(f)) => f,
             Ok(None) | Err(_) => return,
         };
-        if shared.config.service_delay > Duration::ZERO {
-            std::thread::sleep(shared.config.service_delay);
-        }
         let (resp_op, resp) = match frame {
             (OP_REGISTER, payload) => serve_data(shared, &payload, register_items),
             (OP_LOOKUP, payload) => serve_data(shared, &payload, lookup_items),

@@ -17,6 +17,9 @@
 //! * The mutation rule: every v2 frame kind the codec defines is in the
 //!   sample `tests/hostile_bytes.rs` mutates, so no frame kind's decoder
 //!   goes unfuzzed.
+//! * The clock rule (DESIGN.md §4g): `dista-jre` reads the time only in
+//!   the boundary's phase clock, and `dista-obs` reads no clock at all,
+//!   so a crossing is timed one way, sampled, and nowhere else.
 
 use std::path::{Path, PathBuf};
 
@@ -27,10 +30,6 @@ const ALLOWED_SLEEPS: &[(&str, &str)] = &[
     (
         "crates/taintmap/src/client.rs",
         "bounded exponential backoff between RPC retries",
-    ),
-    (
-        "crates/taintmap/src/server.rs",
-        "fault-injected `service_delay`",
     ),
     (
         "crates/hbase/src/master.rs",
@@ -72,6 +71,12 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
 /// `(path relative to the repo root, text before the first
 /// #[cfg(test)])` of every source file under `crates/*/src`.
 fn non_test_sources() -> Vec<(String, String)> {
+    sources_before("#[cfg(test)]")
+}
+
+/// `(path relative to the repo root, text before the first `marker`)`
+/// of every source file under `crates/*/src`.
+fn sources_before(marker: &str) -> Vec<(String, String)> {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut files = Vec::new();
     for krate in std::fs::read_dir(root.join("crates")).expect("crates/") {
@@ -85,7 +90,7 @@ fn non_test_sources() -> Vec<(String, String)> {
         .iter()
         .map(|path| {
             let text = std::fs::read_to_string(path).expect("utf-8 source file");
-            let non_test = text.split("#[cfg(test)]").next().unwrap_or_default();
+            let non_test = text.split(marker).next().unwrap_or_default();
             let name = path.strip_prefix(root).expect("walked from the root");
             (name.to_string_lossy().into_owned(), non_test.to_string())
         })
@@ -319,4 +324,34 @@ fn every_v2_frame_kind_is_in_the_mutation_sample() {
         missing.is_empty(),
         "{V2_CODEC} frame kinds {MUTATION_SUITE}::v2_sample never names: {missing:?}"
     );
+}
+
+/// The one file under `crates/jre/src` whose non-test code reads the
+/// time: the boundary's sampled phase clock.
+const PHASE_CLOCK: &str = "crates/jre/src/stopwatch.rs";
+
+#[test]
+fn crossings_are_timed_by_the_one_phase_clock() {
+    let mut clocks = Vec::new();
+    let mut phase_clock_reads = false;
+    // Up to the test module, not the first test-only item: the boundary
+    // keeps a test helper ahead of the code this rule guards.
+    for (name, non_test) in sources_before("#[cfg(test)]\nmod tests") {
+        let checked = name.starts_with("crates/obs/src/")
+            || (name.starts_with("crates/jre/src/") && name != PHASE_CLOCK);
+        for (n, line) in non_test.lines().enumerate() {
+            let code = !line.trim_start().starts_with("//");
+            let reads = code && (line.contains("Instant") || line.contains("SystemTime"));
+            if reads && checked {
+                clocks.push(format!("{name}:{}: {}", n + 1, line.trim()));
+            }
+            phase_clock_reads |= reads && name == PHASE_CLOCK;
+        }
+    }
+    assert!(
+        clocks.is_empty(),
+        "clock reads outside {PHASE_CLOCK}:\n{}",
+        clocks.join("\n")
+    );
+    assert!(phase_clock_reads, "{PHASE_CLOCK} no longer reads the clock");
 }
