@@ -118,8 +118,8 @@ impl ClusterBuilder {
 
     /// Stands up the live telemetry plane alongside the cluster: one
     /// in-simulation collector (push + scrape endpoint at
-    /// [`TelemetryConfig::addr`]) and a per-VM agent pushing metric
-    /// deltas every [`TelemetryConfig::interval`]. Requires
+    /// [`TelemetryConfig::addr`]) and one agent thread pushing every
+    /// VM's metric deltas every [`TelemetryConfig::interval`]. Requires
     /// [`ClusterBuilder::observability`] — without it no per-node
     /// samples exist for the agents to ship, which
     /// [`ClusterBuilder::build`] rejects as [`DistaError::Config`].
@@ -134,9 +134,19 @@ impl ClusterBuilder {
     /// # Errors
     ///
     /// [`DistaError::Config`] for wire-protocol or telemetry settings
-    /// that cannot work together; transport errors while standing up
-    /// the Taint Map or clients.
+    /// that cannot work together, or for a node name that is empty or
+    /// holds whitespace, `,`, `"` or `\` (telemetry frames and scrapes
+    /// cannot carry it); transport errors while standing up the Taint
+    /// Map or clients.
     pub fn build(self) -> Result<Cluster, DistaError> {
+        if let Some((name, _)) = self.nodes.iter().find(|(name, _)| {
+            name.is_empty()
+                || name.contains(|c: char| c.is_whitespace() || matches!(c, ',' | '"' | '\\'))
+        }) {
+            return Err(DistaError::Config(format!(
+                "node name {name:?} is empty or holds whitespace, ',', '\"' or '\\'"
+            )));
+        }
         // Resolve each node's wire protocol (override or cluster-wide
         // default) and reject combinations that cannot interoperate: a
         // pinned-v2 VM sends no negotiation probe, so a v1 or Negotiate
@@ -527,18 +537,6 @@ impl Cluster {
             .scrape_text()
     }
 
-    /// JSON scrape of the in-simulation collector endpoint.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Cluster::scrape_text`].
-    pub fn scrape_json(&self) -> Result<String, DistaError> {
-        self.telemetry
-            .as_ref()
-            .ok_or_else(|| DistaError::Config("telemetry plane not enabled".into()))?
-            .scrape_json()
-    }
-
     /// Drives the chaos layer one tick: replays newly applied faults
     /// from the network's fault log into the event stream, then drains
     /// and executes the process-level triggers the network cannot apply
@@ -803,7 +801,7 @@ impl Cluster {
             .sum()
     }
 
-    /// Stops the telemetry plane (agents flush their final deltas
+    /// Stops the telemetry plane (every node's final delta is flushed
     /// first) and the Taint Map deployment.
     pub fn shutdown(mut self) {
         if let Some(plane) = self.telemetry.take() {
@@ -1138,13 +1136,8 @@ mod tests {
             "boundary_wire_bytes_out{node=\"n1\",proto=\"v1\"} 35",
         );
         assert!(text.contains("dista_collector_frames_ingested_total"));
-        let json = cluster.scrape_json().unwrap();
-        assert!(json.contains("\"nodes\":[\"n1\"") || json.contains("\"n1\""));
 
-        let plane = cluster.telemetry().unwrap();
-        // Two VM agents plus the Taint Map deployment agent.
-        assert_eq!(plane.agents().len(), 3);
-        let collector = plane.collector().clone();
+        let collector = cluster.telemetry().unwrap().collector().clone();
         cluster.shutdown();
         assert!(collector.frames_ingested() >= 1);
         assert_eq!(collector.parse_errors(), 0);
@@ -1207,6 +1200,47 @@ mod tests {
         assert!(cluster.telemetry().is_none());
         assert!(matches!(cluster.scrape_text(), Err(DistaError::Config(_))));
         cluster.shutdown();
+    }
+
+    #[test]
+    fn a_push_lost_to_a_partition_reaches_the_collector_after_rejoin() {
+        let mut cluster = scraped_cluster(TaintMapEndpoint::builder());
+        let isolated = std::time::Instant::now();
+        cluster.crash_vm("n2");
+        let registry = cluster.net().registry().clone();
+        registry.counter_with("probe", &[("node", "n2")]).add(5);
+        registry.counter_with("probe", &[("node", "n1")]).add(3);
+        // The one agent thread keeps pushing n1 while n2 is unreachable.
+        let text = scrape_until(&cluster, "probe{node=\"n1\"} 3\n");
+        assert!(!text.contains("probe{node=\"n2\"}"), "{text}");
+        std::thread::sleep(Duration::from_millis(50).saturating_sub(isolated.elapsed()));
+        assert!(!cluster
+            .scrape_text()
+            .unwrap()
+            .contains("probe{node=\"n2\"}"));
+
+        cluster.restart_vm("n2");
+        let collector = cluster.telemetry().unwrap().collector().clone();
+        cluster.shutdown();
+        let text = collector.scrape_text();
+        assert!(text.contains("probe{node=\"n2\"} 5\n"), "{text}");
+        assert!(text.contains("probe{node=\"n1\"} 3\n"), "{text}");
+    }
+
+    #[test]
+    fn node_names_the_frame_grammar_cannot_carry_are_refused() {
+        for name in ["", "n 1", "n\t1", "n1,n2", "n\"1", "n\\1"] {
+            let err = Cluster::builder(Mode::Dista)
+                .node(name, [10, 0, 0, 1])
+                .build()
+                .unwrap_err();
+            assert!(matches!(err, DistaError::Config(_)), "{name:?}: {err:?}");
+        }
+        Cluster::builder(Mode::Dista)
+            .node("rm-broker_1.a", [10, 0, 0, 1])
+            .build()
+            .unwrap()
+            .shutdown();
     }
 
     #[test]

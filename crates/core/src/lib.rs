@@ -54,7 +54,7 @@ pub mod telemetry;
 pub use cluster::{Cluster, ClusterBuilder, ReshardPlan};
 pub use config::{DistaConfig, LaunchScript};
 pub use error::DistaError;
-pub use telemetry::{AgentRuntime, CollectorServer, TelemetryConfig, TelemetryPlane};
+pub use telemetry::{CollectorServer, TelemetryConfig, TelemetryPlane};
 
 pub use dista_jre::{Mode, WireProtocol, WireVersion};
 pub use dista_simnet::{FaultPlan, FaultPlanBuilder};

@@ -1,43 +1,60 @@
-//! The live telemetry plane: SimNet transport for the `dista-obs`
-//! agent/collector pair.
+//! The live telemetry plane: one agent thread pushes each node's metric
+//! deltas to an in-simulation collector that serves Prometheus-style
+//! text scrapes.
 //!
-//! `dista-obs` owns the data structures ([`TelemetryAgent`] renders
-//! delta frames, [`Collector`] ingests them and serves expositions);
-//! this module owns the plumbing that makes them a *plane*:
-//!
+//! * [`TelemetryAgent`] — one node's delta state: out of a registry
+//!   snapshot it renders the samples labeled `node=<node>` whose values
+//!   changed since its last frame.
+//! * [`Collector`] — keeps every node's latest cumulative values, merges
+//!   histogram families across nodes via [`Histogram::merge`] for true
+//!   cluster-wide quantiles, and renders the text scrape.
 //! * [`CollectorServer`] — a [`TcpServer`] whose sessions speak a
-//!   one-role-byte protocol: `b'A'`
-//!   opens a long-lived agent stream of `[u32-BE length][delta frame]`
-//!   messages; `b'S'` / `b'J'` request one length-prefixed text / JSON
-//!   scrape and then close.
-//!   No length prefix may announce more than 16 MiB: the
-//!   server hangs up on an agent that does, the scraper returns an
-//!   error on a response that does.
-//!   The scrape endpoint lives *inside* the simulation — any node can
-//!   `tcp_connect` to it, exactly like a Prometheus target.
-//! * [`AgentRuntime`] — a per-VM thread driving one [`TelemetryAgent`]:
-//!   every `interval` (a timed wait on its own stop signal) it
-//!   snapshots the shared registry and, when something in scope
-//!   changed, pushes the delta over a persistent connection (re-dialled
-//!   once on failure). Stopping the runtime performs a final flush so
-//!   the collector always ends up with the last cumulative values.
-//! * [`TelemetryPlane`] — the bundle a [`crate::Cluster`] owns: one
-//!   collector server plus one agent per node, with in-simulation
-//!   scrape helpers.
+//!   one-role-byte protocol: `b'A'` opens a long-lived agent stream of
+//!   `[u32-BE length][delta frame]` messages; `b'S'` requests one
+//!   length-prefixed text scrape and then closes. No length prefix may
+//!   announce more than 16 MiB: the server hangs up on an agent that
+//!   does, the scraper returns an error on a response that does. The
+//!   endpoint lives *inside* the simulation — any node can `tcp_connect`
+//!   to it, exactly like a Prometheus target.
+//! * [`TelemetryPlane`] — the bundle a [`crate::Cluster`] owns: the
+//!   collector server plus one agent thread. Every `interval` the thread
+//!   snapshots the shared registry once and pushes each node's delta
+//!   over that node's own connection, dialled from the node's IP, so a
+//!   partition isolating a VM silences exactly its telemetry.
 //!
-//! Because delta frames carry *cumulative* values, a dropped frame
-//! (collector briefly unreachable, ring overflow) degrades to a late
-//! update, never a wrong one.
+//! # Delta frames
+//!
+//! ```text
+//! agent <node> <push_seq>
+//! c <name> <labels> <value>
+//! g <name> <labels> <f64-bits>
+//! h <name> <labels> <sum> <bound>:<count> … <max>:<count>
+//! end
+//! ```
+//!
+//! `<labels>` is `k=v,k=v` in sorted order, or `-` when unlabeled.
+//! Gauges ship their IEEE-754 bit pattern so the text round-trip is
+//! exact. Histogram bucket bounds ride along in every line, so the
+//! collector rebuilds (and merges) histograms without sharing bound
+//! tables out of band. Node names therefore carry no whitespace, `,`,
+//! `"` or `\` ([`crate::ClusterBuilder::build`] refuses them).
+//!
+//! Values are cumulative and the first frame on every newly dialled
+//! connection is a full one, so a frame lost to a partition or a
+//! hang-up is a late update, never a wrong one.
 
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use dista_jre::JreError;
-use dista_obs::{Collector, CollectorConfig, TelemetryAgent};
+use dista_obs::{Histogram, Labels, MetricsDump, Sample, SampleValue};
 use dista_simnet::{read_announced, NodeAddr, SimNet, TcpEndpoint, TcpServer};
 use dista_taint::ByteReader;
+use parking_lot::Mutex;
 
 use crate::error::DistaError;
 
@@ -45,8 +62,6 @@ use crate::error::DistaError;
 pub const ROLE_AGENT: u8 = b'A';
 /// Role byte requesting one Prometheus-style text scrape.
 pub const ROLE_SCRAPE_TEXT: u8 = b'S';
-/// Role byte requesting one JSON scrape.
-pub const ROLE_SCRAPE_JSON: u8 = b'J';
 
 /// Configuration for a cluster's telemetry plane.
 #[derive(Debug, Clone)]
@@ -56,8 +71,6 @@ pub struct TelemetryConfig {
     /// Agent tick interval — every tick snapshots the registry and
     /// pushes the delta. The default 100 ms is the paper-harness 10 Hz.
     pub interval: Duration,
-    /// Collector ring sizing.
-    pub collector: CollectorConfig,
 }
 
 impl Default for TelemetryConfig {
@@ -65,7 +78,6 @@ impl Default for TelemetryConfig {
         TelemetryConfig {
             addr: NodeAddr::new([10, 0, 0, 200], 9100),
             interval: Duration::from_millis(100),
-            collector: CollectorConfig::default(),
         }
     }
 }
@@ -74,6 +86,361 @@ impl Default for TelemetryConfig {
 /// prefix is four bytes from a peer; without a cap it sizes a buffer of
 /// up to 4 GiB.
 const MAX_FRAME_LEN: usize = 16 << 20;
+
+/// One node's delta state: the last line it rendered for each of its
+/// samples.
+#[derive(Debug)]
+pub struct TelemetryAgent {
+    node: String,
+    push_seq: u64,
+    last: BTreeMap<(String, Labels), String>,
+}
+
+fn render_labels(labels: &Labels) -> String {
+    if labels.is_empty() {
+        "-".to_string()
+    } else {
+        let parts: Vec<String> = labels.iter().map(|(k, v)| format!("{k}={v}")).collect();
+        parts.join(",")
+    }
+}
+
+fn render_value(value: &SampleValue) -> String {
+    match value {
+        SampleValue::Counter(v) => v.to_string(),
+        SampleValue::Gauge(v) => v.to_bits().to_string(),
+        SampleValue::Histogram { sum, buckets, .. } => {
+            let mut out = sum.to_string();
+            for (bound, count) in buckets {
+                out.push_str(&format!(" {bound}:{count}"));
+            }
+            out
+        }
+    }
+}
+
+impl TelemetryAgent {
+    /// The agent for VM `node`, which pushes the samples labeled
+    /// `node=<node>`.
+    pub fn for_node(node: &str) -> Self {
+        TelemetryAgent {
+            node: node.to_string(),
+            push_seq: 0,
+            last: BTreeMap::new(),
+        }
+    }
+
+    /// Renders the delta frame of `dump` since this agent's last frame,
+    /// or `None` when none of its samples changed (no frame goes on the
+    /// wire — an idle node costs zero bytes).
+    pub fn delta_frame(&mut self, dump: &MetricsDump) -> Option<String> {
+        let mut lines: Vec<String> = Vec::new();
+        for sample in &dump.samples {
+            if !sample
+                .labels
+                .iter()
+                .any(|(k, v)| k == "node" && *v == self.node)
+            {
+                continue;
+            }
+            let kind = match sample.value {
+                SampleValue::Counter(_) => 'c',
+                SampleValue::Gauge(_) => 'g',
+                SampleValue::Histogram { .. } => 'h',
+            };
+            let line = format!(
+                "{kind} {} {} {}",
+                sample.name,
+                render_labels(&sample.labels),
+                render_value(&sample.value)
+            );
+            let key = (sample.name.clone(), sample.labels.clone());
+            if self.last.get(&key) != Some(&line) {
+                self.last.insert(key, line.clone());
+                lines.push(line);
+            }
+        }
+        if lines.is_empty() {
+            return None;
+        }
+        self.push_seq += 1;
+        let mut frame = format!("agent {} {}\n", self.node, self.push_seq);
+        for line in lines {
+            frame.push_str(&line);
+            frame.push('\n');
+        }
+        frame.push_str("end\n");
+        Some(frame)
+    }
+}
+
+fn parse_labels(field: &str) -> Result<Labels, String> {
+    if field == "-" {
+        return Ok(Vec::new());
+    }
+    let mut labels: Labels = Vec::new();
+    for pair in field.split(',') {
+        let (k, v) = pair
+            .split_once('=')
+            .ok_or_else(|| format!("malformed label pair {pair:?}"))?;
+        labels.push((k.to_string(), v.to_string()));
+    }
+    labels.sort();
+    Ok(labels)
+}
+
+fn parse_sample(line: &str) -> Result<Sample, String> {
+    let mut fields = line.split_whitespace();
+    let kind = fields.next().ok_or("empty sample line")?;
+    let name = fields.next().ok_or("missing sample name")?.to_string();
+    let labels = parse_labels(fields.next().ok_or("missing labels")?)?;
+    let value = match kind {
+        "c" => SampleValue::Counter(
+            fields
+                .next()
+                .and_then(|v| v.parse().ok())
+                .ok_or("bad counter value")?,
+        ),
+        "g" => SampleValue::Gauge(f64::from_bits(
+            fields
+                .next()
+                .and_then(|v| v.parse().ok())
+                .ok_or("bad gauge bits")?,
+        )),
+        "h" => {
+            let sum: u64 = fields
+                .next()
+                .and_then(|v| v.parse().ok())
+                .ok_or("bad histogram sum")?;
+            let mut buckets: Vec<(u64, u64)> = Vec::new();
+            for pair in fields.by_ref() {
+                let (bound, count) = pair
+                    .split_once(':')
+                    .ok_or_else(|| format!("malformed bucket {pair:?}"))?;
+                buckets.push((
+                    bound.parse().map_err(|_| "bad bucket bound")?,
+                    count.parse().map_err(|_| "bad bucket count")?,
+                ));
+            }
+            if buckets.last().map(|(b, _)| *b) != Some(u64::MAX) {
+                return Err("histogram missing overflow bucket".to_string());
+            }
+            let count = buckets.iter().map(|(_, c)| *c).sum();
+            SampleValue::Histogram {
+                count,
+                sum,
+                buckets,
+            }
+        }
+        other => return Err(format!("unknown sample kind {other:?}")),
+    };
+    if fields.next().is_some() && kind != "h" {
+        return Err("trailing fields on sample line".to_string());
+    }
+    Ok(Sample {
+        name,
+        labels,
+        value,
+    })
+}
+
+/// One node's latest cumulative value of each of its samples.
+type NodeValues = BTreeMap<(String, Labels), SampleValue>;
+
+/// The cluster telemetry collector: every node's latest cumulative
+/// values, cross-node histogram merging and the text scrape.
+#[derive(Debug, Default)]
+pub struct Collector {
+    nodes: Mutex<BTreeMap<String, NodeValues>>,
+    frames_ingested: AtomicU64,
+    samples_ingested: AtomicU64,
+    parse_errors: AtomicU64,
+    scrapes_served: AtomicU64,
+}
+
+impl Collector {
+    /// Ingests one delta frame. Malformed frames count as parse errors
+    /// and leave prior state untouched.
+    ///
+    /// # Errors
+    ///
+    /// A human-readable description of the first malformed line.
+    pub fn ingest(&self, frame: &str) -> Result<(), String> {
+        let result = self.ingest_inner(frame);
+        if result.is_err() {
+            self.parse_errors.fetch_add(1, Ordering::Relaxed);
+        }
+        result
+    }
+
+    fn ingest_inner(&self, frame: &str) -> Result<(), String> {
+        let mut lines = frame.lines();
+        let header = lines.next().ok_or("empty frame")?;
+        let mut hf = header.split_whitespace();
+        if hf.next() != Some("agent") {
+            return Err(format!("bad frame header {header:?}"));
+        }
+        let node = hf.next().ok_or("missing node in header")?.to_string();
+        hf.next()
+            .and_then(|v| v.parse::<u64>().ok())
+            .ok_or("bad push_seq in header")?;
+        let mut samples: Vec<Sample> = Vec::new();
+        let mut terminated = false;
+        for line in lines {
+            if line == "end" {
+                terminated = true;
+                break;
+            }
+            samples.push(parse_sample(line)?);
+        }
+        if !terminated {
+            return Err("frame missing end marker".to_string());
+        }
+        self.samples_ingested
+            .fetch_add(samples.len() as u64, Ordering::Relaxed);
+        let mut nodes = self.nodes.lock();
+        let latest = nodes.entry(node).or_default();
+        for s in samples {
+            latest.insert((s.name, s.labels), s.value);
+        }
+        self.frames_ingested.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// Node names seen so far.
+    pub fn nodes(&self) -> Vec<String> {
+        self.nodes.lock().keys().cloned().collect()
+    }
+
+    /// The latest cumulative values across every node, as one dump.
+    /// Samples are disambiguated by their label sets (per-VM metrics
+    /// carry `node=` labels); identical keys from different agents are
+    /// last-write-wins.
+    pub fn latest_dump(&self) -> MetricsDump {
+        let nodes = self.nodes.lock();
+        let mut merged: BTreeMap<&(String, Labels), &SampleValue> = BTreeMap::new();
+        merged.extend(nodes.values().flatten());
+        MetricsDump {
+            samples: merged
+                .into_iter()
+                .map(|((name, labels), value)| Sample {
+                    name: name.clone(),
+                    labels: labels.clone(),
+                    value: value.clone(),
+                })
+                .collect(),
+        }
+    }
+
+    /// Every histogram family in the latest values, each merged across
+    /// all nodes and label sets into one cluster-wide histogram.
+    fn merged_histograms(&self) -> BTreeMap<String, Histogram> {
+        let nodes = self.nodes.lock();
+        let mut merged: BTreeMap<String, Histogram> = BTreeMap::new();
+        for ((name, _), value) in nodes.values().flatten() {
+            if let SampleValue::Histogram { sum, buckets, .. } = value {
+                let h = Histogram::from_buckets(buckets, *sum);
+                match merged.get(name) {
+                    Some(m) => m.merge(&h),
+                    None => {
+                        merged.insert(name.clone(), h);
+                    }
+                }
+            }
+        }
+        merged
+    }
+
+    /// Merges every latest histogram sample named `name` (across all
+    /// nodes and label sets) into one cluster-wide histogram, or `None`
+    /// when no node has pushed one yet.
+    pub fn merged_histogram(&self, name: &str) -> Option<Histogram> {
+        self.merged_histograms().remove(name)
+    }
+
+    /// Delta frames ingested successfully.
+    pub fn frames_ingested(&self) -> u64 {
+        self.frames_ingested.load(Ordering::Relaxed)
+    }
+
+    /// Frames rejected as malformed.
+    pub fn parse_errors(&self) -> u64 {
+        self.parse_errors.load(Ordering::Relaxed)
+    }
+
+    /// Scrapes served.
+    pub fn scrapes_served(&self) -> u64 {
+        self.scrapes_served.load(Ordering::Relaxed)
+    }
+
+    fn prom_labels(labels: &Labels, extra: Option<(&str, &str)>) -> String {
+        let mut parts: Vec<String> = labels.iter().map(|(k, v)| format!("{k}=\"{v}\"")).collect();
+        if let Some((k, v)) = extra {
+            parts.push(format!("{k}=\"{v}\""));
+        }
+        if parts.is_empty() {
+            String::new()
+        } else {
+            format!("{{{}}}", parts.join(","))
+        }
+    }
+
+    /// Prometheus-style text exposition of the latest values, the
+    /// cluster-merged histogram quantiles and the collector's own
+    /// health counters. Counts as one served scrape.
+    pub fn scrape_text(&self) -> String {
+        let served = self.scrapes_served.fetch_add(1, Ordering::Relaxed) + 1;
+        let mut out = String::new();
+        for s in &self.latest_dump().samples {
+            let labels = Self::prom_labels(&s.labels, None);
+            match &s.value {
+                SampleValue::Counter(v) => out.push_str(&format!("{}{labels} {v}\n", s.name)),
+                SampleValue::Gauge(v) => out.push_str(&format!("{}{labels} {v}\n", s.name)),
+                SampleValue::Histogram {
+                    count,
+                    sum,
+                    buckets,
+                } => {
+                    let mut cumulative = 0u64;
+                    for (bound, c) in buckets {
+                        cumulative += c;
+                        let le = if *bound == u64::MAX {
+                            "+Inf".to_string()
+                        } else {
+                            bound.to_string()
+                        };
+                        out.push_str(&format!(
+                            "{}_bucket{} {cumulative}\n",
+                            s.name,
+                            Self::prom_labels(&s.labels, Some(("le", &le)))
+                        ));
+                    }
+                    out.push_str(&format!("{}_sum{labels} {sum}\n", s.name));
+                    out.push_str(&format!("{}_count{labels} {count}\n", s.name));
+                }
+            }
+        }
+        for (family, h) in self.merged_histograms() {
+            for (q, label) in [(0.50, "p50"), (0.99, "p99"), (0.999, "p999")] {
+                out.push_str(&format!(
+                    "{family}_cluster{{q=\"{label}\"}} {}\n",
+                    h.quantile(q)
+                ));
+            }
+            out.push_str(&format!("{family}_cluster_count {}\n", h.count()));
+        }
+        let samples = self.samples_ingested.load(Ordering::Relaxed);
+        out.push_str(&format!(
+            "dista_collector_frames_ingested_total {}\n\
+             dista_collector_samples_ingested_total {samples}\n\
+             dista_collector_parse_errors_total {}\n\
+             dista_collector_scrapes_total {served}\n",
+            self.frames_ingested(),
+            self.parse_errors()
+        ));
+        out
+    }
+}
 
 /// The collector's listener: one blocking reader per agent stream or
 /// scrape request.
@@ -89,12 +456,8 @@ impl CollectorServer {
     /// # Errors
     ///
     /// [`DistaError::Jre`] wrapping the bind failure (address in use).
-    pub fn spawn(
-        net: &SimNet,
-        addr: NodeAddr,
-        config: CollectorConfig,
-    ) -> Result<Self, DistaError> {
-        let collector = Arc::new(Collector::with_config(config));
+    pub fn spawn(net: &SimNet, addr: NodeAddr) -> Result<Self, DistaError> {
+        let collector = Arc::new(Collector::default());
         let session_collector = collector.clone();
         let server = TcpServer::bind(net, addr, "collector", move |ep, _| {
             read_connection(&ep, &session_collector)
@@ -125,16 +488,14 @@ impl CollectorServer {
 /// Serves one connection to its end: EOF, a transport
 /// error, a scrape answered, an unknown role byte, or an agent frame
 /// announced past [`MAX_FRAME_LEN`]. A stream silent for the whole block
-/// timeout is such an error: its agent re-dials on the next push, and a
-/// frame written in the instant of the hang-up is a dropped frame like
-/// any other.
+/// timeout is such an error: its agent re-dials at its next push and
+/// starts the new connection from a full frame.
 fn read_connection(ep: &TcpEndpoint, collector: &Collector) {
     let mut role = [0u8; 1];
     if ep.read_exact(&mut role).is_ok() {
         match role[0] {
             ROLE_AGENT => read_agent_frames(ep, collector),
             ROLE_SCRAPE_TEXT => respond(ep, collector.scrape_text().as_bytes()),
-            ROLE_SCRAPE_JSON => respond(ep, collector.scrape_json().as_bytes()),
             _ => {}
         }
     }
@@ -165,128 +526,75 @@ fn read_message(ep: &TcpEndpoint, buf: &mut Vec<u8>) -> Result<(), JreError> {
     Ok(read_announced(&mut |tail| ep.read(tail), len, buf)?)
 }
 
-fn respond(ep: &TcpEndpoint, payload: &[u8]) {
+/// `payload` behind its `u32-BE` length.
+fn framed(payload: &[u8]) -> Vec<u8> {
     let mut msg = Vec::with_capacity(4 + payload.len());
     msg.extend_from_slice(&(payload.len() as u32).to_be_bytes());
     msg.extend_from_slice(payload);
-    let _ = ep.write(&msg);
+    msg
 }
 
-/// A per-VM agent thread pushing one delta per tick.
-#[derive(Debug)]
-pub struct AgentRuntime {
-    node: String,
-    /// The thread and its stop signal: dropping the sender ends the
-    /// tick wait at once.
-    thread: Option<(mpsc::Sender<()>, JoinHandle<()>)>,
+fn respond(ep: &TcpEndpoint, payload: &[u8]) {
+    let _ = ep.write(&framed(payload));
 }
 
-impl AgentRuntime {
-    /// Spawns the agent for `node`, pushing `node=<node>`-labeled
-    /// samples from the network's registry to `collector` every
-    /// `interval`. The push connection is dialled from `src_ip`, so
-    /// partitions isolating the VM also silence its telemetry —
-    /// faithful to a real per-host agent.
-    pub fn spawn(
-        net: &SimNet,
-        node: &str,
-        src_ip: [u8; 4],
-        collector: NodeAddr,
-        interval: Duration,
-    ) -> Self {
-        let (stop, stopped) = mpsc::channel::<()>();
-        let handle = {
-            let net = net.clone();
-            let mut agent = TelemetryAgent::for_node(node, net.registry().clone());
-            std::thread::spawn(move || {
-                let mut conn: Option<TcpEndpoint> = None;
-                while stopped.recv_timeout(interval) == Err(RecvTimeoutError::Timeout) {
-                    push_delta(&net, &mut agent, &mut conn, src_ip, collector);
-                }
-                // Final flush: the collector always ends with the last
-                // cumulative values, however the ticks were phased.
-                push_delta(&net, &mut agent, &mut conn, src_ip, collector);
-                if let Some(ep) = conn {
-                    ep.close();
-                }
-            })
-        };
-        AgentRuntime {
-            node: node.to_string(),
-            thread: Some((stop, handle)),
-        }
-    }
-
-    /// The node this agent pushes for.
-    pub fn node(&self) -> &str {
-        &self.node
-    }
-
-    /// Stops the agent after one final flush push (idempotent, joins
-    /// the thread — returns once the flush is on the wire).
-    pub fn stop(&mut self) {
-        if let Some((stop, handle)) = self.thread.take() {
-            drop(stop);
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for AgentRuntime {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
-/// Pushes one delta frame (if anything changed), re-dialling the
-/// collector once on a broken connection. An unreachable collector
-/// drops the frame — cumulative values mean the next successful push
-/// heals the view.
-fn push_delta(
-    net: &SimNet,
-    agent: &mut TelemetryAgent,
-    conn: &mut Option<TcpEndpoint>,
+/// One node as the agent thread drives it.
+struct NodePush {
+    agent: TelemetryAgent,
+    /// The node's IP, which its connection is dialled from.
     src_ip: [u8; 4],
-    collector: NodeAddr,
-) {
-    let Some(frame) = agent.delta_frame() else {
-        return;
-    };
-    let mut msg = Vec::with_capacity(4 + frame.len());
-    msg.extend_from_slice(&(frame.len() as u32).to_be_bytes());
-    msg.extend_from_slice(frame.as_bytes());
-    for _attempt in 0..2 {
-        if conn.is_none() {
-            match net.tcp_connect_from(src_ip, collector) {
-                Ok(ep) => {
+    conn: Option<TcpEndpoint>,
+}
+
+impl NodePush {
+    /// Pushes this node's delta of `dump` (if anything changed),
+    /// re-dialling once on a broken connection. An unreachable collector
+    /// drops the frame: the next connection starts from a full frame.
+    fn push(&mut self, net: &SimNet, dump: &MetricsDump, collector: NodeAddr) {
+        for _attempt in 0..2 {
+            if self.conn.is_none() {
+                // What went on a connection that broke may never have
+                // arrived: render everything again.
+                self.agent.last.clear();
+            }
+            let Some(frame) = self.agent.delta_frame(dump) else {
+                return;
+            };
+            let ep = match self.conn.take() {
+                Some(ep) => ep,
+                None => {
+                    let Ok(ep) = net.tcp_connect_from(self.src_ip, collector) else {
+                        return;
+                    };
                     if ep.write(&[ROLE_AGENT]).is_err() {
                         return;
                     }
-                    *conn = Some(ep);
+                    ep
                 }
-                Err(_) => return,
+            };
+            if ep.write(&framed(frame.as_bytes())).is_ok() {
+                self.conn = Some(ep);
+                return;
             }
-        }
-        match conn.as_ref().expect("dialled above").write(&msg) {
-            Ok(()) => return,
-            Err(_) => *conn = None,
         }
     }
 }
 
-/// One collector server plus one agent per node: the plane a
-/// [`crate::Cluster`] stands up when
+/// One collector server plus one agent thread for every node: the plane
+/// a [`crate::Cluster`] stands up when
 /// [`crate::ClusterBuilder::telemetry`] is set.
 #[derive(Debug)]
 pub struct TelemetryPlane {
     net: SimNet,
-    config: TelemetryConfig,
     server: CollectorServer,
-    agents: Vec<AgentRuntime>,
+    /// The agent thread and its stop signal: dropping the sender ends
+    /// the tick wait at once.
+    agent_thread: Option<(mpsc::Sender<()>, JoinHandle<()>)>,
 }
 
 impl TelemetryPlane {
-    /// Spawns the collector and one agent per `(node, ip)`.
+    /// Spawns the collector and the agent thread pushing for every
+    /// `(node, ip)`.
     ///
     /// # Errors
     ///
@@ -296,37 +604,49 @@ impl TelemetryPlane {
         nodes: &[(String, [u8; 4])],
         config: TelemetryConfig,
     ) -> Result<Self, DistaError> {
-        let server = CollectorServer::spawn(net, config.addr, config.collector.clone())?;
-        let agents = nodes
+        let server = CollectorServer::spawn(net, config.addr)?;
+        let mut pushes: Vec<NodePush> = nodes
             .iter()
-            .map(|(name, ip)| AgentRuntime::spawn(net, name, *ip, config.addr, config.interval))
+            .map(|(node, ip)| NodePush {
+                agent: TelemetryAgent::for_node(node),
+                src_ip: *ip,
+                conn: None,
+            })
             .collect();
+        let (stop, stopped) = mpsc::channel::<()>();
+        let thread_net = net.clone();
+        let handle = std::thread::spawn(move || {
+            let push_all = |pushes: &mut [NodePush]| {
+                let dump = thread_net.registry().snapshot();
+                for node in pushes {
+                    node.push(&thread_net, &dump, config.addr);
+                }
+            };
+            while stopped.recv_timeout(config.interval) == Err(RecvTimeoutError::Timeout) {
+                push_all(&mut pushes);
+            }
+            // Final flush: the collector always ends with the last
+            // cumulative values, however the ticks were phased.
+            push_all(&mut pushes);
+            for ep in pushes.into_iter().filter_map(|node| node.conn) {
+                ep.close();
+            }
+        });
         Ok(TelemetryPlane {
             net: net.clone(),
-            config,
             server,
-            agents,
+            agent_thread: Some((stop, handle)),
         })
     }
 
     /// The scrape/push address.
     pub fn addr(&self) -> NodeAddr {
-        self.config.addr
-    }
-
-    /// The agent tick interval.
-    pub fn interval(&self) -> Duration {
-        self.config.interval
+        self.server.addr()
     }
 
     /// The live collector (shared with the serving thread).
     pub fn collector(&self) -> &Arc<Collector> {
         self.server.collector()
-    }
-
-    /// The per-node agent runtimes.
-    pub fn agents(&self) -> &[AgentRuntime] {
-        &self.agents
     }
 
     /// Scrapes the in-simulation endpoint over the network, exactly as
@@ -338,36 +658,40 @@ impl TelemetryPlane {
     /// Transport errors reaching the collector, or a protocol error if
     /// the response announces more than the telemetry frame cap.
     pub fn scrape_text(&self) -> Result<String, DistaError> {
-        scrape(&self.net, self.config.addr, ROLE_SCRAPE_TEXT)
+        scrape(&self.net, self.addr())
     }
 
-    /// JSON scrape over the network; see [`TelemetryPlane::scrape_text`].
-    ///
-    /// # Errors
-    ///
-    /// Transport errors reaching the collector.
-    pub fn scrape_json(&self) -> Result<String, DistaError> {
-        scrape(&self.net, self.config.addr, ROLE_SCRAPE_JSON)
-    }
-
-    /// Stops agents (each returns once its final delta is written),
-    /// then the server, whose readers ingest every byte already written
-    /// before they see EOF: joining them is the ingestion barrier.
-    /// Returns the collector for post-run inspection.
-    pub fn shutdown(mut self) -> Arc<Collector> {
-        for agent in &mut self.agents {
-            agent.stop();
+    /// Stops the agent thread, which returns once every node's final
+    /// delta is written.
+    fn stop_agents(&mut self) {
+        if let Some((stop, handle)) = self.agent_thread.take() {
+            drop(stop);
+            let _ = handle.join();
         }
+    }
+
+    /// Stops the agent thread, then the server, whose readers ingest
+    /// every byte already written before they see EOF: joining them is
+    /// the ingestion barrier. Returns the collector for post-run
+    /// inspection.
+    pub fn shutdown(mut self) -> Arc<Collector> {
+        self.stop_agents();
         self.server.stop();
         self.server.collector().clone()
     }
 }
 
-/// One scrape of the collector at `addr`: dial, send the role byte, read
-/// one length-prefixed response of at most [`MAX_FRAME_LEN`] bytes.
-fn scrape(net: &SimNet, addr: NodeAddr, role: u8) -> Result<String, DistaError> {
+impl Drop for TelemetryPlane {
+    fn drop(&mut self) {
+        self.stop_agents();
+    }
+}
+
+/// One text scrape of the collector at `addr`: dial, send the role byte,
+/// read one length-prefixed response of at most [`MAX_FRAME_LEN`] bytes.
+fn scrape(net: &SimNet, addr: NodeAddr) -> Result<String, DistaError> {
     let ep = net.tcp_connect(addr).map_err(JreError::from)?;
-    ep.write(&[role]).map_err(JreError::from)?;
+    ep.write(&[ROLE_SCRAPE_TEXT]).map_err(JreError::from)?;
     let mut payload = Vec::new();
     read_message(&ep, &mut payload)?;
     ep.close();
@@ -377,7 +701,163 @@ fn scrape(net: &SimNet, addr: NodeAddr, role: u8) -> Result<String, DistaError> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dista_obs::MetricsRegistry;
     use dista_simnet::NetError;
+
+    fn registry_with_node(node: &str) -> MetricsRegistry {
+        let reg = MetricsRegistry::new();
+        reg.counter_with("reqs", &[("node", node)]).add(3);
+        reg.gauge_with("load", &[("node", node)]).set(1.5);
+        reg.histogram_with("lat_us", &[("node", node)], &[10, 100])
+            .observe(50);
+        reg
+    }
+
+    /// `node`'s first frame out of `reg`.
+    fn first_frame(node: &str, reg: &MetricsRegistry) -> String {
+        TelemetryAgent::for_node(node)
+            .delta_frame(&reg.snapshot())
+            .expect("a first frame")
+    }
+
+    #[test]
+    fn first_frame_bytes_are_pinned() {
+        let reg = registry_with_node("n1");
+        reg.counter_with("bytes", &[("proto", "v1"), ("node", "n1")])
+            .add(35);
+        reg.counter_with("reqs", &[("node", "n2")]).add(9);
+        reg.counter("global").add(1);
+        assert_eq!(
+            first_frame("n1", &reg),
+            "agent n1 1\n\
+             c bytes node=n1,proto=v1 35\n\
+             c reqs node=n1 3\n\
+             g load node=n1 4609434218613702656\n\
+             h lat_us node=n1 50 10:0 100:1 18446744073709551615:0\n\
+             end\n"
+        );
+    }
+
+    #[test]
+    fn first_delta_is_full_then_only_changes() {
+        let reg = registry_with_node("n1");
+        let mut agent = TelemetryAgent::for_node("n1");
+        let frame = agent
+            .delta_frame(&reg.snapshot())
+            .expect("first frame is full");
+        assert!(frame.starts_with("agent n1 1\n"));
+        assert!(frame.contains("c reqs node=n1 3"));
+        assert!(frame.ends_with("end\n"));
+        assert!(
+            agent.delta_frame(&reg.snapshot()).is_none(),
+            "nothing changed"
+        );
+        reg.counter_with("reqs", &[("node", "n1")]).inc();
+        let frame = agent.delta_frame(&reg.snapshot()).expect("counter changed");
+        assert!(frame.starts_with("agent n1 2\n"));
+        assert!(frame.contains("c reqs node=n1 4"));
+        assert!(
+            !frame.contains("g load"),
+            "unchanged samples are not re-pushed"
+        );
+    }
+
+    #[test]
+    fn node_scope_excludes_other_nodes() {
+        let reg = registry_with_node("n1");
+        reg.counter_with("reqs", &[("node", "n2")]).add(9);
+        reg.counter("global").add(1);
+        let frame = first_frame("n1", &reg);
+        assert!(frame.contains("node=n1"));
+        assert!(!frame.contains("node=n2"));
+        assert!(!frame.contains("global"));
+    }
+
+    #[test]
+    fn collector_round_trips_values() {
+        let collector = Collector::default();
+        collector
+            .ingest(&first_frame("n1", &registry_with_node("n1")))
+            .unwrap();
+        assert_eq!(collector.nodes(), vec!["n1"]);
+        assert_eq!(collector.frames_ingested(), 1);
+        let dump = collector.latest_dump();
+        assert_eq!(dump.counter_total("reqs"), 3);
+        assert_eq!(dump.gauge_value("load", &[("node", "n1")]), Some(1.5));
+        let h = collector.merged_histogram("lat_us").unwrap();
+        assert_eq!(h.count(), 1);
+        assert_eq!(h.quantile(0.5), 100);
+    }
+
+    #[test]
+    fn merged_histogram_spans_nodes() {
+        let collector = Collector::default();
+        for node in ["a", "b"] {
+            let reg = MetricsRegistry::new();
+            let h = reg.histogram_with("lat", &[("node", node)], &[10, 100]);
+            h.observe(5);
+            if node == "b" {
+                for _ in 0..99 {
+                    h.observe(500);
+                }
+            }
+            collector.ingest(&first_frame(node, &reg)).unwrap();
+        }
+        let merged = collector.merged_histogram("lat").unwrap();
+        assert_eq!(merged.count(), 101);
+        assert_eq!(merged.quantile(0.99), u64::MAX, "overflow dominates p99");
+        assert_eq!(merged.quantile(0.01), 10);
+    }
+
+    #[test]
+    fn malformed_frames_are_counted_not_applied() {
+        let collector = Collector::default();
+        assert!(collector.ingest("agent n1 zzz\nend\n").is_err());
+        assert!(collector.ingest("agent n1 1\nc broken\nend\n").is_err());
+        assert!(collector.ingest("agent n1 1\nc x - 1\n").is_err());
+        assert_eq!(collector.parse_errors(), 3);
+        assert_eq!(collector.frames_ingested(), 0);
+        assert!(collector.nodes().is_empty());
+    }
+
+    #[test]
+    fn scrape_text_is_prometheus_shaped_and_counts() {
+        let collector = Collector::default();
+        collector
+            .ingest(&first_frame("n1", &registry_with_node("n1")))
+            .unwrap();
+        let s1 = collector.scrape_text();
+        assert!(s1.contains("reqs{node=\"n1\"} 3"));
+        assert!(s1.contains("lat_us_bucket{node=\"n1\",le=\"10\"} 0"));
+        assert!(s1.contains("lat_us_bucket{node=\"n1\",le=\"+Inf\"} 1"));
+        assert!(s1.contains("lat_us_sum{node=\"n1\"} 50"));
+        assert!(s1.contains("lat_us_count{node=\"n1\"} 1"));
+        assert!(s1.contains("lat_us_cluster{q=\"p50\"} 100"));
+        assert!(s1.contains("lat_us_cluster{q=\"p99\"} 100"));
+        assert!(s1.contains("dista_collector_samples_ingested_total 3"));
+        assert!(s1.contains("dista_collector_scrapes_total 1"));
+        let s2 = collector.scrape_text();
+        assert!(
+            s2.contains("dista_collector_scrapes_total 2"),
+            "scrape counter is monotone"
+        );
+        assert_eq!(collector.scrapes_served(), 2);
+    }
+
+    #[test]
+    fn gauge_bits_round_trip_exactly() {
+        let reg = MetricsRegistry::new();
+        reg.gauge_with("ratio", &[("node", "n1")])
+            .set(0.1 + 0.2 + f64::EPSILON);
+        let collector = Collector::default();
+        collector.ingest(&first_frame("n1", &reg)).unwrap();
+        assert_eq!(
+            collector
+                .latest_dump()
+                .gauge_value("ratio", &[("node", "n1")]),
+            Some(reg.gauge_with("ratio", &[("node", "n1")]).get())
+        );
+    }
 
     fn plane_on(net: &SimNet, nodes: &[(&str, [u8; 4])], interval_ms: u64) -> TelemetryPlane {
         let nodes: Vec<(String, [u8; 4])> =
@@ -400,19 +880,15 @@ mod tests {
             .counter_with("work", &[("node", "n1")])
             .add(7);
         let plane = plane_on(&net, &[("n1", [10, 0, 0, 1])], 5);
-        // The final flush at stop makes the push deterministic even if
-        // no tick fired yet.
-        let collector = {
-            let text = loop {
-                let text = plane.scrape_text().unwrap();
-                if text.contains("work{node=\"n1\"} 7") {
-                    break text;
-                }
-                std::thread::sleep(Duration::from_millis(5));
-            };
-            assert!(text.contains("dista_collector_frames_ingested_total"));
-            plane.shutdown()
+        let text = loop {
+            let text = plane.scrape_text().unwrap();
+            if text.contains("work{node=\"n1\"} 7") {
+                break text;
+            }
+            std::thread::sleep(Duration::from_millis(5));
         };
+        assert!(text.contains("dista_collector_frames_ingested_total"));
+        let collector = plane.shutdown();
         assert!(collector.frames_ingested() >= 1);
         assert_eq!(collector.parse_errors(), 0);
         assert_eq!(collector.nodes(), vec!["n1"]);
@@ -440,7 +916,7 @@ mod tests {
     }
 
     #[test]
-    fn scrape_json_and_counters_are_monotone() {
+    fn a_hand_framed_agent_stream_lands_and_scrapes_are_counted() {
         let net = SimNet::new();
         net.registry()
             .histogram_with("lat_us", &[("node", "n1")], &[10, 100])
@@ -449,23 +925,21 @@ mod tests {
         // Deliver via an explicit agent stream (no tick due): dial the
         // wire protocol by hand to also cover the server's framing.
         let ep = net.tcp_connect(plane.addr()).unwrap();
-        let mut agent = TelemetryAgent::for_node("n1", net.registry().clone());
-        let frame = agent.delta_frame().unwrap();
         let mut msg = vec![ROLE_AGENT];
-        msg.extend_from_slice(&(frame.len() as u32).to_be_bytes());
-        msg.extend_from_slice(frame.as_bytes());
+        msg.extend_from_slice(&framed(first_frame("n1", net.registry()).as_bytes()));
         ep.write(&msg).unwrap();
         ep.close();
-        let json = loop {
-            let json = plane.scrape_json().unwrap();
-            if json.contains("\"nodes\":[\"n1\"]") {
-                break json;
+        let text = loop {
+            let text = plane.scrape_text().unwrap();
+            if text.contains("lat_us_count{node=\"n1\"} 1\n") {
+                break text;
             }
             std::thread::sleep(Duration::from_millis(5));
         };
-        assert!(json.contains("\"lat_us\":{\"p50\":100"));
+        assert!(text.contains("lat_us_cluster{q=\"p50\"} 100\n"));
         let before = plane.collector().scrapes_served();
-        let _ = plane.scrape_text().unwrap();
+        let again = plane.scrape_text().unwrap();
+        assert!(again.contains(&format!("dista_collector_scrapes_total {}\n", before + 1)));
         assert!(plane.collector().scrapes_served() > before);
         plane.shutdown();
     }
@@ -473,12 +947,8 @@ mod tests {
     #[test]
     fn unknown_role_byte_closes_the_connection() {
         let net = SimNet::new();
-        let mut server = CollectorServer::spawn(
-            &net,
-            NodeAddr::new([10, 0, 0, 200], 9100),
-            CollectorConfig::default(),
-        )
-        .unwrap();
+        let mut server =
+            CollectorServer::spawn(&net, NodeAddr::new([10, 0, 0, 200], 9100)).unwrap();
         let ep = net.tcp_connect(server.addr()).unwrap();
         ep.write(b"X").unwrap();
         // The server hangs up without a response.
@@ -496,7 +966,7 @@ mod tests {
         let listener = net.tcp_listen(addr).unwrap();
         let agent = net.tcp_connect(addr).unwrap();
         let served = listener.accept().unwrap();
-        let collector = Collector::with_config(CollectorConfig::default());
+        let collector = Collector::default();
         // The announcement, then the first 64 KiB of the "frame".
         let mut msg = vec![ROLE_AGENT];
         msg.extend_from_slice(&u32::MAX.to_be_bytes());
@@ -522,9 +992,7 @@ mod tests {
         let plane = plane_on(&net, &[], 60_000);
         // A raw agent stream: role byte, a full length prefix, half the
         // frame it announces — then silence.
-        let frame = TelemetryAgent::for_node("ghost", net.registry().clone())
-            .delta_frame()
-            .unwrap();
+        let frame = first_frame("ghost", net.registry());
         let mut msg = vec![ROLE_AGENT];
         msg.extend_from_slice(&(frame.len() as u32).to_be_bytes());
         msg.extend_from_slice(&frame.as_bytes()[..frame.len() / 2]);
@@ -595,7 +1063,7 @@ mod tests {
             ep.close();
         });
         assert!(matches!(
-            scrape(&net, hostile, ROLE_SCRAPE_TEXT),
+            scrape(&net, hostile),
             Err(DistaError::Jre(dista_jre::JreError::Protocol(_)))
         ));
         answer.join().unwrap();
@@ -605,8 +1073,8 @@ mod tests {
     fn collector_addr_conflict_is_reported() {
         let net = SimNet::new();
         let addr = NodeAddr::new([10, 0, 0, 200], 9100);
-        let _first = CollectorServer::spawn(&net, addr, CollectorConfig::default()).unwrap();
-        let err = CollectorServer::spawn(&net, addr, CollectorConfig::default()).unwrap_err();
+        let _first = CollectorServer::spawn(&net, addr).unwrap();
+        let err = CollectorServer::spawn(&net, addr).unwrap_err();
         assert!(matches!(err, DistaError::Jre(_)));
     }
 }

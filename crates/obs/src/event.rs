@@ -14,8 +14,6 @@ pub enum Transport {
     Tcp,
     /// Datagram socket (UDP).
     Udp,
-    /// Local file write/read through the simulated FS.
-    File,
 }
 
 impl Transport {
@@ -24,7 +22,6 @@ impl Transport {
         match self {
             Transport::Tcp => "tcp",
             Transport::Udp => "udp",
-            Transport::File => "file",
         }
     }
 }

@@ -34,7 +34,6 @@ mod provenance;
 mod recorder;
 mod registry;
 mod span;
-mod telemetry;
 
 pub use event::{CrossingSide, GidSpan, ObsEvent, ObsEventKind, Transport};
 pub use export::{to_chrome_trace, to_jsonl, to_text_report};
@@ -45,7 +44,6 @@ pub use registry::{
     BATCH_SIZE_BOUNDS, LATENCY_US_BOUNDS,
 };
 pub use span::SpanTracker;
-pub use telemetry::{AgentScope, Collector, CollectorConfig, PushPoint, TelemetryAgent};
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -56,7 +56,7 @@ pub enum Hop {
         /// Clock sequence of the event.
         seq: u64,
     },
-    /// The taint crossed a socket or file boundary.
+    /// The taint crossed a socket boundary.
     Crossed {
         /// Transport used.
         transport: Transport,

@@ -124,7 +124,8 @@ impl TaintMapEndpointBuilder {
         self
     }
 
-    /// Applies service tuning (throttle ablations) to every shard.
+    /// Applies server tuning (the chaos and compaction knobs of
+    /// [`TaintMapConfig`]) to every shard.
     pub fn config(mut self, config: TaintMapConfig) -> Self {
         self.config = config;
         self

@@ -25,8 +25,8 @@
 //!                 (u32 lo_gid, u8 naddrs, naddrs × (4B ip, u16 port))
 //! ```
 //!
-//! The per-request service throttle is charged once per *frame*, so a
-//! request amortizes the fixed RPC cost over all its items.
+//! One frame carries many items, so a request amortizes the fixed RPC
+//! cost (a round trip and a session wake-up) over all of them.
 //!
 //! **Resharding.** `epoch` is the sender's class-table epoch; a server
 //! whose table is newer rejects the frame with `STALE_EPOCH` (payload:

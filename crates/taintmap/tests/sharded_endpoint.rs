@@ -5,10 +5,14 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
+use std::time::Duration;
 
-use dista_simnet::SimNet;
+use dista_simnet::{NetError, SimNet};
 use dista_taint::{GlobalId, LocalId, TagValue, Taint, TaintStore};
-use dista_taintmap::{InMemoryBackend, TaintMapBackend, TaintMapEndpoint};
+use dista_taintmap::{
+    ClientObserver, ClientResilience, InMemoryBackend, TaintMapBackend, TaintMapClient,
+    TaintMapEndpoint, TaintMapError,
+};
 
 fn store(host: u8) -> TaintStore {
     TaintStore::new(LocalId::new([10, 0, 0, host], host as u32))
@@ -155,8 +159,8 @@ fn replication_stays_per_shard() {
     endpoint.shutdown();
 }
 
-/// A backend that can hold one `lookup` at a gate, so a test can land a
-/// cutover between a frame's epoch check and the rest of its items.
+/// A backend that holds the next `register` or `lookup` at a gate once
+/// armed, so a test decides when the server's reply is written.
 struct GatedBackend {
     inner: InMemoryBackend,
     gate: Arc<Gate>,
@@ -168,18 +172,33 @@ struct Gate {
     release: Barrier,
 }
 
+impl Gate {
+    fn new() -> Arc<Self> {
+        Arc::new(Gate {
+            armed: AtomicBool::new(false),
+            entered: Barrier::new(2),
+            release: Barrier::new(2),
+        })
+    }
+
+    fn pass(&self) {
+        if self.armed.swap(false, Ordering::SeqCst) {
+            self.entered.wait();
+            self.release.wait();
+        }
+    }
+}
+
 impl TaintMapBackend for GatedBackend {
     fn register(&self, serialized: &[u8]) -> u32 {
+        self.gate.pass();
         self.inner.register(serialized)
     }
     fn reserve(&self, local_ids: &[u32]) {
         self.inner.reserve(local_ids)
     }
     fn lookup(&self, gid: u32) -> Option<Vec<u8>> {
-        if self.gate.armed.swap(false, Ordering::SeqCst) {
-            self.gate.entered.wait();
-            self.gate.release.wait();
-        }
+        self.gate.pass();
         self.inner.lookup(gid)
     }
     fn insert_replicated(&self, gid: u32, serialized: &[u8]) {
@@ -193,6 +212,20 @@ impl TaintMapBackend for GatedBackend {
     }
 }
 
+/// A one-shard deployment on [`GatedBackend`]s sharing `gate`.
+fn gated_endpoint(net: &SimNet, gate: &Arc<Gate>) -> TaintMapEndpoint {
+    let gate = gate.clone();
+    TaintMapEndpoint::builder()
+        .backend(move |_| {
+            Arc::new(GatedBackend {
+                inner: InMemoryBackend::new(),
+                gate: gate.clone(),
+            })
+        })
+        .connect(net)
+        .unwrap()
+}
+
 #[test]
 fn moved_redirects_converge_without_tripping_the_breaker() {
     // A client whose shard map predates a split keeps operating: the old
@@ -201,21 +234,8 @@ fn moved_redirects_converge_without_tripping_the_breaker() {
     // well-formed redirects as successes, never as failures. A redirect
     // storm must not open a healthy shard's circuit.
     let net = SimNet::new();
-    let gate = Arc::new(Gate {
-        armed: AtomicBool::new(false),
-        entered: Barrier::new(2),
-        release: Barrier::new(2),
-    });
-    let backend_gate = gate.clone();
-    let mut endpoint = TaintMapEndpoint::builder()
-        .backend(move |_| {
-            Arc::new(GatedBackend {
-                inner: InMemoryBackend::new(),
-                gate: backend_gate.clone(),
-            })
-        })
-        .connect(&net)
-        .unwrap();
+    let gate = Gate::new();
+    let mut endpoint = gated_endpoint(&net, &gate);
     let store1 = store(1);
     let client1 = endpoint.client(&net, store1.clone()).unwrap();
     let taints: Vec<Taint> = (0..32)
@@ -275,5 +295,65 @@ fn moved_redirects_converge_without_tripping_the_breaker() {
         );
         assert_eq!(stats.failovers, 0, "no shard was ever unreachable");
     }
+    endpoint.shutdown();
+}
+
+#[test]
+fn a_late_reply_after_an_expired_deadline_is_never_read_as_the_next_answer() {
+    // Regression: with the retry budget spent, an expired deadline used
+    // to keep the connection. The server's late reply then sat on it and
+    // the next request read it as its own: the gid of `first` handed out
+    // for `second`, and cached for good.
+    let net = SimNet::new();
+    let gate = Gate::new();
+    let endpoint = gated_endpoint(&net, &gate);
+    let deadline = Duration::from_millis(20);
+    let impatient = |vm: u8| {
+        let store = store(vm);
+        let client = TaintMapClient::connect_topology_tuned(
+            &net,
+            endpoint.topology(),
+            store.clone(),
+            ClientObserver::disabled(),
+            ClientResilience {
+                rpc_deadline: deadline,
+                retry_budget: 0,
+                ..ClientResilience::default()
+            },
+        )
+        .unwrap();
+        (client, store)
+    };
+    let timed_out = TaintMapError::Net(NetError::Timeout(deadline));
+    let witness_store = store(9);
+    let witness = endpoint.client(&net, witness_store.clone()).unwrap();
+    let tags_of = |gid| witness_store.tag_values(witness.taint_for(gid).unwrap());
+
+    // Register pair: `first` is held inside the server past the
+    // deadline, released, and only then is `second` sent.
+    let (client, store1) = impatient(1);
+    let first = store1.mint_source_taint(TagValue::str("first"));
+    let second = store1.mint_source_taint(TagValue::str("second"));
+    gate.armed.store(true, Ordering::SeqCst);
+    assert_eq!(client.global_id_for(first), Err(timed_out.clone()));
+    gate.entered.wait();
+    gate.release.wait();
+    let second_gid = client.global_id_for(second).unwrap();
+    assert_eq!(tags_of(second_gid), ["second"]);
+    // The shard serves the abandoned registration correctly too.
+    let first_gid = client.global_id_for(first).unwrap();
+    assert_eq!(tags_of(first_gid), ["first"]);
+    assert_eq!(client.stats().failovers, 1, "one retired connection");
+
+    // Lookup pair, same shape, on a client with cold caches.
+    let (reader, reader_store) = impatient(2);
+    gate.armed.store(true, Ordering::SeqCst);
+    assert_eq!(reader.taint_for(first_gid), Err(timed_out));
+    gate.entered.wait();
+    gate.release.wait();
+    let resolved = reader.taint_for(second_gid).unwrap();
+    assert_eq!(reader_store.tag_values(resolved), ["second"]);
+    let resolved = reader.taint_for(first_gid).unwrap();
+    assert_eq!(reader_store.tag_values(resolved), ["first"]);
     endpoint.shutdown();
 }

@@ -23,6 +23,7 @@ use std::thread::ThreadId;
 use std::time::Duration;
 
 use dista_repro::activemq::stomp::{self, StompFrame};
+use dista_repro::core::telemetry::TelemetryAgent;
 use dista_repro::core::{Cluster, CollectorServer, Mode};
 use dista_repro::hbase::pbrpc::{self, PbMessage};
 use dista_repro::hbase::RegionServer;
@@ -35,7 +36,6 @@ use dista_repro::jre::{
 };
 use dista_repro::mapreduce::rpc::{RpcClient, RpcServer};
 use dista_repro::netty::{decode_http_request, encode_http_request, Bootstrap, ServerBootstrap};
-use dista_repro::obs::{CollectorConfig, TelemetryAgent};
 use dista_repro::simnet::{read_full, FaultConfig, NetError, NodeAddr, SimFs, SimNet, TcpEndpoint};
 use dista_repro::taint::{
     deserialize_taint, serialize_taint, GlobalId, LocalId, Payload, TagValue, Taint, TaintStore,
@@ -1060,15 +1060,15 @@ fn mutated_telemetry_agent_frames() {
     registry
         .histogram_with("hostile_us", &[("node", "n1")], &[10, 100, 1000])
         .observe(42);
-    let delta = TelemetryAgent::for_node("n1", registry)
-        .delta_frame()
+    let delta = TelemetryAgent::for_node("n1")
+        .delta_frame(&registry.snapshot())
         .expect("three samples changed");
     let mut sample = vec![dista_repro::core::telemetry::ROLE_AGENT];
     sample.extend_from_slice(&(delta.len() as u32).to_be_bytes());
     sample.extend_from_slice(delta.as_bytes());
 
     let addr = NodeAddr::new([10, 0, 0, 200], 9100);
-    let mut server = CollectorServer::spawn(&net, addr, CollectorConfig::default()).unwrap();
+    let mut server = CollectorServer::spawn(&net, addr).unwrap();
     let push = |wire: &[u8]| {
         let conn = net.tcp_connect(addr).unwrap();
         conn.write(wire).unwrap();
@@ -1098,7 +1098,7 @@ fn telemetry_collector_hangs_up_on_an_oversize_announcement() {
     let _serial = serial();
     let net = SimNet::new();
     let addr = NodeAddr::new([10, 0, 0, 200], 9100);
-    let mut server = CollectorServer::spawn(&net, addr, CollectorConfig::default()).unwrap();
+    let mut server = CollectorServer::spawn(&net, addr).unwrap();
     let agent = net.tcp_connect(addr).unwrap();
     let mut wire = vec![dista_repro::core::telemetry::ROLE_AGENT];
     wire.extend_from_slice(&u32::MAX.to_be_bytes());

@@ -17,7 +17,6 @@ use dista_repro::jre::{
 };
 use dista_repro::mapreduce::rpc::{RpcClient, RpcServer};
 use dista_repro::netty::{Bootstrap, ServerBootstrap};
-use dista_repro::obs::CollectorConfig;
 use dista_repro::simnet::{NodeAddr, SimNet};
 use dista_repro::taint::Payload;
 use dista_repro::taintmap::TaintMapEndpoint;
@@ -145,7 +144,7 @@ fn taint_map(server: &Vm, _client: &Vm) -> Held {
 fn telemetry_collector(server: &Vm, _client: &Vm) -> Held {
     let net = server.net().clone();
     let addr = NodeAddr::new([10, 0, 0, 200], 9100);
-    let mut collector = CollectorServer::spawn(&net, addr, CollectorConfig::default()).unwrap();
+    let mut collector = CollectorServer::spawn(&net, addr).unwrap();
     let agent = net.tcp_connect(addr).unwrap();
     agent.write(b"A").unwrap();
     let scrape = net.tcp_connect(addr).unwrap();

@@ -240,7 +240,7 @@ const ALLOWED_THREADS_AND_ACCEPTS: &[(&str, usize, &str)] = &[
     (
         "crates/core/src/telemetry.rs",
         1,
-        "the per-VM telemetry agent ticks on its own thread; `AgentRuntime::stop` joins it",
+        "the telemetry plane's one agent thread; `TelemetryPlane::shutdown` joins it",
     ),
     (
         "crates/activemq/src/broker.rs",
