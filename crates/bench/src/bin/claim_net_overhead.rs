@@ -23,6 +23,7 @@
 use dista_bench::table::Table;
 use dista_core::jre::{InputStream, OutputStream, ServerSocket, Socket};
 use dista_core::obs::{MetricsDump, ObsConfig, ObsEventKind, SampleValue};
+use dista_core::simnet::FaultAction::{CrashShard, Heal, Partition, RestartShard};
 use dista_core::simnet::{NodeAddr, SimFs};
 use dista_core::taint::{Payload, TagValue, TaintedBytes};
 use dista_core::taintmap::TaintMapEndpoint;
@@ -118,10 +119,36 @@ fn chaos_run(seed: u64, rounds: u16) -> bool {
     let rx_ip = [10, 0, 0, 2];
     let tm_ip = [10, 0, 0, 99];
     let plan = FaultPlan::builder(seed)
-        .partition_both_at(2, rx_ip, tm_ip)
-        .crash_shard_at(10, 0)
-        .restart_shard_at(10, 0)
-        .heal_both_at(30, rx_ip, tm_ip)
+        .at(
+            2,
+            Partition {
+                from: rx_ip,
+                to: tm_ip,
+            },
+        )
+        .at(
+            2,
+            Partition {
+                from: tm_ip,
+                to: rx_ip,
+            },
+        )
+        .at(10, CrashShard { shard: 0 })
+        .at(10, RestartShard { shard: 0 })
+        .at(
+            30,
+            Heal {
+                from: rx_ip,
+                to: tm_ip,
+            },
+        )
+        .at(
+            30,
+            Heal {
+                from: tm_ip,
+                to: rx_ip,
+            },
+        )
         .build();
     let mut cluster = Cluster::builder(Mode::Dista)
         .nodes("net", 2)
@@ -164,7 +191,9 @@ fn chaos_run(seed: u64, rounds: u16) -> bool {
         cluster.poll_chaos().expect("poll chaos");
     }
 
-    cluster.net().heal_both(rx_ip, tm_ip);
+    for (from, to) in [(rx_ip, tm_ip), (tm_ip, rx_ip)] {
+        cluster.net().inject(Heal { from, to });
+    }
     for _ in 0..64 {
         if cluster.pending_gids() == 0 {
             break;

@@ -27,6 +27,7 @@ use dista_jre::{JreError, Vm};
 use dista_mapreduce::run_wordcount_job;
 use dista_obs::ObsConfig;
 use dista_rocketmq::{BrokerServer, MqConsumer, MqProducer, NameServer, PRODUCER_CLASS};
+use dista_simnet::FaultAction::{CrashShard, CrashVm, RestartShard, RestartVm};
 use dista_simnet::{NodeAddr, SimFs};
 use dista_taint::{TagValue, Taint, TaintedBytes};
 use dista_taintmap::TaintMapEndpoint;
@@ -101,10 +102,22 @@ pub struct IngestOutcome {
 /// inside the bridge's retry budget.
 pub fn broker_outage_plan(seed: u64) -> FaultPlan {
     FaultPlan::builder(seed)
-        .crash_vm_at_stage(STAGE_STORE, "mq-broker")
-        .crash_shard_at_stage(STAGE_STORE, 0)
-        .restart_shard_after_stage(STAGE_STORE, 12, 0)
-        .restart_vm_after_stage(STAGE_STORE, 24, "mq-broker")
+        .after_stage(
+            STAGE_STORE,
+            0,
+            CrashVm {
+                node: "mq-broker".into(),
+            },
+        )
+        .after_stage(STAGE_STORE, 0, CrashShard { shard: 0 })
+        .after_stage(STAGE_STORE, 12, RestartShard { shard: 0 })
+        .after_stage(
+            STAGE_STORE,
+            24,
+            RestartVm {
+                node: "mq-broker".into(),
+            },
+        )
         .build()
 }
 

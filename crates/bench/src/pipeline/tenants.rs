@@ -17,6 +17,7 @@ use dista_activemq::{seed_config, Broker, Consumer, Producer, CONSUMER_CLASS, PR
 use dista_core::{Cluster, DistaError, FaultPlan, Mode, WireProtocol};
 use dista_jre::Vm;
 use dista_obs::ObsConfig;
+use dista_simnet::FaultAction::{CrashVm, RestartVm};
 use dista_simnet::{NodeAddr, SimFs};
 use dista_taint::{TagValue, Taint, TaintedBytes};
 use dista_taintmap::TaintMapEndpoint;
@@ -107,8 +108,20 @@ pub fn misroute_of(seed: u64, tenants: usize, messages: usize) -> (usize, usize,
 /// later, inside the producers' retry budget.
 pub fn broker_deliver_outage(seed: u64) -> FaultPlan {
     FaultPlan::builder(seed)
-        .crash_vm_at_stage(STAGE_DELIVER, "amq-broker")
-        .restart_vm_after_stage(STAGE_DELIVER, 16, "amq-broker")
+        .after_stage(
+            STAGE_DELIVER,
+            0,
+            CrashVm {
+                node: "amq-broker".into(),
+            },
+        )
+        .after_stage(
+            STAGE_DELIVER,
+            16,
+            RestartVm {
+                node: "amq-broker".into(),
+            },
+        )
         .build()
 }
 

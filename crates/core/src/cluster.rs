@@ -5,7 +5,7 @@ use dista_obs::{
     reconstruct, reconstruct_inferred, to_chrome_trace, to_jsonl, to_text_report, FlightRecorder,
     MetricsDump, ObsConfig, ObsEvent, ObsEventKind, Observability, ProvenanceTrace,
 };
-use dista_simnet::{FaultPlan, FaultTrigger, MigrationVictim, SimNet};
+use dista_simnet::{FaultAction, FaultPlan, MigrationVictim, SimNet};
 use dista_taint::{SinkReport, SourceSinkSpec};
 use dista_taintmap::{TaintMapEndpoint, TaintMapEndpointBuilder};
 
@@ -99,7 +99,7 @@ impl ClusterBuilder {
     /// Installs a deterministic fault schedule on the cluster's network.
     /// The plan's logical step clock starts counting after the cluster
     /// (Taint Map + VMs) is stood up, so step numbers refer to workload
-    /// operations. Drive crash/restart triggers with
+    /// operations. Execute its process faults with
     /// [`Cluster::poll_chaos`].
     pub fn chaos(mut self, plan: FaultPlan) -> Self {
         self.chaos = Some(plan);
@@ -455,8 +455,8 @@ impl Cluster {
     /// named VM's recorder, marking that a cross-system pipeline stage
     /// covering `records` records begins there, and marks the stage on
     /// the fault engine so stage-keyed chaos entries
-    /// ([`dista_simnet::FaultPlanBuilder::crash_vm_at_stage`] and kin)
-    /// fire at this boundary. Drive the resulting triggers with
+    /// ([`dista_simnet::FaultPlanBuilder::after_stage`]) fire relative
+    /// to this boundary. Execute the process faults they apply with
     /// [`Cluster::poll_chaos`]. The flight event is a no-op when
     /// observability is disabled or the node is unknown; the stage mark
     /// always lands.
@@ -537,40 +537,43 @@ impl Cluster {
             .scrape_text()
     }
 
-    /// Drives the chaos layer one tick: replays newly applied faults
-    /// from the network's fault log into the event stream, then drains
-    /// and executes the process-level triggers the network cannot apply
-    /// itself (shard crash/restart, VM crash/restart). Call this between
-    /// workload phases of a chaos run — the engine is operation-clocked,
-    /// so polling cadence never changes *which* faults fire, only when
-    /// the triggers are acted on.
+    /// Drives the chaos layer one tick: walks the network's fault log
+    /// from where the last poll stopped, mirrors each applied fault into
+    /// the event stream, and executes the process faults the network
+    /// cannot apply itself (shard crash/restart, VM crash/restart, a
+    /// crash during migration); the engine already applied the link
+    /// faults. Call this between workload phases of a chaos run — the
+    /// engine is operation-clocked, so polling cadence never changes
+    /// *which* faults fire, only when process faults are acted on.
     ///
     /// # Errors
     ///
-    /// Errors from restarting a shard primary.
+    /// Errors from restarting a shard primary. The failing entry is
+    /// reported once; the entries after it run on the next poll.
     pub fn poll_chaos(&mut self) -> Result<(), DistaError> {
         let log = self.net.fault_log();
         for applied in &log[self.fault_log_cursor..] {
+            self.fault_log_cursor += 1;
             let fault = format!("step {}: {:?}", applied.step, applied.action);
             self.chaos_recorder
                 .record_with(|| ObsEventKind::FaultInjected { fault });
-        }
-        self.fault_log_cursor = log.len();
-        for trigger in self.net.take_fault_triggers() {
-            match trigger {
-                FaultTrigger::CrashShard(i) => self.crash_shard(i as usize),
-                FaultTrigger::RestartShard(i) => {
-                    self.restart_shard(i as usize)?;
+            match &applied.action {
+                FaultAction::CrashShard { shard } => self.crash_shard(*shard as usize),
+                FaultAction::RestartShard { shard } => {
+                    self.restart_shard(*shard as usize)?;
                 }
-                FaultTrigger::CrashVm(node) => self.crash_vm(&node),
-                FaultTrigger::RestartVm(node) => self.restart_vm(&node),
-                FaultTrigger::CrashDuringMigration(victim) => self.crash_migration_victim(victim),
+                FaultAction::CrashVm { node } => self.crash_vm(node),
+                FaultAction::RestartVm { node } => self.restart_vm(node),
+                FaultAction::CrashDuringMigration { victim } => {
+                    self.crash_migration_victim(*victim)
+                }
+                _ => {}
             }
         }
         Ok(())
     }
 
-    /// Executes a [`FaultTrigger::CrashDuringMigration`]: crashes the
+    /// Executes a [`FaultAction::CrashDuringMigration`]: crashes the
     /// requested side(s) of the in-flight split, if one is active (a
     /// scheduled migration crash against a workload that is not
     /// resharding is deliberately a no-op).
@@ -600,7 +603,7 @@ impl Cluster {
     /// class, runs the three-phase split protocol (double-write arm,
     /// batched copy, cutover) with [`Cluster::poll_chaos`] interleaved
     /// between batches, so a scheduled
-    /// [`FaultTrigger::CrashDuringMigration`] (or shard crash) lands
+    /// [`FaultAction::CrashDuringMigration`] (or shard crash) lands
     /// mid-migration and is healed from the WAL checkpoints before the
     /// split resumes. Returns the extended server index of each new
     /// range owner and records a `shard_split` event per cutover.
@@ -759,7 +762,7 @@ impl Cluster {
         let vm = self
             .vm_named(name)
             .unwrap_or_else(|| panic!("no VM named {name:?}"));
-        self.net.isolate(vm.ip());
+        self.net.inject(FaultAction::Isolate { ip: vm.ip() });
     }
 
     /// Rejoins a crashed VM's IP to the network.
@@ -771,7 +774,7 @@ impl Cluster {
         let vm = self
             .vm_named(name)
             .unwrap_or_else(|| panic!("no VM named {name:?}"));
-        self.net.rejoin(vm.ip());
+        self.net.inject(FaultAction::Rejoin { ip: vm.ip() });
     }
 
     /// Runs every VM's pending-sentinel reconciler (degraded lookups
@@ -1155,7 +1158,9 @@ mod tests {
         let (rx_ip, tm_ip) = (cluster.vm(1).ip(), [10, 0, 0, 99]);
         // The receiver cannot resolve the gid: its bytes arrive under a
         // pending sentinel, and the operator sees that from a scrape.
-        cluster.net().partition_both(rx_ip, tm_ip);
+        for (from, to) in [(rx_ip, tm_ip), (tm_ip, rx_ip)] {
+            cluster.net().inject(FaultAction::Partition { from, to });
+        }
         let received = cross_tainted(&cluster, 80);
         assert_eq!(cluster.pending_gids(), 1);
         assert!(cluster.vm(1).store().tag_values(received)[0].starts_with("pending-gid:"));
@@ -1163,7 +1168,9 @@ mod tests {
         // n1's agent ticks on its own phase: wait for it too.
         scrape_until(&cluster, "taintmap_register_rpcs{node=\"n1\"} 1\n");
 
-        cluster.net().heal_both(rx_ip, tm_ip);
+        for (from, to) in [(rx_ip, tm_ip), (tm_ip, rx_ip)] {
+            cluster.net().inject(FaultAction::Heal { from, to });
+        }
         assert_eq!(cluster.reconcile_pending().unwrap(), 1);
         scrape_until(&cluster, "taintmap_pending_gids{node=\"n2\"} 0\n");
         cluster.shutdown();

@@ -1,9 +1,8 @@
 //! Exporters: JSONL event dump, Chrome-trace (`chrome://tracing` /
 //! Perfetto) format, and a plain-text cluster report.
 //!
-//! The vendored `serde` has no `serde_json`, so JSON is emitted by
-//! hand; the event schema is flat enough that escaping strings is the
-//! only subtlety.
+//! JSON is emitted by hand: the event schema is flat enough that
+//! escaping strings is the only subtlety.
 
 use crate::event::{GidSpan, ObsEvent, ObsEventKind};
 use crate::registry::MetricsDump;

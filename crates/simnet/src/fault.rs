@@ -1,10 +1,12 @@
 //! Deterministic fault-schedule engine (chaos layer).
 //!
-//! A [`FaultPlan`] is a *schedule*: a list of fault actions keyed to a
-//! **logical step clock** that the network advances on every connection
-//! attempt, TCP write, and datagram send. Because the clock counts
+//! A fault is a [`FaultAction`] value. A [`FaultPlan`] schedules actions
+//! on a **logical step clock** that the network advances on every
+//! connection attempt, TCP write, and datagram send, or on a named
+//! pipeline stage ([`crate::SimNet::mark_stage`]) plus a step delay;
+//! [`crate::SimNet::inject`] applies one now. Because the clock counts
 //! operations — never wall time — and every probabilistic choice (jitter)
-//! draws from one RNG seeded by [`FaultPlan::seed`], a chaos run replays
+//! draws from one RNG seeded by the plan's seed, a chaos run replays
 //! bit-identically: the same plan against the same workload injects the
 //! same faults at the same operations, every time.
 //!
@@ -21,14 +23,14 @@
 //!   [`crate::NetError::Closed`].
 //! * **Latency/jitter** — a per-link delay charged to the sender, with
 //!   jitter sampled from the seeded RNG.
-//! * **Crash/restart triggers** — the engine cannot kill a process, so
-//!   VM- and shard-level crash points surface as [`FaultTrigger`]s that
-//!   the cluster layer drains (see `Cluster::poll_chaos` in
-//!   `dista-core`) and applies to the actual servers.
+//! * **Process faults** — the engine cannot kill a process, so shard-
+//!   and VM-level crash/restart actions are only recorded; the cluster
+//!   layer (`Cluster::poll_chaos` in `dista-core`) executes them when it
+//!   walks the log.
 //!
-//! Scheduled entries and imperative injections (`SimNet::partition`,
-//! `SimNet::isolate`, …) feed the same engine and the same applied-fault
-//! log, so a test can mix both and still assert the exact sequence.
+//! Every applied action, scheduled or injected, lands in one
+//! applied-fault log ([`crate::SimNet::fault_log`]); the log is the
+//! engine's only output and the determinism witness.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -41,7 +43,7 @@ use rand::{Rng, SeedableRng};
 pub type LinkIp = [u8; 4];
 
 /// One fault action, either scheduled in a [`FaultPlan`] or injected
-/// imperatively through `SimNet`.
+/// imperatively through `SimNet::inject`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FaultAction {
     /// Cut traffic from `from` to `to` (directed; the reverse direction
@@ -97,8 +99,7 @@ pub enum FaultAction {
         /// Destination IP.
         to: LinkIp,
     },
-    /// Ask the cluster layer to crash Taint Map shard `shard`'s primary
-    /// (surfaced as [`FaultTrigger::CrashShard`]).
+    /// Ask the cluster layer to crash Taint Map shard `shard`'s primary.
     CrashShard {
         /// Zero-based shard index.
         shard: u32,
@@ -120,11 +121,10 @@ pub enum FaultAction {
         node: String,
     },
     /// Ask the cluster layer to crash one or both sides of whatever
-    /// Taint Map range migration is in flight *when the trigger is
-    /// drained* (surfaced as [`FaultTrigger::CrashDuringMigration`]).
-    /// A no-op when no split is in flight — which makes the action
-    /// schedulable against workloads whose migration timing the plan
-    /// author cannot predict.
+    /// Taint Map range migration is in flight *when the cluster walks
+    /// this log entry*. A no-op when no split is in flight — which makes
+    /// the action schedulable against workloads whose migration timing
+    /// the plan author cannot predict.
     CrashDuringMigration {
         /// Which side(s) of the migration to crash.
         victim: MigrationVictim,
@@ -144,35 +144,24 @@ pub enum MigrationVictim {
     Both,
 }
 
-/// One schedule entry: `action` applies when the logical step clock
-/// reaches `at_step`.
+/// When a scheduled action fires.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FaultEvent {
-    /// Logical step at which the action fires.
-    pub at_step: u64,
-    /// The fault to apply.
-    pub action: FaultAction,
+enum When {
+    /// When the logical step clock reaches this step.
+    Step(u64),
+    /// `delay_steps` operations after the workload first marks `stage`
+    /// (0 = at the mark itself). Stage keying lets a plan say "crash the
+    /// broker when the store leg begins" against workloads whose exact
+    /// operation counts the author cannot predict; a deterministic
+    /// workload marks its stages at the same step every run.
+    Stage { stage: String, delay_steps: u64 },
 }
 
-/// One stage-keyed schedule entry: `action` applies the first time the
-/// workload reaches the named pipeline stage ([`crate::SimNet::mark_stage`]),
-/// whatever step count that turns out to be. Stage keying lets a chaos
-/// plan say "crash the broker when the store leg begins" against
-/// workloads whose exact operation counts the plan author cannot
-/// predict; determinism is preserved because a deterministic workload
-/// marks its stages at the same step every run.
+/// One schedule entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StageEvent {
-    /// Stage name the action waits for.
-    pub stage: String,
-    /// The fault to apply.
-    pub action: FaultAction,
-    /// Steps after the stage mark at which the action fires (0 = at the
-    /// mark itself). A crash keyed to a stage usually pairs with a
-    /// delayed restart keyed to the same stage, so the heal lands a
-    /// fixed number of workload operations into the outage regardless
-    /// of the absolute step count the stage begins at.
-    pub delay_steps: u64,
+struct FaultEvent {
+    when: When,
+    action: FaultAction,
 }
 
 /// A fault that already applied, with the step it applied at. The
@@ -186,24 +175,6 @@ pub struct AppliedFault {
     pub action: FaultAction,
 }
 
-/// A process-level fault the network cannot execute itself; drained by
-/// the cluster layer (`SimNet::take_fault_triggers`) and applied to the
-/// actual servers/VMs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FaultTrigger {
-    /// Crash Taint Map shard `0`'s primary ungracefully.
-    CrashShard(u32),
-    /// Restart that primary from its write-ahead snapshot.
-    RestartShard(u32),
-    /// Crash the named VM.
-    CrashVm(String),
-    /// Restart the named VM.
-    RestartVm(String),
-    /// Crash the given side(s) of the in-flight Taint Map range
-    /// migration, if one is active when the trigger drains.
-    CrashDuringMigration(MigrationVictim),
-}
-
 /// A deterministic fault schedule. Build one with [`FaultPlan::builder`],
 /// install it with `SimNet::install_fault_plan` (or
 /// `ClusterBuilder::chaos` in `dista-core`).
@@ -211,7 +182,6 @@ pub enum FaultTrigger {
 pub struct FaultPlan {
     seed: u64,
     entries: Vec<FaultEvent>,
-    stage_entries: Vec<StageEvent>,
 }
 
 impl FaultPlan {
@@ -220,231 +190,79 @@ impl FaultPlan {
     /// plan, same workload ⇒ same injected faults.
     pub fn builder(seed: u64) -> FaultPlanBuilder {
         FaultPlanBuilder {
-            seed,
-            entries: Vec::new(),
-            stage_entries: Vec::new(),
+            plan: FaultPlan {
+                seed,
+                entries: Vec::new(),
+            },
         }
-    }
-
-    /// The plan's RNG seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The schedule, sorted by step (stable within a step).
-    pub fn entries(&self) -> &[FaultEvent] {
-        &self.entries
-    }
-
-    /// Stage-keyed entries, in insertion order.
-    pub fn stage_entries(&self) -> &[StageEvent] {
-        &self.stage_entries
     }
 }
 
-/// Builder for [`FaultPlan`]; every `*_at` method schedules one action.
+/// Builder for [`FaultPlan`]. Entries due at the same step apply in
+/// insertion order.
 #[derive(Debug, Clone)]
 pub struct FaultPlanBuilder {
-    seed: u64,
-    entries: Vec<FaultEvent>,
-    stage_entries: Vec<StageEvent>,
+    plan: FaultPlan,
 }
 
 impl FaultPlanBuilder {
-    fn push(mut self, at_step: u64, action: FaultAction) -> Self {
-        self.entries.push(FaultEvent { at_step, action });
+    /// Schedules `action` to apply when the step clock reaches `step`
+    /// (at install, if the clock is already there).
+    pub fn at(mut self, step: u64, action: FaultAction) -> Self {
+        self.plan.entries.push(FaultEvent {
+            when: When::Step(step),
+            action,
+        });
         self
     }
 
-    /// Cuts `from → to` at `step` (directed).
-    pub fn partition_at(self, step: u64, from: LinkIp, to: LinkIp) -> Self {
-        self.push(step, FaultAction::Partition { from, to })
-    }
-
-    /// Cuts both directions between `a` and `b` at `step`.
-    pub fn partition_both_at(self, step: u64, a: LinkIp, b: LinkIp) -> Self {
-        self.push(step, FaultAction::Partition { from: a, to: b })
-            .push(step, FaultAction::Partition { from: b, to: a })
-    }
-
-    /// Heals `from → to` at `step`.
-    pub fn heal_at(self, step: u64, from: LinkIp, to: LinkIp) -> Self {
-        self.push(step, FaultAction::Heal { from, to })
-    }
-
-    /// Heals both directions between `a` and `b` at `step`.
-    pub fn heal_both_at(self, step: u64, a: LinkIp, b: LinkIp) -> Self {
-        self.push(step, FaultAction::Heal { from: a, to: b })
-            .push(step, FaultAction::Heal { from: b, to: a })
-    }
-
-    /// Isolates `ip` from every peer at `step`.
-    pub fn isolate_at(self, step: u64, ip: LinkIp) -> Self {
-        self.push(step, FaultAction::Isolate { ip })
-    }
-
-    /// Rejoins `ip` at `step`.
-    pub fn rejoin_at(self, step: u64, ip: LinkIp) -> Self {
-        self.push(step, FaultAction::Rejoin { ip })
-    }
-
-    /// Severs established connections between `a` and `b` at `step`.
-    pub fn reset_at(self, step: u64, a: LinkIp, b: LinkIp) -> Self {
-        self.push(step, FaultAction::Reset { a, b })
-    }
-
-    /// Injects `ns` ± `jitter_ns` of latency on `from → to` at `step`.
-    pub fn latency_at(self, step: u64, from: LinkIp, to: LinkIp, ns: u64, jitter_ns: u64) -> Self {
-        self.push(
-            step,
-            FaultAction::Latency {
-                from,
-                to,
-                ns,
-                jitter_ns,
-            },
-        )
-    }
-
-    /// Removes injected latency from `from → to` at `step`.
-    pub fn clear_latency_at(self, step: u64, from: LinkIp, to: LinkIp) -> Self {
-        self.push(step, FaultAction::ClearLatency { from, to })
-    }
-
-    /// Schedules a shard-primary crash trigger at `step`.
-    pub fn crash_shard_at(self, step: u64, shard: u32) -> Self {
-        self.push(step, FaultAction::CrashShard { shard })
-    }
-
-    /// Schedules a shard-primary restart trigger at `step`.
-    pub fn restart_shard_at(self, step: u64, shard: u32) -> Self {
-        self.push(step, FaultAction::RestartShard { shard })
-    }
-
-    /// Schedules a VM crash trigger at `step`.
-    pub fn crash_vm_at(self, step: u64, node: impl Into<String>) -> Self {
-        self.push(step, FaultAction::CrashVm { node: node.into() })
-    }
-
-    /// Schedules a VM restart trigger at `step`.
-    pub fn restart_vm_at(self, step: u64, node: impl Into<String>) -> Self {
-        self.push(step, FaultAction::RestartVm { node: node.into() })
-    }
-
-    /// Schedules a crash of one or both sides of whatever Taint Map
-    /// range migration is in flight when the trigger is drained at
-    /// `step` (a no-op if none is).
-    pub fn crash_during_migration_at(self, step: u64, victim: MigrationVictim) -> Self {
-        self.push(step, FaultAction::CrashDuringMigration { victim })
-    }
-
-    /// Schedules `action` to apply the first time the workload marks
-    /// pipeline stage `stage` (see [`crate::SimNet::mark_stage`]).
-    pub fn action_at_stage(self, stage: impl Into<String>, action: FaultAction) -> Self {
-        self.action_after_stage(stage, 0, action)
-    }
-
-    /// Schedules `action` to apply `delay_steps` workload operations
-    /// after stage `stage` is first marked. The delayed entry is armed
-    /// at the mark and fires from the ordinary step clock, so the same
-    /// seed and workload replay it at the same instant.
-    pub fn action_after_stage(
+    /// Schedules `action` to apply `delay_steps` operations after the
+    /// workload first marks pipeline stage `stage` (0 = at the mark; see
+    /// [`crate::SimNet::mark_stage`]). A delayed entry joins the step
+    /// schedule at the mark, after any entries already due at its step.
+    pub fn after_stage(
         mut self,
         stage: impl Into<String>,
         delay_steps: u64,
         action: FaultAction,
     ) -> Self {
-        self.stage_entries.push(StageEvent {
-            stage: stage.into(),
+        self.plan.entries.push(FaultEvent {
+            when: When::Stage {
+                stage: stage.into(),
+                delay_steps,
+            },
             action,
-            delay_steps,
         });
         self
     }
 
-    /// Schedules a VM crash trigger at the start of pipeline stage
-    /// `stage`.
-    pub fn crash_vm_at_stage(self, stage: impl Into<String>, node: impl Into<String>) -> Self {
-        self.action_at_stage(stage, FaultAction::CrashVm { node: node.into() })
-    }
-
-    /// Schedules a VM restart trigger at the start of pipeline stage
-    /// `stage`.
-    pub fn restart_vm_at_stage(self, stage: impl Into<String>, node: impl Into<String>) -> Self {
-        self.action_at_stage(stage, FaultAction::RestartVm { node: node.into() })
-    }
-
-    /// Schedules a shard-primary crash trigger at the start of pipeline
-    /// stage `stage`.
-    pub fn crash_shard_at_stage(self, stage: impl Into<String>, shard: u32) -> Self {
-        self.action_at_stage(stage, FaultAction::CrashShard { shard })
-    }
-
-    /// Schedules a shard-primary restart trigger at the start of
-    /// pipeline stage `stage`.
-    pub fn restart_shard_at_stage(self, stage: impl Into<String>, shard: u32) -> Self {
-        self.action_at_stage(stage, FaultAction::RestartShard { shard })
-    }
-
-    /// Schedules a VM restart trigger `delay_steps` operations after
-    /// pipeline stage `stage` begins — the usual heal for a
-    /// [`FaultPlanBuilder::crash_vm_at_stage`] crash.
-    pub fn restart_vm_after_stage(
-        self,
-        stage: impl Into<String>,
-        delay_steps: u64,
-        node: impl Into<String>,
-    ) -> Self {
-        self.action_after_stage(
-            stage,
-            delay_steps,
-            FaultAction::RestartVm { node: node.into() },
-        )
-    }
-
-    /// Schedules a shard-primary restart trigger `delay_steps`
-    /// operations after pipeline stage `stage` begins.
-    pub fn restart_shard_after_stage(
-        self,
-        stage: impl Into<String>,
-        delay_steps: u64,
-        shard: u32,
-    ) -> Self {
-        self.action_after_stage(stage, delay_steps, FaultAction::RestartShard { shard })
-    }
-
-    /// Finishes the plan; entries are ordered by step, preserving
-    /// insertion order within a step. Stage-keyed entries keep insertion
-    /// order and fire when their stage is marked.
-    pub fn build(mut self) -> FaultPlan {
-        self.entries.sort_by_key(|e| e.at_step);
-        FaultPlan {
-            seed: self.seed,
-            entries: self.entries,
-            stage_entries: self.stage_entries,
-        }
+    /// Finishes the plan.
+    pub fn build(self) -> FaultPlan {
+        self.plan
     }
 }
 
 #[derive(Debug)]
 struct EngineState {
     step: u64,
-    schedule: Vec<FaultEvent>,
-    stage_schedule: Vec<StageEvent>,
-    /// Stage-armed delayed entries, absolute-step resolved at the mark.
-    delayed: Vec<FaultEvent>,
+    /// Step-keyed entries, sorted by step; `next` is the first unapplied.
+    schedule: Vec<(u64, FaultAction)>,
     next: usize,
+    /// Stage-keyed entries `(stage, delay_steps, action)` whose stage
+    /// has not been marked yet.
+    staged: Vec<(String, u64, FaultAction)>,
     rng: SmallRng,
     blocked: HashSet<(LinkIp, LinkIp)>,
     isolated: HashSet<LinkIp>,
     latency: HashMap<(LinkIp, LinkIp), (u64, u64)>,
     /// Last reset step per unordered IP pair (stored with a <= b).
     resets: HashMap<(LinkIp, LinkIp), u64>,
-    triggers: Vec<FaultTrigger>,
     log: Vec<AppliedFault>,
 }
 
 impl EngineState {
+    /// Applies the link effect of `action` (process faults have none
+    /// here) and logs it.
     fn apply(&mut self, step: u64, action: FaultAction) {
         match &action {
             FaultAction::Partition { from, to } => {
@@ -474,44 +292,31 @@ impl EngineState {
             FaultAction::ClearLatency { from, to } => {
                 self.latency.remove(&(*from, *to));
             }
-            FaultAction::CrashShard { shard } => {
-                self.triggers.push(FaultTrigger::CrashShard(*shard));
-            }
-            FaultAction::RestartShard { shard } => {
-                self.triggers.push(FaultTrigger::RestartShard(*shard));
-            }
-            FaultAction::CrashVm { node } => {
-                self.triggers.push(FaultTrigger::CrashVm(node.clone()));
-            }
-            FaultAction::RestartVm { node } => {
-                self.triggers.push(FaultTrigger::RestartVm(node.clone()));
-            }
-            FaultAction::CrashDuringMigration { victim } => {
-                self.triggers
-                    .push(FaultTrigger::CrashDuringMigration(*victim));
-            }
+            FaultAction::CrashShard { .. }
+            | FaultAction::RestartShard { .. }
+            | FaultAction::CrashVm { .. }
+            | FaultAction::RestartVm { .. }
+            | FaultAction::CrashDuringMigration { .. } => {}
         }
         self.log.push(AppliedFault { step, action });
     }
 
+    /// Adds `action` to the step schedule after every entry due at or
+    /// before `step`.
+    fn schedule_at(&mut self, step: u64, action: FaultAction) {
+        let at = self.next + self.schedule[self.next..].partition_point(|(s, _)| *s <= step);
+        self.schedule.insert(at, (step, action));
+    }
+
     fn run_due(&mut self) {
-        while self.next < self.schedule.len() && self.schedule[self.next].at_step <= self.step {
-            let entry = self.schedule[self.next].clone();
+        while self
+            .schedule
+            .get(self.next)
+            .is_some_and(|(at, _)| *at <= self.step)
+        {
+            let (at, action) = self.schedule[self.next].clone();
             self.next += 1;
-            self.apply(entry.at_step.min(self.step), entry.action);
-        }
-        let step = self.step;
-        let mut due = Vec::new();
-        self.delayed.retain(|e| {
-            if e.at_step <= step {
-                due.push(e.action.clone());
-                false
-            } else {
-                true
-            }
-        });
-        for action in due {
-            self.apply(step, action);
+            self.apply(at, action);
         }
     }
 }
@@ -531,15 +336,13 @@ impl FaultEngine {
             state: Mutex::new(EngineState {
                 step: 0,
                 schedule: Vec::new(),
-                stage_schedule: Vec::new(),
-                delayed: Vec::new(),
                 next: 0,
+                staged: Vec::new(),
                 rng: SmallRng::seed_from_u64(0),
                 blocked: HashSet::new(),
                 isolated: HashSet::new(),
                 latency: HashMap::new(),
                 resets: HashMap::new(),
-                triggers: Vec::new(),
                 log: Vec::new(),
             }),
         }
@@ -548,44 +351,40 @@ impl FaultEngine {
     pub(crate) fn install(&self, plan: FaultPlan) {
         let mut st = self.state.lock();
         st.rng = SmallRng::seed_from_u64(plan.seed);
-        st.schedule = plan.entries;
-        st.stage_schedule = plan.stage_entries;
-        st.delayed.clear();
+        st.schedule.clear();
+        st.staged.clear();
         st.next = 0;
-        st.run_due(); // entries scheduled at the current step fire now
+        for entry in plan.entries {
+            match entry.when {
+                When::Step(step) => st.schedule.push((step, entry.action)),
+                When::Stage { stage, delay_steps } => {
+                    st.staged.push((stage, delay_steps, entry.action))
+                }
+            }
+        }
+        st.schedule.sort_by_key(|(step, _)| *step);
+        st.run_due(); // entries scheduled at or before the current step fire now
         self.armed.store(true, Ordering::Release);
     }
 
-    /// Fires every stage-keyed entry waiting on `stage`, at the current
-    /// step. Each entry fires at most once (the first time its stage is
-    /// marked); unknown stages are a no-op.
+    /// Moves every stage-keyed entry waiting on `stage` into the step
+    /// schedule, `delay_steps` after the current step, and applies the
+    /// ones due now. Each entry fires at most once (the first time its
+    /// stage is marked); unknown stages are a no-op.
     pub(crate) fn mark_stage(&self, stage: &str) {
         if !self.armed.load(Ordering::Acquire) {
             return;
         }
         let mut st = self.state.lock();
-        let step = st.step;
-        let mut due = Vec::new();
-        let mut armed = Vec::new();
-        st.stage_schedule.retain(|e| {
-            if e.stage == stage {
-                if e.delay_steps == 0 {
-                    due.push(e.action.clone());
-                } else {
-                    armed.push(FaultEvent {
-                        at_step: step + e.delay_steps,
-                        action: e.action.clone(),
-                    });
-                }
-                false
-            } else {
-                true
-            }
-        });
-        st.delayed.extend(armed);
-        for action in due {
-            st.apply(step, action);
+        let (marked, waiting): (Vec<_>, Vec<_>) = std::mem::take(&mut st.staged)
+            .into_iter()
+            .partition(|(s, ..)| s == stage);
+        st.staged = waiting;
+        for (_, delay_steps, action) in marked {
+            let step = st.step + delay_steps;
+            st.schedule_at(step, action);
         }
+        st.run_due();
     }
 
     pub(crate) fn inject(&self, action: FaultAction) {
@@ -648,13 +447,6 @@ impl FaultEngine {
         }
     }
 
-    pub(crate) fn take_triggers(&self) -> Vec<FaultTrigger> {
-        if !self.armed.load(Ordering::Acquire) {
-            return Vec::new();
-        }
-        std::mem::take(&mut self.state.lock().triggers)
-    }
-
     pub(crate) fn log(&self) -> Vec<AppliedFault> {
         self.state.lock().log.clone()
     }
@@ -680,24 +472,21 @@ mod tests {
     const A: LinkIp = [10, 0, 0, 1];
     const B: LinkIp = [10, 0, 0, 2];
 
-    #[test]
-    fn plan_orders_entries_by_step() {
-        let plan = FaultPlan::builder(7)
-            .heal_at(9, A, B)
-            .partition_at(3, A, B)
-            .build();
-        assert_eq!(plan.seed(), 7);
-        assert_eq!(plan.entries()[0].at_step, 3);
-        assert_eq!(plan.entries()[1].at_step, 9);
+    fn log_steps(engine: &FaultEngine) -> Vec<(u64, FaultAction)> {
+        engine
+            .log()
+            .into_iter()
+            .map(|f| (f.step, f.action))
+            .collect()
     }
 
     #[test]
-    fn schedule_applies_on_step_clock() {
+    fn schedule_applies_on_step_clock_in_step_order() {
         let engine = FaultEngine::new();
         engine.install(
             FaultPlan::builder(1)
-                .partition_at(2, A, B)
-                .heal_at(4, A, B)
+                .at(4, FaultAction::Heal { from: A, to: B })
+                .at(2, FaultAction::Partition { from: A, to: B })
                 .build(),
         );
         assert!(!engine.blocked(A, B));
@@ -751,7 +540,15 @@ mod tests {
             let engine = FaultEngine::new();
             engine.install(
                 FaultPlan::builder(seed)
-                    .latency_at(0, A, B, 100, 50)
+                    .at(
+                        0,
+                        FaultAction::Latency {
+                            from: A,
+                            to: B,
+                            ns: 100,
+                            jitter_ns: 50,
+                        },
+                    )
                     .build(),
             );
             (0..8).map(|_| engine.latency_ns(A, B)).collect::<Vec<_>>()
@@ -763,86 +560,64 @@ mod tests {
 
     #[test]
     fn stage_keyed_entries_fire_once_when_marked() {
+        let crash = FaultAction::CrashVm {
+            node: "mq-broker".into(),
+        };
+        let restart = FaultAction::RestartVm {
+            node: "mq-broker".into(),
+        };
         let engine = FaultEngine::new();
         engine.install(
             FaultPlan::builder(5)
-                .crash_vm_at_stage("store", "mq-broker")
-                .restart_vm_at_stage("analyze", "mq-broker")
-                .crash_shard_at_stage("store", 0)
+                .after_stage("store", 0, crash.clone())
+                .after_stage("analyze", 0, restart.clone())
+                .after_stage("store", 0, FaultAction::CrashShard { shard: 0 })
                 .build(),
         );
         engine.advance();
         engine.advance();
-        assert!(engine.take_triggers().is_empty(), "steps alone don't fire");
+        assert!(engine.log().is_empty(), "steps alone don't fire");
         engine.mark_stage("store");
-        assert_eq!(
-            engine.take_triggers(),
-            vec![
-                FaultTrigger::CrashVm("mq-broker".into()),
-                FaultTrigger::CrashShard(0),
-            ]
-        );
         engine.mark_stage("store");
-        assert!(engine.take_triggers().is_empty(), "each entry fires once");
         engine.mark_stage("analyze");
         assert_eq!(
-            engine.take_triggers(),
-            vec![FaultTrigger::RestartVm("mq-broker".into())]
+            log_steps(&engine),
+            vec![
+                (2, crash),
+                (2, FaultAction::CrashShard { shard: 0 }),
+                (2, restart),
+            ],
+            "each entry fires once, at the step its stage was marked"
         );
-        // Applied log records the step each stage mark landed on.
-        let log = engine.log();
-        assert_eq!(log.len(), 3);
-        assert!(log.iter().all(|f| f.step == 2));
     }
 
     #[test]
-    fn delayed_stage_entries_arm_at_the_mark_and_fire_from_the_clock() {
+    fn delayed_stage_entries_join_the_schedule_after_entries_due_at_their_step() {
+        let crash = FaultAction::CrashVm {
+            node: "mq-broker".into(),
+        };
+        let restart = FaultAction::RestartVm {
+            node: "mq-broker".into(),
+        };
+        let heal = FaultAction::Heal { from: A, to: B };
         let engine = FaultEngine::new();
         engine.install(
             FaultPlan::builder(5)
-                .crash_vm_at_stage("store", "mq-broker")
-                .restart_vm_after_stage("store", 3, "mq-broker")
+                .after_stage("store", 3, restart.clone())
+                .after_stage("store", 0, crash.clone())
+                .at(4, heal.clone())
                 .build(),
         );
         engine.advance(); // step 1
-        engine.mark_stage("store"); // crash now; restart armed for step 4
-        assert_eq!(
-            engine.take_triggers(),
-            vec![FaultTrigger::CrashVm("mq-broker".into())]
-        );
+        engine.mark_stage("store"); // crash now; restart due at step 4
+        assert_eq!(log_steps(&engine), vec![(1, crash.clone())]);
         engine.advance(); // 2
         engine.advance(); // 3
-        assert!(engine.take_triggers().is_empty(), "restart not due yet");
-        engine.advance(); // 4 — delay elapsed
+        assert_eq!(engine.log().len(), 1, "restart not due yet");
+        engine.advance(); // 4 — the scheduled heal first, then the restart
         assert_eq!(
-            engine.take_triggers(),
-            vec![FaultTrigger::RestartVm("mq-broker".into())]
+            log_steps(&engine),
+            vec![(1, crash), (4, heal), (4, restart)]
         );
-        let log = engine.log();
-        assert_eq!(log.len(), 2);
-        assert_eq!(log[0].step, 1);
-        assert_eq!(log[1].step, 4);
-    }
-
-    #[test]
-    fn triggers_drain_once() {
-        let engine = FaultEngine::new();
-        engine.install(
-            FaultPlan::builder(0)
-                .crash_shard_at(1, 2)
-                .restart_vm_at(1, "n1")
-                .crash_during_migration_at(1, MigrationVictim::Both)
-                .build(),
-        );
-        engine.advance();
-        assert_eq!(
-            engine.take_triggers(),
-            vec![
-                FaultTrigger::CrashShard(2),
-                FaultTrigger::RestartVm("n1".into()),
-                FaultTrigger::CrashDuringMigration(MigrationVictim::Both),
-            ]
-        );
-        assert!(engine.take_triggers().is_empty());
     }
 }

@@ -24,9 +24,10 @@
 //!   SIM scenarios read configuration/transaction files from here).
 //! * [`NetMetrics`] — byte accounting used by the ≈5× network-overhead
 //!   experiment.
-//! * [`FaultPlan`] — a deterministic chaos schedule (directed
-//!   partitions, connection resets, latency/jitter, crash-restart
-//!   triggers) replayed bit-identically on a logical step clock.
+//! * [`FaultPlan`] — a deterministic chaos schedule of [`FaultAction`]s
+//!   (directed partitions, connection resets, latency/jitter,
+//!   crash-restart points) replayed bit-identically on a logical step
+//!   clock; [`SimNet::inject`] applies one now.
 //!
 //! Every read, accept and receive blocks, and all of them wait the same
 //! way: parked on the one source they need, under an absolute deadline
@@ -68,10 +69,7 @@ mod wakers;
 
 pub use addr::NodeAddr;
 pub use error::NetError;
-pub use fault::{
-    AppliedFault, FaultAction, FaultEvent, FaultPlan, FaultPlanBuilder, FaultTrigger, LinkIp,
-    MigrationVictim, StageEvent,
-};
+pub use fault::{AppliedFault, FaultAction, FaultPlan, FaultPlanBuilder, LinkIp, MigrationVictim};
 pub use fs::{FileNotFound, SimFs, SimFsError};
 pub use metrics::{MetricsSnapshot, NetMetrics};
 pub use net::{FaultConfig, SimNet};

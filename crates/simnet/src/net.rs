@@ -12,7 +12,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::addr::NodeAddr;
 use crate::error::NetError;
-use crate::fault::{AppliedFault, FaultAction, FaultEngine, FaultPlan, FaultTrigger, LinkIp};
+use crate::fault::{AppliedFault, FaultAction, FaultEngine, FaultPlan};
 use crate::metrics::NetMetrics;
 use crate::tcp::{AcceptQueue, TcpEndpoint, TcpListener};
 use crate::udp::{Mailbox, UdpEndpoint};
@@ -190,16 +190,11 @@ impl SimNet {
 
     /// Marks that the workload reached pipeline stage `stage`: every
     /// stage-keyed entry of the installed [`FaultPlan`] waiting on that
-    /// name fires now, at the current step. Unknown stages (and marks
-    /// with no plan installed) are a no-op.
+    /// name joins the step schedule, its delay after the current step
+    /// (delay 0 fires now). Unknown stages (and marks with no plan
+    /// installed) are a no-op.
     pub fn mark_stage(&self, stage: &str) {
         self.inner.faults.engine().mark_stage(stage);
-    }
-
-    /// Drains pending process-level fault triggers (VM/shard
-    /// crash-restart points) for the cluster layer to execute.
-    pub fn take_fault_triggers(&self) -> Vec<FaultTrigger> {
-        self.inner.faults.engine().take_triggers()
     }
 
     /// The applied-fault log: every fault that has fired, with the step
@@ -209,58 +204,12 @@ impl SimNet {
         self.inner.faults.engine().log()
     }
 
-    /// Imperatively cuts `from → to` (directed), effective immediately.
-    pub fn partition(&self, from: LinkIp, to: LinkIp) {
-        self.inner
-            .faults
-            .engine()
-            .inject(FaultAction::Partition { from, to });
-    }
-
-    /// Imperatively cuts both directions between `a` and `b`.
-    pub fn partition_both(&self, a: LinkIp, b: LinkIp) {
-        self.partition(a, b);
-        self.partition(b, a);
-    }
-
-    /// Heals a directed partition.
-    pub fn heal(&self, from: LinkIp, to: LinkIp) {
-        self.inner
-            .faults
-            .engine()
-            .inject(FaultAction::Heal { from, to });
-    }
-
-    /// Heals both directions between `a` and `b`.
-    pub fn heal_both(&self, a: LinkIp, b: LinkIp) {
-        self.heal(a, b);
-        self.heal(b, a);
-    }
-
-    /// Partitions `ip` from every peer (the network face of a crash).
-    pub fn isolate(&self, ip: LinkIp) {
-        self.inner
-            .faults
-            .engine()
-            .inject(FaultAction::Isolate { ip });
-    }
-
-    /// Undoes [`SimNet::isolate`].
-    pub fn rejoin(&self, ip: LinkIp) {
-        self.inner
-            .faults
-            .engine()
-            .inject(FaultAction::Rejoin { ip });
-    }
-
-    /// Severs every TCP connection currently established between the two
-    /// IPs; the next operation on either end observes
-    /// [`NetError::Closed`].
-    pub fn reset_link(&self, a: LinkIp, b: LinkIp) {
-        self.inner
-            .faults
-            .engine()
-            .inject(FaultAction::Reset { a, b });
+    /// Applies `action` now, at the current step, and logs it. Link
+    /// faults take effect immediately (a two-way cut is two
+    /// [`FaultAction::Partition`]s); process faults are only logged, for
+    /// the cluster layer to execute when it walks [`SimNet::fault_log`].
+    pub fn inject(&self, action: FaultAction) {
+        self.inner.faults.engine().inject(action);
     }
 
     /// The network's byte-accounting counters.

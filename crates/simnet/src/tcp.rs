@@ -440,6 +440,7 @@ mod tests {
 
     use super::*;
     use crate::net::SimNet;
+    use crate::FaultAction;
 
     fn pair() -> (TcpEndpoint, TcpEndpoint) {
         let net = SimNet::new();
@@ -593,10 +594,16 @@ mod tests {
         let l = net.tcp_listen(addr).unwrap();
         let c = net.tcp_connect_from([10, 0, 0, 1], addr).unwrap();
         let s = l.accept().unwrap();
-        net.partition([10, 0, 0, 1], [10, 0, 0, 2]);
+        net.inject(FaultAction::Partition {
+            from: [10, 0, 0, 1],
+            to: [10, 0, 0, 2],
+        });
         assert_eq!(c.write(b"x"), Err(NetError::Unreachable(addr)));
         s.write(b"reverse ok").unwrap(); // directed: replies still flow
-        net.heal([10, 0, 0, 1], [10, 0, 0, 2]);
+        net.inject(FaultAction::Heal {
+            from: [10, 0, 0, 1],
+            to: [10, 0, 0, 2],
+        });
         c.write(b"x").unwrap();
     }
 
@@ -608,7 +615,10 @@ mod tests {
         let c = net.tcp_connect_from([10, 0, 0, 1], addr).unwrap();
         let s = l.accept().unwrap();
         c.write(b"before").unwrap();
-        net.reset_link([10, 0, 0, 1], [10, 0, 0, 2]);
+        net.inject(FaultAction::Reset {
+            a: [10, 0, 0, 1],
+            b: [10, 0, 0, 2],
+        });
         assert_eq!(c.write(b"after"), Err(NetError::Closed));
         // A fresh connection on the same link works again.
         let c2 = net.tcp_connect_from([10, 0, 0, 1], addr).unwrap();

@@ -157,6 +157,7 @@ impl UdpEndpoint {
 mod tests {
     use super::*;
     use crate::net::{FaultConfig, SimNet};
+    use crate::FaultAction;
 
     fn two() -> (UdpEndpoint, UdpEndpoint) {
         let net = SimNet::new();
@@ -230,10 +231,16 @@ mod tests {
         let net = SimNet::new();
         let a = net.udp_bind(NodeAddr::new([10, 0, 0, 1], 2)).unwrap();
         let b = net.udp_bind(NodeAddr::new([10, 0, 0, 2], 2)).unwrap();
-        net.partition([10, 0, 0, 1], [10, 0, 0, 2]);
+        net.inject(FaultAction::Partition {
+            from: [10, 0, 0, 1],
+            to: [10, 0, 0, 2],
+        });
         a.send_to(b.local_addr(), b"lost");
         assert_eq!(net.metrics().snapshot().udp_dropped, 1);
-        net.heal([10, 0, 0, 1], [10, 0, 0, 2]);
+        net.inject(FaultAction::Heal {
+            from: [10, 0, 0, 1],
+            to: [10, 0, 0, 2],
+        });
         a.send_to(b.local_addr(), b"through");
         let mut buf = [0u8; 16];
         let (n, _) = b.receive(&mut buf).unwrap();

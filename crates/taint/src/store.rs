@@ -97,11 +97,6 @@ impl TaintStore {
     pub fn sources_minted(&self) -> u64 {
         self.inner.sources_minted.load(Ordering::Relaxed)
     }
-
-    /// True if the two handles denote identical tag sets.
-    pub fn same_taint(&self, a: Taint, b: Taint) -> bool {
-        a == b // interning makes handle equality set equality
-    }
 }
 
 #[cfg(test)]

@@ -3,8 +3,6 @@
 use std::fmt;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a tag inside one VM's [`crate::TaintTree`].
 ///
 /// This is the `ID` component of the paper's quad: "the unique rank of the
@@ -32,7 +30,7 @@ impl fmt::Display for TagId {
 /// same code can mint tags with the same value (e.g. both name a vote
 /// `"a_tag"`); the `LocalID` keeps them distinct once they meet on one
 /// node (paper §III-D-1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LocalId {
     ip: [u8; 4],
     pid: u32,
@@ -90,9 +88,7 @@ impl fmt::Display for LocalId {
 /// Global identifier assigned by the Taint Map the first time a taint
 /// leaves its node. `GlobalId::UNTAINTED` (0) marks untainted bytes on the
 /// wire; real ids are positive (paper §III-D-1).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct GlobalId(pub u32);
 
 impl GlobalId {
@@ -162,7 +158,7 @@ impl fmt::Display for GlobalId {
 ///
 /// The paper allows "a String … or any other object"; we support strings,
 /// raw bytes and integers, which covers every scenario in the evaluation.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum TagValue {
     /// A human-readable label such as `"zxid2"`.
     Str(Arc<str>),
@@ -226,7 +222,7 @@ fn hex(bytes: &[u8]) -> String {
 /// `TaintTag` is the owned, inspectable form returned by tree queries and
 /// carried inside serialized taints; inside the tree tags are stored in a
 /// compact table indexed by [`TagId`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TaintTag {
     /// Tree-local rank of the tag (`ID`).
     pub id: u32,

@@ -1421,13 +1421,6 @@ impl TaintMapClient {
             epoch_refetches: obs.epoch_refetches.get(),
         }
     }
-
-    /// The epoch of this client's cached routing table for residue
-    /// class `class` (0 until the class is resharded and the client
-    /// converges).
-    pub fn class_epoch(&self, class: usize) -> u64 {
-        self.inner.tables.lock()[class].epoch
-    }
 }
 
 fn dial_any(
@@ -1457,6 +1450,7 @@ fn dial_any(
 mod tests {
     use super::*;
     use crate::endpoint::TaintMapEndpoint;
+    use dista_simnet::FaultAction;
     use dista_taint::{LocalId, TagValue};
 
     fn setup() -> (SimNet, TaintMapEndpoint, TaintMapClient, TaintStore) {
@@ -1800,7 +1794,9 @@ mod tests {
         .unwrap();
         let src = [10, 0, 0, 1];
         let dst = endpoint.addr().ip();
-        net.partition_both(src, dst);
+        for (from, to) in [(src, dst), (dst, src)] {
+            net.inject(FaultAction::Partition { from, to });
+        }
 
         // Failures accumulate until the breaker trips, then requests
         // fast-fail without touching the wire.
@@ -1824,7 +1820,9 @@ mod tests {
 
         // Heal; burn through the remaining fast-fails to the half-open
         // probe, which succeeds and closes the breaker.
-        net.heal_both(src, dst);
+        for (from, to) in [(src, dst), (dst, src)] {
+            net.inject(FaultAction::Heal { from, to });
+        }
         let mut gid = None;
         for _ in 0..8 {
             if let Ok(g) = client.global_id_for(t1) {
@@ -1904,7 +1902,9 @@ mod tests {
         .unwrap();
         let src = [10, 0, 0, 2];
         let dst = endpoint.addr().ip();
-        net.partition_both(src, dst);
+        for (from, to) in [(src, dst), (dst, src)] {
+            net.inject(FaultAction::Partition { from, to });
+        }
 
         // The strict path fails outright; the degraded path yields a
         // sentinel taint instead — the bytes are never silently clean.
@@ -1927,7 +1927,9 @@ mod tests {
 
         // Heal: reconciliation succeeds once the breaker's fast-fail
         // window is burned down to its half-open probe.
-        net.heal_both(src, dst);
+        for (from, to) in [(src, dst), (dst, src)] {
+            net.inject(FaultAction::Heal { from, to });
+        }
         let mut resolved = 0;
         for _ in 0..8 {
             resolved += client2.reconcile_pending().unwrap();
@@ -1980,11 +1982,15 @@ mod tests {
         // cut off; after the heal the reconciler burns the fast-fail
         // window down to the closing probe.
         let (src, dst) = ([10, 0, 0, 2], endpoint.topology().shard_addrs(0)[0].ip());
-        net.partition_both(src, dst);
+        for (from, to) in [(src, dst), (dst, src)] {
+            net.inject(FaultAction::Partition { from, to });
+        }
         assert!(client2.taints_for(&[gids[1]]).is_err());
         assert!(client2.taints_for(&[gids[1]]).is_err());
         client2.taints_for_degraded(&[gids[1]]).unwrap();
-        net.heal_both(src, dst);
+        for (from, to) in [(src, dst), (dst, src)] {
+            net.inject(FaultAction::Heal { from, to });
+        }
         assert!((0..8).any(|_| client2.reconcile_pending().unwrap() == 1));
 
         let s = client2.stats();

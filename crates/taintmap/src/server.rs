@@ -848,11 +848,6 @@ impl TaintMapServer {
         self.server.local_addr()
     }
 
-    /// This server's slice of the Global ID namespace.
-    pub fn shard_spec(&self) -> ShardSpec {
-        self.shared.shard
-    }
-
     /// Registrations recovered from the write-ahead snapshot at launch
     /// (0 when launched without a WAL or from an empty log).
     pub fn replayed(&self) -> u64 {

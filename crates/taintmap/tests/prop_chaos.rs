@@ -8,6 +8,7 @@
 use std::collections::HashMap;
 use std::time::Duration;
 
+use dista_simnet::FaultAction::{Heal, Partition};
 use dista_simnet::{FaultPlan, NodeAddr, SimFs, SimNet};
 use dista_taint::{GlobalId, LocalId, TagValue, Taint, TaintStore};
 use dista_taintmap::{
@@ -225,8 +226,10 @@ proptest! {
         .unwrap();
         net.install_fault_plan(
             FaultPlan::builder(seed)
-                .partition_both_at(cut_at, me, tm_ip)
-                .heal_both_at(cut_at + heal_after, me, tm_ip)
+                .at(cut_at, Partition { from: me, to: tm_ip })
+                .at(cut_at, Partition { from: tm_ip, to: me })
+                .at(cut_at + heal_after, Heal { from: me, to: tm_ip })
+                .at(cut_at + heal_after, Heal { from: tm_ip, to: me })
                 .build(),
         );
 
@@ -247,7 +250,9 @@ proptest! {
 
         // Heal (idempotent if the schedule already healed) and drain the
         // pending backlog through the breaker's probe window.
-        net.heal_both(me, tm_ip);
+        for (from, to) in [(me, tm_ip), (tm_ip, me)] {
+            net.inject(Heal { from, to });
+        }
         for _ in 0..32 {
             if client2.pending_count() == 0 {
                 break;

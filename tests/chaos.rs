@@ -8,12 +8,16 @@
 
 use std::time::Duration;
 
-use dista_repro::core::{Cluster, FaultPlan, Mode, ReshardPlan};
+use dista_repro::core::{Cluster, DistaError, FaultPlan, Mode, ReshardPlan};
 use dista_repro::jre::{InputStream, OutputStream, ServerSocket, Socket};
 use dista_repro::obs::{ObsConfig, ObsEventKind};
-use dista_repro::simnet::{FaultConfig, MigrationVictim, NodeAddr, SimFs, SimNet};
+use dista_repro::simnet::FaultAction::{
+    self, CrashDuringMigration, CrashShard, CrashVm, Heal, Isolate, Partition, Reset, RestartShard,
+    RestartVm,
+};
+use dista_repro::simnet::{FaultConfig, MigrationVictim, NetError, NodeAddr, SimFs, SimNet};
 use dista_repro::taint::{Payload, TagValue, TaintedBytes};
-use dista_repro::taintmap::TaintMapEndpoint;
+use dista_repro::taintmap::{TaintMapEndpoint, TaintMapError};
 
 const RX_IP: [u8; 4] = [10, 0, 0, 2];
 const TM_IP: [u8; 4] = [10, 0, 0, 99];
@@ -33,10 +37,36 @@ struct ChaosWitness {
 /// late. Eight request rounds flow through the whole arc.
 fn run_chaos_scenario(seed: u64) -> ChaosWitness {
     let plan = FaultPlan::builder(seed)
-        .partition_both_at(1, RX_IP, TM_IP)
-        .crash_shard_at(8, 0)
-        .restart_shard_at(8, 0)
-        .heal_both_at(24, RX_IP, TM_IP)
+        .at(
+            1,
+            Partition {
+                from: RX_IP,
+                to: TM_IP,
+            },
+        )
+        .at(
+            1,
+            Partition {
+                from: TM_IP,
+                to: RX_IP,
+            },
+        )
+        .at(8, CrashShard { shard: 0 })
+        .at(8, RestartShard { shard: 0 })
+        .at(
+            24,
+            Heal {
+                from: RX_IP,
+                to: TM_IP,
+            },
+        )
+        .at(
+            24,
+            Heal {
+                from: TM_IP,
+                to: RX_IP,
+            },
+        )
         .build();
     let mut cluster = Cluster::builder(Mode::Dista)
         .nodes("c", 2)
@@ -75,7 +105,9 @@ fn run_chaos_scenario(seed: u64) -> ChaosWitness {
 
     // Heal (idempotent if the scheduled heal already fired) and drain
     // the pending backlog through the breaker's probe window.
-    cluster.net().heal_both(RX_IP, TM_IP);
+    for (from, to) in [(RX_IP, TM_IP), (TM_IP, RX_IP)] {
+        cluster.net().inject(Heal { from, to });
+    }
     for _ in 0..64 {
         if cluster.pending_gids() == 0 {
             break;
@@ -214,9 +246,27 @@ fn run_simnet_chaos(seed: u64) -> SimnetWitness {
     });
     net.install_fault_plan(
         FaultPlan::builder(seed)
-            .partition_at(6, client_ip, server_ip)
-            .heal_at(14, client_ip, server_ip)
-            .reset_at(20, client_ip, server_ip)
+            .at(
+                6,
+                Partition {
+                    from: client_ip,
+                    to: server_ip,
+                },
+            )
+            .at(
+                14,
+                Heal {
+                    from: client_ip,
+                    to: server_ip,
+                },
+            )
+            .at(
+                20,
+                Reset {
+                    a: client_ip,
+                    b: server_ip,
+                },
+            )
             .build(),
     );
 
@@ -325,8 +375,18 @@ fn reshard_survives_crash_during_migration() {
     let step = cluster.net().fault_step();
     cluster.net().install_fault_plan(
         FaultPlan::builder(seed)
-            .crash_during_migration_at(step + 2, MigrationVictim::Source)
-            .crash_during_migration_at(step + 12, MigrationVictim::Target)
+            .at(
+                step + 2,
+                CrashDuringMigration {
+                    victim: MigrationVictim::Source,
+                },
+            )
+            .at(
+                step + 12,
+                CrashDuringMigration {
+                    victim: MigrationVictim::Target,
+                },
+            )
             .build(),
     );
 
@@ -434,8 +494,8 @@ fn crashed_vm_is_unreachable_until_restarted() {
 #[test]
 fn scheduled_vm_crash_and_restart_fire_from_the_plan() {
     let plan = FaultPlan::builder(9)
-        .crash_vm_at(2, "s2")
-        .restart_vm_at(5, "s2")
+        .at(2, CrashVm { node: "s2".into() })
+        .at(5, RestartVm { node: "s2".into() })
         .build();
     let mut cluster = Cluster::builder(Mode::Dista)
         .nodes("s", 2)
@@ -467,5 +527,135 @@ fn scheduled_vm_crash_and_restart_fire_from_the_plan() {
     }
     assert!(saw_outage, "the scheduled crash never cut the node");
     assert!(recovered, "the scheduled restart never rejoined the node");
+    cluster.shutdown();
+}
+
+/// The fault log's `step N: {:?}` lines, as `Cluster::poll_chaos`
+/// mirrors them into `FaultInjected` events.
+fn fault_lines(net: &SimNet) -> Vec<String> {
+    net.fault_log()
+        .iter()
+        .map(|f| format!("step {}: {:?}", f.step, f.action))
+        .collect()
+}
+
+/// Same-step entries apply in insertion order; a delay-0 stage entry
+/// applies at the mark; a delayed stage entry that lands on a scheduled
+/// step applies after the scheduled entries of that step.
+#[test]
+fn applied_fault_log_is_pinned() {
+    let (a, b, c) = ([10, 0, 2, 1], [10, 0, 2, 2], [10, 0, 2, 3]);
+    let net = SimNet::new();
+    net.install_fault_plan(
+        FaultPlan::builder(3)
+            .at(5, Heal { from: a, to: b })
+            .at(2, Partition { from: a, to: b })
+            .at(2, Partition { from: b, to: a })
+            .after_stage("load", 3, Heal { from: b, to: a })
+            .after_stage("load", 0, Isolate { ip: c })
+            .at(5, RestartVm { node: "n1".into() })
+            .build(),
+    );
+    // Each datagram send is one step on the fault clock.
+    let (tx, rx) = ([10, 0, 2, 8], NodeAddr::new([10, 0, 2, 9], 9));
+    let tick = net.udp_bind(NodeAddr::new(tx, 9)).unwrap();
+    for _ in 0..2 {
+        tick.send_to(rx, b"t");
+    }
+    net.mark_stage("load");
+    net.mark_stage("load"); // a stage fires its entries once
+    for _ in 0..4 {
+        tick.send_to(rx, b"t");
+    }
+    assert_eq!(
+        fault_lines(&net),
+        [
+            "step 2: Partition { from: [10, 0, 2, 1], to: [10, 0, 2, 2] }",
+            "step 2: Partition { from: [10, 0, 2, 2], to: [10, 0, 2, 1] }",
+            "step 2: Isolate { ip: [10, 0, 2, 3] }",
+            "step 5: Heal { from: [10, 0, 2, 1], to: [10, 0, 2, 2] }",
+            "step 5: RestartVm { node: \"n1\" }",
+            "step 5: Heal { from: [10, 0, 2, 2], to: [10, 0, 2, 1] }",
+        ]
+    );
+}
+
+/// Installs a plan of `entries` with their steps counted from the cluster's current
+/// fault step, so step 0 fires at install and step 1 at the next
+/// network operation.
+fn install_from_now(cluster: &Cluster, entries: &[(u64, FaultAction)]) {
+    let now = cluster.net().fault_step();
+    let plan = entries
+        .iter()
+        .fold(FaultPlan::builder(11), |plan, (step, action)| {
+            plan.at(now + step, action.clone())
+        });
+    cluster.net().install_fault_plan(plan.build());
+}
+
+/// One network operation, so the fault clock moves past `now`.
+fn tick(cluster: &Cluster) {
+    let from = cluster.vm(0).ip();
+    let udp = cluster.net().udp_bind(NodeAddr::new(from, 7900)).unwrap();
+    udp.send_to(NodeAddr::new([10, 0, 3, 9], 9), b"t");
+}
+
+#[test]
+fn each_process_fault_runs_once_across_repeated_polls() {
+    let mut cluster = Cluster::builder(Mode::Dista)
+        .nodes("p", 2)
+        .observability(ObsConfig::default())
+        .build()
+        .unwrap();
+    install_from_now(&cluster, &[(0, CrashShard { shard: 0 })]);
+    for _ in 0..4 {
+        cluster.poll_chaos().unwrap();
+    }
+    let crashes = cluster
+        .obs_events()
+        .iter()
+        .filter(|e| matches!(e.kind, ObsEventKind::ShardCrashed { shard: 0 }))
+        .count();
+    assert_eq!(crashes, 1);
+    cluster.restart_shard(0).unwrap();
+    cluster.shutdown();
+}
+
+#[test]
+fn a_failed_shard_restart_leaves_the_later_faults_for_the_next_poll() {
+    let mut cluster = Cluster::builder(Mode::Dista)
+        .nodes("n", 2)
+        .observability(ObsConfig::default())
+        .build()
+        .unwrap();
+    let n2 = cluster.vm(1).ip();
+    install_from_now(
+        &cluster,
+        &[
+            (0, CrashShard { shard: 0 }),
+            (1, RestartShard { shard: 0 }),
+            (1, CrashVm { node: "n2".into() }),
+        ],
+    );
+    cluster.poll_chaos().unwrap();
+
+    // Something else now holds the crashed primary's address.
+    let shard0 = cluster.taint_map().topology().shard_addrs(0)[0];
+    let squatter = cluster.net().tcp_listen(shard0).unwrap();
+    tick(&cluster);
+    let err = cluster.poll_chaos().unwrap_err();
+    assert!(
+        matches!(
+            err,
+            DistaError::TaintMap(TaintMapError::Net(NetError::AddrInUse(a))) if a == shard0
+        ),
+        "{err}"
+    );
+
+    // The crash scheduled after the failed restart still runs.
+    cluster.poll_chaos().unwrap();
+    let last = cluster.net().fault_log().pop().unwrap();
+    assert_eq!(last.action, Isolate { ip: n2 });
+    drop(squatter);
     cluster.shutdown();
 }

@@ -11,7 +11,7 @@ use dista_repro::jre::{
     Socket, V2Codec, Vm, WireCodec, WireProtocol,
 };
 use dista_repro::obs::{Hop, ObsConfig};
-use dista_repro::simnet::{NodeAddr, SimNet};
+use dista_repro::simnet::{FaultAction, NodeAddr, SimNet};
 use dista_repro::taint::{serialize_taint, Payload, TagValue, Taint, TaintedBytes};
 use dista_repro::taintmap::{ServerStats, TaintMapEndpoint};
 
@@ -204,8 +204,10 @@ fn v1_negotiated_v1_and_v2_datagrams_keep_their_lookups() {
 fn a_v2_receiver_cut_off_from_the_map_resolves_defined_gids() {
     for (protocol, expect_pending) in [(WireProtocol::V2, false), (WireProtocol::V1, true)] {
         let pair = Pair::new([protocol; 2]);
-        pair.net
-            .partition_both(pair.vms[1].ip(), pair.tm.addr().ip());
+        let (rx, tm) = (pair.vms[1].ip(), pair.tm.addr().ip());
+        for (from, to) in [(rx, tm), (tm, rx)] {
+            pair.net.inject(FaultAction::Partition { from, to });
+        }
         let taint = pair.fresh(&["cut-off"])[0];
         pair.tx
             .write_payload(&Payload::Tainted(TaintedBytes::uniform(b"data", taint)))
