@@ -43,6 +43,7 @@ fn synthetic_run(distinct: usize, bytes_per_chunk: usize) -> Duration {
     assert_eq!(back.len(), total);
     echo.join().expect("echo thread");
     let elapsed = start.elapsed();
+    cluster.flush_taint_maps().expect("flush");
     assert_eq!(
         cluster.taint_map().stats().global_taints,
         distinct as u64,

@@ -392,6 +392,7 @@ pub fn run_system_with(
         SystemId::HBase => run_hbase(&cluster)?,
     }
     let duration = start.elapsed();
+    cluster.flush_taint_maps()?;
     let global_taints = cluster.taint_map().stats().global_taints;
     let tainted_sinks = cluster.total_tainted_sink_events();
     cluster.shutdown();

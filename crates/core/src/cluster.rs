@@ -804,11 +804,30 @@ impl Cluster {
             .sum()
     }
 
+    /// Has every VM bind the gids it handed out and has not bound yet
+    /// ([`dista_taintmap::TaintMapClient::flush`]), so each one can be
+    /// looked up and the Taint Map's census counts it. A census reads
+    /// `taint_map().stats()` after this.
+    ///
+    /// # Errors
+    ///
+    /// The first flush that fails.
+    pub fn flush_taint_maps(&self) -> Result<(), DistaError> {
+        for client in self.vms.iter().filter_map(|vm| vm.taint_map()) {
+            client.flush()?;
+        }
+        Ok(())
+    }
+
     /// Stops the telemetry plane (every node's final delta is flushed
-    /// first) and the Taint Map deployment.
+    /// first) and the Taint Map deployment (every VM's unsent binds are
+    /// sent first; a VM that cannot reach the map keeps its own).
     pub fn shutdown(mut self) {
         if let Some(plane) = self.telemetry.take() {
             plane.shutdown();
+        }
+        for client in self.vms.iter().filter_map(|vm| vm.taint_map()) {
+            let _ = client.flush();
         }
         if let Some(tm) = self.taint_map.take() {
             tm.shutdown();

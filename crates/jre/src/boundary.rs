@@ -204,8 +204,8 @@ pub(crate) struct TxTables {
     gids: Vec<GlobalId>,
     /// `(run_len, gid)`: the table the codec encodes from.
     runs: Vec<(usize, GlobalId)>,
-    /// What the client registered for this payload, with the bytes it
-    /// registered them with.
+    /// The gids the client handed out for this payload, each with the
+    /// serialized taint it will bind to it.
     registered: Vec<(GlobalId, Vec<u8>)>,
     /// The definitions this payload ships.
     defs: Vec<(GlobalId, Vec<u8>)>,
@@ -218,8 +218,9 @@ pub(crate) struct TxTables {
 /// Collects into `tx.defs` (empty) a definition for every tainted gid of
 /// the payload `peer` is not known to hold, and marks each one held: its
 /// definition ships in this write, or the write fails and the stream
-/// with it. The bytes are the ones just registered, if the gid was;
-/// otherwise the taint is serialized here, once.
+/// with it. The bytes are the ones the client just serialized, if it
+/// handed the gid out for this payload; otherwise the taint is
+/// serialized here, once.
 fn collect_defs(vm: &Vm, peer: &PeerKnows, tx: &mut TxTables) {
     for (&gid, &taint) in tx.gids.iter().zip(&tx.taints) {
         // A slot two gids of this payload share evicts the first one;
@@ -273,10 +274,12 @@ fn gid_spans(runs: impl Iterator<Item = (usize, GlobalId)>) -> Vec<GidSpan> {
 ///
 /// The shadow's taints go to the Taint Map client run by run, as they
 /// lie: it answers cache hits with one probe each under one lock hold
-/// and registers the distinct misses in one batched round trip. A
-/// payload with no tainted run never gets that far. On a v2 stream
-/// (`peer` given) the tainted gids the peer is not known to hold are
-/// defined ahead of the data frames.
+/// and hands the distinct misses gids from its leases. A payload with no
+/// tainted run never gets that far. On a v2 stream (`peer` given) the
+/// tainted gids the peer is not known to hold are defined ahead of the
+/// data frames, so nothing waits for the Taint Map; every other
+/// crossing names its gids bare, and first waits until the map can
+/// answer each one.
 pub(crate) fn encode_payload(
     vm: &Vm,
     payload: &Payload,
@@ -306,7 +309,8 @@ pub(crate) fn encode_payload(
             tx.taints.extend(shadow.iter_runs().map(|(_, taint)| taint));
             tx.clock.lap(write::SHADOW);
             if tx.taints.iter().any(|taint| !taint.is_empty()) {
-                client.global_ids_into(&tx.taints, &mut tx.gids, &mut tx.registered)?;
+                let defined = peer.is_some().then_some(&mut tx.registered);
+                client.global_ids_into(&tx.taints, &mut tx.gids, defined)?;
                 if let Some(peer) = peer {
                     collect_defs(vm, peer, tx);
                 }

@@ -9,7 +9,7 @@ use dista_simnet::{SimFs, SimNet};
 use dista_taint::{
     LocalId, SinkRecorder, SinkReport, SourceSinkSpec, TagValue, Taint, TaintRuns, TaintStore,
 };
-use dista_taintmap::{ClientObserver, TaintMapClient, TaintMapTopology};
+use dista_taintmap::{ClientObserver, ClientResilience, TaintMapClient, TaintMapTopology};
 use parking_lot::{Mutex, RwLock};
 
 use crate::codec::{WireBufPool, WireProtocol, WireVersion};
@@ -296,11 +296,12 @@ impl VmBuilder {
                     }
                     _ => ClientObserver::disabled(),
                 };
-                Some(TaintMapClient::connect_topology_observed(
+                Some(TaintMapClient::connect_topology_tuned(
                     &self.net,
                     topology,
                     store.clone(),
                     observer,
+                    ClientResilience::default(),
                 )?)
             }
             (_, None) => None,

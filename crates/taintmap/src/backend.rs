@@ -7,7 +7,7 @@
 //! implementation" — an in-memory map — and `dista-zookeeper` provides a
 //! ZooKeeper-backed implementation.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use dista_taint::IdIndex;
 use parking_lot::Mutex;
@@ -15,42 +15,40 @@ use parking_lot::Mutex;
 /// Global IDs that encode as an all-ones byte pattern at some supported
 /// wire width (1–4 bytes). The wire-protocol negotiation handshake uses
 /// the all-ones gid pattern as its probe/reply marker, so these ids must
-/// never be allocated to a real taint — each shard reserves its share of
-/// them at launch via [`TaintMapBackend::reserve`].
+/// never name a real taint: a shard never leases them and refuses any
+/// record that names one.
 pub const WIRE_RESERVED_GIDS: [u32; 4] = [0xFF, 0xFFFF, 0xFF_FFFF, 0xFFFF_FFFF];
 
-/// Storage for global taints: serialized-taint bytes keyed by Global ID,
-/// with byte-identity dedup on registration.
+/// Storage for global taints: serialized-taint bytes keyed by local id,
+/// each distinct byte string stored once, and the lease high-water.
+///
+/// Ids are handed out by the server, in leased blocks, before anything
+/// is bound to them; the backend only stores what it is told. The
+/// server checks that an id was leased (at or below
+/// [`TaintMapBackend::max_local`]) before it binds it.
 pub trait TaintMapBackend: Send + Sync + 'static {
-    /// Registers a serialized taint, returning its Global ID. The same
-    /// bytes must always yield the same id (dedup); ids are positive.
-    /// 0 means the id space is exhausted: nothing was stored, and the
-    /// server answers the request with an error, never with an id.
-    fn register(&self, serialized: &[u8]) -> u32;
+    /// Binds local id `id` to a serialized taint; returns whether that
+    /// changed anything. First writer wins: an id already bound keeps
+    /// its bytes. Bytes already stored under another id make `id` an
+    /// alias of that one — both resolve to the one stored copy.
+    fn bind(&self, id: u32, serialized: &[u8]) -> bool;
 
-    /// Marks local ids that [`TaintMapBackend::register`] must never
-    /// allocate (the wire grammar gives them special meaning — see
-    /// [`WIRE_RESERVED_GIDS`]). The default is a no-op, acceptable for
-    /// backends whose allocators realistically never reach these
-    /// near-`u32::MAX` ids.
-    fn reserve(&self, _local_ids: &[u32]) {}
+    /// Resolves a local id; `None` if it was never bound.
+    fn lookup(&self, id: u32) -> Option<Vec<u8>>;
 
-    /// Resolves a Global ID; `None` if it was never assigned.
-    fn lookup(&self, gid: u32) -> Option<Vec<u8>>;
+    /// Raises the lease high-water to at least `id`.
+    fn raise_high_water(&self, id: u32);
 
-    /// Inserts a taint under an externally-assigned id (standby
-    /// replication). Later [`TaintMapBackend::register`] calls must not
-    /// reuse `gid`.
-    fn insert_replicated(&self, gid: u32, serialized: &[u8]);
-
-    /// Highest backend-local id assigned or replicated so far (0 when
-    /// empty). Range copies and snapshots scan local ids
-    /// `1..=max_local()` through [`TaintMapBackend::lookup`], so this
-    /// must never lag behind the allocator.
+    /// The lease high-water: the highest local id ever leased (0 when
+    /// none was). Range copies and snapshots scan local ids
+    /// `1..=max_local()` through [`TaintMapBackend::lookup`].
     fn max_local(&self) -> u32;
 
-    /// Number of distinct global taints stored.
+    /// Number of distinct global taints stored (aliases not counted).
     fn len(&self) -> u64;
+
+    /// Ids bound to bytes another id already names.
+    fn aliases(&self) -> u64;
 
     /// Whether no global taints have been stored yet.
     fn is_empty(&self) -> bool {
@@ -62,13 +60,11 @@ pub trait TaintMapBackend: Send + Sync + 'static {
 /// than this gets a chunk of its own.
 const ARENA_CHUNK: usize = 256 * 1024;
 
-/// One distinct serialized taint: where its bytes lie in the arena, and
-/// the id [`TaintMapBackend::register`] answers for them.
+/// Where one distinct serialized taint's bytes lie in the arena.
 struct Record {
     chunk: u32,
     start: u32,
     len: u32,
-    id: u32,
 }
 
 /// Every distinct byte string is stored once, in `arena`; `index` and
@@ -80,11 +76,11 @@ struct MemState {
     records: Vec<Record>,
     /// Record numbers keyed by the bytes each names.
     index: IdIndex,
-    /// Local id → the record it resolves to. Ids arrive from the network
-    /// (replication, migration, the WAL): one is only ever a key here.
+    /// Local id → the record it resolves to; two ids name one record
+    /// when one is an alias. Ids arrive from the network (binds,
+    /// replication, migration, the WAL): one is only ever a key here.
     record_of: HashMap<u32, u32>,
-    next_id: u32,
-    reserved: HashSet<u32>,
+    high_water: u32,
 }
 
 impl MemState {
@@ -93,19 +89,16 @@ impl MemState {
         &self.arena[r.chunk as usize][r.start as usize..][..r.len as usize]
     }
 
-    /// The record holding exactly `serialized`, with the hash to
-    /// [`MemState::push`] it under if there is none.
-    fn find(&self, serialized: &[u8]) -> (u64, Option<u32>) {
+    /// The record holding exactly `serialized`, stored now if there is
+    /// none.
+    fn record_for(&mut self, serialized: &[u8]) -> u32 {
         let hash = self.index.hash(serialized);
-        let found = self
+        if let Some(record) = self
             .index
-            .find(hash, |record| self.bytes(record) == serialized);
-        (hash, found)
-    }
-
-    /// Stores bytes that [`MemState::find`] did not, as answering `id`;
-    /// returns the record's number.
-    fn push(&mut self, hash: u64, serialized: &[u8], id: u32) -> u32 {
+            .find(hash, |record| self.bytes(record) == serialized)
+        {
+            return record;
+        }
         let fits = |chunk: &Vec<u8>| chunk.capacity() - chunk.len() >= serialized.len();
         if !self.arena.last().is_some_and(fits) {
             let room = serialized.len().max(ARENA_CHUNK);
@@ -120,21 +113,10 @@ impl MemState {
             chunk: last as u32,
             start: chunk.len() as u32,
             len: u32::try_from(serialized.len()).expect("a serialized taint of 4 GiB"),
-            id,
         });
         chunk.extend_from_slice(serialized);
         self.index.insert(hash, record);
         record
-    }
-
-    /// The next id the allocator may hand out, or `None` once the `u32`
-    /// space above `next_id` is spent.
-    fn next_free_id(&self) -> Option<u32> {
-        let mut id = self.next_id.checked_add(1)?;
-        while self.reserved.contains(&id) {
-            id = id.checked_add(1)?;
-        }
-        Some(id)
     }
 }
 
@@ -145,7 +127,7 @@ pub struct InMemoryBackend {
 }
 
 impl InMemoryBackend {
-    /// Creates an empty backend; the first id assigned is 1.
+    /// Creates an empty backend: nothing leased, nothing bound.
     pub fn new() -> Self {
         Self::default()
     }
@@ -160,52 +142,38 @@ impl std::fmt::Debug for InMemoryBackend {
 }
 
 impl TaintMapBackend for InMemoryBackend {
-    fn register(&self, serialized: &[u8]) -> u32 {
+    fn bind(&self, id: u32, serialized: &[u8]) -> bool {
         let mut st = self.state.lock();
-        let (hash, found) = st.find(serialized);
-        if let Some(record) = found {
-            return st.records[record as usize].id;
+        if st.record_of.contains_key(&id) {
+            return false;
         }
-        let Some(id) = st.next_free_id() else {
-            return 0;
-        };
-        st.next_id = id;
-        let record = st.push(hash, serialized, id);
+        let record = st.record_for(serialized);
         st.record_of.insert(id, record);
-        id
+        true
     }
 
-    fn reserve(&self, local_ids: &[u32]) {
-        self.state.lock().reserved.extend(local_ids.iter().copied());
-    }
-
-    fn lookup(&self, gid: u32) -> Option<Vec<u8>> {
+    fn lookup(&self, id: u32) -> Option<Vec<u8>> {
         let st = self.state.lock();
-        let &record = st.record_of.get(&gid)?;
+        let &record = st.record_of.get(&id)?;
         Some(st.bytes(record).to_vec())
     }
 
-    fn insert_replicated(&self, gid: u32, serialized: &[u8]) {
+    fn raise_high_water(&self, id: u32) {
         let mut st = self.state.lock();
-        st.next_id = st.next_id.max(gid);
-        // Last writer wins in both directions: these bytes now answer
-        // `gid`, and `gid` now resolves to these bytes.
-        let record = match st.find(serialized) {
-            (_, Some(record)) => {
-                st.records[record as usize].id = gid;
-                record
-            }
-            (hash, None) => st.push(hash, serialized, gid),
-        };
-        st.record_of.insert(gid, record);
+        st.high_water = st.high_water.max(id);
     }
 
     fn max_local(&self) -> u32 {
-        self.state.lock().next_id
+        self.state.lock().high_water
     }
 
     fn len(&self) -> u64 {
-        self.state.lock().record_of.len() as u64
+        self.state.lock().records.len() as u64
+    }
+
+    fn aliases(&self) -> u64 {
+        let st = self.state.lock();
+        (st.record_of.len() - st.records.len()) as u64
     }
 }
 
@@ -214,40 +182,30 @@ mod tests {
     use super::*;
     use proptest::TestRng;
 
-    /// The backend this one replaced, kept as the oracle: every byte
-    /// string twice, as the key of one map and the value of the other.
+    /// The oracle: every byte string twice, as the key of one map and
+    /// the value of the other, with first writers kept in both.
     #[derive(Default)]
     struct TwoMaps {
+        /// Bytes → the first id bound to them.
         by_bytes: HashMap<Vec<u8>, u32>,
         by_id: HashMap<u32, Vec<u8>>,
-        next_id: u32,
-        reserved: HashSet<u32>,
+        high_water: u32,
     }
 
     impl TwoMaps {
-        fn register(&mut self, serialized: &[u8]) -> u32 {
-            if let Some(&id) = self.by_bytes.get(serialized) {
-                return id;
+        fn bind(&mut self, id: u32, serialized: &[u8]) -> bool {
+            if self.by_id.contains_key(&id) {
+                return false;
             }
-            self.next_id += 1;
-            while self.reserved.contains(&self.next_id) {
-                self.next_id += 1;
-            }
-            self.by_bytes.insert(serialized.to_vec(), self.next_id);
-            self.by_id.insert(self.next_id, serialized.to_vec());
-            self.next_id
-        }
-
-        fn insert_replicated(&mut self, gid: u32, serialized: &[u8]) {
-            self.next_id = self.next_id.max(gid);
-            self.by_bytes.insert(serialized.to_vec(), gid);
-            self.by_id.insert(gid, serialized.to_vec());
+            self.by_id.insert(id, serialized.to_vec());
+            self.by_bytes.entry(serialized.to_vec()).or_insert(id);
+            true
         }
     }
 
-    /// One seeded run of the model: `steps` random operations applied to
-    /// the backend and the oracle, every answer and both counters
-    /// compared after each.
+    /// One seeded run of the model: `steps` random leases, binds and
+    /// lookups applied to the backend and the oracle, every answer and
+    /// every counter compared after each.
     fn run_model(seed: u64, steps: usize) {
         let mut rng = TestRng::new(seed);
         let (real, mut model) = (InMemoryBackend::new(), TwoMaps::default());
@@ -266,75 +224,79 @@ mod tests {
                 bytes.extend((0..body).map(|i| (i as u64 ^ seed) as u8));
                 bytes
             };
-            let op = rng.below(10);
-            let known_bytes = !known.is_empty() && rng.below(3) == 0;
-            let bytes = match known_bytes {
-                true => known[pick(&mut rng, known.len())].clone(),
-                false => fresh(&mut rng),
-            };
-            match op {
-                0..=3 => {
-                    let id = real.register(&bytes);
+            match rng.below(10) {
+                // A lease: the high-water moves up by up to a block, or
+                // is re-raised to where it is.
+                0 | 1 => {
+                    let to = model.high_water + rng.below(80) as u32;
+                    real.raise_high_water(to);
+                    model.high_water = model.high_water.max(to);
+                }
+                // A bind: a fresh leased id or one already bound, to
+                // fresh bytes or to bytes some id already names (an
+                // alias, or a second writer of a bound id).
+                2..=6 => {
+                    let id = match ids.is_empty() || rng.below(4) != 0 {
+                        true => 1 + rng.below(u64::from(model.high_water.max(1))) as u32,
+                        false => ids[pick(&mut rng, ids.len())],
+                    };
+                    let bytes = match !known.is_empty() && rng.below(3) == 0 {
+                        true => known[pick(&mut rng, known.len())].clone(),
+                        false => fresh(&mut rng),
+                    };
                     assert_eq!(
-                        id,
-                        model.register(&bytes),
-                        "seed {seed} step {step}: register"
+                        real.bind(id, &bytes),
+                        model.bind(id, &bytes),
+                        "seed {seed} step {step}: bind {id}"
                     );
                     ids.push(id);
                     known.push(bytes);
                 }
-                4..=6 => {
-                    // A known id (overwritten), the next few (in and out
-                    // of order), or one far ahead (sparse).
-                    let gid = match rng.below(4) {
-                        0 if !ids.is_empty() => ids[pick(&mut rng, ids.len())],
-                        1 => 1 + rng.below(1 << 30) as u32,
-                        _ => model.next_id.saturating_sub(3) + rng.below(8) as u32,
-                    }
-                    .max(1);
-                    real.insert_replicated(gid, &bytes);
-                    model.insert_replicated(gid, &bytes);
-                    ids.push(gid);
-                    known.push(bytes);
-                }
-                7 => {
-                    let reserve: Vec<u32> = (0..rng.below(3))
-                        .map(|_| model.next_id + 1 + rng.below(4) as u32)
-                        .collect();
-                    real.reserve(&reserve);
-                    model.reserved.extend(&reserve);
-                }
                 _ => {
-                    let gid = match ids.is_empty() || rng.below(4) == 0 {
+                    let id = match ids.is_empty() || rng.below(4) == 0 {
                         true => rng.below(1 << 31) as u32,
                         false => ids[pick(&mut rng, ids.len())],
                     };
                     assert_eq!(
-                        real.lookup(gid),
-                        model.by_id.get(&gid).cloned(),
-                        "seed {seed} step {step}: lookup {gid}"
+                        real.lookup(id),
+                        model.by_id.get(&id).cloned(),
+                        "seed {seed} step {step}: lookup {id}"
                     );
                 }
             }
-            assert_eq!(real.max_local(), model.next_id, "seed {seed} step {step}");
             assert_eq!(
-                real.len(),
-                model.by_id.len() as u64,
+                real.max_local(),
+                model.high_water,
                 "seed {seed} step {step}"
             );
-        }
-        // Everything either side was ever told, from both directions.
-        for (&gid, bytes) in &model.by_id {
             assert_eq!(
-                real.lookup(gid).as_ref(),
-                Some(bytes),
-                "seed {seed}: gid {gid}"
+                (real.len(), real.aliases()),
+                (
+                    model.by_bytes.len() as u64,
+                    (model.by_id.len() - model.by_bytes.len()) as u64
+                ),
+                "seed {seed} step {step}: the census counts taints, not ids"
             );
         }
-        for (bytes, &gid) in &model.by_bytes {
-            assert_eq!(real.register(bytes), gid, "seed {seed}: dedup to {gid}");
+        // Everything either side was ever told, from both directions:
+        // every id answers its first bytes, and binding any known bytes
+        // under a fresh id makes one more alias and no more taints.
+        for (&id, bytes) in &model.by_id {
+            assert_eq!(
+                real.lookup(id).as_ref(),
+                Some(bytes),
+                "seed {seed}: id {id}"
+            );
         }
-        assert_eq!(real.len(), model.by_id.len() as u64);
+        let (taints, aliases) = (real.len(), real.aliases());
+        let spare = model.high_water + 1;
+        let bytes = model.by_bytes.keys().next().cloned().unwrap_or_default();
+        assert!(real.bind(spare, &bytes));
+        let was_new = u64::from(!model.by_bytes.contains_key(&bytes));
+        assert_eq!(
+            (real.len(), real.aliases()),
+            (taints + was_new, aliases + 1 - was_new)
+        );
     }
 
     #[test]
@@ -345,82 +307,36 @@ mod tests {
     }
 
     #[test]
-    fn an_exhausted_allocator_answers_zero_and_never_wraps() {
-        // A replicated record may carry any local id; the allocator
-        // resumes above it, and `u32::MAX + 1` must not come out as 0
-        // (untainted) or as any id at all.
+    fn binding_known_bytes_under_a_new_id_aliases_them() {
         let b = InMemoryBackend::new();
-        b.insert_replicated(u32::MAX, b"replicated");
-        assert_eq!(b.register(b"new"), 0, "no id left");
-        assert_eq!(b.register(b"new"), 0, "and none the second time");
-        assert_eq!(b.max_local(), u32::MAX);
-        assert_eq!(b.len(), 1, "a refused registration stores nothing");
-        assert_eq!(b.lookup(0), None);
-        assert_eq!(
-            b.register(b"replicated"),
-            u32::MAX,
-            "known bytes still dedup"
-        );
-
-        // Nor may the search for a free id run past the reserved tail,
-        // which is where a one-shard server's wire-reserved id sits.
-        let b = InMemoryBackend::new();
-        b.reserve(&[u32::MAX - 1, u32::MAX]);
-        b.insert_replicated(u32::MAX - 3, b"replicated");
-        assert_eq!(b.register(b"last"), u32::MAX - 2);
-        assert_eq!(b.register(b"none left"), 0);
-        assert_eq!(b.max_local(), u32::MAX - 2);
-        assert_eq!(b.len(), 2);
-    }
-
-    #[test]
-    fn register_dedups_and_counts() {
-        let b = InMemoryBackend::new();
-        let id1 = b.register(b"a");
-        let id2 = b.register(b"b");
-        assert_eq!(b.register(b"a"), id1);
-        assert_ne!(id1, id2);
-        assert_eq!(b.len(), 2);
-        assert_eq!(b.lookup(id1).as_deref(), Some(b"a".as_ref()));
+        b.raise_high_water(8);
+        assert!(b.bind(1, b"a"));
+        assert!(b.bind(2, b"b"));
+        assert!(b.bind(3, b"a"), "a second VM's id for the same taint");
+        assert_eq!((b.len(), b.aliases()), (2, 1));
+        assert_eq!(b.lookup(3).as_deref(), Some(b"a".as_ref()));
+        assert_eq!(b.lookup(1), b.lookup(3));
         assert_eq!(b.lookup(999), None);
     }
 
     #[test]
-    fn ids_start_at_one() {
+    fn the_first_writer_of_an_id_keeps_it() {
         let b = InMemoryBackend::new();
-        assert_eq!(b.register(b"x"), 1);
+        assert!(b.bind(5, b"first"));
+        assert!(!b.bind(5, b"first"), "a re-sent bind changes nothing");
+        assert!(!b.bind(5, b"second"), "nor does a rival one");
+        assert_eq!(b.lookup(5).as_deref(), Some(b"first".as_ref()));
+        assert_eq!((b.len(), b.aliases()), (1, 0));
     }
 
     #[test]
-    fn reserved_ids_are_never_allocated() {
-        let b = InMemoryBackend::new();
-        b.reserve(&[2, 3, 5]);
-        assert_eq!(b.register(b"a"), 1);
-        assert_eq!(b.register(b"b"), 4, "skips the reserved 2 and 3");
-        assert_eq!(b.register(b"c"), 6, "skips the reserved 5");
-        assert_eq!(b.lookup(2), None);
-    }
-
-    #[test]
-    fn max_local_tracks_allocations_and_replication() {
+    fn the_high_water_only_rises() {
         let b = InMemoryBackend::new();
         assert_eq!(b.max_local(), 0);
-        b.register(b"a");
-        b.register(b"b");
-        assert_eq!(b.max_local(), 2);
-        b.insert_replicated(9, b"nine");
-        assert_eq!(b.max_local(), 9);
-    }
-
-    #[test]
-    fn replication_advances_the_counter() {
-        let b = InMemoryBackend::new();
-        b.insert_replicated(7, b"seven");
-        assert_eq!(b.lookup(7).as_deref(), Some(b"seven".as_ref()));
-        // A fresh registration must not collide with the replicated id.
-        let id = b.register(b"new");
-        assert_eq!(id, 8);
-        // Replicated bytes dedup against future registrations too.
-        assert_eq!(b.register(b"seven"), 7);
+        b.raise_high_water(64);
+        b.raise_high_water(3);
+        assert_eq!(b.max_local(), 64);
+        b.raise_high_water(u32::MAX);
+        assert_eq!(b.max_local(), u32::MAX);
     }
 }

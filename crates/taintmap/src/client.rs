@@ -3,18 +3,24 @@
 //!
 //! The client is handed a [`TaintMapTopology`] and hides it completely:
 //!
-//! * **Routing** — registrations go to `fnv64(serialized) % shards`,
-//!   lookups to `(gid - 1) % shards`. Both are deterministic, so every
-//!   VM agrees on which shard owns which taint and per-shard dedup is
-//!   global dedup.
+//! * **Registration** — a new taint takes the next gid of the lease of
+//!   the shard its bytes hash to (`fnv64(serialized) % shards`), a block
+//!   of [`LEASE_IDS`] gids the shard handed this client ahead of time,
+//!   and its `(gid, bytes)` bind joins that shard's queue. A miss
+//!   re-probes the cache and publishes the gid in one lock hold, so a
+//!   concurrent miss on the same taint finds it. When a lease runs dry
+//!   one `BIND` frame binds the queue and leases the next block: one
+//!   round trip per [`LEASE_IDS`] fresh taints. A caller that names gids
+//!   without their definitions waits for its gids' binds
+//!   ([`TaintMapClient::global_ids_into`]); one that ships them does not.
+//!   A bind the shard refuses re-keys its taint to a fresh gid.
+//! * **Routing** — binds and lookups go where the gid lives,
+//!   `(gid - 1) % shards` and its range; leases to the class's tail.
 //! * **One request shape** — [`TaintMapClient::global_ids_for`] /
 //!   [`TaintMapClient::taints_for`] resolve all cache-missing items in
-//!   one `REGISTER`/`LOOKUP` frame per shard; the paper-named
+//!   one `BIND`/`LOOKUP` frame per shard; the paper-named
 //!   [`TaintMapClient::global_id_for`] / [`TaintMapClient::taint_for`]
 //!   are the same calls with one item.
-//! * **Single-flight** — concurrent encoders that miss the cache on the
-//!   same taint elect one requester; the rest wait for its result
-//!   instead of duplicating the in-flight registration.
 //! * **One transport policy** — admission through a per-shard circuit
 //!   breaker, pipelined writes, a whole-frame deadline, and bounded
 //!   retry with backoff across the shard's failover list are all stated
@@ -29,7 +35,7 @@
 //!   ([`TaintMapClient::reconcile_pending`]).
 
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -41,14 +47,14 @@ use dista_simnet::{NetError, NodeAddr, SimNet, TcpEndpoint};
 use dista_taint::{
     deserialize_taint, serialize_taint, GlobalId, IdMap, TagValue, Taint, TaintStore,
 };
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::backend::WIRE_RESERVED_GIDS;
 use crate::error::TaintMapError;
 use crate::proto::{
-    decode_class_table, decode_lookup_resp, decode_register_resp, decode_stale_epoch,
-    encode_lookup, encode_register, read_frame_deadline, write_frame, OP_EPOCH_OF, OP_LOOKUP,
-    OP_REGISTER, RESP_MOVED, RESP_OK, RESP_STALE_EPOCH,
+    decode_bind_resp, decode_class_table, decode_lookup_resp, decode_stale_epoch, encode_bind,
+    encode_lookup, read_frame_deadline, write_frame, LEASE_IDS, OP_BIND, OP_EPOCH_OF, OP_LOOKUP,
+    RESP_MOVED, RESP_OK, RESP_STALE_EPOCH, STATUS_TAKEN, STATUS_UNLEASED,
 };
 use crate::shard::{shard_of_bytes, shard_of_gid, ClassTable, TaintMapTopology};
 
@@ -56,10 +62,15 @@ use crate::shard::{shard_of_bytes, shard_of_gid, ClassTable, TaintMapTopology};
 /// gives up.
 const RESHARD_ROUNDS: usize = 10;
 
+/// Gids a bare send tries for one taint before it gives up: each one the
+/// shard refuses re-keys the taint, and the next is freshly leased.
+const REKEY_ROUNDS: usize = 3;
+
 /// Client-side RPC counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ClientStats {
-    /// Register items actually sent over the wire (cache misses).
+    /// Bind items sent over the wire: one per gid this client handed
+    /// out, or learned from a peer and bound for it.
     pub register_rpcs: u64,
     /// Lookup items actually sent over the wire (cache misses).
     pub lookup_rpcs: u64,
@@ -71,9 +82,6 @@ pub struct ClientStats {
     /// a batch of one counts, and so does a class-table refetch; a
     /// retry of the same frame does not count again).
     pub batch_frames: u64,
-    /// Items resolved by waiting on another thread's in-flight
-    /// registration instead of sending our own.
-    pub single_flight_hits: u64,
     /// RPC re-attempts after a transport failure (each redial+replay of
     /// one frame counts once).
     pub retries: u64,
@@ -157,14 +165,12 @@ pub struct ClientObserver {
     pub batch_items: Histogram,
     /// Wire time of one batch round trip, in microseconds.
     pub batch_latency_us: Histogram,
-    /// Register items sent over the wire (cache misses).
+    /// Bind items sent over the wire.
     pub register_rpcs: Counter,
     /// Lookup items sent over the wire (cache misses).
     pub lookup_rpcs: Counter,
     /// Request frames sent.
     pub batch_frames: Counter,
-    /// Items resolved by waiting on another thread's registration.
-    pub single_flight_hits: Counter,
     /// Requests satisfied from either direction cache.
     pub cache_hits: Counter,
     /// Shard redials after a transport error.
@@ -211,7 +217,6 @@ impl ClientObserver {
             register_rpcs: Counter::detached(),
             lookup_rpcs: Counter::detached(),
             batch_frames: Counter::detached(),
-            single_flight_hits: Counter::detached(),
             cache_hits: Counter::detached(),
             failovers: Counter::detached(),
             retries: Counter::detached(),
@@ -247,7 +252,6 @@ impl ClientObserver {
             register_rpcs: registry.counter_with("taintmap_register_rpcs", &labels),
             lookup_rpcs: registry.counter_with("taintmap_lookup_rpcs", &labels),
             batch_frames: registry.counter_with("taintmap_batch_frames", &labels),
-            single_flight_hits: registry.counter_with("taintmap_single_flight_hits", &labels),
             cache_hits: registry.counter_with("taintmap_cache_hits", &labels),
             failovers: registry.counter_with("taintmap_failovers", &labels),
             retries: registry.counter_with("taintmap_retries", &labels),
@@ -350,34 +354,6 @@ impl Breaker {
     }
 }
 
-/// One thread's claim on an in-flight registration; others wait on it.
-struct Flight {
-    slot: Mutex<Option<Result<GlobalId, TaintMapError>>>,
-    cv: Condvar,
-}
-
-impl Flight {
-    fn new() -> Self {
-        Flight {
-            slot: Mutex::new(None),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn fill(&self, result: Result<GlobalId, TaintMapError>) {
-        *self.slot.lock() = Some(result);
-        self.cv.notify_all();
-    }
-
-    fn wait(&self) -> Result<GlobalId, TaintMapError> {
-        let mut slot = self.slot.lock();
-        while slot.is_none() {
-            self.cv.wait(&mut slot);
-        }
-        slot.as_ref().expect("flight filled").clone()
-    }
-}
-
 struct ShardConn {
     conn: TcpEndpoint,
     /// Index into the shard's failover address list.
@@ -396,6 +372,37 @@ struct Group {
     /// Caller-defined item indices resolved by this group.
     items: Vec<usize>,
     payload: Vec<u8>,
+}
+
+/// A gid this client has to bind: one it handed out, or one it learned
+/// from a peer's definition and is about to send bare (`learned`).
+struct Queued {
+    gid: GlobalId,
+    taint: Taint,
+    bytes: Vec<u8>,
+    learned: bool,
+}
+
+/// One shard's share of registration: the leased gids not handed out
+/// yet, lowest first, and the binds waiting for the shard's next frame.
+#[derive(Default)]
+struct Lease {
+    free: VecDeque<GlobalId>,
+    queue: Vec<Queued>,
+}
+
+/// The send side's view of Global IDs, behind one lock so that a miss
+/// re-probes the cache and publishes the gid it hands out in one hold.
+struct Outbound {
+    /// taint -> global id: "Node1 does not need to request a Global ID
+    /// again if it sends b2 out later" (step ② of Fig. 9).
+    gid_of: IdMap<Taint, GlobalId>,
+    /// Taints whose gid the service cannot answer yet, each with whether
+    /// its bind is queued (`true`) or must first be serialized (`false`:
+    /// the gid came from a peer's definition). Empty on v1-only traffic.
+    unbound: IdMap<Taint, bool>,
+    /// One per shard.
+    leases: Vec<Lease>,
 }
 
 /// The receive side's two views of a Global ID, behind one lock so that
@@ -428,13 +435,13 @@ struct ClientInner {
     /// lock like the base shard connections.
     extra: Mutex<HashMap<NodeAddr, Arc<Mutex<ShardConn>>>>,
     store: TaintStore,
-    /// taint -> global id: "Node1 does not need to request a Global ID
-    /// again if it sends b2 out later" (step ② of Fig. 9).
-    gid_of: Mutex<IdMap<Taint, GlobalId>>,
+    /// What this VM calls its taints on the wire, and its leases.
+    outbound: Mutex<Outbound>,
     /// What is known about Global IDs arriving from the wire.
     inbound: Mutex<Inbound>,
-    /// Registrations currently on the wire (single-flight guard).
-    inflight: Mutex<HashMap<Taint, Arc<Flight>>>,
+    /// One per shard, held across a `BIND` round: rounds on a shard
+    /// take turns, so a failed one requeues before the next one looks.
+    flushing: Vec<Mutex<()>>,
     /// One circuit breaker per shard, separate from the connection lock
     /// so fast-fails never queue behind a blocked RPC.
     breakers: Vec<Mutex<Breaker>>,
@@ -500,7 +507,8 @@ impl TaintMapClient {
 
     /// Like [`TaintMapClient::connect_topology_observed`], with explicit
     /// [`ClientResilience`] tuning (RPC deadline, retry budget, circuit
-    /// breaker).
+    /// breaker). The client leases its first block of gids from every
+    /// shard here; a shard that cannot lease now leases on first use.
     ///
     /// # Errors
     ///
@@ -522,7 +530,8 @@ impl TaintMapClient {
             breakers.push(Mutex::new(Breaker::new()));
             tables.push(ClassTable::initial(topology.shard_addrs(i).to_vec(), i));
         }
-        Ok(TaintMapClient {
+        let n = topology.shard_count();
+        let client = TaintMapClient {
             inner: Arc::new(ClientInner {
                 net: net.clone(),
                 topology,
@@ -531,15 +540,21 @@ impl TaintMapClient {
                 tables: Mutex::new(tables),
                 extra: Mutex::new(HashMap::new()),
                 store,
-                gid_of: Mutex::new(IdMap::default()),
+                outbound: Mutex::new(Outbound {
+                    gid_of: IdMap::default(),
+                    unbound: IdMap::default(),
+                    leases: (0..n).map(|_| Lease::default()).collect(),
+                }),
                 inbound: Mutex::new(Inbound::default()),
-                inflight: Mutex::new(HashMap::new()),
+                flushing: (0..n).map(|_| Mutex::new(())).collect(),
                 breakers,
                 sentinel_resolutions: Mutex::new(HashMap::new()),
                 resilience,
                 obs,
             }),
-        })
+        };
+        let _ = client.flush();
+        Ok(client)
     }
 
     /// The Global ID this VM already knows for `taint`, if any — the
@@ -547,7 +562,7 @@ impl TaintMapClient {
     /// Never performs an RPC; used by sink points to name the global ids
     /// reaching a sink.
     pub fn cached_gid_for(&self, taint: Taint) -> Option<GlobalId> {
-        self.inner.gid_of.lock().get(&taint).copied()
+        self.inner.outbound.lock().gid_of.get(&taint).copied()
     }
 
     /// The store this client resolves into.
@@ -655,9 +670,10 @@ impl TaintMapClient {
     ///   read, so the servers work concurrently.
     /// * **Retry** — a frame whose write or read fails is redialed along
     ///   its failover list and re-sent after a bounded exponential
-    ///   backoff, up to `retry_budget` times (register is
-    ///   dedup-idempotent, lookup is read-only, so replay is safe). Each
-    ///   read is bounded by the whole-frame `rpc_deadline`.
+    ///   backoff, up to `retry_budget` times (a bind is idempotent, a
+    ///   replayed lease at worst strands its gids, a lookup is
+    ///   read-only, so replay is safe). Each read is bounded by the
+    ///   whole-frame `rpc_deadline`.
     /// * **Breaker** — any well-formed reply — `OK`, `Moved`,
     ///   stale-epoch — closes the class breaker (a redirecting server is
     ///   *serving*, not failing); an exhausted budget counts one failure
@@ -832,122 +848,70 @@ impl TaintMapClient {
         Ok(self.global_ids_for(&[taint])?[0])
     }
 
-    /// Returns Global IDs for a whole slice of taints, registering every
-    /// cache miss in one `REGISTER` frame per shard. Output is
-    /// index-aligned with the input; empty taints map to
+    /// Returns Global IDs for a whole slice of taints, handing out a
+    /// leased gid to every cache miss and binding them in one `BIND`
+    /// frame per shard before it returns, so any VM can look each one
+    /// up. Output is index-aligned with the input; empty taints map to
     /// [`GlobalId::UNTAINTED`] without any RPC.
     ///
     /// # Errors
     ///
-    /// Transport errors from the RPCs (a concurrent waiter observes the
-    /// requester's error).
+    /// Transport errors from the RPCs.
     pub fn global_ids_for(&self, taints: &[Taint]) -> Result<Vec<GlobalId>, TaintMapError> {
         let mut out = Vec::new();
-        self.global_ids_into(taints, &mut out, &mut Vec::new())?;
+        self.global_ids_into(taints, &mut out, None)?;
         Ok(out)
     }
 
-    /// [`TaintMapClient::global_ids_for`] into caller-owned vectors
-    /// (cleared first), so a caller that keeps them allocates nothing
+    /// [`TaintMapClient::global_ids_for`] into a caller-owned vector
+    /// (cleared first), so a caller that keeps it allocates nothing
     /// when every taint is a cache hit. `taints` may repeat freely (the
     /// boundary hands over one taint per shadow run): hits cost one
     /// probe each under one hold of the cache lock, and only the misses
-    /// are deduplicated — one payload never registers, or waits on, its
-    /// own duplicate. `registered` receives each taint this call sent
-    /// to the service, as its gid and the serialized bytes it was
-    /// registered with, so a caller defining the gid to a peer ships
-    /// those bytes instead of serializing the taint again.
+    /// are deduplicated.
+    ///
+    /// `defs` says how the caller names the gids on the wire. `None`:
+    /// bare, as v1 and datagrams do, so every gid returned must be one a
+    /// receiver can look up — this call binds whichever of them is not
+    /// yet (gids it handed out, gids learned from a peer's definition)
+    /// and waits for the acknowledgement; a taint whose bind the shard
+    /// refused is re-keyed and handed a fresh gid. `Some`: each with its
+    /// definition, as a v2 connection does, so nothing is waited for but
+    /// a lease refill, and `defs` (cleared first) receives each gid this
+    /// call handed out with its serialized taint, which the caller ships
+    /// instead of serializing the taint again.
     ///
     /// # Errors
     ///
-    /// As [`TaintMapClient::global_ids_for`].
+    /// As [`TaintMapClient::global_ids_for`];
+    /// [`TaintMapError::Protocol`] when a bare send's shard refused three
+    /// gids in a row for one of `taints`.
     pub fn global_ids_into(
         &self,
         taints: &[Taint],
         out: &mut Vec<GlobalId>,
-        registered: &mut Vec<(GlobalId, Vec<u8>)>,
+        mut defs: Option<&mut Vec<(GlobalId, Vec<u8>)>>,
     ) -> Result<(), TaintMapError> {
-        registered.clear();
-        out.clear();
-        out.resize(taints.len(), GlobalId::UNTAINTED);
-        let missed = self.answer_from_cache(&self.inner.gid_of.lock(), taints, Taint::EMPTY, out);
-        if missed.is_empty() {
-            return Ok(());
+        if let Some(defs) = defs.as_deref_mut() {
+            defs.clear();
         }
-        // Distinct missed taints in first-appearance order: the order
-        // they are registered in, hence the order the service allocates
-        // their ids in.
-        let mut slot_of: IdMap<Taint, usize> = IdMap::default();
-        let mut distinct: Vec<Taint> = Vec::new();
-        for &i in &missed {
-            slot_of.entry(taints[i]).or_insert_with(|| {
-                distinct.push(taints[i]);
-                distinct.len() - 1
-            });
-        }
-        let mut gids = vec![GlobalId::UNTAINTED; distinct.len()];
-        // (slot in `distinct`, taint, serialized bytes) this thread must
-        // register; the bytes are filled in once the locks are dropped.
-        let mut mine: Vec<(usize, Taint, Vec<u8>)> = Vec::new();
-        let mut mine_flights: Vec<Arc<Flight>> = Vec::new();
-        // Slots some other thread is already registering.
-        let mut theirs: Vec<(usize, Arc<Flight>)> = Vec::new();
-        {
-            // Both locks, and the cache probed again: a registration
-            // that finished since the probe above is in the cache by
-            // the time it leaves `inflight`.
-            let gid_cache = self.inner.gid_of.lock();
-            let mut inflight = self.inner.inflight.lock();
-            for (slot, &taint) in distinct.iter().enumerate() {
-                if let Some(&gid) = gid_cache.get(&taint) {
-                    self.inner.obs.cache_hits.inc();
-                    gids[slot] = gid;
-                    continue;
-                }
-                if let Some(flight) = inflight.get(&taint) {
-                    self.inner.obs.single_flight_hits.inc();
-                    theirs.push((slot, flight.clone()));
-                    continue;
-                }
-                let flight = Arc::new(Flight::new());
-                inflight.insert(taint, flight.clone());
-                mine_flights.push(flight);
-                mine.push((slot, taint, Vec::new()));
+        for _ in 0..REKEY_ROUNDS {
+            out.clear();
+            out.resize(taints.len(), GlobalId::UNTAINTED);
+            let (missed, unbound) = {
+                let outbound = self.inner.outbound.lock();
+                let missed = self.answer_from_cache(&outbound.gid_of, taints, Taint::EMPTY, out);
+                (missed, !outbound.unbound.is_empty())
+            };
+            if !missed.is_empty() {
+                self.hand_out(taints, &missed, out, defs.as_deref_mut())?;
+            }
+            let settled = defs.is_some() || (!unbound && missed.is_empty());
+            if settled || self.make_durable(taints, out)? {
+                return Ok(());
             }
         }
-        // A tree walk and an allocation per taint: not under the two
-        // client-wide locks. The flights are claimed, so nobody else
-        // serializes these.
-        for (_, taint, bytes) in &mut mine {
-            *bytes = serialize_taint(self.inner.store.tree(), *taint);
-        }
-
-        if !mine.is_empty() {
-            let result = self.register(&mine);
-            // Fill flights before propagating any error so waiters never
-            // hang on a failed requester.
-            let mut inflight = self.inner.inflight.lock();
-            for (k, (slot, taint, _)) in mine.iter().enumerate() {
-                inflight.remove(taint);
-                match &result {
-                    Ok(answered) => {
-                        gids[*slot] = answered[k];
-                        mine_flights[k].fill(Ok(answered[k]));
-                    }
-                    Err(e) => mine_flights[k].fill(Err(e.clone())),
-                }
-            }
-            drop(inflight);
-            let answered = result?;
-            registered.extend(answered.into_iter().zip(mine).map(|(gid, m)| (gid, m.2)));
-        }
-        for (slot, flight) in theirs {
-            gids[slot] = flight.wait()?;
-        }
-        for i in missed {
-            out[i] = gids[slot_of[&taints[i]]];
-        }
-        Ok(())
+        Err(TaintMapError::Protocol("every gid for a taint was refused"))
     }
 
     /// The cache-hit half of both directions, run under one hold of the
@@ -988,47 +952,301 @@ impl TaintMapClient {
         missed
     }
 
-    /// Registers `mine` on the wire and in the caches; returns gids
-    /// aligned with `mine`.
-    fn register(&self, mine: &[(usize, Taint, Vec<u8>)]) -> Result<Vec<GlobalId>, TaintMapError> {
+    /// Hands out gids to the `missed` slots of `taints`: each distinct
+    /// taint is serialized once outside the lock, then takes the next gid
+    /// of its shard's lease, in first-appearance order, under the hold
+    /// that re-probes the cache. A dry lease is refilled on this thread,
+    /// and the hand-out resumes where that shard stopped.
+    fn hand_out(
+        &self,
+        taints: &[Taint],
+        missed: &[usize],
+        out: &mut [GlobalId],
+        defs: Option<&mut Vec<(GlobalId, Vec<u8>)>>,
+    ) -> Result<(), TaintMapError> {
         let n = self.shard_count();
-        self.inner.obs.register_rpcs.add(mine.len() as u64);
-        let mut gids = vec![GlobalId::UNTAINTED; mine.len()];
-        self.resolve(
-            OP_REGISTER,
-            mine.len(),
-            // Allocation lives with the class's open-ended tail range.
+        let mut slot_of: IdMap<Taint, usize> = IdMap::default();
+        let mut distinct: Vec<(Taint, Vec<u8>)> = Vec::new();
+        for &i in missed {
+            slot_of.entry(taints[i]).or_insert_with(|| {
+                distinct.push((
+                    taints[i],
+                    serialize_taint(self.inner.store.tree(), taints[i]),
+                ));
+                distinct.len() - 1
+            });
+        }
+        let mut gids = vec![GlobalId::UNTAINTED; distinct.len()];
+        // Per shard, the distinct slots still waiting, last first.
+        let mut waiting: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for (k, (_, bytes)) in distinct.iter().enumerate().rev() {
+            waiting[shard_of_bytes(bytes, n)].push(k);
+        }
+        let mut handed = Vec::new();
+        let result = loop {
+            let (mut dry, mut hits) = (Vec::new(), 0);
+            {
+                let mut outbound = self.inner.outbound.lock();
+                let outbound = &mut *outbound;
+                for (shard, slots) in waiting.iter_mut().enumerate() {
+                    while let Some(&k) = slots.last() {
+                        let (taint, ref bytes) = distinct[k];
+                        if let Some(&gid) = outbound.gid_of.get(&taint) {
+                            gids[k] = gid;
+                            hits += 1;
+                        } else if let Some(gid) = outbound.leases[shard].free.pop_front() {
+                            let bytes = bytes.clone();
+                            outbound.leases[shard].queue.push(Queued {
+                                gid,
+                                taint,
+                                bytes,
+                                learned: false,
+                            });
+                            outbound.gid_of.insert(taint, gid);
+                            outbound.unbound.insert(taint, true);
+                            gids[k] = gid;
+                            handed.push(k);
+                        } else {
+                            dry.push(shard);
+                            break;
+                        }
+                        slots.pop();
+                    }
+                }
+            }
+            self.inner.obs.cache_hits.add(hits);
+            if dry.is_empty() {
+                break Ok(());
+            }
+            if let Err(e) = self.send_binds(&dry) {
+                break Err(e);
+            }
+        };
+        for &k in &handed {
+            self.finish_registration(distinct[k].0, gids[k]);
+        }
+        if let Some(defs) = defs {
+            defs.extend(
+                handed
+                    .iter()
+                    .map(|&k| (gids[k], std::mem::take(&mut distinct[k].1))),
+            );
+        }
+        for &i in missed {
+            out[i] = gids[slot_of[&taints[i]]];
+        }
+        result
+    }
+
+    /// Makes the gids `out` names for `taints` ones a receiver can look
+    /// up: binds those still unbound — queued here, or learned from a
+    /// peer's definition and serialized now — and waits for the
+    /// acknowledgement. Returns whether `out` still names every taint's
+    /// gid: `false` when a bind was refused and its taint re-keyed.
+    fn make_durable(&self, taints: &[Taint], out: &[GlobalId]) -> Result<bool, TaintMapError> {
+        let n = self.shard_count();
+        let (mut shards, mut learned) = (Vec::new(), Vec::new());
+        {
+            let outbound = self.inner.outbound.lock();
+            for taint in taints {
+                if let Some(&queued) = outbound.unbound.get(taint) {
+                    let gid = outbound.gid_of[taint];
+                    shards.push(shard_of_gid(gid.0, n));
+                    if !queued && !learned.iter().any(|q: &Queued| q.taint == *taint) {
+                        let bytes = Vec::new();
+                        learned.push(Queued {
+                            gid,
+                            taint: *taint,
+                            bytes,
+                            learned: true,
+                        });
+                    }
+                }
+            }
+        }
+        if shards.is_empty() {
+            return Ok(true);
+        }
+        for q in &mut learned {
+            q.bytes = serialize_taint(self.inner.store.tree(), q.taint);
+        }
+        {
+            let mut outbound = self.inner.outbound.lock();
+            let outbound = &mut *outbound;
+            for q in learned {
+                if let Some(queued @ false) = outbound.unbound.get_mut(&q.taint) {
+                    *queued = true;
+                    outbound.leases[shard_of_gid(q.gid.0, n)].queue.push(q);
+                }
+            }
+        }
+        shards.sort_unstable();
+        shards.dedup();
+        self.send_binds(&shards)?;
+        let outbound = self.inner.outbound.lock();
+        Ok(taints
+            .iter()
+            .zip(out)
+            .all(|(taint, gid)| !gid.is_tainted() || outbound.gid_of.get(taint) == Some(gid)))
+    }
+
+    /// Binds everything this client handed out and has not bound yet,
+    /// on every shard, and waits for the acknowledgement (a dry lease is
+    /// refilled on the way). A census reads the service after every VM
+    /// flushed; `Cluster::shutdown` flushes every VM.
+    ///
+    /// # Errors
+    ///
+    /// As [`TaintMapClient::global_ids_for`].
+    pub fn flush(&self) -> Result<(), TaintMapError> {
+        let shards: Vec<usize> = (0..self.shard_count()).collect();
+        self.send_binds(&shards)
+    }
+
+    /// One round of `BIND` frames for `shards`, one per destination:
+    /// every bind queued for them goes where its gid lives, and each
+    /// lease is topped up to [`LEASE_IDS`] from the class's tail. A
+    /// shard with nothing queued and gids left is skipped. Rounds on a
+    /// shard take turns and a failed one puts its binds back in front,
+    /// so after `Ok` everything queued before the call is settled: bound,
+    /// or refused and its taint re-keyed.
+    ///
+    /// The shard answers each bind on its own. One it refuses — a gid it
+    /// never leased, or one of this client's own gids bound to other
+    /// bytes first — loses its taint's cache entry, so the next send of
+    /// the taint hands it a fresh gid. A refused own gid also drops the
+    /// rest of its shard's lease, which the shard evidently does not
+    /// know. A learned gid bound to other bytes counts as bound: the
+    /// bytes here are re-serialized, and the first writer's name the gid.
+    ///
+    /// # Errors
+    ///
+    /// Transport and protocol errors from the round;
+    /// [`TaintMapError::Protocol`] when a dry lease comes back empty (the
+    /// shard's gids are spent).
+    fn send_binds(&self, shards: &[usize]) -> Result<(), TaintMapError> {
+        let n = self.shard_count();
+        let _turns: Vec<_> = shards
+            .iter()
+            .map(|&s| self.inner.flushing[s].lock())
+            .collect();
+        let (mut binds, mut wants) = (Vec::new(), Vec::new());
+        {
+            let mut outbound = self.inner.outbound.lock();
+            for &shard in shards {
+                let lease = &mut outbound.leases[shard];
+                if lease.queue.is_empty() && !lease.free.is_empty() {
+                    continue;
+                }
+                binds.append(&mut lease.queue);
+                let want = LEASE_IDS - lease.free.len() as u32;
+                if want > 0 {
+                    wants.push((shard, want, lease.free.is_empty()));
+                }
+            }
+        }
+        if binds.is_empty() && wants.is_empty() {
+            return Ok(());
+        }
+        self.inner.obs.register_rpcs.add(binds.len() as u64);
+        // Slots: the binds, then one lease request per shard.
+        let lease_slot = |k: usize| k.checked_sub(binds.len());
+        let mut leased: Vec<Vec<u32>> = vec![Vec::new(); wants.len()];
+        let mut refused = vec![false; binds.len()];
+        let result = self.resolve(
+            OP_BIND,
+            binds.len() + wants.len(),
             |tables, k| {
-                let class = shard_of_bytes(&mine[k].2, n);
-                (class, tables[class].tail().addrs[0])
+                let (class, range) = match lease_slot(k) {
+                    Some(w) => (wants[w].0, tables[wants[w].0].tail()),
+                    None => {
+                        let gid = binds[k].gid.0;
+                        let class = shard_of_gid(gid, n);
+                        (class, tables[class].range_of_gid(gid))
+                    }
+                };
+                (class, range.addrs[0])
             },
             |epoch, items| {
-                let batch: Vec<&[u8]> = items.iter().map(|&k| &mine[k].2[..]).collect();
-                encode_register(epoch, &batch)
+                let want = items
+                    .iter()
+                    .filter_map(|&k| lease_slot(k))
+                    .map(|w| wants[w].1);
+                let batch: Vec<(u32, &[u8])> = items
+                    .iter()
+                    .filter(|&&k| lease_slot(k).is_none())
+                    .map(|&k| (binds[k].gid.0, &binds[k].bytes[..]))
+                    .collect();
+                encode_bind(epoch, want.sum(), &batch)
             },
             |items, resp| {
-                let shard_gids = decode_register_resp(resp, items.len())?;
-                for (&k, gid) in items.iter().zip(shard_gids) {
-                    gids[k] = GlobalId(gid);
+                let bound: Vec<usize> = items
+                    .iter()
+                    .copied()
+                    .filter(|&k| lease_slot(k).is_none())
+                    .collect();
+                let (gids, statuses) = decode_bind_resp(resp, bound.len())?;
+                let asked = items.iter().find_map(|&k| lease_slot(k));
+                let (class, want) = asked.map_or((n, 0), |w| (wants[w].0, wants[w].1));
+                let of_class = |&gid: &u32| {
+                    gid != 0 && shard_of_gid(gid, n) == class && !WIRE_RESERVED_GIDS.contains(&gid)
+                };
+                if gids.len() > want as usize || !gids.iter().all(of_class) {
+                    return Err(TaintMapError::Protocol("a lease of gids nobody asked for"));
+                }
+                if let Some(w) = asked {
+                    leased[w] = gids;
+                }
+                for (&k, status) in bound.iter().zip(statuses) {
+                    refused[k] =
+                        status == STATUS_UNLEASED || (status == STATUS_TAKEN && !binds[k].learned);
                 }
                 Ok(())
             },
-        )?;
-        for ((_, taint, _), &gid) in mine.iter().zip(&gids) {
-            self.finish_registration(*taint, gid);
+        );
+        let mut outbound = self.inner.outbound.lock();
+        let outbound = &mut *outbound;
+        if let Err(e) = result {
+            for bind in binds.into_iter().rev() {
+                let shard = shard_of_gid(bind.gid.0, n);
+                outbound.leases[shard].queue.insert(0, bind);
+            }
+            return Err(e);
         }
-        Ok(gids)
+        for (bind, refused) in binds.iter().zip(refused) {
+            outbound.unbound.remove(&bind.taint);
+            if !refused {
+                continue;
+            }
+            if outbound.gid_of.get(&bind.taint) == Some(&bind.gid) {
+                outbound.gid_of.remove(&bind.taint);
+            }
+            if !bind.learned {
+                outbound.leases[shard_of_gid(bind.gid.0, n)].free.clear();
+            }
+        }
+        let mut spent = false;
+        for (&(shard, _, dry), gids) in wants.iter().zip(leased) {
+            spent |= dry && gids.is_empty();
+            outbound.leases[shard]
+                .free
+                .extend(gids.into_iter().map(GlobalId));
+        }
+        match spent {
+            true => Err(TaintMapError::Protocol("a shard has no gid left to lease")),
+            false => Ok(()),
+        }
     }
 
-    /// Records a fresh registration in both caches and on the tag quads
-    /// (the GlobalID field of §III-D-1).
+    /// Records a gid this client handed out on the tag quads (the
+    /// GlobalID field of §III-D-1), in the reverse cache, and in the
+    /// event stream.
     fn finish_registration(&self, taint: Taint, gid: GlobalId) {
         for tag_id in self.inner.store.tree().tag_ids(taint) {
             if !self.inner.store.tree().tag(tag_id).global_id.is_tainted() {
                 self.inner.store.tree().set_tag_global_id(tag_id, gid);
             }
         }
-        self.inner.gid_of.lock().insert(taint, gid);
         // Prime the reverse cache too: this VM already knows the taint.
         self.inner.inbound.lock().taint_of.insert(gid, taint);
         // The root span minted with the taint now owns the gid: outbound
@@ -1045,11 +1263,12 @@ impl TaintMapClient {
             });
     }
 
-    /// Notes one gid resolved from outside — a lookup answer or a peer's
-    /// definition — in the caches and event stream, and returns the taint
-    /// the cache now holds for it. Neither cache entry is overwritten: a
+    /// Notes one gid resolved from outside — a lookup answer, or a
+    /// peer's definition (`defined`: the service may not hold it yet) —
+    /// in the caches and event stream, and returns the taint the cache
+    /// now holds for it. Neither cache entry is overwritten: a
     /// concurrent resolution that got there first keeps its answer.
-    fn finish_lookup(&self, gid: GlobalId, taint: Taint) -> Taint {
+    fn finish_lookup(&self, gid: GlobalId, taint: Taint, defined: bool) -> Taint {
         let taint = *self
             .inner
             .inbound
@@ -1057,7 +1276,16 @@ impl TaintMapClient {
             .taint_of
             .entry(gid)
             .or_insert(taint);
-        self.inner.gid_of.lock().entry(taint).or_insert(gid);
+        {
+            let mut outbound = self.inner.outbound.lock();
+            let outbound = &mut *outbound;
+            if let Entry::Vacant(slot) = outbound.gid_of.entry(taint) {
+                slot.insert(gid);
+                if defined {
+                    outbound.unbound.insert(taint, false);
+                }
+            }
+        }
         let span = self.inner.obs.gid_spans.get(gid.0);
         self.inner
             .obs
@@ -1080,7 +1308,9 @@ impl TaintMapClient {
     /// A definition is trusted as far as the gids of the same stream
     /// are, and no further: one for a gid already cached is ignored
     /// (the first resolution stays), and gid 0 or a wire-reserved gid
-    /// is refused.
+    /// is refused. The gid is noted as one the service may not hold
+    /// yet: a bare send of it binds it first, and if the shard refuses
+    /// that bind the send names the taint by a fresh gid of its own.
     ///
     /// # Errors
     ///
@@ -1099,7 +1329,7 @@ impl TaintMapClient {
         if taint.is_empty() {
             return Err(TaintMapError::Protocol("a definition names no tag"));
         }
-        self.finish_lookup(gid, taint);
+        self.finish_lookup(gid, taint, true);
         Ok(())
     }
 
@@ -1204,7 +1434,7 @@ impl TaintMapClient {
         for (&(i, gid), bytes) in misses.iter().zip(fetched) {
             let bytes = bytes.ok_or(TaintMapError::UnknownGlobalId(gid))?;
             let taint = deserialize_taint(&self.inner.store, &bytes)?;
-            out[i] = self.finish_lookup(gid, taint);
+            out[i] = self.finish_lookup(gid, taint, false);
         }
         Ok(())
     }
@@ -1409,7 +1639,6 @@ impl TaintMapClient {
             cache_hits: obs.cache_hits.get(),
             failovers: obs.failovers.get(),
             batch_frames: obs.batch_frames.get(),
-            single_flight_hits: obs.single_flight_hits.get(),
             retries: obs.retries.get(),
             breaker_opens: obs.breaker_opens.get(),
             breaker_fast_fails: obs.breaker_fast_fails.get(),
@@ -1452,6 +1681,7 @@ mod tests {
     use crate::endpoint::TaintMapEndpoint;
     use dista_simnet::FaultAction;
     use dista_taint::{LocalId, TagValue};
+    use std::time::Duration;
 
     fn setup() -> (SimNet, TaintMapEndpoint, TaintMapClient, TaintStore) {
         let net = SimNet::new();
@@ -1464,6 +1694,8 @@ mod tests {
     #[test]
     fn empty_taint_never_rpcs() {
         let (_net, endpoint, client, _store) = setup();
+        let connected = client.stats();
+        assert_eq!(connected.batch_frames, 1, "the lease taken at connect");
         assert_eq!(
             client.global_id_for(Taint::EMPTY).unwrap(),
             GlobalId::UNTAINTED
@@ -1481,7 +1713,7 @@ mod tests {
                 .unwrap(),
             vec![Taint::EMPTY; 2]
         );
-        assert_eq!(client.stats(), ClientStats::default());
+        assert_eq!(client.stats(), connected);
         endpoint.shutdown();
     }
 
@@ -1525,10 +1757,6 @@ mod tests {
         let stats = client.stats();
         assert_eq!(stats.register_rpcs, 2, "warm taint never resent");
         assert_eq!(stats.cache_hits, 2, "one per warm item");
-        assert_eq!(
-            stats.single_flight_hits, 0,
-            "the second cold copy must not wait on the first one's flight"
-        );
         endpoint.shutdown();
     }
 
@@ -1541,7 +1769,8 @@ mod tests {
             .map(|i| store1.mint_source_taint(TagValue::Int(i)))
             .collect();
         let gids = client1.global_ids_for(&taints).unwrap();
-        assert_eq!(client1.stats().batch_frames, 1, "one frame, four items");
+        // After the lease taken at connect: one bind frame, four items.
+        assert_eq!(client1.stats().batch_frames, 2, "one frame, four items");
 
         let store2 = TaintStore::new(LocalId::new([10, 0, 0, 4], 4));
         let client2 = endpoint.client(&net, store2.clone()).unwrap();
@@ -1553,7 +1782,7 @@ mod tests {
         }
         let stats = client2.stats();
         assert_eq!(stats.lookup_rpcs, 4, "duplicate deduped before the wire");
-        assert_eq!(stats.batch_frames, 1);
+        assert_eq!(stats.batch_frames, 2, "the lease, then one lookup frame");
         // Everything is now cached.
         client2.taints_for(&with_dup).unwrap();
         assert_eq!(client2.stats().lookup_rpcs, 4);
@@ -1561,34 +1790,146 @@ mod tests {
     }
 
     #[test]
-    fn single_flight_dedups_concurrent_registration() {
+    fn concurrent_encoders_of_one_new_taint_share_one_gid() {
         let (_net, endpoint, client, store) = setup();
         let t = store.mint_source_taint(TagValue::str("contended"));
+        let barrier = Arc::new(std::sync::Barrier::new(8));
         let mut handles = Vec::new();
         for i in 0..8 {
-            let client = client.clone();
+            let (client, barrier) = (client.clone(), barrier.clone());
             handles.push(std::thread::spawn(move || {
-                // The single call is a batch of one: same guard.
-                if i % 2 == 0 {
-                    client.global_ids_for(&[t]).unwrap()[0]
-                } else {
-                    client.global_id_for(t).unwrap()
+                barrier.wait();
+                let mut out = Vec::new();
+                // Half name the gid bare, half ship its definition.
+                match i % 2 {
+                    0 => client.global_ids_into(&[t], &mut out, None),
+                    _ => client.global_ids_into(&[t], &mut out, Some(&mut Vec::new())),
                 }
+                .unwrap();
+                out[0]
             }));
         }
         let ids: Vec<GlobalId> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        assert!(ids.windows(2).all(|w| w[0] == w[1]));
-        // The server saw at most as many register items as threads, and
-        // exactly one distinct taint; the flights (plus cache) mean most
-        // threads never sent anything.
-        assert_eq!(endpoint.stats().global_taints, 1);
+        assert!(ids.windows(2).all(|w| w[0] == w[1]), "{ids:?}");
+        // One thread handed the gid out under the cache lock; every other
+        // one found it there on its probe or its re-probe, and the one
+        // bind went out once.
         let stats = client.stats();
+        assert_eq!(stats.cache_hits, 7, "every other thread hit the cache");
+        assert_eq!(stats.register_rpcs, 1, "one bind on the wire");
+        assert_eq!(endpoint.stats().global_taints, 1);
+        assert_eq!(endpoint.stats().bind_requests, 1);
+        endpoint.shutdown();
+    }
+
+    #[test]
+    fn a_defined_hand_out_waits_for_nothing_and_a_flush_binds_it() {
+        let (net, endpoint, client, store) = setup();
+        let t = store.mint_source_taint(TagValue::str("write-behind"));
+        let (mut out, mut defs) = (Vec::new(), Vec::new());
+        let frames = endpoint.stats().batch_frames;
+        client
+            .global_ids_into(&[t, t], &mut out, Some(&mut defs))
+            .unwrap();
         assert_eq!(
-            stats.register_rpcs + stats.cache_hits + stats.single_flight_hits,
-            8,
-            "every thread resolved via exactly one of the three paths"
+            endpoint.stats().batch_frames,
+            frames,
+            "no frame on the crossing"
         );
-        assert_eq!(stats.register_rpcs, 1, "only one thread hit the wire");
+        assert_eq!(defs, vec![(out[0], serialize_taint(store.tree(), t))]);
+        assert_eq!(out[0], out[1]);
+        // Not bound yet: a reader is told the gid is unknown, never a
+        // wrong taint.
+        let reader = endpoint
+            .client(&net, TaintStore::new(LocalId::new([10, 0, 0, 2], 2)))
+            .unwrap();
+        assert_eq!(
+            reader.taint_for(out[0]),
+            Err(TaintMapError::UnknownGlobalId(out[0]))
+        );
+        client.flush().unwrap();
+        assert_eq!(endpoint.stats().bind_requests, 1);
+        assert_eq!(
+            reader.store().tag_values(reader.taint_for(out[0]).unwrap()),
+            ["write-behind"]
+        );
+        // A bare send of it now waits for nothing either.
+        let frames = endpoint.stats().batch_frames;
+        assert_eq!(client.global_id_for(t).unwrap(), out[0]);
+        assert_eq!(endpoint.stats().batch_frames, frames);
+        endpoint.shutdown();
+    }
+
+    #[test]
+    fn two_vms_binding_the_same_bytes_alias_to_one_taint() {
+        // Two VMs that build the same tag set independently each hand
+        // out a gid of their own for it; the service keeps the bytes once
+        // and the second gid as an alias of the first.
+        let (net, endpoint, client1, store1) = setup();
+        let (a, b) = (
+            store1.mint_source_taint(TagValue::str("a")),
+            store1.mint_source_taint(TagValue::str("b")),
+        );
+        let ab = store1.union(a, b);
+        let gids1 = client1.global_ids_for(&[a, b, ab]).unwrap();
+
+        let store2 = TaintStore::new(LocalId::new([10, 0, 0, 2], 2));
+        let client2 = endpoint.client(&net, store2.clone()).unwrap();
+        let parts = client2.taints_for(&gids1[..2]).unwrap();
+        let ab2 = store2.union(parts[0], parts[1]);
+        let g2 = client2.global_id_for(ab2).unwrap();
+        assert_ne!(g2, gids1[2], "a gid of its own");
+        let stats = endpoint.stats();
+        assert_eq!((stats.global_taints, stats.aliases), (3, 1));
+
+        // A third VM resolves both names to one taint.
+        let store3 = TaintStore::new(LocalId::new([10, 0, 0, 3], 3));
+        let client3 = endpoint.client(&net, store3.clone()).unwrap();
+        let both = client3.taints_for(&[gids1[2], g2]).unwrap();
+        assert_eq!(both[0], both[1]);
+        assert_eq!(store3.tag_values(both[0]), ["a", "b"]);
+        endpoint.shutdown();
+    }
+
+    #[test]
+    fn own_gids_a_restarted_shard_does_not_know_are_re_keyed() {
+        // A primary restarted with neither log nor standby leases from 0
+        // again, below the leases its clients still hold. Their binds of
+        // those gids are refused, or lose to another client's, and each
+        // refused taint takes a fresh gid; whatever a client names bare
+        // resolves to its own taint.
+        let net = SimNet::new();
+        let mut endpoint = TaintMapEndpoint::builder().connect(&net).unwrap();
+        let stores: Vec<TaintStore> = (1..=2)
+            .map(|h| TaintStore::new(LocalId::new([10, 0, 0, h], u32::from(h))))
+            .collect();
+        let clients: Vec<TaintMapClient> = stores
+            .iter()
+            .map(|s| endpoint.client(&net, s.clone()).unwrap())
+            .collect();
+        endpoint.crash_primary(0);
+        endpoint.restart_primary(0).unwrap();
+        let mut named = Vec::new();
+        for round in 0..3 {
+            for (vm, (client, store)) in clients.iter().zip(&stores).enumerate() {
+                let taints: Vec<Taint> = (0..50)
+                    .map(|i| store.mint_source_taint(TagValue::str(format!("{vm}:{round}:{i}"))))
+                    .collect();
+                let gids = client.global_ids_for(&taints).unwrap();
+                named.extend(
+                    gids.into_iter()
+                        .zip(taints.iter().map(|&t| store.tag_values(t))),
+                );
+            }
+        }
+        let reader_store = TaintStore::new(LocalId::new([10, 0, 0, 9], 9));
+        let reader = endpoint.client(&net, reader_store.clone()).unwrap();
+        for (gid, values) in named {
+            assert_eq!(
+                reader_store.tag_values(reader.taint_for(gid).unwrap()),
+                values
+            );
+        }
         endpoint.shutdown();
     }
 
@@ -1712,11 +2053,12 @@ mod tests {
 
         let store1 = TaintStore::new(LocalId::new([10, 0, 0, 1], 1));
         let rec1 = dista_obs::FlightRecorder::new("n1", 64, clock.clone());
-        let client1 = TaintMapClient::connect_topology_observed(
+        let client1 = TaintMapClient::connect_topology_tuned(
             &net,
             endpoint.topology(),
             store1.clone(),
             ClientObserver::for_node(&reg, "n1", rec1.clone()),
+            ClientResilience::default(),
         )
         .unwrap();
         let t = store1.mint_source_taint(TagValue::str("observed"));
@@ -1725,11 +2067,12 @@ mod tests {
 
         let store2 = TaintStore::new(LocalId::new([10, 0, 0, 2], 2));
         let rec2 = dista_obs::FlightRecorder::new("n2", 64, clock);
-        let client2 = TaintMapClient::connect_topology_observed(
+        let client2 = TaintMapClient::connect_topology_tuned(
             &net,
             endpoint.topology(),
             store2,
             ClientObserver::for_node(&reg, "n2", rec2.clone()),
+            ClientResilience::default(),
         )
         .unwrap();
         let resolved = client2.taints_for(&[gid]).unwrap()[0];
@@ -2011,7 +2354,6 @@ mod tests {
             (s.cache_hits, "taintmap_cache_hits"),
             (s.failovers, "taintmap_failovers"),
             (s.batch_frames, "taintmap_batch_frames"),
-            (s.single_flight_hits, "taintmap_single_flight_hits"),
             (s.retries, "taintmap_retries"),
             (s.breaker_opens, "taintmap_breaker_opens"),
             (s.breaker_fast_fails, "taintmap_breaker_fast_fails"),

@@ -25,9 +25,10 @@
 //! ```
 //!
 //! Clients never see the shard layout: they receive a
-//! [`TaintMapTopology`] (from [`TaintMapEndpoint::topology`]) and route
-//! registrations by taint-byte hash and lookups by id residue, both of
-//! which are deterministic across every VM in the cluster.
+//! [`TaintMapTopology`] (from [`TaintMapEndpoint::topology`]), lease the
+//! gid for a taint from the shard its bytes hash to, and bind and look
+//! up by id residue, all of which are deterministic across every VM in
+//! the cluster.
 
 use std::sync::Arc;
 
@@ -152,11 +153,11 @@ impl TaintMapEndpointBuilder {
     }
 
     /// Gives every shard primary a write-ahead snapshot log on `fs`
-    /// (`taintmap/shard-<i>.wal`): new registrations are appended before
-    /// they are acknowledged, and
+    /// (`taintmap/shard-<i>.wal`): leases and new binds are appended
+    /// before they are acknowledged, and
     /// [`TaintMapEndpoint::restart_primary`] replays the log into the
     /// relaunched primary, so an ungraceful crash loses no acknowledged
-    /// registration.
+    /// bind and never leases an id twice.
     pub fn snapshots(mut self, fs: SimFs) -> Self {
         self.snapshots = Some(fs);
         self
@@ -215,6 +216,7 @@ impl TaintMapEndpointBuilder {
                     &format!("{i}-standby"),
                 )?;
                 primary.replicate_to(standby.addr())?;
+                standby.set_following(true);
                 Some(standby)
             } else {
                 None
@@ -439,6 +441,7 @@ impl TaintMapEndpoint {
             Some(s) => s,
             None => panic!("kill_primary without a standby leaves shard {i} unservable"),
         };
+        promoted.set_following(false);
         self.shards[i].primary_addr = promoted.addr();
         self.shards[i].primary = Some(promoted);
         primary
@@ -448,9 +451,9 @@ impl TaintMapEndpoint {
 
     /// Crashes the primary at base or extended index `i` ungracefully:
     /// every connection is severed and the address unbound, mid-flight
-    /// requests get no response. The standby (if any) keeps serving; the
-    /// WAL (if configured) survives for
-    /// [`TaintMapEndpoint::restart_primary`].
+    /// requests get no response. The standby (if any) keeps serving, and
+    /// leases until the primary is back; the WAL (if configured)
+    /// survives for [`TaintMapEndpoint::restart_primary`].
     ///
     /// # Panics
     ///
@@ -463,6 +466,9 @@ impl TaintMapEndpoint {
             self.splits[i - self.shards.len()].server.take()
         };
         server.expect("shard primary is already crashed").shutdown();
+        if let Some(standby) = self.shards.get(i).and_then(|s| s.standby.as_ref()) {
+            standby.set_following(false);
+        }
     }
 
     /// Restarts a crashed primary (base or extended index `i`) at its
@@ -470,9 +476,13 @@ impl TaintMapEndpoint {
     /// snapshot (when the deployment was built with
     /// [`TaintMapEndpointBuilder::snapshots`]), installing the
     /// endpoint's authoritative class table, and re-wiring standby
-    /// replication. Returns the number of registrations recovered from
-    /// the snapshot + log. An interrupted outbound migration is *not*
-    /// re-armed here — [`TaintMapEndpoint::heal_split`] does that.
+    /// replication. The standby stops leasing first, and then each takes
+    /// the other's lease high-water: the primary what clients leased from
+    /// the standby meanwhile, the standby what the log holds past its
+    /// copy. Returns the
+    /// number of binds recovered from the snapshot + log. An interrupted
+    /// outbound migration is *not* re-armed here —
+    /// [`TaintMapEndpoint::heal_split`] does that.
     ///
     /// # Errors
     ///
@@ -516,6 +526,9 @@ impl TaintMapEndpoint {
         let replayed = server.replayed();
         if i < self.shards.len() {
             if let Some(standby) = &self.shards[i].standby {
+                standby.set_following(true);
+                server.raise_high_water(standby.max_local());
+                standby.raise_high_water(server.max_local());
                 server.replicate_to(standby.addr())?;
             }
             self.shards[i].primary = Some(server);
@@ -594,13 +607,27 @@ impl TaintMapEndpoint {
             class,
             spec,
         });
-        self.active = Some(ActiveSplit {
+        let active = ActiveSplit {
             class,
             source_ext,
             target_ext,
             lo_gid,
-        });
+        };
+        self.active = Some(active);
+        self.sync_split_high_water(active);
         Ok(target_ext)
+    }
+
+    /// Lifts the in-flight split's target to its source's lease
+    /// high-water, when both are up: a copied or double-written record
+    /// is then never above the target's, and after cutover the target
+    /// never leases an id the source did. Between two calls the source's
+    /// double-writes carry its leases.
+    fn sync_split_high_water(&self, active: ActiveSplit) {
+        let source = self.server_handle(active.source_ext);
+        if let (Some(source), Some(target)) = (source, self.server_handle(active.target_ext)) {
+            target.raise_high_water(source.max_local());
+        }
     }
 
     /// Phase 2 of a live split: copies up to `batch` records to the new
@@ -621,6 +648,7 @@ impl TaintMapEndpoint {
         let source = self
             .server_handle(active.source_ext)
             .ok_or(TaintMapError::ShardUnavailable(active.source_ext))?;
+        self.sync_split_high_water(active);
         match source.transfer_next(batch)? {
             Some(sent) => {
                 self.records_transferred += sent;
@@ -660,6 +688,8 @@ impl TaintMapEndpoint {
             addrs: vec![target_addr],
         });
         source.cutover(table.clone())?;
+        // The source leases nothing from here on: this lift is the last.
+        self.sync_split_high_water(active);
         let epoch = table.epoch;
         self.tables[active.class] = table;
         self.tail_owner[active.class] = active.target_ext;
@@ -821,7 +851,8 @@ impl TaintMapEndpoint {
         for server in live_shards.chain(live_splits) {
             let s = server.stats();
             total.global_taints += s.global_taints;
-            total.register_requests += s.register_requests;
+            total.aliases += s.aliases;
+            total.bind_requests += s.bind_requests;
             total.lookup_requests += s.lookup_requests;
             total.batch_frames += s.batch_frames;
             total.moved_redirects += s.moved_redirects;

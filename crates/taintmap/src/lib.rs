@@ -20,13 +20,14 @@
 //! [`TaintMapEndpoint`]: the Global ID namespace is statically
 //! partitioned (shard `i` of `n` assigns ids `i+1, i+1+n, …`), so shards
 //! never coordinate, and clients route by a stable hash of the
-//! serialized taint. The wire protocol is the paper's two RPCs,
-//! `REGISTER` and `LOOKUP`, each carrying many items — all distinct
-//! taints of a shadow buffer register or resolve in one round trip per
-//! shard, and a single taint is a batch of one — and the
-//! [`TaintMapClient`] pipelines multi-shard batches over kept-open
-//! connections. Each shard keeps the paper's §IV primary/standby
-//! replication independently.
+//! serialized taint. The paper's `Register` is a leased gid plus a
+//! write-behind `BIND`: a client holds a block of gids per shard, hands
+//! one to each new taint without asking, and binds them in batches — one
+//! round trip per block, and none at all on a crossing that carries the
+//! taint's definition. `LOOKUP` is the paper's other RPC. Both carry many
+//! items, and the [`TaintMapClient`] pipelines multi-shard batches over
+//! kept-open connections. Each shard keeps the paper's §IV
+//! primary/standby replication independently.
 //!
 //! # Example
 //!

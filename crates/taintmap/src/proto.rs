@@ -1,22 +1,26 @@
 //! Framed request/response protocol between VMs and the Taint Map.
 //!
 //! Frame layout (both directions): `op: u8`, `len: u32 BE`, `len` payload
-//! bytes. The paper's Taint Map speaks two RPCs (Fig. 9) and so does this
-//! one: `REGISTER` carries serialized taints and answers their Global
-//! IDs, `LOOKUP` carries Global IDs and answers their serialized taints.
-//! Each carries *many* items, so a whole shadow buffer resolves in one
-//! round trip per shard; a single item is a batch of one. Responses: `OK`
-//! carries the result payload, `ERR` a one-byte reason.
+//! bytes. A VM speaks two RPCs: `BIND` makes the gids it handed out
+//! durable and leases the next block of them, `LOOKUP` carries Global
+//! IDs and answers their serialized taints. Each carries *many* items,
+//! so a whole queue or shadow buffer resolves in one round trip per
+//! shard; a single item is a batch of one. Responses: `OK` carries the
+//! result payload, `ERR` a one-byte reason.
 //!
 //! Payload layouts (all integers big-endian):
 //!
 //! ```text
-//! REGISTER        req:  u64 epoch, u32 count, count × (u32 len, len bytes)
-//!                 resp: u32 count, then count × u32 gid
+//! BIND            req:  u64 epoch, u32 want, u32 count,
+//!                       count × (u32 gid, u32 len, len bytes)
+//!                 resp: u32 n, n × u32 leased gid (n <= want),
+//!                       then count × u8 status
 //! LOOKUP          req:  u64 epoch, u32 count, count × u32 gid
 //!                 resp: u32 count, then count × (u8 status,
 //!                       if status == 0: u32 len, len bytes)
 //! EPOCH_OF        req:  empty            resp OK: class table
+//! REPLICATE       req:  WAL records (data and lease), to the end
+//!                 resp OK: empty
 //! TRANSFER_BATCH  req:  u32 count, count × (u32 gid, u32 len, bytes)
 //!                 resp OK: u32 count acknowledged
 //! MOVED           resp: class table
@@ -31,8 +35,8 @@
 //! **Resharding.** `epoch` is the sender's class-table epoch; a server
 //! whose table is newer rejects the frame with `STALE_EPOCH` (payload:
 //! its epoch) so the client refetches via `EPOCH_OF` and retries. A
-//! server that no longer owns a touched gid range answers `MOVED`
-//! carrying its whole [`ClassTable`].
+//! server that no longer owns a touched gid range (or, for a lease, no
+//! longer allocates) answers `MOVED` carrying its whole [`ClassTable`].
 
 use dista_simnet::{read_announced, read_full, NetError, NodeAddr, TcpEndpoint};
 use dista_taint::{ByteReader, ReadError};
@@ -41,17 +45,27 @@ use crate::error::TaintMapError;
 use crate::shard::{ClassTable, ShardRange};
 
 pub(crate) const OP_REPLICATE: u8 = 4;
-pub(crate) const OP_REGISTER: u8 = 7;
 pub(crate) const OP_LOOKUP: u8 = 8;
 pub(crate) const OP_EPOCH_OF: u8 = 9;
 pub(crate) const OP_TRANSFER_BATCH: u8 = 10;
+pub(crate) const OP_BIND: u8 = 11;
 pub(crate) const RESP_OK: u8 = 0x80;
 pub(crate) const RESP_ERR: u8 = 0x81;
 pub(crate) const RESP_MOVED: u8 = 0x82;
 pub(crate) const RESP_STALE_EPOCH: u8 = 0x83;
 
+/// Per-item statuses. A `LOOKUP` item is `OK` or `UNKNOWN`. A `BIND`
+/// item is `OK` (bound to these bytes, now or before), `TAKEN` (the gid
+/// was bound to other bytes first) or `UNLEASED` (not a gid this shard
+/// leased, so nothing was bound).
 pub(crate) const STATUS_OK: u8 = 0;
 pub(crate) const STATUS_UNKNOWN: u8 = 1;
+pub(crate) const STATUS_TAKEN: u8 = 2;
+pub(crate) const STATUS_UNLEASED: u8 = 3;
+
+/// Gids one lease hands out at most: a client holds up to this many per
+/// shard, and a server grants no more in one `BIND` reply.
+pub(crate) const LEASE_IDS: u32 = 64;
 
 /// Writes one frame.
 pub(crate) fn write_frame(conn: &TcpEndpoint, op: u8, payload: &[u8]) -> Result<(), NetError> {
@@ -119,15 +133,19 @@ pub(crate) fn addr(r: &mut ByteReader<'_>) -> Result<NodeAddr, ReadError> {
     Ok(NodeAddr::new(r.array()?, r.u16()?))
 }
 
-/// Encodes a `REGISTER` request: the sender's class-table epoch, then
-/// the serialized taints.
-pub(crate) fn encode_register(epoch: u64, items: &[&[u8]]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(12 + items.iter().map(|i| 4 + i.len()).sum::<usize>());
+/// Encodes a `BIND` request: the sender's class-table epoch, how many
+/// gids it wants leased, then the `(gid, serialized taint)` pairs to
+/// bind.
+pub(crate) fn encode_bind(epoch: u64, want: u32, items: &[(u32, &[u8])]) -> Vec<u8> {
+    let body: usize = items.iter().map(|(_, b)| 8 + b.len()).sum();
+    let mut out = Vec::with_capacity(16 + body);
     out.extend_from_slice(&epoch.to_be_bytes());
+    out.extend_from_slice(&want.to_be_bytes());
     out.extend_from_slice(&(items.len() as u32).to_be_bytes());
-    for item in items {
-        out.extend_from_slice(&(item.len() as u32).to_be_bytes());
-        out.extend_from_slice(item);
+    for (gid, bytes) in items {
+        out.extend_from_slice(&gid.to_be_bytes());
+        out.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
+        out.extend_from_slice(bytes);
     }
     out
 }
@@ -144,24 +162,29 @@ pub(crate) fn encode_lookup(epoch: u64, gids: &[u32]) -> Vec<u8> {
     out
 }
 
-/// Decodes a `REGISTER` response payload into Global IDs.
-pub(crate) fn decode_register_resp(
+/// Decodes a `BIND` response payload to the `expected` items it
+/// answers: the gids it leased, and one status per item.
+pub(crate) fn decode_bind_resp(
     payload: &[u8],
     expected: usize,
-) -> Result<Vec<u32>, TaintMapError> {
+) -> Result<(Vec<u32>, Vec<u8>), TaintMapError> {
     let mut r = ByteReader::new(payload);
     let count = r.u32()? as usize;
-    if count != expected {
-        return Err(TaintMapError::Protocol("register count mismatch"));
-    }
     let mut gids = Vec::with_capacity(r.count(count, 4));
     for _ in 0..count {
         gids.push(r.u32()?);
     }
+    let statuses = r.bytes(expected)?.to_vec();
+    if !statuses
+        .iter()
+        .all(|s| [STATUS_OK, STATUS_TAKEN, STATUS_UNLEASED].contains(s))
+    {
+        return Err(TaintMapError::Protocol("bad bind status"));
+    }
     if !r.at_end() {
         return Err(TaintMapError::Protocol("trailing bytes in response"));
     }
-    Ok(gids)
+    Ok((gids, statuses))
 }
 
 /// Decodes a `LOOKUP` response payload; `None` marks an id the service
@@ -308,7 +331,7 @@ mod tests {
         });
         // Announce a 64-byte frame, then drip it far too slowly: every
         // inter-byte gap is below the deadline, but the total is not.
-        c.write(&[OP_REGISTER]).unwrap();
+        c.write(&[OP_BIND]).unwrap();
         c.write(&64u32.to_be_bytes()).unwrap();
         for b in 0..20u8 {
             std::thread::sleep(std::time::Duration::from_millis(15));
@@ -330,9 +353,9 @@ mod tests {
     #[test]
     fn frame_roundtrip() {
         let (c, s) = pair();
-        write_frame(&c, OP_REGISTER, b"payload").unwrap();
+        write_frame(&c, OP_BIND, b"payload").unwrap();
         let (op, payload) = read_frame(&s).unwrap().unwrap();
-        assert_eq!(op, OP_REGISTER);
+        assert_eq!(op, OP_BIND);
         assert_eq!(payload, b"payload");
     }
 
@@ -385,22 +408,24 @@ mod tests {
         let l = net.tcp_listen(addr).unwrap();
         let c = net.tcp_connect(addr).unwrap();
         let s = l.accept().unwrap();
-        write_frame(&c, OP_REGISTER, b"payload").unwrap();
+        write_frame(&c, OP_BIND, b"payload").unwrap();
         let deadline = std::time::Duration::from_secs(5);
         let frame = read_frame_deadline(&s, deadline).unwrap();
-        assert_eq!(frame, Some((OP_REGISTER, b"payload".to_vec())));
+        assert_eq!(frame, Some((OP_BIND, b"payload".to_vec())));
     }
 
     #[test]
-    fn register_payload_roundtrip() {
-        let items: [&[u8]; 3] = [b"alpha", b"", b"b"];
-        let payload = encode_register(7, &items);
+    fn bind_payload_roundtrip() {
+        let items: [(u32, &[u8]); 3] = [(3, b"alpha"), (5, b""), (9, b"b")];
+        let payload = encode_bind(7, 64, &items);
         let mut r = ByteReader::new(&payload);
         assert_eq!(r.u64().unwrap(), 7);
+        assert_eq!(r.u32().unwrap(), 64);
         assert_eq!(r.u32().unwrap(), 3);
-        for item in items {
+        for (gid, bytes) in items {
+            assert_eq!(r.u32().unwrap(), gid);
             let len = r.u32().unwrap() as usize;
-            assert_eq!(r.bytes(len).unwrap(), item);
+            assert_eq!(r.bytes(len).unwrap(), bytes);
         }
         assert!(r.at_end());
     }
@@ -481,19 +506,24 @@ mod tests {
 
     #[test]
     fn resp_decoders_reject_mismatch_and_truncation() {
-        let gids = decode_register_resp(
-            &[
-                &2u32.to_be_bytes()[..],
-                &5u32.to_be_bytes()[..],
-                &9u32.to_be_bytes()[..],
-            ]
-            .concat(),
-            2,
-        )
-        .unwrap();
-        assert_eq!(gids, vec![5, 9]);
-        assert!(decode_register_resp(&2u32.to_be_bytes(), 3).is_err());
-        assert!(decode_register_resp(&[0, 0], 0).is_err());
+        let two_leased = [
+            &2u32.to_be_bytes()[..],
+            &5u32.to_be_bytes()[..],
+            &9u32.to_be_bytes()[..],
+        ]
+        .concat();
+        let answered = [&two_leased[..], &[STATUS_OK, STATUS_UNLEASED]].concat();
+        assert_eq!(
+            decode_bind_resp(&answered, 2).unwrap(),
+            (vec![5, 9], vec![STATUS_OK, STATUS_UNLEASED])
+        );
+        assert!(decode_bind_resp(&answered, 3).is_err(), "a status short");
+        assert!(decode_bind_resp(&answered, 1).is_err(), "trailing byte");
+        assert!(decode_bind_resp(&[&two_leased[..], &[STATUS_UNKNOWN]].concat(), 1).is_err());
+        assert!(decode_bind_resp(&2u32.to_be_bytes(), 0).is_err());
+        assert!(decode_bind_resp(&[0, 0], 0).is_err());
+        // A count of 4.29 G over an empty body sizes nothing.
+        assert!(decode_bind_resp(&u32::MAX.to_be_bytes(), 0).is_err());
         assert!(decode_lookup_resp(&1u32.to_be_bytes(), 1).is_err());
         let mut ok = 1u32.to_be_bytes().to_vec();
         ok.push(STATUS_UNKNOWN);

@@ -1,19 +1,20 @@
 //! The Taint Map server process — one *shard* of the service.
 //!
 //! A [`TaintMapServer`] owns one slice of the statically partitioned
-//! Global ID namespace (see [`ShardSpec`]): its backend assigns dense
-//! local ids and the server stretches them onto the shard's arithmetic
-//! progression, so shards never coordinate on registration. Deployments
-//! are stood up through [`crate::TaintMapEndpoint`], which picks
-//! addresses and shard specs so the id namespaces can never overlap.
+//! Global ID namespace (see [`ShardSpec`]): it leases dense local ids in
+//! blocks and stretches them onto the shard's arithmetic progression, so
+//! shards never coordinate on registration. A client binds each leased
+//! gid to its serialized taint later, in batches. Deployments are stood
+//! up through [`crate::TaintMapEndpoint`], which picks addresses and
+//! shard specs so the id namespaces can never overlap.
 //!
 //! For crash recovery a shard can be given a [`TaintMapWal`]: an
-//! append-only GID→taint snapshot log on the simulated file system,
-//! written before a registration is acknowledged and replayed on
-//! relaunch, so an ungraceful primary death loses no acknowledged (or
-//! even in-flight committed) registration. The log is *tagged*: besides
-//! data records it carries migration markers (start, resumable transfer
-//! checkpoints, cutover) so a crashed side of a live reshard resumes
+//! append-only log on the simulated file system, written before a lease
+//! or a bind is acknowledged and replayed on relaunch, so an ungraceful
+//! primary death loses no acknowledged (or even in-flight committed)
+//! bind, and never leases an id twice. The log is *tagged*: besides
+//! data and lease records it carries migration markers (start, resumable
+//! transfer checkpoints, cutover) so a crashed side of a live reshard resumes
 //! exactly where it stopped, and it is periodically folded into
 //! `snapshot-<n>` files ([`TaintMapServer::compact`]) so restart replay
 //! is bounded by *live* gids rather than registration history. A torn
@@ -32,22 +33,23 @@ use crate::backend::{TaintMapBackend, WIRE_RESERVED_GIDS};
 use crate::error::TaintMapError;
 use crate::proto::{
     addr, decode_transfer_batch, encode_class_table, encode_transfer_batch, read_frame,
-    write_frame, OP_EPOCH_OF, OP_LOOKUP, OP_REGISTER, OP_REPLICATE, OP_TRANSFER_BATCH, RESP_ERR,
-    RESP_MOVED, RESP_OK, RESP_STALE_EPOCH, STATUS_OK, STATUS_UNKNOWN,
+    write_frame, LEASE_IDS, OP_BIND, OP_EPOCH_OF, OP_LOOKUP, OP_REPLICATE, OP_TRANSFER_BATCH,
+    RESP_ERR, RESP_MOVED, RESP_OK, RESP_STALE_EPOCH, STATUS_OK, STATUS_TAKEN, STATUS_UNKNOWN,
+    STATUS_UNLEASED,
 };
 use crate::shard::{ClassTable, ShardRange, ShardSpec};
 
 /// Server tuning knobs.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TaintMapConfig {
-    /// Chaos knob: die ungracefully once this many register items have
-    /// been served. The fatal registration is committed (backend, WAL,
-    /// replication) but its response frame is never written — the
+    /// Chaos knob: die ungracefully once this many bind items have been
+    /// served. The fatal frame is committed (backend, WAL, replication)
+    /// but its response frame is never written — the
     /// deterministic stand-in for a process killed between commit and
     /// reply, used by the crash-recovery tests. `None` = never.
     pub crash_after_registers: Option<u64>,
-    /// Fold the WAL into a snapshot after this many further register
-    /// items (only on primaries launched with a WAL). `None` = compact
+    /// Fold the WAL into a snapshot after this many further bind items
+    /// (only on primaries launched with a WAL). `None` = compact
     /// only on explicit `TaintMapServer::compact` calls.
     pub compact_every_registers: Option<u64>,
 }
@@ -92,27 +94,60 @@ const REC_DATA: u8 = 1;
 const REC_CHECKPOINT: u8 = 2;
 const REC_MIGRATE_START: u8 = 3;
 const REC_CUTOVER: u8 = 4;
+const REC_LEASE: u8 = 5;
+
+/// How far one replicated lease record may raise a receiver's
+/// high-water: one block, plus the wire-reserved ids a block skips. A
+/// record that asks for more is refused, so a hostile one moves the
+/// high-water no further than a lease request could.
+const MAX_LEASE_SPAN: u32 = LEASE_IDS + WIRE_RESERVED_GIDS.len() as u32;
 
 const SNAP_MAGIC: [u8; 4] = *b"TMSN";
 const SNAP_TRAILER: [u8; 4] = *b"SNEN";
 
 /// The backend-local id a record that names `gid` from outside — a
-/// replicated or migrated registration, a WAL or snapshot record — is
-/// stored under: `None` if `gid` is another shard's, or one the wire
-/// grammar reserves ([`WIRE_RESERVED_GIDS`]), since a record stored
-/// there would answer a later `register` of the same bytes with it.
-fn storable_local(shard: ShardSpec, gid: u32) -> Option<u32> {
+/// bind, a replicated or migrated record, a WAL or snapshot record — is
+/// stored under: `None` if `gid` is another shard's, one the wire
+/// grammar reserves ([`WIRE_RESERVED_GIDS`]), or one above `high_water`
+/// that this shard never leased.
+fn leased_local(shard: ShardSpec, high_water: u32, gid: u32) -> Option<u32> {
     if WIRE_RESERVED_GIDS.contains(&gid) {
         return None;
     }
-    shard.local_of_global(gid)
+    shard
+        .local_of_global(gid)
+        .filter(|&local| local <= high_water)
+}
+
+/// Appends a data record (`gid` bound to a serialized taint) in the WAL
+/// format replication also ships.
+fn push_data(out: &mut Vec<u8>, gid: u32, serialized: &[u8]) {
+    out.push(REC_DATA);
+    out.extend_from_slice(&gid.to_be_bytes());
+    out.extend_from_slice(&(serialized.len() as u32).to_be_bytes());
+    out.extend_from_slice(serialized);
+}
+
+/// Reads a data record's body, after its tag — what [`push_data`] wrote,
+/// and a `BIND` item.
+fn read_data<'a>(r: &mut ByteReader<'a>) -> Result<(u32, &'a [u8]), ReadError> {
+    let gid = r.u32()?;
+    let len = r.u32()? as usize;
+    Ok((gid, r.bytes(len)?))
+}
+
+/// Appends a lease record: the high-water (a local id) after a lease.
+fn push_lease(out: &mut Vec<u8>, local: u32) {
+    out.push(REC_LEASE);
+    out.extend_from_slice(&local.to_be_bytes());
 }
 
 /// Write-ahead log for one shard primary: an append-only sequence of
-/// tagged records on the simulated file system. Data records
-/// (`tag 1, gid u32 BE, len u32 BE, len bytes`) are appended before a
-/// registration is acknowledged; migration markers (checkpoint, start,
-/// cutover) make an in-flight reshard resumable across a crash.
+/// tagged records on the simulated file system. Lease records
+/// (`tag 5, high-water local id u32 BE`) and data records
+/// (`tag 1, gid u32 BE, len u32 BE, len bytes`) are appended before the
+/// frame that made them is acknowledged; migration markers (checkpoint,
+/// start, cutover) make an in-flight reshard resumable across a crash.
 /// [`TaintMapWal::recover_into`] rebuilds the backend from the newest
 /// intact `…snapshot-<n>` companion file plus the log tail, tolerating
 /// both a torn final record (payload *or* length header) and a torn
@@ -147,13 +182,8 @@ impl TaintMapWal {
         &self.path
     }
 
-    fn append(&self, gid: u32, serialized: &[u8]) {
-        let mut record = Vec::with_capacity(9 + serialized.len());
-        record.push(REC_DATA);
-        record.extend_from_slice(&gid.to_be_bytes());
-        record.extend_from_slice(&(serialized.len() as u32).to_be_bytes());
-        record.extend_from_slice(serialized);
-        self.fs.append(&self.path, &record);
+    fn append(&self, records: &[u8]) {
+        self.fs.append(&self.path, records);
     }
 
     fn append_checkpoint(&self, upto_local: u32) {
@@ -218,6 +248,7 @@ impl TaintMapWal {
         let mut out = Vec::new();
         out.extend_from_slice(&SNAP_MAGIC);
         out.extend_from_slice(&epoch.to_be_bytes());
+        out.extend_from_slice(&backend.max_local().to_be_bytes());
         out.extend_from_slice(&(moved.len() as u32).to_be_bytes());
         for m in moved {
             out.extend_from_slice(&m.lo_gid.to_be_bytes());
@@ -228,7 +259,7 @@ impl TaintMapWal {
         let mut body = Vec::new();
         for local in 1..=backend.max_local() {
             // A local id past the shard's slice of `u32` was never
-            // handed out as a gid (see `register_one`), nor any above.
+            // leased (see `ServerShared::lease`), nor any above.
             let Some(gid) = shard.global_of_local(local) else {
                 break;
             };
@@ -252,20 +283,22 @@ impl TaintMapWal {
         count
     }
 
-    /// Parses one snapshot file; `None` if it is torn or malformed.
+    /// Parses one snapshot file — epoch, high-water, redirects, records
+    /// — or `None` if it is torn or malformed.
     #[allow(clippy::type_complexity)]
     fn load_snapshot(
         &self,
         generation: u64,
-    ) -> Option<(u64, Vec<MovedRange>, Vec<(u32, Vec<u8>)>)> {
+    ) -> Option<(u64, u32, Vec<MovedRange>, Vec<(u32, Vec<u8>)>)> {
         let bytes = self.fs.read(&self.snap_path(generation)).ok()?;
-        if bytes.len() < 20 || bytes[..4] != SNAP_MAGIC || bytes[bytes.len() - 4..] != SNAP_TRAILER
+        if bytes.len() < 24 || bytes[..4] != SNAP_MAGIC || bytes[bytes.len() - 4..] != SNAP_TRAILER
         {
             return None;
         }
         let body = &bytes[4..bytes.len() - 4];
         let mut r = ByteReader::new(body);
         let epoch = r.u64().ok()?;
+        let high_water = r.u32().ok()?;
         let nmoved = r.u32().ok()? as usize;
         let mut moved = Vec::with_capacity(r.count(nmoved, 10));
         for _ in 0..nmoved {
@@ -276,33 +309,41 @@ impl TaintMapWal {
         }
         // The records are laid out as a transfer batch is, to the end.
         let records = decode_transfer_batch(r.remaining()).ok()?;
-        Some((epoch, moved, records))
+        Some((epoch, high_water, moved, records))
     }
 
     /// Rebuilds `backend` from the newest intact snapshot plus the log
-    /// tail (via the replication path, so the backend's id allocator
-    /// resumes past the recovered ids), and reconstructs the migration
-    /// bookkeeping. Missing files are an empty log; a torn final record
+    /// tail — the high-water first, so nothing leased before the crash
+    /// is leased again, and a record above it is never stored — and
+    /// reconstructs the migration bookkeeping. Missing files are an
+    /// empty log; a torn final record
     /// — whether the crash cut the payload, the length header, or the
     /// tag — is ignored, like a torn tail in a real WAL; a torn snapshot
     /// falls back to the previous one.
     pub fn recover_into(&self, backend: &dyn TaintMapBackend, shard: ShardSpec) -> WalRecovery {
         let mut rec = WalRecovery::default();
         for generation in self.snapshot_generations().into_iter().rev() {
-            match self.load_snapshot(generation) {
-                Some((epoch, moved, records)) => {
-                    rec.epoch = epoch;
-                    rec.moved = moved;
-                    for (gid, bytes) in records {
-                        if let Some(local) = storable_local(shard, gid) {
-                            backend.insert_replicated(local, &bytes);
-                            rec.snapshot_records += 1;
-                        }
-                    }
-                    break;
-                }
-                None => rec.torn_snapshots += 1,
+            // Compaction writes only records it leased: one that names
+            // anything else marks the file as damaged as a torn one.
+            let intact = self
+                .load_snapshot(generation)
+                .and_then(|(epoch, hw, moved, records)| {
+                    let locals = records.iter().map(|&(gid, _)| leased_local(shard, hw, gid));
+                    let locals = locals.collect::<Option<Vec<u32>>>()?;
+                    Some((epoch, hw, moved, locals.into_iter().zip(records)))
+                });
+            let Some((epoch, high_water, moved, records)) = intact else {
+                rec.torn_snapshots += 1;
+                continue;
+            };
+            rec.epoch = epoch;
+            rec.moved = moved;
+            backend.raise_high_water(high_water);
+            for (local, (_, bytes)) in records {
+                backend.bind(local, &bytes);
+                rec.snapshot_records += 1;
             }
+            break;
         }
         let Ok(bytes) = self.fs.read(&self.path) else {
             return rec;
@@ -314,10 +355,12 @@ impl TaintMapWal {
         rec
     }
 
-    /// Reads the next tagged record and applies it to `rec` (a data
-    /// record also to `backend`). Every field is read before anything is
-    /// applied, so a torn final record — `Truncated`, wherever the crash
-    /// cut it — applies nothing; it and an unknown tag end the replay.
+    /// Reads the next tagged record and applies it to `rec` (a data or
+    /// lease record to `backend`). Every field is read before anything
+    /// is applied, so a torn final record — `Truncated`, wherever the
+    /// crash cut it — applies nothing; it and an unknown tag end the
+    /// replay. A data record above the high-water the log has raised so
+    /// far is skipped: nothing the server wrote is ever there.
     fn replay_record(
         r: &mut ByteReader<'_>,
         backend: &dyn TaintMapBackend,
@@ -326,14 +369,13 @@ impl TaintMapWal {
     ) -> Result<(), ReadError> {
         match r.u8()? {
             REC_DATA => {
-                let gid = r.u32()?;
-                let len = r.u32()? as usize;
-                let serialized = r.bytes(len)?;
-                if let Some(local) = storable_local(shard, gid) {
-                    backend.insert_replicated(local, serialized);
+                let (gid, serialized) = read_data(r)?;
+                if let Some(local) = leased_local(shard, backend.max_local(), gid) {
+                    backend.bind(local, serialized);
                     rec.wal_data_records += 1;
                 }
             }
+            REC_LEASE => backend.raise_high_water(r.u32()?),
             REC_CHECKPOINT => rec.checkpoint = r.u32()?,
             REC_MIGRATE_START => rec.migration = Some((r.u32()?, addr(r)?)),
             REC_CUTOVER => {
@@ -357,14 +399,17 @@ impl TaintMapWal {
 /// server continues.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServerStats {
-    /// Distinct global taints registered.
+    /// Distinct global taints stored (a gid bound to bytes another gid
+    /// already names is an alias, not a taint).
     pub global_taints: u64,
-    /// Register items served (each item of a frame counts, duplicates
+    /// Gids bound as aliases of an already stored taint.
+    pub aliases: u64,
+    /// Bind items served (each item of a frame counts, re-sent ones
     /// included).
-    pub register_requests: u64,
+    pub bind_requests: u64,
     /// Lookup items served (each item of a frame counts).
     pub lookup_requests: u64,
-    /// `REGISTER` and `LOOKUP` frames served.
+    /// `BIND` and `LOOKUP` frames served.
     pub batch_frames: u64,
     /// Requests answered with a `Moved` redirect after a cutover.
     pub moved_redirects: u64,
@@ -374,7 +419,7 @@ pub struct ServerStats {
     pub transferred_in: u64,
     /// Records shipped out through migration transfer batches.
     pub transferred_out: u64,
-    /// Registrations double-written to a migration target.
+    /// Bind frames' records double-written to a migration target.
     pub double_writes: u64,
     /// WAL compactions performed.
     pub compactions: u64,
@@ -395,7 +440,8 @@ struct Migration {
     /// Last backend-local id confirmed received by the target.
     checkpoint: u32,
     /// Lowest local id whose double-write forward failed; forces the
-    /// copy to rewind below it after the target restarts.
+    /// copy to rewind below it after the target restarts. A failed
+    /// forward of a lease alone leaves nothing to re-copy.
     resync_from: Option<u32>,
 }
 
@@ -403,11 +449,11 @@ struct ServerShared {
     backend: Arc<dyn TaintMapBackend>,
     shard: ShardSpec,
     /// Control state (`crash_after_registers`, compaction cadence).
-    registers: AtomicU64,
+    binds: AtomicU64,
     lookups: AtomicU64,
     batch_frames: AtomicU64,
     transferred_out: AtomicU64,
-    registers_at_last_compact: AtomicU64,
+    binds_at_last_compact: AtomicU64,
     /// `taintmap_server_*{node="taintmap",shard=..}` registry counters.
     moved_redirects: Counter,
     stale_epochs: Counter,
@@ -418,6 +464,11 @@ struct ServerShared {
     /// Armed by the `crash_after_registers` chaos knob: once set, serve
     /// threads hang up on every connection without responding.
     crash_now: AtomicBool,
+    /// Set on a standby while its primary replicates to it: a client's
+    /// `BIND` is hung up on, so the client's retry redials the next
+    /// address of the shard's failover list — the primary — and only the
+    /// primary leases.
+    following: AtomicBool,
     /// Write-ahead snapshot, present on primaries stood up with one.
     wal: Option<TaintMapWal>,
     /// Connection to a standby replica, if configured (§IV: "adding a
@@ -432,66 +483,113 @@ struct ServerShared {
     moved: Mutex<Vec<MovedRange>>,
     /// In-flight outbound migration, if any.
     migration: Mutex<Option<Migration>>,
-    /// Serializes commits (register + WAL append + double-write) against
-    /// cutover and compaction, so a snapshot can never miss a record
-    /// that was acknowledged and a register can never slip past the
-    /// moved check mid-cutover.
+    /// Serializes commits (lease or bind + WAL append + replication +
+    /// double-write) against each other, cutover and compaction, so a
+    /// snapshot can never miss a record that was acknowledged, no id is
+    /// leased twice, and a frame can never slip past the moved check
+    /// mid-cutover.
     commit_lock: Mutex<()>,
 }
 
 impl ServerShared {
-    /// Registers one serialized taint, replicating and double-writing if
-    /// it is new, and returns its Global ID (already mapped into this
-    /// shard's slice of the namespace) — or the reply to answer the
-    /// whole frame with instead: a redirect when allocation has migrated
-    /// away, an error when this shard has no id left to give.
-    fn register_one(&self, serialized: &[u8]) -> Result<u32, Reply> {
-        let served = self.registers.fetch_add(1, Ordering::Relaxed) + 1;
+    /// Serves one `BIND` frame under the commit lock: leases up to
+    /// `want` fresh gids, binds each `(gid, serialized taint)` item it
+    /// can, and makes what changed durable before the reply is built.
+    /// The whole frame is answered `Moved` if a lease asks a server that
+    /// no longer allocates or an item's gid migrated away. Otherwise
+    /// each item gets a status of its own: a gid this shard never leased
+    /// is `UNLEASED`, one bound to other bytes first is `TAKEN`, and
+    /// neither binds anything nor holds up the rest of the frame or its
+    /// lease.
+    fn bind_and_lease(&self, want: u32, items: &[(u32, &[u8])]) -> Reply {
+        let served = self.binds.fetch_add(items.len() as u64, Ordering::Relaxed);
         let _commit = self.commit_lock.lock();
-        if !self.moved.lock().is_empty() {
-            return Err((RESP_MOVED, self.moved_payload()));
+        let allocation_moved = want > 0 && !self.moved.lock().is_empty();
+        if allocation_moved || items.iter().any(|&(gid, _)| self.gid_moved(gid)) {
+            return (RESP_MOVED, self.moved_payload());
         }
-        let before = self.backend.len();
-        let local = self.backend.register(serialized);
-        // No global id for 0 (the backend's allocator is spent) or for a
-        // local id past this shard's slice of `u32`: a replicated record
-        // can push the allocator there, and an id that wrapped would be
-        // 0 — untainted — or some other taint's.
-        let Some(gid) = self.shard.global_of_local(local) else {
-            return Err((RESP_ERR, vec![0xFF]));
-        };
-        if self.backend.len() > before {
+        let high_water = self.backend.max_local();
+        let mut records = Vec::new();
+        let leased = self.lease(want.min(LEASE_IDS), &mut records);
+        let mut statuses = Vec::with_capacity(items.len());
+        let mut first_bound = None;
+        for &(gid, serialized) in items {
+            statuses.push(match leased_local(self.shard, high_water, gid) {
+                None => STATUS_UNLEASED,
+                Some(local) if self.backend.bind(local, serialized) => {
+                    push_data(&mut records, gid, serialized);
+                    first_bound = Some(first_bound.map_or(local, |first: u32| first.min(local)));
+                    STATUS_OK
+                }
+                Some(local) if self.backend.lookup(local).as_deref() == Some(serialized) => {
+                    STATUS_OK
+                }
+                Some(_) => STATUS_TAKEN,
+            });
+        }
+        if !records.is_empty() {
             if let Some(wal) = &self.wal {
-                wal.append(gid, serialized);
+                wal.append(&records);
             }
-            replicate(self, gid, serialized);
-            self.forward_to_migration_target(local, gid, serialized);
+            replicate(self, &records);
+            self.forward_to_migration_target(first_bound, &records);
         }
         if let Some(limit) = self.config.crash_after_registers {
-            if served >= limit {
+            if served + items.len() as u64 >= limit {
                 self.crash_now.store(true, Ordering::Relaxed);
             }
         }
-        Ok(gid)
+        let mut resp = Vec::with_capacity(4 + 4 * leased.len() + statuses.len());
+        resp.extend_from_slice(&(leased.len() as u32).to_be_bytes());
+        for gid in leased {
+            resp.extend_from_slice(&gid.to_be_bytes());
+        }
+        resp.extend_from_slice(&statuses);
+        (RESP_OK, resp)
     }
 
-    /// Double-write phase: synchronously forwards a freshly committed
-    /// registration to the migration target before the client is
+    /// Leases up to `want` gids above the high-water — never a
+    /// wire-reserved one, never one past this shard's slice of `u32` —
+    /// and raises the high-water past them, appending its lease record
+    /// to `records`. Fewer (or none) once the slice is spent. The caller
+    /// holds the commit lock.
+    fn lease(&self, want: u32, records: &mut Vec<u8>) -> Vec<u32> {
+        let high_water = self.backend.max_local();
+        let (mut local, mut gids) = (high_water, Vec::with_capacity(want as usize));
+        while gids.len() < want as usize {
+            let Some(gid) = local
+                .checked_add(1)
+                .and_then(|l| self.shard.global_of_local(l))
+            else {
+                break;
+            };
+            local += 1;
+            if !WIRE_RESERVED_GIDS.contains(&gid) {
+                gids.push(gid);
+            }
+        }
+        if local > high_water {
+            self.backend.raise_high_water(local);
+            push_lease(records, local);
+        }
+        gids
+    }
+
+    /// Double-write phase: synchronously forwards a committed frame's
+    /// records to the migration target before the client is
     /// acknowledged. A failed forward drops the connection and records
-    /// the id so the copy phase rewinds over it once the target is back.
-    fn forward_to_migration_target(&self, local: u32, gid: u32, serialized: &[u8]) {
+    /// the lowest bound id so the copy phase rewinds over it once the
+    /// target is back.
+    fn forward_to_migration_target(&self, first_bound: Option<u32>, records: &[u8]) {
         let mut guard = self.migration.lock();
         let Some(migration) = guard.as_mut() else {
             return;
         };
-        let mut payload = Vec::with_capacity(4 + serialized.len());
-        payload.extend_from_slice(&gid.to_be_bytes());
-        payload.extend_from_slice(serialized);
         let healthy = migration
             .conn
             .as_ref()
             .map(|conn| {
-                write_frame(conn, OP_REPLICATE, &payload).is_ok()
+                write_frame(conn, OP_REPLICATE, records).is_ok()
                     && matches!(read_frame(conn), Ok(Some((RESP_OK, _))))
             })
             .unwrap_or(false);
@@ -499,7 +597,10 @@ impl ServerShared {
             self.double_writes.inc();
         } else {
             migration.conn = None;
-            migration.resync_from = Some(migration.resync_from.map_or(local, |r| r.min(local)));
+            migration.resync_from = [migration.resync_from, first_bound]
+                .into_iter()
+                .flatten()
+                .min();
         }
     }
 
@@ -531,12 +632,12 @@ impl ServerShared {
         let moved = self.moved.lock().clone();
         let count = wal.compact(&*self.backend, self.shard, epoch, &moved);
         self.compactions.inc();
-        self.registers_at_last_compact
-            .store(self.registers.load(Ordering::Relaxed), Ordering::Relaxed);
+        self.binds_at_last_compact
+            .store(self.binds.load(Ordering::Relaxed), Ordering::Relaxed);
         Ok(count)
     }
 
-    /// Periodic compaction, driven by served register volume.
+    /// Periodic compaction, driven by served bind volume.
     fn maybe_auto_compact(&self) {
         let Some(every) = self.config.compact_every_registers else {
             return;
@@ -544,8 +645,8 @@ impl ServerShared {
         if self.wal.is_none() {
             return;
         }
-        let served = self.registers.load(Ordering::Relaxed);
-        if served.saturating_sub(self.registers_at_last_compact.load(Ordering::Relaxed)) >= every {
+        let served = self.binds.load(Ordering::Relaxed);
+        if served.saturating_sub(self.binds_at_last_compact.load(Ordering::Relaxed)) >= every {
             let _ = self.compact();
         }
     }
@@ -556,8 +657,8 @@ impl ServerShared {
 /// The service accepts connections on its own thread and serves each
 /// connection on a worker thread, mirroring "an independent process which
 /// can communicate with all nodes". Storage is a pluggable
-/// [`TaintMapBackend`]; optionally every new registration is replicated
-/// to a standby instance for failover.
+/// [`TaintMapBackend`]; optionally every lease and new bind is
+/// replicated to a standby instance for failover.
 pub struct TaintMapServer {
     net: SimNet,
     server: TcpServer,
@@ -591,13 +692,6 @@ impl TaintMapServer {
         wal: Option<TaintMapWal>,
         shard_label: &str,
     ) -> Result<Self, TaintMapError> {
-        // Keep the wire grammar's magic gids (the all-ones negotiation
-        // handshake pattern) out of this shard's allocator.
-        let reserved: Vec<u32> = WIRE_RESERVED_GIDS
-            .iter()
-            .filter_map(|&gid| shard.local_of_global(gid))
-            .collect();
-        backend.reserve(&reserved);
         let recovery = match &wal {
             Some(w) => w.recover_into(&*backend, shard),
             None => WalRecovery::default(),
@@ -621,11 +715,11 @@ impl TaintMapServer {
         let shared = Arc::new(ServerShared {
             backend,
             shard,
-            registers: AtomicU64::new(0),
+            binds: AtomicU64::new(0),
             lookups: AtomicU64::new(0),
             batch_frames: AtomicU64::new(0),
             transferred_out: AtomicU64::new(0),
-            registers_at_last_compact: AtomicU64::new(0),
+            binds_at_last_compact: AtomicU64::new(0),
             moved_redirects: counter("moved_redirects"),
             stale_epochs: counter("stale_epochs"),
             transferred_in: counter("transferred_in"),
@@ -633,6 +727,7 @@ impl TaintMapServer {
             compactions: counter("compactions"),
             config,
             crash_now: AtomicBool::new(false),
+            following: AtomicBool::new(false),
             wal,
             standby: Mutex::new(None),
             epoch: AtomicU64::new(recovery.epoch),
@@ -671,9 +766,9 @@ impl TaintMapServer {
         resume_checkpoint: u32,
     ) -> Result<(), TaintMapError> {
         let conn = self.net.tcp_connect(target)?;
-        // Under the commit lock no register can be mid-commit, so the
-        // captured `transfer_end` covers exactly the ids that will NOT
-        // be double-written.
+        // Under the commit lock no bind can be mid-commit: what is bound
+        // now is copied (it lies at or below the captured `transfer_end`)
+        // and every later bind, of any id, is double-written.
         let _commit = self.shared.commit_lock.lock();
         if !self.shared.moved.lock().is_empty() {
             return Err(TaintMapError::Protocol("shard already migrated its range"));
@@ -716,11 +811,11 @@ impl TaintMapServer {
             // The target restarted: its WAL preserved every acknowledged
             // frame, but forwards that *failed* never arrived. Rewind
             // below the first failed forward and re-cover everything
-            // allocated since the original capture (idempotent inserts
-            // make the overlap harmless). No commit lock here — it would
-            // invert the register path's commit→migration lock order; a
-            // racing register is covered either by this re-captured end
-            // or by its own double-write on the fresh connection.
+            // leased since the original capture (idempotent binds make
+            // the overlap harmless). No commit lock here — it would
+            // invert the bind path's commit→migration lock order; a
+            // racing bind is covered either by this re-captured end or
+            // by its own double-write on the fresh connection.
             migration.transfer_end = self.shared.backend.max_local();
             if let Some(resync) = migration.resync_from.take() {
                 migration.checkpoint = migration.checkpoint.min(resync.saturating_sub(1));
@@ -758,9 +853,33 @@ impl TaintMapServer {
         Ok(Some(sent))
     }
 
-    /// Highest backend-local id allocated so far.
+    /// The lease high-water: the highest backend-local id leased so far.
     pub(crate) fn max_local(&self) -> u32 {
         self.shared.backend.max_local()
+    }
+
+    /// Raises the lease high-water to at least `local`, logging it, so
+    /// this server never leases an id at or below it: a split target
+    /// learns its source's, a restarted primary its standby's.
+    pub(crate) fn raise_high_water(&self, local: u32) {
+        let _commit = self.shared.commit_lock.lock();
+        if local > self.shared.backend.max_local() {
+            self.shared.backend.raise_high_water(local);
+            if let Some(wal) = &self.shared.wal {
+                let mut record = Vec::with_capacity(5);
+                push_lease(&mut record, local);
+                wal.append(&record);
+            }
+        }
+    }
+
+    /// Marks this server as a standby its primary replicates to, or on
+    /// `false` as the server of its shard: a following standby hangs up
+    /// on a client's `BIND`, so only the primary leases. Taken under the
+    /// commit lock: once it returns, no lease here is half done.
+    pub(crate) fn set_following(&self, following: bool) {
+        let _commit = self.shared.commit_lock.lock();
+        self.shared.following.store(following, Ordering::Relaxed);
     }
 
     /// Whether an outbound migration is armed on this server.
@@ -830,9 +949,9 @@ impl TaintMapServer {
         self.shared.compact()
     }
 
-    /// Connects this instance to a standby: every *new* registration is
-    /// forwarded so the standby can serve lookups (and continue
-    /// assigning non-colliding ids) if this instance dies.
+    /// Connects this instance to a standby: every lease and *new* bind is
+    /// forwarded so the standby can serve lookups (and go on leasing
+    /// non-colliding ids) if this instance dies.
     ///
     /// # Errors
     ///
@@ -874,7 +993,8 @@ impl TaintMapServer {
     pub fn stats(&self) -> ServerStats {
         ServerStats {
             global_taints: self.shared.backend.len(),
-            register_requests: self.shared.registers.load(Ordering::Relaxed),
+            aliases: self.shared.backend.aliases(),
+            bind_requests: self.shared.binds.load(Ordering::Relaxed),
             lookup_requests: self.shared.lookups.load(Ordering::Relaxed),
             batch_frames: self.shared.batch_frames.load(Ordering::Relaxed),
             moved_redirects: self.shared.moved_redirects.get(),
@@ -896,7 +1016,7 @@ impl TaintMapServer {
 
 /// Serves one connection to its end. A crashed server (see
 /// [`TaintMapConfig::crash_after_registers`]) still accepts, and hangs
-/// up at once.
+/// up at once; a following standby hangs up on a `BIND`.
 fn serve_connection(conn: &TcpEndpoint, shared: &ServerShared, sessions: &ServerHandle) {
     while !shared.crash_now.load(Ordering::Relaxed) {
         let frame = match read_frame(conn) {
@@ -904,7 +1024,8 @@ fn serve_connection(conn: &TcpEndpoint, shared: &ServerShared, sessions: &Server
             Ok(None) | Err(_) => return,
         };
         let (resp_op, resp) = match frame {
-            (OP_REGISTER, payload) => serve_data(shared, &payload, register_items),
+            (OP_BIND, _) if shared.following.load(Ordering::Relaxed) => return,
+            (OP_BIND, payload) => serve_data(shared, &payload, bind_items),
             (OP_LOOKUP, payload) => serve_data(shared, &payload, lookup_items),
             (OP_EPOCH_OF, _) => (RESP_OK, encode_class_table(&shared.table.lock())),
             (OP_TRANSFER_BATCH, payload) => serve_transfer_batch(shared, &payload),
@@ -931,7 +1052,7 @@ fn serve_connection(conn: &TcpEndpoint, shared: &ServerShared, sessions: &Server
 /// A response frame: opcode and payload.
 type Reply = (u8, Vec<u8>);
 
-/// Serves one `REGISTER`/`LOOKUP` frame: counts it, validates its epoch
+/// Serves one `BIND`/`LOOKUP` frame: counts it, validates its epoch
 /// stamp, and hands the items to `serve_items`; a payload that does not
 /// parse to its end is `RESP_ERR`. A stale stamp turns into the
 /// `STALE_EPOCH` response so the client refetches and retries. A stamp
@@ -956,25 +1077,15 @@ fn serve_data(
     serve_items(shared, &mut r).unwrap_or((RESP_ERR, vec![0xFF]))
 }
 
-fn register_items(shared: &ServerShared, r: &mut ByteReader<'_>) -> Option<Reply> {
+fn bind_items(shared: &ServerShared, r: &mut ByteReader<'_>) -> Option<Reply> {
+    let want = r.u32().ok()?;
     let count = r.u32().ok()? as usize;
-    // Every item carries at least its 4-byte length.
-    let mut resp = Vec::with_capacity(4 + 4 * r.count(count, 4));
-    resp.extend_from_slice(&(count as u32).to_be_bytes());
+    // Every item carries at least its gid and its length.
+    let mut items = Vec::with_capacity(r.count(count, 8));
     for _ in 0..count {
-        let len = r.u32().ok()? as usize;
-        let serialized = r.bytes(len).ok()?;
-        match shared.register_one(serialized) {
-            Ok(gid) => resp.extend_from_slice(&gid.to_be_bytes()),
-            // Allocation moved (possibly mid-frame, at cutover):
-            // redirect the whole frame. Items already committed were
-            // double-written pre-cutover, so the client's re-send to
-            // the new owner dedups to the same gids. Or the shard has
-            // no id left, and the frame is an error.
-            Err(reply) => return Some(reply),
-        }
+        items.push(read_data(r).ok()?);
     }
-    r.at_end().then_some((RESP_OK, resp))
+    r.at_end().then(|| shared.bind_and_lease(want, &items))
 }
 
 fn lookup_items(shared: &ServerShared, r: &mut ByteReader<'_>) -> Option<Reply> {
@@ -998,62 +1109,81 @@ fn lookup_items(shared: &ServerShared, r: &mut ByteReader<'_>) -> Option<Reply> 
     r.at_end().then_some((RESP_OK, resp))
 }
 
-/// Standby and migration-target side of one replicated registration
-/// (`u32 gid`, then the serialized taint); `None` if the payload is
-/// short or the gid is another shard's or wire-reserved.
+/// Standby and migration-target side of replication: the payload is
+/// WAL records, lease and data only. Every one is checked before any is
+/// applied — a lease may raise the high-water by [`MAX_LEASE_SPAN`] at
+/// most, and a data record must name a gid of this shard at or below the
+/// high-water the leases before it left — and the payload is then logged
+/// as it came. `None` if anything is refused.
 fn serve_replicate(shared: &ServerShared, payload: &[u8]) -> Option<Reply> {
-    let mut r = ByteReader::new(payload);
-    let gid = r.u32().ok()?;
-    // The primary replicates global ids; map back into the backend's
-    // dense local space (same shard spec).
-    let local = storable_local(shared.shard, gid)?;
     // A migration target persists double-writes before acknowledging,
-    // so a forward ack means the record survives the target crashing
+    // so a forward ack means the records survive the target crashing
     // too.
     let _commit = shared.commit_lock.lock();
-    shared.backend.insert_replicated(local, r.remaining());
+    let mut high_water = shared.backend.max_local();
+    let mut binds = Vec::new();
+    let mut r = ByteReader::new(payload);
+    while !r.at_end() {
+        match r.u8().ok()? {
+            REC_LEASE => {
+                let to = r.u32().ok()?;
+                if to > high_water.saturating_add(MAX_LEASE_SPAN) {
+                    return None;
+                }
+                high_water = high_water.max(to);
+            }
+            REC_DATA => {
+                let (gid, serialized) = read_data(&mut r).ok()?;
+                binds.push((leased_local(shared.shard, high_water, gid)?, serialized));
+            }
+            _ => return None,
+        }
+    }
+    shared.backend.raise_high_water(high_water);
+    for (local, serialized) in binds {
+        shared.backend.bind(local, serialized);
+    }
     if let Some(wal) = &shared.wal {
-        wal.append(gid, r.remaining());
+        wal.append(payload);
     }
     Some((RESP_OK, Vec::new()))
 }
 
 /// Copy phase receiver: persists a batch of migrated records before
 /// acknowledging, so a durable checkpoint on the source implies the
-/// records survive this side crashing. A batch naming a wire-reserved
-/// gid is refused whole.
+/// records survive this side crashing. A batch naming a gid this shard
+/// has not leased — another shard's, a wire-reserved one, or one above
+/// the high-water — is refused whole.
 fn serve_transfer_batch(shared: &ServerShared, payload: &[u8]) -> Reply {
     let Ok(records) = decode_transfer_batch(payload) else {
         return (RESP_ERR, vec![0xFF]);
     };
-    if records
-        .iter()
-        .any(|(gid, _)| WIRE_RESERVED_GIDS.contains(gid))
-    {
-        return (RESP_ERR, vec![0xFF]);
-    }
     let _commit = shared.commit_lock.lock();
-    let mut accepted = 0u32;
-    for (gid, bytes) in &records {
-        if let Some(local) = shared.shard.local_of_global(*gid) {
-            shared.backend.insert_replicated(local, bytes);
-            if let Some(wal) = &shared.wal {
-                wal.append(*gid, bytes);
-            }
-            accepted += 1;
-        }
+    let high_water = shared.backend.max_local();
+    let Some(locals) = records
+        .iter()
+        .map(|&(gid, _)| leased_local(shared.shard, high_water, gid))
+        .collect::<Option<Vec<u32>>>()
+    else {
+        return (RESP_ERR, vec![0xFF]);
+    };
+    let mut logged = Vec::new();
+    for (local, (gid, bytes)) in locals.into_iter().zip(&records) {
+        shared.backend.bind(local, bytes);
+        push_data(&mut logged, *gid, bytes);
     }
-    shared.transferred_in.add(u64::from(accepted));
-    (RESP_OK, accepted.to_be_bytes().to_vec())
+    if let Some(wal) = &shared.wal {
+        wal.append(&logged);
+    }
+    shared.transferred_in.add(records.len() as u64);
+    (RESP_OK, (records.len() as u32).to_be_bytes().to_vec())
 }
 
-fn replicate(shared: &ServerShared, gid: u32, serialized: &[u8]) {
+/// Mirrors a committed frame's records to the standby, if one is wired.
+fn replicate(shared: &ServerShared, records: &[u8]) {
     let mut guard = shared.standby.lock();
     let Some(conn) = guard.as_ref() else { return };
-    let mut payload = Vec::with_capacity(4 + serialized.len());
-    payload.extend_from_slice(&gid.to_be_bytes());
-    payload.extend_from_slice(serialized);
-    let healthy = write_frame(conn, OP_REPLICATE, &payload).is_ok()
+    let healthy = write_frame(conn, OP_REPLICATE, records).is_ok()
         && matches!(read_frame(conn), Ok(Some((RESP_OK, _))));
     if !healthy {
         // Standby gone; stop replicating rather than stalling requests.
@@ -1066,8 +1196,8 @@ mod tests {
     use super::*;
     use crate::backend::InMemoryBackend;
     use crate::proto::{
-        decode_class_table, decode_lookup_resp, decode_register_resp, encode_lookup,
-        encode_register, read_frame as rf, write_frame as wf,
+        decode_bind_resp, decode_class_table, decode_lookup_resp, encode_bind, encode_lookup,
+        read_frame as rf, write_frame as wf,
     };
 
     fn launch(net: &SimNet, addr: NodeAddr) -> TaintMapServer {
@@ -1089,12 +1219,27 @@ mod tests {
         (net, server)
     }
 
-    /// One `REGISTER` round trip under epoch stamp 0.
-    fn register(conn: &TcpEndpoint, items: &[&[u8]]) -> Vec<u32> {
-        wf(conn, OP_REGISTER, &encode_register(0, items)).unwrap();
+    /// One `BIND` round trip under epoch stamp 0: binds `items`, leases
+    /// `want` gids and returns them with each item's status.
+    fn bind_answered(conn: &TcpEndpoint, want: u32, items: &[(u32, &[u8])]) -> (Vec<u32>, Vec<u8>) {
+        wf(conn, OP_BIND, &encode_bind(0, want, items)).unwrap();
         let (op, resp) = rf(conn).unwrap().unwrap();
         assert_eq!(op, RESP_OK);
-        decode_register_resp(&resp, items.len()).unwrap()
+        decode_bind_resp(&resp, items.len()).unwrap()
+    }
+
+    /// [`bind_answered`]'s leased gids.
+    fn bind(conn: &TcpEndpoint, want: u32, items: &[(u32, &[u8])]) -> Vec<u32> {
+        bind_answered(conn, want, items).0
+    }
+
+    /// Leases one gid per taint and binds each to its taint: what a
+    /// client's lease and its later flush do, in two frames.
+    fn register(conn: &TcpEndpoint, taints: &[&[u8]]) -> Vec<u32> {
+        let gids = bind(conn, taints.len() as u32, &[]);
+        let items: Vec<(u32, &[u8])> = gids.iter().copied().zip(taints.iter().copied()).collect();
+        bind(conn, 0, &items);
+        gids
     }
 
     /// One `LOOKUP` round trip under epoch stamp 0.
@@ -1105,52 +1250,82 @@ mod tests {
         decode_lookup_resp(&resp, gids.len()).unwrap()
     }
 
+    /// An `OP_REPLICATE` payload of one lease record.
+    fn lease_record(local: u32) -> Vec<u8> {
+        let mut out = Vec::new();
+        push_lease(&mut out, local);
+        out
+    }
+
+    /// An `OP_REPLICATE` payload of one data record.
+    fn data_record(gid: u32, serialized: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        push_data(&mut out, gid, serialized);
+        out
+    }
+
     #[test]
-    fn register_assigns_sequential_ids() {
+    fn leases_hand_out_fresh_ids_in_order() {
         let (net, server) = setup();
         let conn = net.tcp_connect(server.addr()).unwrap();
-        assert_eq!(register(&conn, &[b"taint-A"]), vec![1]);
-        assert_eq!(register(&conn, &[b"taint-B"]), vec![2]);
+        assert_eq!(bind(&conn, 3, &[]), vec![1, 2, 3]);
+        assert_eq!(bind(&conn, 2, &[]), vec![4, 5]);
+        assert_eq!(
+            bind(&conn, u32::MAX, &[]).len(),
+            LEASE_IDS as usize,
+            "one frame leases at most one block"
+        );
+        assert_eq!(server.stats().global_taints, 0, "a lease stores nothing");
         server.shutdown();
     }
 
     #[test]
-    fn duplicate_register_dedups() {
+    fn a_re_sent_bind_changes_nothing() {
         let (net, server) = setup();
         let conn = net.tcp_connect(server.addr()).unwrap();
-        let first = register(&conn, &[b"same"]);
-        let second = register(&conn, &[b"same"]);
-        assert_eq!(first, second);
-        assert_eq!(server.stats().global_taints, 1);
-        assert_eq!(server.stats().register_requests, 2);
+        let gid = register(&conn, &[b"same"])[0];
+        assert_eq!(bind_answered(&conn, 0, &[(gid, b"same")]).1, [STATUS_OK]);
+        assert_eq!(
+            bind_answered(&conn, 0, &[(gid, b"a rival")]).1,
+            [STATUS_TAKEN]
+        );
+        assert_eq!(lookup(&conn, &[gid]), vec![Some(b"same".to_vec())]);
+        let stats = server.stats();
+        assert_eq!((stats.global_taints, stats.aliases), (1, 0));
+        assert_eq!(stats.bind_requests, 3);
         server.shutdown();
     }
 
     #[test]
-    fn register_dedups_within_a_frame_and_counts_items() {
+    fn binding_known_bytes_under_another_gid_makes_an_alias() {
         let (net, server) = setup();
         let conn = net.tcp_connect(server.addr()).unwrap();
         let gids = register(&conn, &[b"a", b"b", b"a"]);
-        assert_eq!(gids[0], gids[2], "duplicate item in one frame dedups");
-        assert_ne!(gids[0], gids[1]);
+        assert_eq!(lookup(&conn, &[gids[2]]), vec![Some(b"a".to_vec())]);
         let stats = server.stats();
-        assert_eq!(stats.global_taints, 2);
-        assert_eq!(stats.register_requests, 3, "items counted individually");
-        assert_eq!(stats.batch_frames, 1);
+        assert_eq!(
+            (stats.global_taints, stats.aliases),
+            (2, 1),
+            "the census counts taints, not gids"
+        );
+        assert_eq!(stats.bind_requests, 3, "items counted individually");
+        assert_eq!(stats.batch_frames, 3, "two bind frames and a lookup");
         server.shutdown();
     }
 
     #[test]
-    fn lookup_reports_each_item_registered_or_unknown() {
+    fn lookup_reports_each_item_bound_or_unknown() {
         let (net, server) = setup();
         let conn = net.tcp_connect(server.addr()).unwrap();
         let gid = register(&conn, &[b"payload"])[0];
-        let items = lookup(&conn, &[gid, 999, 0]);
+        let leased = bind(&conn, 1, &[])[0];
+        let items = lookup(&conn, &[gid, 999, 0, leased]);
         assert_eq!(items[0].as_deref(), Some(b"payload".as_ref()));
-        assert_eq!(items[1], None, "never assigned");
+        assert_eq!(items[1], None, "never leased");
         assert_eq!(items[2], None, "gid 0 is reserved and never resolvable");
-        assert_eq!(server.stats().lookup_requests, 3);
-        assert_eq!(server.stats().batch_frames, 2, "a batch of one counts");
+        assert_eq!(items[3], None, "leased, not bound yet");
+        assert_eq!(server.stats().lookup_requests, 4);
+        assert_eq!(server.stats().batch_frames, 4, "a batch of one counts");
         server.shutdown();
     }
 
@@ -1159,15 +1334,17 @@ mod tests {
         let (net, server) = setup();
         let conn = net.tcp_connect(server.addr()).unwrap();
         let stamped = |count: u32| [&0u64.to_be_bytes()[..], &count.to_be_bytes()].concat();
+        let bind_of = |want: u32, count: u32| [&stamped(want)[..], &count.to_be_bytes()].concat();
         let cases = [
-            (OP_REGISTER, stamped(2)), // claims 2 items, carries none
+            (OP_BIND, bind_of(0, 2)), // claims 2 items, carries none
             (OP_LOOKUP, stamped(2)),
             // A hostile count must be rejected by the bytes present,
-            // not handed to the allocator (4–5 B/item = 17–21 GB).
-            (OP_REGISTER, stamped(u32::MAX)),
+            // not handed to the allocator (8–5 B/item = 34–21 GB).
+            (OP_BIND, bind_of(1, u32::MAX)),
             (OP_LOOKUP, stamped(u32::MAX)),
-            (OP_REGISTER, b"short".to_vec()), // no room for the epoch stamp
-            (1, b"taint".to_vec()),           // a retired opcode is an unknown one
+            (OP_BIND, b"short".to_vec()), // no room for the epoch stamp
+            (7, encode_bind(0, 1, &[])),  // a retired opcode is an unknown one
+            (1, b"taint".to_vec()),
             (0x7F, Vec::new()),
         ];
         for (op, payload) in cases {
@@ -1176,83 +1353,165 @@ mod tests {
             assert_eq!(resp, RESP_ERR, "op {op} payload {payload:?}");
         }
         assert_eq!(register(&conn, &[b"still-serving"]), vec![1]);
+        assert!(
+            server.stats().global_taints == 1,
+            "nothing refused was stored"
+        );
         server.shutdown();
     }
 
     #[test]
-    fn a_replicated_record_at_the_last_id_exhausts_the_shard_not_the_id_space() {
-        // `OP_REPLICATE` sets the allocator to whatever local id the
-        // record names. From the last id below the reserved `u32::MAX`
-        // the next id is not 0 (untainted: the taint would be lost
-        // without a sound) and not a panic in the session: the shard
-        // says it has none.
+    fn a_refused_bind_item_leaves_the_rest_of_its_frame_served() {
+        // One bad item used to fail the whole frame, its lease request
+        // included, so a client that kept re-sending it never leased
+        // again. Now each item is answered on its own.
+        let (net, server) = setup();
+        let conn = net.tcp_connect(server.addr()).unwrap();
+        assert_eq!(bind(&conn, 2, &[]), vec![1, 2]);
+        let items: [(u32, &[u8]); 5] = [
+            (7, b"never leased"),
+            (0, b"untainted"),
+            (1, b"one"),
+            (1, b"a rival"),
+            (2, b"two"),
+        ];
+        assert_eq!(
+            bind_answered(&conn, 1, &items),
+            (
+                vec![3],
+                vec![
+                    STATUS_UNLEASED,
+                    STATUS_UNLEASED,
+                    STATUS_OK,
+                    STATUS_TAKEN,
+                    STATUS_OK
+                ]
+            )
+        );
+        assert_eq!(
+            lookup(&conn, &[1, 2, 7]),
+            vec![Some(b"one".to_vec()), Some(b"two".to_vec()), None]
+        );
+        assert_eq!(server.stats().global_taints, 2, "nothing refused is stored");
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_following_standby_hangs_up_on_a_bind_and_serves_lookups() {
+        let (net, server) = setup();
+        let conn = net.tcp_connect(server.addr()).unwrap();
+        let gid = register(&conn, &[b"kept"])[0];
+        server.set_following(true);
+        wf(&conn, OP_BIND, &encode_bind(0, 1, &[])).unwrap();
+        assert!(matches!(rf(&conn), Ok(None) | Err(_)), "hung up on");
+        let conn = net.tcp_connect(server.addr()).unwrap();
+        assert_eq!(lookup(&conn, &[gid]), vec![Some(b"kept".to_vec())]);
+        server.set_following(false);
+        assert_eq!(
+            bind(&conn, 1, &[]),
+            vec![gid + 1],
+            "nothing leased meanwhile"
+        );
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_replicated_record_above_the_high_water_is_refused() {
+        // A hostile `OP_REPLICATE` used to move the allocator to
+        // whatever id it named: near `u32::MAX`, compaction and the
+        // split copy then walked four billion ids. The shard only takes
+        // a record at or below its lease high-water, and a lease record
+        // that raises it by no more than a lease could.
         let (net, server) = setup();
         let conn = net.tcp_connect(server.addr()).unwrap();
         assert_eq!(register(&conn, &[b"before"]), vec![1]);
         let last = u32::MAX - 1;
-        wf(
-            &conn,
-            OP_REPLICATE,
-            &[&last.to_be_bytes()[..], b"last"].concat(),
-        )
-        .unwrap();
-        assert_eq!(rf(&conn).unwrap().unwrap().0, RESP_OK);
-
-        wf(&conn, OP_REGISTER, &encode_register(0, &[b"after"])).unwrap();
-        let (op, _) = rf(&conn).unwrap().unwrap();
-        assert_eq!(op, RESP_ERR, "an exhausted shard refuses, it does not wrap");
+        for hostile in [
+            data_record(last, b"last"),
+            lease_record(last),
+            lease_record(1 + MAX_LEASE_SPAN + 1),
+            [lease_record(40), data_record(last, b"last")].concat(),
+        ] {
+            wf(&conn, OP_REPLICATE, &hostile).unwrap();
+            assert_eq!(rf(&conn).unwrap().unwrap().0, RESP_ERR, "{hostile:?}");
+        }
         assert_eq!(
-            server.stats().global_taints,
-            2,
-            "the refused taint is not stored"
+            server.max_local(),
+            1,
+            "nothing refused moved the high-water"
         );
-        // What the shard holds is still served, on the same connection.
-        assert_eq!(register(&conn, &[b"before"]), vec![1]);
-        let held = lookup(&conn, &[1, last, 0]);
+        // An honest replica's records: a lease, then binds under it.
+        let honest = [lease_record(1 + LEASE_IDS), data_record(3, b"three")].concat();
+        wf(&conn, OP_REPLICATE, &honest).unwrap();
+        assert_eq!(rf(&conn).unwrap().unwrap().0, RESP_OK);
+        assert_eq!(server.max_local(), 1 + LEASE_IDS);
+        assert_eq!(
+            bind(&conn, 1, &[]),
+            vec![2 + LEASE_IDS],
+            "leases resume above"
+        );
+        let held = lookup(&conn, &[1, 3, last]);
         assert_eq!(held[0].as_deref(), Some(b"before".as_ref()));
-        assert_eq!(held[1].as_deref(), Some(b"last".as_ref()));
+        assert_eq!(held[1].as_deref(), Some(b"three".as_ref()));
         assert_eq!(held[2], None);
         server.shutdown();
     }
 
     #[test]
-    fn a_record_replicated_at_a_wire_reserved_id_never_answers_a_register() {
-        // At width 1, gid 0xFF is the all-ones negotiation-probe record.
-        // A record stored there used to dedup the next registration of
-        // its bytes to it: the taint would cross the wire as the probe.
+    fn a_spent_slice_leases_nothing_and_never_wraps() {
+        // From the last ids below the reserved `u32::MAX`, a lease hands
+        // out what is left and then nothing: never 0 (untainted), never
+        // an id another taint holds.
+        let (net, server) = setup();
+        let conn = net.tcp_connect(server.addr()).unwrap();
+        server.raise_high_water(u32::MAX - 3);
+        assert_eq!(bind(&conn, 8, &[]), vec![u32::MAX - 2, u32::MAX - 1]);
+        assert_eq!(bind(&conn, 8, &[]), Vec::<u32>::new());
+        assert_eq!(server.max_local(), u32::MAX);
+        bind(&conn, 0, &[(u32::MAX - 1, b"last")]);
+        assert_eq!(lookup(&conn, &[u32::MAX - 1]), vec![Some(b"last".to_vec())]);
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_wire_reserved_id_is_never_leased_or_stored() {
+        // At width 1, gid 0xFF is the all-ones negotiation-probe record:
+        // a taint under it would cross the wire as the probe.
         let (net, server) = setup();
         let conn = net.tcp_connect(server.addr()).unwrap();
         let probe = 0xFFu32;
-        wf(
-            &conn,
-            OP_REPLICATE,
-            &[&probe.to_be_bytes()[..], b"probe-shaped"].concat(),
-        )
-        .unwrap();
-        assert_eq!(rf(&conn).unwrap().unwrap().0, RESP_ERR);
-        let migrated = encode_transfer_batch(&[(probe, b"probe-shaped".to_vec())]);
-        wf(&conn, OP_TRANSFER_BATCH, &migrated).unwrap();
-        assert_eq!(rf(&conn).unwrap().unwrap().0, RESP_ERR);
-
-        let gid = register(&conn, &[b"probe-shaped"])[0];
-        assert_eq!(gid, 1, "a fresh id, not the reserved one");
-        assert!(!crate::WIRE_RESERVED_GIDS.contains(&gid));
+        server.raise_high_water(probe - 2);
+        let leased = bind(&conn, 4, &[]);
+        assert_eq!(leased, vec![probe - 1, probe + 1, probe + 2, probe + 3]);
+        for refused in [
+            (OP_REPLICATE, data_record(probe, b"probe-shaped")),
+            (
+                OP_TRANSFER_BATCH,
+                encode_transfer_batch(&[(probe, b"probe-shaped".to_vec())]),
+            ),
+        ] {
+            wf(&conn, refused.0, &refused.1).unwrap();
+            assert_eq!(rf(&conn).unwrap().unwrap().0, RESP_ERR);
+        }
+        assert_eq!(
+            bind_answered(&conn, 0, &[(probe, b"probe-shaped")]).1,
+            [STATUS_UNLEASED]
+        );
         assert_eq!(lookup(&conn, &[probe]), vec![None]);
         server.shutdown();
 
-        // Nor does replay store one: a log naming 0xFF, as a log written
-        // before the refusal could.
+        // Nor does replay store one: a log naming 0xFF under a lease
+        // past it, as a log written before the refusal could.
         let fs = SimFs::new();
-        let mut log = vec![REC_DATA];
-        log.extend_from_slice(&probe.to_be_bytes());
-        log.extend_from_slice(&12u32.to_be_bytes());
-        log.extend_from_slice(b"probe-shaped");
+        let mut log = lease_record(300);
+        push_data(&mut log, probe, b"probe-shaped");
         fs.write("w", log);
         let backend = InMemoryBackend::new();
         let recovered = TaintMapWal::new(fs, "w").recover_into(&backend, ShardSpec::default());
-        assert_eq!(recovered.wal_records_scanned, 1);
+        assert_eq!(recovered.wal_records_scanned, 2);
         assert_eq!(recovered.wal_data_records, 0);
         assert!(backend.is_empty());
+        assert_eq!(backend.max_local(), 300);
     }
 
     #[test]
@@ -1263,6 +1522,7 @@ mod tests {
         let (net, server) = setup();
         let conn = net.tcp_connect(server.addr()).unwrap();
         assert_eq!(register(&conn, &[b"stays", b"moves"]), vec![1, 2]);
+        let spare = bind(&conn, 1, &[])[0];
         let target = NodeAddr::new([10, 0, 0, 99], 7779);
         let table = ClassTable {
             epoch: 1,
@@ -1282,14 +1542,15 @@ mod tests {
         for (op, payload) in [
             (OP_LOOKUP, encode_lookup(1, &[1, 2])),
             (OP_LOOKUP, encode_lookup(9, &[2])),
-            (OP_REGISTER, encode_register(9, &[b"allocation moved too"])),
+            (OP_BIND, encode_bind(9, 1, &[])), // allocation moved too
+            (OP_BIND, encode_bind(9, 0, &[(spare, b"bound late")])),
         ] {
             wf(&conn, op, &payload).unwrap();
             let (resp, body) = rf(&conn).unwrap().unwrap();
             assert_eq!(resp, RESP_MOVED, "op {op}");
             assert_eq!(decode_class_table(&body).unwrap(), table);
         }
-        assert_eq!(server.stats().moved_redirects, 3);
+        assert_eq!(server.stats().moved_redirects, 4);
         // The range it still owns is served, and a stale stamp is
         // rejected before the moved check is ever reached.
         wf(&conn, OP_LOOKUP, &encode_lookup(1, &[1])).unwrap();
@@ -1304,7 +1565,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_server_assigns_only_its_own_ids() {
+    fn sharded_server_leases_only_its_own_ids() {
         let net = SimNet::new();
         let server = TaintMapServer::launch(
             &net,
@@ -1322,8 +1583,12 @@ mod tests {
             vec![3, 7],
             "shard 2 of 4 starts at gid 3 and strides by the shard count"
         );
-        // A gid owned by another shard is unknown here.
+        // A gid owned by another shard is unknown here, and not bindable.
         assert_eq!(lookup(&conn, &[4]), vec![None]);
+        assert_eq!(
+            bind_answered(&conn, 0, &[(4, b"foreign")]).1,
+            [STATUS_UNLEASED]
+        );
         server.shutdown();
     }
 
@@ -1342,7 +1607,7 @@ mod tests {
         let mut ids: Vec<u32> = handles.into_iter().map(|h| h.join().unwrap()).collect();
         ids.sort_unstable();
         ids.dedup();
-        assert_eq!(ids.len(), 8, "eight distinct taints, eight distinct ids");
+        assert_eq!(ids.len(), 8, "eight leases, eight distinct ids");
         assert_eq!(server.stats().global_taints, 8);
         server.shutdown();
     }
@@ -1356,7 +1621,7 @@ mod tests {
     }
 
     #[test]
-    fn replication_mirrors_new_taints_to_standby() {
+    fn replication_mirrors_leases_and_binds_to_the_standby() {
         let net = SimNet::new();
         let primary = launch(&net, NodeAddr::new([10, 0, 0, 99], 7777));
         let standby = launch(&net, NodeAddr::new([10, 0, 0, 98], 7777));
@@ -1364,6 +1629,7 @@ mod tests {
 
         let conn = net.tcp_connect(primary.addr()).unwrap();
         let id = register(&conn, &[b"replicated-taint"])[0];
+        let unbound = bind(&conn, 1, &[])[0];
 
         // The standby can serve the lookup itself.
         let sconn = net.tcp_connect(standby.addr()).unwrap();
@@ -1372,14 +1638,16 @@ mod tests {
             vec![Some(b"replicated-taint".to_vec())]
         );
 
-        // And its own fresh ids never collide with replicated ones.
-        assert!(register(&sconn, &[b"standby-local"])[0] > 1);
+        // And its own leases never collide with the primary's, bound or
+        // not.
+        assert_eq!(standby.max_local(), primary.max_local());
+        assert!(bind(&sconn, 1, &[])[0] > unbound);
         primary.shutdown();
         standby.shutdown();
     }
 
     #[test]
-    fn wal_replay_restores_registrations_after_relaunch() {
+    fn wal_replay_restores_leases_and_binds_after_relaunch() {
         let net = SimNet::new();
         let fs = SimFs::new();
         let wal = TaintMapWal::new(fs.clone(), "taintmap/shard-0.wal");
@@ -1397,10 +1665,11 @@ mod tests {
         let conn = net.tcp_connect(addr).unwrap();
         let id_a = register(&conn, &[b"persisted-A"])[0];
         register(&conn, &[b"persisted-B"]);
+        bind(&conn, 2, &[]); // leased, never bound
         server.shutdown();
 
-        // A fresh backend + the same WAL recovers both registrations and
-        // resumes the id allocator past them.
+        // A fresh backend + the same WAL recovers both binds and resumes
+        // leasing past every id leased before.
         let reborn = TaintMapServer::launch(
             &net,
             addr,
@@ -1414,11 +1683,7 @@ mod tests {
         assert_eq!(reborn.replayed(), 2);
         let conn = net.tcp_connect(addr).unwrap();
         assert_eq!(lookup(&conn, &[id_a]), vec![Some(b"persisted-A".to_vec())]);
-        assert_eq!(
-            register(&conn, &[b"persisted-C"]),
-            vec![3],
-            "allocator resumed past replay"
-        );
+        assert_eq!(bind(&conn, 1, &[]), vec![5], "leasing resumed past replay");
         reborn.shutdown();
     }
 
@@ -1442,9 +1707,11 @@ mod tests {
         )
         .unwrap();
         let conn = net.tcp_connect(addr).unwrap();
+        let gids = bind(&conn, 3, &[]);
         // A 3-item frame crosses the threshold mid-frame: all three are
-        // registered (and WAL'd) but no response ever arrives.
-        wf(&conn, OP_REGISTER, &encode_register(0, &[b"a", b"b", b"c"])).unwrap();
+        // bound (and WAL'd) but no response ever arrives.
+        let items: Vec<(u32, &[u8])> = gids.iter().copied().zip([&b"a"[..], b"b", b"c"]).collect();
+        wf(&conn, OP_BIND, &encode_bind(0, 0, &items)).unwrap();
         let reply = rf(&conn);
         assert!(
             matches!(reply, Ok(None) | Err(_)),
@@ -1464,7 +1731,7 @@ mod tests {
             "0",
         )
         .unwrap();
-        assert_eq!(reborn.replayed(), 3, "zero lost registrations");
+        assert_eq!(reborn.replayed(), 3, "zero lost binds");
         reborn.shutdown();
     }
 

@@ -1,11 +1,12 @@
 //! Chaos properties for the Taint Map: under *any* seeded partition
 //! schedule, a delivered lookup result is either the correct taint or a
 //! `pending-gid` sentinel that resolves to the correct taint after the
-//! partition heals — never silently clean, never silently wrong. And a
-//! primary crashed mid-`REGISTER` loses nothing: every committed
-//! registration replays from the write-ahead snapshot.
+//! partition heals — never silently clean, never silently wrong. A
+//! primary crashed mid-`BIND` loses nothing: every committed bind
+//! replays from the write-ahead snapshot. And a primary crashed while a
+//! client still holds unbound gids leases none of them again.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::time::Duration;
 
 use dista_simnet::FaultAction::{Heal, Partition};
@@ -13,6 +14,7 @@ use dista_simnet::{FaultPlan, NodeAddr, SimFs, SimNet};
 use dista_taint::{GlobalId, LocalId, TagValue, Taint, TaintStore};
 use dista_taintmap::{
     ClientObserver, ClientResilience, TaintMapClient, TaintMapConfig, TaintMapEndpoint,
+    TaintMapError,
 };
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -71,6 +73,8 @@ fn split_one_million_gids_without_loss() {
             .collect();
         gids.extend(client1.global_ids_for(&taints).unwrap());
     }
+    // What the migration must carry is every gid the writer handed out.
+    client1.flush().unwrap();
 
     // The loaded reader samples lookups right after every crash.
     let store2 = TaintStore::new(LocalId::new([10, 0, 0, 2], 2));
@@ -167,6 +171,118 @@ fn split_one_million_gids_without_loss() {
     assert!(
         transferred >= n as u64 / 4,
         "the migrated range covered the tail half of class 0: {transferred}"
+    );
+    endpoint.shutdown();
+}
+
+/// Write-behind across a crash: a client hands out gids it has not bound
+/// yet (as a v2 crossing does), every shard primary crashes before the
+/// binds land and restarts from its WAL. No leased id is leased to
+/// another client; a reader asking before the binds land is told the
+/// gid is unknown, never given a wrong taint; and once the writer's
+/// queue is sent, every reader resolves every gid to its taint. The
+/// writer hands out more than two leases' worth per shard, so the gids
+/// still queued at the crash come from a lease granted after the WAL
+/// was last folded into a snapshot. `DISTA_CHAOS_SEED` (ci.sh runs 7,
+/// 42 and 1337) picks the shard count, how many gids are outstanding
+/// and whether the WAL was folded first.
+#[test]
+fn a_shard_crash_before_the_bind_lands_loses_no_gid() {
+    let seed = std::env::var("DISTA_CHAOS_SEED")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(42);
+    let mut rng = SplitMix(seed);
+    let shards = 1 + (rng.next() % 2) as usize;
+    let outstanding = (128 + (rng.next() % 64) as i64) * shards as i64;
+    let compact_first = rng.next().is_multiple_of(2);
+    let net = SimNet::new();
+    let mut endpoint = TaintMapEndpoint::builder()
+        .addr(NodeAddr::new([10, 0, 0, 99], 7777))
+        .shards(shards)
+        .snapshots(SimFs::new())
+        .connect(&net)
+        .unwrap();
+    let topology = endpoint.topology();
+    let client = |host: u8| {
+        let store = TaintStore::new(LocalId::new([10, 0, 0, host], host as u32));
+        let client = TaintMapClient::connect_topology_tuned(
+            &net,
+            topology.clone(),
+            store.clone(),
+            ClientObserver::disabled(),
+            fast_resilience(),
+        )
+        .unwrap();
+        (client, store)
+    };
+    let mint = |store: &TaintStore, range: std::ops::Range<i64>| -> Vec<Taint> {
+        range
+            .map(|i| store.mint_source_taint(TagValue::Int(i)))
+            .collect()
+    };
+
+    // Some bound history, so the recovery has records as well as leases.
+    let (writer, writer_store) = client(1);
+    writer.global_ids_for(&mint(&writer_store, 0..4)).unwrap();
+    if compact_first {
+        for shard in 0..shards {
+            endpoint.compact_shard(shard).unwrap();
+        }
+    }
+    let taints = mint(&writer_store, 4..4 + outstanding);
+    let (mut gids, mut defs) = (Vec::new(), Vec::new());
+    writer
+        .global_ids_into(&taints, &mut gids, Some(&mut defs))
+        .unwrap();
+    assert_eq!(
+        defs.len(),
+        taints.len(),
+        "each gid handed out with its taint"
+    );
+
+    for shard in 0..shards {
+        endpoint.crash_primary(shard);
+        endpoint.restart_primary(shard).unwrap();
+    }
+
+    // No leased id is leased again: another client's gids lie elsewhere.
+    let (other, other_store) = client(2);
+    let theirs = other.global_ids_for(&mint(&other_store, 0..80)).unwrap();
+    let ours: HashSet<GlobalId> = gids.iter().copied().collect();
+    assert!(
+        theirs.iter().all(|gid| !ours.contains(gid)),
+        "seed {seed}: a gid leased before the crash was leased again"
+    );
+
+    // Before the binds land a reader gets the taint or "unknown".
+    let (reader, reader_store) = client(3);
+    let tags = |store: &TaintStore, taint| store.tag_values(taint);
+    for (&gid, &taint) in gids.iter().zip(&taints) {
+        match reader.taint_for(gid) {
+            Ok(got) => assert_eq!(tags(&reader_store, got), tags(&writer_store, taint)),
+            Err(TaintMapError::UnknownGlobalId(unknown)) => assert_eq!(unknown, gid),
+            Err(e) => panic!("seed {seed}: gid {} failed: {e}", gid.0),
+        }
+    }
+
+    // The queue lands on the restarted primaries; every bare reader
+    // resolves every gid now.
+    writer.flush().unwrap();
+    let (late, late_store) = client(4);
+    let resolved = late.taints_for(&gids).unwrap();
+    for ((&gid, &got), &taint) in gids.iter().zip(&resolved).zip(&taints) {
+        assert_eq!(
+            tags(&late_store, got),
+            tags(&writer_store, taint),
+            "seed {seed}: gid {} resolved wrong",
+            gid.0
+        );
+    }
+    assert_eq!(
+        endpoint.stats().global_taints,
+        4 + outstanding as u64 + 80,
+        "seed {seed}: shards {shards}, outstanding {outstanding}, compacted {compact_first}"
     );
     endpoint.shutdown();
 }

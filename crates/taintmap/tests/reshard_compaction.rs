@@ -27,6 +27,7 @@ fn record_starts(wal: &[u8]) -> Vec<usize> {
     const REC_CHECKPOINT: u8 = 2;
     const REC_MIGRATE_START: u8 = 3;
     const REC_CUTOVER: u8 = 4;
+    const REC_LEASE: u8 = 5;
     let mut starts = Vec::new();
     let mut at = 0usize;
     while at < wal.len() {
@@ -39,6 +40,7 @@ fn record_starts(wal: &[u8]) -> Vec<usize> {
             REC_CHECKPOINT => 4,
             REC_MIGRATE_START => 10,
             REC_CUTOVER => 18,
+            REC_LEASE => 4,
             other => panic!("unknown WAL tag {other} at {at}"),
         };
         at += 1 + body;
@@ -61,8 +63,9 @@ fn torn_length_header_truncates_replay_at_last_complete_record() {
 
     endpoint.crash_primary(0);
 
-    // Tear the last record inside its 8-byte gid/length header: keep the
-    // tag plus two header bytes, as if the crash landed mid-append.
+    // Tear the last record — the flush's last bind; its lease record
+    // went first — inside its 8-byte gid/length header: keep the tag
+    // plus two header bytes, as if the crash landed mid-append.
     let wal = fs.read("taintmap/shard-0.wal").unwrap();
     let last = *record_starts(&wal).last().unwrap();
     fs.write("taintmap/shard-0.wal", wal[..last + 3].to_vec());
@@ -144,10 +147,11 @@ fn snapshot_with_a_lying_record_count_falls_back_to_the_previous_generation() {
     client.global_ids_for(&mint(&store1, 8)).unwrap();
     assert_eq!(endpoint.compact_shard(0).unwrap(), 8);
 
-    // Layout: magic(4) epoch(8) nmoved(4, zero here) count(4) records…
+    // Layout: magic(4) epoch(8) high-water(4) nmoved(4, zero here)
+    // count(4) records…
     let mut lying = fs.read("taintmap/shard-0.wal.snapshot-1").unwrap();
-    assert_eq!(lying[16..20], 8u32.to_be_bytes());
-    lying[16..20].fill(0xFF);
+    assert_eq!(lying[20..24], 8u32.to_be_bytes());
+    lying[20..24].fill(0xFF);
     fs.write("taintmap/shard-0.wal.snapshot-2", lying);
 
     endpoint.crash_primary(0);
@@ -233,5 +237,53 @@ fn chained_splits_compaction_and_restarts_lose_nothing() {
     for (i, &t) in resolved.iter().enumerate() {
         assert_eq!(store2.tag_values(t), vec![i.to_string()]);
     }
+    endpoint.shutdown();
+}
+
+/// Gids a client leased before a split and binds after the cutover, above
+/// the split point: the source turns the client's stale table away, the
+/// client follows the new one to the target, and the target takes them
+/// — it holds the source's lease high-water, so it never leases them
+/// again either.
+#[test]
+fn leased_ids_above_the_split_point_bind_at_the_target() {
+    let net = SimNet::new();
+    let mut endpoint = TaintMapEndpoint::builder()
+        .snapshots(SimFs::new())
+        .connect(&net)
+        .unwrap();
+    let store1 = store(1);
+    let client = endpoint.client(&net, store1.clone()).unwrap();
+    let early = client.global_ids_for(&mint(&store1, 8)).unwrap();
+
+    let target = endpoint.split_shard(0).unwrap();
+    let lo_gid = endpoint.class_table(0).tail().lo_gid;
+    let late: Vec<Taint> = (8..68)
+        .map(|i| store1.mint_source_taint(TagValue::Int(i)))
+        .collect();
+    let gids = client.global_ids_for(&late).unwrap();
+    assert!(
+        gids.iter().any(|g| g.0 < lo_gid) && gids.iter().any(|g| g.0 >= lo_gid),
+        "the client's lease straddles the split point {lo_gid}: {gids:?}"
+    );
+    assert!(
+        client.stats().epoch_refetches >= 1,
+        "the client took the new table"
+    );
+    let above = gids.iter().filter(|g| g.0 >= lo_gid).count() as u64;
+    assert!(endpoint.shard(target).stats().bind_requests >= above);
+
+    // A cold reader resolves every gid through the split topology.
+    let store2 = store(2);
+    let reader = endpoint.client(&net, store2.clone()).unwrap();
+    let all: Vec<GlobalId> = early.iter().chain(&gids).copied().collect();
+    for (i, &t) in reader.taints_for(&all).unwrap().iter().enumerate() {
+        assert_eq!(store2.tag_values(t), vec![i.to_string()]);
+    }
+    // Its own lease came from the target, above everything leased before.
+    let theirs = reader
+        .global_id_for(store2.mint_source_taint(TagValue::str("after")))
+        .unwrap();
+    assert!(theirs.0 > gids.iter().map(|g| g.0).max().unwrap());
     endpoint.shutdown();
 }

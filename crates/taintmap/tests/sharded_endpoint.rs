@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
-use dista_simnet::{NetError, SimNet};
+use dista_simnet::{NetError, SimFs, SimNet};
 use dista_taint::{GlobalId, LocalId, TagValue, Taint, TaintStore};
 use dista_taintmap::{
     ClientObserver, ClientResilience, InMemoryBackend, TaintMapBackend, TaintMapClient,
@@ -24,6 +24,9 @@ fn batched_roundtrip_across_four_shards() {
     let endpoint = TaintMapEndpoint::builder().shards(4).connect(&net).unwrap();
     let store1 = store(1);
     let client1 = endpoint.client(&net, store1.clone()).unwrap();
+    // Connecting leased a block from each shard.
+    let leased = client1.stats().batch_frames;
+    assert_eq!(leased, 4);
 
     let taints: Vec<Taint> = (0..64)
         .map(|i| store1.mint_source_taint(TagValue::Int(i)))
@@ -32,7 +35,7 @@ fn batched_roundtrip_across_four_shards() {
     assert!(gids.iter().all(|g| g.is_tainted()));
 
     // One logical batch, at most one frame per shard.
-    assert!(client1.stats().batch_frames <= 4);
+    assert!(client1.stats().batch_frames - leased <= 4);
     assert_eq!(client1.stats().register_rpcs, 64);
 
     let store2 = store(2);
@@ -64,7 +67,7 @@ fn batched_register_survives_primary_kill_mid_batch() {
 
     // Kill two shard primaries. The client's connections to them are now
     // dead mid-stream; the next batch must redial the standbys and
-    // resend (register is dedup-idempotent, so the replay is safe).
+    // resend (a bind is idempotent, so the replay is safe).
     endpoint.kill_primary(0);
     endpoint.kill_primary(2);
 
@@ -159,7 +162,68 @@ fn replication_stays_per_shard() {
     endpoint.shutdown();
 }
 
-/// A backend that holds the next `register` or `lookup` at a gate once
+#[test]
+fn a_restarted_primary_and_its_standby_never_lease_one_gid_twice() {
+    // While the primary is down its clients lease from the standby. Once
+    // it is back, the standby hangs up on their binds, they redial the
+    // primary, and the primary leases above everything the standby did.
+    // Before, they stayed on the standby and both servers leased the
+    // same ids.
+    let net = SimNet::new();
+    let mut endpoint = TaintMapEndpoint::builder()
+        .standby(true)
+        .snapshots(SimFs::new())
+        .connect(&net)
+        .unwrap();
+    let mut handed: Vec<GlobalId> = Vec::new();
+    let mut register = |client: &TaintMapClient, store: &TaintStore, from: i64| {
+        let taints: Vec<Taint> = (from..from + 100)
+            .map(|i| store.mint_source_taint(TagValue::Int(i)))
+            .collect();
+        let gids = client.global_ids_for(&taints).unwrap();
+        handed.extend(&gids);
+        gids
+    };
+    let (store_a, store_b, store_c) = (store(1), store(2), store(3));
+    let a = endpoint.client(&net, store_a.clone()).unwrap();
+    endpoint.crash_primary(0);
+    register(&a, &store_a, 0);
+    let b = endpoint.client(&net, store_b.clone()).unwrap();
+    register(&b, &store_b, 0);
+
+    endpoint.restart_primary(0).unwrap();
+    let after = [
+        register(&a, &store_a, 100),
+        register(&b, &store_b, 100),
+        register(
+            &endpoint.client(&net, store_c.clone()).unwrap(),
+            &store_c,
+            100,
+        ),
+    ];
+    let mut distinct = handed.clone();
+    distinct.sort_unstable();
+    distinct.dedup();
+    assert_eq!(distinct.len(), 500, "a gid handed out twice");
+    // What was handed out after the restart is bound at the primary.
+    let reader_store = store(9);
+    let reader = endpoint.client(&net, reader_store.clone()).unwrap();
+    for gids in after {
+        let values: Vec<Vec<String>> = reader
+            .taints_for(&gids)
+            .unwrap()
+            .into_iter()
+            .map(|t| reader_store.tag_values(t))
+            .collect();
+        let expected: Vec<Vec<String>> = (100..200).map(|i| vec![i.to_string()]).collect();
+        assert_eq!(values, expected);
+    }
+    // The standby bound the 200 of the outage and mirrors the rest.
+    assert_eq!(endpoint.standby(0).unwrap().stats().global_taints, 500);
+    endpoint.shutdown();
+}
+
+/// A backend that holds the next `bind` or `lookup` at a gate once
 /// armed, so a test decides when the server's reply is written.
 struct GatedBackend {
     inner: InMemoryBackend,
@@ -190,25 +254,25 @@ impl Gate {
 }
 
 impl TaintMapBackend for GatedBackend {
-    fn register(&self, serialized: &[u8]) -> u32 {
+    fn bind(&self, id: u32, serialized: &[u8]) -> bool {
         self.gate.pass();
-        self.inner.register(serialized)
+        self.inner.bind(id, serialized)
     }
-    fn reserve(&self, local_ids: &[u32]) {
-        self.inner.reserve(local_ids)
-    }
-    fn lookup(&self, gid: u32) -> Option<Vec<u8>> {
+    fn lookup(&self, id: u32) -> Option<Vec<u8>> {
         self.gate.pass();
-        self.inner.lookup(gid)
+        self.inner.lookup(id)
     }
-    fn insert_replicated(&self, gid: u32, serialized: &[u8]) {
-        self.inner.insert_replicated(gid, serialized)
+    fn raise_high_water(&self, id: u32) {
+        self.inner.raise_high_water(id)
     }
     fn max_local(&self) -> u32 {
         self.inner.max_local()
     }
     fn len(&self) -> u64 {
         self.inner.len()
+    }
+    fn aliases(&self) -> u64 {
+        self.inner.aliases()
     }
 }
 
@@ -236,19 +300,19 @@ fn moved_redirects_converge_without_tripping_the_breaker() {
     let net = SimNet::new();
     let gate = Gate::new();
     let mut endpoint = gated_endpoint(&net, &gate);
+    // Two cold-cache clients connect before the split, so both hold an
+    // epoch-0 shard map with nothing memoized. They connect first, so
+    // the gids registered next lie above the split point.
+    let store2 = store(2);
+    let overtaken = endpoint.client(&net, store2.clone()).unwrap();
+    let store3 = store(3);
+    let stale = endpoint.client(&net, store3.clone()).unwrap();
     let store1 = store(1);
     let client1 = endpoint.client(&net, store1.clone()).unwrap();
     let taints: Vec<Taint> = (0..32)
         .map(|i| store1.mint_source_taint(TagValue::Int(i)))
         .collect();
     let gids = client1.global_ids_for(&taints).unwrap();
-
-    // Two cold-cache clients connect before the split, so both hold an
-    // epoch-0 shard map with nothing memoized.
-    let store2 = store(2);
-    let overtaken = endpoint.client(&net, store2.clone()).unwrap();
-    let store3 = store(3);
-    let stale = endpoint.client(&net, store3.clone()).unwrap();
 
     // `Moved` is the arm for a frame the cutover overtakes: it passes
     // the epoch check under the old table, and by the time the server

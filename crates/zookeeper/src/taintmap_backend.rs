@@ -6,9 +6,11 @@
 //! root (default `/dista/taintmap`):
 //!
 //! ```text
-//! <root>/next          big-endian u32: last assigned local id
-//! <root>/id-<id>       the serialized taint bytes
-//! <root>/hash-<h>-<k>  dedup index: fnv64(bytes) (+probe) → local id
+//! <root>/next          big-endian u32: the lease high-water
+//! <root>/id-<id>       the serialized taint bytes an id is bound to
+//! <root>/hash-<h>-<k>  dedup index: fnv64(bytes) (+probe) → first id
+//! <root>/taints        big-endian u32: distinct taints stored
+//! <root>/aliases       big-endian u32: ids bound to stored bytes
 //! ```
 //!
 //! Because the state survives the Taint Map *process*, a restarted
@@ -111,67 +113,55 @@ impl ZkTaintMapBackend {
             let _ = zk.create(path, bytes);
         }
     }
+
+    fn bump(zk: &ZkClient, path: &str) {
+        Self::write_u32(zk, path, Self::read_u32(zk, path).unwrap_or(0) + 1);
+    }
 }
 
 impl TaintMapBackend for ZkTaintMapBackend {
-    fn register(&self, serialized: &[u8]) -> u32 {
+    fn bind(&self, id: u32, serialized: &[u8]) -> bool {
         let zk = self.zk.lock();
         let root = &self.root;
+        let bytes = TaintedBytes::from_plain(serialized.to_vec());
+        // First writer wins: `create` refuses an id that exists.
+        if zk.create(&format!("{root}/id-{id}"), bytes).is_err() {
+            return false;
+        }
+        // Probe the dedup index (collision chain): known bytes make the
+        // id an alias, new ones a taint of their own.
         let hash = fnv64(serialized);
-        // Probe the dedup index (collision chain).
         for k in 0.. {
             let hash_path = format!("{root}/hash-{hash:016x}-{k}");
-            match Self::read_u32(&zk, &hash_path) {
-                Some(gid) => {
-                    // Verify against the stored bytes (collision guard).
-                    if zk
-                        .get(&format!("{root}/id-{gid}"))
-                        .map(|b| b.data() == serialized)
-                        .unwrap_or(false)
-                    {
-                        return gid;
-                    }
-                    // Different bytes with the same hash: keep probing.
-                }
-                None => {
-                    // Fresh taint: allocate the next id and record it.
-                    let next = Self::read_u32(&zk, &format!("{root}/next")).unwrap_or(0);
-                    let Some(gid) = next.checked_add(1) else {
-                        return 0; // exhausted: the server answers an error
-                    };
-                    Self::write_u32(&zk, &format!("{root}/next"), gid);
-                    let _ = zk.create(
-                        &format!("{root}/id-{gid}"),
-                        TaintedBytes::from_plain(serialized.to_vec()),
-                    );
-                    Self::write_u32(&zk, &hash_path, gid);
-                    return gid;
-                }
+            let Some(first) = Self::read_u32(&zk, &hash_path) else {
+                Self::write_u32(&zk, &hash_path, id);
+                Self::bump(&zk, &format!("{root}/taints"));
+                return true;
+            };
+            // Verify against the stored bytes (collision guard).
+            let stored = zk.get(&format!("{root}/id-{first}"));
+            if stored.is_ok_and(|b| b.data() == serialized) {
+                Self::bump(&zk, &format!("{root}/aliases"));
+                return true;
             }
+            // Different bytes with the same hash: keep probing.
         }
         unreachable!("probe loop always returns")
     }
 
-    fn lookup(&self, gid: u32) -> Option<Vec<u8>> {
+    fn lookup(&self, id: u32) -> Option<Vec<u8>> {
         let zk = self.zk.lock();
-        zk.get(&format!("{}/id-{gid}", self.root))
+        zk.get(&format!("{}/id-{id}", self.root))
             .ok()
             .map(|b| b.into_plain())
     }
 
-    fn insert_replicated(&self, gid: u32, serialized: &[u8]) {
+    fn raise_high_water(&self, id: u32) {
         let zk = self.zk.lock();
-        let root = &self.root;
-        let next = Self::read_u32(&zk, &format!("{root}/next")).unwrap_or(0);
-        if gid > next {
-            Self::write_u32(&zk, &format!("{root}/next"), gid);
+        let path = format!("{}/next", self.root);
+        if id > Self::read_u32(&zk, &path).unwrap_or(0) {
+            Self::write_u32(&zk, &path, id);
         }
-        let bytes = TaintedBytes::from_plain(serialized.to_vec());
-        if zk.set(&format!("{root}/id-{gid}"), bytes.clone()).is_err() {
-            let _ = zk.create(&format!("{root}/id-{gid}"), bytes);
-        }
-        let hash = fnv64(serialized);
-        Self::write_u32(&zk, &format!("{root}/hash-{hash:016x}-0"), gid);
     }
 
     fn max_local(&self) -> u32 {
@@ -181,7 +171,14 @@ impl TaintMapBackend for ZkTaintMapBackend {
 
     fn len(&self) -> u64 {
         let zk = self.zk.lock();
-        Self::read_u32(&zk, &format!("{}/next", self.root))
+        Self::read_u32(&zk, &format!("{}/taints", self.root))
+            .unwrap_or(0)
+            .into()
+    }
+
+    fn aliases(&self) -> u64 {
+        let zk = self.zk.lock();
+        Self::read_u32(&zk, &format!("{}/aliases", self.root))
             .unwrap_or(0)
             .into()
     }
@@ -205,13 +202,21 @@ mod tests {
         let ensemble = ZkEnsemble::start(cluster.vms(), ZkEnsembleConfig::default()).unwrap();
         let backend =
             ZkTaintMapBackend::connect(cluster.vm(0), ensemble.any_client_addr()).unwrap();
-        let a = backend.register(b"taint-a");
-        let b = backend.register(b"taint-b");
-        assert_ne!(a, b);
-        assert_eq!(backend.register(b"taint-a"), a);
-        assert_eq!(backend.lookup(a).as_deref(), Some(b"taint-a".as_ref()));
+        backend.raise_high_water(8);
+        backend.raise_high_water(3);
+        assert_eq!(backend.max_local(), 8);
+        assert!(backend.bind(1, b"taint-a"));
+        assert!(backend.bind(2, b"taint-b"));
+        assert!(
+            !backend.bind(1, b"taint-b"),
+            "the first writer of an id wins"
+        );
+        assert!(backend.bind(3, b"taint-a"), "known bytes: an alias");
+        assert_eq!(backend.lookup(1).as_deref(), Some(b"taint-a".as_ref()));
+        assert_eq!(backend.lookup(3), backend.lookup(1));
         assert_eq!(backend.lookup(999), None);
-        assert_eq!(backend.len(), 2);
+        // The census agrees with the in-memory backend's: taints, not ids.
+        assert_eq!((backend.len(), backend.aliases()), (2, 1));
         ensemble.shutdown();
         cluster.shutdown();
     }
@@ -256,7 +261,7 @@ mod tests {
         let client2 = server2.client(&net, store2.clone()).unwrap();
         let resolved = client2.taint_for(gid).unwrap();
         assert_eq!(store2.tag_values(resolved), vec!["durable".to_string()]);
-        // And new registrations continue from the persisted counter.
+        // And new leases continue from the persisted high-water.
         let t2 = store2.mint_source_taint(TagValue::str("fresh"));
         let gid2 = client2.global_id_for(t2).unwrap();
         assert!(gid2.0 > gid.0);

@@ -367,9 +367,10 @@ fn hostile_frame_length_drops_the_connection_not_the_process() {
     cluster.shutdown();
 }
 
-const OP_REGISTER: u8 = 7;
+const OP_REPLICATE: u8 = 4;
 const OP_LOOKUP: u8 = 8;
 const OP_EPOCH_OF: u8 = 9;
+const OP_BIND: u8 = 11;
 const RESP_OK: u8 = 0x80;
 const RESP_ERR: u8 = 0x81;
 const RESP_MOVED: u8 = 0x82;
@@ -384,7 +385,7 @@ fn taint_map_header_announcing_4gib_sizes_nothing() {
     let net = SimNet::new();
     let tm = TaintMapEndpoint::builder().connect(&net).unwrap();
     let hostile = net.tcp_connect(tm.addr()).unwrap();
-    let header = [OP_REGISTER, 0xFF, 0xFF, 0xFF, 0xFF];
+    let header = [OP_BIND, 0xFF, 0xFF, 0xFF, 0xFF];
     bounded(header.len(), &"taint map frame header", || {
         hostile.write(&header).unwrap();
         // Other clients are served while the hostile one stays silent.
@@ -861,8 +862,9 @@ fn mutated_taint_map_frames() {
         store.mint_source_taint(TagValue::Int(rng.next() as i64))
     };
 
-    // Well-formed traffic through the relay: a two-item REGISTER, a
-    // two-item LOOKUP, and the class table the server hands out.
+    // Well-formed traffic through the relay: a client's lease, a
+    // two-item BIND that tops it up, a reader's lease, a two-item LOOKUP,
+    // and the class table the server hands out.
     let direct = tm.client(&net, store.clone()).unwrap();
     let known = direct
         .global_ids_for(&[fresh(&store, rng), fresh(&store, rng)])
@@ -879,7 +881,7 @@ fn mutated_taint_map_frames() {
     let requests = relay.requests.lock().unwrap().clone();
     assert_eq!(
         requests.iter().map(|r| r[0]).collect::<Vec<_>>(),
-        [OP_REGISTER, OP_LOOKUP]
+        [OP_BIND, OP_BIND, OP_BIND, OP_LOOKUP]
     );
     let table = {
         let conn = net.tcp_connect(tm.addr()).unwrap();
@@ -934,13 +936,15 @@ fn mutated_taint_map_frames() {
             }
         });
     };
-    let register_resp_len = 4 + 4;
-    for edit in edits(register_resp_len, rng) {
-        tampered(Inject::Edit(edit), register_resp_len, &edit, false);
+    // The reply to a flush of one bind: the one gid it leased back and
+    // the bind's status.
+    let bind_resp_len = 4 + 4 + 1;
+    for edit in edits(bind_resp_len, rng) {
+        tampered(Inject::Edit(edit), bind_resp_len, &edit, false);
     }
     let lookup_resp_len = {
         let conn = net.tcp_connect(tm.addr()).unwrap();
-        conn.write(&requests[1]).unwrap();
+        conn.write(&requests[3]).unwrap();
         read_frame(&conn, Duration::from_secs(5)).unwrap().1.len()
     };
     for edit in sampled_edits(lookup_resp_len, 100, rng) {
@@ -964,6 +968,63 @@ fn mutated_taint_map_frames() {
     assert!(gids[0].is_tainted());
     relay.stop();
     tm.shutdown();
+}
+
+/// `OP_REPLICATE` is served on the client port like every op. One
+/// record in it near `u32::MAX` used to move the shard's allocator there
+/// for good: compaction and the split copy then walked every id below
+/// it. A shard now takes a replicated record only at or below its lease
+/// high-water, and a replicated lease only one block above it, so the
+/// frame with its op byte set to 4 changes nothing — not even the log —
+/// and compaction and a split stay as short as the shard is.
+#[test]
+fn a_replicated_record_near_u32_max_leaves_compaction_and_the_copy_bounded() {
+    let net = SimNet::new();
+    let fs = SimFs::new();
+    let mut endpoint = TaintMapEndpoint::builder()
+        .snapshots(fs.clone())
+        .connect(&net)
+        .unwrap();
+    let store = TaintStore::new(LocalId::new([10, 0, 0, 1], 1));
+    let client = endpoint.client(&net, store.clone()).unwrap();
+    let taints: Vec<Taint> = (0..4)
+        .map(|i| store.mint_source_taint(TagValue::Int(i)))
+        .collect();
+    let gids = client.global_ids_for(&taints).unwrap();
+
+    // The WAL's data (tag 1) and lease (tag 5) records, as replication
+    // ships them.
+    let near_max = u32::MAX - 1;
+    let data = [
+        &[1][..],
+        &near_max.to_be_bytes(),
+        &4u32.to_be_bytes(),
+        b"junk",
+    ]
+    .concat();
+    let lease = [&[5][..], &near_max.to_be_bytes()[..]].concat();
+    let wal = fs.read("taintmap/shard-0.wal").unwrap();
+    for hostile in [data, lease] {
+        let conn = net.tcp_connect(endpoint.addr()).unwrap();
+        conn.write(&frame(OP_REPLICATE, &hostile)).unwrap();
+        let reply = read_frame(&conn, Duration::from_secs(5));
+        assert_eq!(reply.map(|(op, _)| op), Some(RESP_ERR), "{hostile:?}");
+    }
+    assert_eq!(
+        fs.read("taintmap/shard-0.wal").unwrap(),
+        wal,
+        "nothing logged"
+    );
+
+    assert_eq!(endpoint.compact_shard(0).unwrap(), 4);
+    endpoint.split_shard(0).unwrap();
+    assert_eq!(endpoint.reshard_stats().records_transferred, 4);
+    let reader_store = TaintStore::new(LocalId::new([10, 0, 0, 2], 2));
+    let reader = endpoint.client(&net, reader_store.clone()).unwrap();
+    for (i, &taint) in reader.taints_for(&gids).unwrap().iter().enumerate() {
+        assert_eq!(reader_store.tag_values(taint), [i.to_string()]);
+    }
+    endpoint.shutdown();
 }
 
 // ---------------------------------------------------------------------

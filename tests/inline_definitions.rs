@@ -1,8 +1,10 @@
 //! Inline taint definitions on wire protocol v2 (DESIGN.md §4f), as
 //! counts: a v2 connection ships `gid → serialized taint` the first time
 //! it carries a gid its peer is not known to hold, so the receiver asks
-//! the Taint Map nothing. Every v1 path, and every datagram, keeps the
-//! lookup it always made.
+//! the Taint Map nothing, and the sender does not wait for it either —
+//! the gid comes from a leased block and its bind rides a later frame
+//! (§4c). Every v1 path, and every datagram, names gids bare: it binds
+//! them first and keeps the lookup it always made.
 
 use dista_repro::core::{Cluster, Mode};
 use dista_repro::jre::codec::v2::encode_defs;
@@ -12,7 +14,9 @@ use dista_repro::jre::{
 };
 use dista_repro::obs::{Hop, ObsConfig};
 use dista_repro::simnet::{FaultAction, NodeAddr, SimNet};
-use dista_repro::taint::{serialize_taint, Payload, TagValue, Taint, TaintedBytes};
+use dista_repro::taint::{
+    serialize_taint, GlobalId, LocalId, Payload, TagValue, Taint, TaintStore, TaintedBytes,
+};
 use dista_repro::taintmap::{ServerStats, TaintMapEndpoint};
 
 /// Two VMs, one connection between them, one Taint Map.
@@ -88,7 +92,8 @@ impl Pair {
     }
 }
 
-/// `REGISTER`/`LOOKUP` frames the deployment served since `before`.
+/// `BIND`/`LOOKUP` frames the deployment served since `before`, and the
+/// lookup items among them.
 fn frames_since(before: ServerStats, after: ServerStats) -> (u64, u64) {
     let frames = after.batch_frames - before.batch_frames;
     let lookups = after.lookup_requests - before.lookup_requests;
@@ -100,14 +105,41 @@ fn a_fresh_v2_crossing_registers_once_and_looks_nothing_up() {
     let pair = Pair::new([WireProtocol::V2; 2]);
     let before = pair.tm.stats();
     pair.cross(&pair.fresh(&["a", "b"]));
-    let after = pair.tm.stats();
-    assert_eq!(after.register_requests - before.register_requests, 2);
+    let crossed = pair.tm.stats();
     assert_eq!(
-        frames_since(before, after),
+        frames_since(before, crossed),
+        (0, 0),
+        "the crossing waits for the Taint Map in no way"
+    );
+    pair.vms[0].taint_map().unwrap().flush().unwrap();
+    let after = pair.tm.stats();
+    assert_eq!(after.bind_requests - before.bind_requests, 2);
+    assert_eq!(
+        frames_since(crossed, after),
         (1, 0),
-        "one REGISTER frame, no LOOKUP frame"
+        "one BIND frame after the flush, no LOOKUP frame"
     );
     assert_eq!(pair.vms[1].taint_map().unwrap().stats().lookup_rpcs, 0);
+    pair.tm.shutdown();
+}
+
+#[test]
+fn a_thousand_fresh_v2_crossings_bind_in_one_frame_per_lease() {
+    let pair = Pair::new([WireProtocol::V2; 2]);
+    let before = pair.tm.stats();
+    for op in 0..1_000 {
+        pair.cross(&pair.fresh(&[&format!("{op}:a"), &format!("{op}:b")]));
+    }
+    let (frames, lookups) = frames_since(before, pair.tm.stats());
+    // 2 000 gids from 64-gid leases: one frame per block, binding the
+    // block before it and leasing the next.
+    assert!(
+        frames <= 35,
+        "{frames} Taint Map frames for 1 000 crossings"
+    );
+    assert_eq!(lookups, 0);
+    pair.vms[0].taint_map().unwrap().flush().unwrap();
+    assert_eq!(pair.tm.stats().global_taints - before.global_taints, 2_000);
     pair.tm.shutdown();
 }
 
@@ -170,7 +202,7 @@ fn v1_negotiated_v1_and_v2_datagrams_keep_their_lookups() {
         assert_eq!(
             frames_since(before, pair.tm.stats()),
             (2, 2),
-            "{protocols:?}: one REGISTER frame, one LOOKUP frame of two"
+            "{protocols:?}: one BIND frame, one LOOKUP frame of two"
         );
         pair.tm.shutdown();
     }
@@ -194,6 +226,76 @@ fn v1_negotiated_v1_and_v2_datagrams_keep_their_lookups() {
         ["dgram"]
     );
     assert_eq!(frames_since(before, pair.tm.stats()), (2, 1));
+    pair.tm.shutdown();
+}
+
+/// A definition can name any gid. n2 learns one its shard never leased
+/// from a forged v2 stream, then names the taint bare, in a datagram to
+/// n1: the shard refuses the bind, n2 names the taint by a fresh gid of
+/// its own, and n1 resolves it. The refused bind is not sent again, so
+/// the shard goes on leasing to n2 and its next 100 fresh taints cross.
+#[test]
+fn a_forged_definition_is_re_keyed_by_the_relay_and_leasing_goes_on() {
+    let pair = Pair::new([WireProtocol::V2; 2]);
+    let (sink, relay) = (&pair.vms[0], &pair.vms[1]);
+    let addr = NodeAddr::new(relay.ip(), 81);
+    let listener = pair.net.tcp_listen(addr).unwrap();
+    let forger = pair.net.tcp_connect_from([10, 0, 0, 9], addr).unwrap();
+    let inbound = BoundaryStream::acceptor(relay.clone(), listener.accept().unwrap());
+    let forger_store = TaintStore::new(LocalId::new([10, 0, 0, 9], 9));
+    let secret = forger_store.mint_source_taint(TagValue::str("secret"));
+    let forged = GlobalId(1_000_001);
+    let body = b"forged!!";
+    let (mut defs, mut frame) = (Vec::new(), Vec::new());
+    encode_defs(
+        &[(forged, serialize_taint(forger_store.tree(), secret))],
+        &mut defs,
+    );
+    V2Codec::new(4)
+        .encode_into(body, &[(body.len(), forged)], &mut frame)
+        .unwrap();
+    forger.write(&[defs, frame].concat()).unwrap();
+    let learned = inbound.read_exact_payload(body.len()).unwrap();
+
+    let [from, to] =
+        [relay, sink].map(|vm| DatagramSocket::bind(vm, NodeAddr::new(vm.ip(), 53)).unwrap());
+    let crosses = |data: TaintedBytes| {
+        let len = data.len();
+        from.send(&DatagramPacket::for_send(
+            Payload::Tainted(data),
+            to.local_addr(),
+        ))
+        .unwrap();
+        let mut packet = DatagramPacket::for_receive(len);
+        to.receive(&mut packet).unwrap();
+        let store = sink.store();
+        let shadow = packet.data().as_tainted().unwrap().shadow().clone();
+        shadow
+            .iter_runs()
+            .map(|(_, t)| store.tag_values(t))
+            .collect::<Vec<_>>()
+    };
+    let learned = learned.as_tainted().unwrap().clone();
+    assert_eq!(crosses(learned.clone()), [["secret"]]);
+    let relay_client = relay.taint_map().unwrap();
+    let rekeyed = relay_client
+        .cached_gid_for(learned.taint_union(relay.store()))
+        .unwrap();
+    assert_ne!(rekeyed, forged, "named by a gid of the relay's own");
+    let sink_client = sink.taint_map().unwrap();
+    assert!(sink_client.taint_for(forged).is_err(), "nothing bound it");
+
+    let mut fresh = TaintedBytes::new();
+    for i in 0..100 {
+        fresh.extend_uniform(b"8 bytes!", relay.taint_source(TagValue::Int(i)));
+    }
+    let expected: Vec<Vec<String>> = (0..100).map(|i| vec![i.to_string()]).collect();
+    assert_eq!(crosses(fresh), expected);
+    assert_eq!(
+        relay_client.stats().register_rpcs,
+        1 + 1 + 100,
+        "the refused bind, the re-keyed one, the fresh ones: each sent once"
+    );
     pair.tm.shutdown();
 }
 
@@ -269,6 +371,61 @@ fn story(hops: &[Hop]) -> Vec<String> {
             Hop::Sunk { node, sink, .. } => format!("sunk {sink} {node}"),
         })
         .collect()
+}
+
+/// n1 → n2 over v2, n2 → n3 over v1, and n1 gone before its binds left:
+/// n2 learned the secret's gid from n1's definition, so before naming it
+/// bare it binds it itself, and n3 looks it up and gets the secret.
+#[test]
+fn a_v2_to_v1_relay_binds_what_it_learned_from_a_definition() {
+    let mut cluster = Cluster::builder(Mode::Dista)
+        .nodes("n", 3)
+        .wire_protocol(WireProtocol::Negotiate)
+        .node_wire_protocol("n3", WireProtocol::V1)
+        .build()
+        .unwrap();
+    let (src, relay, sink) = (
+        cluster.vm(0).clone(),
+        cluster.vm(1).clone(),
+        cluster.vm(2).clone(),
+    );
+    let relay_server = ServerSocket::bind(&relay, NodeAddr::new(relay.ip(), 92)).unwrap();
+    let sink_server = ServerSocket::bind(&sink, NodeAddr::new(sink.ip(), 92)).unwrap();
+    let src_out = Socket::connect(&src, relay_server.local_addr()).unwrap();
+    let relay_in = relay_server.accept().unwrap();
+    let relay_out = Socket::connect(&relay, sink_server.local_addr()).unwrap();
+    let sink_in = sink_server.accept().unwrap();
+
+    let secret = src.taint_source(TagValue::str("secret"));
+    let payload = Payload::Tainted(TaintedBytes::uniform(b"relayed!", secret));
+    src_out.output_stream().write(&payload).unwrap();
+    let relayed = relay_in.input_stream().read_exact(8).unwrap();
+    let gid = src.taint_map().unwrap().cached_gid_for(secret).unwrap();
+    cluster.crash_vm("n1");
+
+    relay_out.output_stream().write(&relayed).unwrap();
+    let received = sink_in.input_stream().read_exact(8).unwrap();
+    let tags = sink.store().tag_values(received.taint_union(sink.store()));
+    assert_eq!(tags, ["secret"], "resolved, not pending");
+    let sink_client = sink.taint_map().unwrap();
+    assert_eq!(sink_client.pending_count(), 0);
+    assert_eq!(sink_client.stats().lookup_rpcs, 1);
+    assert_eq!(
+        sink_client.taint_for(gid).unwrap(),
+        received.taint_union(sink.store())
+    );
+    assert_eq!(
+        src.taint_map().unwrap().stats().register_rpcs,
+        0,
+        "n1 bound nothing"
+    );
+    assert_eq!(
+        relay.taint_map().unwrap().stats().register_rpcs,
+        1,
+        "n2 bound it"
+    );
+    cluster.restart_vm("n1");
+    cluster.shutdown();
 }
 
 #[test]

@@ -50,9 +50,12 @@ const ALLOWED_SLEEPS: &[(&str, &str)] = &[
 ];
 
 /// Names of deleted mechanisms; none may reappear: the readiness
-/// reactor, and the fault-trigger queue and stage schedule that
-/// repeated what the applied-fault log records (those three are split
-/// so that a plain grep of the tree for them comes back empty).
+/// reactor; the fault-trigger queue and stage schedule that repeated
+/// what the applied-fault log records; and server-side allocation with
+/// the single-flight guard that waited on it (its `Flight` and the
+/// client's `inflight` map), which leased gids and a queued bind
+/// replaced. All but the reactor's are split so that a plain grep of
+/// the tree for them comes back empty.
 const FORBIDDEN: &[&str] = &[
     "Reactor",
     "TimerWheel",
@@ -61,6 +64,9 @@ const FORBIDDEN: &[&str] = &[
     concat!("Fault", "Trigger"),
     concat!("take_fault", "_triggers"),
     concat!("Stage", "Event"),
+    concat!("OP_", "REGISTER"),
+    concat!("struct ", "Flight {"),
+    concat!("in", "flight:"),
 ];
 
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
