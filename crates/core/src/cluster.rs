@@ -259,15 +259,17 @@ impl ClusterBuilder {
     }
 }
 
+/// Crash-and-heal repairs one split of [`Cluster::reshard`] tolerates
+/// before it gives up: far above any finite chaos schedule.
+const MAX_REPAIRS: usize = 64;
+
 /// A declarative plan for [`Cluster::reshard`]: which residue classes
 /// to split, in order (listing a class twice chains two splits, each
-/// moving the then-current tail), plus the copy-phase batch size and
-/// the chaos-repair budget.
+/// moving the then-current tail), plus the copy-phase batch size.
 #[derive(Debug, Clone)]
 pub struct ReshardPlan {
     splits: Vec<usize>,
     batch: usize,
-    max_repairs: usize,
 }
 
 impl Default for ReshardPlan {
@@ -275,7 +277,6 @@ impl Default for ReshardPlan {
         ReshardPlan {
             splits: Vec::new(),
             batch: 512,
-            max_repairs: 64,
         }
     }
 }
@@ -292,18 +293,11 @@ impl ReshardPlan {
         self
     }
 
-    /// Copy-phase batch size in records (default 512). Smaller batches
-    /// interleave more chaos polls per split; larger ones move faster.
+    /// Copy-phase batch size in records (default 512; a step copies at
+    /// least one). Smaller batches interleave more chaos polls per
+    /// split; larger ones move faster.
     pub fn batch(mut self, records: usize) -> Self {
-        self.batch = records.max(1);
-        self
-    }
-
-    /// How many crash-and-heal repairs one split tolerates before
-    /// [`Cluster::reshard`] gives up (default 64 — far above any finite
-    /// chaos schedule).
-    pub fn max_repairs(mut self, repairs: usize) -> Self {
-        self.max_repairs = repairs;
+        self.batch = records;
         self
     }
 
@@ -610,8 +604,8 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// [`DistaError::Config`] if a split needs more than the plan's
-    /// repair budget; Taint Map errors that healing cannot absorb.
+    /// [`DistaError::Config`] if a split needs more than 64 repairs;
+    /// Taint Map errors that healing cannot absorb.
     ///
     /// # Panics
     ///
@@ -629,7 +623,7 @@ impl Cluster {
             let mut repairs = 0usize;
             let over_budget = |e: DistaError, repairs: &mut usize| {
                 *repairs += 1;
-                (*repairs > plan.max_repairs).then_some(e)
+                (*repairs > MAX_REPAIRS).then_some(e)
             };
             let epoch = loop {
                 self.poll_chaos()?;
@@ -638,8 +632,7 @@ impl Cluster {
                     if tm.primary_crashed(source) || tm.primary_crashed(tgt) {
                         if let Some(e) = over_budget(
                             DistaError::Config(format!(
-                                "resharding class {class} exceeded {} repairs",
-                                plan.max_repairs
+                                "resharding class {class} exceeded {MAX_REPAIRS} repairs"
                             )),
                             &mut repairs,
                         ) {

@@ -203,7 +203,7 @@ pub enum ObsEventKind {
     },
     /// A live resharding cut over: residue class `class` gained a new
     /// tail server owning gids at and above `lo_gid`, and the class
-    /// table advanced to `epoch` (stale-epoch clients refetch).
+    /// table advanced to `epoch` (stale clients are redirected to it).
     ShardSplit {
         /// Residue class whose tail range migrated.
         class: usize,

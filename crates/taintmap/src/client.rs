@@ -52,14 +52,13 @@ use parking_lot::{Mutex, MutexGuard};
 use crate::backend::WIRE_RESERVED_GIDS;
 use crate::error::TaintMapError;
 use crate::proto::{
-    decode_bind_resp, decode_class_table, decode_lookup_resp, decode_stale_epoch, encode_bind,
-    encode_lookup, read_frame_deadline, write_frame, LEASE_IDS, OP_BIND, OP_EPOCH_OF, OP_LOOKUP,
-    RESP_MOVED, RESP_OK, RESP_STALE_EPOCH, STATUS_TAKEN, STATUS_UNLEASED,
+    decode_bind_resp, decode_class_table, decode_lookup_resp, encode_bind, encode_lookup,
+    read_frame_deadline, write_frame, LEASE_IDS, OP_BIND, OP_LOOKUP, RESP_MOVED, RESP_OK,
+    STATUS_TAKEN, STATUS_UNLEASED,
 };
 use crate::shard::{shard_of_bytes, shard_of_gid, ClassTable, TaintMapTopology};
 
-/// Rounds of the `Moved`/stale-epoch re-partition loop before a request
-/// gives up.
+/// Rounds of the `Moved` re-partition loop before a request gives up.
 const RESHARD_ROUNDS: usize = 10;
 
 /// Gids a bare send tries for one taint before it gives up: each one the
@@ -79,8 +78,8 @@ pub struct ClientStats {
     /// Times the client failed over to another service address.
     pub failovers: u64,
     /// Request frames sent (a multi-shard batch counts once per shard,
-    /// a batch of one counts, and so does a class-table refetch; a
-    /// retry of the same frame does not count again).
+    /// and a batch of one counts; a retry of the same frame does not
+    /// count again).
     pub batch_frames: u64,
     /// RPC re-attempts after a transport failure (each redial+replay of
     /// one frame counts once).
@@ -102,12 +101,9 @@ pub struct ClientStats {
     pub pending_resolved: u64,
     /// Gids currently pending (sentinel attached, not yet reconciled).
     pub pending_gids: u64,
-    /// `Moved` redirects followed after a shard range migrated away
-    /// (each one merges the server's newer class table).
+    /// `Moved` redirects followed after a range migrated away or for a
+    /// stale epoch stamp (each one merges the server's class table).
     pub moved_redirects: u64,
-    /// Class tables refetched after a server rejected a stale epoch
-    /// stamp.
-    pub epoch_refetches: u64,
 }
 
 /// Retry, deadline, and circuit-breaker tuning for a
@@ -192,8 +188,6 @@ pub struct ClientObserver {
     pub pending_gids: Gauge,
     /// `Moved` redirects followed during resharding.
     pub moved_redirects: Counter,
-    /// Class tables refetched after a stale-epoch rejection.
-    pub epoch_refetches: Counter,
     /// taint → root span map shared with the owning VM: registration
     /// transfers the root span from the taint to its fresh gid.
     pub taint_spans: SpanTracker,
@@ -227,7 +221,6 @@ impl ClientObserver {
             pending_resolved: Counter::detached(),
             pending_gids: Gauge::detached(),
             moved_redirects: Counter::detached(),
-            epoch_refetches: Counter::detached(),
             taint_spans: SpanTracker::disabled(),
             gid_spans: SpanTracker::disabled(),
         }
@@ -262,7 +255,6 @@ impl ClientObserver {
             pending_resolved: registry.counter_with("taintmap_pending_resolved", &labels),
             pending_gids: registry.gauge_with("taintmap_pending_gids", &labels),
             moved_redirects: registry.counter_with("taintmap_moved_redirects", &labels),
-            epoch_refetches: registry.counter_with("taintmap_epoch_refetches", &labels),
             taint_spans: SpanTracker::disabled(),
             gid_spans: SpanTracker::disabled(),
         }
@@ -428,7 +420,7 @@ struct ClientInner {
     shards: Vec<Arc<Mutex<ShardConn>>>,
     /// Cached routing table per residue class; starts at epoch 0 (one
     /// open range on the base shard) and converges toward the servers'
-    /// tables via `Moved` merges and stale-epoch refetches.
+    /// tables via `Moved` merges.
     tables: Mutex<Vec<ClassTable>>,
     /// Lazily dialed connections to servers created by splits (they are
     /// not in the base topology). Keyed by address; each has its own
@@ -486,29 +478,22 @@ impl TaintMapClient {
         topology: TaintMapTopology,
         store: TaintStore,
     ) -> Result<Self, TaintMapError> {
-        Self::connect_topology_observed(net, topology, store, ClientObserver::disabled())
+        Self::connect_topology_tuned(
+            net,
+            topology,
+            store,
+            ClientObserver::disabled(),
+            ClientResilience::default(),
+        )
     }
 
-    /// Like [`TaintMapClient::connect_topology`], but with telemetry:
-    /// batch instruments land in the observer's registry handles and
-    /// register/lookup/failover events in its flight recorder.
-    ///
-    /// # Errors
-    ///
-    /// [`TaintMapError::Net`] if some shard has no reachable address.
-    pub fn connect_topology_observed(
-        net: &SimNet,
-        topology: TaintMapTopology,
-        store: TaintStore,
-        obs: ClientObserver,
-    ) -> Result<Self, TaintMapError> {
-        Self::connect_topology_tuned(net, topology, store, obs, ClientResilience::default())
-    }
-
-    /// Like [`TaintMapClient::connect_topology_observed`], with explicit
-    /// [`ClientResilience`] tuning (RPC deadline, retry budget, circuit
-    /// breaker). The client leases its first block of gids from every
-    /// shard here; a shard that cannot lease now leases on first use.
+    /// Like [`TaintMapClient::connect_topology`], with telemetry (batch
+    /// instruments land in the observer's registry handles,
+    /// register/lookup/failover events in its flight recorder) and
+    /// explicit [`ClientResilience`] tuning (RPC deadline, retry budget,
+    /// circuit breaker). The client leases its first block of gids from
+    /// every shard here; a shard that cannot lease now leases on first
+    /// use.
     ///
     /// # Errors
     ///
@@ -622,42 +607,6 @@ impl TaintMapClient {
         Ok(arc)
     }
 
-    /// Merges a `Moved` redirect's class table (carried in `payload`)
-    /// into the cached table for `class`.
-    fn adopt_moved(&self, class: usize, payload: &[u8]) -> Result<(), TaintMapError> {
-        let table = decode_class_table(payload)?;
-        self.inner.tables.lock()[class].merge(&table);
-        self.inner.obs.moved_redirects.inc();
-        Ok(())
-    }
-
-    /// Handles a stale-epoch rejection from the server at `addr`:
-    /// refetches its class table over `EPOCH_OF` and merges it.
-    fn refetch_table(
-        &self,
-        class: usize,
-        addr: NodeAddr,
-        payload: &[u8],
-    ) -> Result<(), TaintMapError> {
-        // The rejection names the server's epoch; the table itself comes
-        // from a dedicated round trip.
-        let _server_epoch = decode_stale_epoch(payload)?;
-        let group = Group {
-            class,
-            addr,
-            items: Vec::new(),
-            payload: Vec::new(),
-        };
-        let (op, resp) = self.run_groups(&[group], OP_EPOCH_OF)?.remove(0);
-        if op != RESP_OK {
-            return Err(TaintMapError::Protocol("bad epoch-of response"));
-        }
-        let table = decode_class_table(&resp)?;
-        self.inner.tables.lock()[class].merge(&table);
-        self.inner.obs.epoch_refetches.inc();
-        Ok(())
-    }
-
     /// Runs one round of per-destination frames and returns their
     /// replies in group order. This is the only code that touches the
     /// wire after connect, and it states the whole transport policy:
@@ -674,10 +623,10 @@ impl TaintMapClient {
     ///   replayed lease at worst strands its gids, a lookup is
     ///   read-only, so replay is safe). Each read is bounded by the
     ///   whole-frame `rpc_deadline`.
-    /// * **Breaker** — any well-formed reply — `OK`, `Moved`,
-    ///   stale-epoch — closes the class breaker (a redirecting server is
-    ///   *serving*, not failing); an exhausted budget counts one failure
-    ///   toward opening it.
+    /// * **Breaker** — any well-formed reply, `OK` or `Moved`, closes
+    ///   the class breaker (a redirecting server is *serving*, not
+    ///   failing); an exhausted budget counts one failure toward opening
+    ///   it.
     ///
     /// Every group is driven to a reply or to exhaustion before the
     /// first error is returned, and a connection whose frame ended in
@@ -773,8 +722,9 @@ impl TaintMapClient {
     /// address under the cached class tables), sends one `op` frame per
     /// destination (`encode` builds it from the class epoch and the
     /// slots it carries), and hands each `OK` reply to `on_ok`. A
-    /// destination that answers `Moved` or stale-epoch gets its slots
-    /// re-partitioned through the merged class table on the next round.
+    /// `Moved` reply — to a stale stamp or a range that moved — carries
+    /// the server's class table: it is merged, and that destination's
+    /// slots are re-partitioned on the next round.
     /// Every round either resolves slots or advances a class table's
     /// epoch, so a healthy deployment converges in one or two.
     fn resolve(
@@ -816,11 +766,9 @@ impl TaintMapClient {
                 match resp_op {
                     RESP_OK => on_ok(&g.items, &resp)?,
                     RESP_MOVED => {
-                        self.adopt_moved(g.class, &resp)?;
-                        unresolved.extend(g.items);
-                    }
-                    RESP_STALE_EPOCH => {
-                        self.refetch_table(g.class, g.addr, &resp)?;
+                        let table = decode_class_table(&resp)?;
+                        self.inner.tables.lock()[g.class].merge(&table);
+                        self.inner.obs.moved_redirects.inc();
                         unresolved.extend(g.items);
                     }
                     _ => return Err(TaintMapError::Protocol("bad taint map response")),
@@ -1647,7 +1595,6 @@ impl TaintMapClient {
             pending_resolved: obs.pending_resolved.get(),
             pending_gids: self.inner.inbound.lock().pending.len() as u64,
             moved_redirects: obs.moved_redirects.get(),
-            epoch_refetches: obs.epoch_refetches.get(),
         }
     }
 }
@@ -2361,7 +2308,6 @@ mod tests {
             (s.degraded_lookups, "taintmap_degraded_lookups"),
             (s.pending_resolved, "taintmap_pending_resolved"),
             (s.moved_redirects, "taintmap_moved_redirects"),
-            (s.epoch_refetches, "taintmap_epoch_refetches"),
         ] {
             let line = format!("{family}{{node=n2}} {field}\n");
             assert!(text.contains(&line), "{line:?} not in:\n{text}");

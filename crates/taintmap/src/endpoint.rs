@@ -44,10 +44,10 @@ use crate::shard::{ClassTable, ShardRange, ShardSpec, TaintMapTopology};
 /// Per-shard backend factory: shard index → storage.
 type BackendFactory = dyn Fn(usize) -> Arc<dyn TaintMapBackend> + Send + Sync;
 
-/// Records per copy-phase transfer batch when the endpoint drives the
-/// copy itself ([`TaintMapEndpoint::finish_split`] /
+/// Records per copy-phase batch when the endpoint drives the copy
+/// itself ([`TaintMapEndpoint::finish_split`] /
 /// [`TaintMapEndpoint::split_shard`]).
-const TRANSFER_BATCH_RECORDS: usize = 1024;
+const COPY_BATCH_RECORDS: usize = 1024;
 
 /// The redirect ranges a server at `addr` must answer `Moved` for: every
 /// table range *after* the last one it owns. Ranges below its own need
@@ -272,8 +272,8 @@ struct ActiveSplit {
 pub struct ReshardStats {
     /// Range migrations driven to cutover.
     pub splits_completed: u64,
-    /// Records shipped in copy-phase transfer batches (including
-    /// re-sent ones after a crash rewound the checkpoint).
+    /// Records the copy phase shipped (including re-sent ones after a
+    /// crash rewound the checkpoint).
     pub records_transferred: u64,
     /// Current class-table epoch per residue class.
     pub class_epochs: Vec<u64>,
@@ -630,10 +630,11 @@ impl TaintMapEndpoint {
         }
     }
 
-    /// Phase 2 of a live split: copies up to `batch` records to the new
-    /// server, checkpointing durably on acknowledgement. Returns whether
-    /// the copy may still be behind (call again) — `false` means it has
-    /// caught up and [`TaintMapEndpoint::finish_split`] can cut over.
+    /// Phase 2 of a live split: copies up to `batch` records (at least
+    /// one) to the new server, checkpointing durably on acknowledgement.
+    /// Returns whether the copy may still be behind (call again) —
+    /// `false` means it has caught up and
+    /// [`TaintMapEndpoint::finish_split`] can cut over.
     ///
     /// # Errors
     ///
@@ -662,8 +663,8 @@ impl TaintMapEndpoint {
     /// Phase 3 of a live split: drains any remaining copy work, then
     /// cuts over — the source atomically stops allocating in the
     /// migrated range, the class table gains a range and an epoch, and
-    /// every live server of the class adopts the new table (stale-epoch
-    /// clients get rejected until they refetch). Returns the class's new
+    /// every live server of the class adopts the new table (a client
+    /// with a stale epoch is redirected to it). Returns the class's new
     /// epoch.
     ///
     /// # Errors
@@ -676,7 +677,7 @@ impl TaintMapEndpoint {
         let active = self
             .active
             .ok_or(TaintMapError::Protocol("no split in flight"))?;
-        while self.split_step(TRANSFER_BATCH_RECORDS)? {}
+        while self.split_step(COPY_BATCH_RECORDS)? {}
         let source = self
             .server_handle(active.source_ext)
             .ok_or(TaintMapError::ShardUnavailable(active.source_ext))?;
@@ -857,7 +858,6 @@ impl TaintMapEndpoint {
             total.batch_frames += s.batch_frames;
             total.moved_redirects += s.moved_redirects;
             total.stale_epochs += s.stale_epochs;
-            total.transferred_in += s.transferred_in;
             total.transferred_out += s.transferred_out;
             total.double_writes += s.double_writes;
             total.compactions += s.compactions;
@@ -1054,6 +1054,27 @@ mod tests {
         endpoint.finish_split().unwrap();
         assert_eq!(endpoint.class_table(0).epoch, 1);
         assert_eq!(endpoint.shard(ext).stats().global_taints, 8);
+        endpoint.shutdown();
+    }
+
+    #[test]
+    fn a_zero_record_split_step_still_finishes_the_copy() {
+        // A batch of 0 used to ship an empty batch without moving the
+        // checkpoint, so `split_step(0)` reported more work forever.
+        let net = SimNet::new();
+        let mut endpoint = TaintMapEndpoint::builder().connect(&net).unwrap();
+        let store = TaintStore::new(LocalId::new([10, 0, 0, 1], 1));
+        let client = endpoint.client(&net, store.clone()).unwrap();
+        for i in 0..8 {
+            client
+                .global_id_for(store.mint_source_taint(TagValue::Int(i)))
+                .unwrap();
+        }
+        endpoint.begin_split(0).unwrap();
+        let caught_up = (0..100).any(|_| !endpoint.split_step(0).unwrap());
+        assert!(caught_up, "the copy never caught up");
+        endpoint.finish_split().unwrap();
+        assert_eq!(endpoint.reshard_stats().records_transferred, 8);
         endpoint.shutdown();
     }
 

@@ -5,38 +5,36 @@
 //! durable and leases the next block of them, `LOOKUP` carries Global
 //! IDs and answers their serialized taints. Each carries *many* items,
 //! so a whole queue or shadow buffer resolves in one round trip per
-//! shard; a single item is a batch of one. Responses: `OK` carries the
-//! result payload, `ERR` a one-byte reason.
+//! shard; a single item is a batch of one. Servers speak a third,
+//! `REPLICATE`, to each other. Responses: `OK` carries the result
+//! payload, `ERR` a one-byte reason, `MOVED` a class table.
 //!
-//! Payload layouts (all integers big-endian):
+//! Payload layouts (all integers big-endian; a *record* is `u32 gid,
+//! u32 len, len bytes`, written and read by [`push_record`] and
+//! [`read_record`]):
 //!
 //! ```text
-//! BIND            req:  u64 epoch, u32 want, u32 count,
-//!                       count × (u32 gid, u32 len, len bytes)
-//!                 resp: u32 n, n × u32 leased gid (n <= want),
-//!                       then count × u8 status
-//! LOOKUP          req:  u64 epoch, u32 count, count × u32 gid
-//!                 resp: u32 count, then count × (u8 status,
-//!                       if status == 0: u32 len, len bytes)
-//! EPOCH_OF        req:  empty            resp OK: class table
-//! REPLICATE       req:  WAL records (data and lease), to the end
-//!                 resp OK: empty
-//! TRANSFER_BATCH  req:  u32 count, count × (u32 gid, u32 len, bytes)
-//!                 resp OK: u32 count acknowledged
-//! MOVED           resp: class table
-//! STALE_EPOCH     resp: u64 server epoch
-//! class table:    u64 epoch, u32 nranges, nranges ×
-//!                 (u32 lo_gid, u8 naddrs, naddrs × (4B ip, u16 port))
+//! BIND       req:  u64 epoch, u32 want, u32 count, count × record
+//!            resp: u32 n, n × u32 leased gid (n <= want),
+//!                  then count × u8 status
+//! LOOKUP     req:  u64 epoch, u32 count, count × u32 gid
+//!            resp: u32 count, then count × (u8 status,
+//!                  if status == 0: u32 len, len bytes)
+//! REPLICATE  req:  WAL records to the end: (u8 1, record) binds,
+//!                  (u8 5, u32 high-water) leases     resp: empty
+//! MOVED      resp: u64 epoch, u32 nranges, nranges ×
+//!                  (u32 lo_gid, u8 naddrs, naddrs × (4B ip, u16 port))
 //! ```
 //!
 //! One frame carries many items, so a request amortizes the fixed RPC
 //! cost (a round trip and a session wake-up) over all of them.
 //!
-//! **Resharding.** `epoch` is the sender's class-table epoch; a server
-//! whose table is newer rejects the frame with `STALE_EPOCH` (payload:
-//! its epoch) so the client refetches via `EPOCH_OF` and retries. A
-//! server that no longer owns a touched gid range (or, for a lease, no
-//! longer allocates) answers `MOVED` carrying its whole [`ClassTable`].
+//! **Resharding.** `epoch` is the sender's class-table epoch. A server
+//! whose table is newer, that no longer owns a touched gid range, or
+//! (for a lease) no longer allocates answers `MOVED` with its whole
+//! [`ClassTable`]; the client merges it and re-routes. A split's copy
+//! and its double-writes reach the new server as `REPLICATE` frames,
+//! as a standby's records do.
 
 use dista_simnet::{read_announced, read_full, NetError, NodeAddr, TcpEndpoint};
 use dista_taint::{ByteReader, ReadError};
@@ -46,13 +44,10 @@ use crate::shard::{ClassTable, ShardRange};
 
 pub(crate) const OP_REPLICATE: u8 = 4;
 pub(crate) const OP_LOOKUP: u8 = 8;
-pub(crate) const OP_EPOCH_OF: u8 = 9;
-pub(crate) const OP_TRANSFER_BATCH: u8 = 10;
 pub(crate) const OP_BIND: u8 = 11;
 pub(crate) const RESP_OK: u8 = 0x80;
 pub(crate) const RESP_ERR: u8 = 0x81;
 pub(crate) const RESP_MOVED: u8 = 0x82;
-pub(crate) const RESP_STALE_EPOCH: u8 = 0x83;
 
 /// Per-item statuses. A `LOOKUP` item is `OK` or `UNKNOWN`. A `BIND`
 /// item is `OK` (bound to these bytes, now or before), `TAKEN` (the gid
@@ -110,7 +105,8 @@ pub(crate) fn read_frame_deadline(
 /// 5-byte header, so a frame costs two pipe reads (header, payload)
 /// unless the transport fragments it. The payload is received with
 /// [`read_announced`] — grown with the bytes that arrive rather than
-/// capped, because a transfer batch is as large as its caller made it.
+/// capped, because a `REPLICATE` frame of the split copy is as large as
+/// its caller made it.
 fn read_frame_with(
     mut read: impl FnMut(&mut [u8]) -> Result<usize, NetError>,
 ) -> Result<Option<(u8, Vec<u8>)>, TaintMapError> {
@@ -133,6 +129,21 @@ pub(crate) fn addr(r: &mut ByteReader<'_>) -> Result<NodeAddr, ReadError> {
     Ok(NodeAddr::new(r.array()?, r.u16()?))
 }
 
+/// Appends one record — `gid` and the serialized taint bound to it —
+/// as a `BIND` item, a WAL data record and a snapshot carry it.
+pub(crate) fn push_record(out: &mut Vec<u8>, gid: u32, bytes: &[u8]) {
+    out.extend_from_slice(&gid.to_be_bytes());
+    out.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
+    out.extend_from_slice(bytes);
+}
+
+/// Reads one record [`push_record`] wrote.
+pub(crate) fn read_record<'a>(r: &mut ByteReader<'a>) -> Result<(u32, &'a [u8]), ReadError> {
+    let gid = r.u32()?;
+    let len = r.u32()? as usize;
+    Ok((gid, r.bytes(len)?))
+}
+
 /// Encodes a `BIND` request: the sender's class-table epoch, how many
 /// gids it wants leased, then the `(gid, serialized taint)` pairs to
 /// bind.
@@ -142,10 +153,8 @@ pub(crate) fn encode_bind(epoch: u64, want: u32, items: &[(u32, &[u8])]) -> Vec<
     out.extend_from_slice(&epoch.to_be_bytes());
     out.extend_from_slice(&want.to_be_bytes());
     out.extend_from_slice(&(items.len() as u32).to_be_bytes());
-    for (gid, bytes) in items {
-        out.extend_from_slice(&gid.to_be_bytes());
-        out.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
-        out.extend_from_slice(bytes);
+    for &(gid, bytes) in items {
+        push_record(&mut out, gid, bytes);
     }
     out
 }
@@ -215,7 +224,7 @@ pub(crate) fn decode_lookup_resp(
     Ok(items)
 }
 
-/// Encodes a [`ClassTable`] (the `MOVED` / `EPOCH_OF` payload).
+/// Encodes a [`ClassTable`] (the `MOVED` payload).
 pub(crate) fn encode_class_table(table: &ClassTable) -> Vec<u8> {
     let mut out = Vec::with_capacity(12 + table.ranges.len() * 11);
     out.extend_from_slice(&table.epoch.to_be_bytes());
@@ -262,44 +271,6 @@ pub(crate) fn decode_class_table(payload: &[u8]) -> Result<ClassTable, TaintMapE
         return Err(TaintMapError::Protocol("trailing bytes in class table"));
     }
     Ok(ClassTable { epoch, ranges })
-}
-
-/// Encodes a `TRANSFER_BATCH` request payload from `(gid, bytes)` records.
-pub(crate) fn encode_transfer_batch(records: &[(u32, Vec<u8>)]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + records.iter().map(|(_, b)| 8 + b.len()).sum::<usize>());
-    out.extend_from_slice(&(records.len() as u32).to_be_bytes());
-    for (gid, bytes) in records {
-        out.extend_from_slice(&gid.to_be_bytes());
-        out.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
-        out.extend_from_slice(bytes);
-    }
-    out
-}
-
-/// Decodes a `TRANSFER_BATCH` request payload.
-pub(crate) fn decode_transfer_batch(payload: &[u8]) -> Result<Vec<(u32, Vec<u8>)>, TaintMapError> {
-    let mut r = ByteReader::new(payload);
-    let count = r.u32()? as usize;
-    let mut records = Vec::with_capacity(r.count(count, 8));
-    for _ in 0..count {
-        let gid = r.u32()?;
-        let len = r.u32()? as usize;
-        records.push((gid, r.bytes(len)?.to_vec()));
-    }
-    if !r.at_end() {
-        return Err(TaintMapError::Protocol("trailing bytes in transfer batch"));
-    }
-    Ok(records)
-}
-
-/// Decodes a `STALE_EPOCH` payload (the server's current epoch).
-pub(crate) fn decode_stale_epoch(payload: &[u8]) -> Result<u64, TaintMapError> {
-    let mut r = ByteReader::new(payload);
-    let epoch = r.u64()?;
-    if !r.at_end() {
-        return Err(TaintMapError::Protocol("bad stale-epoch payload"));
-    }
-    Ok(epoch)
 }
 
 #[cfg(test)]
@@ -362,9 +333,9 @@ mod tests {
     #[test]
     fn empty_payload_frame() {
         let (c, s) = pair();
-        write_frame(&c, OP_EPOCH_OF, b"").unwrap();
+        write_frame(&c, OP_REPLICATE, b"").unwrap();
         let (op, payload) = read_frame(&s).unwrap().unwrap();
-        assert_eq!(op, OP_EPOCH_OF);
+        assert_eq!(op, OP_REPLICATE);
         assert!(payload.is_empty());
     }
 
@@ -422,12 +393,23 @@ mod tests {
         assert_eq!(r.u64().unwrap(), 7);
         assert_eq!(r.u32().unwrap(), 64);
         assert_eq!(r.u32().unwrap(), 3);
-        for (gid, bytes) in items {
-            assert_eq!(r.u32().unwrap(), gid);
-            let len = r.u32().unwrap() as usize;
-            assert_eq!(r.bytes(len).unwrap(), bytes);
+        for item in items {
+            assert_eq!(read_record(&mut r).unwrap(), item);
         }
         assert!(r.at_end());
+    }
+
+    #[test]
+    fn a_record_reads_back_and_a_short_one_is_an_error() {
+        let mut out = Vec::new();
+        push_record(&mut out, 5, b"taint-a");
+        push_record(&mut out, 9, b"");
+        let mut r = ByteReader::new(&out);
+        assert_eq!(read_record(&mut r).unwrap(), (5, &b"taint-a"[..]));
+        assert_eq!(read_record(&mut r).unwrap(), (9, &b""[..]));
+        assert!(r.at_end());
+        let mut short = ByteReader::new(&out[..out.len() - 9]);
+        assert!(read_record(&mut short).is_err(), "a length past the end");
     }
 
     #[test]
@@ -487,21 +469,6 @@ mod tests {
             decode_class_table(&hostile),
             Err(TaintMapError::Protocol(_))
         ));
-    }
-
-    #[test]
-    fn transfer_batch_roundtrip() {
-        let records = vec![(5u32, b"taint-a".to_vec()), (9u32, Vec::new())];
-        let payload = encode_transfer_batch(&records);
-        assert_eq!(decode_transfer_batch(&payload).unwrap(), records);
-        assert!(decode_transfer_batch(&payload[..payload.len() - 1]).is_err());
-    }
-
-    #[test]
-    fn stale_epoch_payload_is_exactly_one_epoch() {
-        assert_eq!(decode_stale_epoch(&9u64.to_be_bytes()).unwrap(), 9);
-        assert!(decode_stale_epoch(b"short").is_err());
-        assert!(decode_stale_epoch(&[0u8; 9]).is_err());
     }
 
     #[test]

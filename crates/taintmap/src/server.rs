@@ -32,10 +32,9 @@ use parking_lot::Mutex;
 use crate::backend::{TaintMapBackend, WIRE_RESERVED_GIDS};
 use crate::error::TaintMapError;
 use crate::proto::{
-    addr, decode_transfer_batch, encode_class_table, encode_transfer_batch, read_frame,
-    write_frame, LEASE_IDS, OP_BIND, OP_EPOCH_OF, OP_LOOKUP, OP_REPLICATE, OP_TRANSFER_BATCH,
-    RESP_ERR, RESP_MOVED, RESP_OK, RESP_STALE_EPOCH, STATUS_OK, STATUS_TAKEN, STATUS_UNKNOWN,
-    STATUS_UNLEASED,
+    addr, encode_class_table, push_record, read_frame, read_record, write_frame, LEASE_IDS,
+    OP_BIND, OP_LOOKUP, OP_REPLICATE, RESP_ERR, RESP_MOVED, RESP_OK, STATUS_OK, STATUS_TAKEN,
+    STATUS_UNKNOWN, STATUS_UNLEASED,
 };
 use crate::shard::{ClassTable, ShardRange, ShardSpec};
 
@@ -106,7 +105,7 @@ const SNAP_MAGIC: [u8; 4] = *b"TMSN";
 const SNAP_TRAILER: [u8; 4] = *b"SNEN";
 
 /// The backend-local id a record that names `gid` from outside — a
-/// bind, a replicated or migrated record, a WAL or snapshot record — is
+/// bind, a replicated or copied record, a WAL or snapshot record — is
 /// stored under: `None` if `gid` is another shard's, one the wire
 /// grammar reserves ([`WIRE_RESERVED_GIDS`]), or one above `high_water`
 /// that this shard never leased.
@@ -123,17 +122,7 @@ fn leased_local(shard: ShardSpec, high_water: u32, gid: u32) -> Option<u32> {
 /// format replication also ships.
 fn push_data(out: &mut Vec<u8>, gid: u32, serialized: &[u8]) {
     out.push(REC_DATA);
-    out.extend_from_slice(&gid.to_be_bytes());
-    out.extend_from_slice(&(serialized.len() as u32).to_be_bytes());
-    out.extend_from_slice(serialized);
-}
-
-/// Reads a data record's body, after its tag — what [`push_data`] wrote,
-/// and a `BIND` item.
-fn read_data<'a>(r: &mut ByteReader<'a>) -> Result<(u32, &'a [u8]), ReadError> {
-    let gid = r.u32()?;
-    let len = r.u32()? as usize;
-    Ok((gid, r.bytes(len)?))
+    push_record(out, gid, serialized);
 }
 
 /// Appends a lease record: the high-water (a local id) after a lease.
@@ -255,8 +244,9 @@ impl TaintMapWal {
             out.extend_from_slice(&m.target.ip());
             out.extend_from_slice(&m.target.port().to_be_bytes());
         }
+        let count_at = out.len();
+        out.extend_from_slice(&[0; 4]);
         let mut count = 0u64;
-        let mut body = Vec::new();
         for local in 1..=backend.max_local() {
             // A local id past the shard's slice of `u32` was never
             // leased (see `ServerShared::lease`), nor any above.
@@ -264,14 +254,11 @@ impl TaintMapWal {
                 break;
             };
             if let Some(bytes) = backend.lookup(local) {
-                body.extend_from_slice(&gid.to_be_bytes());
-                body.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
-                body.extend_from_slice(&bytes);
+                push_record(&mut out, gid, &bytes);
                 count += 1;
             }
         }
-        out.extend_from_slice(&(count as u32).to_be_bytes());
-        out.extend_from_slice(&body);
+        out[count_at..count_at + 4].copy_from_slice(&(count as u32).to_be_bytes());
         out.extend_from_slice(&SNAP_TRAILER);
         self.fs.write(self.snap_path(generation), out);
         self.fs.write(self.path.clone(), Vec::new());
@@ -283,19 +270,18 @@ impl TaintMapWal {
         count
     }
 
-    /// Parses one snapshot file — epoch, high-water, redirects, records
-    /// — or `None` if it is torn or malformed.
+    /// Parses one snapshot file — epoch, high-water, redirects, and its
+    /// records as `(local id, bytes)` — or `None` if it is torn or
+    /// malformed. Compaction writes only records it leased: one that
+    /// names anything else marks the file as damaged as a torn one.
     #[allow(clippy::type_complexity)]
     fn load_snapshot(
-        &self,
-        generation: u64,
-    ) -> Option<(u64, u32, Vec<MovedRange>, Vec<(u32, Vec<u8>)>)> {
-        let bytes = self.fs.read(&self.snap_path(generation)).ok()?;
-        if bytes.len() < 24 || bytes[..4] != SNAP_MAGIC || bytes[bytes.len() - 4..] != SNAP_TRAILER
-        {
-            return None;
-        }
-        let body = &bytes[4..bytes.len() - 4];
+        bytes: &[u8],
+        shard: ShardSpec,
+    ) -> Option<(u64, u32, Vec<MovedRange>, Vec<(u32, &[u8])>)> {
+        let body = bytes
+            .strip_prefix(&SNAP_MAGIC)?
+            .strip_suffix(&SNAP_TRAILER)?;
         let mut r = ByteReader::new(body);
         let epoch = r.u64().ok()?;
         let high_water = r.u32().ok()?;
@@ -307,9 +293,13 @@ impl TaintMapWal {
                 target: addr(&mut r).ok()?,
             });
         }
-        // The records are laid out as a transfer batch is, to the end.
-        let records = decode_transfer_batch(r.remaining()).ok()?;
-        Some((epoch, high_water, moved, records))
+        let count = r.u32().ok()? as usize;
+        let mut records = Vec::with_capacity(r.count(count, 8));
+        for _ in 0..count {
+            let (gid, bytes) = read_record(&mut r).ok()?;
+            records.push((leased_local(shard, high_water, gid)?, bytes));
+        }
+        r.at_end().then_some((epoch, high_water, moved, records))
     }
 
     /// Rebuilds `backend` from the newest intact snapshot plus the log
@@ -323,24 +313,20 @@ impl TaintMapWal {
     pub fn recover_into(&self, backend: &dyn TaintMapBackend, shard: ShardSpec) -> WalRecovery {
         let mut rec = WalRecovery::default();
         for generation in self.snapshot_generations().into_iter().rev() {
-            // Compaction writes only records it leased: one that names
-            // anything else marks the file as damaged as a torn one.
-            let intact = self
-                .load_snapshot(generation)
-                .and_then(|(epoch, hw, moved, records)| {
-                    let locals = records.iter().map(|&(gid, _)| leased_local(shard, hw, gid));
-                    let locals = locals.collect::<Option<Vec<u32>>>()?;
-                    Some((epoch, hw, moved, locals.into_iter().zip(records)))
-                });
-            let Some((epoch, high_water, moved, records)) = intact else {
+            let file = self
+                .fs
+                .read(&self.snap_path(generation))
+                .unwrap_or_default();
+            let Some((epoch, high_water, moved, records)) = Self::load_snapshot(&file, shard)
+            else {
                 rec.torn_snapshots += 1;
                 continue;
             };
             rec.epoch = epoch;
             rec.moved = moved;
             backend.raise_high_water(high_water);
-            for (local, (_, bytes)) in records {
-                backend.bind(local, &bytes);
+            for (local, bytes) in records {
+                backend.bind(local, bytes);
                 rec.snapshot_records += 1;
             }
             break;
@@ -369,7 +355,7 @@ impl TaintMapWal {
     ) -> Result<(), ReadError> {
         match r.u8()? {
             REC_DATA => {
-                let (gid, serialized) = read_data(r)?;
+                let (gid, serialized) = read_record(r)?;
                 if let Some(local) = leased_local(shard, backend.max_local(), gid) {
                     backend.bind(local, serialized);
                     rec.wal_data_records += 1;
@@ -394,9 +380,9 @@ impl TaintMapWal {
 /// Aggregate server-side statistics (the global-taint census of §V-F).
 /// The request counts and `transferred_out` belong to the process and
 /// restart from zero with it; `moved_redirects`, `stale_epochs`,
-/// `transferred_in`, `double_writes` and `compactions` are reads of the
-/// server's `taintmap_server_*` registry counters, which a restarted
-/// server continues.
+/// `double_writes` and `compactions` are reads of the server's
+/// `taintmap_server_*` registry counters, which a restarted server
+/// continues.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServerStats {
     /// Distinct global taints stored (a gid bound to bytes another gid
@@ -411,13 +397,12 @@ pub struct ServerStats {
     pub lookup_requests: u64,
     /// `BIND` and `LOOKUP` frames served.
     pub batch_frames: u64,
-    /// Requests answered with a `Moved` redirect after a cutover.
+    /// Requests answered with a `Moved` redirect for a gid range that
+    /// migrated away, or for a lease once allocation did.
     pub moved_redirects: u64,
-    /// Epoch-stamped frames rejected for carrying a stale epoch.
+    /// Frames answered with a `Moved` redirect for a stale epoch stamp.
     pub stale_epochs: u64,
-    /// Records received through migration transfer batches.
-    pub transferred_in: u64,
-    /// Records shipped out through migration transfer batches.
+    /// Records shipped out by the copy phase of a split.
     pub transferred_out: u64,
     /// Bind frames' records double-written to a migration target.
     pub double_writes: u64,
@@ -431,7 +416,7 @@ struct Migration {
     /// allocations) moves to `target`.
     lo_gid: u32,
     target: NodeAddr,
-    /// Connection double-writes and transfer batches ride on; `None`
+    /// Connection double-writes and the copy ride on; `None`
     /// after a send failure until [`TaintMapServer::transfer_next`]
     /// redials.
     conn: Option<TcpEndpoint>,
@@ -457,7 +442,6 @@ struct ServerShared {
     /// `taintmap_server_*{node="taintmap",shard=..}` registry counters.
     moved_redirects: Counter,
     stale_epochs: Counter,
-    transferred_in: Counter,
     double_writes: Counter,
     compactions: Counter,
     config: TaintMapConfig,
@@ -476,8 +460,8 @@ struct ServerShared {
     standby: Mutex<Option<TcpEndpoint>>,
     /// Class-table epoch this server believes is current.
     epoch: AtomicU64,
-    /// Routing table for this server's residue class, served on
-    /// `EPOCH_OF` and attached to every `Moved` redirect.
+    /// Routing table for this server's residue class, attached to every
+    /// `Moved` redirect.
     table: Mutex<ClassTable>,
     /// Ranges migrated away; non-empty means allocation has moved too.
     moved: Mutex<Vec<MovedRange>>,
@@ -506,7 +490,7 @@ impl ServerShared {
         let _commit = self.commit_lock.lock();
         let allocation_moved = want > 0 && !self.moved.lock().is_empty();
         if allocation_moved || items.iter().any(|&(gid, _)| self.gid_moved(gid)) {
-            return (RESP_MOVED, self.moved_payload());
+            return self.redirect(&self.moved_redirects);
         }
         let high_water = self.backend.max_local();
         let mut records = Vec::new();
@@ -585,15 +569,11 @@ impl ServerShared {
         let Some(migration) = guard.as_mut() else {
             return;
         };
-        let healthy = migration
+        if migration
             .conn
             .as_ref()
-            .map(|conn| {
-                write_frame(conn, OP_REPLICATE, records).is_ok()
-                    && matches!(read_frame(conn), Ok(Some((RESP_OK, _))))
-            })
-            .unwrap_or(false);
-        if healthy {
+            .is_some_and(|conn| ship(conn, records))
+        {
             self.double_writes.inc();
         } else {
             migration.conn = None;
@@ -609,10 +589,11 @@ impl ServerShared {
         self.moved.lock().iter().any(|m| gid >= m.lo_gid)
     }
 
-    /// The `Moved` redirect payload: this server's current class table.
-    fn moved_payload(&self) -> Vec<u8> {
-        self.moved_redirects.inc();
-        encode_class_table(&self.table.lock())
+    /// A `Moved` redirect carrying this server's current class table,
+    /// counted on `cause`: `moved_redirects` or `stale_epochs`.
+    fn redirect(&self, cause: &Counter) -> Reply {
+        cause.inc();
+        (RESP_MOVED, encode_class_table(&self.table.lock()))
     }
 
     /// Resolves one Global ID; `None` if it was never assigned or does
@@ -722,7 +703,6 @@ impl TaintMapServer {
             binds_at_last_compact: AtomicU64::new(0),
             moved_redirects: counter("moved_redirects"),
             stale_epochs: counter("stale_epochs"),
-            transferred_in: counter("transferred_in"),
             double_writes: counter("double_writes"),
             compactions: counter("compactions"),
             config,
@@ -788,7 +768,8 @@ impl TaintMapServer {
         Ok(())
     }
 
-    /// Copies the next batch of records to the migration target,
+    /// Copies the next batch of records (at least one) to the migration
+    /// target as WAL data records in one `REPLICATE` frame,
     /// checkpointing durably on acknowledgement. Returns how many
     /// records the batch carried, or `None` once the copy has caught up
     /// (at which point [`TaintMapServer::cutover`] may run). If the
@@ -801,6 +782,7 @@ impl TaintMapServer {
     /// [`TaintMapError::Net`] / [`TaintMapError::Protocol`] when the
     /// target is unreachable; the caller restarts it and retries.
     pub(crate) fn transfer_next(&self, batch: usize) -> Result<Option<u64>, TaintMapError> {
+        let batch = batch.max(1);
         let mut guard = self.shared.migration.lock();
         let Some(migration) = guard.as_mut() else {
             return Err(TaintMapError::Protocol("no active migration"));
@@ -824,22 +806,19 @@ impl TaintMapServer {
         if migration.checkpoint >= migration.transfer_end {
             return Ok(None);
         }
-        let mut records = Vec::new();
+        let (mut records, mut sent) = (Vec::new(), 0);
         let mut local = migration.checkpoint;
-        while records.len() < batch && local < migration.transfer_end {
+        while sent < batch as u64 && local < migration.transfer_end {
             local += 1;
             let Some(gid) = self.shared.shard.global_of_local(local) else {
                 continue;
             };
             if let Some(bytes) = self.shared.backend.lookup(local) {
-                records.push((gid, bytes));
+                push_data(&mut records, gid, &bytes);
+                sent += 1;
             }
         }
-        let conn = migration.conn.as_ref().expect("redialed above");
-        let sent = records.len() as u64;
-        let ok = write_frame(conn, OP_TRANSFER_BATCH, &encode_transfer_batch(&records)).is_ok()
-            && matches!(read_frame(conn), Ok(Some((RESP_OK, _))));
-        if !ok {
+        if !ship(migration.conn.as_ref().expect("redialed above"), &records) {
             migration.conn = None;
             return Err(TaintMapError::Protocol("migration target unreachable"));
         }
@@ -999,7 +978,6 @@ impl TaintMapServer {
             batch_frames: self.shared.batch_frames.load(Ordering::Relaxed),
             moved_redirects: self.shared.moved_redirects.get(),
             stale_epochs: self.shared.stale_epochs.get(),
-            transferred_in: self.shared.transferred_in.get(),
             transferred_out: self.shared.transferred_out.load(Ordering::Relaxed),
             double_writes: self.shared.double_writes.get(),
             compactions: self.shared.compactions.get(),
@@ -1027,8 +1005,6 @@ fn serve_connection(conn: &TcpEndpoint, shared: &ServerShared, sessions: &Server
             (OP_BIND, _) if shared.following.load(Ordering::Relaxed) => return,
             (OP_BIND, payload) => serve_data(shared, &payload, bind_items),
             (OP_LOOKUP, payload) => serve_data(shared, &payload, lookup_items),
-            (OP_EPOCH_OF, _) => (RESP_OK, encode_class_table(&shared.table.lock())),
-            (OP_TRANSFER_BATCH, payload) => serve_transfer_batch(shared, &payload),
             (OP_REPLICATE, payload) => {
                 serve_replicate(shared, &payload).unwrap_or((RESP_ERR, vec![0xFF]))
             }
@@ -1054,11 +1030,12 @@ type Reply = (u8, Vec<u8>);
 
 /// Serves one `BIND`/`LOOKUP` frame: counts it, validates its epoch
 /// stamp, and hands the items to `serve_items`; a payload that does not
-/// parse to its end is `RESP_ERR`. A stale stamp turns into the
-/// `STALE_EPOCH` response so the client refetches and retries. A stamp
-/// *ahead* of this server (it missed a table update while crashed) is
-/// accepted — the moved-range check still guards correctness, and
-/// rejecting it would livelock the client against a behind server.
+/// parse to its end is `RESP_ERR`. A stale stamp is redirected like a
+/// moved range: `MOVED` with the class table, which the client merges
+/// before it re-routes. A stamp *ahead* of this server (it missed a
+/// table update while crashed) is accepted — the moved-range check
+/// still guards correctness, and redirecting it would livelock the
+/// client against a behind server.
 fn serve_data(
     shared: &ServerShared,
     payload: &[u8],
@@ -1069,10 +1046,8 @@ fn serve_data(
     let Ok(stamp) = r.u64() else {
         return (RESP_ERR, vec![0xFF]);
     };
-    let current = shared.epoch.load(Ordering::Relaxed);
-    if stamp < current {
-        shared.stale_epochs.inc();
-        return (RESP_STALE_EPOCH, current.to_be_bytes().to_vec());
+    if stamp < shared.epoch.load(Ordering::Relaxed) {
+        return shared.redirect(&shared.stale_epochs);
     }
     serve_items(shared, &mut r).unwrap_or((RESP_ERR, vec![0xFF]))
 }
@@ -1083,7 +1058,7 @@ fn bind_items(shared: &ServerShared, r: &mut ByteReader<'_>) -> Option<Reply> {
     // Every item carries at least its gid and its length.
     let mut items = Vec::with_capacity(r.count(count, 8));
     for _ in 0..count {
-        items.push(read_data(r).ok()?);
+        items.push(read_record(r).ok()?);
     }
     r.at_end().then(|| shared.bind_and_lease(want, &items))
 }
@@ -1095,7 +1070,7 @@ fn lookup_items(shared: &ServerShared, r: &mut ByteReader<'_>) -> Option<Reply> 
     for _ in 0..count {
         let gid = r.u32().ok()?;
         if gid != 0 && shared.gid_moved(gid) {
-            return Some((RESP_MOVED, shared.moved_payload()));
+            return Some(shared.redirect(&shared.moved_redirects));
         }
         match shared.lookup_one(gid).filter(|_| gid != 0) {
             Some(bytes) => {
@@ -1109,16 +1084,17 @@ fn lookup_items(shared: &ServerShared, r: &mut ByteReader<'_>) -> Option<Reply> 
     r.at_end().then_some((RESP_OK, resp))
 }
 
-/// Standby and migration-target side of replication: the payload is
-/// WAL records, lease and data only. Every one is checked before any is
-/// applied — a lease may raise the high-water by [`MAX_LEASE_SPAN`] at
-/// most, and a data record must name a gid of this shard at or below the
-/// high-water the leases before it left — and the payload is then logged
-/// as it came. `None` if anything is refused.
+/// The receiving side of [`ship`] — a standby, or a split's target
+/// taking double-writes and the copy: the payload is WAL records, lease
+/// and data only. Every one is checked before any is applied — a lease
+/// may raise the high-water by [`MAX_LEASE_SPAN`] at most, and a data
+/// record must name a gid this shard leased, at or below the high-water
+/// the leases before it left — and the payload is then logged as it
+/// came. `None` if anything is refused.
 fn serve_replicate(shared: &ServerShared, payload: &[u8]) -> Option<Reply> {
-    // A migration target persists double-writes before acknowledging,
-    // so a forward ack means the records survive the target crashing
-    // too.
+    // Records are logged before they are acknowledged, so an ack — and
+    // the copy's durable checkpoint after it — means they survive this
+    // side crashing too.
     let _commit = shared.commit_lock.lock();
     let mut high_water = shared.backend.max_local();
     let mut binds = Vec::new();
@@ -1133,7 +1109,7 @@ fn serve_replicate(shared: &ServerShared, payload: &[u8]) -> Option<Reply> {
                 high_water = high_water.max(to);
             }
             REC_DATA => {
-                let (gid, serialized) = read_data(&mut r).ok()?;
+                let (gid, serialized) = read_record(&mut r).ok()?;
                 binds.push((leased_local(shared.shard, high_water, gid)?, serialized));
             }
             _ => return None,
@@ -1149,43 +1125,18 @@ fn serve_replicate(shared: &ServerShared, payload: &[u8]) -> Option<Reply> {
     Some((RESP_OK, Vec::new()))
 }
 
-/// Copy phase receiver: persists a batch of migrated records before
-/// acknowledging, so a durable checkpoint on the source implies the
-/// records survive this side crashing. A batch naming a gid this shard
-/// has not leased — another shard's, a wire-reserved one, or one above
-/// the high-water — is refused whole.
-fn serve_transfer_batch(shared: &ServerShared, payload: &[u8]) -> Reply {
-    let Ok(records) = decode_transfer_batch(payload) else {
-        return (RESP_ERR, vec![0xFF]);
-    };
-    let _commit = shared.commit_lock.lock();
-    let high_water = shared.backend.max_local();
-    let Some(locals) = records
-        .iter()
-        .map(|&(gid, _)| leased_local(shared.shard, high_water, gid))
-        .collect::<Option<Vec<u32>>>()
-    else {
-        return (RESP_ERR, vec![0xFF]);
-    };
-    let mut logged = Vec::new();
-    for (local, (gid, bytes)) in locals.into_iter().zip(&records) {
-        shared.backend.bind(local, bytes);
-        push_data(&mut logged, *gid, bytes);
-    }
-    if let Some(wal) = &shared.wal {
-        wal.append(&logged);
-    }
-    shared.transferred_in.add(records.len() as u64);
-    (RESP_OK, (records.len() as u32).to_be_bytes().to_vec())
+/// Ships WAL `records` to another server in one `REPLICATE` frame and
+/// waits for its `OK`: how a standby, a split's double-writes and its
+/// copy all travel. `false` if the peer did not take them.
+fn ship(conn: &TcpEndpoint, records: &[u8]) -> bool {
+    write_frame(conn, OP_REPLICATE, records).is_ok()
+        && matches!(read_frame(conn), Ok(Some((RESP_OK, _))))
 }
 
 /// Mirrors a committed frame's records to the standby, if one is wired.
 fn replicate(shared: &ServerShared, records: &[u8]) {
     let mut guard = shared.standby.lock();
-    let Some(conn) = guard.as_ref() else { return };
-    let healthy = write_frame(conn, OP_REPLICATE, records).is_ok()
-        && matches!(read_frame(conn), Ok(Some((RESP_OK, _))));
-    if !healthy {
+    if guard.as_ref().is_some_and(|conn| !ship(conn, records)) {
         // Standby gone; stop replicating rather than stalling requests.
         *guard = None;
     }
@@ -1483,16 +1434,9 @@ mod tests {
         server.raise_high_water(probe - 2);
         let leased = bind(&conn, 4, &[]);
         assert_eq!(leased, vec![probe - 1, probe + 1, probe + 2, probe + 3]);
-        for refused in [
-            (OP_REPLICATE, data_record(probe, b"probe-shaped")),
-            (
-                OP_TRANSFER_BATCH,
-                encode_transfer_batch(&[(probe, b"probe-shaped".to_vec())]),
-            ),
-        ] {
-            wf(&conn, refused.0, &refused.1).unwrap();
-            assert_eq!(rf(&conn).unwrap().unwrap().0, RESP_ERR);
-        }
+        // A replicated or copied record naming it refuses its frame.
+        wf(&conn, OP_REPLICATE, &data_record(probe, b"probe-shaped")).unwrap();
+        assert_eq!(rf(&conn).unwrap().unwrap().0, RESP_ERR);
         assert_eq!(
             bind_answered(&conn, 0, &[(probe, b"probe-shaped")]).1,
             [STATUS_UNLEASED]
@@ -1516,7 +1460,7 @@ mod tests {
 
     #[test]
     fn moved_gid_under_a_current_stamp_answers_moved_with_the_table() {
-        // The "server behind the client" case `check_epoch` accepts on
+        // The "server behind the client" case `serve_data` accepts on
         // purpose: the stamp is not stale, so the moved-range check is
         // what keeps a migrated gid from being served here.
         let (net, server) = setup();
@@ -1552,15 +1496,19 @@ mod tests {
         }
         assert_eq!(server.stats().moved_redirects, 4);
         // The range it still owns is served, and a stale stamp is
-        // rejected before the moved check is ever reached.
+        // redirected with the same table before the moved check is ever
+        // reached, on a gid this server still owns too. The two causes
+        // are counted apart.
         wf(&conn, OP_LOOKUP, &encode_lookup(1, &[1])).unwrap();
         assert_eq!(rf(&conn).unwrap().unwrap().0, RESP_OK);
-        wf(&conn, OP_LOOKUP, &encode_lookup(0, &[2])).unwrap();
-        let (resp, body) = rf(&conn).unwrap().unwrap();
-        assert_eq!(
-            (resp, body),
-            (RESP_STALE_EPOCH, 1u64.to_be_bytes().to_vec())
-        );
+        for gid in [1, 2] {
+            wf(&conn, OP_LOOKUP, &encode_lookup(0, &[gid])).unwrap();
+            let (resp, body) = rf(&conn).unwrap().unwrap();
+            assert_eq!(resp, RESP_MOVED, "gid {gid}");
+            assert_eq!(decode_class_table(&body).unwrap(), table);
+        }
+        let stats = server.stats();
+        assert_eq!((stats.moved_redirects, stats.stale_epochs), (4, 2));
         server.shutdown();
     }
 

@@ -12,9 +12,9 @@
 //! partitioning: a residue class can be *split*, migrating the upper
 //! gid range `[lo, ∞)` (plus all future allocations) to a new server.
 //! Clients then route within a class through a [`ClassTable`] — an
-//! epoch-numbered list of [`ShardRange`]s — and servers answer `Moved`
-//! redirects / stale-epoch rejections until every cache converges on
-//! the current epoch.
+//! epoch-numbered list of [`ShardRange`]s — and servers answer a stale
+//! epoch or a moved range with a `Moved` redirect until every cache
+//! converges on the current epoch.
 
 use dista_simnet::NodeAddr;
 
@@ -91,8 +91,8 @@ pub struct ShardRange {
 ///
 /// Before any split the table has one open-ended range at epoch 0. Each
 /// cutover appends a range and bumps the epoch; clients stamp the epoch
-/// into range-aware RPCs and servers reject stale stamps so a resharded
-/// class can never resolve a gid through an outdated mapping.
+/// into range-aware RPCs and servers redirect stale stamps so a
+/// resharded class can never resolve a gid through an outdated mapping.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClassTable {
     /// Monotone table version; bumped once per cutover.

@@ -478,7 +478,7 @@ proptest! {
 
         // Post-cutover: drain any pending backlog through the breaker's
         // probe window, then every gid resolves strictly and correctly
-        // (the stale-map reader converges via Moved/StaleEpoch), and
+        // (the stale-map reader converges via `Moved` redirects), and
         // every sentinel handed out mid-migration resolves to the same
         // taint the strict path names.
         for _ in 0..64 {

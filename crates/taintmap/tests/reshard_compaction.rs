@@ -267,7 +267,7 @@ fn leased_ids_above_the_split_point_bind_at_the_target() {
         "the client's lease straddles the split point {lo_gid}: {gids:?}"
     );
     assert!(
-        client.stats().epoch_refetches >= 1,
+        client.stats().moved_redirects >= 1,
         "the client took the new table"
     );
     let above = gids.iter().filter(|g| g.0 >= lo_gid).count() as u64;

@@ -293,8 +293,8 @@ fn gated_endpoint(net: &SimNet, gate: &Arc<Gate>) -> TaintMapEndpoint {
 #[test]
 fn moved_redirects_converge_without_tripping_the_breaker() {
     // A client whose shard map predates a split keeps operating: the old
-    // owner answers `Moved`/`StaleEpoch` redirects, the client adopts
-    // the new table and retries — and the breaker counts those
+    // owner answers `Moved` redirects, the client adopts the new table
+    // and retries — and the breaker counts those
     // well-formed redirects as successes, never as failures. A redirect
     // storm must not open a healthy shard's circuit.
     let net = SimNet::new();
@@ -336,8 +336,12 @@ fn moved_redirects_converge_without_tripping_the_breaker() {
         assert_eq!(store2.tag_values(t), vec![i.to_string()]);
     }
 
-    // A frame sent after the cutover carries the stale epoch stamp and
-    // gets a `StaleEpoch` refetch before converging on correct answers.
+    // A frame sent after the cutover carries the stale epoch stamp: the
+    // old owner answers `Moved` with its table, and the client converges
+    // on correct answers with the next frame. Every gid lies above the
+    // split point, so that is two frames: the stale one and one to the
+    // new owner, with no table fetch between them.
+    let frames_before = stale.stats().batch_frames;
     let resolved = stale.taints_for(&gids).unwrap();
     for (i, &t) in resolved.iter().enumerate() {
         assert_eq!(store3.tag_values(t), vec![i.to_string()]);
@@ -348,10 +352,12 @@ fn moved_redirects_converge_without_tripping_the_breaker() {
         "the old owner redirected: {moved:?}"
     );
     let stale = stale.stats();
-    assert!(
-        stale.epoch_refetches >= 1,
-        "the stale epoch stamp forced a table refetch: {stale:?}"
+    assert_eq!(
+        stale.batch_frames - frames_before,
+        2,
+        "the redirect carried the table: {stale:?}"
     );
+    assert_eq!(stale.moved_redirects, 1, "{stale:?}");
     for stats in [moved, stale] {
         assert_eq!(
             stats.breaker_opens, 0,

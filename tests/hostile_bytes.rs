@@ -369,12 +369,10 @@ fn hostile_frame_length_drops_the_connection_not_the_process() {
 
 const OP_REPLICATE: u8 = 4;
 const OP_LOOKUP: u8 = 8;
-const OP_EPOCH_OF: u8 = 9;
 const OP_BIND: u8 = 11;
 const RESP_OK: u8 = 0x80;
 const RESP_ERR: u8 = 0x81;
 const RESP_MOVED: u8 = 0x82;
-const RESP_STALE_EPOCH: u8 = 0x83;
 
 /// The Taint Map's frame reader used to run `vec![0u8; len]` on the
 /// 5-byte header alone; it now grows the payload with the bytes that
@@ -863,8 +861,8 @@ fn mutated_taint_map_frames() {
     };
 
     // Well-formed traffic through the relay: a client's lease, a
-    // two-item BIND that tops it up, a reader's lease, a two-item LOOKUP,
-    // and the class table the server hands out.
+    // two-item BIND that tops it up, a reader's lease and a two-item
+    // LOOKUP.
     let direct = tm.client(&net, store.clone()).unwrap();
     let known = direct
         .global_ids_for(&[fresh(&store, rng), fresh(&store, rng)])
@@ -883,11 +881,17 @@ fn mutated_taint_map_frames() {
         requests.iter().map(|r| r[0]).collect::<Vec<_>>(),
         [OP_BIND, OP_BIND, OP_BIND, OP_LOOKUP]
     );
-    let table = {
-        let conn = net.tcp_connect(tm.addr()).unwrap();
-        conn.write(&frame(OP_EPOCH_OF, &[])).unwrap();
-        read_frame(&conn, Duration::from_secs(5)).unwrap().1
-    };
+    // The class table a `MOVED` reply from this shard carries: epoch 0,
+    // one range from gid 1, served at the shard's address.
+    let table = [
+        &0u64.to_be_bytes()[..],
+        &1u32.to_be_bytes(),
+        &1u32.to_be_bytes(),
+        &[1],
+        &tm.addr().ip(),
+        &tm.addr().port().to_be_bytes(),
+    ]
+    .concat();
 
     // Requests: each edit of each captured frame against the live port,
     // padded with as many zero bytes as the honest frame is long, so a
@@ -904,7 +908,7 @@ fn mutated_taint_map_frames() {
                 let conn = net.tcp_connect(tm.addr()).unwrap();
                 conn.write(&wire).unwrap();
                 if let Some((op, _)) = read_frame(&conn, Duration::from_millis(20)) {
-                    assert!((0x80..=0x83).contains(&op), "response opcode {op:#x}");
+                    assert!((0x80..=0x82).contains(&op), "response opcode {op:#x}");
                 }
                 conn.close();
             });
@@ -912,14 +916,21 @@ fn mutated_taint_map_frames() {
     }
 
     // Opcode 3 used to make the server drop the connection without a
-    // word (its own shutdown poke); it is an unknown op like any other.
-    for request in &requests {
-        let mut wire = request.clone();
-        wire[0] = 3;
+    // word (its own shutdown poke), and 9 and 10 were a table fetch and
+    // a split's copy; each is an unknown op like any other, answered on
+    // a connection that goes on serving.
+    for op in [3, 9, 10] {
         let conn = net.tcp_connect(tm.addr()).unwrap();
-        conn.write(&wire).unwrap();
+        for request in &requests {
+            let mut wire = request.clone();
+            wire[0] = op;
+            conn.write(&wire).unwrap();
+            let reply = read_frame(&conn, Duration::from_secs(5));
+            assert_eq!(reply.map(|(resp, _)| resp), Some(RESP_ERR), "op {op}");
+        }
+        conn.write(&requests[3]).unwrap();
         let reply = read_frame(&conn, Duration::from_secs(5));
-        assert_eq!(reply.map(|(op, _)| op), Some(RESP_ERR));
+        assert_eq!(reply.map(|(resp, _)| resp), Some(RESP_OK), "after op {op}");
     }
 
     // Responses: a real client decodes a tampered reply to a typed error
@@ -953,10 +964,6 @@ fn mutated_taint_map_frames() {
     for edit in sampled_edits(table.len(), 100, rng) {
         let moved = Inject::Frame(RESP_MOVED, edit.apply(&table));
         tampered(moved, table.len(), &edit, false);
-    }
-    for edit in edits(8, rng) {
-        let stale = Inject::Frame(RESP_STALE_EPOCH, edit.apply(&1u64.to_be_bytes()));
-        tampered(stale, 8, &edit, true);
     }
     // A response header announcing 4 GiB, then silence: the client's
     // deadline ends the wait and the announcement sized nothing.

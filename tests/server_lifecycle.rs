@@ -131,9 +131,11 @@ fn taint_map(server: &Vm, _client: &Vm) -> Held {
     let conn = net.tcp_connect(tm.addr()).unwrap();
     held(
         move || {
-            // EPOCH_OF, empty payload: answered with the class table.
-            let mut reply = [0u8; 5];
-            conn.write(&[9, 0, 0, 0, 0]).is_ok() && conn.read_exact(&mut reply).is_ok()
+            // A LOOKUP of no gids under epoch 0: answered `OK`, count 0.
+            let mut lookup = vec![8, 0, 0, 0, 12];
+            lookup.resize(5 + 12, 0);
+            let mut reply = [0u8; 9];
+            conn.write(&lookup).is_ok() && conn.read_exact(&mut reply).is_ok()
         },
         move || tm.shutdown(),
     )

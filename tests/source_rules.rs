@@ -54,8 +54,10 @@ const ALLOWED_SLEEPS: &[(&str, &str)] = &[
 /// what the applied-fault log records; and server-side allocation with
 /// the single-flight guard that waited on it (its `Flight` and the
 /// client's `inflight` map), which leased gids and a queued bind
-/// replaced. All but the reactor's are split so that a plain grep of
-/// the tree for them comes back empty.
+/// replaced; and the Taint Map's second redirect (a stale-epoch reply
+/// and the table fetch it forced) and second way to ship records, which
+/// `MOVED` and `REPLICATE` replaced. All but the reactor's are split so
+/// that a plain grep of the tree for them comes back empty.
 const FORBIDDEN: &[&str] = &[
     "Reactor",
     "TimerWheel",
@@ -67,6 +69,10 @@ const FORBIDDEN: &[&str] = &[
     concat!("OP_", "REGISTER"),
     concat!("struct ", "Flight {"),
     concat!("in", "flight:"),
+    concat!("OP_", "EPOCH_OF"),
+    concat!("OP_", "TRANSFER_BATCH"),
+    concat!("RESP_", "STALE_EPOCH"),
+    concat!("fn ", "refetch_table"),
 ];
 
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
