@@ -19,6 +19,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc -p dista-obs -p dista-taintmap -p dista-cor
 echo "==> cargo test --workspace (every crate's unit, integration and doc tests, once)"
 cargo test -q --workspace --offline
 
+echo "==> lock-free cache hits under --release, where races show: a hit takes no cache lock, two connections' hits race"
+cargo test -q --release --offline -p dista-taintmap --lib a_cache_hit_takes_no_cache_lock
+cargo test -q --release --offline --test prop_boundary two_connections_on_one_vm_pair_resolve_every_crossing
+
 echo "==> chaos suites under fixed seeds (incl. reshard crash-during-migration)"
 for seed in 7 42 1337; do
     echo "    seed $seed"

@@ -273,8 +273,8 @@ fn gid_spans(runs: impl Iterator<Item = (usize, GlobalId)>) -> Vec<GidSpan> {
 /// encoded directly as one untainted run (no shadow materialization).
 ///
 /// The shadow's taints go to the Taint Map client run by run, as they
-/// lie: it answers cache hits with one probe each under one lock hold
-/// and hands the distinct misses gids from its leases. A payload with no
+/// lie: an all-hit call costs it one lock-free load per run, and the
+/// distinct misses get gids from its leases. A payload with no
 /// tainted run never gets that far. On a v2 stream (`peer` given) the
 /// tainted gids the peer is not known to hold are defined ahead of the
 /// data frames, so nothing waits for the Taint Map; every other
@@ -379,9 +379,9 @@ pub(crate) fn encode_wire(vm: &Vm, bytes: &TaintedBytes, link: Link) -> Result<V
 
 /// Resolves decoded wire output (`data` plus the run table the codec
 /// left in `rx.runs`) back into a tainted buffer: the runs' Global IDs
-/// go to the Taint Map client as they lie (cache hits cost one probe
-/// each under one lock hold, the distinct misses one batched round
-/// trip) and the shadow is assembled run by run. A decode with no
+/// go to the Taint Map client as they lie (an all-hit call costs one
+/// lock-free load per run, the distinct misses one batched round trip)
+/// and the shadow is assembled run by run. A decode with no
 /// tainted run skips the lookup. `wire_len` is the wire-byte count the
 /// decode consumed, for telemetry. On a v2 stream (`peer` given) every
 /// tainted gid is marked as one the peer holds.

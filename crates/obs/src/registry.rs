@@ -9,7 +9,7 @@
 //! instrument is interned or a snapshot is taken.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -27,10 +27,29 @@ fn label_vec(labels: &[(&str, &str)]) -> Labels {
     v
 }
 
+/// Stripes per [`Counter`]: threads beyond this many share stripes.
+const STRIPES: usize = 8;
+
+/// One counter stripe, alone on its cache line.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+struct Stripe(AtomicU64);
+
+/// The next stripe handed to a thread that updates its first counter.
+static NEXT_STRIPE: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// This thread's stripe in every counter, picked round-robin once.
+    static MY_STRIPE: usize = NEXT_STRIPE.fetch_add(1, Ordering::Relaxed) % STRIPES;
+}
+
 /// Monotonically increasing event/byte counter.
+///
+/// Striped per thread: an update writes only its thread's stripe, so
+/// threads on two cores share no cache line; a read sums them exactly.
 #[derive(Debug, Clone, Default)]
 pub struct Counter {
-    cell: Arc<AtomicU64>,
+    stripes: Arc<[Stripe; STRIPES]>,
 }
 
 impl Counter {
@@ -41,7 +60,8 @@ impl Counter {
 
     /// Adds `n` to the counter.
     pub fn add(&self, n: u64) {
-        self.cell.fetch_add(n, Ordering::Relaxed);
+        let stripe = MY_STRIPE.with(|&stripe| stripe);
+        self.stripes[stripe].0.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Adds 1.
@@ -51,17 +71,21 @@ impl Counter {
 
     /// Subtracts `n` (rollback of an optimistic count).
     pub fn sub(&self, n: u64) {
-        self.cell.fetch_sub(n, Ordering::Relaxed);
+        self.add(n.wrapping_neg());
     }
 
-    /// Current value.
+    /// Current value: the wrapping sum of every stripe.
     pub fn get(&self) -> u64 {
-        self.cell.load(Ordering::Relaxed)
+        self.stripes
+            .iter()
+            .fold(0, |sum, s| sum.wrapping_add(s.0.load(Ordering::Relaxed)))
     }
 
     /// Zeroes the counter (between benchmark phases).
     pub fn reset(&self) {
-        self.cell.store(0, Ordering::Relaxed);
+        for s in self.stripes.iter() {
+            s.0.store(0, Ordering::Relaxed);
+        }
     }
 }
 
@@ -532,6 +556,25 @@ mod tests {
         r.counter_with("hits", &[("node", "n1")]).inc();
         assert_eq!(r.counter("hits").get(), 3, "labeled member is distinct");
         assert_eq!(r.counter_with("hits", &[("node", "n1")]).get(), 1);
+    }
+
+    #[test]
+    fn a_counter_sums_every_threads_adds_exactly() {
+        let c = Counter::detached();
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| (0..100_000).for_each(|_| c.inc()));
+            }
+        });
+        assert_eq!(c.get(), 400_000);
+        // An undo from a fifth thread may take its stripe below zero:
+        // the wrapping sum is still the exact count.
+        std::thread::scope(|s| {
+            s.spawn(|| c.sub(7));
+        });
+        assert_eq!(c.get(), 399_993);
+        c.reset();
+        assert_eq!(c.get(), 0);
     }
 
     #[test]

@@ -1,7 +1,11 @@
-//! Stored once, indexed by id: the interning index shared by the tag
-//! table and the Taint Map's record store.
+//! Stored once, indexed by id: the interning index of the tag table and
+//! the Taint Map's record store, and the Taint Map client's id front.
 
 use std::hash::{BuildHasher, Hash, RandomState};
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use crate::{GlobalId, Taint};
 
 /// One probe position: the low half of the entry's hash and its id.
 #[derive(Clone, Copy)]
@@ -123,6 +127,86 @@ impl IdIndex {
     }
 }
 
+mod sealed {
+    /// A 32-bit handle an [`super::IdFront`] can hold.
+    pub trait Id: Copy {
+        fn word(self) -> u32;
+        fn from_word(word: u32) -> Self;
+    }
+}
+
+impl sealed::Id for Taint {
+    fn word(self) -> u32 {
+        self.0
+    }
+    fn from_word(word: u32) -> Self {
+        Taint(word)
+    }
+}
+
+impl sealed::Id for GlobalId {
+    fn word(self) -> u32 {
+        self.0
+    }
+    fn from_word(word: u32) -> Self {
+        GlobalId(word)
+    }
+}
+
+/// Slots in an [`IdFront`].
+const FRONT_SLOTS: usize = 1024;
+
+/// A lock-free front for a locked map between [`Taint`]s and
+/// [`GlobalId`]s: 1 024 words `key << 32 | value`, slot `key % 1024`.
+/// A read is one `Acquire` load, pairing with a publish's `Release`
+/// store, which overwrites the key's slot: a collision evicts, and a key
+/// an outside party chooses only chooses a slot. A read gets nothing or
+/// the value last published for its key, so the front answers what its
+/// map does if every write of the map is published in order (under the
+/// map's lock, or once the entry is final). A slot never written reads
+/// `0 → 0`, both directions' blank.
+pub struct IdFront<K, V> {
+    slots: Box<[AtomicU64]>,
+    ids: PhantomData<fn(K) -> V>,
+}
+
+impl<K: sealed::Id, V: sealed::Id> Default for IdFront<K, V> {
+    fn default() -> Self {
+        IdFront {
+            slots: (0..FRONT_SLOTS).map(|_| AtomicU64::new(0)).collect(),
+            ids: PhantomData,
+        }
+    }
+}
+
+impl<K: sealed::Id, V: sealed::Id> IdFront<K, V> {
+    /// Publishes `key → value`, evicting whatever held the slot.
+    pub fn publish(&self, key: K, value: V) {
+        let word = u64::from(key.word()) << 32 | u64::from(value.word());
+        self.slots[key.word() as usize % FRONT_SLOTS].store(word, Ordering::Release);
+    }
+
+    /// The value last published for `key`, if its slot still holds it.
+    pub fn get(&self, key: K) -> Option<V> {
+        let word = self.slots[key.word() as usize % FRONT_SLOTS].load(Ordering::Acquire);
+        ((word >> 32) as u32 == key.word()).then(|| V::from_word(word as u32))
+    }
+
+    /// Answers every key of `keys` but the `blank` ones into its `out`
+    /// slot and returns how many it answered, or `None` — with `out`
+    /// partly written — at the first key the front does not hold.
+    pub fn answer(&self, keys: &[K], blank: K, out: &mut [V]) -> Option<u64> {
+        let mut hits = 0;
+        for (key, out) in keys.iter().zip(out) {
+            if key.word() != blank.word() {
+                *out = self.get(*key)?;
+                hits += 1;
+            }
+        }
+        Some(hits)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,6 +268,23 @@ mod tests {
         // Hashes that differ only above bit 32 share a chain too.
         assert_eq!(index.find(7 | 1 << 40, |cand| cand == 42), Some(42));
         assert_eq!(index.find(8, |_| true), None);
+    }
+
+    #[test]
+    fn a_front_answers_its_last_publish_and_a_collision_evicts() {
+        let front: IdFront<GlobalId, Taint> = IdFront::default();
+        assert_eq!(front.get(GlobalId(5)), None);
+        front.publish(GlobalId(5), Taint(9));
+        front.publish(GlobalId(5), Taint(3));
+        assert_eq!(front.get(GlobalId(5)), Some(Taint(3)));
+        let mut out = [Taint::EMPTY; 3];
+        let keys = [GlobalId(5), GlobalId::UNTAINTED, GlobalId(5)];
+        assert_eq!(front.answer(&keys, GlobalId::UNTAINTED, &mut out), Some(2));
+        assert_eq!(out, [Taint(3), Taint::EMPTY, Taint(3)]);
+        // Same slot, other key: the newcomer evicts, nothing is chained.
+        front.publish(GlobalId(5 + FRONT_SLOTS as u32), Taint(4));
+        assert_eq!(front.get(GlobalId(5)), None);
+        assert_eq!(front.answer(&keys, GlobalId::UNTAINTED, &mut out), None);
     }
 
     #[test]

@@ -43,7 +43,7 @@ mod tree;
 mod value;
 
 pub use bytes::{Payload, TaintedBytes};
-pub use index::IdIndex;
+pub use index::{IdFront, IdIndex};
 pub use reader::{ByteReader, ReadError};
 pub use report::{SinkEvent, SinkRecorder, SinkReport};
 pub use runs::{TaintRun, TaintRuns};

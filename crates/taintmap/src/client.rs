@@ -25,6 +25,9 @@
 //!   breaker, pipelined writes, a whole-frame deadline, and bounded
 //!   retry with backoff across the shard's failover list are all stated
 //!   once, in `run_groups`; nothing else touches the wire.
+//! * **Lock-free hits** — each direction's locked map has an [`IdFront`]
+//!   of final mappings: a call it answers whole takes no lock, and any
+//!   miss sends the whole call down the locked path.
 //! * **Inline definitions** — a gid a peer defined on the stream it
 //!   arrived on ([`TaintMapClient::define`]) resolves without a lookup,
 //!   through the same cache entry a lookup answer fills.
@@ -36,6 +39,7 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -45,7 +49,7 @@ use dista_obs::{
 };
 use dista_simnet::{NetError, NodeAddr, SimNet, TcpEndpoint};
 use dista_taint::{
-    deserialize_taint, serialize_taint, GlobalId, IdMap, TagValue, Taint, TaintStore,
+    deserialize_taint, serialize_taint, GlobalId, IdFront, IdMap, TagValue, Taint, TaintStore,
 };
 use parking_lot::{Mutex, MutexGuard};
 
@@ -402,8 +406,10 @@ struct Outbound {
 /// cache in the same hold.
 #[derive(Default)]
 struct Inbound {
-    /// global id -> taint: a received id is resolved at most once, and
-    /// the first resolution stays. A peer chooses the ids inserted here
+    /// global id -> taint: a gid from outside (a lookup answer, a peer's
+    /// definition) keeps its first resolution, but a gid this client
+    /// hands out resolves to its own taint, overwriting any definition.
+    /// `taint_front` mirrors it. A peer chooses the ids inserted here
     /// ([`TaintMapClient::define`]), so the hash is keyed.
     taint_of: HashMap<GlobalId, Taint>,
     /// Degraded lookups awaiting reconciliation: gid → the sentinel
@@ -431,6 +437,14 @@ struct ClientInner {
     outbound: Mutex<Outbound>,
     /// What is known about Global IDs arriving from the wire.
     inbound: Mutex<Inbound>,
+    /// Only the bound entries of `gid_of` (a bind answered, a lookup
+    /// answer), so a bare send never names a gid too early.
+    gid_front: IdFront<Taint, GlobalId>,
+    /// `taint_of`, each write published in the hold that makes it.
+    taint_front: IdFront<GlobalId, Taint>,
+    /// Whether `pending` is non-empty, stored under the inbound lock,
+    /// which a reader that sees it set takes.
+    any_pending: AtomicBool,
     /// One per shard, held across a `BIND` round: rounds on a shard
     /// take turns, so a failed one requeues before the next one looks.
     flushing: Vec<Mutex<()>>,
@@ -531,6 +545,9 @@ impl TaintMapClient {
                     leases: (0..n).map(|_| Lease::default()).collect(),
                 }),
                 inbound: Mutex::new(Inbound::default()),
+                gid_front: IdFront::default(),
+                taint_front: IdFront::default(),
+                any_pending: AtomicBool::new(false),
                 flushing: (0..n).map(|_| Mutex::new(())).collect(),
                 breakers,
                 sentinel_resolutions: Mutex::new(HashMap::new()),
@@ -814,9 +831,9 @@ impl TaintMapClient {
     /// [`TaintMapClient::global_ids_for`] into a caller-owned vector
     /// (cleared first), so a caller that keeps it allocates nothing
     /// when every taint is a cache hit. `taints` may repeat freely (the
-    /// boundary hands over one taint per shadow run): hits cost one
-    /// probe each under one hold of the cache lock, and only the misses
-    /// are deduplicated.
+    /// boundary hands over one taint per shadow run): hits cost one load
+    /// each if the front holds them all, else one probe each under one
+    /// hold of the cache lock, and only the misses are deduplicated.
     ///
     /// `defs` says how the caller names the gids on the wire. `None`:
     /// bare, as v1 and datagrams do, so every gid returned must be one a
@@ -846,6 +863,10 @@ impl TaintMapClient {
         for _ in 0..REKEY_ROUNDS {
             out.clear();
             out.resize(taints.len(), GlobalId::UNTAINTED);
+            if let Some(hits) = self.inner.gid_front.answer(taints, Taint::EMPTY, out) {
+                self.inner.obs.cache_hits.add(hits);
+                return Ok(());
+            }
             let (missed, unbound) = {
                 let outbound = self.inner.outbound.lock();
                 let missed = self.answer_from_cache(&outbound.gid_of, taints, Taint::EMPTY, out);
@@ -1059,7 +1080,8 @@ impl TaintMapClient {
     /// so after `Ok` everything queued before the call is settled: bound,
     /// or refused and its taint re-keyed.
     ///
-    /// The shard answers each bind on its own. One it refuses — a gid it
+    /// The shard answers each bind on its own. One it accepts puts its
+    /// taint's gid in the front, where it stays. One it refuses — a gid it
     /// never leased, or one of this client's own gids bound to other
     /// bytes first — loses its taint's cache entry, so the next send of
     /// the taint hands it a fresh gid. A refused own gid also drops the
@@ -1163,10 +1185,14 @@ impl TaintMapClient {
         }
         for (bind, refused) in binds.iter().zip(refused) {
             outbound.unbound.remove(&bind.taint);
+            let current = outbound.gid_of.get(&bind.taint) == Some(&bind.gid);
             if !refused {
+                if current {
+                    self.inner.gid_front.publish(bind.taint, bind.gid);
+                }
                 continue;
             }
-            if outbound.gid_of.get(&bind.taint) == Some(&bind.gid) {
+            if current {
                 outbound.gid_of.remove(&bind.taint);
             }
             if !bind.learned {
@@ -1196,7 +1222,10 @@ impl TaintMapClient {
             }
         }
         // Prime the reverse cache too: this VM already knows the taint.
-        self.inner.inbound.lock().taint_of.insert(gid, taint);
+        let mut inbound = self.inner.inbound.lock();
+        inbound.taint_of.insert(gid, taint);
+        self.inner.taint_front.publish(gid, taint);
+        drop(inbound);
         // The root span minted with the taint now owns the gid: outbound
         // encodes of this gid name it as their parent.
         let span = self.inner.obs.taint_spans.get(taint.node_index() as u32);
@@ -1215,15 +1244,15 @@ impl TaintMapClient {
     /// peer's definition (`defined`: the service may not hold it yet) —
     /// in the caches and event stream, and returns the taint the cache
     /// now holds for it. Neither cache entry is overwritten: a
-    /// concurrent resolution that got there first keeps its answer.
+    /// concurrent resolution that got there first keeps its answer. A
+    /// lookup answer's new `gid_of` entry is bound, so it goes to the front.
     fn finish_lookup(&self, gid: GlobalId, taint: Taint, defined: bool) -> Taint {
-        let taint = *self
-            .inner
-            .inbound
-            .lock()
-            .taint_of
-            .entry(gid)
-            .or_insert(taint);
+        let taint = {
+            let mut inbound = self.inner.inbound.lock();
+            let taint = *inbound.taint_of.entry(gid).or_insert(taint);
+            self.inner.taint_front.publish(gid, taint);
+            taint
+        };
         {
             let mut outbound = self.inner.outbound.lock();
             let outbound = &mut *outbound;
@@ -1231,6 +1260,8 @@ impl TaintMapClient {
                 slot.insert(gid);
                 if defined {
                     outbound.unbound.insert(taint, false);
+                } else {
+                    self.inner.gid_front.publish(taint, gid);
                 }
             }
         }
@@ -1314,9 +1345,10 @@ impl TaintMapClient {
     /// cache knows into `out` (cleared first, index-aligned with
     /// `gids`), hand the distinct misses (input index of the first
     /// copy, gid) to `fetch`, which must fill their `out` slots, then
-    /// give later copies of a missed id its first copy's answer. With
-    /// `reconcile`, pending sentinels are reconciled first — found out
-    /// under the same lock hold that answers the hits.
+    /// give later copies of a missed id its first copy's answer. A call
+    /// the front answers whole takes no lock. With `reconcile`, pending
+    /// sentinels are reconciled first, and a call with any pending takes
+    /// the locked path.
     fn resolve_gids(
         &self,
         gids: &[GlobalId],
@@ -1326,6 +1358,13 @@ impl TaintMapClient {
     ) -> Result<(), TaintMapError> {
         out.clear();
         out.resize(gids.len(), Taint::EMPTY);
+        if !(reconcile && self.inner.any_pending.load(Ordering::Acquire)) {
+            let front = &self.inner.taint_front;
+            if let Some(hits) = front.answer(gids, GlobalId::UNTAINTED, out) {
+                self.inner.obs.cache_hits.add(hits);
+                return Ok(());
+            }
+        }
         let missed = {
             let mut inbound = self.inner.inbound.lock();
             if reconcile && !inbound.pending.is_empty() {
@@ -1475,6 +1514,7 @@ impl TaintMapClient {
             .mint_source_taint(TagValue::str(format!("pending-gid:{}", gid.0)));
         pending.insert(gid, sentinel);
         self.inner.obs.pending_gids.set(pending.len() as f64);
+        self.inner.any_pending.store(true, Ordering::Release);
         self.inner.obs.degraded_lookups.inc();
         self.inner
             .obs
@@ -1495,14 +1535,14 @@ impl TaintMapClient {
     /// from a reachable shard (transport errors are *not* errors here —
     /// the shard's gids just stay pending).
     pub fn reconcile_pending(&self) -> Result<u64, TaintMapError> {
+        // It rides on every clean decode: nothing pending is the rule.
+        if !self.inner.any_pending.load(Ordering::Acquire) {
+            return Ok(0);
+        }
         let mut snapshot: Vec<(GlobalId, Taint)> = {
             let inbound = self.inner.inbound.lock();
             inbound.pending.iter().map(|(&g, &s)| (g, s)).collect()
         };
-        // It rides on every clean decode: nothing pending is the rule.
-        if snapshot.is_empty() {
-            return Ok(0);
-        }
         // Gid order, not hash order: reconciliation (and its event
         // stream) must replay identically across runs.
         snapshot.sort_by_key(|&(gid, _)| gid.0);
@@ -1535,6 +1575,8 @@ impl TaintMapClient {
                 let pending = &mut self.inner.inbound.lock().pending;
                 pending.remove(&gid);
                 self.inner.obs.pending_gids.set(pending.len() as f64);
+                let any = !pending.is_empty();
+                self.inner.any_pending.store(any, Ordering::Release);
             }
             self.inner
                 .sentinel_resolutions
@@ -1577,8 +1619,7 @@ impl TaintMapClient {
     }
 
     /// Snapshot of the client's RPC counters: a plain read of the
-    /// observer's instruments (`pending_gids` reads the pending map
-    /// itself — the map is the store, the gauge its publication).
+    /// observer's instruments, taking no lock.
     pub fn stats(&self) -> ClientStats {
         let obs = &self.inner.obs;
         ClientStats {
@@ -1593,7 +1634,7 @@ impl TaintMapClient {
             breaker_open_ns: obs.breaker_open_ns.get(),
             degraded_lookups: obs.degraded_lookups.get(),
             pending_resolved: obs.pending_resolved.get(),
-            pending_gids: self.inner.inbound.lock().pending.len() as u64,
+            pending_gids: obs.pending_gids.get() as u64,
             moved_redirects: obs.moved_redirects.get(),
         }
     }
@@ -1877,6 +1918,71 @@ mod tests {
                 values
             );
         }
+        endpoint.shutdown();
+    }
+
+    /// A gid handed out on the definitions path and then refused never
+    /// reaches the front: the next bare send re-keys the taint and names
+    /// a gid the map holds. A variant that publishes to the front at
+    /// hand-out time fails here: its bare send answers the refused gid
+    /// from the front, which `cached_gid_for` no longer names and no
+    /// reader can look up.
+    #[test]
+    fn a_refused_gid_is_never_answered_from_the_front() {
+        let net = SimNet::new();
+        let mut endpoint = TaintMapEndpoint::builder().connect(&net).unwrap();
+        let store = TaintStore::new(LocalId::new([10, 0, 0, 1], 1));
+        let client = endpoint.client(&net, store.clone()).unwrap();
+        // Restarted with neither log nor standby, the shard no longer
+        // knows the lease the client took at connect.
+        endpoint.crash_primary(0);
+        endpoint.restart_primary(0).unwrap();
+        let t = store.mint_source_taint(TagValue::str("refused"));
+        let (mut out, mut defs) = (Vec::new(), Vec::new());
+        client
+            .global_ids_into(&[t], &mut out, Some(&mut defs))
+            .unwrap();
+        client.flush().unwrap();
+        assert_eq!(client.cached_gid_for(t), None, "{:?} refused", out[0]);
+
+        let gid = client.global_id_for(t).unwrap();
+        assert_eq!(client.cached_gid_for(t), Some(gid));
+        let reader_store = TaintStore::new(LocalId::new([10, 0, 0, 9], 9));
+        let reader = endpoint.client(&net, reader_store.clone()).unwrap();
+        assert_eq!(
+            reader_store.tag_values(reader.taint_for(gid).unwrap()),
+            ["refused"]
+        );
+        endpoint.shutdown();
+    }
+
+    #[test]
+    fn a_cache_hit_takes_no_cache_lock() {
+        let (_net, endpoint, client, store) = setup();
+        let t = store.mint_source_taint(TagValue::str("hot"));
+        let gid = client.global_id_for(t).unwrap();
+        assert_eq!(client.taint_for(gid).unwrap(), t);
+        let hits = client.stats().cache_hits;
+
+        let locks = (client.inner.outbound.lock(), client.inner.inbound.lock());
+        let (done, answered) = std::sync::mpsc::channel();
+        let hitter = {
+            let client = client.clone();
+            std::thread::spawn(move || {
+                let (mut gids, mut taints) = (Vec::new(), Vec::new());
+                client.global_ids_into(&[t, t], &mut gids, None).unwrap();
+                client.taints_degraded_into(&[gid], &mut taints).unwrap();
+                done.send((gids, taints)).unwrap();
+            })
+        };
+        let answered = answered.recv_timeout(Duration::from_secs(1));
+        drop(locks);
+        hitter.join().unwrap();
+        assert_eq!(
+            answered.expect("a cache hit waited for a cache lock"),
+            (vec![gid, gid], vec![t])
+        );
+        assert_eq!(client.stats().cache_hits, hits + 3);
         endpoint.shutdown();
     }
 

@@ -289,3 +289,80 @@ fn two_readers_of_one_stream_tile_it_exactly() {
     }
     cluster.shutdown();
 }
+
+/// Tags the two connections below draw their payloads from.
+const POOL: usize = 8;
+/// One-run crossings each of those connections makes.
+const CROSSINGS: usize = 20_000;
+
+/// Two threads each own one pinned-v1 connection between the same two
+/// VMs and send warm pool taints, 64 B in one run, so both VMs' Taint
+/// Map clients answer two threads' cache hits at once. Every crossing
+/// must arrive with exactly its one pool tag, and each client must count
+/// one hit per run it resolved.
+#[test]
+fn two_connections_on_one_vm_pair_resolve_every_crossing() {
+    let cluster = Cluster::builder(Mode::Dista)
+        .nodes("pair", 2)
+        .wire_protocol(WireProtocol::V1)
+        .build()
+        .unwrap();
+    let (vm1, vm2) = (cluster.vm(0).clone(), cluster.vm(1).clone());
+    let payloads: Vec<Payload> = (0..POOL)
+        .map(|k| {
+            let taint = vm1.taint_source(TagValue::str(format!("pool:{k}")));
+            let mut bytes = TaintedBytes::new();
+            bytes.extend_uniform(&[k as u8; 64], taint);
+            Payload::Tainted(bytes)
+        })
+        .collect();
+    let connections: Vec<_> = (0..2u16)
+        .map(|c| {
+            let addr = NodeAddr::new([10, 0, 0, 2], 200 + c);
+            let server = ServerSocket::bind(&vm2, addr).unwrap();
+            let output = Socket::connect(&vm1, addr).unwrap().output_stream();
+            (output, server.accept().unwrap().input_stream())
+        })
+        .collect();
+    // Warm both VMs: each pool taint crosses once, and what it resolves
+    // to is what every later crossing of it must resolve to.
+    let (output, input) = &connections[0];
+    let resolved: Vec<Taint> = payloads
+        .iter()
+        .enumerate()
+        .map(|(k, payload)| {
+            output.write(payload).unwrap();
+            let got = input.read_exact(64).unwrap().into_tainted();
+            let taint = got.taint_at(0).unwrap();
+            assert_eq!(vm2.store().tag_values(taint), [format!("pool:{k}")]);
+            taint
+        })
+        .collect();
+    let clients = [&vm1, &vm2].map(|vm| vm.taint_map().unwrap());
+    let hits_before = clients.map(|client| client.stats().cache_hits);
+
+    let start = Barrier::new(2);
+    std::thread::scope(|s| {
+        for (c, (output, input)) in connections.iter().enumerate() {
+            let (start, payloads, resolved) = (&start, &payloads, &resolved);
+            s.spawn(move || {
+                start.wait();
+                for i in 0..CROSSINGS {
+                    let k = (i + c) % POOL;
+                    output.write(&payloads[k]).unwrap();
+                    let got = input.read_exact(64).unwrap().into_tainted();
+                    let runs = got.shadow().runs();
+                    assert!(
+                        runs.len() == 1 && runs[0].len == 64 && runs[0].taint == resolved[k],
+                        "connection {c}, crossing {i}: {runs:?}"
+                    );
+                }
+            });
+        }
+    });
+    for (client, before) in clients.iter().zip(hits_before) {
+        let runs = 2 * CROSSINGS as u64;
+        assert_eq!(client.stats().cache_hits - before, runs, "one hit per run");
+    }
+    cluster.shutdown();
+}
