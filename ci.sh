@@ -29,11 +29,13 @@ for seed in 7 42 1337; do
     DISTA_CHAOS_SEED="$seed" cargo test -q --offline --test chaos
 done
 
-echo "==> write-behind registration: a shard crash before the binds land loses no gid, three seeds"
+echo "==> write-behind registration and standby hand-back: a shard crash before the binds land, and primary/standby crash flips under mirror cuts, lose no gid, three seeds"
 for seed in 7 42 1337; do
     echo "    seed $seed"
     DISTA_CHAOS_SEED="$seed" cargo test -q --offline -p dista-taintmap --test prop_chaos \
         a_shard_crash_before_the_bind_lands_loses_no_gid
+    DISTA_CHAOS_SEED="$seed" cargo test -q --offline -p dista-taintmap --test prop_chaos \
+        primary_standby_crash_flips_lose_no_bind
 done
 
 echo "==> hostile_bytes: every decoder under seeded mutation and the allocation mark, three seeds"

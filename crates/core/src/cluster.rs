@@ -594,12 +594,13 @@ impl Cluster {
     }
 
     /// Executes `plan` against the live Taint Map: for every listed
-    /// class, runs the three-phase split protocol (double-write arm,
-    /// batched copy, cutover) with [`Cluster::poll_chaos`] interleaved
-    /// between batches, so a scheduled
-    /// [`FaultAction::CrashDuringMigration`] (or shard crash) lands
-    /// mid-migration and is healed from the WAL checkpoints before the
-    /// split resumes. Returns the extended server index of each new
+    /// class, runs the three-phase split protocol (the new server
+    /// follows the tail owner, batched catch-up, cutover) with
+    /// [`Cluster::poll_chaos`] interleaved between batches, so a
+    /// scheduled [`FaultAction::CrashDuringMigration`] (or shard crash)
+    /// lands mid-migration; the crashed sides restart from their WALs
+    /// and the copy starts over on a fresh connection before the split
+    /// resumes. Returns the extended server index of each new
     /// range owner and records a `shard_split` event per cutover.
     ///
     /// # Errors

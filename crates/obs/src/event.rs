@@ -215,7 +215,7 @@ pub enum ObsEventKind {
         epoch: u64,
     },
     /// An interrupted split was repaired: crashed sides restarted from
-    /// their WALs and the copy re-armed from its durable checkpoint.
+    /// their WALs and the copy re-armed on a fresh connection.
     SplitHealed {
         /// Residue class of the in-flight split.
         class: usize,

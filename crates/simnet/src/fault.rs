@@ -139,8 +139,8 @@ pub enum MigrationVictim {
     Source,
     /// The new primary (the server receiving the range).
     Target,
-    /// Both sides at once — the worst case the WAL checkpoints exist
-    /// for.
+    /// Both sides at once: each restarts from its own WAL, and the copy
+    /// starts over on a fresh connection.
     Both,
 }
 

@@ -38,16 +38,13 @@ use dista_taint::TaintStore;
 use crate::backend::{InMemoryBackend, TaintMapBackend};
 use crate::client::TaintMapClient;
 use crate::error::TaintMapError;
-use crate::server::{MovedRange, ServerStats, TaintMapConfig, TaintMapServer, TaintMapWal};
+use crate::server::{
+    MovedRange, ServerStats, TaintMapConfig, TaintMapServer, TaintMapWal, CATCH_UP_RECORDS,
+};
 use crate::shard::{ClassTable, ShardRange, ShardSpec, TaintMapTopology};
 
 /// Per-shard backend factory: shard index → storage.
 type BackendFactory = dyn Fn(usize) -> Arc<dyn TaintMapBackend> + Send + Sync;
-
-/// Records per copy-phase batch when the endpoint drives the copy
-/// itself ([`TaintMapEndpoint::finish_split`] /
-/// [`TaintMapEndpoint::split_shard`]).
-const COPY_BATCH_RECORDS: usize = 1024;
 
 /// The redirect ranges a server at `addr` must answer `Moved` for: every
 /// table range *after* the last one it owns. Ranges below its own need
@@ -68,6 +65,37 @@ fn moved_for(table: &ClassTable, addr: NodeAddr) -> Vec<MovedRange> {
             target: r.addrs[0],
         })
         .collect()
+}
+
+/// Ships the follower at `peer` everything `from` holds, one catch-up
+/// step at a time.
+fn catch_up_fully(from: &TaintMapServer, peer: NodeAddr) -> Result<(), TaintMapError> {
+    while !from.caught_up(peer) {
+        from.catch_up(peer, CATCH_UP_RECORDS)?;
+    }
+    Ok(())
+}
+
+/// Hands a shard back from its standby to its restarted `primary`,
+/// which was launched refusing `BIND` (see
+/// [`TaintMapEndpoint::restart_primary`]). On error the standby follows
+/// no one and leases again; the caller stops the primary.
+fn hand_back(standby: &TaintMapServer, primary: &TaintMapServer) -> Result<(), TaintMapError> {
+    let handed = (|| {
+        standby.replicate_to(primary.addr())?;
+        catch_up_fully(standby, primary.addr())?;
+        standby.set_following(true);
+        catch_up_fully(standby, primary.addr())?;
+        standby.unfollow(primary.addr());
+        primary.replicate_to(standby.addr())?;
+        catch_up_fully(primary, standby.addr())
+    })();
+    standby.unfollow(primary.addr());
+    match handed {
+        Ok(()) => primary.set_following(false),
+        Err(_) => standby.set_following(false),
+    }
+    handed
 }
 
 /// Builder for a [`TaintMapEndpoint`]; see the module docs for an
@@ -125,8 +153,8 @@ impl TaintMapEndpointBuilder {
         self
     }
 
-    /// Applies server tuning (the chaos and compaction knobs of
-    /// [`TaintMapConfig`]) to every shard.
+    /// Applies server tuning (the chaos knob of [`TaintMapConfig`]) to
+    /// every shard.
     pub fn config(mut self, config: TaintMapConfig) -> Self {
         self.config = config;
         self
@@ -200,6 +228,7 @@ impl TaintMapEndpointBuilder {
                 spec,
                 endpoint.wal_for(i),
                 &i.to_string(),
+                false,
             )?;
             let standby = if self.standby {
                 let standby_addr = NodeAddr::new(
@@ -214,9 +243,9 @@ impl TaintMapEndpointBuilder {
                     spec,
                     None,
                     &format!("{i}-standby"),
+                    true,
                 )?;
                 primary.replicate_to(standby.addr())?;
-                standby.set_following(true);
                 Some(standby)
             } else {
                 None
@@ -264,6 +293,7 @@ struct ActiveSplit {
     class: usize,
     source_ext: usize,
     target_ext: usize,
+    target: NodeAddr,
     lo_gid: u32,
 }
 
@@ -272,8 +302,9 @@ struct ActiveSplit {
 pub struct ReshardStats {
     /// Range migrations driven to cutover.
     pub splits_completed: u64,
-    /// Records the copy phase shipped (including re-sent ones after a
-    /// crash rewound the checkpoint).
+    /// Records [`TaintMapEndpoint::split_step`] shipped to split
+    /// targets, re-sent ones included: a copy whose connection dropped
+    /// starts over from the first local id.
     pub records_transferred: u64,
     /// Current class-table epoch per residue class.
     pub class_epochs: Vec<u64>,
@@ -392,21 +423,24 @@ impl TaintMapEndpoint {
     }
 
     fn server_handle(&self, ext: usize) -> Option<&TaintMapServer> {
-        if ext < self.shards.len() {
-            self.shards[ext].primary.as_ref()
-        } else {
-            self.splits[ext - self.shards.len()].server.as_ref()
+        match ext.checked_sub(self.shards.len()) {
+            None => self.shards[ext].primary.as_ref(),
+            Some(k) => self.splits[k].server.as_ref(),
+        }
+    }
+
+    /// The slot of the primary at base or extended index `ext`.
+    fn server_slot(&mut self, ext: usize) -> &mut Option<TaintMapServer> {
+        match ext.checked_sub(self.shards.len()) {
+            None => &mut self.shards[ext].primary,
+            Some(k) => &mut self.splits[k].server,
         }
     }
 
     /// Whether the primary at base or extended index `i` is currently
     /// crashed.
     pub fn primary_crashed(&self, i: usize) -> bool {
-        if i < self.shards.len() {
-            self.shards[i].primary.is_none()
-        } else {
-            self.splits[i - self.shards.len()].server.is_none()
-        }
+        self.server_handle(i).is_none()
     }
 
     /// Total number of servers (base shards + split servers); extended
@@ -460,11 +494,7 @@ impl TaintMapEndpoint {
     /// Panics if `i >= self.server_count()` or the primary is already
     /// crashed.
     pub fn crash_primary(&mut self, i: usize) {
-        let server = if i < self.shards.len() {
-            self.shards[i].primary.take()
-        } else {
-            self.splits[i - self.shards.len()].server.take()
-        };
+        let server = self.server_slot(i).take();
         server.expect("shard primary is already crashed").shutdown();
         if let Some(standby) = self.shards.get(i).and_then(|s| s.standby.as_ref()) {
             standby.set_following(false);
@@ -474,40 +504,40 @@ impl TaintMapEndpoint {
     /// Restarts a crashed primary (base or extended index `i`) at its
     /// original address on a fresh backend, replaying the write-ahead
     /// snapshot (when the deployment was built with
-    /// [`TaintMapEndpointBuilder::snapshots`]), installing the
-    /// endpoint's authoritative class table, and re-wiring standby
-    /// replication. The standby stops leasing first, and then each takes
-    /// the other's lease high-water: the primary what clients leased from
-    /// the standby meanwhile, the standby what the log holds past its
-    /// copy. Returns the
-    /// number of binds recovered from the snapshot + log. An interrupted
-    /// outbound migration is *not* re-armed here —
+    /// [`TaintMapEndpointBuilder::snapshots`]) and installing the
+    /// endpoint's authoritative class table. A shard with a standby is
+    /// handed back: the primary comes up refusing `BIND` and follows the
+    /// standby until it holds every lease and bind the standby took;
+    /// then the standby stops leasing and follows the primary from
+    /// cursor 0, and the primary serves. A failed step undoes them all:
+    /// the new primary is stopped and the standby leases on. Returns the
+    /// number of binds recovered from the snapshot + log.
+    /// An interrupted outbound migration is *not* re-armed here —
     /// [`TaintMapEndpoint::heal_split`] does that.
     ///
     /// # Errors
     ///
     /// [`TaintMapError::Net`] if the address is still bound or the
-    /// standby is unreachable.
+    /// standby and the primary cannot reach each other.
     ///
     /// # Panics
     ///
     /// Panics if `i >= self.server_count()` or the primary is not
     /// crashed.
     pub fn restart_primary(&mut self, i: usize) -> Result<u64, TaintMapError> {
-        let (addr, spec, class) = if i < self.shards.len() {
-            assert!(
-                self.shards[i].primary.is_none(),
-                "restart_primary on a live shard {i} primary"
-            );
-            (self.shards[i].primary_addr, self.shards[i].spec, i)
-        } else {
-            let split = &self.splits[i - self.shards.len()];
-            assert!(
-                split.server.is_none(),
-                "restart_primary on a live split server {i}"
-            );
-            (split.addr, split.spec, split.class)
+        assert!(
+            self.primary_crashed(i),
+            "restart_primary on a live server {i}"
+        );
+        let (addr, spec, class) = match i.checked_sub(self.shards.len()) {
+            None => (self.shards[i].primary_addr, self.shards[i].spec, i),
+            Some(k) => (
+                self.splits[k].addr,
+                self.splits[k].spec,
+                self.splits[k].class,
+            ),
         };
+        let standby = self.shards.get(i).and_then(|s| s.standby.as_ref());
         let server = TaintMapServer::launch(
             &self.net,
             addr,
@@ -516,6 +546,7 @@ impl TaintMapEndpoint {
             spec,
             self.wal_for(i),
             &i.to_string(),
+            standby.is_some(),
         )?;
         // The endpoint's table is authoritative: it reflects every
         // cutover ever driven, including ones the WAL of *this* server
@@ -523,26 +554,24 @@ impl TaintMapEndpoint {
         let table = self.tables[class].clone();
         let moved = moved_for(&table, addr);
         server.set_class_table(table, moved);
-        let replayed = server.replayed();
-        if i < self.shards.len() {
-            if let Some(standby) = &self.shards[i].standby {
-                standby.set_following(true);
-                server.raise_high_water(standby.max_local());
-                standby.raise_high_water(server.max_local());
-                server.replicate_to(standby.addr())?;
+        if let Some(standby) = standby {
+            if let Err(e) = hand_back(standby, &server) {
+                server.shutdown();
+                return Err(e);
             }
-            self.shards[i].primary = Some(server);
-        } else {
-            self.splits[i - self.shards.len()].server = Some(server);
         }
+        let replayed = server.replayed();
+        *self.server_slot(i) = Some(server);
         Ok(replayed)
     }
 
     /// Phase 1 of a live split: stands a new server up for residue class
     /// `class`, picks the midpoint of the class's unallocated-side tail
-    /// as the migration boundary, and arms double-writes on the current
-    /// tail owner. Returns the new server's extended index. Drive the
-    /// copy phase with [`TaintMapEndpoint::split_step`] and finish with
+    /// as the migration boundary, and makes the new server a follower of
+    /// the current tail owner: it learns the owner's lease high-water,
+    /// and every lease and bind is forwarded to it from here on. Returns
+    /// the new server's extended index. Drive the copy with
+    /// [`TaintMapEndpoint::split_step`] and finish with
     /// [`TaintMapEndpoint::finish_split`] (or use
     /// [`TaintMapEndpoint::split_shard`] for the whole protocol in one
     /// call).
@@ -593,11 +622,12 @@ impl TaintMapEndpoint {
             spec,
             self.wal_for(target_ext),
             &target_ext.to_string(),
+            false,
         )?;
         // Pre-cutover the target serves the *current* epoch, so clients
         // that discover it early are not rejected as stale.
         target.set_class_table(self.tables[class].clone(), Vec::new());
-        if let Err(e) = source.begin_migration(lo_gid, addr, 0) {
+        if let Err(e) = source.replicate_to(addr) {
             target.shutdown();
             return Err(e);
         }
@@ -607,34 +637,21 @@ impl TaintMapEndpoint {
             class,
             spec,
         });
-        let active = ActiveSplit {
+        self.active = Some(ActiveSplit {
             class,
             source_ext,
             target_ext,
+            target: addr,
             lo_gid,
-        };
-        self.active = Some(active);
-        self.sync_split_high_water(active);
+        });
         Ok(target_ext)
     }
 
-    /// Lifts the in-flight split's target to its source's lease
-    /// high-water, when both are up: a copied or double-written record
-    /// is then never above the target's, and after cutover the target
-    /// never leases an id the source did. Between two calls the source's
-    /// double-writes carry its leases.
-    fn sync_split_high_water(&self, active: ActiveSplit) {
-        let source = self.server_handle(active.source_ext);
-        if let (Some(source), Some(target)) = (source, self.server_handle(active.target_ext)) {
-            target.raise_high_water(source.max_local());
-        }
-    }
-
-    /// Phase 2 of a live split: copies up to `batch` records (at least
-    /// one) to the new server, checkpointing durably on acknowledgement.
-    /// Returns whether the copy may still be behind (call again) —
-    /// `false` means it has caught up and
-    /// [`TaintMapEndpoint::finish_split`] can cut over.
+    /// Phase 2 of a live split: one catch-up step of the new server,
+    /// which ships it up to `batch` records (at least one) past its
+    /// cursor. Returns whether it is still behind (call again) — `false`
+    /// means it has caught up and [`TaintMapEndpoint::finish_split`] can
+    /// cut over.
     ///
     /// # Errors
     ///
@@ -649,15 +666,11 @@ impl TaintMapEndpoint {
         let source = self
             .server_handle(active.source_ext)
             .ok_or(TaintMapError::ShardUnavailable(active.source_ext))?;
-        self.sync_split_high_water(active);
-        match source.transfer_next(batch)? {
-            Some(sent) => {
-                self.records_transferred += sent;
-                self.publish_levels(active.class);
-                Ok(true)
-            }
-            None => Ok(false),
-        }
+        let sent = source.catch_up(active.target, batch)?;
+        let lagging = !source.caught_up(active.target);
+        self.records_transferred += sent;
+        self.publish_levels(active.class);
+        Ok(lagging)
     }
 
     /// Phase 3 of a live split: drains any remaining copy work, then
@@ -677,20 +690,17 @@ impl TaintMapEndpoint {
         let active = self
             .active
             .ok_or(TaintMapError::Protocol("no split in flight"))?;
-        while self.split_step(COPY_BATCH_RECORDS)? {}
+        while self.split_step(CATCH_UP_RECORDS)? {}
         let source = self
             .server_handle(active.source_ext)
             .ok_or(TaintMapError::ShardUnavailable(active.source_ext))?;
-        let target_addr = self.splits[active.target_ext - self.shards.len()].addr;
         let mut table = self.tables[active.class].clone();
         table.epoch += 1;
         table.ranges.push(ShardRange {
             lo_gid: active.lo_gid,
-            addrs: vec![target_addr],
+            addrs: vec![active.target],
         });
         source.cutover(table.clone())?;
-        // The source leases nothing from here on: this lift is the last.
-        self.sync_split_high_water(active);
         let epoch = table.epoch;
         self.tables[active.class] = table;
         self.tail_owner[active.class] = active.target_ext;
@@ -718,36 +728,27 @@ impl TaintMapEndpoint {
 
     /// Repairs an interrupted split after chaos crashed either side (or
     /// both): restarts whichever of source/target is down (recovering
-    /// their WALs) and re-arms the migration from its durable
-    /// checkpoint. After a successful heal,
+    /// their WALs) and makes the target a follower of the source again,
+    /// on a fresh connection from cursor 0. After a successful heal,
     /// [`TaintMapEndpoint::finish_split`] completes the split. No-op
     /// when no split is in flight.
     ///
     /// # Errors
     ///
-    /// [`TaintMapError::Net`] if a restart cannot bind or the re-armed
-    /// migration cannot reach the target.
+    /// [`TaintMapError::Net`] if a restart cannot bind or the source
+    /// cannot reach the target.
     pub fn heal_split(&mut self) -> Result<(), TaintMapError> {
         let Some(active) = self.active else {
             return Ok(());
         };
-        if self.primary_crashed(active.target_ext) {
-            self.restart_primary(active.target_ext)?;
+        for ext in [active.target_ext, active.source_ext] {
+            if self.primary_crashed(ext) {
+                self.restart_primary(ext)?;
+            }
         }
-        if self.primary_crashed(active.source_ext) {
-            self.restart_primary(active.source_ext)?;
-        }
-        let target_addr = self.splits[active.target_ext - self.shards.len()].addr;
-        let source = self
-            .server_handle(active.source_ext)
-            .ok_or(TaintMapError::ShardUnavailable(active.source_ext))?;
-        if !source.migration_armed() {
-            // The source restarted and lost its in-memory migration
-            // state; its WAL preserved the boundary and the checkpoint.
-            let checkpoint = source.recovery().checkpoint;
-            source.begin_migration(active.lo_gid, target_addr, checkpoint)?;
-        }
-        Ok(())
+        self.server_handle(active.source_ext)
+            .ok_or(TaintMapError::ShardUnavailable(active.source_ext))?
+            .replicate_to(active.target)
     }
 
     /// The in-flight split as `(source_ext, target_ext)` extended
@@ -756,20 +757,17 @@ impl TaintMapEndpoint {
         self.active.map(|a| (a.source_ext, a.target_ext))
     }
 
-    /// Whether the in-flight split's copy phase is still behind (more
-    /// records to ship, a lost connection, or lost forwards to resend).
+    /// Whether the in-flight split's target is still behind its source:
+    /// not connected, or short of the source's lease high-water.
     /// `false` with a split in flight means
     /// [`TaintMapEndpoint::finish_split`] can cut over without further
     /// [`TaintMapEndpoint::split_step`] work. Also `true` while the
     /// source is crashed — heal first.
     pub fn split_lagging(&self) -> bool {
-        match self.active {
-            Some(a) => match self.server_handle(a.source_ext) {
-                Some(source) => source.migration_lagging(),
-                None => true,
-            },
-            None => false,
-        }
+        self.active.is_some_and(|a| {
+            self.server_handle(a.source_ext)
+                .is_none_or(|source| !source.caught_up(a.target))
+        })
     }
 
     /// The authoritative routing table for residue class `class`.
@@ -858,7 +856,6 @@ impl TaintMapEndpoint {
             total.batch_frames += s.batch_frames;
             total.moved_redirects += s.moved_redirects;
             total.stale_epochs += s.stale_epochs;
-            total.transferred_out += s.transferred_out;
             total.double_writes += s.double_writes;
             total.compactions += s.compactions;
         }
@@ -1014,6 +1011,7 @@ mod tests {
         // Split class 0 twice: the second split's source is the first
         // split's target (the new tail owner), not the base shard.
         let first = endpoint.split_shard(0).unwrap();
+        let copied_once = endpoint.reshard_stats().records_transferred;
         let second = endpoint.split_shard(0).unwrap();
         assert_eq!((first, second), (2, 3));
         let table = endpoint.class_table(0);
@@ -1023,8 +1021,12 @@ mod tests {
             table.ranges.windows(2).all(|w| w[0].lo_gid < w[1].lo_gid),
             "ranges stay sorted: {table:?}"
         );
-        // Only the source of the second split shipped records in it.
-        assert!(endpoint.shard(2).stats().transferred_out > 0);
+        // The second split's source, the first split's target, copied
+        // every record it holds: its own and the ones it was copied.
+        assert_eq!(
+            endpoint.reshard_stats().records_transferred - copied_once,
+            endpoint.shard(2).stats().global_taints
+        );
         assert_eq!(endpoint.class_table(1).epoch, 0, "class 1 untouched");
         endpoint.shutdown();
     }
@@ -1046,8 +1048,9 @@ mod tests {
         let ext = endpoint.begin_split(0).unwrap();
         while endpoint.split_step(2).unwrap() {}
         // Chaos: the target dies after the copy caught up but before
-        // cutover. heal restarts it from its WAL; finish re-drains (the
-        // re-dial rewinds nothing here) and cuts over.
+        // cutover. heal restarts it from its WAL and re-arms the copy on
+        // a fresh connection; finish copies again from cursor 0 and cuts
+        // over.
         endpoint.crash_primary(ext);
         assert!(endpoint.primary_crashed(ext));
         endpoint.heal_split().unwrap();
@@ -1060,7 +1063,7 @@ mod tests {
     #[test]
     fn a_zero_record_split_step_still_finishes_the_copy() {
         // A batch of 0 used to ship an empty batch without moving the
-        // checkpoint, so `split_step(0)` reported more work forever.
+        // copy's position, so `split_step(0)` reported more work forever.
         let net = SimNet::new();
         let mut endpoint = TaintMapEndpoint::builder().connect(&net).unwrap();
         let store = TaintStore::new(LocalId::new([10, 0, 0, 1], 1));

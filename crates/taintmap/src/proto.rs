@@ -32,9 +32,9 @@
 //! **Resharding.** `epoch` is the sender's class-table epoch. A server
 //! whose table is newer, that no longer owns a touched gid range, or
 //! (for a lease) no longer allocates answers `MOVED` with its whole
-//! [`ClassTable`]; the client merges it and re-routes. A split's copy
-//! and its double-writes reach the new server as `REPLICATE` frames,
-//! as a standby's records do.
+//! [`ClassTable`]; the client merges it and re-routes. A split's new
+//! server follows the old one as a standby does: forwarded commits and
+//! catch-up batches reach it as `REPLICATE` frames.
 
 use dista_simnet::{read_announced, read_full, NetError, NodeAddr, TcpEndpoint};
 use dista_taint::{ByteReader, ReadError};

@@ -13,13 +13,19 @@
 //! or a bind is acknowledged and replayed on relaunch, so an ungraceful
 //! primary death loses no acknowledged (or even in-flight committed)
 //! bind, and never leases an id twice. The log is *tagged*: besides
-//! data and lease records it carries migration markers (start, resumable
-//! transfer checkpoints, cutover) so a crashed side of a live reshard resumes
-//! exactly where it stopped, and it is periodically folded into
-//! `snapshot-<n>` files ([`TaintMapServer::compact`]) so restart replay
-//! is bounded by *live* gids rather than registration history. A torn
-//! snapshot (crash mid-write) falls back to the previous snapshot plus
-//! the still-untruncated log tail.
+//! data and lease records it carries cutover markers, so a restarted
+//! split source keeps redirecting the range it gave away, and it is
+//! folded into `snapshot-<n>` files ([`TaintMapServer::compact`]) so
+//! restart replay is bounded by *live* gids rather than registration
+//! history. A torn snapshot (crash mid-write) falls back to the previous
+//! snapshot plus the still-untruncated log tail.
+//!
+//! A server keeps its peers current through *followers*: a standby, a
+//! split's target, and a restarted primary taking its standby's records
+//! back are each a peer address, a connection and a cursor into the
+//! server's local ids. Every commit is forwarded to a connected
+//! follower, a catch-up step ships the records past its cursor, and a
+//! failed ship drops the connection, so the next one starts over at 0.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -47,10 +53,6 @@ pub struct TaintMapConfig {
     /// deterministic stand-in for a process killed between commit and
     /// reply, used by the crash-recovery tests. `None` = never.
     pub crash_after_registers: Option<u64>,
-    /// Fold the WAL into a snapshot after this many further bind items
-    /// (only on primaries launched with a WAL). `None` = compact
-    /// only on explicit `TaintMapServer::compact` calls.
-    pub compact_every_registers: Option<u64>,
 }
 
 /// A gid range this server used to own and has migrated away: gids of
@@ -67,7 +69,7 @@ pub struct MovedRange {
 
 /// What a [`TaintMapWal`] recovery reconstructed, beyond the backend
 /// contents: how much work replay cost (the restart-cost gate reads
-/// these) and where an interrupted migration left off.
+/// these) and the cutovers on record.
 #[derive(Debug, Clone, Default)]
 pub struct WalRecovery {
     /// Data records restored from the newest intact snapshot.
@@ -82,18 +84,16 @@ pub struct WalRecovery {
     pub epoch: u64,
     /// Ranges this server had migrated away before the crash.
     pub moved: Vec<MovedRange>,
-    /// Interrupted outbound migration (`lo_gid`, target), if any.
-    pub migration: Option<(u32, NodeAddr)>,
-    /// Last durable transfer checkpoint (backend-local id) of that
-    /// migration.
-    pub checkpoint: u32,
 }
 
 const REC_DATA: u8 = 1;
-const REC_CHECKPOINT: u8 = 2;
-const REC_MIGRATE_START: u8 = 3;
 const REC_CUTOVER: u8 = 4;
 const REC_LEASE: u8 = 5;
+
+/// Records one catch-up step ships at most: a commit that finds a
+/// follower behind ships it one such batch, and the endpoint drives a
+/// split's copy and a restart in batches of this size.
+pub(crate) const CATCH_UP_RECORDS: usize = 1024;
 
 /// How far one replicated lease record may raise a receiver's
 /// high-water: one block, plus the wire-reserved ids a block skips. A
@@ -135,9 +135,9 @@ fn push_lease(out: &mut Vec<u8>, local: u32) {
 /// tagged records on the simulated file system. Lease records
 /// (`tag 5, high-water local id u32 BE`) and data records
 /// (`tag 1, gid u32 BE, len u32 BE, len bytes`) are appended before the
-/// frame that made them is acknowledged; migration markers (checkpoint,
-/// start, cutover) make an in-flight reshard resumable across a crash.
-/// [`TaintMapWal::recover_into`] rebuilds the backend from the newest
+/// frame that made them is acknowledged, and a cutover record
+/// (`tag 4, epoch u64, lo_gid u32, target ip:4 port:u16`) when a split
+/// hands the tail range away. [`TaintMapWal::recover_into`] rebuilds the backend from the newest
 /// intact `…snapshot-<n>` companion file plus the log tail, tolerating
 /// both a torn final record (payload *or* length header) and a torn
 /// snapshot.
@@ -173,22 +173,6 @@ impl TaintMapWal {
 
     fn append(&self, records: &[u8]) {
         self.fs.append(&self.path, records);
-    }
-
-    fn append_checkpoint(&self, upto_local: u32) {
-        let mut record = Vec::with_capacity(5);
-        record.push(REC_CHECKPOINT);
-        record.extend_from_slice(&upto_local.to_be_bytes());
-        self.fs.append(&self.path, &record);
-    }
-
-    fn append_migrate_start(&self, lo_gid: u32, target: NodeAddr) {
-        let mut record = Vec::with_capacity(11);
-        record.push(REC_MIGRATE_START);
-        record.extend_from_slice(&lo_gid.to_be_bytes());
-        record.extend_from_slice(&target.ip());
-        record.extend_from_slice(&target.port().to_be_bytes());
-        self.fs.append(&self.path, &record);
     }
 
     fn append_cutover(&self, epoch: u64, lo_gid: u32, target: NodeAddr) {
@@ -305,8 +289,8 @@ impl TaintMapWal {
     /// Rebuilds `backend` from the newest intact snapshot plus the log
     /// tail — the high-water first, so nothing leased before the crash
     /// is leased again, and a record above it is never stored — and
-    /// reconstructs the migration bookkeeping. Missing files are an
-    /// empty log; a torn final record
+    /// the cutover history. Missing files are an empty log; a torn final
+    /// record
     /// — whether the crash cut the payload, the length header, or the
     /// tag — is ignored, like a torn tail in a real WAL; a torn snapshot
     /// falls back to the previous one.
@@ -362,14 +346,10 @@ impl TaintMapWal {
                 }
             }
             REC_LEASE => backend.raise_high_water(r.u32()?),
-            REC_CHECKPOINT => rec.checkpoint = r.u32()?,
-            REC_MIGRATE_START => rec.migration = Some((r.u32()?, addr(r)?)),
             REC_CUTOVER => {
                 let (epoch, lo_gid, target) = (r.u64()?, r.u32()?, addr(r)?);
                 rec.epoch = epoch;
                 rec.moved.push(MovedRange { lo_gid, target });
-                rec.migration = None;
-                rec.checkpoint = 0;
             }
             _ => return Err(ReadError::Malformed("unknown WAL record tag")),
         }
@@ -378,8 +358,8 @@ impl TaintMapWal {
 }
 
 /// Aggregate server-side statistics (the global-taint census of §V-F).
-/// The request counts and `transferred_out` belong to the process and
-/// restart from zero with it; `moved_redirects`, `stale_epochs`,
+/// The request counts belong to the process and restart from zero with
+/// it; `moved_redirects`, `stale_epochs`,
 /// `double_writes` and `compactions` are reads of the server's
 /// `taintmap_server_*` registry counters, which a restarted server
 /// continues.
@@ -402,43 +382,48 @@ pub struct ServerStats {
     pub moved_redirects: u64,
     /// Frames answered with a `Moved` redirect for a stale epoch stamp.
     pub stale_epochs: u64,
-    /// Records shipped out by the copy phase of a split.
-    pub transferred_out: u64,
-    /// Bind frames' records double-written to a migration target.
+    /// Commits' records forwarded to a follower: a standby, a split's
+    /// target, or a restarted primary taking its standby's records.
     pub double_writes: u64,
     /// WAL compactions performed.
     pub compactions: u64,
 }
 
-/// Outbound state of one in-flight range migration on the old primary.
-struct Migration {
-    /// First migrating gid; everything at or above it (plus all future
-    /// allocations) moves to `target`.
-    lo_gid: u32,
-    target: NodeAddr,
-    /// Connection double-writes and the copy ride on; `None`
-    /// after a send failure until [`TaintMapServer::transfer_next`]
-    /// redials.
+/// A peer this server ships its log to (§IV: "adding a standby node to
+/// handle the single point failure"; also a split's target, and a
+/// restarted primary its standby hands the shard back to). The cursor
+/// is the local id up to which this connection has shipped the peer
+/// every record. It is valid for that connection only, so a new one
+/// starts over at 0; binds are idempotent, so re-shipping is harmless.
+struct Follower {
+    peer: NodeAddr,
     conn: Option<TcpEndpoint>,
-    /// Last backend-local id the copy phase must cover.
-    transfer_end: u32,
-    /// Last backend-local id confirmed received by the target.
-    checkpoint: u32,
-    /// Lowest local id whose double-write forward failed; forces the
-    /// copy to rewind below it after the target restarts. A failed
-    /// forward of a lease alone leaves nothing to re-copy.
-    resync_from: Option<u32>,
+    cursor: u32,
+}
+
+impl Follower {
+    /// Ships WAL `records` in one `REPLICATE` frame and waits for the
+    /// `OK`; a failure drops the connection.
+    fn ship(&mut self, records: &[u8]) -> bool {
+        let shipped = self.conn.as_ref().is_some_and(|conn| {
+            write_frame(conn, OP_REPLICATE, records).is_ok()
+                && matches!(read_frame(conn), Ok(Some((RESP_OK, _))))
+        });
+        if !shipped {
+            self.conn = None;
+        }
+        shipped
+    }
 }
 
 struct ServerShared {
+    net: SimNet,
     backend: Arc<dyn TaintMapBackend>,
     shard: ShardSpec,
-    /// Control state (`crash_after_registers`, compaction cadence).
+    /// Control state (`crash_after_registers`).
     binds: AtomicU64,
     lookups: AtomicU64,
     batch_frames: AtomicU64,
-    transferred_out: AtomicU64,
-    binds_at_last_compact: AtomicU64,
     /// `taintmap_server_*{node="taintmap",shard=..}` registry counters.
     moved_redirects: Counter,
     stale_epochs: Counter,
@@ -448,16 +433,15 @@ struct ServerShared {
     /// Armed by the `crash_after_registers` chaos knob: once set, serve
     /// threads hang up on every connection without responding.
     crash_now: AtomicBool,
-    /// Set on a standby while its primary replicates to it: a client's
-    /// `BIND` is hung up on, so the client's retry redials the next
-    /// address of the shard's failover list — the primary — and only the
-    /// primary leases.
+    /// Set on a standby while its primary replicates to it, and on a
+    /// restarted primary until it has its standby's records: a client's
+    /// `BIND` is hung up on, so the client's retry redials another
+    /// address of the shard's failover list, and one server leases.
     following: AtomicBool,
     /// Write-ahead snapshot, present on primaries stood up with one.
     wal: Option<TaintMapWal>,
-    /// Connection to a standby replica, if configured (§IV: "adding a
-    /// standby node to handle the single point failure").
-    standby: Mutex<Option<TcpEndpoint>>,
+    /// The peers this server ships its log to.
+    followers: Mutex<Vec<Follower>>,
     /// Class-table epoch this server believes is current.
     epoch: AtomicU64,
     /// Routing table for this server's residue class, attached to every
@@ -465,13 +449,11 @@ struct ServerShared {
     table: Mutex<ClassTable>,
     /// Ranges migrated away; non-empty means allocation has moved too.
     moved: Mutex<Vec<MovedRange>>,
-    /// In-flight outbound migration, if any.
-    migration: Mutex<Option<Migration>>,
-    /// Serializes commits (lease or bind + WAL append + replication +
-    /// double-write) against each other, cutover and compaction, so a
+    /// Serializes commits (lease or bind + WAL append + forwarding)
+    /// against each other, catch-up steps, cutover and compaction, so a
     /// snapshot can never miss a record that was acknowledged, no id is
-    /// leased twice, and a frame can never slip past the moved check
-    /// mid-cutover.
+    /// leased twice, a follower misses no commit on its connection, and
+    /// a frame can never slip past the moved check mid-cutover.
     commit_lock: Mutex<()>,
 }
 
@@ -496,13 +478,11 @@ impl ServerShared {
         let mut records = Vec::new();
         let leased = self.lease(want.min(LEASE_IDS), &mut records);
         let mut statuses = Vec::with_capacity(items.len());
-        let mut first_bound = None;
         for &(gid, serialized) in items {
             statuses.push(match leased_local(self.shard, high_water, gid) {
                 None => STATUS_UNLEASED,
                 Some(local) if self.backend.bind(local, serialized) => {
                     push_data(&mut records, gid, serialized);
-                    first_bound = Some(first_bound.map_or(local, |first: u32| first.min(local)));
                     STATUS_OK
                 }
                 Some(local) if self.backend.lookup(local).as_deref() == Some(serialized) => {
@@ -515,8 +495,7 @@ impl ServerShared {
             if let Some(wal) = &self.wal {
                 wal.append(&records);
             }
-            replicate(self, &records);
-            self.forward_to_migration_target(first_bound, &records);
+            self.forward(high_water, &records);
         }
         if let Some(limit) = self.config.crash_after_registers {
             if served + items.len() as u64 >= limit {
@@ -559,29 +538,85 @@ impl ServerShared {
         gids
     }
 
-    /// Double-write phase: synchronously forwards a committed frame's
-    /// records to the migration target before the client is
-    /// acknowledged. A failed forward drops the connection and records
-    /// the lowest bound id so the copy phase rewinds over it once the
-    /// target is back.
-    fn forward_to_migration_target(&self, first_bound: Option<u32>, records: &[u8]) {
-        let mut guard = self.migration.lock();
-        let Some(migration) = guard.as_mut() else {
-            return;
-        };
-        if migration
-            .conn
-            .as_ref()
-            .is_some_and(|conn| ship(conn, records))
-        {
+    /// Forwards a commit's records to every follower before the client
+    /// is answered. A follower the forward fails on is redialed once; a
+    /// follower still behind gets one catch-up batch as well.
+    /// `high_water` is the lease high-water before the commit: a
+    /// follower whose cursor had reached it now holds every record up to
+    /// the new one, so its cursor moves there. The caller holds the
+    /// commit lock.
+    fn forward(&self, high_water: u32, records: &[u8]) {
+        for follower in self.followers.lock().iter_mut() {
+            let forwarded = follower.ship(records)
+                || (self.connect(follower).is_ok() && follower.ship(records));
+            if !forwarded {
+                continue;
+            }
             self.double_writes.inc();
-        } else {
-            migration.conn = None;
-            migration.resync_from = [migration.resync_from, first_bound]
-                .into_iter()
-                .flatten()
-                .min();
+            if follower.cursor >= high_water {
+                follower.cursor = self.backend.max_local();
+            } else {
+                self.scan(follower, CATCH_UP_RECORDS);
+            }
         }
+    }
+
+    /// Dials `follower` on a fresh connection, so its cursor starts over
+    /// at 0, and teaches it this server's lease high-water in-band: lease
+    /// records in steps of one block, each of which `serve_replicate`
+    /// takes. A forwarded or scanned record is then never above the
+    /// peer's high-water, and the peer never leases an id this server
+    /// did. The caller holds the commit lock.
+    fn connect(&self, follower: &mut Follower) -> Result<(), TaintMapError> {
+        follower.conn = Some(self.net.tcp_connect(follower.peer)?);
+        follower.cursor = 0;
+        let high_water = self.backend.max_local();
+        let (mut ladder, mut local) = (Vec::new(), 0u32);
+        while local < high_water {
+            local = high_water.min(local.saturating_add(LEASE_IDS));
+            push_lease(&mut ladder, local);
+        }
+        if ladder.is_empty() || follower.ship(&ladder) {
+            Ok(())
+        } else {
+            Err(TaintMapError::Protocol(
+                "follower refused the lease high-water",
+            ))
+        }
+    }
+
+    /// Ships `follower` the bound records at local ids past its cursor,
+    /// `batch` of them at most, in one `REPLICATE` frame, and advances
+    /// the cursor over the ids the frame covered once it is answered
+    /// `OK`. Returns how many records it shipped, or `None` if the ship
+    /// failed. The caller holds the commit lock.
+    fn scan(&self, follower: &mut Follower, batch: usize) -> Option<u64> {
+        let high_water = self.backend.max_local();
+        let (mut records, mut sent, mut local) = (Vec::new(), 0, follower.cursor);
+        while sent < batch as u64 && local < high_water {
+            local += 1;
+            let gid = self.shard.global_of_local(local);
+            if let Some((gid, bytes)) = gid.zip(self.backend.lookup(local)) {
+                push_data(&mut records, gid, &bytes);
+                sent += 1;
+            }
+        }
+        if !records.is_empty() && !follower.ship(&records) {
+            return None;
+        }
+        follower.cursor = local;
+        Some(sent)
+    }
+
+    /// Caught up ⇔ connected ∧ cursor ≥ the lease high-water: the
+    /// follower at `peer` holds every record this server does. The
+    /// caller holds the commit lock.
+    fn caught_up(&self, peer: NodeAddr) -> bool {
+        let high_water = self.backend.max_local();
+        self.followers
+            .lock()
+            .iter()
+            .any(|f| f.peer == peer && f.conn.is_some() && f.cursor >= high_water)
     }
 
     /// Whether `gid` falls in a range this server has migrated away.
@@ -613,23 +648,7 @@ impl ServerShared {
         let moved = self.moved.lock().clone();
         let count = wal.compact(&*self.backend, self.shard, epoch, &moved);
         self.compactions.inc();
-        self.binds_at_last_compact
-            .store(self.binds.load(Ordering::Relaxed), Ordering::Relaxed);
         Ok(count)
-    }
-
-    /// Periodic compaction, driven by served bind volume.
-    fn maybe_auto_compact(&self) {
-        let Some(every) = self.config.compact_every_registers else {
-            return;
-        };
-        if self.wal.is_none() {
-            return;
-        }
-        let served = self.binds.load(Ordering::Relaxed);
-        if served.saturating_sub(self.binds_at_last_compact.load(Ordering::Relaxed)) >= every {
-            let _ = self.compact();
-        }
     }
 }
 
@@ -641,7 +660,6 @@ impl ServerShared {
 /// [`TaintMapBackend`]; optionally every lease and new bind is
 /// replicated to a standby instance for failover.
 pub struct TaintMapServer {
-    net: SimNet,
     server: TcpServer,
     shared: Arc<ServerShared>,
     recovery: WalRecovery,
@@ -663,7 +681,10 @@ impl TaintMapServer {
     /// namespaces can never overlap. A `wal` handle pointing at an
     /// existing log replays it into `backend` before the first request
     /// is accepted. `shard_label` names this server's role in the
-    /// deployment (its extended index) on its registry counters.
+    /// deployment (its extended index) on its registry counters. A
+    /// server launched `following` hangs up on `BIND` from its first
+    /// connection on (see [`TaintMapServer::set_following`]).
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn launch(
         net: &SimNet,
         addr: NodeAddr,
@@ -672,6 +693,7 @@ impl TaintMapServer {
         shard: ShardSpec,
         wal: Option<TaintMapWal>,
         shard_label: &str,
+        following: bool,
     ) -> Result<Self, TaintMapError> {
         let recovery = match &wal {
             Some(w) => w.recover_into(&*backend, shard),
@@ -694,26 +716,24 @@ impl TaintMapServer {
                 .counter_with(&format!("taintmap_server_{fact}"), &labels)
         };
         let shared = Arc::new(ServerShared {
+            net: net.clone(),
             backend,
             shard,
             binds: AtomicU64::new(0),
             lookups: AtomicU64::new(0),
             batch_frames: AtomicU64::new(0),
-            transferred_out: AtomicU64::new(0),
-            binds_at_last_compact: AtomicU64::new(0),
             moved_redirects: counter("moved_redirects"),
             stale_epochs: counter("stale_epochs"),
             double_writes: counter("double_writes"),
             compactions: counter("compactions"),
             config,
             crash_now: AtomicBool::new(false),
-            following: AtomicBool::new(false),
+            following: AtomicBool::new(following),
             wal,
-            standby: Mutex::new(None),
+            followers: Mutex::new(Vec::new()),
             epoch: AtomicU64::new(recovery.epoch),
             table: Mutex::new(table),
             moved: Mutex::new(recovery.moved.clone()),
-            migration: Mutex::new(None),
             commit_lock: Mutex::new(()),
         });
         let session_shared = shared.clone();
@@ -721,135 +741,15 @@ impl TaintMapServer {
             serve_connection(&conn, &session_shared, sessions)
         })?;
         Ok(TaintMapServer {
-            net: net.clone(),
             server,
             shared,
             recovery,
         })
     }
 
-    /// Arms an outbound migration of gids `>= lo_gid` (plus all future
-    /// allocations) to `target`: double-writes start immediately; the
-    /// copy phase is driven by [`TaintMapServer::transfer_next`] and
-    /// resumes from `resume_checkpoint` (0 for a fresh migration, the
-    /// recovered WAL checkpoint after a crash).
-    ///
-    /// # Errors
-    ///
-    /// [`TaintMapError::Net`] if the target is unreachable,
-    /// [`TaintMapError::Protocol`] if this server already migrated its
-    /// range away.
-    pub(crate) fn begin_migration(
-        &self,
-        lo_gid: u32,
-        target: NodeAddr,
-        resume_checkpoint: u32,
-    ) -> Result<(), TaintMapError> {
-        let conn = self.net.tcp_connect(target)?;
-        // Under the commit lock no bind can be mid-commit: what is bound
-        // now is copied (it lies at or below the captured `transfer_end`)
-        // and every later bind, of any id, is double-written.
-        let _commit = self.shared.commit_lock.lock();
-        if !self.shared.moved.lock().is_empty() {
-            return Err(TaintMapError::Protocol("shard already migrated its range"));
-        }
-        let transfer_end = self.shared.backend.max_local();
-        *self.shared.migration.lock() = Some(Migration {
-            lo_gid,
-            target,
-            conn: Some(conn),
-            transfer_end,
-            checkpoint: resume_checkpoint.min(transfer_end),
-            resync_from: None,
-        });
-        if let Some(wal) = &self.shared.wal {
-            wal.append_migrate_start(lo_gid, target);
-        }
-        Ok(())
-    }
-
-    /// Copies the next batch of records (at least one) to the migration
-    /// target as WAL data records in one `REPLICATE` frame,
-    /// checkpointing durably on acknowledgement. Returns how many
-    /// records the batch carried, or `None` once the copy has caught up
-    /// (at which point [`TaintMapServer::cutover`] may run). If the
-    /// target died, the call redials it, rewinds below any failed
-    /// double-write, and re-extends the copy over everything the target
-    /// may have lost.
-    ///
-    /// # Errors
-    ///
-    /// [`TaintMapError::Net`] / [`TaintMapError::Protocol`] when the
-    /// target is unreachable; the caller restarts it and retries.
-    pub(crate) fn transfer_next(&self, batch: usize) -> Result<Option<u64>, TaintMapError> {
-        let batch = batch.max(1);
-        let mut guard = self.shared.migration.lock();
-        let Some(migration) = guard.as_mut() else {
-            return Err(TaintMapError::Protocol("no active migration"));
-        };
-        if migration.conn.is_none() {
-            let conn = self.net.tcp_connect(migration.target)?;
-            migration.conn = Some(conn);
-            // The target restarted: its WAL preserved every acknowledged
-            // frame, but forwards that *failed* never arrived. Rewind
-            // below the first failed forward and re-cover everything
-            // leased since the original capture (idempotent binds make
-            // the overlap harmless). No commit lock here — it would
-            // invert the bind path's commit→migration lock order; a
-            // racing bind is covered either by this re-captured end or
-            // by its own double-write on the fresh connection.
-            migration.transfer_end = self.shared.backend.max_local();
-            if let Some(resync) = migration.resync_from.take() {
-                migration.checkpoint = migration.checkpoint.min(resync.saturating_sub(1));
-            }
-        }
-        if migration.checkpoint >= migration.transfer_end {
-            return Ok(None);
-        }
-        let (mut records, mut sent) = (Vec::new(), 0);
-        let mut local = migration.checkpoint;
-        while sent < batch as u64 && local < migration.transfer_end {
-            local += 1;
-            let Some(gid) = self.shared.shard.global_of_local(local) else {
-                continue;
-            };
-            if let Some(bytes) = self.shared.backend.lookup(local) {
-                push_data(&mut records, gid, &bytes);
-                sent += 1;
-            }
-        }
-        if !ship(migration.conn.as_ref().expect("redialed above"), &records) {
-            migration.conn = None;
-            return Err(TaintMapError::Protocol("migration target unreachable"));
-        }
-        migration.checkpoint = local;
-        self.shared
-            .transferred_out
-            .fetch_add(sent, Ordering::Relaxed);
-        if let Some(wal) = &self.shared.wal {
-            wal.append_checkpoint(local);
-        }
-        Ok(Some(sent))
-    }
-
     /// The lease high-water: the highest backend-local id leased so far.
     pub(crate) fn max_local(&self) -> u32 {
         self.shared.backend.max_local()
-    }
-
-    /// Raises the lease high-water to at least `local`, logging it, so
-    /// this server never leases an id at or below it: a split target
-    /// learns its source's, a restarted primary its standby's.
-    pub(crate) fn raise_high_water(&self, local: u32) {
-        let _commit = self.shared.commit_lock.lock();
-        if local > self.shared.backend.max_local() {
-            self.shared.backend.raise_high_water(local);
-            if let Some(wal) = &self.shared.wal {
-                let mut record = Vec::with_capacity(5);
-                push_lease(&mut record, local);
-                wal.append(&record);
-            }
-        }
     }
 
     /// Marks this server as a standby its primary replicates to, or on
@@ -861,44 +761,61 @@ impl TaintMapServer {
         self.shared.following.store(following, Ordering::Relaxed);
     }
 
-    /// Whether an outbound migration is armed on this server.
-    pub(crate) fn migration_armed(&self) -> bool {
-        self.shared.migration.lock().is_some()
+    /// Stops shipping anything to `peer`.
+    pub(crate) fn unfollow(&self, peer: NodeAddr) {
+        let _commit = self.shared.commit_lock.lock();
+        self.shared.followers.lock().retain(|f| f.peer != peer);
     }
 
-    /// Whether the copy phase still has work (or lost forwards) pending.
-    pub(crate) fn migration_lagging(&self) -> bool {
-        match self.shared.migration.lock().as_ref() {
-            Some(m) => m.conn.is_none() || m.resync_from.is_some() || m.checkpoint < m.transfer_end,
-            None => false,
+    /// One catch-up step for the follower at `peer`: redials it if its
+    /// connection dropped, which starts it over at cursor 0, then ships
+    /// it up to `batch` (at least one) of the records past its cursor.
+    /// Returns how many records it shipped, 0 once it is caught up.
+    ///
+    /// # Errors
+    ///
+    /// [`TaintMapError::Net`] / [`TaintMapError::Protocol`] when the
+    /// peer is unreachable or nothing follows it.
+    pub(crate) fn catch_up(&self, peer: NodeAddr, batch: usize) -> Result<u64, TaintMapError> {
+        let _commit = self.shared.commit_lock.lock();
+        let mut followers = self.shared.followers.lock();
+        let follower = followers
+            .iter_mut()
+            .find(|f| f.peer == peer)
+            .ok_or(TaintMapError::Protocol("nothing follows that address"))?;
+        if follower.conn.is_none() {
+            self.shared.connect(follower)?;
         }
+        self.shared
+            .scan(follower, batch.max(1))
+            .ok_or(TaintMapError::Protocol("follower unreachable"))
     }
 
-    /// Cutover: atomically (w.r.t. commits) stops allocation, marks the
-    /// range moved, adopts the post-split class table, and records the
-    /// cutover durably. From here on the server answers `Moved`
+    /// Whether the follower at `peer` holds every record this server
+    /// does: it is connected and its cursor has reached the lease
+    /// high-water.
+    pub(crate) fn caught_up(&self, peer: NodeAddr) -> bool {
+        let _commit = self.shared.commit_lock.lock();
+        self.shared.caught_up(peer)
+    }
+
+    /// Cutover to `new_table`, whose tail range is the one moving:
+    /// atomically (w.r.t. commits) stops forwarding to its target, stops
+    /// allocation, marks the range moved, adopts the table, and records
+    /// the cutover durably. From here on the server answers `Moved`
     /// redirects for the migrated range, forever.
     ///
     /// # Errors
     ///
-    /// [`TaintMapError::Protocol`] if no migration is active or the copy
-    /// has not caught up.
+    /// [`TaintMapError::Protocol`] if the target has not caught up.
     pub(crate) fn cutover(&self, new_table: ClassTable) -> Result<(), TaintMapError> {
+        let tail = new_table.tail();
+        let (lo_gid, target) = (tail.lo_gid, tail.addrs[0]);
         let _commit = self.shared.commit_lock.lock();
-        let mut guard = self.shared.migration.lock();
-        let (lo_gid, target) = match guard.as_ref() {
-            Some(m)
-                if m.conn.is_some()
-                    && m.resync_from.is_none()
-                    && m.checkpoint >= m.transfer_end =>
-            {
-                (m.lo_gid, m.target)
-            }
-            Some(_) => return Err(TaintMapError::Protocol("migration copy not caught up")),
-            None => return Err(TaintMapError::Protocol("no active migration")),
-        };
-        *guard = None;
-        drop(guard);
+        if !self.shared.caught_up(target) {
+            return Err(TaintMapError::Protocol("split target not caught up"));
+        }
+        self.shared.followers.lock().retain(|f| f.peer != target);
         self.shared.moved.lock().push(MovedRange { lo_gid, target });
         self.shared.epoch.store(new_table.epoch, Ordering::Relaxed);
         if let Some(wal) = &self.shared.wal {
@@ -928,16 +845,27 @@ impl TaintMapServer {
         self.shared.compact()
     }
 
-    /// Connects this instance to a standby: every lease and *new* bind is
-    /// forwarded so the standby can serve lookups (and go on leasing
-    /// non-colliding ids) if this instance dies.
+    /// Arms a follower at `peer` on a fresh connection, in place of any
+    /// it had: the peer learns this server's lease high-water now, every
+    /// later lease and *new* bind is forwarded to it, and catch-up steps
+    /// ship it the records it lacks. A standby can then serve lookups
+    /// (and go on leasing non-colliding ids) if this instance dies.
     ///
     /// # Errors
     ///
-    /// [`TaintMapError::Net`] if the standby is unreachable.
-    pub fn replicate_to(&self, standby: NodeAddr) -> Result<(), TaintMapError> {
-        let conn = self.net.tcp_connect(standby)?;
-        *self.shared.standby.lock() = Some(conn);
+    /// [`TaintMapError::Net`] if the peer is unreachable; nothing is
+    /// armed then.
+    pub fn replicate_to(&self, peer: NodeAddr) -> Result<(), TaintMapError> {
+        let _commit = self.shared.commit_lock.lock();
+        let mut follower = Follower {
+            peer,
+            conn: None,
+            cursor: 0,
+        };
+        self.shared.connect(&mut follower)?;
+        let mut followers = self.shared.followers.lock();
+        followers.retain(|f| f.peer != peer);
+        followers.push(follower);
         Ok(())
     }
 
@@ -952,8 +880,8 @@ impl TaintMapServer {
         self.recovery.snapshot_records + self.recovery.wal_data_records
     }
 
-    /// Everything launch-time recovery reconstructed: replay costs, the
-    /// recovered epoch/moved ranges, and any interrupted migration.
+    /// Everything launch-time recovery reconstructed: replay costs and
+    /// the recovered epoch/moved ranges.
     pub fn recovery(&self) -> &WalRecovery {
         &self.recovery
     }
@@ -978,7 +906,6 @@ impl TaintMapServer {
             batch_frames: self.shared.batch_frames.load(Ordering::Relaxed),
             moved_redirects: self.shared.moved_redirects.get(),
             stale_epochs: self.shared.stale_epochs.get(),
-            transferred_out: self.shared.transferred_out.load(Ordering::Relaxed),
             double_writes: self.shared.double_writes.get(),
             compactions: self.shared.compactions.get(),
         }
@@ -1021,7 +948,6 @@ fn serve_connection(conn: &TcpEndpoint, shared: &ServerShared, sessions: &Server
         if write_frame(conn, resp_op, &resp).is_err() {
             return;
         }
-        shared.maybe_auto_compact();
     }
 }
 
@@ -1084,17 +1010,15 @@ fn lookup_items(shared: &ServerShared, r: &mut ByteReader<'_>) -> Option<Reply> 
     r.at_end().then_some((RESP_OK, resp))
 }
 
-/// The receiving side of [`ship`] — a standby, or a split's target
-/// taking double-writes and the copy: the payload is WAL records, lease
-/// and data only. Every one is checked before any is applied — a lease
-/// may raise the high-water by [`MAX_LEASE_SPAN`] at most, and a data
-/// record must name a gid this shard leased, at or below the high-water
-/// the leases before it left — and the payload is then logged as it
-/// came. `None` if anything is refused.
+/// The receiving side of [`Follower::ship`]: the payload is WAL
+/// records, lease and data only. Every one is checked before any is
+/// applied — a lease may raise the high-water by [`MAX_LEASE_SPAN`] at
+/// most, and a data record must name a gid this shard leased, at or
+/// below the high-water the leases before it left — and the payload is
+/// then logged as it came. `None` if anything is refused.
 fn serve_replicate(shared: &ServerShared, payload: &[u8]) -> Option<Reply> {
-    // Records are logged before they are acknowledged, so an ack — and
-    // the copy's durable checkpoint after it — means they survive this
-    // side crashing too.
+    // Records are logged before they are acknowledged, so an ack means
+    // they survive this side crashing too.
     let _commit = shared.commit_lock.lock();
     let mut high_water = shared.backend.max_local();
     let mut binds = Vec::new();
@@ -1125,23 +1049,6 @@ fn serve_replicate(shared: &ServerShared, payload: &[u8]) -> Option<Reply> {
     Some((RESP_OK, Vec::new()))
 }
 
-/// Ships WAL `records` to another server in one `REPLICATE` frame and
-/// waits for its `OK`: how a standby, a split's double-writes and its
-/// copy all travel. `false` if the peer did not take them.
-fn ship(conn: &TcpEndpoint, records: &[u8]) -> bool {
-    write_frame(conn, OP_REPLICATE, records).is_ok()
-        && matches!(read_frame(conn), Ok(Some((RESP_OK, _))))
-}
-
-/// Mirrors a committed frame's records to the standby, if one is wired.
-fn replicate(shared: &ServerShared, records: &[u8]) {
-    let mut guard = shared.standby.lock();
-    if guard.as_ref().is_some_and(|conn| !ship(conn, records)) {
-        // Standby gone; stop replicating rather than stalling requests.
-        *guard = None;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1160,6 +1067,7 @@ mod tests {
             ShardSpec::default(),
             None,
             &addr.to_string(),
+            false,
         )
         .unwrap()
     }
@@ -1415,7 +1323,7 @@ mod tests {
         // an id another taint holds.
         let (net, server) = setup();
         let conn = net.tcp_connect(server.addr()).unwrap();
-        server.raise_high_water(u32::MAX - 3);
+        server.shared.backend.raise_high_water(u32::MAX - 3);
         assert_eq!(bind(&conn, 8, &[]), vec![u32::MAX - 2, u32::MAX - 1]);
         assert_eq!(bind(&conn, 8, &[]), Vec::<u32>::new());
         assert_eq!(server.max_local(), u32::MAX);
@@ -1431,7 +1339,7 @@ mod tests {
         let (net, server) = setup();
         let conn = net.tcp_connect(server.addr()).unwrap();
         let probe = 0xFFu32;
-        server.raise_high_water(probe - 2);
+        server.shared.backend.raise_high_water(probe - 2);
         let leased = bind(&conn, 4, &[]);
         assert_eq!(leased, vec![probe - 1, probe + 1, probe + 2, probe + 3]);
         // A replicated or copied record naming it refuses its frame.
@@ -1523,6 +1431,7 @@ mod tests {
             ShardSpec { index: 2, count: 4 },
             None,
             "0",
+            false,
         )
         .unwrap();
         let conn = net.tcp_connect(server.addr()).unwrap();
@@ -1608,6 +1517,7 @@ mod tests {
             ShardSpec::default(),
             Some(wal.clone()),
             "0",
+            false,
         )
         .unwrap();
         let conn = net.tcp_connect(addr).unwrap();
@@ -1626,6 +1536,7 @@ mod tests {
             ShardSpec::default(),
             Some(wal),
             "0",
+            false,
         )
         .unwrap();
         assert_eq!(reborn.replayed(), 2);
@@ -1646,12 +1557,12 @@ mod tests {
             addr,
             TaintMapConfig {
                 crash_after_registers: Some(2),
-                ..TaintMapConfig::default()
             },
             Arc::new(InMemoryBackend::new()),
             ShardSpec::default(),
             Some(wal.clone()),
             "0",
+            false,
         )
         .unwrap();
         let conn = net.tcp_connect(addr).unwrap();
@@ -1677,6 +1588,7 @@ mod tests {
             ShardSpec::default(),
             Some(wal),
             "0",
+            false,
         )
         .unwrap();
         assert_eq!(reborn.replayed(), 3, "zero lost binds");

@@ -9,7 +9,7 @@
 use std::collections::{HashMap, HashSet};
 use std::time::Duration;
 
-use dista_simnet::FaultAction::{Heal, Partition};
+use dista_simnet::FaultAction::{Heal, Partition, Reset};
 use dista_simnet::{FaultPlan, NodeAddr, SimFs, SimNet};
 use dista_taint::{GlobalId, LocalId, TagValue, Taint, TaintStore};
 use dista_taintmap::{
@@ -287,6 +287,98 @@ fn a_shard_crash_before_the_bind_lands_loses_no_gid() {
     endpoint.shutdown();
 }
 
+/// A standby deployment, with and without a WAL, under a seeded schedule
+/// of primary crash/restart flips and resets of the server-to-server
+/// link (dialled from 127.0.0.1), which cut the primary's mirror. Between
+/// them fresh clients hand gids out, bare (`global_ids_for`) or with
+/// their definitions and then `flush`. After every flip a strict v1
+/// reader at whichever server answers resolves every gid handed out so
+/// far, and no gid is ever handed out twice. `DISTA_CHAOS_SEED` (ci.sh
+/// runs 7, 42 and 1337) picks the schedule.
+#[test]
+fn primary_standby_crash_flips_lose_no_bind() {
+    let seed = std::env::var("DISTA_CHAOS_SEED")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(42);
+    for snapshots in [false, true] {
+        let mut rng = SplitMix(seed);
+        let net = SimNet::new();
+        let tm_ip = [10, 0, 0, 99];
+        let builder = TaintMapEndpoint::builder()
+            .addr(NodeAddr::new(tm_ip, 7777))
+            .standby(true);
+        let builder = match snapshots {
+            true => builder.snapshots(SimFs::new()),
+            false => builder,
+        };
+        let mut endpoint = builder.connect(&net).unwrap();
+        let mut host = 0u8;
+        let mut client = |endpoint: &TaintMapEndpoint| {
+            host += 1;
+            let store = TaintStore::new(LocalId::new([10, 0, 1, host], host as u32));
+            (endpoint.client(&net, store.clone()).unwrap(), store)
+        };
+        let (mut handed, mut tags): (Vec<GlobalId>, Vec<i64>) = (Vec::new(), Vec::new());
+        let context = |step: usize| format!("seed {seed}, snapshots {snapshots}, step {step}");
+        for step in 0..24 {
+            match rng.next() % 4 {
+                0 => net.inject(Reset {
+                    a: [127, 0, 0, 1],
+                    b: tm_ip,
+                }),
+                1 | 2 => {
+                    let (writer, store) = client(&endpoint);
+                    let from = tags.len() as i64;
+                    let count = 1 + (rng.next() % 40) as i64;
+                    let taints: Vec<Taint> = (from..from + count)
+                        .map(|i| store.mint_source_taint(TagValue::Int(i)))
+                        .collect();
+                    let gids = if rng.next().is_multiple_of(2) {
+                        writer.global_ids_for(&taints).unwrap()
+                    } else {
+                        let (mut gids, mut defs) = (Vec::new(), Vec::new());
+                        writer
+                            .global_ids_into(&taints, &mut gids, Some(&mut defs))
+                            .unwrap();
+                        writer.flush().unwrap();
+                        gids
+                    };
+                    handed.extend(gids);
+                    tags.extend(from..from + count);
+                }
+                _ => {
+                    if endpoint.primary_crashed(0) {
+                        endpoint.restart_primary(0).unwrap();
+                    } else {
+                        endpoint.crash_primary(0);
+                    }
+                    let (reader, store) = client(&endpoint);
+                    let resolved = reader.taints_for(&handed);
+                    let resolved = resolved.unwrap_or_else(|e| panic!("{}: {e}", context(step)));
+                    for ((&gid, &taint), tag) in handed.iter().zip(&resolved).zip(&tags) {
+                        assert_eq!(
+                            store.tag_values(taint),
+                            vec![tag.to_string()],
+                            "{}: gid {}",
+                            context(step),
+                            gid.0
+                        );
+                    }
+                }
+            }
+            let distinct: HashSet<GlobalId> = handed.iter().copied().collect();
+            assert_eq!(
+                distinct.len(),
+                handed.len(),
+                "{}: a gid handed out twice",
+                context(step)
+            );
+        }
+        endpoint.shutdown();
+    }
+}
+
 /// Tight deadlines/backoff so partition cases spend milliseconds, not
 /// the default seconds, discovering that a shard is gone.
 fn fast_resilience() -> ClientResilience {
@@ -510,7 +602,6 @@ proptest! {
         let mut endpoint = TaintMapEndpoint::builder()
             .config(TaintMapConfig {
                 crash_after_registers: Some(k),
-                ..Default::default()
             })
             .snapshots(SimFs::new())
             .connect(&net)

@@ -24,8 +24,6 @@ fn mint(store: &TaintStore, n: i64) -> Vec<Taint> {
 /// change breaks loudly here).
 fn record_starts(wal: &[u8]) -> Vec<usize> {
     const REC_DATA: u8 = 1;
-    const REC_CHECKPOINT: u8 = 2;
-    const REC_MIGRATE_START: u8 = 3;
     const REC_CUTOVER: u8 = 4;
     const REC_LEASE: u8 = 5;
     let mut starts = Vec::new();
@@ -37,8 +35,6 @@ fn record_starts(wal: &[u8]) -> Vec<usize> {
                 let len = u32::from_be_bytes([wal[at + 5], wal[at + 6], wal[at + 7], wal[at + 8]]);
                 8 + len as usize
             }
-            REC_CHECKPOINT => 4,
-            REC_MIGRATE_START => 10,
             REC_CUTOVER => 18,
             REC_LEASE => 4,
             other => panic!("unknown WAL tag {other} at {at}"),

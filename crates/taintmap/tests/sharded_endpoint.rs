@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
-use dista_simnet::{NetError, SimFs, SimNet};
+use dista_simnet::{FaultAction, NetError, SimFs, SimNet};
 use dista_taint::{GlobalId, LocalId, TagValue, Taint, TaintStore};
 use dista_taintmap::{
     ClientObserver, ClientResilience, InMemoryBackend, TaintMapBackend, TaintMapClient,
@@ -220,6 +220,118 @@ fn a_restarted_primary_and_its_standby_never_lease_one_gid_twice() {
     }
     // The standby bound the 200 of the outage and mirrors the rest.
     assert_eq!(endpoint.standby(0).unwrap().stats().global_taints, 500);
+    endpoint.shutdown();
+}
+
+fn mint(store: &TaintStore, range: std::ops::Range<i64>) -> Vec<Taint> {
+    range
+        .map(|i| store.mint_source_taint(TagValue::Int(i)))
+        .collect()
+}
+
+/// Resolves `gids` through a fresh client and checks each names the
+/// `Int` tag its position in `expected` holds.
+fn assert_resolve(endpoint: &TaintMapEndpoint, net: &SimNet, gids: &[GlobalId], expected: &[i64]) {
+    let reader_store = store(9);
+    let reader = endpoint.client(net, reader_store.clone()).unwrap();
+    let values: Vec<Vec<String>> = reader
+        .taints_for(gids)
+        .unwrap()
+        .into_iter()
+        .map(|t| reader_store.tag_values(t))
+        .collect();
+    let expected: Vec<Vec<String>> = expected.iter().map(|i| vec![i.to_string()]).collect();
+    assert_eq!(values, expected);
+}
+
+#[test]
+fn binds_a_standby_took_while_its_primary_was_down_resolve_at_the_restarted_primary() {
+    // The restarted primary used to take only its standby's lease
+    // high-water, so a bare reader at it got `UnknownGlobalId` for every
+    // bind the standby took during the outage. Now it follows the
+    // standby until caught up before it serves.
+    let net = SimNet::new();
+    let mut endpoint = TaintMapEndpoint::builder()
+        .standby(true)
+        .snapshots(SimFs::new())
+        .connect(&net)
+        .unwrap();
+    let writer_store = store(1);
+    let writer = endpoint.client(&net, writer_store.clone()).unwrap();
+    let mut gids = writer.global_ids_for(&mint(&writer_store, 0..8)).unwrap();
+    endpoint.crash_primary(0);
+    gids.extend(writer.global_ids_for(&mint(&writer_store, 8..40)).unwrap());
+    endpoint.restart_primary(0).unwrap();
+
+    assert_resolve(&endpoint, &net, &gids, &(0..40).collect::<Vec<_>>());
+    assert_eq!(endpoint.shard(0).stats().global_taints, 40);
+    endpoint.shutdown();
+}
+
+#[test]
+fn a_mirror_cut_by_a_link_reset_catches_up_and_the_standby_leases_no_gid_twice() {
+    // A primary used to stop mirroring for good after one failed
+    // forward: the standby then lacked every later bind, and once
+    // clients failed over to it, it leased ids the primary had leased.
+    // Now the next commit redials it and ships what it lacks.
+    let net = SimNet::new();
+    let mut endpoint = TaintMapEndpoint::builder()
+        .standby(true)
+        .connect(&net)
+        .unwrap();
+    let tm_ip = endpoint.topology().shard_addrs(0)[0].ip();
+    let writer_store = store(1);
+    let writer = endpoint.client(&net, writer_store.clone()).unwrap();
+    let mut handed = Vec::new();
+    for round in 0..4 {
+        // Server-to-server connections are dialled from 127.0.0.1.
+        net.inject(FaultAction::Reset {
+            a: [127, 0, 0, 1],
+            b: tm_ip,
+        });
+        let taints = mint(&writer_store, 40 * round..40 * (round + 1));
+        handed.extend(writer.global_ids_for(&taints).unwrap());
+    }
+    endpoint.crash_primary(0);
+
+    assert_resolve(&endpoint, &net, &handed, &(0..160).collect::<Vec<_>>());
+    let late_store = store(3);
+    let late = endpoint.client(&net, late_store.clone()).unwrap();
+    let theirs = late.global_ids_for(&mint(&late_store, 0..100)).unwrap();
+    assert!(
+        theirs.iter().all(|gid| !handed.contains(gid)),
+        "the standby leased a gid the primary had handed out"
+    );
+    endpoint.shutdown();
+}
+
+#[test]
+fn a_restart_that_cannot_reach_its_standby_leaves_the_standby_leasing() {
+    // The restart used to stop the standby leasing before its fallible
+    // dial; when the dial failed the new primary was dropped, and the
+    // standby hung up on every `BIND`, so no server of the shard leased.
+    let net = SimNet::new();
+    let mut endpoint = TaintMapEndpoint::builder()
+        .standby(true)
+        .snapshots(SimFs::new())
+        .connect(&net)
+        .unwrap();
+    let tm_ip = endpoint.topology().shard_addrs(0)[0].ip();
+    let writer_store = store(1);
+    let writer = endpoint.client(&net, writer_store.clone()).unwrap();
+    let gids = writer.global_ids_for(&mint(&writer_store, 0..8)).unwrap();
+    endpoint.crash_primary(0);
+
+    net.inject(FaultAction::Isolate { ip: tm_ip });
+    assert!(endpoint.restart_primary(0).is_err());
+    net.inject(FaultAction::Rejoin { ip: tm_ip });
+    assert!(endpoint.primary_crashed(0), "the failed restart was undone");
+
+    let late_store = store(2);
+    let late = endpoint.client(&net, late_store.clone()).unwrap();
+    let theirs = late.global_ids_for(&mint(&late_store, 8..16)).unwrap();
+    let all: Vec<GlobalId> = gids.iter().chain(&theirs).copied().collect();
+    assert_resolve(&endpoint, &net, &all, &(0..16).collect::<Vec<_>>());
     endpoint.shutdown();
 }
 

@@ -56,8 +56,10 @@ const ALLOWED_SLEEPS: &[(&str, &str)] = &[
 /// client's `inflight` map), which leased gids and a queued bind
 /// replaced; and the Taint Map's second redirect (a stale-epoch reply
 /// and the table fetch it forced) and second way to ship records, which
-/// `MOVED` and `REPLICATE` replaced. All but the reactor's are split so
-/// that a plain grep of the tree for them comes back empty.
+/// `MOVED` and `REPLICATE` replaced; the split copy's durable checkpoint
+/// and rewind, which a follower's per-connection cursor replaced; and a
+/// compaction knob nothing set. All but the reactor's are split so that
+/// a plain grep of the tree for them comes back empty.
 const FORBIDDEN: &[&str] = &[
     "Reactor",
     "TimerWheel",
@@ -73,6 +75,11 @@ const FORBIDDEN: &[&str] = &[
     concat!("OP_", "TRANSFER_BATCH"),
     concat!("RESP_", "STALE_EPOCH"),
     concat!("fn ", "refetch_table"),
+    concat!("REC_", "CHECKPOINT"),
+    concat!("REC_", "MIGRATE_START"),
+    concat!("resync", "_from"),
+    concat!("struct ", "Migration {"),
+    concat!("compact_every", "_registers"),
 ];
 
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
