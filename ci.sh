@@ -23,6 +23,13 @@ echo "==> lock-free cache hits under --release, where races show: a hit takes no
 cargo test -q --release --offline -p dista-taintmap --lib a_cache_hit_takes_no_cache_lock
 cargo test -q --release --offline --test prop_boundary two_connections_on_one_vm_pair_resolve_every_crossing
 
+echo "==> Taint Map transport under --release, where deadline races show: a late reply is never read, a destination fails on its own"
+for name in a_late_reply_after_an_expired_deadline_is_never_read_as_the_next_answer \
+    an_open_breaker_on_one_shard_holds_back_only_that_shards_binds \
+    a_crashed_split_server_is_retried_and_trips_its_breaker; do
+    cargo test -q --release --offline -p dista-taintmap --test sharded_endpoint "$name"
+done
+
 echo "==> chaos suites under fixed seeds (incl. reshard crash-during-migration)"
 for seed in 7 42 1337; do
     echo "    seed $seed"

@@ -805,12 +805,15 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// The first flush that fails.
+    /// The first flush that failed; every VM is flushed either way.
     pub fn flush_taint_maps(&self) -> Result<(), DistaError> {
+        let mut first_err = None;
         for client in self.vms.iter().filter_map(|vm| vm.taint_map()) {
-            client.flush()?;
+            if let Err(e) = client.flush() {
+                first_err.get_or_insert(e);
+            }
         }
-        Ok(())
+        first_err.map_or(Ok(()), |e| Err(e.into()))
     }
 
     /// Stops the telemetry plane (every node's final delta is flushed
@@ -875,6 +878,32 @@ mod tests {
             vec!["x".to_string()]
         );
         assert_eq!(cluster.taint_map().stats().global_taints, 1);
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn a_vm_cut_off_from_the_map_leaves_no_later_vms_binds_unflushed() {
+        // The flush used to stop at the first VM that failed, so every
+        // later VM kept its queued binds and the census undercounted.
+        let mut cluster = Cluster::builder(Mode::Dista).nodes("n", 3).build().unwrap();
+        let hand_out = |vm: &Vm, tag: &str| {
+            let taint = vm.store().mint_source_taint(TagValue::str(tag));
+            let (mut gids, mut defs) = (Vec::new(), Vec::new());
+            let client = vm.taint_map().unwrap();
+            client
+                .global_ids_into(&[taint], &mut gids, Some(&mut defs))
+                .unwrap();
+            gids[0]
+        };
+        hand_out(cluster.vm(0), "stranded");
+        let queued = hand_out(cluster.vm(1), "queued");
+        cluster.crash_vm("n1");
+        assert!(cluster.flush_taint_maps().is_err());
+
+        let reader = cluster.vm(2);
+        let taint = reader.taint_map().unwrap().taint_for(queued).unwrap();
+        assert_eq!(reader.store().tag_values(taint), ["queued"]);
+        cluster.restart_vm("n1");
         cluster.shutdown();
     }
 

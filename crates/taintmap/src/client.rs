@@ -21,10 +21,10 @@
 //!   one `BIND`/`LOOKUP` frame per shard; the paper-named
 //!   [`TaintMapClient::global_id_for`] / [`TaintMapClient::taint_for`]
 //!   are the same calls with one item.
-//! * **One transport policy** — admission through a per-shard circuit
-//!   breaker, pipelined writes, a whole-frame deadline, and bounded
-//!   retry with backoff across the shard's failover list are all stated
-//!   once, in `run_groups`; nothing else touches the wire.
+//! * **One transport** — the private `transport` module owns every
+//!   connection, circuit breaker and class table, and nothing else
+//!   touches the wire: a destination answers or fails on its own, and a
+//!   frame that fails drops its connection.
 //! * **Lock-free hits** — each direction's locked map has an [`IdFront`]
 //!   of final mappings: a call it answers whole takes no lock, and any
 //!   miss sends the whole call down the locked path.
@@ -38,32 +38,32 @@
 //!   ([`TaintMapClient::reconcile_pending`]).
 
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use dista_obs::{
     Counter, FlightRecorder, Gauge, Histogram, MetricsRegistry, ObsEventKind, SpanTracker,
     BATCH_SIZE_BOUNDS, LATENCY_US_BOUNDS,
 };
-use dista_simnet::{NetError, NodeAddr, SimNet, TcpEndpoint};
+use dista_simnet::SimNet;
 use dista_taint::{
     deserialize_taint, serialize_taint, GlobalId, IdFront, IdMap, TagValue, Taint, TaintStore,
 };
-use parking_lot::{Mutex, MutexGuard};
+use parking_lot::Mutex;
 
 use crate::backend::WIRE_RESERVED_GIDS;
 use crate::error::TaintMapError;
 use crate::proto::{
-    decode_bind_resp, decode_class_table, decode_lookup_resp, encode_bind, encode_lookup,
-    read_frame_deadline, write_frame, LEASE_IDS, OP_BIND, OP_LOOKUP, RESP_MOVED, RESP_OK,
-    STATUS_TAKEN, STATUS_UNLEASED,
+    decode_bind_resp, decode_lookup_resp, encode_bind, encode_lookup, LEASE_IDS, OP_BIND,
+    OP_LOOKUP, STATUS_TAKEN, STATUS_UNLEASED,
 };
-use crate::shard::{shard_of_bytes, shard_of_gid, ClassTable, TaintMapTopology};
+use crate::shard::{shard_of_bytes, shard_of_gid, TaintMapTopology};
 
-/// Rounds of the `Moved` re-partition loop before a request gives up.
-const RESHARD_ROUNDS: usize = 10;
+mod transport;
+
+pub use transport::ClientResilience;
+use transport::{Failed, Transport};
 
 /// Gids a bare send tries for one taint before it gives up: each one the
 /// shard refuses re-keys the taint, and the next is freshly leased.
@@ -79,7 +79,8 @@ pub struct ClientStats {
     pub lookup_rpcs: u64,
     /// Requests satisfied from either cache.
     pub cache_hits: u64,
-    /// Times the client failed over to another service address.
+    /// Redials of a server whose connection a failed frame dropped, each
+    /// to the next address of that server's failover list.
     pub failovers: u64,
     /// Request frames sent (a multi-shard batch counts once per shard,
     /// and a batch of one counts; a retry of the same frame does not
@@ -110,44 +111,6 @@ pub struct ClientStats {
     pub moved_redirects: u64,
 }
 
-/// Retry, deadline, and circuit-breaker tuning for a
-/// [`TaintMapClient`]. The defaults keep the degraded path fast under
-/// simulated partitions (connect failures are immediate) while bounding
-/// how long a stalled-but-connected shard can hold an RPC.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ClientResilience {
-    /// Deadline for the read side of one RPC round trip; past it the
-    /// attempt counts as a transport failure.
-    pub rpc_deadline: Duration,
-    /// Re-attempts (redial + replay) after the first failure of one
-    /// RPC. Attempt `k` sleeps `backoff_base << (k-1)` first, capped at
-    /// [`ClientResilience::backoff_cap`].
-    pub retry_budget: u32,
-    /// Base backoff between attempts.
-    pub backoff_base: Duration,
-    /// Upper bound on one backoff sleep.
-    pub backoff_cap: Duration,
-    /// Consecutive failed RPCs that open a shard's breaker.
-    pub breaker_threshold: u32,
-    /// Requests fast-failed while open before one half-open probe is
-    /// let through (operation-count half-open keeps chaos runs
-    /// deterministic — no wall-clock cool-down).
-    pub breaker_probe_after: u32,
-}
-
-impl Default for ClientResilience {
-    fn default() -> Self {
-        ClientResilience {
-            rpc_deadline: Duration::from_secs(5),
-            retry_budget: 2,
-            backoff_base: Duration::from_micros(200),
-            backoff_cap: Duration::from_millis(5),
-            breaker_threshold: 3,
-            breaker_probe_after: 8,
-        }
-    }
-}
-
 /// Telemetry sinks for one [`TaintMapClient`]: a flight recorder for
 /// structured events (register/lookup/failover) and the instruments
 /// that *are* the client's counters — each fact is bumped once, here,
@@ -155,8 +118,8 @@ impl Default for ClientResilience {
 ///
 /// [`ClientObserver::disabled`] (the default, used by
 /// [`TaintMapClient::connect_topology`]) hands out a no-op recorder and
-/// detached instruments — still working atomics, just not in any
-/// registry — so the client never branches on "is telemetry on".
+/// the same instruments in a registry of its own, which nothing else
+/// reads, so the client never branches on "is telemetry on".
 #[derive(Debug, Clone)]
 pub struct ClientObserver {
     /// Event sink (shares the owning VM's ring).
@@ -206,28 +169,10 @@ impl Default for ClientObserver {
 }
 
 impl ClientObserver {
-    /// An observer whose every sink is a no-op / detached instrument.
+    /// An observer whose recorder records nothing and whose instruments
+    /// live in a registry nothing else reads.
     pub fn disabled() -> Self {
-        ClientObserver {
-            recorder: FlightRecorder::disabled(),
-            batch_items: Histogram::detached(BATCH_SIZE_BOUNDS),
-            batch_latency_us: Histogram::detached(LATENCY_US_BOUNDS),
-            register_rpcs: Counter::detached(),
-            lookup_rpcs: Counter::detached(),
-            batch_frames: Counter::detached(),
-            cache_hits: Counter::detached(),
-            failovers: Counter::detached(),
-            retries: Counter::detached(),
-            breaker_opens: Counter::detached(),
-            breaker_fast_fails: Counter::detached(),
-            breaker_open_ns: Counter::detached(),
-            degraded_lookups: Counter::detached(),
-            pending_resolved: Counter::detached(),
-            pending_gids: Gauge::detached(),
-            moved_redirects: Counter::detached(),
-            taint_spans: SpanTracker::disabled(),
-            gid_spans: SpanTracker::disabled(),
-        }
+        Self::for_node(&MetricsRegistry::new(), "", FlightRecorder::disabled())
     }
 
     /// An observer writing `taintmap_*{node=<node>}` instruments into
@@ -272,102 +217,6 @@ impl ClientObserver {
         self.gid_spans = gid_spans;
         self
     }
-}
-
-/// Per-shard circuit-breaker state. Half-open is operation-counted, not
-/// time-based, so a replayed chaos schedule drives the breaker through
-/// the same transitions every run.
-#[derive(Debug)]
-enum BreakerState {
-    /// Healthy: requests flow.
-    Closed,
-    /// Tripped: the next `fast_fails_left` requests fail without
-    /// touching the wire.
-    Open { fast_fails_left: u32 },
-    /// Probing: requests are let through; the first result decides
-    /// between closing and re-opening.
-    HalfOpen,
-}
-
-#[derive(Debug)]
-struct Breaker {
-    state: BreakerState,
-    consecutive_failures: u32,
-    /// Set at the first open of a down episode, cleared (and the open
-    /// time accumulated) when a probe succeeds.
-    opened_at: Option<Instant>,
-}
-
-impl Breaker {
-    fn new() -> Self {
-        Breaker {
-            state: BreakerState::Closed,
-            consecutive_failures: 0,
-            opened_at: None,
-        }
-    }
-
-    /// The gate: lets the request through when closed (or probing);
-    /// otherwise burns one fast-fail and refuses it.
-    fn admit(&mut self) -> bool {
-        match &mut self.state {
-            BreakerState::Closed | BreakerState::HalfOpen => true,
-            BreakerState::Open { fast_fails_left: 0 } => {
-                self.state = BreakerState::HalfOpen;
-                true
-            }
-            BreakerState::Open { fast_fails_left } => {
-                *fast_fails_left -= 1;
-                false
-            }
-        }
-    }
-
-    /// Closes the breaker after a served request; returns how long the
-    /// down episode that ends here lasted, if one does.
-    fn success(&mut self) -> Option<Duration> {
-        self.consecutive_failures = 0;
-        self.state = BreakerState::Closed;
-        self.opened_at.take().map(|at| at.elapsed())
-    }
-
-    /// Notes one request that exhausted its retries; returns whether
-    /// that opened (or, after a failed probe, re-opened) the breaker.
-    fn failure(&mut self, r: &ClientResilience) -> bool {
-        self.consecutive_failures += 1;
-        let trip = match self.state {
-            BreakerState::HalfOpen => true,
-            BreakerState::Closed => self.consecutive_failures >= r.breaker_threshold,
-            BreakerState::Open { .. } => false,
-        };
-        if trip {
-            self.state = BreakerState::Open {
-                fast_fails_left: r.breaker_probe_after,
-            };
-            self.opened_at.get_or_insert_with(Instant::now);
-        }
-        trip
-    }
-}
-
-struct ShardConn {
-    conn: TcpEndpoint,
-    /// Index into the shard's failover address list.
-    target: usize,
-    /// A frame on `conn` ended in an error, so its reply may still
-    /// arrive: the next round redials before it writes.
-    retired: bool,
-}
-
-/// One destination's frame of a round: the residue class, the server
-/// address the class table routed it to, the item slots it carries, and
-/// the ready-to-send payload.
-struct Group {
-    class: usize,
-    addr: NodeAddr,
-    /// Caller-defined item indices resolved by this group.
-    items: Vec<usize>,
-    payload: Vec<u8>,
 }
 
 /// A gid this client has to bind: one it handed out, or one it learned
@@ -415,23 +264,14 @@ struct Inbound {
     /// Degraded lookups awaiting reconciliation: gid → the sentinel
     /// taint stamped onto the delivered bytes.
     pending: HashMap<GlobalId, Taint>,
+    /// Reconciled sentinels: sentinel taint → the real taint it stood
+    /// in for.
+    resolutions: HashMap<Taint, Taint>,
 }
 
 struct ClientInner {
-    net: SimNet,
-    topology: TaintMapTopology,
-    src_ip: [u8; 4],
-    /// One persistent connection per shard, each with its own lock so
-    /// batches to different shards overlap.
-    shards: Vec<Arc<Mutex<ShardConn>>>,
-    /// Cached routing table per residue class; starts at epoch 0 (one
-    /// open range on the base shard) and converges toward the servers'
-    /// tables via `Moved` merges.
-    tables: Mutex<Vec<ClassTable>>,
-    /// Lazily dialed connections to servers created by splits (they are
-    /// not in the base topology). Keyed by address; each has its own
-    /// lock like the base shard connections.
-    extra: Mutex<HashMap<NodeAddr, Arc<Mutex<ShardConn>>>>,
+    /// The only way to the wire.
+    transport: Transport,
     store: TaintStore,
     /// What this VM calls its taints on the wire, and its leases.
     outbound: Mutex<Outbound>,
@@ -448,21 +288,14 @@ struct ClientInner {
     /// One per shard, held across a `BIND` round: rounds on a shard
     /// take turns, so a failed one requeues before the next one looks.
     flushing: Vec<Mutex<()>>,
-    /// One circuit breaker per shard, separate from the connection lock
-    /// so fast-fails never queue behind a blocked RPC.
-    breakers: Vec<Mutex<Breaker>>,
-    /// Reconciled sentinels: sentinel taint → the real taint it stood
-    /// in for.
-    sentinel_resolutions: Mutex<HashMap<Taint, Taint>>,
-    resilience: ClientResilience,
     obs: ClientObserver,
 }
 
 /// A VM's handle to the Taint Map service.
 ///
 /// One client is shared by all threads of a simulated JVM; it keeps one
-/// persistent connection per shard and both direction caches. An RPC
-/// that hits a dead instance reconnects along the shard's failover list
+/// connection per Taint Map server and both direction caches. A frame
+/// that fails is re-sent after a redial down the server's failover list,
 /// with bounded backoff, up to the [`ClientResilience`] retry budget.
 /// See the crate docs for an end-to-end example.
 #[derive(Clone)]
@@ -473,7 +306,7 @@ pub struct TaintMapClient {
 impl std::fmt::Debug for TaintMapClient {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TaintMapClient")
-            .field("shards", &self.inner.topology.shard_count())
+            .field("shards", &self.shard_count())
             .field("stats", &self.stats())
             .finish()
     }
@@ -520,24 +353,11 @@ impl TaintMapClient {
         resilience: ClientResilience,
     ) -> Result<Self, TaintMapError> {
         let src_ip = store.local_id().ip();
-        let mut shards = Vec::with_capacity(topology.shard_count());
-        let mut breakers = Vec::with_capacity(topology.shard_count());
-        let mut tables = Vec::with_capacity(topology.shard_count());
-        for i in 0..topology.shard_count() {
-            let conn = dial_any(net, topology.shard_addrs(i), src_ip, 0)?;
-            shards.push(Arc::new(Mutex::new(conn)));
-            breakers.push(Mutex::new(Breaker::new()));
-            tables.push(ClassTable::initial(topology.shard_addrs(i).to_vec(), i));
-        }
+        let transport = Transport::connect(net, &topology, src_ip, resilience, obs.clone())?;
         let n = topology.shard_count();
         let client = TaintMapClient {
             inner: Arc::new(ClientInner {
-                net: net.clone(),
-                topology,
-                src_ip,
-                shards,
-                tables: Mutex::new(tables),
-                extra: Mutex::new(HashMap::new()),
+                transport,
                 store,
                 outbound: Mutex::new(Outbound {
                     gid_of: IdMap::default(),
@@ -549,9 +369,6 @@ impl TaintMapClient {
                 taint_front: IdFront::default(),
                 any_pending: AtomicBool::new(false),
                 flushing: (0..n).map(|_| Mutex::new(())).collect(),
-                breakers,
-                sentinel_resolutions: Mutex::new(HashMap::new()),
-                resilience,
                 obs,
             }),
         };
@@ -574,232 +391,7 @@ impl TaintMapClient {
 
     /// Number of shards this client routes across.
     pub fn shard_count(&self) -> usize {
-        self.inner.topology.shard_count()
-    }
-
-    /// Sleeps the bounded exponential backoff before re-attempt
-    /// `attempt` (1-based) and counts the retry.
-    fn note_retry(&self, attempt: u32) {
-        self.inner.obs.retries.inc();
-        let r = self.inner.resilience;
-        let shift = (attempt - 1).min(16);
-        let backoff = r
-            .backoff_base
-            .saturating_mul(1u32 << shift)
-            .min(r.backoff_cap);
-        if backoff > Duration::ZERO {
-            std::thread::sleep(backoff);
-        }
-    }
-
-    /// Reconnects a connection to the next address in `addrs` (a base
-    /// shard's failover list, or the single address of a split server).
-    /// Failover accounting lands on residue class `class`.
-    fn redial_addrs(
-        &self,
-        class: usize,
-        addrs: &[NodeAddr],
-        guard: &mut MutexGuard<'_, ShardConn>,
-    ) -> Result<(), TaintMapError> {
-        let start = (guard.target + 1) % addrs.len();
-        **guard = dial_any(&self.inner.net, addrs, self.inner.src_ip, start)?;
-        self.inner.obs.failovers.inc();
-        self.inner
-            .obs
-            .recorder
-            .record_with(|| ObsEventKind::TaintMapFailover { shard: class });
-        Ok(())
-    }
-
-    /// The kept-open connection to a split server, dialing it on first
-    /// use.
-    fn extra_conn(&self, addr: NodeAddr) -> Result<Arc<Mutex<ShardConn>>, TaintMapError> {
-        let mut pool = self.inner.extra.lock();
-        if let Some(conn) = pool.get(&addr) {
-            return Ok(conn.clone());
-        }
-        let conn = dial_any(&self.inner.net, &[addr], self.inner.src_ip, 0)?;
-        let arc = Arc::new(Mutex::new(conn));
-        pool.insert(addr, arc.clone());
-        Ok(arc)
-    }
-
-    /// Runs one round of per-destination frames and returns their
-    /// replies in group order. This is the only code that touches the
-    /// wire after connect, and it states the whole transport policy:
-    ///
-    /// * **Admission** — a group whose class breaker is open fast-fails
-    ///   the round before anything is locked or sent.
-    /// * **Pipelining** — every destination connection is locked in
-    ///   ascending `(class, addr)` order (the deadlock-free order shared
-    ///   by all callers) and every frame is written before any reply is
-    ///   read, so the servers work concurrently.
-    /// * **Retry** — a frame whose write or read fails is redialed along
-    ///   its failover list and re-sent after a bounded exponential
-    ///   backoff, up to `retry_budget` times (a bind is idempotent, a
-    ///   replayed lease at worst strands its gids, a lookup is
-    ///   read-only, so replay is safe). Each read is bounded by the
-    ///   whole-frame `rpc_deadline`.
-    /// * **Breaker** — any well-formed reply, `OK` or `Moved`, closes
-    ///   the class breaker (a redirecting server is *serving*, not
-    ///   failing); an exhausted budget counts one failure toward opening
-    ///   it.
-    ///
-    /// Every group is driven to a reply or to exhaustion before the
-    /// first error is returned, and a connection whose frame ended in
-    /// exhaustion is retired — its reply may still arrive, so the next
-    /// round redials (a failover like any other) before it writes. No
-    /// connection is ever read with a reply outstanding that the next
-    /// request would mistake for its own.
-    fn run_groups(&self, groups: &[Group], op: u8) -> Result<Vec<(u8, Vec<u8>)>, TaintMapError> {
-        debug_assert!(
-            groups
-                .windows(2)
-                .all(|w| (w[0].class, w[0].addr) < (w[1].class, w[1].addr)),
-            "groups must be sorted and deduped for the lock order"
-        );
-        let r = self.inner.resilience;
-        for g in groups {
-            if !self.inner.breakers[g.class].lock().admit() {
-                self.inner.obs.breaker_fast_fails.inc();
-                return Err(TaintMapError::ShardUnavailable(g.class));
-            }
-        }
-        // A base server keeps its shard's connection and failover list;
-        // a server created by a split is dialed on first use and has no
-        // standby to fail over to.
-        let mut conns = Vec::with_capacity(groups.len());
-        for g in groups {
-            let base = self.inner.topology.shard_addrs(g.class);
-            conns.push(if base.contains(&g.addr) {
-                (self.inner.shards[g.class].clone(), base)
-            } else {
-                (self.extra_conn(g.addr)?, std::slice::from_ref(&g.addr))
-            });
-        }
-        let mut guards: Vec<_> = conns.iter().map(|(conn, _)| conn.lock()).collect();
-        self.inner.obs.batch_frames.add(groups.len() as u64);
-        let written: Vec<Result<(), TaintMapError>> = groups
-            .iter()
-            .zip(&mut guards)
-            .zip(&conns)
-            .map(|((g, guard), (_, addrs))| {
-                if guard.retired {
-                    self.redial_addrs(g.class, addrs, guard)?;
-                }
-                Ok(write_frame(&guard.conn, op, &g.payload)?)
-            })
-            .collect();
-
-        let mut replies = Vec::with_capacity(groups.len());
-        let mut first_err = None;
-        for (((g, guard), (_, addrs)), mut sent) in
-            groups.iter().zip(&mut guards).zip(&conns).zip(written)
-        {
-            let mut attempt = 0;
-            let reply = loop {
-                let reply = sent.and_then(|()| {
-                    read_frame_deadline(&guard.conn, r.rpc_deadline)?
-                        .ok_or(TaintMapError::Net(NetError::Closed))
-                });
-                if reply.is_ok() || attempt == r.retry_budget {
-                    break reply;
-                }
-                attempt += 1;
-                self.note_retry(attempt);
-                sent = self
-                    .redial_addrs(g.class, addrs, guard)
-                    .and_then(|()| Ok(write_frame(&guard.conn, op, &g.payload)?));
-            };
-            let mut breaker = self.inner.breakers[g.class].lock();
-            match reply {
-                Ok(reply) => {
-                    if let Some(open_for) = breaker.success() {
-                        self.inner
-                            .obs
-                            .breaker_open_ns
-                            .add(open_for.as_nanos() as u64);
-                    }
-                    replies.push(reply);
-                }
-                Err(e) => {
-                    guard.retired = true;
-                    if breaker.failure(&r) {
-                        self.inner.obs.breaker_opens.inc();
-                    }
-                    first_err.get_or_insert(e);
-                }
-            }
-        }
-        first_err.map_or(Ok(replies), Err)
-    }
-
-    /// One logical request of `n` item slots: partitions the slots by
-    /// destination (`route` names a slot's residue class and serving
-    /// address under the cached class tables), sends one `op` frame per
-    /// destination (`encode` builds it from the class epoch and the
-    /// slots it carries), and hands each `OK` reply to `on_ok`. A
-    /// `Moved` reply — to a stale stamp or a range that moved — carries
-    /// the server's class table: it is merged, and that destination's
-    /// slots are re-partitioned on the next round.
-    /// Every round either resolves slots or advances a class table's
-    /// epoch, so a healthy deployment converges in one or two.
-    fn resolve(
-        &self,
-        op: u8,
-        n: usize,
-        route: impl Fn(&[ClassTable], usize) -> (usize, NodeAddr),
-        encode: impl Fn(u64, &[usize]) -> Vec<u8>,
-        mut on_ok: impl FnMut(&[usize], &[u8]) -> Result<(), TaintMapError>,
-    ) -> Result<(), TaintMapError> {
-        self.inner.obs.batch_items.observe(n as u64);
-        let wire_started = Instant::now();
-        let mut unresolved: Vec<usize> = (0..n).collect();
-        for _round in 0..RESHARD_ROUNDS {
-            if unresolved.is_empty() {
-                break;
-            }
-            // A split class fans its slots out over every range owner;
-            // BTreeMap gives the ascending (class, addr) lock order.
-            let mut by_dest: BTreeMap<(usize, NodeAddr), Vec<usize>> = BTreeMap::new();
-            let groups: Vec<Group> = {
-                let tables = self.inner.tables.lock();
-                for &k in &unresolved {
-                    by_dest.entry(route(&tables, k)).or_default().push(k);
-                }
-                by_dest
-                    .into_iter()
-                    .map(|((class, addr), items)| Group {
-                        class,
-                        addr,
-                        payload: encode(tables[class].epoch, &items),
-                        items,
-                    })
-                    .collect()
-            };
-            let replies = self.run_groups(&groups, op)?;
-            unresolved.clear();
-            for (g, (resp_op, resp)) in groups.into_iter().zip(replies) {
-                match resp_op {
-                    RESP_OK => on_ok(&g.items, &resp)?,
-                    RESP_MOVED => {
-                        let table = decode_class_table(&resp)?;
-                        self.inner.tables.lock()[g.class].merge(&table);
-                        self.inner.obs.moved_redirects.inc();
-                        unresolved.extend(g.items);
-                    }
-                    _ => return Err(TaintMapError::Protocol("bad taint map response")),
-                }
-            }
-        }
-        if !unresolved.is_empty() {
-            return Err(TaintMapError::Protocol("resharding did not converge"));
-        }
-        self.inner
-            .obs
-            .batch_latency_us
-            .observe(wire_started.elapsed().as_micros() as u64);
-        Ok(())
+        self.inner.transport.shard_count()
     }
 
     /// Returns the Global ID for `taint`, registering it with the service
@@ -1076,9 +668,11 @@ impl TaintMapClient {
     /// every bind queued for them goes where its gid lives, and each
     /// lease is topped up to [`LEASE_IDS`] from the class's tail. A
     /// shard with nothing queued and gids left is skipped. Rounds on a
-    /// shard take turns and a failed one puts its binds back in front,
-    /// so after `Ok` everything queued before the call is settled: bound,
-    /// or refused and its taint re-keyed.
+    /// shard take turns. Each destination answers or fails on its own:
+    /// the answers are applied, and a failed destination's binds go back
+    /// in front of their queues while its lease is left as it was. So
+    /// after `Ok` everything queued before the call is settled: bound, or
+    /// refused and its taint re-keyed.
     ///
     /// The shard answers each bind on its own. One it accepts puts its
     /// taint's gid in the front, where it stays. One it refuses — a gid it
@@ -1091,7 +685,7 @@ impl TaintMapClient {
     ///
     /// # Errors
     ///
-    /// Transport and protocol errors from the round;
+    /// The first destination's failure, once the answers are applied;
     /// [`TaintMapError::Protocol`] when a dry lease comes back empty (the
     /// shard's gids are spent).
     fn send_binds(&self, shards: &[usize]) -> Result<(), TaintMapError> {
@@ -1119,23 +713,21 @@ impl TaintMapClient {
             return Ok(());
         }
         self.inner.obs.register_rpcs.add(binds.len() as u64);
-        // Slots: the binds, then one lease request per shard.
+        // Items: the binds, then one lease request per shard. An item
+        // whose destination failed keeps its `None`.
         let lease_slot = |k: usize| k.checked_sub(binds.len());
-        let mut leased: Vec<Vec<u32>> = vec![Vec::new(); wants.len()];
-        let mut refused = vec![false; binds.len()];
-        let result = self.resolve(
+        let mut leased: Vec<Option<Vec<u32>>> = vec![None; wants.len()];
+        let mut refused: Vec<Option<bool>> = vec![None; binds.len()];
+        let failed = self.inner.transport.resolve(
             OP_BIND,
             binds.len() + wants.len(),
-            |tables, k| {
-                let (class, range) = match lease_slot(k) {
-                    Some(w) => (wants[w].0, tables[wants[w].0].tail()),
-                    None => {
-                        let gid = binds[k].gid.0;
-                        let class = shard_of_gid(gid, n);
-                        (class, tables[class].range_of_gid(gid))
-                    }
-                };
-                (class, range.addrs[0])
+            |tables, k| match lease_slot(k) {
+                Some(w) => (wants[w].0, tables[wants[w].0].tail()),
+                None => {
+                    let gid = binds[k].gid.0;
+                    let class = shard_of_gid(gid, n);
+                    (class, tables[class].range_of_gid(gid))
+                }
             },
             |epoch, items| {
                 let want = items
@@ -1165,25 +757,24 @@ impl TaintMapClient {
                     return Err(TaintMapError::Protocol("a lease of gids nobody asked for"));
                 }
                 if let Some(w) = asked {
-                    leased[w] = gids;
+                    leased[w] = Some(gids);
                 }
                 for (&k, status) in bound.iter().zip(statuses) {
-                    refused[k] =
-                        status == STATUS_UNLEASED || (status == STATUS_TAKEN && !binds[k].learned);
+                    refused[k] = Some(
+                        status == STATUS_UNLEASED || (status == STATUS_TAKEN && !binds[k].learned),
+                    );
                 }
                 Ok(())
             },
         );
         let mut outbound = self.inner.outbound.lock();
         let outbound = &mut *outbound;
-        if let Err(e) = result {
-            for bind in binds.into_iter().rev() {
-                let shard = shard_of_gid(bind.gid.0, n);
-                outbound.leases[shard].queue.insert(0, bind);
-            }
-            return Err(e);
-        }
-        for (bind, refused) in binds.iter().zip(refused) {
+        let mut unsent = Vec::new();
+        for (bind, refused) in binds.into_iter().zip(refused) {
+            let Some(refused) = refused else {
+                unsent.push(bind);
+                continue;
+            };
             outbound.unbound.remove(&bind.taint);
             let current = outbound.gid_of.get(&bind.taint) == Some(&bind.gid);
             if !refused {
@@ -1199,13 +790,19 @@ impl TaintMapClient {
                 outbound.leases[shard_of_gid(bind.gid.0, n)].free.clear();
             }
         }
+        for bind in unsent.into_iter().rev() {
+            let shard = shard_of_gid(bind.gid.0, n);
+            outbound.leases[shard].queue.insert(0, bind);
+        }
         let mut spent = false;
         for (&(shard, _, dry), gids) in wants.iter().zip(leased) {
+            let Some(gids) = gids else { continue };
             spent |= dry && gids.is_empty();
             outbound.leases[shard]
                 .free
                 .extend(gids.into_iter().map(GlobalId));
         }
+        first_failure(failed)?;
         match spent {
             true => Err(TaintMapError::Protocol("a shard has no gid left to lease")),
             false => Ok(()),
@@ -1336,7 +933,7 @@ impl TaintMapClient {
     pub fn taints_for(&self, gids: &[GlobalId]) -> Result<Vec<Taint>, TaintMapError> {
         let mut out = Vec::new();
         self.resolve_gids(gids, &mut out, false, |misses, out| {
-            self.lookup(misses, out)
+            first_failure(self.lookup(misses, out)?)
         })?;
         Ok(out)
     }
@@ -1392,20 +989,33 @@ impl TaintMapClient {
         Ok(())
     }
 
-    /// Fetches `misses` (slot in `out`, gid) on the wire, caches them,
-    /// and fills their slots.
-    fn lookup(&self, misses: &[(usize, GlobalId)], out: &mut [Taint]) -> Result<(), TaintMapError> {
+    /// Fetches `misses` (slot in `out`, gid) on the wire, caches the
+    /// answers, and fills their slots. Returns the misses whose
+    /// destination failed (indices into `misses`), with why; their slots
+    /// are left as they were.
+    ///
+    /// # Errors
+    ///
+    /// [`TaintMapError::UnknownGlobalId`] for an answered id the service
+    /// never assigned; [`TaintMapError::Codec`] for answered bytes that
+    /// are not a serialized taint.
+    fn lookup(
+        &self,
+        misses: &[(usize, GlobalId)],
+        out: &mut [Taint],
+    ) -> Result<Failed, TaintMapError> {
         let n = self.shard_count();
         self.inner.obs.lookup_rpcs.add(misses.len() as u64);
-        // `None` marks an id the service never assigned.
-        let mut fetched: Vec<Option<Vec<u8>>> = vec![None; misses.len()];
-        self.resolve(
+        // The outer `None` marks a miss not answered, the inner one an
+        // id the service never assigned.
+        let mut fetched: Vec<Option<Option<Vec<u8>>>> = vec![None; misses.len()];
+        let failed = self.inner.transport.resolve(
             OP_LOOKUP,
             misses.len(),
             |tables, k| {
                 let gid = misses[k].1 .0;
                 let class = shard_of_gid(gid, n);
-                (class, tables[class].range_of_gid(gid).addrs[0])
+                (class, tables[class].range_of_gid(gid))
             },
             |epoch, items| {
                 let batch: Vec<u32> = items.iter().map(|&k| misses[k].1 .0).collect();
@@ -1413,17 +1023,18 @@ impl TaintMapClient {
             },
             |items, resp| {
                 for (&k, item) in items.iter().zip(decode_lookup_resp(resp, items.len())?) {
-                    fetched[k] = item;
+                    fetched[k] = Some(item);
                 }
                 Ok(())
             },
-        )?;
-        for (&(i, gid), bytes) in misses.iter().zip(fetched) {
+        );
+        for (&(i, gid), answer) in misses.iter().zip(fetched) {
+            let Some(bytes) = answer else { continue };
             let bytes = bytes.ok_or(TaintMapError::UnknownGlobalId(gid))?;
             let taint = deserialize_taint(&self.inner.store, &bytes)?;
             out[i] = self.finish_lookup(gid, taint, false);
         }
-        Ok(())
+        Ok(failed)
     }
 
     /// Like [`TaintMapClient::taints_for`], but **sound under
@@ -1465,34 +1076,26 @@ impl TaintMapClient {
     ) -> Result<(), TaintMapError> {
         // Heal-side reconciliation rides on the next lookup batch.
         self.resolve_gids(gids, out, true, |misses, out| {
-            // Each shard's slice goes through the strict path on its
-            // own; a shard whose frame dies on transport degrades *only
-            // its own* gids to sentinels. A gid still pending after the
-            // reconciliation above keeps its sentinel without another
-            // wire attempt.
-            let n = self.shard_count();
-            let mut per_shard: Vec<Vec<(usize, GlobalId)>> = vec![Vec::new(); n];
+            // A gid still pending after the reconciliation above keeps
+            // its sentinel without another wire attempt. The rest go in
+            // one round, where an unreachable destination degrades *only
+            // its own* gids to sentinels.
+            let mut wire = Vec::with_capacity(misses.len());
             {
                 let inbound = self.inner.inbound.lock();
                 for &(i, gid) in misses {
                     match inbound.pending.get(&gid) {
                         Some(&sentinel) => out[i] = sentinel,
-                        None => per_shard[shard_of_gid(gid.0, n)].push((i, gid)),
+                        None => wire.push((i, gid)),
                     }
                 }
             }
-            for (shard, items) in per_shard.iter().enumerate() {
-                if items.is_empty() {
-                    continue;
+            for (items, e) in self.lookup(&wire, out)? {
+                if !is_outage(&e) {
+                    return Err(e);
                 }
-                match self.lookup(items, out) {
-                    Ok(()) => {}
-                    Err(TaintMapError::Net(_)) | Err(TaintMapError::ShardUnavailable(_)) => {
-                        for &(i, gid) in items {
-                            out[i] = self.pending_sentinel(gid, shard);
-                        }
-                    }
-                    Err(e) => return Err(e),
+                for (i, gid) in items.into_iter().map(|k| wire[k]) {
+                    out[i] = self.pending_sentinel(gid);
                 }
             }
             Ok(())
@@ -1503,7 +1106,8 @@ impl TaintMapClient {
     /// unreachable gid and records the degradation. The sentinel lives
     /// in the pending map, *not* the `taint_of` cache, so a healed
     /// lookup later resolves the real taint instead of the placeholder.
-    fn pending_sentinel(&self, gid: GlobalId, shard: usize) -> Taint {
+    fn pending_sentinel(&self, gid: GlobalId) -> Taint {
+        let shard = shard_of_gid(gid.0, self.shard_count());
         let pending = &mut self.inner.inbound.lock().pending;
         if let Some(&sentinel) = pending.get(&gid) {
             return sentinel;
@@ -1524,10 +1128,10 @@ impl TaintMapClient {
     }
 
     /// Re-attempts every pending gid against its (hopefully healed)
-    /// shard, in one lookup per shard; each success records the
-    /// sentinel → real-taint resolution and a `PendingResolved` event.
-    /// Gids whose shard is still unreachable stay pending. Returns how
-    /// many resolved this call.
+    /// shard, in one round; each success records the sentinel →
+    /// real-taint resolution and a `PendingResolved` event. Gids whose
+    /// shard is still unreachable stay pending. Returns how many
+    /// resolved this call.
     ///
     /// # Errors
     ///
@@ -1546,42 +1150,32 @@ impl TaintMapClient {
         // Gid order, not hash order: reconciliation (and its event
         // stream) must replay identically across runs.
         snapshot.sort_by_key(|&(gid, _)| gid.0);
-        let n = self.shard_count();
-        let mut real: Vec<Option<Taint>> = vec![None; snapshot.len()];
-        for shard in 0..n {
-            let (slots, gids): (Vec<usize>, Vec<GlobalId>) = snapshot
-                .iter()
-                .enumerate()
-                .filter(|(_, (gid, _))| shard_of_gid(gid.0, n) == shard)
-                .map(|(slot, &(gid, _))| (slot, gid))
-                .unzip();
-            if gids.is_empty() {
+        let gids: Vec<GlobalId> = snapshot.iter().map(|&(gid, _)| gid).collect();
+        let (mut real, mut unreached) = (Vec::new(), vec![false; gids.len()]);
+        self.resolve_gids(&gids, &mut real, false, |misses, out| {
+            for (items, e) in self.lookup(misses, out)? {
+                if !is_outage(&e) {
+                    return Err(e);
+                }
+                for k in items {
+                    unreached[misses[k].0] = true;
+                }
+            }
+            Ok(())
+        })?;
+        let mut resolved = 0u64;
+        for (((gid, sentinel), taint), unreached) in snapshot.into_iter().zip(real).zip(unreached) {
+            if unreached {
                 continue;
             }
-            match self.taints_for(&gids) {
-                Ok(taints) => {
-                    for (slot, taint) in slots.into_iter().zip(taints) {
-                        real[slot] = Some(taint);
-                    }
-                }
-                Err(TaintMapError::Net(_)) | Err(TaintMapError::ShardUnavailable(_)) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        let mut resolved = 0u64;
-        for ((gid, sentinel), taint) in snapshot.into_iter().zip(real) {
-            let Some(taint) = taint else { continue };
             {
-                let pending = &mut self.inner.inbound.lock().pending;
-                pending.remove(&gid);
-                self.inner.obs.pending_gids.set(pending.len() as f64);
-                let any = !pending.is_empty();
-                self.inner.any_pending.store(any, Ordering::Release);
+                let inbound = &mut *self.inner.inbound.lock();
+                inbound.pending.remove(&gid);
+                inbound.resolutions.insert(sentinel, taint);
+                let left = inbound.pending.len();
+                self.inner.obs.pending_gids.set(left as f64);
+                self.inner.any_pending.store(left > 0, Ordering::Release);
             }
-            self.inner
-                .sentinel_resolutions
-                .lock()
-                .insert(sentinel, taint);
             self.inner.obs.pending_resolved.inc();
             self.inner
                 .obs
@@ -1612,8 +1206,9 @@ impl TaintMapClient {
     /// sentinel has been resolved.
     pub fn resolution_of(&self, sentinel: Taint) -> Option<Taint> {
         self.inner
-            .sentinel_resolutions
+            .inbound
             .lock()
+            .resolutions
             .get(&sentinel)
             .copied()
     }
@@ -1640,27 +1235,19 @@ impl TaintMapClient {
     }
 }
 
-fn dial_any(
-    net: &SimNet,
-    addrs: &[NodeAddr],
-    src_ip: [u8; 4],
-    start: usize,
-) -> Result<ShardConn, TaintMapError> {
-    let mut last = TaintMapError::Protocol("no taint map addresses");
-    for k in 0..addrs.len() {
-        let target = (start + k) % addrs.len();
-        match net.tcp_connect_from(src_ip, addrs[target]) {
-            Ok(conn) => {
-                return Ok(ShardConn {
-                    conn,
-                    target,
-                    retired: false,
-                })
-            }
-            Err(e) => last = TaintMapError::Net(e),
-        }
-    }
-    Err(last)
+/// The first failure of a round, for a caller that cannot use a partial
+/// answer.
+fn first_failure(failed: Failed) -> Result<(), TaintMapError> {
+    failed.into_iter().next().map_or(Ok(()), |(_, e)| Err(e))
+}
+
+/// Whether `e` says a shard could not be reached (a transport failure or
+/// an open breaker): what the degraded paths wait out.
+fn is_outage(e: &TaintMapError) -> bool {
+    matches!(
+        e,
+        TaintMapError::Net(_) | TaintMapError::ShardUnavailable(_)
+    )
 }
 
 #[cfg(test)]

@@ -482,6 +482,84 @@ proptest! {
         endpoint.shutdown();
     }
 
+    /// A partial outage: one shard's primary crashes at a chosen step of
+    /// a degraded lookup sweep, each step a fresh slice of gids. Every
+    /// gid of a live shard resolves to its own taint and never pends;
+    /// the dead shard's gids looked up from the crash on pend, reconcile
+    /// once it restarts, and every sentinel maps to the healed taint.
+    #[test]
+    fn one_dead_shard_pends_only_its_own_gids(
+        (shard_count, victim, n, crash_at) in (2usize..=3, 0usize..3, 8usize..=32, 0usize..4)
+    ) {
+        let victim = victim % shard_count;
+        let class = |gid: GlobalId| (gid.0 as usize - 1) % shard_count;
+        let net = SimNet::new();
+        let mut endpoint = TaintMapEndpoint::builder()
+            .addr(NodeAddr::new([10, 0, 0, 99], 7777))
+            .shards(shard_count)
+            .snapshots(SimFs::new())
+            .connect(&net)
+            .unwrap();
+        let store1 = TaintStore::new(LocalId::new([10, 0, 0, 1], 1));
+        let client1 = endpoint.client(&net, store1.clone()).unwrap();
+        let taints: Vec<Taint> = (0..n as i64)
+            .map(|i| store1.mint_source_taint(TagValue::Int(i)))
+            .collect();
+        let gids = client1.global_ids_for(&taints).unwrap();
+        let store2 = TaintStore::new(LocalId::new([10, 0, 0, 2], 2));
+        let reader = TaintMapClient::connect_topology_tuned(
+            &net,
+            endpoint.topology(),
+            store2.clone(),
+            ClientObserver::disabled(),
+            fast_resilience(),
+        )
+        .unwrap();
+
+        let mut sentinels: HashMap<usize, Taint> = HashMap::new();
+        let steps = 4;
+        let per_step = n.div_ceil(steps);
+        for step in 0..steps {
+            if step == crash_at {
+                endpoint.crash_primary(victim);
+            }
+            let from = (step * per_step).min(n);
+            let to = ((step + 1) * per_step).min(n);
+            let got = reader.taints_for_degraded(&gids[from..to]).unwrap();
+            for (i, (&taint, &gid)) in (from..to).zip(got.iter().zip(&gids[from..to])) {
+                let vals = store2.tag_values(taint);
+                if step >= crash_at && class(gid) == victim {
+                    prop_assert_eq!(vals, vec![format!("pending-gid:{}", gid.0)]);
+                    sentinels.insert(i, taint);
+                } else {
+                    prop_assert_eq!(vals, vec![i.to_string()], "wrong taint for gid {}", gid.0);
+                }
+            }
+            prop_assert!(
+                reader.pending_gids().into_iter().all(|gid| class(gid) == victim),
+                "a live shard's gid pends"
+            );
+        }
+
+        endpoint.restart_primary(victim).unwrap();
+        for _ in 0..32 {
+            if reader.pending_count() == 0 {
+                break;
+            }
+            reader.reconcile_pending().unwrap();
+        }
+        prop_assert_eq!(reader.pending_count(), 0, "backlog must drain after the restart");
+        let healed = reader.taints_for(&gids).unwrap();
+        for (i, &taint) in healed.iter().enumerate() {
+            prop_assert_eq!(store2.tag_values(taint), vec![i.to_string()]);
+        }
+        for (i, sentinel) in sentinels {
+            let real = reader.resolution_of(sentinel);
+            prop_assert_eq!(real, Some(healed[i]), "sentinel for index {} misresolved", i);
+        }
+        endpoint.shutdown();
+    }
+
     /// Live resharding under a crash schedule: a split runs while a
     /// stale-map client keeps looking up every gid. Whatever side(s) of
     /// the migration the schedule crashes and whenever, every lookup

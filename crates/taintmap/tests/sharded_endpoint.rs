@@ -539,3 +539,78 @@ fn a_late_reply_after_an_expired_deadline_is_never_read_as_the_next_answer() {
     assert_eq!(reader_store.tag_values(resolved), ["first"]);
     endpoint.shutdown();
 }
+
+#[test]
+fn an_open_breaker_on_one_shard_holds_back_only_that_shards_binds() {
+    // A round used to fail whole at admission when any of its
+    // destinations had an open breaker: a flush never wrote the healthy
+    // shard's frame, and its binds stayed queued behind the dead shard.
+    let net = SimNet::new();
+    let mut endpoint = TaintMapEndpoint::builder().shards(2).connect(&net).unwrap();
+    let writer_store = store(1);
+    let writer = endpoint.client(&net, writer_store.clone()).unwrap();
+    let witness_store = store(2);
+    let witness = endpoint.client(&net, witness_store.clone()).unwrap();
+    // Handed out with their definitions, as a v2 crossing does: queued
+    // for both shards, bound by nothing yet.
+    let taints = mint(&writer_store, 0..8);
+    let (mut gids, mut defs) = (Vec::new(), Vec::new());
+    writer
+        .global_ids_into(&taints, &mut gids, Some(&mut defs))
+        .unwrap();
+    let class = |gid: &GlobalId| (gid.0 - 1) % 2;
+    assert!((0..2).all(|c| gids.iter().any(|gid| class(gid) == c)));
+
+    endpoint.crash_primary(1);
+    let r = ClientResilience::default();
+    for _ in 0..r.breaker_threshold {
+        let unreachable = writer.taint_for(GlobalId(1_000_000));
+        assert!(matches!(unreachable, Err(TaintMapError::Net(_))));
+    }
+    assert_eq!(writer.stats().breaker_opens, 1);
+    assert_eq!(writer.flush(), Err(TaintMapError::ShardUnavailable(1)));
+
+    for (gid, &taint) in gids.iter().zip(&taints).filter(|(g, _)| class(g) == 0) {
+        let resolved = witness.taint_for(*gid).unwrap();
+        assert_eq!(
+            witness_store.tag_values(resolved),
+            writer_store.tag_values(taint)
+        );
+    }
+    endpoint.shutdown();
+}
+
+#[test]
+fn a_crashed_split_server_is_retried_and_trips_its_breaker() {
+    // A split server's first dial used to return its error straight out
+    // of the round: no retry, and the class breaker never counted it.
+    let net = SimNet::new();
+    let mut endpoint = TaintMapEndpoint::builder().connect(&net).unwrap();
+    let writer_store = store(1);
+    let writer = endpoint.client(&net, writer_store.clone()).unwrap();
+    // Connected before the split: its class table names only the base
+    // server, and it has never dialled the new one.
+    let reader = endpoint.client(&net, store(2)).unwrap();
+    writer.global_ids_for(&mint(&writer_store, 0..32)).unwrap();
+    let target = endpoint.split_shard(0).unwrap();
+    let moved = *writer
+        .global_ids_for(&mint(&writer_store, 32..232))
+        .unwrap()
+        .last()
+        .unwrap();
+    assert!(moved.0 >= endpoint.class_table(0).tail().lo_gid);
+    endpoint.crash_primary(target);
+
+    let r = ClientResilience::default();
+    for call in 1..=r.breaker_threshold {
+        let unreachable = reader.taint_for(moved);
+        assert!(matches!(unreachable, Err(TaintMapError::Net(_))));
+        assert_eq!(reader.stats().retries, u64::from(call * r.retry_budget));
+    }
+    assert_eq!(reader.stats().breaker_opens, 1);
+    assert_eq!(
+        reader.taint_for(moved),
+        Err(TaintMapError::ShardUnavailable(0))
+    );
+    endpoint.shutdown();
+}

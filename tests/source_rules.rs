@@ -28,7 +28,7 @@ use std::path::{Path, PathBuf};
 /// site is gone.
 const ALLOWED_SLEEPS: &[(&str, &str)] = &[
     (
-        "crates/taintmap/src/client.rs",
+        "crates/taintmap/src/client/transport.rs",
         "bounded exponential backoff between RPC retries",
     ),
     (
@@ -57,9 +57,12 @@ const ALLOWED_SLEEPS: &[(&str, &str)] = &[
 /// replaced; and the Taint Map's second redirect (a stale-epoch reply
 /// and the table fetch it forced) and second way to ship records, which
 /// `MOVED` and `REPLICATE` replaced; the split copy's durable checkpoint
-/// and rewind, which a follower's per-connection cursor replaced; and a
-/// compaction knob nothing set. All but the reactor's are split so that
-/// a plain grep of the tree for them comes back empty.
+/// and rewind, which a follower's per-connection cursor replaced; a
+/// compaction knob nothing set; and the Taint Map client's retired
+/// connections and second pool of split-server connections, which a
+/// connection slot a failed frame empties replaced. All but the
+/// reactor's are split so that a plain grep of the tree for them comes
+/// back empty.
 const FORBIDDEN: &[&str] = &[
     "Reactor",
     "TimerWheel",
@@ -80,6 +83,9 @@ const FORBIDDEN: &[&str] = &[
     concat!("resync", "_from"),
     concat!("struct ", "Migration {"),
     concat!("compact_every", "_registers"),
+    concat!("retired", ": bool"),
+    concat!("fn ", "extra_conn"),
+    concat!("fn ", "redial_addrs"),
 ];
 
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
