@@ -1,6 +1,5 @@
-//! The versioned boundary wire codec (paper §III-C/D wire format plus
-//! the negotiated v2 extension, ROADMAP "as fast as the hardware
-//! allows").
+//! The versioned boundary wire codec: the paper's §III-C/D wire format
+//! plus the negotiated v2 extension.
 //!
 //! Two wire protocols live behind one trait:
 //!

@@ -6,33 +6,31 @@
 //! datagram truncation safe (§III-D-2), at the cost of the paper's ≈5×
 //! expansion for 4-byte Global IDs.
 //!
-//! * [`encode_wire_into`] writes into a caller-provided buffer and fills
-//!   each run's region by seeding one record and doubling
-//!   `copy_within` — the per-byte work collapses to a single indexed
-//!   store for the data byte.
-//! * [`decode_wire_into`] writes data bytes into a caller-provided
-//!   buffer, detects same-gid stretches with raw `width`-byte slice
-//!   compares (no per-record [`GlobalId`] parse), and rejects torn
-//!   trailing records and oversized gids with typed errors.
+//! Both directions run one block kernel on a fact of the format: for
+//! every width W, 8 records are exactly `1 + W` 64-bit words, and 8
+//! records of one gid make the same pattern words but for 8 data lanes.
+//!
+//! * [`encode_wire_into`] builds each run's pattern once and writes each
+//!   block of 8 data bytes as `1 + W` word stores, a tail record by record.
+//! * [`decode_wire_into`] appends a block's 8 data bytes at once when its
+//!   gid lanes match the run's pattern; any other block, and the tail,
+//!   go record by record, parsing each run's [`GlobalId`] once. Torn
+//!   trailing records and oversized gids are typed errors.
 //! * [`V1Codec`] packages both behind the versioned [`WireCodec`]
 //!   trait.
 //!
-//! The old per-byte codec is kept verbatim in [`mod@reference`] as the
-//! conformance oracle: the property suite (`tests/prop_codec.rs`) pins
-//! the fast path's output bit-for-bit against it.
+//! The per-byte codec is kept in [`mod@reference`] as the conformance
+//! oracle: the property suite (`tests/prop_codec.rs`) pins the kernel's
+//! output bit-for-bit against it.
 
-use dista_taint::GlobalId;
+use dista_taint::{ByteReader, GlobalId};
 
 use super::{check_width, gid_from_wire, WireCodec, WireRun, WireVersion, MAX_GID_WIDTH};
 use crate::error::JreError;
 
 /// Encodes `data` into interleaved wire records, one per byte, writing
-/// into `out` (overwritten). `runs` must cover `data` exactly.
-///
-/// Each run's region is filled by seeding a single `[b][gid…]` record
-/// and doubling it with `copy_within`; the remaining data bytes are then
-/// scattered over the replicated seed. Wire bytes are bit-identical to
-/// [`reference::encode_wire`].
+/// into `out` (overwritten). `runs` must cover `data` exactly. Wire bytes
+/// are bit-identical to [`reference::encode_wire`].
 ///
 /// # Panics
 ///
@@ -55,12 +53,11 @@ pub(in crate::codec) fn wire_slot(gid: GlobalId, width: usize) -> [u8; MAX_GID_W
 }
 
 /// Fills `region` (pre-sized to `data.len() * (1 + width)`) with
-/// interleaved records, monomorphized per width so per-record gid stores
-/// compile to one fixed-size store instead of a variable-length memcpy.
-/// The run table arrives as an iterator, so callers holding
-/// `(run_len, GlobalId)` pairs convert on the fly instead of building a
-/// [`WireRun`] table first. Shared with the v2 adaptive record-frame
-/// fallback.
+/// interleaved records, monomorphized per width so a block's words and
+/// lanes are compile-time constants. The run table arrives as an
+/// iterator, so callers holding `(run_len, GlobalId)` pairs convert on
+/// the fly instead of building a [`WireRun`] table first. Shared with
+/// the v2 record-frame fallback.
 pub(in crate::codec) fn encode_records_into(
     data: &[u8],
     runs: impl Iterator<Item = WireRun>,
@@ -80,9 +77,23 @@ pub(in crate::codec) fn encode_records_into(
     }
 }
 
-/// Runs shorter than this are filled record-by-record (two fixed-size
-/// stores each); longer runs amortize a doubling `copy_within` fill.
-const DOUBLING_MIN_RUN: usize = 32;
+/// A block of 8 records as big-endian words; the first `1 + W` are live.
+type Block = [u64; 1 + MAX_GID_WIDTH];
+
+/// The block of 8 records that all carry `gid`, with zero data bytes.
+/// The pattern of an all-`0xFF` gid masks a block's gid lanes.
+fn pattern<const W: usize>(gid: &[u8; W]) -> Block {
+    let mut bytes = [0u8; 8 * (1 + MAX_GID_WIDTH)];
+    for rec in bytes[..8 * (1 + W)].chunks_exact_mut(1 + W) {
+        rec[1..].copy_from_slice(gid);
+    }
+    let mut reader = ByteReader::new(&bytes);
+    let mut words = [0u64; 1 + MAX_GID_WIDTH];
+    for word in &mut words {
+        *word = reader.u64().expect("the bytes are whole words");
+    }
+    words
+}
 
 fn encode_records<const W: usize>(
     data: &[u8],
@@ -92,31 +103,26 @@ fn encode_records<const W: usize>(
     let rs = 1 + W;
     let mut pos = 0; // data byte index
     for (run_len, gid) in runs {
-        if run_len == 0 {
-            continue;
-        }
         let gid: &[u8; W] = gid[..W].try_into().expect("slot holds W live bytes");
         let run = &data[pos..pos + run_len];
         let region = &mut out[pos * rs..(pos + run_len) * rs];
-        if run_len < DOUBLING_MIN_RUN {
-            for (rec, &b) in region.chunks_exact_mut(rs).zip(run) {
-                rec[0] = b;
-                rec[1..].copy_from_slice(gid);
+        let pattern = pattern(gid);
+        let mut blocks = region.chunks_exact_mut(8 * rs);
+        let mut bytes = run.chunks_exact(8);
+        for (block, bytes) in blocks.by_ref().zip(bytes.by_ref()) {
+            let mut words = pattern;
+            for (i, &b) in bytes.iter().enumerate() {
+                let at = i * rs;
+                words[at / 8] |= u64::from(b) << (56 - 8 * (at % 8));
             }
-        } else {
-            // Seed one record, double the filled region, then scatter
-            // the real data bytes over the replicated seed.
-            region[0] = run[0];
-            region[1..rs].copy_from_slice(gid);
-            let mut filled = rs;
-            while filled < region.len() {
-                let copy = filled.min(region.len() - filled);
-                region.copy_within(..copy, filled);
-                filled += copy;
+            for (dst, word) in block.chunks_exact_mut(8).zip(words) {
+                dst.copy_from_slice(&word.to_be_bytes());
             }
-            for (rec, &b) in region.chunks_exact_mut(rs).zip(run).skip(1) {
-                rec[0] = b;
-            }
+        }
+        let tail = blocks.into_remainder().chunks_exact_mut(rs);
+        for (rec, &b) in tail.zip(bytes.remainder()) {
+            rec[0] = b;
+            rec[1..].copy_from_slice(gid);
         }
         pos += run_len;
     }
@@ -126,9 +132,6 @@ fn encode_records<const W: usize>(
 /// Decodes interleaved wire records: data bytes land in `data_out`
 /// (cleared first), the gid run structure in `runs_out` (cleared first,
 /// adjacent equal gids coalesced).
-///
-/// Same-gid stretches are detected with raw slice compares; the
-/// [`GlobalId`] is parsed once per run, not once per record.
 ///
 /// # Errors
 ///
@@ -141,28 +144,22 @@ pub fn decode_wire_into(
     runs_out: &mut Vec<(GlobalId, usize)>,
 ) -> Result<(), JreError> {
     check_width(width);
-    let rs = 1 + width;
     data_out.clear();
     runs_out.clear();
-    if !wire.len().is_multiple_of(rs) {
+    if !wire.len().is_multiple_of(1 + width) {
         return Err(JreError::Protocol("torn trailing wire record"));
     }
-    let n = wire.len() / rs;
-    data_out.resize(n, 0);
-    let data = &mut data_out[..n];
-    strip_records_into(wire, width, data, runs_out)
+    strip_records_into(wire, width, data_out, runs_out)
 }
 
 /// One fused pass over whole records (`wire.len()` must be a record
-/// multiple and `data_out` exactly `wire.len() / (1 + width)` bytes):
-/// gathers each record's data byte and coalesces same-gid stretches,
-/// appending runs to `runs_out`. Monomorphized per width so the
-/// per-record same-gid check compiles to one integer compare. Shared
-/// with the v2 record-frame decode path.
+/// multiple): appends each record's data byte to `data_out` and the
+/// coalesced same-gid runs to `runs_out`. Shared with the v2
+/// record-frame decode path.
 pub(in crate::codec) fn strip_records_into(
     wire: &[u8],
     width: usize,
-    data_out: &mut [u8],
+    data_out: &mut Vec<u8>,
     runs_out: &mut Vec<(GlobalId, usize)>,
 ) -> Result<(), JreError> {
     match width {
@@ -180,27 +177,66 @@ pub(in crate::codec) fn strip_records_into(
 
 fn strip_records<const W: usize>(
     wire: &[u8],
-    data_out: &mut [u8],
+    data_out: &mut Vec<u8>,
     runs_out: &mut Vec<(GlobalId, usize)>,
 ) -> Result<(), JreError> {
+    let rs = 1 + W;
+    let gid_lanes = pattern(&[0xFF; W]);
+    // The run in progress: empty to start with, under the first
+    // record's gid, so a first block of one gid extends it.
     let mut cur = [0u8; W];
+    if let Some(first) = wire.get(1..rs) {
+        cur.copy_from_slice(first);
+    }
+    let mut cur_pattern = pattern(&cur);
     let mut run_len = 0usize;
-    for (out, rec) in data_out.iter_mut().zip(wire.chunks_exact(1 + W)) {
-        *out = rec[0];
-        let gid: [u8; W] = rec[1..].try_into().expect("record is 1 + W bytes");
-        if gid == cur && run_len != 0 {
-            run_len += 1;
-        } else {
-            if run_len != 0 {
-                runs_out.push((gid_from_wire(&cur)?, run_len));
-            }
-            cur = gid;
-            run_len = 1;
+    data_out.reserve(wire.len() / rs);
+    let mut blocks = wire.chunks_exact(8 * rs);
+    for block in blocks.by_ref() {
+        let mut words = ByteReader::new(block);
+        let mut stray = 0;
+        for (expect, lanes) in cur_pattern.iter().zip(gid_lanes).take(rs) {
+            stray |= (words.u64().expect("a block is 1 + W words") ^ expect) & lanes;
         }
+        if stray == 0 {
+            data_out.extend_from_slice(&std::array::from_fn::<u8, 8, _>(|i| block[i * rs]));
+            run_len += 8;
+        } else {
+            for rec in block.chunks_exact(rs) {
+                step(rec, &mut cur, &mut run_len, data_out, runs_out)?;
+            }
+            cur_pattern = pattern(&cur);
+        }
+    }
+    for rec in blocks.remainder().chunks_exact(rs) {
+        step(rec, &mut cur, &mut run_len, data_out, runs_out)?;
     }
     if run_len != 0 {
         runs_out.push((gid_from_wire(&cur)?, run_len));
     }
+    Ok(())
+}
+
+/// The per-record step: appends `rec`'s data byte and extends the run
+/// in progress, or closes it (parsing its gid once) and starts another.
+#[inline]
+fn step<const W: usize>(
+    rec: &[u8],
+    cur: &mut [u8; W],
+    run_len: &mut usize,
+    data_out: &mut Vec<u8>,
+    runs_out: &mut Vec<(GlobalId, usize)>,
+) -> Result<(), JreError> {
+    data_out.push(rec[0]);
+    let gid: [u8; W] = rec[1..].try_into().expect("record is 1 + W bytes");
+    if gid != *cur {
+        if *run_len != 0 {
+            runs_out.push((gid_from_wire(cur)?, *run_len));
+        }
+        *cur = gid;
+        *run_len = 0;
+    }
+    *run_len += 1;
     Ok(())
 }
 
@@ -289,8 +325,8 @@ impl WireCodec for V1Codec {
     }
 }
 
-/// The pre-fast-path per-byte codec, kept as the conformance oracle the
-/// fast path is pinned against. Structure intentionally mirrors the old
+/// The per-byte codec, kept as the conformance oracle the block kernel
+/// is pinned against. Structure intentionally mirrors the old
 /// `boundary::encode_wire`/`decode_wire` inner loops.
 pub mod reference {
     use super::{check_width, gid_from_wire, GlobalId, JreError, WireRun};
@@ -371,26 +407,33 @@ mod tests {
         slot
     }
 
+    /// Every payload length up to two blocks and a byte, and 256, so
+    /// each run ends in and out of a block; the kernel's wire is the
+    /// reference's and decodes as the reference decodes it.
     #[test]
     fn encode_matches_reference_across_shapes() {
-        let data: Vec<u8> = (0..=255u8).collect();
-        for width in 1..=MAX_GID_WIDTH {
-            for runs in [
-                vec![(256usize, gid_w(7, width))],
-                vec![(1usize, gid_w(1, width)), (255, gid_w(2, width))],
-                vec![
-                    (100usize, gid_w(0, width)),
-                    (56, gid_w(9, width)),
-                    (100, gid_w(0, width)),
-                ],
-            ] {
-                let mut fast = Vec::new();
-                encode_wire_into(&data, &runs, width, &mut fast);
-                assert_eq!(
-                    fast,
-                    reference::encode_wire(&data, &runs, width),
-                    "width {width}"
-                );
+        for len in (0..=17).chain([256]) {
+            let data: Vec<u8> = (0..len).map(|i| i as u8).collect();
+            let (head, third) = (len.min(1), len / 3);
+            for width in 1..=MAX_GID_WIDTH {
+                for runs in [
+                    vec![(len, gid_w(7, width))],
+                    vec![(head, gid_w(1, width)), (len - head, gid_w(2, width))],
+                    vec![
+                        (third, gid_w(0, width)),
+                        (third, gid_w(9, width)),
+                        (len - 2 * third, gid_w(0, width)),
+                    ],
+                ] {
+                    let mut fast = Vec::new();
+                    encode_wire_into(&data, &runs, width, &mut fast);
+                    let at = format!("width {width}, {len} B, runs {runs:?}");
+                    assert_eq!(fast, reference::encode_wire(&data, &runs, width), "{at}");
+                    let (mut d, mut r) = (Vec::new(), Vec::new());
+                    decode_wire_into(&fast, width, &mut d, &mut r).unwrap();
+                    let expected = reference::decode_wire(&fast, width).unwrap();
+                    assert_eq!((d, r), expected, "{at}");
+                }
             }
         }
     }

@@ -26,8 +26,8 @@
 //!   truncation cuts data, not structure.
 //! * **Record frames** are the adaptive fallback: when taints are so
 //!   fragmented that run segments would outweigh v1-style interleaved
-//!   records, the encoder emits the records instead (reusing the v1
-//!   width-monomorphized fast paths), bounding the worst case at v1's
+//!   records, the encoder emits the records instead (through the v1
+//!   block kernel), bounding the worst case at v1's
 //!   cost plus a few header bytes.
 //!
 //! The gid width is chosen **per frame** from that frame's max gid
@@ -454,10 +454,8 @@ impl Header {
             OP_RECORDS => {
                 let rs = 1 + self.width;
                 let region = &wire[self.body..self.body + take * rs];
-                let start = data_out.len();
-                data_out.resize(start + take, 0);
                 let first = runs_out.len();
-                v1::strip_records_into(region, self.width, &mut data_out[start..], runs_out)?;
+                v1::strip_records_into(region, self.width, data_out, runs_out)?;
                 // The frame's first run may continue the previous
                 // frame's last one.
                 if first > 0 && first < runs_out.len() && runs_out[first - 1].0 == runs_out[first].0

@@ -1,8 +1,9 @@
 //! Codec conformance properties: for arbitrary run layouts, gid widths
-//! and fragmentation points, the vectorized v1 fast path is bit-identical
-//! to the per-byte reference codec, encode∘decode is the identity for
-//! both wire protocols, the two protocols deliver identical data and
-//! per-byte gids, and malformed wire input fails with typed errors.
+//! and fragmentation points, the v1 block kernel is bit-identical to the
+//! per-byte reference codec and decodes a corrupted gid as it does,
+//! encode∘decode is the identity for both wire protocols, the two
+//! protocols deliver identical data and per-byte gids, and malformed wire
+//! input fails with typed errors.
 
 use dista_jre::codec::{v1, v1::reference, WireRun, MAX_GID_WIDTH};
 use dista_jre::{JreError, V1Codec, V2Codec, WireCodec};
@@ -13,12 +14,21 @@ use proptest::prelude::*;
 /// to the width under test before encoding.
 type Layout = Vec<(u32, usize)>;
 
+/// Short runs of any gids, or runs of 1–300 bytes over a pool of 3
+/// gids, so equal neighbours and stretches of many 8-record blocks occur.
 fn layout_strategy() -> impl Strategy<Value = Layout> {
-    prop::collection::vec((any::<u32>(), 1usize..48), 0..10)
+    let scattered = prop::collection::vec((any::<u32>(), 1usize..48), 0..10);
+    let pool = (any::<u32>(), any::<u32>(), any::<u32>()).prop_map(|(a, b, c)| [a, b, c]);
+    let pooled = (
+        pool,
+        prop::collection::vec((0usize..3, 1usize..=300), 0..10),
+    )
+        .prop_map(|(pool, runs)| runs.into_iter().map(|(i, len)| (pool[i], len)).collect());
+    prop_oneof![scattered, pooled]
 }
 
 fn width_strategy() -> impl Strategy<Value = usize> {
-    prop_oneof![Just(1usize), Just(2), Just(4), Just(8)]
+    1usize..=MAX_GID_WIDTH
 }
 
 /// Largest gid value expressible in `width` wire bytes (capped at the
@@ -59,7 +69,7 @@ fn expand(runs: &[(GlobalId, usize)]) -> Vec<u32> {
 }
 
 proptest! {
-    /// The fast encoder's wire bytes are bit-identical to the per-byte
+    /// The block encoder's wire bytes are bit-identical to the per-byte
     /// reference encoder for every layout and width.
     #[test]
     fn fast_encode_matches_reference(layout in layout_strategy(), width in width_strategy()) {
@@ -70,7 +80,7 @@ proptest! {
     }
 
     /// decode∘encode is the identity on data bytes and per-byte gids,
-    /// and the fast decoder agrees with the reference decoder exactly.
+    /// and the block decoder agrees with the reference decoder exactly.
     #[test]
     fn decode_inverts_encode(layout in layout_strategy(), width in width_strategy()) {
         let (data, runs, per_byte) = materialize(&layout, width);
@@ -137,6 +147,36 @@ proptest! {
             reference::decode_wire(&wire[..torn], width),
             Err(JreError::Protocol(_))
         ));
+    }
+
+    /// One gid byte of one record overwritten — any of a block's 8
+    /// slots or a tail record — decodes as the reference decodes it: the
+    /// same data and runs, or, for a gid above `u32::MAX` (widths 5..=8),
+    /// the same protocol error.
+    #[test]
+    fn a_corrupted_gid_byte_decodes_as_the_reference_does(
+        layout in layout_strategy().prop_filter("need bytes", |l| !l.is_empty()),
+        width in width_strategy(),
+        record in any::<usize>(),
+        slot in any::<usize>(),
+        flip in 1u8..=255,
+    ) {
+        let (data, runs, _) = materialize(&layout, width);
+        let mut wire = Vec::new();
+        v1::encode_wire_into(&data, &runs, width, &mut wire);
+        wire[record % data.len() * (1 + width) + 1 + slot % width] ^= flip;
+        let (mut d, mut r) = (Vec::new(), Vec::new());
+        match (
+            v1::decode_wire_into(&wire, width, &mut d, &mut r),
+            reference::decode_wire(&wire, width),
+        ) {
+            (Ok(()), Ok(expected)) => prop_assert_eq!((d, r), expected),
+            (Err(JreError::Protocol(got)), Err(JreError::Protocol(expected))) => {
+                prop_assert_eq!(got, expected);
+                prop_assert!(width > 4, "a {width}-byte gid always fits 32 bits");
+            }
+            (got, expected) => panic!("kernel {got:?}, reference {expected:?}"),
+        }
     }
 
     /// v2 decode∘encode is the identity on data bytes and per-byte gids

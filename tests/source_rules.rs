@@ -60,9 +60,9 @@ const ALLOWED_SLEEPS: &[(&str, &str)] = &[
 /// and rewind, which a follower's per-connection cursor replaced; a
 /// compaction knob nothing set; and the Taint Map client's retired
 /// connections and second pool of split-server connections, which a
-/// connection slot a failed frame empties replaced. All but the
-/// reactor's are split so that a plain grep of the tree for them comes
-/// back empty.
+/// connection slot a failed frame empties replaced; and v1's doubling
+/// record fill, which the block kernel replaced. All but the reactor's
+/// are split so that a plain grep of the tree for them comes back empty.
 const FORBIDDEN: &[&str] = &[
     "Reactor",
     "TimerWheel",
@@ -86,6 +86,7 @@ const FORBIDDEN: &[&str] = &[
     concat!("retired", ": bool"),
     concat!("fn ", "extra_conn"),
     concat!("fn ", "redial_addrs"),
+    concat!("DOUBLING", "_MIN_RUN"),
 ];
 
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
