@@ -23,9 +23,11 @@ echo "==> lock-free cache hits under --release, where races show: a hit takes no
 cargo test -q --release --offline -p dista-taintmap --lib a_cache_hit_takes_no_cache_lock
 cargo test -q --release --offline --test prop_boundary two_connections_on_one_vm_pair_resolve_every_crossing
 
-echo "==> v1 block kernel under --release, where its shifts and masks compile differently: the codec properties and the v1 unit tests"
+echo "==> v1 block kernel under --release, where its shifts and masks compile differently: the codec properties, the v1 and v2 unit tests (v2 record frames run the kernel) and the hostile-frame suite (v2 refuses widths past 4)"
 cargo test -q --release --offline -p dista-jre --test prop_codec
 cargo test -q --release --offline -p dista-jre --lib codec::v1
+cargo test -q --release --offline -p dista-jre --lib codec::v2
+cargo test -q --release --offline -p dista-jre --test adversarial_decode
 
 echo "==> Taint Map transport under --release, where deadline races show: a late reply is never read, a destination fails on its own"
 for name in a_late_reply_after_an_expired_deadline_is_never_read_as_the_next_answer \

@@ -22,7 +22,6 @@ pub struct ClusterBuilder {
     mode: Mode,
     nodes: Vec<(String, [u8; 4])>,
     spec: SourceSinkSpec,
-    gid_width: usize,
     wire_protocol: WireProtocol,
     node_wire_protocols: Vec<(String, WireProtocol)>,
     taint_map_endpoint: TaintMapEndpointBuilder,
@@ -51,12 +50,6 @@ impl ClusterBuilder {
     /// Installs the source/sink specification on every VM.
     pub fn spec(mut self, spec: SourceSinkSpec) -> Self {
         self.spec = spec;
-        self
-    }
-
-    /// Overrides the Global ID wire width.
-    pub fn gid_width(mut self, width: usize) -> Self {
-        self.gid_width = width;
         self
     }
 
@@ -220,7 +213,6 @@ impl ClusterBuilder {
                     .mode(self.mode)
                     .ip(ip)
                     .spec(self.spec.clone())
-                    .gid_width(self.gid_width)
                     .wire_protocol(protocol)
                     .taint_map(topology.clone())
                     .observability(observability.clone())
@@ -331,7 +323,6 @@ impl Cluster {
             mode,
             nodes: Vec::new(),
             spec: SourceSinkSpec::new(),
-            gid_width: 4,
             wire_protocol: WireProtocol::default(),
             node_wire_protocols: Vec::new(),
             taint_map_endpoint: TaintMapEndpoint::builder(),

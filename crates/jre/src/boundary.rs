@@ -5,12 +5,11 @@
 //! taints cross that boundary, and only in [`Mode::Dista`]:
 //!
 //! * **Senders** encode each payload with the connection's
-//!   [`WireCodec`]: wire protocol **v1** interleaves a fixed-width
-//!   Global ID after every data byte (`[b0][gid0][b1][gid1]…` — the
-//!   paper's ≈5× expansion for 4-byte IDs, decodable at any record
-//!   boundary, §III-D-2); wire protocol **v2** frames the payload
-//!   adaptively so untainted bytes ship at ~1.0x (see
-//!   [`crate::codec::v2`]).
+//!   [`WireCodec`]: wire protocol **v1** interleaves a 4-byte Global ID
+//!   after every data byte (`[b0][gid0][b1][gid1]…` — the paper's ≈5×
+//!   expansion, decodable at any record boundary, §III-D-2); wire
+//!   protocol **v2** frames the payload adaptively so untainted bytes
+//!   ship at ~1.0x (see [`crate::codec::v2`]).
 //! * **Receivers** enlarge their buffers by the codec's wire factor,
 //!   strip the IDs, resolve them through the Taint Map client (cached),
 //!   and re-attach taints byte-for-byte. A trailing partial wire unit is
@@ -18,7 +17,7 @@
 //! * **Negotiation** (policy [`WireProtocol::Negotiate`]) settles each
 //!   connection's version with one round trip *inside* the v1 record
 //!   grammar: the connector leads with a probe record
-//!   `[version][0xFF × width]`, the acceptor answers with the same
+//!   `[version][0xFF × 4]`, the acceptor answers with the same
 //!   shape, and either side falls back to v1 the moment it sees an
 //!   ordinary data record instead — so un-upgraded pinned-v1 peers
 //!   interoperate unchanged. The all-ones gid pattern can never collide
@@ -39,16 +38,10 @@ use dista_taint::{serialize_taint, GlobalId, Payload, Taint, TaintRuns, TaintedB
 use parking_lot::Mutex;
 
 use crate::codec::v2::{parse_annotation, parse_defs, AnnotParse};
-use crate::codec::{RingRemainder, V1Codec, V2Codec, WireCodec, WireProtocol, WireVersion};
+use crate::codec::{v1::RECORD, RingRemainder, WireCodec, WireProtocol, WireVersion};
 use crate::error::JreError;
 use crate::stopwatch::{read, write, Stopwatch};
 use crate::vm::{Mode, Vm};
-
-/// Size in bytes of one v1 wire record (`1` data byte + the Global ID).
-/// The negotiation probe/reply also occupy exactly one record.
-pub fn wire_record_size(gid_width: usize) -> usize {
-    1 + gid_width
-}
 
 /// Most data bytes one [`BoundaryStream::read_payload`] asks the OS for
 /// (times the codec's wire factor in DisTA mode), whatever its caller
@@ -71,8 +64,8 @@ pub(crate) struct Link {
 
 /// Builds a negotiation probe/reply: one v1-grammar record whose data
 /// byte is the protocol version and whose gid bytes are all ones.
-fn handshake_record(version: u8, gid_width: usize) -> Vec<u8> {
-    let mut rec = vec![0xFF; wire_record_size(gid_width)];
+fn handshake_record(version: u8) -> [u8; RECORD] {
+    let mut rec = [0xFF; RECORD];
     rec[0] = version;
     rec
 }
@@ -365,18 +358,6 @@ pub(crate) fn encode_payload(
     Ok(())
 }
 
-/// Encodes a tainted buffer into v1 wire records, returning an owned
-/// `Vec` (testing convenience over [`encode_payload`]).
-#[cfg(test)]
-pub(crate) fn encode_wire(vm: &Vm, bytes: &TaintedBytes, link: Link) -> Result<Vec<u8>, JreError> {
-    let codec = V1Codec::new(vm.gid_width());
-    let mut wire = Vec::new();
-    let payload = Payload::Tainted(bytes.clone());
-    let tx = &mut TxTables::default();
-    encode_payload(vm, &payload, link, &codec, None, tx, &mut wire)?;
-    Ok(wire)
-}
-
 /// Resolves decoded wire output (`data` plus the run table the codec
 /// left in `rx.runs`) back into a tainted buffer: the runs' Global IDs
 /// go to the Taint Map client as they lie (an all-hit call costs one
@@ -538,7 +519,7 @@ impl BoundaryStream {
                         // overlaps the connection's first exchange. The
                         // wrap itself stays infallible; a dead endpoint
                         // surfaces on the first real I/O call.
-                        let _ = native::socket_write0(&ep, &handshake_record(2, vm.gid_width()));
+                        let _ = native::socket_write0(&ep, &handshake_record(2));
                         ProtoState::ConnectorAwait
                     } else {
                         ProtoState::AcceptorAwait
@@ -587,10 +568,9 @@ impl BoundaryStream {
     /// handshake. If the probe has not arrived yet, negotiation simply
     /// stays lazy.
     fn eager_rx_probe(&self) {
-        let rs = wire_record_size(self.vm.gid_width());
         let rem = &mut self.rx.lock().ring;
-        while rem.len() < rs {
-            let want = rs - rem.len();
+        while rem.len() < RECORD {
+            let want = RECORD - rem.len();
             match rem.fill_with(want, |tail| self.ep.try_read(tail)) {
                 Ok(0) | Err(_) => break,
                 Ok(_) => {}
@@ -643,29 +623,27 @@ impl BoundaryStream {
     /// whole record is buffered, so the caller must read more bytes
     /// before anything can be decoded.
     fn rx_resolve(&self, rem: &mut RingRemainder) -> Result<ProtoState, JreError> {
-        let width = self.vm.gid_width();
-        let rs = wire_record_size(width);
         loop {
             let state = self.proto.load();
             match state {
                 ProtoState::V2 | ProtoState::V1 { probe_watch: false } => return Ok(state),
-                _ if rem.len() < rs => return Ok(state),
+                _ if rem.len() < RECORD => return Ok(state),
                 ProtoState::V1 { probe_watch: true } => {
-                    if is_handshake_record(&rem.as_slice()[..rs]) {
+                    if is_handshake_record(&rem.as_slice()[..RECORD]) {
                         // A Negotiate peer probing a pinned-v1 stream.
                         // Reply v1 — unless data records already went
                         // out, in which case the peer has (or will)
                         // fall back on seeing them, and a late reply
                         // would corrupt its stream.
                         if !self.wrote_data.load(Ordering::SeqCst) {
-                            native::socket_write0(&self.ep, &handshake_record(1, width))?;
+                            native::socket_write0(&self.ep, &handshake_record(1))?;
                         }
-                        rem.consume(rs);
+                        rem.consume(RECORD);
                     }
                     self.proto.store(ProtoState::V1 { probe_watch: false });
                 }
                 ProtoState::ConnectorAwait => {
-                    let record = &rem.as_slice()[..rs];
+                    let record = &rem.as_slice()[..RECORD];
                     if is_handshake_record(record) {
                         let settled = match record[0] {
                             1 => ProtoState::V1 { probe_watch: false },
@@ -676,7 +654,7 @@ impl BoundaryStream {
                                 ))
                             }
                         };
-                        rem.consume(rs);
+                        rem.consume(RECORD);
                         self.proto.store(settled);
                     } else {
                         // An un-upgraded peer ignored the probe and is
@@ -686,7 +664,7 @@ impl BoundaryStream {
                     }
                 }
                 ProtoState::AcceptorAwait => {
-                    let record = &rem.as_slice()[..rs];
+                    let record = &rem.as_slice()[..RECORD];
                     if is_handshake_record(record) {
                         if record[0] == 0 {
                             return Err(JreError::Protocol(
@@ -695,8 +673,8 @@ impl BoundaryStream {
                         }
                         // Accept the highest version both sides speak.
                         let version = record[0].min(2);
-                        native::socket_write0(&self.ep, &handshake_record(version, width))?;
-                        rem.consume(rs);
+                        native::socket_write0(&self.ep, &handshake_record(version))?;
+                        rem.consume(RECORD);
                         self.proto.store(if version == 2 {
                             ProtoState::V2
                         } else {
@@ -741,8 +719,7 @@ impl BoundaryStream {
                     Some(mut rx) => {
                         let rem = &mut rx.ring;
                         if matches!(self.rx_resolve(rem)?, ProtoState::ConnectorAwait) {
-                            let rs = wire_record_size(self.vm.gid_width());
-                            let want = rs.saturating_sub(rem.len()).max(1);
+                            let want = RECORD.saturating_sub(rem.len()).max(1);
                             let n =
                                 rem.fill_with(want, |tail| native::socket_read0(&self.ep, tail))?;
                             if n == 0 {
@@ -809,18 +786,14 @@ impl BoundaryStream {
                 native::socket_write0(&self.ep, payload.data())?;
             }
             Mode::Dista => {
-                let width = self.vm.gid_width();
-                let v1 = V1Codec::new(width);
-                let v2 = V2Codec::new(width);
-                let (codec, peer): (&dyn WireCodec, _) = match self.tx_version()? {
-                    WireVersion::V1 => (&v1, None),
-                    WireVersion::V2 => (&v2, Some(&self.peer)),
-                };
+                let version = self.tx_version()?;
+                let peer = (version == WireVersion::V2).then_some(&self.peer);
                 let tx = &mut *self.tx.lock();
                 let (tables, wire) = (&mut tx.tables, &mut tx.wire);
                 let obs = self.vm.vm_obs();
                 tables.clock = obs.stopwatch(CrossingSide::Write);
-                encode_payload(&self.vm, payload, self.out_link, codec, peer, tables, wire)?;
+                let link = self.out_link;
+                encode_payload(&self.vm, payload, link, version.codec(), peer, tables, wire)?;
                 native::socket_write0(&self.ep, wire)?;
                 tables
                     .clock
@@ -873,19 +846,12 @@ impl BoundaryStream {
                 }
                 let obs = self.vm.vm_obs();
                 rx.tables.clock = obs.stopwatch(CrossingSide::Read);
-                let width = self.vm.gid_width();
-                let rs = wire_record_size(width);
-                let v1 = V1Codec::new(width);
-                let v2 = V2Codec::new(width);
                 let rem = &mut rx.ring;
                 loop {
                     let state = self.rx_resolve(rem)?;
                     // Nothing buffered, nothing to decode: go and read.
                     if let Some(version) = state.version().filter(|_| !rem.is_empty()) {
-                        let codec: &dyn WireCodec = match version {
-                            WireVersion::V1 => &v1,
-                            WireVersion::V2 => &v2,
-                        };
+                        let codec = version.codec();
                         rx.tables.clock.lap(read::RECV);
                         // Strip the control frames sitting at the front
                         // of the remainder. A partial one falls through
@@ -936,11 +902,9 @@ impl BoundaryStream {
                     // one-byte read — doubles what is asked for, so it
                     // is whole after a logarithmic number of reads and
                     // re-parses, not one per few bytes.
-                    let hint = match state {
-                        ProtoState::V2 => v2.recv_wire_len(max_data),
-                        _ => v1.recv_wire_len(max_data),
-                    };
-                    let want = hint.saturating_sub(rem.len()).max(rs).max(rem.len());
+                    let version = state.version().unwrap_or(WireVersion::V1);
+                    let hint = version.codec().recv_wire_len(max_data);
+                    let want = hint.saturating_sub(rem.len()).max(RECORD).max(rem.len());
                     let n = rem.fill_with(want, |tail| native::socket_read0(&self.ep, tail))?;
                     if n == 0 {
                         if state.version().is_none() {
@@ -1014,13 +978,7 @@ pub(crate) fn send_datagram(
             native::datagram_send(socket, dest, payload.data());
         }
         Mode::Dista => {
-            let width = vm.gid_width();
-            let v1 = V1Codec::new(width);
-            let v2 = V2Codec::new(width);
-            let codec: &dyn WireCodec = match datagram_version(vm) {
-                WireVersion::V1 => &v1,
-                WireVersion::V2 => &v2,
-            };
+            let codec = datagram_version(vm).codec();
             let link = Link {
                 transport: Transport::Udp,
                 from: socket.local_addr(),
@@ -1072,13 +1030,7 @@ pub(crate) fn recv_datagram(
             Ok((Payload::Tainted(TaintedBytes::from_plain(buf)), from))
         }
         Mode::Dista => {
-            let width = vm.gid_width();
-            let v1 = V1Codec::new(width);
-            let v2 = V2Codec::new(width);
-            let codec: &dyn WireCodec = match datagram_version(vm) {
-                WireVersion::V1 => &v1,
-                WireVersion::V2 => &v2,
-            };
+            let codec = datagram_version(vm).codec();
             let mut rx = RxTables {
                 clock: vm.vm_obs().stopwatch(CrossingSide::Read),
                 ..RxTables::default()
@@ -1137,6 +1089,17 @@ mod tests {
             from: NodeAddr::new([10, 0, 0, 1], 1),
             to: NodeAddr::new([10, 0, 0, 2], 2),
         }
+    }
+
+    /// Encodes a tainted buffer into v1 wire records, returning an owned
+    /// `Vec` (testing convenience over [`encode_payload`]).
+    fn encode_wire(vm: &Vm, bytes: &TaintedBytes, link: Link) -> Result<Vec<u8>, JreError> {
+        let mut wire = Vec::new();
+        let payload = Payload::Tainted(bytes.clone());
+        let tx = &mut TxTables::default();
+        let codec = WireVersion::V1.codec();
+        encode_payload(vm, &payload, link, codec, None, tx, &mut wire)?;
+        Ok(wire)
     }
 
     fn cluster(mode: Mode) -> (SimNet, TaintMapEndpoint, Vm, Vm) {
@@ -1261,13 +1224,12 @@ mod tests {
         let wire = encode_wire(&vm1, &buf, test_link()).unwrap();
 
         // Reference: one record per byte, GID resolved per byte.
-        let width = vm1.gid_width();
         let client = vm1.taint_map().unwrap();
         let mut reference = Vec::new();
         for (byte, taint) in buf.iter() {
             reference.push(byte);
             let gid = client.global_id_for(taint).unwrap();
-            reference.extend_from_slice(&gid.try_to_wire(width).unwrap());
+            reference.extend_from_slice(&gid.0.to_be_bytes());
         }
         assert_eq!(wire, reference, "run-chunked encoder changed wire bytes");
 
@@ -1490,50 +1452,6 @@ mod tests {
         assert!(
             text.contains("boundary_wire_bytes_out{node=n1,proto=v2} 0\n"),
             "no v2 traffic leaves the v2 pair at zero"
-        );
-        tm.shutdown();
-    }
-
-    #[test]
-    fn gid_width_2_reduces_expansion() {
-        let net = SimNet::new();
-        let tm = TaintMapEndpoint::builder()
-            .addr(NodeAddr::new([10, 0, 0, 99], 7778))
-            .connect(&net)
-            .unwrap();
-        let vm1 = Vm::builder("n1", &net)
-            .mode(Mode::Dista)
-            .ip([10, 0, 0, 1])
-            .taint_map(tm.topology())
-            .gid_width(2)
-            .build()
-            .unwrap();
-        let vm2 = Vm::builder("n2", &net)
-            .mode(Mode::Dista)
-            .ip([10, 0, 0, 2])
-            .taint_map(tm.topology())
-            .gid_width(2)
-            .build()
-            .unwrap();
-        let addr = NodeAddr::new([10, 0, 0, 2], 89);
-        let l = net.tcp_listen(addr).unwrap();
-        let c = net.tcp_connect(addr).unwrap();
-        let s = l.accept().unwrap();
-        let tx = BoundaryStream::new(vm1.clone(), c);
-        let rx = BoundaryStream::new(vm2.clone(), s);
-        net.metrics().reset();
-        let taint = vm1.store().mint_source_taint(TagValue::str("w"));
-        tx.write_payload(&Payload::Tainted(TaintedBytes::uniform(
-            vec![0u8; 1000],
-            taint,
-        )))
-        .unwrap();
-        // 1000 * (1 + 2) data+gid bytes, plus the taint-map RPC traffic.
-        let got = rx.read_exact_payload(1000).unwrap();
-        assert_eq!(got.len(), 1000);
-        assert_eq!(
-            vm2.store().tag_values(got.taint_union(vm2.store())),
-            vec!["w".to_string()]
         );
         tm.shutdown();
     }

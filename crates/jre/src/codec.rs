@@ -3,15 +3,14 @@
 //!
 //! Two wire protocols live behind one trait:
 //!
-//! * [`v1`] — the paper's interleaved `[byte][gid…]` record format,
+//! * [`v1`] — the paper's interleaved `[byte][gid:4]` record format,
 //!   conformance-pinned and bit-identical on the wire to every prior
-//!   release. Fixed per-connection gid width, ≈`1 + width` expansion on
-//!   every byte.
+//!   release: ≈5× expansion on every byte.
 //! * [`v2`] — adaptive framing: a clean-frame opcode ships untainted
 //!   payloads at ~1.0x with no gid records, tainted frames carry
 //!   run-length gid segments mirroring the `TaintRuns` shadow
-//!   representation, and each frame picks the minimal gid width for its
-//!   own max gid.
+//!   representation, and each frame picks the minimal gid width (1..=4
+//!   bytes) for its own max gid.
 //!
 //! [`WireCodec`] is the object-safe surface the boundary layer programs
 //! against; [`WireVersion`] names a settled protocol and
@@ -28,8 +27,9 @@
 //! * [`WireBufPool`] recycles wire-sized scratch buffers for the
 //!   crossings that have no connection to keep one on (datagrams).
 //!
-//! Widths 1..=8 are accepted at this layer even though VM-level
-//! configuration restricts itself to 2/4/8.
+//! The gid width is decided here and nowhere else: a v1 record carries
+//! [`MAX_GID_WIDTH`] bytes, the 32-bit [`GlobalId`] whole, and a v2
+//! frame picks 1..=[`MAX_GID_WIDTH`] from its own gids.
 
 use dista_taint::GlobalId;
 use parking_lot::Mutex;
@@ -42,34 +42,20 @@ pub mod v2;
 pub use v1::V1Codec;
 pub use v2::V2Codec;
 
-/// Widest Global ID the wire format supports, in bytes. Run tables
-/// carry `[u8; MAX_GID_WIDTH]` slots of which the first `width` bytes
-/// are live.
-pub const MAX_GID_WIDTH: usize = 8;
+/// Widest Global ID the wire format carries, in bytes: a [`GlobalId`]
+/// is a `u32`, and a v1 record carries all four of its bytes.
+pub const MAX_GID_WIDTH: usize = 4;
 
-/// A run of identically-tainted bytes, resolved for the wire: the run
-/// length plus the big-endian Global ID bytes (first `width` live).
-pub type WireRun = (usize, [u8; MAX_GID_WIDTH]);
-
-fn check_width(width: usize) {
+const fn check_width(width: usize) {
     assert!(
-        (1..=MAX_GID_WIDTH).contains(&width),
-        "gid wire width must be 1..={MAX_GID_WIDTH}, got {width}"
+        width >= 1 && width <= MAX_GID_WIDTH,
+        "gid wire width must be 1..=4"
     );
 }
 
-/// Parses a big-endian gid of any supported width, rejecting values
-/// that exceed the 32-bit Global ID space (an 8-byte record could smuggle
-/// one in; truncating it silently would alias two different taints).
-fn gid_from_wire(bytes: &[u8]) -> Result<GlobalId, JreError> {
-    let mut v: u64 = 0;
-    for &b in bytes {
-        v = (v << 8) | u64::from(b);
-    }
-    if v > u64::from(u32::MAX) {
-        return Err(JreError::Protocol("wire gid exceeds the 32-bit id space"));
-    }
-    Ok(GlobalId(v as u32))
+/// Parses a big-endian gid of at most [`MAX_GID_WIDTH`] bytes.
+fn gid_from_wire(bytes: &[u8]) -> GlobalId {
+    GlobalId(bytes.iter().fold(0, |v, &b| (v << 8) | u32::from(b)))
 }
 
 /// A settled wire protocol version — what a connection actually speaks
@@ -80,6 +66,16 @@ pub enum WireVersion {
     V1,
     /// Adaptive clean/run-segment framing with per-frame gid widths.
     V2,
+}
+
+impl WireVersion {
+    /// The codec a connection settled on this version speaks.
+    pub(crate) fn codec(self) -> &'static dyn WireCodec {
+        match self {
+            WireVersion::V1 => &V1Codec,
+            WireVersion::V2 => &V2Codec,
+        }
+    }
 }
 
 impl std::fmt::Display for WireVersion {
@@ -119,19 +115,14 @@ pub trait WireCodec: std::fmt::Debug + Send + Sync {
     /// Which protocol version this codec speaks.
     fn version(&self) -> WireVersion;
 
-    /// The connection's configured gid width. V1 writes every gid at
-    /// this width; v2 treats it as the negotiation-time hint and picks
-    /// a per-frame width no wider than the frame's max gid needs.
-    fn width(&self) -> usize;
-
     /// Encodes `data` with its run-length taint table (`(run_len, gid)`
     /// pairs covering `data` exactly; [`GlobalId::UNTAINTED`] marks
     /// clean runs) into `out` (cleared first).
     ///
     /// # Errors
     ///
-    /// [`JreError::Protocol`] if a gid cannot be represented at the
-    /// codec's wire width.
+    /// Neither codec refuses a run table today: every [`GlobalId`] fits
+    /// its wire.
     fn encode_into(
         &self,
         data: &[u8],

@@ -2,7 +2,7 @@
 //! common case (ROADMAP item 2; Taint Rabbit / HardTaint selectivity
 //! argument).
 //!
-//! Where v1 expands *every* byte to a `(1 + width)`-byte record, v2
+//! Where v1 expands *every* byte to a 5-byte record, v2
 //! frames the payload and lets each frame pick the cheapest encoding:
 //!
 //! ```text
@@ -30,9 +30,9 @@
 //!   block kernel), bounding the worst case at v1's
 //!   cost plus a few header bytes.
 //!
-//! The gid width is chosen **per frame** from that frame's max gid
-//! (`width_for`), so a connection negotiated at width 4 still ships
-//! small-id frames with 1- or 2-byte gids. Varints are LEB128.
+//! The gid width (1..=4 bytes) is chosen **per frame** from that frame's
+//! max gid (`width_for`), so small-id frames ship 1- or 2-byte gids; a
+//! frame declaring any other width is refused. Varints are LEB128.
 //!
 //! V2 is only ever spoken after both peers settle on it (pinned
 //! [`WireProtocol::V2`](super::WireProtocol::V2) or a successful
@@ -282,25 +282,21 @@ pub fn parse_defs(wire: &[u8]) -> Result<Option<(Defs<'_>, usize)>, JreError> {
     }
 }
 
-/// The adaptive v2 codec behind the versioned [`WireCodec`] trait.
-///
-/// `width` is the connection's configured gid width, kept only as an
-/// upper bound sanity hint — actual frames choose their own width from
-/// their own max gid.
+/// The adaptive v2 codec behind the versioned [`WireCodec`] trait. It
+/// holds nothing: every frame chooses its gid width from its own max gid.
 #[derive(Debug, Clone, Copy)]
-pub struct V2Codec {
-    width: usize,
-}
+pub struct V2Codec;
 
 impl V2Codec {
-    /// A v2 codec for a connection configured at the given gid width.
+    /// The v2 codec. `width` is not used; it is checked only so that
+    /// callers written against a width stay honest.
     ///
     /// # Panics
     ///
     /// Panics if `width` is not 1..=[`MAX_GID_WIDTH`].
     pub fn new(width: usize) -> Self {
         check_width(width);
-        V2Codec { width }
+        V2Codec
     }
 
     /// Encodes one frame covering `data` (non-empty, within
@@ -341,8 +337,7 @@ impl V2Codec {
             push_varint(out, dlen);
             let start = out.len();
             out.resize(start + records_body, 0);
-            let wire_runs = live().map(|(n, gid)| (n, v1::wire_slot(gid, width)));
-            v1::encode_records_into(data, wire_runs, width, &mut out[start..]);
+            v1::encode_records_into(data, live(), width, &mut out[start..]);
         }
     }
 }
@@ -368,7 +363,7 @@ fn parse_frame(
             if wire.len() < h.frame_len() {
                 return Ok(Frame::Incomplete);
             }
-            h.deliver(wire, h.dlen, data_out, runs_out)?;
+            h.deliver(wire, h.dlen, data_out, runs_out);
             Ok(Frame::Complete {
                 consumed: h.frame_len(),
             })
@@ -407,7 +402,7 @@ fn read_segment(
     if wire.len() < at + width {
         return Ok(None);
     }
-    let gid = gid_from_wire(&wire[at..at + width])?;
+    let gid = gid_from_wire(&wire[at..at + width]);
     Ok(Some((run_len, gid, at + width)))
 }
 
@@ -429,7 +424,7 @@ impl Header {
         take: usize,
         data_out: &mut Vec<u8>,
         runs_out: &mut Vec<(GlobalId, usize)>,
-    ) -> Result<(), JreError> {
+    ) {
         match self.op {
             OP_CLEAN => {
                 data_out.extend_from_slice(&wire[self.body..self.body + take]);
@@ -443,7 +438,9 @@ impl Header {
                     if left == 0 {
                         break;
                     }
-                    let (run_len, gid, next) = read_segment(wire, at, self.width)?
+                    let (run_len, gid, next) = read_segment(wire, at, self.width)
+                        .ok()
+                        .flatten()
                         .expect("segment table validated by parse_header");
                     at = next;
                     let n = (run_len as usize).min(left);
@@ -455,7 +452,7 @@ impl Header {
                 let rs = 1 + self.width;
                 let region = &wire[self.body..self.body + take * rs];
                 let first = runs_out.len();
-                v1::strip_records_into(region, self.width, data_out, runs_out)?;
+                v1::strip_records_into(region, self.width, data_out, runs_out);
                 // The frame's first run may continue the previous
                 // frame's last one.
                 if first > 0 && first < runs_out.len() && runs_out[first - 1].0 == runs_out[first].0
@@ -466,7 +463,6 @@ impl Header {
             }
             _ => unreachable!("opcode validated by parse_header"),
         }
-        Ok(())
     }
 }
 
@@ -549,10 +545,6 @@ fn parse_header(wire: &[u8]) -> Result<Option<Header>, JreError> {
 impl WireCodec for V2Codec {
     fn version(&self) -> WireVersion {
         WireVersion::V2
-    }
-
-    fn width(&self) -> usize {
-        self.width
     }
 
     fn encode_into(
@@ -655,7 +647,7 @@ impl WireCodec for V2Codec {
                         OP_RECORDS => avail / (1 + h.width),
                         _ => avail,
                     };
-                    h.deliver(rest, take.min(h.dlen), data_out, runs_out)?;
+                    h.deliver(rest, take.min(h.dlen), data_out, runs_out);
                     return Ok(());
                 }
             }
@@ -666,7 +658,7 @@ impl WireCodec for V2Codec {
     fn recv_wire_len(&self, max_data: usize) -> usize {
         // Worst case is the record-frame fallback (v1 cost) plus a few
         // header bytes per frame.
-        max_data * (1 + self.width).max(5) + 16
+        max_data * (1 + MAX_GID_WIDTH) + 16
     }
 }
 
@@ -866,16 +858,38 @@ mod tests {
 
     #[test]
     fn oversized_gid_in_wide_frame_is_a_typed_error() {
-        let codec = V2Codec::new(8);
-        // width 8 segment gid above u32::MAX must not alias.
-        let mut wire = vec![OP_RUNS, 8, 1, 1, 1];
-        wire.extend_from_slice(&(u64::from(u32::MAX) + 1).to_be_bytes());
-        wire.push(b'x');
-        let (mut d, mut r) = (Vec::new(), Vec::new());
-        assert!(matches!(
-            codec.decode_available(&wire, 8, &mut d, &mut r),
-            Err(JreError::Protocol(_))
-        ));
+        let codec = V2Codec::new(4);
+        // A width-8 segment gid above u32::MAX must not alias, and no
+        // frame may declare a gid wider than 4 bytes, whatever it holds.
+        let mut wide = vec![OP_RUNS, 8, 1, 1, 1];
+        wide.extend_from_slice(&(u64::from(u32::MAX) + 1).to_be_bytes());
+        wide.push(b'x');
+        let mut inputs = vec![wide];
+        for width in 5..=8u8 {
+            let mut run = vec![OP_RUNS, width, 1, 1, 1];
+            run.extend_from_slice(&7u64.to_be_bytes()[8 - width as usize..]);
+            run.push(b'x');
+            let mut records = vec![OP_RECORDS, width, 1, b'x'];
+            records.extend_from_slice(&7u64.to_be_bytes()[8 - width as usize..]);
+            inputs.extend([run, records]);
+        }
+        for wire in inputs {
+            let (mut d, mut r) = (Vec::new(), Vec::new());
+            assert!(
+                matches!(
+                    codec.decode_available(&wire, 8, &mut d, &mut r),
+                    Err(JreError::Protocol(_))
+                ),
+                "{wire:?}"
+            );
+            assert!(
+                matches!(
+                    codec.decode_datagram(&wire, &mut d, &mut r),
+                    Err(JreError::Protocol(_))
+                ),
+                "{wire:?}"
+            );
+        }
     }
 
     #[test]

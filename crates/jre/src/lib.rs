@@ -88,7 +88,7 @@ mod stream;
 mod vm;
 
 pub use aio::{AioFuture, AsyncServerSocketChannel, AsyncSocketChannel};
-pub use boundary::{wire_record_size, BoundaryStream};
+pub use boundary::BoundaryStream;
 pub use buffer::{ByteBuffer, DirectByteBuffer};
 pub use buffered::{BufferedInputStream, BufferedOutputStream, DEFAULT_BUFFER_SIZE};
 pub use channel::{DatagramChannel, ServerSocketChannel, SocketChannel};

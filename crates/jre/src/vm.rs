@@ -12,7 +12,7 @@ use dista_taint::{
 use dista_taintmap::{ClientObserver, ClientResilience, TaintMapClient, TaintMapTopology};
 use parking_lot::{Mutex, RwLock};
 
-use crate::codec::{WireBufPool, WireProtocol, WireVersion};
+use crate::codec::{WireBufPool, WireProtocol, WireVersion, MAX_GID_WIDTH};
 use crate::error::JreError;
 use crate::stopwatch::{Sampler, Stopwatch};
 
@@ -157,7 +157,6 @@ pub(crate) struct VmInner {
     pub(crate) recorder: SinkRecorder,
     pub(crate) spec: RwLock<SourceSinkSpec>,
     pub(crate) taint_map: Option<TaintMapClient>,
-    pub(crate) gid_width: usize,
     pub(crate) wire_protocol: WireProtocol,
     pub(crate) observability: Observability,
     pub(crate) obs: VmObs,
@@ -202,7 +201,6 @@ pub struct VmBuilder {
     fs: SimFs,
     spec: SourceSinkSpec,
     taint_map_topology: Option<TaintMapTopology>,
-    gid_width: usize,
     wire_protocol: WireProtocol,
     observability: Observability,
 }
@@ -248,18 +246,6 @@ impl VmBuilder {
     /// instruments land in the context's registry.
     pub fn observability(mut self, obs: Observability) -> Self {
         self.observability = obs;
-        self
-    }
-
-    /// Overrides the Global ID wire width in bytes (default 4; the paper
-    /// notes overhead "depends on the length of the Global ID").
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width` is not 2, 4 or 8.
-    pub fn gid_width(mut self, width: usize) -> Self {
-        assert!(matches!(width, 2 | 4 | 8), "gid width must be 2, 4 or 8");
-        self.gid_width = width;
         self
     }
 
@@ -317,7 +303,6 @@ impl VmBuilder {
                 recorder: SinkRecorder::new(),
                 spec: RwLock::new(self.spec),
                 taint_map,
-                gid_width: self.gid_width,
                 wire_protocol: self.wire_protocol,
                 observability: self.observability,
                 obs,
@@ -341,7 +326,6 @@ impl Vm {
             fs: SimFs::new(),
             spec: SourceSinkSpec::new(),
             taint_map_topology: None,
-            gid_width: 4,
             wire_protocol: WireProtocol::default(),
             observability: Observability::disabled(),
         }
@@ -382,9 +366,10 @@ impl Vm {
         self.inner.taint_map.as_ref()
     }
 
-    /// Global ID wire width in bytes.
+    /// Global ID wire width in bytes of this VM's v1 records: always
+    /// [`MAX_GID_WIDTH`], the paper's 4.
     pub fn gid_width(&self) -> usize {
-        self.inner.gid_width
+        MAX_GID_WIDTH
     }
 
     /// The wire protocol policy this VM applies to new boundary

@@ -29,19 +29,15 @@ impl Rig {
             .addr(NodeAddr::new([10, 0, 0, 99], 7000 + port_salt))
             .connect(&net)
             .unwrap();
-        let mut b = Vm::builder("rx", &net)
+        let rx_vm = Vm::builder("rx", &net)
             .mode(Mode::Dista)
             .ip([10, 0, 0, 2])
             .taint_map(tm.topology())
-            .wire_protocol(protocol);
-        if gid_width != 4 {
-            b = b.gid_width(gid_width);
-        }
-        Rig {
-            net,
-            tm,
-            rx_vm: b.build().unwrap(),
-        }
+            .wire_protocol(protocol)
+            .build()
+            .unwrap();
+        assert_eq!(gid_width, rx_vm.gid_width(), "records carry the VM's width");
+        Rig { net, tm, rx_vm }
     }
 
     /// A raw (uninstrumented) sender endpoint plus the instrumented
@@ -104,18 +100,6 @@ fn unknown_gid_is_a_typed_taintmap_error_never_clean_bytes() {
         matches!(err, JreError::TaintMap(TaintMapError::UnknownGlobalId(_))),
         "got {err:?}"
     );
-    rig.tm.shutdown();
-}
-
-#[test]
-fn oversized_gid_is_rejected_not_truncated() {
-    // Width 8 can carry values beyond the 32-bit Global ID space; a
-    // silent `as u32` truncation would alias two different taints.
-    let rig = Rig::new(4, 8);
-    let (raw, rx) = rig.raw_pair(403);
-    raw.write(&record(b'z', u64::from(u32::MAX) + 7, 8))
-        .unwrap();
-    assert!(matches!(rx.read_payload(1), Err(JreError::Protocol(_))));
     rig.tm.shutdown();
 }
 
@@ -225,6 +209,39 @@ fn v2_gid_overflowing_declared_width_is_rejected() {
     wire.push(b'x');
     raw.write(&wire).unwrap();
     assert!(matches!(rx.read_payload(1), Err(JreError::Protocol(_))));
+    rig.tm.shutdown();
+}
+
+/// A v2 frame declares a gid of 1..=4 bytes: a wider one is refused
+/// even when its gid fits 32 bits, on a stream and in a datagram.
+#[test]
+fn a_v2_frame_wider_than_four_bytes_is_refused() {
+    let rig = Rig::with_protocol(22, 4, WireProtocol::V2);
+    let tx = rig.net.udp_bind(NodeAddr::new([10, 0, 0, 1], 56)).unwrap();
+    let sock =
+        dista_jre::DatagramSocket::bind(&rig.rx_vm, NodeAddr::new([10, 0, 0, 2], 56)).unwrap();
+    for width in 5..=8u8 {
+        let mut wire = vec![0x02, width];
+        wire.extend(varint(1)); // dlen
+        wire.extend(varint(1)); // nseg
+        wire.extend(varint(1)); // run_len
+        wire.extend(&7u64.to_be_bytes()[8 - usize::from(width)..]); // gid 7
+        wire.push(b'x');
+        let (raw, rx) = rig.raw_pair(425 + u16::from(width));
+        raw.write(&wire).unwrap();
+        let err = rx.read_payload(1).unwrap_err();
+        assert!(
+            matches!(err, JreError::Protocol(_)),
+            "width {width} on a stream: {err:?}"
+        );
+        dista_simnet::native::datagram_send(&tx, sock.local_addr(), &wire);
+        let mut packet = dista_jre::DatagramPacket::for_receive(16);
+        let err = sock.receive(&mut packet).unwrap_err();
+        assert!(
+            matches!(err, JreError::Protocol(_)),
+            "width {width} in a datagram: {err:?}"
+        );
+    }
     rig.tm.shutdown();
 }
 

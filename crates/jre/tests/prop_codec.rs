@@ -1,18 +1,23 @@
-//! Codec conformance properties: for arbitrary run layouts, gid widths
-//! and fragmentation points, the v1 block kernel is bit-identical to the
-//! per-byte reference codec and decodes a corrupted gid as it does,
-//! encode∘decode is the identity for both wire protocols, the two
-//! protocols deliver identical data and per-byte gids, and malformed wire
-//! input fails with typed errors.
+//! Codec conformance properties, through the entry points production
+//! uses: for arbitrary run layouts and cut points, `V1Codec` (4-byte
+//! gids) and v2 record frames (gid widths 1..=4) are bit-identical to
+//! the per-byte reference codec and decode (as a stream and as a
+//! datagram) as it does, a corrupted gid byte included; encode∘decode is
+//! the identity for both wire protocols, and the two protocols deliver
+//! identical data and per-byte gids.
 
-use dista_jre::codec::{v1, v1::reference, WireRun, MAX_GID_WIDTH};
-use dista_jre::{JreError, V1Codec, V2Codec, WireCodec};
+use dista_jre::codec::v2::OP_RECORDS;
+use dista_jre::codec::{v1::reference, MAX_GID_WIDTH};
+use dista_jre::{V1Codec, V2Codec, WireCodec};
 use dista_taint::GlobalId;
 use proptest::prelude::*;
 
 /// A run layout: `(gid value, run length)` pairs. Gid values are masked
 /// to the width under test before encoding.
 type Layout = Vec<(u32, usize)>;
+
+/// Data bytes and their coalesced `(gid, run_len)` runs.
+type Decoded = (Vec<u8>, Vec<(GlobalId, usize)>);
 
 /// Short runs of any gids, or runs of 1–300 bytes over a pool of 3
 /// gids, so equal neighbours and stretches of many 8-record blocks occur.
@@ -31,26 +36,22 @@ fn width_strategy() -> impl Strategy<Value = usize> {
     1usize..=MAX_GID_WIDTH
 }
 
-/// Largest gid value expressible in `width` wire bytes (capped at the
-/// 32-bit Global ID space).
+/// The gid width of every v1 record.
+const V1_WIDTH: usize = MAX_GID_WIDTH;
+
+/// Largest gid value expressible in `width` wire bytes.
 fn gid_mask(width: usize) -> u32 {
-    if width >= 4 {
-        u32::MAX
-    } else {
-        (1u32 << (8 * width)) - 1
-    }
+    u32::MAX >> (8 * (MAX_GID_WIDTH - width))
 }
 
-/// Expands a layout into concrete `(data, wire runs, per-byte gids)`.
-fn materialize(layout: &Layout, width: usize) -> (Vec<u8>, Vec<WireRun>, Vec<u32>) {
+/// Expands a layout into concrete `(data, runs, per-byte gids)`.
+fn materialize(layout: &Layout, width: usize) -> (Vec<u8>, Vec<(usize, GlobalId)>, Vec<u32>) {
     let mut data = Vec::new();
     let mut runs = Vec::new();
     let mut per_byte = Vec::new();
     for (i, &(raw, len)) in layout.iter().enumerate() {
         let gid = raw & gid_mask(width);
-        let mut slot = [0u8; MAX_GID_WIDTH];
-        slot[..width].copy_from_slice(&u64::from(gid).to_be_bytes()[8 - width..]);
-        runs.push((len, slot));
+        runs.push((len, GlobalId(gid)));
         for j in 0..len {
             data.push((i as u8).wrapping_mul(31).wrapping_add(j as u8));
             per_byte.push(gid);
@@ -68,32 +69,52 @@ fn expand(runs: &[(GlobalId, usize)]) -> Vec<u32> {
         .collect()
 }
 
+fn encode(codec: &dyn WireCodec, data: &[u8], runs: &[(usize, GlobalId)]) -> Vec<u8> {
+    let mut wire = Vec::new();
+    codec.encode_into(data, runs, &mut wire).unwrap();
+    wire
+}
+
+/// What a stream receiver decodes from `wire` (with the wire bytes it
+/// consumed), and what a datagram receiver does.
+fn decode_both(codec: &dyn WireCodec, wire: &[u8]) -> ((usize, Decoded), Decoded) {
+    let (mut d, mut r) = (Vec::new(), Vec::new());
+    let consumed = codec
+        .decode_available(wire, usize::MAX, &mut d, &mut r)
+        .unwrap();
+    let stream = (consumed, (d, r));
+    let (mut d, mut r) = (Vec::new(), Vec::new());
+    codec.decode_datagram(wire, &mut d, &mut r).unwrap();
+    (stream, (d, r))
+}
+
 proptest! {
-    /// The block encoder's wire bytes are bit-identical to the per-byte
-    /// reference encoder for every layout and width.
+    /// `V1Codec`'s wire bytes are bit-identical to the per-byte
+    /// reference encoder for every layout.
     #[test]
-    fn fast_encode_matches_reference(layout in layout_strategy(), width in width_strategy()) {
-        let (data, runs, _) = materialize(&layout, width);
-        let mut fast = Vec::new();
-        v1::encode_wire_into(&data, &runs, width, &mut fast);
-        prop_assert_eq!(fast, reference::encode_wire(&data, &runs, width));
+    fn fast_encode_matches_reference(layout in layout_strategy()) {
+        let (data, runs, _) = materialize(&layout, V1_WIDTH);
+        let wire = encode(&V1Codec::new(V1_WIDTH), &data, &runs);
+        prop_assert_eq!(wire, reference::encode_wire(&data, &runs, V1_WIDTH));
     }
 
     /// decode∘encode is the identity on data bytes and per-byte gids,
-    /// and the block decoder agrees with the reference decoder exactly.
+    /// and a stream decode and a datagram decode both agree with the
+    /// reference decoder exactly.
     #[test]
-    fn decode_inverts_encode(layout in layout_strategy(), width in width_strategy()) {
-        let (data, runs, per_byte) = materialize(&layout, width);
-        let mut wire = Vec::new();
-        v1::encode_wire_into(&data, &runs, width, &mut wire);
-        let (mut got_data, mut got_runs) = (Vec::new(), Vec::new());
-        v1::decode_wire_into(&wire, width, &mut got_data, &mut got_runs).unwrap();
-        prop_assert_eq!(&got_data, &data);
-        prop_assert_eq!(expand(&got_runs), per_byte);
+    fn decode_inverts_encode(layout in layout_strategy()) {
+        let (data, runs, per_byte) = materialize(&layout, V1_WIDTH);
+        let codec = V1Codec::new(V1_WIDTH);
+        let wire = encode(&codec, &data, &runs);
+        let ((consumed, stream), datagram) = decode_both(&codec, &wire);
+        prop_assert_eq!(consumed, wire.len());
+        prop_assert_eq!(&stream.0, &data);
+        prop_assert_eq!(expand(&stream.1), per_byte);
         // Decoded run tables must be coalesced: no adjacent equal gids.
-        prop_assert!(got_runs.windows(2).all(|w| w[0].0 != w[1].0));
-        let (ref_data, ref_runs) = reference::decode_wire(&wire, width).unwrap();
-        prop_assert_eq!((got_data, got_runs), (ref_data, ref_runs));
+        prop_assert!(stream.1.windows(2).all(|w| w[0].0 != w[1].0));
+        let expected = reference::decode_wire(&wire, V1_WIDTH);
+        prop_assert_eq!(&stream, &expected);
+        prop_assert_eq!(datagram, expected);
     }
 
     /// Any record-aligned fragmentation point is safe: decoding the two
@@ -102,19 +123,18 @@ proptest! {
     #[test]
     fn record_aligned_fragmentation_is_lossless(
         layout in layout_strategy(),
-        width in width_strategy(),
         cut in 0usize..4096,
     ) {
-        let (data, runs, per_byte) = materialize(&layout, width);
-        let mut wire = Vec::new();
-        v1::encode_wire_into(&data, &runs, width, &mut wire);
-        let records = wire.len() / (1 + width);
-        let at = (cut % (records + 1)) * (1 + width);
-        let (mut d, mut r) = (Vec::new(), Vec::new());
+        let (data, runs, per_byte) = materialize(&layout, V1_WIDTH);
+        let codec = V1Codec::new(V1_WIDTH);
+        let wire = encode(&codec, &data, &runs);
+        let records = wire.len() / (1 + V1_WIDTH);
+        let at = (cut % (records + 1)) * (1 + V1_WIDTH);
         let mut all_data = Vec::new();
         let mut all_gids = Vec::new();
         for part in [&wire[..at], &wire[at..]] {
-            v1::decode_wire_into(part, width, &mut d, &mut r).unwrap();
+            let ((consumed, (d, r)), _) = decode_both(&codec, part);
+            prop_assert_eq!(consumed, part.len());
             all_data.extend_from_slice(&d);
             all_gids.extend(expand(&r));
         }
@@ -122,61 +142,98 @@ proptest! {
         prop_assert_eq!(all_gids, per_byte);
     }
 
-    /// A cut anywhere *inside* a record is a typed protocol error from
-    /// both codecs — never a silent drop of the torn record.
+    /// A cut anywhere *inside* a record: a stream decode consumes only
+    /// the whole records before it (the torn one waits for its rest), a
+    /// datagram decode drops the torn tail, and both deliver what the
+    /// reference decodes from the whole-record prefix.
     #[test]
-    fn torn_record_is_rejected(
+    fn a_torn_record_waits_on_a_stream_and_is_dropped_from_a_datagram(
         layout in layout_strategy().prop_filter("need bytes", |l| !l.is_empty()),
-        width in width_strategy(),
         cut in 0usize..4096,
     ) {
-        let (data, runs, _) = materialize(&layout, width);
-        let mut wire = Vec::new();
-        v1::encode_wire_into(&data, &runs, width, &mut wire);
-        let rs = 1 + width;
-        // Pick a non-record-aligned prefix length: some whole records
-        // plus 1..rs stray bytes of the next one.
-        let torn = (cut % (wire.len() / rs)) * rs + 1 + cut % (rs - 1);
-        prop_assert!(torn < wire.len() && torn % rs != 0);
-        let (mut d, mut r) = (Vec::new(), Vec::new());
-        prop_assert!(matches!(
-            v1::decode_wire_into(&wire[..torn], width, &mut d, &mut r),
-            Err(JreError::Protocol(_))
-        ));
-        prop_assert!(matches!(
-            reference::decode_wire(&wire[..torn], width),
-            Err(JreError::Protocol(_))
-        ));
+        let (data, runs, _) = materialize(&layout, V1_WIDTH);
+        let codec = V1Codec::new(V1_WIDTH);
+        let wire = encode(&codec, &data, &runs);
+        let rs = 1 + V1_WIDTH;
+        // Some whole records plus 1..rs stray bytes of the next one.
+        let whole = (cut % (wire.len() / rs)) * rs;
+        let torn = whole + 1 + cut % (rs - 1);
+        prop_assert!(torn < wire.len() && !torn.is_multiple_of(rs));
+        let ((consumed, stream), datagram) = decode_both(&codec, &wire[..torn]);
+        prop_assert_eq!(consumed, whole);
+        let expected = reference::decode_wire(&wire[..whole], V1_WIDTH);
+        prop_assert_eq!(&stream, &expected);
+        prop_assert_eq!(datagram, expected);
     }
 
     /// One gid byte of one record overwritten — any of a block's 8
-    /// slots or a tail record — decodes as the reference decodes it: the
-    /// same data and runs, or, for a gid above `u32::MAX` (widths 5..=8),
-    /// the same protocol error.
+    /// slots or a tail record — decodes as the reference decodes it:
+    /// the same data and runs, as a stream and as a datagram.
     #[test]
     fn a_corrupted_gid_byte_decodes_as_the_reference_does(
         layout in layout_strategy().prop_filter("need bytes", |l| !l.is_empty()),
-        width in width_strategy(),
         record in any::<usize>(),
         slot in any::<usize>(),
         flip in 1u8..=255,
     ) {
+        let (data, runs, _) = materialize(&layout, V1_WIDTH);
+        let codec = V1Codec::new(V1_WIDTH);
+        let mut wire = encode(&codec, &data, &runs);
+        wire[record % data.len() * (1 + V1_WIDTH) + 1 + slot % V1_WIDTH] ^= flip;
+        let ((consumed, stream), datagram) = decode_both(&codec, &wire);
+        prop_assert_eq!(consumed, wire.len());
+        let expected = reference::decode_wire(&wire, V1_WIDTH);
+        prop_assert_eq!(&stream, &expected);
+        prop_assert_eq!(datagram, expected);
+    }
+
+    /// A v2 record frame, forced by giving every byte a run of its own
+    /// and with a max gid that needs `width` bytes, declares that width
+    /// and carries the reference's records for it; it decodes as a
+    /// stream, as a datagram, as a datagram cut inside a record and with
+    /// one gid byte overwritten as the reference decodes the
+    /// (whole-record) records.
+    #[test]
+    fn v2_record_frames_match_reference(
+        mut layout in layout_strategy().prop_filter("need bytes", |l| !l.is_empty()),
+        width in width_strategy(),
+        cut in any::<usize>(),
+        slot in any::<usize>(),
+        flip in 1u8..=255,
+    ) {
+        layout[0].0 |= 1 << (8 * (width - 1));
         let (data, runs, _) = materialize(&layout, width);
-        let mut wire = Vec::new();
-        v1::encode_wire_into(&data, &runs, width, &mut wire);
-        wire[record % data.len() * (1 + width) + 1 + slot % width] ^= flip;
+        let per_record: Vec<(usize, GlobalId)> = runs
+            .iter()
+            .flat_map(|&(len, gid)| std::iter::repeat_n((1, gid), len))
+            .collect();
+        let codec = V2Codec::new(width);
+        let wire = encode(&codec, &data, &per_record);
+        let records = reference::encode_wire(&data, &runs, width);
+        let header = wire.len() - records.len();
+        prop_assert_eq!(&wire[..2], &[OP_RECORDS, width as u8]);
+        prop_assert_eq!(&wire[header..], &records[..]);
+        let ((consumed, stream), datagram) = decode_both(&codec, &wire);
+        prop_assert_eq!(consumed, wire.len());
+        let expected = reference::decode_wire(&records, width);
+        prop_assert_eq!(&stream, &expected);
+        prop_assert_eq!(datagram, expected);
+        // Cut the datagram anywhere past the header: the whole records
+        // before the cut are delivered, the torn one is dropped.
+        let at = header + cut % (wire.len() - header);
         let (mut d, mut r) = (Vec::new(), Vec::new());
-        match (
-            v1::decode_wire_into(&wire, width, &mut d, &mut r),
-            reference::decode_wire(&wire, width),
-        ) {
-            (Ok(()), Ok(expected)) => prop_assert_eq!((d, r), expected),
-            (Err(JreError::Protocol(got)), Err(JreError::Protocol(expected))) => {
-                prop_assert_eq!(got, expected);
-                prop_assert!(width > 4, "a {width}-byte gid always fits 32 bits");
-            }
-            (got, expected) => panic!("kernel {got:?}, reference {expected:?}"),
-        }
+        codec.decode_datagram(&wire[..at], &mut d, &mut r).unwrap();
+        let whole = (at - header) / (1 + width) * (1 + width);
+        prop_assert_eq!((d, r), reference::decode_wire(&records[..whole], width));
+        // One gid byte of one record overwritten, at any of the kernel's
+        // narrower widths too.
+        let mut bad = wire;
+        bad[header + cut % data.len() * (1 + width) + 1 + slot % width] ^= flip;
+        let ((consumed, stream), datagram) = decode_both(&codec, &bad);
+        prop_assert_eq!(consumed, bad.len());
+        let expected = reference::decode_wire(&bad[header..], width);
+        prop_assert_eq!(&stream, &expected);
+        prop_assert_eq!(datagram, expected);
     }
 
     /// v2 decode∘encode is the identity on data bytes and per-byte gids

@@ -53,7 +53,7 @@ use dista_repro::taintmap::{
 const ALLOC_FACTOR: usize = 8;
 /// …plus this constant, which covers the one buffer sized ahead of the
 /// bytes: the boundary's receive chunk, 64 KiB of data times the wire
-/// factor (5 at the default gid width, 9 at the widest).
+/// factor (5: a data byte and its 4-byte gid).
 const ALLOC_SLACK: usize = 1 << 20;
 
 static ARMED: AtomicBool = AtomicBool::new(false);

@@ -1,11 +1,11 @@
 //! Property-based end-to-end tests of the instrumented boundary: for
 //! arbitrary traffic on one long-lived connection — clean payloads, then
 //! taint arriving at a random offset, then clean again — under every
-//! wire protocol, fragmentation, Global ID width and mix of reader
-//! calls, the bytes and the per-byte taint assignment survive the trip
-//! exactly. The oracle is the sent stream itself: whatever shortcuts
-//! the boundary takes for clean or cache-hit crossings, the receiver
-//! must see the same bytes with the same tag sets, nothing else.
+//! wire protocol, fragmentation and mix of reader calls, the bytes and
+//! the per-byte taint assignment survive the trip exactly. The oracle
+//! is the sent stream itself: whatever shortcuts the boundary takes for
+//! clean or cache-hit crossings, the receiver must see the same bytes
+//! with the same tag sets, nothing else.
 
 use std::sync::{Arc, Barrier};
 
@@ -62,12 +62,10 @@ fn run_roundtrip(
     traffic: &[Spans],
     reads: &[ReadOp],
     chunk: usize,
-    gid_width: usize,
     protocol: WireProtocol,
 ) -> (Vec<String>, Vec<String>) {
     let cluster = Cluster::builder(Mode::Dista)
         .nodes("prop", 2)
-        .gid_width(gid_width)
         .wire_protocol(protocol)
         .build()
         .unwrap();
@@ -147,21 +145,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Arbitrary traffic survives arbitrary fragmentation and reader
-    /// calls, byte for byte, under every wire protocol and Global ID
-    /// width.
+    /// calls, byte for byte, under every wire protocol.
     #[test]
     fn boundary_roundtrip_is_exact(
         traffic in traffic(),
         reads in prop::collection::vec((any::<bool>(), 1usize..48), 1..8),
         chunk in prop_oneof![Just(1usize), Just(3), Just(7), Just(usize::MAX)],
-        gid_width in prop_oneof![Just(2usize), Just(4), Just(8)],
         protocol in prop_oneof![
             Just(WireProtocol::V1),
             Just(WireProtocol::V2),
             Just(WireProtocol::Negotiate),
         ],
     ) {
-        let (got, want) = run_roundtrip(&traffic, &reads, chunk, gid_width, protocol);
+        let (got, want) = run_roundtrip(&traffic, &reads, chunk, protocol);
         prop_assert_eq!(got, want);
     }
 }

@@ -1,7 +1,8 @@
 //! Design rules as tests over the source tree. Each reads the non-test
-//! part of every file under `crates/*/src` (up to its first
-//! `#[cfg(test)]`) and compares what it finds to a list in this file, so
-//! a new exception is a reviewed line here, with its reason.
+//! part of every file under `crates/*/src` (up to its `#[cfg(test)]`
+//! module, which must hold all of its test-only code) and compares what
+//! it finds to a list in this file, so a new exception is a reviewed
+//! line here, with its reason.
 //!
 //! * The waiting rule (DESIGN.md §4e): a thread waits for I/O parked on
 //!   the one source it needs, so nothing sleeps to poll — except at the
@@ -60,9 +61,12 @@ const ALLOWED_SLEEPS: &[(&str, &str)] = &[
 /// and rewind, which a follower's per-connection cursor replaced; a
 /// compaction knob nothing set; and the Taint Map client's retired
 /// connections and second pool of split-server connections, which a
-/// connection slot a failed frame empties replaced; and v1's doubling
-/// record fill, which the block kernel replaced. All but the reactor's
-/// are split so that a plain grep of the tree for them comes back empty.
+/// connection slot a failed frame empties replaced; v1's doubling
+/// record fill, which the block kernel replaced; and the gid width
+/// knobs, v1's second entry point with its run-table slots, and the
+/// check for gids past 32 bits that widths 5–8 needed, which the one
+/// 4-byte v1 width replaced. All but the reactor's are split so that a
+/// plain grep of the tree for them comes back empty.
 const FORBIDDEN: &[&str] = &[
     "Reactor",
     "TimerWheel",
@@ -87,6 +91,13 @@ const FORBIDDEN: &[&str] = &[
     concat!("fn ", "extra_conn"),
     concat!("fn ", "redial_addrs"),
     concat!("DOUBLING", "_MIN_RUN"),
+    concat!("gid_width", "(mut self"),
+    concat!("encode_wire", "_into"),
+    concat!("decode_wire", "_into"),
+    concat!("Wire", "Run"),
+    concat!("wire", "_slot"),
+    concat!("wire_record", "_size"),
+    concat!("32-bit id", " space"),
 ];
 
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
@@ -100,15 +111,27 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// `(path relative to the repo root, text before the first
-/// #[cfg(test)])` of every source file under `crates/*/src`.
-fn non_test_sources() -> Vec<(String, String)> {
-    sources_before("#[cfg(test)]")
+/// Where a file's test module starts: its first `#[cfg(test)]` that
+/// opens a `mod`, or the end of the file.
+fn test_module_start(text: &str) -> usize {
+    let mut from = 0;
+    while let Some(at) = text[from..].find("#[cfg(test)]") {
+        let attr = from + at;
+        let after = &text[attr + "#[cfg(test)]".len()..];
+        if after.trim_start().starts_with("mod ") {
+            return attr;
+        }
+        from = attr + 1;
+    }
+    text.len()
 }
 
-/// `(path relative to the repo root, text before the first `marker`)`
-/// of every source file under `crates/*/src`.
-fn sources_before(marker: &str) -> Vec<(String, String)> {
+/// `(path relative to the repo root, text before its test module)` of
+/// every source file under `crates/*/src`. Every scanned text runs up to
+/// its file's test module: a test-only item ahead of the module is
+/// refused, since a rule would either check it as shipped code or, cut
+/// at it, skip the shipped code after it.
+fn non_test_sources() -> Vec<(String, String)> {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut files = Vec::new();
     for krate in std::fs::read_dir(root.join("crates")).expect("crates/") {
@@ -122,9 +145,14 @@ fn sources_before(marker: &str) -> Vec<(String, String)> {
         .iter()
         .map(|path| {
             let text = std::fs::read_to_string(path).expect("utf-8 source file");
-            let non_test = text.split(marker).next().unwrap_or_default();
+            let non_test = &text[..test_module_start(&text)];
             let name = path.strip_prefix(root).expect("walked from the root");
-            (name.to_string_lossy().into_owned(), non_test.to_string())
+            let name = name.to_string_lossy().into_owned();
+            assert!(
+                !non_test.contains("#[cfg(test)]"),
+                "{name}: a test-only item ahead of the test module; move it into the module"
+            );
+            (name, non_test.to_string())
         })
         .collect()
 }
@@ -366,9 +394,7 @@ const PHASE_CLOCK: &str = "crates/jre/src/stopwatch.rs";
 fn crossings_are_timed_by_the_one_phase_clock() {
     let mut clocks = Vec::new();
     let mut phase_clock_reads = false;
-    // Up to the test module, not the first test-only item: the boundary
-    // keeps a test helper ahead of the code this rule guards.
-    for (name, non_test) in sources_before("#[cfg(test)]\nmod tests") {
+    for (name, non_test) in non_test_sources() {
         let checked = name.starts_with("crates/obs/src/")
             || (name.starts_with("crates/jre/src/") && name != PHASE_CLOCK);
         for (n, line) in non_test.lines().enumerate() {
