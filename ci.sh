@@ -13,8 +13,8 @@ cargo fmt --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-echo "==> cargo doc -p dista-obs -p dista-taintmap -p dista-core -p dista-simnet -p dista-jre -p dista-netty --no-deps (warnings denied)"
-RUSTDOCFLAGS="-D warnings" cargo doc -p dista-obs -p dista-taintmap -p dista-core -p dista-simnet -p dista-jre -p dista-netty --no-deps --offline
+echo "==> cargo doc -p dista-obs -p dista-taint -p dista-taintmap -p dista-core -p dista-simnet -p dista-jre -p dista-netty --no-deps (warnings denied)"
+RUSTDOCFLAGS="-D warnings" cargo doc -p dista-obs -p dista-taint -p dista-taintmap -p dista-core -p dista-simnet -p dista-jre -p dista-netty --no-deps --offline
 
 echo "==> cargo test --workspace (every crate's unit, integration and doc tests, once)"
 cargo test -q --workspace --offline

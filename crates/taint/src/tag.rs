@@ -99,49 +99,6 @@ impl GlobalId {
     pub fn is_tainted(self) -> bool {
         self.0 != 0
     }
-
-    /// Encodes the id as big-endian bytes of the given width.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width` is not 2, 4 or 8, or if the id does not fit in
-    /// `width` bytes. Prefer [`GlobalId::try_to_wire`] when the id may
-    /// exceed a narrow width.
-    pub fn to_wire(self, width: usize) -> Vec<u8> {
-        self.try_to_wire(width)
-            .unwrap_or_else(|| panic!("GlobalId {} does not fit in {} bytes", self.0, width))
-    }
-
-    /// Encodes the id as big-endian bytes of the given width, or `None`
-    /// if it does not fit (a run minted more global taints than the
-    /// configured width can address).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width` is not 2, 4 or 8.
-    pub fn try_to_wire(self, width: usize) -> Option<Vec<u8>> {
-        assert!(
-            matches!(width, 2 | 4 | 8),
-            "GlobalId wire width must be 2, 4 or 8"
-        );
-        if width != 8 && u64::from(self.0) >= (1u64 << (8 * width)) {
-            return None;
-        }
-        let full = u64::from(self.0).to_be_bytes();
-        Some(full[8 - width..].to_vec())
-    }
-
-    /// Decodes a big-endian id of the given width.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bytes.len()` is not 2, 4 or 8.
-    pub fn from_wire(bytes: &[u8]) -> Self {
-        assert!(matches!(bytes.len(), 2 | 4 | 8), "bad GlobalId width");
-        let mut full = [0u8; 8];
-        full[8 - bytes.len()..].copy_from_slice(bytes);
-        GlobalId(u64::from_be_bytes(full) as u32)
-    }
 }
 
 impl fmt::Display for GlobalId {
@@ -258,34 +215,6 @@ mod tests {
     fn local_id_display() {
         let id = LocalId::new([10, 0, 0, 2], 99);
         assert_eq!(id.to_string(), "10.0.0.2:99");
-    }
-
-    #[test]
-    fn global_id_wire_roundtrip_default_width() {
-        let gid = GlobalId(0x00DE_ADBEu32);
-        let wire = gid.to_wire(4);
-        assert_eq!(wire.len(), 4);
-        assert_eq!(GlobalId::from_wire(&wire), gid);
-    }
-
-    #[test]
-    fn global_id_wire_narrow_and_wide() {
-        let gid = GlobalId(513);
-        assert_eq!(GlobalId::from_wire(&gid.to_wire(2)), gid);
-        assert_eq!(GlobalId::from_wire(&gid.to_wire(8)), gid);
-    }
-
-    #[test]
-    #[should_panic(expected = "does not fit")]
-    fn global_id_too_wide_for_2_bytes() {
-        GlobalId(70_000).to_wire(2);
-    }
-
-    #[test]
-    fn try_to_wire_reports_overflow() {
-        assert!(GlobalId(70_000).try_to_wire(2).is_none());
-        assert!(GlobalId(65_535).try_to_wire(2).is_some());
-        assert!(GlobalId(u32::MAX).try_to_wire(4).is_some());
     }
 
     #[test]

@@ -232,7 +232,7 @@ fn shard_of<K: Hash>(key: &K) -> usize {
 /// All operations take `&self`; the tree is internally synchronized so a
 /// single instance can be shared by all threads of a simulated JVM.
 /// Reads of interned structure (path walks, depths) are lock-free;
-/// interning writes stripe across [`SHARDS`] locks.
+/// interning writes stripe across a fixed set of locks.
 ///
 /// # Example
 ///

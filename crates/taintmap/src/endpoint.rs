@@ -823,17 +823,21 @@ impl TaintMapEndpoint {
 
     /// Installs the class's authoritative table (and the per-server
     /// redirect ranges derived from it) on every live server of the
-    /// class.
+    /// class. The base shard's standby takes its primary's ranges: once
+    /// it leases in the primary's place, it must not lease a range a
+    /// split took away.
     fn push_class_table(&self, class: usize) {
         let table = &self.tables[class];
-        let base = self.shards[class].primary.as_ref().into_iter();
+        let base = &self.shards[class];
+        let standby = base.standby.as_ref().map(|s| (s, base.primary_addr));
         let splits = self
             .splits
             .iter()
             .filter(|s| s.class == class)
             .filter_map(|s| s.server.as_ref());
-        for server in base.chain(splits) {
-            server.set_class_table(table.clone(), moved_for(table, server.addr()));
+        let servers = base.primary.iter().chain(splits).map(|s| (s, s.addr()));
+        for (server, owner) in servers.chain(standby) {
+            server.set_class_table(table.clone(), moved_for(table, owner));
         }
     }
 

@@ -130,7 +130,8 @@ pub(crate) fn addr(r: &mut ByteReader<'_>) -> Result<NodeAddr, ReadError> {
 }
 
 /// Appends one record — `gid` and the serialized taint bound to it —
-/// as a `BIND` item, a WAL data record and a snapshot carry it.
+/// as a `BIND` item and a data record of a log, a compaction generation
+/// or a `REPLICATE` frame carry it.
 pub(crate) fn push_record(out: &mut Vec<u8>, gid: u32, bytes: &[u8]) {
     out.extend_from_slice(&gid.to_be_bytes());
     out.extend_from_slice(&(bytes.len() as u32).to_be_bytes());

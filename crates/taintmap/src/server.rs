@@ -15,10 +15,12 @@
 //! bind, and never leases an id twice. The log is *tagged*: besides
 //! data and lease records it carries cutover markers, so a restarted
 //! split source keeps redirecting the range it gave away, and it is
-//! folded into `snapshot-<n>` files ([`TaintMapServer::compact`]) so
-//! restart replay is bounded by *live* gids rather than registration
-//! history. A torn snapshot (crash mid-write) falls back to the previous
-//! snapshot plus the still-untruncated log tail.
+//! folded into `snapshot-<n>` generation files
+//! ([`TaintMapServer::compact`]) written in the same records, so restart
+//! replay is bounded by *live* gids rather than registration history. A
+//! torn generation (crash mid-write) falls back to the previous one plus
+//! the still-untruncated log tail. One checked reader, [`next_record`],
+//! reads a log, a generation and a `REPLICATE` frame.
 //!
 //! A server keeps its peers current through *followers*: a standby, a
 //! split's target, and a restarted primary taking its standby's records
@@ -86,29 +88,40 @@ pub struct WalRecovery {
     pub moved: Vec<MovedRange>,
 }
 
+/// One record of the grammar a shard's log, its compaction generations
+/// and a `REPLICATE` frame are all written in, as [`next_record`] read
+/// and checked it (see [`TaintMapWal`] for the bytes).
+enum Record<'a> {
+    /// A lease, which raised the reader's high-water.
+    Lease,
+    /// A gid bound to a serialized taint, as the local id it is stored at.
+    Data(u32, &'a [u8]),
+    /// A range a split took away, and the epoch of the table that moved it.
+    CutOver(u64, MovedRange),
+    /// A generation's last record: how many `Data` records it holds.
+    End(u32),
+}
+
 const REC_DATA: u8 = 1;
 const REC_CUTOVER: u8 = 4;
 const REC_LEASE: u8 = 5;
+const REC_END: u8 = 6;
 
 /// Records one catch-up step ships at most: a commit that finds a
 /// follower behind ships it one such batch, and the endpoint drives a
 /// split's copy and a restart in batches of this size.
 pub(crate) const CATCH_UP_RECORDS: usize = 1024;
 
-/// How far one replicated lease record may raise a receiver's
-/// high-water: one block, plus the wire-reserved ids a block skips. A
-/// record that asks for more is refused, so a hostile one moves the
+/// How far one lease record may raise a reader's high-water: one block,
+/// plus the wire-reserved ids a block skips. A record that asks for more
+/// is refused, so a hostile one — on the wire or on disk — moves the
 /// high-water no further than a lease request could.
 const MAX_LEASE_SPAN: u32 = LEASE_IDS + WIRE_RESERVED_GIDS.len() as u32;
 
-const SNAP_MAGIC: [u8; 4] = *b"TMSN";
-const SNAP_TRAILER: [u8; 4] = *b"SNEN";
-
-/// The backend-local id a record that names `gid` from outside — a
-/// bind, a replicated or copied record, a WAL or snapshot record — is
-/// stored under: `None` if `gid` is another shard's, one the wire
-/// grammar reserves ([`WIRE_RESERVED_GIDS`]), or one above `high_water`
-/// that this shard never leased.
+/// The local id a bind or a data record naming `gid` is stored under:
+/// `None` if `gid` is another shard's, one the wire grammar reserves
+/// ([`WIRE_RESERVED_GIDS`]), or one above `high_water` that this shard
+/// never leased.
 fn leased_local(shard: ShardSpec, high_water: u32, gid: u32) -> Option<u32> {
     if WIRE_RESERVED_GIDS.contains(&gid) {
         return None;
@@ -118,29 +131,88 @@ fn leased_local(shard: ShardSpec, high_water: u32, gid: u32) -> Option<u32> {
         .filter(|&local| local <= high_water)
 }
 
-/// Appends a data record (`gid` bound to a serialized taint) in the WAL
-/// format replication also ships.
-fn push_data(out: &mut Vec<u8>, gid: u32, serialized: &[u8]) {
-    out.push(REC_DATA);
-    push_record(out, gid, serialized);
-}
-
-/// Appends a lease record: the high-water (a local id) after a lease.
 fn push_lease(out: &mut Vec<u8>, local: u32) {
     out.push(REC_LEASE);
     out.extend_from_slice(&local.to_be_bytes());
 }
 
+fn push_data(out: &mut Vec<u8>, gid: u32, serialized: &[u8]) {
+    out.push(REC_DATA);
+    push_record(out, gid, serialized);
+}
+
+fn push_cutover(out: &mut Vec<u8>, epoch: u64, moved: MovedRange) {
+    out.push(REC_CUTOVER);
+    out.extend_from_slice(&epoch.to_be_bytes());
+    out.extend_from_slice(&moved.lo_gid.to_be_bytes());
+    out.extend_from_slice(&moved.target.ip());
+    out.extend_from_slice(&moved.target.port().to_be_bytes());
+}
+
+fn push_end(out: &mut Vec<u8>, count: u32) {
+    out.push(REC_END);
+    out.extend_from_slice(&count.to_be_bytes());
+}
+
+/// Appends the lease ladder up to `high_water`: lease records in steps
+/// of one block from 0, each of which a reader at the step before takes.
+fn push_ladder(out: &mut Vec<u8>, high_water: u32) {
+    let mut local = 0u32;
+    while local < high_water {
+        local = high_water.min(local.saturating_add(LEASE_IDS));
+        push_lease(out, local);
+    }
+}
+
+/// Reads the next record and checks it against `high_water`, the lease
+/// high-water the records before it left, which a lease record raises:
+/// a lease may rise at most [`MAX_LEASE_SPAN`] above it, and a `Data`
+/// record must name a gid this shard leased at or below it. Every field
+/// is read before the record is returned, so one cut short is an error,
+/// like a refused one or an unknown tag. Each caller has its own rule
+/// for an error: a log tail applies the records before it, a generation
+/// and a `REPLICATE` frame are applied whole or not at all.
+fn next_record<'a>(
+    r: &mut ByteReader<'a>,
+    shard: ShardSpec,
+    high_water: &mut u32,
+) -> Result<Record<'a>, ReadError> {
+    Ok(match r.u8()? {
+        REC_LEASE => {
+            let local = r.u32()?;
+            if local > high_water.saturating_add(MAX_LEASE_SPAN) {
+                return Err(ReadError::Malformed("a lease past one block"));
+            }
+            *high_water = (*high_water).max(local);
+            Record::Lease
+        }
+        REC_DATA => {
+            let (gid, serialized) = read_record(r)?;
+            let local = leased_local(shard, *high_water, gid)
+                .ok_or(ReadError::Malformed("a record for a gid never leased"))?;
+            Record::Data(local, serialized)
+        }
+        REC_CUTOVER => {
+            let (epoch, lo_gid, target) = (r.u64()?, r.u32()?, addr(r)?);
+            Record::CutOver(epoch, MovedRange { lo_gid, target })
+        }
+        REC_END => Record::End(r.u32()?),
+        _ => return Err(ReadError::Malformed("unknown record tag")),
+    })
+}
+
 /// Write-ahead log for one shard primary: an append-only sequence of
-/// tagged records on the simulated file system. Lease records
-/// (`tag 5, high-water local id u32 BE`) and data records
-/// (`tag 1, gid u32 BE, len u32 BE, len bytes`) are appended before the
-/// frame that made them is acknowledged, and a cutover record
-/// (`tag 4, epoch u64, lo_gid u32, target ip:4 port:u16`) when a split
-/// hands the tail range away. [`TaintMapWal::recover_into`] rebuilds the backend from the newest
-/// intact `…snapshot-<n>` companion file plus the log tail, tolerating
-/// both a torn final record (payload *or* length header) and a torn
-/// snapshot.
+/// tagged records on the simulated file system (integers big-endian).
+/// Lease records (`5, high-water local id u32`) and data records
+/// (`1, gid u32, len u32, len bytes`) are appended before the frame that
+/// made them is acknowledged, a cutover record (`4, epoch u64, lo_gid
+/// u32, target ip:4 port:u16`) when a split hands the tail range away.
+/// Compaction writes a `…snapshot-<n>` generation in the same records —
+/// the lease ladder and data records a follower dialled at cursor 0 is
+/// shipped, a cutover record per moved range between them, and an end
+/// record (`6, data count u32`) — then truncates the log.
+/// [`TaintMapWal::recover_into`] reads both with a `REPLICATE` frame's
+/// checks.
 #[derive(Clone)]
 pub struct TaintMapWal {
     fs: SimFs,
@@ -175,21 +247,11 @@ impl TaintMapWal {
         self.fs.append(&self.path, records);
     }
 
-    fn append_cutover(&self, epoch: u64, lo_gid: u32, target: NodeAddr) {
-        let mut record = Vec::with_capacity(19);
-        record.push(REC_CUTOVER);
-        record.extend_from_slice(&epoch.to_be_bytes());
-        record.extend_from_slice(&lo_gid.to_be_bytes());
-        record.extend_from_slice(&target.ip());
-        record.extend_from_slice(&target.port().to_be_bytes());
-        self.fs.append(&self.path, &record);
-    }
-
-    fn snap_path(&self, generation: u64) -> String {
+    fn generation_path(&self, generation: u64) -> String {
         format!("{}.snapshot-{generation}", self.path)
     }
 
-    fn snapshot_generations(&self) -> Vec<u64> {
+    fn generations(&self) -> Vec<u64> {
         let prefix = format!("{}.snapshot-", self.path);
         let mut generations: Vec<u64> = self
             .fs
@@ -201,159 +263,86 @@ impl TaintMapWal {
         generations
     }
 
-    /// Folds the backend's current contents into a fresh snapshot file
-    /// and truncates the log, so the next recovery replays O(live gids).
-    /// Older snapshots are removed only *after* the truncation, which is
-    /// what makes a torn snapshot recoverable: until the new file is
-    /// complete, the previous snapshot plus the untruncated log still
-    /// cover every record. Returns the number of records snapshotted.
-    ///
-    /// The caller must hold the server's commit lock (no registration
-    /// may land between the backend scan and the truncation).
-    fn compact(
-        &self,
-        backend: &dyn TaintMapBackend,
-        shard: ShardSpec,
-        epoch: u64,
-        moved: &[MovedRange],
-    ) -> u64 {
-        let generation = self.snapshot_generations().last().map_or(1, |g| g + 1);
-        let mut out = Vec::new();
-        out.extend_from_slice(&SNAP_MAGIC);
-        out.extend_from_slice(&epoch.to_be_bytes());
-        out.extend_from_slice(&backend.max_local().to_be_bytes());
-        out.extend_from_slice(&(moved.len() as u32).to_be_bytes());
-        for m in moved {
-            out.extend_from_slice(&m.lo_gid.to_be_bytes());
-            out.extend_from_slice(&m.target.ip());
-            out.extend_from_slice(&m.target.port().to_be_bytes());
-        }
-        let count_at = out.len();
-        out.extend_from_slice(&[0; 4]);
-        let mut count = 0u64;
-        for local in 1..=backend.max_local() {
-            // A local id past the shard's slice of `u32` was never
-            // leased (see `ServerShared::lease`), nor any above.
-            let Some(gid) = shard.global_of_local(local) else {
-                break;
-            };
-            if let Some(bytes) = backend.lookup(local) {
-                push_record(&mut out, gid, &bytes);
-                count += 1;
-            }
-        }
-        out[count_at..count_at + 4].copy_from_slice(&(count as u32).to_be_bytes());
-        out.extend_from_slice(&SNAP_TRAILER);
-        self.fs.write(self.snap_path(generation), out);
+    /// Writes `records` as the next generation, truncates the log, and
+    /// only then removes the older generations: until the new file is
+    /// whole, the previous one plus the untruncated log still cover every
+    /// record, which is what makes a torn generation recoverable. The
+    /// caller holds the server's commit lock, so no commit lands between
+    /// the scan that built `records` and the truncation.
+    fn write_generation(&self, records: Vec<u8>) {
+        let generation = self.generations().last().map_or(1, |g| g + 1);
+        self.fs.write(self.generation_path(generation), records);
         self.fs.write(self.path.clone(), Vec::new());
-        for g in self.snapshot_generations() {
+        for g in self.generations() {
             if g < generation {
-                self.fs.remove(&self.snap_path(g));
+                self.fs.remove(&self.generation_path(g));
             }
         }
-        count
     }
 
-    /// Parses one snapshot file — epoch, high-water, redirects, and its
-    /// records as `(local id, bytes)` — or `None` if it is torn or
-    /// malformed. Compaction writes only records it leased: one that
-    /// names anything else marks the file as damaged as a torn one.
-    #[allow(clippy::type_complexity)]
-    fn load_snapshot(
-        bytes: &[u8],
-        shard: ShardSpec,
-    ) -> Option<(u64, u32, Vec<MovedRange>, Vec<(u32, &[u8])>)> {
-        let body = bytes
-            .strip_prefix(&SNAP_MAGIC)?
-            .strip_suffix(&SNAP_TRAILER)?;
-        let mut r = ByteReader::new(body);
-        let epoch = r.u64().ok()?;
-        let high_water = r.u32().ok()?;
-        let nmoved = r.u32().ok()? as usize;
-        let mut moved = Vec::with_capacity(r.count(nmoved, 10));
-        for _ in 0..nmoved {
-            moved.push(MovedRange {
-                lo_gid: r.u32().ok()?,
-                target: addr(&mut r).ok()?,
-            });
-        }
-        let count = r.u32().ok()? as usize;
-        let mut records = Vec::with_capacity(r.count(count, 8));
-        for _ in 0..count {
-            let (gid, bytes) = read_record(&mut r).ok()?;
-            records.push((leased_local(shard, high_water, gid)?, bytes));
-        }
-        r.at_end().then_some((epoch, high_water, moved, records))
-    }
-
-    /// Rebuilds `backend` from the newest intact snapshot plus the log
-    /// tail — the high-water first, so nothing leased before the crash
-    /// is leased again, and a record above it is never stored — and
-    /// the cutover history. Missing files are an empty log; a torn final
-    /// record
-    /// — whether the crash cut the payload, the length header, or the
-    /// tag — is ignored, like a torn tail in a real WAL; a torn snapshot
-    /// falls back to the previous one.
+    /// Rebuilds `backend` from the newest whole generation plus the log
+    /// tail, and the cutover history. A generation is whole if every
+    /// record passes and it ends at an end record counting its data
+    /// records; a torn or damaged one falls back to the one before.
+    /// The log tail is applied up to its first record that is cut short
+    /// — wherever a crash cut it — or refused. Missing files are an empty
+    /// log.
     pub fn recover_into(&self, backend: &dyn TaintMapBackend, shard: ShardSpec) -> WalRecovery {
         let mut rec = WalRecovery::default();
-        for generation in self.snapshot_generations().into_iter().rev() {
-            let file = self
-                .fs
-                .read(&self.snap_path(generation))
-                .unwrap_or_default();
-            let Some((epoch, high_water, moved, records)) = Self::load_snapshot(&file, shard)
-            else {
-                rec.torn_snapshots += 1;
-                continue;
-            };
-            rec.epoch = epoch;
-            rec.moved = moved;
-            backend.raise_high_water(high_water);
-            for (local, bytes) in records {
-                backend.bind(local, bytes);
-                rec.snapshot_records += 1;
+        for g in self.generations().into_iter().rev() {
+            let file = self.fs.read(&self.generation_path(g)).unwrap_or_default();
+            if is_whole_generation(&file, shard) {
+                rec.snapshot_records = rec.replay(&file, backend, shard).1;
+                break;
             }
-            break;
+            rec.torn_snapshots += 1;
         }
-        let Ok(bytes) = self.fs.read(&self.path) else {
-            return rec;
-        };
-        let mut r = ByteReader::new(&bytes);
-        while Self::replay_record(&mut r, backend, shard, &mut rec).is_ok() {
-            rec.wal_records_scanned += 1;
+        if let Ok(log) = self.fs.read(&self.path) {
+            (rec.wal_records_scanned, rec.wal_data_records) = rec.replay(&log, backend, shard);
         }
         rec
     }
+}
 
-    /// Reads the next tagged record and applies it to `rec` (a data or
-    /// lease record to `backend`). Every field is read before anything
-    /// is applied, so a torn final record — `Truncated`, wherever the
-    /// crash cut it — applies nothing; it and an unknown tag end the
-    /// replay. A data record above the high-water the log has raised so
-    /// far is skipped: nothing the server wrote is ever there.
-    fn replay_record(
-        r: &mut ByteReader<'_>,
-        backend: &dyn TaintMapBackend,
-        shard: ShardSpec,
-        rec: &mut WalRecovery,
-    ) -> Result<(), ReadError> {
-        match r.u8()? {
-            REC_DATA => {
-                let (gid, serialized) = read_record(r)?;
-                if let Some(local) = leased_local(shard, backend.max_local(), gid) {
-                    backend.bind(local, serialized);
-                    rec.wal_data_records += 1;
-                }
-            }
-            REC_LEASE => backend.raise_high_water(r.u32()?),
-            REC_CUTOVER => {
-                let (epoch, lo_gid, target) = (r.u64()?, r.u32()?, addr(r)?);
-                rec.epoch = epoch;
-                rec.moved.push(MovedRange { lo_gid, target });
-            }
-            _ => return Err(ReadError::Malformed("unknown WAL record tag")),
+/// Whether `file` is a whole generation: every record passes from a
+/// zero high-water, and the last is an end record holding the number of
+/// data records before it.
+fn is_whole_generation(file: &[u8], shard: ShardSpec) -> bool {
+    let (mut r, mut high_water, mut data) = (ByteReader::new(file), 0, 0u64);
+    loop {
+        match next_record(&mut r, shard, &mut high_water) {
+            Ok(Record::End(count)) => return r.at_end() && data == u64::from(count),
+            Ok(Record::Data(..)) => data += 1,
+            Ok(_) => {}
+            Err(_) => return false,
         }
-        Ok(())
+    }
+}
+
+impl WalRecovery {
+    /// Applies `bytes`' records to the backend `into` and to this
+    /// recovery, from the backend's high-water, up to the first record
+    /// [`next_record`] refuses or finds cut short. Returns how many
+    /// records, and how many data records, it applied.
+    fn replay(&mut self, bytes: &[u8], into: &dyn TaintMapBackend, shard: ShardSpec) -> (u64, u64) {
+        let (mut r, mut high_water) = (ByteReader::new(bytes), into.max_local());
+        let (mut records, mut data) = (0, 0);
+        while let Ok(record) = next_record(&mut r, shard, &mut high_water) {
+            records += 1;
+            match record {
+                Record::Data(local, serialized) => {
+                    into.bind(local, serialized);
+                    data += 1;
+                }
+                Record::CutOver(epoch, moved) => {
+                    self.epoch = epoch;
+                    self.moved.push(moved);
+                }
+                Record::Lease | Record::End(_) => {}
+            }
+        }
+        into.raise_high_water(high_water);
+        (records, data)
     }
 }
 
@@ -438,7 +427,7 @@ struct ServerShared {
     /// `BIND` is hung up on, so the client's retry redials another
     /// address of the shard's failover list, and one server leases.
     following: AtomicBool,
-    /// Write-ahead snapshot, present on primaries stood up with one.
+    /// Write-ahead log, present on primaries stood up with one.
     wal: Option<TaintMapWal>,
     /// The peers this server ships its log to.
     followers: Mutex<Vec<Follower>>,
@@ -451,7 +440,7 @@ struct ServerShared {
     moved: Mutex<Vec<MovedRange>>,
     /// Serializes commits (lease or bind + WAL append + forwarding)
     /// against each other, catch-up steps, cutover and compaction, so a
-    /// snapshot can never miss a record that was acknowledged, no id is
+    /// generation can never miss a record that was acknowledged, no id is
     /// leased twice, a follower misses no commit on its connection, and
     /// a frame can never slip past the moved check mid-cutover.
     commit_lock: Mutex<()>,
@@ -570,12 +559,8 @@ impl ServerShared {
     fn connect(&self, follower: &mut Follower) -> Result<(), TaintMapError> {
         follower.conn = Some(self.net.tcp_connect(follower.peer)?);
         follower.cursor = 0;
-        let high_water = self.backend.max_local();
-        let (mut ladder, mut local) = (Vec::new(), 0u32);
-        while local < high_water {
-            local = high_water.min(local.saturating_add(LEASE_IDS));
-            push_lease(&mut ladder, local);
-        }
+        let mut ladder = Vec::new();
+        push_ladder(&mut ladder, self.backend.max_local());
         if ladder.is_empty() || follower.ship(&ladder) {
             Ok(())
         } else {
@@ -591,21 +576,30 @@ impl ServerShared {
     /// `OK`. Returns how many records it shipped, or `None` if the ship
     /// failed. The caller holds the commit lock.
     fn scan(&self, follower: &mut Follower, batch: usize) -> Option<u64> {
-        let high_water = self.backend.max_local();
-        let (mut records, mut sent, mut local) = (Vec::new(), 0, follower.cursor);
-        while sent < batch as u64 && local < high_water {
-            local += 1;
-            let gid = self.shard.global_of_local(local);
-            if let Some((gid, bytes)) = gid.zip(self.backend.lookup(local)) {
-                push_data(&mut records, gid, &bytes);
-                sent += 1;
-            }
-        }
+        let mut records = Vec::new();
+        let (sent, local) = self.push_bound(&mut records, follower.cursor, batch as u64);
         if !records.is_empty() && !follower.ship(&records) {
             return None;
         }
         follower.cursor = local;
         Some(sent)
+    }
+
+    /// Appends a data record for each bound local id past `from`, up to
+    /// the lease high-water and `batch` records at most. Returns how many
+    /// it appended and the last local id it walked.
+    fn push_bound(&self, out: &mut Vec<u8>, from: u32, batch: u64) -> (u64, u32) {
+        let high_water = self.backend.max_local();
+        let (mut sent, mut local) = (0, from);
+        while sent < batch && local < high_water {
+            local += 1;
+            let gid = self.shard.global_of_local(local);
+            if let Some((gid, bytes)) = gid.zip(self.backend.lookup(local)) {
+                push_data(out, gid, &bytes);
+                sent += 1;
+            }
+        }
+        (sent, local)
     }
 
     /// Caught up ⇔ connected ∧ cursor ≥ the lease high-water: the
@@ -638,15 +632,24 @@ impl ServerShared {
         self.backend.lookup(self.shard.local_of_global(gid)?)
     }
 
-    /// Folds the WAL into a fresh snapshot under the commit lock.
+    /// Folds the WAL into a fresh generation under the commit lock: the
+    /// lease ladder [`ServerShared::connect`] sends, a cutover record per
+    /// moved range, the data records [`ServerShared::scan`] walks from
+    /// local 1, and an end record holding their count.
     fn compact(&self) -> Result<u64, TaintMapError> {
         let Some(wal) = &self.wal else {
             return Err(TaintMapError::Protocol("shard has no WAL to compact"));
         };
         let _commit = self.commit_lock.lock();
+        let mut records = Vec::new();
+        push_ladder(&mut records, self.backend.max_local());
         let epoch = self.epoch.load(Ordering::Relaxed);
-        let moved = self.moved.lock().clone();
-        let count = wal.compact(&*self.backend, self.shard, epoch, &moved);
+        for &moved in self.moved.lock().iter() {
+            push_cutover(&mut records, epoch, moved);
+        }
+        let (count, _) = self.push_bound(&mut records, 0, u64::MAX);
+        push_end(&mut records, count as u32);
+        wal.write_generation(records);
         self.compactions.inc();
         Ok(count)
     }
@@ -816,10 +819,13 @@ impl TaintMapServer {
             return Err(TaintMapError::Protocol("split target not caught up"));
         }
         self.shared.followers.lock().retain(|f| f.peer != target);
-        self.shared.moved.lock().push(MovedRange { lo_gid, target });
+        let moved = MovedRange { lo_gid, target };
+        self.shared.moved.lock().push(moved);
         self.shared.epoch.store(new_table.epoch, Ordering::Relaxed);
         if let Some(wal) = &self.shared.wal {
-            wal.append_cutover(new_table.epoch, lo_gid, target);
+            let mut record = Vec::new();
+            push_cutover(&mut record, new_table.epoch, moved);
+            wal.append(&record);
         }
         *self.shared.table.lock() = new_table;
         Ok(())
@@ -834,7 +840,7 @@ impl TaintMapServer {
         *self.shared.moved.lock() = moved;
     }
 
-    /// Folds the WAL into a fresh `snapshot-<n>` file and truncates it,
+    /// Folds the WAL into a fresh `snapshot-<n>` generation and truncates it,
     /// bounding the next restart's replay by live gids. Returns the
     /// number of records snapshotted.
     ///
@@ -1010,12 +1016,11 @@ fn lookup_items(shared: &ServerShared, r: &mut ByteReader<'_>) -> Option<Reply> 
     r.at_end().then_some((RESP_OK, resp))
 }
 
-/// The receiving side of [`Follower::ship`]: the payload is WAL
-/// records, lease and data only. Every one is checked before any is
-/// applied — a lease may raise the high-water by [`MAX_LEASE_SPAN`] at
-/// most, and a data record must name a gid this shard leased, at or
-/// below the high-water the leases before it left — and the payload is
-/// then logged as it came. `None` if anything is refused.
+/// The receiving side of [`Follower::ship`]: the payload is lease and
+/// data records, read through [`next_record`] from this shard's lease
+/// high-water. It is applied, then logged as it came, only if every
+/// record passes; a cutover or end record is refused too, so a peer
+/// cannot redirect this shard's clients. `None` if anything is refused.
 fn serve_replicate(shared: &ServerShared, payload: &[u8]) -> Option<Reply> {
     // Records are logged before they are acknowledged, so an ack means
     // they survive this side crashing too.
@@ -1024,19 +1029,10 @@ fn serve_replicate(shared: &ServerShared, payload: &[u8]) -> Option<Reply> {
     let mut binds = Vec::new();
     let mut r = ByteReader::new(payload);
     while !r.at_end() {
-        match r.u8().ok()? {
-            REC_LEASE => {
-                let to = r.u32().ok()?;
-                if to > high_water.saturating_add(MAX_LEASE_SPAN) {
-                    return None;
-                }
-                high_water = high_water.max(to);
-            }
-            REC_DATA => {
-                let (gid, serialized) = read_record(&mut r).ok()?;
-                binds.push((leased_local(shared.shard, high_water, gid)?, serialized));
-            }
-            _ => return None,
+        match next_record(&mut r, shared.shard, &mut high_water).ok()? {
+            Record::Lease => {}
+            Record::Data(local, serialized) => binds.push((local, serialized)),
+            Record::CutOver(..) | Record::End(_) => return None,
         }
     }
     shared.backend.raise_high_water(high_water);
@@ -1353,14 +1349,16 @@ mod tests {
         server.shutdown();
 
         // Nor does replay store one: a log naming 0xFF under a lease
-        // past it, as a log written before the refusal could.
+        // ladder past it, as a log written before the refusal could, is
+        // replayed up to that record.
         let fs = SimFs::new();
-        let mut log = lease_record(300);
+        let mut log = Vec::new();
+        push_ladder(&mut log, 300);
         push_data(&mut log, probe, b"probe-shaped");
         fs.write("w", log);
         let backend = InMemoryBackend::new();
         let recovered = TaintMapWal::new(fs, "w").recover_into(&backend, ShardSpec::default());
-        assert_eq!(recovered.wal_records_scanned, 2);
+        assert_eq!(recovered.wal_records_scanned, 5, "the ladder's five leases");
         assert_eq!(recovered.wal_data_records, 0);
         assert!(backend.is_empty());
         assert_eq!(backend.max_local(), 300);

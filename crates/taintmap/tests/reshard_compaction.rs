@@ -1,9 +1,11 @@
 //! Durability tests for live resharding and WAL compaction: a torn
 //! record *length header* truncates replay at the last complete record
-//! (never a panic, never a misparse), a torn snapshot generation falls
-//! back to the previous one plus the untruncated log, compaction bounds
-//! restart replay by the live record count, and chained splits plus
-//! compaction plus crash/restart of every server lose nothing.
+//! (never a panic, never a misparse), a torn compaction generation —
+//! written in the log's own records and closed by an end record holding
+//! its data count — falls back to the previous one plus the untruncated
+//! log, compaction bounds restart replay by the live record count, and
+//! chained splits plus compaction plus crash/restart of every server lose
+//! nothing.
 
 use dista_simnet::{NodeAddr, SimFs, SimNet};
 use dista_taint::{GlobalId, LocalId, TagValue, Taint, TaintStore};
@@ -126,10 +128,10 @@ fn torn_snapshot_falls_back_to_previous_generation() {
     endpoint.shutdown();
 }
 
-/// A snapshot whose magic and trailer are intact but whose record count
-/// lies (`0xFFFF_FFFF` for 8 records) used to abort the restarting
-/// process with a 137 GB allocation; it is a torn generation like any
-/// other.
+/// A generation whose records are all intact but whose end record lies
+/// about their count (`0xFFFF_FFFF` for 8 records) is a torn generation
+/// like any other. Nothing is sized from the count, so it costs no large
+/// allocation either.
 #[test]
 fn snapshot_with_a_lying_record_count_falls_back_to_the_previous_generation() {
     let net = SimNet::new();
@@ -143,11 +145,11 @@ fn snapshot_with_a_lying_record_count_falls_back_to_the_previous_generation() {
     client.global_ids_for(&mint(&store1, 8)).unwrap();
     assert_eq!(endpoint.compact_shard(0).unwrap(), 8);
 
-    // Layout: magic(4) epoch(8) high-water(4) nmoved(4, zero here)
-    // count(4) records…
+    // The generation ends with its end record: tag 6, the data count.
     let mut lying = fs.read("taintmap/shard-0.wal.snapshot-1").unwrap();
-    assert_eq!(lying[20..24], 8u32.to_be_bytes());
-    lying[20..24].fill(0xFF);
+    let count = lying.len() - 4;
+    assert_eq!(lying[count - 1..], [6, 0, 0, 0, 8]);
+    lying[count..].fill(0xFF);
     fs.write("taintmap/shard-0.wal.snapshot-2", lying);
 
     endpoint.crash_primary(0);

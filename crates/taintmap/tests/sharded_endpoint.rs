@@ -223,6 +223,40 @@ fn a_restarted_primary_and_its_standby_never_lease_one_gid_twice() {
     endpoint.shutdown();
 }
 
+#[test]
+fn a_standby_never_leases_a_range_its_primary_handed_to_a_split() {
+    // A split's cutover used to reach the live servers of the class but
+    // not the standby: once its primary was gone, the standby leased the
+    // range the split target was leasing from, the same gids.
+    for kill in [false, true] {
+        let net = SimNet::new();
+        let mut endpoint = TaintMapEndpoint::builder()
+            .standby(true)
+            .snapshots(SimFs::new())
+            .connect(&net)
+            .unwrap();
+        let (store_a, store_b, store_c) = (store(1), store(2), store(3));
+        let a = endpoint.client(&net, store_a.clone()).unwrap();
+        let mut handed = a.global_ids_for(&mint(&store_a, 0..200)).unwrap();
+        endpoint.split_shard(0).unwrap();
+        let b = endpoint.client(&net, store_b.clone()).unwrap();
+        handed.extend(b.global_ids_for(&mint(&store_b, 0..100)).unwrap());
+        match kill {
+            false => endpoint.crash_primary(0),
+            true => endpoint.kill_primary(0),
+        }
+        // A fresh client holds the initial table, so its lease goes to
+        // the standby.
+        let c = endpoint.client(&net, store_c.clone()).unwrap();
+        handed.extend(c.global_ids_for(&mint(&store_c, 0..100)).unwrap());
+        let mut distinct = handed.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), 400, "a gid handed out twice (kill {kill})");
+        endpoint.shutdown();
+    }
+}
+
 fn mint(store: &TaintStore, range: std::ops::Range<i64>) -> Vec<Taint> {
     range
         .map(|i| store.mint_source_taint(TagValue::Int(i)))

@@ -38,12 +38,12 @@ use dista_repro::mapreduce::rpc::{RpcClient, RpcServer};
 use dista_repro::netty::{decode_http_request, encode_http_request, Bootstrap, ServerBootstrap};
 use dista_repro::simnet::{read_full, FaultConfig, NetError, NodeAddr, SimFs, SimNet, TcpEndpoint};
 use dista_repro::taint::{
-    deserialize_taint, serialize_taint, GlobalId, LocalId, Payload, TagValue, Taint, TaintStore,
-    TaintedBytes,
+    deserialize_taint, serialize_taint, ByteReader, GlobalId, LocalId, Payload, TagValue, Taint,
+    TaintStore, TaintedBytes,
 };
 use dista_repro::taintmap::{
-    ClientObserver, ClientResilience, InMemoryBackend, ShardSpec, TaintMapClient, TaintMapEndpoint,
-    TaintMapTopology, TaintMapWal,
+    ClientObserver, ClientResilience, InMemoryBackend, ShardSpec, TaintMapBackend, TaintMapClient,
+    TaintMapEndpoint, TaintMapTopology, TaintMapWal, WIRE_RESERVED_GIDS,
 };
 
 /// A decoder may request, in one allocation, this many times the bytes
@@ -1034,12 +1034,78 @@ fn a_replicated_record_near_u32_max_leaves_compaction_and_the_copy_bounded() {
     endpoint.shutdown();
 }
 
+/// The same lease record, on disk: appended to a crashed shard's log, it
+/// used to be replayed without a check, so the restarted shard leased
+/// from near `u32::MAX` and compaction walked every local id below it. A
+/// log is now read with the checks a `REPLICATE` frame gets, so replay
+/// ends at the record and compaction stays as short as the shard is.
+#[test]
+fn a_logged_lease_near_u32_max_leaves_compaction_bounded() {
+    let _serial = serial();
+    let net = SimNet::new();
+    let fs = SimFs::new();
+    let mut endpoint = TaintMapEndpoint::builder()
+        .snapshots(fs.clone())
+        .connect(&net)
+        .unwrap();
+    let store = TaintStore::new(LocalId::new([10, 0, 0, 1], 1));
+    let client = endpoint.client(&net, store.clone()).unwrap();
+    let taints: Vec<Taint> = (0..4)
+        .map(|i| store.mint_source_taint(TagValue::Int(i)))
+        .collect();
+    client.global_ids_for(&taints).unwrap();
+
+    endpoint.crash_primary(0);
+    let lease = [&[5][..], &(u32::MAX - 1).to_be_bytes()[..]].concat();
+    fs.append("taintmap/shard-0.wal", &lease);
+    endpoint.restart_primary(0).unwrap();
+
+    let (done, compacted) = std::sync::mpsc::channel();
+    let compaction = std::thread::spawn(move || {
+        done.send(endpoint.compact_shard(0)).unwrap();
+        endpoint.shutdown();
+    });
+    let count = compacted
+        .recv_timeout(Duration::from_secs(10))
+        .expect("compaction still walking local ids after 10 s");
+    assert_eq!(count.unwrap(), 4);
+    compaction.join().unwrap();
+}
+
 // ---------------------------------------------------------------------
-// Disk: the write-ahead log and its snapshots.
+// Disk: the write-ahead log and its compaction generations.
 // ---------------------------------------------------------------------
 
+/// The most one lease record may raise a high-water: one lease block
+/// (64 gids) plus the wire-reserved ids a block skips.
+const MAX_LEASE_SPAN: u32 = 64 + WIRE_RESERVED_GIDS.len() as u32;
+
+/// The tag of each whole record at the start of `bytes`, walked by the
+/// record grammar's own lengths, re-derived here so that a change to the
+/// grammar breaks loudly: 1 data, 4 cutover, 5 lease, 6 end.
+fn record_tags(bytes: &[u8]) -> Vec<u8> {
+    let mut r = ByteReader::new(bytes);
+    let mut tags = Vec::new();
+    while let Ok(tag) = r.u8() {
+        let whole = match tag {
+            1 => r
+                .u32()
+                .and_then(|_| r.u32())
+                .and_then(|len| r.bytes(len as usize).map(drop)),
+            4 => r.bytes(18).map(drop),
+            5 | 6 => r.u32().map(drop),
+            _ => break,
+        };
+        if whole.is_err() {
+            break;
+        }
+        tags.push(tag);
+    }
+    tags
+}
+
 #[test]
-fn mutated_wal_and_snapshot() {
+fn mutated_wal_and_generation() {
     let _serial = serial();
     let net = SimNet::new();
     let fs = SimFs::new();
@@ -1055,57 +1121,82 @@ fn mutated_wal_and_snapshot() {
             .collect()
     };
     client.global_ids_for(&mint(4)).unwrap();
-    // A split writes every marker kind into the source shard's log:
-    // migrate-start, transfer checkpoints, cutover.
+    // A split writes a cutover record into the source shard's log, after
+    // its lease and data records; compaction writes all three kinds into
+    // a generation, and the end record.
     endpoint.split_shard(0).unwrap();
     let wal = fs.read("taintmap/shard-0.wal").unwrap();
     assert_eq!(endpoint.compact_shard(0).unwrap(), 4);
-    let snapshot = fs.read("taintmap/shard-0.wal.snapshot-1").unwrap();
+    let generation = fs.read("taintmap/shard-0.wal.snapshot-1").unwrap();
     endpoint.shutdown();
+    let mut kinds = [record_tags(&wal), record_tags(&generation)].concat();
+    kinds.sort_unstable();
+    kinds.dedup();
+    assert_eq!(kinds, [1, 4, 5, 6], "every record kind is mutated");
 
-    let recover = |wal: Option<&[u8]>, snapshot: Option<&[u8]>| {
+    // What a recovery reconstructed, and the high-water it left.
+    let recover = |wal: Option<&[u8]>, generation: Option<&[u8]>| {
         let scratch = SimFs::new();
         if let Some(wal) = wal {
             scratch.write("w", wal.to_vec());
         }
-        if let Some(snapshot) = snapshot {
-            scratch.write("w.snapshot-1", snapshot.to_vec());
+        if let Some(generation) = generation {
+            scratch.write("w.snapshot-1", generation.to_vec());
         }
         let backend = InMemoryBackend::new();
-        TaintMapWal::new(scratch, "w").recover_into(&backend, ShardSpec::default())
+        let recovered = TaintMapWal::new(scratch, "w").recover_into(&backend, ShardSpec::default());
+        (recovered, backend.max_local())
     };
-    let honest_wal = recover(Some(&wal), None);
+    // A lease record raises the high-water one span at most, so no input
+    // moves it further than its whole lease records could.
+    let bounded_high_water = |bytes: &[u8], high_water: u32| {
+        let leases = record_tags(bytes).iter().filter(|&&tag| tag == 5).count() as u32;
+        high_water <= leases * MAX_LEASE_SPAN
+    };
+    let (honest_wal, _) = recover(Some(&wal), None);
     assert_eq!(honest_wal.wal_data_records, 4);
     assert!(
         honest_wal.wal_records_scanned >= 7,
         "markers: {honest_wal:?}"
     );
     assert_eq!(honest_wal.moved.len(), 1);
-    let honest_snapshot = recover(None, Some(&snapshot));
+    let (honest_generation, _) = recover(None, Some(&generation));
     assert_eq!(
         (
-            honest_snapshot.snapshot_records,
-            honest_snapshot.torn_snapshots
+            honest_generation.snapshot_records,
+            honest_generation.torn_snapshots
         ),
         (4, 0)
     );
-    assert_eq!(honest_snapshot.moved.len(), 1);
+    assert_eq!(honest_generation.moved.len(), 1);
 
     let rng = &mut Rng::for_test(10);
     for edit in sampled_edits(wal.len(), 3000, rng) {
         let bytes = edit.apply(&wal);
-        let recovered = bounded(bytes.len(), &edit, || recover(Some(&bytes), None));
+        let (recovered, high_water) = bounded(bytes.len(), &edit, || recover(Some(&bytes), None));
         // Replay stops at the first record it cannot read whole; a
         // duplicated segment can at most double the records.
         assert!(recovered.wal_records_scanned <= 2 * honest_wal.wal_records_scanned);
-    }
-    for edit in sampled_edits(snapshot.len(), 3000, rng) {
-        let bytes = edit.apply(&snapshot);
-        let recovered = bounded(bytes.len(), &edit, || recover(None, Some(&bytes)));
-        // All of a snapshot or none of it.
         assert!(
-            recovered.torn_snapshots == 1 || recovered.snapshot_records > 0,
+            bounded_high_water(&bytes, high_water),
+            "{edit:?}: {high_water}"
+        );
+    }
+    for edit in sampled_edits(generation.len(), 3000, rng) {
+        let bytes = edit.apply(&generation);
+        let (recovered, high_water) = bounded(bytes.len(), &edit, || recover(None, Some(&bytes)));
+        // All of a generation or none of it: a cut at any record
+        // boundary loses the end record, so it falls back too.
+        assert!(
+            matches!(
+                (recovered.torn_snapshots, recovered.snapshot_records),
+                (1, 0) | (0, 4)
+            ),
             "{edit:?}: {recovered:?}"
+        );
+        assert!(
+            bounded_high_water(&bytes, high_water),
+            "{edit:?}: {high_water}"
         );
     }
 }
