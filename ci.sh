@@ -42,7 +42,7 @@ for seed in 7 42 1337; do
     DISTA_CHAOS_SEED="$seed" cargo test -q --offline --test chaos
 done
 
-echo "==> write-behind registration and standby hand-back: a shard crash before the binds land, and primary/standby crash flips under mirror cuts, lose no gid, three seeds"
+echo "==> write-behind registration and standby hand-back: a shard crash before the binds land, and primary/standby crash flips under mirror cuts, splits and a standby promotion, lose no gid, three seeds"
 for seed in 7 42 1337; do
     echo "    seed $seed"
     DISTA_CHAOS_SEED="$seed" cargo test -q --offline -p dista-taintmap --test prop_chaos \

@@ -38,34 +38,11 @@ use dista_taint::TaintStore;
 use crate::backend::{InMemoryBackend, TaintMapBackend};
 use crate::client::TaintMapClient;
 use crate::error::TaintMapError;
-use crate::server::{
-    MovedRange, ServerStats, TaintMapConfig, TaintMapServer, TaintMapWal, CATCH_UP_RECORDS,
-};
+use crate::server::{ServerStats, TaintMapConfig, TaintMapServer, TaintMapWal, CATCH_UP_RECORDS};
 use crate::shard::{ClassTable, ShardRange, ShardSpec, TaintMapTopology};
 
 /// Per-shard backend factory: shard index → storage.
 type BackendFactory = dyn Fn(usize) -> Arc<dyn TaintMapBackend> + Send + Sync;
-
-/// The redirect ranges a server at `addr` must answer `Moved` for: every
-/// table range *after* the last one it owns. Ranges below its own need
-/// no redirect — a split target holds a full copy of the lower records,
-/// and taint records are immutable, so serving them is always correct.
-fn moved_for(table: &ClassTable, addr: NodeAddr) -> Vec<MovedRange> {
-    let Some(own) = table
-        .ranges
-        .iter()
-        .rposition(|r| r.addrs.first() == Some(&addr))
-    else {
-        return Vec::new();
-    };
-    table.ranges[own + 1..]
-        .iter()
-        .map(|r| MovedRange {
-            lo_gid: r.lo_gid,
-            target: r.addrs[0],
-        })
-        .collect()
-}
 
 /// Ships the follower at `peer` everything `from` holds, one catch-up
 /// step at a time.
@@ -180,12 +157,14 @@ impl TaintMapEndpointBuilder {
         self
     }
 
-    /// Gives every shard primary a write-ahead snapshot log on `fs`
-    /// (`taintmap/shard-<i>.wal`): leases and new binds are appended
-    /// before they are acknowledged, and
-    /// [`TaintMapEndpoint::restart_primary`] replays the log into the
-    /// relaunched primary, so an ungraceful crash loses no acknowledged
-    /// bind and never leases an id twice.
+    /// Gives every server a write-ahead snapshot log of its own on `fs`,
+    /// named by its role: `taintmap/shard-<i>.wal` for the primary at
+    /// base or extended index `i`, `taintmap/shard-<i>-standby.wal` for
+    /// shard `i`'s standby. Leases and new binds are appended before
+    /// they are acknowledged, and [`TaintMapEndpoint::restart_primary`]
+    /// replays the log of the server that held the slot — a promoted
+    /// standby's own — into the relaunched one, so an ungraceful crash
+    /// loses no acknowledged bind and never leases an id twice.
     pub fn snapshots(mut self, fs: SimFs) -> Self {
         self.snapshots = Some(fs);
         self
@@ -199,13 +178,22 @@ impl TaintMapEndpointBuilder {
     ///
     /// [`TaintMapError::Net`] if any shard address is already bound.
     pub fn connect(self, net: &SimNet) -> Result<TaintMapEndpoint, TaintMapError> {
+        let (ip, port, standby) = (self.base_addr.ip(), self.base_addr.port(), self.standby);
+        let failover = |i: usize| {
+            let primary = NodeAddr::new(ip, port + 2 * i as u16);
+            match standby {
+                true => vec![primary, NodeAddr::new(ip, primary.port() + 1)],
+                false => vec![primary],
+            }
+        };
         let mut endpoint = TaintMapEndpoint {
             net: net.clone(),
             base_addr: self.base_addr,
-            shards: Vec::with_capacity(self.shards),
-            splits: Vec::new(),
-            tables: Vec::with_capacity(self.shards),
-            tail_owner: (0..self.shards).collect(),
+            primaries: Vec::with_capacity(self.shards),
+            standbys: Vec::with_capacity(self.shards),
+            tables: (0..self.shards)
+                .map(|i| ClassTable::initial(failover(i), i))
+                .collect(),
             active: None,
             splits_completed: 0,
             records_transferred: 0,
@@ -214,77 +202,46 @@ impl TaintMapEndpointBuilder {
             snapshots: self.snapshots,
         };
         for i in 0..self.shards {
-            let spec = ShardSpec {
-                index: i as u32,
-                count: self.shards as u32,
+            let addrs = endpoint.tables[i].ranges[0].addrs.clone();
+            let label = i.to_string();
+            let primary = endpoint.launch(i, i, addrs[0], &label, false)?;
+            let standby = match addrs.get(1) {
+                Some(&addr) => {
+                    let standby = endpoint.launch(i, i, addr, &format!("{i}-standby"), true)?;
+                    primary.replicate_to(addr)?;
+                    Some(standby)
+                }
+                None => None,
             };
-            let primary_addr =
-                NodeAddr::new(self.base_addr.ip(), self.base_addr.port() + 2 * i as u16);
-            let primary = TaintMapServer::launch(
-                net,
-                primary_addr,
-                self.config,
-                endpoint.make_backend(i),
-                spec,
-                endpoint.wal_for(i),
-                &i.to_string(),
-                false,
-            )?;
-            let standby = if self.standby {
-                let standby_addr = NodeAddr::new(
-                    self.base_addr.ip(),
-                    self.base_addr.port() + 2 * i as u16 + 1,
-                );
-                let standby = TaintMapServer::launch(
-                    net,
-                    standby_addr,
-                    self.config,
-                    endpoint.make_backend(i),
-                    spec,
-                    None,
-                    &format!("{i}-standby"),
-                    true,
-                )?;
-                primary.replicate_to(standby.addr())?;
-                Some(standby)
-            } else {
-                None
-            };
-            endpoint
-                .tables
-                .push(ClassTable::initial(vec![primary_addr], i));
-            endpoint.shards.push(Shard {
-                primary: Some(primary),
-                standby,
-                spec,
-                primary_addr,
+            endpoint.primaries.push(Primary {
+                server: Some(primary),
+                addr: addrs[0],
+                class: i,
+                label,
             });
+            endpoint.standbys.push(standby);
             endpoint.publish_levels(i);
         }
         Ok(endpoint)
     }
 }
 
-struct Shard {
-    /// `None` while the primary is crashed (between
+/// A primary by *extended* index: a base shard's (`0..shard_count()`)
+/// or, after them in creation order, the server a live split stood up
+/// for the upper gid range of an existing class. The crash/restart
+/// chaos plumbing takes either kind of index alike.
+struct Primary {
+    /// `None` while crashed (between
     /// [`TaintMapEndpoint::crash_primary`] and
     /// [`TaintMapEndpoint::restart_primary`]).
-    primary: Option<TaintMapServer>,
-    standby: Option<TaintMapServer>,
-    spec: ShardSpec,
-    primary_addr: NodeAddr,
-}
-
-/// A server stood up by a live split. It serves the upper gid range of
-/// an existing residue class, addressed by its *extended* shard index
-/// (`base_shard_count + k` for the k-th split), which the crash/restart
-/// chaos plumbing accepts exactly like a base index.
-struct SplitShard {
-    /// `None` while crashed.
     server: Option<TaintMapServer>,
+    /// Where it serves and is restarted; a range of its class table
+    /// names it.
     addr: NodeAddr,
     class: usize,
-    spec: ShardSpec,
+    /// Names its registry counters and its log: its extended index, or
+    /// `<i>-standby` once shard `i`'s standby was promoted here.
+    label: String,
 }
 
 /// The split currently migrating, if any (one at a time).
@@ -317,12 +274,15 @@ pub struct ReshardStats {
 pub struct TaintMapEndpoint {
     net: SimNet,
     base_addr: NodeAddr,
-    shards: Vec<Shard>,
-    splits: Vec<SplitShard>,
-    /// Authoritative post-split routing table per residue class.
+    /// Every primary by extended index: base shards first, then split
+    /// servers.
+    primaries: Vec<Primary>,
+    /// Each base shard's standby, while it has one.
+    standbys: Vec<Option<TaintMapServer>>,
+    /// Authoritative routing table per residue class. Range 0 names the
+    /// base primary and its standby; the tail range names the server
+    /// that allocates.
     tables: Vec<ClassTable>,
-    /// Extended index of the server owning allocation for each class.
-    tail_owner: Vec<usize>,
     active: Option<ActiveSplit>,
     splits_completed: u64,
     records_transferred: u64,
@@ -334,7 +294,7 @@ pub struct TaintMapEndpoint {
 impl std::fmt::Debug for TaintMapEndpoint {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TaintMapEndpoint")
-            .field("shards", &self.shards.len())
+            .field("shards", &self.tables.len())
             .field("stats", &self.stats())
             .finish()
     }
@@ -346,39 +306,55 @@ impl TaintMapEndpoint {
         TaintMapEndpointBuilder::default()
     }
 
-    fn make_backend(&self, shard: usize) -> Arc<dyn TaintMapBackend> {
-        match &self.backend {
-            Some(factory) => factory(shard),
-            None => Arc::new(InMemoryBackend::new()),
-        }
-    }
-
-    fn wal_for(&self, shard: usize) -> Option<TaintMapWal> {
-        self.snapshots
+    /// Launches a server of `class` at `addr`, on the backend the
+    /// factory makes for `index`, with the log named by `label`.
+    fn launch(
+        &self,
+        index: usize,
+        class: usize,
+        addr: NodeAddr,
+        label: &str,
+        following: bool,
+    ) -> Result<TaintMapServer, TaintMapError> {
+        let spec = ShardSpec {
+            index: class as u32,
+            count: self.tables.len() as u32,
+        };
+        let wal = self
+            .snapshots
             .as_ref()
-            .map(|fs| TaintMapWal::new(fs.clone(), format!("taintmap/shard-{shard}.wal")))
+            .map(|fs| TaintMapWal::new(fs.clone(), format!("taintmap/shard-{label}.wal")));
+        let backend: Arc<dyn TaintMapBackend> = match &self.backend {
+            Some(factory) => factory(index),
+            None => Arc::new(InMemoryBackend::new()),
+        };
+        TaintMapServer::launch(
+            &self.net,
+            addr,
+            self.config,
+            backend,
+            spec,
+            wal,
+            label,
+            following,
+        )
     }
 
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.tables.len()
     }
 
-    /// The shard layout clients connect with. Cheap to clone and pass to
-    /// every VM builder. A crashed primary keeps its slot in the list
-    /// (clients fail over to the standby, or retry until the primary is
-    /// restarted at the same address).
+    /// The shard layout clients connect with: each class's first
+    /// failover list, its base primary then its standby. Cheap to clone
+    /// and pass to every VM builder. A crashed or killed primary keeps
+    /// its place in the list (clients fail over to the standby, or retry
+    /// until the primary is restarted at the same address).
     pub fn topology(&self) -> TaintMapTopology {
         TaintMapTopology::new(
-            self.shards
+            self.tables
                 .iter()
-                .map(|s| {
-                    let mut addrs = vec![s.primary_addr];
-                    if let Some(standby) = &s.standby {
-                        addrs.push(standby.addr());
-                    }
-                    addrs
-                })
+                .map(|t| t.ranges[0].addrs.clone())
                 .collect(),
         )
     }
@@ -403,10 +379,10 @@ impl TaintMapEndpoint {
     /// [`TaintMapEndpoint::topology`] instead).
     pub fn addr(&self) -> NodeAddr {
         assert!(
-            self.shards.len() == 1,
+            self.tables.len() == 1,
             "addr() is single-shard only; use topology()"
         );
-        self.shards[0].primary_addr
+        self.primaries[0].addr
     }
 
     /// The primary server handle at base or extended index `i` (census
@@ -418,35 +394,30 @@ impl TaintMapEndpoint {
     /// Panics if `i` is out of range or the primary is currently
     /// crashed.
     pub fn shard(&self, i: usize) -> &TaintMapServer {
-        self.server_handle(i)
+        self.primaries[i]
+            .server
+            .as_ref()
             .expect("shard primary is crashed; restart_primary() first")
     }
 
-    fn server_handle(&self, ext: usize) -> Option<&TaintMapServer> {
-        match ext.checked_sub(self.shards.len()) {
-            None => self.shards[ext].primary.as_ref(),
-            Some(k) => self.splits[k].server.as_ref(),
-        }
-    }
-
-    /// The slot of the primary at base or extended index `ext`.
-    fn server_slot(&mut self, ext: usize) -> &mut Option<TaintMapServer> {
-        match ext.checked_sub(self.shards.len()) {
-            None => &mut self.shards[ext].primary,
-            Some(k) => &mut self.splits[k].server,
-        }
+    /// The live primary at base or extended index `ext`.
+    fn live(&self, ext: usize) -> Result<&TaintMapServer, TaintMapError> {
+        self.primaries[ext]
+            .server
+            .as_ref()
+            .ok_or(TaintMapError::ShardUnavailable(ext))
     }
 
     /// Whether the primary at base or extended index `i` is currently
     /// crashed.
     pub fn primary_crashed(&self, i: usize) -> bool {
-        self.server_handle(i).is_none()
+        self.primaries[i].server.is_none()
     }
 
     /// Total number of servers (base shards + split servers); extended
     /// indices range over `0..server_count()`.
     pub fn server_count(&self) -> usize {
-        self.shards.len() + self.splits.len()
+        self.primaries.len()
     }
 
     /// The shard-`i` standby handle, if standbys were enabled.
@@ -455,12 +426,14 @@ impl TaintMapEndpoint {
     ///
     /// Panics if `i >= self.shard_count()`.
     pub fn standby(&self, i: usize) -> Option<&TaintMapServer> {
-        self.shards[i].standby.as_ref()
+        self.standbys[i].as_ref()
     }
 
     /// Kills the shard-`i` primary (severing all of its connections)
     /// and *promotes the standby into the primary slot* — the permanent
-    /// failover drill. For a crash the primary will recover from, use
+    /// failover drill. The class table is unchanged: its range 0 names
+    /// the standby already. A later restart of the slot replays the
+    /// standby's own log. For a crash the primary will recover from, use
     /// [`TaintMapEndpoint::crash_primary`] /
     /// [`TaintMapEndpoint::restart_primary`] instead.
     ///
@@ -469,15 +442,14 @@ impl TaintMapEndpoint {
     /// Panics if `i >= self.shard_count()`, the primary is already
     /// crashed, or the shard has no standby.
     pub fn kill_primary(&mut self, i: usize) {
-        let standby = self.shards[i].standby.take();
-        let primary = self.shards[i].primary.take();
-        let promoted = match standby {
-            Some(s) => s,
-            None => panic!("kill_primary without a standby leaves shard {i} unservable"),
+        let Some(promoted) = self.standbys[i].take() else {
+            panic!("kill_primary without a standby leaves shard {i} unservable");
         };
         promoted.set_following(false);
-        self.shards[i].primary_addr = promoted.addr();
-        self.shards[i].primary = Some(promoted);
+        let slot = &mut self.primaries[i];
+        slot.addr = promoted.addr();
+        slot.label = format!("{i}-standby");
+        let primary = slot.server.replace(promoted);
         primary
             .expect("shard primary is already crashed")
             .shutdown();
@@ -494,16 +466,16 @@ impl TaintMapEndpoint {
     /// Panics if `i >= self.server_count()` or the primary is already
     /// crashed.
     pub fn crash_primary(&mut self, i: usize) {
-        let server = self.server_slot(i).take();
+        let server = self.primaries[i].server.take();
         server.expect("shard primary is already crashed").shutdown();
-        if let Some(standby) = self.shards.get(i).and_then(|s| s.standby.as_ref()) {
+        if let Some(standby) = self.standbys.get(i).and_then(Option::as_ref) {
             standby.set_following(false);
         }
     }
 
     /// Restarts a crashed primary (base or extended index `i`) at its
-    /// original address on a fresh backend, replaying the write-ahead
-    /// snapshot (when the deployment was built with
+    /// address on a fresh backend, replaying the log of the server that
+    /// held the slot (when the deployment was built with
     /// [`TaintMapEndpointBuilder::snapshots`]) and installing the
     /// endpoint's authoritative class table. A shard with a standby is
     /// handed back: the primary comes up refusing `BIND` and follows the
@@ -525,35 +497,17 @@ impl TaintMapEndpoint {
     /// Panics if `i >= self.server_count()` or the primary is not
     /// crashed.
     pub fn restart_primary(&mut self, i: usize) -> Result<u64, TaintMapError> {
+        let slot = &self.primaries[i];
         assert!(
-            self.primary_crashed(i),
+            slot.server.is_none(),
             "restart_primary on a live server {i}"
         );
-        let (addr, spec, class) = match i.checked_sub(self.shards.len()) {
-            None => (self.shards[i].primary_addr, self.shards[i].spec, i),
-            Some(k) => (
-                self.splits[k].addr,
-                self.splits[k].spec,
-                self.splits[k].class,
-            ),
-        };
-        let standby = self.shards.get(i).and_then(|s| s.standby.as_ref());
-        let server = TaintMapServer::launch(
-            &self.net,
-            addr,
-            self.config,
-            self.make_backend(i),
-            spec,
-            self.wal_for(i),
-            &i.to_string(),
-            standby.is_some(),
-        )?;
+        let standby = self.standbys.get(i).and_then(Option::as_ref);
+        let server = self.launch(i, slot.class, slot.addr, &slot.label, standby.is_some())?;
         // The endpoint's table is authoritative: it reflects every
         // cutover ever driven, including ones the WAL of *this* server
         // never saw (e.g. a split target that crashed pre-cutover).
-        let table = self.tables[class].clone();
-        let moved = moved_for(&table, addr);
-        server.set_class_table(table, moved);
+        server.set_class_table(self.tables[slot.class].clone());
         if let Some(standby) = standby {
             if let Err(e) = hand_back(standby, &server) {
                 server.shutdown();
@@ -561,14 +515,15 @@ impl TaintMapEndpoint {
             }
         }
         let replayed = server.replayed();
-        *self.server_slot(i) = Some(server);
+        self.primaries[i].server = Some(server);
         Ok(replayed)
     }
 
     /// Phase 1 of a live split: stands a new server up for residue class
     /// `class`, picks the midpoint of the class's unallocated-side tail
     /// as the migration boundary, and makes the new server a follower of
-    /// the current tail owner: it learns the owner's lease high-water,
+    /// the server the class table's tail range names, which allocates:
+    /// it learns that server's lease high-water,
     /// and every lease and bind is forwarded to it from here on. Returns
     /// the new server's extended index. Drive the copy with
     /// [`TaintMapEndpoint::split_step`] and finish with
@@ -579,8 +534,8 @@ impl TaintMapEndpoint {
     /// # Errors
     ///
     /// [`TaintMapError::Protocol`] if a split is already in flight,
-    /// [`TaintMapError::ShardUnavailable`] if the class's tail owner is
-    /// crashed, [`TaintMapError::Net`] if the new address cannot bind.
+    /// [`TaintMapError::ShardUnavailable`] if the server of the class's
+    /// tail range is crashed, [`TaintMapError::Net`] if the new address cannot bind.
     ///
     /// # Panics
     ///
@@ -589,53 +544,49 @@ impl TaintMapEndpoint {
         if self.active.is_some() {
             return Err(TaintMapError::Protocol("a split is already in flight"));
         }
-        let source_ext = self.tail_owner[class];
-        let source = self
-            .server_handle(source_ext)
-            .ok_or(TaintMapError::ShardUnavailable(source_ext))?;
+        let tail = self.tables[class].tail();
+        let source_ext = self
+            .primaries
+            .iter()
+            .position(|p| p.class == class && tail.addrs.contains(&p.addr))
+            .expect("the tail range names a primary of its class");
+        let source = self.live(source_ext)?;
         let spec = ShardSpec {
             index: class as u32,
-            count: self.shards.len() as u32,
+            count: self.tables.len() as u32,
         };
         // Split the tail range at the midpoint of its *allocated* part:
         // locals (t..=max_local] belong to the tail, the upper half (and
         // everything allocated after) migrates.
-        let tail_lo = self.tables[class].tail().lo_gid;
         let t = spec
-            .local_of_global(tail_lo)
+            .local_of_global(tail.lo_gid)
             .expect("tail lo_gid belongs to its class");
         let max_local = source.max_local().max(t);
         let lo_gid = (t + (max_local - t) / 2)
             .checked_add(1)
             .and_then(|local| spec.global_of_local(local))
             .ok_or(TaintMapError::Protocol("no gid left above the split point"))?;
-        let target_ext = self.shards.len() + self.splits.len();
+        // After the base primaries and standbys, one port per split.
+        let target_ext = self.primaries.len();
         let addr = NodeAddr::new(
             self.base_addr.ip(),
-            self.base_addr.port() + (2 * self.shards.len() + self.splits.len()) as u16,
+            self.base_addr.port() + (self.tables.len() + target_ext) as u16,
         );
-        let target = TaintMapServer::launch(
-            &self.net,
-            addr,
-            self.config,
-            self.make_backend(target_ext),
-            spec,
-            self.wal_for(target_ext),
-            &target_ext.to_string(),
-            false,
-        )?;
+        let label = target_ext.to_string();
+        let target = self.launch(target_ext, class, addr, &label, false)?;
         // Pre-cutover the target serves the *current* epoch, so clients
-        // that discover it early are not rejected as stale.
-        target.set_class_table(self.tables[class].clone(), Vec::new());
+        // that discover it early are not rejected as stale; no range
+        // names it yet, so it redirects nothing.
+        target.set_class_table(self.tables[class].clone());
         if let Err(e) = source.replicate_to(addr) {
             target.shutdown();
             return Err(e);
         }
-        self.splits.push(SplitShard {
+        self.primaries.push(Primary {
             server: Some(target),
             addr,
             class,
-            spec,
+            label,
         });
         self.active = Some(ActiveSplit {
             class,
@@ -663,9 +614,7 @@ impl TaintMapEndpoint {
         let active = self
             .active
             .ok_or(TaintMapError::Protocol("no split in flight"))?;
-        let source = self
-            .server_handle(active.source_ext)
-            .ok_or(TaintMapError::ShardUnavailable(active.source_ext))?;
+        let source = self.live(active.source_ext)?;
         let sent = source.catch_up(active.target, batch)?;
         let lagging = !source.caught_up(active.target);
         self.records_transferred += sent;
@@ -691,9 +640,7 @@ impl TaintMapEndpoint {
             .active
             .ok_or(TaintMapError::Protocol("no split in flight"))?;
         while self.split_step(CATCH_UP_RECORDS)? {}
-        let source = self
-            .server_handle(active.source_ext)
-            .ok_or(TaintMapError::ShardUnavailable(active.source_ext))?;
+        let source = self.live(active.source_ext)?;
         let mut table = self.tables[active.class].clone();
         table.epoch += 1;
         table.ranges.push(ShardRange {
@@ -703,7 +650,6 @@ impl TaintMapEndpoint {
         source.cutover(table.clone())?;
         let epoch = table.epoch;
         self.tables[active.class] = table;
-        self.tail_owner[active.class] = active.target_ext;
         self.splits_completed += 1;
         self.active = None;
         self.push_class_table(active.class);
@@ -746,9 +692,7 @@ impl TaintMapEndpoint {
                 self.restart_primary(ext)?;
             }
         }
-        self.server_handle(active.source_ext)
-            .ok_or(TaintMapError::ShardUnavailable(active.source_ext))?
-            .replicate_to(active.target)
+        self.live(active.source_ext)?.replicate_to(active.target)
     }
 
     /// The in-flight split as `(source_ext, target_ext)` extended
@@ -765,8 +709,9 @@ impl TaintMapEndpoint {
     /// source is crashed — heal first.
     pub fn split_lagging(&self) -> bool {
         self.active.is_some_and(|a| {
-            self.server_handle(a.source_ext)
-                .is_none_or(|source| !source.caught_up(a.target))
+            !self
+                .live(a.source_ext)
+                .is_ok_and(|source| source.caught_up(a.target))
         })
     }
 
@@ -790,9 +735,7 @@ impl TaintMapEndpoint {
     /// [`TaintMapError::Protocol`] if the deployment has no snapshots
     /// ([`TaintMapEndpointBuilder::snapshots`]).
     pub fn compact_shard(&self, i: usize) -> Result<u64, TaintMapError> {
-        self.server_handle(i)
-            .ok_or(TaintMapError::ShardUnavailable(i))?
-            .compact()
+        self.live(i)?.compact()
     }
 
     /// Publishes the levels a split step or cutover of `class` changed
@@ -821,23 +764,17 @@ impl TaintMapEndpoint {
         }
     }
 
-    /// Installs the class's authoritative table (and the per-server
-    /// redirect ranges derived from it) on every live server of the
-    /// class. The base shard's standby takes its primary's ranges: once
-    /// it leases in the primary's place, it must not lease a range a
-    /// split took away.
+    /// Installs the class's authoritative table on every live server of
+    /// the class and on its standby, each of which reads from it the
+    /// ranges it has handed away. The standby finds itself in range 0's
+    /// failover list: once it leases in the primary's place, it must not
+    /// lease a range a split took away.
     fn push_class_table(&self, class: usize) {
         let table = &self.tables[class];
-        let base = &self.shards[class];
-        let standby = base.standby.as_ref().map(|s| (s, base.primary_addr));
-        let splits = self
-            .splits
-            .iter()
-            .filter(|s| s.class == class)
-            .filter_map(|s| s.server.as_ref());
-        let servers = base.primary.iter().chain(splits).map(|s| (s, s.addr()));
-        for (server, owner) in servers.chain(standby) {
-            server.set_class_table(table.clone(), moved_for(table, owner));
+        let primaries = self.primaries.iter().filter(|p| p.class == class);
+        let live = primaries.filter_map(|p| p.server.as_ref());
+        for server in live.chain(self.standbys[class].as_ref()) {
+            server.set_class_table(table.clone());
         }
     }
 
@@ -849,9 +786,7 @@ impl TaintMapEndpoint {
     /// number of distinct taints by the copied overlap.
     pub fn stats(&self) -> ServerStats {
         let mut total = ServerStats::default();
-        let live_shards = self.shards.iter().filter_map(|s| s.primary.as_ref());
-        let live_splits = self.splits.iter().filter_map(|s| s.server.as_ref());
-        for server in live_shards.chain(live_splits) {
+        for server in self.primaries.iter().filter_map(|p| p.server.as_ref()) {
             let s = server.stats();
             total.global_taints += s.global_taints;
             total.aliases += s.aliases;
@@ -868,18 +803,9 @@ impl TaintMapEndpoint {
 
     /// Stops every server (primaries, standbys, and split servers).
     pub fn shutdown(self) {
-        for shard in self.shards {
-            if let Some(primary) = shard.primary {
-                primary.shutdown();
-            }
-            if let Some(standby) = shard.standby {
-                standby.shutdown();
-            }
-        }
-        for split in self.splits {
-            if let Some(server) = split.server {
-                server.shutdown();
-            }
+        let primaries = self.primaries.into_iter().filter_map(|p| p.server);
+        for server in primaries.chain(self.standbys.into_iter().flatten()) {
+            server.shutdown();
         }
     }
 }
@@ -1003,7 +929,7 @@ mod tests {
     }
 
     #[test]
-    fn chained_splits_move_the_tail_owner_forward() {
+    fn chained_splits_move_allocation_to_the_newest_range() {
         let net = SimNet::new();
         let mut endpoint = TaintMapEndpoint::builder().shards(2).connect(&net).unwrap();
         let store = TaintStore::new(LocalId::new([10, 0, 0, 1], 1));
@@ -1013,7 +939,7 @@ mod tests {
             client.global_id_for(t).unwrap();
         }
         // Split class 0 twice: the second split's source is the first
-        // split's target (the new tail owner), not the base shard.
+        // split's target, which the tail range names, not the base shard.
         let first = endpoint.split_shard(0).unwrap();
         let copied_once = endpoint.reshard_stats().records_transferred;
         let second = endpoint.split_shard(0).unwrap();

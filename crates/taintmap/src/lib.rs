@@ -76,7 +76,5 @@ pub use backend::{InMemoryBackend, TaintMapBackend, WIRE_RESERVED_GIDS};
 pub use client::{ClientObserver, ClientResilience, ClientStats, TaintMapClient};
 pub use endpoint::{ReshardStats, TaintMapEndpoint, TaintMapEndpointBuilder};
 pub use error::TaintMapError;
-pub use server::{
-    MovedRange, ServerStats, TaintMapConfig, TaintMapServer, TaintMapWal, WalRecovery,
-};
+pub use server::{ServerStats, TaintMapConfig, TaintMapServer, TaintMapWal, WalRecovery};
 pub use shard::{ClassTable, ShardRange, ShardSpec, TaintMapTopology};

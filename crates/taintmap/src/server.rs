@@ -57,21 +57,10 @@ pub struct TaintMapConfig {
     pub crash_after_registers: Option<u64>,
 }
 
-/// A gid range this server used to own and has migrated away: gids of
-/// this server's residue class at or above `lo_gid` now live on
-/// `target`, and requests touching them are answered with a `Moved`
-/// redirect carrying the server's current [`ClassTable`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MovedRange {
-    /// First migrated Global ID (inclusive).
-    pub lo_gid: u32,
-    /// Primary address of the shard that owns the range now.
-    pub target: NodeAddr,
-}
-
 /// What a [`TaintMapWal`] recovery reconstructed, beyond the backend
 /// contents: how much work replay cost (the restart-cost gate reads
-/// these) and the cutovers on record.
+/// these) and the cutovers on record, from which a relaunched server
+/// builds its class table until the endpoint installs the current one.
 #[derive(Debug, Clone, Default)]
 pub struct WalRecovery {
     /// Data records restored from the newest intact snapshot.
@@ -84,8 +73,9 @@ pub struct WalRecovery {
     pub torn_snapshots: u64,
     /// Class-table epoch as of the last cutover on record.
     pub epoch: u64,
-    /// Ranges this server had migrated away before the crash.
-    pub moved: Vec<MovedRange>,
+    /// Ranges this server had handed to splits before the crash, in
+    /// order, each naming the split's target.
+    pub moved: Vec<ShardRange>,
 }
 
 /// One record of the grammar a shard's log, its compaction generations
@@ -96,8 +86,9 @@ enum Record<'a> {
     Lease,
     /// A gid bound to a serialized taint, as the local id it is stored at.
     Data(u32, &'a [u8]),
-    /// A range a split took away, and the epoch of the table that moved it.
-    CutOver(u64, MovedRange),
+    /// The epoch of the table a split moved a range by, the range's first
+    /// gid and its target.
+    CutOver(u64, u32, NodeAddr),
     /// A generation's last record: how many `Data` records it holds.
     End(u32),
 }
@@ -141,12 +132,12 @@ fn push_data(out: &mut Vec<u8>, gid: u32, serialized: &[u8]) {
     push_record(out, gid, serialized);
 }
 
-fn push_cutover(out: &mut Vec<u8>, epoch: u64, moved: MovedRange) {
+fn push_cutover(out: &mut Vec<u8>, epoch: u64, moved: &ShardRange) {
     out.push(REC_CUTOVER);
     out.extend_from_slice(&epoch.to_be_bytes());
     out.extend_from_slice(&moved.lo_gid.to_be_bytes());
-    out.extend_from_slice(&moved.target.ip());
-    out.extend_from_slice(&moved.target.port().to_be_bytes());
+    out.extend_from_slice(&moved.addrs[0].ip());
+    out.extend_from_slice(&moved.addrs[0].port().to_be_bytes());
 }
 
 fn push_end(out: &mut Vec<u8>, count: u32) {
@@ -192,18 +183,15 @@ fn next_record<'a>(
                 .ok_or(ReadError::Malformed("a record for a gid never leased"))?;
             Record::Data(local, serialized)
         }
-        REC_CUTOVER => {
-            let (epoch, lo_gid, target) = (r.u64()?, r.u32()?, addr(r)?);
-            Record::CutOver(epoch, MovedRange { lo_gid, target })
-        }
+        REC_CUTOVER => Record::CutOver(r.u64()?, r.u32()?, addr(r)?),
         REC_END => Record::End(r.u32()?),
         _ => return Err(ReadError::Malformed("unknown record tag")),
     })
 }
 
-/// Write-ahead log for one shard primary: an append-only sequence of
-/// tagged records on the simulated file system (integers big-endian).
-/// Lease records (`5, high-water local id u32`) and data records
+/// Write-ahead log for one server, a standby too: an append-only
+/// sequence of tagged records on the simulated file system (integers
+/// big-endian). Lease records (`5, high-water local id u32`) and data records
 /// (`1, gid u32, len u32, len bytes`) are appended before the frame that
 /// made them is acknowledged, a cutover record (`4, epoch u64, lo_gid
 /// u32, target ip:4 port:u16`) when a split hands the tail range away.
@@ -334,9 +322,10 @@ impl WalRecovery {
                     into.bind(local, serialized);
                     data += 1;
                 }
-                Record::CutOver(epoch, moved) => {
+                Record::CutOver(epoch, lo_gid, target) => {
                     self.epoch = epoch;
-                    self.moved.push(moved);
+                    let addrs = vec![target];
+                    self.moved.push(ShardRange { lo_gid, addrs });
                 }
                 Record::Lease | Record::End(_) => {}
             }
@@ -407,6 +396,8 @@ impl Follower {
 
 struct ServerShared {
     net: SimNet,
+    /// The address this server serves, which it finds in its table.
+    addr: NodeAddr,
     backend: Arc<dyn TaintMapBackend>,
     shard: ShardSpec,
     /// Control state (`crash_after_registers`).
@@ -431,13 +422,10 @@ struct ServerShared {
     wal: Option<TaintMapWal>,
     /// The peers this server ships its log to.
     followers: Mutex<Vec<Follower>>,
-    /// Class-table epoch this server believes is current.
-    epoch: AtomicU64,
-    /// Routing table for this server's residue class, attached to every
-    /// `Moved` redirect.
+    /// Routing table for this server's residue class: the epoch a stamp
+    /// is checked against, the ranges handed away past the one naming
+    /// `addr`, and the payload of every `Moved` redirect.
     table: Mutex<ClassTable>,
-    /// Ranges migrated away; non-empty means allocation has moved too.
-    moved: Mutex<Vec<MovedRange>>,
     /// Serializes commits (lease or bind + WAL append + forwarding)
     /// against each other, catch-up steps, cutover and compaction, so a
     /// generation can never miss a record that was acknowledged, no id is
@@ -459,9 +447,9 @@ impl ServerShared {
     fn bind_and_lease(&self, want: u32, items: &[(u32, &[u8])]) -> Reply {
         let served = self.binds.fetch_add(items.len() as u64, Ordering::Relaxed);
         let _commit = self.commit_lock.lock();
-        let allocation_moved = want > 0 && !self.moved.lock().is_empty();
-        if allocation_moved || items.iter().any(|&(gid, _)| self.gid_moved(gid)) {
-            return self.redirect(&self.moved_redirects);
+        let moved = |lo_gid| want > 0 || items.iter().any(|&(gid, _)| gid >= lo_gid);
+        if let Some(reply) = self.redirect_moved(moved) {
+            return reply;
         }
         let high_water = self.backend.max_local();
         let mut records = Vec::new();
@@ -613,16 +601,13 @@ impl ServerShared {
             .any(|f| f.peer == peer && f.conn.is_some() && f.cursor >= high_water)
     }
 
-    /// Whether `gid` falls in a range this server has migrated away.
-    fn gid_moved(&self, gid: u32) -> bool {
-        self.moved.lock().iter().any(|m| gid >= m.lo_gid)
-    }
-
-    /// A `Moved` redirect carrying this server's current class table,
-    /// counted on `cause`: `moved_redirects` or `stale_epochs`.
-    fn redirect(&self, cause: &Counter) -> Reply {
-        cause.inc();
-        (RESP_MOVED, encode_class_table(&self.table.lock()))
+    /// A `Moved` redirect if this server has handed a range away and
+    /// `moved` says the frame touches it, given the range's first gid:
+    /// the frame leases, or names a gid at or above it.
+    fn redirect_moved(&self, moved: impl Fn(u32) -> bool) -> Option<Reply> {
+        let table = self.table.lock();
+        let lo_gid = table.moved_past(self.addr).first()?.lo_gid;
+        moved(lo_gid).then(|| redirect(&self.moved_redirects, &table))
     }
 
     /// Resolves one Global ID; `None` if it was never assigned or does
@@ -643,9 +628,11 @@ impl ServerShared {
         let _commit = self.commit_lock.lock();
         let mut records = Vec::new();
         push_ladder(&mut records, self.backend.max_local());
-        let epoch = self.epoch.load(Ordering::Relaxed);
-        for &moved in self.moved.lock().iter() {
-            push_cutover(&mut records, epoch, moved);
+        {
+            let table = self.table.lock();
+            for moved in table.moved_past(self.addr) {
+                push_cutover(&mut records, table.epoch, moved);
+            }
         }
         let (count, _) = self.push_bound(&mut records, 0, u64::MAX);
         push_end(&mut records, count as u32);
@@ -702,17 +689,11 @@ impl TaintMapServer {
             Some(w) => w.recover_into(&*backend, shard),
             None => WalRecovery::default(),
         };
-        // Rebuild the class table from the recovered cutover history;
-        // the endpoint overrides it with the authoritative one on
-        // orchestrated restarts.
+        // The recovered cutovers until the endpoint installs the
+        // current table.
         let mut table = ClassTable::initial(vec![addr], shard.index as usize);
         table.epoch = recovery.epoch;
-        for m in &recovery.moved {
-            table.ranges.push(ShardRange {
-                lo_gid: m.lo_gid,
-                addrs: vec![m.target],
-            });
-        }
+        table.ranges.extend(recovery.moved.iter().cloned());
         let labels = [("node", "taintmap"), ("shard", shard_label)];
         let counter = |fact: &str| {
             net.registry()
@@ -720,6 +701,7 @@ impl TaintMapServer {
         };
         let shared = Arc::new(ServerShared {
             net: net.clone(),
+            addr,
             backend,
             shard,
             binds: AtomicU64::new(0),
@@ -734,9 +716,7 @@ impl TaintMapServer {
             following: AtomicBool::new(following),
             wal,
             followers: Mutex::new(Vec::new()),
-            epoch: AtomicU64::new(recovery.epoch),
             table: Mutex::new(table),
-            moved: Mutex::new(recovery.moved.clone()),
             commit_lock: Mutex::new(()),
         });
         let session_shared = shared.clone();
@@ -803,25 +783,22 @@ impl TaintMapServer {
     }
 
     /// Cutover to `new_table`, whose tail range is the one moving:
-    /// atomically (w.r.t. commits) stops forwarding to its target, stops
-    /// allocation, marks the range moved, adopts the table, and records
-    /// the cutover durably. From here on the server answers `Moved`
-    /// redirects for the migrated range, forever.
+    /// atomically (w.r.t. commits) stops forwarding to its target,
+    /// adopts the table, which hands the range and allocation away, and
+    /// records the cutover durably. From here on the server answers
+    /// `Moved` redirects for the migrated range, forever.
     ///
     /// # Errors
     ///
     /// [`TaintMapError::Protocol`] if the target has not caught up.
     pub(crate) fn cutover(&self, new_table: ClassTable) -> Result<(), TaintMapError> {
-        let tail = new_table.tail();
-        let (lo_gid, target) = (tail.lo_gid, tail.addrs[0]);
+        let moved = new_table.tail();
+        let target = moved.addrs[0];
         let _commit = self.shared.commit_lock.lock();
         if !self.shared.caught_up(target) {
             return Err(TaintMapError::Protocol("split target not caught up"));
         }
         self.shared.followers.lock().retain(|f| f.peer != target);
-        let moved = MovedRange { lo_gid, target };
-        self.shared.moved.lock().push(moved);
-        self.shared.epoch.store(new_table.epoch, Ordering::Relaxed);
         if let Some(wal) = &self.shared.wal {
             let mut record = Vec::new();
             push_cutover(&mut record, new_table.epoch, moved);
@@ -831,13 +808,14 @@ impl TaintMapServer {
         Ok(())
     }
 
-    /// Installs the authoritative class table (and redirect ranges) —
-    /// the endpoint calls this on every live server of a class at
-    /// cutover, and on restarted servers, so epochs converge.
-    pub(crate) fn set_class_table(&self, table: ClassTable, moved: Vec<MovedRange>) {
-        self.shared.epoch.store(table.epoch, Ordering::Relaxed);
+    /// Installs the authoritative class table — the endpoint calls this
+    /// on every live server of a class and its standby at cutover, and
+    /// on restarted servers, so epochs converge. The server reads its
+    /// epoch and the ranges it answers `Moved` for from this table
+    /// alone: everything after the last range whose failover list names
+    /// its address.
+    pub(crate) fn set_class_table(&self, table: ClassTable) {
         *self.shared.table.lock() = table;
-        *self.shared.moved.lock() = moved;
     }
 
     /// Folds the WAL into a fresh `snapshot-<n>` generation and truncates it,
@@ -887,14 +865,14 @@ impl TaintMapServer {
     }
 
     /// Everything launch-time recovery reconstructed: replay costs and
-    /// the recovered epoch/moved ranges.
+    /// the recovered epoch and cutovers.
     pub fn recovery(&self) -> &WalRecovery {
         &self.recovery
     }
 
     /// The class-table epoch this server currently serves.
     pub fn epoch(&self) -> u64 {
-        self.shared.epoch.load(Ordering::Relaxed)
+        self.shared.table.lock().epoch
     }
 
     /// True once the `crash_after_registers` chaos knob fired.
@@ -960,6 +938,13 @@ fn serve_connection(conn: &TcpEndpoint, shared: &ServerShared, sessions: &Server
 /// A response frame: opcode and payload.
 type Reply = (u8, Vec<u8>);
 
+/// A `Moved` redirect carrying `table`, the server's class table,
+/// counted on `cause`: `moved_redirects` or `stale_epochs`.
+fn redirect(cause: &Counter, table: &ClassTable) -> Reply {
+    cause.inc();
+    (RESP_MOVED, encode_class_table(table))
+}
+
 /// Serves one `BIND`/`LOOKUP` frame: counts it, validates its epoch
 /// stamp, and hands the items to `serve_items`; a payload that does not
 /// parse to its end is `RESP_ERR`. A stale stamp is redirected like a
@@ -967,7 +952,10 @@ type Reply = (u8, Vec<u8>);
 /// before it re-routes. A stamp *ahead* of this server (it missed a
 /// table update while crashed) is accepted — the moved-range check
 /// still guards correctness, and redirecting it would livelock the
-/// client against a behind server.
+/// client against a behind server. A frame takes the table lock here
+/// and once more for its moved check: a bind's under the commit lock, a
+/// lookup's once its items are read, so a cutover that overtakes the
+/// frame is still seen.
 fn serve_data(
     shared: &ServerShared,
     payload: &[u8],
@@ -978,8 +966,11 @@ fn serve_data(
     let Ok(stamp) = r.u64() else {
         return (RESP_ERR, vec![0xFF]);
     };
-    if stamp < shared.epoch.load(Ordering::Relaxed) {
-        return shared.redirect(&shared.stale_epochs);
+    {
+        let table = shared.table.lock();
+        if stamp < table.epoch {
+            return redirect(&shared.stale_epochs, &table);
+        }
     }
     serve_items(shared, &mut r).unwrap_or((RESP_ERR, vec![0xFF]))
 }
@@ -999,11 +990,10 @@ fn lookup_items(shared: &ServerShared, r: &mut ByteReader<'_>) -> Option<Reply> 
     let count = r.u32().ok()? as usize;
     let mut resp = Vec::with_capacity(4 + 5 * r.count(count, 4));
     resp.extend_from_slice(&(count as u32).to_be_bytes());
+    let mut top = 0;
     for _ in 0..count {
         let gid = r.u32().ok()?;
-        if gid != 0 && shared.gid_moved(gid) {
-            return Some(shared.redirect(&shared.moved_redirects));
-        }
+        top = top.max(gid);
         match shared.lookup_one(gid).filter(|_| gid != 0) {
             Some(bytes) => {
                 resp.push(STATUS_OK);
@@ -1013,7 +1003,14 @@ fn lookup_items(shared: &ServerShared, r: &mut ByteReader<'_>) -> Option<Reply> 
             None => resp.push(STATUS_UNKNOWN),
         }
     }
-    r.at_end().then_some((RESP_OK, resp))
+    if !r.at_end() {
+        return None;
+    }
+    Some(
+        shared
+            .redirect_moved(|lo_gid| top >= lo_gid)
+            .unwrap_or((RESP_OK, resp)),
+    )
 }
 
 /// The receiving side of [`Follower::ship`]: the payload is lease and
@@ -1368,8 +1365,26 @@ mod tests {
     fn moved_gid_under_a_current_stamp_answers_moved_with_the_table() {
         // The "server behind the client" case `serve_data` accepts on
         // purpose: the stamp is not stale, so the moved-range check is
-        // what keeps a migrated gid from being served here.
-        let (net, server) = setup();
+        // what keeps a migrated gid from being served here. The server
+        // reads what moved from its table alone, whether range 0's
+        // failover list names it first, as a primary, or second, as a
+        // standby.
+        let primary = NodeAddr::new([10, 0, 0, 99], 7776);
+        for standby in [false, true] {
+            let (net, server) = setup();
+            let owners = match standby {
+                false => vec![server.addr()],
+                true => vec![primary, server.addr()],
+            };
+            moved_redirects_of(&net, &server, owners);
+            server.shutdown();
+        }
+    }
+
+    /// Installs a table whose range 0 is served by `owners` and whose
+    /// range 1, from gid 2, by another server, then checks what `server`
+    /// answers `Moved` and what it serves.
+    fn moved_redirects_of(net: &SimNet, server: &TaintMapServer, owners: Vec<NodeAddr>) {
         let conn = net.tcp_connect(server.addr()).unwrap();
         assert_eq!(register(&conn, &[b"stays", b"moves"]), vec![1, 2]);
         let spare = bind(&conn, 1, &[])[0];
@@ -1379,7 +1394,7 @@ mod tests {
             ranges: vec![
                 ShardRange {
                     lo_gid: 1,
-                    addrs: vec![server.addr()],
+                    addrs: owners,
                 },
                 ShardRange {
                     lo_gid: 2,
@@ -1387,7 +1402,7 @@ mod tests {
                 },
             ],
         };
-        server.set_class_table(table.clone(), vec![MovedRange { lo_gid: 2, target }]);
+        server.set_class_table(table.clone());
 
         for (op, payload) in [
             (OP_LOOKUP, encode_lookup(1, &[1, 2])),
@@ -1415,7 +1430,6 @@ mod tests {
         }
         let stats = server.stats();
         assert_eq!((stats.moved_redirects, stats.stale_epochs), (4, 2));
-        server.shutdown();
     }
 
     #[test]

@@ -78,7 +78,9 @@ pub(crate) fn shard_of_gid(gid: u32, shard_count: usize) -> usize {
 ///
 /// A range owns every gid `g` of its class with `g >= lo_gid`, up to the
 /// next range's `lo_gid` in the enclosing [`ClassTable`]; the last range
-/// is open-ended and therefore also owns *allocation* of new gids.
+/// is open-ended and therefore also owns *allocation* of new gids. A
+/// server serves the last range whose list names its address, a standby
+/// as well as its primary.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardRange {
     /// First Global ID (inclusive) served by this range.
@@ -87,12 +89,16 @@ pub struct ShardRange {
     pub addrs: Vec<NodeAddr>,
 }
 
-/// Epoch-numbered routing table for a single residue class.
+/// Epoch-numbered routing table for a single residue class: the one
+/// routing fact the endpoint, every client and every server of the
+/// class hold a copy of.
 ///
 /// Before any split the table has one open-ended range at epoch 0. Each
 /// cutover appends a range and bumps the epoch; clients stamp the epoch
 /// into range-aware RPCs and servers redirect stale stamps so a
 /// resharded class can never resolve a gid through an outdated mapping.
+/// A server reads its epoch and the ranges it has handed away from its
+/// own copy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClassTable {
     /// Monotone table version; bumped once per cutover.
@@ -126,6 +132,17 @@ impl ClassTable {
     /// The open-ended tail range, which owns allocation of new gids.
     pub fn tail(&self) -> &ShardRange {
         self.ranges.last().expect("class table is never empty")
+    }
+
+    /// The ranges after the last one whose failover list names `addr`:
+    /// what a server at `addr` has handed away and answers `Moved` for,
+    /// allocation included when this is not empty. Ranges below its own
+    /// need no redirect: a split target holds a full copy of the lower
+    /// records, and records are immutable. Empty for an address no range
+    /// names, as a split's target before its cutover.
+    pub(crate) fn moved_past(&self, addr: NodeAddr) -> &[ShardRange] {
+        let own = self.ranges.iter().rposition(|r| r.addrs.contains(&addr));
+        own.map_or(&[], |own| &self.ranges[own + 1..])
     }
 
     /// Adopts `other` if it is strictly newer; returns whether anything

@@ -288,13 +288,14 @@ fn a_shard_crash_before_the_bind_lands_loses_no_gid() {
 }
 
 /// A standby deployment, with and without a WAL, under a seeded schedule
-/// of primary crash/restart flips and resets of the server-to-server
-/// link (dialled from 127.0.0.1), which cut the primary's mirror. Between
-/// them fresh clients hand gids out, bare (`global_ids_for`) or with
-/// their definitions and then `flush`. After every flip a strict v1
-/// reader at whichever server answers resolves every gid handed out so
-/// far, and no gid is ever handed out twice. `DISTA_CHAOS_SEED` (ci.sh
-/// runs 7, 42 and 1337) picks the schedule.
+/// of primary crash/restart flips, resets of the server-to-server link
+/// (dialled from 127.0.0.1), which cut the primary's mirror, up to two
+/// splits of the class and, with a WAL, one promotion of the standby.
+/// Between them fresh clients hand gids out, bare (`global_ids_for`) or
+/// with their definitions and then `flush`. After every flip a strict
+/// v1 reader at whichever server answers resolves every gid handed out
+/// so far, and no gid is ever handed out twice. `DISTA_CHAOS_SEED`
+/// (ci.sh runs 7, 42 and 1337) picks the schedule.
 #[test]
 fn primary_standby_crash_flips_lose_no_bind() {
     let seed = std::env::var("DISTA_CHAOS_SEED")
@@ -321,8 +322,9 @@ fn primary_standby_crash_flips_lose_no_bind() {
         };
         let (mut handed, mut tags): (Vec<GlobalId>, Vec<i64>) = (Vec::new(), Vec::new());
         let context = |step: usize| format!("seed {seed}, snapshots {snapshots}, step {step}");
+        let mut splits = 0;
         for step in 0..24 {
-            match rng.next() % 4 {
+            match rng.next() % 6 {
                 0 => net.inject(Reset {
                     a: [127, 0, 0, 1],
                     b: tm_ip,
@@ -347,11 +349,28 @@ fn primary_standby_crash_flips_lose_no_bind() {
                     handed.extend(gids);
                     tags.extend(from..from + count);
                 }
+                // A split's source serves the tail range: the base
+                // primary before the first split, a split server after.
+                4 if splits < 2 && (splits > 0 || !endpoint.primary_crashed(0)) => {
+                    let split = endpoint.split_shard(0);
+                    split.unwrap_or_else(|e| panic!("{}: {e}", context(step)));
+                    splits += 1;
+                }
+                // Without a WAL the promoted standby would restart at
+                // high-water 0, which neither log nor standby covers.
+                5 if snapshots && endpoint.standby(0).is_some() && !endpoint.primary_crashed(0) => {
+                    endpoint.kill_primary(0)
+                }
                 _ => {
                     if endpoint.primary_crashed(0) {
                         endpoint.restart_primary(0).unwrap();
                     } else {
                         endpoint.crash_primary(0);
+                        // Nothing serves a shard with no standby left
+                        // while it is down: it comes back at once.
+                        if endpoint.standby(0).is_none() {
+                            endpoint.restart_primary(0).unwrap();
+                        }
                     }
                     let (reader, store) = client(&endpoint);
                     let resolved = reader.taints_for(&handed);

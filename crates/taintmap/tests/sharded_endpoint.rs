@@ -257,6 +257,66 @@ fn a_standby_never_leases_a_range_its_primary_handed_to_a_split() {
     }
 }
 
+#[test]
+fn a_client_dialled_after_a_promotion_resolves_the_range_below_a_split() {
+    // The endpoint's class table used to name only the primary in range
+    // 0, though a client's own table names the primary and its standby.
+    // After a split and a promotion, in either order, a client dialled
+    // afterwards was redirected to the dead primary for every gid below
+    // the split point and refused.
+    for split_first in [true, false] {
+        let net = SimNet::new();
+        let mut endpoint = TaintMapEndpoint::builder()
+            .standby(true)
+            .snapshots(SimFs::new())
+            .connect(&net)
+            .unwrap();
+        let writer_store = store(1);
+        let writer = endpoint.client(&net, writer_store.clone()).unwrap();
+        let gids = writer.global_ids_for(&mint(&writer_store, 0..200)).unwrap();
+        if split_first {
+            endpoint.split_shard(0).unwrap();
+            endpoint.kill_primary(0);
+        } else {
+            endpoint.kill_primary(0);
+            endpoint.split_shard(0).unwrap();
+        }
+        assert_resolve(&endpoint, &net, &gids, &(0..200).collect::<Vec<_>>());
+        endpoint.shutdown();
+    }
+}
+
+#[test]
+fn a_promoted_standby_restarted_from_its_own_log_leases_no_gid_twice() {
+    // A standby used to run without a log, and a restart of the slot it
+    // was promoted into replayed the dead primary's: the 100 records
+    // from before the promotion, so a fresh client leased the 200 after
+    // it again.
+    let net = SimNet::new();
+    let mut endpoint = TaintMapEndpoint::builder()
+        .standby(true)
+        .snapshots(SimFs::new())
+        .connect(&net)
+        .unwrap();
+    let (store_a, store_b, store_c) = (store(1), store(2), store(3));
+    let a = endpoint.client(&net, store_a.clone()).unwrap();
+    let mut handed = a.global_ids_for(&mint(&store_a, 0..100)).unwrap();
+    endpoint.kill_primary(0);
+    let b = endpoint.client(&net, store_b.clone()).unwrap();
+    handed.extend(b.global_ids_for(&mint(&store_b, 0..200)).unwrap());
+    endpoint.crash_primary(0);
+    assert_eq!(endpoint.restart_primary(0).unwrap(), 300, "its own log");
+    let c = endpoint.client(&net, store_c.clone()).unwrap();
+    handed.extend(c.global_ids_for(&mint(&store_c, 0..100)).unwrap());
+    let mut distinct = handed.clone();
+    distinct.sort_unstable();
+    distinct.dedup();
+    assert_eq!(distinct.len(), 400, "a gid handed out twice");
+    let tags: Vec<i64> = (0..100).chain(0..200).chain(0..100).collect();
+    assert_resolve(&endpoint, &net, &handed, &tags);
+    endpoint.shutdown();
+}
+
 fn mint(store: &TaintStore, range: std::ops::Range<i64>) -> Vec<Taint> {
     range
         .map(|i| store.mint_source_taint(TagValue::Int(i)))

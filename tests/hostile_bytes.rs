@@ -1128,6 +1128,7 @@ fn mutated_wal_and_generation() {
     let wal = fs.read("taintmap/shard-0.wal").unwrap();
     assert_eq!(endpoint.compact_shard(0).unwrap(), 4);
     let generation = fs.read("taintmap/shard-0.wal.snapshot-1").unwrap();
+    let moved = endpoint.class_table(0).ranges[1..].to_vec();
     endpoint.shutdown();
     let mut kinds = [record_tags(&wal), record_tags(&generation)].concat();
     kinds.sort_unstable();
@@ -1159,7 +1160,7 @@ fn mutated_wal_and_generation() {
         honest_wal.wal_records_scanned >= 7,
         "markers: {honest_wal:?}"
     );
-    assert_eq!(honest_wal.moved.len(), 1);
+    assert_eq!(honest_wal.moved, moved, "the split's range and target");
     let (honest_generation, _) = recover(None, Some(&generation));
     assert_eq!(
         (
@@ -1168,7 +1169,7 @@ fn mutated_wal_and_generation() {
         ),
         (4, 0)
     );
-    assert_eq!(honest_generation.moved.len(), 1);
+    assert_eq!(honest_generation.moved, moved);
 
     let rng = &mut Rng::for_test(10);
     for edit in sampled_edits(wal.len(), 3000, rng) {

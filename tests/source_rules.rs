@@ -108,6 +108,9 @@ const FORBIDDEN: &[&str] = &[
     concat!("fn ", "append_cutover"),
     concat!("fn ", "try_to_wire"),
     concat!("fn ", "from_wire("),
+    concat!("Moved", "Range"),
+    concat!("fn ", "moved_for"),
+    concat!("tail", "_owner"),
 ];
 
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
