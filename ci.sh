@@ -36,7 +36,7 @@ for name in a_late_reply_after_an_expired_deadline_is_never_read_as_the_next_ans
     cargo test -q --release --offline -p dista-taintmap --test sharded_endpoint "$name"
 done
 
-echo "==> chaos suites under fixed seeds (incl. reshard crash-during-migration)"
+echo "==> chaos suites under fixed seeds (incl. a split whose copy a link reset cuts, with a side crashed at the cut)"
 for seed in 7 42 1337; do
     echo "    seed $seed"
     DISTA_CHAOS_SEED="$seed" cargo test -q --offline --test chaos
@@ -57,7 +57,7 @@ for seed in 7 42 1337; do
     DISTA_FUZZ_SEED="$seed" cargo test -q --offline --test hostile_bytes
 done
 
-echo "==> split-while-loaded gate: 1M distinct gids across a crashing migration, three seeds"
+echo "==> split-while-loaded gate: 1M distinct gids across a split whose copy link resets cut three times, three seeds"
 for seed in 7 42 1337; do
     echo "    reshard seed $seed"
     DISTA_RESHARD_SEED="$seed" cargo test -q --release --offline -p dista-taintmap \

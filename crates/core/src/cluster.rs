@@ -5,7 +5,7 @@ use dista_obs::{
     reconstruct, reconstruct_inferred, to_chrome_trace, to_jsonl, to_text_report, FlightRecorder,
     MetricsDump, ObsConfig, ObsEvent, ObsEventKind, Observability, ProvenanceTrace,
 };
-use dista_simnet::{FaultAction, FaultPlan, MigrationVictim, SimNet};
+use dista_simnet::{FaultAction, FaultPlan, SimNet};
 use dista_taint::{SinkReport, SourceSinkSpec};
 use dista_taintmap::{TaintMapEndpoint, TaintMapEndpointBuilder};
 
@@ -251,53 +251,9 @@ impl ClusterBuilder {
     }
 }
 
-/// Crash-and-heal repairs one split of [`Cluster::reshard`] tolerates
-/// before it gives up: far above any finite chaos schedule.
+/// Retries one [`Cluster::split_shard`] makes before it gives up: far
+/// above any finite chaos schedule.
 const MAX_REPAIRS: usize = 64;
-
-/// A declarative plan for [`Cluster::reshard`]: which residue classes
-/// to split, in order (listing a class twice chains two splits, each
-/// moving the then-current tail), plus the copy-phase batch size.
-#[derive(Debug, Clone)]
-pub struct ReshardPlan {
-    splits: Vec<usize>,
-    batch: usize,
-}
-
-impl Default for ReshardPlan {
-    fn default() -> Self {
-        ReshardPlan {
-            splits: Vec::new(),
-            batch: 512,
-        }
-    }
-}
-
-impl ReshardPlan {
-    /// An empty plan (split nothing).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends a split of residue class `class`'s tail range.
-    pub fn split(mut self, class: usize) -> Self {
-        self.splits.push(class);
-        self
-    }
-
-    /// Copy-phase batch size in records (default 512; a step copies at
-    /// least one). Smaller batches interleave more chaos polls per
-    /// split; larger ones move faster.
-    pub fn batch(mut self, records: usize) -> Self {
-        self.batch = records;
-        self
-    }
-
-    /// The classes this plan splits, in order.
-    pub fn splits(&self) -> &[usize] {
-        &self.splits
-    }
-}
 
 /// A running simulated cluster.
 #[derive(Debug)]
@@ -525,9 +481,10 @@ impl Cluster {
     /// Drives the chaos layer one tick: walks the network's fault log
     /// from where the last poll stopped, mirrors each applied fault into
     /// the event stream, and executes the process faults the network
-    /// cannot apply itself (shard crash/restart, VM crash/restart, a
-    /// crash during migration); the engine already applied the link
-    /// faults. Call this between workload phases of a chaos run — the
+    /// cannot apply itself (shard crash/restart, VM crash/restart); the
+    /// engine already applied the link faults. A shard crash with nothing
+    /// live at its index, or a restart with nothing crashed there, is a
+    /// no-op. Call this between workload phases of a chaos run — the
     /// engine is operation-clocked, so polling cadence never changes
     /// *which* faults fire, only when process faults are acted on.
     ///
@@ -542,133 +499,68 @@ impl Cluster {
             let fault = format!("step {}: {:?}", applied.step, applied.action);
             self.chaos_recorder
                 .record_with(|| ObsEventKind::FaultInjected { fault });
+            let tm = self.taint_map.as_ref().expect("cluster already shut down");
+            let crashed = |shard: u32| {
+                let shard = shard as usize;
+                (shard < tm.server_count()).then(|| tm.primary_crashed(shard))
+            };
             match &applied.action {
-                FaultAction::CrashShard { shard } => self.crash_shard(*shard as usize),
-                FaultAction::RestartShard { shard } => {
+                FaultAction::CrashShard { shard } if crashed(*shard) == Some(false) => {
+                    self.crash_shard(*shard as usize)
+                }
+                FaultAction::RestartShard { shard } if crashed(*shard) == Some(true) => {
                     self.restart_shard(*shard as usize)?;
                 }
                 FaultAction::CrashVm { node } => self.crash_vm(node),
                 FaultAction::RestartVm { node } => self.restart_vm(node),
-                FaultAction::CrashDuringMigration { victim } => {
-                    self.crash_migration_victim(*victim)
-                }
                 _ => {}
             }
         }
         Ok(())
     }
 
-    /// Executes a [`FaultAction::CrashDuringMigration`]: crashes the
-    /// requested side(s) of the in-flight split, if one is active (a
-    /// scheduled migration crash against a workload that is not
-    /// resharding is deliberately a no-op).
-    fn crash_migration_victim(&mut self, victim: MigrationVictim) {
-        let tm = self.taint_map.as_mut().expect("cluster already shut down");
-        let Some((source, target)) = tm.active_split() else {
-            return;
-        };
-        let crash_source = matches!(victim, MigrationVictim::Source | MigrationVictim::Both);
-        let crash_target = matches!(victim, MigrationVictim::Target | MigrationVictim::Both);
-        let mut crashed = Vec::new();
-        if crash_source && !tm.primary_crashed(source) {
-            tm.crash_primary(source);
-            crashed.push(source);
-        }
-        if crash_target && !tm.primary_crashed(target) {
-            tm.crash_primary(target);
-            crashed.push(target);
-        }
-        for shard in crashed {
-            self.chaos_recorder
-                .record_with(|| ObsEventKind::ShardCrashed { shard });
-        }
-    }
-
-    /// Executes `plan` against the live Taint Map: for every listed
-    /// class, runs the three-phase split protocol (the new server
-    /// follows the tail owner, batched catch-up, cutover) with
-    /// [`Cluster::poll_chaos`] interleaved between batches, so a
-    /// scheduled [`FaultAction::CrashDuringMigration`] (or shard crash)
-    /// lands mid-migration; the crashed sides restart from their WALs
-    /// and the copy starts over on a fresh connection before the split
-    /// resumes. Returns the extended server index of each new
-    /// range owner and records a `shard_split` event per cutover.
+    /// Splits residue class `class` of the live Taint Map with
+    /// [`TaintMapEndpoint::split_shard`], running [`Cluster::poll_chaos`]
+    /// before every attempt. A scheduled link cut of the copy fails an
+    /// attempt; the process faults due with it run before the retry,
+    /// which restarts the crashed sides from their WALs and copies
+    /// again. Records a `split_healed` event per retry and a
+    /// `shard_split` event at cutover. Returns the extended server index
+    /// of the new range owner.
     ///
     /// # Errors
     ///
-    /// [`DistaError::Config`] if a split needs more than 64 repairs;
-    /// Taint Map errors that healing cannot absorb.
+    /// The last attempt's error once 64 retries have failed, and errors
+    /// from [`Cluster::poll_chaos`].
     ///
     /// # Panics
     ///
-    /// Panics if a listed class is out of range or the cluster was shut
-    /// down.
-    pub fn reshard(&mut self, plan: &ReshardPlan) -> Result<Vec<usize>, DistaError> {
-        let mut new_servers = Vec::with_capacity(plan.splits.len());
-        for &class in &plan.splits {
+    /// Panics if `class` is out of range or the cluster was shut down.
+    pub fn split_shard(&mut self, class: usize) -> Result<usize, DistaError> {
+        let mut repairs = 0;
+        let target = loop {
             self.poll_chaos()?;
-            let target = self
-                .taint_map
-                .as_mut()
-                .expect("cluster already shut down")
-                .begin_split(class)?;
-            let mut repairs = 0usize;
-            let over_budget = |e: DistaError, repairs: &mut usize| {
-                *repairs += 1;
-                (*repairs > MAX_REPAIRS).then_some(e)
-            };
-            let epoch = loop {
-                self.poll_chaos()?;
-                let tm = self.taint_map.as_mut().expect("cluster already shut down");
-                if let Some((source, tgt)) = tm.active_split() {
-                    if tm.primary_crashed(source) || tm.primary_crashed(tgt) {
-                        if let Some(e) = over_budget(
-                            DistaError::Config(format!(
-                                "resharding class {class} exceeded {MAX_REPAIRS} repairs"
-                            )),
-                            &mut repairs,
-                        ) {
-                            return Err(e);
-                        }
-                        tm.heal_split()?;
-                        self.chaos_recorder
-                            .record_with(|| ObsEventKind::SplitHealed { class });
-                        continue;
-                    }
+            let tm = self.taint_map.as_mut().expect("cluster already shut down");
+            match tm.split_shard(class) {
+                Ok(target) => break target,
+                Err(e) if repairs == MAX_REPAIRS => return Err(e.into()),
+                Err(_) => {
+                    repairs += 1;
+                    self.chaos_recorder
+                        .record_with(|| ObsEventKind::SplitHealed { class });
                 }
-                match tm.split_step(plan.batch) {
-                    Ok(true) => {}
-                    Ok(false) if tm.split_lagging() => {}
-                    Ok(false) => match tm.finish_split() {
-                        Ok(epoch) => break epoch,
-                        // A crash can land between catch-up and cutover;
-                        // the next iteration heals and resumes.
-                        Err(e) => {
-                            if let Some(e) = over_budget(e.into(), &mut repairs) {
-                                return Err(e);
-                            }
-                        }
-                    },
-                    // Target unreachable mid-batch — heal next round.
-                    Err(e) => {
-                        if let Some(e) = over_budget(e.into(), &mut repairs) {
-                            return Err(e);
-                        }
-                    }
-                }
-            };
-            let tm = self.taint_map.as_ref().expect("cluster already shut down");
-            let lo_gid = tm.class_table(class).tail().lo_gid;
-            self.chaos_recorder
-                .record_with(|| ObsEventKind::ShardSplit {
-                    class,
-                    target,
-                    lo_gid,
-                    epoch,
-                });
-            new_servers.push(target);
-        }
-        Ok(new_servers)
+            }
+        };
+        let table = self.taint_map().class_table(class);
+        let (lo_gid, epoch) = (table.tail().lo_gid, table.epoch);
+        self.chaos_recorder
+            .record_with(|| ObsEventKind::ShardSplit {
+                class,
+                target,
+                lo_gid,
+                epoch,
+            });
+        Ok(target)
     }
 
     /// Folds every live Taint Map server's WAL into a fresh snapshot
@@ -950,10 +842,11 @@ mod tests {
             .global_ids_for(&taints)
             .unwrap();
 
-        let new_servers = cluster
-            .reshard(&ReshardPlan::new().split(0).split(1).batch(16))
-            .unwrap();
-        assert_eq!(new_servers, vec![2, 3]);
+        let new_servers = [
+            cluster.split_shard(0).unwrap(),
+            cluster.split_shard(1).unwrap(),
+        ];
+        assert_eq!(new_servers, [2, 3]);
         let rs = cluster.taint_map().reshard_stats();
         assert_eq!(rs.splits_completed, 2);
         assert!(rs.records_transferred > 0);
@@ -1215,7 +1108,7 @@ mod tests {
         // `addr()`, which panicked this (legal) configuration at build.
         let mut cluster = scraped_cluster(TaintMapEndpoint::builder().shards(2));
         cross_tainted(&cluster, 80);
-        cluster.reshard(&ReshardPlan::new().split(0)).unwrap();
+        cluster.split_shard(0).unwrap();
         let text = scrape_until(
             &cluster,
             "taintmap_class_epoch{class=\"0\",node=\"taintmap\"} 1\n",

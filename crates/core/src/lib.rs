@@ -51,7 +51,7 @@ mod error;
 pub mod registry;
 pub mod telemetry;
 
-pub use cluster::{Cluster, ClusterBuilder, ReshardPlan};
+pub use cluster::{Cluster, ClusterBuilder};
 pub use config::{DistaConfig, LaunchScript};
 pub use error::DistaError;
 pub use telemetry::{CollectorServer, TelemetryConfig, TelemetryPlane};

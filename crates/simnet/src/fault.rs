@@ -99,15 +99,19 @@ pub enum FaultAction {
         /// Destination IP.
         to: LinkIp,
     },
-    /// Ask the cluster layer to crash Taint Map shard `shard`'s primary.
+    /// Ask the cluster layer to crash the Taint Map primary at base or
+    /// extended index `shard`: a base shard's, or a split server's after
+    /// them in creation order. A no-op if that primary is crashed or not
+    /// created yet.
     CrashShard {
-        /// Zero-based shard index.
+        /// Base or extended server index.
         shard: u32,
     },
-    /// Ask the cluster layer to restart shard `shard`'s crashed primary
-    /// from its write-ahead snapshot.
+    /// Ask the cluster layer to restart the crashed primary at base or
+    /// extended index `shard` from its write-ahead snapshot. A no-op if
+    /// nothing there is crashed.
     RestartShard {
-        /// Zero-based shard index.
+        /// Base or extended server index.
         shard: u32,
     },
     /// Ask the cluster layer to crash the named VM (isolates its IP).
@@ -120,28 +124,6 @@ pub enum FaultAction {
         /// Node name.
         node: String,
     },
-    /// Ask the cluster layer to crash one or both sides of whatever
-    /// Taint Map range migration is in flight *when the cluster walks
-    /// this log entry*. A no-op when no split is in flight — which makes
-    /// the action schedulable against workloads whose migration timing
-    /// the plan author cannot predict.
-    CrashDuringMigration {
-        /// Which side(s) of the migration to crash.
-        victim: MigrationVictim,
-    },
-}
-
-/// Which side of an in-flight Taint Map range migration a
-/// [`FaultAction::CrashDuringMigration`] kills.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MigrationVictim {
-    /// The old primary (the server copying its tail range out).
-    Source,
-    /// The new primary (the server receiving the range).
-    Target,
-    /// Both sides at once: each restarts from its own WAL, and the copy
-    /// starts over on a fresh connection.
-    Both,
 }
 
 /// When a scheduled action fires.
@@ -295,8 +277,7 @@ impl EngineState {
             FaultAction::CrashShard { .. }
             | FaultAction::RestartShard { .. }
             | FaultAction::CrashVm { .. }
-            | FaultAction::RestartVm { .. }
-            | FaultAction::CrashDuringMigration { .. } => {}
+            | FaultAction::RestartVm { .. } => {}
         }
         self.log.push(AppliedFault { step, action });
     }

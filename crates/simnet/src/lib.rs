@@ -69,7 +69,7 @@ mod wakers;
 
 pub use addr::NodeAddr;
 pub use error::NetError;
-pub use fault::{AppliedFault, FaultAction, FaultPlan, FaultPlanBuilder, LinkIp, MigrationVictim};
+pub use fault::{AppliedFault, FaultAction, FaultPlan, FaultPlanBuilder, LinkIp};
 pub use fs::{FileNotFound, SimFs, SimFsError};
 pub use metrics::{MetricsSnapshot, NetMetrics};
 pub use net::{FaultConfig, SimNet};

@@ -38,17 +38,21 @@ use dista_taint::TaintStore;
 use crate::backend::{InMemoryBackend, TaintMapBackend};
 use crate::client::TaintMapClient;
 use crate::error::TaintMapError;
-use crate::server::{ServerStats, TaintMapConfig, TaintMapServer, TaintMapWal, CATCH_UP_RECORDS};
+use crate::server::{ServerStats, TaintMapConfig, TaintMapServer, TaintMapWal};
 use crate::shard::{ClassTable, ShardRange, ShardSpec, TaintMapTopology};
 
 /// Per-shard backend factory: shard index → storage.
 type BackendFactory = dyn Fn(usize) -> Arc<dyn TaintMapBackend> + Send + Sync;
 
 /// Ships the follower at `peer` everything `from` holds, one catch-up
-/// step at a time.
-fn catch_up_fully(from: &TaintMapServer, peer: NodeAddr) -> Result<(), TaintMapError> {
+/// step at a time, adding the records shipped to `shipped`.
+fn catch_up_fully(
+    from: &TaintMapServer,
+    peer: NodeAddr,
+    shipped: &mut u64,
+) -> Result<(), TaintMapError> {
     while !from.caught_up(peer) {
-        from.catch_up(peer, CATCH_UP_RECORDS)?;
+        *shipped += from.catch_up(peer)?;
     }
     Ok(())
 }
@@ -58,14 +62,15 @@ fn catch_up_fully(from: &TaintMapServer, peer: NodeAddr) -> Result<(), TaintMapE
 /// [`TaintMapEndpoint::restart_primary`]). On error the standby follows
 /// no one and leases again; the caller stops the primary.
 fn hand_back(standby: &TaintMapServer, primary: &TaintMapServer) -> Result<(), TaintMapError> {
+    let shipped = &mut 0;
     let handed = (|| {
         standby.replicate_to(primary.addr())?;
-        catch_up_fully(standby, primary.addr())?;
+        catch_up_fully(standby, primary.addr(), shipped)?;
         standby.set_following(true);
-        catch_up_fully(standby, primary.addr())?;
+        catch_up_fully(standby, primary.addr(), shipped)?;
         standby.unfollow(primary.addr());
         primary.replicate_to(standby.addr())?;
-        catch_up_fully(primary, standby.addr())
+        catch_up_fully(primary, standby.addr(), shipped)
     })();
     standby.unfollow(primary.addr());
     match handed {
@@ -259,9 +264,9 @@ struct ActiveSplit {
 pub struct ReshardStats {
     /// Range migrations driven to cutover.
     pub splits_completed: u64,
-    /// Records [`TaintMapEndpoint::split_step`] shipped to split
-    /// targets, re-sent ones included: a copy whose connection dropped
-    /// starts over from the first local id.
+    /// Records [`TaintMapEndpoint::split_shard`] shipped to split
+    /// targets, re-sent ones included: a call that resumes a failed
+    /// split copies again from the first local id.
     pub records_transferred: u64,
     /// Current class-table epoch per residue class.
     pub class_epochs: Vec<u64>,
@@ -485,7 +490,7 @@ impl TaintMapEndpoint {
     /// the new primary is stopped and the standby leases on. Returns the
     /// number of binds recovered from the snapshot + log.
     /// An interrupted outbound migration is *not* re-armed here —
-    /// [`TaintMapEndpoint::heal_split`] does that.
+    /// [`TaintMapEndpoint::split_shard`], called again, does that.
     ///
     /// # Errors
     ///
@@ -519,38 +524,15 @@ impl TaintMapEndpoint {
         Ok(replayed)
     }
 
-    /// Phase 1 of a live split: stands a new server up for residue class
-    /// `class`, picks the midpoint of the class's unallocated-side tail
-    /// as the migration boundary, and makes the new server a follower of
-    /// the server the class table's tail range names, which allocates:
-    /// it learns that server's lease high-water,
-    /// and every lease and bind is forwarded to it from here on. Returns
-    /// the new server's extended index. Drive the copy with
-    /// [`TaintMapEndpoint::split_step`] and finish with
-    /// [`TaintMapEndpoint::finish_split`] (or use
-    /// [`TaintMapEndpoint::split_shard`] for the whole protocol in one
-    /// call).
-    ///
-    /// # Errors
-    ///
-    /// [`TaintMapError::Protocol`] if a split is already in flight,
-    /// [`TaintMapError::ShardUnavailable`] if the server of the class's
-    /// tail range is crashed, [`TaintMapError::Net`] if the new address cannot bind.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `class >= self.shard_count()`.
-    pub fn begin_split(&mut self, class: usize) -> Result<usize, TaintMapError> {
-        if self.active.is_some() {
-            return Err(TaintMapError::Protocol("a split is already in flight"));
-        }
+    /// Stands a new server up for a split of `class`, at the next
+    /// extended index, and records the split as in flight.
+    fn start_split(&mut self, class: usize) -> Result<ActiveSplit, TaintMapError> {
         let tail = self.tables[class].tail();
         let source_ext = self
             .primaries
             .iter()
             .position(|p| p.class == class && tail.addrs.contains(&p.addr))
             .expect("the tail range names a primary of its class");
-        let source = self.live(source_ext)?;
         let spec = ShardSpec {
             index: class as u32,
             count: self.tables.len() as u32,
@@ -561,7 +543,7 @@ impl TaintMapEndpoint {
         let t = spec
             .local_of_global(tail.lo_gid)
             .expect("tail lo_gid belongs to its class");
-        let max_local = source.max_local().max(t);
+        let max_local = self.live(source_ext)?.max_local().max(t);
         let lo_gid = (t + (max_local - t) / 2)
             .checked_add(1)
             .and_then(|local| spec.global_of_local(local))
@@ -578,141 +560,83 @@ impl TaintMapEndpoint {
         // that discover it early are not rejected as stale; no range
         // names it yet, so it redirects nothing.
         target.set_class_table(self.tables[class].clone());
-        if let Err(e) = source.replicate_to(addr) {
-            target.shutdown();
-            return Err(e);
-        }
         self.primaries.push(Primary {
             server: Some(target),
             addr,
             class,
             label,
         });
-        self.active = Some(ActiveSplit {
+        let split = ActiveSplit {
             class,
             source_ext,
             target_ext,
             target: addr,
             lo_gid,
-        });
-        Ok(target_ext)
-    }
-
-    /// Phase 2 of a live split: one catch-up step of the new server,
-    /// which ships it up to `batch` records (at least one) past its
-    /// cursor. Returns whether it is still behind (call again) — `false`
-    /// means it has caught up and [`TaintMapEndpoint::finish_split`] can
-    /// cut over.
-    ///
-    /// # Errors
-    ///
-    /// [`TaintMapError::Protocol`] if no split is in flight,
-    /// [`TaintMapError::ShardUnavailable`] if the source is crashed
-    /// (heal with [`TaintMapEndpoint::heal_split`]), [`TaintMapError::Net`]
-    /// if the target died mid-batch.
-    pub fn split_step(&mut self, batch: usize) -> Result<bool, TaintMapError> {
-        let active = self
-            .active
-            .ok_or(TaintMapError::Protocol("no split in flight"))?;
-        let source = self.live(active.source_ext)?;
-        let sent = source.catch_up(active.target, batch)?;
-        let lagging = !source.caught_up(active.target);
-        self.records_transferred += sent;
-        self.publish_levels(active.class);
-        Ok(lagging)
-    }
-
-    /// Phase 3 of a live split: drains any remaining copy work, then
-    /// cuts over — the source atomically stops allocating in the
-    /// migrated range, the class table gains a range and an epoch, and
-    /// every live server of the class adopts the new table (a client
-    /// with a stale epoch is redirected to it). Returns the class's new
-    /// epoch.
-    ///
-    /// # Errors
-    ///
-    /// [`TaintMapError::Protocol`] if no split is in flight,
-    /// [`TaintMapError::ShardUnavailable`] /
-    /// [`TaintMapError::Net`] if either side is crashed (heal with
-    /// [`TaintMapEndpoint::heal_split`], then call again).
-    pub fn finish_split(&mut self) -> Result<u64, TaintMapError> {
-        let active = self
-            .active
-            .ok_or(TaintMapError::Protocol("no split in flight"))?;
-        while self.split_step(CATCH_UP_RECORDS)? {}
-        let source = self.live(active.source_ext)?;
-        let mut table = self.tables[active.class].clone();
-        table.epoch += 1;
-        table.ranges.push(ShardRange {
-            lo_gid: active.lo_gid,
-            addrs: vec![active.target],
-        });
-        source.cutover(table.clone())?;
-        let epoch = table.epoch;
-        self.tables[active.class] = table;
-        self.splits_completed += 1;
-        self.active = None;
-        self.push_class_table(active.class);
-        self.publish_levels(active.class);
-        Ok(epoch)
-    }
-
-    /// Runs the whole three-phase split protocol for `class` in one
-    /// call: [`TaintMapEndpoint::begin_split`], copy to completion,
-    /// [`TaintMapEndpoint::finish_split`]. Returns the new server's
-    /// extended index.
-    ///
-    /// # Errors
-    ///
-    /// As the three phases; a failed split stays in flight for
-    /// [`TaintMapEndpoint::heal_split`] + [`TaintMapEndpoint::finish_split`].
-    pub fn split_shard(&mut self, class: usize) -> Result<usize, TaintMapError> {
-        let ext = self.begin_split(class)?;
-        self.finish_split()?;
-        Ok(ext)
-    }
-
-    /// Repairs an interrupted split after chaos crashed either side (or
-    /// both): restarts whichever of source/target is down (recovering
-    /// their WALs) and makes the target a follower of the source again,
-    /// on a fresh connection from cursor 0. After a successful heal,
-    /// [`TaintMapEndpoint::finish_split`] completes the split. No-op
-    /// when no split is in flight.
-    ///
-    /// # Errors
-    ///
-    /// [`TaintMapError::Net`] if a restart cannot bind or the source
-    /// cannot reach the target.
-    pub fn heal_split(&mut self) -> Result<(), TaintMapError> {
-        let Some(active) = self.active else {
-            return Ok(());
         };
-        for ext in [active.target_ext, active.source_ext] {
+        self.active = Some(split);
+        Ok(split)
+    }
+
+    /// Splits residue class `class` live and returns the new server's
+    /// extended index. With no split in flight it stands a new server up
+    /// and picks the migration boundary: the midpoint of the allocated
+    /// part of the class's tail range. Then it makes the new server a
+    /// follower, on a fresh connection from cursor 0, of the server the
+    /// tail range names, which allocates: the follower learns its lease
+    /// high-water, and every lease and bind is forwarded to it from here
+    /// on. It copies every record that server holds and cuts over: the
+    /// source atomically stops allocating in the migrated range, the
+    /// class table gains a range and an epoch, and every live server of
+    /// the class adopts it (a client with a stale epoch is redirected).
+    ///
+    /// A failed call leaves the split in flight. Calling again for the
+    /// same class restarts whichever side is crashed from its log, then
+    /// copies from cursor 0 again and cuts over.
+    ///
+    /// # Errors
+    ///
+    /// [`TaintMapError::Protocol`] if a split of another class is in
+    /// flight, [`TaintMapError::ShardUnavailable`] if the server of the
+    /// class's tail range is crashed when the split begins, and
+    /// [`TaintMapError::Net`] / [`TaintMapError::Protocol`] if a restart,
+    /// the copy or the cutover fails.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `class >= self.shard_count()`.
+    pub fn split_shard(&mut self, class: usize) -> Result<usize, TaintMapError> {
+        let split = match self.active {
+            None => self.start_split(class)?,
+            Some(split) if split.class == class => split,
+            Some(_) => return Err(TaintMapError::Protocol("a split is already in flight")),
+        };
+        for ext in [split.target_ext, split.source_ext] {
             if self.primary_crashed(ext) {
                 self.restart_primary(ext)?;
             }
         }
-        self.live(active.source_ext)?.replicate_to(active.target)
-    }
-
-    /// The in-flight split as `(source_ext, target_ext)` extended
-    /// indices, if any — what chaos schedules crash.
-    pub fn active_split(&self) -> Option<(usize, usize)> {
-        self.active.map(|a| (a.source_ext, a.target_ext))
-    }
-
-    /// Whether the in-flight split's target is still behind its source:
-    /// not connected, or short of the source's lease high-water.
-    /// `false` with a split in flight means
-    /// [`TaintMapEndpoint::finish_split`] can cut over without further
-    /// [`TaintMapEndpoint::split_step`] work. Also `true` while the
-    /// source is crashed — heal first.
-    pub fn split_lagging(&self) -> bool {
-        self.active.is_some_and(|a| {
-            !self
-                .live(a.source_ext)
-                .is_ok_and(|source| source.caught_up(a.target))
-        })
+        let source = self.primaries[split.source_ext]
+            .server
+            .as_ref()
+            .expect("restarted above");
+        let mut table = self.tables[class].clone();
+        table.epoch += 1;
+        table.ranges.push(ShardRange {
+            lo_gid: split.lo_gid,
+            addrs: vec![split.target],
+        });
+        let cut = source
+            .replicate_to(split.target)
+            .and_then(|()| catch_up_fully(source, split.target, &mut self.records_transferred))
+            .and_then(|()| source.cutover(table.clone()));
+        if cut.is_ok() {
+            self.tables[class] = table;
+            self.splits_completed += 1;
+            self.active = None;
+            self.push_class_table(class);
+        }
+        self.publish_levels(class);
+        cut.map(|()| split.target_ext)
     }
 
     /// The authoritative routing table for residue class `class`.
@@ -738,7 +662,7 @@ impl TaintMapEndpoint {
         self.live(i)?.compact()
     }
 
-    /// Publishes the levels a split step or cutover of `class` changed
+    /// Publishes the levels a split of `class` changed
     /// to their `node="taintmap"` gauges in the network's registry,
     /// where the deployment's telemetry agent picks them up.
     fn publish_levels(&self, class: usize) {
@@ -924,7 +848,7 @@ mod tests {
         assert_eq!(rs.splits_completed, 1);
         assert_eq!(rs.records_transferred, 16);
         assert_eq!(rs.class_epochs, vec![1]);
-        assert!(endpoint.active_split().is_none());
+        assert!(endpoint.active.is_none());
         endpoint.shutdown();
     }
 
@@ -975,39 +899,26 @@ mod tests {
             let t = store.mint_source_taint(TagValue::Int(i));
             client.global_id_for(t).unwrap();
         }
-        let ext = endpoint.begin_split(0).unwrap();
-        while endpoint.split_step(2).unwrap() {}
-        // Chaos: the target dies after the copy caught up but before
-        // cutover. heal restarts it from its WAL and re-arms the copy on
-        // a fresh connection; finish copies again from cursor 0 and cuts
-        // over.
+        // Chaos: a link reset cuts the copy's reply, then the target
+        // dies before cutover. The second call restarts it from its WAL,
+        // copies again from cursor 0 on a fresh connection and cuts over.
+        let step = net.fault_step();
+        let reset = dista_simnet::FaultAction::Reset {
+            a: [127, 0, 0, 1],
+            b: [10, 0, 0, 99],
+        };
+        net.install_fault_plan(
+            dista_simnet::FaultPlan::builder(0)
+                .at(step + 5, reset)
+                .build(),
+        );
+        assert!(endpoint.split_shard(0).is_err());
+        let ext = endpoint.server_count() - 1;
         endpoint.crash_primary(ext);
         assert!(endpoint.primary_crashed(ext));
-        endpoint.heal_split().unwrap();
-        endpoint.finish_split().unwrap();
+        assert_eq!(endpoint.split_shard(0).unwrap(), ext);
         assert_eq!(endpoint.class_table(0).epoch, 1);
         assert_eq!(endpoint.shard(ext).stats().global_taints, 8);
-        endpoint.shutdown();
-    }
-
-    #[test]
-    fn a_zero_record_split_step_still_finishes_the_copy() {
-        // A batch of 0 used to ship an empty batch without moving the
-        // copy's position, so `split_step(0)` reported more work forever.
-        let net = SimNet::new();
-        let mut endpoint = TaintMapEndpoint::builder().connect(&net).unwrap();
-        let store = TaintStore::new(LocalId::new([10, 0, 0, 1], 1));
-        let client = endpoint.client(&net, store.clone()).unwrap();
-        for i in 0..8 {
-            client
-                .global_id_for(store.mint_source_taint(TagValue::Int(i)))
-                .unwrap();
-        }
-        endpoint.begin_split(0).unwrap();
-        let caught_up = (0..100).any(|_| !endpoint.split_step(0).unwrap());
-        assert!(caught_up, "the copy never caught up");
-        endpoint.finish_split().unwrap();
-        assert_eq!(endpoint.reshard_stats().records_transferred, 8);
         endpoint.shutdown();
     }
 

@@ -100,8 +100,8 @@ const REC_END: u8 = 6;
 
 /// Records one catch-up step ships at most: a commit that finds a
 /// follower behind ships it one such batch, and the endpoint drives a
-/// split's copy and a restart in batches of this size.
-pub(crate) const CATCH_UP_RECORDS: usize = 1024;
+/// split's copy and a restart's hand-back in steps of this size.
+const CATCH_UP_RECORDS: u64 = 1024;
 
 /// How far one lease record may raise a reader's high-water: one block,
 /// plus the wire-reserved ids a block skips. A record that asks for more
@@ -533,7 +533,7 @@ impl ServerShared {
             if follower.cursor >= high_water {
                 follower.cursor = self.backend.max_local();
             } else {
-                self.scan(follower, CATCH_UP_RECORDS);
+                self.scan(follower);
             }
         }
     }
@@ -559,13 +559,13 @@ impl ServerShared {
     }
 
     /// Ships `follower` the bound records at local ids past its cursor,
-    /// `batch` of them at most, in one `REPLICATE` frame, and advances
-    /// the cursor over the ids the frame covered once it is answered
-    /// `OK`. Returns how many records it shipped, or `None` if the ship
+    /// `CATCH_UP_RECORDS` of them at most, in one `REPLICATE` frame, and
+    /// advances the cursor over the ids the frame covered once it is
+    /// answered `OK`. Returns how many records it shipped, or `None` if the ship
     /// failed. The caller holds the commit lock.
-    fn scan(&self, follower: &mut Follower, batch: usize) -> Option<u64> {
+    fn scan(&self, follower: &mut Follower) -> Option<u64> {
         let mut records = Vec::new();
-        let (sent, local) = self.push_bound(&mut records, follower.cursor, batch as u64);
+        let (sent, local) = self.push_bound(&mut records, follower.cursor, CATCH_UP_RECORDS);
         if !records.is_empty() && !follower.ship(&records) {
             return None;
         }
@@ -752,14 +752,14 @@ impl TaintMapServer {
 
     /// One catch-up step for the follower at `peer`: redials it if its
     /// connection dropped, which starts it over at cursor 0, then ships
-    /// it up to `batch` (at least one) of the records past its cursor.
+    /// it up to `CATCH_UP_RECORDS` of the records past its cursor.
     /// Returns how many records it shipped, 0 once it is caught up.
     ///
     /// # Errors
     ///
     /// [`TaintMapError::Net`] / [`TaintMapError::Protocol`] when the
     /// peer is unreachable or nothing follows it.
-    pub(crate) fn catch_up(&self, peer: NodeAddr, batch: usize) -> Result<u64, TaintMapError> {
+    pub(crate) fn catch_up(&self, peer: NodeAddr) -> Result<u64, TaintMapError> {
         let _commit = self.shared.commit_lock.lock();
         let mut followers = self.shared.followers.lock();
         let follower = followers
@@ -770,7 +770,7 @@ impl TaintMapServer {
             self.shared.connect(follower)?;
         }
         self.shared
-            .scan(follower, batch.max(1))
+            .scan(follower)
             .ok_or(TaintMapError::Protocol("follower unreachable"))
     }
 

@@ -33,9 +33,10 @@ impl SplitMix {
 }
 
 /// The ≥1M-distinct-gid migration gate (`ci.sh` runs it in release via
-/// `--ignored` under fixed seeds). A seed-derived schedule crashes
-/// migration sides at seed-chosen batch counts; the split must still
-/// cut over losslessly: after convergence every one of the gids — scale
+/// `--ignored` under fixed seeds). A seed-derived schedule cuts the
+/// copy at seed-chosen steps, at least once mid-copy, and crashes
+/// seed-chosen sides at each cut; the split must still cut over
+/// losslessly: after convergence every one of the gids — scale
 /// via `DISTA_RESHARD_GIDS`, seed via `DISTA_RESHARD_SEED` — resolves
 /// to exactly its registration, and mid-crash sampled lookups are
 /// correct-or-pending, never wrong.
@@ -87,8 +88,14 @@ fn split_one_million_gids_without_loss() {
     )
     .unwrap();
 
-    // ~n/4 records migrate in batches of 1024; schedule three crashes
-    // at seed-chosen batch counts with seed-chosen victims.
+    // ~n/4 records migrate; the copy ships class 0's ~n/2 in frames of
+    // 1024. Schedule three cuts at seed-chosen frame counts, counted
+    // across attempts as a resumed copy starts over, with seed-chosen
+    // victims. A server dials its split target from 127.0.0.1, so a
+    // reset of that link cuts the copy: the dial and the lease ladder
+    // take a call's first three steps of the fault clock, each frame and
+    // its reply two more. The cut fails the call with the split in
+    // flight; the victims crash then, and the next call restarts them.
     let total_batches = (n / 4).div_ceil(1024) as u64;
     let mut crash_at: Vec<(u64, bool, bool)> = (0..3)
         .map(|_| {
@@ -98,54 +105,56 @@ fn split_one_million_gids_without_loss() {
         })
         .collect();
     crash_at.sort_unstable();
-
-    endpoint.begin_split(0).unwrap();
-    let mut batches = 0u64;
-    let mut crashes = 0usize;
-    let epoch = loop {
-        if let Some(&(at, src, tgt)) = crash_at.first() {
-            if batches >= at {
-                crash_at.remove(0);
-                crashes += 1;
-                let (source, target) = endpoint.active_split().unwrap();
-                if src && !endpoint.primary_crashed(source) {
-                    endpoint.crash_primary(source);
-                }
-                if tgt && !endpoint.primary_crashed(target) {
-                    endpoint.crash_primary(target);
-                }
-                // Sampled mid-crash lookups: correct or pending.
-                let idxs: Vec<usize> = (0..512).map(|_| (rng.next() % n as u64) as usize).collect();
-                let sample: Vec<GlobalId> = idxs.iter().map(|&i| gids[i]).collect();
-                let got = reader.taints_for_degraded(&sample).unwrap();
-                for ((&taint, &gid), &i) in got.iter().zip(&sample).zip(&idxs) {
-                    let vals = store2.tag_values(taint);
-                    assert!(
-                        vals == vec![i.to_string()]
-                            || vals == vec![format!("pending-gid:{}", gid.0)],
-                        "mid-crash lookup of gid {} was wrong: {vals:?}",
-                        gid.0
-                    );
-                }
-                endpoint.heal_split().unwrap();
-                continue;
-            }
-        }
-        match endpoint.split_step(1024) {
-            Ok(true) => batches += 1,
-            Ok(false) if endpoint.split_lagging() => endpoint.heal_split().unwrap(),
-            Ok(false) => match endpoint.finish_split() {
-                Ok(epoch) => break epoch,
-                Err(_) => endpoint.heal_split().unwrap(),
-            },
-            Err(_) => endpoint.heal_split().unwrap(),
-        }
+    let cut = Reset {
+        a: [127, 0, 0, 1],
+        b: [10, 0, 0, 99],
     };
-    assert_eq!(epoch, 1);
+    let (source, target) = (0, endpoint.server_count());
+    let mut split = Err(TaintMapError::Protocol("no split yet"));
+    let mut crashes = 0usize;
+    let mut mid_copy = 0usize;
+    let mut batches = 0;
+    for (at, src, tgt) in crash_at {
+        let step = net.fault_step() + 4 + 2 * (at - batches);
+        batches = at;
+        let plan = FaultPlan::builder(0).at(step, cut.clone());
+        net.install_fault_plan(plan.build());
+        let copied_before = endpoint.reshard_stats().records_transferred;
+        split = endpoint.split_shard(0);
+        if split.is_ok() {
+            break;
+        }
+        let copied = endpoint.reshard_stats().records_transferred - copied_before;
+        if copied > 0 && copied < endpoint.shard(source).stats().global_taints {
+            mid_copy += 1;
+        }
+        crashes += 1;
+        if src && !endpoint.primary_crashed(source) {
+            endpoint.crash_primary(source);
+        }
+        if tgt && !endpoint.primary_crashed(target) {
+            endpoint.crash_primary(target);
+        }
+        // Sampled mid-crash lookups: correct or pending.
+        let idxs: Vec<usize> = (0..512).map(|_| (rng.next() % n as u64) as usize).collect();
+        let sample: Vec<GlobalId> = idxs.iter().map(|&i| gids[i]).collect();
+        let got = reader.taints_for_degraded(&sample).unwrap();
+        for ((&taint, &gid), &i) in got.iter().zip(&sample).zip(&idxs) {
+            let vals = store2.tag_values(taint);
+            assert!(
+                vals == vec![i.to_string()] || vals == vec![format!("pending-gid:{}", gid.0)],
+                "mid-crash lookup of gid {} was wrong: {vals:?}",
+                gid.0
+            );
+        }
+    }
+    assert_eq!(split.or_else(|_| endpoint.split_shard(0)).unwrap(), target);
+    assert_eq!(endpoint.class_table(0).epoch, 1);
     assert!(
         crashes >= 1,
         "the schedule crashed the migration at least once"
     );
+    assert!(mid_copy >= 1, "a cut landed mid-copy");
 
     // Drain the reader's pending backlog, then verify every gid
     // strictly: distinct registration in, identical resolution out.
@@ -579,17 +588,17 @@ proptest! {
         endpoint.shutdown();
     }
 
-    /// Live resharding under a crash schedule: a split runs while a
-    /// stale-map client keeps looking up every gid. Whatever side(s) of
-    /// the migration the schedule crashes and whenever, every lookup
-    /// answer is the correct taint or that gid's pending sentinel, the
-    /// healed split still cuts over, and post-cutover the strict path
+    /// Live resharding under a crash schedule: a link reset cuts a
+    /// split at a chosen step of its copy, and a stale-map client looks
+    /// up every gid before and after the chosen side(s) crash. Every
+    /// lookup answer is the correct taint or that gid's pending
+    /// sentinel, the resumed split still cuts over, and post-cutover the strict path
     /// resolves every gid to exactly its registration — zero stale
     /// taints, zero losses.
     #[test]
     fn split_while_loaded_is_lossless_under_crash_schedule(
-        (n, crash_source, crash_target, crash_phase) in
-            (24usize..=72, any::<bool>(), any::<bool>(), 0usize..=4)
+        (n, crash_source, crash_target, cut_at) in
+            (24usize..=72, any::<bool>(), any::<bool>(), 1u64..=5)
     ) {
         let net = SimNet::new();
         let mut endpoint = TaintMapEndpoint::builder()
@@ -618,7 +627,6 @@ proptest! {
         )
         .unwrap();
 
-        endpoint.begin_split(0).unwrap();
         let mut sentinels: HashMap<usize, Taint> = HashMap::new();
         let sweep = |reader: &TaintMapClient, sentinels: &mut HashMap<usize, Taint>|
             -> Result<(), TestCaseError> {
@@ -634,36 +642,27 @@ proptest! {
             Ok(())
         };
 
-        let mut crashed = false;
-        let mut batches = 0usize;
-        let epoch = loop {
-            if !crashed && batches >= crash_phase && (crash_source || crash_target) {
-                let (source, target) = endpoint.active_split().unwrap();
-                if crash_source {
-                    endpoint.crash_primary(source);
-                }
-                if crash_target {
-                    endpoint.crash_primary(target);
-                }
-                crashed = true;
-                // Mid-crash lookups: correct or pending, never wrong.
-                sweep(&reader, &mut sentinels)?;
-                endpoint.heal_split().unwrap();
-            }
-            match endpoint.split_step(4) {
-                Ok(true) => {
-                    batches += 1;
-                    sweep(&reader, &mut sentinels)?;
-                }
-                Ok(false) if endpoint.split_lagging() => endpoint.heal_split().unwrap(),
-                Ok(false) => match endpoint.finish_split() {
-                    Ok(epoch) => break epoch,
-                    Err(_) => endpoint.heal_split().unwrap(),
-                },
-                Err(_) => endpoint.heal_split().unwrap(),
-            }
-        };
-        prop_assert_eq!(epoch, 1, "the healed split still cut over");
+        // The call's first steps are the split's own writes: the dial
+        // and the lease ladder (steps 1-3), then the one data frame and
+        // its reply (4 and 5). A server dials its split target from
+        // 127.0.0.1, so a reset of that link at `cut_at` fails the call
+        // with the split in flight.
+        let cut = Reset { a: [127, 0, 0, 1], b: [10, 0, 0, 99] };
+        let plan = FaultPlan::builder(0).at(net.fault_step() + cut_at, cut);
+        net.install_fault_plan(plan.build());
+        prop_assert!(endpoint.split_shard(0).is_err(), "the reset cut the split");
+        let (source, target) = (0, endpoint.server_count() - 1);
+        // Mid-crash lookups: correct or pending, never wrong.
+        sweep(&reader, &mut sentinels)?;
+        if crash_source {
+            endpoint.crash_primary(source);
+        }
+        if crash_target {
+            endpoint.crash_primary(target);
+        }
+        sweep(&reader, &mut sentinels)?;
+        prop_assert_eq!(endpoint.split_shard(0).unwrap(), target);
+        prop_assert_eq!(endpoint.class_table(0).epoch, 1, "the resumed split still cut over");
 
         // Post-cutover: drain any pending backlog through the breaker's
         // probe window, then every gid resolves strictly and correctly

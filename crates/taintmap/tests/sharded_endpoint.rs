@@ -523,9 +523,7 @@ fn moved_redirects_converge_without_tripping_the_breaker() {
     // `Moved` is the arm for a frame the cutover overtakes: it passes
     // the epoch check under the old table, and by the time the server
     // reaches a migrated gid the range is gone. Hold the frame inside
-    // the old owner, cut over, let it go.
-    endpoint.begin_split(0).unwrap();
-    while endpoint.split_step(8).unwrap() {}
+    // the old owner, split, let it go.
     gate.armed.store(true, Ordering::SeqCst);
     let lookup = {
         let gids = gids.clone();
@@ -535,7 +533,7 @@ fn moved_redirects_converge_without_tripping_the_breaker() {
         })
     };
     gate.entered.wait();
-    endpoint.finish_split().unwrap();
+    endpoint.split_shard(0).unwrap();
     gate.release.wait();
     let (resolved, moved) = lookup.join().unwrap();
     for (i, &t) in resolved.iter().enumerate() {

@@ -8,19 +8,20 @@
 
 use std::time::Duration;
 
-use dista_repro::core::{Cluster, DistaError, FaultPlan, Mode, ReshardPlan};
+use dista_repro::core::{Cluster, DistaError, FaultPlan, Mode};
 use dista_repro::jre::{InputStream, OutputStream, ServerSocket, Socket};
 use dista_repro::obs::{ObsConfig, ObsEventKind};
 use dista_repro::simnet::FaultAction::{
-    self, CrashDuringMigration, CrashShard, CrashVm, Heal, Isolate, Partition, Reset, RestartShard,
-    RestartVm,
+    self, CrashShard, CrashVm, Heal, Isolate, Partition, Reset, RestartShard, RestartVm,
 };
-use dista_repro::simnet::{FaultConfig, MigrationVictim, NetError, NodeAddr, SimFs, SimNet};
+use dista_repro::simnet::{FaultConfig, NetError, NodeAddr, SimFs, SimNet};
 use dista_repro::taint::{Payload, TagValue, TaintedBytes};
 use dista_repro::taintmap::{TaintMapEndpoint, TaintMapError};
 
 const RX_IP: [u8; 4] = [10, 0, 0, 2];
 const TM_IP: [u8; 4] = [10, 0, 0, 99];
+/// Where a Taint Map server dials its followers from.
+const LOOPBACK: [u8; 4] = [127, 0, 0, 1];
 
 /// Everything two runs of the same seed must agree on.
 #[derive(Debug, PartialEq, Eq)]
@@ -368,32 +369,31 @@ fn reshard_survives_crash_during_migration() {
         .global_ids_for(&taints)
         .unwrap();
 
-    // Arm the schedule relative to the live step clock so both triggers
-    // land inside the migration's own transfer traffic: the first one
-    // kills the copy source almost immediately, the second the target
-    // (or fires as a no-op if every split already cut over).
+    // Arm the schedule relative to the live step clock so both cuts
+    // land inside a copy's own writes. A split server dials its target
+    // from 127.0.0.1, so a reset of that link to the Taint Map cuts the
+    // copy. The first cut fails class 0's split as its data frame is
+    // shipped, and shard 0, its source, crashes with it; the second cuts
+    // class 1's split and crashes its target, split server 3.
     let step = cluster.net().fault_step();
+    let cut = Reset {
+        a: LOOPBACK,
+        b: TM_IP,
+    };
     cluster.net().install_fault_plan(
         FaultPlan::builder(seed)
-            .at(
-                step + 2,
-                CrashDuringMigration {
-                    victim: MigrationVictim::Source,
-                },
-            )
-            .at(
-                step + 12,
-                CrashDuringMigration {
-                    victim: MigrationVictim::Target,
-                },
-            )
+            .at(step + 4, cut.clone())
+            .at(step + 4, CrashShard { shard: 0 })
+            .at(step + 13, cut)
+            .at(step + 13, CrashShard { shard: 3 })
             .build(),
     );
 
-    let new_servers = cluster
-        .reshard(&ReshardPlan::new().split(0).split(1).batch(4))
-        .unwrap();
-    assert_eq!(new_servers, vec![2, 3]);
+    let new_servers = [
+        cluster.split_shard(0).unwrap(),
+        cluster.split_shard(1).unwrap(),
+    ];
+    assert_eq!(new_servers, [2, 3]);
 
     // Lossless: every pre-split gid resolves from the other VM through
     // the post-cutover topology to exactly its registration.
@@ -408,8 +408,8 @@ fn reshard_survives_crash_during_migration() {
     }
 
     // The arc is visible in the event stream: the scheduled crash bit a
-    // migration side, the split healed from its checkpoint, and both
-    // classes cut over.
+    // migration side, the split resumed after it, and both classes cut
+    // over.
     let mut crashes = 0;
     let mut heals = 0;
     let mut splits = Vec::new();
@@ -618,6 +618,43 @@ fn each_process_fault_runs_once_across_repeated_polls() {
         .count();
     assert_eq!(crashes, 1);
     cluster.restart_shard(0).unwrap();
+    cluster.shutdown();
+}
+
+#[test]
+fn shard_faults_with_nothing_to_crash_or_restart_are_no_ops() {
+    // A plan can name a primary that is already crashed, a split server
+    // not created yet, or a live primary to restart; polling each used
+    // to panic the cluster.
+    let mut cluster = Cluster::builder(Mode::Dista)
+        .nodes("q", 2)
+        .observability(ObsConfig::default())
+        .taint_map_endpoint(TaintMapEndpoint::builder().snapshots(SimFs::new()))
+        .build()
+        .unwrap();
+    install_from_now(
+        &cluster,
+        &[
+            (0, RestartShard { shard: 0 }),
+            (0, CrashShard { shard: 5 }),
+            (0, CrashShard { shard: 0 }),
+            (0, CrashShard { shard: 0 }),
+            (0, RestartShard { shard: 0 }),
+            (0, RestartShard { shard: 0 }),
+        ],
+    );
+    cluster.poll_chaos().unwrap();
+    let (mut injected, mut crashed, mut restarted) = (0, 0, 0);
+    for e in cluster.obs_events() {
+        match e.kind {
+            ObsEventKind::FaultInjected { .. } => injected += 1,
+            ObsEventKind::ShardCrashed { shard: 0 } => crashed += 1,
+            ObsEventKind::ShardRestarted { shard: 0, .. } => restarted += 1,
+            _ => {}
+        }
+    }
+    assert_eq!((injected, crashed, restarted), (6, 1, 1));
+    assert!(!cluster.taint_map().primary_crashed(0));
     cluster.shutdown();
 }
 

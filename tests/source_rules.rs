@@ -68,8 +68,11 @@ const ALLOWED_SLEEPS: &[(&str, &str)] = &[
 /// 4-byte v1 width replaced; the Taint Map's second on-disk layout, for
 /// compaction generations, with its two parsers and the cutover record's
 /// own writer, which the one record grammar and its one checked reader
-/// replaced; and `GlobalId`'s third gid-width table. All but the reactor's are split so that a
-/// plain grep of the tree for them comes back empty.
+/// replaced; `GlobalId`'s third gid-width table; and the stepwise split
+/// calls, the reshard plan and the migration-crash fault, which the one
+/// split call and the one fault vocabulary replaced. All but the
+/// reactor's are split so that a plain grep of the tree for them comes
+/// back empty.
 const FORBIDDEN: &[&str] = &[
     "Reactor",
     "TimerWheel",
@@ -111,6 +114,15 @@ const FORBIDDEN: &[&str] = &[
     concat!("Moved", "Range"),
     concat!("fn ", "moved_for"),
     concat!("tail", "_owner"),
+    concat!("fn ", "begin_split"),
+    concat!("fn ", "split_step"),
+    concat!("fn ", "finish_split"),
+    concat!("fn ", "heal_split"),
+    concat!("fn ", "active_split"),
+    concat!("fn ", "split_lagging"),
+    concat!("Reshard", "Plan"),
+    concat!("Migration", "Victim"),
+    concat!("CrashDuring", "Migration"),
 ];
 
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {

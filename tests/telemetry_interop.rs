@@ -6,7 +6,7 @@
 
 use std::collections::BTreeSet;
 
-use dista_repro::core::{Cluster, Mode, ReshardPlan};
+use dista_repro::core::{Cluster, Mode};
 use dista_repro::jre::{InputStream, OutputStream, ServerSocket, Socket, WireProtocol};
 use dista_repro::obs::{reconstruct_inferred, Hop, ObsConfig};
 use dista_repro::simnet::NodeAddr;
@@ -171,7 +171,7 @@ fn every_exported_family_is_documented() {
     let pipeline = dista_repro::netty::Pipeline::new();
     let msg = pipeline.run_outbound(Payload::Plain(b"m".to_vec()), cluster.vm(0));
     pipeline.run_inbound(msg, cluster.vm(1));
-    cluster.reshard(&ReshardPlan::new().split(0)).unwrap();
+    cluster.split_shard(0).unwrap();
     let exported: BTreeSet<String> = cluster
         .metrics_dump()
         .samples
