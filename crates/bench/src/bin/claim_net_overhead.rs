@@ -13,21 +13,10 @@
 //!   at `proto=v1`) lands in the 4.5×–5.5× band.
 //! * `--trace` — print the observed run's flight-recorder events as a
 //!   Chrome trace (load into `chrome://tracing` or Perfetto).
-//! * `--chaos [--seed N]` — instead of the overhead table, replay a
-//!   seeded fault schedule (receiver partitioned from the Taint Map, a
-//!   primary crash + snapshot restart, late heal) through a live
-//!   workload and **exit non-zero** unless degraded mode stays sound:
-//!   every delivered byte tainted or pending, and zero pending
-//!   sentinels once the partition heals.
 
 use dista_bench::table::Table;
-use dista_core::jre::{InputStream, OutputStream, ServerSocket, Socket};
-use dista_core::obs::{MetricsDump, ObsConfig, ObsEventKind, SampleValue};
-use dista_core::simnet::FaultAction::{CrashShard, Heal, Partition, RestartShard};
-use dista_core::simnet::{NodeAddr, SimFs};
-use dista_core::taint::{Payload, TagValue, TaintedBytes};
-use dista_core::taintmap::TaintMapEndpoint;
-use dista_core::{Cluster, FaultPlan, Mode};
+use dista_core::obs::{MetricsDump, ObsConfig, SampleValue};
+use dista_core::{Cluster, Mode};
 use dista_microbench::{all_cases, run_case_on};
 
 fn bytes_for(mode: Mode, size: usize, case_idx: usize) -> (u64, bool) {
@@ -113,161 +102,11 @@ fn observed_run(size: usize, case_idx: usize, print_metrics: bool, print_trace: 
     in_band
 }
 
-/// The `--chaos` run: a seeded fault schedule over a live two-node
-/// workload. Returns `true` when degraded mode stayed sound.
-fn chaos_run(seed: u64, rounds: u16) -> bool {
-    let rx_ip = [10, 0, 0, 2];
-    let tm_ip = [10, 0, 0, 99];
-    let plan = FaultPlan::builder(seed)
-        .at(
-            2,
-            Partition {
-                from: rx_ip,
-                to: tm_ip,
-            },
-        )
-        .at(
-            2,
-            Partition {
-                from: tm_ip,
-                to: rx_ip,
-            },
-        )
-        .at(10, CrashShard { shard: 0 })
-        .at(10, RestartShard { shard: 0 })
-        .at(
-            30,
-            Heal {
-                from: rx_ip,
-                to: tm_ip,
-            },
-        )
-        .at(
-            30,
-            Heal {
-                from: tm_ip,
-                to: rx_ip,
-            },
-        )
-        .build();
-    let mut cluster = Cluster::builder(Mode::Dista)
-        .nodes("net", 2)
-        .observability(ObsConfig::default())
-        .taint_map_endpoint(TaintMapEndpoint::builder().snapshots(SimFs::new()))
-        .chaos(plan)
-        .build()
-        .expect("cluster");
-    let (tx, rx) = (cluster.vm(0).clone(), cluster.vm(1).clone());
-
-    println!("chaos schedule (seed {seed}): cut rx\u{2194}taint-map at step 2, crash+restart");
-    println!("shard 0 primary at step 10, heal at step 30; {rounds} workload rounds\n");
-    let mut sound = true;
-    let mut degraded_rounds = 0;
-    for round in 0..rounds {
-        let addr = NodeAddr::new(rx_ip, 7400 + round);
-        let server = ServerSocket::bind(&rx, addr).expect("bind");
-        let out = Socket::connect(&tx, addr).expect("connect");
-        let conn = server.accept().expect("accept");
-        let taint = tx
-            .store()
-            .mint_source_taint(TagValue::str(format!("round-{round}")));
-        out.output_stream()
-            .write(&Payload::Tainted(TaintedBytes::uniform(b"payload!", taint)))
-            .expect("write");
-        let got = conn.input_stream().read_exact(8).expect("read");
-        let tags = rx.store().tag_values(got.taint_union(rx.store()));
-        let status = match tags.first().map(String::as_str) {
-            Some(t) if t == format!("round-{round}") => "resolved",
-            Some(t) if t.starts_with("pending-gid:") => {
-                degraded_rounds += 1;
-                "degraded (pending sentinel)"
-            }
-            _ => {
-                sound = false;
-                "UNSOUND: bytes delivered without their taint"
-            }
-        };
-        println!("round {round:>2}: {status}");
-        cluster.poll_chaos().expect("poll chaos");
-    }
-
-    for (from, to) in [(rx_ip, tm_ip), (tm_ip, rx_ip)] {
-        cluster.net().inject(Heal { from, to });
-    }
-    for _ in 0..64 {
-        if cluster.pending_gids() == 0 {
-            break;
-        }
-        cluster.reconcile_pending().expect("reconcile");
-    }
-    let pending = cluster.pending_gids();
-
-    let events = cluster.obs_events();
-    let injected = events
-        .iter()
-        .filter(|e| matches!(e.kind, ObsEventKind::FaultInjected { .. }))
-        .count();
-    let replayed: u64 = events
-        .iter()
-        .filter_map(|e| match e.kind {
-            ObsEventKind::ShardRestarted { replayed, .. } => Some(replayed),
-            _ => None,
-        })
-        .sum();
-    let dump = cluster.metrics_dump();
-    println!("\nfaults applied            {injected}");
-    println!("degraded rounds           {degraded_rounds}");
-    println!(
-        "degraded lookups          {}",
-        dump.counter_total("taintmap_degraded_lookups")
-    );
-    println!(
-        "pending resolved          {}",
-        dump.counter_total("taintmap_pending_resolved")
-    );
-    println!(
-        "client retries            {}",
-        dump.counter_total("taintmap_retries")
-    );
-    println!(
-        "breaker opens             {}",
-        dump.counter_total("taintmap_breaker_opens")
-    );
-    println!("snapshot replayed         {replayed}");
-    println!("pending after heal        {pending}");
-    cluster.shutdown();
-    if pending != 0 {
-        println!("\nFAIL: {pending} sentinel(s) never reconciled after heal");
-        return false;
-    }
-    if !sound {
-        println!("\nFAIL: a delivered byte lost its taint");
-        return false;
-    }
-    println!("\nOK: every delivered byte tainted or pending; backlog drained after heal");
-    true
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
     let metrics = args.iter().any(|a| a == "--metrics");
     let trace = args.iter().any(|a| a == "--trace");
-    let chaos = args.iter().any(|a| a == "--chaos");
-    if chaos {
-        let seed = args
-            .iter()
-            .position(|a| a == "--seed")
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(42);
-        let rounds = if smoke { 6 } else { 12 };
-        println!("§IV-C fault model — Taint Map degradation under a seeded schedule\n");
-        if !chaos_run(seed, rounds) {
-            std::process::exit(1);
-        }
-        return;
-    }
     let size: usize = std::env::var("DISTA_MICRO_SIZE")
         .ok()
         .and_then(|v| v.parse().ok())

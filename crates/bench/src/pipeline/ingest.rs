@@ -27,8 +27,8 @@ use dista_jre::{JreError, Vm};
 use dista_mapreduce::run_wordcount_job;
 use dista_obs::ObsConfig;
 use dista_rocketmq::{BrokerServer, MqConsumer, MqProducer, NameServer, PRODUCER_CLASS};
-use dista_simnet::FaultAction::{CrashShard, CrashVm, RestartShard, RestartVm};
-use dista_simnet::{NodeAddr, SimFs};
+use dista_simnet::FaultAction::{CrashShard, Isolate, Rejoin, RestartShard};
+use dista_simnet::{LinkIp, NodeAddr, SimFs};
 use dista_taint::{TagValue, Taint, TaintedBytes};
 use dista_taintmap::TaintMapEndpoint;
 use dista_zookeeper::{ZkClient, ZkEnsemble, ZkEnsembleConfig};
@@ -39,6 +39,9 @@ use super::{STAGE_ANALYZE, STAGE_INGEST, STAGE_STORE};
 pub const TOPIC: &str = "PipelineTopic";
 /// Table the bridge writes into and the WordCount job scans.
 pub const TABLE: &str = "records";
+
+/// The RocketMQ broker's node, whose isolation is its crash.
+const BROKER_IP: LinkIp = [10, 0, 0, 2];
 
 /// Retry budget for each chaos-tolerant step. Failed operations
 /// advance the fault engine's step clock, so scheduled heals always
@@ -102,22 +105,10 @@ pub struct IngestOutcome {
 /// inside the bridge's retry budget.
 pub fn broker_outage_plan(seed: u64) -> FaultPlan {
     FaultPlan::builder(seed)
-        .after_stage(
-            STAGE_STORE,
-            0,
-            CrashVm {
-                node: "mq-broker".into(),
-            },
-        )
+        .after_stage(STAGE_STORE, 0, Isolate { ip: BROKER_IP })
         .after_stage(STAGE_STORE, 0, CrashShard { shard: 0 })
         .after_stage(STAGE_STORE, 12, RestartShard { shard: 0 })
-        .after_stage(
-            STAGE_STORE,
-            24,
-            RestartVm {
-                node: "mq-broker".into(),
-            },
-        )
+        .after_stage(STAGE_STORE, 24, Rejoin { ip: BROKER_IP })
         .build()
 }
 
@@ -148,7 +139,7 @@ pub fn pipeline_spec() -> dista_taint::SourceSinkSpec {
 fn build_cluster(cfg: &IngestConfig) -> Result<Cluster, DistaError> {
     let mut builder = Cluster::builder(cfg.mode)
         .node("mq-ns", [10, 0, 0, 1])
-        .node("mq-broker", [10, 0, 0, 2])
+        .node("mq-broker", BROKER_IP)
         .node("mq-producer", [10, 0, 0, 3])
         .node("mq-bridge", [10, 0, 0, 4])
         .node("zk-1", [10, 0, 0, 5])
@@ -209,7 +200,7 @@ pub fn run_ingest(cfg: &IngestConfig) -> Result<IngestOutcome, DistaError> {
     // Standup (not a pipeline stage; stage-keyed chaos waits for marks).
     dista_rocketmq::seed_config(&broker_vm, "pipeline-broker");
     let ns = NameServer::start(&ns_vm, NodeAddr::new([10, 0, 0, 1], 9876))?;
-    let broker = BrokerServer::start(&broker_vm, NodeAddr::new([10, 0, 0, 2], 10911), &[TOPIC])?;
+    let broker = BrokerServer::start(&broker_vm, NodeAddr::new(BROKER_IP, 10911), &[TOPIC])?;
     broker.register_with(ns.addr())?;
 
     let ensemble = ZkEnsemble::start(&zk_vms, ZkEnsembleConfig::default())?;

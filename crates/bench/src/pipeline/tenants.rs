@@ -17,12 +17,15 @@ use dista_activemq::{seed_config, Broker, Consumer, Producer, CONSUMER_CLASS, PR
 use dista_core::{Cluster, DistaError, FaultPlan, Mode, WireProtocol};
 use dista_jre::Vm;
 use dista_obs::ObsConfig;
-use dista_simnet::FaultAction::{CrashVm, RestartVm};
-use dista_simnet::{NodeAddr, SimFs};
+use dista_simnet::FaultAction::{Isolate, Rejoin};
+use dista_simnet::{LinkIp, NodeAddr, SimFs};
 use dista_taint::{TagValue, Taint, TaintedBytes};
 use dista_taintmap::TaintMapEndpoint;
 
 use super::{STAGE_COLLECT, STAGE_DELIVER};
+
+/// The ActiveMQ broker's node, whose isolation is its crash.
+const BROKER_IP: LinkIp = [10, 0, 0, 1];
 
 /// Retry budget per chaos-tolerant step (see `ingest::MAX_ATTEMPTS`).
 const MAX_ATTEMPTS: usize = 400;
@@ -108,20 +111,8 @@ pub fn misroute_of(seed: u64, tenants: usize, messages: usize) -> (usize, usize,
 /// later, inside the producers' retry budget.
 pub fn broker_deliver_outage(seed: u64) -> FaultPlan {
     FaultPlan::builder(seed)
-        .after_stage(
-            STAGE_DELIVER,
-            0,
-            CrashVm {
-                node: "amq-broker".into(),
-            },
-        )
-        .after_stage(
-            STAGE_DELIVER,
-            16,
-            RestartVm {
-                node: "amq-broker".into(),
-            },
-        )
+        .after_stage(STAGE_DELIVER, 0, Isolate { ip: BROKER_IP })
+        .after_stage(STAGE_DELIVER, 16, Rejoin { ip: BROKER_IP })
         .build()
 }
 
@@ -134,7 +125,7 @@ fn tenant_spec() -> dista_taint::SourceSinkSpec {
 }
 
 fn build_cluster(cfg: &TenantConfig) -> Result<Cluster, DistaError> {
-    let mut builder = Cluster::builder(cfg.mode).node("amq-broker", [10, 0, 0, 1]);
+    let mut builder = Cluster::builder(cfg.mode).node("amq-broker", BROKER_IP);
     for t in 0..cfg.tenants {
         builder = builder
             .node(format!("amq-prod-{t}"), [10, 0, 0, 10 + t as u8])
@@ -189,7 +180,7 @@ pub fn run_tenants(cfg: &TenantConfig) -> Result<TenantOutcome, DistaError> {
         .collect();
 
     seed_config(&broker_vm, "tenant-broker");
-    let broker = Broker::start(&broker_vm, NodeAddr::new([10, 0, 0, 1], 61616))?;
+    let broker = Broker::start(&broker_vm, NodeAddr::new(BROKER_IP, 61616))?;
 
     // ── Deliver: every tenant publishes to its own destination; the
     // seeded misroute sends exactly one message to someone else's. The

@@ -480,13 +480,14 @@ impl Cluster {
 
     /// Drives the chaos layer one tick: walks the network's fault log
     /// from where the last poll stopped, mirrors each applied fault into
-    /// the event stream, and executes the process faults the network
-    /// cannot apply itself (shard crash/restart, VM crash/restart); the
-    /// engine already applied the link faults. A shard crash with nothing
-    /// live at its index, or a restart with nothing crashed there, is a
-    /// no-op. Call this between workload phases of a chaos run — the
-    /// engine is operation-clocked, so polling cadence never changes
-    /// *which* faults fire, only when process faults are acted on.
+    /// the event stream, and executes the Taint Map process faults the
+    /// network cannot apply itself (shard crash/restart); the engine
+    /// already applied the link faults, a VM crash's `Isolate` among
+    /// them. A shard crash with nothing live at its index, or a restart
+    /// with nothing crashed there, is a no-op. Call this between
+    /// workload phases of a chaos run — the engine is operation-clocked,
+    /// so polling cadence never changes *which* faults fire, only when
+    /// process faults are acted on.
     ///
     /// # Errors
     ///
@@ -511,8 +512,6 @@ impl Cluster {
                 FaultAction::RestartShard { shard } if crashed(*shard) == Some(true) => {
                     self.restart_shard(*shard as usize)?;
                 }
-                FaultAction::CrashVm { node } => self.crash_vm(node),
-                FaultAction::RestartVm { node } => self.restart_vm(node),
                 _ => {}
             }
         }
@@ -625,33 +624,6 @@ impl Cluster {
         self.chaos_recorder
             .record_with(|| ObsEventKind::ShardRestarted { shard, replayed });
         Ok(replayed)
-    }
-
-    /// Crashes the named VM as seen from the network: its IP is isolated
-    /// from every peer, so in-flight and future traffic to or from it
-    /// fails. The process state survives; [`Cluster::restart_vm`]
-    /// reconnects it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no VM has that name.
-    pub fn crash_vm(&mut self, name: &str) {
-        let vm = self
-            .vm_named(name)
-            .unwrap_or_else(|| panic!("no VM named {name:?}"));
-        self.net.inject(FaultAction::Isolate { ip: vm.ip() });
-    }
-
-    /// Rejoins a crashed VM's IP to the network.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no VM has that name.
-    pub fn restart_vm(&mut self, name: &str) {
-        let vm = self
-            .vm_named(name)
-            .unwrap_or_else(|| panic!("no VM named {name:?}"));
-        self.net.inject(FaultAction::Rejoin { ip: vm.ip() });
     }
 
     /// Runs every VM's pending-sentinel reconciler (degraded lookups
@@ -768,7 +740,7 @@ mod tests {
     fn a_vm_cut_off_from_the_map_leaves_no_later_vms_binds_unflushed() {
         // The flush used to stop at the first VM that failed, so every
         // later VM kept its queued binds and the census undercounted.
-        let mut cluster = Cluster::builder(Mode::Dista).nodes("n", 3).build().unwrap();
+        let cluster = Cluster::builder(Mode::Dista).nodes("n", 3).build().unwrap();
         let hand_out = |vm: &Vm, tag: &str| {
             let taint = vm.store().mint_source_taint(TagValue::str(tag));
             let (mut gids, mut defs) = (Vec::new(), Vec::new());
@@ -780,13 +752,14 @@ mod tests {
         };
         hand_out(cluster.vm(0), "stranded");
         let queued = hand_out(cluster.vm(1), "queued");
-        cluster.crash_vm("n1");
+        let cut_off = cluster.vm(0).ip();
+        cluster.net().inject(FaultAction::Isolate { ip: cut_off });
         assert!(cluster.flush_taint_maps().is_err());
 
         let reader = cluster.vm(2);
         let taint = reader.taint_map().unwrap().taint_for(queued).unwrap();
         assert_eq!(reader.store().tag_values(taint), ["queued"]);
-        cluster.restart_vm("n1");
+        cluster.net().inject(FaultAction::Rejoin { ip: cut_off });
         cluster.shutdown();
     }
 
@@ -1137,9 +1110,10 @@ mod tests {
 
     #[test]
     fn a_push_lost_to_a_partition_reaches_the_collector_after_rejoin() {
-        let mut cluster = scraped_cluster(TaintMapEndpoint::builder());
+        let cluster = scraped_cluster(TaintMapEndpoint::builder());
         let isolated = std::time::Instant::now();
-        cluster.crash_vm("n2");
+        let n2 = cluster.vm_named("n2").unwrap().ip();
+        cluster.net().inject(FaultAction::Isolate { ip: n2 });
         let registry = cluster.net().registry().clone();
         registry.counter_with("probe", &[("node", "n2")]).add(5);
         registry.counter_with("probe", &[("node", "n1")]).add(3);
@@ -1152,7 +1126,7 @@ mod tests {
             .unwrap()
             .contains("probe{node=\"n2\"}"));
 
-        cluster.restart_vm("n2");
+        cluster.net().inject(FaultAction::Rejoin { ip: n2 });
         let collector = cluster.telemetry().unwrap().collector().clone();
         cluster.shutdown();
         let text = collector.scrape_text();

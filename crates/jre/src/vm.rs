@@ -10,7 +10,7 @@ use dista_taint::{
     LocalId, SinkRecorder, SinkReport, SourceSinkSpec, TagValue, Taint, TaintRuns, TaintStore,
 };
 use dista_taintmap::{ClientObserver, ClientResilience, TaintMapClient, TaintMapTopology};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
 use crate::codec::{WireBufPool, WireProtocol, WireVersion, MAX_GID_WIDTH};
 use crate::error::JreError;
@@ -155,7 +155,7 @@ pub(crate) struct VmInner {
     pub(crate) fs: SimFs,
     pub(crate) store: TaintStore,
     pub(crate) recorder: SinkRecorder,
-    pub(crate) spec: RwLock<SourceSinkSpec>,
+    pub(crate) spec: SourceSinkSpec,
     pub(crate) taint_map: Option<TaintMapClient>,
     pub(crate) wire_protocol: WireProtocol,
     pub(crate) observability: Observability,
@@ -301,7 +301,7 @@ impl VmBuilder {
                 fs: self.fs,
                 store,
                 recorder: SinkRecorder::new(),
-                spec: RwLock::new(self.spec),
+                spec: self.spec,
                 taint_map,
                 wire_protocol: self.wire_protocol,
                 observability: self.observability,
@@ -422,16 +422,11 @@ impl Vm {
         self.inner.recorder.report()
     }
 
-    /// Replaces the source/sink specification at runtime.
-    pub fn set_spec(&self, spec: SourceSinkSpec) {
-        *self.inner.spec.write() = spec;
-    }
-
     /// Source-point hook: if `class.method` is a registered source and
     /// the mode tracks taints, mints and returns a fresh taint tagged
     /// `tag_value`; otherwise returns [`Taint::EMPTY`].
     pub fn source_point(&self, class: &str, method: &str, tag_value: TagValue) -> Taint {
-        if self.inner.mode.tracks_taints() && self.inner.spec.read().is_source(class, method) {
+        if self.inner.mode.tracks_taints() && self.inner.spec.is_source(class, method) {
             self.mint_observed(tag_value)
         } else {
             Taint::EMPTY
@@ -506,7 +501,7 @@ impl Vm {
     /// the check. Returns whether the data was tainted (false when the
     /// sink is not registered or mode is untracked).
     pub fn sink_point(&self, class: &str, method: &str, taint: Taint) -> bool {
-        if self.inner.mode.tracks_taints() && self.inner.spec.read().is_sink(class, method) {
+        if self.inner.mode.tracks_taints() && self.inner.spec.is_sink(class, method) {
             let hit =
                 self.inner
                     .recorder

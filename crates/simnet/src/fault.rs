@@ -16,17 +16,17 @@
 //!   connects and writes fail with [`crate::NetError::Unreachable`],
 //!   datagrams are dropped (and accounted as drops). Heal points restore
 //!   the link.
-//! * **Isolation** — one IP is partitioned from everyone (the network
-//!   face of a VM crash).
+//! * **Isolation** — one IP is partitioned from everyone: a crashed VM,
+//!   as the rest of the cluster sees it.
 //! * **Connection resets** — established TCP connections across a link
 //!   are severed; the next operation on either end observes
 //!   [`crate::NetError::Closed`].
 //! * **Latency/jitter** — a per-link delay charged to the sender, with
 //!   jitter sampled from the seeded RNG.
-//! * **Process faults** — the engine cannot kill a process, so shard-
-//!   and VM-level crash/restart actions are only recorded; the cluster
-//!   layer (`Cluster::poll_chaos` in `dista-core`) executes them when it
-//!   walks the log.
+//! * **Taint Map process faults** — the engine cannot kill a process, so
+//!   shard crash/restart actions are only recorded; the cluster layer
+//!   (`Cluster::poll_chaos` in `dista-core`) executes them when it walks
+//!   the log.
 //!
 //! Every applied action, scheduled or injected, lands in one
 //! applied-fault log ([`crate::SimNet::fault_log`]); the log is the
@@ -113,16 +113,6 @@ pub enum FaultAction {
     RestartShard {
         /// Base or extended server index.
         shard: u32,
-    },
-    /// Ask the cluster layer to crash the named VM (isolates its IP).
-    CrashVm {
-        /// Node name, as given to the cluster builder.
-        node: String,
-    },
-    /// Ask the cluster layer to restart the named VM (rejoins its IP).
-    RestartVm {
-        /// Node name.
-        node: String,
     },
 }
 
@@ -274,10 +264,7 @@ impl EngineState {
             FaultAction::ClearLatency { from, to } => {
                 self.latency.remove(&(*from, *to));
             }
-            FaultAction::CrashShard { .. }
-            | FaultAction::RestartShard { .. }
-            | FaultAction::CrashVm { .. }
-            | FaultAction::RestartVm { .. } => {}
+            FaultAction::CrashShard { .. } | FaultAction::RestartShard { .. } => {}
         }
         self.log.push(AppliedFault { step, action });
     }
@@ -351,7 +338,8 @@ impl FaultEngine {
     /// Moves every stage-keyed entry waiting on `stage` into the step
     /// schedule, `delay_steps` after the current step, and applies the
     /// ones due now. Each entry fires at most once (the first time its
-    /// stage is marked); unknown stages are a no-op.
+    /// stage is marked), one whose step would pass `u64::MAX` never;
+    /// unknown stages are a no-op.
     pub(crate) fn mark_stage(&self, stage: &str) {
         if !self.armed.load(Ordering::Acquire) {
             return;
@@ -362,8 +350,9 @@ impl FaultEngine {
             .partition(|(s, ..)| s == stage);
         st.staged = waiting;
         for (_, delay_steps, action) in marked {
-            let step = st.step + delay_steps;
-            st.schedule_at(step, action);
+            if let Some(step) = st.step.checked_add(delay_steps) {
+                st.schedule_at(step, action);
+            }
         }
         st.run_due();
     }
@@ -414,15 +403,17 @@ impl FaultEngine {
     }
 
     /// Samples the injected latency for a send `from → to`, in
-    /// nanoseconds; jitter draws from the plan RNG (deterministic
-    /// sequence).
+    /// nanoseconds, saturating at `u64::MAX`; jitter draws from the plan
+    /// RNG (deterministic sequence).
     pub(crate) fn latency_ns(&self, from: LinkIp, to: LinkIp) -> u64 {
         if !self.armed.load(Ordering::Acquire) {
             return 0;
         }
         let mut st = self.state.lock();
         match st.latency.get(&(from, to)).copied() {
-            Some((ns, jitter)) if jitter > 0 => ns + st.rng.gen_range(0..jitter + 1),
+            Some((ns, jitter)) if jitter > 0 => {
+                ns.saturating_add(st.rng.gen_range(0..jitter.saturating_add(1)))
+            }
             Some((ns, _)) => ns,
             None => 0,
         }
@@ -541,12 +532,8 @@ mod tests {
 
     #[test]
     fn stage_keyed_entries_fire_once_when_marked() {
-        let crash = FaultAction::CrashVm {
-            node: "mq-broker".into(),
-        };
-        let restart = FaultAction::RestartVm {
-            node: "mq-broker".into(),
-        };
+        let crash = FaultAction::Isolate { ip: B };
+        let restart = FaultAction::Rejoin { ip: B };
         let engine = FaultEngine::new();
         engine.install(
             FaultPlan::builder(5)
@@ -574,12 +561,8 @@ mod tests {
 
     #[test]
     fn delayed_stage_entries_join_the_schedule_after_entries_due_at_their_step() {
-        let crash = FaultAction::CrashVm {
-            node: "mq-broker".into(),
-        };
-        let restart = FaultAction::RestartVm {
-            node: "mq-broker".into(),
-        };
+        let crash = FaultAction::Isolate { ip: B };
+        let restart = FaultAction::Rejoin { ip: B };
         let heal = FaultAction::Heal { from: A, to: B };
         let engine = FaultEngine::new();
         engine.install(
@@ -600,5 +583,35 @@ mod tests {
             log_steps(&engine),
             vec![(1, crash), (4, heal), (4, restart)]
         );
+    }
+
+    #[test]
+    fn extreme_latencies_saturate_and_a_delay_past_the_clock_never_fires() {
+        let latency = |from, to, ns, jitter_ns| FaultAction::Latency {
+            from,
+            to,
+            ns,
+            jitter_ns,
+        };
+        let engine = FaultEngine::new();
+        engine.install(
+            FaultPlan::builder(9)
+                .at(0, latency(A, B, 1, u64::MAX))
+                .at(0, latency(B, A, u64::MAX - 1, 7))
+                .after_stage("store", u64::MAX, FaultAction::Isolate { ip: A })
+                .build(),
+        );
+        // Read the samples, never spin on them.
+        for _ in 0..64 {
+            assert!(engine.latency_ns(A, B) >= 1);
+            assert!(engine.latency_ns(B, A) >= u64::MAX - 1);
+        }
+        engine.advance(); // step 1: step + u64::MAX is past the clock
+        engine.mark_stage("store");
+        for _ in 0..8 {
+            engine.advance();
+        }
+        assert!(!engine.blocked(A, B), "the delayed isolate never fired");
+        assert_eq!(engine.log().len(), 2, "only the two latencies applied");
     }
 }

@@ -38,7 +38,7 @@ use dista_taint::TaintStore;
 use crate::backend::{InMemoryBackend, TaintMapBackend};
 use crate::client::TaintMapClient;
 use crate::error::TaintMapError;
-use crate::server::{ServerStats, TaintMapConfig, TaintMapServer, TaintMapWal};
+use crate::server::{ServerStats, TaintMapServer, TaintMapWal};
 use crate::shard::{ClassTable, ShardRange, ShardSpec, TaintMapTopology};
 
 /// Per-shard backend factory: shard index → storage.
@@ -85,7 +85,6 @@ fn hand_back(standby: &TaintMapServer, primary: &TaintMapServer) -> Result<(), T
 pub struct TaintMapEndpointBuilder {
     shards: usize,
     base_addr: NodeAddr,
-    config: TaintMapConfig,
     standby: bool,
     backend: Option<Box<BackendFactory>>,
     snapshots: Option<SimFs>,
@@ -106,7 +105,6 @@ impl Default for TaintMapEndpointBuilder {
         TaintMapEndpointBuilder {
             shards: 1,
             base_addr: NodeAddr::new([10, 0, 0, 99], 7777),
-            config: TaintMapConfig::default(),
             standby: false,
             backend: None,
             snapshots: None,
@@ -132,13 +130,6 @@ impl TaintMapEndpointBuilder {
     /// all on the same host (default `10.0.0.99:7777`).
     pub fn addr(mut self, base: NodeAddr) -> Self {
         self.base_addr = base;
-        self
-    }
-
-    /// Applies server tuning (the chaos knob of [`TaintMapConfig`]) to
-    /// every shard.
-    pub fn config(mut self, config: TaintMapConfig) -> Self {
-        self.config = config;
         self
     }
 
@@ -202,7 +193,6 @@ impl TaintMapEndpointBuilder {
             active: None,
             splits_completed: 0,
             records_transferred: 0,
-            config: self.config,
             backend: self.backend,
             snapshots: self.snapshots,
         };
@@ -291,7 +281,6 @@ pub struct TaintMapEndpoint {
     active: Option<ActiveSplit>,
     splits_completed: u64,
     records_transferred: u64,
-    config: TaintMapConfig,
     backend: Option<Box<BackendFactory>>,
     snapshots: Option<SimFs>,
 }
@@ -333,16 +322,7 @@ impl TaintMapEndpoint {
             Some(factory) => factory(index),
             None => Arc::new(InMemoryBackend::new()),
         };
-        TaintMapServer::launch(
-            &self.net,
-            addr,
-            self.config,
-            backend,
-            spec,
-            wal,
-            label,
-            following,
-        )
+        TaintMapServer::launch(&self.net, addr, backend, spec, wal, label, following)
     }
 
     /// Number of shards.

@@ -33,7 +33,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dista_obs::Counter;
-use dista_simnet::{NodeAddr, ServerHandle, SimFs, SimNet, TcpEndpoint, TcpServer};
+use dista_simnet::{NodeAddr, SimFs, SimNet, TcpEndpoint, TcpServer};
 use dista_taint::{ByteReader, ReadError};
 use parking_lot::Mutex;
 
@@ -45,17 +45,6 @@ use crate::proto::{
     STATUS_UNKNOWN, STATUS_UNLEASED,
 };
 use crate::shard::{ClassTable, ShardRange, ShardSpec};
-
-/// Server tuning knobs.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TaintMapConfig {
-    /// Chaos knob: die ungracefully once this many bind items have been
-    /// served. The fatal frame is committed (backend, WAL, replication)
-    /// but its response frame is never written — the
-    /// deterministic stand-in for a process killed between commit and
-    /// reply, used by the crash-recovery tests. `None` = never.
-    pub crash_after_registers: Option<u64>,
-}
 
 /// What a [`TaintMapWal`] recovery reconstructed, beyond the backend
 /// contents: how much work replay cost (the restart-cost gate reads
@@ -400,7 +389,6 @@ struct ServerShared {
     addr: NodeAddr,
     backend: Arc<dyn TaintMapBackend>,
     shard: ShardSpec,
-    /// Control state (`crash_after_registers`).
     binds: AtomicU64,
     lookups: AtomicU64,
     batch_frames: AtomicU64,
@@ -409,10 +397,6 @@ struct ServerShared {
     stale_epochs: Counter,
     double_writes: Counter,
     compactions: Counter,
-    config: TaintMapConfig,
-    /// Armed by the `crash_after_registers` chaos knob: once set, serve
-    /// threads hang up on every connection without responding.
-    crash_now: AtomicBool,
     /// Set on a standby while its primary replicates to it, and on a
     /// restarted primary until it has its standby's records: a client's
     /// `BIND` is hung up on, so the client's retry redials another
@@ -445,7 +429,7 @@ impl ServerShared {
     /// neither binds anything nor holds up the rest of the frame or its
     /// lease.
     fn bind_and_lease(&self, want: u32, items: &[(u32, &[u8])]) -> Reply {
-        let served = self.binds.fetch_add(items.len() as u64, Ordering::Relaxed);
+        self.binds.fetch_add(items.len() as u64, Ordering::Relaxed);
         let _commit = self.commit_lock.lock();
         let moved = |lo_gid| want > 0 || items.iter().any(|&(gid, _)| gid >= lo_gid);
         if let Some(reply) = self.redirect_moved(moved) {
@@ -473,11 +457,6 @@ impl ServerShared {
                 wal.append(&records);
             }
             self.forward(high_water, &records);
-        }
-        if let Some(limit) = self.config.crash_after_registers {
-            if served + items.len() as u64 >= limit {
-                self.crash_now.store(true, Ordering::Relaxed);
-            }
         }
         let mut resp = Vec::with_capacity(4 + 4 * leased.len() + statuses.len());
         resp.extend_from_slice(&(leased.len() as u32).to_be_bytes());
@@ -674,11 +653,9 @@ impl TaintMapServer {
     /// deployment (its extended index) on its registry counters. A
     /// server launched `following` hangs up on `BIND` from its first
     /// connection on (see [`TaintMapServer::set_following`]).
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn launch(
         net: &SimNet,
         addr: NodeAddr,
-        config: TaintMapConfig,
         backend: Arc<dyn TaintMapBackend>,
         shard: ShardSpec,
         wal: Option<TaintMapWal>,
@@ -711,8 +688,6 @@ impl TaintMapServer {
             stale_epochs: counter("stale_epochs"),
             double_writes: counter("double_writes"),
             compactions: counter("compactions"),
-            config,
-            crash_now: AtomicBool::new(false),
             following: AtomicBool::new(following),
             wal,
             followers: Mutex::new(Vec::new()),
@@ -720,8 +695,8 @@ impl TaintMapServer {
             commit_lock: Mutex::new(()),
         });
         let session_shared = shared.clone();
-        let server = TcpServer::bind(net, addr, "taintmap", move |conn, sessions| {
-            serve_connection(&conn, &session_shared, sessions)
+        let server = TcpServer::bind(net, addr, "taintmap", move |conn, _| {
+            serve_connection(&conn, &session_shared)
         })?;
         Ok(TaintMapServer {
             server,
@@ -875,11 +850,6 @@ impl TaintMapServer {
         self.shared.table.lock().epoch
     }
 
-    /// True once the `crash_after_registers` chaos knob fired.
-    pub fn has_crashed(&self) -> bool {
-        self.shared.crash_now.load(Ordering::Relaxed)
-    }
-
     /// Snapshot of the census counters.
     pub fn stats(&self) -> ServerStats {
         ServerStats {
@@ -903,11 +873,10 @@ impl TaintMapServer {
     }
 }
 
-/// Serves one connection to its end. A crashed server (see
-/// [`TaintMapConfig::crash_after_registers`]) still accepts, and hangs
-/// up at once; a following standby hangs up on a `BIND`.
-fn serve_connection(conn: &TcpEndpoint, shared: &ServerShared, sessions: &ServerHandle) {
-    while !shared.crash_now.load(Ordering::Relaxed) {
+/// Serves one connection to its end; a following standby hangs up on
+/// a `BIND`.
+fn serve_connection(conn: &TcpEndpoint, shared: &ServerShared) {
+    loop {
         let frame = match read_frame(conn) {
             Ok(Some(f)) => f,
             Ok(None) | Err(_) => return,
@@ -921,14 +890,6 @@ fn serve_connection(conn: &TcpEndpoint, shared: &ServerShared, sessions: &Server
             }
             _ => (RESP_ERR, vec![0xFF]),
         };
-        if shared.crash_now.load(Ordering::Relaxed) {
-            // Ungraceful death: the work above is committed (backend,
-            // WAL, replication) but the response is never written, and
-            // every live connection is severed — a process killed
-            // between commit and reply.
-            sessions.sever_all();
-            return;
-        }
         if write_frame(conn, resp_op, &resp).is_err() {
             return;
         }
@@ -1055,7 +1016,6 @@ mod tests {
         TaintMapServer::launch(
             net,
             addr,
-            TaintMapConfig::default(),
             Arc::new(InMemoryBackend::new()),
             ShardSpec::default(),
             None,
@@ -1438,7 +1398,6 @@ mod tests {
         let server = TaintMapServer::launch(
             &net,
             NodeAddr::new([10, 0, 0, 99], 7777),
-            TaintMapConfig::default(),
             Arc::new(InMemoryBackend::new()),
             ShardSpec { index: 2, count: 4 },
             None,
@@ -1524,7 +1483,6 @@ mod tests {
         let server = TaintMapServer::launch(
             &net,
             addr,
-            TaintMapConfig::default(),
             Arc::new(InMemoryBackend::new()),
             ShardSpec::default(),
             Some(wal.clone()),
@@ -1543,7 +1501,6 @@ mod tests {
         let reborn = TaintMapServer::launch(
             &net,
             addr,
-            TaintMapConfig::default(),
             Arc::new(InMemoryBackend::new()),
             ShardSpec::default(),
             Some(wal),
@@ -1555,55 +1512,6 @@ mod tests {
         let conn = net.tcp_connect(addr).unwrap();
         assert_eq!(lookup(&conn, &[id_a]), vec![Some(b"persisted-A".to_vec())]);
         assert_eq!(bind(&conn, 1, &[]), vec![5], "leasing resumed past replay");
-        reborn.shutdown();
-    }
-
-    #[test]
-    fn crash_knob_commits_but_never_responds() {
-        let net = SimNet::new();
-        let fs = SimFs::new();
-        let wal = TaintMapWal::new(fs.clone(), "taintmap/shard-0.wal");
-        let addr = NodeAddr::new([10, 0, 0, 99], 7777);
-        let server = TaintMapServer::launch(
-            &net,
-            addr,
-            TaintMapConfig {
-                crash_after_registers: Some(2),
-            },
-            Arc::new(InMemoryBackend::new()),
-            ShardSpec::default(),
-            Some(wal.clone()),
-            "0",
-            false,
-        )
-        .unwrap();
-        let conn = net.tcp_connect(addr).unwrap();
-        let gids = bind(&conn, 3, &[]);
-        // A 3-item frame crosses the threshold mid-frame: all three are
-        // bound (and WAL'd) but no response ever arrives.
-        let items: Vec<(u32, &[u8])> = gids.iter().copied().zip([&b"a"[..], b"b", b"c"]).collect();
-        wf(&conn, OP_BIND, &encode_bind(0, 0, &items)).unwrap();
-        let reply = rf(&conn);
-        assert!(
-            matches!(reply, Ok(None) | Err(_)),
-            "crashed primary must not acknowledge: {reply:?}"
-        );
-        assert!(server.has_crashed());
-        server.shutdown();
-
-        // Everything committed before the crash replays.
-        let reborn = TaintMapServer::launch(
-            &net,
-            addr,
-            TaintMapConfig::default(),
-            Arc::new(InMemoryBackend::new()),
-            ShardSpec::default(),
-            Some(wal),
-            "0",
-            false,
-        )
-        .unwrap();
-        assert_eq!(reborn.replayed(), 3, "zero lost binds");
         reborn.shutdown();
     }
 

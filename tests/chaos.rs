@@ -12,7 +12,7 @@ use dista_repro::core::{Cluster, DistaError, FaultPlan, Mode};
 use dista_repro::jre::{InputStream, OutputStream, ServerSocket, Socket};
 use dista_repro::obs::{ObsConfig, ObsEventKind};
 use dista_repro::simnet::FaultAction::{
-    self, CrashShard, CrashVm, Heal, Isolate, Partition, Reset, RestartShard, RestartVm,
+    self, CrashShard, Heal, Isolate, Partition, Rejoin, Reset, RestartShard,
 };
 use dista_repro::simnet::{FaultConfig, NetError, NodeAddr, SimFs, SimNet};
 use dista_repro::taint::{Payload, TagValue, TaintedBytes};
@@ -465,13 +465,13 @@ fn crashed_vm_is_unreachable_until_restarted() {
     drop(server.accept().unwrap());
     drop(ok);
 
-    cluster.crash_vm("w2");
+    cluster.net().inject(Isolate { ip: w2.ip() });
     assert!(
         Socket::connect(&w1, addr).is_err(),
         "a crashed VM must be unreachable"
     );
 
-    cluster.restart_vm("w2");
+    cluster.net().inject(Rejoin { ip: w2.ip() });
     let back = Socket::connect(&w1, addr).unwrap();
     drop(server.accept().unwrap());
     drop(back);
@@ -491,42 +491,47 @@ fn crashed_vm_is_unreachable_until_restarted() {
     cluster.shutdown();
 }
 
+/// A scheduled VM crash is the `Isolate` it applies: it cuts the node
+/// from its own step to the `Rejoin`, with no `poll_chaos` in between.
 #[test]
 fn scheduled_vm_crash_and_restart_fire_from_the_plan() {
+    const CRASH: u64 = 4;
+    const DOWN: u64 = 3;
+    let s2_ip = [10, 0, 0, 2];
     let plan = FaultPlan::builder(9)
-        .at(2, CrashVm { node: "s2".into() })
-        .at(5, RestartVm { node: "s2".into() })
+        .at(CRASH, Isolate { ip: s2_ip })
+        .at(CRASH + DOWN, Rejoin { ip: s2_ip })
         .build();
-    let mut cluster = Cluster::builder(Mode::Dista)
+    let cluster = Cluster::builder(Mode::Dista)
         .nodes("s", 2)
         .observability(ObsConfig::default())
         .chaos(plan)
         .build()
         .unwrap();
     let (s1, s2) = (cluster.vm(0).clone(), cluster.vm(1).clone());
-    let addr = NodeAddr::new(RX_IP, 7300);
+    assert_eq!(s2.ip(), s2_ip);
+    let addr = NodeAddr::new(s2_ip, 7300);
     let server = ServerSocket::bind(&s2, addr).unwrap();
 
-    // Each connect attempt advances the fault clock; the crash trigger
-    // fires, cuts the node, and the restart trigger later rejoins it.
-    let mut saw_outage = false;
-    let mut recovered = false;
-    for _ in 0..12 {
-        cluster.poll_chaos().unwrap();
-        match Socket::connect(&s1, addr) {
+    // Each connect attempt is one step of the fault clock.
+    let mut outcomes = Vec::new();
+    while cluster.net().fault_step() < CRASH + DOWN + 2 {
+        let step = cluster.net().fault_step() + 1;
+        let connected = match Socket::connect(&s1, addr) {
             Ok(conn) => {
                 drop(server.accept().unwrap());
                 drop(conn);
-                if saw_outage {
-                    recovered = true;
-                    break;
-                }
+                true
             }
-            Err(_) => saw_outage = true,
-        }
+            Err(_) => false,
+        };
+        assert_eq!(cluster.net().fault_step(), step, "one step per connect");
+        outcomes.push((step, connected));
     }
-    assert!(saw_outage, "the scheduled crash never cut the node");
-    assert!(recovered, "the scheduled restart never rejoined the node");
+    let expected: Vec<(u64, bool)> = (1..=CRASH + DOWN + 2)
+        .map(|step| (step, !(CRASH..CRASH + DOWN).contains(&step)))
+        .collect();
+    assert_eq!(outcomes, expected, "down exactly on steps [crash, rejoin)");
     cluster.shutdown();
 }
 
@@ -553,7 +558,7 @@ fn applied_fault_log_is_pinned() {
             .at(2, Partition { from: b, to: a })
             .after_stage("load", 3, Heal { from: b, to: a })
             .after_stage("load", 0, Isolate { ip: c })
-            .at(5, RestartVm { node: "n1".into() })
+            .at(5, Rejoin { ip: c })
             .build(),
     );
     // Each datagram send is one step on the fault clock.
@@ -574,7 +579,7 @@ fn applied_fault_log_is_pinned() {
             "step 2: Partition { from: [10, 0, 2, 2], to: [10, 0, 2, 1] }",
             "step 2: Isolate { ip: [10, 0, 2, 3] }",
             "step 5: Heal { from: [10, 0, 2, 1], to: [10, 0, 2, 2] }",
-            "step 5: RestartVm { node: \"n1\" }",
+            "step 5: Rejoin { ip: [10, 0, 2, 3] }",
             "step 5: Heal { from: [10, 0, 2, 2], to: [10, 0, 2, 1] }",
         ]
     );
@@ -671,7 +676,7 @@ fn a_failed_shard_restart_leaves_the_later_faults_for_the_next_poll() {
         &[
             (0, CrashShard { shard: 0 }),
             (1, RestartShard { shard: 0 }),
-            (1, CrashVm { node: "n2".into() }),
+            (1, Isolate { ip: n2 }),
         ],
     );
     cluster.poll_chaos().unwrap();
@@ -689,8 +694,20 @@ fn a_failed_shard_restart_leaves_the_later_faults_for_the_next_poll() {
         "{err}"
     );
 
-    // The crash scheduled after the failed restart still runs.
+    // The crash scheduled after the failed restart is mirrored by the
+    // next poll.
+    let isolations = |cluster: &Cluster| {
+        cluster
+            .obs_events()
+            .iter()
+            .filter(|e| {
+                matches!(&e.kind, ObsEventKind::FaultInjected { fault } if fault.contains("Isolate"))
+            })
+            .count()
+    };
+    assert_eq!(isolations(&cluster), 0);
     cluster.poll_chaos().unwrap();
+    assert_eq!(isolations(&cluster), 1);
     let last = cluster.net().fault_log().pop().unwrap();
     assert_eq!(last.action, Isolate { ip: n2 });
     drop(squatter);

@@ -378,7 +378,7 @@ fn story(hops: &[Hop]) -> Vec<String> {
 /// bare it binds it itself, and n3 looks it up and gets the secret.
 #[test]
 fn a_v2_to_v1_relay_binds_what_it_learned_from_a_definition() {
-    let mut cluster = Cluster::builder(Mode::Dista)
+    let cluster = Cluster::builder(Mode::Dista)
         .nodes("n", 3)
         .wire_protocol(WireProtocol::Negotiate)
         .node_wire_protocol("n3", WireProtocol::V1)
@@ -401,7 +401,7 @@ fn a_v2_to_v1_relay_binds_what_it_learned_from_a_definition() {
     src_out.output_stream().write(&payload).unwrap();
     let relayed = relay_in.input_stream().read_exact(8).unwrap();
     let gid = src.taint_map().unwrap().cached_gid_for(secret).unwrap();
-    cluster.crash_vm("n1");
+    cluster.net().inject(FaultAction::Isolate { ip: src.ip() });
 
     relay_out.output_stream().write(&relayed).unwrap();
     let received = sink_in.input_stream().read_exact(8).unwrap();
@@ -424,7 +424,7 @@ fn a_v2_to_v1_relay_binds_what_it_learned_from_a_definition() {
         1,
         "n2 bound it"
     );
-    cluster.restart_vm("n1");
+    cluster.net().inject(FaultAction::Rejoin { ip: src.ip() });
     cluster.shutdown();
 }
 

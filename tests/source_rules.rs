@@ -70,7 +70,10 @@ const ALLOWED_SLEEPS: &[(&str, &str)] = &[
 /// own writer, which the one record grammar and its one checked reader
 /// replaced; `GlobalId`'s third gid-width table; and the stepwise split
 /// calls, the reshard plan and the migration-crash fault, which the one
-/// split call and the one fault vocabulary replaced. All but the
+/// split call and the one fault vocabulary replaced; and the VM crash
+/// actions and calls, the Taint Map's crash-after-registers knob and a
+/// VM's mutable spec, which a scheduled `Isolate`, a plan entry cutting
+/// the map's reply and the spec fixed at build time replaced. All but the
 /// reactor's are split so that a plain grep of the tree for them comes
 /// back empty.
 const FORBIDDEN: &[&str] = &[
@@ -123,6 +126,14 @@ const FORBIDDEN: &[&str] = &[
     concat!("Reshard", "Plan"),
     concat!("Migration", "Victim"),
     concat!("CrashDuring", "Migration"),
+    concat!("Crash", "Vm"),
+    concat!("Restart", "Vm"),
+    concat!("TaintMap", "Config"),
+    concat!("crash_after", "_registers"),
+    concat!("fn crash", "_vm"),
+    concat!("fn restart", "_vm"),
+    concat!("fn has", "_crashed"),
+    concat!("fn set", "_spec"),
 ];
 
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
@@ -341,11 +352,6 @@ const ALLOWED_THREADS_AND_ACCEPTS: &[(&str, usize, &str)] = &[
         "crates/bench/src/bin/claim_global_taints.rs",
         2,
         "an echo peer for one connection",
-    ),
-    (
-        "crates/bench/src/bin/claim_net_overhead.rs",
-        1,
-        "one accept for the measured connection",
     ),
 ];
 
