@@ -64,7 +64,8 @@ for seed in 7 42 1337; do
         --test prop_chaos split_one_million_gids_without_loss -- --ignored
 done
 
-echo "==> bytes per global taint: live-byte census of 100k fresh taints, per layer (<= 720 B overall, <= 300 B in the backend)"
+echo "==> bytes per global taint: packed records round-trip in release, as the benchmark runs them; live-byte census of 100k fresh taints, per layer (<= 340 B overall, <= 72 B in the backend, <= 60 B per tag in one VM)"
+cargo test -q --release --offline -p dista-taint --lib serial
 cargo test -q --release --offline -p dista-taintmap --test bytes_per_gid
 
 echo "==> claim_global_taints --smoke"

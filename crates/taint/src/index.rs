@@ -1,5 +1,6 @@
-//! Stored once, indexed by id: the interning index of the tag table and
-//! the Taint Map's record store, and the Taint Map client's id front.
+//! Stored once, indexed by id: the byte arena and interning index of the
+//! tag table and the Taint Map's record store, and the Taint Map
+//! client's id front.
 
 use std::hash::{BuildHasher, Hash, RandomState};
 use std::marker::PhantomData;
@@ -28,10 +29,13 @@ const MIN_SLOTS: usize = 8;
 /// table of ids whose key *is* the stored entry the id names — hash the
 /// candidate, probe, and let the caller compare against its own store.
 ///
-/// Linear probing over a power-of-two table kept at most three quarters
-/// full: 8 B a slot, 11–21 B an entry. Each slot remembers 32 bits of
-/// its entry's hash, so a probe touches the caller's store only for a
-/// candidate that very likely matches, and growing never re-reads it.
+/// Linear probing over a table kept at most three quarters full, and
+/// grown by a quarter when it would pass that: 8 B a slot, 10.7–13.3 B
+/// an entry at any count (a doubling table spends up to 21). Each slot
+/// remembers 32 bits of its entry's hash, and a probe starts at those
+/// bits scaled to the table's length, so a probe touches the caller's
+/// store only for a candidate that very likely matches, and growing
+/// never re-reads it.
 /// Hashes are keyed SipHash (one random key per index): both users key
 /// it by bytes that arrive from the network.
 ///
@@ -50,8 +54,8 @@ const MIN_SLOTS: usize = 8;
 /// ```
 #[derive(Default)]
 pub struct IdIndex {
-    /// Empty (nothing is allocated before the first insert) or a power
-    /// of two long.
+    /// Empty (nothing is allocated before the first insert) or at least
+    /// [`MIN_SLOTS`] long.
     slots: Vec<Slot>,
     len: usize,
     keys: RandomState,
@@ -73,9 +77,8 @@ impl IdIndex {
         if self.slots.is_empty() {
             return None;
         }
-        let mask = self.slots.len() - 1;
         let hash = hash as u32;
-        let mut at = hash as usize & mask;
+        let mut at = home(hash, self.slots.len());
         // At most three quarters full, so a free slot ends every probe.
         loop {
             let slot = self.slots[at];
@@ -85,7 +88,7 @@ impl IdIndex {
             if slot.hash == hash && is_match(slot.id) {
                 return Some(slot.id);
             }
-            at = (at + 1) & mask;
+            at = next(at, self.slots.len());
         }
     }
 
@@ -106,24 +109,114 @@ impl IdIndex {
     }
 
     fn place(&mut self, slot: Slot) {
-        let mask = self.slots.len() - 1;
-        let mut at = slot.hash as usize & mask;
+        let mut at = home(slot.hash, self.slots.len());
         while self.slots[at].id != FREE {
-            at = (at + 1) & mask;
+            at = next(at, self.slots.len());
         }
         self.slots[at] = slot;
     }
 
-    /// Doubles the table and re-places every id from the hash bits its
-    /// slot remembers, without going back to the store.
+    /// Grows the table by a quarter and re-places every id from the hash
+    /// bits its slot remembers, without going back to the store. A
+    /// quarter more room takes the table from three quarters full to
+    /// three fifths.
     fn grow(&mut self) {
-        let slots = (self.slots.len() * 2).max(MIN_SLOTS);
+        let slots = (self.slots.len() + self.slots.len() / 4).max(MIN_SLOTS);
         let free = Slot { hash: 0, id: FREE };
         for slot in std::mem::replace(&mut self.slots, vec![free; slots]) {
             if slot.id != FREE {
                 self.place(slot);
             }
         }
+    }
+}
+
+/// Where one byte string lies in a [`ByteArena`]: 12 bytes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ArenaSpan {
+    chunk: u32,
+    start: u32,
+    len: u32,
+}
+
+/// Smallest and largest arena chunk. A byte string never spans chunks;
+/// one longer than the largest gets a chunk of its own.
+const ARENA_MIN_CHUNK: usize = 1024;
+const ARENA_MAX_CHUNK: usize = 64 * 1024;
+
+/// Append-only storage for many short byte strings: each is copied into
+/// the tail of one chunk and named by its [`ArenaSpan`], so a string
+/// costs its bytes plus the span its owner keeps, not a heap block of
+/// its own. Chunks double from 1 KiB to 64 KiB and never move or
+/// grow; a full chunk leaves unused only a tail too short for the
+/// string that opened the next one.
+///
+/// ```rust
+/// use dista_taint::ByteArena;
+///
+/// let mut arena = ByteArena::default();
+/// let a = arena.push(&[b"vo", b"te"]);
+/// let b = arena.push(&[]);
+/// assert_eq!((arena.get(a), arena.get(b)), (&b"vote"[..], &b""[..]));
+/// ```
+#[derive(Default)]
+pub struct ByteArena {
+    chunks: Vec<Vec<u8>>,
+}
+
+impl ByteArena {
+    /// Copies `parts`, one after another, in as one byte string and
+    /// returns where it lies.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a byte string of 4 GiB or more.
+    pub fn push(&mut self, parts: &[&[u8]]) -> ArenaSpan {
+        let total = parts.iter().map(|part| part.len()).sum::<usize>();
+        let len = u32::try_from(total).expect("an arena string of 4 GiB");
+        let fits = |chunk: &Vec<u8>| chunk.capacity() - chunk.len() >= total;
+        if !self.chunks.last().is_some_and(fits) {
+            let last = self.chunks.last().map_or(0, Vec::capacity);
+            let room = (last * 2).clamp(ARENA_MIN_CHUNK, ARENA_MAX_CHUNK);
+            self.chunks.push(Vec::with_capacity(room.max(total)));
+        }
+        let chunk = self.chunks.len() - 1;
+        let tail = &mut self.chunks[chunk];
+        // A chunk is no longer than its longest string or 64 KiB, so an
+        // offset into it fits a `u32` as that string's length does.
+        let span = ArenaSpan {
+            chunk: chunk as u32,
+            start: tail.len() as u32,
+            len,
+        };
+        for part in parts {
+            tail.extend_from_slice(part);
+        }
+        span
+    }
+
+    /// The bytes `span` names.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `span` was not returned by this arena's
+    /// [`ByteArena::push`].
+    pub fn get(&self, span: ArenaSpan) -> &[u8] {
+        &self.chunks[span.chunk as usize][span.start as usize..][..span.len as usize]
+    }
+}
+
+/// Where a probe for `hash` starts in a table of `slots` slots: the 32
+/// hash bits scaled to the table (the high bits pick the slot).
+fn home(hash: u32, slots: usize) -> usize {
+    ((u64::from(hash) * slots as u64) >> 32) as usize
+}
+
+/// The slot a probe visits after `at`.
+fn next(at: usize, slots: usize) -> usize {
+    match at + 1 {
+        end if end == slots => 0,
+        after => after,
     }
 }
 
@@ -245,11 +338,12 @@ mod tests {
                 }
             }
         }
-        assert_eq!(growths, 12, "8 slots doubled up to 16 384");
+        assert_eq!(growths, 36, "8 slots grown by a quarter up to 16 175");
+        assert_eq!(index.slots.len(), 16_175);
         assert_eq!(index.len, 10_000);
         assert_eq!(store.len(), 10_000);
         assert!(index.len * 4 <= index.slots.len() * 3, "at most 3/4 full");
-        assert!(index.slots.len().is_power_of_two());
+        assert!(index.len * 5 >= index.slots.len() * 3, "at least 3/5 full");
     }
 
     #[test]

@@ -43,11 +43,14 @@ mod tree;
 mod value;
 
 pub use bytes::{Payload, TaintedBytes};
-pub use index::{IdFront, IdIndex};
+pub use index::{ArenaSpan, ByteArena, IdFront, IdIndex};
 pub use reader::{ByteReader, ReadError};
 pub use report::{SinkEvent, SinkRecorder, SinkReport};
 pub use runs::{TaintRun, TaintRuns};
-pub use serial::{deserialize_taint, serialize_taint, TaintCodecError, SERIALIZED_TAG_OVERHEAD};
+pub use serial::{
+    deserialize_taint, pack_serialized, serialize_taint, unpack_serialized, TaintCodecError,
+    SERIALIZED_TAG_OVERHEAD,
+};
 pub use spec::{MethodDesc, ParseSpecError, SourceSinkSpec};
 pub use store::TaintStore;
 pub use tag::{GlobalId, LocalId, TagId, TagValue, TaintTag};

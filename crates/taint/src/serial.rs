@@ -10,10 +10,11 @@
 //! measure realistic byte counts.
 
 use std::fmt;
+use std::sync::OnceLock;
 
 use crate::reader::{ByteReader, ReadError};
 use crate::store::TaintStore;
-use crate::tag::{GlobalId, LocalId, TagValue};
+use crate::tag::{GlobalId, LocalId, RawValue, KIND_BYTES, KIND_INT, KIND_STR};
 use crate::tree::{Taint, TaintTree};
 
 const MAGIC: [u8; 4] = [0xAC, 0xED, 0xD1, 0x5A];
@@ -22,10 +23,6 @@ const TAG_CLASS: &str = "dista.taint.TaintTag";
 const FIELD_NAMES: [&str; 4] = ["id", "value", "localId", "globalId"];
 /// Pad emulating the JVM object header + type metadata per serialized tag.
 const OBJECT_HEADER_PAD: usize = 96;
-
-const KIND_STR: u8 = 1;
-const KIND_BYTES: u8 = 2;
-const KIND_INT: u8 = 3;
 
 /// Fixed per-tag overhead in bytes (excludes the tag value itself).
 ///
@@ -109,46 +106,111 @@ impl From<ReadError> for TaintCodecError {
 /// # Ok::<(), dista_taint::TaintCodecError>(())
 /// ```
 pub fn serialize_taint(tree: &TaintTree, taint: Taint) -> Vec<u8> {
-    let tags = tree.tags_of(taint);
-    let mut out = Vec::with_capacity(64 + tags.len() * (SERIALIZED_TAG_OVERHEAD + 16));
-    out.extend_from_slice(&MAGIC);
-    write_str16(&mut out, STREAM_CLASS);
-    out.extend_from_slice(&(tags.len() as u16).to_be_bytes());
-    for tag in tags {
-        write_str16(&mut out, TAG_CLASS);
-        for name in FIELD_NAMES {
-            out.push(name.len() as u8);
-            out.extend_from_slice(name.as_bytes());
-        }
-        // The rank (`ID`) and `GlobalID` fields are written as zero so the
-        // serialized form is *canonical*: the same tag set always produces
-        // byte-identical output no matter which VM serializes it or
-        // whether a global id has been assigned yet. The Taint Map dedups
-        // registrations by byte identity, so canonicality is what makes
-        // "one Global ID per unique global taint" hold across VMs.
-        out.extend_from_slice(&0u32.to_be_bytes());
-        match &tag.value {
-            TagValue::Str(s) => {
-                out.push(KIND_STR);
-                out.extend_from_slice(&(s.len() as u32).to_be_bytes());
-                out.extend_from_slice(s.as_bytes());
-            }
-            TagValue::Bytes(b) => {
-                out.push(KIND_BYTES);
-                out.extend_from_slice(&(b.len() as u32).to_be_bytes());
-                out.extend_from_slice(b);
-            }
-            TagValue::Int(i) => {
-                out.push(KIND_INT);
-                out.extend_from_slice(&8u32.to_be_bytes());
-                out.extend_from_slice(&i.to_be_bytes());
-            }
-        }
-        out.extend_from_slice(&tag.local_id.to_bytes());
-        out.extend_from_slice(&0u32.to_be_bytes());
-        out.extend(std::iter::repeat_n(0xEE, OBJECT_HEADER_PAD));
-    }
+    let count = tree.tag_count(taint);
+    let mut out = Vec::with_capacity(64 + count * (SERIALIZED_TAG_OVERHEAD + 16));
+    write_header(&mut out, count);
+    tree.for_each_tag(taint, |_, value, local_id, _| {
+        write_tag(&mut out, value, local_id);
+    });
     out
+}
+
+fn write_header(out: &mut Vec<u8>, count: usize) {
+    out.extend_from_slice(&MAGIC);
+    write_str16(out, STREAM_CLASS);
+    out.extend_from_slice(&(count as u16).to_be_bytes());
+}
+
+fn write_tag(out: &mut Vec<u8>, value: RawValue<'_>, local_id: LocalId) {
+    write_str16(out, TAG_CLASS);
+    for name in FIELD_NAMES {
+        out.push(name.len() as u8);
+        out.extend_from_slice(name.as_bytes());
+    }
+    // The rank (`ID`) and `GlobalID` fields are written as zero so the
+    // serialized form is *canonical*: the same tag set always produces
+    // byte-identical output no matter which VM serializes it or
+    // whether a global id has been assigned yet. The Taint Map dedups
+    // registrations by byte identity, so canonicality is what makes
+    // "one Global ID per unique global taint" hold across VMs.
+    out.extend_from_slice(&0u32.to_be_bytes());
+    out.push(value.kind);
+    out.extend_from_slice(&(value.bytes.len() as u32).to_be_bytes());
+    out.extend_from_slice(value.bytes);
+    out.extend_from_slice(&local_id.to_bytes());
+    out.extend_from_slice(&0u32.to_be_bytes());
+    out.extend(std::iter::repeat_n(0xEE, OBJECT_HEADER_PAD));
+}
+
+/// The serialized form of one tag with an empty string value minted at
+/// `0.0.0.0:0`: what [`pack_serialized`] strips from either end.
+fn template() -> &'static [u8] {
+    static TEMPLATE: OnceLock<Vec<u8>> = OnceLock::new();
+    TEMPLATE.get_or_init(|| {
+        let mut out = Vec::new();
+        write_header(&mut out, 1);
+        write_tag(
+            &mut out,
+            RawValue::new(KIND_STR, b""),
+            LocalId::new([0; 4], 0),
+        );
+        assert!(out.len() < 256, "a packed length is one byte");
+        out
+    })
+}
+
+/// Packs a serialized taint for keeping in memory: what it shares at its
+/// start and at its end with the serialized taint of one empty string
+/// tag minted at `0.0.0.0:0` is dropped, and the two lengths are kept,
+/// one byte each. A canonical single-tag taint of a string under 256
+/// bytes keeps only the string, its length byte and its origin: `n + 11`
+/// of its `n + 200` bytes.
+/// Any byte string packs — one that is not a serialized taint just
+/// strips less — and [`unpack_serialized`] gives it back exactly, so
+/// equal strings pack equally and unequal ones unequally.
+///
+/// ```rust
+/// use dista_taint::{pack_serialized, serialize_taint, unpack_serialized};
+/// use dista_taint::{LocalId, TagValue, TaintStore};
+///
+/// let store = TaintStore::new(LocalId::new([10, 0, 0, 1], 1));
+/// let wire = serialize_taint(store.tree(), store.mint_source_taint(TagValue::str("vote")));
+/// let mut packed = Vec::new();
+/// pack_serialized(&wire, &mut packed);
+/// assert_eq!((wire.len(), packed.len()), (204, 15));
+/// let mut back = Vec::new();
+/// unpack_serialized(&packed, &mut back);
+/// assert_eq!(back, wire);
+/// ```
+pub fn pack_serialized(serialized: &[u8], out: &mut Vec<u8>) {
+    let template = template();
+    let prefix = equal_run(serialized.iter().zip(template));
+    let rest = &serialized[prefix..];
+    let suffix = equal_run(rest.iter().rev().zip(template.iter().rev()));
+    // Neither is longer than the template.
+    out.extend_from_slice(&[prefix as u8, suffix as u8]);
+    out.extend_from_slice(&rest[..rest.len() - suffix]);
+}
+
+/// How many leading pairs are equal.
+fn equal_run<'a>(pairs: impl Iterator<Item = (&'a u8, &'a u8)>) -> usize {
+    pairs.take_while(|(a, b)| a == b).count()
+}
+
+/// Appends to `out` the serialized taint [`pack_serialized`] packed
+/// into `packed`.
+///
+/// # Panics
+///
+/// Panics if `packed` was not made by [`pack_serialized`].
+pub fn unpack_serialized(packed: &[u8], out: &mut Vec<u8>) {
+    let template = template();
+    let [prefix, suffix] = [packed[0], packed[1]].map(usize::from);
+    let middle = &packed[2..];
+    out.reserve(prefix + middle.len() + suffix);
+    out.extend_from_slice(&template[..prefix]);
+    out.extend_from_slice(middle);
+    out.extend_from_slice(&template[template.len() - suffix..]);
 }
 
 /// Decodes a serialized taint into the receiving VM's store.
@@ -183,21 +245,18 @@ pub fn deserialize_taint(store: &TaintStore, bytes: &[u8]) -> Result<Taint, Tain
         let kind = r.u8()?;
         let len = r.u32()? as usize;
         let raw = r.bytes(len)?;
-        let value = match kind {
-            KIND_STR => TagValue::Str(
-                std::str::from_utf8(raw)
-                    .map_err(|_| TaintCodecError::BadUtf8)?
-                    .into(),
-            ),
-            KIND_BYTES => TagValue::bytes(raw),
-            KIND_INT if len == 8 => TagValue::Int(ByteReader::new(raw).u64()? as i64),
+        match kind {
+            KIND_STR if std::str::from_utf8(raw).is_err() => return Err(TaintCodecError::BadUtf8),
+            KIND_STR | KIND_BYTES => {}
+            KIND_INT if len == 8 => {}
             KIND_INT => return Err(TaintCodecError::Truncated),
             other => return Err(TaintCodecError::BadValueKind(other)),
-        };
+        }
         let local_id = LocalId::from_bytes(r.array()?);
         let gid = GlobalId(r.u32()?);
         r.bytes(OBJECT_HEADER_PAD)?;
-        let tag = store.intern_foreign_tag(value, local_id);
+        // Interned straight from the bytes read: no owned value is made.
+        let tag = store.tree().mint_raw(RawValue::new(kind, raw), local_id);
         if gid.is_tainted() {
             store.tree().set_tag_global_id(tag, gid);
         }
@@ -214,6 +273,7 @@ fn write_str16(out: &mut Vec<u8>, s: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tag::TagValue;
 
     fn stores() -> (TaintStore, TaintStore) {
         (
@@ -317,6 +377,66 @@ mod tests {
         let wire = serialize_taint(s.tree(), Taint::EMPTY);
         let rt = deserialize_taint(&r, &wire).unwrap();
         assert!(rt.is_empty());
+    }
+
+    /// One serialized taint of 1–3 tags drawn by `rng`: strings, bytes
+    /// and ints, now and then a value longer than 255 bytes.
+    fn drawn_taint(rng: &mut proptest::TestRng, store: &TaintStore) -> Vec<u8> {
+        let mut taint = Taint::EMPTY;
+        for _ in 0..1 + rng.below(3) {
+            let len = match rng.below(8) {
+                0 => 256 + rng.below(300) as usize,
+                _ => rng.below(40) as usize,
+            };
+            let text: String = (0..len)
+                .map(|_| (b'a' + rng.below(26) as u8) as char)
+                .collect();
+            let value = match rng.below(3) {
+                0 => TagValue::str(text),
+                1 => TagValue::bytes(text),
+                _ => TagValue::Int(rng.next_u64() as i64),
+            };
+            taint = store.union(taint, store.mint_source_taint(value));
+        }
+        serialize_taint(store.tree(), taint)
+    }
+
+    #[test]
+    fn a_packed_string_unpacks_to_the_same_bytes() {
+        let mut rng = proptest::TestRng::new(0xD157A);
+        let store = TaintStore::new(LocalId::new([10, 0, 0, 1], 256));
+        let mut corpus = vec![Vec::new(), template().to_vec()];
+        for _ in 0..2_000 {
+            let mut bytes = match rng.below(3) {
+                0 => (0..rng.below(600)).map(|_| rng.next_u64() as u8).collect(),
+                _ => drawn_taint(&mut rng, &store),
+            };
+            // Near-canonical: one byte flipped, the tail cut off, or
+            // more bytes past the end.
+            match rng.below(4) {
+                0 if !bytes.is_empty() => {
+                    let at = rng.below(bytes.len() as u64) as usize;
+                    bytes[at] ^= 1 << rng.below(8);
+                }
+                1 => bytes.truncate(rng.below(bytes.len() as u64 + 1) as usize),
+                2 => bytes.extend(template()),
+                _ => {}
+            }
+            corpus.push(bytes);
+        }
+        for bytes in &corpus {
+            let (mut packed, mut back) = (Vec::new(), Vec::new());
+            pack_serialized(bytes, &mut packed);
+            assert!(packed.len() <= bytes.len() + 2, "{bytes:?}");
+            unpack_serialized(&packed, &mut back);
+            assert_eq!(&back, bytes);
+        }
+        // A canonical single-tag string taint keeps n + 11 bytes.
+        let (s, _) = stores();
+        let wire = serialize_taint(s.tree(), s.mint_source_taint(TagValue::str("fresh:0:1:1")));
+        let mut packed = Vec::new();
+        pack_serialized(&wire, &mut packed);
+        assert_eq!((wire.len(), packed.len()), (211, 22));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::tag::{LocalId, TagId, TagValue};
+use crate::tag::{LocalId, TagValue};
 use crate::tree::{Taint, TaintTree};
 
 /// The local taint storage of one simulated JVM.
@@ -66,13 +66,6 @@ impl TaintStore {
         self.inner.tree.taint_of_tag(tag)
     }
 
-    /// Interns a tag that originated on a *different* VM (used when a
-    /// serialized taint arrives from the network), preserving its foreign
-    /// `LocalId`.
-    pub fn intern_foreign_tag(&self, value: TagValue, origin: LocalId) -> TagId {
-        self.inner.tree.mint_tag(value, origin)
-    }
-
     /// Union of two taints (delegates to the tree).
     pub fn union(&self, a: Taint, b: Taint) -> Taint {
         self.inner.tree.union(a, b)
@@ -85,12 +78,10 @@ impl TaintStore {
 
     /// Rendered tag values of a taint, sorted by tag id.
     pub fn tag_values(&self, taint: Taint) -> Vec<String> {
-        self.inner
-            .tree
-            .tags_of(taint)
-            .into_iter()
-            .map(|t| t.value.render())
-            .collect()
+        let tree = &self.inner.tree;
+        let mut out = Vec::with_capacity(tree.tag_count(taint));
+        tree.for_each_tag(taint, |_, value, _, _| out.push(value.render()));
+        out
     }
 
     /// Number of source taints this VM has minted.
@@ -125,7 +116,7 @@ mod tests {
     fn foreign_tag_keeps_origin() {
         let store = TaintStore::new(LocalId::new([10, 0, 0, 1], 1));
         let origin = LocalId::new([10, 0, 0, 2], 2);
-        let tag = store.intern_foreign_tag(TagValue::str("a_tag"), origin);
+        let tag = store.tree().mint_tag(TagValue::str("a_tag"), origin);
         assert_eq!(store.tree().tag(tag).local_id, origin);
         // A local mint with the same value must stay distinct.
         let local = store.mint_source_taint(TagValue::str("a_tag"));

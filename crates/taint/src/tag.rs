@@ -3,6 +3,8 @@
 use std::fmt;
 use std::sync::Arc;
 
+use crate::reader::ByteReader;
+
 /// Identifier of a tag inside one VM's [`crate::TaintTree`].
 ///
 /// This is the `ID` component of the paper's quad: "the unique rank of the
@@ -138,11 +140,67 @@ impl TagValue {
 
     /// Renders the value as a display string (used by reports).
     pub fn render(&self) -> String {
+        self.with_raw(|raw| raw.render())
+    }
+
+    /// Calls `f` with the value's kind byte and bytes, as a serialized
+    /// taint writes them and a tag table keeps them.
+    pub(crate) fn with_raw<R>(&self, f: impl FnOnce(RawValue<'_>) -> R) -> R {
         match self {
-            TagValue::Str(s) => s.to_string(),
-            TagValue::Bytes(b) => format!("0x{}", hex(b)),
-            TagValue::Int(i) => i.to_string(),
+            TagValue::Str(s) => f(RawValue::new(KIND_STR, s.as_bytes())),
+            TagValue::Bytes(b) => f(RawValue::new(KIND_BYTES, b)),
+            TagValue::Int(i) => f(RawValue::new(KIND_INT, &i.to_be_bytes())),
         }
+    }
+}
+
+/// Kind byte of a [`TagValue::Str`] value.
+pub(crate) const KIND_STR: u8 = 1;
+/// Kind byte of a [`TagValue::Bytes`] value.
+pub(crate) const KIND_BYTES: u8 = 2;
+/// Kind byte of a [`TagValue::Int`] value (8 big-endian bytes).
+pub(crate) const KIND_INT: u8 = 3;
+
+/// A tag value as bytes: its kind byte and the value's bytes. Only
+/// [`TagValue::with_raw`], a checked serialized taint and a tag table
+/// (which stored one of those) make one, so a `Str` is UTF-8 and an
+/// `Int` is 8 bytes.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) struct RawValue<'a> {
+    pub(crate) kind: u8,
+    pub(crate) bytes: &'a [u8],
+}
+
+impl<'a> RawValue<'a> {
+    pub(crate) fn new(kind: u8, bytes: &'a [u8]) -> Self {
+        RawValue { kind, bytes }
+    }
+
+    /// The owned value.
+    pub(crate) fn to_value(self) -> TagValue {
+        match self.kind {
+            KIND_STR => TagValue::str(self.as_str()),
+            KIND_BYTES => TagValue::bytes(self.bytes),
+            _ => TagValue::Int(self.as_int()),
+        }
+    }
+
+    /// What [`TagValue::render`] gives for the owned value.
+    pub(crate) fn render(self) -> String {
+        match self.kind {
+            KIND_STR => self.as_str().to_string(),
+            KIND_BYTES => format!("0x{}", hex(self.bytes)),
+            _ => self.as_int().to_string(),
+        }
+    }
+
+    fn as_str(self) -> &'a str {
+        std::str::from_utf8(self.bytes).expect("a stored string tag is UTF-8")
+    }
+
+    fn as_int(self) -> i64 {
+        let int = ByteReader::new(self.bytes).u64();
+        int.expect("a stored int tag is 8 bytes") as i64
     }
 }
 

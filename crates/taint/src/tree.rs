@@ -17,6 +17,12 @@
 //! or mutated, so walks take **no lock at all** — and stripes the two
 //! interning maps (`children`, `union_memo`) across [`SHARDS`]
 //! independent `RwLock`s so writers on unrelated keys don't contend.
+//!
+//! A singleton node `{tag}` is not in `children`: it is kept in the
+//! tag's own entry of the tag table and made under the tags lock. Locks
+//! are taken in one order: the tags lock, then the node append lock;
+//! nothing that holds the append lock (or a `children` stripe) takes the
+//! tags lock.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -26,8 +32,8 @@ use std::sync::OnceLock;
 
 use parking_lot::{Mutex, RwLock};
 
-use crate::index::IdIndex;
-use crate::tag::{GlobalId, LocalId, TagId, TagValue, TaintTag};
+use crate::index::{ArenaSpan, ByteArena, IdIndex};
+use crate::tag::{GlobalId, LocalId, RawValue, TagId, TagValue, TaintTag};
 
 /// A taint: a cheap, copyable handle to an interned tag set.
 ///
@@ -61,12 +67,18 @@ impl fmt::Display for Taint {
     }
 }
 
-#[derive(Debug, Clone)]
+/// One minted tag, 28 bytes: its key (kind byte, then value bytes) lies
+/// in the tag table's arena.
+#[derive(Clone, Copy)]
 struct TagEntry {
-    value: TagValue,
+    key: ArenaSpan,
     local_id: LocalId,
     global_id: GlobalId,
+    /// The singleton node `{tag}`; 0 (the root) until first asked for.
+    node: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<TagEntry>() == 28);
 
 #[derive(Debug, Clone, Copy)]
 struct Node {
@@ -157,14 +169,54 @@ impl NodeTable {
     }
 }
 
+/// Tag entries in one chunk of the tag table.
+const TAG_CHUNK: usize = 1024;
+
 /// Tag table plus its interning index, guarded by one read-mostly lock
 /// (tags are minted orders of magnitude less often than taints combine).
-/// Each `(value, local_id)` is stored once, in `entries`; `index` holds
+/// Each `(value, local_id)` is stored once: the value's bytes in
+/// `arena`, the rest in a fixed-width entry in `chunks`; `index` holds
 /// only tag ids, keyed by the entry each names.
 #[derive(Default)]
 struct TagTable {
-    entries: Vec<TagEntry>,
+    /// [`TAG_CHUNK`] entries a chunk, so the table grows without copying
+    /// and never holds more than one chunk unused.
+    chunks: Vec<Vec<TagEntry>>,
+    len: usize,
+    arena: ByteArena,
     index: IdIndex,
+}
+
+impl TagTable {
+    fn entry(&self, tag: TagId) -> &TagEntry {
+        let (chunk, at) = (tag.index() / TAG_CHUNK, tag.index() % TAG_CHUNK);
+        match self.chunks.get(chunk).and_then(|c| c.get(at)) {
+            Some(entry) => entry,
+            None => panic!("tag {tag} not minted by this tree"),
+        }
+    }
+
+    fn entry_mut(&mut self, tag: TagId) -> &mut TagEntry {
+        let (chunk, at) = (tag.index() / TAG_CHUNK, tag.index() % TAG_CHUNK);
+        match self.chunks.get_mut(chunk).and_then(|c| c.get_mut(at)) {
+            Some(entry) => entry,
+            None => panic!("tag {tag} not minted by this tree"),
+        }
+    }
+
+    fn value(&self, entry: &TagEntry) -> RawValue<'_> {
+        let key = self.arena.get(entry.key);
+        RawValue::new(key[0], &key[1..])
+    }
+
+    fn push(&mut self, entry: TagEntry) -> TagId {
+        if self.len.is_multiple_of(TAG_CHUNK) {
+            self.chunks.push(Vec::with_capacity(TAG_CHUNK));
+        }
+        self.chunks[self.len / TAG_CHUNK].push(entry);
+        self.len += 1;
+        TagId(self.len as u32 - 1)
+    }
 }
 
 /// Multiply-rotate hasher for the tree's small fixed-width keys
@@ -251,6 +303,7 @@ fn shard_of<K: Hash>(key: &K) -> usize {
 pub struct TaintTree {
     nodes: NodeTable,
     /// Child lookup: (parent node, tag) -> child node, striped by key.
+    /// The root's children are not here: see [`TaintTree::singleton`].
     children: Vec<RwLock<FxMap<(u32, TagId), u32>>>,
     /// Memoized unions keyed by (smaller node, larger node), striped.
     union_memo: Vec<RwLock<FxMap<(u32, u32), u32>>>,
@@ -288,23 +341,31 @@ impl TaintTree {
     /// Interns a tag, returning its id. Minting the same `(value,
     /// local_id)` twice yields the same id.
     pub fn mint_tag(&self, value: TagValue, local_id: LocalId) -> TagId {
+        value.with_raw(|value| self.mint_raw(value, local_id))
+    }
+
+    /// [`TaintTree::mint_tag`] for a value given as the bytes a
+    /// serialized taint carries.
+    pub(crate) fn mint_raw(&self, value: RawValue<'_>, local_id: LocalId) -> TagId {
         let mut tags = self.tags.write();
-        let hash = tags.index.hash(&(&value, local_id));
+        let tags = &mut *tags;
+        let hash = tags.index.hash(&(value.kind, value.bytes, local_id));
         let known = tags.index.find(hash, |id| {
-            let entry = &tags.entries[id as usize];
-            entry.value == value && entry.local_id == local_id
+            let entry = tags.entry(TagId(id));
+            entry.local_id == local_id && tags.value(entry) == value
         });
         if let Some(id) = known {
             return TagId(id);
         }
-        let id = tags.entries.len() as u32;
-        tags.index.insert(hash, id);
-        tags.entries.push(TagEntry {
-            value,
+        let key = tags.arena.push(&[&[value.kind], value.bytes]);
+        let id = tags.push(TagEntry {
+            key,
             local_id,
             global_id: GlobalId::UNTAINTED,
+            node: 0,
         });
-        TagId(id)
+        tags.index.insert(hash, id.0);
+        id
     }
 
     /// The singleton taint `{tag}` (a direct child of the root).
@@ -313,11 +374,26 @@ impl TaintTree {
     ///
     /// Panics if `tag` was not minted by this tree.
     pub fn taint_of_tag(&self, tag: TagId) -> Taint {
-        assert!(
-            tag.index() < self.tags.read().entries.len(),
-            "tag {tag} not minted by this tree"
-        );
-        Taint(self.intern_path(&[tag]))
+        Taint(self.singleton(tag))
+    }
+
+    /// The node `{tag}`, kept in the tag's entry: read under the tags
+    /// read lock, made once under its write lock.
+    fn singleton(&self, tag: TagId) -> u32 {
+        let node = self.tags.read().entry(tag).node;
+        if node != 0 {
+            return node;
+        }
+        let mut tags = self.tags.write();
+        let entry = tags.entry_mut(tag);
+        if entry.node == 0 {
+            entry.node = self.nodes.push(Node {
+                parent: 0,
+                tag,
+                depth: 1,
+            });
+        }
+        entry.node
     }
 
     /// Looks up or creates the child of `parent` along `tag`.
@@ -342,11 +418,12 @@ impl TaintTree {
 
     /// Interns the canonical (sorted, deduplicated) path, returning its node.
     fn intern_path(&self, path: &[TagId]) -> u32 {
-        let mut cur = 0u32;
-        for &tag in path {
-            cur = self.intern_child(cur, tag);
-        }
-        cur
+        let Some((&first, rest)) = path.split_first() else {
+            return 0;
+        };
+        rest.iter().fold(self.singleton(first), |cur, &tag| {
+            self.intern_child(cur, tag)
+        })
     }
 
     /// Appends the tag ids on the path from `node` up to the root
@@ -451,10 +528,10 @@ impl TaintTree {
     /// Panics if `tag` was not minted by this tree.
     pub fn tag(&self, tag: TagId) -> TaintTag {
         let tags = self.tags.read();
-        let entry = &tags.entries[tag.index()];
+        let entry = tags.entry(tag);
         TaintTag {
             id: tag.0,
-            value: entry.value.clone(),
+            value: tags.value(entry).to_value(),
             local_id: entry.local_id,
             global_id: entry.global_id,
         }
@@ -462,14 +539,42 @@ impl TaintTree {
 
     /// Full quads for every tag of a taint, sorted by tag id.
     pub fn tags_of(&self, taint: Taint) -> Vec<TaintTag> {
-        let ids = self.tag_ids(taint);
-        ids.into_iter().map(|id| self.tag(id)).collect()
+        let mut out = Vec::with_capacity(self.tag_count(taint));
+        self.for_each_tag(taint, |id, value, local_id, global_id| {
+            out.push(TaintTag {
+                id: id.0,
+                value: value.to_value(),
+                local_id,
+                global_id,
+            });
+        });
+        out
     }
 
-    /// Records the Taint-Map-assigned global id on a tag quad.
+    /// Calls `f` with each tag of `taint` in id order — its id, its value
+    /// as the table keeps it, its origin and its global id — under one
+    /// read of the tags lock, which `f` must not take.
+    pub(crate) fn for_each_tag(
+        &self,
+        taint: Taint,
+        mut f: impl FnMut(TagId, RawValue<'_>, LocalId, GlobalId),
+    ) {
+        let ids = self.tag_ids(taint);
+        let tags = self.tags.read();
+        for id in ids {
+            let entry = tags.entry(id);
+            f(id, tags.value(entry), entry.local_id, entry.global_id);
+        }
+    }
+
+    /// Records the Taint-Map-assigned global id on a tag quad. The first
+    /// writer wins, as in the map: a tag that has a global id keeps it.
     pub fn set_tag_global_id(&self, tag: TagId, gid: GlobalId) {
         let mut tags = self.tags.write();
-        tags.entries[tag.index()].global_id = gid;
+        let entry = tags.entry_mut(tag);
+        if !entry.global_id.is_tainted() {
+            entry.global_id = gid;
+        }
     }
 
     /// True if `taint` carries `tag`.
@@ -498,7 +603,7 @@ impl TaintTree {
 
     /// Number of distinct tags minted so far.
     pub fn num_tags(&self) -> usize {
-        self.tags.read().entries.len()
+        self.tags.read().len
     }
 
     /// Number of tree nodes (distinct interned tag sets, including root).
@@ -662,9 +767,10 @@ mod tests {
         let mint = |i: u32| tree.mint_tag(TagValue::Int(i.into()), origin);
         for i in 0..5_000u32 {
             assert_eq!(mint(i), TagId(i), "ids are dense, in minting order");
-            // The index doubles when it passes three quarters of a power
-            // of two: minting tag 6, 12, 24, … is what grew it.
-            if i % 3 == 0 && (i / 3).is_power_of_two() {
+            // The index grows by a quarter dozens of times on the way:
+            // every tag is minted again after each stretch of 64, so a
+            // tag a growth lost shows as a new id.
+            if i % 64 == 63 || i == 4_999 {
                 for j in 0..=i {
                     assert_eq!(mint(j), TagId(j), "tag {j} re-minted after {i}");
                 }
@@ -791,6 +897,9 @@ mod tests {
         let tag = tree.mint_tag(TagValue::str("g"), LocalId::default());
         assert_eq!(tree.tag(tag).global_id, GlobalId::UNTAINTED);
         tree.set_tag_global_id(tag, GlobalId(42));
+        assert_eq!(tree.tag(tag).global_id, GlobalId(42));
+        // First writer wins, as in the Taint Map.
+        tree.set_tag_global_id(tag, GlobalId(43));
         assert_eq!(tree.tag(tag).global_id, GlobalId(42));
     }
 

@@ -9,7 +9,7 @@
 
 use std::collections::HashMap;
 
-use dista_taint::IdIndex;
+use dista_taint::{pack_serialized, unpack_serialized, ArenaSpan, ByteArena, IdIndex};
 use parking_lot::Mutex;
 
 /// Global IDs that encode as an all-ones byte pattern at some supported
@@ -56,67 +56,46 @@ pub trait TaintMapBackend: Send + Sync + 'static {
     }
 }
 
-/// Bytes in one arena chunk. A record never spans chunks; one longer
-/// than this gets a chunk of its own.
-const ARENA_CHUNK: usize = 256 * 1024;
-
-/// Where one distinct serialized taint's bytes lie in the arena.
-struct Record {
-    chunk: u32,
-    start: u32,
-    len: u32,
-}
-
-/// Every distinct byte string is stored once, in `arena`; `index` and
-/// `record_of` hold record numbers only.
+/// Every distinct byte string is stored once, packed
+/// ([`pack_serialized`]: what the serialized-taint format fixes is
+/// dropped), in `arena`; `index` and `record_of` hold record numbers
+/// only. Packing is lossless and deterministic, so two byte strings are
+/// equal exactly when their packed forms are: dedup, aliases and the
+/// census see what they would on the full bytes.
 #[derive(Default)]
 struct MemState {
-    arena: Vec<Vec<u8>>,
-    /// In arrival order; never removed.
-    records: Vec<Record>,
-    /// Record numbers keyed by the bytes each names.
+    arena: ByteArena,
+    /// Where each record's packed bytes lie, in arrival order; never
+    /// removed.
+    records: Vec<ArenaSpan>,
+    /// Record numbers keyed by the packed bytes each names.
     index: IdIndex,
     /// Local id → the record it resolves to; two ids name one record
     /// when one is an alias. Ids arrive from the network (binds,
     /// replication, migration, the WAL): one is only ever a key here.
     record_of: HashMap<u32, u32>,
     high_water: u32,
+    /// The bytes being bound, packed; reused from bind to bind.
+    packed: Vec<u8>,
 }
 
 impl MemState {
-    fn bytes(&self, record: u32) -> &[u8] {
-        let r = &self.records[record as usize];
-        &self.arena[r.chunk as usize][r.start as usize..][..r.len as usize]
-    }
-
     /// The record holding exactly `serialized`, stored now if there is
     /// none.
     fn record_for(&mut self, serialized: &[u8]) -> u32 {
-        let hash = self.index.hash(serialized);
-        if let Some(record) = self
-            .index
-            .find(hash, |record| self.bytes(record) == serialized)
-        {
-            return record;
-        }
-        let fits = |chunk: &Vec<u8>| chunk.capacity() - chunk.len() >= serialized.len();
-        if !self.arena.last().is_some_and(fits) {
-            let room = serialized.len().max(ARENA_CHUNK);
-            self.arena.push(Vec::with_capacity(room));
-        }
-        let last = self.arena.len() - 1;
-        let chunk = &mut self.arena[last];
-        let record = self.records.len() as u32;
-        // A chunk offset is under 4 GiB because a length is: a
-        // serialized taint is a frame payload, announced as a `u32`.
-        self.records.push(Record {
-            chunk: last as u32,
-            start: chunk.len() as u32,
-            len: u32::try_from(serialized.len()).expect("a serialized taint of 4 GiB"),
+        self.packed.clear();
+        pack_serialized(serialized, &mut self.packed);
+        let packed = self.packed.as_slice();
+        let hash = self.index.hash(packed);
+        let known = self.index.find(hash, |record| {
+            self.arena.get(self.records[record as usize]) == packed
         });
-        chunk.extend_from_slice(serialized);
-        self.index.insert(hash, record);
-        record
+        known.unwrap_or_else(|| {
+            let record = self.records.len() as u32;
+            self.records.push(self.arena.push(&[packed]));
+            self.index.insert(hash, record);
+            record
+        })
     }
 }
 
@@ -155,7 +134,9 @@ impl TaintMapBackend for InMemoryBackend {
     fn lookup(&self, id: u32) -> Option<Vec<u8>> {
         let st = self.state.lock();
         let &record = st.record_of.get(&id)?;
-        Some(st.bytes(record).to_vec())
+        let mut serialized = Vec::new();
+        unpack_serialized(st.arena.get(st.records[record as usize]), &mut serialized);
+        Some(serialized)
     }
 
     fn raise_high_water(&self, id: u32) {
@@ -180,7 +161,45 @@ impl TaintMapBackend for InMemoryBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dista_taint::{serialize_taint, LocalId, TagValue, Taint, TaintStore};
     use proptest::TestRng;
+
+    /// Longer than the largest chunk of the backend's arena.
+    const LONG: usize = 64 * 1024;
+
+    /// A serialized taint of 1–3 tags unique to `stamp` — strings, bytes
+    /// and ints, a value longer than 255 bytes now and then — and about
+    /// one in six damaged: a byte flipped in a class name, the pad or the
+    /// gid field, or the tail cut off.
+    fn serialized(rng: &mut TestRng, store: &TaintStore, stamp: u64) -> Vec<u8> {
+        let mut taint = Taint::EMPTY;
+        for j in 0..1 + rng.below(3) {
+            let mut text = format!("{stamp}:{j}");
+            if rng.below(4) == 0 {
+                text.extend(std::iter::repeat_n('x', 256 + rng.below(100) as usize));
+            }
+            let value = match rng.below(3) {
+                0 => TagValue::str(&text),
+                1 => TagValue::bytes(&text),
+                _ => TagValue::Int((stamp << 2 | j) as i64),
+            };
+            taint = store.union(taint, store.mint_source_taint(value));
+        }
+        let mut bytes = serialize_taint(store.tree(), taint);
+        let end = bytes.len();
+        // The stream class name, the last tag's pad, its gid field.
+        let flip = |bytes: &mut Vec<u8>, rng: &mut TestRng, from: usize, to: usize| {
+            bytes[from + rng.below((to - from) as u64) as usize] ^= 1 << rng.below(8);
+        };
+        match rng.below(24) {
+            0 => flip(&mut bytes, rng, 6, 33),
+            1 => flip(&mut bytes, rng, end - 96, end),
+            2 => flip(&mut bytes, rng, end - 100, end - 96),
+            3 => bytes.truncate(rng.below(end as u64) as usize),
+            _ => {}
+        }
+        bytes
+    }
 
     /// The oracle: every byte string twice, as the key of one map and
     /// the value of the other, with first writers kept in both.
@@ -209,15 +228,20 @@ mod tests {
     fn run_model(seed: u64, steps: usize) {
         let mut rng = TestRng::new(seed);
         let (real, mut model) = (InMemoryBackend::new(), TwoMaps::default());
+        let store = TaintStore::new(LocalId::new([10, 0, 0, 1], 1));
         // Byte strings and ids handed to either side so far.
         let (mut known, mut ids): (Vec<Vec<u8>>, Vec<u32>) = (Vec::new(), Vec::new());
         let pick = |rng: &mut TestRng, n: usize| rng.below(n as u64) as usize;
         for step in 0..steps {
             let fresh = |rng: &mut TestRng| -> Vec<u8> {
+                // A third are serialized taints, packed the most.
+                if rng.below(3) == 0 {
+                    return serialized(rng, &store, step as u64);
+                }
                 // Unique by the step stamp; now and then empty-bodied or
                 // longer than an arena chunk.
                 let body = match rng.below(400) {
-                    0 => ARENA_CHUNK + rng.below(1000) as usize,
+                    0 => LONG + rng.below(1000) as usize,
                     n => n as usize % 300,
                 };
                 let mut bytes = (step as u64).to_be_bytes().to_vec();

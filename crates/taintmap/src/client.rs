@@ -813,10 +813,9 @@ impl TaintMapClient {
     /// GlobalID field of §III-D-1), in the reverse cache, and in the
     /// event stream.
     fn finish_registration(&self, taint: Taint, gid: GlobalId) {
-        for tag_id in self.inner.store.tree().tag_ids(taint) {
-            if !self.inner.store.tree().tag(tag_id).global_id.is_tainted() {
-                self.inner.store.tree().set_tag_global_id(tag_id, gid);
-            }
+        let tree = self.inner.store.tree();
+        for tag_id in tree.tag_ids(taint) {
+            tree.set_tag_global_id(tag_id, gid);
         }
         // Prime the reverse cache too: this VM already knows the taint.
         let mut inbound = self.inner.inbound.lock();

@@ -68,11 +68,15 @@ const TAINTS: usize = 100_000;
 /// Taints per `global_ids_for` / `taints_for` call.
 const BATCH: usize = 1_000;
 
-/// Live bytes per global taint, end to end: 645 here; 971 when the
-/// record store and the tag table each kept a second copy of their keys.
-const TOTAL_BOUND: f64 = 720.0;
-/// Live bytes per record in the backend: 264 here, 516 then.
-const BACKEND_BOUND: f64 = 300.0;
+/// Live bytes per global taint, end to end: 309.5 here; 645.5 when the
+/// backend kept whole serialized taints and a tag its own heap value,
+/// 971 when the record store and the tag table each kept a second copy
+/// of their keys.
+const TOTAL_BOUND: f64 = 340.0;
+/// Live bytes per record in the backend: 65.8 here, 263.5 and 516 then.
+const BACKEND_BOUND: f64 = 72.0;
+/// Live bytes per tag in one VM's tag table: 56.3 here, 105.4 then.
+const TAG_BOUND: f64 = 60.0;
 
 /// Runs `f` and returns its result with the live bytes it left behind,
 /// per taint.
@@ -169,10 +173,10 @@ fn a_global_taint_is_stored_once_per_place_it_lives() {
     println!("live bytes per global taint, {TAINTS} fresh single-tag taints:");
     for (layer, bytes) in [
         ("sender tag", sender_tag),
-        ("sender node + child-map entry", sender_node),
+        ("sender node", sender_node),
         ("server record", server_record),
         ("sender client caches", registered - server_record),
-        ("receiver tag + node + child-map entry", receiver_tree),
+        ("receiver tag + node", receiver_tree),
         ("receiver client caches", looked_up - receiver_tree),
         ("sink union node (one per two taints)", union_node),
         ("total", total),
@@ -180,6 +184,10 @@ fn a_global_taint_is_stored_once_per_place_it_lives() {
         println!("  {layer:<40} {bytes:>8.1}");
     }
     println!("  serialized taint itself: {} B", wire[0].len());
+    assert!(
+        sender_tag <= TAG_BOUND,
+        "a VM keeps {sender_tag:.1} B per tag, bound {TAG_BOUND}"
+    );
     assert!(
         server_record <= BACKEND_BOUND,
         "the backend keeps {server_record:.1} B per record, bound {BACKEND_BOUND}"

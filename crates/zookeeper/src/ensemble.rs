@@ -217,6 +217,30 @@ mod tests {
     }
 
     #[test]
+    fn a_follower_reads_back_every_write_it_forwarded() {
+        // A follower answers a forwarded write once its own tree holds
+        // it; answering on the leader's word alone let the next read here
+        // see the value before it, and a read-modify-write lose an update.
+        let cluster = Cluster::builder(Mode::Original)
+            .nodes("zk", 3)
+            .build()
+            .unwrap();
+        let ensemble = ZkEnsemble::start(cluster.vms(), ZkEnsembleConfig::default()).unwrap();
+        let follower = if ensemble.leader() == 1 { 2 } else { 1 };
+        let client =
+            ZkClient::connect(cluster.vm(0), ensemble.client_addr(follower).unwrap()).unwrap();
+        let value = |i: u32| TaintedBytes::from_plain(i.to_be_bytes().to_vec());
+        client.create("/counter", value(0)).unwrap();
+        for i in 1..=300 {
+            client.set("/counter", value(i)).unwrap();
+            assert_eq!(client.get("/counter").unwrap().data(), value(i).data());
+        }
+        client.close();
+        ensemble.shutdown();
+        cluster.shutdown();
+    }
+
+    #[test]
     fn writes_to_follower_are_readable_from_leader_and_vice_versa() {
         let cluster = Cluster::builder(Mode::Dista)
             .nodes("zk", 3)

@@ -6,9 +6,11 @@
 //! tree; followers forward writes to the leader, the leader applies them
 //! and broadcasts commits to all followers over dedicated commit
 //! channels. Reads are served locally, with a read-through to the leader
-//! on miss so clients get read-your-writes no matter which member they
-//! talk to. Every hop is instrumented traffic, so stored taints
-//! replicate with the data.
+//! on miss; a follower answers a forwarded write only once its own tree
+//! has applied that write's commit (the leader numbers its commits), so
+//! clients get read-your-writes no matter which member they talk to.
+//! Every hop is instrumented traffic, so stored taints replicate with the
+//! data.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -18,7 +20,7 @@ use dista_jre::{
 };
 use dista_simnet::{NetError, NodeAddr, TcpServer};
 use dista_taint::TaintedBytes;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Condvar, Mutex, RwLock};
 
 /// Errors surfaced by the ZooKeeper client API.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -80,6 +82,12 @@ pub(crate) struct ServerCore {
     /// Registered watches: path → watching client tokens (one-shot,
     /// like real ZooKeeper watches).
     watches: Mutex<HashMap<String, Vec<i64>>>,
+    /// The number of the last commit this member applied (the leader
+    /// numbers its commits 1, 2, …); `i64::MAX` once a follower's commit
+    /// channel is gone, so that nothing waits on it.
+    applied: Mutex<i64>,
+    /// Signalled whenever `applied` moves.
+    applied_moved: Condvar,
 }
 
 impl ServerCore {
@@ -89,7 +97,23 @@ impl ServerCore {
             role,
             watch_channels: Mutex::new(HashMap::new()),
             watches: Mutex::new(HashMap::new()),
+            applied: Mutex::new(0),
+            applied_moved: Condvar::new(),
         })
+    }
+
+    /// Notes that commits up to `zxid` are applied here.
+    fn mark_applied(&self, zxid: i64) {
+        *self.applied.lock() = zxid;
+        self.applied_moved.notify_all();
+    }
+
+    /// Blocks until this member has applied commit `zxid`.
+    fn await_applied(&self, zxid: i64) {
+        let mut applied = self.applied.lock();
+        while *applied < zxid {
+            self.applied_moved.wait(&mut applied);
+        }
     }
 
     /// Fires (and clears) the one-shot watches on `path`, pushing a
@@ -146,25 +170,37 @@ impl ServerCore {
         status
     }
 
-    /// Leader-side: apply + broadcast the commit to every follower.
-    fn commit(&self, op: &str, path: &str, data: TaintedBytes) -> i64 {
+    /// Leader-side: apply, number and broadcast the commit to every
+    /// follower. Returns the status and the commit's number (0 if
+    /// nothing was committed). One lock spans all three, so followers
+    /// apply commits in the leader's order.
+    fn commit(&self, op: &str, path: &str, data: TaintedBytes) -> (i64, i64) {
+        let mut followers = match &self.role {
+            Role::Leader { followers } => Some(followers.lock()),
+            _ => None,
+        };
         let status = self.apply(op, path, data.clone());
-        if status == STATUS_OK {
-            if let Role::Leader { followers } = &self.role {
-                let commit = ObjValue::Record(
-                    "Commit".into(),
-                    vec![
-                        ("op".into(), ObjValue::str_plain(op)),
-                        ("path".into(), ObjValue::str_plain(path)),
-                        ("data".into(), ObjValue::Bytes(data)),
-                    ],
-                );
-                followers
-                    .lock()
-                    .retain(|sink| sink.write_object(&commit).is_ok());
-            }
+        if status != STATUS_OK {
+            return (status, 0);
         }
-        status
+        let zxid = {
+            let mut applied = self.applied.lock();
+            *applied += 1;
+            *applied
+        };
+        if let Some(followers) = &mut followers {
+            let commit = ObjValue::Record(
+                "Commit".into(),
+                vec![
+                    ("op".into(), ObjValue::str_plain(op)),
+                    ("path".into(), ObjValue::str_plain(path)),
+                    ("data".into(), ObjValue::Bytes(data)),
+                    ("zxid".into(), ObjValue::int_plain(zxid)),
+                ],
+            );
+            followers.retain(|sink| sink.write_object(&commit).is_ok());
+        }
+        (status, zxid)
     }
 
     fn handle(&self, request: &ObjValue) -> ObjValue {
@@ -179,18 +215,26 @@ impl ServerCore {
             _ => TaintedBytes::new(),
         };
         let (status, payload) = match op {
-            "create" | "set" => match &self.role {
-                Role::Follower { leader } => {
-                    // Forward the write to the leader; our own tree gets
-                    // the value through the commit broadcast.
-                    let leader = leader.lock();
-                    match leader.call_raw(op, &path, data) {
-                        Ok((status, _)) => (status, TaintedBytes::new()),
-                        Err(_) => (STATUS_NO_NODE, TaintedBytes::new()),
+            "create" | "set" => {
+                let (status, zxid) = match &self.role {
+                    Role::Follower { leader } => {
+                        // Forward the write to the leader; our own tree
+                        // gets the value through the commit broadcast,
+                        // and the client hears back once it has: its
+                        // next read here sees its write.
+                        let reply = leader.lock().call_raw(op, &path, data);
+                        match reply {
+                            Ok(reply) => {
+                                self.await_applied(reply.zxid);
+                                (reply.status, reply.zxid)
+                            }
+                            Err(_) => (STATUS_NO_NODE, 0),
+                        }
                     }
-                }
-                _ => (self.commit(op, &path, data), TaintedBytes::new()),
-            },
+                    _ => self.commit(op, &path, data),
+                };
+                return response(status, TaintedBytes::new(), Some(zxid));
+            }
             "get" => match self.read_through(&path) {
                 Some(bytes) => (STATUS_OK, bytes),
                 None => (STATUS_NO_NODE, TaintedBytes::new()),
@@ -209,13 +253,7 @@ impl ServerCore {
             }
             _ => (STATUS_NO_NODE, TaintedBytes::new()),
         };
-        ObjValue::Record(
-            "ZkResponse".into(),
-            vec![
-                ("status".into(), ObjValue::int_plain(status)),
-                ("data".into(), ObjValue::Bytes(payload)),
-            ],
-        )
+        response(status, payload, None)
     }
 
     /// Local read with leader read-through on miss (read-your-writes for
@@ -226,16 +264,30 @@ impl ServerCore {
         }
         if let Role::Follower { leader } = &self.role {
             let leader = leader.lock();
-            if let Ok((status, bytes)) = leader.call_raw("get", path, TaintedBytes::new()) {
-                if status == STATUS_OK {
+            if let Ok(reply) = leader.call_raw("get", path, TaintedBytes::new()) {
+                if reply.status == STATUS_OK {
                     // Cache the value locally (it is committed state).
-                    self.tree.write().insert(path.to_string(), bytes.clone());
-                    return Some(bytes);
+                    self.tree
+                        .write()
+                        .insert(path.to_string(), reply.data.clone());
+                    return Some(reply.data);
                 }
             }
         }
         None
     }
+}
+
+/// A `ZkResponse`; a write's also carries its commit's number.
+fn response(status: i64, data: TaintedBytes, zxid: Option<i64>) -> ObjValue {
+    let mut fields = vec![
+        ("status".into(), ObjValue::int_plain(status)),
+        ("data".into(), ObjValue::Bytes(data)),
+    ];
+    if let Some(zxid) = zxid {
+        fields.push(("zxid".into(), ObjValue::int_plain(zxid)));
+    }
+    ObjValue::Record("ZkResponse".into(), fields)
 }
 
 /// A running ZooKeeper server (one ensemble member's client port).
@@ -280,7 +332,8 @@ impl ZkServerHandle {
                 Ok(commit) => commit,
                 // No commit for one block timeout: the leader is quiet.
                 Err(JreError::Net(NetError::Timeout(_))) => continue,
-                Err(_) => return,
+                // No more commits will come: release every waiter.
+                Err(_) => return core.mark_applied(i64::MAX),
             };
             let op = commit.field("op").and_then(ObjValue::as_str).unwrap_or("");
             let path = commit
@@ -292,6 +345,9 @@ impl ZkServerHandle {
                 _ => TaintedBytes::new(),
             };
             core.apply(op, path, data);
+            if let Some(zxid) = commit.field("zxid").and_then(ObjValue::as_int) {
+                core.mark_applied(zxid);
+            }
         });
     }
 
@@ -413,6 +469,14 @@ impl ZkWatcher {
     }
 }
 
+/// A server's answer: its status, its data, and for a write the number
+/// of the commit that made it (0 when nothing was committed).
+pub(crate) struct Reply {
+    status: i64,
+    data: TaintedBytes,
+    zxid: i64,
+}
+
 /// A ZooKeeper client session.
 #[derive(Debug)]
 pub struct ZkClient {
@@ -489,7 +553,7 @@ impl ZkClient {
         op: &str,
         path: &str,
         data: TaintedBytes,
-    ) -> Result<(i64, TaintedBytes), ZkError> {
+    ) -> Result<Reply, ZkError> {
         let request = ObjValue::Record(
             "ZkRequest".into(),
             vec![
@@ -504,11 +568,16 @@ impl ZkClient {
             .field("status")
             .and_then(ObjValue::as_int)
             .ok_or(JreError::Protocol("malformed zk response"))?;
-        let payload = match response.field("data") {
+        let data = match response.field("data") {
             Some(ObjValue::Bytes(b)) => b.clone(),
             _ => TaintedBytes::new(),
         };
-        Ok((status, payload))
+        let zxid = response.field("zxid").and_then(ObjValue::as_int);
+        Ok(Reply {
+            status,
+            data,
+            zxid: zxid.unwrap_or(0),
+        })
     }
 
     fn check(status: i64, path: &str) -> Result<(), ZkError> {
@@ -526,8 +595,7 @@ impl ZkClient {
     ///
     /// [`ZkError::NodeExists`] or transport errors.
     pub fn create(&self, path: &str, data: TaintedBytes) -> Result<(), ZkError> {
-        let (status, _) = self.call_raw("create", path, data)?;
-        Self::check(status, path)
+        Self::check(self.call_raw("create", path, data)?.status, path)
     }
 
     /// Overwrites a node.
@@ -536,8 +604,7 @@ impl ZkClient {
     ///
     /// [`ZkError::NoNode`] or transport errors.
     pub fn set(&self, path: &str, data: TaintedBytes) -> Result<(), ZkError> {
-        let (status, _) = self.call_raw("set", path, data)?;
-        Self::check(status, path)
+        Self::check(self.call_raw("set", path, data)?.status, path)
     }
 
     /// Reads a node (with the stored per-byte taints, which crossed the
@@ -547,9 +614,9 @@ impl ZkClient {
     ///
     /// [`ZkError::NoNode`] or transport errors.
     pub fn get(&self, path: &str) -> Result<TaintedBytes, ZkError> {
-        let (status, payload) = self.call_raw("get", path, TaintedBytes::new())?;
-        Self::check(status, path)?;
-        Ok(payload)
+        let reply = self.call_raw("get", path, TaintedBytes::new())?;
+        Self::check(reply.status, path)?;
+        Ok(reply.data)
     }
 
     /// Whether a node exists.
@@ -558,9 +625,9 @@ impl ZkClient {
     ///
     /// Transport errors.
     pub fn exists(&self, path: &str) -> Result<bool, ZkError> {
-        let (status, payload) = self.call_raw("exists", path, TaintedBytes::new())?;
-        Self::check(status, path)?;
-        Ok(payload.data() == [1])
+        let reply = self.call_raw("exists", path, TaintedBytes::new())?;
+        Self::check(reply.status, path)?;
+        Ok(reply.data.data() == [1])
     }
 
     /// The VM running this client.
