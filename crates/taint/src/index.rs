@@ -1,6 +1,6 @@
 //! Stored once, indexed by id: the byte arena and interning index of the
-//! tag table and the Taint Map's record store, and the Taint Map
-//! client's id front.
+//! tag table and the Taint Map's record store, the interning index of
+//! the taint tree's children, and the Taint Map client's id front.
 
 use std::hash::{BuildHasher, Hash, RandomState};
 use std::marker::PhantomData;
@@ -36,8 +36,11 @@ const MIN_SLOTS: usize = 8;
 /// bits scaled to the table's length, so a probe touches the caller's
 /// store only for a candidate that very likely matches, and growing
 /// never re-reads it.
-/// Hashes are keyed SipHash (one random key per index): both users key
-/// it by bytes that arrive from the network.
+/// [`IdIndex::hash`] is keyed SipHash (one random key per index): the
+/// tag table and the Taint Map's record store key theirs by bytes that
+/// arrive from the network. The taint tree's child index keys by its own
+/// node and tag ids and passes [`crate::IdMap`]'s multiply-rotate hash
+/// of them to `find` and `insert` instead.
 ///
 /// ```rust
 /// use dista_taint::IdIndex;
@@ -304,7 +307,8 @@ impl<K: sealed::Id, V: sealed::Id> IdFront<K, V> {
 mod tests {
     use super::*;
 
-    /// Interns `key` into `store` through `index`, as both users do.
+    /// Interns `key` into `store` through `index`, as the byte-keyed
+    /// users do.
     fn intern(index: &mut IdIndex, store: &mut Vec<Vec<u8>>, key: &[u8]) -> u32 {
         let hash = index.hash(key);
         if let Some(id) = index.find(hash, |id| store[id as usize] == key) {

@@ -11,12 +11,14 @@
 //! # Concurrency design
 //!
 //! The tree is read-mostly: once a node exists it is immutable, and hot
-//! paths (`tag_ids`, `tag_count`, `is_subset`) only walk parent links.
+//! paths (`tag_ids`, `tag_count`) only walk parent links.
 //! [`TaintTree`] therefore keeps its nodes in an append-only
 //! [`NodeTable`] — chunked storage where published slots are never moved
 //! or mutated, so walks take **no lock at all** — and stripes the two
-//! interning maps (`children`, `union_memo`) across [`SHARDS`]
+//! interning tables (`children`, `union_memo`) across [`SHARDS`]
 //! independent `RwLock`s so writers on unrelated keys don't contend.
+//! `children` is an [`IdIndex`] of node ids: the key of a child is the
+//! child node itself, read lock-free from the node table.
 //!
 //! A singleton node `{tag}` is not in `children`: it is kept in the
 //! tag's own entry of the tag table and made under the tags lock. Locks
@@ -26,7 +28,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::OnceLock;
 
@@ -80,12 +82,15 @@ struct TagEntry {
 
 const _: () = assert!(std::mem::size_of::<TagEntry>() == 28);
 
-#[derive(Debug, Clone, Copy)]
+/// One interned set: its parent's set plus `tag`. 12 bytes in its
+/// `OnceLock` slot; a set's size is found by walking to the root.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Node {
     parent: u32,
     tag: TagId,
-    depth: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<OnceLock<Node>>() == 12);
 
 /// Number of lock stripes for the interning maps. Power of two.
 const SHARDS: usize = 16;
@@ -129,7 +134,6 @@ impl NodeTable {
         table.push(Node {
             parent: 0,
             tag: TagId(u32::MAX),
-            depth: 0,
         });
         table
     }
@@ -270,13 +274,16 @@ type FxMap<K, V> = HashMap<K, V, FxBuildHasher>;
 /// party chooses freely — there is no collision resistance.
 pub type IdMap<K, V> = FxMap<K, V>;
 
-/// Shard selection reuses the map hash but takes the *top* bits — the
-/// map's buckets are chosen from the low bits, so keys that land in the
-/// same shard still spread across its buckets.
-fn shard_of<K: Hash>(key: &K) -> usize {
-    let mut h = FxHasher::default();
-    key.hash(&mut h);
-    (h.finish() >> (64 - SHARDS.trailing_zeros())) as usize
+/// A key's multiply-rotate hash.
+fn fx_hash<K: Hash>(key: &K) -> u64 {
+    FxBuildHasher::default().hash_one(key)
+}
+
+/// Shard selection takes the *top* bits of a key's hash — a stripe's
+/// buckets are chosen from the low bits, so keys that land in the same
+/// shard still spread across its buckets.
+fn shard_of(hash: u64) -> usize {
+    (hash >> (64 - SHARDS.trailing_zeros())) as usize
 }
 
 /// A per-VM singleton taint tree (lock-striped).
@@ -302,9 +309,10 @@ fn shard_of<K: Hash>(key: &K) -> usize {
 /// ```
 pub struct TaintTree {
     nodes: NodeTable,
-    /// Child lookup: (parent node, tag) -> child node, striped by key.
-    /// The root's children are not here: see [`TaintTree::singleton`].
-    children: Vec<RwLock<FxMap<(u32, TagId), u32>>>,
+    /// Child lookup: the ids of non-root nodes, keyed by the node's own
+    /// `(parent, tag)` and striped by it. The root's children are not
+    /// here: see [`TaintTree::singleton`].
+    children: Vec<RwLock<IdIndex>>,
     /// Memoized unions keyed by (smaller node, larger node), striped.
     union_memo: Vec<RwLock<FxMap<(u32, u32), u32>>>,
     tags: RwLock<TagTable>,
@@ -330,7 +338,9 @@ impl TaintTree {
     pub fn new() -> Self {
         TaintTree {
             nodes: NodeTable::new(),
-            children: (0..SHARDS).map(|_| RwLock::new(FxMap::default())).collect(),
+            children: (0..SHARDS)
+                .map(|_| RwLock::new(IdIndex::default()))
+                .collect(),
             union_memo: (0..SHARDS).map(|_| RwLock::new(FxMap::default())).collect(),
             tags: RwLock::new(TagTable::default()),
             memo_hits: AtomicU64::new(0),
@@ -387,32 +397,29 @@ impl TaintTree {
         let mut tags = self.tags.write();
         let entry = tags.entry_mut(tag);
         if entry.node == 0 {
-            entry.node = self.nodes.push(Node {
-                parent: 0,
-                tag,
-                depth: 1,
-            });
+            entry.node = self.nodes.push(Node { parent: 0, tag });
         }
         entry.node
     }
 
     /// Looks up or creates the child of `parent` along `tag`.
     fn intern_child(&self, parent: u32, tag: TagId) -> u32 {
-        let key = (parent, tag);
-        let shard = &self.children[shard_of(&key)];
-        if let Some(&child) = shard.read().get(&key) {
+        let node = Node { parent, tag };
+        let hash = fx_hash(&(parent, tag));
+        let shard = &self.children[shard_of(hash)];
+        let is_node = |id| self.nodes.get(id) == node;
+        if let Some(child) = shard.read().find(hash, is_node) {
             return child;
         }
         let mut shard = shard.write();
-        if let Some(&child) = shard.get(&key) {
+        if let Some(child) = shard.find(hash, is_node) {
             return child;
         }
-        let depth = self.nodes.get(parent).depth + 1;
         // The slot is fully written by `push` before the index is
-        // published through the map below, so lock-free readers can
+        // published through the stripe below, so lock-free readers can
         // never observe a half-made node.
-        let index = self.nodes.push(Node { parent, tag, depth });
-        shard.insert(key, index);
+        let index = self.nodes.push(node);
+        shard.insert(hash, index);
         index
     }
 
@@ -443,7 +450,7 @@ impl TaintTree {
     /// by `TagId`, so reading the path bottom-up and reversing yields the
     /// canonical sorted set.
     fn path(&self, node: u32) -> Vec<TagId> {
-        let mut out = Vec::with_capacity(self.nodes.get(node).depth as usize);
+        let mut out = Vec::new();
         self.push_path(node, &mut out);
         out.reverse();
         out
@@ -462,7 +469,7 @@ impl TaintTree {
             return b;
         }
         let key = (a.0.min(b.0), a.0.max(b.0));
-        let shard = &self.union_memo[shard_of(&key)];
+        let shard = &self.union_memo[shard_of(fx_hash(&key))];
         if let Some(&n) = shard.read().get(&key) {
             self.memo_hits.fetch_add(1, Ordering::Relaxed);
             return Taint(n);
@@ -516,9 +523,15 @@ impl TaintTree {
         self.path(taint.0)
     }
 
-    /// Number of tags in a taint (its depth in the tree). Lock-free.
+    /// Number of tags in a taint (its depth in the tree): a walk to the
+    /// root. Lock-free.
     pub fn tag_count(&self, taint: Taint) -> usize {
-        self.nodes.get(taint.0).depth as usize
+        let (mut cur, mut depth) = (taint.0, 0);
+        while cur != 0 {
+            cur = self.nodes.get(cur).parent;
+            depth += 1;
+        }
+        depth
     }
 
     /// Full quad for one tag.
@@ -575,30 +588,6 @@ impl TaintTree {
         if !entry.global_id.is_tainted() {
             entry.global_id = gid;
         }
-    }
-
-    /// True if `taint` carries `tag`.
-    pub fn has_tag(&self, taint: Taint, tag: TagId) -> bool {
-        self.tag_ids(taint).contains(&tag)
-    }
-
-    /// True if the tag set of `needle` is a subset of `haystack`'s.
-    pub fn is_subset(&self, needle: Taint, haystack: Taint) -> bool {
-        let n = self.tag_ids(needle);
-        let h = self.tag_ids(haystack);
-        let mut hi = h.iter();
-        'outer: for t in &n {
-            for cand in hi.by_ref() {
-                if cand == t {
-                    continue 'outer;
-                }
-                if cand > t {
-                    return false;
-                }
-            }
-            return false;
-        }
-        true
     }
 
     /// Number of distinct tags minted so far.
@@ -850,17 +839,6 @@ mod tests {
             ids.iter().copied().eq(0..TOTAL),
             "ids are 0..100 000, each once"
         );
-    }
-
-    #[test]
-    fn has_tag_and_subset() {
-        let (tree, ta, tb) = tree_ab();
-        let tc = tree.union(ta, tb);
-        let a_id = tree.tag_ids(ta)[0];
-        assert!(tree.has_tag(tc, a_id));
-        assert!(tree.is_subset(ta, tc));
-        assert!(tree.is_subset(Taint::EMPTY, ta));
-        assert!(!tree.is_subset(tc, ta));
     }
 
     #[test]

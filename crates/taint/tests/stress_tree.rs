@@ -96,6 +96,66 @@ fn concurrent_interning_gives_equal_handles_for_equal_sets() {
 }
 
 #[test]
+fn threads_released_together_intern_each_new_set_once() {
+    // Every round all threads are let go at once to intern the same set
+    // of 8 picks from 64 tags — mostly children no thread has made yet,
+    // so lookups race on a miss. Each round must give every thread one
+    // handle, and the tree must hold exactly the nodes a single thread
+    // makes for the same sets.
+    const RACERS: usize = 4;
+    const SETS: usize = 5_000;
+    let picks = |round: usize| -> Vec<usize> {
+        (0..8)
+            .map(|k| subset_bits(round, k) as usize % 64)
+            .collect()
+    };
+    let build = |tree: &TaintTree| -> Vec<Taint> {
+        (0..64)
+            .map(|i| tree.taint_of_tag(tree.mint_tag(TagValue::Int(i), LocalId::default())))
+            .collect()
+    };
+    let tree = TaintTree::new();
+    let pool = build(&tree);
+    let go = Barrier::new(RACERS);
+    let results: Vec<Vec<Taint>> = thread::scope(|s| {
+        let handles: Vec<_> = (0..RACERS)
+            .map(|_| {
+                s.spawn(|| {
+                    (0..SETS)
+                        .map(|round| {
+                            go.wait();
+                            tree.union_all(picks(round).into_iter().map(|i| pool[i]))
+                        })
+                        .collect()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("racing thread panicked"))
+            .collect()
+    });
+    for round in 0..SETS {
+        let first = results[0][round];
+        for racer in &results[1..] {
+            assert_eq!(racer[round], first, "set {round} interned to two handles");
+        }
+    }
+
+    let alone = TaintTree::new();
+    let alone_pool = build(&alone);
+    for (round, &raced) in results[0].iter().enumerate() {
+        let taint = alone.union_all(picks(round).into_iter().map(|i| alone_pool[i]));
+        assert_eq!(alone.tag_ids(taint), tree.tag_ids(raced));
+    }
+    assert_eq!(
+        tree.num_nodes(),
+        alone.num_nodes(),
+        "racing threads interned duplicate nodes"
+    );
+}
+
+#[test]
 fn concurrent_union_is_a_semilattice() {
     let tree = Arc::new(TaintTree::new());
     let tags: Vec<_> = (0..POOL as i64)

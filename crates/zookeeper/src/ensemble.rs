@@ -1,7 +1,7 @@
 //! Ensemble orchestration: boot files, election, then the replicated
 //! client service (leader + commit channels to followers).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use dista_jre::{JreError, ObjValue, ObjectInputStream, ObjectOutputStream, Socket, Vm};
@@ -42,7 +42,8 @@ impl Default for ZkEnsembleConfig {
 pub struct ZkEnsemble {
     outcome: ElectionOutcome,
     servers: Vec<ZkServerHandle>,
-    client_addrs: HashMap<i64, NodeAddr>,
+    /// Keyed by `myid`, in id order.
+    client_addrs: BTreeMap<i64, NodeAddr>,
 }
 
 impl ZkEnsemble {
@@ -83,7 +84,7 @@ impl ZkEnsemble {
         let leader_handle = ZkServerHandle::start(leader_vm, leader_addr, leader_core)?;
 
         let mut servers = Vec::new();
-        let mut client_addrs = HashMap::new();
+        let mut client_addrs = BTreeMap::new();
         client_addrs.insert(outcome.leader, leader_addr);
 
         for (i, vm) in vms.iter().enumerate() {
@@ -144,7 +145,11 @@ impl ZkEnsemble {
         self.client_addrs.get(&myid).copied()
     }
 
-    /// Client-port address of any server (the first).
+    /// Client-port address of the member with the lowest `myid`: the
+    /// same member for every ensemble started the same way. With equal
+    /// logs (the default config) the highest id leads, so this member is
+    /// a follower that forwards writes; [`Self::leader_client_addr`]
+    /// reaches the leader.
     pub fn any_client_addr(&self) -> NodeAddr {
         *self
             .client_addrs
@@ -214,6 +219,31 @@ mod tests {
         client.close();
         ensemble.shutdown();
         cluster.shutdown();
+    }
+
+    #[test]
+    fn any_client_addr_is_the_same_member_for_equal_ensembles() {
+        let start = || {
+            let cluster = Cluster::builder(Mode::Original)
+                .nodes("zk", 3)
+                .build()
+                .unwrap();
+            let config = ZkEnsembleConfig {
+                txn_logs: vec![vec![1], vec![1, 2, 3], vec![1, 2]],
+                ..Default::default()
+            };
+            let ensemble = ZkEnsemble::start(cluster.vms(), config).unwrap();
+            (cluster, ensemble)
+        };
+        let (first_cluster, first) = start();
+        let (second_cluster, second) = start();
+        assert_eq!(first.any_client_addr(), first.client_addr(1).unwrap());
+        assert_eq!(first.any_client_addr(), second.any_client_addr());
+        assert_eq!(first.leader(), 2, "member 1 is a follower");
+        for (ensemble, cluster) in [(first, first_cluster), (second, second_cluster)] {
+            ensemble.shutdown();
+            cluster.shutdown();
+        }
     }
 
     #[test]
