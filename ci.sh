@@ -67,10 +67,11 @@ done
 echo "==> taint tree under --release, where races show: eight threads intern overlapping sets through the lock-free child index"
 cargo test -q --release --offline -p dista-taint --test stress_tree
 
-echo "==> bytes per global taint: packed records round-trip in release, as the benchmark runs them; live-byte census of 100k fresh taints, per layer (<= 340 B overall, <= 72 B in the backend, <= 60 B per tag in one VM); 100k sink unions of 8 pool taints (<= 30 B per tree node)"
+echo "==> bytes per global taint, tree node and sink hit: packed records round-trip in release, as the benchmark runs them; live-byte census of 100k fresh taints, per layer (<= 340 B overall, <= 72 B in the backend, <= 60 B per tag in one VM); 100k sink unions of 8 pool taints (<= 30 B per tree node); 100k sink hits (<= 16 B per hit) and a logger that stops growing once its ring is full"
 cargo test -q --release --offline -p dista-taint --lib serial
 cargo test -q --release --offline -p dista-taintmap --test bytes_per_gid
 cargo test -q --release --offline -p dista-taint --test bytes_per_node
+cargo test -q --release --offline -p dista-jre --test bytes_per_sink_event
 
 echo "==> claim_global_taints --smoke"
 cargo run -p dista-bench --bin claim_global_taints --release --offline -- --smoke

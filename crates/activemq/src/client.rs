@@ -192,10 +192,7 @@ impl Consumer {
         self.vm
             .sink_point(CONSUMER_CLASS, "receive", message.taint(&self.vm));
         // SIM visibility: message receipt is logged too.
-        self.log.info_payload(
-            "received message",
-            &dista_taint::Payload::Tainted(message.body.clone()),
-        );
+        self.log.info_payload("received message", &message.body);
         Ok(message)
     }
 

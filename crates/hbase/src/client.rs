@@ -5,7 +5,7 @@ use std::str::FromStr;
 
 use dista_jre::{JreError, Logger, SocketChannel, Vm};
 use dista_simnet::NodeAddr;
-use dista_taint::{Payload, TagValue, Taint, Tainted, TaintedBytes};
+use dista_taint::{TagValue, Taint, Tainted, TaintedBytes};
 use dista_zookeeper::ZkClient;
 
 use crate::pbrpc::{read_message, write_message, PbMessage};
@@ -67,7 +67,7 @@ impl HTable {
         let log = Logger::new(vm);
         // SIM visibility: route discovery is logged; the route bytes may
         // carry the RS's config taint (via master via ZooKeeper).
-        log.info_payload("located region server", &Payload::Tainted(route.clone()));
+        log.info_payload("located region server", &route);
 
         let rs_addr = NodeAddr::from_str(
             std::str::from_utf8(route.data()).map_err(|_| JreError::Protocol("malformed route"))?,

@@ -4,7 +4,7 @@
 use std::time::Duration;
 
 use dista_jre::{JreError, Logger, Vm};
-use dista_taint::{Payload, TaintedBytes};
+use dista_taint::TaintedBytes;
 use dista_zookeeper::{ZkClient, ZkError};
 
 /// A running HMaster (stateless after assignment: all cluster state
@@ -57,10 +57,8 @@ impl HMaster {
                 }
             }
             let value = found.ok_or(JreError::Protocol("region server never registered"))?;
-            self.log.info_payload(
-                &format!("region server {index} registered"),
-                &Payload::Tainted(value.clone()),
-            );
+            self.log
+                .info_payload(&format!("region server {index} registered"), &value);
             servers.push(value);
         }
         Ok(servers)

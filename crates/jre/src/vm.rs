@@ -299,8 +299,8 @@ impl VmBuilder {
                 ip: self.ip,
                 net: self.net,
                 fs: self.fs,
+                recorder: SinkRecorder::new(&store),
                 store,
-                recorder: SinkRecorder::new(),
                 spec: self.spec,
                 taint_map,
                 wire_protocol: self.wire_protocol,
@@ -472,7 +472,18 @@ impl Vm {
         t
     }
 
-    fn observe_sink(&self, make_name: impl Fn() -> String, taint: Taint) {
+    /// Whether `class.method` is a registered sink and the mode tracks
+    /// taints: whether [`Vm::sink_point`] records a check.
+    pub(crate) fn is_sink(&self, class: &str, method: &str) -> bool {
+        self.inner.mode.tracks_taints() && self.inner.spec.is_sink(class, method)
+    }
+
+    /// Records a hit at the sink named by `sink` joined with `.`.
+    fn record_sink(&self, sink: &[&str], taint: Taint) -> bool {
+        let hit = self.inner.recorder.check(sink, taint);
+        if !hit {
+            return false;
+        }
         self.inner.obs.sink_hits.inc();
         self.inner.obs.flight.record_with(|| {
             let quads = self.inner.store.tree().tags_of(taint);
@@ -490,46 +501,25 @@ impl Vm {
             gids.sort_unstable();
             gids.dedup();
             ObsEventKind::SinkHit {
-                sink: make_name(),
+                sink: sink.join("."),
                 tags,
                 gids,
             }
         });
+        true
     }
 
     /// Sink-point hook: if `class.method` is a registered sink, records
     /// the check. Returns whether the data was tainted (false when the
     /// sink is not registered or mode is untracked).
     pub fn sink_point(&self, class: &str, method: &str, taint: Taint) -> bool {
-        if self.inner.mode.tracks_taints() && self.inner.spec.is_sink(class, method) {
-            let hit =
-                self.inner
-                    .recorder
-                    .check(&format!("{class}.{method}"), taint, &self.inner.store);
-            if hit {
-                self.observe_sink(|| format!("{class}.{method}"), taint);
-            }
-            hit
-        } else {
-            false
-        }
+        self.is_sink(class, method) && self.record_sink(&[class, method], taint)
     }
 
     /// Unconditional sink-point: always records (programmatic SDT
     /// scenarios), unless the mode is untracked.
     pub fn taint_sink(&self, sink_name: &str, taint: Taint) -> bool {
-        if self.inner.mode.tracks_taints() {
-            let hit = self
-                .inner
-                .recorder
-                .check(sink_name, taint, &self.inner.store);
-            if hit {
-                self.observe_sink(|| sink_name.to_string(), taint);
-            }
-            hit
-        } else {
-            false
-        }
+        self.inner.mode.tracks_taints() && self.record_sink(&[sink_name], taint)
     }
 }
 

@@ -2,9 +2,14 @@
 //!
 //! The evaluation checks "at sink points if any taint is dropped or
 //! appears unexpectedly". [`SinkRecorder`] is the per-VM component that
-//! records every sink invocation together with the tag sets observed, so
-//! tests and benches can assert exact soundness (no expected tag missing)
-//! and precision (no unexpected tag present).
+//! records every sink invocation, so tests and benches can assert exact
+//! soundness (no expected tag missing) and precision (no unexpected tag
+//! present) in the [`SinkReport`] it renders.
+//!
+//! A hit is recorded as a handle, not as text: 8 bytes, the sink's index
+//! in a small name table and the [`Taint`] checked. The tree is
+//! append-only and tag values never change, so the report renders the
+//! same names and tags on read as rendering at the check would have.
 
 use std::sync::Arc;
 
@@ -72,7 +77,52 @@ impl SinkReport {
     }
 }
 
+/// One recorded hit: the sink's index in the recorder's name table and
+/// the checked taint. 8 bytes.
+#[derive(Debug, Clone, Copy)]
+struct Hit {
+    sink: u32,
+    taint: Taint,
+}
+
+#[derive(Debug, Default)]
+struct Hits {
+    /// Each sink name once, in first-hit order. A VM has a handful of
+    /// sink points, so a scan finds a name.
+    names: Vec<String>,
+    hits: Vec<Hit>,
+}
+
+impl Hits {
+    /// The index of the sink named by `parts` joined with `.`, added on
+    /// its first hit.
+    fn intern(&mut self, parts: &[&str]) -> u32 {
+        let found = self.names.iter().position(|name| is_joined(name, parts));
+        let at = found.unwrap_or_else(|| {
+            self.names.push(parts.join("."));
+            self.names.len() - 1
+        });
+        at as u32
+    }
+}
+
+/// Whether `name` is `parts` joined with `.`, without joining them.
+fn is_joined(name: &str, parts: &[&str]) -> bool {
+    let mut rest = name;
+    for (i, part) in parts.iter().enumerate() {
+        let sep = if i == 0 { "" } else { "." };
+        let Some(r) = rest.strip_prefix(sep).and_then(|r| r.strip_prefix(part)) else {
+            return false;
+        };
+        rest = r;
+    }
+    rest.is_empty()
+}
+
 /// Thread-safe per-VM sink recorder.
+///
+/// A hit keeps an 8-byte handle; [`SinkRecorder::report`] renders the
+/// names and tags when it is called (see the module docs).
 ///
 /// # Example
 ///
@@ -80,58 +130,78 @@ impl SinkReport {
 /// use dista_taint::{TaintStore, LocalId, TagValue, SinkRecorder};
 ///
 /// let store = TaintStore::new(LocalId::default());
-/// let recorder = SinkRecorder::new();
+/// let recorder = SinkRecorder::new(&store);
 /// let t = store.mint_source_taint(TagValue::str("secret"));
-/// recorder.check("Logger.info", t, &store);
+/// assert!(recorder.check(&["Logger", "info"], t));
 /// let report = recorder.report();
 /// assert_eq!(report.events.len(), 1);
+/// assert_eq!(report.events[0].sink, "Logger.info");
 /// assert_eq!(report.events[0].tags, vec!["secret".to_string()]);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct SinkRecorder {
-    events: Arc<Mutex<Vec<SinkEvent>>>,
+    inner: Arc<RecorderInner>,
+}
+
+#[derive(Debug)]
+struct RecorderInner {
+    store: TaintStore,
+    hits: Mutex<Hits>,
 }
 
 impl SinkRecorder {
-    /// Creates an empty recorder.
-    pub fn new() -> Self {
-        Self::default()
+    /// Creates an empty recorder whose reports render taints of `store`.
+    pub fn new(store: &TaintStore) -> Self {
+        SinkRecorder {
+            inner: Arc::new(RecorderInner {
+                store: store.clone(),
+                hits: Mutex::default(),
+            }),
+        }
     }
 
-    /// Records a sink invocation that checked data with taint `taint`.
+    /// Records a sink invocation that checked data with taint `taint`;
+    /// the sink's name is `sink`'s parts joined with `.` (`["LOG",
+    /// "info"]` and `["LOG.info"]` name the same sink).
     ///
     /// Returns `true` if the data was tainted (useful for inline asserts).
-    pub fn check(&self, sink: &str, taint: Taint, store: &TaintStore) -> bool {
-        let tags = store.tag_values(taint);
-        let tainted = !tags.is_empty();
-        self.events.lock().push(SinkEvent {
-            sink: sink.to_string(),
-            tags,
-            taint,
-        });
-        tainted
+    pub fn check(&self, sink: &[&str], taint: Taint) -> bool {
+        let mut hits = self.inner.hits.lock();
+        let sink = hits.intern(sink);
+        hits.hits.push(Hit { sink, taint });
+        !taint.is_empty()
     }
 
-    /// Snapshot of all events so far.
+    /// Snapshot of all events so far, rendered now.
     pub fn report(&self) -> SinkReport {
-        SinkReport {
-            events: self.events.lock().clone(),
-        }
+        let (names, hits) = {
+            let hits = self.inner.hits.lock();
+            (hits.names.clone(), hits.hits.clone())
+        };
+        let events = hits
+            .into_iter()
+            .map(|hit| SinkEvent {
+                sink: names[hit.sink as usize].clone(),
+                tags: self.inner.store.tag_values(hit.taint),
+                taint: hit.taint,
+            })
+            .collect();
+        SinkReport { events }
     }
 
     /// Clears recorded events (between benchmark iterations).
     pub fn reset(&self) {
-        self.events.lock().clear();
+        self.inner.hits.lock().hits.clear();
     }
 
     /// Number of events recorded so far.
     pub fn len(&self) -> usize {
-        self.events.lock().len()
+        self.inner.hits.lock().hits.len()
     }
 
     /// Whether nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.events.lock().is_empty()
+        self.inner.hits.lock().hits.is_empty()
     }
 }
 
@@ -143,10 +213,10 @@ mod tests {
     #[test]
     fn records_in_order() {
         let store = TaintStore::new(LocalId::default());
-        let rec = SinkRecorder::new();
+        let rec = SinkRecorder::new(&store);
         let a = store.mint_source_taint(TagValue::str("a"));
-        rec.check("S.one", a, &store);
-        rec.check("S.two", Taint::EMPTY, &store);
+        rec.check(&["S.one"], a);
+        rec.check(&["S.two"], Taint::EMPTY);
         let report = rec.report();
         assert_eq!(report.events.len(), 2);
         assert!(report.events[0].is_tainted());
@@ -157,10 +227,10 @@ mod tests {
     #[test]
     fn saw_exactly_matches_tag_sets() {
         let store = TaintStore::new(LocalId::default());
-        let rec = SinkRecorder::new();
+        let rec = SinkRecorder::new(&store);
         let a = store.mint_source_taint(TagValue::str("a"));
         let b = store.mint_source_taint(TagValue::str("b"));
-        rec.check("check", store.union(a, b), &store);
+        rec.check(&["check"], store.union(a, b));
         let report = rec.report();
         assert!(report.saw_exactly("check", vec!["b".into(), "a".into()]));
         assert!(!report.saw_exactly("check", vec!["a".into()]));
@@ -170,18 +240,18 @@ mod tests {
     #[test]
     fn observed_tags_dedup() {
         let store = TaintStore::new(LocalId::default());
-        let rec = SinkRecorder::new();
+        let rec = SinkRecorder::new(&store);
         let a = store.mint_source_taint(TagValue::str("a"));
-        rec.check("s", a, &store);
-        rec.check("s", a, &store);
+        rec.check(&["s"], a);
+        rec.check(&["s"], a);
         assert_eq!(rec.report().observed_tags(), vec!["a".to_string()]);
     }
 
     #[test]
     fn reset_clears() {
         let store = TaintStore::new(LocalId::default());
-        let rec = SinkRecorder::new();
-        rec.check("s", Taint::EMPTY, &store);
+        let rec = SinkRecorder::new(&store);
+        rec.check(&["s"], Taint::EMPTY);
         assert!(!rec.is_empty());
         rec.reset();
         assert!(rec.is_empty());
@@ -189,11 +259,39 @@ mod tests {
     }
 
     #[test]
+    fn a_name_given_in_parts_is_the_same_sink() {
+        let store = TaintStore::new(LocalId::default());
+        let rec = SinkRecorder::new(&store);
+        rec.check(&["LOG", "info"], Taint::EMPTY);
+        rec.check(&["LOG.info"], Taint::EMPTY);
+        rec.check(&["LOG", "infos"], Taint::EMPTY);
+        rec.check(&["LOGinfo"], Taint::EMPTY);
+        let sinks: Vec<String> = rec.report().events.into_iter().map(|e| e.sink).collect();
+        assert_eq!(sinks, ["LOG.info", "LOG.info", "LOG.infos", "LOGinfo"]);
+        assert_eq!(rec.inner.hits.lock().names.len(), 3);
+    }
+
+    #[test]
+    fn a_report_renders_what_the_check_saw() {
+        let store = TaintStore::new(LocalId::default());
+        let rec = SinkRecorder::new(&store);
+        let a = store.mint_source_taint(TagValue::str("a"));
+        let b = store.mint_source_taint(TagValue::str("b"));
+        let ab = store.union(a, b);
+        rec.check(&["s"], ab);
+        let at_check = store.tag_values(ab);
+        // Later mints and unions only append to the tree.
+        let c = store.mint_source_taint(TagValue::str("c"));
+        store.union(ab, c);
+        assert_eq!(rec.report().events[0].tags, at_check);
+    }
+
+    #[test]
     fn clones_share_event_log() {
         let store = TaintStore::new(LocalId::default());
-        let rec = SinkRecorder::new();
+        let rec = SinkRecorder::new(&store);
         let clone = rec.clone();
-        clone.check("s", Taint::EMPTY, &store);
+        clone.check(&["s"], Taint::EMPTY);
         assert_eq!(rec.len(), 1);
     }
 }

@@ -1254,7 +1254,7 @@ mod tests {
     use super::*;
     use crate::endpoint::TaintMapEndpoint;
     use dista_simnet::FaultAction;
-    use dista_taint::{LocalId, TagValue};
+    use dista_taint::{LocalId, SinkRecorder, TagValue};
     use std::time::Duration;
 
     fn setup() -> (SimNet, TaintMapEndpoint, TaintMapClient, TaintStore) {
@@ -1898,6 +1898,9 @@ mod tests {
             store2.tag_values(degraded[0]),
             vec![format!("pending-gid:{}", gid.0)]
         );
+        // A sink hit on the sentinel, read back only after the heal.
+        let sinks = SinkRecorder::new(&store2);
+        assert!(sinks.check(&["Consumer", "receive"], degraded[0]));
         let stats = client2.stats();
         assert_eq!(stats.degraded_lookups, 1, "one sentinel per distinct gid");
         assert_eq!(stats.pending_gids, 1);
@@ -1923,6 +1926,11 @@ mod tests {
         assert_eq!(client2.pending_count(), 0);
         let real = client2.resolution_of(degraded[0]).expect("resolved");
         assert_eq!(store2.tag_values(real), vec!["cut-off".to_string()]);
+        // The recorded hit still names the sentinel it checked.
+        assert_eq!(
+            sinks.report().events[0].tags,
+            vec![format!("pending-gid:{}", gid.0)]
+        );
         assert_eq!(client2.stats().pending_resolved, 1);
         // The strict path now sees the real taint from cache.
         assert_eq!(client2.taints_for(&[gid]).unwrap()[0], real);

@@ -1,7 +1,8 @@
 //! SinkRecorder and flight-recorder behaviour under concurrency: eight
 //! threads hammer sinks on one VM. The sink report must contain every
-//! event exactly once and keep each thread's events in its program
-//! order; flight-recorder sequence numbers must be unique and per-thread
+//! event exactly once, keep each thread's events in its program order
+//! and render each event's tags as the store rendered them at its check;
+//! flight-recorder sequence numbers must be unique and per-thread
 //! monotonic.
 
 use std::sync::Arc;
@@ -30,16 +31,17 @@ fn eight_threads_hitting_sinks_keep_the_report_consistent() {
         .map(|thread| {
             let vm = Arc::clone(&vm);
             std::thread::spawn(move || {
+                let mut at_check = Vec::with_capacity(HITS_PER_THREAD);
                 for i in 0..HITS_PER_THREAD {
                     let t = vm.taint_source(TagValue::str(format!("t{thread}-{i}")));
                     assert!(vm.taint_sink(&format!("sink.t{thread}"), t));
+                    at_check.push(vm.store().tag_values(t));
                 }
+                at_check
             })
         })
         .collect();
-    for h in handles {
-        h.join().unwrap();
-    }
+    let at_check: Vec<Vec<Vec<String>>> = handles.into_iter().map(|h| h.join().unwrap()).collect();
 
     // Every hit recorded exactly once, all of them tainted.
     let report = vm.sink_report();
@@ -66,6 +68,19 @@ fn eight_threads_hitting_sinks_keep_the_report_consistent() {
             .collect();
         let want: Vec<usize> = (0..HITS_PER_THREAD).collect();
         assert_eq!(indices, want, "thread {thread} events in program order");
+    }
+
+    // A report renders on read; each event's tags are what the store
+    // rendered at its check, while the other threads kept minting.
+    for (thread, want) in at_check.iter().enumerate() {
+        let sink = format!("sink.t{thread}");
+        let got: Vec<&Vec<String>> = report
+            .events
+            .iter()
+            .filter(|e| e.sink == sink)
+            .map(|e| &e.tags)
+            .collect();
+        assert_eq!(got, want.iter().collect::<Vec<_>>(), "thread {thread}");
     }
 
     // Flight-recorder view: a mint + a hit per iteration, all seqs
