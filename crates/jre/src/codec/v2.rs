@@ -11,7 +11,7 @@
 //!            (run_len:varint gid:width-bytes-BE){nseg} data[dlen]
 //! records := 0x03 width:u8 dlen:varint (byte gid:width)^dlen  # v1 records
 //! annot   := 0x04 span:varint parent:varint                # trace context
-//! defs    := 0x05 n:varint (gid:varint len:varint serialized[len]){n}
+//! defs    := 0x05 n:varint (gid:varint len:varint packed[len]){n}
 //! ```
 //!
 //! The last two are control frames, written ahead of one payload's data
@@ -71,13 +71,15 @@ pub const OP_ANNOT: u8 = 0x04;
 /// Frame opcode: inline taint definitions.
 ///
 /// ```text
-/// defs := 0x05 n:varint (gid:varint len:varint serialized[len]){n}
+/// defs := 0x05 n:varint (gid:varint len:varint packed[len]){n}
 /// ```
 ///
 /// Like an annotation, a definitions frame is **not** a data frame. It
 /// carries, for the tainted gids of the payload whose data frames follow
 /// it that the peer is not known to hold, the serialized taint each gid
-/// names, so the receiver resolves them from the stream instead of from
+/// names — packed, as `dista_taint::serialize_taint` writes it and the
+/// Taint Map stores it (a one-tag string taint of `n` bytes is
+/// `n + 11`) — so the receiver resolves them from the stream instead of from
 /// the Taint Map. The boundary writes it after the annotation and before
 /// the data frames and strips it on receive with [`parse_defs`]; the data
 /// decoder stops at it as at an annotation, and the datagram decoder
@@ -240,7 +242,7 @@ impl<'a> Iterator for Defs<'a> {
     }
 }
 
-/// Reads one `gid len serialized[len]` definition.
+/// Reads one `gid len packed[len]` definition.
 fn read_def<'a>(r: &mut ByteReader<'a>) -> Result<(GlobalId, &'a [u8]), ReadError> {
     let gid = u32::try_from(r.varint()?)
         .map_err(|_| ReadError::Malformed("v2 definition names a gid past 32 bits"))?;

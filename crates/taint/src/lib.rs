@@ -47,10 +47,7 @@ pub use index::{ArenaSpan, ByteArena, IdFront, IdIndex};
 pub use reader::{ByteReader, ReadError};
 pub use report::{SinkEvent, SinkRecorder, SinkReport};
 pub use runs::{TaintRun, TaintRuns};
-pub use serial::{
-    deserialize_taint, pack_serialized, serialize_taint, unpack_serialized, TaintCodecError,
-    SERIALIZED_TAG_OVERHEAD,
-};
+pub use serial::{deserialize_taint, serialize_taint, unpack_serialized, TaintCodecError};
 pub use spec::{MethodDesc, ParseSpecError, SourceSinkSpec};
 pub use store::TaintStore;
 pub use tag::{GlobalId, LocalId, TagId, TagValue, TaintTag};

@@ -1,20 +1,27 @@
-//! Taint serialization — the wire form a taint takes when it is shipped
-//! to the Taint Map (paper §III-D-2).
+//! Taint serialization — the bytes that name a global taint wherever it
+//! leaves its VM (paper §III-D-2): a v2 definition, a Taint Map `BIND`
+//! record, a `LOOKUP` answer, a log or `REPLICATE` record, and the copy
+//! a backend stores.
 //!
 //! The paper observes that "a serialized taint with one tag can be over
 //! 200 bytes" (Java serialization is verbose: class descriptors, field
 //! tables, object headers) and that length grows linearly with the tag
-//! count. This codec reproduces those size characteristics — a
-//! self-describing header, per-tag class/field metadata and an object
-//! header pad — so the bandwidth experiments (claim C1/C2 in DESIGN.md)
-//! measure realistic byte counts.
+//! count. This module keeps that form — a self-describing header,
+//! per-tag class/field metadata and an object header pad — as its
+//! *full* form, private here: it fixes the layout, and no wire carries
+//! it. A taint leaves packed against the full form of one empty string
+//! tag minted at `0.0.0.0:0`: what the two share at their start and at
+//! their end is dropped and the two lengths are kept, one byte each. A
+//! single-tag string taint of `n < 256` bytes is `n + 11` bytes packed,
+//! `n + 200` full.
 
+use std::cell::RefCell;
 use std::fmt;
 use std::sync::OnceLock;
 
 use crate::reader::{ByteReader, ReadError};
 use crate::store::TaintStore;
-use crate::tag::{GlobalId, LocalId, RawValue, KIND_BYTES, KIND_INT, KIND_STR};
+use crate::tag::{LocalId, RawValue, KIND_BYTES, KIND_INT, KIND_STR};
 use crate::tree::{Taint, TaintTree};
 
 const MAGIC: [u8; 4] = [0xAC, 0xED, 0xD1, 0x5A];
@@ -23,24 +30,27 @@ const TAG_CLASS: &str = "dista.taint.TaintTag";
 const FIELD_NAMES: [&str; 4] = ["id", "value", "localId", "globalId"];
 /// Pad emulating the JVM object header + type metadata per serialized tag.
 const OBJECT_HEADER_PAD: usize = 96;
+const PAD_BYTE: u8 = 0xEE;
 
-/// Fixed per-tag overhead in bytes (excludes the tag value itself).
-///
-/// One serialized single-tag taint is `header + SERIALIZED_TAG_OVERHEAD +
-/// value_len` bytes, which lands above 200 — matching the paper's
-/// bandwidth motivation for the Taint Map.
-pub const SERIALIZED_TAG_OVERHEAD: usize =
-    2 + TAG_CLASS.len() + field_table_len() + 4 + 1 + 4 + 8 + 4 + OBJECT_HEADER_PAD;
+/// A full-form buffer this large or larger is dropped after its call
+/// rather than kept for the thread's next one.
+const KEPT_FULL: usize = 4096;
 
-const fn field_table_len() -> usize {
-    // u8 length prefix + name, for each of the four quad fields.
-    let mut total = 0;
-    let mut i = 0;
-    while i < FIELD_NAMES.len() {
-        total += 1 + FIELD_NAMES[i].len();
-        i += 1;
-    }
-    total
+thread_local! {
+    /// The full form being written or read on this thread.
+    static FULL: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Runs `f` on this thread's full-form buffer, emptied.
+fn with_full<T>(f: impl FnOnce(&mut Vec<u8>) -> T) -> T {
+    FULL.with_borrow_mut(|full| {
+        full.clear();
+        let out = f(full);
+        if full.capacity() >= KEPT_FULL {
+            *full = Vec::new();
+        }
+        out
+    })
 }
 
 /// Errors produced when decoding a serialized taint.
@@ -56,6 +66,11 @@ pub enum TaintCodecError {
     BadValueKind(u8),
     /// A string tag value was not valid UTF-8.
     BadUtf8,
+    /// The bytes are not what [`serialize_taint`] writes: a length byte
+    /// runs past the packing template, the packing is one it never
+    /// makes, or the full form has a non-zero rank or global id, a
+    /// damaged pad, or bytes past its last tag.
+    NotCanonical,
 }
 
 impl fmt::Display for TaintCodecError {
@@ -69,6 +84,9 @@ impl fmt::Display for TaintCodecError {
             }
             TaintCodecError::BadUtf8 => {
                 f.write_str("serialized taint string value is not valid utf-8")
+            }
+            TaintCodecError::NotCanonical => {
+                f.write_str("serialized taint is not in its canonical form")
             }
         }
     }
@@ -86,8 +104,8 @@ impl From<ReadError> for TaintCodecError {
     }
 }
 
-/// Serializes a taint (all of its tag quads) for transfer to the Taint
-/// Map.
+/// Serializes a taint (all of its tag quads) for transfer: the packed
+/// bytes that name it in a v2 definition and in the Taint Map.
 ///
 /// # Example
 ///
@@ -98,7 +116,7 @@ impl From<ReadError> for TaintCodecError {
 /// let sender = TaintStore::new(LocalId::new([10, 0, 0, 1], 1));
 /// let t = sender.mint_source_taint(TagValue::str("vote"));
 /// let wire = serialize_taint(sender.tree(), t);
-/// assert!(wire.len() > 200); // paper: one tag serializes to >200 bytes
+/// assert_eq!(wire.len(), 15); // packed: the string, its origin, 3 length bytes
 ///
 /// let receiver = TaintStore::new(LocalId::new([10, 0, 0, 2], 2));
 /// let rt = deserialize_taint(&receiver, &wire)?;
@@ -106,13 +124,18 @@ impl From<ReadError> for TaintCodecError {
 /// # Ok::<(), dista_taint::TaintCodecError>(())
 /// ```
 pub fn serialize_taint(tree: &TaintTree, taint: Taint) -> Vec<u8> {
-    let count = tree.tag_count(taint);
-    let mut out = Vec::with_capacity(64 + count * (SERIALIZED_TAG_OVERHEAD + 16));
-    write_header(&mut out, count);
+    with_full(|full| {
+        write_full(full, tree, taint);
+        pack(full)
+    })
+}
+
+/// Appends the full form of `taint` to `out`.
+fn write_full(out: &mut Vec<u8>, tree: &TaintTree, taint: Taint) {
+    write_header(out, tree.tag_count(taint));
     tree.for_each_tag(taint, |_, value, local_id, _| {
-        write_tag(&mut out, value, local_id);
+        write_tag(out, value, local_id);
     });
-    out
 }
 
 fn write_header(out: &mut Vec<u8>, count: usize) {
@@ -139,11 +162,11 @@ fn write_tag(out: &mut Vec<u8>, value: RawValue<'_>, local_id: LocalId) {
     out.extend_from_slice(value.bytes);
     out.extend_from_slice(&local_id.to_bytes());
     out.extend_from_slice(&0u32.to_be_bytes());
-    out.extend(std::iter::repeat_n(0xEE, OBJECT_HEADER_PAD));
+    out.extend(std::iter::repeat_n(PAD_BYTE, OBJECT_HEADER_PAD));
 }
 
-/// The serialized form of one tag with an empty string value minted at
-/// `0.0.0.0:0`: what [`pack_serialized`] strips from either end.
+/// The full form of one tag with an empty string value minted at
+/// `0.0.0.0:0`: what packing strips from either end.
 fn template() -> &'static [u8] {
     static TEMPLATE: OnceLock<Vec<u8>> = OnceLock::new();
     TEMPLATE.get_or_init(|| {
@@ -159,37 +182,22 @@ fn template() -> &'static [u8] {
     })
 }
 
-/// Packs a serialized taint for keeping in memory: what it shares at its
-/// start and at its end with the serialized taint of one empty string
-/// tag minted at `0.0.0.0:0` is dropped, and the two lengths are kept,
-/// one byte each. A canonical single-tag taint of a string under 256
-/// bytes keeps only the string, its length byte and its origin: `n + 11`
-/// of its `n + 200` bytes.
-/// Any byte string packs — one that is not a serialized taint just
-/// strips less — and [`unpack_serialized`] gives it back exactly, so
-/// equal strings pack equally and unequal ones unequally.
-///
-/// ```rust
-/// use dista_taint::{pack_serialized, serialize_taint, unpack_serialized};
-/// use dista_taint::{LocalId, TagValue, TaintStore};
-///
-/// let store = TaintStore::new(LocalId::new([10, 0, 0, 1], 1));
-/// let wire = serialize_taint(store.tree(), store.mint_source_taint(TagValue::str("vote")));
-/// let mut packed = Vec::new();
-/// pack_serialized(&wire, &mut packed);
-/// assert_eq!((wire.len(), packed.len()), (204, 15));
-/// let mut back = Vec::new();
-/// unpack_serialized(&packed, &mut back);
-/// assert_eq!(back, wire);
-/// ```
-pub fn pack_serialized(serialized: &[u8], out: &mut Vec<u8>) {
+/// Packs a full form: the lengths of the longest runs it shares with the
+/// template at its start and (after that) at its end, one byte each,
+/// then the bytes between them. Any byte string packs, and
+/// [`unpack_serialized`] gives it back exactly, so equal strings pack
+/// equally and unequal ones unequally.
+fn pack(full: &[u8]) -> Vec<u8> {
     let template = template();
-    let prefix = equal_run(serialized.iter().zip(template));
-    let rest = &serialized[prefix..];
+    let prefix = equal_run(full.iter().zip(template));
+    let rest = &full[prefix..];
     let suffix = equal_run(rest.iter().rev().zip(template.iter().rev()));
-    // Neither is longer than the template.
-    out.extend_from_slice(&[prefix as u8, suffix as u8]);
-    out.extend_from_slice(&rest[..rest.len() - suffix]);
+    let middle = &rest[..rest.len() - suffix];
+    // Neither run is longer than the template.
+    let mut packed = Vec::with_capacity(2 + middle.len());
+    packed.extend_from_slice(&[prefix as u8, suffix as u8]);
+    packed.extend_from_slice(middle);
+    packed
 }
 
 /// How many leading pairs are equal.
@@ -197,20 +205,45 @@ fn equal_run<'a>(pairs: impl Iterator<Item = (&'a u8, &'a u8)>) -> usize {
     pairs.take_while(|(a, b)| a == b).count()
 }
 
-/// Appends to `out` the serialized taint [`pack_serialized`] packed
-/// into `packed`.
+/// Appends to `out` the full form `packed` was packed from, once it is
+/// checked to be the canonical packing: each length byte within the
+/// template, and each run as long as the template allows, so that
+/// packing what is appended gives `packed` back. The check reads the
+/// two bytes next to the middle, not the runs. A Taint Map server
+/// checks each `BIND` record with it; [`deserialize_taint`] reads what
+/// it appends.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `packed` was not made by [`pack_serialized`].
-pub fn unpack_serialized(packed: &[u8], out: &mut Vec<u8>) {
+/// [`TaintCodecError::Truncated`] if `packed` is shorter than its two
+/// length bytes, [`TaintCodecError::NotCanonical`] for a length byte
+/// past the template or a packing [`serialize_taint`] never makes. `out`
+/// is then left as it was.
+pub fn unpack_serialized(packed: &[u8], out: &mut Vec<u8>) -> Result<(), TaintCodecError> {
     let template = template();
-    let [prefix, suffix] = [packed[0], packed[1]].map(usize::from);
-    let middle = &packed[2..];
+    let len = template.len();
+    let [prefix, suffix, middle @ ..] = packed else {
+        return Err(TaintCodecError::Truncated);
+    };
+    let [prefix, suffix] = [*prefix, *suffix].map(usize::from);
+    if prefix > len || suffix > len {
+        return Err(TaintCodecError::NotCanonical);
+    }
+    let tail = &template[len - suffix..];
+    // The prefix run stops at the first byte after it that differs from
+    // the template's, or where either ends; the suffix run likewise,
+    // read backwards from the end.
+    let after_prefix = middle.first().or(tail.first());
+    let prefix_ends = prefix == len || after_prefix != template.get(prefix);
+    let suffix_ends = suffix == len || middle.last() != template.get(len - 1 - suffix);
+    if !(prefix_ends && suffix_ends) {
+        return Err(TaintCodecError::NotCanonical);
+    }
     out.reserve(prefix + middle.len() + suffix);
     out.extend_from_slice(&template[..prefix]);
     out.extend_from_slice(middle);
-    out.extend_from_slice(&template[template.len() - suffix..]);
+    out.extend_from_slice(tail);
+    Ok(())
 }
 
 /// Decodes a serialized taint into the receiving VM's store.
@@ -221,9 +254,18 @@ pub fn unpack_serialized(packed: &[u8], out: &mut Vec<u8>) {
 ///
 /// # Errors
 ///
-/// Returns a [`TaintCodecError`] if the buffer is truncated, corrupted or
-/// names an unknown class or value kind.
-pub fn deserialize_taint(store: &TaintStore, bytes: &[u8]) -> Result<Taint, TaintCodecError> {
+/// Returns a [`TaintCodecError`] if the bytes are not a canonical
+/// packing, or are truncated, corrupted or name an unknown class or
+/// value kind.
+pub fn deserialize_taint(store: &TaintStore, packed: &[u8]) -> Result<Taint, TaintCodecError> {
+    with_full(|full| {
+        unpack_serialized(packed, full)?;
+        read_full(store, full)
+    })
+}
+
+/// Reads a full form into `store`.
+fn read_full(store: &TaintStore, bytes: &[u8]) -> Result<Taint, TaintCodecError> {
     let mut r = ByteReader::new(bytes);
     if r.bytes(4)? != MAGIC {
         return Err(TaintCodecError::BadMagic);
@@ -237,11 +279,16 @@ pub fn deserialize_taint(store: &TaintStore, bytes: &[u8]) -> Result<Taint, Tain
         if r.str16()? != TAG_CLASS {
             return Err(TaintCodecError::BadClass);
         }
-        for _ in FIELD_NAMES {
+        for name in FIELD_NAMES {
             let len = usize::from(r.u8()?);
-            r.bytes(len)?;
+            if r.bytes(len)? != name.as_bytes() {
+                return Err(TaintCodecError::BadClass);
+            }
         }
-        let _origin_rank = r.u32()?; // rank in the origin tree; informational
+        // The rank, like the global id below, is written as zero.
+        if r.u32()? != 0 {
+            return Err(TaintCodecError::NotCanonical);
+        }
         let kind = r.u8()?;
         let len = r.u32()? as usize;
         let raw = r.bytes(len)?;
@@ -253,14 +300,15 @@ pub fn deserialize_taint(store: &TaintStore, bytes: &[u8]) -> Result<Taint, Tain
             other => return Err(TaintCodecError::BadValueKind(other)),
         }
         let local_id = LocalId::from_bytes(r.array()?);
-        let gid = GlobalId(r.u32()?);
-        r.bytes(OBJECT_HEADER_PAD)?;
+        if r.u32()? != 0 || r.bytes(OBJECT_HEADER_PAD)?.iter().any(|&b| b != PAD_BYTE) {
+            return Err(TaintCodecError::NotCanonical);
+        }
         // Interned straight from the bytes read: no owned value is made.
         let tag = store.tree().mint_raw(RawValue::new(kind, raw), local_id);
-        if gid.is_tainted() {
-            store.tree().set_tag_global_id(tag, gid);
-        }
         taint = store.union(taint, store.tree().taint_of_tag(tag));
+    }
+    if !r.at_end() {
+        return Err(TaintCodecError::NotCanonical);
     }
     Ok(taint)
 }
@@ -272,8 +320,11 @@ fn write_str16(out: &mut Vec<u8>, s: &str) {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
-    use crate::tag::TagValue;
+    use crate::tag::{GlobalId, TagValue};
+    use proptest::TestRng;
 
     fn stores() -> (TaintStore, TaintStore) {
         (
@@ -282,16 +333,44 @@ mod tests {
         )
     }
 
+    fn full_form(tree: &TaintTree, taint: Taint) -> Vec<u8> {
+        let mut full = Vec::new();
+        write_full(&mut full, tree, taint);
+        full
+    }
+
+    /// `packed`'s full form, or why it has none.
+    fn unpacked(packed: &[u8]) -> Result<Vec<u8>, TaintCodecError> {
+        let mut full = Vec::new();
+        unpack_serialized(packed, &mut full).map(|()| full)
+    }
+
+    /// `(value, origin)` of every tag of `taint`, sorted: what a
+    /// receiver must rebuild.
+    fn quads(store: &TaintStore, taint: Taint) -> Vec<(TagValue, LocalId)> {
+        let mut quads: Vec<_> = store
+            .tree()
+            .tags_of(taint)
+            .into_iter()
+            .map(|tag| (tag.value, tag.local_id))
+            .collect();
+        quads.sort();
+        quads
+    }
+
     #[test]
-    fn single_tag_exceeds_200_bytes() {
+    fn the_full_form_of_one_tag_exceeds_200_bytes() {
         let (s, _) = stores();
         let t = s.mint_source_taint(TagValue::str("a_tag"));
-        let wire = serialize_taint(s.tree(), t);
+        let full = full_form(s.tree(), t);
         assert!(
-            wire.len() > 200,
+            full.len() > 200,
             "paper: single-tag serialized taint > 200 bytes, got {}",
-            wire.len()
+            full.len()
         );
+        let packed = serialize_taint(s.tree(), t);
+        assert_eq!((full.len(), packed.len()), (205, 16));
+        assert_eq!(unpacked(&packed).unwrap(), full);
     }
 
     #[test]
@@ -301,7 +380,7 @@ mod tests {
         let mut sizes = Vec::new();
         for i in 0..4 {
             taint = s.union(taint, s.mint_source_taint(TagValue::Int(i)));
-            sizes.push(serialize_taint(s.tree(), taint).len());
+            sizes.push(full_form(s.tree(), taint).len());
         }
         let d1 = sizes[1] - sizes[0];
         let d2 = sizes[2] - sizes[1];
@@ -353,12 +432,14 @@ mod tests {
         let (s, r) = stores();
         let t = s.mint_source_taint(TagValue::str("x"));
         let wire = serialize_taint(s.tree(), t);
-        for cut in [0, 3, 10, wire.len() - 1] {
+        for cut in [0, 1] {
             assert_eq!(
                 deserialize_taint(&r, &wire[..cut]),
-                Err(TaintCodecError::Truncated),
-                "cut at {cut}"
+                Err(TaintCodecError::Truncated)
             );
+        }
+        for cut in 2..wire.len() {
+            assert!(deserialize_taint(&r, &wire[..cut]).is_err(), "cut at {cut}");
         }
     }
 
@@ -366,9 +447,12 @@ mod tests {
     fn bad_magic_errors() {
         let (s, r) = stores();
         let t = s.mint_source_taint(TagValue::str("x"));
-        let mut wire = serialize_taint(s.tree(), t);
-        wire[0] = 0;
-        assert_eq!(deserialize_taint(&r, &wire), Err(TaintCodecError::BadMagic));
+        let mut full = full_form(s.tree(), t);
+        full[0] = 0;
+        assert_eq!(
+            deserialize_taint(&r, &pack(&full)),
+            Err(TaintCodecError::BadMagic)
+        );
     }
 
     #[test]
@@ -379,37 +463,189 @@ mod tests {
         assert!(rt.is_empty());
     }
 
-    /// One serialized taint of 1–3 tags drawn by `rng`: strings, bytes
-    /// and ints, now and then a value longer than 255 bytes.
-    fn drawn_taint(rng: &mut proptest::TestRng, store: &TaintStore) -> Vec<u8> {
-        let mut taint = Taint::EMPTY;
-        for _ in 0..1 + rng.below(3) {
-            let len = match rng.below(8) {
-                0 => 256 + rng.below(300) as usize,
-                _ => rng.below(40) as usize,
-            };
-            let text: String = (0..len)
-                .map(|_| (b'a' + rng.below(26) as u8) as char)
-                .collect();
-            let value = match rng.below(3) {
-                0 => TagValue::str(text),
-                1 => TagValue::bytes(text),
-                _ => TagValue::Int(rng.next_u64() as i64),
-            };
-            taint = store.union(taint, store.mint_source_taint(value));
+    #[test]
+    fn a_full_form_serialize_never_writes_is_refused() {
+        let (s, r) = stores();
+        let full = full_form(s.tree(), s.mint_source_taint(TagValue::str("x")));
+        assert!(deserialize_taint(&r, &pack(&full)).is_ok());
+        let end = full.len();
+        // The rank, the global id, the pad's last byte; bytes past the
+        // last tag.
+        for at in [83, end - 100, end - 1] {
+            let mut damaged = full.clone();
+            damaged[at] ^= 1;
+            assert_eq!(
+                deserialize_taint(&r, &pack(&damaged)),
+                Err(TaintCodecError::NotCanonical),
+                "byte {at}"
+            );
         }
-        serialize_taint(store.tree(), taint)
+        let longer = [&full[..], &[0]].concat();
+        assert_eq!(
+            deserialize_taint(&r, &pack(&longer)),
+            Err(TaintCodecError::NotCanonical)
+        );
+        let mut renamed = full.clone();
+        renamed[60] ^= 1; // in the field table
+        assert_eq!(
+            deserialize_taint(&r, &pack(&renamed)),
+            Err(TaintCodecError::BadClass)
+        );
     }
 
     #[test]
-    fn a_packed_string_unpacks_to_the_same_bytes() {
-        let mut rng = proptest::TestRng::new(0xD157A);
+    fn a_length_past_the_template_or_a_non_canonical_packing_is_refused() {
+        let (s, r) = stores();
+        let wire = serialize_taint(s.tree(), s.mint_source_taint(TagValue::str("vote")));
+        let len = template().len() as u8;
+        // One byte of the prefix run moved into the middle: the same
+        // full form, packed as `pack` never packs it.
+        let [prefix, suffix, ref middle @ ..] = wire[..] else {
+            unreachable!()
+        };
+        let (head, tail) = (usize::from(prefix), template().len() - usize::from(suffix));
+        let mut shorter = vec![prefix - 1, suffix, template()[head - 1]];
+        shorter.extend_from_slice(middle);
+        let full = [&template()[..head - 1], &shorter[2..], &template()[tail..]].concat();
+        assert_eq!(Ok(full), unpacked(&wire), "the same full form");
+        // The same at the suffix run's end.
+        let mut early = vec![prefix, suffix - 1];
+        early.extend_from_slice(middle);
+        early.push(template()[tail]);
+        for bad in [
+            shorter,
+            early,
+            vec![len + 1, 0],
+            vec![0, len + 1],
+            vec![255, 255, b'x'],
+        ] {
+            let before = vec![7u8];
+            let mut out = before.clone();
+            assert_eq!(
+                unpack_serialized(&bad, &mut out),
+                Err(TaintCodecError::NotCanonical),
+                "{bad:?}"
+            );
+            assert_eq!(out, before, "nothing appended");
+            assert_eq!(
+                deserialize_taint(&r, &bad),
+                Err(TaintCodecError::NotCanonical)
+            );
+        }
+    }
+
+    /// A taint of 1–8 tags drawn by `rng`: string, int and bytes values
+    /// (a bytes value now and then of the template's own pad and zero
+    /// bytes, or longer than 255 bytes) minted at random origins, the
+    /// template's `0.0.0.0:0` among them.
+    fn drawn_taint(rng: &mut TestRng, store: &TaintStore) -> Taint {
+        let mut taint = Taint::EMPTY;
+        for _ in 0..1 + rng.below(8) {
+            let len = match rng.below(8) {
+                0 => 256 + rng.below(300) as usize,
+                _ => rng.below(12) as usize,
+            };
+            let value = match rng.below(4) {
+                0 => TagValue::str(
+                    (0..len)
+                        .map(|_| (b'a' + rng.below(3) as u8) as char)
+                        .collect::<String>(),
+                ),
+                1 => TagValue::bytes(
+                    (0..len)
+                        .map(|_| [0, 0xEE, rng.next_u64() as u8][rng.below(3) as usize])
+                        .collect::<Vec<u8>>(),
+                ),
+                2 => TagValue::Int(rng.below(3) as i64 - 1),
+                _ => TagValue::Int(rng.next_u64() as i64),
+            };
+            let origin = match rng.below(4) {
+                0 => LocalId::new([0; 4], 0),
+                _ => LocalId::new([10, 0, 0, rng.below(3) as u8], rng.below(3) as u32 * 0xEE),
+            };
+            let tag = store.tree().mint_tag(value, origin);
+            taint = store.union(taint, store.tree().taint_of_tag(tag));
+        }
+        taint
+    }
+
+    #[test]
+    fn random_tag_sets_round_trip_canonically_and_distinctly() {
+        let mut rng = TestRng::new(0xD157A);
+        let (sender, receiver) = stores();
+        let mut named: HashMap<Vec<u8>, Vec<(TagValue, LocalId)>> = HashMap::new();
+        for _ in 0..3_000 {
+            let taint = drawn_taint(&mut rng, &sender);
+            let packed = serialize_taint(sender.tree(), taint);
+            let sent = quads(&sender, taint);
+            // Serialize → deserialize gives the same tag quads.
+            let got = deserialize_taint(&receiver, &packed).unwrap();
+            assert_eq!(quads(&receiver, got), sent, "{packed:?}");
+            // pack(unpack(x)) == x.
+            let full = unpacked(&packed).unwrap();
+            assert_eq!(full, full_form(sender.tree(), taint));
+            assert_eq!(pack(&full), packed);
+            // Equal bytes name equal taints, and unequal taints never
+            // share bytes.
+            if let Some(known) = named.insert(packed.clone(), sent.clone()) {
+                assert_eq!(known, sent, "{packed:?}");
+            }
+        }
+        assert!(named.len() > 2_000, "{} distinct taints", named.len());
+    }
+
+    /// Whether `packed` is refused, or unpacks to a full form that packs
+    /// back to it and decodes, or is refused by the decoder, without a
+    /// panic.
+    fn refused_or_round_trips(packed: &[u8], receiver: &TaintStore) -> bool {
+        match unpacked(packed) {
+            Err(e) => {
+                assert_eq!(deserialize_taint(receiver, packed), Err(e));
+                false
+            }
+            Ok(full) => {
+                assert_eq!(pack(&full), packed, "{packed:?}");
+                let _ = deserialize_taint(receiver, packed);
+                true
+            }
+        }
+    }
+
+    #[test]
+    fn every_edit_of_the_length_bytes_is_refused_or_round_trips() {
+        let mut rng = TestRng::new(0xED17);
+        let (sender, receiver) = stores();
+        let mut kept = 0;
+        for sample in 0..120 {
+            let mut packed = serialize_taint(sender.tree(), drawn_taint(&mut rng, &sender));
+            let [prefix, suffix] = [packed[0], packed[1]];
+            // Every value of each length byte, the other kept; for a few
+            // samples every pair.
+            let pairs: Vec<(u8, u8)> = match sample % 40 {
+                0 => (0..=255)
+                    .flat_map(|p| (0..=255).map(move |s| (p, s)))
+                    .collect(),
+                _ => (0..=255).flat_map(|b| [(b, suffix), (prefix, b)]).collect(),
+            };
+            for (p, s) in pairs {
+                packed[..2].copy_from_slice(&[p, s]);
+                kept += usize::from(refused_or_round_trips(&packed, &receiver));
+            }
+            packed[..2].copy_from_slice(&[prefix, suffix]);
+            assert!(refused_or_round_trips(&packed, &receiver));
+        }
+        assert!(kept > 120, "some edits are canonical packings too");
+    }
+
+    #[test]
+    fn any_byte_string_packs_and_unpacks_to_itself() {
+        let mut rng = TestRng::new(0xD157A);
         let store = TaintStore::new(LocalId::new([10, 0, 0, 1], 256));
-        let mut corpus = vec![Vec::new(), template().to_vec()];
+        let mut corpus = vec![Vec::new(), template().to_vec(), [template(); 2].concat()];
         for _ in 0..2_000 {
             let mut bytes = match rng.below(3) {
                 0 => (0..rng.below(600)).map(|_| rng.next_u64() as u8).collect(),
-                _ => drawn_taint(&mut rng, &store),
+                _ => full_form(store.tree(), drawn_taint(&mut rng, &store)),
             };
             // Near-canonical: one byte flipped, the tail cut off, or
             // more bytes past the end.
@@ -425,18 +661,15 @@ mod tests {
             corpus.push(bytes);
         }
         for bytes in &corpus {
-            let (mut packed, mut back) = (Vec::new(), Vec::new());
-            pack_serialized(bytes, &mut packed);
+            let packed = pack(bytes);
             assert!(packed.len() <= bytes.len() + 2, "{bytes:?}");
-            unpack_serialized(&packed, &mut back);
-            assert_eq!(&back, bytes);
+            assert_eq!(&unpacked(&packed).unwrap(), bytes);
         }
         // A canonical single-tag string taint keeps n + 11 bytes.
         let (s, _) = stores();
-        let wire = serialize_taint(s.tree(), s.mint_source_taint(TagValue::str("fresh:0:1:1")));
-        let mut packed = Vec::new();
-        pack_serialized(&wire, &mut packed);
-        assert_eq!((wire.len(), packed.len()), (211, 22));
+        let t = s.mint_source_taint(TagValue::str("fresh:0:1:1"));
+        let wire = serialize_taint(s.tree(), t);
+        assert_eq!((full_form(s.tree(), t).len(), wire.len()), (211, 22));
     }
 
     #[test]

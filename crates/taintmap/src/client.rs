@@ -876,7 +876,9 @@ impl TaintMapClient {
     /// Learns `gid` from the serialized taint a peer defined it as, on
     /// the stream the gid arrived on (wire protocol v2's inline
     /// definitions), instead of asking the service: the bytes are the
-    /// ones the peer registered, or was told, for that gid. The gid is
+    /// ones the peer registered, or was told, for that gid — the packed
+    /// form [`dista_taint::serialize_taint`] writes, which a `BIND`
+    /// record and a `LOOKUP` answer carry too. The gid is
     /// resolved exactly as a lookup answer is, events included, and a
     /// later [`TaintMapClient::taints_for`] of it is a cache hit.
     ///
@@ -892,7 +894,7 @@ impl TaintMapClient {
     /// [`TaintMapError::Protocol`] for gid 0, a gid in
     /// [`WIRE_RESERVED_GIDS`], or bytes naming no tag;
     /// [`TaintMapError::Codec`] for bytes that are not a serialized
-    /// taint.
+    /// taint in its canonical packed form.
     pub fn define(&self, gid: GlobalId, serialized: &[u8]) -> Result<(), TaintMapError> {
         if !gid.is_tainted() || WIRE_RESERVED_GIDS.contains(&gid.0) {
             return Err(TaintMapError::Protocol("a definition names a reserved gid"));
@@ -997,7 +999,7 @@ impl TaintMapClient {
     ///
     /// [`TaintMapError::UnknownGlobalId`] for an answered id the service
     /// never assigned; [`TaintMapError::Codec`] for answered bytes that
-    /// are not a serialized taint.
+    /// are not a serialized taint in its canonical packed form.
     fn lookup(
         &self,
         misses: &[(usize, GlobalId)],
@@ -1252,9 +1254,10 @@ fn is_outage(e: &TaintMapError) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{InMemoryBackend, TaintMapBackend};
     use crate::endpoint::TaintMapEndpoint;
     use dista_simnet::FaultAction;
-    use dista_taint::{LocalId, SinkRecorder, TagValue};
+    use dista_taint::{LocalId, SinkRecorder, TagValue, TaintCodecError};
     use std::time::Duration;
 
     fn setup() -> (SimNet, TaintMapEndpoint, TaintMapClient, TaintStore) {
@@ -1604,6 +1607,33 @@ mod tests {
             client.taints_for(&[GlobalId(1234)]),
             Err(TaintMapError::UnknownGlobalId(GlobalId(1234)))
         );
+        endpoint.shutdown();
+    }
+
+    /// Bytes from a peer or from the service reach unpacking: one that is
+    /// no canonical packing is a typed codec error on both paths.
+    #[test]
+    fn a_non_canonical_definition_or_lookup_answer_is_a_codec_error() {
+        let net = SimNet::new();
+        let backend = Arc::new(InMemoryBackend::new());
+        let shared = Arc::clone(&backend);
+        let endpoint = TaintMapEndpoint::builder()
+            .backend(move |_| shared.clone() as Arc<dyn TaintMapBackend>)
+            .connect(&net)
+            .unwrap();
+        let store = TaintStore::new(LocalId::new([10, 0, 0, 1], 1));
+        let client = endpoint.client(&net, store.clone()).unwrap();
+        // A length byte past the template; a packing with its prefix run
+        // cut one byte short.
+        let packed = serialize_taint(store.tree(), store.mint_source_taint(TagValue::str("v")));
+        let shifted = [&[packed[0] - 1, packed[1], 0][..], &packed[2..]].concat();
+        for (gid, bad) in [(1, vec![255, 0]), (2, shifted)] {
+            let codec = Err(TaintMapError::Codec(TaintCodecError::NotCanonical));
+            assert_eq!(client.define(GlobalId(gid), &bad), codec);
+            // Stored straight in the backend, as a replicated record is.
+            backend.bind(gid, &bad);
+            assert_eq!(client.taint_for(GlobalId(gid)).map(|_| ()), codec);
+        }
         endpoint.shutdown();
     }
 

@@ -6,10 +6,11 @@
 //! serialized taints inline:
 //!
 //! 1. **Large bandwidth usage** — a serialized single-tag taint is >200
-//!    bytes and grows linearly with tags; interleaving it per byte would
-//!    cost >200× bandwidth. With the Taint Map, each node uploads every
-//!    distinct global taint *once* and thereafter sends only its
-//!    fixed-width Global ID.
+//!    bytes in Java and grows linearly with tags; interleaving it per byte
+//!    would cost >200× bandwidth. With the Taint Map, each node uploads
+//!    every distinct global taint *once* and thereafter sends only its
+//!    fixed-width Global ID. (Here a taint crosses packed, `n + 11` bytes
+//!    for one `n`-byte string tag: see `dista_taint::serialize_taint`.)
 //! 2. **Mismatched serialized taint length** — receivers allocate
 //!    fixed-size buffers; a variable-length inline taint could be cut
 //!    off. Fixed-width Global IDs make the receiver-side enlargement

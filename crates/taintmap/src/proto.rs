@@ -9,9 +9,13 @@
 //! `REPLICATE`, to each other. Responses: `OK` carries the result
 //! payload, `ERR` a one-byte reason, `MOVED` a class table.
 //!
-//! Payload layouts (all integers big-endian; a *record* is `u32 gid,
-//! u32 len, len bytes`, written and read by [`push_record`] and
-//! [`read_record`]):
+//! Payload layouts (all integers big-endian). A *record* is `u32 gid,
+//! u32 len, packed[len]`, written and read by [`push_record`] and
+//! [`read_record`]. `packed` is a serialized taint as
+//! `dista_taint::serialize_taint` writes it: ≈ 25 B for one string tag.
+//! A `LOOKUP` answer carries the same bytes. A server answers `ERR` to a
+//! `BIND` frame with a record that is not a canonical packing, and binds
+//! nothing of it.
 //!
 //! ```text
 //! BIND       req:  u64 epoch, u32 want, u32 count, count × record
@@ -19,7 +23,7 @@
 //!                  then count × u8 status
 //! LOOKUP     req:  u64 epoch, u32 count, count × u32 gid
 //!            resp: u32 count, then count × (u8 status,
-//!                  if status == 0: u32 len, len bytes)
+//!                  if status == 0: u32 len, packed[len])
 //! REPLICATE  req:  WAL records to the end: (u8 1, record) binds,
 //!                  (u8 5, u32 high-water) leases     resp: empty
 //! MOVED      resp: u64 epoch, u32 nranges, nranges ×
@@ -129,9 +133,9 @@ pub(crate) fn addr(r: &mut ByteReader<'_>) -> Result<NodeAddr, ReadError> {
     Ok(NodeAddr::new(r.array()?, r.u16()?))
 }
 
-/// Appends one record — `gid` and the serialized taint bound to it —
-/// as a `BIND` item and a data record of a log, a compaction generation
-/// or a `REPLICATE` frame carry it.
+/// Appends one record — `gid` and the packed serialized taint bound to
+/// it — as a `BIND` item and a data record of a log, a compaction
+/// generation or a `REPLICATE` frame carry it.
 pub(crate) fn push_record(out: &mut Vec<u8>, gid: u32, bytes: &[u8]) {
     out.extend_from_slice(&gid.to_be_bytes());
     out.extend_from_slice(&(bytes.len() as u32).to_be_bytes());

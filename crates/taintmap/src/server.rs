@@ -34,7 +34,7 @@ use std::sync::Arc;
 
 use dista_obs::Counter;
 use dista_simnet::{NodeAddr, SimFs, SimNet, TcpEndpoint, TcpServer};
-use dista_taint::{ByteReader, ReadError};
+use dista_taint::{unpack_serialized, ByteReader, ReadError};
 use parking_lot::Mutex;
 
 use crate::backend::{TaintMapBackend, WIRE_RESERVED_GIDS};
@@ -936,13 +936,20 @@ fn serve_data(
     serve_items(shared, &mut r).unwrap_or((RESP_ERR, vec![0xFF]))
 }
 
+/// Reads a `BIND` frame's items and serves them. A record whose bytes
+/// are not a canonical packed taint makes the whole frame malformed:
+/// nothing of it is bound.
 fn bind_items(shared: &ServerShared, r: &mut ByteReader<'_>) -> Option<Reply> {
     let want = r.u32().ok()?;
     let count = r.u32().ok()? as usize;
     // Every item carries at least its gid and its length.
     let mut items = Vec::with_capacity(r.count(count, 8));
+    let mut full = Vec::new();
     for _ in 0..count {
-        items.push(read_record(r).ok()?);
+        let (gid, packed) = read_record(r).ok()?;
+        full.clear();
+        unpack_serialized(packed, &mut full).ok()?;
+        items.push((gid, packed));
     }
     r.at_end().then(|| shared.bind_and_lease(want, &items))
 }
@@ -1112,8 +1119,8 @@ mod tests {
     fn binding_known_bytes_under_another_gid_makes_an_alias() {
         let (net, server) = setup();
         let conn = net.tcp_connect(server.addr()).unwrap();
-        let gids = register(&conn, &[b"a", b"b", b"a"]);
-        assert_eq!(lookup(&conn, &[gids[2]]), vec![Some(b"a".to_vec())]);
+        let gids = register(&conn, &[b"taint-a", b"taint-b", b"taint-a"]);
+        assert_eq!(lookup(&conn, &[gids[2]]), vec![Some(b"taint-a".to_vec())]);
         let stats = server.stats();
         assert_eq!(
             (stats.global_taints, stats.aliases),
@@ -1158,6 +1165,9 @@ mod tests {
             (7, encode_bind(0, 1, &[])),  // a retired opcode is an unknown one
             (1, b"taint".to_vec()),
             (0x7F, Vec::new()),
+            // A record whose first length byte runs past the packing
+            // template: no serialized taint, so the frame leases nothing.
+            (OP_BIND, encode_bind(0, 1, &[(1, &[255, 0])])),
         ];
         for (op, payload) in cases {
             wf(&conn, op, &payload).unwrap();

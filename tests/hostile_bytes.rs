@@ -39,11 +39,11 @@ use dista_repro::netty::{decode_http_request, encode_http_request, Bootstrap, Se
 use dista_repro::simnet::{read_full, FaultConfig, NetError, NodeAddr, SimFs, SimNet, TcpEndpoint};
 use dista_repro::taint::{
     deserialize_taint, serialize_taint, ByteReader, GlobalId, LocalId, Payload, TagValue, Taint,
-    TaintStore, TaintedBytes,
+    TaintCodecError, TaintStore, TaintedBytes,
 };
 use dista_repro::taintmap::{
     ClientObserver, ClientResilience, InMemoryBackend, ShardSpec, TaintMapBackend, TaintMapClient,
-    TaintMapEndpoint, TaintMapTopology, TaintMapWal, WIRE_RESERVED_GIDS,
+    TaintMapEndpoint, TaintMapError, TaintMapTopology, TaintMapWal, WIRE_RESERVED_GIDS,
 };
 
 /// A decoder may request, in one allocation, this many times the bytes
@@ -655,6 +655,73 @@ fn mutated_serialized_taints() {
         let wire = edit.apply(&sample);
         let _ = bounded(wire.len(), &edit, || deserialize_taint(&receiver, &wire));
     }
+}
+
+/// `packed` (a one-tag string taint) with one byte moved out of its
+/// prefix run, the value length's last zero byte: the same full form, in
+/// a packing `serialize_taint` never makes.
+fn non_canonical(packed: &[u8]) -> Vec<u8> {
+    [&[packed[0] - 1, packed[1], 0][..], &packed[2..]].concat()
+}
+
+/// A hand-written non-canonical packing, as a v2 definition and as a
+/// `BIND` record: the read fails with a codec error, the shard answers
+/// `ERR` and binds nothing, and the canonical bytes still go through.
+#[test]
+fn a_non_canonical_definition_or_bind_record_is_refused() {
+    let _serial = serial();
+    let rig = StreamRig::new(WireProtocol::V2);
+    let (gid, packed) = rig.defs[0].clone();
+    let bad = non_canonical(&packed);
+    let mut wire = Vec::new();
+    encode_defs(&[(gid, bad.clone())], &mut wire);
+    let mut run = Vec::new();
+    V2Codec::new(4)
+        .encode_into(b"data", &[(4, gid)], &mut run)
+        .unwrap();
+    wire.extend(run);
+    let err = bounded(wire.len(), &"a non-canonical definition", || {
+        rig.feed(&wire)
+    })
+    .unwrap_err();
+    assert!(
+        matches!(
+            err,
+            JreError::TaintMap(TaintMapError::Codec(TaintCodecError::NotCanonical))
+        ),
+        "{err:?}"
+    );
+    rig.tm.shutdown();
+
+    let net = SimNet::new();
+    let tm = TaintMapEndpoint::builder().connect(&net).unwrap();
+    let conn = net.tcp_connect(tm.addr()).unwrap();
+    let bind = |want: u32, items: &[(u32, &[u8])]| {
+        let mut payload = [&0u64.to_be_bytes()[..], &want.to_be_bytes()].concat();
+        payload.extend((items.len() as u32).to_be_bytes());
+        for (gid, bytes) in items {
+            payload.extend(gid.to_be_bytes());
+            payload.extend((bytes.len() as u32).to_be_bytes());
+            payload.extend_from_slice(bytes);
+        }
+        conn.write(&frame(OP_BIND, &payload)).unwrap();
+        read_frame(&conn, Duration::from_secs(5)).expect("an answer")
+    };
+    let (op, leased) = bind(1, &[]);
+    assert_eq!(op, RESP_OK);
+    let mut r = ByteReader::new(&leased);
+    assert_eq!(r.u32().unwrap(), 1);
+    let gid = r.u32().unwrap();
+    assert_eq!(bind(0, &[(gid, &bad)]).0, RESP_ERR);
+    assert_eq!(tm.stats().global_taints, 0, "nothing bound");
+    let reader = tm
+        .client(&net, TaintStore::new(LocalId::new([10, 0, 0, 3], 3)))
+        .unwrap();
+    assert!(reader.taint_for(GlobalId(gid)).is_err());
+    assert_eq!(bind(0, &[(gid, &packed)]).0, RESP_OK, "still serving");
+    let taint = reader.taint_for(GlobalId(gid)).unwrap();
+    assert_eq!(reader.store().tag_values(taint), ["alpha"]);
+    tm.shutdown();
 }
 
 #[test]

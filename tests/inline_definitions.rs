@@ -7,13 +7,13 @@
 //! them first and keeps the lookup it always made.
 
 use dista_repro::core::{Cluster, Mode};
-use dista_repro::jre::codec::v2::encode_defs;
+use dista_repro::jre::codec::v2::{encode_defs, parse_defs};
 use dista_repro::jre::{
     BoundaryStream, DatagramPacket, DatagramSocket, InputStream, OutputStream, ServerSocket,
     Socket, V2Codec, Vm, WireCodec, WireProtocol,
 };
 use dista_repro::obs::{Hop, ObsConfig};
-use dista_repro::simnet::{FaultAction, NodeAddr, SimNet};
+use dista_repro::simnet::{FaultAction, NodeAddr, SimNet, TcpEndpoint};
 use dista_repro::taint::{
     serialize_taint, GlobalId, LocalId, Payload, TagValue, Taint, TaintStore, TaintedBytes,
 };
@@ -180,6 +180,11 @@ fn a_reply_carrying_the_request_taint_back_defines_nothing() {
         def.len() + frame.len(),
         "the put defines the gid"
     );
+    assert!(
+        def.len() <= 32,
+        "a one-tag definition costs {} B on the wire",
+        def.len()
+    );
     assert_eq!(get as usize, frame.len(), "the reply defines nothing");
     assert_eq!(got.data(), body);
     let store = pair.vms[0].store();
@@ -331,6 +336,85 @@ fn a_v2_receiver_cut_off_from_the_map_resolves_defined_gids() {
         }
         pair.tm.shutdown();
     }
+}
+
+/// n1 → n2 → n3 over pinned v2, each hop through a tap that keeps what
+/// crossed it, n2 passing on what it read the way a broker hands a
+/// producer's message to a consumer: n3 reads n1's tag, no VM looks
+/// anything up, and n2 defines the gid with the very bytes n1 did.
+#[test]
+fn a_v2_relay_defines_the_gid_with_the_bytes_it_was_given() {
+    let net = SimNet::new();
+    let tm = TaintMapEndpoint::builder().connect(&net).unwrap();
+    let vms: Vec<Vm> = (1..=3)
+        .map(|i| {
+            Vm::builder(format!("n{i}"), &net)
+                .mode(Mode::Dista)
+                .ip([10, 0, 0, i])
+                .taint_map(tm.topology())
+                .wire_protocol(WireProtocol::V2)
+                .build()
+                .unwrap()
+        })
+        .collect();
+    // A hop from `vms[i]` to `vms[i + 1]`: the sender's stream, the
+    // tap's two raw ends, the receiver's stream.
+    let hop = |i: usize| {
+        let (tx_vm, rx_vm) = (&vms[i], &vms[i + 1]);
+        let tap = NodeAddr::new([10, 0, 0, 9], 70 + i as u16);
+        let tap_listener = net.tcp_listen(tap).unwrap();
+        let tx = BoundaryStream::connector(
+            tx_vm.clone(),
+            net.tcp_connect_from(tx_vm.ip(), tap).unwrap(),
+        );
+        let tap_in = tap_listener.accept().unwrap();
+        let to = NodeAddr::new(rx_vm.ip(), 70);
+        let listener = net.tcp_listen(to).unwrap();
+        let tap_out = net.tcp_connect_from(tap.ip(), to).unwrap();
+        let rx = BoundaryStream::acceptor(rx_vm.clone(), listener.accept().unwrap());
+        (tx, tap_in, tap_out, rx)
+    };
+    // Carries one write across a tap and returns its wire bytes.
+    let pass = |tap_in: &TcpEndpoint, tap_out: &TcpEndpoint| {
+        let mut wire = vec![0; 4096];
+        let n = tap_in.read(&mut wire).unwrap();
+        wire.truncate(n);
+        tap_out.write(&wire).unwrap();
+        wire
+    };
+    let defined = |wire: &[u8]| -> Vec<(GlobalId, Vec<u8>)> {
+        let (defs, _) = parse_defs(wire)
+            .unwrap()
+            .expect("a definitions frame first");
+        defs.map(|(gid, bytes)| (gid, bytes.to_vec())).collect()
+    };
+    let (a_tx, a_in, a_out, b_rx) = hop(0);
+    let (b_tx, b_in, b_out, c_rx) = hop(1);
+    let secret = vms[0].taint_source(TagValue::str("secret"));
+    a_tx.write_payload(&Payload::Tainted(TaintedBytes::uniform(
+        b"relayed!",
+        secret,
+    )))
+    .unwrap();
+    let from_a = defined(&pass(&a_in, &a_out));
+    let relayed = b_rx.read_exact_payload(8).unwrap();
+    b_tx.write_payload(&relayed).unwrap();
+    let from_b = defined(&pass(&b_in, &b_out));
+    let got = c_rx.read_exact_payload(8).unwrap();
+
+    let store = vms[2].store();
+    assert_eq!(store.tag_values(got.taint_union(store)), ["secret"]);
+    assert_eq!(from_a.len(), 1);
+    assert_eq!(from_b, from_a, "n2 relays n1's gid and bytes");
+    for vm in &vms {
+        assert_eq!(
+            vm.taint_map().unwrap().stats().lookup_rpcs,
+            0,
+            "{}",
+            vm.name()
+        );
+    }
+    tm.shutdown();
 }
 
 /// n1 → n2 → n3 over two sockets; returns the secret's gid.
