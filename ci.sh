@@ -64,10 +64,11 @@ for seed in 7 42 1337; do
         --test prop_chaos split_one_million_gids_without_loss -- --ignored
 done
 
-echo "==> taint tree under --release, where races show: eight threads intern overlapping sets through the lock-free child index"
+echo "==> taint tree under --release, where races show: eight threads intern overlapping sets through the lock-free set index, racers build one set from operands in different orders; the tree against its set model"
 cargo test -q --release --offline -p dista-taint --test stress_tree
+cargo test -q --release --offline -p dista-taint --test prop_taint the_tree_matches_a_set_model
 
-echo "==> bytes per global taint, tree node and sink hit: packed records round-trip in release, as the benchmark runs them; live-byte census of 100k fresh taints, per layer (<= 340 B overall, <= 72 B in the backend, <= 60 B per tag in one VM); 100k sink unions of 8 pool taints (<= 30 B per tree node); 100k sink hits (<= 16 B per hit) and a logger that stops growing once its ring is full"
+echo "==> bytes per global taint, tree node and sink hit: packed records round-trip in release, as the benchmark runs them; live-byte census of 100k fresh taints, per layer (<= 340 B overall, <= 72 B in the backend, <= 60 B per tag in one VM); 100k sink unions of 8 pool taints (<= 75 B per union) and a 1 000-step ascending accumulation (<= 60 B per step); 100k sink hits (<= 16 B per hit) and a logger that stops growing once its ring is full"
 cargo test -q --release --offline -p dista-taint --lib serial
 cargo test -q --release --offline -p dista-taintmap --test bytes_per_gid
 cargo test -q --release --offline -p dista-taint --test bytes_per_node

@@ -1,6 +1,6 @@
 //! Stored once, indexed by id: the byte arena and interning index of the
 //! tag table and the Taint Map's record store, the interning index of
-//! the taint tree's children, and the Taint Map client's id front.
+//! the taint tree's sets, and the Taint Map client's id front.
 
 use std::hash::{BuildHasher, Hash, RandomState};
 use std::marker::PhantomData;
@@ -38,8 +38,8 @@ const MIN_SLOTS: usize = 8;
 /// never re-reads it.
 /// [`IdIndex::hash`] is keyed SipHash (one random key per index): the
 /// tag table and the Taint Map's record store key theirs by bytes that
-/// arrive from the network. The taint tree's child index keys by its own
-/// node and tag ids and passes [`crate::IdMap`]'s multiply-rotate hash
+/// arrive from the network. The taint tree's set index keys by its own
+/// tag ids and passes [`crate::IdMap`]'s multiply-rotate hash
 /// of them to `find` and `insert` instead.
 ///
 /// ```rust

@@ -69,7 +69,8 @@ pub enum TaintCodecError {
     /// The bytes are not what [`serialize_taint`] writes: a length byte
     /// runs past the packing template, the packing is one it never
     /// makes, or the full form has a non-zero rank or global id, a
-    /// damaged pad, or bytes past its last tag.
+    /// damaged pad, bytes past its last tag, or tags not in strictly
+    /// ascending order of value (kind byte, then bytes), then origin.
     NotCanonical,
 }
 
@@ -133,7 +134,7 @@ pub fn serialize_taint(tree: &TaintTree, taint: Taint) -> Vec<u8> {
 /// Appends the full form of `taint` to `out`.
 fn write_full(out: &mut Vec<u8>, tree: &TaintTree, taint: Taint) {
     write_header(out, tree.tag_count(taint));
-    tree.for_each_tag(taint, |_, value, local_id, _| {
+    tree.for_each_tag_by_value(taint, |_, value, local_id, _| {
         write_tag(out, value, local_id);
     });
 }
@@ -150,12 +151,14 @@ fn write_tag(out: &mut Vec<u8>, value: RawValue<'_>, local_id: LocalId) {
         out.push(name.len() as u8);
         out.extend_from_slice(name.as_bytes());
     }
-    // The rank (`ID`) and `GlobalID` fields are written as zero so the
-    // serialized form is *canonical*: the same tag set always produces
-    // byte-identical output no matter which VM serializes it or
-    // whether a global id has been assigned yet. The Taint Map dedups
-    // registrations by byte identity, so canonicality is what makes
-    // "one Global ID per unique global taint" hold across VMs.
+    // The rank (`ID`) and `GlobalID` fields are written as zero, and a
+    // taint's tags in value order, so the serialized form is
+    // *canonical*: the same tag set always produces byte-identical
+    // output no matter which VM serializes it, in which order that VM
+    // learned its tags, or whether a global id has been assigned yet.
+    // The Taint Map dedups registrations by byte identity, so
+    // canonicality is what makes "one Global ID per unique global
+    // taint" hold across VMs.
     out.extend_from_slice(&0u32.to_be_bytes());
     out.push(value.kind);
     out.extend_from_slice(&(value.bytes.len() as u32).to_be_bytes());
@@ -185,7 +188,7 @@ fn template() -> &'static [u8] {
 /// Packs a full form: the lengths of the longest runs it shares with the
 /// template at its start and (after that) at its end, one byte each,
 /// then the bytes between them. Any byte string packs, and
-/// [`unpack_serialized`] gives it back exactly, so equal strings pack
+/// `unpack` gives it back exactly, so equal strings pack
 /// equally and unequal ones unequally.
 fn pack(full: &[u8]) -> Vec<u8> {
     let template = template();
@@ -206,20 +209,36 @@ fn equal_run<'a>(pairs: impl Iterator<Item = (&'a u8, &'a u8)>) -> usize {
 }
 
 /// Appends to `out` the full form `packed` was packed from, once it is
-/// checked to be the canonical packing: each length byte within the
-/// template, and each run as long as the template allows, so that
-/// packing what is appended gives `packed` back. The check reads the
-/// two bytes next to the middle, not the runs. A Taint Map server
-/// checks each `BIND` record with it; [`deserialize_taint`] reads what
-/// it appends.
+/// checked to be a serialized taint exactly as [`serialize_taint`]
+/// writes one: the canonical packing (see `unpack`) of a well-formed
+/// full form whose tags are in canonical order. A Taint Map server
+/// checks each `BIND` record with it, so it binds only bytes that every
+/// VM reads as a taint and that no VM writes for another set.
 ///
 /// # Errors
 ///
 /// [`TaintCodecError::Truncated`] if `packed` is shorter than its two
 /// length bytes, [`TaintCodecError::NotCanonical`] for a length byte
-/// past the template or a packing [`serialize_taint`] never makes. `out`
-/// is then left as it was.
+/// past the template, a packing [`serialize_taint`] never makes or tags
+/// out of order, and whatever [`deserialize_taint`] refuses the full
+/// form for. `out` is then left as it was.
 pub fn unpack_serialized(packed: &[u8], out: &mut Vec<u8>) -> Result<(), TaintCodecError> {
+    let start = out.len();
+    unpack(packed, out)?;
+    read_full(&out[start..], |_, _| {}).inspect_err(|_| out.truncate(start))
+}
+
+/// Appends to `out` the full form `packed` was packed from, once it is
+/// checked to be the canonical packing: each length byte within the
+/// template, and each run as long as the template allows, so that
+/// packing what is appended gives `packed` back. The check reads the
+/// two bytes next to the middle, not the runs.
+///
+/// # Errors
+///
+/// As [`unpack_serialized`] for the packing; `out` is then left as it
+/// was.
+fn unpack(packed: &[u8], out: &mut Vec<u8>) -> Result<(), TaintCodecError> {
     let template = template();
     let len = template.len();
     let [prefix, suffix, middle @ ..] = packed else {
@@ -250,22 +269,32 @@ pub fn unpack_serialized(packed: &[u8], out: &mut Vec<u8>) -> Result<(), TaintCo
 ///
 /// Tags are re-interned locally, preserving their foreign `LocalId` so
 /// that identically-named local tags remain distinct, and the resulting
-/// taint is the union of all decoded tags.
+/// taint, the set of all decoded tags, is interned once.
 ///
 /// # Errors
 ///
 /// Returns a [`TaintCodecError`] if the bytes are not a canonical
-/// packing, or are truncated, corrupted or name an unknown class or
-/// value kind.
+/// packing, or are truncated, corrupted, out of order or name an unknown
+/// class or value kind.
 pub fn deserialize_taint(store: &TaintStore, packed: &[u8]) -> Result<Taint, TaintCodecError> {
+    let tree = store.tree();
+    let mut tags = Vec::new();
     with_full(|full| {
-        unpack_serialized(packed, full)?;
-        read_full(store, full)
-    })
+        unpack(packed, full)?;
+        // Interned straight from the bytes read: no owned value is made.
+        read_full(full, |value, local_id| {
+            tags.push(tree.mint_raw(value, local_id));
+        })
+    })?;
+    Ok(tree.taint_of_tags(tags))
 }
 
-/// Reads a full form into `store`.
-fn read_full(store: &TaintStore, bytes: &[u8]) -> Result<Taint, TaintCodecError> {
+/// Reads a full form, calling `tag` with each tag's value and origin in
+/// the order written, which must be strictly ascending.
+fn read_full<'a>(
+    bytes: &'a [u8],
+    mut tag: impl FnMut(RawValue<'a>, LocalId),
+) -> Result<(), TaintCodecError> {
     let mut r = ByteReader::new(bytes);
     if r.bytes(4)? != MAGIC {
         return Err(TaintCodecError::BadMagic);
@@ -274,7 +303,7 @@ fn read_full(store: &TaintStore, bytes: &[u8]) -> Result<Taint, TaintCodecError>
         return Err(TaintCodecError::BadClass);
     }
     let count = r.u16()?;
-    let mut taint = Taint::EMPTY;
+    let mut last = None;
     for _ in 0..count {
         if r.str16()? != TAG_CLASS {
             return Err(TaintCodecError::BadClass);
@@ -303,14 +332,17 @@ fn read_full(store: &TaintStore, bytes: &[u8]) -> Result<Taint, TaintCodecError>
         if r.u32()? != 0 || r.bytes(OBJECT_HEADER_PAD)?.iter().any(|&b| b != PAD_BYTE) {
             return Err(TaintCodecError::NotCanonical);
         }
-        // Interned straight from the bytes read: no owned value is made.
-        let tag = store.tree().mint_raw(RawValue::new(kind, raw), local_id);
-        taint = store.union(taint, store.tree().taint_of_tag(tag));
+        let key = (RawValue::new(kind, raw), local_id);
+        if last.is_some_and(|last| last >= key) {
+            return Err(TaintCodecError::NotCanonical);
+        }
+        last = Some(key);
+        tag(key.0, key.1);
     }
     if !r.at_end() {
         return Err(TaintCodecError::NotCanonical);
     }
-    Ok(taint)
+    Ok(())
 }
 
 fn write_str16(out: &mut Vec<u8>, s: &str) {
@@ -342,7 +374,7 @@ mod tests {
     /// `packed`'s full form, or why it has none.
     fn unpacked(packed: &[u8]) -> Result<Vec<u8>, TaintCodecError> {
         let mut full = Vec::new();
-        unpack_serialized(packed, &mut full).map(|()| full)
+        unpack(packed, &mut full).map(|()| full)
     }
 
     /// `(value, origin)` of every tag of `taint`, sorted: what a
@@ -670,6 +702,69 @@ mod tests {
         let t = s.mint_source_taint(TagValue::str("fresh:0:1:1"));
         let wire = serialize_taint(s.tree(), t);
         assert_eq!((full_form(s.tree(), t).len(), wire.len()), (211, 22));
+    }
+
+    /// The full form of `{x, y}` with its two tag records swapped, and
+    /// with the first written twice.
+    fn reordered(store: &TaintStore) -> (Vec<u8>, Vec<u8>) {
+        let x = store.mint_source_taint(TagValue::str("x"));
+        let y = store.mint_source_taint(TagValue::str("y"));
+        let full = full_form(store.tree(), store.union(x, y));
+        let header = 8 + STREAM_CLASS.len();
+        let (head, tags) = full.split_at(header);
+        let (first, second) = tags.split_at(tags.len() / 2);
+        (
+            [head, second, first].concat(),
+            [head, first, first].concat(),
+        )
+    }
+
+    #[test]
+    fn tags_not_strictly_ascending_are_refused() {
+        let (s, r) = stores();
+        let (swapped, repeated) = reordered(&s);
+        for bad in [swapped, repeated] {
+            let packed = pack(&bad);
+            assert_eq!(unpacked(&packed), Ok(bad), "a canonical packing");
+            assert_eq!(
+                deserialize_taint(&r, &packed),
+                Err(TaintCodecError::NotCanonical)
+            );
+            // What a Taint Map server checks a `BIND` record with.
+            let mut out = vec![7u8];
+            assert_eq!(
+                unpack_serialized(&packed, &mut out),
+                Err(TaintCodecError::NotCanonical)
+            );
+            assert_eq!(out, [7], "nothing appended");
+        }
+    }
+
+    #[test]
+    fn one_set_serializes_alike_whatever_order_a_vm_learned_its_tags() {
+        let (sender, _) = stores();
+        let wires: Vec<Vec<u8>> = [TagValue::Int(7), TagValue::str("b"), TagValue::str("a")]
+            .into_iter()
+            .map(|value| serialize_taint(sender.tree(), sender.mint_source_taint(value)))
+            .collect();
+        let mut seen = Vec::new();
+        for order in [[0, 1, 2], [2, 1, 0], [1, 2, 0]] {
+            let receiver = TaintStore::new(LocalId::new([10, 0, 0, 9], 9));
+            let taints = order.map(|i| deserialize_taint(&receiver, &wires[i]).unwrap());
+            let set = receiver.union_all(taints);
+            seen.push(serialize_taint(receiver.tree(), set));
+            // Strings before ints (kind 1 < 3), "a" before "b".
+            let mut values = Vec::new();
+            receiver
+                .tree()
+                .for_each_tag_by_value(set, |_, value, _, _| values.push(value.render()));
+            assert_eq!(values, ["a", "b", "7"]);
+        }
+        assert!(seen.windows(2).all(|w| w[0] == w[1]), "{seen:?}");
+        // And the bytes read back as the set anywhere.
+        let (_, r) = stores();
+        let back = deserialize_taint(&r, &seen[0]).unwrap();
+        assert_eq!(serialize_taint(r.tree(), back), seen[0]);
     }
 
     #[test]

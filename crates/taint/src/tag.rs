@@ -165,7 +165,10 @@ pub(crate) const KIND_INT: u8 = 3;
 /// [`TagValue::with_raw`], a checked serialized taint and a tag table
 /// (which stored one of those) make one, so a `Str` is UTF-8 and an
 /// `Int` is 8 bytes.
-#[derive(Clone, Copy, PartialEq, Eq)]
+///
+/// Values order by kind byte, then bytes: an order every VM agrees on,
+/// unlike tag ids, which each VM assigns as it learns its tags.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct RawValue<'a> {
     pub(crate) kind: u8,
     pub(crate) bytes: &'a [u8],

@@ -1,30 +1,38 @@
 //! The singleton taint tree (paper §II-B, Fig. 3).
 //!
-//! Phosphor stores every taint as a reference into one per-VM tree whose
-//! nodes are `<ID, Tag>` pairs; the tag *set* of a taint is the set of
-//! tags on the path from the root to the referenced node. Combining two
-//! taints unions their tag sets and the union is interned so that equal
-//! sets share a single node — "if two variables have the same taint tag,
-//! their taints can refer to the same node in the tree, thus avoiding
-//! storing the same tags repeatedly".
+//! Phosphor stores every taint as a reference into one per-VM tree; the
+//! tag *set* of a taint is what the path from the root to the referenced
+//! node adds up. Combining two taints unions their tag sets and the
+//! union is interned so that equal sets share a single node — "if two
+//! variables have the same taint tag, their taints can refer to the same
+//! node in the tree, thus avoiding storing the same tags repeatedly".
+//!
+//! Here a node adds a sorted *run* of tags to its parent's set, each
+//! larger than every tag above it, and a set is interned whole: one new
+//! set is one new node, whatever its size. Its parent is the largest
+//! operand of the union that made it whose tags are a prefix of the
+//! set's, so a union that adds larger tags to an operand keeps only
+//! those; without such an operand, the first tag's singleton or the
+//! root.
 //!
 //! # Concurrency design
 //!
 //! The tree is read-mostly: once a node exists it is immutable, and hot
-//! paths (`tag_ids`, `tag_count`) only walk parent links.
-//! [`TaintTree`] therefore keeps its nodes in an append-only
-//! [`NodeTable`] — chunked storage where published slots are never moved
-//! or mutated, so walks take **no lock at all** — and stripes the two
-//! interning tables (`children`, `union_memo`) across [`SHARDS`]
+//! paths (`tag_ids`, `tag_count`) only walk parent links and read runs.
+//! [`TaintTree`] therefore keeps its nodes and their runs in an
+//! append-only [`NodeTable`] — chunked storage where published slots are
+//! never moved or mutated, so walks take **no lock at all** — and stripes
+//! the two interning tables (`sets`, `union_memo`) across [`SHARDS`]
 //! independent `RwLock`s so writers on unrelated keys don't contend.
-//! `children` is an [`IdIndex`] of node ids: the key of a child is the
-//! child node itself, read lock-free from the node table.
+//! `sets` is an [`IdIndex`] of node ids keyed by a set's sorted tag list:
+//! a probe compares its candidate by walking the candidate's runs,
+//! lock-free.
 //!
-//! A singleton node `{tag}` is not in `children`: it is kept in the
-//! tag's own entry of the tag table and made under the tags lock. Locks
-//! are taken in one order: the tags lock, then the node append lock;
-//! nothing that holds the append lock (or a `children` stripe) takes the
-//! tags lock.
+//! A singleton node `{tag}` is not in `sets`: it is kept in the tag's own
+//! entry of the tag table and made under the tags lock. Locks are taken
+//! in one order: the tags lock, then a `sets` stripe, then the node
+//! append lock; nothing that holds the append lock or a `sets` stripe
+//! takes the tags lock.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -82,90 +90,184 @@ struct TagEntry {
 
 const _: () = assert!(std::mem::size_of::<TagEntry>() == 28);
 
-/// One interned set: its parent's set plus `tag`. 12 bytes in its
-/// `OnceLock` slot; a set's size is found by walking to the root.
+/// One interned set: its parent's set plus a run of tags, sorted and each
+/// larger than every tag of the parent's set. 12 bytes in its `OnceLock`
+/// slot. A run of one tag is that tag's id; a longer run is
+/// [`RUN_FLAG`] `|` the offset of its length word in the run arena,
+/// which its tags follow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Node {
     parent: u32,
-    tag: TagId,
+    run: u32,
 }
 
 const _: () = assert!(std::mem::size_of::<OnceLock<Node>>() == 12);
 
+/// Marks a run kept in the arena; a tag id never has this bit.
+const RUN_FLAG: u32 = 1 << 31;
+
 /// Number of lock stripes for the interning maps. Power of two.
 const SHARDS: usize = 16;
 
-/// Size of the first node chunk; chunk `k` holds `NODE_BASE << k` slots.
-const NODE_BASE: usize = 1024;
+/// Size of the first chunk; chunk `k` holds `CHUNK_BASE << k` slots.
+const CHUNK_BASE: usize = 1024;
 
-/// Chunks in the spine. `NODE_BASE * (2^NODE_CHUNKS - 1)` slots exceed
-/// the `u32` node-index space, so the spine can never run out first.
-const NODE_CHUNKS: usize = 23;
+/// Chunks in a spine. `CHUNK_BASE * (2^CHUNKS - 1)` slots exceed the
+/// `u32` index space, so a spine can never run out first.
+const CHUNKS: usize = 23;
+
+/// Maps an index to its chunk and its offset in that chunk.
+fn locate(index: usize) -> (usize, usize) {
+    let bucket = (index / CHUNK_BASE + 1).ilog2() as usize;
+    (bucket, index - chunk_start(bucket))
+}
+
+/// The index of chunk `bucket`'s first slot.
+fn chunk_start(bucket: usize) -> usize {
+    CHUNK_BASE * ((1usize << bucket) - 1)
+}
+
+/// Append-only slots with lock-free reads: geometrically growing chunks
+/// under a fixed spine. A chunk is allocated on its first write and
+/// never moves, so a reader dereferences straight into it.
+struct Chunks<T> {
+    spine: [OnceLock<Box<[T]>>; CHUNKS],
+}
+
+impl<T: Default> Chunks<T> {
+    fn new() -> Self {
+        Chunks {
+            spine: std::array::from_fn(|_| OnceLock::new()),
+        }
+    }
+
+    /// Chunk `bucket`, allocated if it is not yet.
+    fn chunk(&self, bucket: usize) -> &[T] {
+        self.spine[bucket].get_or_init(|| (0..CHUNK_BASE << bucket).map(|_| T::default()).collect())
+    }
+
+    /// The slot at `index`, if its chunk exists.
+    fn get(&self, index: usize) -> Option<&T> {
+        let (bucket, off) = locate(index);
+        self.spine[bucket].get().map(|chunk| &chunk[off])
+    }
+}
+
+/// A node's run of tags, read in place.
+enum Run<'a> {
+    One(TagId),
+    Many(&'a [AtomicU32]),
+}
+
+impl Run<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Run::One(_) => 1,
+            Run::Many(tags) => tags.len(),
+        }
+    }
+
+    fn get(&self, i: usize) -> TagId {
+        match self {
+            Run::One(tag) => *tag,
+            Run::Many(tags) => TagId(tags[i].load(Ordering::Relaxed)),
+        }
+    }
+}
 
 /// Append-only node storage with lock-free reads.
 ///
-/// Nodes live in geometrically-growing chunks whose slots are
-/// `OnceLock`s: a slot is written exactly once (before its index is
-/// published through an interning map) and never moves, so readers
-/// dereference straight into the chunk with no lock. Only appends —
-/// which are rare, every interned set is allocated once — serialize on
-/// the `append` mutex.
+/// A node's slot is a `OnceLock` written exactly once, and a run of two
+/// or more tags is copied into the run arena, an append-only array of
+/// `AtomicU32` words, before its node is: both are written before the
+/// node's index is published through an interning map, and neither ever
+/// moves, so readers dereference straight into the chunks with no lock.
+/// Only appends — every interned set is made once — serialize on the
+/// `append` mutex, which guards the arena's length.
 struct NodeTable {
-    spine: [OnceLock<Box<[OnceLock<Node>]>>; NODE_CHUNKS],
+    nodes: Chunks<OnceLock<Node>>,
+    runs: Chunks<AtomicU32>,
     len: AtomicU32,
-    append: Mutex<()>,
-}
-
-/// Maps a node index to its chunk, offset and chunk capacity.
-fn locate(index: usize) -> (usize, usize) {
-    let bucket = (index / NODE_BASE + 1).ilog2() as usize;
-    let chunk_start = NODE_BASE * ((1usize << bucket) - 1);
-    (bucket, index - chunk_start)
+    append: Mutex<usize>,
 }
 
 impl NodeTable {
     fn new() -> Self {
         let table = NodeTable {
-            spine: std::array::from_fn(|_| OnceLock::new()),
+            nodes: Chunks::new(),
+            runs: Chunks::new(),
             len: AtomicU32::new(0),
-            append: Mutex::new(()),
+            append: Mutex::new(0),
         };
         // Index 0 is the root; its fields are unused.
-        table.push(Node {
-            parent: 0,
-            tag: TagId(u32::MAX),
-        });
+        table.push(0, &[TagId(0)]);
         table
-    }
-
-    fn chunk(&self, bucket: usize) -> &[OnceLock<Node>] {
-        self.spine[bucket].get_or_init(|| {
-            (0..(NODE_BASE << bucket))
-                .map(|_| OnceLock::new())
-                .collect()
-        })
     }
 
     /// Reads a published node. Lock-free.
     fn get(&self, index: u32) -> Node {
-        let (bucket, off) = locate(index as usize);
-        *self.spine[bucket]
-            .get()
-            .and_then(|chunk| chunk[off].get())
+        *self
+            .nodes
+            .get(index as usize)
+            .and_then(OnceLock::get)
             .expect("taint handle not minted by this tree")
     }
 
-    /// Appends a node, returning its index.
-    fn push(&self, node: Node) -> u32 {
-        let _guard = self.append.lock();
+    /// The run of a published node. Lock-free: the run was written
+    /// before the node's slot was set, and the node was read from its
+    /// slot, so relaxed loads of the run's words see it whole.
+    fn run(&self, node: Node) -> Run<'_> {
+        if node.run & RUN_FLAG == 0 {
+            return Run::One(TagId(node.run));
+        }
+        let at = (node.run & !RUN_FLAG) as usize;
+        let (bucket, off) = locate(at);
+        let chunk = self.runs.spine[bucket]
+            .get()
+            .expect("run not written by this tree");
+        let len = chunk[off].load(Ordering::Relaxed) as usize;
+        Run::Many(&chunk[off + 1..off + 1 + len])
+    }
+
+    /// Appends the node `parent`'s set plus `run`, returning its index.
+    fn push(&self, parent: u32, run: &[TagId]) -> u32 {
+        let mut used = self.append.lock();
+        let run = match run {
+            [tag] => tag.0,
+            _ => RUN_FLAG | self.push_run(&mut used, run),
+        };
         let index = self.len.load(Ordering::Relaxed);
         let (bucket, off) = locate(index as usize);
-        self.chunk(bucket)[off]
-            .set(node)
+        self.nodes.chunk(bucket)[off]
+            .set(Node { parent, run })
             .expect("node slot written twice");
         // Publish the new length only after the slot is initialized.
         self.len.store(index + 1, Ordering::Release);
         index
+    }
+
+    /// Copies `run` into the arena after its length word, at the first
+    /// offset from `*used` on whose chunk it fits whole, and returns
+    /// that offset. Runs never span chunks; a chunk skipped whole is
+    /// never allocated.
+    fn push_run(&self, used: &mut usize, run: &[TagId]) -> u32 {
+        let words = run.len() + 1;
+        let mut at = *used;
+        let (bucket, off) = loop {
+            let (bucket, off) = locate(at);
+            if off + words <= CHUNK_BASE << bucket {
+                break (bucket, off);
+            }
+            at = chunk_start(bucket + 1);
+        };
+        assert!(at + words <= RUN_FLAG as usize, "run arena full");
+        let chunk = &self.runs.chunk(bucket)[off..off + words];
+        chunk[0].store(run.len() as u32, Ordering::Relaxed);
+        for (slot, tag) in chunk[1..].iter().zip(run) {
+            slot.store(tag.0, Ordering::Relaxed);
+        }
+        *used = at + words;
+        at as u32
     }
 
     fn len(&self) -> usize {
@@ -214,6 +316,8 @@ impl TagTable {
     }
 
     fn push(&mut self, entry: TagEntry) -> TagId {
+        // A node's run tells a tag id from an arena offset by one bit.
+        assert!(self.len < RUN_FLAG as usize, "tag table full");
         if self.len.is_multiple_of(TAG_CHUNK) {
             self.chunks.push(Vec::with_capacity(TAG_CHUNK));
         }
@@ -275,7 +379,7 @@ type FxMap<K, V> = HashMap<K, V, FxBuildHasher>;
 pub type IdMap<K, V> = FxMap<K, V>;
 
 /// A key's multiply-rotate hash.
-fn fx_hash<K: Hash>(key: &K) -> u64 {
+fn fx_hash<K: Hash + ?Sized>(key: &K) -> u64 {
     FxBuildHasher::default().hash_one(key)
 }
 
@@ -309,10 +413,10 @@ fn shard_of(hash: u64) -> usize {
 /// ```
 pub struct TaintTree {
     nodes: NodeTable,
-    /// Child lookup: the ids of non-root nodes, keyed by the node's own
-    /// `(parent, tag)` and striped by it. The root's children are not
-    /// here: see [`TaintTree::singleton`].
-    children: Vec<RwLock<IdIndex>>,
+    /// Every interned set of two or more tags, by node id, keyed by the
+    /// set's sorted tag list and striped by that key's hash. A set of
+    /// one tag is not here: see [`TaintTree::singleton`].
+    sets: Vec<RwLock<IdIndex>>,
     /// Memoized unions keyed by (smaller node, larger node), striped.
     union_memo: Vec<RwLock<FxMap<(u32, u32), u32>>>,
     tags: RwLock<TagTable>,
@@ -333,12 +437,19 @@ pub struct TreeStats {
     pub memo_misses: u64,
 }
 
+/// An operand of a union: its node, its tag count and its largest tag.
+struct Operand {
+    node: u32,
+    count: usize,
+    max: TagId,
+}
+
 impl TaintTree {
     /// Creates an empty tree containing only the root (empty taint).
     pub fn new() -> Self {
         TaintTree {
             nodes: NodeTable::new(),
-            children: (0..SHARDS)
+            sets: (0..SHARDS)
                 .map(|_| RwLock::new(IdIndex::default()))
                 .collect(),
             union_memo: (0..SHARDS).map(|_| RwLock::new(FxMap::default())).collect(),
@@ -397,63 +508,108 @@ impl TaintTree {
         let mut tags = self.tags.write();
         let entry = tags.entry_mut(tag);
         if entry.node == 0 {
-            entry.node = self.nodes.push(Node { parent: 0, tag });
+            entry.node = self.nodes.push(0, &[tag]);
         }
         entry.node
     }
 
-    /// Looks up or creates the child of `parent` along `tag`.
-    fn intern_child(&self, parent: u32, tag: TagId) -> u32 {
-        let node = Node { parent, tag };
-        let hash = fx_hash(&(parent, tag));
-        let shard = &self.children[shard_of(hash)];
-        let is_node = |id| self.nodes.get(id) == node;
-        if let Some(child) = shard.read().find(hash, is_node) {
-            return child;
+    /// Interns the set `sorted` (ascending, no duplicates) whole and
+    /// returns its node. `prefix` is a node and its tag count whose tags
+    /// are that many first of `sorted`: a new node is its child and
+    /// keeps only the tags after them. Without one the parent is the
+    /// first tag's singleton if it was made, else the root, so no set is
+    /// made that nobody asked for.
+    fn intern_set(&self, sorted: &[TagId], prefix: Option<(u32, usize)>) -> u32 {
+        match sorted {
+            [] => return 0,
+            [tag] => return self.singleton(*tag),
+            _ => {}
         }
+        let hash = fx_hash(sorted);
+        let shard = &self.sets[shard_of(hash)];
+        let is_set = |id| self.holds(id, sorted);
+        if let Some(node) = shard.read().find(hash, is_set) {
+            return node;
+        }
+        // Read before the stripe is taken: the tags lock comes first.
+        let (parent, skip) =
+            prefix.unwrap_or_else(|| match self.tags.read().entry(sorted[0]).node {
+                0 => (0, 0),
+                single => (single, 1),
+            });
         let mut shard = shard.write();
-        if let Some(child) = shard.find(hash, is_node) {
-            return child;
+        if let Some(node) = shard.find(hash, is_set) {
+            return node;
         }
-        // The slot is fully written by `push` before the index is
-        // published through the stripe below, so lock-free readers can
-        // never observe a half-made node.
-        let index = self.nodes.push(node);
-        shard.insert(hash, index);
-        index
+        // The node and its run are fully written by `push` before the
+        // index is published through the stripe below, so lock-free
+        // readers can never observe a half-made node.
+        let node = self.nodes.push(parent, &sorted[skip..]);
+        shard.insert(hash, node);
+        node
     }
 
-    /// Interns the canonical (sorted, deduplicated) path, returning its node.
-    fn intern_path(&self, path: &[TagId]) -> u32 {
-        let Some((&first, rest)) = path.split_first() else {
-            return 0;
-        };
-        rest.iter().fold(self.singleton(first), |cur, &tag| {
-            self.intern_child(cur, tag)
-        })
+    /// Interns `sorted`, the union of `operands`: an operand that holds
+    /// it all is the answer, and the largest one that is a prefix of it
+    /// is the new node's parent. An operand of `count` tags is a prefix
+    /// exactly when its largest tag is the union's `count`-th.
+    fn intern_union(&self, sorted: &[TagId], operands: &[Operand]) -> u32 {
+        if let Some(whole) = operands.iter().find(|o| o.count == sorted.len()) {
+            return whole.node;
+        }
+        let prefix = operands
+            .iter()
+            .filter(|o| sorted[o.count - 1] == o.max)
+            .max_by_key(|o| o.count)
+            .map(|o| (o.node, o.count));
+        self.intern_set(sorted, prefix)
     }
 
-    /// Appends the tag ids on the path from `node` up to the root
-    /// (bottom-up, so descending). Lock-free.
+    /// Whether `node`'s set is `sorted`: its runs, read from the last,
+    /// are the matching slices of `sorted`. Lock-free.
+    fn holds(&self, node: u32, sorted: &[TagId]) -> bool {
+        let (mut cur, mut end) = (node, sorted.len());
+        while cur != 0 {
+            let n = self.nodes.get(cur);
+            let run = self.nodes.run(n);
+            let Some(start) = end.checked_sub(run.len()) else {
+                return false;
+            };
+            if !(0..run.len()).all(|i| run.get(i) == sorted[start + i]) {
+                return false;
+            }
+            (cur, end) = (n.parent, start);
+        }
+        end == 0
+    }
+
+    /// Appends the tag ids of `node`'s set, descending: its runs from the
+    /// last, each read backwards. Lock-free.
     fn push_path(&self, node: u32, out: &mut Vec<TagId>) {
         let mut cur = node;
         while cur != 0 {
             let n = self.nodes.get(cur);
-            out.push(n.tag);
+            let run = self.nodes.run(n);
+            out.extend((0..run.len()).rev().map(|i| run.get(i)));
             cur = n.parent;
         }
     }
 
-    /// Path of tag ids from root to `node`, sorted ascending. Lock-free.
-    ///
-    /// The tree maintains the invariant that every interned path is sorted
-    /// by `TagId`, so reading the path bottom-up and reversing yields the
-    /// canonical sorted set.
+    /// The tag ids of `node`'s set, ascending. Lock-free.
     fn path(&self, node: u32) -> Vec<TagId> {
         let mut out = Vec::new();
         self.push_path(node, &mut out);
         out.reverse();
         out
+    }
+
+    /// `node` as a union operand, given its tags ascending.
+    fn operand(node: u32, tags: &[TagId]) -> Operand {
+        Operand {
+            node,
+            count: tags.len(),
+            max: tags[tags.len() - 1],
+        }
     }
 
     /// Unions the tag sets of two taints (paper: `c_t = a_t ∪ b_t`).
@@ -477,9 +633,11 @@ impl TaintTree {
         self.memo_misses.fetch_add(1, Ordering::Relaxed);
         // Compute outside the memo lock: interning is idempotent, so a
         // concurrent duplicate lands on the same node, and no memo shard
-        // is ever held while children shards are taken (no ordering).
-        let merged = merge_sorted(&self.path(a.0), &self.path(b.0));
-        let node = self.intern_path(&merged);
+        // is ever held while a set stripe is taken (no ordering).
+        let (pa, pb) = (self.path(a.0), self.path(b.0));
+        let merged = merge_sorted(&pa, &pb);
+        let operands = [Self::operand(a.0, &pa), Self::operand(b.0, &pb)];
+        let node = self.intern_union(&merged, &operands);
         shard.write().insert(key, node);
         Taint(node)
     }
@@ -491,7 +649,7 @@ impl TaintTree {
     /// would intern every intermediate set (and memoize every pair) on
     /// the way to a result nobody asked for them by; instead the
     /// operands' tag ids are gathered, sorted, deduplicated and interned
-    /// as one path — the same canonical node the fold arrives at.
+    /// as one set — the node the fold arrives at.
     pub fn union_all<I: IntoIterator<Item = Taint>>(&self, taints: I) -> Taint {
         let mut rest = taints.into_iter().filter(|t| !t.is_empty());
         let Some(a) = rest.next() else {
@@ -503,19 +661,32 @@ impl TaintTree {
         let Some(c) = rest.find(|&t| t != a && t != b) else {
             return self.union(a, b);
         };
-        let mut operands = vec![a, b, c];
-        for t in rest {
-            if !operands.contains(&t) {
-                operands.push(t);
-            }
-        }
+        let mut operands: Vec<Operand> = Vec::new();
         let mut tags = Vec::new();
-        for t in operands {
+        for t in [a, b, c].into_iter().chain(rest) {
+            if operands.iter().any(|o| o.node == t.0) {
+                continue;
+            }
+            // Descending, so an operand's first tag is its largest.
+            let start = tags.len();
             self.push_path(t.0, &mut tags);
+            operands.push(Operand {
+                node: t.0,
+                count: tags.len() - start,
+                max: tags[start],
+            });
         }
         tags.sort_unstable();
         tags.dedup();
-        Taint(self.intern_path(&tags))
+        Taint(self.intern_union(&tags, &operands))
+    }
+
+    /// The taint whose set is `tags` (any order, duplicates allowed),
+    /// interned whole.
+    pub(crate) fn taint_of_tags(&self, mut tags: Vec<TagId>) -> Taint {
+        tags.sort_unstable();
+        tags.dedup();
+        Taint(self.intern_union(&tags, &[]))
     }
 
     /// The sorted tag ids of a taint. Lock-free.
@@ -523,15 +694,16 @@ impl TaintTree {
         self.path(taint.0)
     }
 
-    /// Number of tags in a taint (its depth in the tree): a walk to the
+    /// Number of tags in a taint: the lengths of its runs, a walk to the
     /// root. Lock-free.
     pub fn tag_count(&self, taint: Taint) -> usize {
-        let (mut cur, mut depth) = (taint.0, 0);
+        let (mut cur, mut count) = (taint.0, 0);
         while cur != 0 {
-            cur = self.nodes.get(cur).parent;
-            depth += 1;
+            let n = self.nodes.get(cur);
+            count += self.nodes.run(n).len();
+            cur = n.parent;
         }
-        depth
+        count
     }
 
     /// Full quad for one tag.
@@ -574,6 +746,27 @@ impl TaintTree {
     ) {
         let ids = self.tag_ids(taint);
         let tags = self.tags.read();
+        for id in ids {
+            let entry = tags.entry(id);
+            f(id, tags.value(entry), entry.local_id, entry.global_id);
+        }
+    }
+
+    /// [`TaintTree::for_each_tag`] in an order every VM agrees on: by
+    /// value, then origin. Tag ids are not: each VM assigns them in the
+    /// order it learned its tags.
+    pub(crate) fn for_each_tag_by_value(
+        &self,
+        taint: Taint,
+        mut f: impl FnMut(TagId, RawValue<'_>, LocalId, GlobalId),
+    ) {
+        let mut ids = self.tag_ids(taint);
+        let tags = self.tags.read();
+        let key = |id: &TagId| {
+            let entry = tags.entry(*id);
+            (tags.value(entry), entry.local_id)
+        };
+        ids.sort_unstable_by(|a, b| key(a).cmp(&key(b)));
         for id in ids {
             let entry = tags.entry(id);
             f(id, tags.value(entry), entry.local_id, entry.global_id);
@@ -895,19 +1088,115 @@ mod tests {
         assert_eq!(tree.num_nodes(), 1 + 3 + 2); // root, a, ab, abc, b, c
     }
 
+    /// A tree with `n` tags minted, `0..n` as `Int` values, and their
+    /// singletons.
+    fn tree_of(n: usize) -> (TaintTree, Vec<Taint>) {
+        let tree = TaintTree::new();
+        let singles = (0..n as i64)
+            .map(|i| tree.taint_of_tag(tree.mint_tag(TagValue::Int(i), LocalId::default())))
+            .collect();
+        (tree, singles)
+    }
+
+    #[test]
+    fn a_new_set_costs_one_node_whatever_its_size() {
+        let (tree, t) = tree_of(8);
+        let before = tree.num_nodes();
+        // A sink union of singletons: one node under the smallest.
+        let set = tree.union_all([t[6], t[1], t[3], t[7]]);
+        assert_eq!(tree.num_nodes(), before + 1);
+        let node = tree.nodes.get(set.0);
+        assert_eq!(node.parent, t[1].0);
+        assert_eq!(tree.tag_count(set), 4);
+        // Adding a larger tag keeps the operand as parent and one tag
+        // inline.
+        let more = tree.union(set, t[7]);
+        assert_eq!(more, set, "a subset adds nothing");
+        let wider = tree.union(t[5], tree.union(set, t[0]));
+        assert_eq!(tree.num_nodes(), before + 3);
+        assert_eq!(
+            tree.tag_ids(wider),
+            [0, 1, 3, 5, 6, 7].map(TagId).to_vec(),
+            "no prefix operand: a run under the smallest tag's singleton"
+        );
+        // The same set asked for again, any way, is the same node.
+        let again = tree.union_all([t[7], t[6], t[5], t[3], t[1], t[0]]);
+        assert_eq!(again, wider);
+        assert_eq!(
+            tree.union(tree.union_all([t[0], t[1], t[3]]), set),
+            tree.union(set, t[0])
+        );
+    }
+
+    #[test]
+    fn a_node_holds_only_its_own_tag_list() {
+        // A probe compares every candidate whose hash bits match; a set
+        // that is a prefix, a suffix or a superset of another must not
+        // pass for it.
+        let (tree, t) = tree_of(6);
+        let set = tree.union_all([t[2], t[3], t[4]]);
+        let ids = |xs: &[u32]| xs.iter().map(|&i| TagId(i)).collect::<Vec<_>>();
+        assert!(tree.holds(set.0, &ids(&[2, 3, 4])));
+        for other in [
+            &[1, 2, 3, 4][..],
+            &[3, 4],
+            &[2, 3],
+            &[2, 3, 4, 5],
+            &[0, 3, 4],
+        ] {
+            assert!(!tree.holds(set.0, &ids(other)), "{other:?}");
+        }
+    }
+
+    #[test]
+    fn a_set_of_tags_with_no_singleton_hangs_from_the_root() {
+        let tree = TaintTree::new();
+        let tags: Vec<TagId> = (0..3)
+            .map(|i| tree.mint_tag(TagValue::Int(i), LocalId::default()))
+            .collect();
+        let set = tree.taint_of_tags(vec![tags[2], tags[0], tags[1], tags[0]]);
+        assert_eq!(tree.num_nodes(), 2, "the root and the set");
+        assert_eq!(tree.nodes.get(set.0).parent, 0);
+        assert_eq!(tree.tag_ids(set), tags);
+        assert_eq!(tree.taint_of_tags(tags.clone()), set);
+        assert_eq!(
+            tree.taint_of_tags(vec![tags[1]]),
+            tree.taint_of_tag(tags[1])
+        );
+    }
+
+    #[test]
+    fn runs_longer_than_a_chunk_or_its_rest_fit_whole() {
+        // Runs of 3 000 and 700 tags: neither fits the first 1 024-word
+        // chunk's rest once the other is in, so each starts a chunk.
+        let (tree, t) = tree_of(4_000);
+        let long = tree.union_all(t[..3_000].iter().copied());
+        let short = tree.union_all(t[3_000..3_700].iter().copied());
+        let mid = tree.union_all(t[1_000..1_300].iter().copied());
+        for (set, range) in [(long, 0..3_000), (short, 3_000..3_700), (mid, 1_000..1_300)] {
+            let want: Vec<TagId> = range.map(|i| TagId(i as u32)).collect();
+            assert_eq!(tree.tag_ids(set), want);
+            assert_eq!(tree.tag_count(set), want.len());
+        }
+        let all = tree.union(long, short);
+        assert_eq!(tree.tag_count(all), 3_700);
+        assert_eq!(tree.nodes.get(all.0).parent, long.0);
+        assert_eq!(tree.union_all(t[..3_700].iter().rev().copied()), all);
+    }
+
     #[test]
     fn node_table_spans_chunk_boundaries() {
-        // Force the node table past its first chunk (NODE_BASE slots) and
+        // Force the node table past its first chunk (CHUNK_BASE slots) and
         // verify paths still resolve — catches chunk index arithmetic.
         let tree = TaintTree::new();
         let mut acc = Taint::EMPTY;
-        let total = NODE_BASE + NODE_BASE / 2;
+        let total = CHUNK_BASE + CHUNK_BASE / 2;
         for i in 0..total {
             let tag = tree.mint_tag(TagValue::Int(i as i64), LocalId::default());
             acc = tree.union(acc, tree.taint_of_tag(tag));
         }
         assert_eq!(tree.tag_count(acc), total);
-        assert!(tree.num_nodes() > NODE_BASE);
+        assert!(tree.num_nodes() > CHUNK_BASE);
         let ids = tree.tag_ids(acc);
         assert_eq!(ids.len(), total);
         assert!(ids.windows(2).all(|w| w[0] < w[1]), "path stays sorted");

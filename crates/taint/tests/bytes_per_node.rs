@@ -1,16 +1,17 @@
 //! What one interned tag set costs to keep, as a count (DESIGN.md §4,
 //! "Lock-striped tree"): the live heap bytes a [`TaintTree`] holds per
-//! node it interns at a sink.
+//! set it interns.
 //!
 //! A counting global allocator tracks the process's live bytes. A tree
 //! is given a pool of 64 tags and their singleton taints; then 100 000
 //! `union_all` calls of 8 seeded picks from the pool — the crossing
-//! benchmark's `tainted_bulk` sink union — intern about four new path
-//! nodes each, and the growth in live bytes is divided by the number of
-//! nodes they added. The node table's chunks and the child index's
-//! stripes are what grows. Sizes depend on counts and capacities only,
-//! so the figure repeats from run to run and is the same in debug and
-//! release.
+//! benchmark's `tainted_bulk` sink union — intern one new set each, and
+//! the growth in live bytes is divided by the number of unions. The node
+//! table's and the run arena's chunks and the set index's stripes are
+//! what grows. Two more rows fold 1 000 singletons into one set a union
+//! at a time, in ascending and in descending tag order. Sizes depend on
+//! counts and capacities only, so the figures repeat from run to run and
+//! are the same in debug and release.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, Ordering};
@@ -60,12 +61,18 @@ static GLOBAL: Counting = Counting;
 const POOL: usize = 64;
 const PICKS: usize = 8;
 const UNIONS: usize = 100_000;
+const STEPS: usize = 1_000;
 
-/// Live bytes per interned node (430 044 nodes): 26.3 here, with 12 B
-/// node slots and a child index of node ids; 35.3 when a node also kept
-/// its depth (16 B) and the child index was a hash map holding a second
-/// copy of each node's `(parent, tag)`.
-const NODE_BOUND: f64 = 30.0;
+/// Live bytes per sink union: 69.8 here, one 12 B node and its run of
+/// about seven 4 B tags a set; 113.2 when a node added one tag, so a set
+/// also made each missing prefix (4.30 nodes of 26.3 B a union).
+const UNION_BOUND: f64 = 75.0;
+/// Live bytes per step of a 1 000-step ascending accumulation: 57.5 here
+/// and when a node added one tag. Each step adds one larger tag to the
+/// last set, so it costs one 12 B node with its tag inline, its set-index
+/// slot (11.8 B) and its union-memo entry (21.6 B); the 1 000 nodes also
+/// open the node table's 24 KiB second chunk.
+const ASCENDING_BOUND: f64 = 60.0;
 
 /// SplitMix64, as the benchmark draws its pool picks.
 struct Rng(u64);
@@ -80,28 +87,41 @@ impl Rng {
     }
 }
 
-#[test]
-fn a_sink_union_node_costs_at_most_its_bound() {
+/// Runs `f` and returns its result with the live bytes it left behind.
+fn grown<T>(f: impl FnOnce() -> T) -> (T, isize) {
+    let before = LIVE.load(Ordering::Relaxed);
+    let out = f();
+    (out, LIVE.load(Ordering::Relaxed) - before)
+}
+
+/// A tree with `n` tags minted and their singleton taints.
+fn tree_of(n: usize) -> (TaintTree, Vec<Taint>) {
     let tree = TaintTree::new();
-    let pool: Vec<Taint> = (0..POOL as i64)
+    let singles = (0..n as i64)
         .map(|i| tree.taint_of_tag(tree.mint_tag(TagValue::Int(i), LocalId::default())))
         .collect();
+    (tree, singles)
+}
+
+/// Live bytes per sink union, checking every sink is its picks' set and
+/// each new set made one node.
+fn per_sink_union() -> f64 {
+    let (tree, pool) = tree_of(POOL);
     let mut rng = Rng(1);
     // The test's own buffers, sized before the first reading.
     let mut picks = Vec::with_capacity(PICKS);
     let mut sinks = Vec::with_capacity(UNIONS);
 
     let nodes_before = tree.num_nodes();
-    let before = LIVE.load(Ordering::Relaxed);
-    for _ in 0..UNIONS {
-        picks.clear();
-        picks.extend((0..PICKS).map(|_| pool[rng.below(POOL)]));
-        sinks.push(tree.union_all(picks.iter().copied()));
-    }
-    let after = LIVE.load(Ordering::Relaxed);
+    let ((), grew) = grown(|| {
+        for _ in 0..UNIONS {
+            picks.clear();
+            picks.extend((0..PICKS).map(|_| pool[rng.below(POOL)]));
+            sinks.push(tree.union_all(picks.iter().copied()));
+        }
+    });
     let nodes = tree.num_nodes() - nodes_before;
 
-    // Every sink is the set of its picks.
     let mut rng = Rng(1);
     for sink in sinks.iter().take(1_000) {
         let mut want: Vec<usize> = (0..PICKS).map(|_| rng.below(POOL)).collect();
@@ -111,13 +131,46 @@ fn a_sink_union_node_costs_at_most_its_bound() {
         assert_eq!(got, want);
         assert_eq!(tree.tag_count(*sink), want.len());
     }
-    let per_node = (after - before) as f64 / nodes as f64;
-    println!(
-        "{UNIONS} sink unions of {PICKS} picks from {POOL} tags: {nodes} nodes, \
-         {per_node:.1} live bytes per node"
+    sinks.sort_unstable();
+    sinks.dedup();
+    let new_sets = sinks
+        .iter()
+        .filter(|t| t.node_index() >= nodes_before)
+        .count();
+    assert_eq!(nodes, new_sets, "one node per new set");
+    println!("  {UNIONS} sink unions of {PICKS} picks from {POOL} tags: {nodes} nodes");
+    grew as f64 / UNIONS as f64
+}
+
+/// Live bytes per step of folding `order`'s singletons into one set a
+/// union at a time.
+fn per_accumulation_step(order: impl Iterator<Item = usize>) -> f64 {
+    let (tree, singles) = tree_of(STEPS);
+    let (acc, grew) = grown(|| order.fold(Taint::EMPTY, |acc, i| tree.union(acc, singles[i])));
+    assert_eq!(tree.tag_count(acc), STEPS);
+    grew as f64 / STEPS as f64
+}
+
+/// One test, so that nothing else allocates while a row is measured.
+#[test]
+fn a_new_set_costs_at_most_its_bound() {
+    println!("live bytes a tree keeps:");
+    let union = per_sink_union();
+    let ascending = per_accumulation_step(0..STEPS);
+    let descending = per_accumulation_step((0..STEPS).rev());
+    for (row, bytes) in [
+        ("per sink union", union),
+        ("per ascending accumulation step", ascending),
+        ("per descending accumulation step", descending),
+    ] {
+        println!("  {row:<36} {bytes:>8.1}");
+    }
+    assert!(
+        union <= UNION_BOUND,
+        "a tree keeps {union:.1} B per sink union, bound {UNION_BOUND}"
     );
     assert!(
-        per_node <= NODE_BOUND,
-        "a tree keeps {per_node:.1} B per node, bound {NODE_BOUND}"
+        ascending <= ASCENDING_BOUND,
+        "an ascending step keeps {ascending:.1} B, bound {ASCENDING_BOUND}"
     );
 }

@@ -1,7 +1,10 @@
 //! Property-based tests for the taint algebra and codecs.
 
+use std::collections::{BTreeSet, HashMap};
+
 use dista_taint::{
-    deserialize_taint, serialize_taint, LocalId, TagValue, Taint, TaintStore, TaintedBytes,
+    deserialize_taint, serialize_taint, LocalId, TagId, TagValue, Taint, TaintStore, TaintTree,
+    TaintedBytes,
 };
 use proptest::prelude::*;
 
@@ -16,6 +19,140 @@ fn taint_of_labels(store: &TaintStore, labels: &[u8]) -> Taint {
             .iter()
             .map(|&l| store.mint_source_taint(TagValue::Int(l as i64))),
     )
+}
+
+/// Tags in the tree model: labels `0..40`, minted in the order a run
+/// first uses them, so tag ids follow no label order.
+const MODEL_TAGS: u8 = 40;
+
+/// One step of a run against the tree model. Operand indices pick from
+/// the taints made so far (the first is `EMPTY`).
+#[derive(Debug, Clone)]
+enum Step {
+    /// The singleton of a label, minted if it is new.
+    Mint(u8),
+    Union(usize, usize),
+    UnionAll(Vec<usize>),
+    /// Folds singletons onto a taint one pair union at a time, in
+    /// ascending or descending tag-id order.
+    Accumulate {
+        onto: usize,
+        labels: Vec<u8>,
+        descending: bool,
+    },
+}
+
+fn step() -> impl Strategy<Value = Step> {
+    let index = || any::<usize>();
+    let labels = || prop::collection::vec(0..MODEL_TAGS, 1..MODEL_TAGS as usize);
+    prop_oneof![
+        (0..MODEL_TAGS).prop_map(Step::Mint),
+        (index(), index()).prop_map(|(a, b)| Step::Union(a, b)),
+        prop::collection::vec(index(), 0..12).prop_map(Step::UnionAll),
+        (index(), labels(), any::<bool>()).prop_map(|(onto, labels, descending)| {
+            Step::Accumulate {
+                onto,
+                labels,
+                descending,
+            }
+        }),
+    ]
+}
+
+/// A tree and, for every taint it handed out, the label set it stands
+/// for.
+struct Model {
+    tree: TaintTree,
+    made: Vec<(Taint, BTreeSet<u8>)>,
+}
+
+impl Model {
+    fn single(&self, label: u8) -> (Taint, BTreeSet<u8>) {
+        let tag = self
+            .tree
+            .mint_tag(TagValue::Int(label.into()), LocalId::default());
+        (self.tree.taint_of_tag(tag), BTreeSet::from([label]))
+    }
+
+    fn pick(&self, i: usize) -> (Taint, BTreeSet<u8>) {
+        self.made[i % self.made.len()].clone()
+    }
+
+    /// Runs `step`, keeping every taint it makes.
+    fn run(&mut self, step: &Step) {
+        let made = match step {
+            Step::Mint(label) => self.single(*label),
+            Step::Union(a, b) => {
+                let ((ta, sa), (tb, sb)) = (self.pick(*a), self.pick(*b));
+                (self.tree.union(ta, tb), &sa | &sb)
+            }
+            Step::UnionAll(picks) => {
+                let picks: Vec<_> = picks.iter().map(|&i| self.pick(i)).collect();
+                let set = picks.iter().flat_map(|(_, s)| s.iter().copied()).collect();
+                (self.tree.union_all(picks.iter().map(|(t, _)| *t)), set)
+            }
+            Step::Accumulate {
+                onto,
+                labels,
+                descending,
+            } => {
+                let mut singles: Vec<_> = labels.iter().map(|&l| self.single(l)).collect();
+                singles.sort_by_key(|(t, _)| self.tree.tag_ids(*t)[0]);
+                if *descending {
+                    singles.reverse();
+                }
+                let (mut acc, mut set) = self.pick(*onto);
+                for (t, s) in singles {
+                    (acc, set) = (self.tree.union(acc, t), &set | &s);
+                    self.made.push((acc, set.clone()));
+                }
+                return;
+            }
+        };
+        self.made.push(made);
+    }
+
+    /// The labels a taint's tags read back as, checking the ids ascend.
+    fn read_back(&self, taint: Taint) -> BTreeSet<u8> {
+        let ids: Vec<TagId> = self.tree.tag_ids(taint);
+        assert!(ids.windows(2).all(|w| w[0] < w[1]), "tag ids ascend");
+        ids.iter()
+            .map(|&id| match self.tree.tag(id).value {
+                TagValue::Int(label) => label as u8,
+                other => panic!("not a model tag: {other:?}"),
+            })
+            .collect()
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The tree against a `BTreeSet` model: handles are equal exactly
+    /// when their sets are, and every handle reads back its set and
+    /// its size.
+    #[test]
+    fn the_tree_matches_a_set_model(steps in prop::collection::vec(step(), 1..60)) {
+        let mut model = Model {
+            tree: TaintTree::new(),
+            made: vec![(Taint::EMPTY, BTreeSet::new())],
+        };
+        for step in &steps {
+            model.run(step);
+        }
+        let mut handle_of: HashMap<&BTreeSet<u8>, Taint> = HashMap::new();
+        let mut set_of: HashMap<Taint, &BTreeSet<u8>> = HashMap::new();
+        for (taint, set) in &model.made {
+            prop_assert_eq!(*handle_of.entry(set).or_insert(*taint), *taint, "{:?}", set);
+            prop_assert_eq!(*set_of.entry(*taint).or_insert(set), set, "{:?}", taint);
+            prop_assert_eq!(&model.read_back(*taint), set);
+            prop_assert_eq!(model.tree.tag_count(*taint), set.len());
+        }
+        // Nodes are the root, every minted tag's singleton and the sets
+        // of two or more tags that were asked for: each once.
+        let multi = handle_of.keys().filter(|s| s.len() >= 2).count();
+        prop_assert_eq!(model.tree.num_nodes(), 1 + model.tree.num_tags() + multi);
+    }
 }
 
 proptest! {

@@ -226,3 +226,85 @@ fn concurrent_minting_interns_tags_once() {
     }
     assert_eq!(tree.num_tags(), POOL);
 }
+
+#[test]
+fn racing_threads_build_one_set_from_operands_in_different_orders() {
+    // Every round all threads are let go at once to build the same set
+    // of 8 distinct tags from 64, each from other operands: the 8
+    // singletons forwards or backwards, the set's two halves (made
+    // before the race), or its upper half and the lower singletons
+    // backwards. The first to intern it picks its parent; every thread
+    // must get one handle, and the set one node.
+    const RACERS: usize = 4;
+    const SETS: usize = 2_000;
+    let tree = TaintTree::new();
+    let pool: Vec<Taint> = (0..64)
+        .map(|i| tree.taint_of_tag(tree.mint_tag(TagValue::Int(i), LocalId::default())))
+        .collect();
+    let rounds: Vec<(Vec<Taint>, Taint, Taint)> = (0..SETS)
+        .map(|round| {
+            let mut picks: Vec<usize> = Vec::with_capacity(8);
+            for k in 0.. {
+                let pick = subset_bits(round, k) as usize % pool.len();
+                if !picks.contains(&pick) {
+                    picks.push(pick);
+                }
+                if picks.len() == 8 {
+                    break;
+                }
+            }
+            picks.sort_unstable();
+            let singles: Vec<Taint> = picks.iter().map(|&i| pool[i]).collect();
+            let low = tree.union_all(singles[..4].iter().copied());
+            let high = tree.union_all(singles[4..].iter().copied());
+            (singles, low, high)
+        })
+        .collect();
+    let before = tree.num_nodes();
+    let go = Barrier::new(RACERS);
+    let results: Vec<Vec<Taint>> = thread::scope(|s| {
+        let handles: Vec<_> = (0..RACERS)
+            .map(|racer| {
+                let (tree, go, rounds) = (&tree, &go, &rounds);
+                s.spawn(move || {
+                    rounds
+                        .iter()
+                        .map(|(singles, low, high)| {
+                            go.wait();
+                            match racer {
+                                0 => tree.union_all(singles.iter().copied()),
+                                1 => tree.union_all(singles.iter().rev().copied()),
+                                2 => tree.union(*low, *high),
+                                _ => tree.union_all(
+                                    std::iter::once(*high)
+                                        .chain(singles[..4].iter().rev().copied()),
+                                ),
+                            }
+                        })
+                        .collect()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("racing thread panicked"))
+            .collect()
+    });
+    for (round, (singles, _, _)) in rounds.iter().enumerate() {
+        let first = results[0][round];
+        for racer in &results[1..] {
+            assert_eq!(racer[round], first, "set {round} interned to two handles");
+        }
+        let want: Vec<_> = singles.iter().map(|&t| tree.tag_ids(t)[0]).collect();
+        assert_eq!(tree.tag_ids(first), want);
+        assert_eq!(tree.tag_count(first), 8);
+    }
+    let mut sets = results[0].clone();
+    sets.sort_unstable();
+    sets.dedup();
+    assert_eq!(
+        tree.num_nodes() - before,
+        sets.len(),
+        "racing threads interned a set twice, or a set nobody asked for"
+    );
+}

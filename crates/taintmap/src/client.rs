@@ -1469,6 +1469,39 @@ mod tests {
     }
 
     #[test]
+    fn receivers_that_learned_tags_in_opposite_orders_bind_their_union_once() {
+        // Each receiver numbers tags in the order it learns them, so `x`
+        // and `y` get opposite tag ids on the two. Their unions are one
+        // set and must serialize to one byte string: one record, the
+        // second receiver's gid an alias of the first's.
+        let (net, endpoint, sender, store) = setup();
+        let (x, y) = (
+            store.mint_source_taint(TagValue::str("x")),
+            store.mint_source_taint(TagValue::str("y")),
+        );
+        let gids = sender.global_ids_for(&[x, y]).unwrap();
+        let mut unions = Vec::new();
+        for (host, order) in [(2, [0, 1]), (3, [1, 0])] {
+            let receiver = TaintStore::new(LocalId::new([10, 0, 0, host], u32::from(host)));
+            let client = endpoint.client(&net, receiver.clone()).unwrap();
+            let learned = order.map(|i| client.taint_for(gids[i]).unwrap());
+            let both = receiver.union(learned[0], learned[1]);
+            let bytes = serialize_taint(receiver.tree(), both);
+            unions.push((client.global_id_for(both).unwrap(), bytes));
+        }
+        assert_eq!(unions[0].1, unions[1].1, "one set, one serialization");
+        let stats = endpoint.stats();
+        assert_eq!((stats.global_taints, stats.aliases), (3, 1));
+
+        let store4 = TaintStore::new(LocalId::new([10, 0, 0, 4], 4));
+        let client4 = endpoint.client(&net, store4.clone()).unwrap();
+        let both = client4.taints_for(&[unions[0].0, unions[1].0]).unwrap();
+        assert_eq!(both[0], both[1]);
+        assert_eq!(store4.tag_values(both[0]).len(), 2);
+        endpoint.shutdown();
+    }
+
+    #[test]
     fn own_gids_a_restarted_shard_does_not_know_are_re_keyed() {
         // A primary restarted with neither log nor standby leases from 0
         // again, below the leases its clients still hold. Their binds of

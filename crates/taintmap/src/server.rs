@@ -937,8 +937,9 @@ fn serve_data(
 }
 
 /// Reads a `BIND` frame's items and serves them. A record whose bytes
-/// are not a canonical packed taint makes the whole frame malformed:
-/// nothing of it is bound.
+/// are not a serialized taint as `serialize_taint` writes one (its
+/// canonical packing, tags in value order) makes the whole frame
+/// malformed: nothing of it is bound.
 fn bind_items(shared: &ServerShared, r: &mut ByteReader<'_>) -> Option<Reply> {
     let want = r.u32().ok()?;
     let count = r.u32().ok()? as usize;
@@ -1018,6 +1019,7 @@ mod tests {
         decode_bind_resp, decode_class_table, decode_lookup_resp, encode_bind, encode_lookup,
         read_frame as rf, write_frame as wf,
     };
+    use dista_taint::{serialize_taint, LocalId, TagValue, TaintStore};
 
     fn launch(net: &SimNet, addr: NodeAddr) -> TaintMapServer {
         TaintMapServer::launch(
@@ -1036,6 +1038,14 @@ mod tests {
         let net = SimNet::new();
         let server = launch(&net, NodeAddr::new([10, 0, 0, 99], 7777));
         (net, server)
+    }
+
+    /// The bytes a VM serializes for a one-tag string taint `name`: a
+    /// record a `BIND` may carry.
+    fn taint(name: &str) -> &'static [u8] {
+        let store = TaintStore::new(LocalId::default());
+        let taint = store.mint_source_taint(TagValue::str(name));
+        Box::leak(serialize_taint(store.tree(), taint).into_boxed_slice())
     }
 
     /// One `BIND` round trip under epoch stamp 0: binds `items`, leases
@@ -1102,13 +1112,16 @@ mod tests {
     fn a_re_sent_bind_changes_nothing() {
         let (net, server) = setup();
         let conn = net.tcp_connect(server.addr()).unwrap();
-        let gid = register(&conn, &[b"same"])[0];
-        assert_eq!(bind_answered(&conn, 0, &[(gid, b"same")]).1, [STATUS_OK]);
+        let gid = register(&conn, &[taint("same")])[0];
         assert_eq!(
-            bind_answered(&conn, 0, &[(gid, b"a rival")]).1,
+            bind_answered(&conn, 0, &[(gid, taint("same"))]).1,
+            [STATUS_OK]
+        );
+        assert_eq!(
+            bind_answered(&conn, 0, &[(gid, taint("a rival"))]).1,
             [STATUS_TAKEN]
         );
-        assert_eq!(lookup(&conn, &[gid]), vec![Some(b"same".to_vec())]);
+        assert_eq!(lookup(&conn, &[gid]), vec![Some(taint("same").to_vec())]);
         let stats = server.stats();
         assert_eq!((stats.global_taints, stats.aliases), (1, 0));
         assert_eq!(stats.bind_requests, 3);
@@ -1119,8 +1132,14 @@ mod tests {
     fn binding_known_bytes_under_another_gid_makes_an_alias() {
         let (net, server) = setup();
         let conn = net.tcp_connect(server.addr()).unwrap();
-        let gids = register(&conn, &[b"taint-a", b"taint-b", b"taint-a"]);
-        assert_eq!(lookup(&conn, &[gids[2]]), vec![Some(b"taint-a".to_vec())]);
+        let gids = register(
+            &conn,
+            &[taint("taint-a"), taint("taint-b"), taint("taint-a")],
+        );
+        assert_eq!(
+            lookup(&conn, &[gids[2]]),
+            vec![Some(taint("taint-a").to_vec())]
+        );
         let stats = server.stats();
         assert_eq!(
             (stats.global_taints, stats.aliases),
@@ -1136,10 +1155,10 @@ mod tests {
     fn lookup_reports_each_item_bound_or_unknown() {
         let (net, server) = setup();
         let conn = net.tcp_connect(server.addr()).unwrap();
-        let gid = register(&conn, &[b"payload"])[0];
+        let gid = register(&conn, &[taint("payload")])[0];
         let leased = bind(&conn, 1, &[])[0];
         let items = lookup(&conn, &[gid, 999, 0, leased]);
-        assert_eq!(items[0].as_deref(), Some(b"payload".as_ref()));
+        assert_eq!(items[0].as_deref(), Some(taint("payload")));
         assert_eq!(items[1], None, "never leased");
         assert_eq!(items[2], None, "gid 0 is reserved and never resolvable");
         assert_eq!(items[3], None, "leased, not bound yet");
@@ -1174,7 +1193,7 @@ mod tests {
             let (resp, _) = rf(&conn).unwrap().unwrap();
             assert_eq!(resp, RESP_ERR, "op {op} payload {payload:?}");
         }
-        assert_eq!(register(&conn, &[b"still-serving"]), vec![1]);
+        assert_eq!(register(&conn, &[taint("still-serving")]), vec![1]);
         assert!(
             server.stats().global_taints == 1,
             "nothing refused was stored"
@@ -1191,11 +1210,11 @@ mod tests {
         let conn = net.tcp_connect(server.addr()).unwrap();
         assert_eq!(bind(&conn, 2, &[]), vec![1, 2]);
         let items: [(u32, &[u8]); 5] = [
-            (7, b"never leased"),
-            (0, b"untainted"),
-            (1, b"one"),
-            (1, b"a rival"),
-            (2, b"two"),
+            (7, taint("never leased")),
+            (0, taint("untainted")),
+            (1, taint("one")),
+            (1, taint("a rival")),
+            (2, taint("two")),
         ];
         assert_eq!(
             bind_answered(&conn, 1, &items),
@@ -1212,7 +1231,11 @@ mod tests {
         );
         assert_eq!(
             lookup(&conn, &[1, 2, 7]),
-            vec![Some(b"one".to_vec()), Some(b"two".to_vec()), None]
+            vec![
+                Some(taint("one").to_vec()),
+                Some(taint("two").to_vec()),
+                None
+            ]
         );
         assert_eq!(server.stats().global_taints, 2, "nothing refused is stored");
         server.shutdown();
@@ -1222,12 +1245,12 @@ mod tests {
     fn a_following_standby_hangs_up_on_a_bind_and_serves_lookups() {
         let (net, server) = setup();
         let conn = net.tcp_connect(server.addr()).unwrap();
-        let gid = register(&conn, &[b"kept"])[0];
+        let gid = register(&conn, &[taint("kept")])[0];
         server.set_following(true);
         wf(&conn, OP_BIND, &encode_bind(0, 1, &[])).unwrap();
         assert!(matches!(rf(&conn), Ok(None) | Err(_)), "hung up on");
         let conn = net.tcp_connect(server.addr()).unwrap();
-        assert_eq!(lookup(&conn, &[gid]), vec![Some(b"kept".to_vec())]);
+        assert_eq!(lookup(&conn, &[gid]), vec![Some(taint("kept").to_vec())]);
         server.set_following(false);
         assert_eq!(
             bind(&conn, 1, &[]),
@@ -1246,13 +1269,13 @@ mod tests {
         // that raises it by no more than a lease could.
         let (net, server) = setup();
         let conn = net.tcp_connect(server.addr()).unwrap();
-        assert_eq!(register(&conn, &[b"before"]), vec![1]);
+        assert_eq!(register(&conn, &[taint("before")]), vec![1]);
         let last = u32::MAX - 1;
         for hostile in [
-            data_record(last, b"last"),
+            data_record(last, taint("last")),
             lease_record(last),
             lease_record(1 + MAX_LEASE_SPAN + 1),
-            [lease_record(40), data_record(last, b"last")].concat(),
+            [lease_record(40), data_record(last, taint("last"))].concat(),
         ] {
             wf(&conn, OP_REPLICATE, &hostile).unwrap();
             assert_eq!(rf(&conn).unwrap().unwrap().0, RESP_ERR, "{hostile:?}");
@@ -1263,7 +1286,7 @@ mod tests {
             "nothing refused moved the high-water"
         );
         // An honest replica's records: a lease, then binds under it.
-        let honest = [lease_record(1 + LEASE_IDS), data_record(3, b"three")].concat();
+        let honest = [lease_record(1 + LEASE_IDS), data_record(3, taint("three"))].concat();
         wf(&conn, OP_REPLICATE, &honest).unwrap();
         assert_eq!(rf(&conn).unwrap().unwrap().0, RESP_OK);
         assert_eq!(server.max_local(), 1 + LEASE_IDS);
@@ -1273,8 +1296,8 @@ mod tests {
             "leases resume above"
         );
         let held = lookup(&conn, &[1, 3, last]);
-        assert_eq!(held[0].as_deref(), Some(b"before".as_ref()));
-        assert_eq!(held[1].as_deref(), Some(b"three".as_ref()));
+        assert_eq!(held[0].as_deref(), Some(taint("before")));
+        assert_eq!(held[1].as_deref(), Some(taint("three")));
         assert_eq!(held[2], None);
         server.shutdown();
     }
@@ -1290,8 +1313,11 @@ mod tests {
         assert_eq!(bind(&conn, 8, &[]), vec![u32::MAX - 2, u32::MAX - 1]);
         assert_eq!(bind(&conn, 8, &[]), Vec::<u32>::new());
         assert_eq!(server.max_local(), u32::MAX);
-        bind(&conn, 0, &[(u32::MAX - 1, b"last")]);
-        assert_eq!(lookup(&conn, &[u32::MAX - 1]), vec![Some(b"last".to_vec())]);
+        bind(&conn, 0, &[(u32::MAX - 1, taint("last"))]);
+        assert_eq!(
+            lookup(&conn, &[u32::MAX - 1]),
+            vec![Some(taint("last").to_vec())]
+        );
         server.shutdown();
     }
 
@@ -1306,10 +1332,15 @@ mod tests {
         let leased = bind(&conn, 4, &[]);
         assert_eq!(leased, vec![probe - 1, probe + 1, probe + 2, probe + 3]);
         // A replicated or copied record naming it refuses its frame.
-        wf(&conn, OP_REPLICATE, &data_record(probe, b"probe-shaped")).unwrap();
+        wf(
+            &conn,
+            OP_REPLICATE,
+            &data_record(probe, taint("probe-shaped")),
+        )
+        .unwrap();
         assert_eq!(rf(&conn).unwrap().unwrap().0, RESP_ERR);
         assert_eq!(
-            bind_answered(&conn, 0, &[(probe, b"probe-shaped")]).1,
+            bind_answered(&conn, 0, &[(probe, taint("probe-shaped"))]).1,
             [STATUS_UNLEASED]
         );
         assert_eq!(lookup(&conn, &[probe]), vec![None]);
@@ -1321,7 +1352,7 @@ mod tests {
         let fs = SimFs::new();
         let mut log = Vec::new();
         push_ladder(&mut log, 300);
-        push_data(&mut log, probe, b"probe-shaped");
+        push_data(&mut log, probe, taint("probe-shaped"));
         fs.write("w", log);
         let backend = InMemoryBackend::new();
         let recovered = TaintMapWal::new(fs, "w").recover_into(&backend, ShardSpec::default());
@@ -1356,7 +1387,10 @@ mod tests {
     /// answers `Moved` and what it serves.
     fn moved_redirects_of(net: &SimNet, server: &TaintMapServer, owners: Vec<NodeAddr>) {
         let conn = net.tcp_connect(server.addr()).unwrap();
-        assert_eq!(register(&conn, &[b"stays", b"moves"]), vec![1, 2]);
+        assert_eq!(
+            register(&conn, &[taint("stays"), taint("moves")]),
+            vec![1, 2]
+        );
         let spare = bind(&conn, 1, &[])[0];
         let target = NodeAddr::new([10, 0, 0, 99], 7779);
         let table = ClassTable {
@@ -1378,7 +1412,7 @@ mod tests {
             (OP_LOOKUP, encode_lookup(1, &[1, 2])),
             (OP_LOOKUP, encode_lookup(9, &[2])),
             (OP_BIND, encode_bind(9, 1, &[])), // allocation moved too
-            (OP_BIND, encode_bind(9, 0, &[(spare, b"bound late")])),
+            (OP_BIND, encode_bind(9, 0, &[(spare, taint("bound late"))])),
         ] {
             wf(&conn, op, &payload).unwrap();
             let (resp, body) = rf(&conn).unwrap().unwrap();
@@ -1417,14 +1451,14 @@ mod tests {
         .unwrap();
         let conn = net.tcp_connect(server.addr()).unwrap();
         assert_eq!(
-            register(&conn, &[b"first", b"second"]),
+            register(&conn, &[taint("first"), taint("second")]),
             vec![3, 7],
             "shard 2 of 4 starts at gid 3 and strides by the shard count"
         );
         // A gid owned by another shard is unknown here, and not bindable.
         assert_eq!(lookup(&conn, &[4]), vec![None]);
         assert_eq!(
-            bind_answered(&conn, 0, &[(4, b"foreign")]).1,
+            bind_answered(&conn, 0, &[(4, taint("foreign"))]).1,
             [STATUS_UNLEASED]
         );
         server.shutdown();
@@ -1439,7 +1473,7 @@ mod tests {
             let addr = server.addr();
             handles.push(std::thread::spawn(move || {
                 let conn = net.tcp_connect(addr).unwrap();
-                register(&conn, &[format!("taint-{i}").as_bytes()])[0]
+                register(&conn, &[taint(&format!("taint-{i}"))])[0]
             }));
         }
         let mut ids: Vec<u32> = handles.into_iter().map(|h| h.join().unwrap()).collect();
@@ -1466,14 +1500,14 @@ mod tests {
         primary.replicate_to(standby.addr()).unwrap();
 
         let conn = net.tcp_connect(primary.addr()).unwrap();
-        let id = register(&conn, &[b"replicated-taint"])[0];
+        let id = register(&conn, &[taint("replicated-taint")])[0];
         let unbound = bind(&conn, 1, &[])[0];
 
         // The standby can serve the lookup itself.
         let sconn = net.tcp_connect(standby.addr()).unwrap();
         assert_eq!(
             lookup(&sconn, &[id]),
-            vec![Some(b"replicated-taint".to_vec())]
+            vec![Some(taint("replicated-taint").to_vec())]
         );
 
         // And its own leases never collide with the primary's, bound or
@@ -1501,8 +1535,8 @@ mod tests {
         )
         .unwrap();
         let conn = net.tcp_connect(addr).unwrap();
-        let id_a = register(&conn, &[b"persisted-A"])[0];
-        register(&conn, &[b"persisted-B"]);
+        let id_a = register(&conn, &[taint("persisted-A")])[0];
+        register(&conn, &[taint("persisted-B")]);
         bind(&conn, 2, &[]); // leased, never bound
         server.shutdown();
 
@@ -1520,7 +1554,10 @@ mod tests {
         .unwrap();
         assert_eq!(reborn.replayed(), 2);
         let conn = net.tcp_connect(addr).unwrap();
-        assert_eq!(lookup(&conn, &[id_a]), vec![Some(b"persisted-A".to_vec())]);
+        assert_eq!(
+            lookup(&conn, &[id_a]),
+            vec![Some(taint("persisted-A").to_vec())]
+        );
         assert_eq!(bind(&conn, 1, &[]), vec![5], "leasing resumed past replay");
         reborn.shutdown();
     }
@@ -1533,7 +1570,7 @@ mod tests {
         primary.replicate_to(standby.addr()).unwrap();
         standby.shutdown();
         let conn = net.tcp_connect(primary.addr()).unwrap();
-        register(&conn, &[b"after-standby-death"]);
+        register(&conn, &[taint("after-standby-death")]);
         primary.shutdown();
     }
 }

@@ -11,14 +11,17 @@
 //! itself needs are sized before the first reading. The layers a phase
 //! cannot tell apart are measured once more on their own (a bare
 //! [`InMemoryBackend`], a bare [`TaintStore`] fed [`deserialize_taint`])
-//! and the rest of the phase is the client's caches. Sizes depend on
-//! counts and capacities only, so the rows repeat from run to run and
-//! are the same in debug and release.
+//! and the rest of the phase is the client's caches. A last row
+//! registers the same taints at an endpoint that logs its binds to a
+//! `SimFs`; the endpoint `Cluster::builder()` configures by default,
+//! the crossing benchmark's, keeps no log, so that row is not in the
+//! total. Sizes depend on counts and capacities only, so the rows repeat
+//! from run to run and are the same in debug and release.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, Ordering};
 
-use dista_simnet::SimNet;
+use dista_simnet::{SimFs, SimNet};
 use dista_taint::{
     deserialize_taint, serialize_taint, GlobalId, LocalId, TagId, TagValue, Taint, TaintStore,
 };
@@ -171,6 +174,26 @@ fn a_global_taint_is_stored_once_per_place_it_lives() {
     assert_eq!(decoded.tree().num_tags(), TAINTS);
     endpoint.shutdown();
 
+    // The same registrations at an endpoint that logs each bind to a
+    // `SimFs` (`TaintMapEndpointBuilder::snapshots`), as a deployment
+    // that restarts its shards configures it; `Cluster::builder()`'s
+    // default endpoint, the one above, keeps no log.
+    let logged_net = SimNet::new();
+    let logged = TaintMapEndpoint::builder()
+        .snapshots(SimFs::new())
+        .connect(&logged_net)
+        .unwrap();
+    let logged_tx = logged.client(&logged_net, sender.clone()).unwrap();
+    logged_tx.global_id_for(warm).unwrap();
+    let ((), logged_registered) = grown(|| {
+        for batch in taints.chunks(BATCH) {
+            logged_tx.global_ids_for(batch).unwrap();
+        }
+        logged_tx.flush().unwrap();
+    });
+    assert_eq!(logged.stats().global_taints, TAINTS as u64 + 1);
+    logged.shutdown();
+
     let total = sender_tag + sender_node + registered + looked_up + union_node;
     println!("live bytes per global taint, {TAINTS} fresh single-tag taints:");
     for (layer, bytes) in [
@@ -182,6 +205,10 @@ fn a_global_taint_is_stored_once_per_place_it_lives() {
         ("receiver client caches", looked_up - receiver_tree),
         ("sink union node (one per two taints)", union_node),
         ("total", total),
+        (
+            "bind log, when the endpoint keeps one",
+            logged_registered - registered,
+        ),
     ] {
         println!("  {layer:<40} {bytes:>8.1}");
     }

@@ -673,17 +673,60 @@ fn a_non_canonical_definition_or_bind_record_is_refused() {
     let rig = StreamRig::new(WireProtocol::V2);
     let (gid, packed) = rig.defs[0].clone();
     let bad = non_canonical(&packed);
+    refused_as_definition_and_as_bind(rig, gid, &bad, &packed, &["alpha"]);
+}
+
+/// A two-tag taint whose tags are written out of order — a canonical
+/// packing of a full form `serialize_taint` never writes, since it
+/// orders a set's tags by value: refused as a definition and as a
+/// `BIND` record, as above.
+#[test]
+fn an_out_of_order_definition_or_bind_record_is_refused() {
+    let _serial = serial();
+    let rig = StreamRig::new(WireProtocol::V2);
+    let store = TaintStore::new(LocalId::new([10, 0, 0, 1], 1));
+    let (x, y) = (
+        store.mint_source_taint(TagValue::str("x")),
+        store.mint_source_taint(TagValue::str("y")),
+    );
+    let packed = serialize_taint(store.tree(), store.union(x, y));
+    // The two records differ only in their one value byte, and no other
+    // byte of the packing is an `x` or a `y`: swapping those two bytes
+    // swaps the records.
+    assert_eq!(
+        packed.iter().filter(|&&b| b == b'x' || b == b'y').count(),
+        2
+    );
+    let swapped: Vec<u8> = packed
+        .iter()
+        .map(|&b| match b {
+            b'x' => b'y',
+            b'y' => b'x',
+            b => b,
+        })
+        .collect();
+    let gid = rig.defs[0].0;
+    refused_as_definition_and_as_bind(rig, gid, &swapped, &packed, &["x", "y"]);
+}
+
+/// `bad` defining `gid` on a v2 stream fails the read with
+/// `NotCanonical`; as a `BIND` record it is answered `ERR` and bound
+/// nowhere, and `good` then binds and reads back as `values`.
+fn refused_as_definition_and_as_bind(
+    rig: StreamRig,
+    gid: GlobalId,
+    bad: &[u8],
+    good: &[u8],
+    values: &[&str],
+) {
     let mut wire = Vec::new();
-    encode_defs(&[(gid, bad.clone())], &mut wire);
+    encode_defs(&[(gid, bad.to_vec())], &mut wire);
     let mut run = Vec::new();
     V2Codec::new(4)
         .encode_into(b"data", &[(4, gid)], &mut run)
         .unwrap();
     wire.extend(run);
-    let err = bounded(wire.len(), &"a non-canonical definition", || {
-        rig.feed(&wire)
-    })
-    .unwrap_err();
+    let err = bounded(wire.len(), &"a refused definition", || rig.feed(&wire)).unwrap_err();
     assert!(
         matches!(
             err,
@@ -712,15 +755,15 @@ fn a_non_canonical_definition_or_bind_record_is_refused() {
     let mut r = ByteReader::new(&leased);
     assert_eq!(r.u32().unwrap(), 1);
     let gid = r.u32().unwrap();
-    assert_eq!(bind(0, &[(gid, &bad)]).0, RESP_ERR);
+    assert_eq!(bind(0, &[(gid, bad)]).0, RESP_ERR);
     assert_eq!(tm.stats().global_taints, 0, "nothing bound");
     let reader = tm
         .client(&net, TaintStore::new(LocalId::new([10, 0, 0, 3], 3)))
         .unwrap();
     assert!(reader.taint_for(GlobalId(gid)).is_err());
-    assert_eq!(bind(0, &[(gid, &packed)]).0, RESP_OK, "still serving");
+    assert_eq!(bind(0, &[(gid, good)]).0, RESP_OK, "still serving");
     let taint = reader.taint_for(GlobalId(gid)).unwrap();
-    assert_eq!(reader.store().tag_values(taint), ["alpha"]);
+    assert_eq!(reader.store().tag_values(taint), values);
     tm.shutdown();
 }
 

@@ -21,6 +21,9 @@
 //! * The clock rule (DESIGN.md §4g): `dista-jre` reads the time only in
 //!   the boundary's phase clock, and `dista-obs` reads no clock at all,
 //!   so a crossing is timed one way, sampled, and nowhere else.
+//! * The whole-set rule (DESIGN.md §4, "Taint tree"): a tag set is
+//!   interned whole, as one node, so nothing interns a set a child per
+//!   tag again.
 
 use std::path::{Path, PathBuf};
 
@@ -443,4 +446,25 @@ fn crossings_are_timed_by_the_one_phase_clock() {
         clocks.join("\n")
     );
     assert!(phase_clock_reads, "{PHASE_CLOCK} no longer reads the clock");
+}
+
+/// A tree node adds a sorted run of tags and a set is interned whole
+/// (DESIGN.md §4, "Taint tree"). Interning a set one tag at a time, a
+/// child per tag, pays a node for every missing prefix; these are the
+/// names that way of interning went by.
+const REPLACED_BY_WHOLE_SETS: &[&str] = &["fn intern_child"];
+
+#[test]
+fn tag_sets_are_interned_whole() {
+    let mut found = Vec::new();
+    for (name, non_test) in non_test_sources() {
+        for (n, line) in non_test.lines().enumerate() {
+            for definition in REPLACED_BY_WHOLE_SETS {
+                if line.contains(definition) {
+                    found.push(format!("{name}:{}: `{definition}`", n + 1));
+                }
+            }
+        }
+    }
+    assert!(found.is_empty(), "{}", found.join("\n"));
 }
