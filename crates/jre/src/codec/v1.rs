@@ -8,23 +8,22 @@
 //! v2 record frames run the same kernel at their own width.
 //!
 //! Both directions run one block kernel on a fact of the format: for
-//! every width W, 8 records are exactly `1 + W` 64-bit words, and 8
-//! records of one gid make the same pattern words but for 8 data lanes.
-//!
-//! * `encode_records_into` builds each run's pattern once and writes
-//!   each block of 8 data bytes as `1 + W` word stores, a tail record by
-//!   record.
-//! * `strip_records_into` appends a block's 8 data bytes at once when
-//!   its gid lanes match the run's pattern; any other block, and the
-//!   tail, go record by record, parsing each run's [`GlobalId`] once.
-//! * [`V1Codec`] packages both behind the versioned [`WireCodec`] trait;
-//!   it is the only way in from outside the codec.
+//! every width W, 8 records are exactly `1 + W` little-endian 64-bit
+//! words, and 8 records of one gid are one *pattern* but for 8 data
+//! lanes. Turned by `k·(W mod 2)` bytes, a block's words hold its 8 data
+//! bytes at 8 distinct positions of one *spread* word, so `const` per-W
+//! masks and one rotation per distance move all 8 at once. Each
+//! block loop runs out of line on a block's words, the run's pattern,
+//! the masks and its output (decode sizes it once); a tail, and a block
+//! with a stray gid lane, go record by record, parsing each run's
+//! [`GlobalId`] once. [`V1Codec`] packages both directions behind the
+//! versioned [`WireCodec`] trait, the only way in from outside.
 //!
 //! The per-byte codec is kept in [`mod@reference`] as the conformance
 //! oracle: the property suite (`tests/prop_codec.rs`) pins the kernel's
 //! output bit-for-bit against it.
 
-use dista_taint::{ByteReader, GlobalId};
+use dista_taint::GlobalId;
 
 use super::{check_width, gid_from_wire, WireCodec, WireVersion, MAX_GID_WIDTH};
 use crate::error::JreError;
@@ -48,20 +47,35 @@ pub(in crate::codec) fn encode_records_into(
     }
 }
 
-/// A block of 8 records as big-endian words; the first `1 + W` are live.
+/// 8 records as little-endian words; the first `1 + W` are live.
 type Block = [u64; 1 + MAX_GID_WIDTH];
+
+/// Data byte `i` of a block sits at block byte `i·(1 + W)`. Turning
+/// word `k` left by `k·(W mod 2)` bytes puts the 8 data bytes at 8
+/// distinct positions, so the turned words OR into one *spread* word;
+/// `lanes(W)[r]` masks its bytes that sit `r` bytes past their lane.
+const fn lanes(w: usize) -> [u64; 8] {
+    let mut masks = [0; 8];
+    let mut i = 0;
+    while i < 8 {
+        let at = i * (1 + w);
+        let pos = (at + at / 8 * (w % 2)) % 8;
+        masks[(pos + 8 - i) % 8] |= 0xFF << (8 * pos);
+        i += 1;
+    }
+    masks
+}
 
 /// The block of 8 records that all carry `gid`, with zero data bytes.
 /// The pattern of an all-`0xFF` gid masks a block's gid lanes.
 fn pattern<const W: usize>(gid: &[u8; W]) -> Block {
-    let mut bytes = [0u8; 8 * (1 + MAX_GID_WIDTH)];
-    for rec in bytes[..8 * (1 + W)].chunks_exact_mut(1 + W) {
-        rec[1..].copy_from_slice(gid);
-    }
-    let mut reader = ByteReader::new(&bytes);
-    let mut words = [0u64; 1 + MAX_GID_WIDTH];
-    for word in &mut words {
-        *word = reader.u64().expect("the bytes are whole words");
+    let rec = gid.iter().rev().fold(0, |rec, &b| rec << 8 | u64::from(b)) << 8;
+    let mut words = [0; 1 + MAX_GID_WIDTH];
+    for bit in (0..8).map(|i| 8 * i * (1 + W)) {
+        words[bit / 64] |= rec << (bit % 64);
+        if bit % 64 + 8 * (1 + W) > 64 {
+            words[bit / 64 + 1] |= rec >> (64 - bit % 64);
+        }
     }
     words
 }
@@ -78,27 +92,34 @@ fn encode_records<const W: usize>(
         let gid: &[u8; W] = be[4 - W..].try_into().expect("W is at most 4");
         let run = &data[pos..pos + run_len];
         let region = &mut out[pos * rs..(pos + run_len) * rs];
-        let pattern = pattern(gid);
-        let mut blocks = region.chunks_exact_mut(8 * rs);
-        let mut bytes = run.chunks_exact(8);
-        for (block, bytes) in blocks.by_ref().zip(bytes.by_ref()) {
-            let mut words = pattern;
-            for (i, &b) in bytes.iter().enumerate() {
-                let at = i * rs;
-                words[at / 8] |= u64::from(b) << (56 - 8 * (at % 8));
-            }
-            for (dst, word) in block.chunks_exact_mut(8).zip(words) {
-                dst.copy_from_slice(&word.to_be_bytes());
-            }
+        let whole = run_len / 8 * 8;
+        if whole > 0 {
+            put_blocks::<W>(&run[..whole], &pattern(gid), &mut region[..whole * rs]);
         }
-        let tail = blocks.into_remainder().chunks_exact_mut(rs);
-        for (rec, &b) in tail.zip(bytes.remainder()) {
+        for (rec, &b) in region[whole * rs..].chunks_exact_mut(rs).zip(&run[whole..]) {
             rec[0] = b;
             rec[1..].copy_from_slice(gid);
         }
         pos += run_len;
     }
     assert_eq!(pos, data.len(), "run table must cover the data exactly");
+}
+
+/// The scatter loop: writes each 8 bytes of `run` into `region` as a
+/// block, `base` (the run's pattern) with the bytes in its data lanes.
+#[inline(never)]
+fn put_blocks<const W: usize>(run: &[u8], base: &Block, region: &mut [u8]) {
+    let gid_lanes = pattern(&[0xFF; W]);
+    let blocks = region.chunks_exact_mut(8 * (1 + W));
+    for (block, bytes) in blocks.zip(run.chunks_exact(8)) {
+        let data = u64::from_le_bytes(bytes.try_into().expect("8 bytes"));
+        let lanes = const { lanes(W) }.iter().enumerate();
+        let spread = lanes.fold(0, |s, (r, m)| s | data.rotate_left(8 * r as u32) & m);
+        for (k, dst) in block.chunks_exact_mut(8).enumerate() {
+            let word = base[k] | spread.rotate_right((8 * k * (W % 2)) as u32) & !gid_lanes[k];
+            dst.copy_from_slice(&word.to_le_bytes());
+        }
+    }
 }
 
 /// One fused pass over whole records (`wire.len()` must be a record
@@ -126,61 +147,68 @@ fn strip_records<const W: usize>(
     runs_out: &mut Vec<(GlobalId, usize)>,
 ) {
     let rs = 1 + W;
-    let gid_lanes = pattern(&[0xFF; W]);
+    let start = data_out.len();
+    data_out.resize(start + wire.len() / rs, 0);
+    let out = &mut data_out[start..];
     // The run in progress: empty to start with, under the first
     // record's gid, so a first block of one gid extends it.
     let mut cur = [0u8; W];
     if let Some(first) = wire.get(1..rs) {
         cur.copy_from_slice(first);
     }
-    let mut cur_pattern = pattern(&cur);
     let mut run_len = 0usize;
-    data_out.reserve(wire.len() / rs);
-    let mut blocks = wire.chunks_exact(8 * rs);
-    for block in blocks.by_ref() {
-        let mut words = ByteReader::new(block);
-        let mut stray = 0;
-        for (expect, lanes) in cur_pattern.iter().zip(gid_lanes).take(rs) {
-            stray |= (words.u64().expect("a block is 1 + W words") ^ expect) & lanes;
+    let mut at = 0; // records done
+    loop {
+        let taken = 8 * take_blocks::<W>(&wire[at * rs..], &pattern(&cur), &mut out[at..]);
+        run_len += taken;
+        at += taken;
+        // Record by record: the block with a stray gid lane, or the tail.
+        let end = out.len().min(at + 8);
+        if at == end {
+            break;
         }
-        if stray == 0 {
-            data_out.extend_from_slice(&std::array::from_fn::<u8, 8, _>(|i| block[i * rs]));
-            run_len += 8;
-        } else {
-            for rec in block.chunks_exact(rs) {
-                step(rec, &mut cur, &mut run_len, data_out, runs_out);
+        for (rec, byte) in wire[at * rs..].chunks_exact(rs).zip(&mut out[at..end]) {
+            *byte = rec[0];
+            let gid: [u8; W] = rec[1..].try_into().expect("record is 1 + W bytes");
+            if gid != cur {
+                if run_len != 0 {
+                    runs_out.push((gid_from_wire(&cur), run_len));
+                }
+                (cur, run_len) = (gid, 0);
             }
-            cur_pattern = pattern(&cur);
+            run_len += 1;
         }
-    }
-    for rec in blocks.remainder().chunks_exact(rs) {
-        step(rec, &mut cur, &mut run_len, data_out, runs_out);
+        at = end;
     }
     if run_len != 0 {
         runs_out.push((gid_from_wire(&cur), run_len));
     }
 }
 
-/// The per-record step: appends `rec`'s data byte and extends the run
-/// in progress, or closes it (parsing its gid once) and starts another.
-#[inline]
-fn step<const W: usize>(
-    rec: &[u8],
-    cur: &mut [u8; W],
-    run_len: &mut usize,
-    data_out: &mut Vec<u8>,
-    runs_out: &mut Vec<(GlobalId, usize)>,
-) {
-    data_out.push(rec[0]);
-    let gid: [u8; W] = rec[1..].try_into().expect("record is 1 + W bytes");
-    if gid != *cur {
-        if *run_len != 0 {
-            runs_out.push((gid_from_wire(cur), *run_len));
+/// The matching loop: gathers the data bytes of the whole blocks at the
+/// front of `wire` into `out` while their gid lanes equal `expect`'s,
+/// and returns the number of blocks taken.
+#[inline(never)]
+fn take_blocks<const W: usize>(wire: &[u8], expect: &Block, out: &mut [u8]) -> usize {
+    let gid_lanes = pattern(&[0xFF; W]);
+    let mut taken = 0;
+    for (block, dst) in wire.chunks_exact(8 * (1 + W)).zip(out.chunks_exact_mut(8)) {
+        // A matching block less its pattern is its data bytes alone.
+        let (mut stray, mut spread) = (0, 0);
+        for (k, bytes) in block.chunks_exact(8).enumerate() {
+            let x = u64::from_le_bytes(bytes.try_into().expect("8 bytes")) ^ expect[k];
+            stray |= x & gid_lanes[k];
+            spread |= x.rotate_left((8 * k * (W % 2)) as u32);
         }
-        *cur = gid;
-        *run_len = 0;
+        if stray != 0 {
+            break;
+        }
+        let lanes = const { lanes(W) }.iter().enumerate();
+        let data = lanes.fold(0, |d, (r, m)| d | (spread & m).rotate_right(8 * r as u32));
+        dst.copy_from_slice(&data.to_le_bytes());
+        taken += 1;
     }
-    *run_len += 1;
+    taken
 }
 
 /// Size in bytes of one v1 wire record (`1` data byte + the Global ID).
@@ -356,6 +384,59 @@ mod tests {
                     assert_eq!(fast, reference::encode_wire(&data, &runs, width), "{at}");
                     let expected = reference::decode_wire(&fast, width);
                     assert_eq!(decode(&fast, width), expected, "{at}");
+                }
+            }
+        }
+    }
+
+    /// One gid byte changed, one bit at a time, at each of a block's 8·W
+    /// gid lanes, in the first, a middle and the last of a 64-block run
+    /// of one gid, and in each of its 3 tail records: every case decodes,
+    /// as a stream and as a datagram, exactly as the reference does. The
+    /// kernel runs at each width in a v2 record frame, and at 4 in
+    /// `V1Codec` too; a wrong lane mask or turn fails here.
+    #[test]
+    fn a_stray_gid_lane_decodes_as_the_reference_does() {
+        use crate::codec::v2::{V2Codec, OP_RECORDS};
+        const RECORDS: usize = 64 * 8 + 3;
+        let data: Vec<u8> = (0..RECORDS).map(|i| (i * 37 + 11) as u8).collect();
+        for width in 1..=MAX_GID_WIDTH {
+            let rs = 1 + width;
+            let gid = GlobalId(0xD4C3_B2A1 >> (8 * (MAX_GID_WIDTH - width)));
+            // A run per record, so v2 writes a record frame at `width`.
+            let per_record = vec![(1, gid); RECORDS];
+            let mut frame = Vec::new();
+            V2Codec::new(width)
+                .encode_into(&data, &per_record, &mut frame)
+                .unwrap();
+            let header = frame.len() - RECORDS * rs;
+            assert_eq!(&frame[..2], &[OP_RECORDS, width as u8]);
+            let blocks = [0, 31, 63].map(|b| b * 8..b * 8 + 8);
+            let sites = blocks.into_iter().flatten().chain(64 * 8..RECORDS);
+            for (rec, lane) in sites.flat_map(|rec| (1..rs).map(move |lane| (rec, lane))) {
+                for bit in 0..8 {
+                    let mut wire = frame.clone();
+                    wire[header + rec * rs + lane] ^= 1 << bit;
+                    let records = &wire[header..];
+                    let expected = reference::decode_wire(records, width);
+                    assert!(expected.1.len() > 1, "width {width}, record {rec}");
+                    let mut codecs: Vec<(&dyn WireCodec, &[u8])> = vec![(&V2Codec, &wire)];
+                    if width == MAX_GID_WIDTH {
+                        codecs.push((&V1Codec, records));
+                    }
+                    for (codec, wire) in codecs {
+                        let at = format!(
+                            "{:?} width {width}, record {rec}, lane {lane}, bit {bit}",
+                            codec.version()
+                        );
+                        let (mut d, mut r) = (Vec::new(), Vec::new());
+                        codec
+                            .decode_available(wire, usize::MAX, &mut d, &mut r)
+                            .unwrap();
+                        assert_eq!((&d, &r), (&expected.0, &expected.1), "stream, {at}");
+                        codec.decode_datagram(wire, &mut d, &mut r).unwrap();
+                        assert_eq!((&d, &r), (&expected.0, &expected.1), "datagram, {at}");
+                    }
                 }
             }
         }

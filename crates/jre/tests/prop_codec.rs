@@ -19,17 +19,18 @@ type Layout = Vec<(u32, usize)>;
 /// Data bytes and their coalesced `(gid, run_len)` runs.
 type Decoded = (Vec<u8>, Vec<(GlobalId, usize)>);
 
-/// Short runs of any gids, or runs of 1–300 bytes over a pool of 3
-/// gids, so equal neighbours and stretches of many 8-record blocks occur.
+/// Short runs of any gids; runs of 1–300 bytes over a pool of 3 gids,
+/// so equal neighbours and stretches of many 8-record blocks occur; or a
+/// few runs of up to 4 KiB over the pool, hundreds of blocks of one gid
+/// as a bulk crossing carries.
 fn layout_strategy() -> impl Strategy<Value = Layout> {
     let scattered = prop::collection::vec((any::<u32>(), 1usize..48), 0..10);
-    let pool = (any::<u32>(), any::<u32>(), any::<u32>()).prop_map(|(a, b, c)| [a, b, c]);
-    let pooled = (
-        pool,
-        prop::collection::vec((0usize..3, 1usize..=300), 0..10),
-    )
-        .prop_map(|(pool, runs)| runs.into_iter().map(|(i, len)| (pool[i], len)).collect());
-    prop_oneof![scattered, pooled]
+    let pool = || (any::<u32>(), any::<u32>(), any::<u32>()).prop_map(|(a, b, c)| [a, b, c]);
+    let pooled = |len: std::ops::RangeInclusive<usize>, runs: std::ops::Range<usize>| {
+        (pool(), prop::collection::vec((0usize..3, len), runs))
+            .prop_map(|(pool, runs)| runs.into_iter().map(|(i, len)| (pool[i], len)).collect())
+    };
+    prop_oneof![scattered, pooled(1..=300, 0..10), pooled(1..=4096, 1..4)]
 }
 
 fn width_strategy() -> impl Strategy<Value = usize> {
@@ -234,6 +235,43 @@ proptest! {
         let expected = reference::decode_wire(&bad[header..], width);
         prop_assert_eq!(&stream, &expected);
         prop_assert_eq!(datagram, expected);
+    }
+
+    /// A record frame after another payload frame in one buffer decodes
+    /// into the same `data_out`, so the kernel writes at an offset, and
+    /// the frames' runs merge where the first frame's last gid is the
+    /// record frame's first: the stream and datagram decodes deliver
+    /// both frames' data and per-byte gids, their runs coalesced.
+    #[test]
+    fn a_record_frame_after_another_frame_decodes_at_its_offset(
+        first in layout_strategy().prop_filter("need bytes", |l| !l.is_empty()),
+        mut second in layout_strategy().prop_filter("need bytes", |l| !l.is_empty()),
+        width in width_strategy(),
+        merge in any::<bool>(),
+    ) {
+        let codec = V2Codec::new(width);
+        let (data_a, runs_a, mut per_byte) = materialize(&first, 4);
+        let mut wire = encode(&codec, &data_a, &runs_a);
+        second[0].0 |= 1 << (8 * (width - 1));
+        if merge && (1..=gid_mask(width)).contains(&per_byte[per_byte.len() - 1]) {
+            second[0].0 = per_byte[per_byte.len() - 1];
+        }
+        let (data_b, runs_b, per_byte_b) = materialize(&second, width);
+        let per_record: Vec<(usize, GlobalId)> = runs_b
+            .iter()
+            .flat_map(|&(len, gid)| std::iter::repeat_n((1, gid), len))
+            .collect();
+        let at = wire.len();
+        wire.extend(encode(&codec, &data_b, &per_record));
+        prop_assert_eq!(wire[at], OP_RECORDS);
+        let data = [data_a, data_b].concat();
+        per_byte.extend(per_byte_b);
+        let ((consumed, stream), datagram) = decode_both(&codec, &wire);
+        prop_assert_eq!(consumed, wire.len());
+        prop_assert_eq!(&stream.0, &data);
+        prop_assert_eq!(expand(&stream.1), per_byte);
+        prop_assert!(stream.1.windows(2).all(|w| w[0].0 != w[1].0));
+        prop_assert_eq!(datagram, stream);
     }
 
     /// v2 decode∘encode is the identity on data bytes and per-byte gids

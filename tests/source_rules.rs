@@ -249,6 +249,10 @@ const ALLOWED_BYTE_CONVERSIONS: &[(&str, &str)] = &[
         "`LocalId` from a fixed-size array its callers have already bounded",
     ),
     (
+        "crates/jre/src/codec/v1.rs",
+        "the block kernel loads whole 8-byte words of blocks `chunks_exact` has already bounded",
+    ),
+    (
         "crates/microbench/src/cases.rs",
         "Table II case bodies reproduce application code, which reads its own sockets",
     ),
